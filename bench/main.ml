@@ -29,7 +29,7 @@ let section title = Format.printf "@.=== %s ===@.@." title
 (* ------------------------------------------------------------------ *)
 
 let fig_tags = [ "fig5"; "fig6"; "fig7"; "fig8" ]
-let jobs_wide = max 2 (Dbds.Parallel.default_jobs ())
+let jobs_wide = max 2 (Ir.Parallel.default_jobs ())
 let jobs_wide_label = Printf.sprintf "dbds-j%d" jobs_wide
 
 let compile_test ~suite_tag ~jobs (b : Workloads.Suite.benchmark) config label
@@ -38,7 +38,7 @@ let compile_test ~suite_tag ~jobs (b : Workloads.Suite.benchmark) config label
     ~name:(Printf.sprintf "%s/%s/%s" suite_tag b.Workloads.Suite.name label)
     (Staged.stage (fun () ->
          let prog = Workloads.Suite.compile b in
-         ignore (Dbds.Driver.optimize_program ~config ~jobs prog)))
+         ignore (Dbds.Driver.optimize_program_report ~config ~jobs prog)))
 
 let representative (s : Workloads.Suite.t) =
   List.nth s.Workloads.Suite.benchmarks 0
@@ -114,13 +114,7 @@ let run_bechamel () =
 
    - per-benchmark costs are measured sequentially (min over a few runs,
      the only robust estimator on a noisy host);
-   - the jobs=2 / jobs=N speedups are {e modeled} by replaying those
-     measured costs through the scheduler's own LPT assignment
-     ({!Dbds.Parallel.lpt_makespan}) — the CI container frequently has a
-     single core, where a wall-clock "speedup" measures the OS scheduler,
-     not ours.  The model uses real measured costs and the real dispatch
-     order, and is labeled as a model in the JSON;
-   - worker utilization {e is} measured, from the pool's own per-worker
+   - worker utilization is measured, from the pool's own per-worker
      busy counters during an actual [map_weighted] batch run;
    - GC pressure is the minor/major words delta per compile around the
      sequential batch;
@@ -131,8 +125,6 @@ type perf_row = {
   p_benchmarks : int;
   p_total_ns : float;  (** sequential batch total *)
   p_costs : (string * float) list;  (** measured ns per benchmark *)
-  p_speedup2 : float;  (** modeled batch speedup at jobs=2 *)
-  p_speedup_wide : float;  (** modeled batch speedup at jobs_wide *)
   p_util_wide : float;  (** measured mean worker busy fraction *)
   p_util_workers : int;
   p_minor_words : float;  (** GC minor words per compile *)
@@ -144,7 +136,7 @@ let perf_rows () =
   let config = Dbds.Config.dbds in
   let compile_one (b : Workloads.Suite.benchmark) =
     let prog = Workloads.Suite.compile b in
-    ignore (Dbds.Driver.optimize_program ~config ~jobs:1 prog);
+    ignore (Dbds.Driver.optimize_program_report ~config ~jobs:1 prog);
     prog
   in
   List.map2
@@ -165,9 +157,6 @@ let perf_rows () =
       let costs =
         List.map (fun b -> (b.Workloads.Suite.name, cost b)) benches
       in
-      let arr = Array.of_list (List.map snd costs) in
-      let mk2, total = Dbds.Parallel.lpt_makespan ~jobs:2 arr in
-      let mkw, _ = Dbds.Parallel.lpt_makespan ~jobs:jobs_wide arr in
       (* GC pressure around a sequential batch. *)
       let gc_rounds = 10 in
       let s0 = Gc.quick_stat () in
@@ -184,11 +173,11 @@ let perf_rows () =
         int_of_float (List.assoc b.Workloads.Suite.name costs)
       in
       ignore
-        (Dbds.Parallel.map_weighted ~stats ~jobs:jobs_wide ~weight compile_one
+        (Ir.Parallel.map_weighted ~stats ~jobs:jobs_wide ~weight compile_one
            benches);
       let util_frac, util_workers =
         match !stats with
-        | Some u -> (Dbds.Parallel.utilization u, u.Dbds.Parallel.workers)
+        | Some u -> (Ir.Parallel.utilization u, u.Ir.Parallel.workers)
         | None -> (0.0, 0)
       in
       (* Byte-identity of the compiled IR across jobs values. *)
@@ -197,7 +186,7 @@ let perf_rows () =
         List.iter
           (fun (b : Workloads.Suite.benchmark) ->
             let prog = Workloads.Suite.compile b in
-            ignore (Dbds.Driver.optimize_program ~config ~jobs prog);
+            ignore (Dbds.Driver.optimize_program_report ~config ~jobs prog);
             Ir.Program.iter_functions prog (fun g ->
                 Buffer.add_string buf (Ir.Printer.graph_to_string g)))
           benches;
@@ -208,10 +197,8 @@ let perf_rows () =
       {
         p_tag = tag;
         p_benchmarks = List.length benches;
-        p_total_ns = total;
+        p_total_ns = List.fold_left (fun acc (_, ns) -> acc +. ns) 0.0 costs;
         p_costs = costs;
-        p_speedup2 = (if mk2 > 0.0 then total /. mk2 else 1.0);
-        p_speedup_wide = (if mkw > 0.0 then total /. mkw else 1.0);
         p_util_wide = util_frac;
         p_util_workers = util_workers;
         p_minor_words = minor;
@@ -221,17 +208,14 @@ let perf_rows () =
     fig_tags Workloads.Registry.all
 
 let print_perf rows =
-  section
-    "Compile hot path: batch scaling (modeled from measured costs), \
-     utilization, GC";
-  Format.printf "%-6s %6s %12s %8s %8s %7s %12s %12s %6s@." "figure" "bench"
-    "batch ms" "x(j=2)" "x(wide)" "util" "minor w/c" "major w/c" "ident";
+  section "Compile hot path: batch cost, utilization, GC";
+  Format.printf "%-6s %6s %12s %7s %12s %12s %6s@." "figure" "bench"
+    "batch ms" "util" "minor w/c" "major w/c" "ident";
   List.iter
     (fun r ->
-      Format.printf "%-6s %6d %12.2f %8.2f %8.2f %6.0f%% %12.0f %12.0f %6b@."
-        r.p_tag r.p_benchmarks (r.p_total_ns /. 1e6) r.p_speedup2
-        r.p_speedup_wide (100.0 *. r.p_util_wide) r.p_minor_words
-        r.p_major_words r.p_identical)
+      Format.printf "%-6s %6d %12.2f %6.0f%% %12.0f %12.0f %6b@." r.p_tag
+        r.p_benchmarks (r.p_total_ns /. 1e6) (100.0 *. r.p_util_wide)
+        r.p_minor_words r.p_major_words r.p_identical)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -360,111 +344,6 @@ let print_frontdoor row =
   Format.printf "%a@." Harness.Report.pp_frontdoor row
 
 (* ------------------------------------------------------------------ *)
-(* PEA sweep cap: the fig5 8ms-dominant function                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The pea_max_rounds knob bounds scalar replacement's internal sweeps;
-   measure its effect on the benchmark dominating fig5's batch cost
-   (pmd, the 8 ms function among 0.3 ms peers).  Work units are
-   deterministic; wall is min-of-5.  The final program must not
-   change: a capped PEA leaves its remainder to the enclosing fixpoint
-   group, which re-runs it.  The measured answer on pmd is that the
-   cap never bites — its sweeps converge within one round, so pmd's
-   dominance comes from the DBDS simulation tier, not PEA; the knob
-   stays a guardrail for deeper allocation nests (and is digest-stable
-   when unset). *)
-type pea_variant = {
-  pv_max_rounds : int;  (** 0 = fixpoint, the default *)
-  pv_wall_ns : float;  (** min-of-5 wall per compile *)
-  pv_pea_runs : int;  (** pea invocations across the fixpoint group *)
-  pv_pea_work : int;  (** deterministic work charged by pea *)
-  pv_compile_work : int;  (** whole-pipeline work units *)
-  pv_result : string;  (** workload result, for the identity check *)
-  pv_peak_cycles : float;
-}
-
-let pea_cap_rows () =
-  let fig5 = List.hd Workloads.Registry.all in
-  let b =
-    match
-      List.find_opt
-        (fun b -> b.Workloads.Suite.name = "pmd")
-        fig5.Workloads.Suite.benchmarks
-    with
-    | Some b -> b
-    | None -> representative fig5
-  in
-  let variant max_rounds =
-    let config =
-      { Dbds.Config.dbds with Dbds.Config.pea_max_rounds = max_rounds }
-    in
-    let m = Harness.Runner.measure ~jobs:1 ~config b in
-    let wall =
-      let best = ref infinity in
-      for _ = 1 to 5 do
-        let prog = Workloads.Suite.compile b in
-        let t0 = Unix.gettimeofday () in
-        ignore (Dbds.Driver.optimize_program ~config ~jobs:1 prog);
-        let dt = (Unix.gettimeofday () -. t0) *. 1e9 in
-        if dt < !best then best := dt
-      done;
-      !best
-    in
-    let pea_runs, pea_work =
-      match List.assoc_opt "pea" m.Harness.Metrics.passes with
-      | Some st -> (st.Opt.Phase.runs, st.Opt.Phase.pwork)
-      | None -> (0, 0)
-    in
-    {
-      pv_max_rounds = max_rounds;
-      pv_wall_ns = wall;
-      pv_pea_runs = pea_runs;
-      pv_pea_work = pea_work;
-      pv_compile_work = m.Harness.Metrics.compile_work;
-      pv_result = m.Harness.Metrics.result_value;
-      pv_peak_cycles = m.Harness.Metrics.peak_cycles;
-    }
-  in
-  (b.Workloads.Suite.name, List.map variant [ 0; 2 ])
-
-let print_pea_cap (bench, variants) =
-  section
-    (Printf.sprintf
-       "PEA sweep cap (pea_max_rounds) on %s, fig5's dominant benchmark"
-       bench);
-  Format.printf "%-12s %12s %8s %10s %12s %12s@." "max_rounds" "wall ns"
-    "pea runs" "pea work" "compile work" "peak cycles";
-  List.iter
-    (fun v ->
-      Format.printf "%-12s %12.0f %8d %10d %12d %12.0f@."
-        (if v.pv_max_rounds = 0 then "0 (fixpoint)"
-         else string_of_int v.pv_max_rounds)
-        v.pv_wall_ns v.pv_pea_runs v.pv_pea_work v.pv_compile_work
-        v.pv_peak_cycles)
-    variants;
-  match variants with
-  | base :: rest ->
-      List.iter
-        (fun v ->
-          Format.printf
-            "cap %d: wall %+.1f%%, pea work %+d; result %s (%s)@."
-            v.pv_max_rounds
-            (100.0 *. (v.pv_wall_ns -. base.pv_wall_ns) /. base.pv_wall_ns)
-            (v.pv_pea_work - base.pv_pea_work)
-            (if
-               v.pv_result = base.pv_result
-               && v.pv_peak_cycles = base.pv_peak_cycles
-             then "unchanged"
-             else "CHANGED")
-            v.pv_result)
-        rest;
-      if List.for_all (fun v -> v.pv_pea_work = base.pv_pea_work) rest then
-        Format.printf
-          "(cap never bites here: each PEA invocation converges within one \
-           round — the knob guards deeper allocation nests)@."
-  | [] -> ()
-
-(* ------------------------------------------------------------------ *)
 (* BENCH_results.json                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -491,11 +370,11 @@ let json_escape s =
   Buffer.contents buf
 
 let write_results_json path rows cache_rows tiered service perf fleet
-    frontdoor (pea_bench, pea_variants) tier_rows (fp1, fp2, fp4) =
+    frontdoor tier_rows (fp1, fp2, fp4) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"cores\": %d,\n" (Dbds.Parallel.default_jobs ()));
+    (Printf.sprintf "  \"cores\": %d,\n" (Ir.Parallel.default_jobs ()));
   Buffer.add_string buf (Printf.sprintf "  \"jobs_wide\": %d,\n" jobs_wide);
   Buffer.add_string buf "  \"unit\": \"ns_per_compile\",\n";
   Buffer.add_string buf "  \"suites\": [\n";
@@ -633,7 +512,7 @@ let write_results_json path rows cache_rows tiered service perf fleet
   Buffer.add_string buf "\n  ],\n";
   (* Fleet: the per-request warm-hit cost is measured on this host; the
      cross-node throughput is modeled over real ring shard shapes, so
-     every modeled key carries a _model suffix (perf's precedent). *)
+     every modeled key carries a _model suffix. *)
   Buffer.add_string buf "  \"fleet\": {\n";
   Buffer.add_string buf
     "    \"model\": \"ring-sharded warm-hit serving: measured per-request \
@@ -714,33 +593,6 @@ let write_results_json path rows cache_rows tiered service perf fleet
   in
   Buffer.add_string buf (String.concat ",\n" fd_entries);
   Buffer.add_string buf "\n    ]\n  },\n";
-  (* PEA sweep cap on fig5's dominant benchmark: deterministic work
-     units plus min-of-5 wall per variant. *)
-  Buffer.add_string buf "  \"pea_cap\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"benchmark\": \"%s\",\n" (json_escape pea_bench));
-  Buffer.add_string buf
-    "    \"note\": \"pea_max_rounds bounds scalar replacement's internal \
-     sweeps; a capped chain leaves its remainder to the enclosing \
-     fixpoint group, so the final IR and workload result are unchanged. \
-     On this benchmark the cap never bites: every PEA invocation \
-     converges within one round (identical pea_work at any cap), so its \
-     fig5 dominance comes from the DBDS simulation tier, not PEA — the \
-     knob is a guardrail for deeper allocation nests\",\n";
-  Buffer.add_string buf "    \"variants\": [\n";
-  let pea_entries =
-    List.map
-      (fun v ->
-        Printf.sprintf
-          "      { \"max_rounds\": %d, \"wall_ns\": %.0f, \"pea_runs\": %d, \
-           \"pea_work\": %d, \"compile_work\": %d, \"peak_cycles\": %.1f, \
-           \"result\": \"%s\" }"
-          v.pv_max_rounds v.pv_wall_ns v.pv_pea_runs v.pv_pea_work
-          v.pv_compile_work v.pv_peak_cycles (json_escape v.pv_result))
-      pea_variants
-  in
-  Buffer.add_string buf (String.concat ",\n" pea_entries);
-  Buffer.add_string buf "\n    ]\n  },\n";
   (* Adversarial workload lab: every benchmark under every tier. *)
   Buffer.add_string buf "  \"adversarial\": [\n";
   let tier_entries =
@@ -804,19 +656,14 @@ let write_results_json path rows cache_rows tiered service perf fleet
           \      \"benchmarks\": %d,\n\
           \      \"batch_ns_sequential\": %.0f,\n\
           \      \"per_benchmark_ns\": [\n%s\n      ],\n\
-          \      \"speedup_model\": \"lpt_makespan over measured \
-           per-benchmark costs (host may be single-core; utilization is \
-           measured)\",\n\
-          \      \"speedup_vs_jobs1\": { \"jobs_2\": %.3f, \"jobs_%d\": \
-           %.3f },\n\
           \      \"scheduler_utilization\": { \"workers\": %d, \
            \"mean_busy_fraction\": %.4f },\n\
           \      \"gc_per_compile\": { \"minor_words\": %.0f, \
            \"major_words\": %.0f },\n\
           \      \"identical_ir_across_jobs\": %b\n\
           \    }"
-          (json_escape r.p_tag) r.p_benchmarks r.p_total_ns costs r.p_speedup2
-          jobs_wide r.p_speedup_wide r.p_util_workers r.p_util_wide
+          (json_escape r.p_tag) r.p_benchmarks r.p_total_ns costs
+          r.p_util_workers r.p_util_wide
           r.p_minor_words r.p_major_words r.p_identical)
       perf
   in
@@ -868,8 +715,6 @@ let () =
   print_fleet fleet;
   let frontdoor = frontdoor_row () in
   print_frontdoor frontdoor;
-  let pea_cap = pea_cap_rows () in
-  print_pea_cap pea_cap;
   let lab = tier_rows () in
   print_tier_compare lab;
   let fps = tier_fingerprints () in
@@ -877,4 +722,4 @@ let () =
   print_perf perf;
   let rows = run_bechamel () in
   write_results_json "BENCH_results.json" rows cache_rows tiered service perf
-    fleet frontdoor pea_cap lab fps
+    fleet frontdoor lab fps

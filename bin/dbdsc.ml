@@ -530,7 +530,7 @@ let parse_deopt_plan s =
       | _ -> failwith "--tiered-deopt expects FN:N with N >= 1")
   | None -> failwith "--tiered-deopt expects FN:N"
 
-let run_compiler file mode passes licm pea_max_rounds print_passes dump dot
+let run_compiler file mode passes licm print_passes dump dot
     run args stats icache_off jobs inject paranoid bundle_dir no_contain
     replay_bundle profile_runs tiered tiered_runs tiered_deopt svc simopts =
   match
@@ -565,7 +565,6 @@ let run_compiler file mode passes licm pea_max_rounds print_passes dump dot
         containment = not no_contain;
         passes;
         licm;
-        pea_max_rounds = max 0 pea_max_rounds;
       }
     in
     (* Validate the effective pipeline (user-supplied or mode-derived)
@@ -833,12 +832,10 @@ let passes_arg =
            a comma-separated list of pass names; $(b,fix(...)) iterates its \
            body to a fixpoint; options attach in braces, e.g. \
            $(b,inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3}). \
-           Passes: the classic names above plus $(b,licm), the opt-in \
-           upgrades $(b,copyprop) (optimistic copy propagation) and \
-           $(b,lospre) (speculative PRE), the duplication tiers \
-           $(b,dbds)/$(b,dupalot) (options $(i,iters), $(i,threshold)), \
-           $(b,backtracking) and $(b,condelim_dup) (option $(i,iters)), \
-           and program-level $(b,inline) (top level only).")
+           Passes: the classic names above plus $(b,licm), the duplication \
+           tiers $(b,dbds)/$(b,dupalot) (options $(i,iters), \
+           $(i,threshold)), $(b,backtracking) and $(b,condelim_dup) (option \
+           $(i,iters)), and program-level $(b,inline) (top level only).")
 
 let licm_arg =
   Arg.(
@@ -847,16 +844,6 @@ let licm_arg =
         ~doc:
           "Include loop-invariant code motion in the default pipeline's \
            fixpoint group.")
-
-let pea_max_rounds_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "pea-max-rounds" ] ~docv:"N"
-        ~doc:
-          "Cap scalar replacement's internal sweeps at N per invocation \
-           (deeply nested allocation chains then leave their remainder to \
-           the enclosing fixpoint group).  0 = run to its fixpoint, the \
-           historical default.")
 
 let print_passes_arg =
   Arg.(
@@ -1432,8 +1419,7 @@ let cmd =
     (Cmd.info "dbdsc" ~version:"1.0.0" ~doc)
     Term.(
       const run_compiler $ file_arg $ mode_arg $ passes_arg $ licm_arg
-      $ pea_max_rounds_arg $ print_passes_arg $ dump_arg $ dot_arg $ run_arg
-      $ args_arg $ stats_arg
+      $ print_passes_arg $ dump_arg $ dot_arg $ run_arg $ args_arg $ stats_arg
       $ no_icache_arg $ jobs_arg $ inject_arg $ paranoid_arg $ bundle_dir_arg
       $ no_contain_arg $ replay_arg $ profile_runs_arg $ tiered_arg
       $ tiered_runs_arg $ tiered_deopt_arg $ service_opts_term

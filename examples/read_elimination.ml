@@ -38,7 +38,8 @@ let dynamic_instrs prog i =
 let () =
   let prog = Lang.Frontend.compile source in
   let baseline = Ir.Program.copy prog in
-  let _ = Dbds.Driver.optimize_program ~config:Dbds.Config.off baseline in
+  ignore
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.off baseline);
 
   let g = Option.get (Ir.Program.find_function prog "foo") in
   Format.printf "=== Listing 5 ===@.%s@." (Ir.Printer.graph_to_string g);
@@ -48,7 +49,7 @@ let () =
   Format.printf "=== simulation results ===@.";
   List.iter (fun c -> Format.printf "  %a@." Dbds.Candidate.pp c) candidates;
 
-  let _ = Dbds.Driver.optimize_program prog in
+  ignore (Dbds.Driver.optimize_program_report prog);
   let g = Option.get (Ir.Program.find_function prog "foo") in
   Format.printf "@.=== after DBDS (Listing 6's shape) ===@.%s@."
     (Ir.Printer.graph_to_string g);

@@ -168,7 +168,10 @@ let parse text =
         b_site = get "site";
         b_exn = get "exception";
         b_plan = plan;
-        b_config = Config.of_line (get "config");
+        b_config =
+          (match Config.of_line (get "config") with
+          | Ok c -> c
+          | Error e -> raise (Malformed e));
         b_profile = profile;
         b_ir = String.concat "\n" ir_lines;
       }

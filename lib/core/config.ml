@@ -48,12 +48,6 @@ type t = {
   licm : bool;
       (** include loop-invariant code motion in the classic fixpoint
           group (off in the calibrated evaluation plan — see {!Licm}) *)
-  pea_max_rounds : int;
-      (** bound on scalar replacement's internal sweep count per
-          invocation; 0 = run to its fixpoint (the historical default).
-          The fig5-style functions whose nested allocation chains make
-          PEA the dominant phase can be capped without touching the
-          rest of the pipeline. *)
   preserve_analyses : bool;
       (** honor pass preservation contracts in the analysis cache; false
           = the historical generation-bump-invalidates-everything mode
@@ -77,7 +71,6 @@ let default =
     bundle_dir = None;
     passes = None;
     licm = false;
-    pea_max_rounds = 0;
     preserve_analyses = true;
   }
 
@@ -119,83 +112,106 @@ let mode_of_string = function
    excluded — two configs differing only there must collide in the
    cache.  The historical key set (the v1 bundle format) is preserved;
    [licm], [preserve_analyses] and [passes] were appended later and
-   default when absent, so old bundles still parse. *)
+   default when absent, so old bundles still parse.  [keys] is the one
+   list both directions walk, in line order. *)
+
+type key = {
+  name : string;
+  render : t -> string option;  (** [None]: left off the line *)
+  parse : t -> string -> (t, string) result;
+}
+
+let key name show read get set =
+  {
+    name;
+    render = (fun c -> Some (show (get c)));
+    parse =
+      (fun c v ->
+        match read v with
+        | Some x -> Ok (set c x)
+        | None -> Error (Printf.sprintf "config: bad %s=%s" name v));
+  }
+
+let float_key name = key name (Printf.sprintf "%.17g") float_of_string_opt
+let int_key name = key name string_of_int int_of_string_opt
+let bool_key name = key name string_of_bool bool_of_string_opt
+
+let keys =
+  [
+    key "mode" mode_to_string mode_of_string
+      (fun c -> c.mode)
+      (fun c mode -> { c with mode });
+    float_key "benefit_scale"
+      (fun c -> c.benefit_scale)
+      (fun c benefit_scale -> { c with benefit_scale });
+    float_key "size_budget"
+      (fun c -> c.size_budget)
+      (fun c size_budget -> { c with size_budget });
+    int_key "max_unit_size"
+      (fun c -> c.max_unit_size)
+      (fun c max_unit_size -> { c with max_unit_size });
+    int_key "max_iterations"
+      (fun c -> c.max_iterations)
+      (fun c max_iterations -> { c with max_iterations });
+    float_key "iteration_benefit_threshold"
+      (fun c -> c.iteration_benefit_threshold)
+      (fun c iteration_benefit_threshold ->
+        { c with iteration_benefit_threshold });
+    float_key "loop_factor"
+      (fun c -> c.loop_factor)
+      (fun c loop_factor -> { c with loop_factor });
+    bool_key "path_duplication"
+      (fun c -> c.path_duplication)
+      (fun c path_duplication -> { c with path_duplication });
+    int_key "max_path_length"
+      (fun c -> c.max_path_length)
+      (fun c max_path_length -> { c with max_path_length });
+    bool_key "paranoid"
+      (fun c -> c.verify_between_phases)
+      (fun c verify_between_phases -> { c with verify_between_phases });
+    bool_key "licm" (fun c -> c.licm) (fun c licm -> { c with licm });
+    bool_key "preserve_analyses"
+      (fun c -> c.preserve_analyses)
+      (fun c preserve_analyses -> { c with preserve_analyses });
+    (* The canonical spec rendering contains no spaces, so it stays one
+       token of the line. *)
+    {
+      name = "passes";
+      render = (fun c -> Option.map Opt.Spec.to_string c.passes);
+      parse =
+        (fun c v ->
+          match Opt.Spec.of_string v with
+          | Ok spec -> Ok { c with passes = Some spec }
+          | Error msg -> Error ("config: passes: " ^ msg));
+    };
+  ]
 
 let to_line (c : t) =
-  let base =
-    Printf.sprintf
-      "mode=%s benefit_scale=%.17g size_budget=%.17g max_unit_size=%d \
-       max_iterations=%d iteration_benefit_threshold=%.17g loop_factor=%.17g \
-       path_duplication=%b max_path_length=%d paranoid=%b licm=%b \
-       preserve_analyses=%b"
-      (mode_to_string c.mode) c.benefit_scale c.size_budget c.max_unit_size
-      c.max_iterations c.iteration_benefit_threshold c.loop_factor
-      c.path_duplication c.max_path_length c.verify_between_phases c.licm
-      c.preserve_analyses
-  in
-  (* Appended only when non-default so every pre-knob rendering — and
-     with it every cached digest — is byte-stable. *)
-  let base =
-    if c.pea_max_rounds = 0 then base
-    else base ^ " pea_max_rounds=" ^ string_of_int c.pea_max_rounds
-  in
-  match c.passes with
-  | None -> base
-  (* The canonical spec rendering contains no spaces, so it stays one
-     token of the line. *)
-  | Some spec -> base ^ " passes=" ^ Opt.Spec.to_string spec
+  String.concat " "
+    (List.filter_map
+       (fun k -> Option.map (fun v -> k.name ^ "=" ^ v) (k.render c))
+       keys)
 
+(* A missing key takes the default.  Every other token must be a known
+   key, given once, with a value that parses: a bare word, an unknown
+   key (say, one a later version removed) or a bad value is refused
+   rather than ignored — either way the request would silently get a
+   pipeline it did not ask for. *)
 let of_line line =
-  let fields =
-    List.filter_map
-      (fun part ->
-        match String.index_opt part '=' with
-        | Some i ->
-            Some
-              ( String.sub part 0 i,
-                String.sub part (i + 1) (String.length part - i - 1) )
-        | None -> None)
-      (String.split_on_char ' ' line)
+  let step acc token =
+    Result.bind acc (fun (c, seen) ->
+        match String.index_opt token '=' with
+        | None -> Error (Printf.sprintf "config: malformed token %s" token)
+        | Some i -> (
+            let name = String.sub token 0 i in
+            let v = String.sub token (i + 1) (String.length token - i - 1) in
+            match List.find_opt (fun k -> k.name = name) keys with
+            | None -> Error (Printf.sprintf "config: unknown key %s" name)
+            | Some _ when List.mem name seen ->
+                Error (Printf.sprintf "config: duplicate key %s" name)
+            | Some k -> Result.map (fun c -> (c, name :: seen)) (k.parse c v)))
   in
-  let get k = List.assoc_opt k fields in
-  let int_field k d =
-    match get k with
-    | Some v -> int_of_string_opt v |> Option.value ~default:d
-    | None -> d
-  in
-  let float_field k d =
-    match get k with
-    | Some v -> float_of_string_opt v |> Option.value ~default:d
-    | None -> d
-  in
-  let bool_field k d =
-    match get k with
-    | Some v -> bool_of_string_opt v |> Option.value ~default:d
-    | None -> d
-  in
-  let d = default in
-  {
-    d with
-    mode =
-      (match Option.bind (get "mode") mode_of_string with
-      | Some m -> m
-      | None -> d.mode);
-    benefit_scale = float_field "benefit_scale" d.benefit_scale;
-    size_budget = float_field "size_budget" d.size_budget;
-    max_unit_size = int_field "max_unit_size" d.max_unit_size;
-    max_iterations = int_field "max_iterations" d.max_iterations;
-    iteration_benefit_threshold =
-      float_field "iteration_benefit_threshold" d.iteration_benefit_threshold;
-    loop_factor = float_field "loop_factor" d.loop_factor;
-    path_duplication = bool_field "path_duplication" d.path_duplication;
-    max_path_length = int_field "max_path_length" d.max_path_length;
-    verify_between_phases = bool_field "paranoid" d.verify_between_phases;
-    licm = bool_field "licm" d.licm;
-    pea_max_rounds = int_field "pea_max_rounds" d.pea_max_rounds;
-    preserve_analyses = bool_field "preserve_analyses" d.preserve_analyses;
-    passes =
-      (match get "passes" with
-      | Some s -> (
-          match Opt.Spec.of_string s with Ok spec -> Some spec | Error _ -> None)
-      | None -> None);
-  }
+  String.split_on_char ' ' line
+  |> List.filter (fun token -> token <> "")
+  |> List.fold_left step (Ok (default, []))
+  |> Result.map fst

@@ -48,11 +48,6 @@ type t = {
   licm : bool;
       (** include loop-invariant code motion in the classic fixpoint
           group (off in the calibrated evaluation plan — see {!Licm}) *)
-  pea_max_rounds : int;
-      (** bound on scalar replacement's internal sweep count per
-          invocation; 0 = run to its fixpoint (the historical default,
-          and what every pre-knob digest assumed — {!to_line} renders
-          the key only when non-zero) *)
   preserve_analyses : bool;
       (** honor pass preservation contracts in the analysis cache; false
           = the historical generation-bump-invalidates-everything mode
@@ -82,9 +77,11 @@ val mode_of_string : string -> mode option
     configs differing only there collide in the compilation cache. *)
 val to_line : t -> string
 
-(** Parse a {!to_line} rendering; missing or unparseable fields fall
-    back to {!default} (old crash bundles predate some keys). *)
-val of_line : string -> t
+(** Parse a {!to_line} rendering.  Missing keys fall back to {!default}
+    (old crash bundles predate some keys); a token without [=], an
+    unknown or repeated key, or a value that does not parse — a
+    [passes=] spec included — is an [Error], never a silent default. *)
+val of_line : string -> (t, string) result
 
 (** DBDS with paranoid between-phase verification enabled. *)
 val paranoid : t

@@ -94,9 +94,7 @@ let run_round config ctx stats g =
   (* Action steps: run the classic optimizations over the transformed
      graph (the per-candidate opportunities all fall out of these). *)
   if !round_benefit > 0.0 then
-    ignore
-      (Opt.Pipeline.optimize ~licm:config.Config.licm
-         ~pea_max_rounds:config.Config.pea_max_rounds ctx g);
+    ignore (Opt.Pipeline.optimize ~licm:config.Config.licm ctx g);
   stats.benefit_accepted <- stats.benefit_accepted +. !round_benefit;
   (!round_benefit, !stale)
 
@@ -148,8 +146,7 @@ let run_backtracking config ctx stats g =
                     | _ ->
                         paranoid_check config "backtracking.duplicate" g;
                         ignore
-                          (Opt.Pipeline.optimize ~licm:config.Config.licm
-                             ~pea_max_rounds:config.Config.pea_max_rounds ctx
+                          (Opt.Pipeline.optimize ~licm:config.Config.licm ctx
                              g);
                         let after = Costmodel.Estimate.weighted_cycles g in
                         let size_after = Costmodel.Estimate.graph_size g in
@@ -182,10 +179,7 @@ let default_spec (config : Config.t) : Opt.Spec.t =
   match config.Config.passes with
   | Some spec -> spec
   | None ->
-      let fix () =
-        Opt.Pipeline.fix_group ~licm:config.Config.licm
-          ~pea_max_rounds:config.Config.pea_max_rounds ()
-      in
+      let fix () = Opt.Pipeline.fix_group ~licm:config.Config.licm () in
       let inline = Opt.Spec.Pass { name = "inline"; opts = [] } in
       let tier name =
         Opt.Spec.Pass
@@ -552,7 +546,7 @@ type cache = {
 let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
     ?cache ?sched_stats program =
   let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
+    match jobs with Some j -> max 1 j | None -> Ir.Parallel.default_jobs ()
   in
   let ctx = Opt.Phase.create ~program () in
   let spec = default_spec config in
@@ -601,7 +595,7 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
         (fun (name, s, f, wctx) ->
           Opt.Phase.merge_into ~into:ctx wctx;
           (name, s, f))
-        (Parallel.map_weighted ?stats:sched_stats ~jobs
+        (Ir.Parallel.map_weighted ?stats:sched_stats ~jobs
            ~weight:G.live_instr_count
            (fun g ->
              let wctx = Opt.Phase.create ~program () in
@@ -614,13 +608,6 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
     rep_stats = List.map (fun (name, s, _) -> (name, s)) results;
     rep_failures = List.filter_map (fun (_, _, f) -> f) results;
   }
-
-(** {!optimize_program_report} without the failure detail — the
-    historical interface most callers use.  Contained failures are still
-    contained (counted in the context's [contained] stats). *)
-let optimize_program ?config ?inline ?jobs ?cache program =
-  let r = optimize_program_report ?config ?inline ?jobs ?cache program in
-  (r.rep_ctx, r.rep_stats)
 
 (* ------------------------------------------------------------------ *)
 (* Bundle replay                                                       *)

@@ -118,17 +118,6 @@ val optimize_program_report :
   Ir.Program.t ->
   report
 
-(** {!optimize_program_report} without the failure detail — the
-    historical interface.  Contained failures are still contained
-    (counted in the context's [contained] stats). *)
-val optimize_program :
-  ?config:Config.t ->
-  ?inline:bool ->
-  ?jobs:int ->
-  ?cache:cache ->
-  Ir.Program.t ->
-  Opt.Phase.ctx * (string * stats) list
-
 (** Re-execute a crash bundle: parse its pre-attempt IR, rebuild the
     recorded configuration (fault plan included) and rerun the
     per-function pipeline under containment. *)

@@ -262,8 +262,8 @@ let figure4 () =
   in
   let before = Lang.Frontend.compile src in
   let after = Ir.Program.copy before in
-  let _ = Dbds.Driver.optimize_program ~config:Dbds.Config.off before in
-  let _ = Dbds.Driver.optimize_program ~config:Dbds.Config.dbds after in
+  let _ = Dbds.Driver.optimize_program_report ~config:Dbds.Config.off before in
+  let _ = Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds after in
   let cycles p =
     Costmodel.Estimate.weighted_cycles
       (Option.get (Ir.Program.find_function p "main"))

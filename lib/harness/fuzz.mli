@@ -92,18 +92,19 @@ type lab_result = {
   l_pairs_run : int;
       (** (program × tier × fault plan) jobs-identity pairs executed *)
   l_paranoid_runs : int;  (** paranoid (contract-audited) driver runs *)
-  l_enables_checked : int;  (** enables-completeness checks performed *)
+  l_enables_checked : int;  (** functions where a pass with an [enables] list
+      fired and its chase was checked *)
   l_violations : string list;  (** property breaches; [[]] = pass *)
 }
 
-(** Fuzz the workload lab and the new passes.  Corpus: every
-    adversarial benchmark plus [progen_seeds] random programs with the
-    irreducible-region flag on.  Three properties over the
-    copyprop-canon / lospre / condelim_dup tiers (dbds as control):
+(** Fuzz the workload lab.  Corpus: every adversarial benchmark plus
+    [progen_seeds] random programs with the irreducible-region flag on.
+    Three properties over the condelim_dup tier (dbds as control):
     whole-run byte identity between [jobs:1] and [jobs:4], with and
     without fault plans; the paranoid driver (verifier + preserves
-    audits) contains nothing on the clean corpus; and each firing of
-    copyprop/lospre chased through only its declared [enables] passes
-    leaves nothing for the full classic group. *)
+    audits) contains nothing on the clean corpus; and each firing of a
+    classic pass that declares an [enables] list (today [dce]), chased
+    through only those passes, leaves nothing for the full classic
+    group. *)
 val run_lab :
   ?progen_seeds:int list -> ?plans_per_pair:int -> unit -> lab_result

@@ -36,10 +36,11 @@ let measure ?(icache = Interp.Machine.default_icache) ?jobs ~config
     (b : Workloads.Suite.benchmark) =
   let prog = compile_benchmark b in
   let t0 = Unix.gettimeofday () in
-  let ctx, stats = Dbds.Driver.optimize_program ~config ?jobs prog in
+  let r = Dbds.Driver.optimize_program_report ~config ?jobs prog in
   let wall = Unix.gettimeofday () -. t0 in
+  let ctx = r.Dbds.Driver.rep_ctx in
   Opt.Phase.charge ctx (backend_passes * program_instr_count prog);
-  let totals = Dbds.Driver.total_stats stats in
+  let totals = Dbds.Driver.total_stats r.Dbds.Driver.rep_stats in
   let result, run_stats =
     try Interp.Machine.run ~icache ~fuel:50_000_000 prog ~args:b.Workloads.Suite.args
     with e ->

@@ -1,46 +1,21 @@
 (** Tier comparison over the adversarial workload lab ({!Workloads.Advgen}).
 
-    Every lab benchmark is compiled and run under seven tiers:
+    Every lab benchmark is compiled and run under five tiers:
 
-    - [off] — the classic pipeline, no duplication, no upgrades;
-    - [copyprop-canon] — classic fixpoint plus optimistic copy
-      propagation (arXiv 2207.03894) as a canonicalization upgrade;
-    - [lospre] — classic fixpoint plus linear-time speculative PRE
-      (arXiv 2011.10789);
+    - [off] — the classic pipeline, no duplication;
     - [condelim_dup] — greedy conditional elimination through
       duplication (arXiv 1106.3478), no trade-off;
     - [dbds] / [dupalot] / [backtracking] — the paper's tiers.
 
     Per cell we record peak cycles, code size, compile work and the
-    tier's decision count (duplications for duplication tiers, pass
-    firings for the upgrade passes).  All tiers must agree on every
+    tier's decision count (duplications).  All tiers must agree on every
     benchmark's result — the lab's differential invariant — and the
     whole table must be byte-deterministic at any [jobs] value, which
     {!fingerprint} lets CI check cheaply. *)
 
-let spec_of s =
-  match Opt.Spec.of_string s with
-  | Ok spec -> spec
-  | Error msg -> invalid_arg ("Tiercompare.spec_of: " ^ msg)
-
-(* The baseline fixpoint group with one extra pass folded in.  The
-   upgrade passes stay out of the calibrated default group (digest
-   stability), so the lab opts in per tier via an explicit spec. *)
-let upgraded pass =
-  {
-    Dbds.Config.off with
-    Dbds.Config.passes =
-      Some
-        (spec_of
-           ("inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce,"
-          ^ pass ^ ")"));
-  }
-
 let tiers : (string * Dbds.Config.t) list =
   [
     ("off", Dbds.Config.off);
-    ("copyprop-canon", upgraded "copyprop");
-    ("lospre", upgraded "lospre");
     ("condelim_dup", Dbds.Config.condelim_dup);
     ("dbds", Dbds.Config.dbds);
     ("dupalot", Dbds.Config.dupalot);
@@ -50,18 +25,6 @@ let tiers : (string * Dbds.Config.t) list =
 (** The tiers that duplicate code (candidates for the lab's
     giant-switch win gate). *)
 let duplication_tiers = [ "condelim_dup"; "dbds"; "dupalot"; "backtracking" ]
-
-let fired pass stats =
-  match List.assoc_opt pass stats with
-  | Some (s : Opt.Phase.pass_stat) -> s.Opt.Phase.fired
-  | None -> 0
-
-let decisions ~tier (m : Metrics.measurement) =
-  match tier with
-  | "off" -> 0
-  | "copyprop-canon" -> fired "copyprop" m.Metrics.passes
-  | "lospre" -> fired "lospre" m.Metrics.passes
-  | _ -> m.Metrics.duplications
 
 let measure_benchmark ?jobs ~suite (b : Workloads.Suite.benchmark) =
   let measured =
@@ -90,7 +53,7 @@ let measure_benchmark ?jobs ~suite (b : Workloads.Suite.benchmark) =
             tc_peak_cycles = m.Metrics.peak_cycles;
             tc_code_size = m.Metrics.code_size;
             tc_compile_work = m.Metrics.compile_work;
-            tc_decisions = decisions ~tier m;
+            tc_decisions = m.Metrics.duplications;
           })
         measured;
   }
@@ -118,7 +81,7 @@ let fingerprint ?jobs () =
                 (Printf.sprintf "%s/%s/%s\n" s.Workloads.Suite.suite_name
                    b.Workloads.Suite.name tier);
               let prog = Workloads.Suite.compile b in
-              ignore (Dbds.Driver.optimize_program ~config ?jobs prog);
+              ignore (Dbds.Driver.optimize_program_report ~config ?jobs prog);
               Ir.Program.iter_functions prog (fun g ->
                   Buffer.add_string buf (Ir.Printer.graph_to_string g)))
             tiers)

@@ -1,8 +1,7 @@
 (** Tier comparison over the adversarial workload lab: every
     {!Workloads.Registry.adversarial} benchmark compiled and run under
-    the seven tiers (off, copyprop-canon, lospre, condelim_dup, dbds,
-    dupalot, backtracking), with a cross-[jobs] determinism
-    fingerprint.  See DESIGN.md §16. *)
+    the five tiers (off, condelim_dup, dbds, dupalot, backtracking),
+    with a cross-[jobs] determinism fingerprint.  See DESIGN.md §16. *)
 
 (** The tier labels and configurations, in report/JSON column order. *)
 val tiers : (string * Dbds.Config.t) list

@@ -181,25 +181,3 @@ let map_weighted ?stats ~jobs ~weight f items =
   let jobs = max 1 (min jobs n) in
   if jobs <= 1 then sequential_map ~stats f items
   else run_pool ~jobs ~stats f arr (lpt_order (Array.map weight arr))
-
-(** Deterministic LPT makespan model: given per-item costs and the
-    worker count, simulate the greedy longest-first assignment and
-    return (makespan, total).  Used by the bench harness to report the
-    scheduler's modeled speedup when the host has fewer cores than
-    requested jobs (speedup = total / makespan). *)
-let lpt_makespan ~jobs costs =
-  let jobs = max 1 jobs in
-  let order = lpt_order costs in
-  let load = Array.make jobs 0.0 in
-  Array.iter
-    (fun i ->
-      (* least-loaded worker gets the next-heaviest item *)
-      let w = ref 0 in
-      for k = 1 to jobs - 1 do
-        if load.(k) < load.(!w) then w := k
-      done;
-      load.(!w) <- load.(!w) +. costs.(i))
-    order;
-  let makespan = Array.fold_left Float.max 0.0 load in
-  let total = Array.fold_left ( +. ) 0.0 costs in
-  (makespan, total)

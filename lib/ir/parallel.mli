@@ -42,10 +42,3 @@ val map_weighted :
   ('a -> 'b) ->
   'a list ->
   'b list
-
-(** [lpt_makespan ~jobs costs] simulates the greedy
-    longest-processing-time-first assignment of [costs] onto [jobs]
-    workers and returns [(makespan, total_cost)].  The bench harness uses
-    this to model the parallel speedup ([total /. makespan]) when the
-    host machine has fewer cores than requested jobs. *)
-val lpt_makespan : jobs:int -> float array -> float * float

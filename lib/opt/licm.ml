@@ -8,7 +8,7 @@
     machinery to prove stability across iterations).
 
     This phase is not part of the calibrated default pipeline
-    ({!Pipeline.all_phases}): the evaluation's baseline/DBDS/dupalot
+    ({!Pipeline.classic_names}): the evaluation's baseline/DBDS/dupalot
     comparison uses a fixed phase plan (as the paper's Graal configuration
     does), and adding a phase would shift every measured ratio.  It is
     exercised by `Pipeline.optimize ~licm:true`, its own test suite, and

@@ -7,7 +7,7 @@
     path.  Memory reads stay put.
 
     This phase is {e not} part of the calibrated default pipeline
-    ({!Pipeline.all_phases}): the evaluation's baseline/DBDS/dupalot
+    ({!Pipeline.classic_names}): the evaluation's baseline/DBDS/dupalot
     comparison uses a fixed phase plan (as the paper's Graal configuration
     does), and adding a phase would shift every measured ratio.  Enable it
     with [Pipeline.optimize ~licm:true]. *)

@@ -112,7 +112,7 @@ let replace_scalar g alloc cls_fields args =
   end
   else false
 
-let run_rounds ~max_rounds ctx g =
+let run ctx g =
   Phase.charge_graph ctx g;
   match ctx.Phase.program with
   | None -> false
@@ -125,14 +125,9 @@ let run_rounds ~max_rounds ctx g =
          in its fields (the store that pinned it disappears), so iterate
          until a whole sweep replaces nothing — one run digests a nested
          allocation chain instead of dragging the full pipeline through
-         one fixpoint round per nesting level.  [max_rounds > 0] caps
-         the sweeps: deeply nested chains (the fig5 pathology) then
-         leave their remainder to the enclosing fixpoint group instead
-         of paying the whole chain here. *)
+         one fixpoint round per nesting level. *)
       let continue_ = ref true in
-      let rounds = ref 0 in
-      while !continue_ && (max_rounds = 0 || !rounds < max_rounds) do
-        incr rounds;
+      while !continue_ do
         continue_ := false;
         let allocs =
           G.fold_instrs g
@@ -157,15 +152,8 @@ let run_rounds ~max_rounds ctx g =
       done;
       !changed
 
-let run ctx g = run_rounds ~max_rounds:0 ctx g
-
 (* Scalar replacement rewrites allocations and field accesses.  The
    unreachable-block sweep only deletes blocks no analysis covers (they
    are outside the RPO), so dominators, loops and frequencies of the
    reachable CFG are unchanged. *)
 let phase = Phase.make ~preserves:Ir.Analyses.all_kinds "pea" run
-
-(** The phase with a bounded sweep count — what [pea{max_rounds=N}]
-    resolves to. *)
-let phase_with ~max_rounds =
-  Phase.make ~preserves:Ir.Analyses.all_kinds "pea" (run_rounds ~max_rounds)

@@ -22,10 +22,3 @@ val escape_state : Ir.Graph.t -> Ir.Types.value -> escape
 
 val run : Phase.ctx -> Ir.Graph.t -> bool
 val phase : Phase.t
-
-(** {!phase} with the internal scalar-replacement sweep count capped at
-    [max_rounds] per invocation (the [pea{max_rounds=N}] spec form;
-    {!phase} itself runs to the fixpoint).  Nested allocation chains
-    deeper than the cap leave their remainder to the enclosing fixpoint
-    group. *)
-val phase_with : max_rounds:int -> Phase.t

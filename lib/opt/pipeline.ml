@@ -1,21 +1,9 @@
 (** Standard optimization pipelines.
 
-    [baseline_spec] is the paper's duplication-disabled configuration:
-    all the classic optimizations to a fixpoint, only DBDS is off.  The
-    DBDS driver composes the same fixpoint group (through the same
+    {!fix_group} is the paper's duplication-disabled configuration: all
+    the classic optimizations to a fixpoint, only DBDS is off.  The DBDS
+    driver composes the same fixpoint group (through the same
     {!Manager}) before and between its duplication tiers. *)
-
-let all_phases =
-  [
-    Canonicalize.phase;
-    Simplify_cfg.phase;
-    Sccp.phase;
-    Gvn.phase;
-    Condelim.phase;
-    Readelim.phase;
-    Pea.phase;
-    Dce.phase;
-  ]
 
 (* The classic per-graph passes by spec name.  Short names are
    canonical (what default specs print); the long forms are accepted as
@@ -33,30 +21,16 @@ let classic =
     ("pea", Pea.phase);
     ("dce", Dce.phase);
     ("licm", Licm.phase);
-    (* Opt-in upgrades (not in the calibrated default group): the
-       canonicalization-level copy/constant propagation and speculative
-       PRE passes of the workload-lab tiers. *)
-    ("copyprop", Copyprop.phase);
-    ("lospre", Lospre.phase);
   ]
 
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
-    [condelim], [readelim], [pea], [dce], [licm], plus the opt-in
-    [copyprop] and [lospre], and long-form aliases).  Only [pea] takes
-    an option — [max_rounds], bounding its internal scalar-replacement
-    sweeps (0 = fixpoint).  The driver's resolver layers the
+    [condelim], [readelim], [pea], [dce], [licm], and long-form
+    aliases).  None takes an option.  The driver's resolver layers the
     duplication tiers on top of this one. *)
 let resolve_classic name opts =
-  match name with
-  | "pea" ->
-      let ( let* ) = Result.bind in
-      let* () = Spec.check_opts ~pass:name [ "max_rounds" ] opts in
-      let* max_rounds = Spec.int_opt opts "max_rounds" ~default:0 in
-      Ok (if max_rounds <= 0 then Pea.phase else Pea.phase_with ~max_rounds)
-  | _ -> (
-      match List.assoc_opt name classic with
-      | Some p -> Result.map (fun () -> p) (Spec.check_opts ~pass:name [] opts)
-      | None -> Error (Printf.sprintf "unknown pass %S" name))
+  match List.assoc_opt name classic with
+  | Some p -> Result.map (fun () -> p) (Spec.check_opts ~pass:name [] opts)
+  | None -> Error (Printf.sprintf "unknown pass %S" name)
 
 (** The fixpoint-group members of the calibrated evaluation plan, in
     phase order. *)
@@ -65,75 +39,16 @@ let classic_names =
 
 (** The classic optimizations as a [fix(...)] spec item.  [licm]
     additionally enables loop-invariant code motion (off in the
-    calibrated evaluation plan — see {!Licm}); [pea_max_rounds > 0]
-    caps PEA's internal sweeps ({!Pea.phase_with}). *)
-let fix_group ?(max_rounds = 8) ?(licm = false) ?(pea_max_rounds = 0) () =
+    calibrated evaluation plan — see {!Licm}). *)
+let fix_group ?(licm = false) () =
   let names = classic_names @ if licm then [ "licm" ] else [] in
-  let pass n =
-    let opts =
-      if n = "pea" && pea_max_rounds > 0 then
-        [ ("max_rounds", string_of_int pea_max_rounds) ]
-      else []
-    in
-    Spec.Pass { name = n; opts }
-  in
   Spec.Fix
     {
-      opts =
-        (if max_rounds = 8 then []
-         else [ ("rounds", string_of_int max_rounds) ]);
-      body = List.map pass names;
+      opts = [];
+      body = List.map (fun name -> Spec.Pass { name; opts = [] }) names;
     }
-
-(** The baseline pipeline spec: the classic fixpoint group alone. *)
-let baseline_spec ?max_rounds ?licm ?pea_max_rounds () : Spec.t =
-  [ fix_group ?max_rounds ?licm ?pea_max_rounds () ]
 
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)
-let optimize ?max_rounds ?licm ?pea_max_rounds ctx g =
-  Manager.run resolve_classic (baseline_spec ?max_rounds ?licm ?pea_max_rounds ()) ctx g
-
-(* Containment must never swallow genuinely unrecoverable conditions. *)
-let fatal = function Out_of_memory | Stack_overflow -> true | _ -> false
-
-(* One function under containment: speculate the whole pipeline, roll
-   back to the pre-attempt IR on any exception and record the failure
-   instead of propagating (the driver's discipline, minus the fault
-   registry and crash bundles it layers on top). *)
-let optimize_one ?max_rounds ?licm ctx g =
-  Ir.Graph.checkpoint g;
-  match optimize ?max_rounds ?licm ctx g with
-  | _ -> Ir.Graph.commit g
-  | exception e when not (fatal e) ->
-      if Ir.Graph.in_speculation g then Ir.Graph.rollback g;
-      Phase.note_contained ctx ~site:"exception"
-
-(** Optimize every function of a program (baseline configuration),
-    fanned out over [jobs] domains (default: all cores) with per-function
-    crash containment — the same {!Ir.Parallel} + rollback discipline as
-    the DBDS driver, so [-j] and containment apply in baseline mode too.
-    Per-function contexts merge in function-name order: the returned
-    context is identical for any [jobs]. *)
-let optimize_program ?max_rounds ?licm ?jobs program =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Ir.Parallel.default_jobs ()
-  in
-  let functions =
-    List.filter_map
-      (fun name -> Ir.Program.find_function program name)
-      (Ir.Program.function_names program)
-  in
-  let ctx = Phase.create ~program () in
-  if jobs = 1 then List.iter (optimize_one ?max_rounds ?licm ctx) functions
-  else
-    List.iter
-      (fun w -> Phase.merge_into ~into:ctx w)
-      (Ir.Parallel.map_weighted ~jobs
-         ~weight:Ir.Graph.live_instr_count
-         (fun g ->
-           let w = Phase.create ~program () in
-           optimize_one ?max_rounds ?licm w g;
-           w)
-         functions);
-  ctx
+let optimize ?licm ctx g =
+  Manager.run resolve_classic [ fix_group ?licm () ] ctx g

@@ -7,14 +7,10 @@
     composes the same fixpoint group (through the same {!Manager})
     before and between its duplication tiers. *)
 
-val all_phases : Phase.t list
-
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
     [condelim], [readelim], [pea], [dce], [licm] and long-form
-    aliases).  Only [pea] takes an option — [max_rounds], bounding its
-    internal scalar-replacement sweeps per invocation (0 = fixpoint,
-    the default).  The driver's resolver layers the duplication tiers
-    on top of this one. *)
+    aliases).  None takes an option.  The driver's resolver layers the
+    duplication tiers on top of this one. *)
 val resolve_classic : Manager.resolver
 
 (** The fixpoint-group members of the calibrated evaluation plan, in
@@ -23,29 +19,9 @@ val classic_names : string list
 
 (** The classic optimizations as a [fix(...)] spec item.  [licm]
     additionally enables loop-invariant code motion (off in the
-    calibrated evaluation plan — see {!Licm}); [pea_max_rounds > 0]
-    caps PEA's internal sweeps ({!Pea.phase_with}). *)
-val fix_group :
-  ?max_rounds:int -> ?licm:bool -> ?pea_max_rounds:int -> unit -> Spec.item
-
-(** The baseline pipeline spec: the classic fixpoint group alone. *)
-val baseline_spec :
-  ?max_rounds:int -> ?licm:bool -> ?pea_max_rounds:int -> unit -> Spec.t
+    calibrated evaluation plan — see {!Licm}). *)
+val fix_group : ?licm:bool -> unit -> Spec.item
 
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)
-val optimize :
-  ?max_rounds:int ->
-  ?licm:bool ->
-  ?pea_max_rounds:int ->
-  Phase.ctx ->
-  Ir.Graph.t ->
-  bool
-
-(** Optimize every function of a program (baseline configuration),
-    fanned out over [jobs] domains (default: all cores) with per-function
-    crash containment — the same {!Ir.Parallel} + rollback discipline as
-    the DBDS driver.  Returns the accumulated context, identical for any
-    [jobs]. *)
-val optimize_program :
-  ?max_rounds:int -> ?licm:bool -> ?jobs:int -> Ir.Program.t -> Phase.ctx
+val optimize : ?licm:bool -> Phase.ctx -> Ir.Graph.t -> bool

@@ -247,12 +247,6 @@ let tenant fd id =
 
 let ok_reply = { Protocol.verb = "reply"; fields = [ ("status", "ok") ] }
 
-let rejected msg =
-  {
-    Protocol.verb = "reply";
-    fields = [ ("status", "rejected"); ("message", msg) ];
-  }
-
 let shed_reply retry_ms =
   {
     Protocol.verb = "reply";
@@ -407,7 +401,7 @@ let admit fd cs kind m =
   in
   match decision with
   | `Admitted -> ()
-  | `Reject msg -> enqueue_out cs (rejected msg)
+  | `Reject msg -> enqueue_out cs (Protocol.rejected msg)
   | `Shed retry_ms -> enqueue_out cs (shed_reply retry_ms)
 
 let initiate_stop ?(kill = false) fd =
@@ -431,7 +425,7 @@ let handle_msg fd cs m =
       initiate_stop fd
   | "compile" -> admit fd cs Compile m
   | "lookup" -> admit fd cs Lookup m
-  | verb -> enqueue_out cs (rejected ("unknown verb: " ^ verb))
+  | verb -> enqueue_out cs (Protocol.rejected ("unknown verb: " ^ verb))
 
 let consume cs n =
   let data = Buffer.contents cs.c_rbuf in
@@ -456,7 +450,7 @@ let rec parse_loop fd cs =
         Buffer.clear cs.c_rbuf;
         cs.c_err <- true;
         cs.c_closing <- true;
-        enqueue_out cs (rejected ("protocol error: " ^ e))
+        enqueue_out cs (Protocol.rejected ("protocol error: " ^ e))
     | Protocol.Msg (m, used) ->
         consume cs used;
         handle_msg fd cs m;
@@ -493,10 +487,6 @@ let service_conn fd cs =
 
 (* ---- dispatchers ------------------------------------------------------ *)
 
-let ms_field m name =
-  Option.bind (Protocol.field m name) int_of_string_opt
-  |> Option.map (fun ms -> float_of_int ms /. 1000.)
-
 let process fd j =
   let m = j.jb_msg in
   match j.jb_kind with
@@ -510,37 +500,33 @@ let process fd j =
           in
           if expired then Protocol.reply_of_outcome Broker.Timed_out
           else begin
-            let config = Dbds.Config.of_line (Protocol.field_or m "config" "") in
-            let config =
-              match
-                Option.bind (Protocol.field m "inject") (fun s ->
-                    Result.to_option (Dbds.Faults.of_string s))
-              with
-              | Some p -> { config with Dbds.Config.fault_plan = Some p }
-              | None -> config
-            in
-            (* The remaining budget, not the original: queue wait has
-               already been charged against the deadline — all on the
-               monotonic clock, so a wall step changes nothing. *)
-            let deadline_s =
-              Option.map (fun d -> d -. fd.env.Env.mono ()) j.jb_deadline
-            in
-            let outcome =
-              Broker.submit ?deadline_s ?delay_s:(ms_field m "delay-ms")
-                ~config ~fn ~ir fd.broker
-            in
-            fd.log
-              (Printf.sprintf "compile %s [%s] -> %s" fn j.jb_tenant.tn_id
-                 (Broker.outcome_label outcome));
-            Protocol.reply_of_outcome outcome
+            match Protocol.compile_config m with
+            | Error msg -> Protocol.rejected msg
+            | Ok config ->
+                (* The remaining budget, not the original: queue wait
+                   has already been charged against the deadline — all
+                   on the monotonic clock, so a wall step changes
+                   nothing. *)
+                let deadline_s =
+                  Option.map (fun d -> d -. fd.env.Env.mono ()) j.jb_deadline
+                in
+                let outcome =
+                  Broker.submit ?deadline_s ?delay_s:(Protocol.ms_field m "delay-ms")
+                    ~config ~fn ~ir fd.broker
+                in
+                fd.log
+                  (Printf.sprintf "compile %s [%s] -> %s" fn
+                     j.jb_tenant.tn_id
+                     (Broker.outcome_label outcome));
+                Protocol.reply_of_outcome outcome
           end
-      | _ -> rejected "compile needs fn and ir fields")
+      | _ -> Protocol.rejected "compile needs fn and ir fields")
   | Lookup -> (
       match Protocol.field m "digest" with
-      | None -> rejected "lookup needs a digest field"
+      | None -> Protocol.rejected "lookup needs a digest field"
       | Some digest -> (
           match Broker.store fd.broker with
-          | None -> rejected "this node has no artifact store"
+          | None -> Protocol.rejected "this node has no artifact store"
           | Some s -> (
               match Store.fetch s ~digest with
               | Some e ->
@@ -584,7 +570,7 @@ let dispatcher fd () =
         let reply =
           try process fd j
           with e ->
-            rejected ("internal error: " ^ Printexc.to_string e)
+            Protocol.rejected ("internal error: " ^ Printexc.to_string e)
         in
         let lat_ms = (fd.env.Env.mono () -. j.jb_admit) *. 1000. in
         locked fd (fun () ->

@@ -334,6 +334,31 @@ let field_or m name default = Option.value (field m name) ~default
 let retry_after_of_reply m =
   Option.bind (field m "retry-after-ms") int_of_string_opt
 
+let ms_field m name =
+  Option.bind (field m name) int_of_string_opt
+  |> Option.map (fun ms -> float_of_int ms /. 1000.)
+
+let rejected msg =
+  { verb = "reply"; fields = [ ("status", "rejected"); ("message", msg) ] }
+
+let compile_config m =
+  let ( let* ) = Result.bind in
+  let* config = Dbds.Config.of_line (field_or m "config" "") in
+  let* () =
+    Dbds.Driver.validate_spec config (Dbds.Driver.default_spec config)
+    |> Result.map_error (fun e -> "pipeline spec: " ^ e)
+  in
+  (* Re-attach the fault plan the wire config cannot carry (see
+     [Client.compile_msg]): worker-side injection — crash sites, torn
+     or corrupted publications — needs it in the job's config. *)
+  match field m "inject" with
+  | None -> Ok config
+  | Some s ->
+      let* plan =
+        Dbds.Faults.of_string s |> Result.map_error (fun e -> "inject: " ^ e)
+      in
+      Ok { config with Dbds.Config.fault_plan = Some plan }
+
 let reply_of_outcome (o : Broker.outcome) =
   let fields =
     match o with

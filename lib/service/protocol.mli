@@ -109,6 +109,21 @@ val field : message -> string -> string option
 (** {!field} with a default. *)
 val field_or : message -> string -> string -> string
 
+(** An integer millisecond field ([deadline-ms], [delay-ms]) in
+    seconds; [None] when absent or malformed. *)
+val ms_field : message -> string -> float option
+
+(** A [reply] with status [rejected] and [message]. *)
+val rejected : string -> message
+
+(** The configuration a [compile] request asks for: its [config] line
+    with the fault plan of its optional [inject] field attached.
+    [Error] when the line does not parse ({!Dbds.Config.of_line}), its
+    pipeline spec fails {!Dbds.Driver.validate_spec}, or the plan does
+    not parse — the front ends answer [rejected] instead of compiling a
+    pipeline the client never asked for. *)
+val compile_config : message -> (Dbds.Config.t, string) result
+
 (** Build a [reply] carrying a {!Broker.outcome}. *)
 val reply_of_outcome : Broker.outcome -> message
 

@@ -42,12 +42,6 @@ let trigger_stop st =
 
 let ok_reply = { Protocol.verb = "reply"; fields = [ ("status", "ok") ] }
 
-let rejected msg =
-  {
-    Protocol.verb = "reply";
-    fields = [ ("status", "rejected"); ("message", msg) ];
-  }
-
 let stats_reply st =
   let b = Broker.stats st.broker in
   let counts = Buffer.create 256 in
@@ -83,43 +77,34 @@ let stats_reply st =
 
 let handle_compile st m =
   match (Protocol.field m "fn", Protocol.field m "ir") with
-  | Some fn, Some ir ->
-      let config = Dbds.Config.of_line (Protocol.field_or m "config" "") in
-      (* Re-attach the fault plan the wire config cannot carry (see
-         [Client.compile]): worker-side injection — crash sites, torn
-         or corrupted publications — needs it in the job's config. *)
-      let config =
-        match
-          Option.bind (Protocol.field m "inject") (fun s ->
-              Result.to_option (Dbds.Faults.of_string s))
-        with
-        | Some p -> { config with Dbds.Config.fault_plan = Some p }
-        | None -> config
-      in
-      let ms_field name =
-        Option.bind (Protocol.field m name) int_of_string_opt
-        |> Option.map (fun ms -> float_of_int ms /. 1000.)
-      in
-      let outcome =
-        Broker.submit ?deadline_s:(ms_field "deadline-ms")
-          ?delay_s:(ms_field "delay-ms") ~config ~fn ~ir st.broker
-      in
-      st.log (Printf.sprintf "compile %s -> %s" fn (Broker.outcome_label outcome));
-      Protocol.reply_of_outcome outcome
-  | _ -> rejected "compile needs fn and ir fields"
+  | Some fn, Some ir -> (
+      match Protocol.compile_config m with
+      | Error msg -> Protocol.rejected msg
+      | Ok config ->
+          let outcome =
+            Broker.submit
+              ?deadline_s:(Protocol.ms_field m "deadline-ms")
+              ?delay_s:(Protocol.ms_field m "delay-ms")
+              ~config ~fn ~ir st.broker
+          in
+          st.log
+            (Printf.sprintf "compile %s -> %s" fn
+               (Broker.outcome_label outcome));
+          Protocol.reply_of_outcome outcome)
+  | _ -> Protocol.rejected "compile needs fn and ir fields"
 
 (* ---- fleet verbs ------------------------------------------------------ *)
 
 let with_store st f =
   match Broker.store st.broker with
   | Some s -> f s
-  | None -> rejected "this node has no artifact store"
+  | None -> Protocol.rejected "this node has no artifact store"
 
 (* A peer asks for an artifact: local disk only — a federated lookup
    here could bounce a miss around the ring forever. *)
 let handle_fetch st m =
   match Protocol.field m "digest" with
-  | None -> rejected "fetch needs a digest field"
+  | None -> Protocol.rejected "fetch needs a digest field"
   | Some digest ->
       with_store st (fun s ->
           match Store.get s ~digest with
@@ -150,7 +135,7 @@ let handle_push st m =
       with_store st (fun s ->
           Store.put ~replicate:false s ~digest ~fn ~ir ~work;
           ok_reply)
-  | _ -> rejected "push needs digest, fn, ir and work fields"
+  | _ -> Protocol.rejected "push needs digest, fn, ir and work fields"
 
 let current_view st = locked st (fun () -> st.fview)
 
@@ -162,8 +147,8 @@ let adopt_view st (v : Member.view) =
    artifact whose owner set no longer includes this node. *)
 let handle_rebalance st m =
   match (st.fleet, Protocol.view_of_message m) with
-  | None, _ -> rejected "this node is not in a fleet"
-  | Some _, None -> rejected "rebalance needs epoch and nodes fields"
+  | None, _ -> Protocol.rejected "this node is not in a fleet"
+  | Some _, None -> Protocol.rejected "rebalance needs epoch and nodes fields"
   | Some fl, Some v ->
       adopt_view st v;
       let moved =
@@ -266,7 +251,7 @@ let handle st conn =
     | Error "eof" -> ()
     | Error msg ->
         (* The stream may be desynchronized: answer and hang up. *)
-        send (rejected ("protocol error: " ^ msg))
+        send (Protocol.rejected ("protocol error: " ^ msg))
     | Ok m -> (
         match m.Protocol.verb with
         | "ping" ->
@@ -292,7 +277,7 @@ let handle st conn =
             send (handle_rebalance st m);
             loop ()
         | verb ->
-            send (rejected ("unknown verb: " ^ verb));
+            send (Protocol.rejected ("unknown verb: " ^ verb));
             loop ())
   in
   (try loop () with _ -> ());

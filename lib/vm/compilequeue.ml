@@ -1,7 +1,7 @@
 (** The background compilation queue.
 
     Promotion requests accumulate here; {!drain} fans the batch out over
-    {!Dbds.Parallel} domains (the same deterministic fork/join substrate
+    {!Ir.Parallel} domains (the same deterministic fork/join substrate
     as the AOT driver), compiling each function through the full
     [Opt.Manager] pipeline with its profile-derived branch probabilities
     already applied.  Results come back in function-name order, so the
@@ -94,7 +94,7 @@ let drain t =
   t.pending <- [];
   if batch = [] then []
   else begin
-    let outcomes = Dbds.Parallel.map ~jobs:t.jobs (compile_one t) batch in
+    let outcomes = Ir.Parallel.map ~jobs:t.jobs (compile_one t) batch in
     match t.compile.Dbds.Config.bundle_dir with
     | None -> outcomes
     | Some dir ->

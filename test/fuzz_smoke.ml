@@ -50,16 +50,21 @@ let () =
       Printf.eprintf "%d tiered violation(s)\n" (List.length vs);
       exit 1
 ;;
-(* Workload-lab property (reduced progen count for runtest): the new
-   tiers (copyprop-canon, lospre, condelim_dup; dbds as control) over
-   the adversarial corpus — jobs 1-vs-4 byte identity with and without
-   fault plans, paranoid preserves audits contain nothing, and the
-   enables contracts of copyprop/lospre hide no consumer. *)
+(* Workload-lab property (reduced progen count for runtest): the
+   condelim_dup tier (dbds as control) over the adversarial corpus —
+   jobs 1-vs-4 byte identity with and without fault plans, paranoid
+   preserves audits contain nothing, and the enables contracts of the
+   classic passes hide no consumer.  The enables check must not go
+   empty: some classic pass (today dce) declares an enables list. *)
 let l = Harness.Fuzz.run_lab ~progen_seeds:[ 0; 1 ] () in
 Printf.printf
   "fuzz lab: %d identity pairs, %d paranoid runs, %d enables checks\n"
   l.Harness.Fuzz.l_pairs_run l.Harness.Fuzz.l_paranoid_runs
   l.Harness.Fuzz.l_enables_checked;
+if l.Harness.Fuzz.l_enables_checked = 0 then begin
+  Printf.eprintf "fuzz lab: no enables checks ran\n";
+  exit 1
+end;
 (match l.Harness.Fuzz.l_violations with
 | [] -> ()
 | vs ->

@@ -40,3 +40,34 @@ let test name f = Alcotest.test_case name `Quick f
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(** Send compile requests for [ir] that the service must refuse rather
+    than compile as the mode's default pipeline — an unparseable
+    [passes=] spec, a spec naming an option no pass takes, and a bad
+    fault plan — and check that every reply is [rejected]. *)
+let check_malformed_compiles_rejected ~roundtrip ~ir =
+  let config = Dbds.Config.default in
+  let line = Dbds.Config.to_line config in
+  let base = Service.Client.compile_msg ~config ~fn:"main" ~ir () in
+  let with_field k v =
+    {
+      base with
+      Service.Protocol.fields =
+        (k, v) :: List.remove_assoc k base.Service.Protocol.fields;
+    }
+  in
+  List.iter
+    (fun (what, m) ->
+      match roundtrip m with
+      | Ok reply ->
+          Alcotest.(check (option string))
+            (what ^ " is rejected") (Some "rejected")
+            (Service.Protocol.field reply "status")
+      | Error e -> Alcotest.failf "%s: %s" what e)
+    [
+      ("passes=fix(canon", with_field "config" (line ^ " passes=fix(canon"));
+      ( "passes=fix(pea{max_rounds=2})",
+        with_field "config" (line ^ " passes=fix(pea{max_rounds=2})") );
+      ("a bare config token", with_field "config" (line ^ " junk"));
+      ("inject=bogus:1", with_field "inject" "bogus:1");
+    ]

@@ -134,7 +134,8 @@ let test_driver_cache_hits () =
   let config =
     { Dbds.Config.default with Dbds.Config.max_iterations = 4 }
   in
-  let ctx, stats = Dbds.Driver.optimize_program ~config ~jobs:1 prog in
+  let r = Dbds.Driver.optimize_program_report ~config ~jobs:1 prog in
+  let ctx = r.Dbds.Driver.rep_ctx and stats = r.Dbds.Driver.rep_stats in
   let rounds =
     (Dbds.Driver.total_stats stats).Dbds.Driver.iterations_run
   in

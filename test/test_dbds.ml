@@ -24,7 +24,7 @@ let check_dbds_preserves ?(config = Dbds.Config.default)
     ?(inputs = [ [ 0 ]; [ 1 ]; [ -7 ]; [ 13 ]; [ 42 ] ]) src =
   let prog = compile src in
   let prog' = Ir.Program.copy prog in
-  let _ = Dbds.Driver.optimize_program ~config prog' in
+  let _ = Dbds.Driver.optimize_program_report ~config prog' in
   check_program_verifies prog';
   List.iter
     (fun args ->
@@ -191,7 +191,7 @@ let test_listing5_dbds_end_to_end () =
   let src = listing5 in
   let prog = compile src in
   let prog' = Ir.Program.copy prog in
-  let _ = Dbds.Driver.optimize_program prog' in
+  let _ = Dbds.Driver.optimize_program_report prog' in
   check_program_verifies prog';
   Alcotest.(check int) "result preserved (hot path)" 41 (run_int prog' [ 5 ]);
   Alcotest.(check int) "result preserved (cold path)" 41 (run_int prog' [ -5 ]);
@@ -370,7 +370,9 @@ let test_transform_rejects_loop_header () =
   check_verifies g;
   (* Backtracking (which probes every merge) must stay sound here. *)
   let prog' = Ir.Program.copy prog in
-  let _ = Dbds.Driver.optimize_program ~config:Dbds.Config.backtracking prog' in
+  ignore
+    (Dbds.Driver.optimize_program_report
+       ~config:Dbds.Config.backtracking prog');
   check_program_verifies prog';
   Alcotest.(check int) "semantics preserved" (run_int prog [ 0 ])
     (run_int prog' [ 0 ])
@@ -494,14 +496,19 @@ let test_tradeoff_ranking () =
 
 let test_driver_baseline_no_duplication () =
   let prog = compile figure1 in
-  let _, stats = Dbds.Driver.optimize_program ~config:Dbds.Config.off prog in
+  let stats =
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.off prog)
+      .Dbds.Driver.rep_stats
+  in
   let t = Dbds.Driver.total_stats stats in
   Alcotest.(check int) "no duplications in baseline" 0
     t.Dbds.Driver.duplications_performed
 
 let test_driver_dbds_duplicates () =
   let prog = compile figure1 in
-  let _, stats = Dbds.Driver.optimize_program prog in
+  let stats =
+    (Dbds.Driver.optimize_program_report prog).Dbds.Driver.rep_stats
+  in
   let t = Dbds.Driver.total_stats stats in
   Alcotest.(check bool) "performed duplications" true
     (t.Dbds.Driver.duplications_performed > 0);
@@ -510,16 +517,24 @@ let test_driver_dbds_duplicates () =
 let test_driver_dupalot_duplicates_at_least_as_much () =
   let src = listing1 in
   let p1 = compile src and p2 = compile src in
-  let _, s1 = Dbds.Driver.optimize_program ~config:Dbds.Config.dbds p1 in
-  let _, s2 = Dbds.Driver.optimize_program ~config:Dbds.Config.dupalot p2 in
+  let s1 =
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds p1)
+      .Dbds.Driver.rep_stats
+  in
+  let s2 =
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.dupalot p2)
+      .Dbds.Driver.rep_stats
+  in
   let d1 = (Dbds.Driver.total_stats s1).Dbds.Driver.duplications_performed in
   let d2 = (Dbds.Driver.total_stats s2).Dbds.Driver.duplications_performed in
   Alcotest.(check bool) "dupalot >= dbds" true (d2 >= d1)
 
 let test_driver_backtracking_improves_and_verifies () =
   let prog = compile figure3 in
-  let _, stats =
-    Dbds.Driver.optimize_program ~config:Dbds.Config.backtracking prog
+  let stats =
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.backtracking
+       prog)
+      .Dbds.Driver.rep_stats
   in
   check_program_verifies prog;
   let t = Dbds.Driver.total_stats stats in
@@ -538,7 +553,9 @@ let test_driver_respects_code_size_budget () =
     { Dbds.Config.default with Dbds.Config.size_budget = 1.0 }
   in
   let prog = compile listing1 in
-  let _, stats = Dbds.Driver.optimize_program ~config prog in
+  let stats =
+    (Dbds.Driver.optimize_program_report ~config prog).Dbds.Driver.rep_stats
+  in
   let t = Dbds.Driver.total_stats stats in
   Alcotest.(check int) "no duplication under zero budget" 0
     t.Dbds.Driver.duplications_performed

@@ -1,7 +1,7 @@
 (** Fault injection and crash containment: plan syntax, every named
     site fires, rollback byte-identity, jobs determinism under faults,
     crash-bundle round-trips and replay, paranoid mode, and the
-    {!Dbds.Parallel.map} join-all guarantee under repeated failures. *)
+    {!Ir.Parallel.map} join-all guarantee under repeated failures. *)
 
 open Helpers
 module F = Dbds.Faults
@@ -317,7 +317,7 @@ let test_parallel_map_survives_repeated_failure () =
      domains) nor corrupt later maps. *)
   for i = 0 to 99 do
     match
-      Dbds.Parallel.map ~jobs:4
+      Ir.Parallel.map ~jobs:4
         (fun x -> if x = i mod 20 then raise (Boom x) else x)
         (List.init 20 Fun.id)
     with
@@ -325,7 +325,7 @@ let test_parallel_map_survives_repeated_failure () =
     | exception Boom x -> Alcotest.(check int) "failing index" (i mod 20) x
   done;
   Alcotest.(check (list int)) "pool still healthy" [ 1; 2; 3 ]
-    (Dbds.Parallel.map ~jobs:4 succ [ 0; 1; 2 ])
+    (Ir.Parallel.map ~jobs:4 succ [ 0; 1; 2 ])
 
 let suite =
   [

@@ -325,6 +325,16 @@ let test_end_to_end_matches_classic_server () =
   Alcotest.(check (option string)) "lookup finds the published artifact"
     (Some !via_fd_text) !looked_up
 
+(* A wire config the front door cannot honour exactly is rejected, not
+   compiled as the mode's default pipeline. *)
+let test_malformed_config_rejected () =
+  let ir = main_ir () in
+  run_sim (fun env ->
+      let c = connect env "/fd" in
+      check_malformed_compiles_rejected ~ir ~roundtrip:(SC.roundtrip c);
+      SC.close c;
+      shutdown env)
+
 (* Quota exhaustion: the second request inside the same bucket window
    is shed with a positive structured retry-after hint — and the
    shed request was never admitted (no silent loss: the reply says
@@ -569,6 +579,7 @@ let suite =
     test "text decoder is incremental" test_text_decoder_incremental;
     test "frontdoor matches the classic server byte-for-byte"
       test_end_to_end_matches_classic_server;
+    test "malformed wire config rejected" test_malformed_config_rejected;
     test "quota shed carries retry-after" test_quota_shed_carries_retry_after;
     test "queue shed under a pipelined burst"
       test_queue_shed_under_pipelined_burst;

@@ -224,7 +224,7 @@ let test_jobs_byte_identical () =
       let src = Workloads.Progen.generate ~seed () in
       let print_at jobs =
         let prog = compile src in
-        ignore (Dbds.Driver.optimize_program ~jobs prog);
+        ignore (Dbds.Driver.optimize_program_report ~jobs prog);
         let buf = Buffer.create 1024 in
         Ir.Program.iter_functions prog (fun g ->
             Buffer.add_string buf (Ir.Printer.graph_to_string g));

@@ -1,9 +1,7 @@
 (** Workload-lab tests: the adversarial suites compile/verify/run
     deterministically, the irreducible rings really are irreducible, and
-    the three new tier passes (copyprop, lospre, condelim_dup) do what
-    their contracts claim on targeted shapes. *)
+    the condelim_dup tier duplicates the dispatch merge it targets. *)
 
-open Ir.Types
 module G = Ir.Graph
 open Helpers
 
@@ -94,44 +92,18 @@ let test_ring_is_irreducible () =
 (* Every tier computes the same result on every adversarial benchmark —
    the lab's differential-correctness invariant. *)
 let test_tiers_agree () =
-  let spec_of s =
-    match Opt.Spec.of_string s with
-    | Ok spec -> spec
-    | Error msg -> Alcotest.failf "%S: %s" s msg
-  in
-  let upgraded pass =
-    {
-      Dbds.Config.off with
-      Dbds.Config.passes =
-        Some
-          (spec_of
-             ("inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce,"
-            ^ pass ^ ")"));
-    }
-  in
-  let tiers =
-    [
-      ("off", Dbds.Config.off);
-      ("copyprop", upgraded "copyprop");
-      ("lospre", upgraded "lospre");
-      ("condelim_dup", Dbds.Config.condelim_dup);
-      ("dbds", Dbds.Config.dbds);
-      ("dupalot", Dbds.Config.dupalot);
-      ("backtracking", Dbds.Config.backtracking);
-    ]
-  in
   List.iter
     (fun (suite, b) ->
       let result (tier, config) =
         let prog = Workloads.Suite.compile b in
-        let _ = Dbds.Driver.optimize_program ~config prog in
+        let _ = Dbds.Driver.optimize_program_report ~config prog in
         check_program_verifies prog;
         let r, _ =
           Interp.Machine.run ~fuel:50_000_000 prog ~args:b.Workloads.Suite.args
         in
         (tier, Interp.Machine.result_to_string r)
       in
-      match List.map result tiers with
+      match List.map result Harness.Tiercompare.tiers with
       | [] -> assert false
       | (_, expect) :: rest ->
           List.iter
@@ -142,108 +114,6 @@ let test_tiers_agree () =
                 expect got)
             rest)
     (all_adversarial ())
-
-(* ------------------------------------------------------------------ *)
-(* copyprop                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A loop-carried phi cycle that only ever sees one constant: optimistic
-   copy propagation collapses it (pessimistic per-instruction
-   canonicalization cannot: phi(7, phi(...)) is cyclic). *)
-let test_copyprop_phi_cycle () =
-  let g =
-    Ir.Parse.parse_graph
-      "fn f(1 params) entry=b0\n\
-       b0:\n\
-       v0 = param 0\n\
-       v1 = const 7\n\
-       v2 = const 0\n\
-       jump b1\n\
-       b1:  ; preds: b0, b1\n\
-       v3 = phi [v1, v3]\n\
-       v4 = phi [v2, v5]\n\
-       v5 = add v4, v3\n\
-       v6 = cmp.lt v5, v0\n\
-       branch v6 ? b1 : b2  @0.90\n\
-       b2:\n\
-       return v5\n"
-  in
-  check_verifies g;
-  let prog = Ir.Program.of_graph g in
-  let ctx = Opt.Phase.create ~program:prog () in
-  Alcotest.(check bool) "copyprop fires" true (Opt.Copyprop.run ctx g);
-  ignore (Opt.Dce.run ctx g);
-  check_verifies g;
-  (* The add now reads the constant directly, not through the phi. *)
-  let adds_through_phi =
-    G.fold_instrs g
-      (fun n id ->
-        match G.kind g id with
-        | Binop (Add, _, b) when G.is_phi g b -> n + 1
-        | _ -> n)
-      0
-  in
-  Alcotest.(check int) "add's rhs is no longer a phi" 0 adds_through_phi;
-  Alcotest.(check int) "semantics kept" 28 (run_int prog [ 25 ])
-
-(* ------------------------------------------------------------------ *)
-(* lospre                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The expression is computed in one predecessor and again after the
-   merge: partial redundancy.  lospre hoists a copy into the other
-   predecessor and phis the two, leaving the merge block free of it. *)
-let test_lospre_hoists_partial_redundancy () =
-  let g =
-    Ir.Parse.parse_graph
-      "fn f(2 params) entry=b0\n\
-       b0:\n\
-       v0 = param 0\n\
-       v1 = param 1\n\
-       v2 = cmp.gt v0, v1\n\
-       branch v2 ? b1 : b2  @0.50\n\
-       b1:\n\
-       v3 = add v0, v1\n\
-       jump b3\n\
-       b2:\n\
-       jump b3\n\
-       b3:  ; preds: b1, b2\n\
-       v4 = phi [v3, v1]\n\
-       v5 = add v0, v1\n\
-       v6 = add v4, v5\n\
-       return v6\n"
-  in
-  check_verifies g;
-  let prog = Ir.Program.of_graph g in
-  let merge_block () =
-    (* the only block with two predecessors *)
-    let r = ref (-1) in
-    G.iter_blocks g (fun b -> if G.pred_count g b = 2 then r := b);
-    !r
-  in
-  let adds_in b =
-    let n = ref 0 in
-    G.iter_block_instrs g b (fun id ->
-        match G.kind g id with Binop (Add, _, _) -> incr n | _ -> ());
-    !n
-  in
-  let phis_in b =
-    let n = ref 0 in
-    G.iter_phis g b (fun _ -> incr n);
-    !n
-  in
-  let before = run_int prog [ 9; 4 ] in
-  Alcotest.(check int) "merge computes two adds before" 2
-    (adds_in (merge_block ()));
-  let ctx = Opt.Phase.create ~program:prog () in
-  Alcotest.(check bool) "lospre fires" true (Opt.Lospre.run ctx g);
-  check_verifies g;
-  (* The redundant add left the merge (only the consumer add remains)
-     and arrives through a fresh phi instead. *)
-  Alcotest.(check int) "merge computes one add after" 1
-    (adds_in (merge_block ()));
-  Alcotest.(check int) "merge gained a phi" 2 (phis_in (merge_block ()));
-  Alcotest.(check int) "semantics kept" before (run_int prog [ 9; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* condelim_dup tier                                                   *)
@@ -269,8 +139,10 @@ let test_condelim_dup_duplicates () =
   in
   let expect = run_int (compile src) [ 100 ] in
   let prog = compile src in
-  let _ctx, stats =
-    Dbds.Driver.optimize_program ~config:Dbds.Config.condelim_dup prog
+  let stats =
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.condelim_dup
+       prog)
+      .Dbds.Driver.rep_stats
   in
   check_program_verifies prog;
   let totals = Dbds.Driver.total_stats stats in
@@ -285,7 +157,5 @@ let suite =
     test "lab: registry finds lab suites" test_registry_finds_lab_suites;
     test "lab: rings are irreducible" test_ring_is_irreducible;
     test "lab: all tiers agree on all benchmarks" test_tiers_agree;
-    test "copyprop: collapses constant phi cycle" test_copyprop_phi_cycle;
-    test "lospre: hoists partial redundancy" test_lospre_hoists_partial_redundancy;
     test "condelim_dup: duplicates the dispatch merge" test_condelim_dup_duplicates;
   ]

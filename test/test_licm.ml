@@ -166,7 +166,10 @@ let test_pipeline_with_licm_differential () =
       let src = Workloads.Progen.generate ~seed () in
       let prog = compile src in
       let prog' = Ir.Program.copy prog in
-      ignore (Opt.Pipeline.optimize_program ~licm:true prog');
+      ignore
+        (Dbds.Driver.optimize_program_report
+           ~config:{ Dbds.Config.off with Dbds.Config.licm = true }
+           ~inline:false prog');
       check_program_verifies prog';
       let obs p =
         match

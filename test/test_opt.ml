@@ -9,7 +9,9 @@ let ctx_for prog = Opt.Phase.create ~program:prog ()
 
 let optimize_copy prog =
   let prog' = Ir.Program.copy prog in
-  ignore (Opt.Pipeline.optimize_program prog');
+  ignore
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.off
+       ~inline:false prog');
   check_program_verifies prog';
   prog'
 

@@ -1,8 +1,8 @@
-(** Tests for the multicore fan-out: {!Dbds.Parallel.map} semantics
+(** Tests for the multicore fan-out: {!Ir.Parallel.map} semantics
     (order preservation, exception propagation) and the headline
-    guarantee that [optimize_program ~jobs:k] is deterministic — printed
-    graphs, per-function statistics and phase-context counters are
-    byte-identical for any [k]. *)
+    guarantee that [optimize_program_report ~jobs:k] is deterministic —
+    printed graphs, per-function statistics and phase-context counters
+    are byte-identical for any [k]. *)
 
 open Helpers
 
@@ -12,7 +12,7 @@ let test_map_order () =
   let items = List.init 100 Fun.id in
   List.iter
     (fun jobs ->
-      let got = Dbds.Parallel.map ~jobs (fun x -> (x * x) + 1) items in
+      let got = Ir.Parallel.map ~jobs (fun x -> (x * x) + 1) items in
       let want = List.map (fun x -> (x * x) + 1) items in
       Alcotest.(check (list int))
         (Printf.sprintf "jobs=%d preserves order" jobs)
@@ -20,16 +20,16 @@ let test_map_order () =
     [ 1; 2; 4; 7 ]
 
 let test_map_empty_and_small () =
-  Alcotest.(check (list int)) "empty" [] (Dbds.Parallel.map ~jobs:4 succ []);
-  Alcotest.(check (list int)) "singleton" [ 2 ] (Dbds.Parallel.map ~jobs:4 succ [ 1 ]);
+  Alcotest.(check (list int)) "empty" [] (Ir.Parallel.map ~jobs:4 succ []);
+  Alcotest.(check (list int)) "singleton" [ 2 ] (Ir.Parallel.map ~jobs:4 succ [ 1 ]);
   (* More workers than items must not deadlock or duplicate work. *)
-  Alcotest.(check (list int)) "jobs > n" [ 2; 3 ] (Dbds.Parallel.map ~jobs:16 succ [ 1; 2 ])
+  Alcotest.(check (list int)) "jobs > n" [ 2; 3 ] (Ir.Parallel.map ~jobs:16 succ [ 1; 2 ])
 
 let test_map_exception () =
   List.iter
     (fun jobs ->
       match
-        Dbds.Parallel.map ~jobs
+        Ir.Parallel.map ~jobs
           (fun x -> if x mod 3 = 2 then raise (Boom x) else x)
           (List.init 20 Fun.id)
       with
@@ -46,7 +46,8 @@ let test_map_exception () =
    considered identical iff their fingerprints are byte-identical. *)
 let optimize_fingerprint ~jobs prog =
   let config = { Dbds.Config.default with Dbds.Config.mode = Dbds.Config.Dbds } in
-  let ctx, per_fn = Dbds.Driver.optimize_program ~config ~jobs prog in
+  let r = Dbds.Driver.optimize_program_report ~config ~jobs prog in
+  let ctx = r.Dbds.Driver.rep_ctx and per_fn = r.Dbds.Driver.rep_stats in
   let buf = Buffer.create 4096 in
   Ir.Program.iter_functions prog (fun g ->
       Buffer.add_string buf (Ir.Printer.graph_to_string g);
@@ -91,7 +92,10 @@ let test_progen_determinism =
         let config =
           { Dbds.Config.default with Dbds.Config.mode = Dbds.Config.Backtracking }
         in
-        let _ctx, per_fn = Dbds.Driver.optimize_program ~config ~jobs prog in
+        let per_fn =
+          (Dbds.Driver.optimize_program_report ~config ~jobs prog)
+            .Dbds.Driver.rep_stats
+        in
         let buf = Buffer.create 1024 in
         Ir.Program.iter_functions prog (fun g ->
             Buffer.add_string buf (Ir.Printer.graph_to_string g));

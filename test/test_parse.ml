@@ -126,7 +126,7 @@ let test_roundtrip_after_duplication () =
      SSA repair and dense/loopy shapes). *)
   let src = Workloads.Progen.generate ~seed:7 () in
   let prog = compile src in
-  let _ = Dbds.Driver.optimize_program prog in
+  let _ = Dbds.Driver.optimize_program_report prog in
   Ir.Program.iter_functions prog (fun g ->
       let text = Ir.Printer.graph_to_string g in
       let g' = Ir.Parse.parse_graph text in

@@ -31,11 +31,9 @@ let test_spec_roundtrip () =
       "fix{rounds=2}(canon,dce)";
       "dbds{iters=5,threshold=0.5}";
       "fix(canon,fix(gvn,dce))";
-      "copyprop";
-      "lospre";
       "condelim_dup";
       "condelim_dup{iters=3}";
-      "fix(canon,copyprop,lospre,dce),condelim_dup{iters=2}";
+      "fix(canon,gvn,dce),condelim_dup{iters=2}";
     ]
   in
   List.iter
@@ -112,16 +110,14 @@ let test_validate_spec () =
   ok "fix(dce,gvn,canon,simplify),dbds{iters=1}";
   ok "inline,canonicalize,simplify-cfg,licm";
   ok "dupalot{iters=2,threshold=0.1},backtracking{iters=1}";
-  ok "fix(canon,pea{max_rounds=2},dce)";
-  ok "fix(canon,copyprop,lospre,dce)";
   ok "condelim_dup{iters=2}";
   rejected "bogus";
   rejected "canon{x=1}";
   rejected "dbds{iters=nope}";
   rejected "dbds{depth=3}";
   rejected "pea{rounds=2}";
-  rejected "pea{max_rounds=nope}";
-  rejected "copyprop{iters=2}";
+  rejected "pea{max_rounds=2}";
+  rejected "gvn{iters=2}";
   rejected "condelim_dup{threshold=0.5}";
   rejected "fix(inline,canon)"
 
@@ -138,10 +134,10 @@ let test_describe_spec () =
     "pipeline order, inline skipped, fix flattened, repeats collapsed"
     [ "canonicalize"; "dce"; "dbds" ]
     (names (described "inline,fix(canon,dce),dbds,canon"));
-  let rows = described "fix(canon,copyprop,lospre,dce),condelim_dup" in
+  let rows = described "fix(canon,gvn,dce),condelim_dup" in
   Alcotest.(check (list string))
-    "upgrade passes and the tier are described"
-    [ "canonicalize"; "copyprop"; "lospre"; "dce"; "condelim_dup" ]
+    "classic passes and the tier are described"
+    [ "canonicalize"; "gvn"; "dce"; "condelim_dup" ]
     (names rows);
   List.iter
     (fun name ->
@@ -155,29 +151,7 @@ let test_describe_spec () =
       Alcotest.(check bool)
         (name ^ " declares an enables list")
         true (enables <> None))
-    [ "copyprop"; "lospre" ]
-
-(* The pea cap flows from the config into the resolved default spec —
-   and only when non-default, so historical spec renderings (and the
-   digests built on them) stay stable. *)
-let test_pea_cap_in_default_spec () =
-  let printed config = Opt.Spec.to_string (Dbds.Driver.default_spec config) in
-  Alcotest.(check string)
-    "capped pea appears in the fixpoint group"
-    "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea{max_rounds=2},dce),dbds{iters=3}"
-    (printed { Dbds.Config.dbds with Dbds.Config.pea_max_rounds = 2 });
-  Alcotest.(check string)
-    "the default cap is invisible"
-    "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3}"
-    (printed { Dbds.Config.dbds with Dbds.Config.pea_max_rounds = 0 });
-  match
-    Dbds.Driver.validate_spec
-      { Dbds.Config.dbds with Dbds.Config.pea_max_rounds = 2 }
-      (Dbds.Driver.default_spec
-         { Dbds.Config.dbds with Dbds.Config.pea_max_rounds = 2 })
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "capped default spec rejected: %s" msg
+    [ "dce" ]
 
 (* ------------------------------------------------------------------ *)
 (* Preservation contracts (property, jobs 1 and 4 driver runs)         *)
@@ -302,13 +276,17 @@ let test_pass_table_contents () =
             (st.Opt.Phase.fired <= st.Opt.Phase.runs))
     [ "canonicalize"; "dce"; "gvn"; "dbds" ]
 
-(* Baseline Pipeline.optimize_program rides the same parallel +
-   containment path: deterministic merged context for any [jobs]. *)
+(* The baseline configuration rides the same parallel + containment
+   path: deterministic merged context for any [jobs]. *)
 let test_baseline_optimize_program_jobs () =
   let _src, prog = compile_seed 11 in
   let run jobs =
     let prog' = Ir.Program.copy prog in
-    let ctx = Opt.Pipeline.optimize_program ~jobs prog' in
+    let ctx =
+      (Dbds.Driver.optimize_program_report ~config:Dbds.Config.off
+         ~inline:false ~jobs prog')
+        .Dbds.Driver.rep_ctx
+    in
     (table_key ctx, ctx.Opt.Phase.work, prog')
   in
   let t1, w1, p1 = run 1 in
@@ -335,7 +313,7 @@ let test_custom_pipeline_behavior () =
     }
   in
   let prog' = Ir.Program.copy prog in
-  ignore (Dbds.Driver.optimize_program ~config prog');
+  ignore (Dbds.Driver.optimize_program_report ~config prog');
   check_program_verifies prog';
   List.iter
     (fun args ->
@@ -364,9 +342,8 @@ let suite =
     test "default specs" test_default_specs;
     test "validate spec" test_validate_spec;
     test "describe spec" test_describe_spec;
-    test "pea cap flows into the default spec" test_pea_cap_in_default_spec;
-    test "pass table determinism (jobs 1 vs 4)" test_pass_table_determinism;
     test "pass table contents" test_pass_table_contents;
+    test "pass table determinism (jobs 1 vs 4)" test_pass_table_determinism;
     test "baseline optimize_program jobs" test_baseline_optimize_program_jobs;
     test "custom pipeline behavior" test_custom_pipeline_behavior;
     qtest ~count:60 "preservation contracts hold (progen)" seed_gen

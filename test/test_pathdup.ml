@@ -62,7 +62,10 @@ let test_path_simulation_finds_chain () =
 let test_path_duplication_end_to_end () =
   let prog = compile nested in
   let prog' = Ir.Program.copy prog in
-  let _, stats = Dbds.Driver.optimize_program ~config:Dbds.Config.dbds_paths prog' in
+  let stats =
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds_paths prog')
+      .Dbds.Driver.rep_stats
+  in
   check_program_verifies prog';
   let t = Dbds.Driver.total_stats stats in
   Alcotest.(check bool) "duplicated along the path" true
@@ -82,7 +85,7 @@ let test_path_extension_beats_iterated_plain () =
      §8 describes. *)
   let result config =
     let prog = compile nested in
-    let _ = Dbds.Driver.optimize_program ~config prog in
+    let _ = Dbds.Driver.optimize_program_report ~config prog in
     let g = Option.get (Ir.Program.find_function prog "main") in
     G.fold_instrs g
       (fun n id ->
@@ -102,7 +105,9 @@ let test_path_respects_budget () =
     { Dbds.Config.dbds_paths with Dbds.Config.size_budget = 1.0 }
   in
   let prog = compile nested in
-  let _, stats = Dbds.Driver.optimize_program ~config prog in
+  let stats =
+    (Dbds.Driver.optimize_program_report ~config prog).Dbds.Driver.rep_stats
+  in
   Alcotest.(check int) "no duplication under zero budget" 0
     (Dbds.Driver.total_stats stats).Dbds.Driver.duplications_performed
 
@@ -132,7 +137,7 @@ let test_path_length_limit () =
     candidates;
   (* And end-to-end still sound. *)
   let prog' = Ir.Program.copy prog in
-  let _ = Dbds.Driver.optimize_program ~config prog' in
+  let _ = Dbds.Driver.optimize_program_report ~config prog' in
   check_program_verifies prog';
   List.iter
     (fun x ->
@@ -161,7 +166,9 @@ let test_path_property_preservation () =
       let src = Workloads.Progen.generate ~seed () in
       let prog = compile src in
       let prog' = Ir.Program.copy prog in
-      let _ = Dbds.Driver.optimize_program ~config:Dbds.Config.dbds_paths prog' in
+      ignore
+        (Dbds.Driver.optimize_program_report
+           ~config:Dbds.Config.dbds_paths prog');
       check_program_verifies prog';
       List.iter
         (fun args ->

@@ -106,14 +106,18 @@ let test_profile_guided_dbds_matches_annotated () =
   in
   (* Annotated run. *)
   let annotated = compile (body true) in
-  let _, s1 = Dbds.Driver.optimize_program annotated in
+  let s1 =
+    (Dbds.Driver.optimize_program_report annotated).Dbds.Driver.rep_stats
+  in
   let d1 = (Dbds.Driver.total_stats s1).Dbds.Driver.duplications_performed in
   (* Profile-guided run: interpret, apply, compile. *)
   let profiled = compile (body false) in
   let profile = P.create () in
   let _ = Interp.Machine.run ~profile profiled ~args:[| 500 |] in
   P.apply profile profiled;
-  let _, s2 = Dbds.Driver.optimize_program profiled in
+  let s2 =
+    (Dbds.Driver.optimize_program_report profiled).Dbds.Driver.rep_stats
+  in
   let d2 = (Dbds.Driver.total_stats s2).Dbds.Driver.duplications_performed in
   Alcotest.(check bool) "annotated duplicates" true (d1 > 0);
   Alcotest.(check int) "profiled matches annotated" d1 d2;

@@ -36,7 +36,7 @@ let compile_seed seed =
 let check_config name config seed =
   let src, prog = compile_seed seed in
   let prog' = Ir.Program.copy prog in
-  (try ignore (Dbds.Driver.optimize_program ~config prog')
+  (try ignore (Dbds.Driver.optimize_program_report ~config prog')
    with e ->
      QCheck2.Test.fail_reportf "seed %d: %s optimization raised %s\n%s" seed
        name (Printexc.to_string e) src);

@@ -161,7 +161,9 @@ let test_in_pipeline_differential () =
   in
   let prog = compile src in
   let prog' = Ir.Program.copy prog in
-  ignore (Opt.Pipeline.optimize_program prog');
+  ignore
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.off
+       ~inline:false prog');
   check_program_verifies prog';
   List.iter
     (fun n ->

@@ -151,17 +151,35 @@ let test_digest_ignores_fault_plan () =
   Alcotest.(check string) "fault plan, bundle dir, containment: same digest"
     base
     (SD.of_request (SD.request_of_graph ~config:armed g));
-  (* The knob default must also be invisible: a config with the
-     historical pea fixpoint renders — and therefore digests — exactly
-     as before the knob existed. *)
-  Alcotest.(check string) "pea_max_rounds=0 renders as the historical line"
-    (Dbds.Config.to_line config)
-    (Dbds.Config.to_line { config with Dbds.Config.pea_max_rounds = 0 });
-  let capped = { config with Dbds.Config.pea_max_rounds = 2 } in
-  Alcotest.(check bool) "a non-default pea cap changes the digest" true
-    (SD.of_request (SD.request_of_graph ~config:capped g) <> base);
-  Alcotest.(check int) "and round-trips through the wire line" 2
-    (Dbds.Config.of_line (Dbds.Config.to_line capped)).Dbds.Config.pea_max_rounds
+  (* The default line is pinned: every cached digest and crash bundle is
+     keyed on it, so any change to it must be deliberate. *)
+  Alcotest.(check string) "the default wire line"
+    "mode=dbds benefit_scale=256 size_budget=1.5 max_unit_size=65536 \
+     max_iterations=3 iteration_benefit_threshold=20 loop_factor=10 \
+     path_duplication=false max_path_length=3 paranoid=false licm=false \
+     preserve_analyses=true"
+    (Dbds.Config.to_line Dbds.Config.default);
+  (* Every key the line renders parses back, [passes=] included. *)
+  let custom =
+    {
+      armed with
+      Dbds.Config.mode = Dbds.Config.Backtracking;
+      loop_factor = 7.25;
+      path_duplication = true;
+      licm = true;
+      passes =
+        Some (Result.get_ok (Opt.Spec.of_string "fix(canon,dce),dbds{iters=2}"));
+    }
+  in
+  List.iter
+    (fun c0 ->
+      let line = Dbds.Config.to_line c0 in
+      match Dbds.Config.of_line line with
+      | Ok c ->
+          Alcotest.(check string) "and round-trips through the wire line"
+            line (Dbds.Config.to_line c)
+      | Error e -> Alcotest.failf "%s does not parse back: %s" line e)
+    [ armed; custom ]
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
@@ -413,6 +431,30 @@ let test_broker_deadline () =
         "timed-out" (SB.outcome_label o);
       Alcotest.(check int) "timeout counted" 1 (SB.stats b).SB.timeouts)
 
+(* The classic server refuses a compile whose wire config it cannot
+   honour exactly instead of compiling the mode's default pipeline. *)
+let test_server_rejects_malformed_config () =
+  let ir = Ir.Printer.graph_to_string (main_of (compile figure1)) in
+  let sched = Simtest.Sched.create ~seed:3 () in
+  let env = Simtest.Simio.env (Simtest.Simio.create sched) in
+  let out =
+    Simtest.Sched.run sched (fun () ->
+        let broker = SB.create ~env ~workers:1 ~store:None () in
+        let srv =
+          env.Service.Env.spawn "server" (fun () ->
+              Service.Server.serve ~env ~sock:"/srv" ~broker ())
+        in
+        let c = Service.Client.connect ~env ~deadline_s:2.0 ~sock:"/srv" () in
+        check_malformed_compiles_rejected ~ir
+          ~roundtrip:(Service.Client.roundtrip c);
+        (match Service.Client.shutdown_server c with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "shutdown: %s" e);
+        Service.Client.close c;
+        srv.Service.Env.join ())
+  in
+  Alcotest.(check bool) "schedule clean" true out.Simtest.Sched.ok
+
 let test_broker_bad_request () =
   let b = SB.create ~workers:1 ~store:None () in
   Fun.protect
@@ -582,7 +624,7 @@ let suite =
     test "digest: invariant under id renumbering"
       test_digest_renumbering_invariant;
     test "digest: sensitive to every request component" test_digest_sensitivity;
-    test "digest: blind to fault plans and the pea-cap default"
+    test "digest: blind to fault plans and the default line pinned"
       test_digest_ignores_fault_plan;
     test "store: publish and read back" test_store_roundtrip;
     test "store: corruption degrades to a miss" test_store_corruption_degrades;
@@ -601,6 +643,8 @@ let suite =
     test "broker: full queue sheds" test_broker_backpressure;
     test "broker: expired deadline" test_broker_deadline;
     test "broker: malformed request rejected" test_broker_bad_request;
+    test "server: malformed wire config rejected"
+      test_server_rejects_malformed_config;
     test "protocol: message round-trip" test_protocol_roundtrip;
     test "protocol: outcome round-trip" test_protocol_outcomes;
   ]

@@ -73,7 +73,7 @@ let test_configurations_agree () =
       let b = List.hd s.Workloads.Suite.benchmarks in
       let result config =
         let prog = Lang.Frontend.compile b.Workloads.Suite.source in
-        let _ = Dbds.Driver.optimize_program ~config prog in
+        let _ = Dbds.Driver.optimize_program_report ~config prog in
         let r, _ =
           Interp.Machine.run ~fuel:50_000_000 prog ~args:b.Workloads.Suite.args
         in
