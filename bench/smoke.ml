@@ -5,6 +5,7 @@
     - the compiled IR of every paper benchmark stops being
       byte-identical across jobs values;
     - warm service recompiles stop being byte-identical to cold ones;
+    - [pmd]'s compile effort exceeds its work-unit budget;
     - the fleet, workload-lab or frontdoor gates below fail. *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) fmt
@@ -41,6 +42,26 @@ let () =
   if not (String.equal p1 (print_at 4)) then
     die "compiled IR differs between jobs=1 and jobs=4";
   Printf.printf "bench-smoke: IR byte-identical at jobs 1/2/4\n";
+  (* Compile-effort gate.  [pmd] inlines a recursive tree builder into
+     its loop; when one PEA run replaces the whole allocation tree its
+     compile costs 16,302 work units, and when PEA can only take one
+     nesting level per fixpoint round it costs 44,114.  Work units do
+     not depend on the host, so the gate holds on a single-core runner. *)
+  let pmd_budget = 20_000 in
+  let pmd =
+    List.find (fun (b : Workloads.Suite.benchmark) -> b.name = "pmd") benches
+  in
+  let pmd_work =
+    (Dbds.Driver.optimize_program_report ~config ~jobs:1
+       (Workloads.Suite.compile pmd))
+      .Dbds.Driver.rep_ctx.Opt.Phase.work
+  in
+  Printf.printf "bench-smoke: pmd compile work %d units (budget %d)\n"
+    pmd_work pmd_budget;
+  if pmd_work > pmd_budget then
+    die "pmd compile work %d units > budget %d (nested allocations no longer \
+         replaced in one PEA run?)"
+      pmd_work pmd_budget;
   (* Warm service recompiles must return byte-identical artifacts. *)
   let s = Harness.Servicebench.measure_suite (List.hd Workloads.Registry.all) in
   if not s.Harness.Metrics.sv_identical then

@@ -38,6 +38,11 @@ val value_at_end : Graph.t -> var_state -> block_id -> value
     demand (memoized, loop-safe). *)
 val value_live_into : Graph.t -> var_state -> block_id -> value
 
+(** Delete the phis of [inserted] that are trivial: [phi [x, ..., x]]
+    or [phi [x, self]] become [x], repeatedly, so a phi made trivial by
+    another's removal goes too.  Phis already deleted are skipped. *)
+val simplify_inserted_phis : Graph.t -> value list -> unit
+
 (** [repair g ~classes] fixes uses after duplication.  Each class is
     [(original, copies)]: the original value together with its alternate
     definitions, given as [(block, value)] pairs — the value that acts as

@@ -3,12 +3,14 @@
 
     An allocation escapes if its reference leaves the function's scalar
     world: stored into another object or a global, passed to a call,
-    returned, merged through a phi, or compared against anything but null
-    (null compares are folded away by the canonicalizer first, because an
-    allocation is never null).  A non-escaping allocation is {e scalar
-    replaced}: its fields become SSA values (constructed with the same
-    on-demand lookup machinery as post-duplication SSA repair), loads are
-    rewritten, and the allocation and its stores are deleted.
+    returned, merged through a phi, or compared against anything but null.
+    A non-escaping allocation is {e scalar replaced}: its fields become SSA
+    values (constructed with the same on-demand lookup machinery as
+    post-duplication SSA repair), loads are rewritten, its [==] / [!=]
+    null compares fold to constants (an allocation is never null), and
+    the allocation and its stores are deleted.  Replacing an object
+    exposes the allocations held in its fields to the same treatment in
+    the same run, so one run replaces a whole nested allocation chain.
 
     The {e partial} aspect of the paper's PEA arises through duplication:
     an allocation that escapes only through a phi becomes non-escaping on
@@ -21,6 +23,17 @@ module G = Ir.Graph
 (** Why an allocation escapes (exposed for the simulation tier: an
     allocation escaping only through phis is a duplication candidate). *)
 type escape = No_escape | Through_phi_only | Escapes
+
+(* [Some n] when instruction [id] compares [alloc] against null with
+   [==] / [!=]: an allocation is never null (the rule of
+   [Canonicalize.never_null]), so the compare folds to the constant [n]. *)
+let null_compare g alloc id =
+  match G.kind g id with
+  | Cmp (((Eq | Ne) as op), a, b)
+    when (a = alloc && G.kind g b = Null) || (b = alloc && G.kind g a = Null)
+    ->
+      Some (if op = Eq then 0 else 1)
+  | _ -> None
 
 let escape_state g alloc =
   let state = ref No_escape in
@@ -35,12 +48,14 @@ let escape_state g alloc =
           | Load (base, _) when base = alloc -> ()
           | Store (base, _, v) when base = alloc && v <> alloc -> ()
           | Phi _ -> note_phi ()
+          | Cmp _ when null_compare g alloc id <> None -> ()
           | _ -> escape ()))
     (G.uses g alloc);
   !state
 
 (* Scalar replacement of one non-escaping allocation. *)
 let replace_scalar g alloc cls_fields args =
+  let home = G.block_of g alloc in
   let state_of : (string, Ir.Ssa_repair.var_state) Hashtbl.t =
     Hashtbl.create 4
   in
@@ -58,12 +73,24 @@ let replace_scalar g alloc cls_fields args =
         Hashtbl.replace state_of f st;
         st
   in
-  (* Walk every block in order, tracking the field values as they evolve;
-     loads with a known in-block value are rewritten immediately, loads
-     whose value flows in from predecessors are resolved afterwards. *)
+  (* Only the allocation's block and its users' blocks can define or
+     read a field; walk those in block order, tracking the field values
+     as they evolve.  Loads with a known in-block value are rewritten
+     immediately, loads whose value flows in from predecessors are
+     resolved afterwards. *)
+  let blocks =
+    List.sort_uniq compare
+      (home
+      :: List.filter_map
+           (function
+             | G.U_instr id -> Some (G.block_of g id) | G.U_term _ -> None)
+           (G.uses g alloc))
+  in
+  let loads = ref [] in
   let pending_loads = ref [] in
   let dead_stores = ref [] in
-  G.iter_blocks g (fun bid ->
+  List.iter
+    (fun bid ->
       let cur : (string, value) Hashtbl.t = Hashtbl.create 4 in
       List.iter
         (fun id ->
@@ -74,39 +101,63 @@ let replace_scalar g alloc cls_fields args =
                   if i < Array.length args then Hashtbl.replace cur f args.(i))
                 cls_fields
           | Load (base, f) when base = alloc -> (
+              loads := id :: !loads;
               match Hashtbl.find_opt cur f with
-              | Some v ->
-                  G.replace_uses g id ~by:v;
-                  Hashtbl.replace cur f v
+              | Some v -> G.replace_uses g id ~by:v
               | None -> pending_loads := (id, f, bid) :: !pending_loads)
           | Store (base, f, v) when base = alloc ->
               Hashtbl.replace cur f v;
               dead_stores := id :: !dead_stores
+          | Cmp _ -> (
+              match null_compare g alloc id with
+              | Some n -> G.set_kind g id (Const n)
+              | None -> ())
           | _ -> ())
         (G.block_instrs g bid);
       (* Record end-of-block field values as definitions. *)
       Hashtbl.iter
         (fun f v -> Hashtbl.replace (state_for f).Ir.Ssa_repair.defs bid v)
-        cur);
-  (* Resolve loads whose value lives in from predecessors. *)
+        cur)
+    blocks;
+  (* Resolve loads whose value lives in from predecessors.  A field
+     defined only by the allocation's block reads that value everywhere:
+     the allocation dominates every load.  Other fields take the on-demand
+     phi lookup.  All lookups run before any load is rewritten, and a
+     load resolved to another pending load follows it to its final value,
+     so no rewritten use is left on a load that is about to be deleted. *)
+  let resolved = Hashtbl.create 8 in
   List.iter
     (fun (load, f, bid) ->
-      let v = Ir.Ssa_repair.value_live_into g (state_for f) bid in
-      G.replace_uses g load ~by:v)
+      let st = state_for f in
+      let v =
+        if Hashtbl.length st.Ir.Ssa_repair.defs = 1 then
+          Hashtbl.find st.Ir.Ssa_repair.defs home
+        else Ir.Ssa_repair.value_live_into g st bid
+      in
+      Hashtbl.replace resolved load v)
     !pending_loads;
+  let rec final v =
+    match Hashtbl.find_opt resolved v with Some v' -> final v' | None -> v
+  in
+  List.iter
+    (fun (load, _, _) -> G.replace_uses g load ~by:(final load))
+    !pending_loads;
+  (* Fold the lookup's trivial phis now rather than leaving them to the
+     next canonicalize: they would pin a child allocation stored in this
+     one's fields, and they inflate the graph every later pass walks. *)
+  Ir.Ssa_repair.simplify_inserted_phis g
+    (List.concat_map
+       (fun f ->
+         match Hashtbl.find_opt state_of f with
+         | Some st -> st.Ir.Ssa_repair.inserted
+         | None -> [])
+       cls_fields);
   (* Delete the now-dead loads, stores and the allocation itself. *)
-  List.iter (fun (load, _, _) -> G.remove_instr g load) !pending_loads;
-  G.iter_blocks g (fun bid ->
-      List.iter
-        (fun id ->
-          if G.instr_exists g id then
-            match G.kind g id with
-            | Load (base, _) when base = alloc && G.uses g id = [] ->
-                G.remove_instr g id
-            | _ -> ())
-        (G.body g bid));
-  List.iter (fun s -> if G.uses g s = [] then G.remove_instr g s) !dead_stores;
-  if G.uses g alloc = [] then begin
+  List.iter (fun l -> if not (G.has_uses g l) then G.remove_instr g l) !loads;
+  List.iter
+    (fun s -> if not (G.has_uses g s) then G.remove_instr g s)
+    !dead_stores;
+  if not (G.has_uses g alloc) then begin
     G.remove_instr g alloc;
     true
   end
@@ -118,8 +169,9 @@ let run ctx g =
   | None -> false
   | Some program ->
       (* Earlier phases in the same round (branch folding in particular)
-         may have disconnected blocks; scalar replacement walks every
-         block, so drop dead ones first. *)
+         may have disconnected blocks; the field lookup walks
+         predecessors and finds no definition on a dead one, so drop
+         them first. *)
       let changed = ref (G.remove_unreachable_blocks g) in
       (* Scalarizing an outer object can un-escape the allocation stored
          in its fields (the store that pinned it disappears), so iterate
@@ -132,22 +184,26 @@ let run ctx g =
         let allocs =
           G.fold_instrs g
             (fun acc id ->
-              match G.kind g id with
-              | New (cls, args) -> (id, cls, args) :: acc
-              | _ -> acc)
+              match G.kind g id with New _ -> id :: acc | _ -> acc)
             []
         in
+        (* Read each allocation's arguments when its turn comes: replacing
+           an earlier one may have rewritten them. *)
         List.iter
-          (fun (alloc, cls, args) ->
+          (fun alloc ->
             if G.instr_exists g alloc && escape_state g alloc = No_escape then
-              match Ir.Program.find_class program cls with
-              | Some c when List.length c.Ir.Program.fields <= Array.length args
-                ->
-                  if replace_scalar g alloc c.Ir.Program.fields args then begin
-                    changed := true;
-                    continue_ := true
-                  end
-              | Some _ | None -> ())
+              match G.kind g alloc with
+              | New (cls, args) -> (
+                  match Ir.Program.find_class program cls with
+                  | Some c
+                    when List.length c.Ir.Program.fields <= Array.length args ->
+                      if replace_scalar g alloc c.Ir.Program.fields args
+                      then begin
+                        changed := true;
+                        continue_ := true
+                      end
+                  | Some _ | None -> ())
+              | _ -> ())
           allocs
       done;
       !changed

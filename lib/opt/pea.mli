@@ -3,11 +3,12 @@
 
     An allocation escapes if its reference leaves the function's scalar
     world: stored into another object or a global, passed to a call,
-    returned, merged through a phi, or compared against anything but null
-    (null compares fold away first, because an allocation is never null).
+    returned, merged through a phi, or compared against anything but null.
     A non-escaping allocation is {e scalar replaced}: its fields become
-    SSA values, loads are rewritten, and the allocation and its stores
-    are deleted.
+    SSA values, loads are rewritten, its [==] / [!=] null compares fold to
+    constants (an allocation is never null), and the allocation and its
+    stores are deleted.  One run replaces a whole nested allocation chain:
+    replacing an object exposes the allocations held in its fields.
 
     The {e partial} aspect of the paper's PEA arises through duplication:
     an allocation that escapes only through a phi becomes non-escaping on

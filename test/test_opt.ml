@@ -359,6 +359,249 @@ let test_pea_escape_through_phi_detected () =
       | _ -> Alcotest.fail "expected phi-only escape")
     allocs
 
+(* Run PEA alone on [main], so no other pass folds what it leaves. *)
+let pea_only prog =
+  let g = main_graph prog in
+  ignore (Opt.Phase.run_pass (ctx_for prog) Opt.Pea.phase g);
+  check_verifies g;
+  g
+
+let is_new = function New _ -> true | _ -> false
+
+let test_pea_nested_chain_one_run () =
+  (* pmd's shape: a recursive tree builder inlined into a loop, and a
+     walker testing every child against null.  Replacing a node exposes
+     its children, each still pinned by its null test; one PEA run must
+     take the whole tree. *)
+  let src =
+    {|
+    class Node { int kind; Node left; Node right; }
+    Node build(int depth, int seed) {
+      if (depth <= 0) { return null; }
+      return new Node(seed % 11, build(depth - 1, seed * 31 + 1),
+                      build(depth - 1, seed * 17 + 3));
+    }
+    int check(Node t) {
+      if (t == null) { return 0; }
+      int k = t.kind;
+      int w = 0;
+      if (k == 3) { w = 5; }
+      return k + w + check(t.left) + check(t.right);
+    }
+    int main(int n) {
+      int total = 0;
+      int i = 0;
+      while (i < n) {
+        Node t = build(3, i * 7 + 1);
+        total = total + check(t);
+        i = i + 1;
+      }
+      return total;
+    }
+    |}
+  in
+  let reference = compile src in
+  let prog = compile src in
+  let ctx = ctx_for prog in
+  ignore (Opt.Inline.inline_program ctx prog);
+  Alcotest.(check bool) "the tree is inlined into main" true
+    (count_kind prog "main" is_new > 1);
+  ignore (Opt.Pipeline.optimize ctx (main_graph prog));
+  check_program_verifies prog;
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "main(%d)" n)
+        (run_int reference [ n ]) (run_int prog [ n ]))
+    [ 0; 1; 4 ];
+  Alcotest.(check int) "no allocation left" 0 (count_kind prog "main" is_new);
+  let pea = List.assoc "pea" (Opt.Phase.pass_table ctx) in
+  Alcotest.(check int) "pea fires once" 1 pea.Opt.Phase.fired;
+  Alcotest.(check bool)
+    (Printf.sprintf "pea does not grow the graph (size delta %d)"
+       pea.Opt.Phase.size_delta)
+    true
+    (pea.Opt.Phase.size_delta <= 0)
+
+let test_pea_field_lookups () =
+  (* A field defined only by the allocation resolves straight to its
+     value ([direct]: PEA adds no phi); a field stored elsewhere takes the
+     phi lookup. *)
+  let cases =
+    [
+      ( "stored on one branch",
+        false,
+        {|
+        class Box { int v; int w; }
+        int main(int x) {
+          Box b = new Box(x, 7);
+          if (x > 3) { b.v = x * 2; }
+          return b.v * 10 + b.w;
+        }
+        |} );
+      ( "stored in a loop",
+        false,
+        {|
+        class Box { int v; int w; }
+        int main(int n) {
+          Box b = new Box(1, n + 3);
+          int i = 0;
+          while (i < n) {
+            if (i % 2 == 0) { b.v = b.v + b.w; }
+            i = i + 1;
+          }
+          return b.v + b.w;
+        }
+        |} );
+      ( "written only by the allocation",
+        true,
+        {|
+        class Box { int v; int w; }
+        int main(int x) {
+          Box b = new Box(x, x * 3);
+          int s = 0;
+          int i = 0;
+          while (i < x) {
+            if (i > 2) { s = s + b.v; } else { s = s - b.w; }
+            i = i + 1;
+          }
+          return s + b.w;
+        }
+        |} );
+      ( "a pending load stored into another field",
+        false,
+        {|
+        class P { int x; int y; }
+        int main(int n) {
+          P p = new P(1, 2);
+          int i = 0;
+          while (p.x < n) { p.x = p.y; p.y = p.y + 3; i = i + 1; }
+          return p.x + i;
+        }
+        |} );
+    ]
+  in
+  let phis prog =
+    count_kind prog "main" (function Phi _ -> true | _ -> false)
+  in
+  List.iter
+    (fun (name, direct, src) ->
+      let reference = compile src in
+      let prog = compile src in
+      let phis_before = phis prog in
+      ignore (pea_only prog);
+      Alcotest.(check int) (name ^ ": allocation removed") 0
+        (count_kind prog "main" is_new);
+      if direct then
+        Alcotest.(check int) (name ^ ": no phi inserted") phis_before
+          (phis prog);
+      Alcotest.(check int) (name ^ ": loads removed") 0
+        (count_kind prog "main" (function Load _ -> true | _ -> false));
+      List.iter
+        (fun x ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: main(%d)" name x)
+            (run_int reference [ x ]) (run_int prog [ x ]))
+        [ 0; 2; 5; 9 ])
+    cases
+
+let test_pea_lookup_phis_do_not_pin_a_child () =
+  (* The child is stored outside the parent's block, so loading it back
+     after a later merge goes through the phi lookup, which builds a
+     trivial phi of the child.  PEA deletes that phi itself; left for
+     canonicalize, it would pin the child until the next run. *)
+  let src =
+    {|
+    class C { int x; }
+    class P { int y; C c; }
+    int main(int k) {
+      P p = new P(k, null);
+      int s = 0;
+      if (k > 0) { s = 1; } else { s = 2; }
+      p.c = new C(k + s);
+      if (k > 5) { s = s + 3; } else { s = s + 4; }
+      C c = p.c;
+      if (c == null) { return 0; }
+      return c.x + s + p.y;
+    }
+    |}
+  in
+  let reference = compile src in
+  let prog = compile src in
+  ignore (pea_only prog);
+  Alcotest.(check int) "both allocations removed" 0
+    (count_kind prog "main" is_new);
+  List.iter
+    (fun k ->
+      Alcotest.(check int)
+        (Printf.sprintf "main(%d)" k)
+        (run_int reference [ k ]) (run_int prog [ k ]))
+    [ -1; 3; 8 ]
+
+let test_pea_folds_null_compares () =
+  let src =
+    {|
+    class A { int x; }
+    int main(int k) {
+      A a = new A(k);
+      int r = 0;
+      if (a == null) { r = 1; }
+      if (a != null) { r = r + 2; }
+      return r + a.x;
+    }
+    |}
+  in
+  let reference = compile src in
+  let prog = compile src in
+  let g = pea_only prog in
+  Alcotest.(check int) "allocation removed" 0 (count_kind prog "main" is_new);
+  Alcotest.(check int) "no compare left" 0
+    (count_kind prog "main" (function Cmp _ -> true | _ -> false));
+  (* Each branch now tests a constant: [== null] is 0, [!= null] is 1. *)
+  let conds =
+    G.fold_blocks g
+      (fun acc b ->
+        match G.term g b with
+        | Branch br -> (
+            match G.kind g br.cond with Const n -> n :: acc | _ -> acc)
+        | _ -> acc)
+      []
+  in
+  Alcotest.(check (list int))
+    "folded conditions" [ 0; 1 ] (List.sort compare conds);
+  Alcotest.(check int) "result" (run_int reference [ 4 ]) (run_int prog [ 4 ])
+
+let test_pea_null_compare_keeps_phi_escape () =
+  (* The simulation tier asks for exactly this state: a null compare
+     must not turn a phi-only escape into a full escape. *)
+  let src =
+    {|
+    class A { int x; }
+    int main(int k) {
+      A a = new A(k);
+      A p;
+      if (k > 0) { p = a; } else { p = new A(0); }
+      if (a == null) { return 7; }
+      return p.x;
+    }
+    |}
+  in
+  let prog = compile src in
+  let g = main_graph prog in
+  let a =
+    G.fold_instrs g
+      (fun acc id ->
+        match G.kind g id with
+        | New (_, [| arg |]) when G.kind g arg = Param 0 -> Some id
+        | _ -> acc)
+      None
+    |> Option.get
+  in
+  match Opt.Pea.escape_state g a with
+  | Opt.Pea.Through_phi_only -> ()
+  | Opt.Pea.No_escape -> Alcotest.fail "expected phi-only escape, got none"
+  | Opt.Pea.Escapes -> Alcotest.fail "expected phi-only escape, got escapes"
+
 (* ---- dce ---- *)
 
 let test_dce_removes_dead_cycle () =
@@ -474,4 +717,11 @@ let suite =
     test "listing 1 semantics" test_listing1_semantics_preserved;
     test "listing 5 partial redundancy" test_listing5_partial_redundancy_survives_baseline;
     test "work units charged" test_work_units_charged;
+    test "pea: nested chain in one run" test_pea_nested_chain_one_run;
+    test "pea: field lookups" test_pea_field_lookups;
+    test "pea: lookup phis do not pin a child"
+      test_pea_lookup_phis_do_not_pin_a_child;
+    test "pea: folds null compares" test_pea_folds_null_compares;
+    test "pea: null compare keeps phi-only escape"
+      test_pea_null_compare_keeps_phi_escape;
   ]
