@@ -309,22 +309,6 @@ let print_service rows =
   Format.printf "%a@." Harness.Report.pp_service (List.map snd rows)
 
 (* ------------------------------------------------------------------ *)
-(* Fleet: warm-hit throughput at 1..3 nodes                            *)
-(* ------------------------------------------------------------------ *)
-
-let fleet_sizes = [ 1; 2; 3 ]
-let fleet_replicas = 1
-
-let fleet_rows () =
-  Harness.Fleetbench.run ~fleet_sizes ~replicas:fleet_replicas ()
-
-let print_fleet rows =
-  section
-    "Fleet: warm-hit throughput, 1..3 nodes (measured per-request cost, \
-     real ring shards, cross-node parallelism modeled)";
-  Format.printf "%a@." Harness.Report.pp_fleet rows
-
-(* ------------------------------------------------------------------ *)
 (* Frontdoor: admission-controlled overload sweep                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -369,7 +353,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_results_json path rows cache_rows tiered service perf fleet
+let write_results_json path rows cache_rows tiered service perf
     frontdoor tier_rows (fp1, fp2, fp4) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -510,47 +494,6 @@ let write_results_json path rows cache_rows tiered service perf fleet
   in
   Buffer.add_string buf (String.concat ",\n" service_entries);
   Buffer.add_string buf "\n  ],\n";
-  (* Fleet: the per-request warm-hit cost is measured on this host; the
-     cross-node throughput is modeled over real ring shard shapes, so
-     every modeled key carries a _model suffix. *)
-  Buffer.add_string buf "  \"fleet\": {\n";
-  Buffer.add_string buf
-    "    \"model\": \"ring-sharded warm-hit serving: measured per-request \
-     cost, real consistent-hash shard shapes, cross-node parallelism \
-     modeled (host may be single-core)\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"replicas\": %d,\n" fleet_replicas);
-  Buffer.add_string buf "    \"rows\": [\n";
-  let fleet_entries =
-    List.map
-      (fun (r : Harness.Metrics.fleet_row) ->
-        let points =
-          String.concat ",\n"
-            (List.map
-               (fun (p : Harness.Metrics.fleet_point) ->
-                 Printf.sprintf
-                   "          { \"nodes\": %d, \"max_share\": %.4f, \
-                    \"throughput_rps_model\": %.1f, \
-                    \"scaling_vs_1node_model\": %.3f }"
-                   p.Harness.Metrics.fp_nodes p.Harness.Metrics.fp_max_share
-                   p.Harness.Metrics.fp_throughput_rps
-                   p.Harness.Metrics.fp_scaling)
-               r.Harness.Metrics.fb_points)
-        in
-        Printf.sprintf
-          "      {\n\
-          \        \"suite\": \"%s\",\n\
-          \        \"requests\": %d,\n\
-          \        \"warm_hit_ns_measured\": %.1f,\n\
-          \        \"points\": [\n%s\n        ]\n\
-          \      }"
-          (json_escape r.Harness.Metrics.fb_suite)
-          r.Harness.Metrics.fb_requests r.Harness.Metrics.fb_warm_hit_ns
-          points)
-      fleet
-  in
-  Buffer.add_string buf (String.concat ",\n" fleet_entries);
-  Buffer.add_string buf "\n    ]\n  },\n";
   (* Frontdoor: the overload sweep runs entirely in the simulator's
      virtual time, so goodput and latency are host-independent. *)
   let fd = (frontdoor : Harness.Metrics.frontdoor_row) in
@@ -711,8 +654,6 @@ let () =
   print_tiered tiered;
   let service = service_rows () in
   print_service service;
-  let fleet = fleet_rows () in
-  print_fleet fleet;
   let frontdoor = frontdoor_row () in
   print_frontdoor frontdoor;
   let lab = tier_rows () in
@@ -722,4 +663,4 @@ let () =
   print_perf perf;
   let rows = run_bechamel () in
   write_results_json "BENCH_results.json" rows cache_rows tiered service perf
-    fleet frontdoor lab fps
+    frontdoor lab fps

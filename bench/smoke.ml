@@ -6,7 +6,7 @@
       byte-identical across jobs values;
     - warm service recompiles stop being byte-identical to cold ones;
     - [pmd]'s compile effort exceeds its work-unit budget;
-    - the fleet, workload-lab or frontdoor gates below fail. *)
+    - the workload-lab or frontdoor gates below fail. *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) fmt
 
@@ -71,19 +71,6 @@ let () =
      %.2fx)\n"
     s.Harness.Metrics.sv_warm_hit_rate
     (Harness.Metrics.service_speedup s);
-  (* Fleet gate: the modeled warm-hit scaling at 3 nodes over all
-     suites' digests together (the shard shapes are real ring
-     assignments; only the cross-node parallelism is modeled, because
-     CI runners are frequently single-core). *)
-  let fleet = Harness.Fleetbench.run ~fleet_sizes:[ 1; 3 ] () in
-  let agg = List.nth fleet (List.length fleet - 1) in
-  let scale3 = Harness.Metrics.fleet_scaling_at agg 3 in
-  Printf.printf
-    "bench-smoke: fleet warm-hit scaling at 3 nodes: %.2fx over %d requests \
-     (modeled from measured per-request cost)\n"
-    scale3 agg.Harness.Metrics.fb_requests;
-  if scale3 < 2.0 then
-    die "fleet scaling %.2f < 2.0 at 3 nodes (sharding imbalance)" scale3;
   (* Frontdoor overload gate: the sweep runs in the simulator's virtual
      time, so it is deterministic and host-independent.  At 2x offered
      load, admission control must keep goodput near the uncontended

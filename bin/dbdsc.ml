@@ -36,9 +36,6 @@ type service_opts = {
   svc_shutdown : bool;  (** ask the server to shut down *)
   queue_limit : int;  (** server admission-queue bound *)
   workers : int;  (** server compile domains *)
-  frontdoor : bool;
-      (** make [--serve] the async event-loop front door instead of the
-          classic thread-per-connection server *)
   tenant : string option;  (** quota account presented by the client *)
   lane : string option;  (** client priority lane (interactive/batch) *)
   binary : bool;  (** negotiate the compact binary framing *)
@@ -153,7 +150,7 @@ let run_serve ~sock svc =
     Option.map
       (fun coord ->
         {
-          Service.Server.fl_id =
+          Service.Fleet.fl_id =
             (match svc.node_id with
             | Some id -> id
             | None -> Filename.basename sock);
@@ -164,27 +161,17 @@ let run_serve ~sock svc =
         })
       svc.fleet_join
   in
-  if svc.frontdoor then begin
-    (* Fleet membership verbs stay with the classic server; a fleet
-       worker keeps its thread-per-connection front end. *)
-    if fleet <> None then
-      failwith "--frontdoor does not combine with --fleet-join";
-    Service.Frontdoor.serve
-      ~log:(fun line -> Format.eprintf "[dbdsc --frontdoor] %s@." line)
-      ~config:
-        {
-          Service.Frontdoor.default_config with
-          fd_dispatchers = svc.workers;
-          fd_queue_limit = svc.queue_limit;
-          fd_tenant_rate = svc.tenant_rate;
-          fd_tenant_burst = svc.tenant_burst;
-        }
-      ~sock ~broker ()
-  end
-  else
-    Service.Server.serve
-      ~log:(fun line -> Format.eprintf "[dbdsc --serve] %s@." line)
-      ?fleet ~sock ~broker ()
+  Service.Frontdoor.serve
+    ~log:(fun line -> Format.eprintf "[dbdsc --serve] %s@." line)
+    ~config:
+      {
+        Service.Frontdoor.default_config with
+        fd_dispatchers = svc.workers;
+        fd_queue_limit = svc.queue_limit;
+        fd_tenant_rate = svc.tenant_rate;
+        fd_tenant_burst = svc.tenant_burst;
+      }
+    ?fleet ~sock ~broker ()
 
 let run_coordinator ~sock =
   Service.Fleet.coordinator
@@ -242,8 +229,7 @@ let run_client ~sock ~config ~file svc =
               (fld "broker")
               (if store_line = "none" then "store: none" else store_line)
               (fld "counts");
-            (* Only the front door reports admission/lane/tenant-histogram
-               counters; a classic server's reply lacks the field. *)
+            (* The admission/lane/tenant-histogram counters. *)
             (match Service.Protocol.field reply "frontdoor" with
             | Some fd -> Format.printf "=== frontdoor ===@.%s@." fd
             | None -> ())
@@ -409,16 +395,12 @@ type sim_opts = {
   sim_faults : string option;  (** explicit plans, comma-separated *)
   sim_replay : string option;  (** re-run a sim bundle instead of sweeping *)
   sim_bundle_dir : string;
-  sim_nodes : int;  (** fleet size; 0 = the classic single server *)
+  sim_nodes : int;  (** fleet size; 0 = a single server *)
   sim_replicas : int;  (** successor copies on publish (fleet mode) *)
   sim_node_chaos : int;  (** seed-derived node kills/partitions per run *)
   sim_node_faults : string option;
       (** explicit node events, comma-separated [kill:N@T] /
           [rejoin:N@T] / [part:N@T1-T2] *)
-  sim_frontdoor : bool;
-      (** serve through the async front door (tenant/lane/binary-diverse
-          clients plus protocol-chaos fibers) instead of the classic
-          server *)
 }
 
 exception Sim_violations
@@ -455,7 +437,6 @@ let run_sim sim =
         |> H.with_nodes sim.sim_nodes
         |> H.with_replicas sim.sim_replicas
         |> H.with_node_chaos sim.sim_node_chaos
-        |> H.with_frontdoor sim.sim_frontdoor
       in
       let spec =
         match sim.sim_node_faults with
@@ -994,9 +975,15 @@ let serve_arg =
     & info [ "serve" ] ~docv:"SOCK"
         ~doc:
           "Run as a compilation server on Unix socket SOCK (no FILE \
-           needed).  Combine with $(b,--cache-dir) to persist artifacts, \
-           $(b,--service-workers) and $(b,--service-queue-limit) to size \
-           the broker.  Stops on a client's $(b,--service-shutdown).")
+           needed).  The server is the async multi-tenant front door — a \
+           single-threaded poll-based event loop with per-tenant \
+           token-bucket quotas, interactive/batch priority lanes \
+           (weighted-deficit round-robin) and optional compact binary \
+           framing; overload is answered with a structured shed carrying \
+           a retry-after-ms hint.  Combine with $(b,--cache-dir) to \
+           persist artifacts, $(b,--service-workers) and \
+           $(b,--service-queue-limit) to size the broker and the front \
+           door.  Stops on a client's $(b,--service-shutdown).")
 
 let connect_arg =
   Arg.(
@@ -1151,21 +1138,17 @@ let service_workers_arg =
   Arg.(
     value & opt int 2
     & info [ "service-workers" ] ~docv:"N"
-        ~doc:"With $(b,--serve): number of compile worker domains.")
+        ~doc:
+          "With $(b,--serve): number of compile worker domains, and of \
+           the front door's dispatcher threads.")
 
 let frontdoor_arg =
   Arg.(
     value & flag
     & info [ "frontdoor" ]
         ~doc:
-          "With $(b,--serve): serve through the async multi-tenant front \
-           door — a single-threaded poll-based event loop with per-tenant \
-           token-bucket quotas, interactive/batch priority lanes \
-           (weighted-deficit round-robin) and optional compact binary \
-           framing.  $(b,--service-workers) sizes its dispatcher pool, \
-           $(b,--service-queue-limit) bounds each lane, and overload is \
-           answered with a structured shed carrying a retry-after-ms \
-           hint.  Not combinable with $(b,--fleet-join).")
+          "Accepted and ignored: the front door is the only server \
+           $(b,--serve) runs.")
 
 let tenant_arg =
   Arg.(
@@ -1174,8 +1157,7 @@ let tenant_arg =
     & info [ "tenant" ] ~docv:"ID"
         ~doc:
           "With $(b,--connect): present this tenant id in the hello — \
-           the front door's quota account.  Ignored (gracefully) by a \
-           classic server.")
+           the front door's quota account.")
 
 let lane_arg =
   Arg.(
@@ -1194,30 +1176,30 @@ let binary_arg =
         ~doc:
           "With $(b,--connect): negotiate the compact binary framing in \
            the hello; the connection switches only when the server \
-           confirms, so against a classic server the client degrades to \
-           text and keeps working.")
+           confirms, so against a text-only peer (the fleet \
+           coordinator) the client degrades to text and keeps working.")
 
 let tenant_rate_arg =
   Arg.(
     value & opt float 50.0
     & info [ "tenant-rate" ] ~docv:"RPS"
         ~doc:
-          "With $(b,--frontdoor): per-tenant token refill rate (tokens \
-           per second).")
+          "With $(b,--serve): per-tenant token refill rate (tokens per \
+           second).")
 
 let tenant_burst_arg =
   Arg.(
     value & opt float 100.0
     & info [ "tenant-burst" ] ~docv:"N"
         ~doc:
-          "With $(b,--frontdoor): per-tenant token-bucket depth (burst \
+          "With $(b,--serve): per-tenant token-bucket depth (burst \
            allowance).")
 
 let service_opts_term =
   let make serve connect fleet_coord fleet_join fleet_connect node_id
       fleet_replicas fleet_beat_ms cache_dir cache_capacity canon deadline_ms
-      delay_ms svc_stats svc_shutdown queue_limit workers frontdoor tenant
-      lane binary tenant_rate tenant_burst =
+      delay_ms svc_stats svc_shutdown queue_limit workers (_frontdoor : bool)
+      tenant lane binary tenant_rate tenant_burst =
     {
       serve;
       connect;
@@ -1236,7 +1218,6 @@ let service_opts_term =
       svc_shutdown;
       queue_limit;
       workers;
-      frontdoor;
       tenant;
       lane;
       binary;
@@ -1338,7 +1319,7 @@ let sim_nodes_arg =
     & info [ "sim-nodes" ] ~docv:"K"
         ~doc:
           "Simulate a fleet of K worker nodes (independent simulated \
-           disks) plus a coordinator instead of the classic single \
+           disks) plus a coordinator instead of a single \
            server; clients route through the consistent-hash ring.  The \
            invariant extends fleet-wide: byte-identical oracle IR or a \
            clean contained failure on every node, restart scans \
@@ -1372,23 +1353,10 @@ let sim_node_faults_arg =
            the surviving disk), $(b,part:N\\@T1-T2) (two-way partition \
            from T1 to T2).")
 
-let sim_frontdoor_arg =
-  Arg.(
-    value & flag
-    & info [ "sim-frontdoor" ]
-        ~doc:
-          "With $(b,--sim): serve the simulated service through the \
-           async front door instead of the classic server.  Clients \
-           spread across tenants, lanes and framings, and two \
-           protocol-chaos fibers (a garbage sender and a slow-loris \
-           half-request) join the schedule; a garbage line accepted as \
-           a request, or a shed without its retry-after hint, is a \
-           violation.")
-
 let sim_opts_term =
   let make sim sim_seed sim_seeds sim_shrink sim_clients sim_chaos sim_vm_warm
       sim_faults sim_replay sim_bundle_dir sim_nodes sim_replicas
-      sim_node_chaos sim_node_faults sim_frontdoor =
+      sim_node_chaos sim_node_faults =
     {
       sim;
       sim_seed;
@@ -1404,14 +1372,13 @@ let sim_opts_term =
       sim_replicas;
       sim_node_chaos;
       sim_node_faults;
-      sim_frontdoor;
     }
   in
   Term.(
     const make $ sim_arg $ sim_seed_arg $ sim_seeds_arg $ sim_shrink_arg
     $ sim_clients_arg $ sim_chaos_arg $ sim_vm_warm_arg $ sim_faults_arg
     $ sim_replay_arg $ sim_bundle_dir_arg $ sim_nodes_arg $ sim_replicas_arg
-    $ sim_node_chaos_arg $ sim_node_faults_arg $ sim_frontdoor_arg)
+    $ sim_node_chaos_arg $ sim_node_faults_arg)
 
 let cmd =
   let doc = "SSA compiler with dominance-based duplication simulation" in

@@ -139,35 +139,6 @@ type service_row = {
 let service_speedup r =
   if r.sv_warm_ns <= 0.0 then 0.0 else r.sv_cold_ns /. r.sv_warm_ns
 
-(** One fleet size's modeled warm-hit serving capacity: the request
-    digests are sharded over the ring exactly as the router shards
-    them, each node serves its shard at the {e measured} per-request
-    warm-hit cost, and the fleet's throughput is bounded by its most
-    loaded node.  The parallelism across nodes is modeled (bench hosts
-    are often single-core); the per-request cost and the shard shapes
-    are real. *)
-type fleet_point = {
-  fp_nodes : int;  (** fleet size *)
-  fp_max_share : float;  (** the most loaded node's share of requests *)
-  fp_throughput_rps : float;  (** modeled warm-hit requests per second *)
-  fp_scaling : float;  (** modeled throughput vs the 1-node fleet *)
-}
-
-(** One suite's fleet scaling row (plus the all-suites aggregate). *)
-type fleet_row = {
-  fb_suite : string;
-  fb_requests : int;  (** distinct warm-hit request digests routed *)
-  fb_warm_hit_ns : float;  (** measured ns per warm-hit request *)
-  fb_replicas : int;  (** successor copies assumed on publish *)
-  fb_points : fleet_point list;  (** one per fleet size, ascending *)
-}
-
-(** Modeled scaling at fleet size [n]; 0 when the size was not swept. *)
-let fleet_scaling_at r n =
-  match List.find_opt (fun p -> p.fp_nodes = n) r.fb_points with
-  | Some p -> p.fp_scaling
-  | None -> 0.0
-
 (** One offered-load point of the frontdoor overload sweep (simulated;
     latencies are interactive-lane client-observed virtual time). *)
 type frontdoor_point = {

@@ -120,34 +120,6 @@ type service_row = {
 (** Warm-over-cold compile-time ratio; the service's headline number. *)
 val service_speedup : service_row -> float
 
-(** One fleet size's modeled warm-hit serving capacity: the request
-    digests are sharded over the consistent-hash ring exactly as the
-    router shards them, each node serves its shard at the {e measured}
-    per-request warm-hit cost, and the fleet's throughput is bounded by
-    its most loaded node.  The parallelism across nodes is modeled
-    (bench hosts are often single-core); the per-request cost and the
-    shard shapes are real. *)
-type fleet_point = {
-  fp_nodes : int;  (** fleet size *)
-  fp_max_share : float;  (** the most loaded node's share of requests *)
-  fp_throughput_rps : float;  (** modeled warm-hit requests per second *)
-  fp_scaling : float;  (** modeled throughput vs the 1-node fleet *)
-}
-
-(** One suite's fleet scaling row (plus the all-suites aggregate).
-    Plain data so the report and the bench JSON writer need no
-    [service] dependency. *)
-type fleet_row = {
-  fb_suite : string;
-  fb_requests : int;  (** distinct warm-hit request digests routed *)
-  fb_warm_hit_ns : float;  (** measured ns per warm-hit request *)
-  fb_replicas : int;  (** successor copies assumed on publish *)
-  fb_points : fleet_point list;  (** one per fleet size, ascending *)
-}
-
-(** Modeled scaling at fleet size [n]; 0 when the size was not swept. *)
-val fleet_scaling_at : fleet_row -> int -> float
-
 (** One offered-load point of the frontdoor overload sweep, measured
     under the deterministic simulator: open-loop arrivals at
     [fd_mult] times the broker's service capacity, split over an

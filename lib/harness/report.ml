@@ -247,42 +247,6 @@ let pp_service ppf (rows : service_row list) =
     (List.length rows)
     (if all_identical then "yes" else "NO")
 
-(** Fleet rows: measured warm-hit cost per request, and the modeled
-    throughput of the consistent-hash fleet at each size (the shard
-    shapes are real ring assignments; the cross-node parallelism is the
-    model — see {!Fleetbench}). *)
-let pp_fleet ppf (rows : fleet_row list) =
-  let sizes =
-    match rows with
-    | [] -> []
-    | r :: _ -> List.map (fun p -> p.fp_nodes) r.fb_points
-  in
-  Fmt.pf ppf "%-14s | %5s %12s |" "suite" "reqs" "warm-hit ns";
-  List.iter (fun k -> Fmt.pf ppf " %11s" (Printf.sprintf "x(%d nodes)" k)) sizes;
-  Fmt.pf ppf " %10s@\n" "max share";
-  let width = 37 + (12 * List.length sizes) + 11 in
-  Fmt.pf ppf "%s@\n" (String.make width '-');
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-14s | %5d %12.0f |" r.fb_suite r.fb_requests
-        r.fb_warm_hit_ns;
-      List.iter (fun p -> Fmt.pf ppf " %10.2fx" p.fp_scaling) r.fb_points;
-      (match List.rev r.fb_points with
-      | last :: _ -> Fmt.pf ppf " %9.1f%%" (100.0 *. last.fp_max_share)
-      | [] -> ());
-      Fmt.pf ppf "@\n")
-    rows;
-  Fmt.pf ppf "%s@\n" (String.make width '-');
-  match List.rev rows with
-  | agg :: _ when sizes <> [] ->
-      let top = List.fold_left max 1 sizes in
-      Fmt.pf ppf
-        "modeled warm-hit scaling at %d nodes (%s): %.2fx over %d requests@\n"
-        top agg.fb_suite
-        (fleet_scaling_at agg top)
-        agg.fb_requests
-  | _ -> ()
-
 let pp_frontdoor ppf (r : frontdoor_row) =
   Fmt.pf ppf
     "frontdoor load sweep (capacity %.0f rps, %d tenants, %d requests/point, \

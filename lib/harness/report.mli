@@ -50,13 +50,6 @@ val pp_tiered : Format.formatter -> Metrics.tiered_row list -> unit
     acceptance bar is the {e minimum} warm speedup, not the mean). *)
 val pp_service : Format.formatter -> Metrics.service_row list -> unit
 
-(** Fleet rows ({!Metrics.fleet_row}): measured warm-hit cost per
-    request and the modeled warm-hit throughput scaling of the
-    consistent-hash fleet at each swept size, with the most loaded
-    node's request share — plus a footer quoting the aggregate row's
-    scaling at the largest size (the acceptance headline). *)
-val pp_fleet : Format.formatter -> Metrics.fleet_row list -> unit
-
 (** The frontdoor load-sweep row ({!Metrics.frontdoor_row}): one line
     per offered-load multiple — completions, sheds, goodput,
     interactive-lane latency percentiles, retry-after coverage — with

@@ -53,8 +53,9 @@ let roundtrip t (m : Protocol.message) =
 
 (* Introduce this connection to a frontdoor: tenant id, default lane,
    and optionally the binary framing (switched only once the server
-   confirms it).  A classic server answers [rejected] — the client
-   degrades to anonymous text, so old servers keep working. *)
+   confirms it).  A text-only peer — the fleet coordinator — answers
+   [rejected]: the client degrades to anonymous text and keeps
+   working. *)
 let hello ?tenant ?lane ~binary t =
   let opt name v = Option.to_list (Option.map (fun x -> (name, x)) v) in
   let fields =

@@ -27,9 +27,9 @@ exception
     frontdoor with a [hello] once connected: [tenant] names the quota
     account, [lane] ("interactive"/"batch") sets the default priority
     lane, and [binary] requests the compact framing — switched only
-    when the server confirms it, so against a classic server (which
-    rejects the unknown verb) the client degrades to anonymous text
-    and keeps working. *)
+    when the server confirms it, so against a text-only peer (the
+    fleet coordinator, which rejects the unknown verb) the client
+    degrades to anonymous text and keeps working. *)
 val connect :
   ?env:Env.t ->
   ?deadline_s:float ->
@@ -97,7 +97,8 @@ val compile_ex :
 val lookup : digest:string -> t -> (string option, string) result
 
 (** Fetch the server's stats: [(broker_line, store_line, counts_line)] —
-    see {!Server} for the counts grammar. *)
+    the counts line is space-separated [key=value] pairs (broker, then
+    store counters) — see {!Frontdoor}. *)
 val stats : t -> (string * string * string, string) result
 
 (** Ask the server to shut down (it acknowledges, then stops). *)

@@ -442,3 +442,18 @@ let real =
     rename = Sys.rename;
     remove = Sys.remove;
   }
+
+(* A socket path that already exists is either a live server or the
+   debris of a crashed one.  Probe it: a connection means live — refuse
+   to start; refused / denied / vanished means stale — remove the
+   debris and proceed.  [Denied] matters: a root-owned stale socket
+   answers EACCES, not ECONNREFUSED, and must not abort startup. *)
+let claim_socket env ~owner sock =
+  if env.file_exists sock then begin
+    (match env.connect sock with
+    | conn ->
+        conn.close_conn ();
+        invalid_arg (Printf.sprintf "%s: %s already has a live server" owner sock)
+    | exception Net ((Refused | Denied | Not_found), _) -> ());
+    try env.remove sock with Sys_error _ -> ()
+  end

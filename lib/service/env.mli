@@ -120,3 +120,12 @@ type t = {
     expiring or immortalizing queued jobs.  The poller is a [select]
     over the registered descriptors plus a self-pipe for [wake]. *)
 val real : t
+
+(** The stale-socket probe every listener runs before binding [sock].
+    A pre-existing path is probed: if something answers, startup is
+    refused ([Invalid_argument], naming [owner] — the caller, e.g.
+    ["Frontdoor.serve"]); if the probe is refused, denied, or finds
+    nothing (a stale socket from a crashed server — including a
+    permission-denied one), the debris is removed and startup
+    proceeds. *)
+val claim_socket : t -> owner:string -> string -> unit

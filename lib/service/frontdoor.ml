@@ -190,7 +190,7 @@ type cstate = {
   mutable c_dead : bool;
 }
 
-type kind = Compile | Lookup
+type kind = Compile | Lookup | Rebalance of Fleet.node
 
 type job = {
   jb_cs : cstate;
@@ -200,6 +200,8 @@ type job = {
   jb_admit : float;  (** mono time of admission — queue wait counts *)
   jb_deadline : float option;  (** absolute, mono *)
 }
+
+type control = { stop : unit -> unit }
 
 type t = {
   env : Env.t;
@@ -215,6 +217,7 @@ type t = {
   comps : (cstate * Protocol.message) Queue.t;
   tenants : (string, tenant) Hashtbl.t;
   stats : stats;
+  mutable fleet : Fleet.node option;
   mutable conns : cstate list;
   mutable stopping : bool;
   mutable killed : bool;
@@ -244,8 +247,6 @@ let tenant fd id =
       tn
 
 (* ---- replies ---------------------------------------------------------- *)
-
-let ok_reply = { Protocol.verb = "reply"; fields = [ ("status", "ok") ] }
 
 let shed_reply retry_ms =
   {
@@ -325,17 +326,13 @@ let stats_reply fd =
             (Hist.quantile tn.tn_hist 0.95)
             (Hist.quantile tn.tn_hist 0.99))
         (List.sort compare ids));
-  {
-    Protocol.verb = "reply";
-    fields =
-      [
-        ("status", "ok");
-        ("broker", Format.asprintf "%a" Broker.pp_stats b);
-        ("store", store_line);
-        ("counts", Buffer.contents counts);
-        ("frontdoor", Buffer.contents fdline);
-      ];
-  }
+  Protocol.ok
+    [
+      ("broker", Format.asprintf "%a" Broker.pp_stats b);
+      ("store", store_line);
+      ("counts", Buffer.contents counts);
+      ("frontdoor", Buffer.contents fdline);
+    ]
 
 let handle_hello fd cs m =
   let tenant_id = Protocol.field_or m "tenant" "default" in
@@ -345,19 +342,18 @@ let handle_hello fd cs m =
   (* The confirmation travels in the codec the hello arrived in; only
      messages after it switch. *)
   enqueue_out cs
-    {
-      Protocol.verb = "reply";
-      fields =
-        [
-          ("status", "ok");
-          ("framing", (if binary then "binary" else "text"));
-          ("tenant", tenant_id);
-          ("lane", Lanes.lane_to_string cs.c_lane);
-        ];
-    };
+    (Protocol.ok
+       [
+         ("framing", if binary then "binary" else "text");
+         ("tenant", tenant_id);
+         ("lane", Lanes.lane_to_string cs.c_lane);
+       ]);
   if binary then cs.c_codec <- Binary
 
-let admit fd cs kind m =
+(* Queue a request for the dispatchers.  [debit:false] skips the
+   tenant quota (the coordinator's [rebalance] is fleet control, not
+   tenant load); the lane bound still applies. *)
+let admit ?(debit = true) fd cs kind m =
   let now = fd.env.Env.mono () in
   let tn = cs.c_tenant in
   let lane =
@@ -368,7 +364,7 @@ let admit fd cs kind m =
   let decision =
     locked fd (fun () ->
         if fd.stopping then `Reject "server is shutting down"
-        else if not (Quota.try_take tn.tn_quota ~now) then begin
+        else if debit && not (Quota.try_take tn.tn_quota ~now) then begin
           tn.tn_shed <- tn.tn_shed + 1;
           fd.stats.fd_shed_quota <- fd.stats.fd_shed_quota + 1;
           `Shed (Quota.retry_after_ms tn.tn_quota)
@@ -414,17 +410,37 @@ let initiate_stop ?(kill = false) fd =
   (try fd.listener.Env.close_listener () with _ -> ());
   fd.poller.Env.wake ()
 
+let internal_error e =
+  Protocol.rejected ("internal error: " ^ Printexc.to_string e)
+
+(* A store operation answered on the loop: whatever escapes it (a
+   simulated power cut mid-publication, say) becomes this request's
+   rejection, never an exception out of the loop. *)
+let contained answer fd m =
+  try answer (Broker.store fd.broker) m with e -> internal_error e
+
 let handle_msg fd cs m =
   match m.Protocol.verb with
-  | "ping" -> enqueue_out cs ok_reply
+  | "ping" -> enqueue_out cs (Protocol.ok [])
   | "hello" -> handle_hello fd cs m
   | "stats" -> enqueue_out cs (stats_reply fd)
   | "shutdown" ->
       fd.log "shutdown requested";
-      enqueue_out cs ok_reply;
+      enqueue_out cs (Protocol.ok []);
       initiate_stop fd
   | "compile" -> admit fd cs Compile m
   | "lookup" -> admit fd cs Lookup m
+  (* Peer verbs are answered right here on the loop, without a quota
+     debit or a dispatcher slot: a dispatcher doing a federated lookup,
+     or a broker worker replicating, waits on a peer's fetch/push — if
+     those needed the peer's dispatchers too, two busy nodes could
+     deadlock each other.  Both touch only the local store. *)
+  | "fetch" -> enqueue_out cs (contained Fleet.answer_fetch fd m)
+  | "push" -> enqueue_out cs (contained Fleet.answer_push fd m)
+  | "rebalance" -> (
+      match fd.fleet with
+      | None -> enqueue_out cs (Protocol.rejected "this node is not in a fleet")
+      | Some node -> admit ~debit:false fd cs (Rebalance node) m)
   | verb -> enqueue_out cs (Protocol.rejected ("unknown verb: " ^ verb))
 
 let consume cs n =
@@ -527,21 +543,8 @@ let process fd j =
       | Some digest -> (
           match Broker.store fd.broker with
           | None -> Protocol.rejected "this node has no artifact store"
-          | Some s -> (
-              match Store.fetch s ~digest with
-              | Some e ->
-                  {
-                    Protocol.verb = "reply";
-                    fields =
-                      [
-                        ("status", "hit");
-                        ("fn", e.Store.ar_fn);
-                        ("ir", e.Store.ar_ir);
-                        ("work", string_of_int e.Store.ar_work);
-                      ];
-                  }
-              | None ->
-                  { Protocol.verb = "reply"; fields = [ ("status", "miss") ] })))
+          | Some s -> Fleet.artifact_reply (Store.fetch s ~digest)))
+  | Rebalance node -> Fleet.answer_rebalance node m
 
 let dispatcher fd () =
   let next () =
@@ -567,11 +570,7 @@ let dispatcher fd () =
     match next () with
     | None -> ()
     | Some j ->
-        let reply =
-          try process fd j
-          with e ->
-            Protocol.rejected ("internal error: " ^ Printexc.to_string e)
-        in
+        let reply = try process fd j with e -> internal_error e in
         let lat_ms = (fd.env.Env.mono () -. j.jb_admit) *. 1000. in
         locked fd (fun () ->
             Hist.add j.jb_tenant.tn_hist lat_ms;
@@ -653,22 +652,9 @@ let rec loop fd =
     loop fd
   end
 
-(* A socket path that already exists is either a live server or the
-   debris of a crashed one — same probe as [Server.claim_socket]. *)
-let claim_socket env sock =
-  if env.Env.file_exists sock then begin
-    (match env.Env.connect sock with
-    | conn ->
-        conn.Env.close_conn ();
-        invalid_arg
-          (Printf.sprintf "Frontdoor.serve: %s already has a live server" sock)
-    | exception Env.Net ((Env.Refused | Env.Denied | Env.Not_found), _) -> ());
-    try env.Env.remove sock with Sys_error _ -> ()
-  end
-
 let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
-    ?on_control ~sock ~broker () =
-  claim_socket env sock;
+    ?fleet ?on_control ~sock ~broker () =
+  Env.claim_socket env ~owner:"Frontdoor.serve" sock;
   let listener = env.Env.listen sock in
   let poller = env.Env.poller () in
   let mx = env.Env.mutex () in
@@ -697,6 +683,7 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
           fd_shed_queue = 0;
           fd_proto_errors = 0;
         };
+      fleet = None;
       conns = [];
       stopping = false;
       killed = false;
@@ -704,8 +691,17 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
   in
   (match on_control with
   | None -> ()
-  | Some f -> f { Server.stop = (fun () -> initiate_stop ~kill:true fd) });
+  | Some f -> f { stop = (fun () -> initiate_stop ~kill:true fd) });
   log (Printf.sprintf "frontdoor listening on %s" sock);
+  (* Join after the listener is up, so a rebalance push racing the join
+     reply finds a loop to talk to. *)
+  fd.fleet <-
+    Option.map
+      (fun fl ->
+        Fleet.start ~env ~log
+          ~stopping:(fun () -> locked fd (fun () -> fd.stopping))
+          fl (Broker.store broker))
+      fleet;
   let dispatchers =
     List.init config.fd_dispatchers (fun i ->
         env.Env.spawn
@@ -718,6 +714,9 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
   List.iter (fun (t : Env.thread) -> t.Env.join ()) dispatchers;
   List.iter mark_dead fd.conns;
   fd.poller.Env.close_poller ();
+  Option.iter
+    (fun node -> Fleet.stop node ~leave:(not (locked fd (fun () -> fd.killed))))
+    fd.fleet;
   Broker.shutdown broker;
   (try env.Env.remove sock with Sys_error _ -> ());
   log "frontdoor stopped"

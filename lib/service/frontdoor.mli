@@ -1,9 +1,9 @@
-(** The async multi-tenant front door: a single-threaded, poll-based,
-    non-blocking event loop serving the compile protocol in front of a
-    {!Broker}.
+(** The compile service's accept loop: a single-threaded, poll-based,
+    non-blocking, multi-tenant event loop serving the compile protocol
+    in front of a {!Broker} — for a lone server and for every fleet
+    worker alike.
 
-    Where {!Server} spawns one thread per connection and blocks on
-    reads, the front door owns every connection from one loop built on
+    The front door owns every connection from one loop built on
     {!Env.poller} and the non-blocking [try_*] connection operations —
     so it runs unchanged (and fully deterministically) under the
     whole-system simulator.  Three responsibilities:
@@ -32,10 +32,21 @@
     itself never blocks on a compile.  An admitted request is always
     answered — shutdown drains the lanes before the loop exits.
 
-    Verbs: [ping], [hello], [stats], [shutdown], [compile], and
-    [lookup] (digest-keyed artifact fetch through the store's federated
-    chain).  Fleet membership verbs stay with {!Server} — a fleet
-    worker node keeps the classic front end. *)
+    Verbs: [ping], [hello], [stats], [shutdown], [compile], [lookup]
+    (digest-keyed artifact fetch through the store's federated chain),
+    the peer-exchange verbs [fetch] / [push], and the coordinator's
+    [rebalance].
+
+    {b No cross-node dispatcher cycles.}  [fetch] (local disk only) and
+    [push] (adopted without re-replication) are answered on the loop
+    itself, with no tenant-quota debit and no dispatcher slot.  A
+    dispatcher doing a federated lookup, or a broker worker
+    replicating, waits on a {e peer's} fetch/push; if those needed the
+    peer's dispatchers too, two busy nodes could deadlock each other.
+    [rebalance] is admitted to the dispatchers without a quota debit
+    and keeps its synchronous [moved] reply; its outbound pushes are
+    answered on the peers' loops, so it cannot join a cycle.  On a node
+    without a fleet, [rebalance] is [rejected]. *)
 
 (** Log2-bucket latency histogram: bucket 0 is [\[0, 1)] ms, bucket
     [i >= 1] is [\[2^(i-1), 2^i)] ms.  Quantiles come back as the upper
@@ -95,14 +106,30 @@ type config = {
 
 val default_config : config
 
-(** Serve until a [shutdown] request arrives; same socket-claiming,
-    logging and control semantics as {!Server.serve} (the control
-    handle type is shared).  [Broker.shutdown] runs on exit. *)
+(** A handle to stop the loop from outside the protocol, abruptly: no
+    [leave] is sent (the node must look crashed — the coordinator's
+    sweep evicts it) and outstanding replies are never delivered (the
+    dispatchers still finish the jobs already admitted).  Built for the
+    whole-system simulator's node kills. *)
+type control = { stop : unit -> unit }
+
+(** Serve until a [shutdown] request arrives.  Claims [sock] with
+    {!Env.claim_socket} (a live server there makes startup fail with
+    [Invalid_argument]; stale debris is removed) and removes it on
+    exit.  [env] supplies transport/thread/disk capabilities (default
+    {!Env.real}); pass the broker's environment.  [log] receives one
+    line per served request (default: silent).  [fleet] makes this node
+    a fleet worker: it joins the coordinator and heartbeats, federates
+    its store through the live view, answers [rebalance], and sends a
+    best-effort [leave] on [shutdown] — never on a {!control} kill.
+    [on_control] receives the kill handle before the loop starts.
+    [Broker.shutdown] runs on exit. *)
 val serve :
   ?env:Env.t ->
   ?log:(string -> unit) ->
   ?config:config ->
-  ?on_control:(Server.control -> unit) ->
+  ?fleet:Fleet.worker ->
+  ?on_control:(control -> unit) ->
   sock:string ->
   broker:Broker.t ->
   unit ->

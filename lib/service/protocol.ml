@@ -338,6 +338,8 @@ let ms_field m name =
   Option.bind (field m name) int_of_string_opt
   |> Option.map (fun ms -> float_of_int ms /. 1000.)
 
+let ok fields = { verb = "reply"; fields = ("status", "ok") :: fields }
+
 let rejected msg =
   { verb = "reply"; fields = [ ("status", "rejected"); ("message", msg) ] }
 

@@ -113,6 +113,9 @@ val field_or : message -> string -> string -> string
     seconds; [None] when absent or malformed. *)
 val ms_field : message -> string -> float option
 
+(** A [reply] with status [ok] and the given fields after it. *)
+val ok : (string * string) list -> message
+
 (** A [reply] with status [rejected] and [message]. *)
 val rejected : string -> message
 

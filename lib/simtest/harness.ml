@@ -1,11 +1,12 @@
 (** Whole-system simulation harness.
 
-    Composes a complete compile-service topology — one server, a broker
-    with W worker fibers, N client fibers, an optional tiered-VM
-    warm-start — on top of the deterministic scheduler and the
-    simulated environment, runs a seeded schedule with chaos faults
-    (message drops, reorders, duplicates, partitions, slow disks, torn
-    writes, clock jumps), and checks the end-to-end invariant:
+    Composes a complete compile-service topology — one front door
+    ({!Service.Frontdoor}) or a fleet of them, a broker with W worker
+    fibers, N client fibers, an optional tiered-VM warm-start — on top
+    of the deterministic scheduler and the simulated environment, runs
+    a seeded schedule with chaos faults (message drops, reorders,
+    duplicates, partitions, slow disks, torn writes, clock jumps), and
+    checks the end-to-end invariant:
 
     {e every request either receives the byte-identical optimized IR
     the offline oracle computes, or a clean, contained, client-visible
@@ -48,16 +49,8 @@ type spec = {
   compile_delay_s : float;  (** broker's artificial compile stretch *)
   deadline_ms : int option;  (** per-request deadline *)
   store_capacity : int;
-  frontdoor : bool;
-      (** serve the single-server topology through the event-loop
-          {!Service.Frontdoor} instead of the thread-per-connection
-          server: clients carry tenants/lanes, half of them negotiate
-          the binary framing, and two protocol-chaos fibers (a
-          garbage client, a slow half-open client) join the load.
-          Ignored in fleet mode (the fleet verbs stay with
-          {!Service.Server}). *)
-  nodes : int;  (** 0 = the classic single server; K >= 1 = a fleet of
-                    K workers plus a coordinator *)
+  nodes : int;  (** 0 = a single server; K >= 1 = a fleet of K workers
+                    plus a coordinator *)
   replicas : int;  (** successor copies pushed on publish (fleet mode) *)
   node_chaos : int;  (** node events derived from the seed (fleet mode) *)
   node_faults : node_event list;  (** explicit node events, on top *)
@@ -76,7 +69,6 @@ let builder ?(seed = 0) () =
     compile_delay_s = 0.02;
     deadline_ms = None;
     store_capacity = 256 * 1024;
-    frontdoor = false;
     nodes = 0;
     replicas = 1;
     node_chaos = 0;
@@ -97,7 +89,6 @@ let with_faults faults b = { b with faults = b.faults @ faults }
 let with_vm_warm vm_warm b = { b with vm_warm }
 let with_compile_delay compile_delay_s b = { b with compile_delay_s }
 let with_deadline_ms deadline_ms b = { b with deadline_ms }
-let with_frontdoor frontdoor b = { b with frontdoor }
 let with_nodes nodes b = { b with nodes = max 0 nodes }
 let with_replicas replicas b = { b with replicas = max 0 replicas }
 let with_node_chaos node_chaos b = { b with node_chaos = max 0 node_chaos }
@@ -328,10 +319,9 @@ let run spec =
               record_label item "failed" msg;
               serve_requests conn rest
           | Ok (Service.Broker.Shed, retry_after) ->
-              (* The frontdoor's admission contract: every shed names
-                 its backoff.  (The classic server's sheds predate the
-                 hint — only the frontdoor is held to it.) *)
-              if spec.frontdoor && retry_after = None then
+              (* The front door's admission contract: every shed names
+                 its backoff. *)
+              if retry_after = None then
                 violate "shed-without-retry-after"
                   (Printf.sprintf "client-%d %s: shed with no backoff hint" i
                      rq.pr_fn);
@@ -349,19 +339,14 @@ let run spec =
     and reconnect = function
       | [] -> ()
       | remaining -> (
-          (* Frontdoor mode exercises the multi-tenant surface: each
-             client is a tenant, odd clients ride the batch lane, and
-             every other client negotiates the binary framing. *)
-          let tenant, lane, binary =
-            if spec.frontdoor then
-              ( Some (Printf.sprintf "tenant-%d" i),
-                Some (if i mod 2 = 0 then "interactive" else "batch"),
-                i land 1 = 1 )
-            else (None, None, false)
-          in
+          (* Exercise the multi-tenant surface: each client is a
+             tenant, odd clients ride the batch lane, and every other
+             client negotiates the binary framing. *)
           match
             Service.Client.connect ~env ~deadline_s:10. ~io_deadline_s:120.
-              ?tenant ?lane ~binary ~sock ()
+              ~tenant:(Printf.sprintf "tenant-%d" i)
+              ~lane:(if i mod 2 = 0 then "interactive" else "batch")
+              ~binary:(i land 1 = 1) ~sock ()
           with
           | conn -> serve_requests conn remaining
           | exception Service.Client.Connect_failed _ ->
@@ -460,7 +445,11 @@ let run spec =
     done
   in
 
-  let classic_main () =
+  let frontdoor_config =
+    { Service.Frontdoor.default_config with fd_queue_limit = spec.queue_limit }
+  in
+
+  let single_main () =
     let store =
       Service.Store.create ~env ~capacity:spec.store_capacity ~dir:store_dir ()
     in
@@ -471,64 +460,55 @@ let run spec =
     in
     let server =
       env.Env.spawn "server" (fun () ->
-          if spec.frontdoor then
-            let config =
-              {
-                Service.Frontdoor.default_config with
-                fd_queue_limit = spec.queue_limit;
-              }
-            in
-            Service.Frontdoor.serve ~env ~config ~sock ~broker ()
-          else Service.Server.serve ~env ~sock ~broker ())
+          Service.Frontdoor.serve ~env ~config:frontdoor_config ~sock ~broker
+            ())
     in
     if spec.vm_warm then vm_warm_step store;
     Sched.sleep sched 0.01;
-    (* Protocol-chaos fibers against the frontdoor: a garbage client
+    (* Protocol-chaos fibers against the front door: a garbage client
        (junk bytes must earn a structured rejection, never an escaping
        exception or a wedged loop) and a slow-loris half-open client
        (one byte of a message at a time, then gone — the loop must
        cull it).  Both are best-effort under net chaos. *)
     let protocol_chaos =
-      if not spec.frontdoor then []
-      else
-        [
-          env.Env.spawn "garbage-client" (fun () ->
-              match env.Env.connect sock with
-              | exception Env.Net _ -> ()
-              | conn ->
-                  (try
-                     conn.Env.send "\xBFgarbage, not a negotiated frame\n";
-                     match
-                       Service.Protocol.read_conn
-                         ~deadline:(env.Env.mono () +. 60.)
-                         conn
-                     with
-                     | Ok r
-                       when Service.Protocol.field r "status" = Some "rejected"
-                       ->
-                         ()
-                     | Ok r ->
-                         violate "garbage-accepted"
-                           (Printf.sprintf
-                              "garbage bytes got a %s reply instead of a \
-                               rejection"
-                              (Service.Protocol.field_or r "status" r.verb))
-                     | Error _ -> ()
-                   with Env.Net _ -> ());
-                  (try conn.Env.close_conn () with Env.Net _ -> ()));
-          env.Env.spawn "slow-loris" (fun () ->
-              match env.Env.connect sock with
-              | exception Env.Net _ -> ()
-              | conn ->
-                  (try
-                     String.iter
-                       (fun c ->
-                         conn.Env.send (String.make 1 c);
-                         env.Env.sleep 0.004)
-                       "dbds/1 compile 3\nfn 4\nmai"
-                   with Env.Net _ -> ());
-                  (try conn.Env.close_conn () with Env.Net _ -> ()));
-        ]
+      [
+        env.Env.spawn "garbage-client" (fun () ->
+            match env.Env.connect sock with
+            | exception Env.Net _ -> ()
+            | conn ->
+                (try
+                   conn.Env.send "\xBFgarbage, not a negotiated frame\n";
+                   match
+                     Service.Protocol.read_conn
+                       ~deadline:(env.Env.mono () +. 60.)
+                       conn
+                   with
+                   | Ok r
+                     when Service.Protocol.field r "status" = Some "rejected"
+                     ->
+                       ()
+                   | Ok r ->
+                       violate "garbage-accepted"
+                         (Printf.sprintf
+                            "garbage bytes got a %s reply instead of a \
+                             rejection"
+                            (Service.Protocol.field_or r "status" r.verb))
+                   | Error _ -> ()
+                 with Env.Net _ -> ());
+                (try conn.Env.close_conn () with Env.Net _ -> ()));
+        env.Env.spawn "slow-loris" (fun () ->
+            match env.Env.connect sock with
+            | exception Env.Net _ -> ()
+            | conn ->
+                (try
+                   String.iter
+                     (fun c ->
+                       conn.Env.send (String.make 1 c);
+                       env.Env.sleep 0.004)
+                     "dbds/1 compile 3\nfn 4\nmai"
+                 with Env.Net _ -> ());
+                (try conn.Env.close_conn () with Env.Net _ -> ()));
+      ]
     in
     let clients =
       List.init spec.clients (fun i ->
@@ -580,7 +560,7 @@ let run spec =
     let alive = Array.make nodes false in
     (* (Re)start worker [k]: a fresh store over whatever survives on its
        disk (the per-node restart discipline), a fresh broker, and a
-       server that joins the coordinator and federates its store. *)
+       front door that joins the coordinator and federates its store. *)
     let start_node k =
       let nenv = node_env k in
       let store =
@@ -594,7 +574,7 @@ let run spec =
       in
       let fleet =
         {
-          Service.Server.fl_id = node_id k;
+          Service.Fleet.fl_id = node_id k;
           fl_addr = node_sock k;
           fl_coord = coord_sock;
           fl_replicas = spec.replicas;
@@ -605,7 +585,8 @@ let run spec =
       threads.(k) <-
         Some
           (env.Env.spawn (node_id k) (fun () ->
-               Service.Server.serve ~env:nenv ~fleet
+               Service.Frontdoor.serve ~env:nenv ~config:frontdoor_config
+                 ~fleet
                  ~on_control:(fun c -> controls.(k) <- Some c)
                  ~sock:(node_sock k) ~broker ()));
       alive.(k) <- true
@@ -655,7 +636,7 @@ let run spec =
           if alive.(k) then begin
             alive.(k) <- false;
             (match controls.(k) with
-            | Some c -> c.Service.Server.stop ()
+            | Some c -> c.Service.Frontdoor.stop ()
             | None -> ());
             (* Reset the node's traffic and leave its socket debris
                behind: to everyone else this is a crash, not a leave. *)
@@ -721,7 +702,7 @@ let run spec =
     done
   in
 
-  let main = if spec.nodes <= 0 then classic_main else fleet_main in
+  let main = if spec.nodes <= 0 then single_main else fleet_main in
   let out = Sched.run sched main in
   if out.Sched.hung <> [] then
     violate "hang"
@@ -814,7 +795,6 @@ let shrink ?(max_runs = 200) spec =
              [ { s with replicas = s.replicas - 1 } ]
            else [])
         @ (if s.vm_warm then [ { s with vm_warm = false } ] else [])
-        @ (if s.frontdoor then [ { s with frontdoor = false } ] else [])
         @
         if s.compile_delay_s > 0. then [ { s with compile_delay_s = 0. } ]
         else []
@@ -849,9 +829,8 @@ let render_bundle (r : result) =
     (match s.faults with
     | [] -> "none"
     | fs -> String.concat "," (List.map F.to_string fs));
-  (* The frontdoor and fleet fields appear only when set, so classic
-     bundles stay byte-compatible with v1 readers. *)
-  if s.frontdoor then line "frontdoor: true";
+  (* The fleet fields appear only when set, so single-server bundles
+     stay byte-compatible with v1 readers. *)
   if s.nodes > 0 then begin
     line "nodes: %d" s.nodes;
     line "replicas: %d" s.replicas;
@@ -894,7 +873,10 @@ let parse_bundle text =
     | None -> raise (Malformed_bundle ("missing or bad field: " ^ key))
   in
   (* Fleet fields default when absent: pre-fleet bundles parse as the
-     classic single-server topology. *)
+     single-server topology.  Unknown fields are ignored — older bundles
+     carry a [frontdoor: true|false] line from when the single server
+     had two serving modes; every topology now serves through the front
+     door. *)
   let int_field_or key default =
     match field key with
     | None -> default
@@ -940,7 +922,6 @@ let parse_bundle text =
       | None | Some "none" -> None
       | Some s -> int_of_string_opt s);
     store_capacity = (builder ()).store_capacity;
-    frontdoor = field "frontdoor" = Some "true";
     nodes = int_field_or "nodes" 0;
     replicas = int_field_or "replicas" 1;
     node_chaos = int_field_or "node-chaos" 0;

@@ -2,10 +2,11 @@
     buckets with retry-after, weighted-deficit lane dequeue (preemption
     ordering + starvation freedom), the binary framing codec, the
     incremental decoders, and end-to-end event-loop serving under the
-    whole-system simulator — byte-identity against the classic
-    threaded server, quota sheds with structured retry-after, queue
-    backpressure, deadline unification across the lane queue on the
-    monotonic clock (clock.jump chaos), and garbage-frame hardening. *)
+    whole-system simulator — byte-identity against a direct serverless
+    compile, quota sheds with structured retry-after, queue
+    backpressure, peer verbs answered on the loop, deadline unification
+    across the lane queue on the monotonic clock (clock.jump chaos),
+    and garbage-frame hardening. *)
 
 open Helpers
 module F = Dbds.Faults
@@ -267,13 +268,22 @@ let compile_ok c ~ir =
   | Ok o -> Alcotest.failf "compile outcome: %s" (SB.outcome_label o)
   | Error e -> Alcotest.failf "compile: %s" e
 
-(* The tentpole invariant: the event-loop front end (text and binary,
-   tenants and lanes) serves byte-identical artifacts to the classic
-   thread-per-connection server, and the digest-keyed [lookup] verb
-   finds the published artifact. *)
-let test_end_to_end_matches_classic_server () =
+(* The serverless reference: the lone-graph pipeline the broker runs,
+   executed directly on the request IR. *)
+let direct_compile ir =
+  let program = Ir.Program.of_graph (Ir.Parse.parse_graph ir) in
+  ignore
+    (Dbds.Driver.optimize_program_report
+       ~config:{ config with Dbds.Config.containment = true }
+       ~inline:false ~jobs:1 program);
+  SD.canonical_of_graph (Option.get (Ir.Program.find_function program "main"))
+
+(* The event loop (text and binary, tenants and lanes) serves artifacts
+   byte-identical to a direct compile of the same IR, and the
+   digest-keyed [lookup] verb finds the published artifact. *)
+let test_end_to_end_matches_direct_compile () =
   let ir = main_ir () in
-  let via_fd_text = ref "" and via_fd_bin = ref "" and via_classic = ref "" in
+  let via_fd_text = ref "" and via_fd_bin = ref "" in
   let looked_up = ref None in
   (* Frontdoor, one text + one binary client. *)
   run_sim (fun env ->
@@ -296,32 +306,11 @@ let test_end_to_end_matches_classic_server () =
       | Error e -> Alcotest.failf "stats: %s" e);
       SC.close cb;
       shutdown env);
-  (* The classic server, same request. *)
-  let sched = Sim.create ~seed:12 () in
-  let io = Simio.create sched in
-  let env = Simio.env io in
-  let out =
-    Sim.run sched (fun () ->
-        let store = SS.create ~env ~dir:"/store" () in
-        let broker = SB.create ~env ~workers:2 ~store:(Some store) () in
-        let srv =
-          env.Env.spawn "server" (fun () ->
-              Service.Server.serve ~env ~sock:"/srv" ~broker ())
-        in
-        let c = SC.connect ~env ~deadline_s:2.0 ~sock:"/srv" () in
-        via_classic := compile_ok c ~ir;
-        (match SC.shutdown_server c with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "shutdown: %s" e);
-        SC.close c;
-        srv.Env.join ())
-  in
-  Alcotest.(check bool) "classic schedule clean" true out.Sim.ok;
   Alcotest.(check bool) "frontdoor produced IR" true (!via_fd_text <> "");
   Alcotest.(check string) "binary framing returns the same bytes" !via_fd_text
     !via_fd_bin;
-  Alcotest.(check string) "byte-identical to the classic server" !via_fd_text
-    !via_classic;
+  Alcotest.(check string) "byte-identical to a direct compile"
+    (direct_compile ir) !via_fd_text;
   Alcotest.(check (option string)) "lookup finds the published artifact"
     (Some !via_fd_text) !looked_up
 
@@ -402,6 +391,74 @@ let test_queue_shed_under_pipelined_burst () =
              && SP.retry_after_of_reply r <> None)
            replies);
       conn.Env.close_conn ();
+      shutdown env)
+
+(* Peer verbs never wait behind tenant load: with the only dispatcher
+   held by a slow compile and the default tenant's quota starved,
+   [push] and [fetch] are still answered at once on the loop (queued
+   through admission they would be shed, or wait out the compile), and
+   [rebalance] on a node outside any fleet is rejected. *)
+let test_peer_verbs_skip_admission () =
+  let ir = main_ir () in
+  run_sim
+    ~fd_config:
+      {
+        FD.default_config with
+        fd_dispatchers = 1;
+        fd_tenant_rate = 0.1;
+        fd_tenant_burst = 1.0;
+      }
+    (fun env ->
+      (* The slow compile takes the default tenant's only token and the
+         only dispatcher for five virtual seconds. *)
+      let slow = raw_connect env "/fd" in
+      SP.write_conn slow
+        (SC.compile_msg ~delay_ms:5000 ~config ~fn:"main" ~ir ());
+      env.Env.sleep 0.1;
+      let c = connect env "/fd" in
+      let status m =
+        match SC.roundtrip c m with
+        | Ok r -> Option.value (SP.field r "status") ~default:"?"
+        | Error e -> Alcotest.failf "%s: %s" m.SP.verb e
+      in
+      Alcotest.(check string) "the tenant's quota is starved" "shed"
+        (status (SC.compile_msg ~config ~fn:"main" ~ir ()));
+      let t0 = env.Env.mono () in
+      let digest = SD.of_request (SD.request_of_text ~config ~fn:"main" ir) in
+      let push =
+        {
+          SP.verb = "push";
+          fields =
+            [ ("digest", digest); ("fn", "main"); ("ir", ir); ("work", "7") ];
+        }
+      in
+      Alcotest.(check string) "push answered" "ok" (status push);
+      let fetch = { SP.verb = "fetch"; fields = [ ("digest", digest) ] } in
+      (match SC.roundtrip c fetch with
+      | Ok r ->
+          Alcotest.(check (option string)) "fetch hits" (Some "hit")
+            (SP.field r "status");
+          Alcotest.(check (option string)) "fetch returns the pushed IR"
+            (Some ir) (SP.field r "ir")
+      | Error e -> Alcotest.failf "fetch: %s" e);
+      Alcotest.(check string) "fetch of an unknown digest misses" "miss"
+        (status { SP.verb = "fetch"; fields = [ ("digest", "0" ^ digest) ] });
+      Alcotest.(check bool) "answered while the compile still runs" true
+        (env.Env.mono () -. t0 < 1.0);
+      Alcotest.(check string) "rebalance outside a fleet is rejected"
+        "rejected"
+        (status
+           {
+             SP.verb = "rebalance";
+             fields = [ ("epoch", "1"); ("nodes", "") ];
+           });
+      (match SP.read_conn ~deadline:(env.Env.mono () +. 30.0) slow with
+      | Ok r ->
+          Alcotest.(check (option string)) "the slow compile completes"
+            (Some "done") (SP.field r "status")
+      | Error e -> Alcotest.failf "slow compile: %s" e);
+      slow.Env.close_conn ();
+      SC.close c;
       shutdown env)
 
 (* Deadline unification on the monotonic clock: time spent waiting in
@@ -493,33 +550,54 @@ let test_garbage_gets_structured_error () =
 
 module H = Simtest.Harness
 
-(* Frontdoor serving is as deterministic as the classic server: same
-   seed, same trace — and the bundle records the topology. *)
+(* Front-door runs are deterministic — same seed, same trace — and a
+   rendered bundle replays the same schedule. *)
 let test_harness_frontdoor_deterministic () =
-  let spec = H.builder ~seed:77 () |> H.with_frontdoor true in
+  let spec = H.builder ~seed:77 () in
   let a = H.run spec in
   let b = H.run spec in
   Alcotest.(check string) "same trace hash" a.H.r_trace_hash b.H.r_trace_hash;
   Alcotest.(check bool) "same outcomes" true (a.H.r_outcomes = b.H.r_outcomes);
-  let reparsed = H.parse_bundle (H.render_bundle a) in
-  Alcotest.(check bool) "bundle keeps the frontdoor flag" true
-    reparsed.H.frontdoor;
-  (* The flag is new-field-only: a classic bundle never mentions it. *)
-  let classic = H.render_bundle (H.run (H.builder ~seed:77 ())) in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-    scan 0
+  let replayed = H.run (H.parse_bundle (H.render_bundle a)) in
+  Alcotest.(check string) "the bundle replays the schedule" a.H.r_trace_hash
+    replayed.H.r_trace_hash
+
+(* A bundle written when the single server had two serving modes
+   carries a [frontdoor: true] line.  It still parses, and replays the
+   trace hash recorded in it: that mode's schedule is the one every
+   run now takes. *)
+let test_harness_two_mode_bundle_replays () =
+  let bundle =
+    String.concat "\n"
+      [
+        "dbds-sim-bundle: v1";
+        "seed: 77";
+        "clients: 3";
+        "requests-per-client: 4";
+        "workers: 2";
+        "queue-limit: 16";
+        "chaos: 3";
+        "vm-warm: false";
+        "compile-delay-ms: 20";
+        "deadline-ms: none";
+        "faults: none";
+        "frontdoor: true";
+        "trace-hash: 5a200a15fcc3c4a0";
+        "";
+      ]
   in
-  Alcotest.(check bool) "classic bundles unchanged" false
-    (contains classic "frontdoor")
+  let r = H.run (H.parse_bundle bundle) in
+  Alcotest.(check string) "replays the recorded trace" "5a200a15fcc3c4a0"
+    r.H.r_trace_hash;
+  Alcotest.(check (list string)) "clean" []
+    (List.map (fun v -> v.H.vio_kind) r.H.r_violations)
 
 (* Chaos sweep with the frontdoor in front: tenants, lanes, mixed
    framing, garbage + slow-loris fibers, seeded net/disk/clock faults —
    and still zero invariant violations, every request accounted for. *)
 let test_harness_frontdoor_chaos_sweep () =
   let results =
-    H.run_seeds ~seeds:3 (H.builder ~seed:500 () |> H.with_frontdoor true)
+    H.run_seeds ~seeds:3 (H.builder ~seed:500 ())
   in
   List.iter
     (fun (r : H.result) ->
@@ -577,12 +655,13 @@ let suite =
     test "binary framing roundtrips" test_binary_roundtrip;
     test "binary decoder hardening" test_binary_decoder_hardening;
     test "text decoder is incremental" test_text_decoder_incremental;
-    test "frontdoor matches the classic server byte-for-byte"
-      test_end_to_end_matches_classic_server;
+    test "frontdoor matches a direct compile"
+      test_end_to_end_matches_direct_compile;
     test "malformed wire config rejected" test_malformed_config_rejected;
     test "quota shed carries retry-after" test_quota_shed_carries_retry_after;
     test "queue shed under a pipelined burst"
       test_queue_shed_under_pipelined_burst;
+    test "peer verbs skip admission" test_peer_verbs_skip_admission;
     test "deadlines count lane-queue wait" test_deadline_counts_queue_wait;
     test "clock.jump cannot expire a deadline"
       test_clock_jump_does_not_expire_deadlines;
@@ -592,5 +671,7 @@ let suite =
       test_harness_frontdoor_deterministic;
     test "harness: frontdoor chaos sweep stays clean"
       test_harness_frontdoor_chaos_sweep;
+    test "harness: a two-mode bundle replays"
+      test_harness_two_mode_bundle_replays;
     test "bench: reduced load sweep" test_load_sweep_reduced;
   ]

@@ -431,30 +431,6 @@ let test_broker_deadline () =
         "timed-out" (SB.outcome_label o);
       Alcotest.(check int) "timeout counted" 1 (SB.stats b).SB.timeouts)
 
-(* The classic server refuses a compile whose wire config it cannot
-   honour exactly instead of compiling the mode's default pipeline. *)
-let test_server_rejects_malformed_config () =
-  let ir = Ir.Printer.graph_to_string (main_of (compile figure1)) in
-  let sched = Simtest.Sched.create ~seed:3 () in
-  let env = Simtest.Simio.env (Simtest.Simio.create sched) in
-  let out =
-    Simtest.Sched.run sched (fun () ->
-        let broker = SB.create ~env ~workers:1 ~store:None () in
-        let srv =
-          env.Service.Env.spawn "server" (fun () ->
-              Service.Server.serve ~env ~sock:"/srv" ~broker ())
-        in
-        let c = Service.Client.connect ~env ~deadline_s:2.0 ~sock:"/srv" () in
-        check_malformed_compiles_rejected ~ir
-          ~roundtrip:(Service.Client.roundtrip c);
-        (match Service.Client.shutdown_server c with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "shutdown: %s" e);
-        Service.Client.close c;
-        srv.Service.Env.join ())
-  in
-  Alcotest.(check bool) "schedule clean" true out.Simtest.Sched.ok
-
 let test_broker_bad_request () =
   let b = SB.create ~workers:1 ~store:None () in
   Fun.protect
@@ -643,8 +619,6 @@ let suite =
     test "broker: full queue sheds" test_broker_backpressure;
     test "broker: expired deadline" test_broker_deadline;
     test "broker: malformed request rejected" test_broker_bad_request;
-    test "server: malformed wire config rejected"
-      test_server_rejects_malformed_config;
     test "protocol: message round-trip" test_protocol_roundtrip;
     test "protocol: outcome round-trip" test_protocol_outcomes;
   ]

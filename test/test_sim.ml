@@ -133,42 +133,50 @@ let test_deadlines_survive_clock_jump () =
   Alcotest.(check bool) "every request compiled (none timed out)" true
     (List.for_all (fun (k, _) -> k = "done" || k = "done-cache") r.H.r_counts)
 
-(* The stale-socket probe (satellite): a leftover socket file with no
-   listener behind it is reclaimed; a *live* server's socket is not. *)
-let test_server_socket_probe () =
-  let sched = Sim.create ~seed:0 () in
-  let io = Simio.create sched in
-  let env = Simio.env io in
-  let sock = "/run/x.sock" in
-  let out =
-    Sim.run sched (fun () ->
-        (* Debris from a dead server: the file exists, nobody listens. *)
-        env.Service.Env.write_file sock "";
-        let broker = Service.Broker.create ~env ~workers:1 ~store:None () in
-        let server =
-          env.Service.Env.spawn "server" (fun () ->
-              Service.Server.serve ~env ~sock ~broker ())
-        in
-        let c =
-          Service.Client.connect ~env ~deadline_s:5. ~io_deadline_s:10. ~sock ()
-        in
-        Alcotest.(check bool) "ping through the reclaimed socket" true
-          (Service.Client.ping c);
-        (* A second server must refuse to steal the now-live socket. *)
-        let b2 = Service.Broker.create ~env ~workers:1 ~store:None () in
-        (match Service.Server.serve ~env ~sock ~broker:b2 () with
-        | () -> Alcotest.fail "second server stole a live socket"
-        | exception Invalid_argument _ -> ());
-        Service.Broker.shutdown b2;
-        (match Service.Client.shutdown_server c with
-        | Ok () -> ()
-        | Error e -> Alcotest.fail ("shutdown: " ^ e));
-        Service.Client.close c;
-        server.Service.Env.join ())
+(* The stale-socket probe, shared by both listeners (the front door and
+   the fleet coordinator): a leftover socket file with no listener
+   behind it is reclaimed; a *live* listener's socket is not. *)
+let test_socket_probe () =
+  let frontdoor env sock () =
+    let broker = Service.Broker.create ~env ~workers:1 ~store:None () in
+    try Service.Frontdoor.serve ~env ~sock ~broker ()
+    with Invalid_argument _ as e ->
+      Service.Broker.shutdown broker;
+      raise e
   in
-  Alcotest.(check (list (pair string string)))
-    "no fiber crashed" [] out.Sim.crashed;
-  Alcotest.(check (list string)) "no fiber hung" [] out.Sim.hung
+  let coordinator env sock () = Service.Fleet.coordinator ~env ~sock () in
+  List.iter
+    (fun (who, serve) ->
+      let sched = Sim.create ~seed:0 () in
+      let io = Simio.create sched in
+      let env = Simio.env io in
+      let sock = "/run/x.sock" in
+      let out =
+        Sim.run sched (fun () ->
+            (* Debris from a dead server: the file exists, nobody listens. *)
+            env.Service.Env.write_file sock "";
+            let server = env.Service.Env.spawn who (serve env sock) in
+            let c =
+              Service.Client.connect ~env ~deadline_s:5. ~io_deadline_s:10.
+                ~sock ()
+            in
+            Alcotest.(check bool)
+              (who ^ ": ping through the reclaimed socket")
+              true (Service.Client.ping c);
+            (* A second listener must refuse to steal the now-live socket. *)
+            (match serve env sock () with
+            | () -> Alcotest.failf "%s: second listener stole a live socket" who
+            | exception Invalid_argument _ -> ());
+            (match Service.Client.shutdown_server c with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "%s: shutdown: %s" who e);
+            Service.Client.close c;
+            server.Service.Env.join ())
+      in
+      Alcotest.(check (list (pair string string)))
+        (who ^ ": no fiber crashed") [] out.Sim.crashed;
+      Alcotest.(check (list string)) (who ^ ": no fiber hung") [] out.Sim.hung)
+    [ ("frontdoor", frontdoor); ("coordinator", coordinator) ]
 
 (* ---- multi-node fleets ------------------------------------------------ *)
 
@@ -261,7 +269,7 @@ let suite =
     test "sim: deadlines are monotonic under clock jumps"
       test_deadlines_survive_clock_jump;
     test "sim: stale socket reclaimed, live socket refused"
-      test_server_socket_probe;
+      test_socket_probe;
     test "sim: fleet survives a worker kill and rejoin"
       test_fleet_kill_and_rejoin;
     test "sim: fleet survives a partition that heals"
