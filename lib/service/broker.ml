@@ -49,6 +49,10 @@ type job = {
   mutable jb_outcome : outcome option;
 }
 
+(* Entries the request-digest memo holds before it forgets its oldest
+   (see the interface). *)
+let digest_memo_limit = 1024
+
 type t = {
   env : Env.t;
   bstore : Store.t option;
@@ -59,6 +63,10 @@ type t = {
   job_done : Env.cond;  (** waiters: some job completed *)
   queue : job Queue.t;
   inflight : (string, job) Hashtbl.t;
+  digests : (string * string * string, string) Hashtbl.t;
+      (** request-digest memo: (fn, config line, IR text) -> digest *)
+  digest_order : (string * string * string) Queue.t;
+      (** the memo's keys, oldest first *)
   bstats : stats;
   mutable shutting_down : bool;
   mutable workers : Env.thread list;
@@ -90,25 +98,17 @@ let complete t job outcome =
 
 let armed config ~fn f = Dbds.Faults.armed config.Dbds.Config.fault_plan ~fn f
 
-(* The federated lookup chain: the store resolves parsed memo → local
-   disk → peer fetch; only a miss through all three falls to the cold
-   compile below. *)
+(* The store's one lookup chain resolves parsed memo → local disk →
+   peer fetch, parse-validating on first read; only a miss through all
+   three falls to the cold compile below. *)
 let store_lookup t job =
   match t.bstore with
   | None -> None
   | Some s -> (
-      match
+      try
         armed job.jb_config ~fn:job.jb_fn (fun () ->
-            Store.fetch s ~digest:job.jb_digest)
-      with
-      | None -> None
-      | Some e -> (
-          match Ir.Parse.parse_graph e.ar_ir with
-          | _ -> Some e
-          | exception _ ->
-              Store.discard s ~digest:job.jb_digest;
-              None)
-      | exception _ -> None)
+            Option.map fst (Store.lookup s ~digest:job.jb_digest))
+      with _ -> None)
 
 let store_publish t job ~ir ~work =
   match t.bstore with
@@ -201,6 +201,8 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
       job_done = mutex.Env.new_cond ();
       queue = Queue.create ();
       inflight = Hashtbl.create 64;
+      digests = Hashtbl.create 64;
+      digest_order = Queue.create ();
       bstats = fresh_stats ();
       shutting_down = false;
       workers = [];
@@ -213,13 +215,33 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
 
 (* ---- submission ------------------------------------------------------ *)
 
+(* The request's content digest, memoized on the exact request text:
+   a repeat request costs one table lookup instead of an IR parse and a
+   canonical hash.  The digest is a pure function of the key, so an
+   entry can never go stale; the table only forgets (oldest first) to
+   stay bounded.  The digest itself is computed outside the lock.
+   @raise Ir.Parse.Parse_error on malformed IR (never memoized). *)
+let digest_of t ~config ~fn ir =
+  let key = (fn, Dbds.Config.to_line config, ir) in
+  match locked t (fun () -> Hashtbl.find_opt t.digests key) with
+  | Some digest -> digest
+  | None ->
+      let digest = Digest.of_request (Digest.request_of_text ~config ~fn ir) in
+      locked t (fun () ->
+          if not (Hashtbl.mem t.digests key) then begin
+            if Hashtbl.length t.digests >= digest_memo_limit then
+              Hashtbl.remove t.digests (Queue.pop t.digest_order);
+            Hashtbl.add t.digests key digest;
+            Queue.push key t.digest_order
+          end);
+      digest
+
 let submit ?deadline_s ?delay_s ~config ~fn ~ir t =
-  match Digest.request_of_text ~config ~fn ir with
+  match digest_of t ~config ~fn ir with
   | exception Ir.Parse.Parse_error msg ->
       locked t (fun () -> t.bstats.requests <- t.bstats.requests + 1);
       Rejected ("parse: " ^ msg)
-  | rq ->
-      let digest = Digest.of_request rq in
+  | digest ->
       let deadline =
         match deadline_s with
         | None -> infinity
@@ -254,7 +276,7 @@ let submit ?deadline_s ?delay_s ~config ~fn ~ir t =
                   let job =
                     {
                       jb_digest = digest;
-                      jb_fn = rq.Digest.rq_fn;
+                      jb_fn = fn;
                       (* The submitted text, not a canonical rendering:
                          the compile parses it and canonicalizes its
                          output independently, so coalesced requests

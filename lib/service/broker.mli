@@ -24,8 +24,18 @@
     Compiles run through {!Dbds.Driver.optimize_program_report} with
     containment forced on, so a crashing pipeline costs one request
     ([Failed]), never the broker.  With a {!Store} attached, workers
-    check it before compiling and publish after, so outcomes survive the
-    process. *)
+    check it ({!Store.lookup}) before compiling and publish after, so
+    outcomes survive the process.
+
+    {b Request-digest memo.}  Each broker remembers the content digest
+    of the last 1024 distinct requests, keyed on the exact
+    [(fn, Config.to_line config, IR text)].  A repeat request skips the
+    IR parse and the canonical hash.  The digest is a pure function of
+    that key, so an entry can never be stale; a renumbered copy of the
+    same function misses the memo but still computes the same digest,
+    so the memo never splits the cache.  Past 1024 entries the oldest is
+    forgotten.  The memo is per broker and guarded by the broker's lock,
+    so runs under the simulator stay deterministic. *)
 
 type outcome =
   | Done of { ir : string; work : int; from_cache : bool }

@@ -16,14 +16,32 @@ type request = {
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* The running hash lives in an 8-byte buffer accessed through the
+   compiler's unboxed 64-bit primitives: an [int64 ref] shared with the
+   feeding closures would box a fresh int64 on every byte. *)
+external state_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external state_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let fnv_state () =
+  let st = Bytes.create 8 in
+  state_set st 0 fnv_offset;
+  st
+
+let fnv_char st c =
+  state_set st 0
+    (Int64.mul
+       (Int64.logxor (state_get st 0) (Int64.of_int (Char.code c)))
+       fnv_prime)
+
+let fnv_string st s =
+  for i = 0 to String.length s - 1 do
+    fnv_char st (String.unsafe_get s i)
+  done
+
 let fnv64_int64 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
+  let st = fnv_state () in
+  fnv_string st s;
+  state_get st 0
 
 let fnv64 s = Printf.sprintf "%016Lx" (fnv64_int64 s)
 
@@ -43,12 +61,22 @@ let canonical_of_text text =
    probabilities are fed at the printer's %.2f precision so a printed
    artifact round-trips to the same hash. *)
 let ir_hash_int64 g =
-  let h = ref fnv_offset in
-  let feed_char c =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime
+  let st = fnv_state () in
+  let feed_char c = fnv_char st c in
+  let feed s = fnv_string st s in
+  (* The decimal digits [string_of_int] would print, without the
+     string; digits are peeled off the non-positive value so [min_int]
+     needs no special case. *)
+  let feed_int n =
+    let rec digits n =
+      if n <= -10 then digits (n / 10);
+      feed_char (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+    in
+    if n < 0 then (
+      feed_char '-';
+      digits n)
+    else digits (-n)
   in
-  let feed s = String.iter feed_char s in
-  let feed_int n = feed (string_of_int n) in
   let blocks = Hashtbl.create 32 in
   let values = Hashtbl.create 64 in
   let next_value = ref 0 in
@@ -207,7 +235,8 @@ let ir_hash_int64 g =
      ones appended in iteration order — mirroring the printer. *)
   let rpo = Ir.Graph.rpo g in
   List.iteri (fun i bid -> Hashtbl.replace blocks bid i) rpo;
-  let next_block = ref (List.length rpo) in
+  let n_reachable = List.length rpo in
+  let next_block = ref n_reachable in
   Ir.Graph.iter_blocks g (fun bid ->
       if not (Hashtbl.mem blocks bid) then begin
         Hashtbl.replace blocks bid !next_block;
@@ -217,11 +246,11 @@ let ir_hash_int64 g =
   feed_char '\n';
   List.iter hash_block rpo;
   Ir.Graph.iter_blocks g (fun bid ->
-      if not (List.mem bid rpo) then begin
+      if dense_block bid >= n_reachable then begin
         feed ";unreachable\n";
         hash_block bid
       end);
-  !h
+  state_get st 0
 
 let ir_hash_of_graph g = Printf.sprintf "%016Lx" (ir_hash_int64 g)
 let ir_hash_of_text text = ir_hash_of_graph (Ir.Parse.parse_graph text)

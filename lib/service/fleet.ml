@@ -125,7 +125,7 @@ let owners ring digest ~replicas =
 (* ---- federation wiring ----------------------------------------------- *)
 
 (* Install the federated lookup chain on [store]: after a local miss,
-   {!Store.fetch} asks the digest's ring owners (at most [1 + replicas]
+   {!Store.lookup} asks the digest's ring owners (at most [1 + replicas]
    nodes, [self] excluded); after a local publish, the artifact is
    pushed to the digest's replica successors.  [view] is read on every
    operation; the ring is rebuilt only when the epoch changes. *)

@@ -53,7 +53,7 @@ type worker = {
 type node
 
 (** Join the fleet: federate [store]'s lookup chain through the live
-    membership view (after a local miss, {!Store.fetch} asks the
+    membership view (after a local miss, {!Store.lookup} asks the
     digest's ring owners; after a local publish, the artifact is pushed
     to [fl_replicas] successors), and spawn the join/heartbeat loop,
     which runs until [stopping ()] holds.  Call once the node is

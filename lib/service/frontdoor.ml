@@ -543,7 +543,8 @@ let process fd j =
       | Some digest -> (
           match Broker.store fd.broker with
           | None -> Protocol.rejected "this node has no artifact store"
-          | Some s -> Fleet.artifact_reply (Store.fetch s ~digest)))
+          | Some s ->
+              Fleet.artifact_reply (Option.map fst (Store.lookup s ~digest))))
   | Rebalance node -> Fleet.answer_rebalance node m
 
 let dispatcher fd () =

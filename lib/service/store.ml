@@ -28,11 +28,12 @@ type t = {
      a file published by another process is found by [get] even before
      it enters this index. *)
   mutable lru : (string * int) list;
-  (* Parsed-artifact memo for [get_graph]: digest -> verified entry and
+  (* Parsed-artifact memo for [lookup]: digest -> verified entry and
      its parsed graph.  Populated only after a successful disk read
-     (so every artifact is checksum-verified at least once per
-     process), dropped whenever the entry is evicted or discarded —
-     the memo never outlives the file it mirrors. *)
+     (so every artifact is checksum-verified and parse-validated at
+     least once per process), dropped whenever the entry is evicted,
+     discarded or republished — the memo never outlives the file it
+     mirrors. *)
   parsed : (string, entry * Ir.Graph.t) Hashtbl.t;
   stats : stats;
   (* Federation hooks, injected after construction (the store sits
@@ -88,10 +89,16 @@ let parse ~digest content =
     match String.index_opt content '\000' with
     | Some _ -> None (* artifacts are text; NUL means garbage *)
     | None -> (
+        (* The first occurrence of [marker], compared in place. *)
+        let n = String.length content and m = String.length marker in
+        let rec matches i j =
+          j = m
+          || String.unsafe_get content (i + j) = String.unsafe_get marker j
+             && matches i (j + 1)
+        in
         let rec find i =
-          if i + String.length marker > String.length content then None
-          else if String.sub content i (String.length marker) = marker then
-            Some i
+          if i + m > n then None
+          else if matches i 0 then Some i
           else find (i + 1)
         in
         match find 0 with
@@ -342,28 +349,6 @@ let put ?(replicate = true) t ~digest ~fn ~ir ~work =
         locked t (fun () -> t.stats.replicated <- t.stats.replicated + copies)
   | _ -> ()
 
-let fetch t ~digest =
-  match get t ~digest with
-  | Some _ as hit -> hit
-  | None -> (
-      match t.peer_fetch with
-      | None -> None
-      | Some pf -> (
-          match (try pf ~digest with _ -> None) with
-          | Some e ->
-              locked t (fun () ->
-                  t.stats.peer_hits <- t.stats.peer_hits + 1);
-              (* Adopt the artifact locally so the next lookup is a
-                 disk hit; no re-replication — a fetched artifact
-                 already lives with its ring owners. *)
-              put ~replicate:false t ~digest ~fn:e.ar_fn ~ir:e.ar_ir
-                ~work:e.ar_work;
-              Some e
-          | None ->
-              locked t (fun () ->
-                  t.stats.peer_misses <- t.stats.peer_misses + 1);
-              None))
-
 let digests t = locked t (fun () -> List.map fst t.lru)
 
 let discard t ~digest =
@@ -371,54 +356,83 @@ let discard t ~digest =
       drop_unlocked t digest;
       t.stats.corrupt <- t.stats.corrupt + 1)
 
-(* [get] plus IR parsing, memoized.  A memo hit skips the filesystem
-   entirely (the content was checksum-verified when first read); a
-   checksummed artifact whose IR fails to parse — semantic corruption
-   the checksum cannot see — is evicted like any other corrupt entry.
-   Callers must treat the returned graph as read-only: it is shared
-   between every caller until the entry is dropped. *)
-let get_graph t ~digest =
-  let memo =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.parsed digest with
-        | Some _ as found ->
-            t.stats.hits <- t.stats.hits + 1;
-            (match List.assoc_opt digest t.lru with
-            | Some bytes -> index_touch t digest bytes
-            | None -> ());
-            found
-        | None -> None)
-  in
-  match memo with
-  | Some (e, g) -> Some (e, g)
-  | None -> (
-      match get t ~digest with
-      | None -> None
+(* ---- the lookup chain ---------------------------------------------- *)
+
+let memo_find t ~digest =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.parsed digest with
+      | Some _ as found ->
+          t.stats.hits <- t.stats.hits + 1;
+          (match List.assoc_opt digest t.lru with
+          | Some bytes -> index_touch t digest bytes
+          | None -> ());
+          found
+      | None -> None)
+
+let parse_ir e = try Some (Ir.Parse.parse_graph e.ar_ir) with _ -> None
+
+(* A checksummed artifact whose IR fails to parse is semantic
+   corruption the checksum cannot see: evicted like any other corrupt
+   entry.  A verified one is memoized — but only while the entry is
+   still indexed, so a concurrent eviction between the read and here
+   wins. *)
+let from_disk t ~digest =
+  match get t ~digest with
+  | None -> None
+  | Some e -> (
+      match parse_ir e with
+      | Some g ->
+          locked t (fun () ->
+              if List.mem_assoc digest t.lru then
+                Hashtbl.replace t.parsed digest (e, g));
+          Some (e, g)
+      | None ->
+          discard t ~digest;
+          None)
+
+(* A peer's artifact is validated before it is adopted: one that does
+   not parse is counted corrupt and never lands on this disk.  A valid
+   one is adopted (without re-replication — a fetched artifact already
+   lives with its ring owners) but not memoized: the memo mirrors only
+   what this process has read back from its own disk. *)
+let from_peer t ~digest =
+  match t.peer_fetch with
+  | None -> None
+  | Some pf -> (
+      match (try pf ~digest with _ -> None) with
+      | None ->
+          locked t (fun () -> t.stats.peer_misses <- t.stats.peer_misses + 1);
+          None
       | Some e -> (
-          match Ir.Parse.parse_graph e.ar_ir with
-          | g ->
-              locked t (fun () ->
-                  (* Only memoize while the entry is still indexed — a
-                     concurrent eviction between the read and here must
-                     win. *)
-                  if List.mem_assoc digest t.lru then
-                    Hashtbl.replace t.parsed digest (e, g));
-              Some (e, g)
-          | exception _ ->
-              discard t ~digest;
-              None))
+          match parse_ir e with
+          | None ->
+              locked t (fun () -> t.stats.corrupt <- t.stats.corrupt + 1);
+              None
+          | Some g ->
+              locked t (fun () -> t.stats.peer_hits <- t.stats.peer_hits + 1);
+              put ~replicate:false t ~digest ~fn:e.ar_fn ~ir:e.ar_ir
+                ~work:e.ar_work;
+              Some (e, g)))
+
+let lookup t ~digest =
+  match memo_find t ~digest with
+  | Some _ as hit -> hit
+  | None -> (
+      match from_disk t ~digest with
+      | Some _ as hit -> hit
+      | None -> from_peer t ~digest)
 
 (* ---- the driver hook ------------------------------------------------ *)
 
 let driver_cache ?(context = "") t =
-  let lookup config g =
+  let find config g =
     try
       Dbds.Faults.armed config.Dbds.Config.fault_plan ~fn:(Ir.Graph.name g)
         (fun () ->
           let key =
             Digest.of_request (Digest.request_of_graph ~context ~config g)
           in
-          match get_graph t ~digest:key with
+          match lookup t ~digest:key with
           | None -> (None, key)
           | Some (_, g') ->
               (* [g'] is the shared memoized parse; the driver only
@@ -436,7 +450,7 @@ let driver_cache ?(context = "") t =
               ~ir:(Digest.canonical_of_graph g) ~work)
       with _ -> ()
   in
-  { Dbds.Driver.cache_lookup = lookup; cache_store = store }
+  { Dbds.Driver.cache_lookup = find; cache_store = store }
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -59,7 +59,7 @@ val used : t -> int
 val get : t -> digest:string -> entry option
 
 (** Install the federation hooks (see {!Fleet.federate}, which builds
-    them from the ring view).  [fetch] is consulted by {!fetch} after a
+    them from the ring view).  [fetch] is consulted by {!lookup} after a
     local miss; [replicate] is called after every successful
     {!put} with the bytes actually published, returning how many peer
     copies landed.  Pass [None] to disconnect. *)
@@ -68,13 +68,6 @@ val set_federation :
   fetch:(digest:string -> entry option) option ->
   replicate:(digest:string -> entry -> int) option ->
   unit
-
-(** The federated lookup chain: local disk (via {!get}), then the peer
-    hook when installed.  A peer hit is adopted into the local store
-    (without re-replication) so the next lookup is a disk hit, and
-    counted under [peer_hits]; the cold-compile fallback stays with the
-    caller (the broker).  Hook failures degrade to a miss. *)
-val fetch : t -> digest:string -> entry option
 
 (** Publish an artifact under [digest] (atomic; runs the LRU GC).
     Failures are contained and counted, never raised.  When federation
@@ -94,19 +87,28 @@ val put :
     scan's worklist). *)
 val digests : t -> string list
 
-(** Drop one entry (used when a checksummed artifact later fails to
-    parse — semantic corruption the checksum cannot see). *)
-val discard : t -> digest:string -> unit
+(** The one lookup chain, shared by the broker, {!driver_cache} and the
+    VM warm-start hooks: parsed memo → local disk ({!get}, checksummed)
+    → the digest's ring-owner peers (when federation is installed).
 
-(** {!get} plus IR parsing, memoized in memory per live entry: repeat
-    lookups of a digest skip the filesystem and the parser entirely
-    (the content was checksum-verified when first read; the memo is
-    dropped whenever the entry is evicted, discarded or republished).
-    An artifact whose IR fails to parse is evicted like any other
-    corrupt entry.  The returned graph is {e shared} between every
-    caller of the same digest — treat it as read-only (restore/copy
-    from it, never mutate it). *)
-val get_graph : t -> digest:string -> (entry * Ir.Graph.t) option
+    - The IR is parse-validated the first time an entry comes from
+      disk or a peer.  A checksummed local artifact that does not
+      parse is evicted (counted [corrupt]); a peer's is counted
+      [corrupt] and never adopted.
+    - A verified disk read is memoized while the entry stays indexed,
+      so repeat lookups skip the filesystem and the parser entirely.
+      The memo is dropped whenever the entry is evicted, discarded or
+      republished.
+    - A valid peer hit is adopted into the local store (without
+      re-replication) and counted under [peer_hits]; the next lookup
+      reads it back from disk.  Hook failures degrade to a miss.
+    - A miss probes the disk exactly once, then the peers; the
+      cold-compile fallback stays with the caller.
+
+    The returned graph may be {e shared} between every caller of the
+    same digest — treat it as read-only (restore/copy from it, never
+    mutate it). *)
+val lookup : t -> digest:string -> (entry * Ir.Graph.t) option
 
 (** The store as a {!Dbds.Driver.cache}: lookups digest the function's
     canonical request under the run's configuration (with [context] as

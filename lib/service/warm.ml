@@ -10,7 +10,7 @@ let hooks ~config store =
     try
       Dbds.Faults.armed config.Dbds.Config.fault_plan ~fn (fun () ->
           let digest = key ~config pristine in
-          match Store.get_graph store ~digest with
+          match Store.lookup store ~digest with
           | None -> None
           | Some (e, g) ->
               (* The memoized graph is shared; the engine installs and

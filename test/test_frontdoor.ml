@@ -582,12 +582,12 @@ let test_harness_two_mode_bundle_replays () =
         "deadline-ms: none";
         "faults: none";
         "frontdoor: true";
-        "trace-hash: 5a200a15fcc3c4a0";
+        "trace-hash: bc06f5bdb74f41cd";
         "";
       ]
   in
   let r = H.run (H.parse_bundle bundle) in
-  Alcotest.(check string) "replays the recorded trace" "5a200a15fcc3c4a0"
+  Alcotest.(check string) "replays the recorded trace" "bc06f5bdb74f41cd"
     r.H.r_trace_hash;
   Alcotest.(check (list string)) "clean" []
     (List.map (fun v -> v.H.vio_kind) r.H.r_violations)

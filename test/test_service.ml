@@ -1,8 +1,8 @@
 (** The compilation service: digest stability, the content-addressed
     artifact store (atomicity, checksum degradation, LRU GC, fault
     containment, the parsed-artifact memo), the driver cache hook, VM
-    warm-start hooks, broker coalescing / backpressure / deadlines, and
-    the wire protocol. *)
+    warm-start hooks, broker coalescing / backpressure / deadlines and
+    its warm path, and the wire protocol. *)
 
 open Helpers
 module F = Dbds.Faults
@@ -181,6 +181,38 @@ let test_digest_ignores_fault_plan () =
       | Error e -> Alcotest.failf "%s does not parse back: %s" line e)
     [ armed; custom ]
 
+(* The digest keys every artifact already on disk, so its values are
+   pinned: a faster hash must be bit-identical, not merely stable.
+   Three paper functions as the frontend emits them, plus one graph
+   with detached blocks (the hash's unreachable-block tail). *)
+let test_digest_pinned () =
+  let paper suite bench fn =
+    let b = Option.get (Workloads.Suite.find_benchmark suite bench) in
+    Option.get (Ir.Program.find_function (Workloads.Suite.compile b) fn)
+  in
+  let detached =
+    let g = Ir.Graph.copy (main_of (compile figure1)) in
+    let b1 = Ir.Graph.add_block g in
+    let c = Ir.Graph.append g b1 (Ir.Types.Const (-42)) in
+    Ir.Graph.set_term g b1 (Ir.Types.Return (Some c));
+    let b2 = Ir.Graph.add_block g in
+    Ir.Graph.set_term g b2 (Ir.Types.Jump b1);
+    g
+  in
+  List.iter
+    (fun (what, g, expected) ->
+      Alcotest.(check string) what expected
+        (SD.of_request (SD.request_of_graph ~config g)))
+    [
+      ("dacapo/avrora main", paper Workloads.Dacapo.suite "avrora" "main",
+        "529745e7e69517a4");
+      ("octane/raytrace main", paper Workloads.Octane.suite "raytrace" "main",
+        "ba91108f81764fc7");
+      ("micro/akkaPP main", paper Workloads.Micro.suite "akkaPP" "main",
+        "baa3f3e94dc8c2bd");
+      ("detached blocks", detached, "c351a3c66ce3c69a");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -270,30 +302,45 @@ let test_store_fault_sites () =
       Alcotest.(check bool) "entry still readable afterwards" true
         (SS.get st ~digest:"d1" <> None))
 
-let test_store_get_graph_memo () =
+let test_store_lookup_memo () =
+  let ir = canonical_main figure1 in
   with_store (fun st ->
-      SS.put st ~digest:"d1" ~fn:"main" ~ir:(canonical_main figure1) ~work:3;
+      SS.put st ~digest:"d1" ~fn:"main" ~ir ~work:3;
       let g1 =
-        match SS.get_graph st ~digest:"d1" with
+        match SS.lookup st ~digest:"d1" with
         | Some (e, g) ->
             Alcotest.(check int) "work carried" 3 e.SS.ar_work;
             g
-        | None -> Alcotest.fail "first get_graph missed"
+        | None -> Alcotest.fail "first lookup missed"
       in
-      (match SS.get_graph st ~digest:"d1" with
+      (match SS.lookup st ~digest:"d1" with
       | Some (_, g2) ->
           Alcotest.(check bool) "repeat lookups share one parse" true (g1 == g2)
-      | None -> Alcotest.fail "second get_graph missed");
-      (* Dropping the entry drops the memo with it. *)
-      SS.discard st ~digest:"d1";
-      Alcotest.(check bool) "memo does not outlive the file" true
-        (SS.get_graph st ~digest:"d1" = None);
+      | None -> Alcotest.fail "second lookup missed");
+      (* Republishing drops the memo: the next lookup reads the new file
+         back from disk. *)
+      SS.put st ~digest:"d1" ~fn:"main" ~ir ~work:5;
+      (match SS.lookup st ~digest:"d1" with
+      | Some (e, g3) ->
+          Alcotest.(check int) "republished entry re-read" 5 e.SS.ar_work;
+          Alcotest.(check bool) "and re-parsed" true (g3 != g1)
+      | None -> Alcotest.fail "lookup after republish missed");
       (* Checksummed-but-unparsable IR is semantic corruption: evicted. *)
       SS.put st ~digest:"d2" ~fn:"main" ~ir:"fn broken(" ~work:1;
       Alcotest.(check bool) "unparsable artifact degrades to a miss" true
-        (SS.get_graph st ~digest:"d2" = None);
+        (SS.lookup st ~digest:"d2" = None);
       Alcotest.(check bool) "unparsable artifact evicted" false
-        (Sys.file_exists (Filename.concat (SS.dir st) "d2.art")))
+        (Sys.file_exists (Filename.concat (SS.dir st) "d2.art")));
+  (* Evicting the entry drops the memo with it.  Room for roughly two
+     artifacts: three more publications push the memoized one out. *)
+  with_store ~capacity:((String.length ir + 128) * 2) (fun st ->
+      SS.put st ~digest:"d1" ~fn:"main" ~ir ~work:1;
+      Alcotest.(check bool) "memoized" true (SS.lookup st ~digest:"d1" <> None);
+      List.iter
+        (fun d -> SS.put st ~digest:d ~fn:"main" ~ir ~work:1)
+        [ "d2"; "d3"; "d4" ];
+      Alcotest.(check bool) "memo does not outlive the file" true
+        (SS.lookup st ~digest:"d1" = None))
 
 (* ------------------------------------------------------------------ *)
 (* Driver cache hook                                                   *)
@@ -439,6 +486,97 @@ let test_broker_bad_request () =
       match SB.submit ~config ~fn:"main" ~ir:"fn broken(" b with
       | SB.Rejected _ -> ()
       | o -> Alcotest.failf "expected rejection, got %s" (SB.outcome_label o))
+
+(* Arm [plan] for every domain at once: broker workers are domains, and
+   the fault registry is domain-local by default.  One hit counter then
+   spans every request [f] submits. *)
+let armed_everywhere plan f =
+  let state = ref None in
+  F.set_state_provider ~get:(fun () -> !state) ~set:(fun v -> state := v);
+  Fun.protect ~finally:F.default_state_provider (fun () ->
+      F.armed (Some plan) ~fn:"main" f)
+
+let with_broker st f =
+  let b = SB.create ~workers:1 ~store:(Some st) () in
+  Fun.protect ~finally:(fun () -> SB.shutdown b) (fun () -> f b)
+
+(* A warm hit is served from memory: the first request misses and
+   compiles, the second reads the artifact back from disk once, and the
+   third must not touch the disk at all — its read would be the faulted
+   one, and a failed read recompiles. *)
+let test_broker_memo_hits_skip_disk () =
+  with_store (fun st ->
+      with_broker st (fun b ->
+          let ir = ir_of_fn figure1 "main" in
+          armed_everywhere (plan F.Store_read 3) (fun () ->
+              for _ = 1 to 3 do
+                match SB.submit ~config ~fn:"main" ~ir b with
+                | SB.Done _ -> ()
+                | o ->
+                    Alcotest.failf "unexpected outcome %s" (SB.outcome_label o)
+              done);
+          let s = SB.stats b in
+          Alcotest.(check int) "one compile" 1 s.SB.compiles;
+          Alcotest.(check int) "two cache hits" 2 s.SB.cache_hits;
+          Alcotest.(check int) "no read failed" 0
+            (SS.stats st).SS.read_failures))
+
+(* The digest memo is keyed on exact text, the store on the canonical
+   digest: the same function with renumbered ids misses the memo but
+   must still be served from the artifact the first request published. *)
+let test_broker_renumbered_shares_artifact () =
+  with_store (fun st ->
+      with_broker st (fun b ->
+          let ir = ir_of_fn figure1 "main" in
+          let first = SB.submit ~config ~fn:"main" ~ir b in
+          let second = SB.submit ~config ~fn:"main" ~ir:(renumber ir) b in
+          (match (first, second) with
+          | ( SB.Done { ir = a; from_cache = false; _ },
+              SB.Done { ir = a'; from_cache = true; _ } ) ->
+              Alcotest.(check string) "same artifact" a a'
+          | _ ->
+              Alcotest.failf "outcomes %s, %s" (SB.outcome_label first)
+                (SB.outcome_label second));
+          let s = SB.stats b in
+          Alcotest.(check int) "one compile" 1 s.SB.compiles;
+          Alcotest.(check int) "one cache hit" 1 s.SB.cache_hits;
+          Alcotest.(check int) "one publication" 1 (SS.stats st).SS.writes))
+
+(* A peer answers intact bytes whose IR does not parse.  The store must
+   count it corrupt and never adopt it; the request compiles cold and
+   publishes the real artifact. *)
+let test_broker_peer_bad_artifact () =
+  with_store (fun st ->
+      let asked = ref 0 in
+      SS.set_federation st
+        ~fetch:
+          (Some
+             (fun ~digest:_ ->
+               incr asked;
+               Some { SS.ar_fn = "main"; ar_ir = "fn broken("; ar_work = 1 }))
+        ~replicate:None;
+      with_broker st (fun b ->
+          let ir = ir_of_fn figure1 "main" in
+          let compiled =
+            match SB.submit ~config ~fn:"main" ~ir b with
+            | SB.Done { ir; from_cache = false; _ } -> ir
+            | o ->
+                Alcotest.failf "expected a cold compile, got %s"
+                  (SB.outcome_label o)
+          in
+          let s = SS.stats st in
+          Alcotest.(check int) "the peer was asked" 1 !asked;
+          Alcotest.(check int) "counted corrupt" 1 s.SS.corrupt;
+          Alcotest.(check int) "not a peer hit" 0 s.SS.peer_hits;
+          Alcotest.(check int) "compiled cold" 1 (SB.stats b).SB.compiles;
+          let digest =
+            SD.of_request (SD.request_of_text ~config ~fn:"main" ir)
+          in
+          match SS.get st ~digest with
+          | Some e ->
+              Alcotest.(check string) "the compiled artifact published"
+                compiled e.SS.ar_ir
+          | None -> Alcotest.fail "nothing published"))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -602,11 +740,12 @@ let suite =
     test "digest: sensitive to every request component" test_digest_sensitivity;
     test "digest: blind to fault plans and the default line pinned"
       test_digest_ignores_fault_plan;
+    test "digest: values pinned" test_digest_pinned;
     test "store: publish and read back" test_store_roundtrip;
     test "store: corruption degrades to a miss" test_store_corruption_degrades;
     test "store: LRU eviction bounds the budget" test_store_lru_eviction;
     test "store: every fault site contained" test_store_fault_sites;
-    test "store: parsed-artifact memo" test_store_get_graph_memo;
+    test "store: parsed-artifact memo" test_store_lookup_memo;
     test "store: sim-disk crash mid-publication"
       test_store_sim_crash_mid_publication;
     test "store: sim-disk torn write contained"
@@ -619,6 +758,12 @@ let suite =
     test "broker: full queue sheds" test_broker_backpressure;
     test "broker: expired deadline" test_broker_deadline;
     test "broker: malformed request rejected" test_broker_bad_request;
+    test "broker: memo hits never touch the disk"
+      test_broker_memo_hits_skip_disk;
+    test "broker: a renumbered copy shares the artifact"
+      test_broker_renumbered_shares_artifact;
+    test "broker: a peer's unparsable artifact is never served"
+      test_broker_peer_bad_artifact;
     test "protocol: message round-trip" test_protocol_roundtrip;
     test "protocol: outcome round-trip" test_protocol_outcomes;
   ]
