@@ -413,10 +413,7 @@ exception Sim_violations
 let run_sim sim =
   let module H = Simtest.Harness in
   let print_result (r : H.result) =
-    Format.printf "sim seed %d: trace %s, %d events, %.3fs virtual [%s]@."
-      r.H.r_spec.H.seed r.H.r_trace_hash r.H.r_events r.H.r_vtime
-      (String.concat " "
-         (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.H.r_counts));
+    Format.printf "sim seed %d: %s@." r.H.r_spec.H.seed (H.summary r);
     List.iter
       (fun (v : H.violation) ->
         Format.printf "  VIOLATION %s: %s@." v.H.vio_kind v.H.vio_detail)
@@ -1348,9 +1345,9 @@ let sim_node_faults_arg =
     & info [ "sim-node-faults" ] ~docv:"EVENTS"
         ~doc:
           "With $(b,--sim-nodes): explicit node events, comma-separated \
-           — $(b,kill:N\\@T) (hard crash of node N at virtual time T, no \
-           leave, socket debris left), $(b,rejoin:N\\@T) (restart over \
-           the surviving disk), $(b,part:N\\@T1-T2) (two-way partition \
+           — $(b,kill:N@T) (hard crash of node N at virtual time T, no \
+           leave, socket debris left), $(b,rejoin:N@T) (restart over \
+           the surviving disk), $(b,part:N@T1-T2) (two-way partition \
            from T1 to T2).")
 
 let sim_opts_term =

@@ -1,9 +1,61 @@
-(** Regenerates every table and figure of the paper's evaluation
-    (Figures 4–8, the headline numbers, and the three ablations).
-    Output of this binary is recorded in EXPERIMENTS.md. *)
+(** Prints every deterministic number of the evaluation: the paper's
+    tables and figures (Figures 4–8, the headline numbers, the
+    ablations), one fingerprint line per paper program and
+    configuration, the workload-lab table with its IR fingerprint, the
+    tiered-execution table and the trace hashes of a fixed set of
+    simulator schedules.  Every figure is a pure function of the code,
+    so the output is pinned in [test/golden/experiments.expected]:
+    [dune runtest] diffs a fresh run against it and [dune promote]
+    accepts a deliberate change.  Host timings live in [bench/main.exe]
+    and perfbench, never here. *)
+
+let section title = Format.printf "@.=== %s ===@.@." title
+
+(* One line per paper program and configuration: the optimized IR's
+   digest beside the three figure metrics and the computed result. *)
+let pp_programs summaries =
+  Format.printf "%-8s %-14s %-7s %-32s %6s %12s %8s  %s@." "figure"
+    "benchmark" "config" "ir md5" "size" "cycles" "work" "result";
+  List.iter
+    (fun (s : Harness.Report.suite_summary) ->
+      List.iter
+        (fun (r : Harness.Metrics.row) ->
+          List.iter
+            (fun (config, (m : Harness.Metrics.measurement)) ->
+              Format.printf "%-8s %-14s %-7s %s %6d %12.1f %8d  %s@."
+                s.Harness.Report.figure r.Harness.Metrics.benchmark config
+                m.Harness.Metrics.ir_digest m.Harness.Metrics.code_size
+                m.Harness.Metrics.peak_cycles m.Harness.Metrics.compile_work
+                m.Harness.Metrics.result_value)
+            [
+              ("off", r.Harness.Metrics.baseline);
+              ("dbds", r.Harness.Metrics.dbds);
+              ("dupalot", r.Harness.Metrics.dupalot);
+            ])
+        s.Harness.Report.rows)
+    summaries
+
+(* Fixed simulator schedules: single-node seeds 1–10 with the default
+   chaos (a slice of CI's 50-seed sweep), and CI's 3-node fleet replay —
+   a planted kill and rejoin of node 1 under seed 5. *)
+let pp_sim () =
+  let module H = Harness.Sim in
+  let line label r =
+    Format.printf "%s: %s%s@." label (H.summary r)
+      (if H.violating r then " VIOLATING" else "")
+  in
+  List.iter
+    (fun (r : H.result) ->
+      line (Printf.sprintf "seed %d" r.H.r_spec.H.seed) r)
+    (H.run_seeds ~seeds:10 (H.builder ~seed:1 ()));
+  line "3 nodes, kill:1@0.3 rejoin:1@1.4, seed 5"
+    (H.run
+       (H.builder ~seed:5 ()
+       |> H.with_nodes 3
+       |> H.with_node_faults
+            [ H.Kill { node = 1; at = 0.3 }; H.Rejoin { node = 1; at = 1.4 } ]))
 
 let () =
-  let section title = Format.printf "@.=== %s ===@.@." title in
   section "Figure 4";
   Format.printf "%a@." Harness.Experiments.pp_figure4
     (Harness.Experiments.figure4 ());
@@ -29,4 +81,15 @@ let () =
     (Harness.Experiments.run_budget_ablation ());
   section "Extension: path-based duplication";
   Format.printf "%a@." Harness.Experiments.pp_path_ablation
-    (Harness.Experiments.run_path_ablation ())
+    (Harness.Experiments.run_path_ablation ());
+  section "Programs: optimized IR per configuration";
+  pp_programs summaries;
+  section "Workload lab: adversarial suites under every tier";
+  Format.printf "%a@." Harness.Tiercompare.pp (Harness.Tiercompare.run ());
+  Format.printf "lab IR fingerprint: %s@."
+    (Harness.Tiercompare.fingerprint ());
+  section "Tiered execution: steady state vs tier-0 interpretation";
+  Format.printf "%a@." Harness.Report.pp_tiered
+    (List.map Harness.Tiered.measure_suite Workloads.Registry.all);
+  section "Simulator trace hashes";
+  pp_sim ()

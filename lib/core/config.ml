@@ -48,10 +48,6 @@ type t = {
   licm : bool;
       (** include loop-invariant code motion in the classic fixpoint
           group (off in the calibrated evaluation plan — see {!Licm}) *)
-  preserve_analyses : bool;
-      (** honor pass preservation contracts in the analysis cache; false
-          = the historical generation-bump-invalidates-everything mode
-          (kept as a comparison baseline for the bench harness) *)
 }
 
 let default =
@@ -71,7 +67,6 @@ let default =
     bundle_dir = None;
     passes = None;
     licm = false;
-    preserve_analyses = true;
   }
 
 let dbds = default
@@ -111,9 +106,10 @@ let mode_of_string = function
    effect (containment, fault_plan, bundle_dir) are deliberately
    excluded — two configs differing only there must collide in the
    cache.  The historical key set (the v1 bundle format) is preserved;
-   [licm], [preserve_analyses] and [passes] were appended later and
-   default when absent, so old bundles still parse.  [keys] is the one
-   list both directions walk, in line order. *)
+   [licm] and [passes] were appended later and default when absent, so
+   old bundles still parse unless they carry a removed key
+   ([preserve_analyses]), which {!of_line} refuses like any unknown
+   key.  [keys] is the one list both directions walk, in line order. *)
 
 type key = {
   name : string;
@@ -170,9 +166,6 @@ let keys =
       (fun c -> c.verify_between_phases)
       (fun c verify_between_phases -> { c with verify_between_phases });
     bool_key "licm" (fun c -> c.licm) (fun c licm -> { c with licm });
-    bool_key "preserve_analyses"
-      (fun c -> c.preserve_analyses)
-      (fun c preserve_analyses -> { c with preserve_analyses });
     (* The canonical spec rendering contains no spaces, so it stays one
        token of the line. *)
     {

@@ -48,10 +48,6 @@ type t = {
   licm : bool;
       (** include loop-invariant code motion in the classic fixpoint
           group (off in the calibrated evaluation plan — see {!Licm}) *)
-  preserve_analyses : bool;
-      (** honor pass preservation contracts in the analysis cache; false
-          = the historical generation-bump-invalidates-everything mode
-          (kept as a comparison baseline for the bench harness) *)
 }
 
 (** Mode [Dbds], BS=256, IB=1.5, MS=65536, 3 iterations, paths off,

@@ -369,7 +369,6 @@ let optimize_graph ?(config = Config.default) ctx g =
        declared-preserved analysis and compare against the kept cache. *)
     ctx.Opt.Phase.check_contracts <- true
   end;
-  ctx.Opt.Phase.preserve_analyses <- config.Config.preserve_analyses;
   (* Diagnostic runs want every pass to really execute: fault-injection
      hit counts and paranoid verification both observe pass bodies. *)
   if config.Config.fault_plan <> None || config.Config.verify_between_phases
@@ -544,7 +543,7 @@ type cache = {
     a crashing per-function pipeline is rolled back and reported in
     [rep_failures] while the remaining functions still optimize. *)
 let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
-    ?cache ?sched_stats program =
+    ?cache program =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Ir.Parallel.default_jobs ()
   in
@@ -595,7 +594,7 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
         (fun (name, s, f, wctx) ->
           Opt.Phase.merge_into ~into:ctx wctx;
           (name, s, f))
-        (Ir.Parallel.map_weighted ?stats:sched_stats ~jobs
+        (Ir.Parallel.map_weighted ~jobs
            ~weight:G.live_instr_count
            (fun g ->
              let wctx = Opt.Phase.create ~program () in

@@ -114,7 +114,6 @@ val optimize_program_report :
   ?inline:bool ->
   ?jobs:int ->
   ?cache:cache ->
-  ?sched_stats:Ir.Parallel.util option ref ->
   Ir.Program.t ->
   report
 

@@ -1,7 +1,7 @@
 (** The experiment definitions: one entry per paper artifact (see the
     experiment index in DESIGN.md §4), each able to regenerate its rows.
-    [bin/experiments.exe] prints all of them; [bench/main.exe] wraps the
-    compile-time measurements in Bechamel. *)
+    [bin/experiments.exe] prints all of them, pinned in
+    [test/golden/experiments.expected]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 5–8                                                         *)

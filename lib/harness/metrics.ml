@@ -5,16 +5,17 @@
       interpreter (with the i-cache model active) running the benchmark's
       workload — lower is better, reported as speedup vs. baseline;
     - {e compile time}: deterministic work units accumulated by all
-      phases (wall-clock is measured separately by the Bechamel benches);
+      phases (wall-clock is timed by [bench/main.exe] and perfbench);
     - {e code size}: cost-model size of all optimized functions. *)
 
 type measurement = {
   peak_cycles : float;
   code_size : int;
   compile_work : int;
-  compile_wall_s : float;
+  ir_digest : string;
+      (** hex md5 of the optimized IR, every function printed in name
+          order — the compiled output's fingerprint *)
   duplications : int;
-  candidates : int;
   contained : (string * int) list;
       (** contained per-function optimizer failures, per crash site —
           a degraded-but-complete compilation, never silent *)
@@ -29,17 +30,6 @@ type measurement = {
 }
 
 let contained_total m = List.fold_left (fun acc (_, n) -> acc + n) 0 m.contained
-
-(** Analysis-cache hit rate in [0,1]; 0 when nothing was queried. *)
-let analysis_hit_rate m =
-  let total = m.analysis_hits + m.analysis_misses in
-  if total = 0 then 0.0 else float_of_int m.analysis_hits /. float_of_int total
-
-(** Run-time i-cache hit rate in [0,1]; 0 when the model never fired. *)
-let run_icache_hit_rate m =
-  let total = m.run_icache_hits + m.run_icache_misses in
-  if total = 0 then 0.0
-  else float_of_int m.run_icache_hits /. float_of_int total
 
 type row = {
   benchmark : string;
@@ -69,21 +59,17 @@ let size_delta ~baseline m =
 
 (** One benchmark's tiered-execution comparison: steady-state cycles of
     the tiered engine against a tier-0-only engine on the same workload,
-    with the AOT configurations for context.  Plain data so the harness
-    report and the bench JSON writer need no [vm] dependency. *)
+    with the AOT dbds cycles for context.  Plain data so the harness
+    report needs no [vm] dependency. *)
 type tiered_row = {
   t_benchmark : string;
   t_tier0_cycles : float;  (** tier-0-only engine, steady-state run *)
   t_first_cycles : float;  (** tiered engine, first (cold) run *)
   t_steady_cycles : float;  (** tiered engine, steady-state run *)
-  t_aot_baseline_cycles : float;
   t_aot_dbds_cycles : float;
   t_promotions : int;
-  t_compiles : int;
   t_deopts : int;
-  t_max_queue_depth : int;
   t_tier1_share : float;  (** fraction of calls served by optimized code *)
-  t_compile_work : int;  (** background compile effort, work units *)
 }
 
 (** Steady-state speedup of tiered execution over pure interpretation
@@ -104,10 +90,6 @@ type tier_cell = {
   tc_tier : string;
   tc_peak_cycles : float;
   tc_code_size : int;
-  tc_compile_work : int;
-  tc_decisions : int;
-      (** duplication tiers: duplications performed; upgrade-pass tiers:
-          times the tier's pass fired; off: 0 *)
 }
 
 (** One adversarial benchmark's row: a cell per tier, in
@@ -118,48 +100,32 @@ type tier_row = {
   tc_cells : tier_cell list;
 }
 
-(** One suite's compilation-service comparison: mean wall-clock per
-    program compile against a cold (empty) artifact store vs a warm
-    (populated) one, with the warm pass's store hit rate and the
-    byte-identity check of the resulting canonical IR.  Plain data so
-    the report and the bench JSON writer need no [service]
-    dependency. *)
+(** One suite's compilation-service check: every function compiled
+    against a cold (empty) artifact store, then again against the warm
+    (populated) one — the warm pass's store hit rate and whether its
+    canonical IR is byte-identical to the cold pass's (bench-smoke's
+    warm-service gate). *)
 type service_row = {
   sv_suite : string;
-  sv_programs : int;  (** program compiles per pass *)
-  sv_functions : int;  (** function artifacts involved per pass *)
-  sv_cold_ns : float;  (** mean ns per program compile, empty store *)
-  sv_warm_ns : float;  (** ... recompiling against the warm store *)
   sv_warm_hit_rate : float;  (** store hit rate during the warm pass *)
   sv_identical : bool;  (** warm canonical IR byte-identical to cold *)
-  sv_evictions : int;  (** LRU GC victims over the cold + warm passes *)
 }
-
-(** Warm-over-cold compile-time ratio; the service's headline number. *)
-let service_speedup r =
-  if r.sv_warm_ns <= 0.0 then 0.0 else r.sv_cold_ns /. r.sv_warm_ns
 
 (** One offered-load point of the frontdoor overload sweep (simulated;
     latencies are interactive-lane client-observed virtual time). *)
 type frontdoor_point = {
   fd_mult : float;  (** offered load as a multiple of capacity *)
-  fd_offered_rps : float;
   fd_sent : int;
   fd_done : int;
   fd_shed : int;
   fd_failed : int;
   fd_goodput_rps : float;
-  fd_p50_ms : float;
-  fd_p95_ms : float;
   fd_p99_ms : float;
   fd_retry_after_ok : bool;
 }
 
 (** The frontdoor load-sweep row. *)
 type frontdoor_row = {
-  fd_capacity_rps : float;
-  fd_tenants : int;
-  fd_requests : int;
   fd_points : frontdoor_point list;
   fd_identical : bool;
   fd_clean : bool;

@@ -6,16 +6,17 @@
       workload — lower is better, reported as speedup vs. baseline;
     - {e compile time}: deterministic work units accumulated by all
       phases plus a backend charge over the final IR (wall-clock is
-      measured separately by the Bechamel benches);
+      timed by [bench/main.exe] and perfbench);
     - {e code size}: cost-model size of all optimized functions. *)
 
 type measurement = {
   peak_cycles : float;
   code_size : int;
   compile_work : int;
-  compile_wall_s : float;
+  ir_digest : string;
+      (** hex md5 of the optimized IR, every function printed in name
+          order — the compiled output's fingerprint *)
   duplications : int;
-  candidates : int;
   contained : (string * int) list;
       (** contained per-function optimizer failures, per crash site —
           a degraded-but-complete compilation, never silent *)
@@ -31,12 +32,6 @@ type measurement = {
 
 (** Total contained failures across all sites. *)
 val contained_total : measurement -> int
-
-(** Analysis-cache hit rate in [0,1]; 0 when nothing was queried. *)
-val analysis_hit_rate : measurement -> float
-
-(** Run-time i-cache hit rate in [0,1]; 0 when the model never fired. *)
-val run_icache_hit_rate : measurement -> float
 
 type row = {
   benchmark : string;
@@ -56,21 +51,17 @@ val size_delta : baseline:measurement -> measurement -> float
 
 (** One benchmark's tiered-execution comparison: steady-state cycles of
     the tiered engine against a tier-0-only engine on the same workload,
-    with the AOT configurations for context.  Plain data so the harness
-    report and the bench JSON writer need no [vm] dependency. *)
+    with the AOT dbds cycles for context.  Plain data so the harness
+    report needs no [vm] dependency. *)
 type tiered_row = {
   t_benchmark : string;
   t_tier0_cycles : float;  (** tier-0-only engine, steady-state run *)
   t_first_cycles : float;  (** tiered engine, first (cold) run *)
   t_steady_cycles : float;  (** tiered engine, steady-state run *)
-  t_aot_baseline_cycles : float;
   t_aot_dbds_cycles : float;
   t_promotions : int;
-  t_compiles : int;
   t_deopts : int;
-  t_max_queue_depth : int;
   t_tier1_share : float;  (** fraction of calls served by optimized code *)
-  t_compile_work : int;  (** background compile effort, work units *)
 }
 
 (** Steady-state speedup of tiered execution over pure interpretation
@@ -86,10 +77,6 @@ type tier_cell = {
   tc_tier : string;
   tc_peak_cycles : float;
   tc_code_size : int;
-  tc_compile_work : int;
-  tc_decisions : int;
-      (** duplication tiers: duplications performed; upgrade-pass tiers:
-          times the tier's pass fired; off: 0 *)
 }
 
 (** One adversarial benchmark's row: a cell per tier, in
@@ -100,25 +87,16 @@ type tier_row = {
   tc_cells : tier_cell list;
 }
 
-(** One suite's compilation-service comparison: mean wall-clock per
-    program compile against a cold (empty) artifact store vs a warm
-    (populated) one, with the warm pass's store hit rate and the
-    byte-identity check of the resulting canonical IR.  Plain data so
-    the report and the bench JSON writer need no [service]
-    dependency. *)
+(** One suite's compilation-service check: every function compiled
+    against a cold (empty) artifact store, then again against the warm
+    (populated) one — the warm pass's store hit rate and whether its
+    canonical IR is byte-identical to the cold pass's (bench-smoke's
+    warm-service gate). *)
 type service_row = {
   sv_suite : string;
-  sv_programs : int;  (** program compiles per pass *)
-  sv_functions : int;  (** function artifacts involved per pass *)
-  sv_cold_ns : float;  (** mean ns per program compile, empty store *)
-  sv_warm_ns : float;  (** ... recompiling against the warm store *)
   sv_warm_hit_rate : float;  (** store hit rate during the warm pass *)
   sv_identical : bool;  (** warm canonical IR byte-identical to cold *)
-  sv_evictions : int;  (** LRU GC victims over the cold + warm passes *)
 }
-
-(** Warm-over-cold compile-time ratio; the service's headline number. *)
-val service_speedup : service_row -> float
 
 (** One offered-load point of the frontdoor overload sweep, measured
     under the deterministic simulator: open-loop arrivals at
@@ -128,24 +106,17 @@ val service_speedup : service_row -> float
     lane — the lane the acceptance gate holds to its p99 bound. *)
 type frontdoor_point = {
   fd_mult : float;  (** offered load as a multiple of capacity *)
-  fd_offered_rps : float;
   fd_sent : int;  (** requests fired at this point *)
   fd_done : int;  (** answered with an artifact *)
   fd_shed : int;  (** refused by admission control *)
   fd_failed : int;  (** anything else (transport, timeout, ...) *)
   fd_goodput_rps : float;  (** completed artifacts per virtual second *)
-  fd_p50_ms : float;  (** interactive-lane client-observed latency *)
-  fd_p95_ms : float;
-  fd_p99_ms : float;
+  fd_p99_ms : float;  (** interactive-lane client-observed latency *)
   fd_retry_after_ok : bool;  (** every shed carried a retry-after hint *)
 }
 
-(** The frontdoor load-sweep row.  Plain data so the report and the
-    bench JSON writer need no [service] dependency. *)
+(** The frontdoor load-sweep row. *)
 type frontdoor_row = {
-  fd_capacity_rps : float;  (** broker service capacity (workers/delay) *)
-  fd_tenants : int;
-  fd_requests : int;  (** requests fired per point *)
   fd_points : frontdoor_point list;  (** ascending by [fd_mult] *)
   fd_identical : bool;  (** every served IR matched the offline oracle *)
   fd_clean : bool;  (** every point's simulated schedule ran clean *)

@@ -60,16 +60,15 @@ let pp_contained ppf rows =
    the measurements' own stat records are never mutated. *)
 let pp_passes ppf (s : suite_summary) =
   let merge acc (name, (st : Opt.Phase.pass_stat)) =
-    let runs, fired, work, time, dsize =
+    let runs, fired, work, dsize =
       match List.assoc_opt name acc with
       | Some t -> t
-      | None -> (0, 0, 0, 0.0, 0)
+      | None -> (0, 0, 0, 0)
     in
     (name,
      ( runs + st.Opt.Phase.runs,
        fired + st.Opt.Phase.fired,
        work + st.Opt.Phase.pwork,
-       time +. st.Opt.Phase.time_s,
        dsize + st.Opt.Phase.size_delta ))
     :: List.remove_assoc name acc
   in
@@ -80,12 +79,11 @@ let pp_passes ppf (s : suite_summary) =
   in
   if table <> [] then begin
     Fmt.pf ppf "per-pass (dbds configuration, summed over the suite):@\n";
-    Fmt.pf ppf "  %-14s %6s %6s %10s %9s %8s@\n" "pass" "runs" "fired" "work"
-      "time(s)" "dsize";
+    Fmt.pf ppf "  %-14s %6s %6s %10s %8s@\n" "pass" "runs" "fired" "work"
+      "dsize";
     List.iter
-      (fun (name, (runs, fired, work, time, dsize)) ->
-        Fmt.pf ppf "  %-14s %6d %6d %10d %9.4f %8d@\n" name runs fired work
-          time dsize)
+      (fun (name, (runs, fired, work, dsize)) ->
+        Fmt.pf ppf "  %-14s %6d %6d %10d %8d@\n" name runs fired work dsize)
       table;
     let hits, misses =
       List.fold_left
@@ -220,67 +218,6 @@ let pp_tiered ppf (rows : tiered_row list) =
      improve)@\n"
     (geomean_pct (List.map tiered_speedup rows))
     wins (List.length rows)
-
-(** Compilation-service rows: mean wall-clock per program compile with
-    a cold artifact store against a warm one, the warm pass's store hit
-    rate and the byte-identity check of warm vs cold canonical IR. *)
-let pp_service ppf (rows : service_row list) =
-  Fmt.pf ppf "%-14s | %12s %12s %8s | %8s %4s %6s %9s@\n" "suite" "cold ns"
-    "warm ns" "speedup" "hit rate" "fns" "evict" "identical";
-  Fmt.pf ppf "%s@\n" (String.make 87 '-');
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-14s | %12.0f %12.0f %7.1fx | %7.1f%% %4d %6d %9s@\n"
-        r.sv_suite r.sv_cold_ns r.sv_warm_ns (service_speedup r)
-        (100.0 *. r.sv_warm_hit_rate)
-        r.sv_functions r.sv_evictions
-        (if r.sv_identical then "yes" else "NO"))
-    rows;
-  Fmt.pf ppf "%s@\n" (String.make 87 '-');
-  let min_speedup =
-    List.fold_left (fun acc r -> min acc (service_speedup r)) infinity rows
-  in
-  let all_identical = List.for_all (fun r -> r.sv_identical) rows in
-  Fmt.pf ppf
-    "worst-case warm speedup: %.1fx over %d suites; outputs identical: %s@\n"
-    (if rows = [] then 0.0 else min_speedup)
-    (List.length rows)
-    (if all_identical then "yes" else "NO")
-
-let pp_frontdoor ppf (r : frontdoor_row) =
-  Fmt.pf ppf
-    "frontdoor load sweep (capacity %.0f rps, %d tenants, %d requests/point, \
-     simulated):@\n"
-    r.fd_capacity_rps r.fd_tenants r.fd_requests;
-  Fmt.pf ppf "%-6s | %8s | %5s %5s %5s | %9s | %8s %8s %8s | %s@\n" "load"
-    "offered" "done" "shed" "fail" "goodput" "p50 ms" "p95 ms" "p99 ms"
-    "retry-after";
-  let width = 85 in
-  Fmt.pf ppf "%s@\n" (String.make width '-');
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "%5.2gx | %8.1f | %5d %5d %5d | %9.1f | %8.1f %8.1f %8.1f | %s@\n"
-        p.fd_mult p.fd_offered_rps p.fd_done p.fd_shed p.fd_failed
-        p.fd_goodput_rps p.fd_p50_ms p.fd_p95_ms p.fd_p99_ms
-        (if p.fd_retry_after_ok then "ok" else "MISSING"))
-    r.fd_points;
-  Fmt.pf ppf "%s@\n" (String.make width '-');
-  let peak =
-    List.fold_left (fun acc p -> Float.max acc p.fd_goodput_rps) 0.0 r.fd_points
-  in
-  (match (frontdoor_point_at r 2.0, frontdoor_point_at r 0.5) with
-  | Some over, Some calm when peak > 0.0 && calm.fd_p99_ms > 0.0 ->
-      Fmt.pf ppf
-        "goodput at 2x: %.1f rps (%.0f%% of peak) — interactive p99 at 2x: \
-         %.1f ms (%.2fx uncontended)@\n"
-        over.fd_goodput_rps
-        (100.0 *. over.fd_goodput_rps /. peak)
-        over.fd_p99_ms
-        (over.fd_p99_ms /. calm.fd_p99_ms)
-  | _ -> ());
-  Fmt.pf ppf "artifacts byte-identical to oracle: %s — schedules clean: %s@\n"
-    (if r.fd_identical then "yes" else "NO")
-    (if r.fd_clean then "yes" else "NO")
 
 let pp_headline ppf h =
   Fmt.pf ppf

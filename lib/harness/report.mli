@@ -42,18 +42,3 @@ val pp_headline : Format.formatter -> headline -> unit
     share, promotion/deopt counts, AOT cycles for context, and a
     geomean footer. *)
 val pp_tiered : Format.formatter -> Metrics.tiered_row list -> unit
-
-(** Compilation-service rows ({!Metrics.service_row}): mean wall-clock
-    per program compile with a cold artifact store against a warm one,
-    the warm pass's store hit rate, and whether the warm canonical IR
-    was byte-identical to the cold — with a worst-case footer (the
-    acceptance bar is the {e minimum} warm speedup, not the mean). *)
-val pp_service : Format.formatter -> Metrics.service_row list -> unit
-
-(** The frontdoor load-sweep row ({!Metrics.frontdoor_row}): one line
-    per offered-load multiple — completions, sheds, goodput,
-    interactive-lane latency percentiles, retry-after coverage — with
-    a footer quoting the acceptance gates (goodput at 2x vs peak,
-    interactive p99 at 2x vs uncontended) and the byte-identity and
-    clean-schedule verdicts. *)
-val pp_frontdoor : Format.formatter -> Metrics.frontdoor_row -> unit

@@ -35,12 +35,13 @@ let program_instr_count prog =
 let measure ?(icache = Interp.Machine.default_icache) ?jobs ~config
     (b : Workloads.Suite.benchmark) =
   let prog = compile_benchmark b in
-  let t0 = Unix.gettimeofday () in
   let r = Dbds.Driver.optimize_program_report ~config ?jobs prog in
-  let wall = Unix.gettimeofday () -. t0 in
   let ctx = r.Dbds.Driver.rep_ctx in
   Opt.Phase.charge ctx (backend_passes * program_instr_count prog);
   let totals = Dbds.Driver.total_stats r.Dbds.Driver.rep_stats in
+  let ir = Buffer.create 4096 in
+  Ir.Program.iter_functions prog (fun g ->
+      Buffer.add_string ir (Ir.Printer.graph_to_string g));
   let result, run_stats =
     try Interp.Machine.run ~icache ~fuel:50_000_000 prog ~args:b.Workloads.Suite.args
     with e ->
@@ -54,9 +55,8 @@ let measure ?(icache = Interp.Machine.default_icache) ?jobs ~config
     Metrics.peak_cycles = run_stats.Interp.Machine.cycles;
     code_size = program_code_size prog;
     compile_work = ctx.Opt.Phase.work;
-    compile_wall_s = wall;
+    ir_digest = Digest.to_hex (Digest.string (Buffer.contents ir));
     duplications = totals.Dbds.Driver.duplications_performed;
-    candidates = totals.Dbds.Driver.candidates_found;
     contained = ctx.Opt.Phase.contained;
     passes = Opt.Phase.pass_table ctx;
     analysis_hits = ctx.Opt.Phase.analysis_hits;

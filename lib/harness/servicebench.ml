@@ -1,4 +1,5 @@
-(** Cold-vs-warm artifact-store measurements — see the interface. *)
+(** Cold-vs-warm artifact-store identity and the front-door overload
+    sweep — see the interface. *)
 
 (* The store directory is scratch: remove every artifact and the
    directory itself (best effort — a leftover temp dir is harmless). *)
@@ -22,23 +23,21 @@ let lone (base : Ir.Program.t) g =
     main = Ir.Graph.name g;
   }
 
-(* One timed compile request through the store-backed driver cache.
-   Returns (wall seconds, canonical IR of the optimized function). *)
+(* One compile request through the store-backed driver cache; returns
+   the canonical IR of the optimized function. *)
 let compile_request ~config ~store p =
   let cache =
     Service.Store.driver_cache
       ~context:(Service.Digest.context_of_program p)
       store
   in
-  let t0 = Unix.gettimeofday () in
   ignore
     (Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1 ~cache
        p);
-  let dt = Unix.gettimeofday () -. t0 in
   let fp = ref "" in
   Ir.Program.iter_functions p (fun g ->
       fp := !fp ^ Service.Digest.canonical_of_graph g);
-  (dt, !fp)
+  !fp
 
 (* Every function of every benchmark as a fresh compile request (the
    frontend is re-run per pass so each pass starts from pristine IR). *)
@@ -50,10 +49,6 @@ let requests_of sources =
         (fun name -> Option.map (lone prog) (Ir.Program.find_function prog name))
         (Ir.Program.function_names prog))
     sources
-
-(* Warm passes are pure store reads and fast enough to be noisy; keep
-   the fastest of a few repetitions, as the Bechamel benches do by OLS. *)
-let warm_reps = 3
 
 let measure_suite (suite : Workloads.Suite.t) =
   let config = Dbds.Config.dbds in
@@ -67,41 +62,18 @@ let measure_suite (suite : Workloads.Suite.t) =
   in
   let run_pass () = List.map (compile_request ~config ~store) (requests_of sources) in
   let cold = run_pass () in
-  let cold_s = List.fold_left (fun acc (dt, _) -> acc +. dt) 0.0 cold in
-  let warm_pass () =
-    let st = Service.Store.stats store in
-    let h0 = st.Service.Store.hits and m0 = st.Service.Store.misses in
-    let rows = run_pass () in
-    let total = List.fold_left (fun acc (dt, _) -> acc +. dt) 0.0 rows in
-    let dh = st.Service.Store.hits - h0
-    and dm = st.Service.Store.misses - m0 in
-    (total, rows, dh, dm)
-  in
-  let passes = List.init warm_reps (fun _ -> warm_pass ()) in
-  let warm_s, warm_rows, hits, misses =
-    List.fold_left
-      (fun ((best_t, _, _, _) as best) ((t, _, _, _) as p) ->
-        if t < best_t then p else best)
-      (List.hd passes) (List.tl passes)
-  in
-  let identical = List.for_all2 (fun (_, a) (_, b) -> a = b) cold warm_rows in
-  let requests = List.length cold in
-  let n = float_of_int (max requests 1) in
-  let evictions = (Service.Store.stats store).Service.Store.evictions in
+  let st = Service.Store.stats store in
+  let h0 = st.Service.Store.hits and m0 = st.Service.Store.misses in
+  let warm = run_pass () in
+  let hits = st.Service.Store.hits - h0
+  and misses = st.Service.Store.misses - m0 in
   {
     Metrics.sv_suite = suite.Workloads.Suite.suite_name;
-    sv_programs = List.length sources;
-    sv_functions = requests;
-    sv_cold_ns = cold_s /. n *. 1e9;
-    sv_warm_ns = warm_s /. n *. 1e9;
     sv_warm_hit_rate =
       (if hits + misses = 0 then 0.0
        else float_of_int hits /. float_of_int (hits + misses));
-    sv_identical = identical;
-    sv_evictions = evictions;
+    sv_identical = List.equal String.equal cold warm;
   }
-
-let run ?(suites = Workloads.Registry.all) () = List.map measure_suite suites
 
 (* ---- the frontdoor overload sweep ----------------------------------- *)
 
@@ -250,14 +222,11 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
   in
   ( {
       Metrics.fd_mult = mult;
-      fd_offered_rps = offered;
       fd_sent = requests;
       fd_done = !n_done;
       fd_shed = !n_shed;
       fd_failed = !n_failed;
       fd_goodput_rps = goodput;
-      fd_p50_ms = percentile 0.50 !lat_interactive;
-      fd_p95_ms = percentile 0.95 !lat_interactive;
       fd_p99_ms = percentile 0.99 !lat_interactive;
       fd_retry_after_ok = !hints_ok;
     },
@@ -275,10 +244,7 @@ let load_sweep ?(capacity_rps = 50.0) ?(workers = 2) ?(queue_limit = 2)
       mults
   in
   {
-    Metrics.fd_capacity_rps = capacity_rps;
-    fd_tenants = 2;
-    fd_requests = requests;
-    fd_points = List.map (fun (p, _, _) -> p) results;
+    Metrics.fd_points = List.map (fun (p, _, _) -> p) results;
     fd_identical = List.for_all (fun (_, i, _) -> i) results;
     fd_clean = List.for_all (fun (_, _, ok) -> ok) results;
   }

@@ -1,30 +1,24 @@
-(** Compilation-service benchmark: cold vs warm artifact store.
+(** Compilation-service checks under the harness.
 
-    For each suite, every function of every benchmark becomes one
-    compile request — a single-function program sharing its base
-    program's classes and globals, optimized with [~inline:false], the
-    service's unit of work (program-level inlining is the client's
-    job).  Each request runs twice through a
+    [measure_suite]: every function of every benchmark of a suite
+    becomes one compile request — a single-function program sharing
+    its base program's classes and globals, optimized with
+    [~inline:false], the service's unit of work (program-level inlining
+    is the client's job).  Each request runs twice through a
     {!Service.Store.driver_cache} rooted in a scratch directory:
 
     - the {e cold} pass starts from an empty store — every request
       misses, runs the full pipeline and publishes its artifact;
     - the {e warm} pass re-issues the same requests against the
-      populated store — every request should be served from disk.
+      populated store — every request should be served from it.
 
-    Only the driver call is timed (the frontend re-runs per pass so
-    each request starts from pristine IR, but outside the clock), and
-    the warm pass additionally checks that the canonical IR of every
-    function is byte-identical to the cold pass's — the store must be a
-    pure accelerator, never an answer-changer.  The warm pass keeps the
-    fastest of a few repetitions (it is pure file reads and noisy at
-    the microsecond scale). *)
+    The warm pass's canonical IR must be byte-identical to the cold
+    pass's — the store must be a pure accelerator, never an
+    answer-changer.  Service timing is perfbench's
+    [service_cpu_ms_per_req]. *)
 
-(** Measure one suite; the scratch store directory is removed on exit. *)
+(** Check one suite; the scratch store directory is removed on exit. *)
 val measure_suite : Workloads.Suite.t -> Metrics.service_row
-
-(** Measure every suite (default: {!Workloads.Registry.all}). *)
-val run : ?suites:Workloads.Suite.t list -> unit -> Metrics.service_row list
 
 (** The frontdoor overload sweep, under the deterministic simulator:
     a broker whose artificial compile stretch fixes the service

@@ -52,8 +52,6 @@ let measure_benchmark ?jobs ~suite (b : Workloads.Suite.benchmark) =
             Metrics.tc_tier = tier;
             tc_peak_cycles = m.Metrics.peak_cycles;
             tc_code_size = m.Metrics.code_size;
-            tc_compile_work = m.Metrics.compile_work;
-            tc_decisions = m.Metrics.duplications;
           })
         measured;
   }

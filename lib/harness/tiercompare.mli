@@ -3,7 +3,7 @@
     the five tiers (off, condelim_dup, dbds, dupalot, backtracking),
     with a cross-[jobs] determinism fingerprint.  See DESIGN.md §16. *)
 
-(** The tier labels and configurations, in report/JSON column order. *)
+(** The tier labels and configurations, in report column order. *)
 val tiers : (string * Dbds.Config.t) list
 
 (** Labels of tiers that duplicate code. *)

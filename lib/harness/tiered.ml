@@ -74,17 +74,13 @@ let measure_benchmark ?(warmup = default_warmup) ?(config = Vm.Engine.config ())
     t_tier0_cycles = t0_stats.Interp.Machine.cycles;
     t_first_cycles = first_stats.Interp.Machine.cycles;
     t_steady_cycles = steady_stats.Interp.Machine.cycles;
-    t_aot_baseline_cycles = aot_baseline.Metrics.peak_cycles;
     t_aot_dbds_cycles = aot_dbds.Metrics.peak_cycles;
     t_promotions = vs.Vm.Vmstats.promotions;
-    t_compiles = vs.Vm.Vmstats.compiles;
     t_deopts = vs.Vm.Vmstats.deopts;
-    t_max_queue_depth = vs.Vm.Vmstats.max_queue_depth;
     t_tier1_share = Vm.Vmstats.tier1_share vs;
-    t_compile_work = vs.Vm.Vmstats.compile_work;
   }
 
-(** One row per suite (its representative first benchmark), as the bench
-    harness reports. *)
+(** One row per suite (its representative first benchmark), as
+    [bin/experiments.exe] reports. *)
 let measure_suite ?warmup ?config (s : Workloads.Suite.t) =
   measure_benchmark ?warmup ?config (List.hd s.Workloads.Suite.benchmarks)

@@ -19,9 +19,6 @@
     owned by exactly one domain the output is byte-identical to the
     sequential run for any [jobs].
 
-    Per-worker busy time is recorded into an optional {!util} so callers
-    (the bench harness) can report scheduler utilization.
-
     Exceptions raised by [f] are captured per item and re-raised in the
     calling domain (the earliest-indexed failure wins), with their
     backtrace preserved.
@@ -32,24 +29,6 @@
     class table) must be read-only. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
-
-(** Scheduler observability: per-worker busy seconds (time spent inside
-    [f]) and the pool's wall-clock elapsed time.  Worker 0 is the
-    calling domain. *)
-type util = {
-  workers : int;
-  busy : float array;  (** seconds inside [f], per worker *)
-  items : int array;  (** items processed, per worker *)
-  elapsed : float;  (** pool wall-clock seconds *)
-}
-
-(** Mean busy fraction across workers, in [0, 1]. *)
-let utilization u =
-  if u.workers = 0 || u.elapsed <= 0.0 then 1.0
-  else
-    Float.min 1.0
-      (Array.fold_left ( +. ) 0.0 u.busy
-      /. (float_of_int u.workers *. u.elapsed))
 
 (* Join every domain, even if some join re-raises a worker's uncaught
    exception; the earliest-spawned failure is re-raised only after all
@@ -67,42 +46,34 @@ let join_all helpers =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let now () = Unix.gettimeofday ()
-
 (* Shared pool body: run [f] over [arr] with [jobs] domains pulling
    positions in [order] (the dispatch schedule) through one atomic
    cursor.  Results land at their original index. *)
-let run_pool ~jobs ~stats f arr order =
+let run_pool ~jobs f arr order =
   let n = Array.length arr in
   let results = Array.make n None in
   let next = Atomic.make 0 in
-  let busy = Array.make jobs 0.0 in
-  let counts = Array.make jobs 0 in
-  let worker w () =
+  let worker () =
     let continue_ = ref true in
     while !continue_ do
       let k = Atomic.fetch_and_add next 1 in
       if k >= n then continue_ := false
       else begin
         let i = order.(k) in
-        let t0 = now () in
         results.(i) <-
           Some
             (try Ok (f arr.(i))
-             with e -> Error (e, Printexc.get_raw_backtrace ()));
-        busy.(w) <- busy.(w) +. (now () -. t0);
-        counts.(w) <- counts.(w) + 1
+             with e -> Error (e, Printexc.get_raw_backtrace ()))
       end
     done
   in
-  let t_start = now () in
   (* Spawn helpers one at a time: if a spawn fails (resource
      exhaustion), the domains already running are joined before the
      error propagates — no orphans draining the cursor unwatched. *)
   let helpers = ref [] in
   (try
-     for w = 1 to jobs - 1 do
-       helpers := Domain.spawn (worker w) :: !helpers
+     for _ = 1 to jobs - 1 do
+       helpers := Domain.spawn worker :: !helpers
      done
    with e ->
      let bt = Printexc.get_raw_backtrace () in
@@ -113,19 +84,13 @@ let run_pool ~jobs ~stats f arr order =
      explicit join-all-then-reraise path below keeps the guarantee
      even for asynchronous exceptions (Out_of_memory, Stack_overflow)
      in the caller's slice. *)
-  (match worker 0 () with
+  (match worker () with
   | () -> ()
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       (try join_all !helpers with _ -> ());
       Printexc.raise_with_backtrace e bt);
   join_all !helpers;
-  (match stats with
-  | Some r ->
-      r :=
-        Some
-          { workers = jobs; busy; items = counts; elapsed = now () -. t_start }
-  | None -> ());
   Array.to_list
     (Array.map
        (function
@@ -136,29 +101,12 @@ let run_pool ~jobs ~stats f arr order =
 
 let identity_order n = Array.init n (fun i -> i)
 
-let sequential_map ~stats f items =
-  match stats with
-  | None -> List.map f items
-  | Some r ->
-      let t0 = now () in
-      let out = List.map f items in
-      let dt = now () -. t0 in
-      r :=
-        Some
-          {
-            workers = 1;
-            busy = [| dt |];
-            items = [| List.length items |];
-            elapsed = dt;
-          };
-      out
-
-let map ?stats ~jobs f items =
+let map ~jobs f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
   let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then sequential_map ~stats f items
-  else run_pool ~jobs ~stats f arr (identity_order n)
+  if jobs <= 1 then List.map f items
+  else run_pool ~jobs f arr (identity_order n)
 
 (** [lpt_order weights] is the longest-processing-time-first dispatch
     schedule: item positions sorted by descending weight, ties broken by
@@ -175,9 +123,9 @@ let lpt_order weights =
 (** Size-aware {!map}: dispatch in descending [weight] order (LPT) so a
     heavyweight item claimed late cannot stretch the makespan.  Same
     determinism guarantees as {!map}. *)
-let map_weighted ?stats ~jobs ~weight f items =
+let map_weighted ~jobs ~weight f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
   let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then sequential_map ~stats f items
-  else run_pool ~jobs ~stats f arr (lpt_order (Array.map weight arr))
+  if jobs <= 1 then List.map f items
+  else run_pool ~jobs f arr (lpt_order (Array.map weight arr))

@@ -17,26 +17,12 @@
 (** [Domain.recommended_domain_count ()]. *)
 val default_jobs : unit -> int
 
-(** Scheduler observability: per-worker busy seconds and pool wall time.
-    Worker 0 is the calling domain. *)
-type util = {
-  workers : int;
-  busy : float array;  (** seconds inside [f], per worker *)
-  items : int array;  (** items processed, per worker *)
-  elapsed : float;  (** pool wall-clock seconds *)
-}
-
-(** Mean busy fraction across workers, in [0, 1]. *)
-val utilization : util -> float
-
-val map :
-  ?stats:util option ref -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [map_weighted ~jobs ~weight f items]: {!map} with
     longest-processing-time-first dispatch by [weight] (ties broken by
     input position, so the schedule is deterministic). *)
 val map_weighted :
-  ?stats:util option ref ->
   jobs:int ->
   weight:('a -> int) ->
   ('a -> 'b) ->

@@ -34,9 +34,6 @@ type ctx = {
       (** contained per-function failures, per crash site (sorted) *)
   mutable pass_stats : (string * pass_stat) list;
       (** per-pass instrumentation, sorted by pass name *)
-  mutable preserve_analyses : bool;
-      (** honor pass preservation contracts (on by default); off =
-          the historical generation-bump-invalidates-everything mode *)
   mutable memo_clean_passes : bool;
       (** skip a pass when it already ran clean at the graph's current
           generation (on by default); the driver turns it off in
@@ -58,7 +55,6 @@ let create ?program () =
     analysis_misses = 0;
     contained = [];
     pass_stats = [];
-    preserve_analyses = true;
     memo_clean_passes = true;
     check_contracts = false;
     post_phase = None;
@@ -187,7 +183,7 @@ let run_pass_now ctx (p : t) g =
   stat.time_s <- stat.time_s +. (Unix.gettimeofday () -. t0);
   stat.size_delta <- stat.size_delta + (Ir.Graph.live_instr_count g - size0);
   if fired then begin
-    if ctx.preserve_analyses && p.preserves <> [] then
+    if p.preserves <> [] then
       Ir.Analyses.preserve g ~since:gen0 p.preserves;
     if ctx.check_contracts then
       List.iter

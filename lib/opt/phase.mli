@@ -28,9 +28,6 @@ type ctx = {
       (** contained per-function failures, per crash site (sorted) *)
   mutable pass_stats : (string * pass_stat) list;
       (** per-pass instrumentation, sorted by pass name *)
-  mutable preserve_analyses : bool;
-      (** honor pass preservation contracts (on by default); off =
-          the historical generation-bump-invalidates-everything mode *)
   mutable memo_clean_passes : bool;
       (** skip a pass that already ran clean at the graph's current
           generation (on by default); turned off for diagnostic runs

@@ -180,6 +180,14 @@ type result = {
 
 let violating r = r.r_violations <> []
 
+(* The one-line rendering CLI sweeps and the pinned experiments output
+   share: trace hash, event count, virtual time, outcome histogram. *)
+let summary r =
+  Printf.sprintf "trace %s, %d events, %.3fs virtual [%s]" r.r_trace_hash
+    r.r_events r.r_vtime
+    (String.concat " "
+       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.r_counts))
+
 (* ---- the request pool and its oracle -------------------------------- *)
 
 type request = { pr_fn : string; pr_ir : string; pr_digest : string }

@@ -43,8 +43,9 @@ let qtest ?(count = 200) name gen prop =
 
 (** Send compile requests for [ir] that the service must refuse rather
     than compile as the mode's default pipeline — an unparseable
-    [passes=] spec, a spec naming an option no pass takes, and a bad
-    fault plan — and check that every reply is [rejected]. *)
+    [passes=] spec, a spec naming an option no pass takes, a bare
+    token, a key this version no longer knows, and a bad fault plan —
+    and check that every reply is [rejected]. *)
 let check_malformed_compiles_rejected ~roundtrip ~ir =
   let config = Dbds.Config.default in
   let line = Dbds.Config.to_line config in
@@ -69,5 +70,7 @@ let check_malformed_compiles_rejected ~roundtrip ~ir =
       ( "passes=fix(pea{max_rounds=2})",
         with_field "config" (line ^ " passes=fix(pea{max_rounds=2})") );
       ("a bare config token", with_field "config" (line ^ " junk"));
+      ( "the removed preserve_analyses key",
+        with_field "config" (line ^ " preserve_analyses=true") );
       ("inject=bogus:1", with_field "inject" "bogus:1");
     ]

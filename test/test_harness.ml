@@ -9,9 +9,8 @@ let mk ~cycles ~size ~work =
     M.peak_cycles = cycles;
     code_size = size;
     compile_work = work;
-    compile_wall_s = 0.0;
+    ir_digest = "";
     duplications = 0;
-    candidates = 0;
     contained = [];
     passes = [];
     analysis_hits = 0;

@@ -156,8 +156,7 @@ let test_digest_ignores_fault_plan () =
   Alcotest.(check string) "the default wire line"
     "mode=dbds benefit_scale=256 size_budget=1.5 max_unit_size=65536 \
      max_iterations=3 iteration_benefit_threshold=20 loop_factor=10 \
-     path_duplication=false max_path_length=3 paranoid=false licm=false \
-     preserve_analyses=true"
+     path_duplication=false max_path_length=3 paranoid=false licm=false"
     (Dbds.Config.to_line Dbds.Config.default);
   (* Every key the line renders parses back, [passes=] included. *)
   let custom =
@@ -205,12 +204,12 @@ let test_digest_pinned () =
         (SD.of_request (SD.request_of_graph ~config g)))
     [
       ("dacapo/avrora main", paper Workloads.Dacapo.suite "avrora" "main",
-        "529745e7e69517a4");
+        "a506d4988111770e");
       ("octane/raytrace main", paper Workloads.Octane.suite "raytrace" "main",
-        "ba91108f81764fc7");
+        "890a09fb7963ffc3");
       ("micro/akkaPP main", paper Workloads.Micro.suite "akkaPP" "main",
-        "baa3f3e94dc8c2bd");
-      ("detached blocks", detached, "c351a3c66ce3c69a");
+        "5e4b3d34ebd708bd");
+      ("detached blocks", detached, "1f514d14ae3f3398");
     ]
 
 (* ------------------------------------------------------------------ *)
