@@ -1,6 +1,7 @@
 (** Parser for the textual IR format produced by {!Printer} — the
-    round-trip partner of [pp_graph].  Lets tests and tools author IR
-    fixtures directly and guards the printer against ambiguity.
+    round-trip partner of {!Printer.graph_to_string}.  Lets tests and
+    tools author IR fixtures directly, guards the printer against
+    ambiguity, and reads the compile service's wire form.
 
     Instruction and block {e numbering} need not be dense: textual ids are
     remapped to fresh arena ids (so a round-trip preserves structure and
@@ -8,6 +9,6 @@
 
 exception Parse_error of string
 
-(** Parse a graph printed by {!Printer.pp_graph}.
+(** Parse a graph printed by {!Printer.graph_to_string}.
     @raise Parse_error on malformed input. *)
 val parse_graph : string -> Graph.t

@@ -1,14 +1,13 @@
-(** Textual dump of IR graphs, for the CLI driver, tests and debugging. *)
+(** Textual dump of IR graphs, for the CLI driver, tests and debugging,
+    and the wire form of the compile service.  {!Parse} reads it back. *)
 
-val pp_value : Format.formatter -> Types.value -> unit
-val pp_kind : Format.formatter -> Types.instr_kind -> unit
-val pp_term : Format.formatter -> Types.terminator -> unit
-
-(** One block: header with predecessors, instructions, terminator. *)
-val pp_block : Graph.t -> Format.formatter -> Types.block_id -> unit
-
-(** Whole graph, reachable blocks in reverse postorder (unreachable ones
-    flagged at the end). *)
-val pp_graph : Format.formatter -> Graph.t -> unit
-
+(** Whole graph: a [fn] header, then the reachable blocks in reverse
+    postorder (each with its predecessors, instructions and terminator),
+    then any detached ones, flagged [; unreachable:]. *)
 val graph_to_string : Graph.t -> string
+
+(** One instruction's right-hand side, as [graph_to_string] writes it. *)
+val pp_kind : Format.formatter -> Types.instr_kind -> unit
+
+(** One terminator, as [graph_to_string] writes it. *)
+val pp_term : Format.formatter -> Types.terminator -> unit

@@ -40,7 +40,10 @@ let fresh_stats () =
 type job = {
   jb_digest : string;
   jb_fn : string;
-  jb_ir : string;  (** canonical IR text *)
+  jb_ir : string;  (** the submitted IR text *)
+  jb_graph : Ir.Graph.t option;
+      (** [jb_ir] parsed, handed over by the digest computation; [None]
+          when the digest came from the memo and the compile parses *)
   jb_config : Dbds.Config.t;
   jb_delay_s : float;  (** artificial compile stretch (test hook) *)
   mutable jb_deadline : float;
@@ -124,7 +127,12 @@ let compile t job =
   | Some e -> Done { ir = e.ar_ir; work = e.ar_work; from_cache = true }
   | None -> (
       if job.jb_delay_s > 0. then t.env.Env.sleep job.jb_delay_s;
-      match Ir.Parse.parse_graph job.jb_ir with
+      let parse () =
+        match job.jb_graph with
+        | Some g -> g
+        | None -> Ir.Parse.parse_graph job.jb_ir
+      in
+      match parse () with
       | exception Ir.Parse.Parse_error msg -> Failed ("parse: " ^ msg)
       | g -> (
           let program = Ir.Program.of_graph g in
@@ -219,14 +227,17 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
    a repeat request costs one table lookup instead of an IR parse and a
    canonical hash.  The digest is a pure function of the key, so an
    entry can never go stale; the table only forgets (oldest first) to
-   stay bounded.  The digest itself is computed outside the lock.
+   stay bounded.  The digest itself is computed outside the lock.  A
+   memo miss parses the text to hash it and returns that graph too, so
+   a cold compile never parses the same text twice.
    @raise Ir.Parse.Parse_error on malformed IR (never memoized). *)
 let digest_of t ~config ~fn ir =
   let key = (fn, Dbds.Config.to_line config, ir) in
   match locked t (fun () -> Hashtbl.find_opt t.digests key) with
-  | Some digest -> digest
+  | Some digest -> (digest, None)
   | None ->
-      let digest = Digest.of_request (Digest.request_of_text ~config ~fn ir) in
+      let g = Ir.Parse.parse_graph ir in
+      let digest = Digest.of_request (Digest.request_of_graph ~fn ~config g) in
       locked t (fun () ->
           if not (Hashtbl.mem t.digests key) then begin
             if Hashtbl.length t.digests >= digest_memo_limit then
@@ -234,14 +245,14 @@ let digest_of t ~config ~fn ir =
             Hashtbl.add t.digests key digest;
             Queue.push key t.digest_order
           end);
-      digest
+      (digest, Some g)
 
 let submit ?deadline_s ?delay_s ~config ~fn ~ir t =
   match digest_of t ~config ~fn ir with
   | exception Ir.Parse.Parse_error msg ->
       locked t (fun () -> t.bstats.requests <- t.bstats.requests + 1);
       Rejected ("parse: " ^ msg)
-  | digest ->
+  | digest, graph ->
       let deadline =
         match deadline_s with
         | None -> infinity
@@ -277,12 +288,14 @@ let submit ?deadline_s ?delay_s ~config ~fn ~ir t =
                     {
                       jb_digest = digest;
                       jb_fn = fn;
-                      (* The submitted text, not a canonical rendering:
-                         the compile parses it and canonicalizes its
-                         output independently, so coalesced requests
-                         that differ only in id numbering still share
-                         one byte-identical result. *)
+                      (* The submitted text and its parse, not a
+                         canonical rendering: the compile optimizes that
+                         parse and canonicalizes its output
+                         independently, so coalesced requests that
+                         differ only in id numbering still share one
+                         byte-identical result. *)
                       jb_ir = ir;
+                      jb_graph = graph;
                       jb_config = config;
                       jb_delay_s = Option.value delay_s ~default:t.delay_s;
                       jb_deadline = deadline;

@@ -35,7 +35,12 @@
     same function misses the memo but still computes the same digest,
     so the memo never splits the cache.  Past 1024 entries the oldest is
     forgotten.  The memo is per broker and guarded by the broker's lock,
-    so runs under the simulator stay deterministic. *)
+    so runs under the simulator stay deterministic.
+
+    {b One parse per cold request.}  A memo miss parses the text to
+    hash it and hands that graph to the job it creates; the worker
+    optimizes it in place.  Only a job created by a memo hit parses the
+    text when it compiles, and only if the store misses. *)
 
 type outcome =
   | Done of { ir : string; work : int; from_cache : bool }

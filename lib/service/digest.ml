@@ -273,9 +273,9 @@ let context_of_program (p : Ir.Program.t) =
   in
   String.concat "\n" (classes @ globals)
 
-let request_of_graph ?(context = "") ~config g =
+let request_of_graph ?(context = "") ?fn ~config g =
   {
-    rq_fn = Ir.Graph.name g;
+    rq_fn = Option.value fn ~default:(Ir.Graph.name g);
     rq_ir_hash = ir_hash_of_graph g;
     rq_context = context;
     rq_config = Dbds.Config.to_line config;
@@ -283,15 +283,8 @@ let request_of_graph ?(context = "") ~config g =
     rq_cost_revision = Costmodel.Cost.revision;
   }
 
-let request_of_text ?(context = "") ~config ~fn text =
-  {
-    rq_fn = fn;
-    rq_ir_hash = ir_hash_of_text text;
-    rq_context = context;
-    rq_config = Dbds.Config.to_line config;
-    rq_spec = resolved_spec config;
-    rq_cost_revision = Costmodel.Cost.revision;
-  }
+let request_of_text ?context ~config ~fn text =
+  request_of_graph ?context ~fn ~config (Ir.Parse.parse_graph text)
 
 (* Length-prefixed framing: a component can never bleed into the next
    (["ab" ^ "c"] vs ["a" ^ "bc"] hash differently). *)

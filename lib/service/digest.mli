@@ -74,9 +74,10 @@ val context_of_program : Ir.Program.t -> string
 
 (** Build the request for one function graph under a configuration (the
     spec is resolved via {!Dbds.Driver.default_spec}).  [context]
-    defaults to [""] — a lone graph with no program facts. *)
+    defaults to [""] — a lone graph with no program facts; [fn] defaults
+    to the graph's own name. *)
 val request_of_graph :
-  ?context:string -> config:Dbds.Config.t -> Ir.Graph.t -> request
+  ?context:string -> ?fn:string -> config:Dbds.Config.t -> Ir.Graph.t -> request
 
 (** As {!request_of_graph}, from printed IR (the wire form).
     @raise Ir.Parse.Parse_error on malformed input. *)

@@ -82,8 +82,12 @@ let test_parse_errors () =
   expect_error "fn f(0 params) entry=b0\nb0:\n  jump b9";
   (* undefined block *)
   expect_error
-    "fn f(0 params) entry=b0\nb0:\n  v0 = const 1\n  v0 = const 2\n  return"
+    "fn f(0 params) entry=b0\nb0:\n  v0 = const 1\n  v0 = const 2\n  return";
   (* duplicate value *)
+  expect_error
+    "fn f(0 params) entry=b0\nb0:\n  v0 = const 1\n\
+    \  branch v0 ? b1 : b2  @x\nb1:\n  return\nb2:\n  return"
+  (* malformed branch probability *)
 
 let test_roundtrip_random_programs () =
   List.iter

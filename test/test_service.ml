@@ -486,6 +486,63 @@ let test_broker_bad_request () =
       | SB.Rejected _ -> ()
       | o -> Alcotest.failf "expected rejection, got %s" (SB.outcome_label o))
 
+(* A malformed branch probability is a parse error like any other: the
+   broker answers [Rejected "parse: ..."] and counts the request. *)
+let test_broker_bad_probability () =
+  let b = SB.create ~workers:1 ~store:None () in
+  Fun.protect
+    ~finally:(fun () -> SB.shutdown b)
+    (fun () ->
+      let ir =
+        "fn f(0 params) entry=b0\nb0:\n  v0 = const 1\n\
+        \  branch v0 ? b1 : b2  @x\nb1:\n  return\nb2:\n  return\n"
+      in
+      (match SB.submit ~config ~fn:"f" ~ir b with
+      | SB.Rejected msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "a parse rejection (%S)" msg)
+            true
+            (String.starts_with ~prefix:"parse: " msg)
+      | o -> Alcotest.failf "expected rejection, got %s" (SB.outcome_label o));
+      Alcotest.(check int) "the request counted" 1 (SB.stats b).SB.requests)
+
+(* A cold request compiles the graph its digest computation parsed; a
+   job created by a digest-memo hit parses the text again.  Both paths,
+   and a renumbered copy coalesced onto the first job, must answer the
+   bytes an in-process compile canonicalizes. *)
+let test_broker_handoff_matches_fallback () =
+  let ir = ir_of_fn trio "main" in
+  let expected =
+    let g = Ir.Parse.parse_graph ir in
+    let program = Ir.Program.of_graph g in
+    ignore
+      (Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1
+         program);
+    SD.canonical_of_graph
+      (Option.value (Ir.Program.find_function program "main") ~default:g)
+  in
+  let b = SB.create ~workers:1 ~store:None () in
+  Fun.protect
+    ~finally:(fun () -> SB.shutdown b)
+    (fun () ->
+      let reply what = function
+        | SB.Done { ir; from_cache = false; _ } ->
+            Alcotest.(check string) what expected ir
+        | o -> Alcotest.failf "%s: unexpected outcome %s" what (SB.outcome_label o)
+      in
+      (* The first job is stretched so the renumbered copy joins it. *)
+      let first =
+        Domain.spawn (fun () -> SB.submit ~delay_s:0.3 ~config ~fn:"main" ~ir b)
+      in
+      Unix.sleepf 0.1;
+      let renumbered = SB.submit ~config ~fn:"main" ~ir:(renumber ir) b in
+      reply "handed-over graph" (Domain.join first);
+      reply "coalesced renumbered copy" renumbered;
+      reply "memo hit parses again" (SB.submit ~config ~fn:"main" ~ir b);
+      let s = SB.stats b in
+      Alcotest.(check int) "two compiles" 2 s.SB.compiles;
+      Alcotest.(check int) "one coalesced" 1 s.SB.coalesced)
+
 (* Arm [plan] for every domain at once: broker workers are domains, and
    the fault registry is domain-local by default.  One hit counter then
    spans every request [f] submits. *)
@@ -757,6 +814,10 @@ let suite =
     test "broker: full queue sheds" test_broker_backpressure;
     test "broker: expired deadline" test_broker_deadline;
     test "broker: malformed request rejected" test_broker_bad_request;
+    test "broker: malformed probability rejected and counted"
+      test_broker_bad_probability;
+    test "broker: handed-over graph matches the re-parse"
+      test_broker_handoff_matches_fallback;
     test "broker: memo hits never touch the disk"
       test_broker_memo_hits_skip_disk;
     test "broker: a renumbered copy shares the artifact"
