@@ -35,7 +35,7 @@ type service_opts = {
   svc_stats : bool;  (** fetch and print server statistics *)
   svc_shutdown : bool;  (** ask the server to shut down *)
   queue_limit : int;  (** server admission-queue bound *)
-  workers : int;  (** server compile domains *)
+  workers : int;  (** server compile workers and dispatchers *)
   tenant : string option;  (** quota account presented by the client *)
   lane : string option;  (** client priority lane (interactive/batch) *)
   binary : bool;  (** negotiate the compact binary framing *)
@@ -1136,8 +1136,11 @@ let service_workers_arg =
     value & opt int 2
     & info [ "service-workers" ] ~docv:"N"
         ~doc:
-          "With $(b,--serve): number of compile worker domains, and of \
-           the front door's dispatcher threads.")
+          "With $(b,--serve): number of compile workers, each a domain \
+           of its own, and of the front door's dispatchers, system \
+           threads of the event loop's domain that wait on the disk, \
+           peers and compiles.  A request answered from memory never \
+           leaves the event loop.")
 
 let frontdoor_arg =
   Arg.(

@@ -10,8 +10,8 @@
 
     Hit counting is {e per function}: the registry is armed by the
     driver around each function's pipeline ({!armed}) and counts hits in
-    domain-local state.  Because every function is optimized by exactly
-    one domain and its pipeline is sequential, the [nth] hit of a site
+    thread-local state.  Because every function is optimized by exactly
+    one thread and its pipeline is sequential, the [nth] hit of a site
     within a function is a deterministic point — independent of how many
     worker domains run and of scheduling.  The same plan therefore
     crashes the same functions at the same instruction under [jobs:1]
@@ -175,35 +175,54 @@ let of_string s =
            "cannot parse fault plan %S (expected site:hit[:fn] or seed:N)" s)
 
 (* ------------------------------------------------------------------ *)
-(* Arming and hit counting (domain-local)                              *)
+(* Arming and hit counting (thread-local)                              *)
 (* ------------------------------------------------------------------ *)
 
 type armed_state = { plan : plan; mutable count : int }
 
-let state_key : armed_state option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* The armed states of the domain's system threads, by thread id —
+   empty unless some thread is armed, so an unarmed [hit] costs one
+   domain-local read. *)
+let state_key : (int * armed_state) list Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> [])
+
+(* A domain's threads interleave at allocation points, so the
+   read-modify-write of the list is serialized; readers see a whole
+   list either way. *)
+let state_mx = Mutex.create ()
 
 (* Where the registry keeps its armed state.  The default is
-   domain-local storage — every function is optimized by exactly one
-   domain, so the [nth] hit of a site within a function is
-   scheduling-independent.  The whole-system simulator runs many
-   logical tasks as fibers inside ONE domain; it swaps in a
-   fiber-local provider so arming in one task cannot leak into an
-   interleaved task (see {!set_state_provider}). *)
+   thread-local storage — every function is optimized by exactly one
+   thread, so the [nth] hit of a site within a function is
+   scheduling-independent, and a thread waiting beside a compile (a
+   service dispatcher, say) never sees another thread's arming.  The
+   whole-system simulator runs many logical tasks as fibers inside ONE
+   thread; it swaps in a fiber-local provider so arming in one task
+   cannot leak into an interleaved task (see {!set_state_provider}). *)
 type state_provider = {
   sp_get : unit -> armed_state option;
   sp_set : armed_state option -> unit;
 }
 
-let dls_provider =
+let thread_provider =
   {
-    sp_get = (fun () -> Domain.DLS.get state_key);
-    sp_set = (fun v -> Domain.DLS.set state_key v);
+    sp_get =
+      (fun () ->
+        match Domain.DLS.get state_key with
+        | [] -> None
+        | states -> List.assoc_opt (Thread.id (Thread.self ())) states);
+    sp_set =
+      (fun v ->
+        let id = Thread.id (Thread.self ()) in
+        Mutex.protect state_mx (fun () ->
+            let others = List.remove_assoc id (Domain.DLS.get state_key) in
+            Domain.DLS.set state_key
+              (match v with None -> others | Some st -> (id, st) :: others)));
   }
 
-let provider = ref dls_provider
+let provider = ref thread_provider
 let set_state_provider ~get ~set = provider := { sp_get = get; sp_set = set }
-let default_state_provider () = provider := dls_provider
+let default_state_provider () = provider := thread_provider
 let get_state () = !provider.sp_get ()
 let set_state v = !provider.sp_set v
 

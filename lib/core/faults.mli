@@ -3,7 +3,7 @@
     A fault plan [(seed, site, nth-hit)] arms one named site: the [nth]
     time it executes inside a matching function's per-function pipeline,
     {!Injected} is raised.  Hits are counted per function in
-    domain-local state, so the crash point is deterministic for any
+    thread-local state, so the crash point is deterministic for any
     [jobs] value — the foundation for reproducible containment and
     replayable crash bundles.  See {!Config.t.fault_plan} for threading
     a plan through the driver and [dbdsc --inject] / [DBDS_FAULTS] for
@@ -84,12 +84,12 @@ val hit : site -> unit
 type armed_state
 
 (** Replace where the registry keeps its armed state.  By default it
-    lives in domain-local storage; the whole-system simulator runs many
+    is local to the system thread; the whole-system simulator runs many
     logical tasks as cooperative fibers inside one domain, so it
     installs fiber-local storage here to keep arming from leaking
     between interleaved tasks. *)
 val set_state_provider :
   get:(unit -> armed_state option) -> set:(armed_state option -> unit) -> unit
 
-(** Restore the default (domain-local) state provider. *)
+(** Restore the default (thread-local) state provider. *)
 val default_state_provider : unit -> unit

@@ -70,6 +70,8 @@ type t = {
       (** request-digest memo: (fn, config line, IR text) -> digest *)
   digest_order : (string * string * string) Queue.t;
       (** the memo's keys, oldest first *)
+  last_line : (Dbds.Config.t * string) Atomic.t;
+      (** the last config the memo keyed on, and its line *)
   bstats : stats;
   mutable shutting_down : bool;
   mutable workers : Env.thread list;
@@ -101,16 +103,16 @@ let complete t job outcome =
 
 let armed config ~fn f = Dbds.Faults.armed config.Dbds.Config.fault_plan ~fn f
 
-(* The store's one lookup chain resolves parsed memo → local disk →
-   peer fetch, parse-validating on first read; only a miss through all
-   three falls to the cold compile below. *)
-let store_lookup t job =
+(* The store half of the lookup chain, armed with the request's fault
+   plan: parsed memo → local disk → peer fetch, parse-validating on
+   first read.  [memory_only] stops after the memo. *)
+let store_lookup t ~memory_only ~config ~fn ~digest =
   match t.bstore with
   | None -> None
   | Some s -> (
       try
-        armed job.jb_config ~fn:job.jb_fn (fun () ->
-            Option.map fst (Store.lookup s ~digest:job.jb_digest))
+        armed config ~fn (fun () ->
+            Option.map fst (Store.lookup ~memory_only s ~digest))
       with _ -> None)
 
 let store_publish t job ~ir ~work =
@@ -122,48 +124,43 @@ let store_publish t job ~ir ~work =
             Store.put s ~digest:job.jb_digest ~fn:job.jb_fn ~ir ~work)
       with _ -> ())
 
+(* A queued job is a store miss: the submitter ran the lookup chain
+   before queueing it. *)
 let compile t job =
-  match store_lookup t job with
-  | Some e -> Done { ir = e.ar_ir; work = e.ar_work; from_cache = true }
-  | None -> (
-      if job.jb_delay_s > 0. then t.env.Env.sleep job.jb_delay_s;
-      let parse () =
-        match job.jb_graph with
-        | Some g -> g
-        | None -> Ir.Parse.parse_graph job.jb_ir
+  if job.jb_delay_s > 0. then t.env.Env.sleep job.jb_delay_s;
+  let parse () =
+    match job.jb_graph with
+    | Some g -> g
+    | None -> Ir.Parse.parse_graph job.jb_ir
+  in
+  match parse () with
+  | exception Ir.Parse.Parse_error msg -> Failed ("parse: " ^ msg)
+  | g -> (
+      let program = Ir.Program.of_graph g in
+      let config =
+        { job.jb_config with Dbds.Config.containment = true; bundle_dir = None }
       in
-      match parse () with
-      | exception Ir.Parse.Parse_error msg -> Failed ("parse: " ^ msg)
-      | g -> (
-          let program = Ir.Program.of_graph g in
-          let config =
-            {
-              job.jb_config with
-              Dbds.Config.containment = true;
-              bundle_dir = None;
-            }
-          in
-          match
-            Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1
-              program
-          with
-          | exception exn -> Failed (Printexc.to_string exn)
-          | report -> (
-              match report.Dbds.Driver.rep_failures with
-              | f :: _ ->
-                  Failed
-                    (Printf.sprintf "%s: %s" f.Dbds.Driver.fail_site
-                       f.Dbds.Driver.fail_exn)
-              | [] ->
-                  let body =
-                    Option.value
-                      (Ir.Program.find_function program job.jb_fn)
-                      ~default:g
-                  in
-                  let ir = Digest.canonical_of_graph body in
-                  let work = report.Dbds.Driver.rep_ctx.Opt.Phase.work in
-                  store_publish t job ~ir ~work;
-                  Done { ir; work; from_cache = false })))
+      match
+        Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1
+          program
+      with
+      | exception exn -> Failed (Printexc.to_string exn)
+      | report -> (
+          match report.Dbds.Driver.rep_failures with
+          | f :: _ ->
+              Failed
+                (Printf.sprintf "%s: %s" f.Dbds.Driver.fail_site
+                   f.Dbds.Driver.fail_exn)
+          | [] ->
+              let body =
+                Option.value
+                  (Ir.Program.find_function program job.jb_fn)
+                  ~default:g
+              in
+              let ir = Digest.canonical_of_graph body in
+              let work = report.Dbds.Driver.rep_ctx.Opt.Phase.work in
+              store_publish t job ~ir ~work;
+              Done { ir; work; from_cache = false }))
 
 (* ---- workers --------------------------------------------------------- *)
 
@@ -210,6 +207,9 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
       queue = Queue.create ();
       inflight = Hashtbl.create 64;
       digests = Hashtbl.create 64;
+      last_line =
+        Atomic.make
+          (Dbds.Config.default, Dbds.Config.to_line Dbds.Config.default);
       digest_order = Queue.create ();
       bstats = fresh_stats ();
       shutting_down = false;
@@ -218,7 +218,8 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
   in
   t.workers <-
     List.init (max 1 workers) (fun i ->
-        env.Env.spawn (Printf.sprintf "broker-worker-%d" i) (fun () -> worker t));
+        env.Env.spawn_compute (Printf.sprintf "broker-worker-%d" i) (fun () ->
+            worker t));
   t
 
 (* ---- submission ------------------------------------------------------ *)
@@ -229,12 +230,25 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
    entry can never go stale; the table only forgets (oldest first) to
    stay bounded.  The digest itself is computed outside the lock.  A
    memo miss parses the text to hash it and returns that graph too, so
-   a cold compile never parses the same text twice.
+   a cold compile never parses the same text twice; with [memory_only]
+   it returns [None] instead.
    @raise Ir.Parse.Parse_error on malformed IR (never memoized). *)
-let digest_of t ~config ~fn ir =
-  let key = (fn, Dbds.Config.to_line config, ir) in
+let digest_of t ~memory_only ~config ~fn ir =
+  (* Rendering the line costs more than the rest of a warm request;
+     the front door hands every request with the same line the same
+     config ({!Protocol.compile_config}), so the last one is kept. *)
+  let line =
+    match Atomic.get t.last_line with
+    | c, line when c == config -> line
+    | _ ->
+        let line = Dbds.Config.to_line config in
+        Atomic.set t.last_line (config, line);
+        line
+  in
+  let key = (fn, line, ir) in
   match locked t (fun () -> Hashtbl.find_opt t.digests key) with
-  | Some digest -> (digest, None)
+  | Some digest -> Some (digest, None)
+  | None when memory_only -> None
   | None ->
       let g = Ir.Parse.parse_graph ir in
       let digest = Digest.of_request (Digest.request_of_graph ~fn ~config g) in
@@ -245,69 +259,137 @@ let digest_of t ~config ~fn ir =
             Hashtbl.add t.digests key digest;
             Queue.push key t.digest_order
           end);
-      (digest, Some g)
+      Some (digest, Some g)
 
-let submit ?deadline_s ?delay_s ~config ~fn ~ir t =
-  match digest_of t ~config ~fn ir with
+let rec await t job =
+  match job.jb_outcome with
+  | Some o -> o
+  | None ->
+      t.job_done.Env.wait ();
+      await t job
+
+(* The refusals every submission checks before any lookup; a refused
+   request is counted here. *)
+let refusal t ~deadline =
+  locked t (fun () ->
+      if t.shutting_down then begin
+        t.bstats.requests <- t.bstats.requests + 1;
+        Some (Rejected "broker is shutting down")
+      end
+      else if deadline <= t.env.Env.mono () then begin
+        t.bstats.requests <- t.bstats.requests + 1;
+        t.bstats.timeouts <- t.bstats.timeouts + 1;
+        Some Timed_out
+      end
+      else None)
+
+(* Queue a job whose store lookup missed, or refuse it; whoever
+   coalesced onto it meanwhile shares the refusal.  Call under the
+   lock. *)
+let enqueue t job =
+  if t.shutting_down then begin
+    complete t job (Rejected "broker is shutting down");
+    Rejected "broker is shutting down"
+  end
+  else if Queue.length t.queue >= t.queue_limit then begin
+    t.bstats.shed <- t.bstats.shed + 1;
+    complete t job Shed;
+    Shed
+  end
+  else begin
+    Queue.push job t.queue;
+    t.work_ready.Env.broadcast ();
+    await t job
+  end
+
+(* The one request path: digest → refusals → store memo → (coalesce or
+   register a job) → store disk and peers → queue for a compile worker.
+   Everything before the queue runs on the calling thread.
+   [memory_only] is the chain's prefix up to the store memo: it answers
+   only what is already in memory (the digest memo and the store's
+   parsed memo) and returns [None] — having counted nothing — where the
+   full chain would go on to parse, read disk, fetch, coalesce or
+   compile. *)
+let chain ~memory_only ?deadline_s ?delay_s ~config ~fn ~ir t =
+  let counted f =
+    locked t (fun () ->
+        t.bstats.requests <- t.bstats.requests + 1;
+        f ())
+  in
+  let hit (e : Store.entry) =
+    Done { ir = e.ar_ir; work = e.ar_work; from_cache = true }
+  in
+  match digest_of t ~memory_only ~config ~fn ir with
   | exception Ir.Parse.Parse_error msg ->
-      locked t (fun () -> t.bstats.requests <- t.bstats.requests + 1);
-      Rejected ("parse: " ^ msg)
-  | digest, graph ->
+      Some (counted (fun () -> Rejected ("parse: " ^ msg)))
+  | None -> None
+  | Some (digest, graph) -> (
       let deadline =
         match deadline_s with
         | None -> infinity
         | Some d -> t.env.Env.mono () +. d
       in
-      locked t (fun () ->
-          t.bstats.requests <- t.bstats.requests + 1;
-          if t.shutting_down then Rejected "broker is shutting down"
-          else if deadline <= t.env.Env.mono () then begin
-            t.bstats.timeouts <- t.bstats.timeouts + 1;
-            Timed_out
-          end
-          else begin
-            let rec await job =
-              match job.jb_outcome with
-              | Some o -> o
-              | None ->
-                  t.job_done.Env.wait ();
-                  await job
-            in
-            match Hashtbl.find_opt t.inflight digest with
-            | Some job ->
-                t.bstats.coalesced <- t.bstats.coalesced + 1;
-                job.jb_deadline <- Float.max job.jb_deadline deadline;
-                await job
-            | None ->
-                if Queue.length t.queue >= t.queue_limit then begin
-                  t.bstats.shed <- t.bstats.shed + 1;
-                  Shed
-                end
-                else begin
-                  let job =
-                    {
-                      jb_digest = digest;
-                      jb_fn = fn;
-                      (* The submitted text and its parse, not a
-                         canonical rendering: the compile optimizes that
-                         parse and canonicalizes its output
-                         independently, so coalesced requests that
-                         differ only in id numbering still share one
-                         byte-identical result. *)
-                      jb_ir = ir;
-                      jb_graph = graph;
-                      jb_config = config;
-                      jb_delay_s = Option.value delay_s ~default:t.delay_s;
-                      jb_deadline = deadline;
-                      jb_outcome = None;
-                    }
-                  in
-                  Hashtbl.replace t.inflight digest job;
-                  Queue.push job t.queue;
-                  t.work_ready.Env.broadcast ();
-                  await job
-                end
-          end)
+      match refusal t ~deadline with
+      | Some _ as refused -> refused
+      | None -> (
+          match store_lookup t ~memory_only:true ~config ~fn ~digest with
+          | Some e ->
+              Some
+                (counted (fun () ->
+                     t.bstats.cache_hits <- t.bstats.cache_hits + 1;
+                     hit e))
+          | None when memory_only -> None
+          | None -> (
+              let joined =
+                counted (fun () ->
+                    match Hashtbl.find_opt t.inflight digest with
+                    | Some job ->
+                        t.bstats.coalesced <- t.bstats.coalesced + 1;
+                        job.jb_deadline <- Float.max job.jb_deadline deadline;
+                        `Coalesced job
+                    | None ->
+                        let job =
+                          {
+                            jb_digest = digest;
+                            jb_fn = fn;
+                            (* The submitted text and its parse, not a
+                               canonical rendering: the compile
+                               optimizes that parse and canonicalizes
+                               its output independently, so coalesced
+                               requests that differ only in id numbering
+                               still share one byte-identical result. *)
+                            jb_ir = ir;
+                            jb_graph = graph;
+                            jb_config = config;
+                            jb_delay_s =
+                              Option.value delay_s ~default:t.delay_s;
+                            jb_deadline = deadline;
+                            jb_outcome = None;
+                          }
+                        in
+                        (* Registered before the disk read, so identical
+                           requests coalesce onto it instead of reading
+                           the disk again. *)
+                        Hashtbl.replace t.inflight digest job;
+                        `Registered job)
+              in
+              match joined with
+              | `Coalesced job -> Some (locked t (fun () -> await t job))
+              | `Registered job -> (
+                  match
+                    store_lookup t ~memory_only:false ~config ~fn ~digest
+                  with
+                  | Some e ->
+                      let o = hit e in
+                      locked t (fun () -> complete t job o);
+                      Some o
+                  | None -> Some (locked t (fun () -> enqueue t job))))))
+
+let submit ?deadline_s ?delay_s ~config ~fn ~ir t =
+  Option.get (chain ~memory_only:false ?deadline_s ?delay_s ~config ~fn ~ir t)
+
+let submit_in_memory ?deadline_s ~config ~fn ~ir t =
+  chain ~memory_only:true ?deadline_s ~config ~fn ~ir t
 
 let shutdown t =
   let workers =

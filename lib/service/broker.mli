@@ -1,17 +1,27 @@
-(** The in-process compilation broker: worker domains, in-flight
+(** The in-process compilation broker: compile worker domains, in-flight
     coalescing, bounded admission and deadlines.
 
     Callers {!submit} one function's IR under a configuration and block
-    until an outcome is available.  Three service disciplines:
+    until an outcome is available.  A request goes down one chain:
+    its digest (memoized, below) → the shutdown and deadline refusals
+    → the store's parsed memo → coalesce
+    onto an in-flight job or register one → the store's disk and peers
+    ({!Store.lookup}) → the worker queue.  Everything up to the queue
+    runs on the calling thread, so the queue holds only cold compiles
+    and a store hit never waits behind one.  {!submit_in_memory} is the
+    chain's prefix up to the store's memo, for an event loop.
+
+    Three service disciplines:
 
     - {e coalescing}: requests are keyed by content digest; while a
       digest is in flight (queued or compiling), further requests for it
       do not enqueue new work — they wait on the same job and share its
       outcome.  N concurrent identical requests cost one compile.
-    - {e backpressure}: the admission queue is bounded; a request that
-      finds it full is {e shed} immediately ([Shed]) rather than queued
-      — the caller can retry, the broker never builds unbounded backlog.
-      Coalescing waiters don't occupy queue slots.
+    - {e backpressure}: the admission queue is bounded; a store miss
+      that finds it full is {e shed} immediately ([Shed]) rather than
+      queued — the caller can retry, the broker never builds unbounded
+      backlog.  Coalescing waiters don't occupy queue slots; store hits
+      never touch the queue.
     - {e deadlines}: a request may carry a relative deadline.  An
       already-expired deadline is rejected at admission; a job whose
       interested deadlines have all passed by the time a worker picks it
@@ -23,9 +33,9 @@
 
     Compiles run through {!Dbds.Driver.optimize_program_report} with
     containment forced on, so a crashing pipeline costs one request
-    ([Failed]), never the broker.  With a {!Store} attached, workers
-    check it ({!Store.lookup}) before compiling and publish after, so
-    outcomes survive the process.
+    ([Failed]), never the broker.  With a {!Store} attached, submitters
+    check it ({!Store.lookup}) before queueing and workers publish
+    after compiling, so outcomes survive the process.
 
     {b Request-digest memo.}  Each broker remembers the content digest
     of the last 1024 distinct requests, keyed on the exact
@@ -69,9 +79,10 @@ type t
     [delay_s] artificially stretches every real (non-cache) compile —
     a test hook that makes request overlap, and therefore coalescing,
     deterministic for the protocol smoke tests.  [env] supplies clock,
-    thread and lock capabilities (default {!Env.real}, which spawns
-    real domains); under simulation the workers become cooperative
-    fibers.  Deadlines are measured on [env]'s {e monotonic} clock, so
+    thread and lock capabilities (default {!Env.real}); the workers are
+    its compute threads ({!Env.t.spawn_compute} — real domains), which
+    under simulation become cooperative fibers.  Deadlines are measured
+    on [env]'s {e monotonic} clock, so
     a wall-clock (NTP) step can neither expire nor immortalize queued
     jobs. *)
 val create :
@@ -90,7 +101,7 @@ val stats : t -> stats
     text (any id numbering); [deadline_s] is relative seconds from now
     (default: none); [delay_s] overrides the broker's compile stretch
     for this request's job (test hook — a coalesced request inherits the
-    job's existing delay).  Safe to call from many domains
+    job's existing delay).  Safe to call from many threads and domains
     concurrently. *)
 val submit :
   ?deadline_s:float ->
@@ -100,6 +111,20 @@ val submit :
   ir:string ->
   t ->
   outcome
+
+(** The in-memory prefix of {!submit}'s chain: [Some] outcome when the
+    request's digest is in the digest memo and its artifact in the
+    store's parsed memo, with exactly the accounting {!submit} would
+    do; [None] — having counted nothing — when answering needs a parse,
+    the disk, a peer or a compile.  Never blocks on IO, so an event loop
+    may call it. *)
+val submit_in_memory :
+  ?deadline_s:float ->
+  config:Dbds.Config.t ->
+  fn:string ->
+  ir:string ->
+  t ->
+  outcome option
 
 (** Stop accepting work, fail queued jobs ([Rejected]), finish the jobs
     already compiling, and join the workers.  Idempotent. *)

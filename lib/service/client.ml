@@ -259,7 +259,17 @@ module Router = struct
 
   let create ?(env = Env.real) ?(connect_deadline_s = 1.0)
       ?(io_deadline_s = Float.infinity) ~coord () =
-    match fetch_view ~env ~deadline_s:connect_deadline_s ~sock:coord () with
+    let give_up = env.Env.mono () +. connect_deadline_s in
+    (* A fleet still starting up has a coordinator but no node yet:
+       wait for the first join, within the same deadline. *)
+    let rec first_view () =
+      match fetch_view ~env ~deadline_s:connect_deadline_s ~sock:coord () with
+      | Ok { Member.v_nodes = []; _ } when env.Env.mono () < give_up ->
+          env.Env.sleep 0.02;
+          first_view ()
+      | v -> v
+    in
+    match first_view () with
     | Ok v ->
         make env (Some coord) v ~connect_deadline_s ~io_deadline_s
     | Error e -> failwith ("Router.create: " ^ e)

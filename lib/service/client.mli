@@ -122,7 +122,8 @@ module Router : sig
     unit ->
     (Member.view, string) result
 
-  (** Build a router against a coordinator (fetches the initial view;
+  (** Build a router against a coordinator (fetches the initial view,
+      waiting for a fleet that has no node yet to get its first one;
       raises [Failure] when the coordinator is unreachable within
       [connect_deadline_s]).  [connect_deadline_s] also bounds each
       per-node connect during failover (default 1s); [io_deadline_s]

@@ -72,6 +72,7 @@ type t = {
   rand_int : int -> int;
   pid : int;
   spawn : string -> (unit -> unit) -> thread;
+  spawn_compute : string -> (unit -> unit) -> thread;
   mutex : unit -> mutex;
   listen : string -> listener;
   connect : string -> conn;
@@ -411,6 +412,19 @@ let real =
     rand_int = real_rand;
     pid = Unix.getpid ();
     spawn =
+      (fun _name f ->
+        (* [join] re-raises what escaped [f], as [Domain.join] does. *)
+        let escaped = ref None in
+        let th =
+          Thread.create (fun () -> try f () with e -> escaped := Some e) ()
+        in
+        {
+          join =
+            (fun () ->
+              Thread.join th;
+              Option.iter raise !escaped);
+        });
+    spawn_compute =
       (fun _name f ->
         let d = Domain.spawn f in
         { join = (fun () -> Domain.join d) });

@@ -3,8 +3,8 @@
     transport, disk) goes through this record.
 
     Two implementations exist: {!real}, which maps each capability to
-    the obvious [Unix]/[Sys]/[Domain] primitive and preserves the
-    pre-seam behavior byte-for-byte; and the whole-system simulator's
+    the obvious [Unix]/[Sys]/[Thread]/[Domain] primitive and preserves
+    the pre-seam behavior byte-for-byte; and the whole-system simulator's
     ([Simtest.Simio]), where the same record is backed by a virtual
     clock, an in-memory network, and a simulated disk, all driven by
     one seeded single-threaded scheduler.  Service code cannot tell
@@ -98,7 +98,12 @@ type t = {
           simulation *)
   pid : int;
   spawn : string -> (unit -> unit) -> thread;
-      (** [spawn name f] — [name] labels the task in simulator traces *)
+      (** [spawn name f] runs [f] on a thread that mostly waits — on a
+          lock, a socket or a timer — and shares its caller's core;
+          [name] labels the task in simulator traces *)
+  spawn_compute : string -> (unit -> unit) -> thread;
+      (** Like [spawn], for a thread that computes (a broker's compile
+          worker): it gets a core of its own *)
   mutex : unit -> mutex;
   listen : string -> listener;  (** bind + listen on a socket path *)
   connect : string -> conn;
@@ -114,8 +119,11 @@ type t = {
 }
 
 (** The production environment: real clocks, [Unix] sockets, the real
-    filesystem, [Domain]-based threads.  [mono] is the wall clock
-    clamped to never decrease (the toolchain here lacks
+    filesystem.  [spawn] starts a system thread of the caller's domain,
+    [spawn_compute] a [Domain] — so a server's only extra domains are
+    its compile workers, and a thread that only waits never joins a
+    stop-the-world collection as a domain of its own.  [mono] is the
+    wall clock clamped to never decrease (the toolchain here lacks
     [Unix.clock_gettime]); that is enough to keep an NTP step from
     expiring or immortalizing queued jobs.  The poller is a [select]
     over the registered descriptors plus a self-pipe for [wake]. *)

@@ -240,7 +240,8 @@ let answer_rebalance n m =
 (* Membership heartbeat: join the coordinator, then beat every
    [fl_beat_s].  A beat answered "unknown" (we were swept out as
    crashed — e.g. healed from a partition) falls back to a re-join; an
-   unreachable coordinator is retried forever.  A beat carrying a newer
+   unreachable coordinator is retried forever, every quarter beat until
+   the join succeeds.  A beat carrying a newer
    epoch than our view pulls the fresh view (the rebalance push may
    have been lost to the same partition that made us stale). *)
 let heartbeat n =
@@ -290,7 +291,9 @@ let heartbeat n =
               ~finally:(fun () -> Client.close c)
               (fun () -> if joined then beat c else join c)
       in
-      env.Env.sleep fl.fl_beat_s;
+      (* A node outside the fleet asks again soon: until it joins, no
+         router can send it anything. *)
+      env.Env.sleep (if joined then fl.fl_beat_s else fl.fl_beat_s /. 4.);
       loop joined
     end
   in

@@ -172,11 +172,15 @@ type tenant = {
 
 type codec = Text | Binary
 
+(* One request's place in its connection's reply sequence: the codec
+   the request arrived in, and its rendered reply once there is one. *)
+type slot = { s_codec : codec; mutable s_reply : string option }
+
 (* One connection's state machine: incremental read buffer (unparsed
-   inbound bytes), pending out-bytes, and the count of admitted
-   requests whose replies are still owed.  Only the event loop touches
-   a cstate; dispatchers reference one solely as a completion
-   address. *)
+   inbound bytes), pending out-bytes, and the reply sequence — one slot
+   per request whose reply has not yet moved to the out-bytes, in
+   request order.  Only the event loop touches a cstate; dispatchers
+   reference one solely as a completion address. *)
 type cstate = {
   c_conn : Env.conn;
   c_rbuf : Buffer.t;
@@ -184,7 +188,7 @@ type cstate = {
   mutable c_codec : codec;
   mutable c_tenant : tenant;
   mutable c_lane : Lanes.lane;
-  mutable c_inflight : int;
+  c_replies : slot Queue.t;
   mutable c_closing : bool;  (** no more input; close once drained *)
   mutable c_err : bool;  (** stream desynchronized; stop parsing *)
   mutable c_dead : bool;
@@ -194,6 +198,7 @@ type kind = Compile | Lookup | Rebalance of Fleet.node
 
 type job = {
   jb_cs : cstate;
+  jb_slot : slot;
   jb_kind : kind;
   jb_msg : Protocol.message;
   jb_tenant : tenant;
@@ -214,7 +219,7 @@ type t = {
   mx : Env.mutex;
   job_cond : Env.cond;
   lanes : job Lanes.t;
-  comps : (cstate * Protocol.message) Queue.t;
+  comps : (job * Protocol.message) Queue.t;
   tenants : (string, tenant) Hashtbl.t;
   stats : stats;
   mutable fleet : Fleet.node option;
@@ -270,16 +275,36 @@ let flush_out cs =
     | n -> cs.c_out <- String.sub cs.c_out n (String.length cs.c_out - n)
     | exception Env.Net _ -> mark_dead cs
 
-let enqueue_out cs m =
-  if not cs.c_dead then begin
-    let s =
-      match cs.c_codec with
-      | Text -> Protocol.render m
-      | Binary -> Protocol.render_binary m
-    in
-    cs.c_out <- cs.c_out ^ s;
-    flush_out cs
-  end
+(* The next place in [cs]'s reply sequence. *)
+let reserve cs =
+  let slot = { s_codec = cs.c_codec; s_reply = None } in
+  Queue.push slot cs.c_replies;
+  slot
+
+(* Fill [slot] with its reply, then move every reply now ready at the
+   head of the sequence to the out-bytes: replies leave in request
+   order, however their requests were answered. *)
+let fill cs slot m =
+  slot.s_reply <-
+    Some
+      (if cs.c_dead then ""
+       else
+         match slot.s_codec with
+         | Text -> Protocol.render m
+         | Binary -> Protocol.render_binary m);
+  let rec drain () =
+    match Queue.peek_opt cs.c_replies with
+    | Some { s_reply = Some r; _ } ->
+        ignore (Queue.pop cs.c_replies);
+        if not cs.c_dead then cs.c_out <- cs.c_out ^ r;
+        drain ()
+    | _ -> ()
+  in
+  drain ();
+  flush_out cs
+
+(* Answer a request on the spot. *)
+let reply cs m = fill cs (reserve cs) m
 
 (* ---- request handling ------------------------------------------------- *)
 
@@ -341,7 +366,7 @@ let handle_hello fd cs m =
   let binary = Protocol.field m "framing" = Some "binary" in
   (* The confirmation travels in the codec the hello arrived in; only
      messages after it switch. *)
-  enqueue_out cs
+  reply cs
     (Protocol.ok
        [
          ("framing", if binary then "binary" else "text");
@@ -350,55 +375,148 @@ let handle_hello fd cs m =
        ]);
   if binary then cs.c_codec <- Binary
 
-(* Queue a request for the dispatchers.  [debit:false] skips the
-   tenant quota (the coordinator's [rebalance] is fleet control, not
-   tenant load); the lane bound still applies. *)
+let internal_error e =
+  Protocol.rejected ("internal error: " ^ Printexc.to_string e)
+
+(* An admitted request's reply.  [memory_only] is the event loop's
+   call: it answers only what needs no blocking — a compile whose
+   result is already in memory ({!Broker.submit_in_memory}), a lookup
+   the store's memo holds, a request refused outright — and returns
+   [None] for everything a dispatcher must wait on. *)
+let process fd ~memory_only j =
+  let m = j.jb_msg in
+  match j.jb_kind with
+  | Compile -> (
+      match (Protocol.field m "fn", Protocol.field m "ir") with
+      | Some fn, Some ir ->
+          let expired =
+            match j.jb_deadline with
+            | Some d -> fd.env.Env.mono () >= d
+            | None -> false
+          in
+          if expired then Some (Protocol.reply_of_outcome Broker.Timed_out)
+          else begin
+            match Protocol.compile_config m with
+            | Error msg -> Some (Protocol.rejected msg)
+            | Ok config ->
+                (* The remaining budget, not the original: queue wait
+                   has already been charged against the deadline — all
+                   on the monotonic clock, so a wall step changes
+                   nothing. *)
+                let deadline_s =
+                  Option.map (fun d -> d -. fd.env.Env.mono ()) j.jb_deadline
+                in
+                let outcome =
+                  if memory_only then
+                    Broker.submit_in_memory ?deadline_s ~config ~fn ~ir
+                      fd.broker
+                  else
+                    Some
+                      (Broker.submit ?deadline_s
+                         ?delay_s:(Protocol.ms_field m "delay-ms")
+                         ~config ~fn ~ir fd.broker)
+                in
+                Option.map
+                  (fun outcome ->
+                    fd.log
+                      (Printf.sprintf "compile %s [%s] -> %s" fn
+                         j.jb_tenant.tn_id
+                         (Broker.outcome_label outcome));
+                    Protocol.reply_of_outcome outcome)
+                  outcome
+          end
+      | _ -> Some (Protocol.rejected "compile needs fn and ir fields"))
+  | Lookup -> (
+      match Protocol.field m "digest" with
+      | None -> Some (Protocol.rejected "lookup needs a digest field")
+      | Some digest -> (
+          match Broker.store fd.broker with
+          | None -> Some (Protocol.rejected "this node has no artifact store")
+          | Some s -> (
+              match Store.lookup ~memory_only s ~digest with
+              | Some (e, _) -> Some (Fleet.artifact_reply (Some e))
+              | None when memory_only -> None
+              | None -> Some (Fleet.artifact_reply None))))
+  | Rebalance node ->
+      if memory_only then None else Some (Fleet.answer_rebalance node m)
+
+(* Account a finished request and fill its reply slot — the one path
+   for requests answered on the loop and for dispatcher completions
+   alike.  Runs on the loop. *)
+let finish fd j reply =
+  let lat_ms = (fd.env.Env.mono () -. j.jb_admit) *. 1000. in
+  locked fd (fun () ->
+      Hist.add j.jb_tenant.tn_hist lat_ms;
+      j.jb_tenant.tn_done <- j.jb_tenant.tn_done + 1;
+      fd.stats.fd_completed <- fd.stats.fd_completed + 1);
+  fill j.jb_cs j.jb_slot reply
+
+(* Admit a request: debit the tenant's quota, answer it here if that
+   needs no blocking, queue it for the dispatchers otherwise.
+   [debit:false] skips the tenant quota (the coordinator's [rebalance]
+   is fleet control, not tenant load); the lane bound still applies to
+   what queues. *)
 let admit ?(debit = true) fd cs kind m =
   let now = fd.env.Env.mono () in
   let tn = cs.c_tenant in
-  let lane =
-    match Protocol.field m "lane" with
-    | Some s -> Lanes.lane_of_string s
-    | None -> cs.c_lane
-  in
-  let decision =
+  let slot = reserve cs in
+  let refusal =
     locked fd (fun () ->
-        if fd.stopping then `Reject "server is shutting down"
+        if fd.stopping then Some (Protocol.rejected "server is shutting down")
         else if debit && not (Quota.try_take tn.tn_quota ~now) then begin
           tn.tn_shed <- tn.tn_shed + 1;
           fd.stats.fd_shed_quota <- fd.stats.fd_shed_quota + 1;
-          `Shed (Quota.retry_after_ms tn.tn_quota)
+          Some (shed_reply (Quota.retry_after_ms tn.tn_quota))
         end
-        else if Lanes.length fd.lanes lane >= fd.cfg.fd_queue_limit then begin
-          tn.tn_shed <- tn.tn_shed + 1;
-          fd.stats.fd_shed_queue <- fd.stats.fd_shed_queue + 1;
-          `Shed fd.cfg.fd_shed_retry_ms
-        end
-        else begin
-          tn.tn_admitted <- tn.tn_admitted + 1;
-          fd.stats.fd_admitted <- fd.stats.fd_admitted + 1;
-          cs.c_inflight <- cs.c_inflight + 1;
-          let deadline =
-            Option.bind (Protocol.field m "deadline-ms") int_of_string_opt
-            |> Option.map (fun ms -> now +. (float_of_int ms /. 1000.0))
-          in
-          Lanes.push fd.lanes lane
-            {
-              jb_cs = cs;
-              jb_kind = kind;
-              jb_msg = m;
-              jb_tenant = tn;
-              jb_admit = now;
-              jb_deadline = deadline;
-            };
-          fd.job_cond.Env.broadcast ();
-          `Admitted
-        end)
+        else None)
   in
-  match decision with
-  | `Admitted -> ()
-  | `Reject msg -> enqueue_out cs (Protocol.rejected msg)
-  | `Shed retry_ms -> enqueue_out cs (shed_reply retry_ms)
+  match refusal with
+  | Some r -> fill cs slot r
+  | None -> (
+      let j =
+        {
+          jb_cs = cs;
+          jb_slot = slot;
+          jb_kind = kind;
+          jb_msg = m;
+          jb_tenant = tn;
+          jb_admit = now;
+          jb_deadline =
+            Option.bind (Protocol.field m "deadline-ms") int_of_string_opt
+            |> Option.map (fun ms -> now +. (float_of_int ms /. 1000.0));
+        }
+      in
+      let count_admitted () =
+        tn.tn_admitted <- tn.tn_admitted + 1;
+        fd.stats.fd_admitted <- fd.stats.fd_admitted + 1
+      in
+      match
+        try process fd ~memory_only:true j with e -> Some (internal_error e)
+      with
+      | Some r ->
+          locked fd count_admitted;
+          finish fd j r
+      | None -> (
+          let lane =
+            match Protocol.field m "lane" with
+            | Some s -> Lanes.lane_of_string s
+            | None -> cs.c_lane
+          in
+          let queued =
+            locked fd (fun () ->
+                let full = Lanes.length fd.lanes lane >= fd.cfg.fd_queue_limit in
+                if full then begin
+                  tn.tn_shed <- tn.tn_shed + 1;
+                  fd.stats.fd_shed_queue <- fd.stats.fd_shed_queue + 1
+                end
+                else begin
+                  count_admitted ();
+                  Lanes.push fd.lanes lane j;
+                  fd.job_cond.Env.broadcast ()
+                end;
+                not full)
+          in
+          if not queued then fill cs slot (shed_reply fd.cfg.fd_shed_retry_ms)))
 
 let initiate_stop ?(kill = false) fd =
   locked fd (fun () ->
@@ -410,9 +528,6 @@ let initiate_stop ?(kill = false) fd =
   (try fd.listener.Env.close_listener () with _ -> ());
   fd.poller.Env.wake ()
 
-let internal_error e =
-  Protocol.rejected ("internal error: " ^ Printexc.to_string e)
-
 (* A store operation answered on the loop: whatever escapes it (a
    simulated power cut mid-publication, say) becomes this request's
    rejection, never an exception out of the loop. *)
@@ -421,12 +536,12 @@ let contained answer fd m =
 
 let handle_msg fd cs m =
   match m.Protocol.verb with
-  | "ping" -> enqueue_out cs (Protocol.ok [])
+  | "ping" -> reply cs (Protocol.ok [])
   | "hello" -> handle_hello fd cs m
-  | "stats" -> enqueue_out cs (stats_reply fd)
+  | "stats" -> reply cs (stats_reply fd)
   | "shutdown" ->
       fd.log "shutdown requested";
-      enqueue_out cs (Protocol.ok []);
+      reply cs (Protocol.ok []);
       initiate_stop fd
   | "compile" -> admit fd cs Compile m
   | "lookup" -> admit fd cs Lookup m
@@ -435,13 +550,13 @@ let handle_msg fd cs m =
      or a broker worker replicating, waits on a peer's fetch/push — if
      those needed the peer's dispatchers too, two busy nodes could
      deadlock each other.  Both touch only the local store. *)
-  | "fetch" -> enqueue_out cs (contained Fleet.answer_fetch fd m)
-  | "push" -> enqueue_out cs (contained Fleet.answer_push fd m)
+  | "fetch" -> reply cs (contained Fleet.answer_fetch fd m)
+  | "push" -> reply cs (contained Fleet.answer_push fd m)
   | "rebalance" -> (
       match fd.fleet with
-      | None -> enqueue_out cs (Protocol.rejected "this node is not in a fleet")
+      | None -> reply cs (Protocol.rejected "this node is not in a fleet")
       | Some node -> admit ~debit:false fd cs (Rebalance node) m)
-  | verb -> enqueue_out cs (Protocol.rejected ("unknown verb: " ^ verb))
+  | verb -> reply cs (Protocol.rejected ("unknown verb: " ^ verb))
 
 let consume cs n =
   let data = Buffer.contents cs.c_rbuf in
@@ -466,7 +581,7 @@ let rec parse_loop fd cs =
         Buffer.clear cs.c_rbuf;
         cs.c_err <- true;
         cs.c_closing <- true;
-        enqueue_out cs (Protocol.rejected ("protocol error: " ^ e))
+        reply cs (Protocol.rejected ("protocol error: " ^ e))
     | Protocol.Msg (m, used) ->
         consume cs used;
         handle_msg fd cs m;
@@ -498,54 +613,11 @@ let service_conn fd cs =
        (send + shutdown-write is a legal client). *)
     parse_loop fd cs;
     flush_out cs;
-    if cs.c_closing && cs.c_out = "" && cs.c_inflight = 0 then mark_dead cs
+    if cs.c_closing && cs.c_out = "" && Queue.is_empty cs.c_replies then
+      mark_dead cs
   end
 
 (* ---- dispatchers ------------------------------------------------------ *)
-
-let process fd j =
-  let m = j.jb_msg in
-  match j.jb_kind with
-  | Compile -> (
-      match (Protocol.field m "fn", Protocol.field m "ir") with
-      | Some fn, Some ir ->
-          let expired =
-            match j.jb_deadline with
-            | Some d -> fd.env.Env.mono () >= d
-            | None -> false
-          in
-          if expired then Protocol.reply_of_outcome Broker.Timed_out
-          else begin
-            match Protocol.compile_config m with
-            | Error msg -> Protocol.rejected msg
-            | Ok config ->
-                (* The remaining budget, not the original: queue wait
-                   has already been charged against the deadline — all
-                   on the monotonic clock, so a wall step changes
-                   nothing. *)
-                let deadline_s =
-                  Option.map (fun d -> d -. fd.env.Env.mono ()) j.jb_deadline
-                in
-                let outcome =
-                  Broker.submit ?deadline_s ?delay_s:(Protocol.ms_field m "delay-ms")
-                    ~config ~fn ~ir fd.broker
-                in
-                fd.log
-                  (Printf.sprintf "compile %s [%s] -> %s" fn
-                     j.jb_tenant.tn_id
-                     (Broker.outcome_label outcome));
-                Protocol.reply_of_outcome outcome
-          end
-      | _ -> Protocol.rejected "compile needs fn and ir fields")
-  | Lookup -> (
-      match Protocol.field m "digest" with
-      | None -> Protocol.rejected "lookup needs a digest field"
-      | Some digest -> (
-          match Broker.store fd.broker with
-          | None -> Protocol.rejected "this node has no artifact store"
-          | Some s ->
-              Fleet.artifact_reply (Option.map fst (Store.lookup s ~digest))))
-  | Rebalance node -> Fleet.answer_rebalance node m
 
 let dispatcher fd () =
   let next () =
@@ -571,13 +643,11 @@ let dispatcher fd () =
     match next () with
     | None -> ()
     | Some j ->
-        let reply = try process fd j with e -> internal_error e in
-        let lat_ms = (fd.env.Env.mono () -. j.jb_admit) *. 1000. in
-        locked fd (fun () ->
-            Hist.add j.jb_tenant.tn_hist lat_ms;
-            j.jb_tenant.tn_done <- j.jb_tenant.tn_done + 1;
-            fd.stats.fd_completed <- fd.stats.fd_completed + 1;
-            Queue.push (j.jb_cs, reply) fd.comps);
+        let reply =
+          try Option.get (process fd ~memory_only:false j)
+          with e -> internal_error e
+        in
+        locked fd (fun () -> Queue.push (j, reply) fd.comps);
         fd.poller.Env.wake ();
         run ()
   in
@@ -600,7 +670,7 @@ let accept_all fd =
               c_codec = Text;
               c_tenant = locked fd (fun () -> tenant fd "default");
               c_lane = Lanes.Batch;
-              c_inflight = 0;
+              c_replies = Queue.create ();
               c_closing = false;
               c_err = false;
               c_dead = false;
@@ -620,15 +690,13 @@ let rec loop fd =
         Queue.clear fd.comps;
         List.rev l)
   in
-  List.iter
-    (fun (cs, reply) ->
-      cs.c_inflight <- cs.c_inflight - 1;
-      enqueue_out cs reply)
-    comps;
+  List.iter (fun (j, reply) -> finish fd j reply) comps;
   accept_all fd;
   List.iter (service_conn fd) fd.conns;
   fd.conns <- List.filter (fun cs -> not cs.c_dead) fd.conns;
-  let inflight = List.fold_left (fun a cs -> a + cs.c_inflight) 0 fd.conns in
+  let inflight =
+    List.fold_left (fun a cs -> a + Queue.length cs.c_replies) 0 fd.conns
+  in
   let out_pending = List.exists (fun cs -> cs.c_out <> "") fd.conns in
   let stopping, killed, comps_empty =
     locked fd (fun () -> (fd.stopping, fd.killed, Queue.is_empty fd.comps))

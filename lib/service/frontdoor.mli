@@ -27,10 +27,27 @@
       (p50/p95/p99), queue depths, shed and protocol-error counters,
       all surfaced in the [stats] reply's [frontdoor] field.
 
-    Admitted requests are queued to a small pool of dispatcher threads
-    that call the blocking {!Broker.submit} and the store, so the loop
-    itself never blocks on a compile.  An admitted request is always
-    answered — shutdown drains the lanes before the loop exits.
+    {b The request path.}  An admitted request is answered on the loop
+    when that needs no blocking: a [compile] whose result is already in
+    memory ({!Broker.submit_in_memory} — the broker's request-digest
+    memo plus the store's parsed memo; never a parse, a disk read or a
+    peer fetch), a [lookup] the store's memo holds, or a request refused
+    outright.  Everything else is queued to a small pool of dispatcher
+    threads that call the blocking {!Broker.submit} and the store, so
+    the loop itself never blocks on IO or a compile.  Both paths take
+    the same quota debit and do the same broker, tenant and front-door
+    accounting.  The dispatchers are system threads of the loop's domain
+    ({!Env.t.spawn}); only the broker's compile workers get domains of
+    their own.  An admitted request is always answered — shutdown
+    drains the lanes before the loop exits.
+
+    {b Replies leave in request order.}  Each connection keeps one reply
+    sequence: every request takes the next slot when it is decoded, and
+    its reply — answered on the loop, refused, shed, or completed by a
+    dispatcher — fills that slot.  Only the filled prefix is written, so
+    a client pipelining requests on one connection reads the replies in
+    the order it sent them.  Each reply is rendered in the framing its
+    request arrived in.
 
     Verbs: [ping], [hello], [stats], [shutdown], [compile], [lookup]
     (digest-keyed artifact fetch through the store's federated chain),
@@ -95,7 +112,9 @@ module Lanes : sig
 end
 
 type config = {
-  fd_dispatchers : int;  (** broker-facing worker threads (default 2) *)
+  fd_dispatchers : int;
+      (** threads that wait on the broker for what the loop cannot
+          answer (default 2) *)
   fd_queue_limit : int;  (** per-lane admission bound (default 64) *)
   fd_tenant_rate : float;  (** tokens per second per tenant (default 50) *)
   fd_tenant_burst : float;  (** bucket depth (default 100) *)

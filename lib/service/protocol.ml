@@ -343,13 +343,36 @@ let ok fields = { verb = "reply"; fields = ("status", "ok") :: fields }
 let rejected msg =
   { verb = "reply"; fields = [ ("status", "rejected"); ("message", msg) ] }
 
+(* Config lines whose parse and spec validation are remembered: both
+   are pure functions of the line, so an entry never goes stale.  A
+   service sees a handful of distinct lines; past the limit the table
+   starts over. *)
+let config_memo_limit = 64
+let config_memo : (string, (Dbds.Config.t, string) result) Hashtbl.t =
+  Hashtbl.create 8
+let config_memo_mx = Mutex.create ()
+
+let config_of_line line =
+  match
+    Mutex.protect config_memo_mx (fun () -> Hashtbl.find_opt config_memo line)
+  with
+  | Some r -> r
+  | None ->
+      let r =
+        Result.bind (Dbds.Config.of_line line) (fun config ->
+            Dbds.Driver.validate_spec config (Dbds.Driver.default_spec config)
+            |> Result.map (fun () -> config)
+            |> Result.map_error (fun e -> "pipeline spec: " ^ e))
+      in
+      Mutex.protect config_memo_mx (fun () ->
+          if Hashtbl.length config_memo >= config_memo_limit then
+            Hashtbl.reset config_memo;
+          Hashtbl.replace config_memo line r);
+      r
+
 let compile_config m =
   let ( let* ) = Result.bind in
-  let* config = Dbds.Config.of_line (field_or m "config" "") in
-  let* () =
-    Dbds.Driver.validate_spec config (Dbds.Driver.default_spec config)
-    |> Result.map_error (fun e -> "pipeline spec: " ^ e)
-  in
+  let* config = config_of_line (field_or m "config" "") in
   (* Re-attach the fault plan the wire config cannot carry (see
      [Client.compile_msg]): worker-side injection — crash sites, torn
      or corrupted publications — needs it in the job's config. *)

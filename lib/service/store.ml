@@ -414,9 +414,10 @@ let from_peer t ~digest =
                 ~work:e.ar_work;
               Some (e, g)))
 
-let lookup t ~digest =
+let lookup ?(memory_only = false) t ~digest =
   match memo_find t ~digest with
   | Some _ as hit -> hit
+  | None when memory_only -> None
   | None -> (
       match from_disk t ~digest with
       | Some _ as hit -> hit

@@ -104,11 +104,15 @@ val digests : t -> string list
       reads it back from disk.  Hook failures degrade to a miss.
     - A miss probes the disk exactly once, then the peers; the
       cold-compile fallback stays with the caller.
+    - [memory_only] (default [false]) stops after the parsed memo: the
+      chain's in-memory prefix, which never reads disk, parses, fetches
+      or reaches a fault site — cheap enough for an event loop.
 
     The returned graph may be {e shared} between every caller of the
     same digest — treat it as read-only (restore/copy from it, never
     mutate it). *)
-val lookup : t -> digest:string -> (entry * Ir.Graph.t) option
+val lookup :
+  ?memory_only:bool -> t -> digest:string -> (entry * Ir.Graph.t) option
 
 (** The store as a {!Dbds.Driver.cache}: lookups digest the function's
     canonical request under the run's configuration (with [context] as

@@ -564,6 +564,9 @@ let run spec =
       }
     in
     let controls = Array.make nodes None in
+    (* A kill that lands before the restarted front door has handed
+       over its control: applied the moment the control arrives. *)
+    let kill_pending = Array.make nodes false in
     let threads = Array.make nodes None in
     let alive = Array.make nodes false in
     (* (Re)start worker [k]: a fresh store over whatever survives on its
@@ -590,13 +593,19 @@ let run spec =
         }
       in
       controls.(k) <- None;
+      kill_pending.(k) <- false;
+      let on_control (c : Service.Frontdoor.control) =
+        if kill_pending.(k) then begin
+          kill_pending.(k) <- false;
+          c.Service.Frontdoor.stop ()
+        end
+        else controls.(k) <- Some c
+      in
       threads.(k) <-
         Some
           (env.Env.spawn (node_id k) (fun () ->
                Service.Frontdoor.serve ~env:nenv ~config:frontdoor_config
-                 ~fleet
-                 ~on_control:(fun c -> controls.(k) <- Some c)
-                 ~sock:(node_sock k) ~broker ()));
+                 ~fleet ~on_control ~sock:(node_sock k) ~broker ()));
       alive.(k) <- true
     in
     let coordinator =
@@ -634,6 +643,7 @@ let run spec =
         @ spec.node_faults)
     in
     let norm node = ((node mod nodes) + nodes) mod nodes in
+    let healers = ref [] in
     let apply_event ev =
       let at = node_event_time ev in
       let now = Sched.now sched in
@@ -645,7 +655,7 @@ let run spec =
             alive.(k) <- false;
             (match controls.(k) with
             | Some c -> c.Service.Frontdoor.stop ()
-            | None -> ());
+            | None -> kill_pending.(k) <- true);
             (* Reset the node's traffic and leave its socket debris
                behind: to everyone else this is a crash, not a leave. *)
             Simio.sever io (node_sock k)
@@ -663,14 +673,23 @@ let run spec =
           if alive.(k) && not !(cut.(k)) then begin
             cut.(k) := true;
             Simio.isolate io (node_sock k);
-            let now = Sched.now sched in
-            if until_ > now then Sched.sleep sched (until_ -. now);
-            cut.(k) := false;
-            Simio.heal io (node_sock k)
+            (* The heal keeps its own schedule: the timeline must not
+               sleep through the kills and rejoins due meanwhile. *)
+            healers :=
+              env.Env.spawn
+                (Printf.sprintf "heal-%d" k)
+                (fun () ->
+                  let now = Sched.now sched in
+                  if until_ > now then Sched.sleep sched (until_ -. now);
+                  cut.(k) := false;
+                  Simio.heal io (node_sock k))
+              :: !healers
           end
     in
     let chaos =
-      env.Env.spawn "node-chaos" (fun () -> List.iter apply_event events)
+      env.Env.spawn "node-chaos" (fun () ->
+          List.iter apply_event events;
+          List.iter (fun (h : Env.thread) -> h.Env.join ()) !healers)
     in
     let clients =
       List.init spec.clients (fun i ->

@@ -32,7 +32,7 @@ type fiber = {
   mutable finished : bool;
   mutable fault : Dbds.Faults.armed_state option;
       (** fiber-local fault arming — the simulator's replacement for
-          the registry's domain-local state *)
+          the registry's thread-local state *)
   joiners : (unit -> unit) Queue.t;
 }
 
@@ -268,7 +268,7 @@ let cond_broadcast _t c =
 (* ---- the run loop --------------------------------------------------- *)
 
 let run t main =
-  (* Fault arming must be fiber-local, not domain-local: interleaved
+  (* Fault arming must be fiber-local, not thread-local: interleaved
      fibers would otherwise save/restore each other's state. *)
   Dbds.Faults.set_state_provider
     ~get:(fun () ->

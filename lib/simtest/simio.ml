@@ -564,6 +564,10 @@ let readdir io dir =
 (* ---- the environment record ----------------------------------------- *)
 
 let env io =
+  let spawn name f =
+    let fiber = Sched.spawn io.sched name f in
+    { Env.join = (fun () -> Sched.join io.sched fiber) }
+  in
   {
     Env.now =
       (fun () -> io.wall_base +. Sched.now io.sched +. io.wall_offset);
@@ -571,10 +575,8 @@ let env io =
     sleep = (fun d -> Sched.sleep io.sched d);
     rand_int = (fun bound -> Sched.rand_int io.sched bound);
     pid = 1;
-    spawn =
-      (fun name f ->
-        let fiber = Sched.spawn io.sched name f in
-        { Env.join = (fun () -> Sched.join io.sched fiber) });
+    spawn;
+    spawn_compute = spawn;
     mutex =
       (fun () ->
         let m = Sched.mutex_create () in

@@ -327,6 +327,47 @@ let test_parallel_map_survives_repeated_failure () =
   Alcotest.(check (list int)) "pool still healthy" [ 1; 2; 3 ]
     (Ir.Parallel.map ~jobs:4 succ [ 0; 1; 2 ])
 
+(* Arming belongs to one system thread: threads armed for a site and
+   parked mid-run (dispatchers in the middle of a store lookup, say)
+   must not make the site fire in another thread of their domain, nor
+   lose their own count to each other. *)
+let test_arming_is_thread_local () =
+  let plan = { F.seed = 0; site = F.Store_read; hit = 1; fn = None } in
+  let fires () =
+    match F.hit F.Store_read with () -> false | exception F.Injected _ -> true
+  in
+  let m = Mutex.create () and c = Condition.create () in
+  let armed = ref 0 and released = ref false in
+  let armed_thread fired =
+    Thread.create
+      (fun () ->
+        F.armed (Some plan) ~fn:"main" (fun () ->
+            Mutex.protect m (fun () ->
+                incr armed;
+                Condition.broadcast c;
+                while not !released do
+                  Condition.wait c m
+                done);
+            fired := fires ()))
+      ()
+  in
+  let fired1 = ref false and fired2 = ref false in
+  let t1 = armed_thread fired1 and t2 = armed_thread fired2 in
+  Mutex.protect m (fun () ->
+      while !armed < 2 do
+        Condition.wait c m
+      done);
+  Alcotest.(check bool) "an unarmed thread beside them never fires" false
+    (fires ());
+  Mutex.protect m (fun () ->
+      released := true;
+      Condition.broadcast c);
+  Thread.join t1;
+  Thread.join t2;
+  Alcotest.(check (pair bool bool))
+    "each armed thread fires on its own first hit" (true, true)
+    (!fired1, !fired2)
+
 let suite =
   [
     test "plan syntax round-trips" test_plan_syntax;
@@ -346,4 +387,5 @@ let suite =
     test "paranoid over a workload" test_paranoid_over_workloads;
     test "Parallel.map survives repeated failure"
       test_parallel_map_survives_repeated_failure;
+    test "arming is thread-local" test_arming_is_thread_local;
   ]

@@ -29,9 +29,11 @@ let trio =
   int main(int x) { return f(x) + g(x); }
 |}
 
-let main_ir () =
+let fn_ir fn =
   let prog = compile trio in
-  Ir.Printer.graph_to_string (Option.get (Ir.Program.find_function prog "main"))
+  Ir.Printer.graph_to_string (Option.get (Ir.Program.find_function prog fn))
+
+let main_ir () = fn_ir "main"
 
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)
@@ -270,13 +272,13 @@ let compile_ok c ~ir =
 
 (* The serverless reference: the lone-graph pipeline the broker runs,
    executed directly on the request IR. *)
-let direct_compile ir =
+let direct_compile ?(fn = "main") ir =
   let program = Ir.Program.of_graph (Ir.Parse.parse_graph ir) in
   ignore
     (Dbds.Driver.optimize_program_report
        ~config:{ config with Dbds.Config.containment = true }
        ~inline:false ~jobs:1 program);
-  SD.canonical_of_graph (Option.get (Ir.Program.find_function program "main"))
+  SD.canonical_of_graph (Option.get (Ir.Program.find_function program fn))
 
 (* The event loop (text and binary, tenants and lanes) serves artifacts
    byte-identical to a direct compile of the same IR, and the
@@ -544,6 +546,145 @@ let test_garbage_gets_structured_error () =
       SC.close c;
       shutdown env)
 
+(* Replies leave in request order.  Two compiles pipelined on one
+   connection, the first stretched by delay-ms: the second finishes
+   first on the other dispatcher, yet the first reply must still carry
+   the first request's IR. *)
+let test_replies_in_request_order () =
+  let main = main_ir () and f = fn_ir "f" in
+  run_sim (fun env ->
+      let conn = raw_connect env "/fd" in
+      SP.write_conn conn
+        (SC.compile_msg ~delay_ms:300 ~config ~fn:"main" ~ir:main ());
+      SP.write_conn conn (SC.compile_msg ~config ~fn:"f" ~ir:f ());
+      let deadline = env.Env.mono () +. 30.0 in
+      let read () =
+        match SP.read_conn ~deadline conn with
+        | Ok r -> SP.field r "ir"
+        | Error e -> Alcotest.failf "reply: %s" e
+      in
+      let first = read () in
+      let second = read () in
+      Alcotest.(check (option string)) "the first reply answers main"
+        (Some (direct_compile main)) first;
+      Alcotest.(check (option string)) "the second reply answers f"
+        (Some (direct_compile ~fn:"f" f)) second;
+      conn.Env.close_conn ();
+      shutdown env)
+
+(* The counters a request moves: the broker's from the stats reply's
+   [counts] line, the front door's from its [frontdoor] line, and
+   [tenant]'s own (prefixed [tenant.]). *)
+let counters c ~tenant =
+  match SC.roundtrip c { SP.verb = "stats"; fields = [] } with
+  | Error e -> Alcotest.failf "stats: %s" e
+  | Ok r ->
+      let pairs prefix line =
+        List.filter_map
+          (fun kv ->
+            match String.index_opt kv '=' with
+            | Some i ->
+                Option.map
+                  (fun v -> (prefix ^ String.sub kv 0 i, v))
+                  (int_of_string_opt
+                     (String.sub kv (i + 1) (String.length kv - i - 1)))
+            | None -> None)
+          (String.split_on_char ' ' line)
+      in
+      let fd_lines = String.split_on_char '\n' (SP.field_or r "frontdoor" "") in
+      let tenant_line =
+        List.find
+          (String.starts_with ~prefix:("tenant=" ^ tenant ^ " "))
+          fd_lines
+      in
+      pairs "" (SP.field_or r "counts" "")
+      @ pairs "fd." (List.hd fd_lines)
+      @ pairs "tenant." tenant_line
+
+let moved ~before ~after =
+  List.map
+    (fun k -> (k, List.assoc k after - List.assoc k before))
+    [ "requests"; "cache_hits"; "fd.admitted"; "fd.completed"; "tenant.done" ]
+
+(* A warm hit is answered on the event loop: with the only dispatcher
+   held by a five-second compile it still comes back at once — and it
+   moves the broker, tenant and front-door counters exactly as a hit
+   that goes through a dispatcher does (a copy of the same text with a
+   trailing newline misses the digest memo, so it is dispatched, and
+   then hits the store's memo). *)
+let test_warm_hit_on_loop_accounts_like_dispatch () =
+  let ir = main_ir () in
+  run_sim
+    ~fd_config:{ FD.default_config with fd_dispatchers = 1 }
+    (fun env ->
+      let c = connect ~tenant:"t" env "/fd" in
+      ignore (compile_ok c ~ir);
+      let hit ir =
+        match SC.compile ~config ~fn:"main" ~ir c with
+        | Ok (SB.Done { from_cache = true; _ }) -> ()
+        | Ok o -> Alcotest.failf "warm request: %s" (SB.outcome_label o)
+        | Error e -> Alcotest.failf "warm request: %s" e
+      in
+      (* The first hit reads the artifact back from disk; from then on
+         the store's memo holds it. *)
+      hit ir;
+      let slow = raw_connect env "/fd" in
+      SP.write_conn slow
+        (SC.compile_msg ~delay_ms:5000 ~config ~fn:"f" ~ir:(fn_ir "f") ());
+      env.Env.sleep 0.1;
+      let before = counters c ~tenant:"t" in
+      let t0 = env.Env.mono () in
+      hit ir;
+      Alcotest.(check bool) "answered while the dispatcher is busy" true
+        (env.Env.mono () -. t0 < 1.0);
+      let on_loop = moved ~before ~after:(counters c ~tenant:"t") in
+      (match SP.read_conn ~deadline:(env.Env.mono () +. 30.0) slow with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "slow compile: %s" e);
+      let before = counters c ~tenant:"t" in
+      hit (ir ^ "\n");
+      let dispatched = moved ~before ~after:(counters c ~tenant:"t") in
+      Alcotest.(check (list (pair string int)))
+        "a dispatched hit moves the same counters" dispatched on_loop;
+      Alcotest.(check (list (pair string int)))
+        "each by one"
+        (List.map (fun (k, _) -> (k, 1)) on_loop)
+        on_loop;
+      slow.Env.close_conn ();
+      SC.close c;
+      shutdown env)
+
+(* The loop's answer still takes the tenant's quota: a tenant out of
+   tokens is shed on a warm hit too, and the broker never sees it. *)
+let test_warm_hit_over_quota_is_shed () =
+  let ir = main_ir () in
+  run_sim
+    ~fd_config:
+      { FD.default_config with fd_tenant_rate = 0.001; fd_tenant_burst = 3.0 }
+    (fun env ->
+      let c = connect ~tenant:"q" env "/fd" in
+      ignore (compile_ok c ~ir);
+      (* A disk hit, then a hit the store's memo answers on the loop:
+         the bucket's three tokens are gone. *)
+      for _ = 1 to 2 do
+        match SC.compile ~config ~fn:"main" ~ir c with
+        | Ok (SB.Done { from_cache = true; _ }) -> ()
+        | Ok o -> Alcotest.failf "warm request: %s" (SB.outcome_label o)
+        | Error e -> Alcotest.failf "warm request: %s" e
+      done;
+      let before = counters c ~tenant:"q" in
+      (match SC.compile_ex ~config ~fn:"main" ~ir c with
+      | Ok (SB.Shed, Some _) -> ()
+      | Ok (o, _) -> Alcotest.failf "expected shed, got %s" (SB.outcome_label o)
+      | Error e -> Alcotest.failf "fourth request: %s" e);
+      let after = counters c ~tenant:"q" in
+      let delta k = List.assoc k after - List.assoc k before in
+      Alcotest.(check int) "shed on quota" 1 (delta "fd.shed_quota");
+      Alcotest.(check int) "the broker never saw it" 0 (delta "requests");
+      Alcotest.(check int) "nothing admitted" 0 (delta "fd.admitted");
+      SC.close c;
+      shutdown env)
+
 (* ------------------------------------------------------------------ *)
 (* Harness integration                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -582,12 +723,12 @@ let test_harness_two_mode_bundle_replays () =
         "deadline-ms: none";
         "faults: none";
         "frontdoor: true";
-        "trace-hash: bc06f5bdb74f41cd";
+        "trace-hash: d8a38c96eb11a695";
         "";
       ]
   in
   let r = H.run (H.parse_bundle bundle) in
-  Alcotest.(check string) "replays the recorded trace" "bc06f5bdb74f41cd"
+  Alcotest.(check string) "replays the recorded trace" "d8a38c96eb11a695"
     r.H.r_trace_hash;
   Alcotest.(check (list string)) "clean" []
     (List.map (fun v -> v.H.vio_kind) r.H.r_violations)
@@ -694,4 +835,8 @@ let suite =
     test "harness: a two-mode bundle replays"
       test_harness_two_mode_bundle_replays;
     test "bench: reduced load sweep" test_load_sweep_reduced;
+    test "replies leave in request order" test_replies_in_request_order;
+    test "warm hit on the loop counts like a dispatched one"
+      test_warm_hit_on_loop_accounts_like_dispatch;
+    test "warm hit over quota is shed" test_warm_hit_over_quota_is_shed;
   ]

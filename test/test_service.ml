@@ -543,8 +543,8 @@ let test_broker_handoff_matches_fallback () =
       Alcotest.(check int) "two compiles" 2 s.SB.compiles;
       Alcotest.(check int) "one coalesced" 1 s.SB.coalesced)
 
-(* Arm [plan] for every domain at once: broker workers are domains, and
-   the fault registry is domain-local by default.  One hit counter then
+(* Arm [plan] for every thread at once: broker workers are domains, and
+   the fault registry is thread-local by default.  One hit counter then
    spans every request [f] submits. *)
 let armed_everywhere plan f =
   let state = ref None in
@@ -633,6 +633,30 @@ let test_broker_peer_bad_artifact () =
               Alcotest.(check string) "the compiled artifact published"
                 compiled e.SS.ar_ir
           | None -> Alcotest.fail "nothing published"))
+
+(* Store hits never queue.  With the only worker held by a slow cold
+   compile, a request the store can answer — from disk here: a fresh
+   broker and store over a warm directory — is answered on the calling
+   thread before that compile finishes. *)
+let test_broker_store_hit_skips_queue () =
+  with_store (fun st ->
+      let ir = ir_of_fn figure1 "main" in
+      with_broker st (fun b -> ignore (SB.submit ~config ~fn:"main" ~ir b));
+      with_broker (SS.create ~dir:(SS.dir st) ()) (fun b ->
+          let slow =
+            Domain.spawn (fun () ->
+                SB.submit ~delay_s:1.0 ~config ~fn:"f"
+                  ~ir:(ir_of_fn trio "f") b)
+          in
+          Unix.sleepf 0.1;
+          (match SB.submit ~config ~fn:"main" ~ir b with
+          | SB.Done { from_cache = true; _ } -> ()
+          | o -> Alcotest.failf "store hit: %s" (SB.outcome_label o));
+          Alcotest.(check int) "answered before the compile finished" 0
+            (SB.stats b).SB.compiles;
+          match Domain.join slow with
+          | SB.Done { from_cache = false; _ } -> ()
+          | o -> Alcotest.failf "slow compile: %s" (SB.outcome_label o)))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -826,4 +850,6 @@ let suite =
       test_broker_peer_bad_artifact;
     test "protocol: message round-trip" test_protocol_roundtrip;
     test "protocol: outcome round-trip" test_protocol_outcomes;
+    test "broker: a store hit skips the worker queue"
+      test_broker_store_hit_skips_queue;
   ]
