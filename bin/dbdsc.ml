@@ -178,6 +178,34 @@ let run_coordinator ~sock =
     ~log:(fun line -> Format.eprintf "[dbdsc --fleet] %s@." line)
     ~sock ()
 
+(* The client modes' shared front half: with a FILE, send each
+   post-inline function through [compile] (its optimized IR, or a
+   failure) and print the results in program order; without one, there
+   must be stats or a shutdown to ask for. *)
+let compile_through ~mode ~config ~file svc compile =
+  match file with
+  | None ->
+      if not (svc.svc_stats || svc.svc_shutdown) then
+        failwith (mode ^ " needs a FILE, --service-stats or --service-shutdown")
+  | Some f ->
+      let prog = Lang.Frontend.compile (read_file f) in
+      apply_inline prog config;
+      let results =
+        List.map
+          (fun fn ->
+            let g = Option.get (Ir.Program.find_function prog fn) in
+            compile fn (Ir.Printer.graph_to_string g))
+          (Ir.Program.function_names prog)
+      in
+      List.iter (fun ir -> Format.printf "%s@." ir) results
+
+(* One server's stats block; a store-less server reports its store as
+   [none]. *)
+let print_server_stats ~title ~broker ~store ~counts =
+  Format.printf "=== %s ===@.%s@.%s@.counts: %s@." title broker
+    (if store = "none" then "store: none" else store)
+    counts
+
 let run_client ~sock ~config ~file svc =
   let c =
     Service.Client.connect ~deadline_s:5.0 ?tenant:svc.tenant ?lane:svc.lane
@@ -186,49 +214,30 @@ let run_client ~sock ~config ~file svc =
   Fun.protect
     ~finally:(fun () -> Service.Client.close c)
     (fun () ->
-      (match file with
-      | None ->
-          if not (svc.svc_stats || svc.svc_shutdown) then
-            failwith "--connect needs a FILE, --service-stats or --service-shutdown"
-      | Some f ->
-          let prog = Lang.Frontend.compile (read_file f) in
-          apply_inline prog config;
-          let results =
-            List.map
-              (fun fn ->
-                let g = Option.get (Ir.Program.find_function prog fn) in
-                match
-                  Service.Client.compile_ex ?deadline_ms:svc.deadline_ms
-                    ?delay_ms:svc.delay_ms ?lane:svc.lane ~config ~fn
-                    ~ir:(Ir.Printer.graph_to_string g) c
-                with
-                | Ok (Service.Broker.Done { ir; _ }, _) -> ir
-                | Ok (Service.Broker.Shed, Some retry_ms) ->
-                    failwith
-                      (Printf.sprintf
-                         "service shed %s: retry after %d ms" fn retry_ms)
-                | Ok (o, _) ->
-                    failwith
-                      (Printf.sprintf "service refused %s: %s" fn
-                         (Service.Broker.outcome_label o))
-                | Error msg -> failwith ("service: " ^ msg))
-              (Ir.Program.function_names prog)
-          in
-          List.iter (fun ir -> Format.printf "%s@." ir) results);
+      compile_through ~mode:"--connect" ~config ~file svc (fun fn ir ->
+          match
+            Service.Client.compile_ex ?deadline_ms:svc.deadline_ms
+              ?delay_ms:svc.delay_ms ?lane:svc.lane ~config ~fn ~ir c
+          with
+          | Ok (Service.Broker.Done { ir; _ }, _) -> ir
+          | Ok (Service.Broker.Shed, Some retry_ms) ->
+              failwith
+                (Printf.sprintf "service shed %s: retry after %d ms" fn
+                   retry_ms)
+          | Ok (o, _) ->
+              failwith
+                (Printf.sprintf "service refused %s: %s" fn
+                   (Service.Broker.outcome_label o))
+          | Error msg -> failwith ("service: " ^ msg));
       if svc.svc_stats then begin
         match
           Service.Client.roundtrip c
             { Service.Protocol.verb = "stats"; fields = [] }
         with
         | Ok reply ->
-            let fld k =
-              Option.value ~default:"" (Service.Protocol.field reply k)
-            in
-            let store_line = fld "store" in
-            Format.printf "=== service ===@.%s@.%s@.counts: %s@."
-              (fld "broker")
-              (if store_line = "none" then "store: none" else store_line)
-              (fld "counts");
+            let fld k = Service.Protocol.field_or reply k "" in
+            print_server_stats ~title:"service" ~broker:(fld "broker")
+              ~store:(fld "store") ~counts:(fld "counts");
             (* The admission/lane/tenant-histogram counters. *)
             (match Service.Protocol.field reply "frontdoor" with
             | Some fd -> Format.printf "=== frontdoor ===@.%s@." fd
@@ -252,33 +261,17 @@ let run_fleet_client ~coord ~config ~file svc =
   Fun.protect
     ~finally:(fun () -> Service.Client.Router.close_all r)
     (fun () ->
-      (match file with
-      | None ->
-          if not (svc.svc_stats || svc.svc_shutdown) then
-            failwith
-              "--fleet-connect needs a FILE, --service-stats or \
-               --service-shutdown"
-      | Some f ->
-          let prog = Lang.Frontend.compile (read_file f) in
-          apply_inline prog config;
-          let results =
-            List.map
-              (fun fn ->
-                let g = Option.get (Ir.Program.find_function prog fn) in
-                match
-                  Service.Client.Router.compile ?deadline_ms:svc.deadline_ms
-                    ?delay_ms:svc.delay_ms ~config ~fn
-                    ~ir:(Ir.Printer.graph_to_string g) r
-                with
-                | Ok (Service.Broker.Done { ir; _ }) -> ir
-                | Ok o ->
-                    failwith
-                      (Printf.sprintf "fleet refused %s: %s" fn
-                         (Service.Broker.outcome_label o))
-                | Error msg -> failwith ("fleet: " ^ msg))
-              (Ir.Program.function_names prog)
-          in
-          List.iter (fun ir -> Format.printf "%s@." ir) results);
+      compile_through ~mode:"--fleet-connect" ~config ~file svc (fun fn ir ->
+          match
+            Service.Client.Router.compile ?deadline_ms:svc.deadline_ms
+              ?delay_ms:svc.delay_ms ~config ~fn ~ir r
+          with
+          | Ok (Service.Broker.Done { ir; _ }) -> ir
+          | Ok o ->
+              failwith
+                (Printf.sprintf "fleet refused %s: %s" fn
+                   (Service.Broker.outcome_label o))
+          | Error msg -> failwith ("fleet: " ^ msg));
       let each_node f =
         List.iter
           (fun (id, addr) ->
@@ -297,11 +290,9 @@ let run_fleet_client ~coord ~config ~file svc =
           (List.length v.Service.Member.v_nodes);
         each_node (fun id c ->
             match Service.Client.stats c with
-            | Ok (broker_line, store_line, counts) ->
-                Format.printf "=== node %s ===@.%s@.%s@.counts: %s@." id
-                  broker_line
-                  (if store_line = "none" then "store: none" else store_line)
-                  counts
+            | Ok (broker, store, counts) ->
+                print_server_stats ~title:("node " ^ id) ~broker ~store
+                  ~counts
             | Error msg -> Format.printf "=== node %s ===@.error: %s@." id msg)
       end;
       if svc.svc_shutdown then begin

@@ -458,6 +458,7 @@ let run_tiered ?(graph_seeds = List.init 12 Fun.id) ?(plans_per_graph = 2)
 
 type frontdoor_result = {
   f_decoder_cases : int;  (** byte strings fed to the pure decoders *)
+  f_stream_cases : int;  (** chunked streams read by the blocking reader *)
   f_server_runs : int;  (** simulated garbage-client server runs *)
   f_rejected : int;  (** structured rejections observed end-to-end *)
   f_violations : string list;  (** hardening breaches; [[]] = pass *)
@@ -472,7 +473,7 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
   (* 1. The pure decoders on adversarial bytes: random garbage, valid
      messages with one byte flipped, and every truncation of a valid
      message.  Any outcome is fine — raising is the bug. *)
-  let random_message () =
+  let random_message ?(rng = rng) () =
     let rand_string n =
       String.init (Random.State.int rng (n + 1)) (fun _ ->
           Char.chr (Random.State.int rng 256))
@@ -531,6 +532,86 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
     feed_both mutated;
     feed_both (String.sub wire 0 (Random.State.int rng (String.length wire + 1)))
   done;
+  (* The blocking reader over a chunked stream: 1-3 messages in either
+     framing — a text stream may switch mid-way with a [hello
+     framing=binary] — cut at random points into chunks that each travel
+     as one [send] over a simulated connection.  The reader must return
+     exactly the messages rendered; a truncated tail followed by a close
+     must fail as something other than a clean "eof". *)
+  let module P = Service.Protocol in
+  let srng = Random.State.make [| 0x57e4; decoder_cases |] in
+  let stream_cases = decoder_cases / 4 in
+  let switch = { P.verb = "hello"; fields = [ ("framing", "binary") ] } in
+  let switches m = m.P.verb = "hello" && P.field m "framing" = Some "binary" in
+  for k = 1 to stream_cases do
+    let start = if Random.State.bool srng then P.Binary else P.Text in
+    (* A text stream switches at message [at], or not at all ([at = n]). *)
+    let n = 1 + Random.State.int srng 3 in
+    let at = if start = P.Binary then n else Random.State.int srng (n + 1) in
+    let msgs =
+      List.init n (fun i ->
+          if i = at then switch else random_message ~rng:srng ())
+    in
+    let wire = Buffer.create 256 in
+    let framing =
+      List.fold_left
+        (fun framing m ->
+          Buffer.add_string wire (P.render_as framing m);
+          if switches m then P.Binary else framing)
+        start msgs
+    in
+    let truncated = Random.State.bool srng in
+    if truncated then begin
+      let w = P.render_as framing (random_message ~rng:srng ()) in
+      Buffer.add_string wire
+        (String.sub w 0 (1 + Random.State.int srng (String.length w - 1)))
+    end;
+    let rec chunks s =
+      let len = String.length s in
+      if len < 2 || Random.State.bool srng then [ s ]
+      else
+        let cut = 1 + Random.State.int srng (len - 1) in
+        String.sub s 0 cut :: chunks (String.sub s cut (len - cut))
+    in
+    let chunks = chunks (Buffer.contents wire) in
+    let sched = Simtest.Sched.create ~seed:(88000 + k) () in
+    let io = Simtest.Simio.create sched in
+    let env = Simtest.Simio.env io in
+    let out =
+      Simtest.Sched.run sched (fun () ->
+          let l = env.Service.Env.listen "/s" in
+          let client = env.Service.Env.connect "/s" in
+          let server = l.Service.Env.accept () in
+          let sender =
+            env.Service.Env.spawn "sender" (fun () ->
+                List.iter client.Service.Env.send chunks;
+                client.Service.Env.close_conn ())
+          in
+          let rd = P.reader () in
+          P.set_framing rd start;
+          List.iter
+            (fun m ->
+              match P.receive rd server with
+              | Ok got ->
+                  if got <> m then
+                    violate "stream %d: read %s, rendered %s" k got.P.verb
+                      m.P.verb;
+                  if switches got then P.set_framing rd P.Binary
+              | Error e -> violate "stream %d: %s before the end" k e)
+            msgs;
+          (match (P.receive rd server, truncated) with
+          | Ok m, _ -> violate "stream %d: read a %s past the end" k m.P.verb
+          | Error "eof", true -> violate "stream %d: truncated tail read as eof" k
+          | Error e, false when e <> "eof" ->
+              violate "stream %d: clean end read as %s" k e
+          | Error _, _ -> ());
+          sender.Service.Env.join ())
+    in
+    if not out.Simtest.Sched.ok then
+      violate "stream %d: unclean schedule (%d hung, %d crashed)" k
+        (List.length out.Simtest.Sched.hung)
+        (List.length out.Simtest.Sched.crashed)
+  done;
   (* 2. End-to-end: a garbage client against a simulated frontdoor must
      get a structured rejection (or a clean close — never a crash or a
      wedged loop), and a fresh well-formed connection must still be
@@ -565,9 +646,9 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
               (try
                  conn.Service.Env.send junk;
                  match
-                   Service.Protocol.read_conn
+                   Service.Protocol.receive
                      ~deadline:(env.Service.Env.mono () +. 30.)
-                     conn
+                     (Service.Protocol.reader ()) conn
                  with
                  | Ok r
                    when Service.Protocol.field r "status" = Some "rejected"
@@ -601,6 +682,7 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
   done;
   {
     f_decoder_cases = !cases;
+    f_stream_cases = stream_cases;
     f_server_runs = server_seeds;
     f_rejected = !rejected;
     f_violations = List.rev !violations;

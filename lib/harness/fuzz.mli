@@ -70,6 +70,7 @@ val run_tiered :
 
 type frontdoor_result = {
   f_decoder_cases : int;  (** byte strings fed to the pure decoders *)
+  f_stream_cases : int;  (** chunked streams read by the blocking reader *)
   f_server_runs : int;  (** simulated garbage-client server runs *)
   f_rejected : int;  (** structured rejections observed end-to-end *)
   f_violations : string list;  (** hardening breaches; [[]] = pass *)
@@ -79,7 +80,12 @@ type frontdoor_result = {
     incremental decoders ({!Service.Protocol.decode} /
     [decode_binary]) on random garbage, magic-prefixed garbage, and
     mutations/truncations of well-formed messages in both framings —
-    any structured outcome is acceptable, raising is the bug; then
+    any structured outcome is acceptable, raising is the bug; the
+    blocking {!Service.Protocol.receive} on [decoder_cases / 4] streams
+    of 1–3 rendered messages (text, binary, or text switching to binary
+    by [hello framing=binary]) cut into random chunks over a simulated
+    connection — it must return exactly those messages, and a truncated
+    tail before the close must not read as a clean ["eof"]; then
     [server_seeds] simulated garbage-client runs against a live
     {!Service.Frontdoor} — junk must earn a structured rejection or a
     clean close (never an escaping exception or a wedged event loop),

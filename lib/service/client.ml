@@ -4,7 +4,7 @@ type t = {
   env : Env.t;
   conn : Env.conn;
   io_deadline_s : float;
-  mutable binary : bool;  (** negotiated via [hello framing=binary] *)
+  rd : Protocol.reader;  (** its framing is negotiated by [hello] *)
 }
 
 exception
@@ -25,29 +25,16 @@ let () =
              (Env.net_err_to_string last))
     | _ -> None)
 
-(* Full-jitter exponential backoff: the [k]-th retry sleeps a uniform
-   draw from [0, min (base * 2^k) cap] — seeded through the
-   environment, so a simulated run replays the same waits.  Retries
-   stop once the next attempt could not start before [deadline_s] has
-   elapsed. *)
 let roundtrip t (m : Protocol.message) =
   let deadline =
     if t.io_deadline_s = Float.infinity then Float.infinity
     else t.env.Env.mono () +. t.io_deadline_s
   in
-  match
-    if t.binary then begin
-      Protocol.write_conn_binary t.conn m;
-      Protocol.read_conn_binary ~deadline t.conn
-    end
-    else begin
-      Protocol.write_conn t.conn m;
-      Protocol.read_conn ~deadline t.conn
-    end
-  with
-  | Ok r -> Ok r
-  | Error "eof" -> Error "transport: connection closed"
-  | Error e -> Error e
+  match t.conn.Env.send (Protocol.render_as (Protocol.framing t.rd) m) with
+  | () -> (
+      match Protocol.receive ~deadline t.rd t.conn with
+      | Error "eof" -> Error "transport: connection closed"
+      | r -> r)
   | exception Env.Net (err, _) ->
       Error ("transport: " ^ Env.net_err_to_string err)
 
@@ -65,10 +52,15 @@ let hello ?tenant ?lane ~binary t =
   match roundtrip t { Protocol.verb = "hello"; fields } with
   | Ok m when Protocol.field m "status" = Some "ok" ->
       if binary && Protocol.field m "framing" = Some "binary" then
-        t.binary <- true;
+        Protocol.set_framing t.rd Protocol.Binary;
       true
   | Ok _ | Error _ -> false
 
+(* Full-jitter exponential backoff: the [k]-th retry sleeps a uniform
+   draw from [0, min (base * 2^k) cap] — seeded through the
+   environment, so a simulated run replays the same waits.  Retries
+   stop once the next attempt could not start before [deadline_s] has
+   elapsed. *)
 let connect ?(env = Env.real) ?(deadline_s = 0.) ?(base_backoff_s = 0.02)
     ?(max_backoff_s = 1.0) ?(io_deadline_s = Float.infinity) ?tenant ?lane
     ?(binary = false) ~sock () =
@@ -77,7 +69,7 @@ let connect ?(env = Env.real) ?(deadline_s = 0.) ?(base_backoff_s = 0.02)
   let rec attempt k =
     match env.Env.connect sock with
     | conn ->
-        let t = { env; conn; io_deadline_s; binary = false } in
+        let t = { env; conn; io_deadline_s; rd = Protocol.reader () } in
         (match (tenant, lane, binary) with
         | None, None, false -> ()
         | _ -> ignore (hello ?tenant ?lane ~binary t));

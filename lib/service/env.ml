@@ -35,8 +35,7 @@ let fresh_id =
 type conn = {
   id : int;
   send : string -> unit;
-  recv_exact : float -> int -> string;
-  recv_line : float -> string;
+  recv : float -> int -> string;
   try_recv : int -> string;
   try_send : string -> int;
   close_conn : unit -> unit;
@@ -125,16 +124,13 @@ let real_rand =
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* The poller finds descriptors by conn/listener id through this
-   registry.  [fde_ready] reports bytes already buffered in userland —
-   they would never wake a [select], so poll checks them first. *)
-type fd_entry = { fde_fd : Unix.file_descr; fde_ready : unit -> bool }
-
-let fd_registry : (int, fd_entry) Hashtbl.t = Hashtbl.create 64
+   registry. *)
+let fd_registry : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 64
 let fd_registry_mx = Mutex.create ()
 
-let register_fd id entry =
+let register_fd id fd =
   Mutex.lock fd_registry_mx;
-  Hashtbl.replace fd_registry id entry;
+  Hashtbl.replace fd_registry id fd;
   Mutex.unlock fd_registry_mx
 
 let unregister_fd id =
@@ -148,90 +144,60 @@ let find_fd id =
   Mutex.unlock fd_registry_mx;
   r
 
-(* A buffered byte-stream over a connected descriptor.  Receives honor
-   an absolute deadline on [real_mono] via [select]. *)
+(* A write to a socket whose peer has gone raises SIGPIPE, whose default
+   action kills the process before [EPIPE] can surface as [Reset]. *)
+let sigpipe_ignored = Atomic.make false
+
+let ignore_sigpipe () =
+  if not (Atomic.exchange sigpipe_ignored true) then
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
+(* A byte-stream over a connected descriptor, read straight from the
+   kernel.  [recv] honors an absolute deadline on [real_mono] via
+   [select]. *)
 let real_conn fd =
-  let buf = Buffer.create 4096 in
+  ignore_sigpipe ();
   let chunk = Bytes.create 65536 in
   let closed = ref false in
-  let eof = ref false in
   let id = fresh_id () in
-  let fill deadline =
-    (* Block (up to [deadline]) for at least one more byte. *)
-    let rec wait () =
-      if !closed then raise (Net (Closed, "recv on closed connection"));
-      let remaining =
-        if deadline = Float.infinity then -1.0
-        else
-          let r = deadline -. real_mono () in
-          if r <= 0. then raise (Net (Timeout, "recv deadline expired"))
-          else r
-      in
-      match Unix.select [ fd ] [] [] remaining with
-      | [], _, _ -> raise (Net (Timeout, "recv deadline expired"))
-      | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> raise (Net (Eof, "recv"))
-          | n -> Buffer.add_subbytes buf chunk 0 n
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-          | exception Unix.Unix_error (e, _, _) ->
-              raise (Net (net_of_unix e, "recv")))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+  let check_open what =
+    if !closed then raise (Net (Closed, what ^ " on closed connection"))
+  in
+  (* What [fd] has, once it is readable within [timeout] seconds ([-1.]:
+     no limit); [""] if it is not. *)
+  let read_within timeout n =
+    match Unix.select [ fd ] [] [] timeout with
+    | [], _, _ -> ""
+    | _ -> (
+        match Unix.read fd chunk 0 (min n (Bytes.length chunk)) with
+        | 0 -> raise (Net (Eof, "recv"))
+        | k -> Bytes.sub_string chunk 0 k)
+  in
+  let rec recv deadline n =
+    check_open "recv";
+    let remaining =
+      if deadline = Float.infinity then -1.0
+      else
+        let r = deadline -. real_mono () in
+        if r <= 0. then raise (Net (Timeout, "recv deadline expired")) else r
     in
-    wait ()
-  in
-  let take n =
-    let s = Buffer.sub buf 0 n in
-    let rest = Buffer.sub buf n (Buffer.length buf - n) in
-    Buffer.clear buf;
-    Buffer.add_string buf rest;
-    s
-  in
-  let recv_exact deadline n =
-    while Buffer.length buf < n do
-      fill deadline
-    done;
-    take n
-  in
-  let recv_line deadline =
-    let rec find_nl () =
-      match String.index_opt (Buffer.contents buf) '\n' with
-      | Some i -> i
-      | None ->
-          fill deadline;
-          find_nl ()
-    in
-    let i = find_nl () in
-    let line = take (i + 1) in
-    String.sub line 0 i
-  in
-  (* Pull whatever the kernel has ready into [buf] without blocking. *)
-  let try_fill () =
-    if not !eof then
-      match Unix.select [ fd ] [] [] 0.0 with
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> eof := true
-          | n -> Buffer.add_subbytes buf chunk 0 n
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              ()
-          | exception Unix.Unix_error (e, _, _) ->
-              raise (Net (net_of_unix e, "recv")))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    match read_within remaining n with
+    | "" -> raise (Net (Timeout, "recv deadline expired"))
+    | s -> s
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv deadline n
+    | exception Unix.Unix_error (e, _, _) -> raise (Net (net_of_unix e, "recv"))
   in
   let try_recv n =
-    if !closed then raise (Net (Closed, "recv on closed connection"));
-    if Buffer.length buf = 0 then try_fill ();
-    let k = min n (Buffer.length buf) in
-    if k > 0 then take k
-    else if !eof then raise (Net (Eof, "recv"))
-    else ""
+    check_open "recv";
+    match read_within 0.0 n with
+    | s -> s
+    | exception
+        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        ""
+    | exception Unix.Unix_error (e, _, _) -> raise (Net (net_of_unix e, "recv"))
   in
   let send s =
-    if !closed then raise (Net (Closed, "send on closed connection"));
+    check_open "send";
     let len = String.length s in
     let rec push off =
       if off < len then
@@ -244,7 +210,7 @@ let real_conn fd =
     push 0
   in
   let try_send s =
-    if !closed then raise (Net (Closed, "send on closed connection"));
+    check_open "send";
     let len = String.length s in
     if len = 0 then 0
     else
@@ -268,9 +234,8 @@ let real_conn fd =
       close_quiet fd
     end
   in
-  register_fd id
-    { fde_fd = fd; fde_ready = (fun () -> Buffer.length buf > 0 || !eof) };
-  { id; send; recv_exact; recv_line; try_recv; try_send; close_conn }
+  register_fd id fd;
+  { id; send; recv; try_recv; try_send; close_conn }
 
 let real_connect sock =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -332,13 +297,11 @@ let real_listen sock =
       close_quiet fd
     end
   in
-  register_fd lid { fde_fd = fd; fde_ready = (fun () -> false) };
+  register_fd lid fd;
   { lid; accept; try_accept; close_listener }
 
 (* Readiness via [select] over the registered descriptors, plus a
-   self-pipe so a dispatcher thread can interrupt a sleeping loop.
-   Bytes already buffered in a conn's userland buffer count as ready
-   before the [select] — the kernel has forgotten about them. *)
+   self-pipe so a dispatcher thread can interrupt a sleeping loop. *)
 let real_poller () =
   let rfd, wfd = Unix.pipe () in
   Unix.set_nonblock rfd;
@@ -357,21 +320,18 @@ let real_poller () =
   in
   let poll ~conns ~listeners deadline =
     if !closed then raise (Net (Closed, "poll on closed poller"));
-    let entries =
-      List.filter_map (fun (c : conn) -> find_fd c.id) conns
-      @ List.filter_map (fun (l : listener) -> find_fd l.lid) listeners
+    let fds =
+      rfd
+      :: (List.filter_map (fun (c : conn) -> find_fd c.id) conns
+         @ List.filter_map (fun (l : listener) -> find_fd l.lid) listeners)
     in
-    if List.exists (fun e -> e.fde_ready ()) entries then drain ()
-    else begin
-      let fds = rfd :: List.map (fun e -> e.fde_fd) entries in
-      let timeout =
-        if deadline = Float.infinity then -1.0
-        else Float.max 0. (deadline -. real_mono ())
-      in
-      match Unix.select fds [] [] timeout with
-      | _ -> drain ()
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
-    end
+    let timeout =
+      if deadline = Float.infinity then -1.0
+      else Float.max 0. (deadline -. real_mono ())
+    in
+    match Unix.select fds [] [] timeout with
+    | _ -> drain ()
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
   in
   let wake () =
     try ignore (Unix.write_substring wfd "w" 0 1) with Unix.Unix_error _ -> ()

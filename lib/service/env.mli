@@ -29,19 +29,21 @@ val net_err_to_string : net_err -> string
     {!poller} uses to find the underlying descriptor/endpoint. *)
 val fresh_id : unit -> int
 
-(** A bidirectional byte-stream connection.  Receive operations take an
-    absolute deadline on the {e monotonic} clock ([Float.infinity] =
-    wait forever) and raise [Net (Timeout, _)] past it.  The [try_]
-    variants never block — they are the event-loop half of the API and
-    must only be mixed with the blocking half by one owner at a time. *)
+(** A bidirectional byte-stream connection.  The blocking receive takes
+    an absolute deadline on the {e monotonic} clock ([Float.infinity] =
+    wait forever) and raises [Net (Timeout, _)] past it.  Messages are
+    framed above this layer ({!Protocol.reader}); a conn moves bytes
+    only.  The [try_] variants never block — they are the event-loop
+    half of the API and must only be mixed with the blocking half by
+    one owner at a time.  A write to a peer that has gone raises
+    [Net (Reset, _)]; under {!real} it never dies of [SIGPIPE]. *)
 type conn = {
   id : int;
   send : string -> unit;
-  recv_exact : float -> int -> string;
-      (** [recv_exact deadline n] blocks for exactly [n] bytes. *)
-  recv_line : float -> string;
-      (** [recv_line deadline] reads up to a ['\n'] (consumed, not
-          returned). *)
+  recv : float -> int -> string;
+      (** [recv deadline n] blocks until bytes are available and returns
+          at least one and at most [n] of them.  Raises [Net (Eof, _)]
+          at clean stream end. *)
   try_recv : int -> string;
       (** Up to [n] bytes already available, [""] when none are — never
           blocks.  Raises [Net (Eof, _)] at clean stream end,
@@ -125,8 +127,13 @@ type t = {
     stop-the-world collection as a domain of its own.  [mono] is the
     wall clock clamped to never decrease (the toolchain here lacks
     [Unix.clock_gettime]); that is enough to keep an NTP step from
-    expiring or immortalizing queued jobs.  The poller is a [select]
-    over the registered descriptors plus a self-pipe for [wake]. *)
+    expiring or immortalizing queued jobs.  A conn reads straight from
+    its socket, so a [select] over the registered descriptors sees every
+    pending byte; the poller is that [select] plus a self-pipe for
+    [wake].  The
+    first real conn sets [SIGPIPE] to ignored, process-wide: a write to
+    a peer that hung up then fails with [EPIPE] (raised as
+    [Net (Reset, _)]) instead of killing the process. *)
 val real : t
 
 (** The stale-socket probe every listener runs before binding [sock].

@@ -386,8 +386,9 @@ let push_rebalance st (v : Member.view) =
 
 let handle_coord st conn =
   let send m = try Protocol.write_conn conn m with Env.Net _ -> () in
+  let rd = Protocol.reader () in
   let rec loop () =
-    match Protocol.read_conn conn with
+    match Protocol.receive rd conn with
     | Error "eof" -> ()
     | Error msg ->
         send (Protocol.rejected ("protocol error: " ^ msg))

@@ -170,22 +170,19 @@ type tenant = {
   mutable tn_shed : int;
 }
 
-type codec = Text | Binary
-
-(* One request's place in its connection's reply sequence: the codec
+(* One request's place in its connection's reply sequence: the framing
    the request arrived in, and its rendered reply once there is one. *)
-type slot = { s_codec : codec; mutable s_reply : string option }
+type slot = { s_framing : Protocol.framing; mutable s_reply : string option }
 
-(* One connection's state machine: incremental read buffer (unparsed
-   inbound bytes), pending out-bytes, and the reply sequence — one slot
-   per request whose reply has not yet moved to the out-bytes, in
-   request order.  Only the event loop touches a cstate; dispatchers
+(* One connection's state machine: its reader (unparsed inbound bytes
+   and current framing), pending out-bytes, and the reply sequence —
+   one slot per request whose reply has not yet moved to the out-bytes,
+   in request order.  Only the event loop touches a cstate; dispatchers
    reference one solely as a completion address. *)
 type cstate = {
   c_conn : Env.conn;
-  c_rbuf : Buffer.t;
+  c_rd : Protocol.reader;
   mutable c_out : string;
-  mutable c_codec : codec;
   mutable c_tenant : tenant;
   mutable c_lane : Lanes.lane;
   c_replies : slot Queue.t;
@@ -277,7 +274,7 @@ let flush_out cs =
 
 (* The next place in [cs]'s reply sequence. *)
 let reserve cs =
-  let slot = { s_codec = cs.c_codec; s_reply = None } in
+  let slot = { s_framing = Protocol.framing cs.c_rd; s_reply = None } in
   Queue.push slot cs.c_replies;
   slot
 
@@ -287,11 +284,7 @@ let reserve cs =
 let fill cs slot m =
   slot.s_reply <-
     Some
-      (if cs.c_dead then ""
-       else
-         match slot.s_codec with
-         | Text -> Protocol.render m
-         | Binary -> Protocol.render_binary m);
+      (if cs.c_dead then "" else Protocol.render_as slot.s_framing m);
   let rec drain () =
     match Queue.peek_opt cs.c_replies with
     | Some { s_reply = Some r; _ } ->
@@ -364,7 +357,7 @@ let handle_hello fd cs m =
   cs.c_tenant <- locked fd (fun () -> tenant fd tenant_id);
   cs.c_lane <- Lanes.lane_of_string (Protocol.field_or m "lane" "batch");
   let binary = Protocol.field m "framing" = Some "binary" in
-  (* The confirmation travels in the codec the hello arrived in; only
+  (* The confirmation travels in the framing the hello arrived in; only
      messages after it switch. *)
   reply cs
     (Protocol.ok
@@ -373,7 +366,7 @@ let handle_hello fd cs m =
          ("tenant", tenant_id);
          ("lane", Lanes.lane_to_string cs.c_lane);
        ]);
-  if binary then cs.c_codec <- Binary
+  if binary then Protocol.set_framing cs.c_rd Protocol.Binary
 
 let internal_error e =
   Protocol.rejected ("internal error: " ^ Printexc.to_string e)
@@ -558,57 +551,41 @@ let handle_msg fd cs m =
       | Some node -> admit ~debit:false fd cs (Rebalance node) m)
   | verb -> reply cs (Protocol.rejected ("unknown verb: " ^ verb))
 
-let consume cs n =
-  let data = Buffer.contents cs.c_rbuf in
-  Buffer.clear cs.c_rbuf;
-  Buffer.add_substring cs.c_rbuf data n (String.length data - n)
-
 let rec parse_loop fd cs =
-  if (not cs.c_dead) && (not cs.c_err) && Buffer.length cs.c_rbuf > 0 then begin
-    let data = Buffer.contents cs.c_rbuf in
-    let progress =
-      match cs.c_codec with
-      | Text -> Protocol.decode data
-      | Binary -> Protocol.decode_binary data
-    in
-    match progress with
+  if (not cs.c_dead) && not cs.c_err then
+    match Protocol.next cs.c_rd with
     | Protocol.More -> ()
     | Protocol.Err e ->
         (* The stream is desynchronized: answer with a structured
            protocol error, stop reading, close once drained. *)
         locked fd (fun () ->
             fd.stats.fd_proto_errors <- fd.stats.fd_proto_errors + 1);
-        Buffer.clear cs.c_rbuf;
         cs.c_err <- true;
         cs.c_closing <- true;
         reply cs (Protocol.rejected ("protocol error: " ^ e))
-    | Protocol.Msg (m, used) ->
-        consume cs used;
+    | Protocol.Msg (m, _) ->
         handle_msg fd cs m;
         parse_loop fd cs
-  end
 
-let pump_in fd cs =
-  if (not cs.c_dead) && not cs.c_closing then begin
-    (try
-       let rec rd () =
-         match cs.c_conn.Env.try_recv 65536 with
-         | "" -> ()
-         | s ->
-             Buffer.add_string cs.c_rbuf s;
-             rd ()
-       in
-       rd ()
-     with
+let pump_in cs =
+  if (not cs.c_dead) && not cs.c_closing then
+    try
+      let rec rd () =
+        match cs.c_conn.Env.try_recv 65536 with
+        | "" -> ()
+        | s ->
+            Protocol.feed cs.c_rd s;
+            rd ()
+      in
+      rd ()
+    with
     | Env.Net (Env.Eof, _) -> cs.c_closing <- true
-    | Env.Net _ -> mark_dead cs);
-    ignore fd
-  end
+    | Env.Net _ -> mark_dead cs
 
 let service_conn fd cs =
   if not cs.c_dead then begin
     flush_out cs;
-    pump_in fd cs;
+    pump_in cs;
     (* Bytes buffered before an EOF may still hold complete requests
        (send + shutdown-write is a legal client). *)
     parse_loop fd cs;
@@ -665,9 +642,8 @@ let accept_all fd =
           let cs =
             {
               c_conn = conn;
-              c_rbuf = Buffer.create 256;
+              c_rd = Protocol.reader ();
               c_out = "";
-              c_codec = Text;
               c_tenant = locked fd (fun () -> tenant fd "default");
               c_lane = Lanes.Batch;
               c_replies = Queue.create ();

@@ -6,56 +6,6 @@ let magic = "dbds/1"
 let max_field_bytes = 16 * 1024 * 1024
 let max_fields = 32
 
-let write oc m =
-  Printf.fprintf oc "%s %s %d\n" magic m.verb (List.length m.fields);
-  List.iter
-    (fun (name, payload) ->
-      Printf.fprintf oc "%s %d\n" name (String.length payload);
-      output_string oc payload;
-      output_char oc '\n')
-    m.fields;
-  flush oc
-
-let read ic =
-  let ( let* ) r f = Result.bind r f in
-  let line () =
-    match input_line ic with
-    | l -> Ok l
-    | exception End_of_file -> Error "eof"
-  in
-  let* header = line () in
-  let* verb, nfields =
-    match String.split_on_char ' ' header with
-    | [ m; verb; n ] when m = magic -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 && n <= max_fields -> Ok (verb, n)
-        | _ -> Error ("bad field count: " ^ header))
-    | _ -> Error ("bad header: " ^ header)
-  in
-  let rec fields acc = function
-    | 0 -> Ok (List.rev acc)
-    | k -> (
-        let* fheader = line () in
-        match String.split_on_char ' ' fheader with
-        | [ name; len ] -> (
-            match int_of_string_opt len with
-            | Some len when len >= 0 && len <= max_field_bytes -> (
-                match
-                  let payload = really_input_string ic len in
-                  let nl = input_char ic in
-                  (payload, nl)
-                with
-                | payload, '\n' -> fields ((name, payload) :: acc) (k - 1)
-                | _ -> Error "missing payload terminator"
-                | exception End_of_file -> Error "truncated payload")
-            | _ -> Error ("bad field length: " ^ fheader))
-        | _ -> Error ("bad field header: " ^ fheader))
-  in
-  let* fields = fields [] nfields in
-  Ok { verb; fields }
-
-(* ---- Env.conn transport -------------------------------------------- *)
-
 (* One message renders to one string and travels as one [send]: under
    the simulator that makes a message a single network chunk, so chunk
    faults (drop/reorder/duplicate) act on whole protocol messages. *)
@@ -71,50 +21,6 @@ let render m =
   Buffer.contents buf
 
 let write_conn (c : Env.conn) m = c.Env.send (render m)
-
-let read_conn ?(deadline = Float.infinity) (c : Env.conn) =
-  let ( let* ) r f = Result.bind r f in
-  match
-    let* header =
-      match c.Env.recv_line deadline with
-      | l -> Ok l
-      | exception Env.Net (Env.Eof, _) -> Error "eof"
-    in
-    let* verb, nfields =
-      match String.split_on_char ' ' header with
-      | [ m; verb; n ] when m = magic -> (
-          match int_of_string_opt n with
-          | Some n when n >= 0 && n <= max_fields -> Ok (verb, n)
-          | _ -> Error ("bad field count: " ^ header))
-      | _ -> Error ("bad header: " ^ header)
-    in
-    let rec fields acc = function
-      | 0 -> Ok (List.rev acc)
-      | k -> (
-          let* fheader =
-            match c.Env.recv_line deadline with
-            | l -> Ok l
-            | exception Env.Net (Env.Eof, _) -> Error "truncated message"
-          in
-          match String.split_on_char ' ' fheader with
-          | [ name; len ] -> (
-              match int_of_string_opt len with
-              | Some len when len >= 0 && len <= max_field_bytes -> (
-                  match c.Env.recv_exact deadline (len + 1) with
-                  | s when s.[len] = '\n' ->
-                      fields ((name, String.sub s 0 len) :: acc) (k - 1)
-                  | _ -> Error "missing payload terminator"
-                  | exception Env.Net (Env.Eof, _) -> Error "truncated payload")
-              | _ -> Error ("bad field length: " ^ fheader))
-          | _ -> Error ("bad field header: " ^ fheader))
-    in
-    let* fields = fields [] nfields in
-    Ok { verb; fields }
-  with
-  | r -> r
-  | exception Env.Net (Env.Timeout, _) -> Error "timeout"
-  | exception Env.Net (err, _) ->
-      Error ("transport: " ^ Env.net_err_to_string err)
 
 (* ---- binary framing -------------------------------------------------- *)
 
@@ -192,41 +98,6 @@ let resolve_binary_verb code fields =
     | Some verb -> Ok { verb; fields }
     | None -> Error (Printf.sprintf "unknown verb code %d" code)
 
-let write_conn_binary (c : Env.conn) m = c.Env.send (render_binary m)
-
-let read_conn_binary ?(deadline = Float.infinity) (c : Env.conn) =
-  match
-    let hdr = c.Env.recv_exact deadline 3 in
-    if hdr.[0] <> binary_magic then Error "bad binary magic"
-    else
-      let code = Char.code hdr.[1] and nf = Char.code hdr.[2] in
-      if nf > max_fields then Error "too many fields"
-      else
-        let rec fields acc k =
-          if k = 0 then Ok (List.rev acc)
-          else
-            let nlen = Char.code (c.Env.recv_exact deadline 1).[0] in
-            let name = c.Env.recv_exact deadline nlen in
-            let l4 = c.Env.recv_exact deadline 4 in
-            let plen =
-              (Char.code l4.[0] lsl 24)
-              lor (Char.code l4.[1] lsl 16)
-              lor (Char.code l4.[2] lsl 8)
-              lor Char.code l4.[3]
-            in
-            if plen > max_field_bytes then Error "field too large"
-            else
-              let payload = c.Env.recv_exact deadline plen in
-              fields ((name, payload) :: acc) (k - 1)
-        in
-        Result.bind (fields [] nf) (resolve_binary_verb code)
-  with
-  | r -> r
-  | exception Env.Net (Env.Eof, _) -> Error "eof"
-  | exception Env.Net (Env.Timeout, _) -> Error "timeout"
-  | exception Env.Net (err, _) ->
-      Error ("transport: " ^ Env.net_err_to_string err)
-
 (* ---- incremental decoders -------------------------------------------- *)
 
 type progress = Msg of message * int | More | Err of string
@@ -235,6 +106,15 @@ type progress = Msg of message * int | More | Err of string
    bound that keeps an attacker from growing the unparsed buffer with
    a newline-free stream. *)
 let max_line_bytes = 4096
+
+(* A field count or length: decimal digits only.  [int_of_string_opt]
+   would also take "0x10", "+3", "-0", "1_6" and "0b11".  Nine digits
+   cover every bound below without overflow. *)
+let decimal s =
+  let n = String.length s in
+  if n > 0 && n <= 9 && String.for_all (fun c -> c >= '0' && c <= '9') s
+  then Some (int_of_string s)
+  else None
 
 let decode buf =
   let len = String.length buf in
@@ -260,8 +140,8 @@ let decode buf =
   | `Line (header, pos) -> (
       match String.split_on_char ' ' header with
       | [ m; verb; n ] when m = magic -> (
-          match int_of_string_opt n with
-          | Some n when n >= 0 && n <= max_fields ->
+          match decimal n with
+          | Some n when n <= max_fields ->
               let rec fields acc pos = function
                 | 0 -> Msg ({ verb; fields = List.rev acc }, pos)
                 | k -> (
@@ -271,8 +151,8 @@ let decode buf =
                     | `Line (fheader, pos) -> (
                         match String.split_on_char ' ' fheader with
                         | [ name; l ] -> (
-                            match int_of_string_opt l with
-                            | Some l when l >= 0 && l <= max_field_bytes ->
+                            match decimal l with
+                            | Some l when l <= max_field_bytes ->
                                 if pos + l + 1 > len then More
                                 else if buf.[pos + l] <> '\n' then
                                   Err "missing payload terminator"
@@ -327,6 +207,76 @@ let decode_binary buf =
                 (lp + 4 + plen) (k - 1)
       in
       fields [] 3 nf
+
+(* ---- the per-connection reader --------------------------------------- *)
+
+type framing = Text | Binary
+
+(* [pending] is the unparsed head of the stream: bytes received but not
+   yet part of a decoded message. *)
+type reader = { mutable pending : string; mutable framing : framing }
+
+let reader () = { pending = ""; framing = Text }
+let framing r = r.framing
+let set_framing r f = r.framing <- f
+
+let render_as = function Text -> render | Binary -> render_binary
+
+let feed r s = r.pending <- (if r.pending = "" then s else r.pending ^ s)
+
+let next r =
+  let p =
+    match r.framing with
+    | Text -> decode r.pending
+    | Binary -> decode_binary r.pending
+  in
+  (match p with
+  | Msg (_, used) ->
+      r.pending <- String.sub r.pending used (String.length r.pending - used)
+  | More | Err _ -> ());
+  p
+
+let receive ?(deadline = Float.infinity) r (c : Env.conn) =
+  let rec go () =
+    match next r with
+    | Msg (m, _) -> Ok m
+    | Err e -> Error e
+    | More -> (
+        match c.Env.recv deadline 65536 with
+        | s ->
+            feed r s;
+            go ()
+        | exception Env.Net (Env.Eof, _) ->
+            Error (if r.pending = "" then "eof" else "truncated message")
+        | exception Env.Net (Env.Timeout, _) -> Error "timeout"
+        | exception Env.Net (err, _) ->
+            Error ("transport: " ^ Env.net_err_to_string err))
+  in
+  go ()
+
+(* The readers of the conns read through [read_conn], keyed weakly by
+   the conn: an entry goes once its conn is collected. *)
+module Conn_readers = Ephemeron.K1.Make (struct
+  type t = Env.conn
+
+  let equal = ( == )
+  let hash (c : Env.conn) = Hashtbl.hash c.Env.id
+end)
+
+let conn_readers = Conn_readers.create 8
+let conn_readers_mx = Mutex.create ()
+
+let read_conn ?deadline (c : Env.conn) =
+  let r =
+    Mutex.protect conn_readers_mx (fun () ->
+        match Conn_readers.find_opt conn_readers c with
+        | Some r -> r
+        | None ->
+            let r = reader () in
+            Conn_readers.replace conn_readers c r;
+            r)
+  in
+  receive ?deadline r c
 
 let field m name = List.assoc_opt name m.fields
 let field_or m name default = Option.value (field m name) ~default

@@ -1,5 +1,6 @@
 (** The wire protocol of the compilation service: a small
-    length-prefixed text protocol over a Unix-domain socket.
+    length-prefixed text protocol over a Unix-domain socket, with a
+    compact binary framing a connection may negotiate.
 
     A {e message} is a verb plus an ordered list of named fields.
     On the wire:
@@ -8,50 +9,47 @@
     message   = header field* ;
     header    = "dbds/1 " verb " " nfields LF ;
     field     = name " " nbytes LF payload LF ;
+    nfields   = decimal digits, at most max_fields ;
+    nbytes    = decimal digits, at most max_field_bytes ;
     payload   = nbytes bytes, verbatim (may contain LF) ;
     v}
 
     Field payloads are length-prefixed, so IR text travels unescaped.
-    Both sides read with {!read}, which validates the magic, bounds
-    field sizes and counts, and returns [Error] (never raises) on
-    malformed input.
+    Each framing is parsed in exactly one place — {!decode} and
+    {!decode_binary}, pure and exception-free — and every connection
+    reads through a {!reader} built on them: the front door's event
+    loop, the clients, the fleet coordinator.
 
     Verbs (client → server): [compile] (fields [config], [fn], [ir],
-    optional [deadline-ms], [delay-ms]), [stats], [ping], [shutdown].
-    Server → client: [reply] with a [status] field
-    ([ok], [done], [done-cache], [failed], [timed-out], [shed],
-    [rejected]) plus verb-specific fields ([ir], [work], [message],
-    [broker], [store]). *)
+    optional [deadline-ms], [delay-ms], [lane], [inject]), [stats],
+    [ping], [shutdown], [hello] ([tenant], [lane], [framing]),
+    [lookup] ([digest]).  Fleet verbs: [fetch], [push] and
+    [rebalance] between nodes; [join], [beat], [leave] and [view] to
+    the coordinator.
+    Server → client: [reply] with a [status] field ([ok], [done],
+    [done-cache], [failed], [timed-out], [shed], [rejected]; [hit] and
+    [miss] answer [lookup]/[fetch], [unknown] a [beat] from a node the
+    coordinator no longer lists) plus verb-specific fields ([ir],
+    [work], [message], [retry-after-ms], [broker], [store], [counts],
+    [frontdoor], [epoch], [nodes]). *)
 
 type message = { verb : string; fields : (string * string) list }
 
-(** Hard ceilings enforced by {!read}: per-field bytes and fields per
-    message.  Oversized input is a protocol error, not an allocation. *)
+(** Hard ceilings enforced by the decoders: per-field bytes and fields
+    per message.  Oversized input is a protocol error, not an
+    allocation. *)
 val max_field_bytes : int
 
 val max_fields : int
-
-val write : out_channel -> message -> unit
-
-(** Read one message.  [Error] covers EOF at a message boundary
-    (rendered ["eof"]), truncation, bad magic, and limit violations. *)
-val read : in_channel -> (message, string) result
 
 (** Render one message as its text wire form — what {!write_conn}
     sends as one chunk. *)
 val render : message -> string
 
-(** {!write} over an {!Env.conn}: the whole message is rendered and
-    sent as one chunk (so simulated chunk faults act on whole
-    messages).  May raise {!Env.Net}. *)
+(** Send one message in the text framing: the whole message is
+    rendered and sent as one chunk (so simulated chunk faults act on
+    whole messages).  May raise {!Env.Net}. *)
 val write_conn : Env.conn -> message -> unit
-
-(** {!read} over an {!Env.conn}.  [deadline] is absolute on the
-    environment's monotonic clock (default: wait forever); expiry and
-    transport failures come back as [Error] ("timeout",
-    "transport: ..."), EOF at a message boundary as [Error "eof"] —
-    never an exception. *)
-val read_conn : ?deadline:float -> Env.conn -> (message, string) result
 
 (** {1 Binary framing}
 
@@ -77,19 +75,13 @@ val verb_of_code : int -> string option
     chunk, like {!render}'s text form). *)
 val render_binary : message -> string
 
-val write_conn_binary : Env.conn -> message -> unit
-
-(** Blocking binary read over an {!Env.conn}; same error discipline as
-    {!read_conn}. *)
-val read_conn_binary : ?deadline:float -> Env.conn -> (message, string) result
-
 (** {1 Incremental decoding}
 
-    The event-loop half of the protocol: feed the unparsed head of a
-    connection's receive buffer, get back a complete message plus how
-    many bytes it consumed, a request for more bytes, or a protocol
-    error (the frontdoor answers it and closes the connection).  Pure
-    functions — they never raise on any input. *)
+    Feed the unparsed head of a connection's stream, get back a
+    complete message plus how many bytes it consumed, a request for
+    more bytes, or a protocol error (the front door answers it and
+    closes the connection).  Pure functions — they never raise on any
+    input. *)
 
 type progress = Msg of message * int | More | Err of string
 
@@ -102,6 +94,49 @@ val decode : string -> progress
 
 (** Incremental binary-frame decoder. *)
 val decode_binary : string -> progress
+
+(** {1 The per-connection reader}
+
+    A connection's unparsed bytes and its current framing.  The event
+    loop {!feed}s it whatever arrived and takes messages with {!next};
+    a blocking reader calls {!receive}, which decodes what is buffered
+    and, on [More], blocks in the conn's [recv] for more bytes.  One
+    reader per connection, one owner at a time. *)
+
+type framing = Text | Binary
+
+type reader
+
+(** A fresh reader, in the text framing. *)
+val reader : unit -> reader
+
+val framing : reader -> framing
+
+(** Switch the stream's framing from the next message on. *)
+val set_framing : reader -> framing -> unit
+
+(** {!render} or {!render_binary}. *)
+val render_as : framing -> message -> string
+
+(** Append received bytes. *)
+val feed : reader -> string -> unit
+
+(** Decode the next buffered message in the reader's framing; a [Msg]'s
+    bytes are consumed.  After [Err] the stream is desynchronized: the
+    reader answers the same [Err] again. *)
+val next : reader -> progress
+
+(** Block for the next message on [conn].  [deadline] is absolute on
+    the environment's monotonic clock (default: wait forever).  Every
+    failure is an [Error], never an exception: a decoder error, the
+    peer closing at a message boundary (["eof"]) or inside a message
+    (["truncated message"]), ["timeout"], or ["transport: ..."]. *)
+val receive :
+  ?deadline:float -> reader -> Env.conn -> (message, string) result
+
+(** {!receive} for a caller holding only the connection: its reader
+    (text framing) is kept in a table keyed weakly by the conn. *)
+val read_conn : ?deadline:float -> Env.conn -> (message, string) result
 
 (** First payload under [name], if present. *)
 val field : message -> string -> string option

@@ -487,9 +487,9 @@ let run spec =
                 (try
                    conn.Env.send "\xBFgarbage, not a negotiated frame\n";
                    match
-                     Service.Protocol.read_conn
+                     Service.Protocol.receive
                        ~deadline:(env.Env.mono () +. 60.)
-                       conn
+                       (Service.Protocol.reader ()) conn
                    with
                    | Ok r
                      when Service.Protocol.field r "status" = Some "rejected"

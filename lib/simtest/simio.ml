@@ -246,28 +246,11 @@ let take ep n =
   Buffer.add_string ep.rbuf rest;
   s
 
-let recv_exact io ep deadline n =
-  while
-    (while not (Queue.is_empty ep.inq) do
-       Buffer.add_string ep.rbuf (Queue.pop ep.inq)
-     done;
-     Buffer.length ep.rbuf < n)
-  do
-    await_input io ep deadline
-  done;
-  take ep n
-
-let recv_line io ep deadline =
-  let rec find () =
-    match String.index_opt (Buffer.contents ep.rbuf) '\n' with
-    | Some i -> i
-    | None ->
-        await_input io ep deadline;
-        find ()
-  in
-  let i = find () in
-  let line = take ep (i + 1) in
-  String.sub line 0 i
+(* The blocking read: whatever is buffered, up to [n] bytes, once there
+   is at least one. *)
+let recv io ep deadline n =
+  await_input io ep deadline;
+  take ep (min n (Buffer.length ep.rbuf))
 
 let close_ep io self peer =
   if not self.closed then begin
@@ -299,8 +282,7 @@ let conn_of_ep io self peer =
   {
     Env.id;
     send = (fun chunk -> send io self peer chunk);
-    recv_exact = (fun deadline n -> recv_exact io self deadline n);
-    recv_line = (fun deadline -> recv_line io self deadline);
+    recv = (fun deadline n -> recv io self deadline n);
     try_recv = (fun n -> try_recv io self n);
     try_send =
       (* The simulated link never short-writes: one send is one chunk,

@@ -78,9 +78,10 @@ end;
    never an escaping exception or a wedged event loop. *)
 let f = Harness.Fuzz.run_frontdoor () in
 Printf.printf
-  "fuzz frontdoor: %d decoder cases, %d server runs, %d structured \
-   rejections\n"
-  f.Harness.Fuzz.f_decoder_cases f.Harness.Fuzz.f_server_runs
+  "fuzz frontdoor: %d decoder cases, %d stream cases, %d server runs, %d \
+   structured rejections\n"
+  f.Harness.Fuzz.f_decoder_cases f.Harness.Fuzz.f_stream_cases
+  f.Harness.Fuzz.f_server_runs
   f.Harness.Fuzz.f_rejected;
 match f.Harness.Fuzz.f_violations with
 | [] -> ()

@@ -210,6 +210,24 @@ let test_text_decoder_incremental () =
           Alcotest.(check int) "consumed the rest" (String.length rest) used'
       | _ -> Alcotest.fail "second message lost")
   | _ -> Alcotest.fail "pipelined messages not decoded");
+  (* Field counts and lengths are decimal digits only. *)
+  List.iter
+    (fun wire ->
+      match SP.decode wire with
+      | SP.Err _ -> ()
+      | _ -> Alcotest.failf "non-decimal number accepted: %S" wire)
+    [
+      "dbds/1 ping 0x0\n";
+      "dbds/1 ping +3\n";
+      "dbds/1 ping -0\n";
+      "dbds/1 ping 1_6\n";
+      "dbds/1 ping 0b11\n";
+      "dbds/1 ping 1\nf 0x3\nabc\n";
+      "dbds/1 ping 1\nf +3\nabc\n";
+      "dbds/1 ping 1\nf -0\n\n";
+      "dbds/1 ping 1\nf 1_6\nabc\n";
+      "dbds/1 ping 1\nf 0b11\nabc\n";
+    ];
   (* Unbounded newline-free garbage is an error, not unbounded More. *)
   match SP.decode (String.make (SP.max_line_bytes + 1) 'a') with
   | SP.Err _ -> ()
@@ -685,6 +703,31 @@ let test_warm_hit_over_quota_is_shed () =
       SC.close c;
       shutdown env)
 
+(* A client that hangs up before its reply must not take a real server
+   down: the reply's write meets a closed socket, and the real
+   environment turns that into a [Reset] on the connection instead of a
+   fatal SIGPIPE.  A fresh connection is still answered afterwards. *)
+let test_abandoned_request_real_env () =
+  let dir = Filename.temp_dir "dbds-test-fd" "" in
+  let sock = Filename.concat dir "fd.sock" in
+  let broker = SB.create ~workers:1 ~store:None () in
+  let srv = Thread.create (fun () -> FD.serve ~sock ~broker ()) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join srv;
+      Sys.rmdir dir)
+    (fun () ->
+      let conn = raw_connect Env.real sock in
+      SP.write_conn conn
+        (SC.compile_msg ~delay_ms:300 ~config ~fn:"main" ~ir:(main_ir ()) ());
+      conn.Env.close_conn ();
+      (* Past the compile's delay: the reply has met the closed socket. *)
+      Unix.sleepf 0.6;
+      let c = SC.connect ~deadline_s:5.0 ~io_deadline_s:10.0 ~sock () in
+      Alcotest.(check bool) "a fresh connection is answered" true (SC.ping c);
+      ignore (SC.shutdown_server c);
+      SC.close c)
+
 (* ------------------------------------------------------------------ *)
 (* Harness integration                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -828,6 +871,8 @@ let suite =
       test_clock_jump_does_not_expire_deadlines;
     test "garbage frames get structured errors"
       test_garbage_gets_structured_error;
+    test "an abandoned request does not kill a real server"
+      test_abandoned_request_real_env;
     test "harness: frontdoor runs are deterministic"
       test_harness_frontdoor_deterministic;
     test "harness: frontdoor chaos sweep stays clean"

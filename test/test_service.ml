@@ -662,18 +662,18 @@ let test_broker_store_hit_skips_queue () =
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Messages rendered back to back, fed to one reader, read out in
+   order. *)
 let via_wire msgs =
-  let path = Filename.temp_file "dbds-test-proto" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      List.iter (SP.write oc) msgs;
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> List.map (fun _ -> SP.read ic) msgs))
+  let rd = SP.reader () in
+  SP.feed rd (String.concat "" (List.map SP.render msgs));
+  List.map
+    (fun _ ->
+      match SP.next rd with
+      | SP.Msg (m, _) -> Ok m
+      | SP.More -> Error "truncated"
+      | SP.Err e -> Error e)
+    msgs
 
 let test_protocol_roundtrip () =
   let m1 =
@@ -700,21 +700,10 @@ let test_protocol_roundtrip () =
       Alcotest.failf "round-trip failed: %s"
         (String.concat "; "
            (List.map (function Ok _ -> "ok" | Error e -> e) rs)));
-  (* Garbage input is an [Error], never an exception. *)
-  let path = Filename.temp_file "dbds-test-proto" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "nonsense without a header\n";
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match SP.read ic with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail "garbage parsed as a message"))
+  (* Garbage input is an [Err], never an exception. *)
+  match SP.decode "nonsense without a header\n" with
+  | SP.Err _ -> ()
+  | _ -> Alcotest.fail "garbage parsed as a message"
 
 let test_protocol_outcomes () =
   List.iter
