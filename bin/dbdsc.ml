@@ -79,14 +79,6 @@ let replay path =
   (match b.Dbds.Bundle.b_plan with
   | Some p -> Format.printf "fault plan: %s@." (Dbds.Faults.to_string p)
   | None -> ());
-  (match b.Dbds.Bundle.b_profile with
-  | Some p ->
-      Format.printf "profile snapshot: %d recorded branch(es)@."
-        (List.length
-           (List.filter
-              (fun l -> String.trim l <> "")
-              (String.split_on_char '\n' p)))
-  | None -> ());
   match Dbds.Driver.replay_bundle b with
   | `Reproduced f ->
       Format.printf "reproduced: %a@." Dbds.Driver.pp_failure f;
@@ -315,65 +307,6 @@ let run_fleet_client ~coord ~config ~file svc =
                 | Error msg -> failwith ("fleet shutdown: " ^ msg))
       end)
 
-(* Tiered execution: run FILE on the VM engine for [runs] iterations and
-   report steady-state behaviour instead of AOT-compiling. *)
-let run_tiered prog ~config ~jobs ~icache ~args ~runs ~deopt_plan ~stats ~store
-    =
-  let warm = Option.map (Service.Warm.hooks ~config) store in
-  let vm_config =
-    Vm.Engine.config ~compile:config ?jobs ~icache ?deopt_plan
-      ?warm_lookup:(Option.map fst warm) ?warm_spill:(Option.map snd warm) ()
-  in
-  let eng = Vm.Engine.create ~config:vm_config prog in
-  let args = Array.of_list args in
-  let first = ref None in
-  let last = ref None in
-  for i = 1 to max 1 runs do
-    let result, rstats, _ = Vm.Engine.run_full eng ~args in
-    if i = 1 then first := Some rstats.Interp.Machine.cycles;
-    last := Some (result, rstats)
-  done;
-  List.iter
-    (fun f ->
-      Format.eprintf "warning (background compile): %a@." Dbds.Driver.pp_failure
-        f)
-    (Vm.Engine.failures eng);
-  let result, rstats = Option.get !last in
-  let vs = Vm.Engine.finish eng in
-  Format.printf "result: %s@." (Interp.Machine.result_to_string result);
-  Format.printf
-    "steady-state cycles: %.1f (first run: %.1f), instructions: %d, icache: \
-     %d hits / %d misses@."
-    rstats.Interp.Machine.cycles
-    (Option.value ~default:0.0 !first)
-    rstats.Interp.Machine.instrs_executed rstats.Interp.Machine.icache_hits
-    rstats.Interp.Machine.icache_misses;
-  if stats then begin
-    Format.printf "=== tiered vm ===@.%a@." Vm.Vmstats.pp vs;
-    (match Vm.Codecache.entries (Vm.Engine.cache eng) with
-    | [] -> ()
-    | entries ->
-        Format.printf "=== code cache ===@.";
-        List.iter
-          (fun (e : Vm.Codecache.entry) ->
-            Format.printf
-              "%-20s v%-3d size %5d, %6d hits, compiled from %d samples@."
-              e.Vm.Codecache.ce_fn e.Vm.Codecache.ce_version
-              e.Vm.Codecache.ce_size e.Vm.Codecache.ce_hits
-              e.Vm.Codecache.ce_samples)
-          entries);
-    (match Vm.Engine.deopt_log eng with
-    | [] -> ()
-    | log ->
-        Format.printf "=== deopts ===@.";
-        List.iter (fun e -> Format.printf "%a@." Vm.Deopt.pp_event e) log);
-    match store with
-    | Some s ->
-        Format.printf "=== artifact store ===@.%a@." Service.Store.pp_stats
-          (Service.Store.stats s)
-    | None -> ()
-  end
-
 (** Options of the deterministic whole-system simulator. *)
 type sim_opts = {
   sim : bool;  (** run the service inside the simulator *)
@@ -382,7 +315,6 @@ type sim_opts = {
   sim_shrink : bool;  (** minimize violating seeds and write bundles *)
   sim_clients : int;
   sim_chaos : int;  (** seed-derived fault plans per run *)
-  sim_vm_warm : bool;  (** warm-start a tiered VM against the same store *)
   sim_faults : string option;  (** explicit plans, comma-separated *)
   sim_replay : string option;  (** re-run a sim bundle instead of sweeping *)
   sim_bundle_dir : string;
@@ -397,10 +329,10 @@ type sim_opts = {
 exception Sim_violations
 
 (* Deterministic whole-system simulation: the full compile service —
-   server, broker workers, clients, optionally the tiered VM — runs
-   single-threaded under a virtual clock with seeded chaos.  Every
-   seed must end in byte-identical IR or a clean contained failure;
-   anything else (hang, wrong artifact, livelock) is a violation. *)
+   server, broker workers, clients — runs single-threaded under a
+   virtual clock with seeded chaos.  Every seed must end in
+   byte-identical IR or a clean contained failure; anything else
+   (hang, wrong artifact, livelock) is a violation. *)
 let run_sim sim =
   let module H = Simtest.Harness in
   let print_result (r : H.result) =
@@ -421,7 +353,6 @@ let run_sim sim =
         H.builder ~seed:sim.sim_seed ()
         |> H.with_clients sim.sim_clients
         |> H.with_chaos sim.sim_chaos
-        |> H.with_vm_warm sim.sim_vm_warm
         |> H.with_nodes sim.sim_nodes
         |> H.with_replicas sim.sim_replicas
         |> H.with_node_chaos sim.sim_node_chaos
@@ -469,7 +400,7 @@ let run_sim sim =
                 let path = H.write_bundle ~dir:sim.sim_bundle_dir min_r in
                 Format.printf
                   "sim seed %d: shrunk %s to %d client(s) x %d request(s), %d \
-                   worker(s), %d fault(s)%s%s@."
+                   worker(s), %d fault(s)%s@."
                   r.H.r_spec.H.seed kind min_spec.H.clients
                   min_spec.H.requests_per_client min_spec.H.workers
                   (List.length min_spec.H.faults)
@@ -477,8 +408,7 @@ let run_sim sim =
                      Printf.sprintf ", %d node(s), %d node fault(s)"
                        min_spec.H.nodes
                        (List.length min_spec.H.node_faults)
-                   else "")
-                  (if min_spec.H.vm_warm then ", vm-warm" else "");
+                   else "");
                 List.iter
                   (fun p ->
                     Format.printf "  fault: %s@." (Dbds.Faults.to_string p))
@@ -489,19 +419,9 @@ let run_sim sim =
         (List.length violating);
       if violating <> [] then raise Sim_violations
 
-let parse_deopt_plan s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let fn = String.sub s 0 i in
-      let n = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt n with
-      | Some n when fn <> "" && n > 0 -> (fn, n)
-      | _ -> failwith "--tiered-deopt expects FN:N with N >= 1")
-  | None -> failwith "--tiered-deopt expects FN:N"
-
 let run_compiler file mode passes licm print_passes dump dot
     run args stats icache_off jobs inject paranoid bundle_dir no_contain
-    replay_bundle profile_runs tiered tiered_runs tiered_deopt svc simopts =
+    replay_bundle profile_runs svc simopts =
   match
     (match replay_bundle with
     | Some path ->
@@ -609,26 +529,14 @@ let run_compiler file mode passes licm print_passes dump dot
         (fun dir -> Service.Store.create ~capacity:svc.cache_capacity ~dir ())
         svc.cache_dir
     in
-    if tiered then begin
-      (* Tiered execution replaces the AOT pipeline entirely: the engine
-         interprets, profiles, background-compiles under [config] and
-         deoptimizes on its own — warm-starting promotions from the
-         artifact store when one is attached. *)
-      let deopt_plan = Option.map parse_deopt_plan tiered_deopt in
-      run_tiered prog ~config ~jobs ~icache ~args ~runs:tiered_runs ~deopt_plan
-        ~stats ~store;
-      raise Exit
-    end;
     if profile_runs > 0 then begin
       (* One-shot profile-guided compilation: interpret the unoptimized
          program N times recording branch outcomes, rewrite the static
          probabilities from the recording, then optimize as usual. *)
-      let profile = Interp.Profile.create () in
-      let pargs = Array.of_list args in
-      for _ = 1 to profile_runs do
-        ignore (Interp.Machine.run ~icache ~profile prog ~args:pargs)
-      done;
-      Interp.Profile.apply profile prog;
+      let profile, _ =
+        Interp.Machine.profile_guided ~icache ~runs:profile_runs prog
+          ~args:(Array.of_list args)
+      in
       let branches, samples =
         Interp.Profile.fold profile ~init:(0, 0)
           ~f:(fun (b, s) ~fn:_ ~bid:_ ~taken:_ ~total -> (b + 1, s + total))
@@ -927,35 +835,6 @@ let profile_runs_arg =
            program N times recording branch outcomes, rewrite the static \
            branch probabilities from the recording, then optimize as usual.")
 
-let tiered_arg =
-  Arg.(
-    value & flag
-    & info [ "tiered" ]
-        ~doc:
-          "Run FILE on the tiered VM instead of AOT-compiling: interpret, \
-           profile, background-compile hot functions under the selected \
-           mode, deoptimize on failure.  Prints steady-state cycles; with \
-           $(b,--stats), promotions, deopts, queue depth and the per-tier \
-           cycle split.")
-
-let tiered_runs_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "tiered-runs" ] ~docv:"N"
-        ~doc:
-          "Number of $(b,--tiered) iterations to run before reporting the \
-           (steady-state) last one.")
-
-let tiered_deopt_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "tiered-deopt" ] ~docv:"FN:N"
-        ~doc:
-          "Force one deoptimization: the Nth optimized invocation of \
-           function FN raises, the engine unwinds its side effects and \
-           transparently re-executes in tier 0.")
-
 let serve_arg =
   Arg.(
     value
@@ -1056,9 +935,7 @@ let cache_dir_arg =
         ~doc:
           "Attach the on-disk artifact store at DIR: direct compilations \
            look optimized functions up before running the pipeline and \
-           publish afterwards; $(b,--tiered) warm-starts promotions from \
-           it and spills background-compile results; $(b,--serve) shares \
-           it across clients.")
+           publish afterwards; $(b,--serve) shares it across clients.")
 
 let cache_capacity_arg =
   Arg.(
@@ -1273,14 +1150,6 @@ let sim_chaos_arg =
            reorders, duplicates, partitions, slow/torn disk IO, clock \
            jumps).  0 disables chaos.")
 
-let sim_vm_warm_arg =
-  Arg.(
-    value & flag
-    & info [ "sim-vm-warm" ]
-        ~doc:
-          "Also run a tiered VM warm-start against the same simulated \
-           artifact store before the clients start.")
-
 let sim_faults_arg =
   Arg.(
     value & opt (some string) None
@@ -1345,9 +1214,9 @@ let sim_node_faults_arg =
            from T1 to T2).")
 
 let sim_opts_term =
-  let make sim sim_seed sim_seeds sim_shrink sim_clients sim_chaos sim_vm_warm
-      sim_faults sim_replay sim_bundle_dir sim_nodes sim_replicas
-      sim_node_chaos sim_node_faults =
+  let make sim sim_seed sim_seeds sim_shrink sim_clients sim_chaos sim_faults
+      sim_replay sim_bundle_dir sim_nodes sim_replicas sim_node_chaos
+      sim_node_faults =
     {
       sim;
       sim_seed;
@@ -1355,7 +1224,6 @@ let sim_opts_term =
       sim_shrink;
       sim_clients;
       sim_chaos;
-      sim_vm_warm;
       sim_faults;
       sim_replay;
       sim_bundle_dir;
@@ -1367,7 +1235,7 @@ let sim_opts_term =
   in
   Term.(
     const make $ sim_arg $ sim_seed_arg $ sim_seeds_arg $ sim_shrink_arg
-    $ sim_clients_arg $ sim_chaos_arg $ sim_vm_warm_arg $ sim_faults_arg
+    $ sim_clients_arg $ sim_chaos_arg $ sim_faults_arg
     $ sim_replay_arg $ sim_bundle_dir_arg $ sim_nodes_arg $ sim_replicas_arg
     $ sim_node_chaos_arg $ sim_node_faults_arg)
 
@@ -1379,8 +1247,7 @@ let cmd =
       const run_compiler $ file_arg $ mode_arg $ passes_arg $ licm_arg
       $ print_passes_arg $ dump_arg $ dot_arg $ run_arg $ args_arg $ stats_arg
       $ no_icache_arg $ jobs_arg $ inject_arg $ paranoid_arg $ bundle_dir_arg
-      $ no_contain_arg $ replay_arg $ profile_runs_arg $ tiered_arg
-      $ tiered_runs_arg $ tiered_deopt_arg $ service_opts_term
+      $ no_contain_arg $ replay_arg $ profile_runs_arg $ service_opts_term
       $ sim_opts_term)
 
 let () =

@@ -2,11 +2,11 @@
     tables and figures (Figures 4–8, the headline numbers, the
     ablations), one fingerprint line per paper program and
     configuration, the workload-lab table with its IR fingerprint, the
-    tiered-execution table and the trace hashes of a fixed set of
-    simulator schedules.  Every figure is a pure function of the code,
-    so the output is pinned in [test/golden/experiments.expected]:
-    [dune runtest] diffs a fresh run against it and [dune promote]
-    accepts a deliberate change.  Host timings live in [bench/main.exe]
+    trace hashes of a fixed set of simulator schedules and one line of
+    cold compile-service replies.  Every figure is a pure function of
+    the code, so the output is pinned in
+    [test/golden/experiments.expected]: [dune runtest] diffs a fresh
+    run against it and [dune promote] accepts a deliberate change.  Host timings live in [bench/main.exe]
     and perfbench, never here. *)
 
 let section title = Format.printf "@.=== %s ===@.@." title
@@ -144,9 +144,6 @@ let () =
   Format.printf "%a@." Harness.Tiercompare.pp (Harness.Tiercompare.run ());
   Format.printf "lab IR fingerprint: %s@."
     (Harness.Tiercompare.fingerprint ());
-  section "Tiered execution: steady state vs tier-0 interpretation";
-  Format.printf "%a@." Harness.Report.pp_tiered
-    (List.map Harness.Tiered.measure_suite Workloads.Registry.all);
   section "Simulator trace hashes";
   pp_sim ();
   section "Compile service: cold replies on generated code";

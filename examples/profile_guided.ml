@@ -1,7 +1,7 @@
-(** Tiered execution: interpret with profiling, feed the observed branch
-    frequencies back into the IR, then compile with DBDS — the flow of a
-    real tiered VM (the paper's probabilities come from HotSpot's
-    interpreter profiles, §5.3).
+(** Profile-guided compilation: interpret with profiling, feed the
+    observed branch frequencies back into the IR, then compile with DBDS
+    — the flow of [dbdsc --profile-runs] (the paper's probabilities come
+    from HotSpot's interpreter profiles, §5.3).
 
     The program has no [@prob] annotations at all; the profile makes the
     idle-task dispatch hot enough for the trade-off tier to duplicate.
@@ -32,18 +32,15 @@ let source =
   |}
 
 let () =
-  (* Tier 1: interpret with a profile attached (the warmup runs). *)
+  (* Tier 1: interpret with a profile attached (the warmup run), then
+     feed the observed frequencies back into the IR. *)
   let prog = Lang.Frontend.compile source in
-  let profile = Interp.Profile.create () in
-  let warmup_result, _ =
-    Interp.Machine.run ~profile prog ~args:[| 2000 |]
+  let profile, (warmup_result, _, _) =
+    Interp.Machine.profile_guided ~runs:1 prog ~args:[| 2000 |]
   in
   Format.printf "tier 1 (interpreter): result %s, %d branch samples@."
     (Interp.Machine.result_to_string warmup_result)
     (Interp.Profile.samples profile);
-
-  (* Feed the observed frequencies back into the IR. *)
-  Interp.Profile.apply profile prog;
   let g = Option.get (Ir.Program.find_function prog "main") in
   Format.printf "@.observed branch probabilities:@.";
   Ir.Graph.iter_blocks g (fun bid ->

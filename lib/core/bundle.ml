@@ -17,18 +17,16 @@
     exception: <Printexc.to_string>
     plan: <site:hit[:fn] | none>
     config: mode=<m> benefit_scale=<f> ... paranoid=<bool>
-    --- profile ---        (optional; absent in bundles without one)
-    <fn> <bid> <taken> <total>
-    ...
     --- ir ---
     fn <name>(<n> params) entry=bK
     ...
     v}
 
-    The profile section records the branch-profile snapshot a tiered
-    background compilation was driven by ([Interp.Profile.render]
-    format), so [--replay-bundle] reproduces the exact compilation —
-    same probabilities, same trade-off decisions. *)
+    Bundles written by the retired tiered VM could carry a
+    [--- profile ---] section between the header and the IR: the branch
+    profile the compile ran under.  Nothing can replay those
+    probabilities any more, so the reader refuses such a bundle rather
+    than replay it under the IR's static ones. *)
 
 type t = {
   b_fn : string;  (** crashed function *)
@@ -36,9 +34,6 @@ type t = {
   b_exn : string;  (** rendered exception *)
   b_plan : Faults.plan option;
   b_config : Config.t;
-  b_profile : string option;
-      (** branch-profile snapshot ({!Interp.Profile.render} format) the
-          compilation was driven by, when it was profile-guided *)
   b_ir : string;  (** pre-attempt IR, {!Ir.Printer} format *)
 }
 
@@ -64,13 +59,6 @@ let render b =
   line "plan: %s"
     (match b.b_plan with Some p -> Faults.to_string p | None -> "none");
   line "config: %s" (Config.to_line b.b_config);
-  (match b.b_profile with
-  | Some p ->
-      line "%s" profile_marker;
-      Buffer.add_string buf p;
-      if p <> "" && p.[String.length p - 1] <> '\n' then
-        Buffer.add_char buf '\n'
-  | None -> ());
   line "%s" ir_marker;
   Buffer.add_string buf b.b_ir;
   Buffer.contents buf
@@ -125,19 +113,14 @@ let parse text =
       raise (Malformed "not a dbds-bundle v1 file")
   | _ :: rest ->
       let header = Hashtbl.create 8 in
-      (* Profile lines sit between the (optional) profile marker and the
-         ir marker; older v1 bundles have no profile section. *)
-      let rec split_profile acc = function
-        | [] -> raise (Malformed "missing IR section")
-        | l :: rest when l = ir_marker -> (List.rev acc, rest)
-        | l :: rest -> split_profile (l :: acc) rest
-      in
       let rec split_header = function
         | [] -> raise (Malformed "missing IR section")
-        | l :: rest when l = ir_marker -> (None, rest)
-        | l :: rest when l = profile_marker ->
-            let profile_lines, ir_lines = split_profile [] rest in
-            (Some (String.concat "\n" profile_lines), ir_lines)
+        | l :: rest when l = ir_marker -> rest
+        | l :: _ when l = profile_marker ->
+            raise
+              (Malformed
+                 "profile section: bundles of the retired tiered VM cannot \
+                  replay")
         | l :: rest ->
             (match String.index_opt l ':' with
             | Some i ->
@@ -149,7 +132,7 @@ let parse text =
             | None -> ());
             split_header rest
       in
-      let profile, ir_lines = split_header rest in
+      let ir_lines = split_header rest in
       let get k =
         match Hashtbl.find_opt header k with
         | Some v -> v
@@ -172,7 +155,6 @@ let parse text =
           (match Config.of_line (get "config") with
           | Ok c -> c
           | Error e -> raise (Malformed e));
-        b_profile = profile;
         b_ir = String.concat "\n" ir_lines;
       }
   | [] -> raise (Malformed "empty bundle")

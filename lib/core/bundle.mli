@@ -9,9 +9,6 @@ type t = {
   b_exn : string;  (** rendered exception *)
   b_plan : Faults.plan option;
   b_config : Config.t;
-  b_profile : string option;
-      (** branch-profile snapshot ({!Interp.Profile.render} format) the
-          compilation was driven by, when it was profile-guided *)
   b_ir : string;  (** pre-attempt IR, {!Ir.Printer} format *)
 }
 

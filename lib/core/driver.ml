@@ -489,7 +489,6 @@ let optimize_one (config : Config.t) ctx g =
                      b_exn = rendered;
                      b_plan = config.Config.fault_plan;
                      b_config = config;
-                     b_profile = None;
                      b_ir = pre_ir;
                    })
           | None -> None

@@ -308,152 +308,6 @@ let run_service ?(graph_seeds = List.init 10 Fun.id) ?(plans_per_graph = 3)
     s_violations = List.rev !violations;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Tiered-execution property                                           *)
-(* ------------------------------------------------------------------ *)
-
-type tiered_result = {
-  t_pairs_run : int;  (** (graph seed × plan) pairs executed *)
-  t_promotions : int;  (** promotions observed across all pairs *)
-  t_deopts : int;  (** deoptimizations observed (incl. forced ones) *)
-  t_compile_failures : int;  (** contained background-compile crashes *)
-  t_violations : string list;  (** property breaches; [[]] = pass *)
-}
-
-(* The full observable state of one execution: result value plus every
-   global binding.  Byte-equal strings = indistinguishable runs. *)
-let render_state result globals =
-  Printf.sprintf "%s | %s"
-    (Interp.Machine.result_to_string result)
-    (String.concat ", "
-       (List.map
-          (fun (n, v) ->
-            Printf.sprintf "%s=%s" n (Interp.Machine.value_to_string v))
-          globals))
-
-(* Generous budget so the tiered/tier-0 comparison never diverges on
-   fuel: both sides run under the same cap. *)
-let tiered_fuel = 50_000_000
-
-(** The tiered-VM property, fuzzed over [graph_seeds] × [plans_per_graph]
-    pairs of random programs and fault plans:
-
-    + {e transparency}: every [run_full] of the engine — across
-      promotions, background-compile crashes and (on odd pairs) one
-      forced deoptimization of [main] — produces a result and final
-      globals byte-identical to a fresh never-optimized interpretation
-      of the same program on the same arguments;
-    + {e jobs determinism}: the per-run outputs and the final
-      {!Vm.Vmstats.fingerprint} are identical under [jobs:1] and
-      [jobs:4].
-
-    The policy is deliberately aggressive (promote on the first call,
-    resample often) so every pair actually exercises tier 1 within
-    [runs_per_pair] executions. *)
-let run_tiered ?(graph_seeds = List.init 12 Fun.id) ?(plans_per_graph = 2)
-    ?(runs_per_pair = 3) () =
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let pairs = ref 0 in
-  let promotions = ref 0 in
-  let deopts = ref 0 in
-  let compile_failures = ref 0 in
-  let policy =
-    {
-      Vm.Policy.default with
-      Vm.Policy.invocation_threshold = 1;
-      backedge_threshold = 8;
-      profile_period = 3;
-      drift_min_samples = 8;
-    }
-  in
-  List.iter
-    (fun seed ->
-      let src = Workloads.Progen.generate ~seed () in
-      for k = 0 to plans_per_graph - 1 do
-        incr pairs;
-        let plan = Dbds.Faults.of_seed ((seed * 8191) + k) in
-        (* Even pairs crash the background compiler somewhere; odd pairs
-           force a deoptimization of an installed main instead. *)
-        let compile =
-          {
-            Dbds.Config.dbds with
-            Dbds.Config.fault_plan = (if k mod 2 = 0 then Some plan else None);
-            containment = true;
-          }
-        in
-        let deopt_plan =
-          if k mod 2 = 1 then Some ("main", 1 + (seed mod 2)) else None
-        in
-        let tag =
-          Printf.sprintf "tiered seed=%d plan=%s deopt=%s" seed
-            (if k mod 2 = 0 then Dbds.Faults.to_string plan else "-")
-            (match deopt_plan with
-            | Some (fn, n) -> Printf.sprintf "%s:%d" fn n
-            | None -> "-")
-        in
-        let args_for i = [| (seed + i) mod 7; ((seed * 3) + i) mod 5 |] in
-        let run_engine jobs =
-          let cfg =
-            Vm.Engine.config ~policy ~compile ~jobs ~fuel:tiered_fuel
-              ?deopt_plan ()
-          in
-          let eng = Vm.Engine.create ~config:cfg (Lang.Frontend.compile src) in
-          let outs =
-            List.init runs_per_pair (fun i ->
-                let result, _, globals =
-                  Vm.Engine.run_full eng ~args:(args_for i)
-                in
-                render_state result globals)
-          in
-          let vs = Vm.Engine.finish eng in
-          (outs, vs, Vm.Vmstats.fingerprint vs)
-        in
-        match run_engine 1 with
-        | exception e ->
-            violate "%s: engine escaped: %s" tag (Printexc.to_string e)
-        | outs1, vs, fp1 -> (
-            (* Transparency: each run against a fresh tier-0-only
-               interpretation of the unoptimized program. *)
-            List.iteri
-              (fun i out ->
-                let prog = Lang.Frontend.compile src in
-                let expect_result, _, expect_globals =
-                  Interp.Machine.run_full ~fuel:tiered_fuel prog
-                    ~args:(args_for i)
-                in
-                let expect = render_state expect_result expect_globals in
-                if out <> expect then
-                  violate "%s run %d: tiered [%s] <> tier-0 [%s]" tag i out
-                    expect)
-              outs1;
-            (* Engine event tallies come from the jobs:1 leg. *)
-            promotions := !promotions + vs.Vm.Vmstats.promotions;
-            deopts := !deopts + vs.Vm.Vmstats.deopts;
-            compile_failures :=
-              !compile_failures + vs.Vm.Vmstats.compile_failures;
-            (* Jobs determinism: identical outputs and vmstats. *)
-            match run_engine 4 with
-            | exception e ->
-                violate "%s: jobs=4 escaped: %s" tag (Printexc.to_string e)
-            | outs4, _, fp4 ->
-                if outs4 <> outs1 then
-                  violate "%s: jobs=4 run outputs diverge from jobs=1" tag;
-                if fp4 <> fp1 then
-                  violate "%s: jobs=4 vmstats fingerprint diverges from jobs=1"
-                    tag)
-      done)
-    graph_seeds;
-  {
-    t_pairs_run = !pairs;
-    t_promotions = !promotions;
-    t_deopts = !deopts;
-    t_compile_failures = !compile_failures;
-    t_violations = List.rev !violations;
-  }
-
 (* ---- frontdoor framing-decoder hardening ----------------------------- *)
 
 type frontdoor_result = {

@@ -47,27 +47,6 @@ val run_service :
   unit ->
   service_result
 
-type tiered_result = {
-  t_pairs_run : int;  (** (graph seed × plan) pairs executed *)
-  t_promotions : int;  (** promotions observed across all pairs *)
-  t_deopts : int;  (** deoptimizations observed (incl. forced ones) *)
-  t_compile_failures : int;  (** contained background-compile crashes *)
-  t_violations : string list;  (** property breaches; [[]] = pass *)
-}
-
-(** Fuzz the tiered VM over random programs × fault plans: every engine
-    run — across promotions, background-compile crashes and forced
-    deoptimizations — must be byte-identical (result and final globals)
-    to a fresh never-optimized interpretation, and outputs plus
-    {!Vm.Vmstats.fingerprint} must agree between [jobs:1] and [jobs:4].
-    Defaults: 12 seeds × 2 plans, 3 runs per pair. *)
-val run_tiered :
-  ?graph_seeds:int list ->
-  ?plans_per_graph:int ->
-  ?runs_per_pair:int ->
-  unit ->
-  tiered_result
-
 type frontdoor_result = {
   f_decoder_cases : int;  (** byte strings fed to the pure decoders *)
   f_stream_cases : int;  (** chunked streams read by the blocking reader *)

@@ -57,33 +57,6 @@ let size_delta ~baseline m =
     ~base:(float_of_int (max baseline.code_size 1))
     (float_of_int m.code_size)
 
-(** One benchmark's tiered-execution comparison: steady-state cycles of
-    the tiered engine against a tier-0-only engine on the same workload,
-    with the AOT dbds cycles for context.  Plain data so the harness
-    report needs no [vm] dependency. *)
-type tiered_row = {
-  t_benchmark : string;
-  t_tier0_cycles : float;  (** tier-0-only engine, steady-state run *)
-  t_first_cycles : float;  (** tiered engine, first (cold) run *)
-  t_steady_cycles : float;  (** tiered engine, steady-state run *)
-  t_aot_dbds_cycles : float;
-  t_promotions : int;
-  t_deopts : int;
-  t_tier1_share : float;  (** fraction of calls served by optimized code *)
-}
-
-(** Steady-state speedup of tiered execution over pure interpretation
-    (%); positive = tiering pays. *)
-let tiered_speedup r =
-  if r.t_steady_cycles <= 0.0 then 0.0
-  else (r.t_tier0_cycles /. r.t_steady_cycles -. 1.0) *. 100.0
-
-(** Warmup gain: how much faster the steady-state run is than the first
-    (cold) run of the same engine (%). *)
-let tiered_warmup r =
-  if r.t_steady_cycles <= 0.0 then 0.0
-  else (r.t_first_cycles /. r.t_steady_cycles -. 1.0) *. 100.0
-
 (** One benchmark × tier cell of the adversarial workload-lab
     comparison ({!Tiercompare}). *)
 type tier_cell = {

@@ -49,28 +49,6 @@ val peak_delta : baseline:measurement -> measurement -> float
 val compile_delta : baseline:measurement -> measurement -> float
 val size_delta : baseline:measurement -> measurement -> float
 
-(** One benchmark's tiered-execution comparison: steady-state cycles of
-    the tiered engine against a tier-0-only engine on the same workload,
-    with the AOT dbds cycles for context.  Plain data so the harness
-    report needs no [vm] dependency. *)
-type tiered_row = {
-  t_benchmark : string;
-  t_tier0_cycles : float;  (** tier-0-only engine, steady-state run *)
-  t_first_cycles : float;  (** tiered engine, first (cold) run *)
-  t_steady_cycles : float;  (** tiered engine, steady-state run *)
-  t_aot_dbds_cycles : float;
-  t_promotions : int;
-  t_deopts : int;
-  t_tier1_share : float;  (** fraction of calls served by optimized code *)
-}
-
-(** Steady-state speedup of tiered execution over pure interpretation
-    (%); positive = tiering pays. *)
-val tiered_speedup : tiered_row -> float
-
-(** Warmup gain: steady-state vs the engine's own first (cold) run (%). *)
-val tiered_warmup : tiered_row -> float
-
 (** One benchmark × tier cell of the adversarial workload-lab
     comparison ({!Tiercompare}). *)
 type tier_cell = {

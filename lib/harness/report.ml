@@ -191,34 +191,6 @@ let headline_of summaries =
     max_peak_benchmark;
   }
 
-(** Tiered-execution rows: steady-state engine cycles against the
-    tier-0-only control, with warmup gain, tier-1 call share and engine
-    event counts; AOT cycles shown for context. *)
-let pp_tiered ppf (rows : tiered_row list) =
-  Fmt.pf ppf
-    "%-14s | %12s %12s %8s | %7s %6s %6s %5s | %12s@\n" "benchmark"
-    "tier0 cyc" "steady cyc" "speedup" "warmup" "tier1" "promo" "deopt"
-    "aot-dbds cyc";
-  Fmt.pf ppf "%s@\n" (String.make 104 '-');
-  List.iter
-    (fun r ->
-      Fmt.pf ppf
-        "%-14s | %12.0f %12.0f %+7.1f%% | %+6.1f%% %5.1f%% %6d %5d | %12.0f@\n"
-        r.t_benchmark r.t_tier0_cycles r.t_steady_cycles (tiered_speedup r)
-        (tiered_warmup r)
-        (100.0 *. r.t_tier1_share)
-        r.t_promotions r.t_deopts r.t_aot_dbds_cycles)
-    rows;
-  let wins =
-    List.length (List.filter (fun r -> tiered_speedup r > 0.0) rows)
-  in
-  Fmt.pf ppf "%s@\n" (String.make 104 '-');
-  Fmt.pf ppf
-    "geomean steady-state speedup vs interpretation: %+.2f%% (%d/%d suites \
-     improve)@\n"
-    (geomean_pct (List.map tiered_speedup rows))
-    wins (List.length rows)
-
 let pp_headline ppf h =
   Fmt.pf ppf
     "headline (DBDS vs baseline over all suites):@\n\

@@ -36,9 +36,3 @@ type headline = {
 
 val headline_of : suite_summary list -> headline
 val pp_headline : Format.formatter -> headline -> unit
-
-(** Tiered-execution rows ({!Metrics.tiered_row}): steady-state engine
-    cycles against the tier-0-only control, warmup gain, tier-1 call
-    share, promotion/deopt counts, AOT cycles for context, and a
-    geomean footer. *)
-val pp_tiered : Format.formatter -> Metrics.tiered_row list -> unit

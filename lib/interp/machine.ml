@@ -8,13 +8,7 @@
     dynamically executed instructions, "peak performance" (total charged
     cycles on a workload) genuinely improves — and unbounded duplication
     (dupalot) can regress it by blowing the i-cache, reproducing the
-    paper's raytrace observation.
-
-    The {!Exec} sub-interface exposes the same evaluator to the tiered
-    VM ([lib/vm]): a call handler intercepts every function dispatch so
-    the engine can pick a code version per invocation, and a heap/global
-    undo journal lets a deoptimizing invocation restore the exact state
-    it entered with before re-executing in tier 0. *)
+    paper's raytrace observation. *)
 
 open Ir.Types
 
@@ -49,36 +43,19 @@ type stats = {
 exception Out_of_fuel
 exception Runtime_error of string
 
-(* Undo journal entries for the tiered VM's deoptimization: enough to
-   restore heap, globals and the allocation counter to an earlier mark.
-   Entries are recorded only while [journaling] is set (i.e. while an
-   optimized frame is live) and applied strictly LIFO. *)
-type undo =
-  | U_field of value array * int * value  (** the array cell's old value *)
-  | U_global of string * value option
-  | U_alloc of int  (** object id to unalloc; restores [next_obj] too *)
-
 type state = {
   program : Ir.Program.t;
   profile : Profile.t option;  (** record branch outcomes when present *)
   icache_config : icache_config;
-  (* LRU as an association list (fn, code-version, block) -> size, most
-     recent first; small capacities keep this cheap.  The code version
-     keys distinct installed bodies of the same function apart (the
-     tiered VM's optimized copies must not share cache lines with the
-     tier-0 body they replaced). *)
-  mutable icache : ((string * int * int) * int) list;
+  (* LRU as an association list (fn, block) -> size, most recent
+     first; small capacities keep this cheap. *)
+  mutable icache : ((string * int) * int) list;
   mutable icache_used : int;
   heap : (int, string * value array) Hashtbl.t;
   globals : (string, value) Hashtbl.t;
   mutable next_obj : int;
   mutable fuel : int;
   stats : stats;
-  mutable handler : (string -> value array -> value option) option;
-      (** when set, every [Call] (and nothing else) goes through it *)
-  mutable journaling : bool;
-  mutable journal : undo list;
-  mutable journal_len : int;
 }
 
 let fresh_stats () =
@@ -93,10 +70,10 @@ let fresh_stats () =
 
 let charge st c = st.stats.cycles <- st.stats.cycles +. c
 
-let icache_touch st fn version g bid =
+let icache_touch st fn g bid =
   let cfg = st.icache_config in
   if cfg.enabled then begin
-    let key = (fn, version, bid) in
+    let key = (fn, bid) in
     match List.assoc_opt key st.icache with
     | Some size ->
         (* hit: move to front *)
@@ -142,17 +119,8 @@ let field_slot st cls field =
   | None ->
       raise (Runtime_error (Printf.sprintf "unknown field %s.%s" cls field))
 
-let record_undo st u =
-  st.journal <- u :: st.journal;
-  st.journal_len <- st.journal_len + 1
-
-(* Evaluate one function body.  [args] are the parameter values;
-   [version] keys the i-cache (0 = the program's own body, the tiered
-   VM passes the installed code version); [profile] records branch
-   outcomes for this body only; [on_edge] observes every taken CFG edge
-   (the VM's backedge counters). *)
-let rec eval_function st ~version ~profile ~on_edge (g : Ir.Graph.t)
-    (args : value array) : value option =
+(* Evaluate one function body; [args] are the parameter values. *)
+let rec eval_function st (g : Ir.Graph.t) (args : value array) : value option =
   let fn = Ir.Graph.name g in
   let env = Array.make (Ir.Graph.n_instrs g) VNull in
   let eval_instr id =
@@ -186,7 +154,6 @@ let rec eval_function st ~version ~profile ~on_edge (g : Ir.Graph.t)
           st.next_obj <- oid + 1;
           st.stats.allocations <- st.stats.allocations + 1;
           Hashtbl.replace st.heap oid (cls, fields);
-          if st.journaling then record_undo st (U_alloc oid);
           VObj oid
       | Load (o, f) -> (
           match v o with
@@ -199,35 +166,23 @@ let rec eval_function st ~version ~profile ~on_edge (g : Ir.Graph.t)
           match v o with
           | VObj oid ->
               let cls, fields = Hashtbl.find st.heap oid in
-              let slot = field_slot st cls f in
-              if st.journaling then
-                record_undo st (U_field (fields, slot, fields.(slot)));
-              fields.(slot) <- v x;
+              fields.(field_slot st cls f) <- v x;
               VInt 0
           | VNull -> raise (Runtime_error "null dereference (store)")
           | VInt _ -> raise (Runtime_error "store to non-object"))
       | Load_global gl ->
           Option.value ~default:(VInt 0) (Hashtbl.find_opt st.globals gl)
       | Store_global (gl, x) ->
-          if st.journaling then
-            record_undo st (U_global (gl, Hashtbl.find_opt st.globals gl));
           Hashtbl.replace st.globals gl (v x);
           VInt 0
       | Call (callee, cargs) -> (
           st.stats.calls <- st.stats.calls + 1;
-          let vals = Array.map v cargs in
-          match st.handler with
-          | Some h -> Option.value ~default:(VInt 0) (h callee vals)
-          | None -> (
-              match Ir.Program.find_function st.program callee with
-              | Some callee_g ->
-                  Option.value ~default:(VInt 0)
-                    (eval_function st ~version:0 ~profile:st.profile
-                       ~on_edge:None callee_g vals)
-              | None ->
-                  raise
-                    (Runtime_error (Printf.sprintf "unknown function %s" callee))
-              ))
+          match Ir.Program.find_function st.program callee with
+          | Some callee_g ->
+              Option.value ~default:(VInt 0)
+                (eval_function st callee_g (Array.map v cargs))
+          | None ->
+              raise (Runtime_error (Printf.sprintf "unknown function %s" callee)))
     in
     env.(id) <- result
   in
@@ -241,17 +196,13 @@ let rec eval_function st ~version ~profile ~on_edge (g : Ir.Graph.t)
         | _ -> assert false);
     List.iter (fun (phi_id, v) -> env.(phi_id) <- v) !moves
   in
-  let take_edge from target =
-    (match on_edge with Some f -> f from target | None -> ());
-    enter_block from target
-  in
   (* Iterative block dispatch so long-running loops use constant stack. *)
   let current = ref (Ir.Graph.entry g) in
   let result = ref None in
   let running = ref true in
   while !running do
     let bid = !current in
-    icache_touch st fn version g bid;
+    icache_touch st fn g bid;
     Ir.Graph.iter_body g bid eval_instr;
     st.fuel <- st.fuel - 1;
     if st.fuel <= 0 then raise Out_of_fuel;
@@ -264,15 +215,15 @@ let rec eval_function st ~version ~profile ~on_edge (g : Ir.Graph.t)
         running := false
     | Unreachable -> raise (Runtime_error "reached unreachable")
     | Jump target ->
-        take_edge bid target;
+        enter_block bid target;
         current := target
     | Branch { cond; if_true; if_false; _ } ->
         let taken_true = truthy env.(cond) in
-        (match profile with
+        (match st.profile with
         | Some profile -> Profile.record profile ~fn ~bid ~taken_true
         | None -> ());
         let target = if taken_true then if_true else if_false in
-        take_edge bid target;
+        enter_block bid target;
         current := target
   done;
   !result
@@ -289,10 +240,6 @@ let create ?(icache = default_icache) ?(fuel = 10_000_000) ?profile program =
     next_obj = 0;
     fuel;
     stats = fresh_stats ();
-    handler = None;
-    journaling = false;
-    journal = [];
-    journal_len = 0;
   }
 
 let main_graph st =
@@ -312,10 +259,7 @@ let sorted_globals st =
 let run ?icache ?fuel ?profile program ~args =
   let st = create ?icache ?fuel ?profile program in
   let g = main_graph st in
-  let result =
-    eval_function st ~version:0 ~profile:st.profile ~on_edge:None g
-      (Array.map (fun n -> VInt n) args)
-  in
+  let result = eval_function st g (Array.map (fun n -> VInt n) args) in
   (result, st.stats)
 
 (** Run a single graph (wrapped as a program) — convenient in tests. *)
@@ -328,11 +272,21 @@ let run_graph ?icache ?fuel ?classes ?globals g ~args =
 let run_full ?icache ?fuel ?profile program ~args =
   let st = create ?icache ?fuel ?profile program in
   let g = main_graph st in
-  let result =
-    eval_function st ~version:0 ~profile:st.profile ~on_edge:None g
-      (Array.map (fun n -> VInt n) args)
-  in
+  let result = eval_function st g (Array.map (fun n -> VInt n) args) in
   (result, st.stats, sorted_globals st)
+
+(** The profile-guided step before a compile: interpret [program] [runs]
+    times (at least once) with one profile attached, then rewrite its
+    branch probabilities from the recording ({!Profile.apply}).
+    Returns the profile and the last run's {!run_full} triple. *)
+let profile_guided ?icache ~runs program ~args =
+  let profile = Profile.create () in
+  let last = ref (run_full ?icache ~profile program ~args) in
+  for _ = 2 to runs do
+    last := run_full ?icache ~profile program ~args
+  done;
+  Profile.apply profile program;
+  (profile, !last)
 
 let value_to_string = function
   | VInt n -> string_of_int n
@@ -342,46 +296,3 @@ let value_to_string = function
 let result_to_string = function
   | None -> "(void)"
   | Some v -> value_to_string v
-
-(* ------------------------------------------------------------------ *)
-(* The tiered-VM execution interface                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Exec = struct
-  type st = state
-  type mark = int
-
-  let make ?icache ?fuel program = create ?icache ?fuel program
-  let stats (st : st) = st.stats
-  let globals = sorted_globals
-  let charge = charge
-  let set_call_handler st h = st.handler <- Some h
-
-  let run_body ?(version = 0) ?profile ?on_edge st g args =
-    eval_function st ~version ~profile ~on_edge g args
-
-  let set_journaling st b =
-    st.journaling <- b;
-    if not b then begin
-      st.journal <- [];
-      st.journal_len <- 0
-    end
-
-  let mark st = st.journal_len
-
-  let undo_to st m =
-    while st.journal_len > m do
-      match st.journal with
-      | [] -> st.journal_len <- m
-      | u :: rest ->
-          st.journal <- rest;
-          st.journal_len <- st.journal_len - 1;
-          (match u with
-          | U_field (arr, i, old) -> arr.(i) <- old
-          | U_global (gl, Some v) -> Hashtbl.replace st.globals gl v
-          | U_global (gl, None) -> Hashtbl.remove st.globals gl
-          | U_alloc oid ->
-              Hashtbl.remove st.heap oid;
-              st.next_obj <- oid)
-    done
-end

@@ -70,57 +70,17 @@ val run_full :
   args:int array ->
   value option * stats * (string * value) list
 
+(** The profile-guided step before a compile: interpret [program] [runs]
+    times (at least once) with one profile attached, then rewrite its
+    branch probabilities from the recording ({!Profile.apply}).
+    Returns the profile and the last run's {!run_full} triple.  Both
+    [dbdsc --profile-runs] and the [lib/vm] engine take this step. *)
+val profile_guided :
+  ?icache:icache_config ->
+  runs:int ->
+  Ir.Program.t ->
+  args:int array ->
+  Profile.t * (value option * stats * (string * value) list)
+
 val value_to_string : value -> string
 val result_to_string : value option -> string
-
-(** Execution interface for the tiered VM ([lib/vm]).
-
-    [Exec] exposes a persistent interpreter state whose heap, globals
-    and statistics survive across top-level invocations, a call handler
-    through which every [Call] instruction is dispatched (so the engine
-    can select a code version per invocation), and an undo journal that
-    rolls mutable state (heap fields, globals, allocations) back to a
-    mark — the deoptimization mechanism: an optimized frame that faults
-    is undone and transparently re-executed in tier 0. *)
-module Exec : sig
-  type st
-  type mark
-
-  (** A fresh persistent state for [program]. *)
-  val make : ?icache:icache_config -> ?fuel:int -> Ir.Program.t -> st
-
-  val stats : st -> stats
-
-  (** Final global bindings, sorted by name. *)
-  val globals : st -> (string * value) list
-
-  (** Charge extra cycles (e.g. a deoptimization penalty). *)
-  val charge : st -> float -> unit
-
-  (** Route every [Call] through [handler].  The handler returns the
-      call's result; it typically re-enters {!run_body} with whichever
-      body/version it selected. *)
-  val set_call_handler : st -> (string -> value array -> value option) -> unit
-
-  (** Evaluate one function body on this state.
-      @param version i-cache key for this body (0 = tier-0 body)
-      @param profile record branch outcomes of this body only
-      @param on_edge observes every taken CFG edge [(src, dst)] *)
-  val run_body :
-    ?version:int ->
-    ?profile:Profile.t ->
-    ?on_edge:(Ir.Types.block_id -> Ir.Types.block_id -> unit) ->
-    st ->
-    Ir.Graph.t ->
-    value array ->
-    value option
-
-  (** Enable/disable undo journaling.  Disabling clears the journal. *)
-  val set_journaling : st -> bool -> unit
-
-  (** Current journal position. *)
-  val mark : st -> mark
-
-  (** Undo all journaled mutations back to [mark] (LIFO). *)
-  val undo_to : st -> mark -> unit
-end

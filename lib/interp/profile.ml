@@ -1,12 +1,12 @@
-(** Branch profiling — the interpreter-side half of a tiered VM.
+(** Branch profiling.
 
     The paper's branch probabilities come from HotSpot's interpreter
     profiles (§5.3, citing Wade et al.); our source-level [@0.9]
     annotations are the convenient stand-in.  This module provides the
-    realistic alternative: run the program under the interpreter with a
+    measured alternative: run the program under the interpreter with a
     profile attached, record per-branch taken counts, then {!apply} the
     observed frequencies back onto the IR's [Branch] probabilities before
-    compiling — exactly the interpret-then-JIT flow of a tiered VM. *)
+    compiling ([dbdsc --profile-runs]). *)
 
 type key = string * Ir.Types.block_id
 
@@ -31,9 +31,16 @@ let record t ~fn ~bid ~taken_true =
   if taken_true then incr taken;
   incr total
 
+(* A branch needs this many executions before its observed probability
+   replaces the static estimate. *)
+let min_samples = 8
+
+(* Applied probabilities stay inside [clamp, 1 - clamp]. *)
+let clamp = 0.0001
+
 (** Observed probability of the true edge, if the branch executed at
     least [min_samples] times. *)
-let observed ?(min_samples = 8) t ~fn ~bid =
+let observed t ~fn ~bid =
   match Hashtbl.find_opt t.branches (fn, bid) with
   | Some (taken, total) when !total >= min_samples ->
       Some (float_of_int !taken /. float_of_int !total)
@@ -42,20 +49,6 @@ let observed ?(min_samples = 8) t ~fn ~bid =
 (** Total branch executions recorded. *)
 let samples t =
   Hashtbl.fold (fun _ (_, total) acc -> acc + !total) t.branches 0
-
-(** Total branch executions recorded for one function. *)
-let samples_of t ~fn =
-  Hashtbl.fold
-    (fun (f, _) (_, total) acc -> if f = fn then acc + !total else acc)
-    t.branches 0
-
-(** A deep copy: later recording into [t] leaves the snapshot frozen. *)
-let snapshot t =
-  let branches = Hashtbl.create (Hashtbl.length t.branches) in
-  Hashtbl.iter
-    (fun k (taken, total) -> Hashtbl.replace branches k (ref !taken, ref !total))
-    t.branches;
-  { branches }
 
 (** Fold over all recorded branches in deterministic (sorted-key)
     order. *)
@@ -69,61 +62,18 @@ let fold t ~init ~f =
       f acc ~fn ~bid ~taken:!taken ~total:!total)
     init keys
 
-(** Line-oriented rendering ["fn bid taken total"] per branch, sorted —
-    the bundle format's profile section. *)
-let render t =
-  let buf = Buffer.create 256 in
-  fold t ~init:() ~f:(fun () ~fn ~bid ~taken ~total ->
-      Buffer.add_string buf (Printf.sprintf "%s %d %d %d\n" fn bid taken total));
-  Buffer.contents buf
-
-(** Parse {!render}'s output.  Malformed lines raise [Failure]. *)
-let parse s =
-  let t = create () in
-  String.split_on_char '\n' s
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if line <> "" then
-           match String.split_on_char ' ' line with
-           | [ fn; bid; taken; total ] ->
-               Hashtbl.replace t.branches
-                 (fn, int_of_string bid)
-                 (ref (int_of_string taken), ref (int_of_string total))
-           | _ -> failwith ("Profile.parse: malformed line: " ^ line));
-  t
-
-(** Maximum absolute probability shift of [fn]'s branches in [t]
-    relative to [baseline], considering only branches with at least
-    [min_samples] current samples.  A branch hot now but absent from the
-    baseline counts as a full 1.0 shift (new behaviour the compiled code
-    never saw). *)
-let drift ?(min_samples = 16) ~fn ~baseline t =
-  Hashtbl.fold
-    (fun (f, bid) (taken, total) acc ->
-      if f <> fn || !total < min_samples then acc
-      else
-        let p = float_of_int !taken /. float_of_int !total in
-        let shift =
-          match Hashtbl.find_opt baseline.branches (f, bid) with
-          | Some (t0, n0) when !n0 > 0 ->
-              Float.abs (p -. (float_of_int !t0 /. float_of_int !n0))
-          | Some _ | None -> 1.0
-        in
-        Float.max acc shift)
-    t.branches 0.0
-
-(** Rewrite every profiled [Branch] probability in one graph from the
-    recorded counts.  Branches never reached keep their static estimate
-    (a real VM would treat them as never-taken and speculate; we stay
-    conservative).  Probabilities are clamped away from 0/1 so cold paths
-    keep a nonzero frequency, as HotSpot does. *)
-let apply_graph ?(min_samples = 8) ?(clamp = 0.0001) t g =
+(* Rewrite every profiled [Branch] probability in one graph from the
+   recorded counts.  Branches never reached keep their static estimate
+   (a real VM would treat them as never-taken and speculate; we stay
+   conservative).  Probabilities are clamped away from 0/1 so cold paths
+   keep a nonzero frequency, as HotSpot does. *)
+let apply_graph t g =
   let clamp_prob p = Float.max clamp (Float.min (1.0 -. clamp) p) in
   let fn = Ir.Graph.name g in
   Ir.Graph.iter_blocks g (fun bid ->
       match Ir.Graph.term g bid with
       | Ir.Types.Branch br -> (
-          match observed ~min_samples t ~fn ~bid with
+          match observed t ~fn ~bid with
           | Some p ->
               Ir.Graph.set_term g bid
                 (Ir.Types.Branch { br with prob = clamp_prob p })
@@ -131,5 +81,4 @@ let apply_graph ?(min_samples = 8) ?(clamp = 0.0001) t g =
       | Ir.Types.Jump _ | Ir.Types.Return _ | Ir.Types.Unreachable -> ())
 
 (** {!apply_graph} over every function of the program. *)
-let apply ?min_samples ?clamp t program =
-  Ir.Program.iter_functions program (apply_graph ?min_samples ?clamp t)
+let apply t program = Ir.Program.iter_functions program (apply_graph t)

@@ -1,10 +1,10 @@
-(** Branch profiling — the interpreter-side half of a tiered VM.
+(** Branch profiling: the stand-in for the interpreter profiles the
+    paper's branch probabilities come from (HotSpot's, §5.3).
 
-    The paper's branch probabilities come from HotSpot's interpreter
-    profiles (§5.3); run a program under {!Machine.run} with a profile
-    attached, then {!apply} the observed frequencies back onto the IR's
-    [Branch] probabilities before compiling — the interpret-then-JIT flow
-    of a tiered VM. *)
+    Run a program under {!Machine.run} with a profile attached, then
+    {!apply} the observed frequencies back onto the IR's [Branch]
+    probabilities before compiling ([dbdsc --profile-runs],
+    {!Machine.profile_guided}). *)
 
 type t
 
@@ -15,19 +15,11 @@ val create : unit -> t
 val record : t -> fn:string -> bid:Ir.Types.block_id -> taken_true:bool -> unit
 
 (** Observed probability of the true edge, if the branch executed at
-    least [min_samples] times (default 8). *)
-val observed :
-  ?min_samples:int -> t -> fn:string -> bid:Ir.Types.block_id -> float option
+    least 8 times. *)
+val observed : t -> fn:string -> bid:Ir.Types.block_id -> float option
 
 (** Total branch executions recorded. *)
 val samples : t -> int
-
-(** Total branch executions recorded for one function. *)
-val samples_of : t -> fn:string -> int
-
-(** A deep copy: later recording leaves the snapshot frozen — the
-    baseline for {!drift} and the bundle's profile section. *)
-val snapshot : t -> t
 
 (** Fold over all recorded branches in deterministic (sorted-key)
     order. *)
@@ -37,23 +29,8 @@ val fold :
   f:('a -> fn:string -> bid:Ir.Types.block_id -> taken:int -> total:int -> 'a) ->
   'a
 
-(** Line-oriented rendering ["fn bid taken total"] per branch, sorted. *)
-val render : t -> string
-
-(** Parse {!render}'s output.  @raise Failure on malformed lines. *)
-val parse : string -> t
-
-(** Maximum absolute probability shift of [fn]'s branches relative to
-    [baseline], over branches with at least [min_samples] (default 16)
-    current samples.  A hot branch absent from the baseline counts as a
-    full 1.0 shift. *)
-val drift : ?min_samples:int -> fn:string -> baseline:t -> t -> float
-
 (** Rewrite every profiled [Branch] probability in the program from the
     recorded counts.  Unreached branches keep their static estimate;
-    probabilities are clamped away from 0/1 (default 1e-4) so cold paths
-    keep a nonzero frequency, as HotSpot does. *)
-val apply : ?min_samples:int -> ?clamp:float -> t -> Ir.Program.t -> unit
-
-(** {!apply} for a single graph. *)
-val apply_graph : ?min_samples:int -> ?clamp:float -> t -> Ir.Graph.t -> unit
+    probabilities are clamped to [[0.0001, 0.9999]] so cold paths keep
+    a nonzero frequency, as HotSpot does. *)
+val apply : t -> Ir.Program.t -> unit

@@ -17,9 +17,9 @@
       and a drained close, never an exception out of the loop.
     - {e tenant-aware admission}: clients present a tenant id via
       [hello tenant=...]; each tenant holds a token-bucket quota, and
-      every request rides one of two priority lanes ([interactive] —
-      tiered-VM promotions — preempting [batch] AOT) drained by
-      weighted-deficit round-robin, so interactive wins the head of
+      every request rides one of two priority lanes the client chooses
+      ([interactive], for latency-sensitive requests, preempting
+      [batch]) drained by weighted-deficit round-robin, so interactive wins the head of
       each round but batch never starves.  Overload (quota exhausted or
       lane queue full) is answered with a structured [shed] reply
       carrying a [retry-after-ms] hint instead of a dropped connection.

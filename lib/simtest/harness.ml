@@ -2,11 +2,11 @@
 
     Composes a complete compile-service topology — one front door
     ({!Service.Frontdoor}) or a fleet of them, a broker with W worker
-    fibers, N client fibers, an optional tiered-VM warm-start — on top
-    of the deterministic scheduler and the simulated environment, runs
-    a seeded schedule with chaos faults (message drops, reorders,
-    duplicates, partitions, slow disks, torn writes, clock jumps), and
-    checks the end-to-end invariant:
+    fibers and N client fibers — on top of the deterministic scheduler
+    and the simulated environment, runs a seeded schedule with chaos
+    faults (message drops, reorders, duplicates, partitions, slow
+    disks, torn writes, clock jumps), and checks the end-to-end
+    invariant:
 
     {e every request either receives the byte-identical optimized IR
     the offline oracle computes, or a clean, contained, client-visible
@@ -45,7 +45,6 @@ type spec = {
   queue_limit : int;
   chaos : int;  (** number of fault plans derived from the seed *)
   faults : F.plan list;  (** explicit plans, on top of the derived ones *)
-  vm_warm : bool;
   compile_delay_s : float;  (** broker's artificial compile stretch *)
   deadline_ms : int option;  (** per-request deadline *)
   store_capacity : int;
@@ -65,7 +64,6 @@ let builder ?(seed = 0) () =
     queue_limit = 16;
     chaos = 3;
     faults = [];
-    vm_warm = false;
     compile_delay_s = 0.02;
     deadline_ms = None;
     store_capacity = 256 * 1024;
@@ -86,7 +84,6 @@ let with_queue_limit queue_limit b = { b with queue_limit = max 1 queue_limit }
 let with_chaos chaos b = { b with chaos = max 0 chaos }
 let with_fault plan b = { b with faults = b.faults @ [ plan ] }
 let with_faults faults b = { b with faults = b.faults @ faults }
-let with_vm_warm vm_warm b = { b with vm_warm }
 let with_compile_delay compile_delay_s b = { b with compile_delay_s }
 let with_deadline_ms deadline_ms b = { b with deadline_ms }
 let with_nodes nodes b = { b with nodes = max 0 nodes }
@@ -436,23 +433,6 @@ let run spec =
     attempt 0
   in
 
-  (* The tiered VM sharing the artifact store: it spills optimized
-     bodies through the same simulated disk the broker publishes to,
-     so warm-start traffic and service traffic contend under faults. *)
-  let vm_warm_step store =
-    let src = Workloads.Progen.generate ~n_helpers:1 ~seed:2000 () in
-    let prog = Lang.Frontend.compile src in
-    let lookup, spill = Service.Warm.hooks ~config store in
-    let vm_config =
-      Vm.Engine.config ~compile:config ~jobs:1 ~warm_lookup:lookup
-        ~warm_spill:spill ()
-    in
-    let eng = Vm.Engine.create ~config:vm_config prog in
-    for _ = 1 to 2 do
-      ignore (Vm.Engine.run_full eng ~args:[| 5; 7 |])
-    done
-  in
-
   let frontdoor_config =
     { Service.Frontdoor.default_config with fd_queue_limit = spec.queue_limit }
   in
@@ -471,7 +451,6 @@ let run spec =
           Service.Frontdoor.serve ~env ~config:frontdoor_config ~sock ~broker
             ())
     in
-    if spec.vm_warm then vm_warm_step store;
     Sched.sleep sched 0.01;
     (* Protocol-chaos fibers against the front door: a garbage client
        (junk bytes must earn a structured rejection, never an escaping
@@ -821,7 +800,6 @@ let shrink ?(max_runs = 200) spec =
         @ (if s.nodes > 0 && s.replicas > 0 then
              [ { s with replicas = s.replicas - 1 } ]
            else [])
-        @ (if s.vm_warm then [ { s with vm_warm = false } ] else [])
         @
         if s.compile_delay_s > 0. then [ { s with compile_delay_s = 0. } ]
         else []
@@ -848,7 +826,6 @@ let render_bundle (r : result) =
   line "workers: %d" s.workers;
   line "queue-limit: %d" s.queue_limit;
   line "chaos: %d" s.chaos;
-  line "vm-warm: %b" s.vm_warm;
   line "compile-delay-ms: %d" (int_of_float (s.compile_delay_s *. 1000.));
   line "deadline-ms: %s"
     (match s.deadline_ms with None -> "none" | Some ms -> string_of_int ms);
@@ -903,7 +880,15 @@ let parse_bundle text =
      single-server topology.  Unknown fields are ignored — older bundles
      carry a [frontdoor: true|false] line from when the single server
      had two serving modes; every topology now serves through the front
-     door. *)
+     door.  [vm-warm: false] is what every single-server bundle said
+     while the tiered VM could warm-start against the simulated store;
+     a bundle that ran that step cannot replay without it. *)
+  (match field "vm-warm" with
+  | None | Some "false" -> ()
+  | Some v ->
+      raise
+        (Malformed_bundle
+           ("vm-warm: " ^ v ^ ": the tiered-VM warm-start step is retired")));
   let int_field_or key default =
     match field key with
     | None -> default
@@ -942,7 +927,6 @@ let parse_bundle text =
     queue_limit = int_field "queue-limit";
     chaos = int_field "chaos";
     faults;
-    vm_warm = field "vm-warm" = Some "true";
     compile_delay_s = float_of_int (int_field "compile-delay-ms") /. 1000.;
     deadline_ms =
       (match field "deadline-ms" with

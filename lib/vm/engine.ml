@@ -1,438 +1,35 @@
-(** The tiered execution engine: interpret → profile → background-compile
-    → deopt.
+(** What is left of the tiered VM: one profile → compile → run entry.
 
-    Tier 0 is {!Interp.Machine}: every function starts interpreted, with
-    per-function invocation and loop-backedge counters and branch
-    outcomes recorded into a persistent {!Interp.Profile}.  When
-    {!Policy} thresholds fire, the function's tier-0 body is copied, its
-    branch probabilities rewritten from the observed profile
-    ([Profile.apply_graph]) and the copy enqueued on the
-    {!Compilequeue}; the optimized result is installed in the versioned
-    {!Codecache} and subsequent calls dispatch to it (tier 1).
-
-    Safety comes from {!Deopt}: an optimized frame that faults is undone
-    (heap, globals, allocations — the interpreter's journal), the cache
-    entry invalidated, and the invocation transparently re-executed in
-    tier 0, so the engine's observable behaviour is byte-identical to a
-    never-compiled run.  Profile drift past the policy threshold
-    triggers recompilation, capped per function like the paper's
-    3-iteration pipeline cap.
-
-    There is no on-stack replacement: promotion takes effect at the next
-    {i invocation} of a function, never mid-loop.  Steady-state
-    behaviour therefore emerges over repeated {!run} calls (heap and
-    globals are fresh per run; profile, counters and code cache
-    persist), matching how the evaluation measures warmed-up peak
-    performance (paper §5.1). *)
-
-module Machine = Interp.Machine
-module Profile = Interp.Profile
-
-type config = {
-  policy : Policy.t;
-  compile : Dbds.Config.t;  (** background-compilation pipeline config *)
-  cache_capacity : int;  (** code-cache size budget (models [MS]) *)
-  jobs : int;  (** compile-queue parallelism *)
-  batch : int;  (** drain the queue once this many requests pend *)
-  icache : Machine.icache_config;
-  fuel : int;  (** per-{!run} instruction budget *)
-  deopt_penalty : float;  (** flat cycle cost of a tier transition *)
-  deopt_plan : (string * int) option;
-      (** force a deoptimization in [fn]'s [n]-th tier-1 frame (1-based;
-          fires once) — the runtime analogue of a fault plan *)
-  warm_lookup :
-    (fn:string -> pristine:Ir.Graph.t -> (Ir.Graph.t * int) option) option;
-      (** compilation-service warm start: given a function's {e pristine}
-          tier-0 body (profile deliberately excluded from the key — a
-          stale-profile body is still a correct body, deopt guards it),
-          return a previously published optimized body and its work
-          units.  Consulted on first-time promotions only; drift
-          recompiles always recompile. *)
-  warm_spill :
-    (fn:string ->
-    pristine:Ir.Graph.t ->
-    optimized:Ir.Graph.t ->
-    work:int ->
-    unit)
-    option;
-      (** publish a background-compile result keyed by the same pristine
-          body, so the next engine lifetime warm-starts *)
-}
-
-let config ?(policy = Policy.default) ?(compile = Dbds.Config.dbds)
-    ?cache_capacity ?(jobs = 1) ?(batch = 1)
-    ?(icache = Machine.default_icache) ?(fuel = 10_000_000)
-    ?(deopt_penalty = 200.0) ?deopt_plan ?warm_lookup ?warm_spill () =
-  {
-    policy;
-    compile;
-    cache_capacity =
-      (match cache_capacity with
-      | Some c -> c
-      | None -> compile.Dbds.Config.max_unit_size);
-    jobs;
-    batch;
-    icache;
-    fuel;
-    deopt_penalty;
-    deopt_plan;
-    warm_lookup;
-    warm_spill;
-  }
+    The first {!run_full} interprets the tier-0 program with a branch
+    profile attached, then compiles a copy under {!Dbds.Config.dbds}
+    with the recorded probabilities ({!Interp.Machine.profile_guided},
+    the step [dbdsc --profile-runs] takes).  Every later {!run_full}
+    interprets the compiled copy.  Heap and globals are fresh on every
+    run. *)
 
 type t = {
-  cfg : config;
-  base : Ir.Program.t;  (** tier-0 truth; never mutated by the engine *)
-  profile : Profile.t;  (** persistent across runs *)
-  counters : (string, Policy.counters) Hashtbl.t;
-  cache : Codecache.t;
-  queue : Compilequeue.t;
-  snapshots : (string, Profile.t) Hashtbl.t;
-      (** per installed function: the profile its code was compiled
-          against — the {!Profile.drift} baseline *)
-  backedge_sets : (string, (int * int, unit) Hashtbl.t) Hashtbl.t;
-  stats : Vmstats.t;
-  mutable deopt_log : Deopt.event list;  (** newest first *)
-  mutable failures : Dbds.Driver.failure list;  (** newest first *)
-  mutable forced_left : int;
-      (** countdown for [deopt_plan]; -1 once fired or absent *)
+  tier0 : Ir.Program.t;  (** never mutated *)
+  mutable compiled : Ir.Program.t option;
+  mutable failures : Dbds.Driver.failure list;
 }
 
-let create ?(config = config ()) program =
-  {
-    cfg = config;
-    base = program;
-    profile = Profile.create ();
-    counters = Hashtbl.create 16;
-    cache = Codecache.create ~capacity:config.cache_capacity;
-    queue = Compilequeue.create ~compile:config.compile ~jobs:config.jobs program;
-    snapshots = Hashtbl.create 16;
-    backedge_sets = Hashtbl.create 16;
-    stats = Vmstats.create ();
-    deopt_log = [];
-    failures = [];
-    forced_left =
-      (match config.deopt_plan with Some (_, n) -> n | None -> -1);
-  }
+let create tier0 = { tier0; compiled = None; failures = [] }
 
-let counters_of t fn =
-  match Hashtbl.find_opt t.counters fn with
-  | Some c -> c
-  | None ->
-      let c = Policy.fresh_counters () in
-      Hashtbl.replace t.counters fn c;
-      c
-
-(* The set of CFG back edges of [fn]'s tier-0 body, computed once. *)
-let backedges_of t fn g =
-  match Hashtbl.find_opt t.backedge_sets fn with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 4 in
-      let dom = Ir.Dom.compute g in
-      let loops = Ir.Loops.compute dom in
-      List.iter
-        (fun (l : Ir.Loops.loop) ->
-          List.iter (fun e -> Hashtbl.replace s e ()) l.Ir.Loops.back_edges)
-        (Ir.Loops.loops loops);
-      Hashtbl.replace t.backedge_sets fn s;
-      s
-
-let base_graph t fn =
-  match Ir.Program.find_function t.base fn with
-  | Some g -> g
-  | None -> raise (Machine.Runtime_error (Printf.sprintf "unknown function %s" fn))
-
-(* ------------------------------------------------------------------ *)
-(* Compilation requests                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Warm start: on a first-time promotion, ask the attached artifact
-   store for an optimized body before spending any compile effort.  A
-   hit installs directly — no queue, no pipeline — with the current
-   profile as the drift baseline. *)
-let try_warm_start t fn =
-  match t.cfg.warm_lookup with
-  | None -> false
-  | Some lookup -> (
-      match lookup ~fn ~pristine:(base_graph t fn) with
-      | None ->
-          t.stats.Vmstats.service_misses <-
-            t.stats.Vmstats.service_misses + 1;
-          false
-      | Some (body, work) ->
-          ignore
-            (Codecache.install t.cache ~fn ~body
-               ~samples:(Profile.samples_of t.profile ~fn)
-               ~work);
-          Hashtbl.replace t.snapshots fn (Profile.snapshot t.profile);
-          t.stats.Vmstats.service_hits <- t.stats.Vmstats.service_hits + 1;
-          true)
-
-let enqueue_compile t fn ~recompile =
-  let c = counters_of t fn in
-  c.Policy.attempts <- c.Policy.attempts + 1;
-  if recompile then t.stats.Vmstats.recompilations <- t.stats.Vmstats.recompilations + 1
-  else t.stats.Vmstats.promotions <- t.stats.Vmstats.promotions + 1;
-  if (not recompile) && try_warm_start t fn then ()
-  else begin
-    c.Policy.pending <- true;
-    let body = Ir.Graph.copy (base_graph t fn) in
-    Profile.apply_graph t.profile body;
-    Compilequeue.enqueue t.queue
-      {
-        Compilequeue.rq_fn = fn;
-        rq_body = body;
-        rq_profile = Profile.render (Profile.snapshot t.profile);
-        rq_samples = Profile.samples_of t.profile ~fn;
-        rq_recompile = recompile;
-      };
-    t.stats.Vmstats.max_queue_depth <-
-      max t.stats.Vmstats.max_queue_depth (Compilequeue.depth t.queue)
-  end
-
-let drain t =
-  let outcomes = Compilequeue.drain t.queue in
-  List.iter
-    (fun (oc : Compilequeue.outcome) ->
-      let rq = oc.Compilequeue.oc_request in
-      let c = counters_of t rq.Compilequeue.rq_fn in
-      c.Policy.pending <- false;
-      match oc.Compilequeue.oc_result with
-      | Ok (body, work) ->
-          ignore
-            (Codecache.install t.cache ~fn:rq.Compilequeue.rq_fn ~body
-               ~samples:rq.Compilequeue.rq_samples ~work);
-          Hashtbl.replace t.snapshots rq.Compilequeue.rq_fn
-            (Profile.parse rq.Compilequeue.rq_profile);
-          t.stats.Vmstats.compiles <- t.stats.Vmstats.compiles + 1;
-          t.stats.Vmstats.compile_work <- t.stats.Vmstats.compile_work + work;
-          (match t.cfg.warm_spill with
-          | None -> ()
-          | Some spill ->
-              let fn = rq.Compilequeue.rq_fn in
-              spill ~fn ~pristine:(base_graph t fn) ~optimized:body ~work;
-              t.stats.Vmstats.service_spills <-
-                t.stats.Vmstats.service_spills + 1)
-      | Error f ->
-          t.stats.Vmstats.compile_failures <-
-            t.stats.Vmstats.compile_failures + 1;
-          t.failures <- f :: t.failures)
-    outcomes
-
-let maybe_drain t =
-  if Compilequeue.depth t.queue >= t.cfg.batch then drain t
-
-let consider_compile t fn =
-  let c = counters_of t fn in
-  if Policy.should_promote t.cfg.policy c then begin
-    enqueue_compile t fn ~recompile:false;
-    maybe_drain t
-  end
-
-(* Drift check at a run boundary: any installed function whose observed
-   probabilities moved too far from its compile-time snapshot gets
-   re-enqueued. *)
-let check_drift t =
-  List.iter
-    (fun (e : Codecache.entry) ->
-      let fn = e.Codecache.ce_fn in
-      match Hashtbl.find_opt t.snapshots fn with
-      | None -> ()
-      | Some baseline ->
-          let drift =
-            Profile.drift ~min_samples:t.cfg.policy.Policy.drift_min_samples
-              ~fn ~baseline t.profile
-          in
-          let c = counters_of t fn in
-          if Policy.should_recompile t.cfg.policy c ~drift then
-            enqueue_compile t fn ~recompile:true)
-    (Codecache.entries t.cache)
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-tier cycle attribution: a stack of frames, each remembering the
-   cycle counter at entry and accumulating its children's totals so the
-   frame's own share is total - children. *)
-type frame = { ftier : int; fstart : float; mutable fchild : float }
-
-type run_state = {
-  st : Machine.Exec.st;
-  mutable frames : frame list;
-  mutable opt_depth : int;  (** live tier-1 frames (journaling while > 0) *)
-}
-
-let push_frame t rs tier =
-  ignore t;
-  rs.frames <-
-    { ftier = tier; fstart = (Machine.Exec.stats rs.st).Machine.cycles; fchild = 0.0 }
-    :: rs.frames
-
-let pop_frame t rs =
-  match rs.frames with
-  | [] -> 0.0
-  | f :: rest ->
-      rs.frames <- rest;
-      let total = (Machine.Exec.stats rs.st).Machine.cycles -. f.fstart in
-      let self = total -. f.fchild in
-      if f.ftier = 0 then
-        t.stats.Vmstats.tier0_cycles <- t.stats.Vmstats.tier0_cycles +. self
-      else t.stats.Vmstats.tier1_cycles <- t.stats.Vmstats.tier1_cycles +. self;
-      (match rest with p :: _ -> p.fchild <- p.fchild +. total | [] -> ());
-      total
-
-(* Execute [fn] in tier 0.  [count] is false for deopt re-runs and
-   sampled runs must not re-trigger promotion. *)
-let rec run_tier0 t rs fn args ~count ~sampled =
-  let g = base_graph t fn in
-  let c = counters_of t fn in
-  if count then c.Policy.invocations <- c.Policy.invocations + 1;
-  if sampled then t.stats.Vmstats.sampled_calls <- t.stats.Vmstats.sampled_calls + 1;
-  t.stats.Vmstats.interpreted_calls <- t.stats.Vmstats.interpreted_calls + 1;
-  let backedges = backedges_of t fn g in
-  let on_edge src dst =
-    if Hashtbl.mem backedges (src, dst) then
-      c.Policy.backedges <- c.Policy.backedges + 1
-  in
-  push_frame t rs 0;
-  let finish () = ignore (pop_frame t rs) in
-  let result =
-    try
-      Machine.Exec.run_body ~version:0 ~profile:t.profile ~on_edge rs.st g args
-    with e ->
-      finish ();
-      raise e
-  in
-  finish ();
-  if count then consider_compile t fn;
-  result
-
-(* Execute [fn] through its cache entry, deoptimizing on a contained
-   fault: undo to the frame's entry mark, invalidate, re-run tier 0. *)
-and run_optimized t rs fn (e : Codecache.entry) args =
-  if rs.opt_depth = 0 then Machine.Exec.set_journaling rs.st true;
-  rs.opt_depth <- rs.opt_depth + 1;
-  let m = Machine.Exec.mark rs.st in
-  push_frame t rs 1;
-  let leave_tier1 () =
-    rs.opt_depth <- rs.opt_depth - 1;
-    if rs.opt_depth = 0 then Machine.Exec.set_journaling rs.st false
-  in
-  match
-    (match t.cfg.deopt_plan with
-    | Some (pfn, _) when pfn = fn && t.forced_left >= 0 ->
-        t.forced_left <- t.forced_left - 1;
-        if t.forced_left = 0 then begin
-          t.forced_left <- -1;
-          raise (Deopt.Forced_deopt fn)
-        end
-    | _ -> ());
-    Machine.Exec.run_body ~version:e.Codecache.ce_version rs.st
-      e.Codecache.ce_body args
-  with
-  | result ->
-      ignore (pop_frame t rs);
-      leave_tier1 ();
-      t.stats.Vmstats.optimized_calls <- t.stats.Vmstats.optimized_calls + 1;
-      result
-  | exception exn -> (
-      match Deopt.classify exn with
-      | None ->
-          (* Not a deoptimization trigger (fuel, fatals): propagate with
-             frame bookkeeping unwound. *)
-          ignore (pop_frame t rs);
-          leave_tier1 ();
-          raise exn
-      | Some reason ->
-          (* Roll mutable state back BEFORE leaving the tier-1 region:
-             leave_tier1 at depth 0 clears the journal. *)
-          Machine.Exec.undo_to rs.st m;
-          let wasted = pop_frame t rs in
-          leave_tier1 ();
-          t.stats.Vmstats.deopts <- t.stats.Vmstats.deopts + 1;
-          t.stats.Vmstats.deopt_wasted_cycles <-
-            t.stats.Vmstats.deopt_wasted_cycles +. wasted;
-          Machine.Exec.charge rs.st t.cfg.deopt_penalty;
-          t.stats.Vmstats.deopt_penalty_cycles <-
-            t.stats.Vmstats.deopt_penalty_cycles +. t.cfg.deopt_penalty;
-          Codecache.invalidate t.cache fn;
-          Hashtbl.remove t.snapshots fn;
-          t.deopt_log <-
-            {
-              Deopt.de_fn = fn;
-              de_version = e.Codecache.ce_version;
-              de_reason = reason;
-            }
-            :: t.deopt_log;
-          run_tier0 t rs fn args ~count:false ~sampled:false)
-
-and dispatch t rs fn args =
-  match Codecache.peek t.cache fn with
-  | None -> run_tier0 t rs fn args ~count:true ~sampled:false
-  | Some _ -> (
-      let c = counters_of t fn in
-      c.Policy.invocations <- c.Policy.invocations + 1;
-      let period = t.cfg.policy.Policy.profile_period in
-      if period > 0 && c.Policy.invocations mod period = 0 then
-        (* Sampled tier-0 run: keeps the profile fresh after promotion
-           so drift stays observable; must not re-trigger promotion. *)
-        run_tier0 t rs fn args ~count:false ~sampled:true
-      else
-        match Codecache.lookup t.cache fn with
-        | Some e -> run_optimized t rs fn e args
-        | None -> run_tier0 t rs fn args ~count:false ~sampled:false)
-
-(* ------------------------------------------------------------------ *)
-(* Top-level runs                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** One program execution: fresh heap/globals, persistent profile,
-    counters and code cache.  Returns the result, the run's interpreter
-    statistics, and the final globals.  Compile requests batched during
-    the run are drained at the run boundary (after a drift check), so
-    promotions take effect in subsequent runs — steady state emerges
-    over repeated calls. *)
+(** One program execution: the result, the run's interpreter statistics
+    and the final globals, sorted by name. *)
 let run_full t ~args =
-  let st = Machine.Exec.make ~icache:t.cfg.icache ~fuel:t.cfg.fuel t.base in
-  let rs = { st; frames = []; opt_depth = 0 } in
-  Machine.Exec.set_call_handler st (fun fn vals -> dispatch t rs fn vals);
-  let vals = Array.map (fun n -> Machine.VInt n) args in
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        check_drift t;
-        drain t)
-      (fun () -> dispatch t rs t.base.Ir.Program.main vals)
-  in
-  (result, Machine.Exec.stats st, Machine.Exec.globals st)
+  match t.compiled with
+  | Some program -> Interp.Machine.run_full program ~args
+  | None ->
+      let program = Ir.Program.copy t.tier0 in
+      let _, run = Interp.Machine.profile_guided ~runs:1 program ~args in
+      let report =
+        Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds ~jobs:1
+          program
+      in
+      t.failures <- report.Dbds.Driver.rep_failures;
+      t.compiled <- Some program;
+      run
 
-let run t ~args =
-  let result, stats, _ = run_full t ~args in
-  (result, stats)
-
-(** Run [n] times on the same arguments; returns the last run's triple.
-    The conventional warm-up loop. *)
-let run_n t ~args n =
-  let last = ref None in
-  for _ = 1 to max 1 n do
-    last := Some (run_full t ~args)
-  done;
-  Option.get !last
-
-let stats t = t.stats
-let cache t = t.cache
-let queue t = t.queue
-let profile t = t.profile
-let deopt_log t = List.rev t.deopt_log
-let failures t = List.rev t.failures
-
-(** Sync cache/queue high-water marks into the aggregate counters and
-    return them — call after the last run. *)
-let finish t =
-  t.stats.Vmstats.evictions <- t.cache.Codecache.evictions;
-  t.stats.Vmstats.invalidations <- t.cache.Codecache.invalidations;
-  t.stats.Vmstats.max_queue_depth <-
-    max t.stats.Vmstats.max_queue_depth (Compilequeue.peak_depth t.queue);
-  t.stats
+(** The compile failures the driver contained, in its order. *)
+let finish t = t.failures

@@ -28,26 +28,11 @@ let () =
     "fuzz service: %d pairs run, %d store hits, %d degraded-and-recovered\n"
     s.Harness.Fuzz.s_pairs_run s.Harness.Fuzz.s_store_hits
     s.Harness.Fuzz.s_recovered;
-  (match s.Harness.Fuzz.s_violations with
+  match s.Harness.Fuzz.s_violations with
   | [] -> ()
   | vs ->
       List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
       Printf.eprintf "%d service violation(s)\n" (List.length vs);
-      exit 1);
-  (* Tiered-VM property (reduced count for runtest): every engine run
-     byte-identical to tier-0-only interpretation, deterministic in
-     jobs. *)
-  let t = Harness.Fuzz.run_tiered ~graph_seeds:(List.init 6 Fun.id) () in
-  Printf.printf
-    "fuzz tiered: %d pairs run, %d promotions, %d deopts, %d contained \
-     compile failures\n"
-    t.Harness.Fuzz.t_pairs_run t.Harness.Fuzz.t_promotions
-    t.Harness.Fuzz.t_deopts t.Harness.Fuzz.t_compile_failures;
-  match t.Harness.Fuzz.t_violations with
-  | [] -> ()
-  | vs ->
-      List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
-      Printf.eprintf "%d tiered violation(s)\n" (List.length vs);
       exit 1
 ;;
 (* Workload-lab property (reduced progen count for runtest): the

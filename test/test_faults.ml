@@ -238,7 +238,6 @@ let test_bundle_render_parse () =
       b_plan = Some (plan F.Transform_apply 1);
       b_config =
         { Dbds.Config.default with Dbds.Config.mode = Dbds.Config.Dupalot };
-      b_profile = None;
       b_ir = Ir.Printer.graph_to_string g;
     }
   in
@@ -253,6 +252,40 @@ let test_bundle_render_parse () =
   Alcotest.check_raises "malformed"
     (Dbds.Bundle.Malformed "not a dbds-bundle v1 file") (fun () ->
       ignore (Dbds.Bundle.parse "junk"))
+
+(* The retired tiered VM wrote the profile its compile ran under into a
+   [--- profile ---] section.  Replaying such a bundle under the IR's
+   static probabilities would not be the compile that crashed, so the
+   reader refuses it. *)
+let test_bundle_profile_section_refused () =
+  let ir =
+    Ir.Printer.graph_to_string
+      (Option.get (Ir.Program.find_function (compile figure1) "main"))
+  in
+  let text =
+    Dbds.Bundle.render
+      {
+        Dbds.Bundle.b_fn = "main";
+        b_site = "transform.apply";
+        b_exn = "test";
+        b_plan = None;
+        b_config = Dbds.Config.dbds;
+        b_ir = ir;
+      }
+  in
+  (* [render] ends with the IR marker line and the IR itself. *)
+  let ir_section = "--- ir ---\n" ^ ir in
+  let header =
+    String.sub text 0 (String.length text - String.length ir_section)
+  in
+  let with_profile =
+    header ^ "--- profile ---\nmain 2 12 13\n" ^ ir_section
+  in
+  (match Dbds.Bundle.parse with_profile with
+  | _ -> Alcotest.fail "a bundle with a profile section parsed"
+  | exception Dbds.Bundle.Malformed _ -> ());
+  Alcotest.(check string) "the same bundle without it parses" "main"
+    (Dbds.Bundle.parse text).Dbds.Bundle.b_fn
 
 let test_bundle_write_and_replay () =
   let dir = Filename.temp_dir "dbds-bundles" "" in
@@ -381,6 +414,8 @@ let suite =
     test "jobs:1 = jobs:4 under faults" test_jobs_determinism_under_faults;
     test "contained counters aggregate" test_contained_counters;
     test "bundle render/parse round-trip" test_bundle_render_parse;
+    test "bundle with a profile section is refused"
+      test_bundle_profile_section_refused;
     test "bundle write + replay reproduces" test_bundle_write_and_replay;
     test "bundle replays clean without plan" test_bundle_replay_clean_without_plan;
     test "paranoid clean run is silent" test_paranoid_clean_run;

@@ -171,7 +171,7 @@ let test_min_samples_boundary () =
 
 let test_clamp_at_exact_extremes () =
   (* Observed frequencies of exactly 0.0 and 1.0 must clamp to the
-     configured epsilon, never to the extremes themselves. *)
+     epsilon, never to the extremes themselves. *)
   let check_extreme ~taken ~expect_near =
     let prog = one_branch_prog () in
     let bid =
@@ -191,19 +191,7 @@ let test_clamp_at_exact_extremes () =
     Alcotest.(check bool) "strictly inside (0,1)" true (p > 0.0 && p < 1.0)
   in
   check_extreme ~taken:true ~expect_near:0.9999;
-  check_extreme ~taken:false ~expect_near:0.0001;
-  (* A custom clamp is honoured. *)
-  let prog = one_branch_prog () in
-  let bid =
-    match branch_probs prog with
-    | [ (bid, _) ] -> bid
-    | _ -> Alcotest.fail "expected one branch"
-  in
-  let profile = P.create () in
-  record_n profile ~bid ~taken:20 ~total:20;
-  P.apply ~clamp:0.05 profile prog;
-  Alcotest.(check (float 1e-12)) "custom clamp" 0.95
-    (List.assoc bid (branch_probs prog))
+  check_extreme ~taken:false ~expect_near:0.0001
 
 let test_unreached_branch_keeps_static () =
   (* Two branches, only one executed: the unreached one keeps its
@@ -247,16 +235,15 @@ let test_record_apply_deterministic () =
     let profile = P.create () in
     let _ = Interp.Machine.run ~profile prog ~args:[| 157 |] in
     P.apply profile prog;
-    (P.render profile, Ir.Printer.graph_to_string
-       (Option.get (Ir.Program.find_function prog "main")))
+    ( P.fold profile ~init:[] ~f:(fun acc ~fn ~bid ~taken ~total ->
+          (fn, bid, taken, total) :: acc),
+      Ir.Printer.graph_to_string
+        (Option.get (Ir.Program.find_function prog "main")) )
   in
   let p1, ir1 = round () in
   let p2, ir2 = round () in
-  Alcotest.(check string) "profiles identical" p1 p2;
-  Alcotest.(check string) "applied IR identical" ir1 ir2;
-  (* render/parse roundtrip preserves every count. *)
-  let profile = P.parse p1 in
-  Alcotest.(check string) "render∘parse = id" p1 (P.render profile)
+  Alcotest.(check bool) "profiles identical" true (p1 = p2);
+  Alcotest.(check string) "applied IR identical" ir1 ir2
 
 let suite =
   [

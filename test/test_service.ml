@@ -377,30 +377,6 @@ let test_driver_cache_warm_identical () =
         warm direct)
 
 (* ------------------------------------------------------------------ *)
-(* VM warm-start hooks                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_warm_hooks_roundtrip () =
-  with_store (fun st ->
-      let lookup, spill = Service.Warm.hooks ~config st in
-      let pristine = main_of (compile figure1) in
-      Alcotest.(check bool) "cold lookup misses" true
-        (lookup ~fn:"main" ~pristine = None);
-      (* Optimize a copy to play the role of the tier-1 body. *)
-      let p = Ir.Program.of_graph (Ir.Graph.copy pristine) in
-      ignore (Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1 p);
-      let optimized = main_of p in
-      spill ~fn:"main" ~pristine ~optimized ~work:9;
-      match lookup ~fn:"main" ~pristine with
-      | None -> Alcotest.fail "spilled artifact not found"
-      | Some (g, work) ->
-          Alcotest.(check int) "work survives the round-trip" 9 work;
-          Alcotest.(check string) "body survives the round-trip"
-            (SD.canonical_of_graph optimized)
-            (SD.canonical_of_graph g);
-          check_verifies g)
-
-(* ------------------------------------------------------------------ *)
 (* Broker                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -822,7 +798,6 @@ let suite =
     test "store: sim-disk slow IO delays, nothing else"
       test_store_sim_slow_io;
     test "driver cache: warm run byte-identical" test_driver_cache_warm_identical;
-    test "warm hooks: spill and lookup round-trip" test_warm_hooks_roundtrip;
     test "broker: identical requests coalesce" test_broker_coalescing;
     test "broker: full queue sheds" test_broker_backpressure;
     test "broker: expired deadline" test_broker_deadline;

@@ -258,6 +258,39 @@ let test_fleet_bundle_roundtrip () =
       Alcotest.(check string) "fleet bundle replays the exact schedule"
         r.H.r_trace_hash again.H.r_trace_hash)
 
+(* A bundle that ran the retired tiered-VM warm-start step cannot
+   replay without it, so the reader refuses it and names the field;
+   [vm-warm: false], which every single-server bundle used to carry,
+   still parses to the same spec. *)
+let test_vm_warm_bundle_refused () =
+  let bundle vm_warm =
+    String.concat "\n"
+      [
+        "dbds-sim-bundle: v1";
+        "seed: 77";
+        "clients: 3";
+        "requests-per-client: 4";
+        "workers: 2";
+        "queue-limit: 16";
+        "chaos: 3";
+        "vm-warm: " ^ vm_warm;
+        "compile-delay-ms: 20";
+        "deadline-ms: none";
+        "faults: none";
+        "trace-hash: d8a38c96eb11a695";
+        "";
+      ]
+  in
+  (match H.parse_bundle (bundle "true") with
+  | _ -> Alcotest.fail "a vm-warm: true bundle parsed"
+  | exception H.Malformed_bundle msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the error names the field (%s)" msg)
+        true
+        (String.length msg >= 8 && String.sub msg 0 8 = "vm-warm:"));
+  Alcotest.(check bool) "vm-warm: false parses to the same spec" true
+    (H.parse_bundle (bundle "false") = H.builder ~seed:77 ())
+
 let suite =
   [
     test "sim: same seed, same schedule" test_same_seed_same_trace;
@@ -276,4 +309,5 @@ let suite =
       test_fleet_partition_heals;
     test "sim: fleet chaos sweep holds the invariant" test_fleet_chaos_sweep;
     test "sim: fleet bundles round-trip and replay" test_fleet_bundle_roundtrip;
+    test "sim: a vm-warm bundle is refused" test_vm_warm_bundle_refused;
   ]

@@ -1,434 +1,40 @@
-(** Tiered VM tests: promotion, dispatch, deoptimization (forced and
-    genuinely-broken-body), cache eviction, drift recompilation, and the
-    differential guarantee that the engine's observable behaviour equals
-    a never-compiled tier-0 run. *)
+(** The retained engine: every run agrees with a plain interpretation,
+    and from the second run on the profile-guided compiled copy runs. *)
 
-open Helpers
-module E = Vm.Engine
 module M = Interp.Machine
 
-(* A helper hot enough to promote almost immediately. *)
-let hot_src =
-  {|
-  global int acc;
-  int work(int n) {
-    int s = 0;
-    int i = 0;
-    while (i < n) @0.95 {
-      if (i % 3 == 0) @0.33 { s = s + i * 2; } else { s = s - i; }
-      i = i + 1;
-    }
-    acc = acc + s;
-    return s;
-  }
-  int main(int x, int y) {
-    int t = 0;
-    int j = 0;
-    while (j < y) @0.9 {
-      t = t + work(x + j);
-      j = j + 1;
-    }
-    return t;
-  }
-  |}
-
-let eager_policy =
-  {
-    Vm.Policy.default with
-    Vm.Policy.invocation_threshold = 2;
-    backedge_threshold = 16;
-    profile_period = 8;
-  }
-
-let eager_config ?deopt_plan ?cache_capacity () =
-  E.config ~policy:eager_policy ?deopt_plan ?cache_capacity ~jobs:1 ~batch:1 ()
-
-(* Observable behaviour of a never-compiled run: result and final
-   globals. *)
-let tier0_truth prog args =
-  let result, _, globals = M.run_full prog ~args in
-  (M.result_to_string result, globals)
-
-let check_matches_tier0 prog args (result, globals) =
-  let t0_result, t0_globals = tier0_truth prog args in
-  Alcotest.(check string) "result matches tier 0" t0_result
-    (M.result_to_string result);
-  Alcotest.(check bool) "globals match tier 0" true (globals = t0_globals)
-
-let test_promotion_and_dispatch () =
-  let prog = compile hot_src in
-  let eng = E.create ~config:(eager_config ()) prog in
-  let args = [| 40; 12 |] in
-  for _ = 1 to 4 do
-    let result, _, globals = E.run_full eng ~args in
-    check_matches_tier0 prog args (result, globals)
+let check_engine ~what fresh args =
+  let eng = Vm.Engine.create (fresh ()) in
+  let first = ref 0.0 in
+  for run = 1 to 3 do
+    let result, stats, globals = Vm.Engine.run_full eng ~args in
+    let want_result, _, want_globals = M.run_full (fresh ()) ~args in
+    let label fmt = Printf.sprintf ("%s run %d: " ^^ fmt) what run in
+    Alcotest.(check string) (label "result")
+      (M.result_to_string want_result)
+      (M.result_to_string result);
+    Alcotest.(check bool) (label "globals") true (globals = want_globals);
+    if run = 1 then first := stats.M.cycles
+    else
+      Alcotest.(check bool)
+        (label "fewer cycles than run 1 (%.0f < %.0f)" stats.M.cycles !first)
+        true
+        (stats.M.cycles < !first)
   done;
-  let stats = E.finish eng in
-  Alcotest.(check bool) "work got promoted" true
-    (Vm.Codecache.peek (E.cache eng) "work" <> None);
-  Alcotest.(check bool) "promotions happened" true
-    (stats.Vm.Vmstats.promotions >= 1);
-  Alcotest.(check bool) "tier-1 dispatches happened" true
-    (stats.Vm.Vmstats.optimized_calls > 0);
-  Alcotest.(check bool) "background compiles succeeded" true
-    (stats.Vm.Vmstats.compiles >= 1)
+  Alcotest.(check int) (what ^ ": no contained failures") 0
+    (List.length (Vm.Engine.finish eng))
 
-let test_steady_state_faster () =
-  let prog = compile hot_src in
-  let args = [| 60; 20 |] in
-  let tiered = E.create ~config:(eager_config ()) prog in
-  let tier0 =
-    E.create ~config:(E.config ~policy:Vm.Policy.never ()) prog
+let test_steady_state () =
+  let avrora =
+    Option.get
+      (Workloads.Suite.find_benchmark (List.hd Workloads.Registry.all) "avrora")
   in
-  (* Warm both engines, then compare one steady-state run. *)
-  for _ = 1 to 5 do
-    ignore (E.run_full tiered ~args);
-    ignore (E.run_full tier0 ~args)
-  done;
-  let _, tiered_stats, _ = E.run_full tiered ~args in
-  let _, tier0_stats, _ = E.run_full tier0 ~args in
-  Alcotest.(check bool) "tier-0-only engine never promotes" true
-    ((E.finish tier0).Vm.Vmstats.promotions = 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "steady-state cycles improve (%.0f < %.0f)"
-       tiered_stats.M.cycles tier0_stats.M.cycles)
-    true
-    (tiered_stats.M.cycles < tier0_stats.M.cycles)
+  check_engine ~what:"avrora"
+    (fun () -> Workloads.Suite.compile avrora)
+    avrora.Workloads.Suite.args;
+  let src = Workloads.Progen.generate ~seed:2 () in
+  check_engine ~what:"progen seed 2"
+    (fun () -> Helpers.compile src)
+    [| 5; 7 |]
 
-let test_forced_deopt_identical () =
-  let prog = compile hot_src in
-  let args = [| 40; 12 |] in
-  (* Fire a forced deoptimization in work's 3rd tier-1 frame. *)
-  let eng =
-    E.create ~config:(eager_config ~deopt_plan:("work", 3) ()) prog
-  in
-  let observed = ref [] in
-  for _ = 1 to 5 do
-    let result, _, globals = E.run_full eng ~args in
-    check_matches_tier0 prog args (result, globals);
-    observed := (result, globals) :: !observed
-  done;
-  let stats = E.finish eng in
-  Alcotest.(check bool) "a deopt happened" true (stats.Vm.Vmstats.deopts >= 1);
-  Alcotest.(check bool) "the deopt was forced" true
-    (List.exists
-       (fun (e : Vm.Deopt.event) -> e.Vm.Deopt.de_reason = Vm.Deopt.Forced)
-       (E.deopt_log eng));
-  Alcotest.(check bool) "invalidation recorded" true
-    (stats.Vm.Vmstats.invalidations >= 1)
-
-let test_broken_body_deopt_identical () =
-  (* Install a genuinely broken optimized body by hand: it performs a
-     visible side effect (global store) and then null-dereferences.  The
-     deopt must undo the store and re-run tier 0 — byte-identical. *)
-  let prog = compile hot_src in
-  let args = [| 40; 12 |] in
-  let eng = E.create ~config:(eager_config ()) prog in
-  let broken = Ir.Graph.copy (Option.get (Ir.Program.find_function prog "work")) in
-  let entry = Ir.Graph.entry broken in
-  let garbage = Ir.Graph.append broken entry (Ir.Types.Const 999) in
-  let _store =
-    Ir.Graph.append broken entry (Ir.Types.Store_global ("acc", garbage))
-  in
-  let null = Ir.Graph.append broken entry Ir.Types.Null in
-  let _crash = Ir.Graph.append broken entry (Ir.Types.Load (null, "round")) in
-  ignore
-    (Vm.Codecache.install (E.cache eng) ~fn:"work" ~body:broken ~samples:0
-       ~work:0);
-  let result, _, globals = E.run_full eng ~args in
-  check_matches_tier0 prog args (result, globals);
-  let stats = E.finish eng in
-  Alcotest.(check bool) "deopted out of the broken body" true
-    (stats.Vm.Vmstats.deopts >= 1);
-  Alcotest.(check bool) "broken entry invalidated" true
-    (List.for_all
-       (fun (e : Vm.Codecache.entry) -> e.Vm.Codecache.ce_body != broken)
-       (Vm.Codecache.entries (E.cache eng)))
-
-let test_cache_eviction () =
-  (* A cache too small for every promoted body: evictions fire, results
-     stay correct. *)
-  let prog = compile hot_src in
-  let args = [| 40; 12 |] in
-  let eng = E.create ~config:(eager_config ~cache_capacity:20 ()) prog in
-  for _ = 1 to 5 do
-    let result, _, globals = E.run_full eng ~args in
-    check_matches_tier0 prog args (result, globals)
-  done;
-  let stats = E.finish eng in
-  Alcotest.(check bool) "evictions happened" true
-    (stats.Vm.Vmstats.evictions >= 1);
-  Alcotest.(check bool) "cache stays within sight of the budget" true
-    (Vm.Codecache.size (E.cache eng) <= 1)
-
-let test_compile_failure_contained () =
-  (* A fault plan that crashes every background compile: the function
-     stays interpreted, attempts are capped, behaviour is unchanged. *)
-  let prog = compile hot_src in
-  let args = [| 40; 12 |] in
-  let compile =
-    {
-      Dbds.Config.dbds with
-      Dbds.Config.fault_plan =
-        Some
-          {
-            Dbds.Faults.seed = 0;
-            site = Dbds.Faults.Parallel_worker;
-            hit = 1;
-            fn = None;
-          };
-    }
-  in
-  let eng =
-    E.create ~config:(E.config ~policy:eager_policy ~compile ~jobs:1 ()) prog
-  in
-  for _ = 1 to 6 do
-    let result, _, globals = E.run_full eng ~args in
-    check_matches_tier0 prog args (result, globals)
-  done;
-  let stats = E.finish eng in
-  Alcotest.(check bool) "compiles failed" true
-    (stats.Vm.Vmstats.compile_failures >= 1);
-  (* The cap is per function; this program has two promotable ones. *)
-  Alcotest.(check bool) "attempts capped by max_compiles" true
-    (stats.Vm.Vmstats.promotions + stats.Vm.Vmstats.recompilations
-    <= 2 * eager_policy.Vm.Policy.max_compiles);
-  Alcotest.(check bool) "failures reported" true (E.failures eng <> [])
-
-let test_drift_recompilation () =
-  (* Promote under one branch behaviour, then flip the arguments so
-     sampled tier-0 runs observe the opposite behaviour: the drift check
-     must request a recompile. *)
-  let src =
-    {|
-    int skewed(int n, int sel) {
-      int s = 0;
-      int i = 0;
-      while (i < n) @0.9 {
-        if (sel > 0) @0.5 { s = s + i * 3; } else { s = s - i; }
-        i = i + 1;
-      }
-      return s;
-    }
-    int main(int x, int y) {
-      int t = 0;
-      int j = 0;
-      while (j < 8) @0.9 { t = t + skewed(x, y); j = j + 1; }
-      return t;
-    }
-    |}
-  in
-  let prog = compile src in
-  let policy =
-    {
-      eager_policy with
-      Vm.Policy.profile_period = 2;
-      drift_min_samples = 8;
-      drift_threshold = 0.3;
-      max_compiles = 3;
-    }
-  in
-  let eng = E.create ~config:(E.config ~policy ~jobs:1 ()) prog in
-  for _ = 1 to 3 do
-    ignore (E.run_full eng ~args:[| 30; 1 |])
-  done;
-  for _ = 1 to 6 do
-    ignore (E.run_full eng ~args:[| 30; 0 |])
-  done;
-  let stats = E.finish eng in
-  Alcotest.(check bool) "drift triggered a recompilation" true
-    (stats.Vm.Vmstats.recompilations >= 1)
-
-let test_jobs_deterministic () =
-  (* Same engine configuration at jobs 1 and 4: identical results and
-     identical counters. *)
-  let prog () = compile hot_src in
-  let args = [| 40; 12 |] in
-  let run_with jobs =
-    let eng =
-      E.create ~config:(E.config ~policy:eager_policy ~jobs ~batch:2 ()) (prog ())
-    in
-    let outs = ref [] in
-    for _ = 1 to 5 do
-      let result, st, globals = E.run_full eng ~args in
-      outs := (M.result_to_string result, st.M.cycles, globals) :: !outs
-    done;
-    (!outs, Vm.Vmstats.fingerprint (E.finish eng))
-  in
-  let o1, f1 = run_with 1 in
-  let o4, f4 = run_with 4 in
-  Alcotest.(check bool) "per-run outputs equal" true (o1 = o4);
-  Alcotest.(check string) "vmstats fingerprints equal" f1 f4
-
-let test_codecache_unit () =
-  let g name =
-    let prog = compile hot_src in
-    Ir.Graph.copy (Option.get (Ir.Program.find_function prog name))
-  in
-  let c = Vm.Codecache.create ~capacity:10_000 in
-  let e1 = Vm.Codecache.install c ~fn:"work" ~body:(g "work") ~samples:5 ~work:7 in
-  Alcotest.(check int) "versions start at 1" 1 e1.Vm.Codecache.ce_version;
-  let e2 = Vm.Codecache.install c ~fn:"main" ~body:(g "main") ~samples:1 ~work:2 in
-  Alcotest.(check int) "versions are monotonic" 2 e2.Vm.Codecache.ce_version;
-  Alcotest.(check int) "two entries live" 2 (Vm.Codecache.size c);
-  (match Vm.Codecache.lookup c "work" with
-  | Some e -> Alcotest.(check int) "hit counted" 1 e.Vm.Codecache.ce_hits
-  | None -> Alcotest.fail "work missing");
-  (* Reinstall replaces in place, version bumps. *)
-  let e3 = Vm.Codecache.install c ~fn:"work" ~body:(g "work") ~samples:9 ~work:1 in
-  Alcotest.(check int) "reinstall bumps version" 3 e3.Vm.Codecache.ce_version;
-  Alcotest.(check int) "still two entries" 2 (Vm.Codecache.size c);
-  Vm.Codecache.invalidate c "work";
-  Alcotest.(check bool) "invalidated" true (Vm.Codecache.peek c "work" = None);
-  Alcotest.(check int) "one left" 1 (Vm.Codecache.size c)
-
-(* The cache is shared between the dispatching domain and background
-   installers: a storm of parallel install/lookup/invalidate must keep
-   the LRU size bound and mint distinct, dense version numbers. *)
-let test_codecache_concurrent () =
-  let prog = compile hot_src in
-  let body name = Ir.Graph.copy (Option.get (Ir.Program.find_function prog name)) in
-  let unit_size = Costmodel.Estimate.graph_size (body "work") in
-  (* Room for about two bodies, so the storm constantly evicts. *)
-  let capacity = (2 * unit_size) + 1 in
-  let c = Vm.Codecache.create ~capacity in
-  let rounds = 25 in
-  let storm d =
-    let versions = ref [] in
-    for i = 0 to rounds - 1 do
-      let fn = Printf.sprintf "fn%d" ((i + d) mod 4) in
-      let e = Vm.Codecache.install c ~fn ~body:(body "work") ~samples:i ~work:i in
-      versions := e.Vm.Codecache.ce_version :: !versions;
-      ignore (Vm.Codecache.lookup c fn);
-      if i mod 7 = d then Vm.Codecache.invalidate c fn
-    done;
-    !versions
-  in
-  let domains = List.init 4 (fun d -> Domain.spawn (fun () -> storm d)) in
-  let versions = List.concat_map Domain.join domains in
-  Alcotest.(check bool) "size budget holds after the storm" true
-    (Vm.Codecache.used c <= capacity);
-  let sorted = List.sort compare versions in
-  Alcotest.(check int) "every install minted a version" (4 * rounds)
-    (List.length sorted);
-  Alcotest.(check bool) "versions are distinct" true
-    (List.length (List.sort_uniq compare sorted) = 4 * rounds);
-  (* Monotonic and gap-free: the n-th install (in version order) got
-     version n. *)
-  List.iteri
-    (fun i v -> Alcotest.(check int) "versions are dense from 1" (i + 1) v)
-    sorted;
-  let e = Vm.Codecache.install c ~fn:"after" ~body:(body "work") ~samples:0 ~work:0 in
-  Alcotest.(check int) "next version continues the sequence"
-    ((4 * rounds) + 1) e.Vm.Codecache.ce_version
-
-let test_policy_unit () =
-  let p = { Vm.Policy.default with Vm.Policy.invocation_threshold = 3 } in
-  let c = Vm.Policy.fresh_counters () in
-  Alcotest.(check bool) "cold" false (Vm.Policy.should_promote p c);
-  c.Vm.Policy.invocations <- 3;
-  Alcotest.(check bool) "hot by invocations" true (Vm.Policy.should_promote p c);
-  c.Vm.Policy.pending <- true;
-  Alcotest.(check bool) "pending blocks" false (Vm.Policy.should_promote p c);
-  c.Vm.Policy.pending <- false;
-  c.Vm.Policy.attempts <- p.Vm.Policy.max_compiles;
-  Alcotest.(check bool) "attempt cap blocks" false (Vm.Policy.should_promote p c);
-  Alcotest.(check bool) "never policy never promotes" false
-    (Vm.Policy.should_promote Vm.Policy.never
-       {
-         Vm.Policy.invocations = 1_000_000;
-         backedges = 1_000_000;
-         attempts = 0;
-         pending = false;
-       })
-
-let test_bundle_profile_roundtrip () =
-  let profile = Interp.Profile.create () in
-  for _ = 1 to 12 do
-    Interp.Profile.record profile ~fn:"work" ~bid:2 ~taken_true:true
-  done;
-  Interp.Profile.record profile ~fn:"work" ~bid:2 ~taken_true:false;
-  let rendered = Interp.Profile.render profile in
-  let b =
-    {
-      Dbds.Bundle.b_fn = "work";
-      b_site = "transform.apply";
-      b_exn = "test";
-      b_plan = None;
-      b_config = Dbds.Config.dbds;
-      b_profile = Some rendered;
-      b_ir = "fn work(1 params) entry=b0\nb0:\n  return\n";
-    }
-  in
-  let b' = Dbds.Bundle.parse (Dbds.Bundle.render b) in
-  Alcotest.(check bool) "profile section survives" true
-    (b'.Dbds.Bundle.b_profile = Some (String.trim rendered ^ "\n")
-    || b'.Dbds.Bundle.b_profile = Some rendered
-    || b'.Dbds.Bundle.b_profile = Some (String.trim rendered));
-  (match b'.Dbds.Bundle.b_profile with
-  | Some p ->
-      let parsed = Interp.Profile.parse p in
-      Alcotest.(check int) "counts survive" 13 (Interp.Profile.samples parsed)
-  | None -> Alcotest.fail "profile lost");
-  (* Bundles without a profile stay parseable (backward compat). *)
-  let b2 = Dbds.Bundle.parse (Dbds.Bundle.render { b with b_profile = None }) in
-  Alcotest.(check bool) "no-profile bundle roundtrips" true
-    (b2.Dbds.Bundle.b_profile = None)
-
-let test_compile_crash_bundle_records_profile () =
-  (* A crashing background compile writes a bundle carrying the profile
-     snapshot; replaying it reproduces the failure. *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dbds-vm-bundles" in
-  List.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Array.to_list (Sys.readdir dir) with Sys_error _ -> []);
-  let prog = compile hot_src in
-  let compile =
-    {
-      Dbds.Config.dbds with
-      Dbds.Config.fault_plan =
-        Some
-          {
-            Dbds.Faults.seed = 0;
-            site = Dbds.Faults.Parallel_worker;
-            hit = 1;
-            fn = None;
-          };
-      bundle_dir = Some dir;
-    }
-  in
-  let eng =
-    E.create ~config:(E.config ~policy:eager_policy ~compile ~jobs:1 ()) prog
-  in
-  for _ = 1 to 4 do
-    ignore (E.run_full eng ~args:[| 40; 12 |])
-  done;
-  match E.failures eng with
-  | [] -> Alcotest.fail "expected a contained compile failure"
-  | f :: _ -> (
-      match f.Dbds.Driver.fail_bundle with
-      | None -> Alcotest.fail "expected a bundle path"
-      | Some path ->
-          let b = Dbds.Bundle.read path in
-          Alcotest.(check bool) "bundle has the profile snapshot" true
-            (b.Dbds.Bundle.b_profile <> None);
-          (match Dbds.Driver.replay_bundle b with
-          | `Reproduced _ -> ()
-          | `Clean -> Alcotest.fail "bundle did not reproduce"))
-
-let suite =
-  [
-    test "promotion and dispatch" test_promotion_and_dispatch;
-    test "steady state beats tier 0" test_steady_state_faster;
-    test "forced deopt is transparent" test_forced_deopt_identical;
-    test "broken body deopt is byte-identical" test_broken_body_deopt_identical;
-    test "cache eviction under tiny budget" test_cache_eviction;
-    test "compile failures contained" test_compile_failure_contained;
-    test "drift triggers recompilation" test_drift_recompilation;
-    test "jobs 1 = jobs 4" test_jobs_deterministic;
-    test "codecache unit" test_codecache_unit;
-    test "codecache concurrent storm" test_codecache_concurrent;
-    test "policy unit" test_policy_unit;
-    test "bundle profile roundtrip" test_bundle_profile_roundtrip;
-    test "compile crash bundle records profile" test_compile_crash_bundle_records_profile;
-  ]
+let suite = [ Helpers.test "steady state beats tier 0" test_steady_state ]
