@@ -85,32 +85,12 @@ let replay path =
       Format.printf "backtrace:@.%s@." f.Dbds.Driver.fail_backtrace
   | `Clean -> Format.printf "did not reproduce: the function now optimizes cleanly@."
 
-let contains_substring s sub =
-  let n = String.length sub in
-  let rec at i =
-    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
-  in
-  n = 0 || at 0
-
 (* The service compiles post-inlining compilation units, so client mode
    (and --canon direct mode) applies the program-level inline of the
    effective pipeline locally, up front. *)
 let apply_inline prog config =
-  if
-    contains_substring
-      (Opt.Spec.to_string (Dbds.Driver.default_spec config))
-      "inline"
-  then begin
-    let inline_spec =
-      match Opt.Spec.of_string "inline" with
-      | Ok s -> s
-      | Error msg -> failwith msg
-    in
-    ignore
-      (Dbds.Driver.optimize_program_report
-         ~config:{ config with Dbds.Config.passes = Some inline_spec }
-         ~jobs:1 prog)
-  end
+  if Dbds.Driver.wants_inline (Dbds.Driver.default_spec config) then
+    ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog)
 
 (* Replace every function body with its print → parse round-trip: dense
    ids in appearance order — exactly the form a service worker parses

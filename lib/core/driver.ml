@@ -129,39 +129,30 @@ let run_backtracking config ctx stats g =
                 && List.length (G.preds g bm) >= 2
               then begin
                 stats.backtrack_attempts <- stats.backtrack_attempts + 1;
-                (* Copy-on-demand speculation: only the blocks /
-                   instructions the attempt actually touches are saved,
-                   instead of deep-copying the whole graph per attempt.
-                   The protect guarantees the journal is unwound on
-                   *any* exception — an injected fault or a verifier
-                   violation mid-attempt must not leave the graph in a
-                   half-speculated state. *)
-                G.checkpoint g;
-                Fun.protect
-                  ~finally:(fun () -> if G.in_speculation g then G.rollback g)
-                  (fun () ->
-                    Opt.Phase.charge ctx (G.live_instr_count g);
-                    let before = Costmodel.Estimate.weighted_cycles g in
-                    match Transform.duplicate g ~merge:bm ~pred:bp with
-                    | _ ->
-                        paranoid_check config "backtracking.duplicate" g;
-                        ignore
-                          (Opt.Pipeline.optimize ~licm:config.Config.licm ctx
-                             g);
-                        let after = Costmodel.Estimate.weighted_cycles g in
-                        let size_after = Costmodel.Estimate.graph_size g in
-                        if
-                          after < before
-                          && size_after < config.Config.max_unit_size
-                        then begin
-                          stats.backtrack_kept <- stats.backtrack_kept + 1;
-                          stats.duplications_performed <-
-                            stats.duplications_performed + 1;
-                          progress := true;
-                          G.commit g
-                        end
-                        else G.rollback g
-                    | exception Transform.Not_applicable _ -> G.rollback g)
+                (* An exception mid-attempt (an injected fault, a
+                   verifier violation) leaves the graph half-changed;
+                   containment restores its own per-function snapshot. *)
+                let snap = G.snapshot g in
+                Opt.Phase.charge ctx (G.live_instr_count g);
+                let before = Costmodel.Estimate.weighted_cycles g in
+                let kept =
+                  match Transform.duplicate g ~merge:bm ~pred:bp with
+                  | _ ->
+                      paranoid_check config "backtracking.duplicate" g;
+                      ignore
+                        (Opt.Pipeline.optimize ~licm:config.Config.licm ctx g);
+                      Costmodel.Estimate.weighted_cycles g < before
+                      && Costmodel.Estimate.graph_size g
+                         < config.Config.max_unit_size
+                  | exception Transform.Not_applicable _ -> false
+                in
+                if kept then begin
+                  stats.backtrack_kept <- stats.backtrack_kept + 1;
+                  stats.duplications_performed <-
+                    stats.duplications_performed + 1;
+                  progress := true
+                end
+                else G.restore g snap
               end)
             (G.preds g bm))
       merges
@@ -205,17 +196,6 @@ let is_inline_item = function
 
 let wants_inline spec = List.exists is_inline_item spec
 let per_function_items spec = List.filter (fun i -> not (is_inline_item i)) spec
-
-(* Backtracking owns the speculation journal for its own attempts, and
-   checkpoints do not nest — containment must fall back to a full
-   pre-copy when the pipeline contains that tier. *)
-let spec_uses_journal spec =
-  let rec item = function
-    | Opt.Spec.Pass { name = "backtracking"; _ } -> true
-    | Opt.Spec.Pass _ -> false
-    | Opt.Spec.Fix { body; _ } -> List.exists item body
-  in
-  List.exists item spec
 
 (* Resolve the duplication tiers ([dbds], [dupalot], [backtracking]) on
    top of the classic passes.  The tier passes close over the
@@ -421,17 +401,10 @@ let site_of_exn = function
   | _ -> "exception"
 
 (* Optimize one function under containment: arm the fault registry,
-   speculate the whole per-function pipeline, and on any exception roll
-   the graph back to its pre-attempt state and return a structured
-   failure instead of propagating.
-
-   The undo mechanism depends on the pipeline.  Dbds / Dupalot /
-   baseline pipelines never speculate internally, so they run under a
-   journal checkpoint (copy-on-demand, committed on success).  The
-   backtracking tier owns the journal for its own attempts —
-   checkpoints do not nest — so containment falls back to a full
-   pre-copy when the pipeline contains it (the strategy is the
-   expensive comparator anyway). *)
+   snapshot the graph, and on any exception restore the snapshot and
+   return a structured failure instead of propagating.  The restore
+   also brings back the pre-attempt generation and analysis cache, in
+   every mode. *)
 let optimize_one (config : Config.t) ctx g =
   let fn = Ir.Graph.name g in
   let attempt () =
@@ -453,24 +426,13 @@ let optimize_one (config : Config.t) ctx g =
     let pre_ir =
       if diagnostics then Some (Ir.Printer.graph_to_string g) else None
     in
-    let backup =
-      if spec_uses_journal (default_spec config) then Some (G.copy g)
-      else begin
-        G.checkpoint g;
-        None
-      end
-    in
+    let snap = G.snapshot g in
     let work_before = ctx.Opt.Phase.work in
     match attempt () with
-    | s ->
-        (match backup with None -> G.commit g | Some _ -> ());
-        (s, None)
+    | s -> (s, None)
     | exception e when not (fatal e) ->
         let bt = Printexc.get_raw_backtrace () in
-        (* Undo everything the attempt did: unwind whatever speculation
-           the crash interrupted, then restore the pre-attempt state. *)
-        if G.in_speculation g then G.rollback g;
-        (match backup with Some b -> G.restore g ~backup:b | None -> ());
+        G.restore g snap;
         let pre_ir =
           match pre_ir with
           | Some s -> s
@@ -575,7 +537,7 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
     | Some c -> (
         match c.cache_lookup config g with
         | Some optimized, _key ->
-            G.restore g ~backup:optimized;
+            G.restore g (G.snapshot optimized);
             (Ir.Graph.name g, fresh_stats (), None)
         | None, key ->
             let work_before = wctx.Opt.Phase.work in

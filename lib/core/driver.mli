@@ -52,6 +52,9 @@ val pp_failure : Format.formatter -> failure -> unit
     fanning functions out; the per-function pipeline is the rest. *)
 val default_spec : Config.t -> Opt.Spec.t
 
+(** Does the spec run program-level [inline]? *)
+val wants_inline : Opt.Spec.t -> bool
+
 (** Check a pipeline spec against the driver's registry: classic passes
     (no options), duplication tiers ([dbds]/[dupalot] with [iters] and
     [threshold], [backtracking] with [iters]), [fix] groups ([rounds]),

@@ -76,8 +76,8 @@ let duplicate g ~merge ~pred =
   in
   G.set_term g bm' term';
   (* Fault site: the transform is mid-mutation here (bm' exists, the
-     edge is not yet redirected) — an injected crash exercises the
-     containment journal's ability to undo a partial duplication. *)
+     edge is not yet redirected) — an injected crash exercises
+     containment's ability to undo a partial duplication. *)
   Faults.hit Faults.Transform_apply;
   List.iter
     (fun s ->

@@ -53,9 +53,9 @@ let config_for plan k =
   {
     Dbds.Config.default with
     Dbds.Config.mode =
-      (* Every fourth plan runs the backtracking comparator so the
-         copy-based containment path and the speculation journal's
-         Fun.protect unwind get fuzzed too. *)
+      (* Every fourth plan runs the backtracking comparator, so faults
+         that fire mid-attempt — with the attempt's own snapshot still
+         pending — must be undone by containment's snapshot too. *)
       (if k mod 4 = 3 then Dbds.Config.Backtracking else Dbds.Config.Dbds);
     fault_plan = Some plan;
     verify_between_phases = k mod 5 = 0;
@@ -663,7 +663,20 @@ let run_lab ?(progen_seeds = [ 0; 1; 2; 3 ]) ?(plans_per_pair = 2) () =
     | Ok p -> p
     | Error msg -> invalid_arg msg
   in
-  let classic = List.map resolve Opt.Pipeline.classic_names in
+  (* Run [names] as one fix(...) group (default 8 rounds). *)
+  let settle names ctx g =
+    Opt.Manager.run Opt.Pipeline.resolve_classic
+      [
+        Opt.Spec.Fix
+          {
+            opts = [];
+            body =
+              List.map (fun name -> Opt.Spec.Pass { name; opts = [] }) names;
+          };
+      ]
+      ctx g
+  in
+  let classic = Opt.Pipeline.classic_names in
   let declares_enables =
     List.filter
       (fun n -> (resolve n).Opt.Phase.enables <> None)
@@ -674,16 +687,8 @@ let run_lab ?(progen_seeds = [ 0; 1; 2; 3 ]) ?(plans_per_pair = 2) () =
       List.iter
         (fun pass_name ->
           let pass = resolve pass_name in
-          let enabled =
-            match pass.Opt.Phase.enables with
-            | Some names -> List.map resolve names
-            | None -> classic
-          in
-          let others =
-            List.filter
-              (fun p -> p.Opt.Phase.pass_name <> pass.Opt.Phase.pass_name)
-              classic
-          in
+          let enabled = Option.value pass.Opt.Phase.enables ~default:classic in
+          let others = List.filter (fun n -> n <> pass_name) classic in
           let prog = fresh () in
           List.iter
             (fun fn ->
@@ -692,14 +697,14 @@ let run_lab ?(progen_seeds = [ 0; 1; 2; 3 ]) ?(plans_per_pair = 2) () =
               | Some g -> (
                   try
                     let ctx = Opt.Phase.create ~program:prog () in
-                    ignore (Opt.Phase.fixpoint others ctx g);
+                    ignore (settle others ctx g);
                     let fired = ref false and budget = ref 8 in
                     let converged = ref false in
                     while (not !converged) && !budget > 0 do
                       if Opt.Phase.run_pass ctx pass g then begin
                         fired := true;
                         decr budget;
-                        ignore (Opt.Phase.fixpoint enabled ctx g)
+                        ignore (settle enabled ctx g)
                       end
                       else converged := true
                     done;
@@ -707,7 +712,7 @@ let run_lab ?(progen_seeds = [ 0; 1; 2; 3 ]) ?(plans_per_pair = 2) () =
                     ctx.Opt.Phase.memo_clean_passes <- false;
                     if
                       !fired && !converged
-                      && Opt.Phase.fixpoint classic ctx g
+                      && settle classic ctx g
                     then
                       violate
                         "%s/%s: %s's enables list misses a consumer (classic \

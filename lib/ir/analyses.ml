@@ -15,11 +15,12 @@
     instruction rewrites (the pass manager's preservation contract;
     checked in paranoid mode by {!check}).
 
-    The cache lives in the graph's {!Graph.cache} slot, so it is saved
-    and restored by the speculation journal.  Every update replaces the
-    entry record (copy-on-write) rather than mutating it in place, so a
-    {!Graph.rollback} restores the exact validity state of the
-    checkpoint and revives the analyses that were valid there.
+    The cache lives in the graph's {!Graph.cache} slot, so a
+    {!Graph.snapshot} saves it and {!Graph.restore} brings it back.
+    Every update replaces the entry record (copy-on-write) rather than
+    mutating it in place, so the snapshot still holds the validity state
+    it was taken in, and a restore revives the analyses that were valid
+    there.
 
     Frequencies are additionally keyed by [loop_factor] (different
     configurations may assume different trip counts).
@@ -44,8 +45,8 @@ let all_kinds = [ Dom; Loops; Frequency ]
 (* Validity stamps and values are immutable: every update allocates a
    fresh entry (see the copy-on-write note above).  Only the lifetime
    hit/miss counters mutate in place — they are monotone bookkeeping,
-   not validity state (a rollback restores the counter values saved in
-   the checkpoint's entry, as documented). *)
+   not validity state (a restore brings back the snapshot's entry with
+   whatever counts it holds by then). *)
 type entry = {
   dom_gen : int;  (** generation {!dom_tree} is valid for; -1 = none *)
   dom_tree : Dom.t option;
@@ -172,7 +173,7 @@ let pass_clean g pass =
 
 (** Record that [pass] just ran on [g] without firing and without
     bumping the generation.  Stored copy-on-write in the cache entry, so
-    rollback restores the memo state of the checkpoint along with the
+    a restore brings back the memo state of the snapshot along with the
     graph.  Memos stamped at older generations are dropped — any
     mutation invalidated them. *)
 let note_pass_clean g pass =
@@ -243,8 +244,8 @@ let check g kind =
       else Ok ()
 
 (** Lifetime hit/miss counters of a graph's cache (0/0 before any
-    lookup).  A {!Graph.rollback} also rolls these back to their
-    checkpoint values. *)
+    lookup).  A {!Graph.restore} brings back the snapshot's entry, and
+    with it these counters. *)
 let stats g =
   match Graph.cache g with
   | Cache e -> { hits = e.hits; misses = e.misses }

@@ -9,9 +9,9 @@
     contract is checkable by recompute-and-compare ({!check}).
 
     The cache lives in the graph's {!Graph.cache} slot and is updated
-    copy-on-write, so it is saved/restored exactly by the speculation
-    journal ({!Graph.checkpoint} / {!Graph.rollback}).  A graph is owned
-    by exactly one domain at a time, so no synchronization is needed. *)
+    copy-on-write, so it is saved/restored exactly by
+    {!Graph.snapshot} / {!Graph.restore}.  A graph is owned by exactly
+    one domain at a time, so no synchronization is needed. *)
 
 type stats = { hits : int; misses : int }
 
@@ -43,8 +43,8 @@ val preserve : Graph.t -> since:int -> kind list -> unit
 val pass_clean : Graph.t -> string -> bool
 
 (** Record that [pass] just ran on [g] without firing or mutating.
-    Stored copy-on-write in the analysis cache entry, so speculation
-    rollback restores the memo exactly. *)
+    Stored copy-on-write in the analysis cache entry, so
+    {!Graph.restore} brings the memo back exactly. *)
 val note_pass_clean : Graph.t -> string -> unit
 
 (** [keep_clean_except g ~since ~enabled]: a pass fired, moving [g] from

@@ -7,15 +7,13 @@
     linked list over two int arrays ([seq_prev]/[seq_next]); use lists
     are intrusive singly linked chains over an int-cell pool with users
     packed into single ints.  Dead slots carry sentinel markers and are
-    threaded onto free-lists (recycled only under {!set_recycle}, which
-    defaults to off so allocation order — and therefore printed ids —
-    stays reproducible).
+    never reused: allocation only grows the arenas, so ids — and
+    therefore printed output — are reproducible.  Freed use cells go on a
+    free-list and are reused.
 
-    The speculation journal is pooled inside the graph: epoch-stamped
-    saved-sets give O(1) "already saved?" tests without hashing, and
-    chain snapshots go into one shared int buffer, so a
-    checkpoint/rollback cycle allocates almost nothing beyond the
-    first-touch snapshots themselves.
+    Undo is whole-graph: {!snapshot} copies the arenas, {!restore}
+    adopts them back together with the generation and analysis-cache
+    slot of the snapshot.
 
     Invariants maintained by this module's mutation API (and checked by
     {!Verifier}):
@@ -34,7 +32,6 @@ type user = U_instr of instr_id | U_term of block_id
    users odd.  Keeps use-chain cells unboxed. *)
 let enc_instr id = id lsl 1
 let enc_term bid = (bid lsl 1) lor 1
-let enc_user = function U_instr id -> enc_instr id | U_term b -> enc_term b
 let dec_user e = if e land 1 = 0 then U_instr (e lsr 1) else U_term (e lsr 1)
 
 (* Sentinels for [ins_block]. *)
@@ -53,11 +50,9 @@ type t = {
   mutable kinds : instr_kind array;  (** [Null] in dead slots *)
   mutable ins_block : int array;  (** block id, -1 detached, -2 dead *)
   mutable seq_prev : int array;  (** intra-block chain; -1 at ends *)
-  mutable seq_next : int array;  (** doubles as free-list link when dead *)
+  mutable seq_next : int array;
   mutable use_head : int array;  (** first use cell, -1 when none *)
   mutable n_instrs : int;
-  mutable free_instr : int;  (** head of dead-slot list, -1 *)
-  mutable n_free_instrs : int;
   (* -------- use-chain cell pool ------------------------------------- *)
   mutable cell_user : int array;  (** packed user *)
   mutable cell_next : int array;  (** next cell or -1; free-list link *)
@@ -68,58 +63,18 @@ type t = {
   mutable blk_term : terminator array;
   mutable blk_preds : int array array;
       (** immutable arrays, replaced wholesale on change *)
-  mutable phi_head : int array;  (** doubles as block free-list link *)
+  mutable phi_head : int array;
   mutable phi_tail : int array;
   mutable body_head : int array;
   mutable body_tail : int array;
   mutable blk_size : int array;  (** phis + body, maintained *)
   mutable n_blocks : int;
-  mutable free_block : int;
   mutable entry : int;
   (* -------- counters / cache ---------------------------------------- *)
   mutable generation : int;
   mutable n_live : int;
   mutable n_live_blocks : int;
   mutable cache : cache;
-  mutable recycle : bool;
-  (* -------- pooled speculation journal ------------------------------ *)
-  mutable journaling : bool;
-  mutable epoch : int;  (** bumped per checkpoint; stamps compare to it *)
-  mutable i_stamp : int array;  (** instr saved this epoch *)
-  mutable b_stamp : int array;
-  mutable u_stamp : int array;  (** use chain saved this epoch *)
-  mutable j_n_instrs : int;  (** arena watermarks at checkpoint *)
-  mutable j_n_blocks : int;
-  mutable j_entry : int;
-  mutable j_generation : int;
-  mutable j_n_live : int;
-  mutable j_n_live_blocks : int;
-  mutable j_cache : cache;
-  mutable j_free_instr : int;
-  mutable j_n_free_instrs : int;
-  mutable j_free_block : int;
-  (* saved instrs: parallel arrays of (id, kind, block) *)
-  mutable ji_ids : int array;
-  mutable ji_kind : instr_kind array;
-  mutable ji_block : int array;
-  mutable ji_n : int;
-  (* saved blocks: (id, term, preds ref, phi span, body span) *)
-  mutable jb_ids : int array;
-  mutable jb_term : terminator array;
-  mutable jb_preds : int array array;
-  mutable jb_phi_off : int array;
-  mutable jb_phi_len : int array;
-  mutable jb_body_off : int array;
-  mutable jb_body_len : int array;
-  mutable jb_n : int;
-  (* saved use chains: (value, span of packed users) *)
-  mutable ju_ids : int array;
-  mutable ju_off : int array;
-  mutable ju_len : int array;
-  mutable ju_n : int;
-  (* shared snapshot buffer the spans above index into *)
-  mutable jbuf : int array;
-  mutable jbuf_n : int;
 }
 
 let name g = g.name
@@ -141,8 +96,6 @@ let create ?(name = "fn") ~n_params () =
     seq_next = Array.make 16 (-1);
     use_head = Array.make 16 (-1);
     n_instrs = 0;
-    free_instr = -1;
-    n_free_instrs = 0;
     cell_user = Array.make 32 0;
     cell_next = Array.make 32 (-1);
     n_cells = 0;
@@ -156,46 +109,11 @@ let create ?(name = "fn") ~n_params () =
     body_tail = Array.make 8 (-1);
     blk_size = Array.make 8 0;
     n_blocks = 0;
-    free_block = -1;
     entry = -1;
     generation = 0;
     n_live = 0;
     n_live_blocks = 0;
     cache = No_cache;
-    recycle = false;
-    journaling = false;
-    epoch = 0;
-    i_stamp = Array.make 16 0;
-    b_stamp = Array.make 8 0;
-    u_stamp = Array.make 16 0;
-    j_n_instrs = 0;
-    j_n_blocks = 0;
-    j_entry = -1;
-    j_generation = 0;
-    j_n_live = 0;
-    j_n_live_blocks = 0;
-    j_cache = No_cache;
-    j_free_instr = -1;
-    j_n_free_instrs = 0;
-    j_free_block = -1;
-    ji_ids = Array.make 32 0;
-    ji_kind = Array.make 32 Null;
-    ji_block = Array.make 32 0;
-    ji_n = 0;
-    jb_ids = Array.make 16 0;
-    jb_term = Array.make 16 Unreachable;
-    jb_preds = Array.make 16 no_preds;
-    jb_phi_off = Array.make 16 0;
-    jb_phi_len = Array.make 16 0;
-    jb_body_off = Array.make 16 0;
-    jb_body_len = Array.make 16 0;
-    jb_n = 0;
-    ju_ids = Array.make 32 0;
-    ju_off = Array.make 32 0;
-    ju_len = Array.make 32 0;
-    ju_n = 0;
-    jbuf = Array.make 64 0;
-    jbuf_n = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -217,9 +135,7 @@ let grow_instrs g =
     g.ins_block <- grow_int_array g.ins_block n dead;
     g.seq_prev <- grow_int_array g.seq_prev n (-1);
     g.seq_next <- grow_int_array g.seq_next n (-1);
-    g.use_head <- grow_int_array g.use_head n (-1);
-    g.i_stamp <- grow_int_array g.i_stamp n 0;
-    g.u_stamp <- grow_int_array g.u_stamp n 0
+    g.use_head <- grow_int_array g.use_head n (-1)
   end
 
 let grow_blocks g =
@@ -239,8 +155,7 @@ let grow_blocks g =
     g.phi_tail <- grow_int_array g.phi_tail n (-1);
     g.body_head <- grow_int_array g.body_head n (-1);
     g.body_tail <- grow_int_array g.body_tail n (-1);
-    g.blk_size <- grow_int_array g.blk_size n 0;
-    g.b_stamp <- grow_int_array g.b_stamp n 0
+    g.blk_size <- grow_int_array g.blk_size n 0
   end
 
 let grow_cells g =
@@ -252,159 +167,13 @@ let grow_cells g =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Generation + journal bookkeeping                                    *)
+(* Generation + use cells                                              *)
 (* ------------------------------------------------------------------ *)
 
 let touch g = g.generation <- g.generation + 1
 
-let jbuf_push g v =
-  if g.jbuf_n = Array.length g.jbuf then
-    g.jbuf <- grow_int_array g.jbuf (2 * g.jbuf_n) 0;
-  g.jbuf.(g.jbuf_n) <- v;
-  g.jbuf_n <- g.jbuf_n + 1
-
-(* Save the pre-mutation state of an instruction / block / use chain the
-   first time it is touched after a checkpoint.  Slots allocated after
-   the checkpoint need no saving: rollback truncates the arenas back to
-   the watermark.  Epoch stamps give the O(1) "already saved?" test. *)
-
-let save_instr g id =
-  if g.journaling && id < g.j_n_instrs && g.i_stamp.(id) <> g.epoch then begin
-    g.i_stamp.(id) <- g.epoch;
-    let n = g.ji_n in
-    if n = Array.length g.ji_ids then begin
-      let cap = 2 * n in
-      g.ji_ids <- grow_int_array g.ji_ids cap 0;
-      let k = Array.make cap Null in
-      Array.blit g.ji_kind 0 k 0 n;
-      g.ji_kind <- k;
-      g.ji_block <- grow_int_array g.ji_block cap 0
-    end;
-    g.ji_ids.(n) <- id;
-    g.ji_kind.(n) <- g.kinds.(id);
-    g.ji_block.(n) <- g.ins_block.(id);
-    g.ji_n <- n + 1
-  end
-
-let save_block g id =
-  if g.journaling && id < g.j_n_blocks && g.b_stamp.(id) <> g.epoch then begin
-    g.b_stamp.(id) <- g.epoch;
-    let n = g.jb_n in
-    if n = Array.length g.jb_ids then begin
-      let cap = 2 * n in
-      g.jb_ids <- grow_int_array g.jb_ids cap 0;
-      let t = Array.make cap Unreachable in
-      Array.blit g.jb_term 0 t 0 n;
-      g.jb_term <- t;
-      let p = Array.make cap no_preds in
-      Array.blit g.jb_preds 0 p 0 n;
-      g.jb_preds <- p;
-      g.jb_phi_off <- grow_int_array g.jb_phi_off cap 0;
-      g.jb_phi_len <- grow_int_array g.jb_phi_len cap 0;
-      g.jb_body_off <- grow_int_array g.jb_body_off cap 0;
-      g.jb_body_len <- grow_int_array g.jb_body_len cap 0
-    end;
-    g.jb_ids.(n) <- id;
-    g.jb_term.(n) <- g.blk_term.(id);
-    g.jb_preds.(n) <- g.blk_preds.(id);
-    let off = g.jbuf_n in
-    let i = ref g.phi_head.(id) in
-    while !i >= 0 do
-      jbuf_push g !i;
-      i := g.seq_next.(!i)
-    done;
-    g.jb_phi_off.(n) <- off;
-    g.jb_phi_len.(n) <- g.jbuf_n - off;
-    let off = g.jbuf_n in
-    let i = ref g.body_head.(id) in
-    while !i >= 0 do
-      jbuf_push g !i;
-      i := g.seq_next.(!i)
-    done;
-    g.jb_body_off.(n) <- off;
-    g.jb_body_len.(n) <- g.jbuf_n - off;
-    g.jb_n <- n + 1
-  end
-
-let save_uses g v =
-  if g.journaling && v >= 0 && v < g.j_n_instrs && g.u_stamp.(v) <> g.epoch
-  then begin
-    g.u_stamp.(v) <- g.epoch;
-    let n = g.ju_n in
-    if n = Array.length g.ju_ids then begin
-      let cap = 2 * n in
-      g.ju_ids <- grow_int_array g.ju_ids cap 0;
-      g.ju_off <- grow_int_array g.ju_off cap 0;
-      g.ju_len <- grow_int_array g.ju_len cap 0
-    end;
-    let off = g.jbuf_n in
-    let c = ref g.use_head.(v) in
-    while !c >= 0 do
-      jbuf_push g g.cell_user.(!c);
-      c := g.cell_next.(!c)
-    done;
-    g.ju_ids.(n) <- v;
-    g.ju_off.(n) <- off;
-    g.ju_len.(n) <- g.jbuf_n - off;
-    g.ju_n <- n + 1
-  end
-
-(* Hooks kept public for parity with the old hand-mutation protocol
-   (terminator patches now go through [patch_term]/[transfer_term]). *)
-let record_block g id =
-  save_block g id;
-  touch g
-
-let record_instr g id =
-  save_instr g id;
-  touch g
-
-(* Drop heap references retained by the pooled journal arrays once a
-   speculation episode ends, so committed-away kinds/terminators don't
-   outlive the graph state that held them. *)
-let scrub_journal g =
-  for k = 0 to g.ji_n - 1 do
-    g.ji_kind.(k) <- Null
-  done;
-  for k = 0 to g.jb_n - 1 do
-    g.jb_term.(k) <- Unreachable;
-    g.jb_preds.(k) <- no_preds
-  done;
-  g.ji_n <- 0;
-  g.jb_n <- 0;
-  g.ju_n <- 0;
-  g.jbuf_n <- 0;
-  g.j_cache <- No_cache
-
-let checkpoint g =
-  if g.journaling then
-    invalid_arg "Graph.checkpoint: speculation already active";
-  g.epoch <- g.epoch + 1;
-  g.ji_n <- 0;
-  g.jb_n <- 0;
-  g.ju_n <- 0;
-  g.jbuf_n <- 0;
-  g.j_n_instrs <- g.n_instrs;
-  g.j_n_blocks <- g.n_blocks;
-  g.j_entry <- g.entry;
-  g.j_generation <- g.generation;
-  g.j_n_live <- g.n_live;
-  g.j_n_live_blocks <- g.n_live_blocks;
-  g.j_cache <- g.cache;
-  g.j_free_instr <- g.free_instr;
-  g.j_n_free_instrs <- g.n_free_instrs;
-  g.j_free_block <- g.free_block;
-  g.journaling <- true
-
-let commit g =
-  if not g.journaling then invalid_arg "Graph.commit: no active checkpoint";
-  g.journaling <- false;
-  scrub_journal g
-
-(* Use-cell alloc/free.  Unlike instruction/block slots, cells may be
-   recycled even during speculation: chain snapshots store packed users,
-   not cell indices, so rollback rebuilds chains from values and never
-   needs an old cell's contents. *)
+(* Use-cell alloc/free: unlike instruction and block slots, freed cells
+   are reused (cell indices are never observable). *)
 let alloc_cell g user next =
   if g.free_cell >= 0 then begin
     let c = g.free_cell in
@@ -431,95 +200,6 @@ let free_chain_cells g v =
     c := next
   done;
   g.use_head.(v) <- -1
-
-let rollback g =
-  if not g.journaling then invalid_arg "Graph.rollback: no active checkpoint";
-  g.journaling <- false;
-  (* Use chains: free the current cells of every touched chain, then
-     rebuild it from the snapshot (reusing the cells just freed). *)
-  for k = 0 to g.ju_n - 1 do
-    let v = g.ju_ids.(k) in
-    free_chain_cells g v;
-    let off = g.ju_off.(k) and len = g.ju_len.(k) in
-    let tail = ref (-1) in
-    for j = len - 1 downto 0 do
-      tail := alloc_cell g g.jbuf.(off + j) !tail
-    done;
-    g.use_head.(v) <- !tail
-  done;
-  (* Chains of values allocated during speculation die with them. *)
-  for v = g.j_n_instrs to g.n_instrs - 1 do
-    free_chain_cells g v
-  done;
-  (* Saved instructions. *)
-  for k = 0 to g.ji_n - 1 do
-    let id = g.ji_ids.(k) in
-    g.kinds.(id) <- g.ji_kind.(k);
-    g.ins_block.(id) <- g.ji_block.(k);
-    if g.ji_block.(k) = detached then begin
-      g.seq_prev.(id) <- -1;
-      g.seq_next.(id) <- -1
-    end
-  done;
-  (* Truncate the instruction arena to the watermark. *)
-  for id = g.j_n_instrs to g.n_instrs - 1 do
-    g.kinds.(id) <- Null;
-    g.ins_block.(id) <- dead;
-    g.seq_prev.(id) <- -1;
-    g.seq_next.(id) <- -1;
-    g.use_head.(id) <- -1
-  done;
-  g.n_instrs <- g.j_n_instrs;
-  (* Saved blocks: scalar state plus chain rebuilds from snapshots. *)
-  for k = 0 to g.jb_n - 1 do
-    let bid = g.jb_ids.(k) in
-    g.blk_live.(bid) <- true;
-    g.blk_term.(bid) <- g.jb_term.(k);
-    g.blk_preds.(bid) <- g.jb_preds.(k);
-    let relink off len head tail =
-      let prev = ref (-1) in
-      for j = 0 to len - 1 do
-        let id = g.jbuf.(off + j) in
-        g.seq_prev.(id) <- !prev;
-        g.seq_next.(id) <- -1;
-        if !prev >= 0 then g.seq_next.(!prev) <- id else head.(bid) <- id;
-        prev := id
-      done;
-      if len = 0 then head.(bid) <- -1;
-      tail.(bid) <- !prev
-    in
-    relink g.jb_phi_off.(k) g.jb_phi_len.(k) g.phi_head g.phi_tail;
-    relink g.jb_body_off.(k) g.jb_body_len.(k) g.body_head g.body_tail;
-    g.blk_size.(bid) <- g.jb_phi_len.(k) + g.jb_body_len.(k)
-  done;
-  (* Truncate the block arena. *)
-  for bid = g.j_n_blocks to g.n_blocks - 1 do
-    g.blk_live.(bid) <- false;
-    g.blk_term.(bid) <- Unreachable;
-    g.blk_preds.(bid) <- no_preds;
-    g.phi_head.(bid) <- -1;
-    g.phi_tail.(bid) <- -1;
-    g.body_head.(bid) <- -1;
-    g.body_tail.(bid) <- -1;
-    g.blk_size.(bid) <- 0
-  done;
-  g.n_blocks <- g.j_n_blocks;
-  g.entry <- g.j_entry;
-  (* Restoring the generation (not bumping it) is sound — the graph is
-     again identical to its checkpoint state — and revives any analysis
-     cached in the restored slot. *)
-  g.generation <- g.j_generation;
-  g.n_live <- g.j_n_live;
-  g.n_live_blocks <- g.j_n_live_blocks;
-  g.cache <- g.j_cache;
-  (* Free lists only grew during speculation (allocation was bump-only),
-     and everything pushed since the checkpoint is alive again. *)
-  g.free_instr <- g.j_free_instr;
-  g.n_free_instrs <- g.j_n_free_instrs;
-  g.free_block <- g.j_free_block;
-  scrub_journal g
-
-let in_speculation g = g.journaling
 
 (* ------------------------------------------------------------------ *)
 (* Arena access                                                        *)
@@ -556,16 +236,7 @@ let uses g v =
   done;
   List.rev !acc
 
-let iter_uses g v f =
-  if v >= 0 && v < g.n_instrs then begin
-    let c = ref g.use_head.(v) in
-    while !c >= 0 do
-      f (dec_user g.cell_user.(!c));
-      c := g.cell_next.(!c)
-    done
-  end
-
-(* Zero-allocation variant: hands out the packed encoding (no [user]
+(* Zero-allocation iteration: hands out the packed encoding (no [user]
    variant per visit); decode with [user_is_term] / [user_target]. *)
 let iter_uses_enc g v f =
   if v >= 0 && v < g.n_instrs then begin
@@ -581,23 +252,17 @@ let user_target e = e asr 1
 
 let has_uses g v = v >= 0 && v < g.n_instrs && g.use_head.(v) >= 0
 
-let is_phi g id = match kind g id with Phi _ -> true | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Use-chain maintenance                                               *)
 (* ------------------------------------------------------------------ *)
 
 let add_use_enc g v e =
-  if v >= 0 then begin
-    save_uses g v;
-    g.use_head.(v) <- alloc_cell g e g.use_head.(v)
-  end
+  if v >= 0 then g.use_head.(v) <- alloc_cell g e g.use_head.(v)
 
 (* Remove the first (most recent) matching cell, mirroring the old
    list-based first-occurrence removal. *)
 let remove_use_enc g v e =
   if v >= 0 then begin
-    save_uses g v;
     let c = ref g.use_head.(v) and prev = ref (-1) and go = ref true in
     while !go && !c >= 0 do
       if g.cell_user.(!c) = e then begin
@@ -614,9 +279,6 @@ let remove_use_enc g v e =
     done
   end
 
-let add_use g v user = add_use_enc g v (enc_user user)
-let remove_use g v user = remove_use_enc g v (enc_user user)
-
 let iter_term_inputs f = function
   | Jump _ | Unreachable | Return None -> ()
   | Return (Some v) -> f v
@@ -626,7 +288,6 @@ let iter_term_inputs f = function
 (* Intra-block chains                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Callers must have journaled the block (save_block) first. *)
 let chain_append g bid id ~phi =
   let head = if phi then g.phi_head else g.body_head in
   let tail = if phi then g.phi_tail else g.body_tail in
@@ -670,20 +331,9 @@ let kind_is_phi = function Phi _ -> true | _ -> false
 (* ------------------------------------------------------------------ *)
 
 let add_block g =
-  let id =
-    if g.recycle && (not g.journaling) && g.free_block >= 0 then begin
-      let id = g.free_block in
-      g.free_block <- g.phi_head.(id);
-      g.phi_head.(id) <- -1;
-      id
-    end
-    else begin
-      grow_blocks g;
-      let id = g.n_blocks in
-      g.n_blocks <- id + 1;
-      id
-    end
-  in
+  grow_blocks g;
+  let id = g.n_blocks in
+  g.n_blocks <- id + 1;
   g.blk_live.(id) <- true;
   g.blk_term.(id) <- Unreachable;
   g.blk_preds.(id) <- no_preds;
@@ -703,20 +353,9 @@ let set_entry g bid =
 
 (* Allocate the instruction without attaching it to a block. *)
 let alloc_instr g kind =
-  let id =
-    if g.recycle && (not g.journaling) && g.free_instr >= 0 then begin
-      let id = g.free_instr in
-      g.free_instr <- g.seq_next.(id);
-      g.n_free_instrs <- g.n_free_instrs - 1;
-      id
-    end
-    else begin
-      grow_instrs g;
-      let id = g.n_instrs in
-      g.n_instrs <- id + 1;
-      id
-    end
-  in
+  grow_instrs g;
+  let id = g.n_instrs in
+  g.n_instrs <- id + 1;
   g.kinds.(id) <- kind;
   g.ins_block.(id) <- detached;
   g.seq_prev.(id) <- -1;
@@ -729,7 +368,6 @@ let alloc_instr g kind =
 
 let append g bid kind =
   let id = alloc_instr g kind in
-  save_block g bid;
   check_block g bid;
   g.ins_block.(id) <- bid;
   chain_append g bid id ~phi:(kind_is_phi kind);
@@ -737,7 +375,6 @@ let append g bid kind =
 
 let prepend g bid kind =
   let id = alloc_instr g kind in
-  save_block g bid;
   check_block g bid;
   g.ins_block.(id) <- bid;
   chain_prepend g bid id ~phi:(kind_is_phi kind);
@@ -748,7 +385,6 @@ let prepend g bid kind =
 (* ------------------------------------------------------------------ *)
 
 let set_kind g id new_kind =
-  save_instr g id;
   touch g;
   check_instr g id;
   iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) g.kinds.(id);
@@ -840,7 +476,6 @@ let block_size g bid =
 
 (* Drop predecessor [pred] from [bid], removing the matching phi input. *)
 let remove_pred g bid pred =
-  save_block g bid;
   touch g;
   let idx = pred_index g bid pred in
   let ps = g.blk_preds.(bid) in
@@ -861,7 +496,6 @@ let remove_pred g bid pred =
 (* Add [pred] as a new predecessor of [bid]; each phi gets [filler] as its
    input for the new edge. *)
 let add_pred g bid pred ~filler =
-  save_block g bid;
   touch g;
   let ps = g.blk_preds.(bid) in
   let n = Array.length ps in
@@ -884,7 +518,6 @@ let set_term g bid term =
     | Branch { if_true; if_false; _ } when if_true = if_false -> Jump if_true
     | t -> t
   in
-  save_block g bid;
   touch g;
   check_block g bid;
   let old_term = g.blk_term.(bid) in
@@ -903,7 +536,6 @@ let set_term g bid term =
     new_succs
 
 let patch_term g bid term =
-  save_block g bid;
   touch g;
   check_block g bid;
   let old_term = g.blk_term.(bid) in
@@ -913,8 +545,6 @@ let patch_term g bid term =
   iter_term_inputs (fun v -> add_use_enc g v (enc_term bid)) term
 
 let transfer_term g ~src ~dst =
-  save_block g src;
-  save_block g dst;
   touch g;
   check_block g src;
   check_block g dst;
@@ -930,14 +560,12 @@ let transfer_term g ~src ~dst =
      inputs keep their positions. *)
   List.iter
     (fun s ->
-      save_block g s;
       g.blk_preds.(s) <-
         Array.map (fun p -> if p = src then dst else p) g.blk_preds.(s))
     (succs_of_term t)
 
 let redirect_edge g ~from_block ~old_target ~new_target =
   if old_target <> new_target then begin
-    save_block g from_block;
     touch g;
     check_block g from_block;
     (match g.blk_term.(from_block) with
@@ -985,30 +613,21 @@ let remove_instr g id =
   check_instr g id;
   if g.use_head.(id) >= 0 then
     invalid_arg (Printf.sprintf "Graph.remove_instr: %d still has uses" id);
-  save_instr g id;
-  save_uses g id;
   touch g;
   iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) g.kinds.(id);
   let bid = g.ins_block.(id) in
-  if bid >= 0 then begin
-    save_block g bid;
-    chain_remove g bid id
-  end;
+  if bid >= 0 then chain_remove g bid id;
   g.kinds.(id) <- Null;
   g.ins_block.(id) <- dead;
   g.use_head.(id) <- -1;
   g.seq_prev.(id) <- -1;
-  g.seq_next.(id) <- g.free_instr;
-  g.free_instr <- id;
-  g.n_free_instrs <- g.n_free_instrs + 1;
+  g.seq_next.(id) <- -1;
   g.n_live <- g.n_live - 1
 
 let detach g id =
   check_instr g id;
   let bid = g.ins_block.(id) in
   if bid >= 0 then begin
-    save_instr g id;
-    save_block g bid;
     touch g;
     chain_remove g bid id;
     g.ins_block.(id) <- detached
@@ -1017,8 +636,6 @@ let detach g id =
 let attach g id bid =
   check_instr g id;
   assert (g.ins_block.(id) = detached);
-  save_instr g id;
-  save_block g bid;
   touch g;
   check_block g bid;
   g.ins_block.(id) <- bid;
@@ -1027,8 +644,6 @@ let attach g id bid =
 let attach_front g id bid =
   check_instr g id;
   assert (g.ins_block.(id) = detached);
-  save_instr g id;
-  save_block g bid;
   touch g;
   check_block g bid;
   g.ins_block.(id) <- bid;
@@ -1038,35 +653,29 @@ let attach_front g id bid =
    caller resets the whole chain).  Shared by remove_block and
    remove_unreachable_blocks. *)
 let kill_slot g id =
-  save_instr g id;
-  save_uses g id;
   iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) g.kinds.(id);
   free_chain_cells g id;
   g.kinds.(id) <- Null;
   g.ins_block.(id) <- dead;
   g.seq_prev.(id) <- -1;
-  g.seq_next.(id) <- g.free_instr;
-  g.free_instr <- id;
-  g.n_free_instrs <- g.n_free_instrs + 1;
+  g.seq_next.(id) <- -1;
   g.n_live <- g.n_live - 1
 
-(* Free a dead block's slot and thread it on the block free list. *)
+(* Mark a block slot dead; the slot is never reused. *)
 let kill_block_slot g bid =
   g.blk_live.(bid) <- false;
   g.blk_term.(bid) <- Unreachable;
   g.blk_preds.(bid) <- no_preds;
+  g.phi_head.(bid) <- -1;
   g.phi_tail.(bid) <- -1;
   g.body_head.(bid) <- -1;
   g.body_tail.(bid) <- -1;
   g.blk_size.(bid) <- 0;
-  g.phi_head.(bid) <- g.free_block;
-  g.free_block <- bid;
   g.n_live_blocks <- g.n_live_blocks - 1
 
 let remove_block g bid =
   check_block g bid;
   set_term g bid Unreachable;
-  save_block g bid;
   touch g;
   (* Collect members first: kill_slot must not race the chain walk. *)
   let members = block_instrs g bid in
@@ -1089,8 +698,6 @@ let fold_blocks g f acc =
   iter_blocks g (fun b -> acc := f !acc b);
   !acc
 
-let block_ids g = List.rev (fold_blocks g (fun acc b -> b :: acc) [])
-
 let iter_instrs g f =
   for id = 0 to g.n_instrs - 1 do
     if g.ins_block.(id) <> dead then f id
@@ -1106,93 +713,6 @@ let fold_instrs g f acc =
    arena scan. *)
 let live_instr_count g = g.n_live
 let live_block_count g = g.n_live_blocks
-
-let replace_pred g bid ~old_pred ~new_pred =
-  save_block g bid;
-  touch g;
-  check_block g bid;
-  g.blk_preds.(bid) <-
-    Array.map (fun p -> if p = old_pred then new_pred else p) g.blk_preds.(bid)
-
-(* ------------------------------------------------------------------ *)
-(* Free lists / compaction                                             *)
-(* ------------------------------------------------------------------ *)
-
-let set_recycle g b = g.recycle <- b
-let recycling g = g.recycle
-let free_instr_slots g = g.n_free_instrs
-
-let compact g =
-  if g.journaling then invalid_arg "Graph.compact: speculation active";
-  let n = g.n_instrs in
-  let map = Array.make (max 1 n) (-1) in
-  let next = ref 0 in
-  let number id =
-    map.(id) <- !next;
-    incr next
-  in
-  iter_blocks g (fun bid -> iter_block_instrs g bid number);
-  (* Detached live instructions keep their relative order at the end. *)
-  for id = 0 to n - 1 do
-    if g.ins_block.(id) = detached then number id
-  done;
-  let live = !next in
-  let cap = max 16 live in
-  let kinds = Array.make cap Null in
-  let ins_block = Array.make cap dead in
-  let remap v = if v >= 0 then map.(v) else v in
-  for id = 0 to n - 1 do
-    let id' = map.(id) in
-    if id' >= 0 then begin
-      kinds.(id') <- map_inputs remap g.kinds.(id);
-      ins_block.(id') <- g.ins_block.(id)
-    end
-  done;
-  let old_order =
-    List.rev
-      (fold_blocks g (fun acc bid -> (bid, phis g bid, body g bid) :: acc) [])
-  in
-  g.kinds <- kinds;
-  g.ins_block <- ins_block;
-  g.seq_prev <- Array.make cap (-1);
-  g.seq_next <- Array.make cap (-1);
-  g.use_head <- Array.make cap (-1);
-  g.n_instrs <- live;
-  g.free_instr <- -1;
-  g.n_free_instrs <- 0;
-  g.i_stamp <- Array.make cap 0;
-  g.u_stamp <- Array.make cap 0;
-  (* Rebuild the intra-block chains with the new ids. *)
-  List.iter
-    (fun (bid, ps, bs) ->
-      g.phi_head.(bid) <- -1;
-      g.phi_tail.(bid) <- -1;
-      g.body_head.(bid) <- -1;
-      g.body_tail.(bid) <- -1;
-      g.blk_size.(bid) <- 0;
-      List.iter (fun id -> chain_append g bid map.(id) ~phi:true) ps;
-      List.iter (fun id -> chain_append g bid map.(id) ~phi:false) bs)
-    old_order;
-  (* Remap terminator operands and rebuild use chains from scratch. *)
-  iter_blocks g (fun bid ->
-      g.blk_term.(bid) <-
-        (match g.blk_term.(bid) with
-        | Return (Some v) -> Return (Some (remap v))
-        | Branch br -> Branch { br with cond = remap br.cond }
-        | t -> t));
-  g.n_cells <- 0;
-  g.free_cell <- -1;
-  for id = 0 to g.n_instrs - 1 do
-    iter_inputs (fun v -> add_use_enc g v (enc_instr id)) g.kinds.(id)
-  done;
-  iter_blocks g (fun bid ->
-      iter_term_inputs
-        (fun v -> add_use_enc g v (enc_term bid))
-        g.blk_term.(bid));
-  (* Ids changed: every cached analysis and external table is stale. *)
-  touch g;
-  g.cache <- No_cache;
-  map
 
 (* ------------------------------------------------------------------ *)
 (* Orders                                                              *)
@@ -1238,7 +758,6 @@ let remove_unreachable_blocks g =
       dead_blocks;
     List.iter
       (fun bid ->
-        save_block g bid;
         touch g;
         let members = block_instrs g bid in
         List.iter (fun id -> kill_slot g id) members;
@@ -1248,91 +767,79 @@ let remove_unreachable_blocks g =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Deep copy                                                           *)
+(* Copy / snapshot / restore                                           *)
 (* ------------------------------------------------------------------ *)
 
-let copy g =
+(* Every array copied up to its high-water mark (at least one slot, so
+   doubling growth still works); scalars, the generation and the cache
+   slot carried over. *)
+let clone g =
+  let instrs a = Array.sub a 0 (max 1 g.n_instrs) in
+  let cells a = Array.sub a 0 (max 1 g.n_cells) in
+  let blocks a = Array.sub a 0 (max 1 g.n_blocks) in
   {
     g with
-    kinds = Array.copy g.kinds;
-    ins_block = Array.copy g.ins_block;
-    seq_prev = Array.copy g.seq_prev;
-    seq_next = Array.copy g.seq_next;
-    use_head = Array.copy g.use_head;
-    cell_user = Array.copy g.cell_user;
-    cell_next = Array.copy g.cell_next;
-    blk_live = Array.copy g.blk_live;
-    blk_term = Array.copy g.blk_term;
-    blk_preds = Array.copy g.blk_preds;
-    phi_head = Array.copy g.phi_head;
-    phi_tail = Array.copy g.phi_tail;
-    body_head = Array.copy g.body_head;
-    body_tail = Array.copy g.body_tail;
-    blk_size = Array.copy g.blk_size;
-    generation = 0;
-    cache = No_cache;
-    (* The copy gets fresh (empty) journal pools. *)
-    journaling = false;
-    epoch = 0;
-    i_stamp = Array.make (Array.length g.kinds) 0;
-    b_stamp = Array.make (Array.length g.blk_term) 0;
-    u_stamp = Array.make (Array.length g.kinds) 0;
-    ji_ids = Array.make 32 0;
-    ji_kind = Array.make 32 Null;
-    ji_block = Array.make 32 0;
-    ji_n = 0;
-    jb_ids = Array.make 16 0;
-    jb_term = Array.make 16 Unreachable;
-    jb_preds = Array.make 16 no_preds;
-    jb_phi_off = Array.make 16 0;
-    jb_phi_len = Array.make 16 0;
-    jb_body_off = Array.make 16 0;
-    jb_body_len = Array.make 16 0;
-    jb_n = 0;
-    ju_ids = Array.make 32 0;
-    ju_off = Array.make 32 0;
-    ju_len = Array.make 32 0;
-    ju_n = 0;
-    jbuf = Array.make 64 0;
-    jbuf_n = 0;
+    kinds = instrs g.kinds;
+    ins_block = instrs g.ins_block;
+    seq_prev = instrs g.seq_prev;
+    seq_next = instrs g.seq_next;
+    use_head = instrs g.use_head;
+    cell_user = cells g.cell_user;
+    cell_next = cells g.cell_next;
+    blk_live = blocks g.blk_live;
+    blk_term = blocks g.blk_term;
+    blk_preds = blocks g.blk_preds;
+    phi_head = blocks g.phi_head;
+    phi_tail = blocks g.phi_tail;
+    body_head = blocks g.body_head;
+    body_tail = blocks g.body_tail;
+    blk_size = blocks g.blk_size;
   }
 
-let restore g ~backup =
-  if g.journaling then
-    invalid_arg "Graph.restore: speculation active (use rollback)";
-  g.kinds <- Array.copy backup.kinds;
-  g.ins_block <- Array.copy backup.ins_block;
-  g.seq_prev <- Array.copy backup.seq_prev;
-  g.seq_next <- Array.copy backup.seq_next;
-  g.use_head <- Array.copy backup.use_head;
-  g.n_instrs <- backup.n_instrs;
-  g.free_instr <- backup.free_instr;
-  g.n_free_instrs <- backup.n_free_instrs;
-  g.cell_user <- Array.copy backup.cell_user;
-  g.cell_next <- Array.copy backup.cell_next;
-  g.n_cells <- backup.n_cells;
-  g.free_cell <- backup.free_cell;
-  g.blk_live <- Array.copy backup.blk_live;
-  g.blk_term <- Array.copy backup.blk_term;
-  g.blk_preds <- Array.copy backup.blk_preds;
-  g.phi_head <- Array.copy backup.phi_head;
-  g.phi_tail <- Array.copy backup.phi_tail;
-  g.body_head <- Array.copy backup.body_head;
-  g.body_tail <- Array.copy backup.body_tail;
-  g.blk_size <- Array.copy backup.blk_size;
-  g.n_blocks <- backup.n_blocks;
-  g.free_block <- backup.free_block;
-  g.entry <- backup.entry;
-  g.n_live <- backup.n_live;
-  g.n_live_blocks <- backup.n_live_blocks;
-  (* Keep stamp arrays sized to the (possibly larger) restored arena. *)
-  if Array.length g.i_stamp < Array.length g.kinds then begin
-    g.i_stamp <- Array.make (Array.length g.kinds) 0;
-    g.u_stamp <- Array.make (Array.length g.kinds) 0
-  end;
-  if Array.length g.b_stamp < Array.length g.blk_term then
-    g.b_stamp <- Array.make (Array.length g.blk_term) 0;
-  (* The overwrite is an arbitrary state change: advance the generation
-     (never rewind — cached analyses key on it) and drop the cache. *)
-  touch g;
-  g.cache <- No_cache
+(* An independent graph must not share the cache: cached analyses point
+   back at the graph they were computed on. *)
+let copy g = { (clone g) with generation = 0; cache = No_cache }
+
+type snapshot = { owner : t; saved : t; mutable spent : bool }
+
+let snapshot g = { owner = g; saved = clone g; spent = false }
+
+let restore g snap =
+  (* The graph adopts the snapshot's arrays, so a second restore would
+     hand it arrays it has since mutated. *)
+  if snap.spent then invalid_arg "Graph.restore: snapshot already restored";
+  snap.spent <- true;
+  let s = snap.saved in
+  g.kinds <- s.kinds;
+  g.ins_block <- s.ins_block;
+  g.seq_prev <- s.seq_prev;
+  g.seq_next <- s.seq_next;
+  g.use_head <- s.use_head;
+  g.n_instrs <- s.n_instrs;
+  g.cell_user <- s.cell_user;
+  g.cell_next <- s.cell_next;
+  g.n_cells <- s.n_cells;
+  g.free_cell <- s.free_cell;
+  g.blk_live <- s.blk_live;
+  g.blk_term <- s.blk_term;
+  g.blk_preds <- s.blk_preds;
+  g.phi_head <- s.phi_head;
+  g.phi_tail <- s.phi_tail;
+  g.body_head <- s.body_head;
+  g.body_tail <- s.body_tail;
+  g.blk_size <- s.blk_size;
+  g.n_blocks <- s.n_blocks;
+  g.entry <- s.entry;
+  g.n_live <- s.n_live;
+  g.n_live_blocks <- s.n_live_blocks;
+  if snap.owner == g then begin
+    (* Back in the exact snapshot state: its generation and cache slot
+       are valid again, which revives the analyses cached there. *)
+    g.generation <- s.generation;
+    g.cache <- s.cache
+  end
+  else begin
+    (* Another graph's contents: a new state for this graph's cache. *)
+    touch g;
+    g.cache <- No_cache
+  end

@@ -6,9 +6,8 @@
     arrays (intrusive doubly-linked chains), use lists are packed
     intrusive chains over an int-cell pool, and liveness is a bitset —
     no [option] boxing, no per-node records, and no allocation on the
-    mutation hot path beyond the kinds themselves.  Dead slots are
-    threaded onto explicit free-lists; ids stay stable (slots are only
-    recycled under {!set_recycle} or an explicit {!compact}).
+    mutation hot path beyond the kinds themselves.  Dead slots are never
+    reused, so ids stay stable and printed output is reproducible.
 
     Invariants maintained by this module's mutation API (and checked by
     {!Verifier}):
@@ -20,15 +19,15 @@
       value.
 
     All reads go through accessors; all mutation goes through this API so
-    the invariants (and the speculation journal) stay sound. *)
+    the invariants stay sound. *)
 
 open Types
 
 type user = U_instr of instr_id | U_term of block_id
 
 (** Extensible per-graph cache slot.  {!Analyses} stores memoized CFG
-    analyses here, keyed on {!generation}; the slot is saved and restored
-    by the speculation journal together with the graph. *)
+    analyses here, keyed on {!generation}; a {!snapshot} saves the slot
+    and {!restore} brings it back together with the graph. *)
 type cache = ..
 
 type cache += No_cache
@@ -39,9 +38,9 @@ val name : t -> string
 val n_params : t -> int
 val entry : t -> block_id
 
-(** Monotonic mutation counter.  Every operation that changes the graph
-    bumps it; {!rollback} restores it (the graph really is back in its
-    checkpoint state). *)
+(** Mutation counter.  Every operation that changes the graph bumps it;
+    {!restore} from the graph's own {!snapshot} puts it back (the graph
+    really is back in its snapshot state). *)
 val generation : t -> int
 
 (** Arena high-water marks: every live instruction (block) id is
@@ -56,31 +55,6 @@ val cache : t -> cache
 val set_cache : t -> cache -> unit
 
 val create : ?name:string -> n_params:int -> unit -> t
-
-(** {2 Speculation (checkpoint / rollback)}
-
-    A copy-on-demand alternative to {!copy}/{!restore}: {!checkpoint}
-    starts journaling, after which every mutation first saves the
-    pre-state of the block / instruction / use chain it touches (only the
-    first time each is touched).  {!rollback} undoes everything since the
-    checkpoint; {!commit} keeps it and drops the journal.  One level
-    only — checkpoints do not nest.  The journal's storage is pooled
-    inside the graph and reused across checkpoints, so repeated
-    speculation (the backtracking strategy) allocates nothing per
-    attempt beyond first-touch snapshots. *)
-
-val checkpoint : t -> unit
-val commit : t -> unit
-val rollback : t -> unit
-val in_speculation : t -> bool
-
-(** {2 Hand-mutation hooks}
-
-    Retained for transforms that patch terminators through {!patch_term}
-    after announcing the mutation; ordinary code never needs them. *)
-
-val record_block : t -> block_id -> unit
-val record_instr : t -> instr_id -> unit
 
 (** {2 Arena access} *)
 
@@ -99,12 +73,9 @@ val block_of : t -> instr_id -> block_id
 val uses : t -> value -> user list
 
 (** Non-allocating iteration over a value's users (read-only: do not
-    mutate the graph from [f]). *)
-val iter_uses : t -> value -> (user -> unit) -> unit
-
-(** Like {!iter_uses} but hands out the packed user encoding — zero
-    allocation per visit.  Decode with {!user_is_term} (terminator use?)
-    and {!user_target} (the using instruction, or the block whose
+    mutate the graph from [f]).  Hands out the packed user encoding —
+    zero allocation per visit.  Decode with {!user_is_term} (terminator
+    use?) and {!user_target} (the using instruction, or the block whose
     terminator reads the value). *)
 val iter_uses_enc : t -> value -> (int -> unit) -> unit
 
@@ -112,15 +83,6 @@ val user_is_term : int -> bool
 val user_target : int -> int
 
 val has_uses : t -> value -> bool
-val is_phi : t -> instr_id -> bool
-
-(** {2 Low-level use bookkeeping}
-
-    Exposed for transforms that move terminators by hand; ordinary code
-    never needs them. *)
-
-val add_use : t -> value -> user -> unit
-val remove_use : t -> value -> user -> unit
 
 (** {2 Creation} *)
 
@@ -138,7 +100,6 @@ val prepend : t -> block_id -> instr_kind -> instr_id
 (** Replace an instruction's kind, keeping use chains consistent. *)
 val set_kind : t -> instr_id -> instr_kind -> unit
 
-val succs_of_term : terminator -> block_id list
 val succs : t -> block_id -> block_id list
 val preds : t -> block_id -> block_id list
 val pred_count : t -> block_id -> int
@@ -159,7 +120,7 @@ val term : t -> block_id -> terminator
 (** Replace a block's terminator with one that has the {e same successor
     blocks} (e.g. substituting the returned value or branch condition).
     Cheaper than {!set_term}: predecessor lists and phis are untouched;
-    only the journal and use chains are maintained. *)
+    only the use chains are maintained. *)
 val patch_term : t -> block_id -> terminator -> unit
 
 (** Move [src]'s terminator to [dst] (whose terminator must be
@@ -179,7 +140,7 @@ val redirect_edge :
 (** Replace every use of a value (in instructions and terminators). *)
 val replace_uses : t -> value -> by:value -> unit
 
-(** Detach and delete an instruction; its slot goes on the free-list.
+(** Detach and delete an instruction; its slot is not reused.
     @raise Invalid_argument when it still has uses. *)
 val remove_instr : t -> instr_id -> unit
 
@@ -197,11 +158,6 @@ val attach_front : t -> instr_id -> block_id -> unit
 (** Delete a whole block; its predecessor edges must already be gone. *)
 val remove_block : t -> block_id -> unit
 
-(** Rename a predecessor entry of a block, keeping its phi inputs
-    untouched (used when a jump-only block is merged into its
-    predecessor). *)
-val replace_pred : t -> block_id -> old_pred:block_id -> new_pred:block_id -> unit
-
 (** {2 Iteration}
 
     Iterators pass ids (not records); all are in increasing-id order for
@@ -209,7 +165,6 @@ val replace_pred : t -> block_id -> old_pred:block_id -> new_pred:block_id -> un
 
 val iter_blocks : t -> (block_id -> unit) -> unit
 val fold_blocks : t -> ('a -> block_id -> 'a) -> 'a -> 'a
-val block_ids : t -> block_id list
 val iter_instrs : t -> (instr_id -> unit) -> unit
 val fold_instrs : t -> ('a -> instr_id -> 'a) -> 'a -> 'a
 
@@ -235,46 +190,34 @@ val block_size : t -> block_id -> int
 val live_instr_count : t -> int
 val live_block_count : t -> int
 
-(** {2 Free-lists / compaction}
-
-    Dead slots are threaded onto free-lists.  By default they are {e not}
-    recycled — ids stay monotonic, so printed output is reproducible
-    across runs.  [set_recycle g true] lets {!append}/{!prepend}/
-    {!add_block} pop free slots instead of growing the arena (never
-    while a checkpoint is active: rollback truncates by watermark).
-    {!compact} renumbers instructions densely (dropping all free slots),
-    returning the old→new id mapping. *)
-
-val set_recycle : t -> bool -> unit
-val recycling : t -> bool
-
-(** Dead instruction slots currently on the free-list. *)
-val free_instr_slots : t -> int
-
-(** Renumber live instructions densely in (block, position) order of the
-    current iteration order; rewrites operands, phis and use chains.
-    Returns an array mapping old id → new id (-1 for dead slots).  Must
-    not be called during speculation. *)
-val compact : t -> int array
-
 (** {2 Orders} *)
 
 (** Reverse postorder over reachable blocks. *)
 val rpo : t -> block_id list
-
-(** Per-block reachability flags (indexed by block id). *)
-val reachable : t -> bool array
 
 (** Delete every block not reachable from the entry (dropping their edges
     into reachable blocks, with the matching phi inputs).  Returns true if
     anything was removed. *)
 val remove_unreachable_blocks : t -> bool
 
-(** {2 Copy / restore} *)
+(** {2 Copy / snapshot / restore} *)
 
-(** Overwrite a graph's contents with those of a {!copy} (the
-    backtracking strategy's undo). *)
-val restore : t -> backup:t -> unit
-
-(** Deep copy; instruction and block ids are preserved. *)
+(** Independent deep copy: same instruction and block ids, generation 0
+    and an empty analysis cache. *)
 val copy : t -> t
+
+(** The whole state of a graph: arenas, generation and analysis-cache
+    slot. *)
+type snapshot
+
+val snapshot : t -> snapshot
+
+(** [restore g s] puts [g] into [s]'s state.  When [s] is [g]'s own
+    snapshot, [g] gets back the generation and cache slot it had then,
+    so the analyses cached at snapshot time are valid again — the undo
+    of a failed or rejected attempt.  A snapshot of another graph gives
+    [g] that graph's contents under a new generation with an empty
+    cache.  [g] adopts the snapshot's storage, so a snapshot restores
+    once.
+    @raise Invalid_argument on a second restore of the same snapshot. *)
+val restore : t -> snapshot -> unit

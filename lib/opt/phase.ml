@@ -216,22 +216,3 @@ let run_pass_now ctx (p : t) g =
 let run_pass ctx (p : t) g =
   if ctx.memo_clean_passes && Ir.Analyses.pass_clean g p.pass_name then false
   else run_pass_now ctx p g
-
-(** Run passes in order repeatedly until a full round changes nothing (or
-    [max_rounds] is hit).  Returns true if any pass ever fired. *)
-let fixpoint ?(max_rounds = 8) passes ctx g =
-  let any = ref false in
-  let round = ref 0 in
-  let changed = ref true in
-  while !changed && !round < max_rounds do
-    incr round;
-    changed := false;
-    List.iter
-      (fun p ->
-        if run_pass ctx p g then begin
-          changed := true;
-          any := true
-        end)
-      passes
-  done;
-  !any

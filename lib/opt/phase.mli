@@ -102,7 +102,3 @@ exception
     cache, the paranoid contract check, and the post-phase hook.  Every
     pass execution in the system goes through here. *)
 val run_pass : ctx -> t -> Ir.Graph.t -> bool
-
-(** Run passes in order repeatedly until a full round changes nothing (or
-    [max_rounds] is hit).  Returns true if any pass ever fired. *)
-val fixpoint : ?max_rounds:int -> t list -> ctx -> Ir.Graph.t -> bool

@@ -1,7 +1,7 @@
 (** Tests for the incremental analysis cache ({!Ir.Analyses}): physical
     reuse on an unchanged graph, generation-bump invalidation on
-    mutation, loop-factor keying, interaction with the speculation
-    journal, and cache effectiveness inside the DBDS driver loop. *)
+    mutation, loop-factor keying, interaction with snapshot/restore,
+    and cache effectiveness inside the DBDS driver loop. *)
 
 open Ir.Types
 module G = Ir.Graph
@@ -72,29 +72,38 @@ let test_rollback_revives_cache () =
   let gen0 = G.generation g in
   let live0 = G.live_instr_count g in
   let printed0 = Ir.Printer.graph_to_string g in
-  G.checkpoint g;
+  let snap = G.snapshot g in
   (* A real structural change: new block spliced onto the merge edge. *)
   let nb = G.add_block g in
   ignore (G.append g nb (Const 7));
   G.set_term g nb (Jump (G.entry g));
-  Alcotest.(check bool) "dom recomputed during speculation" true
+  Alcotest.(check bool) "dom recomputed after the change" true
     (not (d0 == Ir.Analyses.dom g));
-  G.rollback g;
+  G.restore g snap;
   Alcotest.(check int) "generation restored" gen0 (G.generation g);
   Alcotest.(check int) "live count restored" live0 (G.live_instr_count g);
   Alcotest.(check string) "structure restored" printed0
     (Ir.Printer.graph_to_string g);
   check_verifies g;
-  Alcotest.(check bool) "checkpoint-time analysis revived" true
-    (d0 == Ir.Analyses.dom g)
+  Alcotest.(check bool) "snapshot-time analysis revived" true
+    (d0 == Ir.Analyses.dom g);
+  Alcotest.check_raises "a snapshot restores once"
+    (Invalid_argument "Graph.restore: snapshot already restored") (fun () ->
+      G.restore g snap)
 
+(* Keeping an attempt is dropping its snapshot; the next snapshot starts
+   from the kept state. *)
 let test_commit_keeps_mutations () =
   let g = diamond () in
   let live0 = G.live_instr_count g in
-  G.checkpoint g;
+  ignore (G.snapshot g);
   ignore (G.append g (G.entry g) (Const 5));
-  G.commit g;
   Alcotest.(check int) "mutation kept" (live0 + 1) (G.live_instr_count g);
+  let snap = G.snapshot g in
+  ignore (G.append g (G.entry g) (Const 6));
+  G.restore g snap;
+  Alcotest.(check int) "restored to the kept state" (live0 + 1)
+    (G.live_instr_count g);
   check_verifies g
 
 (* A single hot function: repeated simulation rounds over an unchanged

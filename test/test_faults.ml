@@ -162,6 +162,50 @@ let test_rollback_byte_identity () =
       (Dbds.Config.Backtracking, F.Transform_apply);
     ]
 
+(* The undo is exact beyond the printed IR: a contained function is back
+   at its pre-attempt generation, so the analyses cached before the
+   attempt are still valid — physically the same dominator tree.  The
+   second branch re-tests the first one's condition, so condelim-dup
+   duplicates too; the baseline mode never reaches these sites. *)
+let test_containment_restores_cache () =
+  let src =
+    {|
+    int main(int x) {
+      int a;
+      if (x > 0) { a = 1; } else { a = 2; }
+      if (x > 0) { a = a + 3; }
+      return a;
+    }
+  |}
+  in
+  List.iter
+    (fun (mode, site) ->
+      let tag = Dbds.Config.mode_to_string mode in
+      let prog = compile src in
+      let g = Option.get (Ir.Program.find_function prog "main") in
+      let dom0 = Ir.Analyses.dom g in
+      let gen0 = Ir.Graph.generation g in
+      let config =
+        {
+          Dbds.Config.default with
+          Dbds.Config.mode;
+          fault_plan = Some (plan site 1);
+        }
+      in
+      let r = D.optimize_program_report ~config ~inline:false ~jobs:1 prog in
+      Alcotest.(check int) (tag ^ ": one contained failure") 1
+        (List.length r.D.rep_failures);
+      Alcotest.(check int) (tag ^ ": pre-attempt generation") gen0
+        (Ir.Graph.generation g);
+      Alcotest.(check bool) (tag ^ ": pre-attempt dom revived") true
+        (Ir.Analyses.dom g == dom0))
+    [
+      (Dbds.Config.Dbds, F.Transform_apply);
+      (Dbds.Config.Dupalot, F.Transform_apply);
+      (Dbds.Config.Backtracking, F.Transform_apply);
+      (Dbds.Config.Condelim_dup, F.Ssa_repair);
+    ]
+
 let test_contained_program_still_runs () =
   let prog, r = report figure1 ~fault_plan:(plan F.Transform_apply 1) in
   Alcotest.(check int) "one contained failure" 1 (List.length r.D.rep_failures);
@@ -407,6 +451,8 @@ let suite =
     test "of_seed is deterministic" test_of_seed_deterministic;
     test "every site fires" test_every_site_fires;
     test "rollback is byte-identical" test_rollback_byte_identity;
+    test "containment restores generation and analysis cache"
+      test_containment_restores_cache;
     test "contained program still runs" test_contained_program_still_runs;
     test "containment off lets faults escape" test_containment_off_escapes;
     test "never-firing plan is a no-op" test_never_firing_plan_noop;

@@ -151,58 +151,6 @@ let test_detach_attach () =
   Alcotest.(check int) "reattached to merge" merge (G.block_of g sum);
   check_verifies g
 
-(* Arena free-list: a removed instruction's slot is recycled by the next
-   insertion instead of growing the arena. *)
-let test_free_list_reuse () =
-  let g, phi, sum = figure1_graph () in
-  G.set_recycle g true;
-  let merge = G.block_of g phi in
-  let c = G.prepend g merge (Const 7) in
-  G.replace_uses g c ~by:phi;
-  let cap = G.n_instrs g in
-  G.remove_instr g c;
-  Alcotest.(check int) "slot on free-list" 1 (G.free_instr_slots g);
-  let c' = G.prepend g merge (Const 8) in
-  Alcotest.(check int) "slot recycled" c c';
-  Alcotest.(check int) "arena did not grow" cap (G.n_instrs g);
-  Alcotest.(check int) "free-list drained" 0 (G.free_instr_slots g);
-  G.replace_uses g phi ~by:c';
-  ignore sum;
-  check_verifies g
-
-(* compact: dead slots vanish, live ids become dense, semantics and the
-   printed structure survive (modulo renumbering). *)
-let test_compact () =
-  let g, phi, _sum = figure1_graph () in
-  let merge = G.block_of g phi in
-  (* Punch holes: add then remove a few instructions. *)
-  let dead = List.init 5 (fun i -> G.prepend g merge (Const (100 + i))) in
-  List.iter (fun id -> G.remove_instr g id) dead;
-  let live0 = G.live_instr_count g in
-  let text0 = Ir.Printer.graph_to_string g in
-  let map = G.compact g in
-  Alcotest.(check int) "live count unchanged" live0 (G.live_instr_count g);
-  Alcotest.(check int) "arena is dense" live0 (G.n_instrs g);
-  Alcotest.(check int) "free-list empty" 0 (G.free_instr_slots g);
-  Array.iteri
-    (fun old nw ->
-      if nw >= 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "map %d -> %d in range" old nw)
-          true (nw < live0))
-    map;
-  check_verifies g;
-  (* Same graph up to renumbering: parse both prints and compare live
-     structure counts. *)
-  let g0 = Ir.Parse.parse_graph text0 in
-  Alcotest.(check int) "blocks preserved" (G.live_block_count g0)
-    (G.live_block_count g);
-  Alcotest.(check int) "instrs preserved" (G.live_instr_count g0)
-    (G.live_instr_count g)
-
-(* print -> parse -> print reaches a fixed point after one parse: ids are
-   remapped once, then the text is stable.  Run over the progen corpus so
-   loopy/phi-heavy shapes are covered. *)
 let test_print_parse_print_fixpoint () =
   List.iter
     (fun seed ->
@@ -248,8 +196,6 @@ let suite =
     test "verifier: use before def" test_verifier_catches_use_before_def;
     test "rpo order" test_rpo_order;
     test "detach/attach" test_detach_attach;
-    test "free-list reuse" test_free_list_reuse;
-    test "compact" test_compact;
     test "print/parse/print fixed point" test_print_parse_print_fixpoint;
     test "jobs byte-identical (progen)" test_jobs_byte_identical;
   ]

@@ -82,7 +82,7 @@ let test_registry_determinism () =
     Workloads.Registry.all
 
 (* Same property over random programs, with a backtracking config so the
-   checkpoint/rollback journal is exercised under the domain fan-out. *)
+   per-attempt snapshot/restore is exercised under the domain fan-out. *)
 let test_progen_determinism =
   qtest ~count:25 "progen: jobs:1 = jobs:3 (backtracking)"
     QCheck2.Gen.(int_bound 1_000_000)
