@@ -3,7 +3,8 @@
 
     Fails (exit 1) when:
     - the compiled IR of every paper benchmark stops being
-      byte-identical across jobs values;
+      byte-identical across jobs values, or between region runs and
+      whole-graph runs of the classic passes;
     - warm service recompiles stop being byte-identical to cold ones;
     - [pmd]'s compile effort exceeds its work-unit budget;
     - the workload-lab gates below fail.
@@ -20,7 +21,7 @@ let () =
       Workloads.Registry.all
   in
   let config = Dbds.Config.dbds in
-  let compile_one (b : Workloads.Suite.benchmark) ~jobs =
+  let compile_one ?(config = config) (b : Workloads.Suite.benchmark) ~jobs =
     let prog = Workloads.Suite.compile b in
     ignore (Dbds.Driver.optimize_program_report ~config ~jobs prog);
     prog
@@ -29,11 +30,11 @@ let () =
     (List.length benches)
     (List.length Workloads.Registry.all);
   (* Byte-identity of compiled IR across jobs. *)
-  let print_at jobs =
+  let print_at ?config jobs =
     let buf = Buffer.create 4096 in
     List.iter
       (fun b ->
-        let prog = compile_one b ~jobs in
+        let prog = compile_one ?config b ~jobs in
         Ir.Program.iter_functions prog (fun g ->
             Buffer.add_string buf (Ir.Printer.graph_to_string g)))
       benches;
@@ -45,10 +46,18 @@ let () =
   if not (String.equal p1 (print_at 4)) then
     die "compiled IR differs between jobs=1 and jobs=4";
   Printf.printf "bench-smoke: IR byte-identical at jobs 1/2/4\n";
+  (* Paranoid mode turns the pass manager's memo off: every classic pass
+     runs on the whole graph instead of the region logged since it last
+     ran clean. *)
+  let whole = { config with Dbds.Config.verify_between_phases = true } in
+  if not (String.equal p1 (print_at ~config:whole 1)) then
+    die "compiled IR differs between region runs and whole-graph runs";
+  Printf.printf "bench-smoke: IR byte-identical with the memo off\n";
   (* Compile-effort gate.  [pmd] inlines a recursive tree builder into
      its loop; when one PEA run replaces the whole allocation tree its
-     compile costs 16,302 work units, and when PEA can only take one
-     nesting level per fixpoint round it costs 44,114.  Work units do
+     compile costs 14,747 work units (16,302 while every classic pass
+     ran on the whole graph), and when PEA could take only one nesting
+     level per fixpoint round it cost 44,114.  Work units do
      not depend on the host, so the gate holds on a single-core runner. *)
   let pmd_budget = 20_000 in
   let pmd =

@@ -445,21 +445,16 @@ let run_compiler file mode passes licm print_passes dump dot
     if print_passes then begin
       (* First line: the canonical form, parseable back through
          --passes (CI round-trips `head -1` of this output).  Then the
-         contract table: what each per-function pass preserves and which
-         passes its changes can enable. *)
+         contract table: what each per-function pass preserves. *)
       Format.printf "%s@." (Opt.Spec.to_string spec);
       List.iter
-        (fun (name, preserves, enables) ->
-          Format.printf "# %-14s preserves=%s enables=%s@." name
+        (fun (name, preserves) ->
+          Format.printf "# %-14s preserves=%s@." name
             (match preserves with
             | [] -> "-"
             | ks ->
                 String.concat ","
-                  (List.map Ir.Analyses.kind_to_string ks))
-            (match enables with
-            | None -> "*"
-            | Some [] -> "-"
-            | Some ps -> String.concat "," ps))
+                  (List.map Ir.Analyses.kind_to_string ks)))
         (Dbds.Driver.describe_spec config spec);
       raise Exit
     end;

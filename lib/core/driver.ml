@@ -305,7 +305,7 @@ let validate_spec (config : Config.t) spec =
 
 (** Contract table of a spec's per-function passes in pipeline order
     (fix bodies flattened, repeated passes collapsed to their first
-    occurrence): [(pass_name, preserves, enables)].  What
+    occurrence): [(pass_name, preserves)].  What
     [dbdsc --print-passes] renders under the canonical spec line. *)
 let describe_spec (config : Config.t) spec =
   let resolver = resolve config (fresh_stats ()) in
@@ -323,10 +323,7 @@ let describe_spec (config : Config.t) spec =
                 if not (Hashtbl.mem seen p.Opt.Phase.pass_name) then begin
                   Hashtbl.replace seen p.Opt.Phase.pass_name ();
                   out :=
-                    ( p.Opt.Phase.pass_name,
-                      p.Opt.Phase.preserves,
-                      p.Opt.Phase.enables )
-                    :: !out
+                    (p.Opt.Phase.pass_name, p.Opt.Phase.preserves) :: !out
                 end))
       items
   in
@@ -359,6 +356,8 @@ let optimize_graph ?(config = Config.default) ctx g =
     (Opt.Manager.run (resolve config stats)
        (per_function_items (default_spec config))
        ctx g);
+  (* The compiled graph need not keep its mutation history. *)
+  Ir.Analyses.drop_log g;
   let analyses_after = Ir.Analyses.stats g in
   Opt.Phase.note_analyses ctx
     ~hits:(analyses_after.Ir.Analyses.hits - analyses_before.Ir.Analyses.hits)

@@ -62,13 +62,13 @@ val wants_inline : Opt.Spec.t -> bool
 val validate_spec : Config.t -> Opt.Spec.t -> (unit, string) result
 
 (** Contract table of a spec's per-function passes in pipeline order
-    (fix bodies flattened, repeats collapsed): [(pass_name, preserves,
-    enables)].  Rendered by [dbdsc --print-passes] under the canonical
+    (fix bodies flattened, repeats collapsed): [(pass_name,
+    preserves)].  Rendered by [dbdsc --print-passes] under the canonical
     spec line. *)
 val describe_spec :
   Config.t ->
   Opt.Spec.t ->
-  (string * Ir.Analyses.kind list * string list option) list
+  (string * Ir.Analyses.kind list) list
 
 (** Optimize one graph under the given configuration: execute the
     configured pipeline (minus program-level items) through the pass

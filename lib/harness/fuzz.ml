@@ -549,7 +549,7 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
 type lab_result = {
   l_pairs_run : int;
   l_paranoid_runs : int;
-  l_enables_checked : int;
+  l_regions_checked : int;
   l_violations : string list;
 }
 
@@ -584,7 +584,7 @@ let run_lab ?(progen_seeds = [ 0; 1; 2; 3 ]) ?(plans_per_pair = 2) () =
   let violate fmt =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
   in
-  let pairs = ref 0 and paranoid = ref 0 and enables_checked = ref 0 in
+  let pairs = ref 0 and paranoid = ref 0 and regions_checked = ref 0 in
   let corpus = lab_corpus ~progen_seeds in
   let tiers = lab_tiers () in
   (* (1) jobs 1-vs-4 byte identity of the whole run — printed IR,
@@ -649,84 +649,123 @@ let run_lab ?(progen_seeds = [ 0; 1; 2; 3 ]) ?(plans_per_pair = 2) () =
                 (Printexc.to_string e))
         tiers)
     corpus;
-  (* (3) enables completeness: for each classic pass that declares an
-     [enables] list, the graph is settled under the rest of the classic
-     group (so the pass under test still has work to do), each firing
-     of that pass is chased through only its declared [enables] passes
-     back to a fixpoint, and the full classic group — rerun with the
-     clean-pass memo off, since the memo trusts the very list under
-     test — must then have nothing left to do.  An [enables] list that
-     hides a consumer is a lie the incremental pass manager would act
-     on.  Only functions where the pass really fired count as checked. *)
-  let resolve n =
-    match Opt.Pipeline.resolve_classic n [] with
-    | Ok p -> p
-    | Error msg -> invalid_arg msg
-  in
-  (* Run [names] as one fix(...) group (default 8 rounds). *)
-  let settle names ctx g =
-    Opt.Manager.run Opt.Pipeline.resolve_classic
-      [
-        Opt.Spec.Fix
-          {
-            opts = [];
-            body =
-              List.map (fun name -> Opt.Spec.Pass { name; opts = [] }) names;
-          };
-      ]
-      ctx g
-  in
-  let classic = Opt.Pipeline.classic_names in
-  let declares_enables =
-    List.filter
-      (fun n -> (resolve n).Opt.Phase.enables <> None)
-      Opt.Pipeline.classic_names
-  in
+  (* (3) region completeness: optimize every function under each lab
+     tier with the memo on.  Whenever a pass P is stamped clean after a
+     region run or after a run that changed the graph, run P on a copy
+     of the graph over the whole graph: it must fire nothing.  A region
+     (or a settling claim) that misses an opportunity the whole-graph
+     run would take is one that changes the compiled IR. *)
   List.iter
     (fun (name, fresh) ->
       List.iter
-        (fun pass_name ->
-          let pass = resolve pass_name in
-          let enabled = Option.value pass.Opt.Phase.enables ~default:classic in
-          let others = List.filter (fun n -> n <> pass_name) classic in
+        (fun (tier, config) ->
           let prog = fresh () in
-          List.iter
-            (fun fn ->
-              match Ir.Program.find_function prog fn with
-              | None -> ()
-              | Some g -> (
-                  try
-                    let ctx = Opt.Phase.create ~program:prog () in
-                    ignore (settle others ctx g);
-                    let fired = ref false and budget = ref 8 in
-                    let converged = ref false in
-                    while (not !converged) && !budget > 0 do
-                      if Opt.Phase.run_pass ctx pass g then begin
-                        fired := true;
-                        decr budget;
-                        ignore (settle enabled ctx g)
-                      end
-                      else converged := true
-                    done;
-                    if !fired && !converged then incr enables_checked;
-                    ctx.Opt.Phase.memo_clean_passes <- false;
-                    if
-                      !fired && !converged
-                      && settle classic ctx g
-                    then
-                      violate
-                        "%s/%s: %s's enables list misses a consumer (classic \
-                         group still fired)"
-                        name fn pass_name
-                  with e ->
-                    violate "%s/%s: enables check for %s raised %s" name fn
-                      pass_name (Printexc.to_string e)))
-            (Ir.Program.function_names prog))
-        declares_enables)
+          let ctx = Opt.Phase.create ~program:prog () in
+          let audit pass run g =
+            incr regions_checked;
+            let copy = Ir.Graph.copy g in
+            if run (Opt.Phase.create ~program:prog ()) copy then
+              violate "%s tier=%s %s: %s stamped clean, but its \
+                       whole-graph run still fires"
+                name tier (Ir.Graph.name g) pass
+          in
+          ctx.Opt.Phase.region_audit <- Some audit;
+          try
+            if Dbds.Driver.wants_inline (Dbds.Driver.default_spec config) then
+              ignore (Opt.Inline.inline_program ctx prog);
+            List.iter
+              (fun fn ->
+                match Ir.Program.find_function prog fn with
+                | Some g -> ignore (Dbds.Driver.optimize_graph ~config ctx g)
+                | None -> ())
+              (Ir.Program.function_names prog)
+          with e ->
+            violate "%s tier=%s: region check raised %s" name tier
+              (Printexc.to_string e))
+        tiers)
     corpus;
   {
     l_pairs_run = !pairs;
     l_paranoid_runs = !paranoid;
-    l_enables_checked = !enables_checked;
+    l_regions_checked = !regions_checked;
     l_violations = List.rev !violations;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Region-run oracle                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type region_result = {
+  r_programs : int;
+  r_functions : int;
+  r_violations : string list;
+}
+
+(* A program's compiled functions, printed with raw ids and followed by
+   their duplication stats, and the report's contained failures. *)
+let compiled_text config fresh =
+  let prog = fresh () in
+  let r = Dbds.Driver.optimize_program_report ~config ~jobs:1 prog in
+  let fns =
+    List.map
+      (fun fn ->
+        let ir =
+          Ir.Printer.graph_to_string
+            (Option.get (Ir.Program.find_function prog fn))
+        in
+        let stats =
+          match List.assoc_opt fn r.Dbds.Driver.rep_stats with
+          | Some s -> Format.asprintf "%a" Dbds.Driver.pp_stats s
+          | None -> "-"
+        in
+        (fn, ir ^ stats))
+      (Ir.Program.function_names prog)
+  in
+  (fns, r.Dbds.Driver.rep_failures)
+
+let run_regions ?(progen_seeds = List.init 200 Fun.id) () =
+  let violations = ref [] in
+  let violate fmt =
+    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
+  in
+  let paper =
+    List.concat_map
+      (fun (s : Workloads.Suite.t) ->
+        List.map
+          (fun (b : Workloads.Suite.benchmark) ->
+            ( s.Workloads.Suite.suite_name ^ "/" ^ b.Workloads.Suite.name,
+              fun () -> Workloads.Suite.compile b ))
+          s.Workloads.Suite.benchmarks)
+      Workloads.Registry.all
+  in
+  let corpus = paper @ lab_corpus ~progen_seeds in
+  let functions = ref 0 in
+  (* Paranoid mode turns the memo off, so every pass runs on the whole
+     graph. *)
+  let whole =
+    { Dbds.Config.dbds with Dbds.Config.verify_between_phases = true }
+  in
+  List.iter
+    (fun (name, fresh) ->
+      match
+        (compiled_text Dbds.Config.dbds fresh, compiled_text whole fresh)
+      with
+      | (fns, []), (fns', []) ->
+          functions := !functions + List.length fns;
+          List.iter2
+            (fun (fn, a) (_, b) ->
+              if a <> b then
+                violate "%s/%s: region runs compile differently from \
+                         whole-graph runs" name fn)
+            fns fns'
+      | (_, f :: _), _ | _, (_, f :: _) ->
+          violate "%s: contained %s at %s" name f.Dbds.Driver.fail_fn
+            f.Dbds.Driver.fail_site
+      | exception e -> violate "%s: raised %s" name (Printexc.to_string e))
+    corpus;
+  {
+    r_programs = List.length corpus;
+    r_functions = !functions;
+    r_violations = List.rev !violations;
+  }
+

@@ -77,8 +77,8 @@ type lab_result = {
   l_pairs_run : int;
       (** (program × tier × fault plan) jobs-identity pairs executed *)
   l_paranoid_runs : int;  (** paranoid (contract-audited) driver runs *)
-  l_enables_checked : int;  (** functions where a pass with an [enables] list
-      fired and its chase was checked *)
+  l_regions_checked : int;
+      (** region runs whose whole-graph re-run was checked *)
   l_violations : string list;  (** property breaches; [[]] = pass *)
 }
 
@@ -87,9 +87,24 @@ type lab_result = {
     Three properties over the condelim_dup tier (dbds as control):
     whole-run byte identity between [jobs:1] and [jobs:4], with and
     without fault plans; the paranoid driver (verifier + preserves
-    audits) contains nothing on the clean corpus; and each firing of a
-    classic pass that declares an [enables] list (today [dce]), chased
-    through only those passes, leaves nothing for the full classic
-    group. *)
+    audits) contains nothing on the clean corpus; and after each
+    region run of a classic pass (see {!Opt.Phase.t.region}) a
+    whole-graph run of the same pass on a copy fires nothing. *)
 val run_lab :
   ?progen_seeds:int list -> ?plans_per_pair:int -> unit -> lab_result
+
+type region_result = {
+  r_programs : int;
+  r_functions : int;
+  r_violations : string list;  (** [[]] = pass *)
+}
+
+(** The region-run oracle: compile every paper program, every lab
+    program and the progen programs of [progen_seeds] (default 0–199,
+    irreducible regions on) under [Config.dbds], where passes run on
+    the regions the mutation log names, and under the same config in
+    paranoid mode, where the memo is off and every pass runs on the
+    whole graph.  Each function's printed IR (raw ids) and duplication
+    stats must be byte-identical. *)
+val run_regions : ?progen_seeds:int list -> unit -> region_result
+

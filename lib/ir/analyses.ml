@@ -25,6 +25,10 @@
     Frequencies are additionally keyed by [loop_factor] (different
     configurations may assume different trip counts).
 
+    The entry also holds the pass manager's clean stamps
+    ({!note_pass_clean}): per pass, the {!Graph.log_length} at which
+    the pass was last clean, so a restore rewinds them with the log.
+
     Thread-safety: a graph (and therefore its cache slot) is owned by
     exactly one domain at a time — the parallel driver partitions
     functions across workers — so no synchronization is needed. *)
@@ -47,6 +51,8 @@ let all_kinds = [ Dom; Loops; Frequency ]
    hit/miss counters mutate in place — they are monotone bookkeeping,
    not validity state (a restore brings back the snapshot's entry with
    whatever counts it holds by then). *)
+type clean = { at : int; dom : Dom.t option }
+
 type entry = {
   dom_gen : int;  (** generation {!dom_tree} is valid for; -1 = none *)
   dom_tree : Dom.t option;
@@ -54,10 +60,9 @@ type entry = {
   loop_forest : Loops.t option;
   freq_gen : int;
   freqs : (float * Frequency.t) list;  (** keyed by loop_factor *)
-  clean_gens : (string * int) list;
-      (** passes that ran without firing (and without mutating), keyed by
-          the generation they ran clean at — the pass manager's
-          skip-if-unchanged memo *)
+  clean : (string * clean) list;
+      (** per pass, where it was last known clean (a whole-graph run
+          would fire nothing) — the pass manager's region memo *)
   mutable hits : int;  (** lifetime counters, carried across updates *)
   mutable misses : int;
 }
@@ -72,7 +77,7 @@ let empty_entry =
     loop_forest = None;
     freq_gen = -1;
     freqs = [];
-    clean_gens = [];
+    clean = [];
     hits = 0;
     misses = 0;
   }
@@ -159,53 +164,43 @@ let preserve g ~since kinds =
     if e' != e then store g e'
   end
 
-(** Did [pass] last run at the current generation without changing the
-    graph?  (See {!note_pass_clean}.)  A deterministic pass that ran
-    clean on this exact graph state will run clean again — the pass
-    manager uses this to skip the re-run entirely. *)
-let pass_clean g pass =
+(** Where [pass] last ran clean on this graph state's history (see
+    {!note_pass_clean}), if it did. *)
+let clean_stamp g pass =
   match Graph.cache g with
-  | Cache e -> (
-      match List.assoc_opt pass e.clean_gens with
-      | Some gen -> gen = Graph.generation g
-      | None -> false)
-  | _ -> false
+  | Cache e -> List.assoc_opt pass e.clean
+  | _ -> None
 
-(** Record that [pass] just ran on [g] without firing and without
-    bumping the generation.  Stored copy-on-write in the cache entry, so
-    a restore brings back the memo state of the snapshot along with the
-    graph.  Memos stamped at older generations are dropped — any
-    mutation invalidated them. *)
+(** Record that [pass] is clean on [g] as it is now (a whole-graph run
+    would fire nothing): stamp the current log position and the
+    dominator tree cached now, if it is valid.  Stored copy-on-write in
+    the cache entry, so a restore brings back the stamps of the
+    snapshot along with the graph and its log. *)
 let note_pass_clean g pass =
+  Graph.start_log g;
   let e = entry g in
-  let gen = Graph.generation g in
-  let clean_gens =
-    (pass, gen)
-    :: List.filter (fun (n, g') -> n <> pass && g' = gen) e.clean_gens
+  let dom =
+    if e.dom_gen = Graph.generation g then e.dom_tree else None
   in
-  store g { e with clean_gens }
+  let stamp = { at = Graph.log_length g; dom } in
+  store g
+    { e with clean = (pass, stamp) :: List.remove_assoc pass e.clean }
 
-(** A pass just fired, moving the graph from generation [since] to the
-    current one, and its {e enables} contract says only [enabled] passes
-    can gain new opportunities from its changes.  Every other pass that
-    was clean on the pre-fire state is still clean: re-stamp those memos
-    at the current generation (the enabled ones stay stale and will
-    really re-run). *)
-let keep_clean_except g ~since ~enabled =
-  match Graph.cache g with
-  | Cache e ->
-      let gen = Graph.generation g in
-      let clean_gens =
-        List.filter_map
-          (fun (n, g') ->
-            if g' = since && not (List.mem n enabled) then Some (n, gen)
-            else if g' = gen then Some (n, g')
-            else None)
-          e.clean_gens
-      in
-      if clean_gens <> [] || e.clean_gens <> [] then
-        store g { e with clean_gens }
-  | _ -> ()
+(** Drop [g]'s mutation log once no region needs it: a pass stamped at
+    the current position stays clean at the fresh log's position 0, and
+    an older stamp is dropped along with the entries it would read.  The
+    driver calls it when a function's pipeline is done, so a compiled
+    graph does not keep its whole mutation history alive. *)
+let drop_log g =
+  let e = entry g in
+  let now = Graph.log_length g in
+  let clean =
+    List.filter_map
+      (fun (pass, c) -> if c.at = now then Some (pass, { c with at = 0 }) else None)
+      e.clean
+  in
+  Graph.reset_log g;
+  store g { e with clean }
 
 (** Paranoid recompute-and-compare: does the cached, currently-valid
     value of [kind] (if any) equal a fresh computation?  Used to check

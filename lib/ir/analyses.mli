@@ -10,7 +10,8 @@
 
     The cache lives in the graph's {!Graph.cache} slot and is updated
     copy-on-write, so it is saved/restored exactly by
-    {!Graph.snapshot} / {!Graph.restore}.  A graph is owned by exactly
+    {!Graph.snapshot} / {!Graph.restore}.  It also holds the pass
+    manager's clean stamps ({!clean_stamp}).  A graph is owned by exactly
     one domain at a time, so no synchronization is needed. *)
 
 type stats = { hits : int; misses : int }
@@ -37,22 +38,30 @@ val frequency : ?loop_factor:float -> Graph.t -> Frequency.t
     contract with this after the pass ran. *)
 val preserve : Graph.t -> since:int -> kind list -> unit
 
-(** [pass_clean g pass]: did [pass] last run at [g]'s current generation
-    without changing anything?  Deterministic passes may be skipped when
-    this holds (the fixpoint driver's convergence memo). *)
-val pass_clean : Graph.t -> string -> bool
+(** A pass's clean stamp: the {!Graph.log_length} at which a
+    whole-graph run of the pass would last have fired nothing, and the
+    dominator tree that was cached and valid then (what a region run of
+    a dominator walk compares the current tree against). *)
+type clean = { at : int; dom : Dom.t option }
 
-(** Record that [pass] just ran on [g] without firing or mutating.
-    Stored copy-on-write in the analysis cache entry, so
-    {!Graph.restore} brings the memo back exactly. *)
+(** [clean_stamp g pass]: the stamp of [pass]'s last clean run on [g],
+    if any.  The entries logged since [at] are where [pass] can have
+    gained work; none logged means it would run clean again. *)
+val clean_stamp : Graph.t -> string -> clean option
+
+(** Stamp [pass] clean at [g]'s current log position (the pass manager
+    calls it after a run that fired nothing, and after any run of a
+    pass that settles).  Stored copy-on-write in the analysis cache
+    entry, so {!Graph.restore} brings the stamps back together with the
+    log they index. *)
 val note_pass_clean : Graph.t -> string -> unit
 
-(** [keep_clean_except g ~since ~enabled]: a pass fired, moving [g] from
-    generation [since] to the current one, and declares that only the
-    [enabled] passes can gain new opportunities from its changes.
-    Re-stamps every other pass's clean memo from [since] to the current
-    generation; the [enabled] memos stay stale and really re-run. *)
-val keep_clean_except : Graph.t -> since:int -> enabled:string list -> unit
+(** Drop [g]'s mutation log: passes stamped at the current position stay
+    clean (at position 0 of the fresh log), older stamps are dropped with
+    the entries they would read.  For when a function's pipeline is
+    done; a snapshot taken earlier still restores its own log and
+    stamps. *)
+val drop_log : Graph.t -> unit
 
 (** Paranoid recompute-and-compare: [Error _] if the cached,
     currently-valid value of [kind] differs from a fresh computation

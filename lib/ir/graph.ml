@@ -12,8 +12,12 @@
     free-list and are reused.
 
     Undo is whole-graph: {!snapshot} copies the arenas, {!restore}
-    adopts them back together with the generation and analysis-cache
-    slot of the snapshot.
+    adopts them back together with the generation, the mutation-log
+    position and the analysis-cache slot of the snapshot.
+
+    Every mutation bumps the generation and appends what it touched to
+    an append-only mutation log ({!iter_log}): the pass manager's
+    region runs visit only what was logged since a pass last ran clean.
 
     Invariants maintained by this module's mutation API (and checked by
     {!Verifier}):
@@ -75,6 +79,15 @@ type t = {
   mutable n_live : int;
   mutable n_live_blocks : int;
   mutable cache : cache;
+  (* -------- mutation log -------------------------------------------- *)
+  mutable log : int array;
+      (** packed entries: [id lsl 2 lor tag]; append-only — entries
+          below [log_len] are never rewritten, so a snapshot shares the
+          array and only records its length *)
+  mutable log_len : int;
+  mutable logging : bool;
+      (** off until the first clean stamp: entries before it are never
+          read *)
 }
 
 let name g = g.name
@@ -114,6 +127,9 @@ let create ?(name = "fn") ~n_params () =
     n_live = 0;
     n_live_blocks = 0;
     cache = No_cache;
+    log = Array.make 16 0;
+    log_len = 0;
+    logging = false;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -171,6 +187,65 @@ let grow_cells g =
 (* ------------------------------------------------------------------ *)
 
 let touch g = g.generation <- g.generation + 1
+
+(* ------------------------------------------------------------------ *)
+(* Mutation log                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type logged = Instr | Lost_use | Cfg | Effect_removed
+
+let tag_instr = 0
+let tag_lost_use = 1
+let tag_cfg = 2
+let tag_effect_removed = 3
+
+let log_push g tag id =
+  if g.logging then begin
+    if g.log_len = Array.length g.log then
+      g.log <- grow_int_array g.log (2 * g.log_len) 0;
+    g.log.(g.log_len) <- (id lsl 2) lor tag;
+    g.log_len <- g.log_len + 1
+  end
+
+let log_instr g id = log_push g tag_instr id
+let log_cfg g bid = log_push g tag_cfg bid
+let log_lost_use g v = if v >= 0 then log_push g tag_lost_use v
+let log_length g = g.log_len
+let start_log g = g.logging <- true
+
+(* A fresh array: a snapshot that shares the old one keeps its entries. *)
+let reset_log g =
+  g.log <- Array.make 16 0;
+  g.log_len <- 0
+
+(* An instruction left block [bid]: only the loss of a side effect is
+   worth a log entry (it may unblock a read another pass could not
+   eliminate); losing a pure instruction changes nothing for anyone
+   but the instruction's operands, whose lost uses are logged. *)
+let log_effect_removed g bid kind =
+  if has_side_effect kind then log_push g tag_effect_removed bid
+
+let logged_of e =
+  match e land 3 with
+  | 0 -> Instr
+  | 1 -> Lost_use
+  | 2 -> Cfg
+  | _ -> Effect_removed
+
+let iter_log g ~since f =
+  for i = max 0 since to g.log_len - 1 do
+    let e = g.log.(i) in
+    f (logged_of e) (e asr 2)
+  done
+
+let exists_log g ~since p =
+  let rec go i =
+    i < g.log_len
+    &&
+    let e = g.log.(i) in
+    p (logged_of e) (e asr 2) || go (i + 1)
+  in
+  go (max 0 since)
 
 (* Use-cell alloc/free: unlike instruction and block slots, freed cells
    are reused (cell indices are never observable). *)
@@ -284,6 +359,46 @@ let iter_term_inputs f = function
   | Return (Some v) -> f v
   | Branch { cond; _ } -> f cond
 
+let mem_value (v : value) vs =
+  let rec go i = i < Array.length vs && (vs.(i) = v || go (i + 1)) in
+  go 0
+
+let reads kind (v : value) =
+  match kind with
+  | Const _ | Null | Param _ | Load_global _ -> false
+  | Binop (_, a, b) | Cmp (_, a, b) | Store (a, _, b) -> a = v || b = v
+  | Neg a | Not a | Load (a, _) | Store_global (_, a) -> a = v
+  | Phi vs | New (_, vs) | Call (_, vs) -> mem_value v vs
+
+let term_reads term (v : value) =
+  match term with
+  | Jump _ | Unreachable | Return None -> false
+  | Return (Some a) -> a = v
+  | Branch { cond; _ } -> cond = v
+
+(* A rewrite costs a value a use only when the new form stops reading
+   it altogether.  (Written out, not through [iter_inputs]: it runs on
+   every rewrite.) *)
+let log_lost_uses g old_kind new_kind =
+  if g.logging then
+    let lost v = if not (reads new_kind v) then log_lost_use g v in
+    match old_kind with
+    | Const _ | Null | Param _ | Load_global _ -> ()
+    | Binop (_, a, b) | Cmp (_, a, b) | Store (a, _, b) ->
+        lost a;
+        lost b
+    | Neg a | Not a | Load (a, _) | Store_global (_, a) -> lost a
+    | Phi vs | New (_, vs) | Call (_, vs) ->
+        for i = 0 to Array.length vs - 1 do
+          lost vs.(i)
+        done
+
+let log_lost_term_uses g old_term new_term =
+  if g.logging then
+    iter_term_inputs
+      (fun v -> if not (term_reads new_term v) then log_lost_use g v)
+      old_term
+
 (* ------------------------------------------------------------------ *)
 (* Intra-block chains                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -345,11 +460,13 @@ let add_block g =
   g.n_live_blocks <- g.n_live_blocks + 1;
   if g.entry = -1 then g.entry <- id;
   touch g;
+  log_cfg g id;
   id
 
 let set_entry g bid =
   g.entry <- bid;
-  touch g
+  touch g;
+  log_cfg g bid
 
 (* Allocate the instruction without attaching it to a block. *)
 let alloc_instr g kind =
@@ -363,6 +480,7 @@ let alloc_instr g kind =
   g.use_head.(id) <- -1;
   g.n_live <- g.n_live + 1;
   touch g;
+  log_instr g id;
   iter_inputs (fun v -> add_use_enc g v (enc_instr id)) kind;
   id
 
@@ -384,12 +502,21 @@ let prepend g bid kind =
 (* Mutation                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let set_kind g id new_kind =
+(* Replace [id]'s kind, use chains included.  The caller logs the uses
+   the rewrite loses: [set_kind] finds them, the edge edits below know
+   them. *)
+let rewrite g id new_kind =
   touch g;
-  check_instr g id;
-  iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) g.kinds.(id);
+  log_instr g id;
+  let old_kind = g.kinds.(id) in
+  iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) old_kind;
   g.kinds.(id) <- new_kind;
   iter_inputs (fun v -> add_use_enc g v (enc_instr id)) new_kind
+
+let set_kind g id new_kind =
+  check_instr g id;
+  log_lost_uses g g.kinds.(id) new_kind;
+  rewrite g id new_kind
 
 let succs_of_term = function
   | Jump b -> [ b ]
@@ -477,6 +604,7 @@ let block_size g bid =
 (* Drop predecessor [pred] from [bid], removing the matching phi input. *)
 let remove_pred g bid pred =
   touch g;
+  log_cfg g bid;
   let idx = pred_index g bid pred in
   let ps = g.blk_preds.(bid) in
   let n = Array.length ps in
@@ -490,13 +618,16 @@ let remove_pred g bid pred =
               (Array.length inputs - 1)
               (fun i -> if i < idx then inputs.(i) else inputs.(i + 1))
           in
-          set_kind g phi_id (Phi inputs')
+          if not (mem_value inputs.(idx) inputs') then
+            log_lost_use g inputs.(idx);
+          rewrite g phi_id (Phi inputs')
       | _ -> assert false)
 
 (* Add [pred] as a new predecessor of [bid]; each phi gets [filler] as its
    input for the new edge. *)
 let add_pred g bid pred ~filler =
   touch g;
+  log_cfg g bid;
   let ps = g.blk_preds.(bid) in
   let n = Array.length ps in
   g.blk_preds.(bid) <-
@@ -506,7 +637,7 @@ let add_pred g bid pred ~filler =
       (match kind g phi_id with
       | Phi inputs ->
           let f = filler !i phi_id in
-          set_kind g phi_id (Phi (Array.append inputs [| f |]))
+          rewrite g phi_id (Phi (Array.append inputs [| f |]))
       | _ -> assert false);
       incr i)
 
@@ -520,9 +651,11 @@ let set_term g bid term =
   in
   touch g;
   check_block g bid;
+  log_cfg g bid;
   let old_term = g.blk_term.(bid) in
   let old_succs = succs_of_term old_term in
   let new_succs = succs_of_term term in
+  log_lost_term_uses g old_term term;
   iter_term_inputs (fun v -> remove_use_enc g v (enc_term bid)) old_term;
   List.iter
     (fun s -> if not (List.mem s new_succs) then remove_pred g s bid)
@@ -538,8 +671,10 @@ let set_term g bid term =
 let patch_term g bid term =
   touch g;
   check_block g bid;
+  log_cfg g bid;
   let old_term = g.blk_term.(bid) in
   assert (succs_of_term old_term = succs_of_term term);
+  log_lost_term_uses g old_term term;
   iter_term_inputs (fun v -> remove_use_enc g v (enc_term bid)) old_term;
   g.blk_term.(bid) <- term;
   iter_term_inputs (fun v -> add_use_enc g v (enc_term bid)) term
@@ -551,6 +686,8 @@ let transfer_term g ~src ~dst =
   (match g.blk_term.(dst) with
   | Unreachable -> ()
   | _ -> invalid_arg "Graph.transfer_term: destination has a terminator");
+  log_cfg g src;
+  log_cfg g dst;
   let t = g.blk_term.(src) in
   iter_term_inputs (fun v -> remove_use_enc g v (enc_term src)) t;
   g.blk_term.(src) <- Unreachable;
@@ -560,6 +697,7 @@ let transfer_term g ~src ~dst =
      inputs keep their positions. *)
   List.iter
     (fun s ->
+      log_cfg g s;
       g.blk_preds.(s) <-
         Array.map (fun p -> if p = src then dst else p) g.blk_preds.(s))
     (succs_of_term t)
@@ -568,6 +706,7 @@ let redirect_edge g ~from_block ~old_target ~new_target =
   if old_target <> new_target then begin
     touch g;
     check_block g from_block;
+    log_cfg g from_block;
     (match g.blk_term.(from_block) with
     | Jump t when t = old_target -> g.blk_term.(from_block) <- Jump new_target
     | Branch br when br.if_true = old_target && br.if_false = old_target ->
@@ -614,9 +753,17 @@ let remove_instr g id =
   if g.use_head.(id) >= 0 then
     invalid_arg (Printf.sprintf "Graph.remove_instr: %d still has uses" id);
   touch g;
-  iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) g.kinds.(id);
+  log_instr g id;
+  iter_inputs
+    (fun v ->
+      log_lost_use g v;
+      remove_use_enc g v (enc_instr id))
+    g.kinds.(id);
   let bid = g.ins_block.(id) in
-  if bid >= 0 then chain_remove g bid id;
+  if bid >= 0 then begin
+    chain_remove g bid id;
+    log_effect_removed g bid g.kinds.(id)
+  end;
   g.kinds.(id) <- Null;
   g.ins_block.(id) <- dead;
   g.use_head.(id) <- -1;
@@ -629,6 +776,8 @@ let detach g id =
   let bid = g.ins_block.(id) in
   if bid >= 0 then begin
     touch g;
+    log_instr g id;
+    log_effect_removed g bid g.kinds.(id);
     chain_remove g bid id;
     g.ins_block.(id) <- detached
   end
@@ -638,6 +787,7 @@ let attach g id bid =
   assert (g.ins_block.(id) = detached);
   touch g;
   check_block g bid;
+  log_instr g id;
   g.ins_block.(id) <- bid;
   chain_append g bid id ~phi:(kind_is_phi g.kinds.(id))
 
@@ -646,6 +796,7 @@ let attach_front g id bid =
   assert (g.ins_block.(id) = detached);
   touch g;
   check_block g bid;
+  log_instr g id;
   g.ins_block.(id) <- bid;
   chain_prepend g bid id ~phi:(kind_is_phi g.kinds.(id))
 
@@ -653,7 +804,11 @@ let attach_front g id bid =
    caller resets the whole chain).  Shared by remove_block and
    remove_unreachable_blocks. *)
 let kill_slot g id =
-  iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) g.kinds.(id);
+  iter_inputs
+    (fun v ->
+      log_lost_use g v;
+      remove_use_enc g v (enc_instr id))
+    g.kinds.(id);
   free_chain_cells g id;
   g.kinds.(id) <- Null;
   g.ins_block.(id) <- dead;
@@ -677,6 +832,7 @@ let remove_block g bid =
   check_block g bid;
   set_term g bid Unreachable;
   touch g;
+  log_cfg g bid;
   (* Collect members first: kill_slot must not race the chain walk. *)
   let members = block_instrs g bid in
   List.iter (fun id -> kill_slot g id) members;
@@ -759,6 +915,7 @@ let remove_unreachable_blocks g =
     List.iter
       (fun bid ->
         touch g;
+        log_cfg g bid;
         let members = block_instrs g bid in
         List.iter (fun id -> kill_slot g id) members;
         kill_block_slot g bid)
@@ -797,8 +954,17 @@ let clone g =
   }
 
 (* An independent graph must not share the cache: cached analyses point
-   back at the graph they were computed on. *)
-let copy g = { (clone g) with generation = 0; cache = No_cache }
+   back at the graph they were computed on.  Nor the log: the copy
+   appends its own entries from position 0. *)
+let copy g =
+  {
+    (clone g) with
+    generation = 0;
+    cache = No_cache;
+    log = Array.make 16 0;
+    log_len = 0;
+    logging = false;
+  }
 
 type snapshot = { owner : t; saved : t; mutable spent : bool }
 
@@ -836,10 +1002,19 @@ let restore g snap =
     (* Back in the exact snapshot state: its generation and cache slot
        are valid again, which revives the analyses cached there. *)
     g.generation <- s.generation;
-    g.cache <- s.cache
+    g.cache <- s.cache;
+    (* Rewind the log with the clean stamps the cache holds: entries
+       past the snapshot's length describe the undone mutations.  The
+       snapshot shares the array; nothing below its length was
+       rewritten since. *)
+    g.log <- s.log;
+    g.log_len <- s.log_len;
+    g.logging <- s.logging
   end
   else begin
-    (* Another graph's contents: a new state for this graph's cache. *)
+    (* Another graph's contents: a new state for this graph's cache.
+       The log keeps growing: with the cache gone no stamp refers to
+       it. *)
     touch g;
     g.cache <- No_cache
   end

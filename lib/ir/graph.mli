@@ -43,6 +43,47 @@ val entry : t -> block_id
     really is back in its snapshot state). *)
 val generation : t -> int
 
+(** {2 Mutation log}
+
+    Every mutation also appends what it touched to an append-only log.
+    A position in it ({!log_length}) names a graph state; the entries
+    after it say where the graph changed since.  The pass manager
+    stamps a pass's clean run with a position and later runs the pass
+    over the entries logged since (see {!Opt.Phase}). *)
+
+(** What a log entry names:
+    - [Instr id]: instruction [id] was created, changed kind, was moved
+      between blocks, or was deleted (it may be dead now);
+    - [Lost_use v]: an instruction or terminator stopped reading value
+      [v] (it was deleted, or rewritten to no longer read [v]);
+    - [Cfg b]: block [b] was created or deleted, or its terminator or
+      predecessor list changed (or it became the entry);
+    - [Effect_removed b]: a side-effecting instruction left block [b]. *)
+type logged = Instr | Lost_use | Cfg | Effect_removed
+
+(** Number of entries logged so far. *)
+val log_length : t -> int
+
+(** Start logging.  A graph logs nothing until the first clean stamp
+    ({!Analyses.note_pass_clean} calls this): no region reads entries
+    older than its stamp, so building and first optimizing a graph pay
+    nothing for the log. *)
+val start_log : t -> unit
+
+(** Start an empty log: positions restart at 0.  A snapshot taken
+    before keeps the old entries and restores them.  Only
+    {!Analyses.drop_log} calls it, rebasing the clean stamps with it. *)
+val reset_log : t -> unit
+
+(** [iter_log g ~since f] calls [f] on every entry at positions
+    [since .. log_length g - 1], oldest first.  Ids may be repeated and
+    may name dead instructions or blocks. *)
+val iter_log : t -> since:int -> (logged -> int -> unit) -> unit
+
+(** [exists_log g ~since p]: does [p] hold for an entry at or after
+    [since]?  Stops at the first that does. *)
+val exists_log : t -> since:int -> (logged -> int -> bool) -> bool
+
 (** Arena high-water marks: every live instruction (block) id is
     [< n_instrs] ([< n_blocks]).  Sized for flat side-tables. *)
 val n_instrs : t -> int
@@ -202,12 +243,12 @@ val remove_unreachable_blocks : t -> bool
 
 (** {2 Copy / snapshot / restore} *)
 
-(** Independent deep copy: same instruction and block ids, generation 0
-    and an empty analysis cache. *)
+(** Independent deep copy: same instruction and block ids, generation 0,
+    an empty analysis cache and an empty mutation log. *)
 val copy : t -> t
 
-(** The whole state of a graph: arenas, generation and analysis-cache
-    slot. *)
+(** The whole state of a graph: arenas, generation, mutation-log
+    position and analysis-cache slot. *)
 type snapshot
 
 val snapshot : t -> snapshot
@@ -215,7 +256,11 @@ val snapshot : t -> snapshot
 (** [restore g s] puts [g] into [s]'s state.  When [s] is [g]'s own
     snapshot, [g] gets back the generation and cache slot it had then,
     so the analyses cached at snapshot time are valid again — the undo
-    of a failed or rejected attempt.  A snapshot of another graph gives
+    of a failed or rejected attempt.  The log rewinds to the snapshot's
+    length with them, so the clean stamps in the restored cache see no
+    entry of the undone attempt.  Snapshots share the log's storage and
+    nest: after restoring a snapshot, do not restore one taken later.
+    A snapshot of another graph gives
     [g] that graph's contents under a new generation with an empty
     cache.  [g] adopts the snapshot's storage, so a snapshot restores
     once.

@@ -149,17 +149,17 @@ let action_size original = function
 (* ------------------------------------------------------------------ *)
 
 (** Find or create a [Const n] usable anywhere: reused entry-block
-    constants are hoisted to the head of the entry block so they dominate
-    every use site (including earlier instructions of the entry block). *)
+    constants (the lowest id per value) are hoisted to the head of the
+    entry block so they dominate every use site (including earlier
+    instructions of the entry block). *)
 let materialize_const g =
   let cache = Hashtbl.create 8 in
-  Ir.Graph.iter_instrs g (fun id ->
+  Ir.Graph.iter_block_instrs g (Ir.Graph.entry g) (fun id ->
       match Ir.Graph.kind g id with
-      | Const n ->
-          if
-            Ir.Graph.block_of g id = Ir.Graph.entry g
-            && not (Hashtbl.mem cache n)
-          then Hashtbl.add cache n id
+      | Const n -> (
+          match Hashtbl.find_opt cache n with
+          | Some v when v < id -> ()
+          | _ -> Hashtbl.replace cache n id)
       | _ -> ());
   let hoisted = Hashtbl.create 8 in
   fun n ->
@@ -206,32 +206,77 @@ let apply_action g id = function
       Ir.Graph.set_kind g id k;
       true
 
+(* One visit of the sweep: the action step, then the [Not (Cmp)]
+   rewrite. *)
+let visit ~mk_const g id =
+  let kind_of v = Ir.Graph.kind g v in
+  apply_action g id (simplify ~self:id ~kind_of ~mk_const (Ir.Graph.kind g id))
+  || not_of_cmp g id
+
 let run ctx g =
   Phase.charge_graph ctx g;
   let mk_const = materialize_const g in
-  let kind_of v = Ir.Graph.kind g v in
   let changed = ref false in
   let progress = ref true in
   while !progress do
     progress := false;
     Ir.Graph.iter_instrs g (fun id ->
-        if Ir.Graph.instr_exists g id then begin
-          let action =
-            simplify ~self:id ~kind_of ~mk_const (Ir.Graph.kind g id)
-          in
-          if apply_action g id action then begin
-            progress := true;
-            changed := true
-          end
-          else if not_of_cmp g id then begin
-            progress := true;
-            changed := true
-          end
+        if Ir.Graph.instr_exists g id && visit ~mk_const g id then begin
+          progress := true;
+          changed := true
         end)
   done;
   !changed
 
+(* An instruction's verdict depends on its own kind and its operands'
+   kinds, so the instructions whose verdict can have changed are the
+   ones the log names and their users: [put] each. *)
+let affected g ~since put =
+  Region.iter_instrs g ~since (fun id ->
+      put id;
+      Region.iter_instr_users g id put)
+
+(* The sweeps of [run], over the affected instructions only.  A sweep
+   visits ids in increasing order below the arena size it started at;
+   an action at [id] queues what it affected into the same sweep when
+   the whole-graph sweep would still reach it (a larger id below the
+   bound), else into the next sweep.  Everything else would visit
+   unchanged and fire nothing, so the actions and their order are the
+   whole-graph run's. *)
+let run_region ctx g (c : Ir.Analyses.clean) =
+  let cur = ref (Ir.Bitset.create (Ir.Graph.n_instrs g)) and any = ref false in
+  affected g ~since:c.Ir.Analyses.at (fun id ->
+      any := true;
+      Ir.Bitset.add !cur id);
+  !any
+  && begin
+       let mk_const = materialize_const g in
+       let changed = ref false in
+       let progress = ref true in
+       while !progress do
+         progress := false;
+         let limit = Ir.Graph.n_instrs g in
+         let next = Ir.Bitset.create limit in
+         for id = 0 to limit - 1 do
+           if Ir.Bitset.mem !cur id && Ir.Graph.instr_exists g id then begin
+             Phase.charge ctx 1;
+             let mark = Ir.Graph.log_length g in
+             if visit ~mk_const g id then begin
+               progress := true;
+               changed := true;
+               affected g ~since:mark (fun x ->
+                   Ir.Bitset.add (if x > id && x < limit then !cur else next) x)
+             end
+           end
+         done;
+         cur := next
+       done;
+       !changed
+     end
+
 (* Pure instruction rewrites: constant folding, strength reduction and
    const hoisting never touch terminators or edges, so all CFG analyses
    survive. *)
-let phase = Phase.make ~preserves:Ir.Analyses.all_kinds "canonicalize" run
+let phase =
+  Phase.make ~preserves:Ir.Analyses.all_kinds ~region:run_region
+    ~settles:true "canonicalize" run

@@ -122,50 +122,150 @@ let implied ~kind_of env v kind =
               else None)
       | _ -> None)
 
-let run ctx g =
-  Phase.charge_graph ctx g;
-  let dom = Ir.Analyses.dom g in
+(* Fold the compares of [bid] and its branch that [env] decides. *)
+let fold_block g env bid =
   let changed = ref false in
   let kind_of v = G.kind g v in
-  let rec visit env bid =
-    (* Fold comparisons implied by dominating facts. *)
-    List.iter
-      (fun id ->
-        match G.kind g id with
-        | Cmp _ as kind -> (
-            match implied ~kind_of env id kind with
-            | Some t ->
-                G.set_kind g id (Const (if t then 1 else 0));
-                changed := true
-            | None -> ())
-        | _ -> ())
-      (G.block_instrs g bid);
-    (* Fold a branch whose condition is decided by the facts (typically
-       the condition was GVN-deduplicated to a dominating compare). *)
-    (match G.term g bid with
-    | Branch { cond; if_true; if_false; _ } -> (
-        match implied ~kind_of env cond (kind_of cond) with
-        | Some t ->
-            G.set_term g bid (Jump (if t then if_true else if_false));
-            changed := true
-        | None -> ())
-    | Jump _ | Return _ | Unreachable -> ());
-    (* Derive per-successor facts from this block's branch. *)
-    let env_for_child child =
-      match G.term g bid with
-      | Branch { cond; if_true; if_false; _ } ->
-          if child = if_true && G.preds g if_true = [ bid ] then
-            assume ~kind_of env cond true
-          else if child = if_false && G.preds g if_false = [ bid ] then
-            assume ~kind_of env cond false
-          else env
-      | Jump _ | Return _ | Unreachable -> env
-    in
-    List.iter
-      (fun child -> visit (env_for_child child) child)
-      (Ir.Dom.children dom bid)
-  in
-  visit empty_env (G.entry g);
+  List.iter
+    (fun id ->
+      match G.kind g id with
+      | Cmp _ as kind -> (
+          match implied ~kind_of env id kind with
+          | Some t ->
+              G.set_kind g id (Const (if t then 1 else 0));
+              changed := true
+          | None -> ())
+      | _ -> ())
+    (G.block_instrs g bid);
+  (* Fold a branch whose condition is decided by the facts (typically
+     the condition was GVN-deduplicated to a dominating compare). *)
+  (match G.term g bid with
+  | Branch { cond; if_true; if_false; _ } -> (
+      match implied ~kind_of env cond (kind_of cond) with
+      | Some t ->
+          G.set_term g bid (Jump (if t then if_true else if_false));
+          changed := true
+      | None -> ())
+  | Jump _ | Return _ | Unreachable -> ());
   !changed
 
-let phase = Phase.make "condelim" run
+(* The facts [bid]'s branch hands to [child]. *)
+let env_for_child g env bid child =
+  let kind_of v = G.kind g v in
+  match G.term g bid with
+  | Branch { cond; if_true; if_false; _ } ->
+      if child = if_true && G.preds g if_true = [ bid ] then
+        assume ~kind_of env cond true
+      else if child = if_false && G.preds g if_false = [ bid ] then
+        assume ~kind_of env cond false
+      else env
+  | Jump _ | Return _ | Unreachable -> env
+
+(* The whole-graph walk over the dominator tree, with the facts carried
+   exactly as it computes them.  [enter ~inherited bid fold] decides
+   what happens at [bid]: it may call [fold] (fold the block's compares
+   and branch), and returns [None] to skip [bid]'s subtree or
+   [Some inherited] to descend, [inherited] being passed to the
+   children. *)
+let walk g dom ~enter =
+  let changed = ref false in
+  let rec visit env inherited bid =
+    match
+      enter ~inherited bid (fun () ->
+          if fold_block g env bid then changed := true)
+    with
+    | None -> ()
+    | Some inherited ->
+        List.iter
+          (fun child -> visit (env_for_child g env bid child) inherited child)
+          (Ir.Dom.children dom bid)
+  in
+  visit empty_env false (G.entry g);
+  !changed
+
+let run ctx g =
+  Phase.charge_graph ctx g;
+  walk g (Ir.Analyses.dom g) ~enter:(fun ~inherited:_ _ fold ->
+      fold ();
+      Some true)
+
+(* A compare or branch can only fold where it changed, where an operand
+   changed kind, or where its facts grew.  Facts only grow through a
+   branch handing them to a single-predecessor successor, and then for
+   that successor's whole dominator subtree: a branch that changed, or
+   whose condition (or an operand of it) changed kind, a block whose
+   predecessors changed, and a block that may have gained dominators.
+   The walk examines only marked blocks and marked subtrees, skips a
+   subtree with no mark in it, and a fold marks what it changes for the
+   blocks the walk has yet to reach. *)
+let run_region ctx g (c : Ir.Analyses.clean) =
+  let since = c.Ir.Analyses.at in
+  if not (Region.beyond_deletions g ~since) then false
+  else
+    match c.Ir.Analyses.dom with
+    | None -> run ctx g
+    | Some old ->
+        let dom = Ir.Analyses.dom g in
+        let m = Region.marks dom g in
+        let mark_block = Region.mark_block m
+        and mark_subtree = Region.mark_subtree m in
+        (* The branch of [b] may fold, and the successors it hands facts
+           to may get new ones. *)
+        let branch_changed b =
+          mark_block b;
+          match G.term g b with
+          | Branch { if_true; if_false; _ } ->
+              List.iter
+                (fun s -> if G.preds g s = [ b ] then mark_subtree s)
+                [ if_true; if_false ]
+          | Jump _ | Return _ | Unreachable -> ()
+        in
+        (* [v] changed kind.  Only compares fold and only compares
+           give facts, and an operand only matters through being a
+           constant or null: a compare marks its block and the branches
+           on it; a constant or null marks the compares reading it and
+           the branches on those. *)
+        let is_cmp u = match G.kind g u with Cmp _ -> true | _ -> false in
+        let compare_changed u =
+          mark_block (G.block_of g u);
+          G.iter_uses_enc g u (fun e ->
+              if G.user_is_term e then branch_changed (G.user_target e))
+        in
+        let changed_value v =
+          match G.kind g v with
+          | Cmp _ -> compare_changed v
+          | Const _ | Null ->
+              Region.iter_instr_users g v (fun u ->
+                  if is_cmp u then compare_changed u)
+          | _ -> ()
+        in
+        (* A block's terminator or predecessors changed: its own branch,
+           and itself when a single predecessor may now hand it facts. *)
+        let block_changed b =
+          branch_changed b;
+          if G.pred_count g b = 1 then mark_subtree b
+        in
+        let mark_log since =
+          Region.iter_instrs g ~since changed_value;
+          Region.iter_cfg_blocks g ~since block_changed
+        in
+        mark_log since;
+        if Region.cfg_changed g ~since then
+          Region.iter_gained ~old dom mark_subtree;
+        walk g dom ~enter:(fun ~inherited bid fold ->
+            if Region.skip m ~inherited bid then None
+            else begin
+              if
+                Region.in_marked_subtree m ~inherited bid
+                || Region.marked m bid
+              then begin
+                Phase.charge ctx (1 + G.block_size g bid);
+                let mark0 = G.log_length g in
+                fold ();
+                mark_log mark0
+              end
+              else Phase.charge ctx 1;
+              Some (Region.in_marked_subtree m ~inherited bid)
+            end)
+
+let phase = Phase.make ~region:run_region "condelim" run

@@ -159,7 +159,6 @@ let run ~duplicate ~iters ctx g =
   !performed > 0
 
 (** The tier as a contract-checked phase.  Duplication rewrites the
-    CFG, so nothing is preserved and any pass may gain opportunities
-    (no [enables] claim). *)
+    CFG, so nothing is preserved. *)
 let phase_with ~duplicate ~iters =
   Phase.make "condelim_dup" (run ~duplicate ~iters)

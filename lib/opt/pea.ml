@@ -163,6 +163,25 @@ let replace_scalar g alloc cls_fields args =
   end
   else false
 
+let is_alloc g v =
+  v >= 0
+  && G.instr_exists g v
+  && match G.kind g v with New _ -> true | _ -> false
+
+(* Replace [alloc] if it does not escape and its class is known: the
+   body of one visit of [run]'s sweep. *)
+let try_replace program g alloc =
+  G.instr_exists g alloc
+  && escape_state g alloc = No_escape
+  &&
+  match G.kind g alloc with
+  | New (cls, args) -> (
+      match Ir.Program.find_class program cls with
+      | Some c when List.length c.Ir.Program.fields <= Array.length args ->
+          replace_scalar g alloc c.Ir.Program.fields args
+      | Some _ | None -> false)
+  | _ -> false
+
 let run ctx g =
   Phase.charge_graph ctx g;
   match ctx.Phase.program with
@@ -191,20 +210,67 @@ let run ctx g =
            an earlier one may have rewritten them. *)
         List.iter
           (fun alloc ->
-            if G.instr_exists g alloc && escape_state g alloc = No_escape then
-              match G.kind g alloc with
-              | New (cls, args) -> (
-                  match Ir.Program.find_class program cls with
-                  | Some c
-                    when List.length c.Ir.Program.fields <= Array.length args ->
-                      if replace_scalar g alloc c.Ir.Program.fields args
-                      then begin
-                        changed := true;
-                        continue_ := true
-                      end
-                  | Some _ | None -> ())
-              | _ -> ())
+            if try_replace program g alloc then begin
+              changed := true;
+              continue_ := true
+            end)
           allocs
+      done;
+      !changed
+
+(* The allocations whose escape state can have changed since [since]:
+   one that gained or lost a user (the user is logged, or it logged a
+   lost use), one whose user was rewritten, and one compared against a
+   value that became [Null].  [put] each. *)
+let affected g ~since put =
+  let add v = if is_alloc g v then put v in
+  G.iter_log g ~since (fun what id -> if what = G.Lost_use then add id);
+  Region.iter_instrs g ~since (fun id ->
+      let k = G.kind g id in
+      add id;
+      iter_inputs add k;
+      match k with
+      | Null ->
+          Region.iter_instr_users g id (fun u -> iter_inputs add (G.kind g u))
+      | _ -> ())
+
+(* [run]'s sweeps over the affected allocations, in the same decreasing
+   id order; a replacement queues what it affected into the same sweep
+   when the whole-graph sweep would still reach it (a smaller id), else
+   into the next.  The unreachable-block sweep only runs when the CFG
+   changed: the clean run left no unreachable block. *)
+let run_region ctx g (c : Ir.Analyses.clean) =
+  match ctx.Phase.program with
+  | None -> false
+  | Some program ->
+      let since = c.Ir.Analyses.at in
+      let changed =
+        ref
+          (Region.cfg_changed g ~since
+          && begin
+               Phase.charge ctx (G.live_block_count g);
+               G.remove_unreachable_blocks g
+             end)
+      in
+      let cur = ref (Ir.Bitset.create (G.n_instrs g)) in
+      affected g ~since (Ir.Bitset.add !cur);
+      let continue_ = ref true in
+      while !continue_ do
+        continue_ := false;
+        let next = Ir.Bitset.create (G.n_instrs g) in
+        for alloc = G.n_instrs g - 1 downto 0 do
+          if Ir.Bitset.mem !cur alloc then begin
+            Phase.charge ctx 1;
+            let mark = G.log_length g in
+            if try_replace program g alloc then begin
+              changed := true;
+              continue_ := true
+            end;
+            affected g ~since:mark (fun a ->
+                Ir.Bitset.add (if a < alloc then !cur else next) a)
+          end
+        done;
+        cur := next
       done;
       !changed
 
@@ -212,4 +278,5 @@ let run ctx g =
    unreachable-block sweep only deletes blocks no analysis covers (they
    are outside the RPO), so dominators, loops and frequencies of the
    reachable CFG are unchanged. *)
-let phase = Phase.make ~preserves:Ir.Analyses.all_kinds "pea" run
+let phase =
+  Phase.make ~preserves:Ir.Analyses.all_kinds ~region:run_region "pea" run

@@ -35,16 +35,22 @@ type ctx = {
   mutable pass_stats : (string * pass_stat) list;
       (** per-pass instrumentation, sorted by pass name *)
   mutable memo_clean_passes : bool;
-      (** skip a pass when it already ran clean at the graph's current
-          generation (on by default); the driver turns it off in
-          diagnostic runs (fault injection / paranoia) where every pass
-          must really execute *)
+      (** run a pass only over what changed since it last ran clean (on
+          by default): skip it when nothing did, run its region form
+          otherwise; the driver turns it off in diagnostic runs (fault
+          injection / paranoia) where every pass must run on the whole
+          graph *)
   mutable check_contracts : bool;
       (** paranoid: recompute-and-compare every preserved analysis after
           each fired pass, raising {!Contract_violated} on a lie *)
   mutable post_phase : (string -> Ir.Graph.t -> unit) option;
       (** paranoid hook: called after every pass that changed the
           graph; may raise to abort (and contain) the pipeline *)
+  mutable region_audit :
+    (string -> (ctx -> Ir.Graph.t -> bool) -> Ir.Graph.t -> unit) option;
+      (** lint hook: called whenever a pass is stamped clean after a
+          region run or after a run that changed the graph, with the
+          pass name and its whole-graph run, on the stamped state *)
 }
 
 let create ?program () =
@@ -58,6 +64,7 @@ let create ?program () =
     memo_clean_passes = true;
     check_contracts = false;
     post_phase = None;
+    region_audit = None;
   }
 
 (** Charge [n] work units (roughly: IR nodes examined). *)
@@ -137,17 +144,20 @@ type t = {
       (** analyses whose cached values stay valid across this pass's own
           mutations; an empty list = the pass may change the CFG and
           preserves nothing *)
-  enables : string list option;
-      (** pass-interaction contract: when this pass fires, only the
-          named passes can gain new opportunities from its changes —
-          every other pass that ran clean on the pre-fire state is still
-          clean and keeps its convergence memo.  [None] (the default)
-          is conservative: firing may enable anything. *)
+  region : (ctx -> Ir.Graph.t -> Ir.Analyses.clean -> bool) option;
+      (** the pass run over what the graph's mutation log recorded since
+          the pass's clean stamp; it must fire exactly as [run] would on
+          the same state.  [None]: the pass always runs on the whole
+          graph once anything changed. *)
+  settles : bool;
+      (** a run leaves no work for an immediate re-run of itself (it
+          iterates to its own fixpoint), so a run that fired is stamped
+          clean at its end too *)
   run : ctx -> Ir.Graph.t -> bool;
 }
 
-let make ?(preserves = []) ?enables pass_name run =
-  { pass_name; preserves; enables; run }
+let make ?(preserves = []) ?region ?(settles = false) pass_name run =
+  { pass_name; preserves; region; settles; run }
 
 (** A pass lied about its preservation contract: after [pass] ran, the
     cached [analysis] it declared preserved differs from a fresh
@@ -170,18 +180,19 @@ let () =
     recompute-and-compare contract check, and the post-phase
     verification hook.  Every pass execution in the system — fixpoint
     groups, DBDS tiers, standalone passes — goes through here. *)
-let run_pass_now ctx (p : t) g =
+let run_pass_now ctx (p : t) ~region run g =
   let stat = pass_stat ctx p.pass_name in
   let gen0 = Ir.Graph.generation g in
   let work0 = ctx.work in
   let size0 = Ir.Graph.live_instr_count g in
   let t0 = Unix.gettimeofday () in
-  let fired = p.run ctx g in
+  let fired = run ctx g in
   stat.runs <- stat.runs + 1;
   if fired then stat.fired <- stat.fired + 1;
   stat.pwork <- stat.pwork + (ctx.work - work0);
   stat.time_s <- stat.time_s +. (Unix.gettimeofday () -. t0);
   stat.size_delta <- stat.size_delta + (Ir.Graph.live_instr_count g - size0);
+  let mutated = Ir.Graph.generation g <> gen0 in
   if fired then begin
     if p.preserves <> [] then
       Ir.Analyses.preserve g ~since:gen0 p.preserves;
@@ -199,20 +210,35 @@ let run_pass_now ctx (p : t) g =
                      reason;
                    }))
         p.preserves;
-    (match p.enables with
-    | Some enabled when ctx.memo_clean_passes ->
-        Ir.Analyses.keep_clean_except g ~since:gen0 ~enabled
-    | _ -> ());
     match ctx.post_phase with Some hook -> hook p.pass_name g | None -> ()
-  end
-  else if Ir.Graph.generation g = gen0 then
-    (* Ran clean on this exact state: a deterministic pass will run
-       clean again until something mutates the graph.  (The generation
-       check matters — a pass may mutate yet report no semantic change,
-       e.g. hash-consing a constant nobody ended up using.) *)
+  end;
+  (* A pass that ran clean on this exact state will run clean again
+     until something mutates the graph, and then can only find work
+     where the log says the graph changed.  (The generation check
+     matters — a pass may mutate yet report no semantic change, e.g.
+     hash-consing a constant nobody ended up using.)  A settling pass
+     is clean after any run. *)
+  if p.settles || ((not fired) && not mutated) then begin
     Ir.Analyses.note_pass_clean g p.pass_name;
+    (* The stamp is a claim when the run saw less than the whole graph
+       or changed it: the lint checks it against a whole-graph run. *)
+    match ctx.region_audit with
+    | Some audit when region || fired || mutated -> audit p.pass_name p.run g
+    | _ -> ()
+  end;
   fired
 
+(* With the memo on, a pass that ran clean before runs on the region
+   logged since: not at all when nothing was logged, through its region
+   form when it has one.  Without a stamp, or with the memo off, it runs
+   on the whole graph. *)
 let run_pass ctx (p : t) g =
-  if ctx.memo_clean_passes && Ir.Analyses.pass_clean g p.pass_name then false
-  else run_pass_now ctx p g
+  let stamp =
+    if ctx.memo_clean_passes then Ir.Analyses.clean_stamp g p.pass_name
+    else None
+  in
+  match (stamp, p.region) with
+  | Some c, _ when c.Ir.Analyses.at = Ir.Graph.log_length g -> false
+  | Some c, Some region ->
+      run_pass_now ctx p ~region:true (fun ctx g -> region ctx g c) g
+  | _ -> run_pass_now ctx p ~region:false p.run g

@@ -29,15 +29,21 @@ type ctx = {
   mutable pass_stats : (string * pass_stat) list;
       (** per-pass instrumentation, sorted by pass name *)
   mutable memo_clean_passes : bool;
-      (** skip a pass that already ran clean at the graph's current
-          generation (on by default); turned off for diagnostic runs
-          (fault injection / paranoia) where every pass must execute *)
+      (** run a pass only over what changed since it last ran clean (on
+          by default): skip it when nothing did, run its region form
+          otherwise; turned off for diagnostic runs (fault injection /
+          paranoia) where every pass must run on the whole graph *)
   mutable check_contracts : bool;
       (** paranoid: recompute-and-compare every preserved analysis after
           each fired pass, raising {!Contract_violated} on a lie *)
   mutable post_phase : (string -> Ir.Graph.t -> unit) option;
       (** paranoid hook: called after every pass that changed the
           graph; may raise to abort (and contain) the pipeline *)
+  mutable region_audit :
+    (string -> (ctx -> Ir.Graph.t -> bool) -> Ir.Graph.t -> unit) option;
+      (** lint hook: called whenever a pass is stamped clean after a
+          region run or after a run that changed the graph, with the
+          pass name and its whole-graph run, on the stamped state *)
 }
 
 val create : ?program:Ir.Program.t -> unit -> ctx
@@ -71,21 +77,26 @@ type t = {
       (** analyses whose cached values stay valid across this pass's own
           mutations; an empty list = the pass may change the CFG and
           preserves nothing *)
-  enables : string list option;
-      (** pass-interaction contract: when this pass fires, only the
-          named passes can gain new opportunities from its changes —
-          every other pass that ran clean on the pre-fire state keeps
-          its convergence memo.  [None] (default) = may enable
-          anything. *)
+  region : (ctx -> Ir.Graph.t -> Ir.Analyses.clean -> bool) option;
+      (** the pass run over what the graph's mutation log recorded since
+          the pass's clean stamp: it must fire exactly as [run] would on
+          the same state — same mutations in the same order — and charge
+          only what it examines.  [None]: the pass always runs on the
+          whole graph once anything changed. *)
+  settles : bool;
+      (** a run leaves no work for an immediate re-run of itself (it
+          iterates to its own fixpoint), so a run that fired is stamped
+          clean at its end too *)
   run : ctx -> Ir.Graph.t -> bool;
 }
 
 (** [make name run] with an optional preservation contract (default:
-    preserves nothing) and an optional pass-interaction contract
-    (default: firing may enable any other pass). *)
+    preserves nothing), an optional region form (default: none) and
+    whether a run settles the pass (default: false). *)
 val make :
   ?preserves:Ir.Analyses.kind list ->
-  ?enables:string list ->
+  ?region:(ctx -> Ir.Graph.t -> Ir.Analyses.clean -> bool) ->
+  ?settles:bool ->
   string ->
   (ctx -> Ir.Graph.t -> bool) ->
   t
@@ -100,5 +111,9 @@ exception
 (** Run one pass with the manager's uniform instrumentation: per-pass
     stats, application of the preservation contract to the analysis
     cache, the paranoid contract check, and the post-phase hook.  Every
-    pass execution in the system goes through here. *)
+    pass execution in the system goes through here.  With
+    [memo_clean_passes], a pass with a clean stamp runs on the region
+    logged since: skipped (charging nothing, counting no run) when the
+    region is empty, through {!t.region} when it has one, on the whole
+    graph otherwise. *)
 val run_pass : ctx -> t -> Ir.Graph.t -> bool

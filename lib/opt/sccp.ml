@@ -286,4 +286,11 @@ let run ctx g =
   if !changed then ignore (G.remove_unreachable_blocks g);
   !changed
 
-let phase = Phase.make "sccp" run
+(* The optimistic lattice has no sound region form: a constant reached
+   around a cycle is only proved by the whole fixpoint.  But deleting
+   instructions nothing read changes no other value's lattice entry or
+   branch, so such a region fires nothing. *)
+let run_region ctx g (c : Ir.Analyses.clean) =
+  Region.beyond_deletions g ~since:c.Ir.Analyses.at && run ctx g
+
+let phase = Phase.make ~region:run_region "sccp" run

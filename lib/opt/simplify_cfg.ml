@@ -105,4 +105,10 @@ let run ctx g =
   let c4 = merge_straightline ctx g in
   c1 || c2 || c3 || c4
 
-let phase = Phase.make "simplify-cfg" run
+(* Whole-graph (it charges blocks, not instructions), except that
+   deleting instructions nothing read changes no branch, edge or phi
+   it would act on. *)
+let run_region ctx g (c : Ir.Analyses.clean) =
+  Region.beyond_deletions g ~since:c.Ir.Analyses.at && run ctx g
+
+let phase = Phase.make ~region:run_region "simplify-cfg" run

@@ -38,16 +38,16 @@ let () =
 (* Workload-lab property (reduced progen count for runtest): the
    condelim_dup tier (dbds as control) over the adversarial corpus —
    jobs 1-vs-4 byte identity with and without fault plans, paranoid
-   preserves audits contain nothing, and the enables contracts of the
-   classic passes hide no consumer.  The enables check must not go
-   empty: some classic pass (today dce) declares an enables list. *)
+   preserves audits contain nothing, and no region run of a classic
+   pass leaves work for its whole-graph run.  The region check must not
+   go empty: the classic fixpoint after each DBDS round runs regions. *)
 let l = Harness.Fuzz.run_lab ~progen_seeds:[ 0; 1 ] () in
 Printf.printf
-  "fuzz lab: %d identity pairs, %d paranoid runs, %d enables checks\n"
+  "fuzz lab: %d identity pairs, %d paranoid runs, %d region checks\n"
   l.Harness.Fuzz.l_pairs_run l.Harness.Fuzz.l_paranoid_runs
-  l.Harness.Fuzz.l_enables_checked;
-if l.Harness.Fuzz.l_enables_checked = 0 then begin
-  Printf.eprintf "fuzz lab: no enables checks ran\n";
+  l.Harness.Fuzz.l_regions_checked;
+if l.Harness.Fuzz.l_regions_checked = 0 then begin
+  Printf.eprintf "fuzz lab: no region checks ran\n";
   exit 1
 end;
 (match l.Harness.Fuzz.l_violations with
@@ -74,3 +74,17 @@ match f.Harness.Fuzz.f_violations with
     List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
     Printf.eprintf "%d frontdoor violation(s)\n" (List.length vs);
     exit 1
+;;
+(* Region-run oracle: region runs (memo on) and whole-graph runs (memo
+   off) must compile every paper, lab and progen program to the same
+   IR, raw ids included, with the same duplication stats. *)
+let r = Harness.Fuzz.run_regions () in
+Printf.printf "fuzz regions: %d programs, %d functions compared\n"
+  r.Harness.Fuzz.r_programs r.Harness.Fuzz.r_functions;
+match r.Harness.Fuzz.r_violations with
+| [] -> ()
+| vs ->
+    List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
+    Printf.eprintf "%d region violation(s)\n" (List.length vs);
+    exit 1
+

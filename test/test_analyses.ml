@@ -151,6 +151,87 @@ let test_driver_cache_hits () =
   Alcotest.(check bool) "ran at least one round" true (rounds >= 1);
   Alcotest.(check bool) "cache hits observed" true (ctx.Opt.Phase.analysis_hits > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The pass manager's region memo                                      *)
+(* ------------------------------------------------------------------ *)
+
+let classic name =
+  match Opt.Pipeline.resolve_classic name [] with
+  | Ok p -> p
+  | Error msg -> Alcotest.fail msg
+
+(* The classic group run to its fixpoint: every pass ends stamped clean
+   at the final log position. *)
+let settled () =
+  let prog = compile loop_src in
+  let ctx = Opt.Phase.create ~program:prog () in
+  let g = Option.get (Ir.Program.find_function prog "main") in
+  ignore (Opt.Pipeline.optimize ctx g);
+  (ctx, g)
+
+let stamp_at g name =
+  Option.map (fun c -> c.Ir.Analyses.at) (Ir.Analyses.clean_stamp g name)
+
+let test_empty_region () =
+  let ctx, g = settled () in
+  List.iter
+    (fun name ->
+      let p = classic name in
+      let gen0 = G.generation g and work0 = ctx.Opt.Phase.work in
+      Alcotest.(check (option int))
+        (name ^ " stamped at the current position")
+        (Some (G.log_length g)) (stamp_at g p.Opt.Phase.pass_name);
+      Alcotest.(check bool) (name ^ " does not fire") false
+        (Opt.Phase.run_pass ctx p g);
+      Alcotest.(check int) (name ^ " charges nothing") work0 ctx.Opt.Phase.work;
+      Alcotest.(check int) (name ^ " leaves the generation") gen0
+        (G.generation g))
+    Opt.Pipeline.classic_names
+
+(* A rejected attempt: its mutations are logged, then undone.  The
+   restore puts the log back where the clean stamps point, so no pass
+   sees a region from the attempt. *)
+let test_restore_rewinds_log () =
+  let ctx, g = settled () in
+  let pos = G.log_length g in
+  let snap = G.snapshot g in
+  let dead = G.append g (G.entry g) (Const 99) in
+  ignore (G.append g (G.entry g) (Binop (Add, dead, dead)));
+  Alcotest.(check bool) "the attempt was logged" true (G.log_length g > pos);
+  G.restore g snap;
+  Alcotest.(check int) "log rewound" pos (G.log_length g);
+  Alcotest.(check (option int)) "stamps still at the rewound position"
+    (Some pos) (stamp_at g "dce");
+  let work0 = ctx.Opt.Phase.work in
+  Alcotest.(check bool) "no phantom region for dce" false
+    (Opt.Phase.run_pass ctx (classic "dce") g);
+  Alcotest.(check int) "nothing charged" work0 ctx.Opt.Phase.work
+
+let test_copy_starts_fresh () =
+  let _, g = settled () in
+  Alcotest.(check bool) "the original has a log" true (G.log_length g > 0);
+  let c = G.copy g in
+  Alcotest.(check int) "empty log" 0 (G.log_length c);
+  List.iter
+    (fun name ->
+      Alcotest.(check (option int)) (name ^ " has no stamp") None
+        (stamp_at c (classic name).Opt.Phase.pass_name))
+    Opt.Pipeline.classic_names
+
+(* Without a stamp every instruction-level pass runs on the whole graph
+   and charges one unit per live instruction, as before regions. *)
+let test_whole_run_charge () =
+  List.iter
+    (fun name ->
+      let prog = compile loop_src in
+      let ctx = Opt.Phase.create ~program:prog () in
+      let g = Option.get (Ir.Program.find_function prog "main") in
+      let live = G.live_instr_count g in
+      ignore (Opt.Phase.run_pass ctx (classic name) g);
+      Alcotest.(check int) (name ^ " charges the live count") live
+        ctx.Opt.Phase.work)
+    [ "canon"; "sccp"; "gvn"; "condelim"; "readelim"; "pea"; "dce" ]
+
 let suite =
   [
     test "physical reuse on unchanged graph" test_physical_reuse;
@@ -160,4 +241,8 @@ let suite =
     test "commit keeps mutations" test_commit_keeps_mutations;
     test "simulation rounds reuse analyses" test_simulation_round_reuses;
     test "driver records cache hits" test_driver_cache_hits;
+    test "empty region: no fire, no work, same generation" test_empty_region;
+    test "restore rewinds the log with the stamps" test_restore_rewinds_log;
+    test "copy starts with an empty log" test_copy_starts_fresh;
+    test "whole-graph run charges the live count" test_whole_run_charge;
   ]

@@ -183,6 +183,36 @@ let test_jobs_byte_identical () =
         (print_at 1) (print_at 4))
     [ 0; 5; 42; 345 ]
 
+(* A graph logs nothing until asked (no clean stamp reads older
+   entries); then each mutation logs what it touched: the rewritten
+   instruction, the values it stopped reading, the blocks whose edges
+   changed. *)
+let test_mutation_log () =
+  let g, _, _ = figure1_graph () in
+  Alcotest.(check int) "nothing logged while building" 0 (G.log_length g);
+  G.start_log g;
+  let entries since =
+    let acc = ref [] in
+    G.iter_log g ~since (fun what id -> acc := (what, id) :: !acc);
+    List.rev !acc
+  in
+  let pos = G.log_length g in
+  let k = G.append g (G.entry g) (Const 3) in
+  Alcotest.(check bool) "creation logged" true
+    (entries pos = [ (G.Instr, k) ]);
+  let pos = G.log_length g in
+  let n = G.append g (G.entry g) (Neg k) in
+  G.set_kind g n (Const 4);
+  Alcotest.(check bool) "rewrite logs the lost use" true
+    (List.mem (G.Lost_use, k) (entries pos)
+    && List.mem (G.Instr, n) (entries pos));
+  let pos = G.log_length g in
+  let nb = G.add_block g in
+  G.set_term g nb (Jump (G.entry g));
+  Alcotest.(check bool) "new edge logs both blocks" true
+    (List.mem (G.Cfg, nb) (entries pos)
+    && List.mem (G.Cfg, G.entry g) (entries pos))
+
 let suite =
   [
     test "build diamond" test_build_diamond;
@@ -198,4 +228,5 @@ let suite =
     test "detach/attach" test_detach_attach;
     test "print/parse/print fixed point" test_print_parse_print_fixpoint;
     test "jobs byte-identical (progen)" test_jobs_byte_identical;
+    test "mutation log" test_mutation_log;
   ]

@@ -129,7 +129,7 @@ let test_describe_spec () =
   let described s =
     Dbds.Driver.describe_spec config (spec_of s)
   in
-  let names rows = List.map (fun (n, _, _) -> n) rows in
+  let names rows = List.map fst rows in
   Alcotest.(check (list string))
     "pipeline order, inline skipped, fix flattened, repeats collapsed"
     [ "canonicalize"; "dce"; "dbds" ]
@@ -141,16 +141,11 @@ let test_describe_spec () =
     (names rows);
   List.iter
     (fun name ->
-      let _, preserves, enables =
-        List.find (fun (n, _, _) -> n = name) rows
-      in
+      let preserves = List.assoc name rows in
       Alcotest.(check bool)
         (name ^ " declares all analyses preserved")
         true
-        (List.length preserves = List.length Ir.Analyses.all_kinds);
-      Alcotest.(check bool)
-        (name ^ " declares an enables list")
-        true (enables <> None))
+        (List.length preserves = List.length Ir.Analyses.all_kinds))
     [ "dce" ]
 
 (* ------------------------------------------------------------------ *)
