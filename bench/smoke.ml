@@ -7,6 +7,8 @@
       whole-graph runs of the classic passes;
     - warm service recompiles stop being byte-identical to cold ones;
     - [pmd]'s compile effort exceeds its work-unit budget;
+    - read elimination, conditional elimination and PEA together
+      exceed their work-unit budget over the paper benchmarks;
     - the workload-lab gates below fail.
 
     The front door's overload gate is the "bench: reduced load sweep"
@@ -55,10 +57,12 @@ let () =
   Printf.printf "bench-smoke: IR byte-identical with the memo off\n";
   (* Compile-effort gate.  [pmd] inlines a recursive tree builder into
      its loop; when one PEA run replaces the whole allocation tree its
-     compile costs 14,747 work units (16,302 while every classic pass
-     ran on the whole graph), and when PEA could take only one nesting
-     level per fixpoint round it cost 44,114.  Work units do
-     not depend on the host, so the gate holds on a single-core runner. *)
+     compile costs 12,688 work units (14,747 while read elimination,
+     conditional elimination and PEA walked whole blocks, 16,302 while
+     every classic pass ran on the whole graph), and when PEA could take
+     only one nesting level per fixpoint round it cost 44,114.  Work
+     units do not depend on the host, so the gate holds on a single-core
+     runner. *)
   let pmd_budget = 20_000 in
   let pmd =
     List.find (fun (b : Workloads.Suite.benchmark) -> b.name = "pmd") benches
@@ -74,6 +78,35 @@ let () =
     die "pmd compile work %d units > budget %d (nested allocations no longer \
          replaced in one PEA run?)"
       pmd_work pmd_budget;
+  (* Effect-chain gate.  Read elimination, conditional elimination and
+     PEA visit only each block's effect chain (its loads, stores, calls,
+     allocations and compares) and PEA's allocation index.  Over the
+     paper benchmarks they cost 27,130 work units while they walked
+     every instruction of every block, and 11,543 on effect chains. *)
+  let chain_budget = 12_700 in
+  let chain_work =
+    List.fold_left
+      (fun acc b ->
+        let rep =
+          Dbds.Driver.optimize_program_report ~config ~jobs:1
+            (Workloads.Suite.compile b)
+        in
+        List.fold_left
+          (fun acc (name, (st : Opt.Phase.pass_stat)) ->
+            if List.mem name [ "readelim"; "condelim"; "pea" ] then
+              acc + st.pwork
+            else acc)
+          acc
+          (Opt.Phase.pass_table rep.Dbds.Driver.rep_ctx))
+      0 benches
+  in
+  Printf.printf
+    "bench-smoke: readelim + condelim + pea work %d units (budget %d)\n"
+    chain_work chain_budget;
+  if chain_work > chain_budget then
+    die "readelim + condelim + pea work %d units > budget %d (a pass walks \
+         whole blocks instead of their effect chains?)"
+      chain_work chain_budget;
   (* Warm service recompiles must return byte-identical artifacts. *)
   let s = Harness.Servicebench.measure_suite (List.hd Workloads.Registry.all) in
   if not s.Harness.Metrics.sv_identical then

@@ -4,12 +4,16 @@
     intra-block order live in parallel arrays indexed by instruction id;
     block terminators, predecessor arrays and chain heads/tails in arrays
     indexed by block id.  The intra-block order is an intrusive doubly
-    linked list over two int arrays ([seq_prev]/[seq_next]); use lists
-    are intrusive singly linked chains over an int-cell pool with users
-    packed into single ints.  Dead slots carry sentinel markers and are
-    never reused: allocation only grows the arenas, so ids — and
-    therefore printed output — are reproducible.  Freed use cells go on a
-    free-list and are reused.
+    linked list over two int arrays ([seq_prev]/[seq_next]); a second
+    such list ([eff_prev]/[eff_next]) threads each block's effect chain,
+    the subsequence of its body that memory and compare passes act on
+    ({!effect_kind}); use lists are intrusive singly linked chains over
+    an int-cell pool with users packed into single ints; the allocation
+    index is an immutable list
+    of every live [New], newest first.  Dead slots carry sentinel
+    markers and are never reused: allocation only grows the arenas, so
+    ids — and therefore printed output — are reproducible.  Freed use
+    cells go on a free-list and are reused.
 
     Undo is whole-graph: {!snapshot} copies the arenas, {!restore}
     adopts them back together with the generation, the mutation-log
@@ -26,7 +30,10 @@
     - every [Phi] has exactly one input per predecessor, aligned with the
       predecessor order;
     - use chains record every instruction and terminator referencing a
-      value. *)
+      value;
+    - each block's effect chain is its body filtered to {!effect_kind},
+      in body order;
+    - the allocation index lists every live [New], by decreasing id. *)
 
 open Types
 
@@ -42,6 +49,16 @@ let dec_user e = if e land 1 = 0 then U_instr (e lsr 1) else U_term (e lsr 1)
 let detached = -1
 let dead = -2
 
+(* [eff_prev] of an instruction that is not on an effect chain ([-1]
+   marks a chain head). *)
+let off_chain = -2
+
+let effect_kind = function
+  | Load _ | Store _ | Load_global _ | Store_global _ | Call _ | New _ | Cmp _
+    ->
+      true
+  | Const _ | Null | Param _ | Binop _ | Neg _ | Not _ | Phi _ -> false
+
 type cache = ..
 type cache += No_cache
 
@@ -55,6 +72,9 @@ type t = {
   mutable ins_block : int array;  (** block id, -1 detached, -2 dead *)
   mutable seq_prev : int array;  (** intra-block chain; -1 at ends *)
   mutable seq_next : int array;
+  mutable eff_prev : int array;  (** effect chain; [off_chain] when off *)
+  mutable eff_next : int array;
+  mutable allocs : int list;  (** live [New]s, by decreasing id *)
   mutable use_head : int array;  (** first use cell, -1 when none *)
   mutable n_instrs : int;
   (* -------- use-chain cell pool ------------------------------------- *)
@@ -71,6 +91,8 @@ type t = {
   mutable phi_tail : int array;
   mutable body_head : int array;
   mutable body_tail : int array;
+  mutable eff_head : int array;
+  mutable eff_tail : int array;
   mutable blk_size : int array;  (** phis + body, maintained *)
   mutable n_blocks : int;
   mutable entry : int;
@@ -107,6 +129,9 @@ let create ?(name = "fn") ~n_params () =
     ins_block = Array.make 16 dead;
     seq_prev = Array.make 16 (-1);
     seq_next = Array.make 16 (-1);
+    eff_prev = Array.make 16 off_chain;
+    eff_next = Array.make 16 (-1);
+    allocs = [];
     use_head = Array.make 16 (-1);
     n_instrs = 0;
     cell_user = Array.make 32 0;
@@ -120,6 +145,8 @@ let create ?(name = "fn") ~n_params () =
     phi_tail = Array.make 8 (-1);
     body_head = Array.make 8 (-1);
     body_tail = Array.make 8 (-1);
+    eff_head = Array.make 8 (-1);
+    eff_tail = Array.make 8 (-1);
     blk_size = Array.make 8 0;
     n_blocks = 0;
     entry = -1;
@@ -151,6 +178,8 @@ let grow_instrs g =
     g.ins_block <- grow_int_array g.ins_block n dead;
     g.seq_prev <- grow_int_array g.seq_prev n (-1);
     g.seq_next <- grow_int_array g.seq_next n (-1);
+    g.eff_prev <- grow_int_array g.eff_prev n off_chain;
+    g.eff_next <- grow_int_array g.eff_next n (-1);
     g.use_head <- grow_int_array g.use_head n (-1)
   end
 
@@ -171,6 +200,8 @@ let grow_blocks g =
     g.phi_tail <- grow_int_array g.phi_tail n (-1);
     g.body_head <- grow_int_array g.body_head n (-1);
     g.body_tail <- grow_int_array g.body_tail n (-1);
+    g.eff_head <- grow_int_array g.eff_head n (-1);
+    g.eff_tail <- grow_int_array g.eff_tail n (-1);
     g.blk_size <- grow_int_array g.blk_size n 0
   end
 
@@ -400,6 +431,61 @@ let log_lost_term_uses g old_term new_term =
       old_term
 
 (* ------------------------------------------------------------------ *)
+(* Effect chains                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let on_effect_chain g id = g.eff_prev.(id) <> off_chain
+
+(* Link [id] into [bid]'s effect chain after member [p] (-1: at the
+   head). *)
+let effect_link_after g bid id p =
+  let n = if p >= 0 then g.eff_next.(p) else g.eff_head.(bid) in
+  g.eff_prev.(id) <- p;
+  g.eff_next.(id) <- n;
+  if p >= 0 then g.eff_next.(p) <- id else g.eff_head.(bid) <- id;
+  if n >= 0 then g.eff_prev.(n) <- id else g.eff_tail.(bid) <- id
+
+let effect_unlink g bid id =
+  if on_effect_chain g id then begin
+    let p = g.eff_prev.(id) and n = g.eff_next.(id) in
+    if p >= 0 then g.eff_next.(p) <- n else g.eff_head.(bid) <- n;
+    if n >= 0 then g.eff_prev.(n) <- p else g.eff_tail.(bid) <- p;
+    g.eff_prev.(id) <- off_chain;
+    g.eff_next.(id) <- -1
+  end
+
+(* A body instruction of [bid] became a member: link it after the
+   nearest member before it in the body.  Walking back to the head of
+   the phi list instead means it sits in a phi slot, which is never on
+   the chain.  Only a rewrite into a member kind pays for the walk. *)
+let effect_link_in_place g bid id =
+  let rec back i =
+    let p = g.seq_prev.(i) in
+    if p >= 0 then
+      if on_effect_chain g p then effect_link_after g bid id p else back p
+    else if g.phi_head.(bid) <> i then effect_link_after g bid id (-1)
+  in
+  back id
+
+(* ------------------------------------------------------------------ *)
+(* Allocation index                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let is_new = function New _ -> true | _ -> false
+
+(* Insert by decreasing id: a new instruction has the largest id and
+   goes to the head. *)
+let alloc_add g id =
+  let rec ins = function
+    | a :: rest when a > id -> a :: ins rest
+    | l -> id :: l
+  in
+  g.allocs <- ins g.allocs
+
+let alloc_remove g id = g.allocs <- List.filter (fun a -> a <> id) g.allocs
+let allocations g = g.allocs
+
+(* ------------------------------------------------------------------ *)
 (* Intra-block chains                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -411,7 +497,9 @@ let chain_append g bid id ~phi =
   g.seq_next.(id) <- -1;
   if t >= 0 then g.seq_next.(t) <- id else head.(bid) <- id;
   tail.(bid) <- id;
-  g.blk_size.(bid) <- g.blk_size.(bid) + 1
+  g.blk_size.(bid) <- g.blk_size.(bid) + 1;
+  if (not phi) && effect_kind g.kinds.(id) then
+    effect_link_after g bid id g.eff_tail.(bid)
 
 let chain_prepend g bid id ~phi =
   let head = if phi then g.phi_head else g.body_head in
@@ -421,7 +509,8 @@ let chain_prepend g bid id ~phi =
   g.seq_next.(id) <- h;
   if h >= 0 then g.seq_prev.(h) <- id else tail.(bid) <- id;
   head.(bid) <- id;
-  g.blk_size.(bid) <- g.blk_size.(bid) + 1
+  g.blk_size.(bid) <- g.blk_size.(bid) + 1;
+  if (not phi) && effect_kind g.kinds.(id) then effect_link_after g bid id (-1)
 
 (* Which chain [id] is on is decided positionally (is it a chain's
    head/tail?), not from its kind: a dead phi may have been rewritten to
@@ -437,7 +526,8 @@ let chain_remove g bid id =
    else g.body_tail.(bid) <- p);
   g.seq_prev.(id) <- -1;
   g.seq_next.(id) <- -1;
-  g.blk_size.(bid) <- g.blk_size.(bid) - 1
+  g.blk_size.(bid) <- g.blk_size.(bid) - 1;
+  effect_unlink g bid id
 
 let kind_is_phi = function Phi _ -> true | _ -> false
 
@@ -456,6 +546,8 @@ let add_block g =
   g.phi_tail.(id) <- -1;
   g.body_head.(id) <- -1;
   g.body_tail.(id) <- -1;
+  g.eff_head.(id) <- -1;
+  g.eff_tail.(id) <- -1;
   g.blk_size.(id) <- 0;
   g.n_live_blocks <- g.n_live_blocks + 1;
   if g.entry = -1 then g.entry <- id;
@@ -477,8 +569,11 @@ let alloc_instr g kind =
   g.ins_block.(id) <- detached;
   g.seq_prev.(id) <- -1;
   g.seq_next.(id) <- -1;
+  g.eff_prev.(id) <- off_chain;
+  g.eff_next.(id) <- -1;
   g.use_head.(id) <- -1;
   g.n_live <- g.n_live + 1;
+  if is_new kind then alloc_add g id;
   touch g;
   log_instr g id;
   iter_inputs (fun v -> add_use_enc g v (enc_instr id)) kind;
@@ -511,7 +606,13 @@ let rewrite g id new_kind =
   let old_kind = g.kinds.(id) in
   iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) old_kind;
   g.kinds.(id) <- new_kind;
-  iter_inputs (fun v -> add_use_enc g v (enc_instr id)) new_kind
+  iter_inputs (fun v -> add_use_enc g v (enc_instr id)) new_kind;
+  let bid = g.ins_block.(id) in
+  if bid >= 0 && effect_kind old_kind <> effect_kind new_kind then
+    if effect_kind new_kind then effect_link_in_place g bid id
+    else effect_unlink g bid id;
+  if is_new old_kind <> is_new new_kind then
+    if is_new new_kind then alloc_add g id else alloc_remove g id
 
 let set_kind g id new_kind =
   check_instr g id;
@@ -581,6 +682,15 @@ let iter_body g bid f =
 let iter_block_instrs g bid f =
   iter_phis g bid f;
   iter_body g bid f
+
+let iter_effects g bid f =
+  check_block g bid;
+  let i = ref g.eff_head.(bid) in
+  while !i >= 0 do
+    let next = g.eff_next.(!i) in
+    f !i;
+    i := next
+  done
 
 let phis g bid =
   let acc = ref [] in
@@ -764,6 +874,7 @@ let remove_instr g id =
     chain_remove g bid id;
     log_effect_removed g bid g.kinds.(id)
   end;
+  if is_new g.kinds.(id) then alloc_remove g id;
   g.kinds.(id) <- Null;
   g.ins_block.(id) <- dead;
   g.use_head.(id) <- -1;
@@ -810,10 +921,13 @@ let kill_slot g id =
       remove_use_enc g v (enc_instr id))
     g.kinds.(id);
   free_chain_cells g id;
+  if is_new g.kinds.(id) then alloc_remove g id;
   g.kinds.(id) <- Null;
   g.ins_block.(id) <- dead;
   g.seq_prev.(id) <- -1;
   g.seq_next.(id) <- -1;
+  g.eff_prev.(id) <- off_chain;
+  g.eff_next.(id) <- -1;
   g.n_live <- g.n_live - 1
 
 (* Mark a block slot dead; the slot is never reused. *)
@@ -825,6 +939,8 @@ let kill_block_slot g bid =
   g.phi_tail.(bid) <- -1;
   g.body_head.(bid) <- -1;
   g.body_tail.(bid) <- -1;
+  g.eff_head.(bid) <- -1;
+  g.eff_tail.(bid) <- -1;
   g.blk_size.(bid) <- 0;
   g.n_live_blocks <- g.n_live_blocks - 1
 
@@ -940,6 +1056,8 @@ let clone g =
     ins_block = instrs g.ins_block;
     seq_prev = instrs g.seq_prev;
     seq_next = instrs g.seq_next;
+    eff_prev = instrs g.eff_prev;
+    eff_next = instrs g.eff_next;
     use_head = instrs g.use_head;
     cell_user = cells g.cell_user;
     cell_next = cells g.cell_next;
@@ -950,6 +1068,8 @@ let clone g =
     phi_tail = blocks g.phi_tail;
     body_head = blocks g.body_head;
     body_tail = blocks g.body_tail;
+    eff_head = blocks g.eff_head;
+    eff_tail = blocks g.eff_tail;
     blk_size = blocks g.blk_size;
   }
 
@@ -980,6 +1100,9 @@ let restore g snap =
   g.ins_block <- s.ins_block;
   g.seq_prev <- s.seq_prev;
   g.seq_next <- s.seq_next;
+  g.eff_prev <- s.eff_prev;
+  g.eff_next <- s.eff_next;
+  g.allocs <- s.allocs;
   g.use_head <- s.use_head;
   g.n_instrs <- s.n_instrs;
   g.cell_user <- s.cell_user;
@@ -993,6 +1116,8 @@ let restore g snap =
   g.phi_tail <- s.phi_tail;
   g.body_head <- s.body_head;
   g.body_tail <- s.body_tail;
+  g.eff_head <- s.eff_head;
+  g.eff_tail <- s.eff_tail;
   g.blk_size <- s.blk_size;
   g.n_blocks <- s.n_blocks;
   g.entry <- s.entry;

@@ -16,7 +16,11 @@
     - every [Phi] has exactly one input per predecessor, aligned with the
       predecessor order;
     - use chains record every instruction and terminator referencing a
-      value.
+      value;
+    - each block's {e effect chain} lists exactly its body instructions
+      of an {!effect_kind}, in body order;
+    - the {e allocation index} lists exactly the live [New]
+      instructions, by decreasing id.
 
     All reads go through accessors; all mutation goes through this API so
     the invariants stay sound. *)
@@ -216,6 +220,28 @@ val iter_phis : t -> block_id -> (instr_id -> unit) -> unit
 val iter_body : t -> block_id -> (instr_id -> unit) -> unit
 val iter_block_instrs : t -> block_id -> (instr_id -> unit) -> unit
 
+(** {2 Effect chains}
+
+    A block's effect chain is the subsequence of its body that read
+    elimination, conditional elimination and scalar replacement act on:
+    the loads, stores, calls, allocations and compares.  The mutation
+    API keeps it in body order, so those passes walk it instead of the
+    whole block. *)
+
+(** The kinds on an effect chain: [Load], [Store], [Load_global],
+    [Store_global], [Call], [New] and [Cmp]. *)
+val effect_kind : instr_kind -> bool
+
+(** In-order iteration over a block's effect chain.  The next link is
+    read before [f] runs, so [f] may delete or rewrite the instruction
+    it is given (not the ones after it). *)
+val iter_effects : t -> block_id -> (instr_id -> unit) -> unit
+
+(** The allocation index: every live [New] instruction (detached ones
+    included), by decreasing id.  Kept by the mutation API, so reading
+    it costs nothing. *)
+val allocations : t -> instr_id list
+
 (** Materialized phi / body lists in execution order (cold paths;
     prefer the iterators above on hot paths). *)
 val phis : t -> block_id -> instr_id list
@@ -243,8 +269,9 @@ val remove_unreachable_blocks : t -> bool
 
 (** {2 Copy / snapshot / restore} *)
 
-(** Independent deep copy: same instruction and block ids, generation 0,
-    an empty analysis cache and an empty mutation log. *)
+(** Independent deep copy (effect chains and allocation index included):
+    same instruction and block ids, generation 0, an empty analysis cache
+    and an empty mutation log. *)
 val copy : t -> t
 
 (** The whole state of a graph: arenas, generation, mutation-log

@@ -51,6 +51,39 @@ let check_instr_placement g =
           | Phi _ -> fail "phi v%d appears in the body of b%d" id bid
           | _ -> ()))
 
+(* Each block's effect chain is its body filtered to the member kinds,
+   in order.  The chain is walked against the body, so a corrupt chain
+   (even a cyclic one) fails instead of running on. *)
+let check_effect_chains g =
+  Graph.iter_blocks g (fun bid ->
+      let expected =
+        ref
+          (List.filter
+             (fun id -> Graph.effect_kind (Graph.kind g id))
+             (Graph.body g bid))
+      in
+      Graph.iter_effects g bid (fun c ->
+          match !expected with
+          | id :: rest when id = c -> expected := rest
+          | id :: _ ->
+              fail "effect chain of b%d has v%d where the body has v%d" bid c
+                id
+          | [] -> fail "effect chain of b%d has stray v%d" bid c);
+      match !expected with
+      | [] -> ()
+      | id :: _ -> fail "effect chain of b%d is missing v%d" bid id)
+
+let check_allocation_index g =
+  let live_news =
+    Graph.fold_instrs g
+      (fun acc id -> match Graph.kind g id with New _ -> id :: acc | _ -> acc)
+      []
+  in
+  if Graph.allocations g <> live_news then
+    fail "allocation index [%s] is not the live allocations [%s]"
+      (String.concat " " (List.map string_of_int (Graph.allocations g)))
+      (String.concat " " (List.map string_of_int live_news))
+
 let check_phi_arity g =
   Graph.iter_blocks g (fun bid ->
       let n_preds = Graph.pred_count g bid in
@@ -185,6 +218,8 @@ let verify g =
   check_entry g;
   check_edges g;
   check_instr_placement g;
+  check_effect_chains g;
+  check_allocation_index g;
   check_phi_arity g;
   check_input_validity g;
   check_uses g;

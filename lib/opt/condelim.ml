@@ -122,12 +122,16 @@ let implied ~kind_of env v kind =
               else None)
       | _ -> None)
 
-(* Fold the compares of [bid] and its branch that [env] decides. *)
-let fold_block g env bid =
+(* Fold the compares of [bid] and its branch that [env] decides.  The
+   compares are on the block's effect chain, visited in block order: a
+   compare may read one folded just before it.  Charges 1 for the block
+   plus 1 per chain member. *)
+let fold_block ctx g env bid =
   let changed = ref false in
   let kind_of v = G.kind g v in
-  List.iter
-    (fun id ->
+  Phase.charge ctx 1;
+  G.iter_effects g bid (fun id ->
+      Phase.charge ctx 1;
       match G.kind g id with
       | Cmp _ as kind -> (
           match implied ~kind_of env id kind with
@@ -135,8 +139,7 @@ let fold_block g env bid =
               G.set_kind g id (Const (if t then 1 else 0));
               changed := true
           | None -> ())
-      | _ -> ())
-    (G.block_instrs g bid);
+      | _ -> ());
   (* Fold a branch whose condition is decided by the facts (typically
      the condition was GVN-deduplicated to a dominating compare). *)
   (match G.term g bid with
@@ -167,12 +170,12 @@ let env_for_child g env bid child =
    and branch), and returns [None] to skip [bid]'s subtree or
    [Some inherited] to descend, [inherited] being passed to the
    children. *)
-let walk g dom ~enter =
+let walk ctx g dom ~enter =
   let changed = ref false in
   let rec visit env inherited bid =
     match
       enter ~inherited bid (fun () ->
-          if fold_block g env bid then changed := true)
+          if fold_block ctx g env bid then changed := true)
     with
     | None -> ()
     | Some inherited ->
@@ -184,8 +187,7 @@ let walk g dom ~enter =
   !changed
 
 let run ctx g =
-  Phase.charge_graph ctx g;
-  walk g (Ir.Analyses.dom g) ~enter:(fun ~inherited:_ _ fold ->
+  walk ctx g (Ir.Analyses.dom g) ~enter:(fun ~inherited:_ _ fold ->
       fold ();
       Some true)
 
@@ -252,14 +254,13 @@ let run_region ctx g (c : Ir.Analyses.clean) =
         mark_log since;
         if Region.cfg_changed g ~since then
           Region.iter_gained ~old dom mark_subtree;
-        walk g dom ~enter:(fun ~inherited bid fold ->
+        walk ctx g dom ~enter:(fun ~inherited bid fold ->
             if Region.skip m ~inherited bid then None
             else begin
               if
                 Region.in_marked_subtree m ~inherited bid
                 || Region.marked m bid
               then begin
-                Phase.charge ctx (1 + G.block_size g bid);
                 let mark0 = G.log_length g in
                 fold ();
                 mark_log mark0

@@ -74,10 +74,11 @@ let replace_scalar g alloc cls_fields args =
         st
   in
   (* Only the allocation's block and its users' blocks can define or
-     read a field; walk those in block order, tracking the field values
-     as they evolve.  Loads with a known in-block value are rewritten
-     immediately, loads whose value flows in from predecessors are
-     resolved afterwards. *)
+     read a field; walk their effect chains (the allocation, its loads,
+     stores and null compares are all on them) in block order, tracking
+     the field values as they evolve.  Loads with a known in-block value
+     are rewritten immediately, loads whose value flows in from
+     predecessors are resolved afterwards. *)
   let blocks =
     List.sort_uniq compare
       (home
@@ -92,8 +93,7 @@ let replace_scalar g alloc cls_fields args =
   List.iter
     (fun bid ->
       let cur : (string, value) Hashtbl.t = Hashtbl.create 4 in
-      List.iter
-        (fun id ->
+      G.iter_effects g bid (fun id ->
           match G.kind g id with
           | New _ when id = alloc ->
               List.iteri
@@ -112,8 +112,7 @@ let replace_scalar g alloc cls_fields args =
               match null_compare g alloc id with
               | Some n -> G.set_kind g id (Const n)
               | None -> ())
-          | _ -> ())
-        (G.block_instrs g bid);
+          | _ -> ());
       (* Record end-of-block field values as definitions. *)
       Hashtbl.iter
         (fun f v -> Hashtbl.replace (state_for f).Ir.Ssa_repair.defs bid v)
@@ -183,7 +182,6 @@ let try_replace program g alloc =
   | _ -> false
 
 let run ctx g =
-  Phase.charge_graph ctx g;
   match ctx.Phase.program with
   | None -> false
   | Some program ->
@@ -191,6 +189,7 @@ let run ctx g =
          may have disconnected blocks; the field lookup walks
          predecessors and finds no definition on a dead one, so drop
          them first. *)
+      Phase.charge ctx (G.live_block_count g);
       let changed = ref (G.remove_unreachable_blocks g) in
       (* Scalarizing an outer object can un-escape the allocation stored
          in its fields (the store that pinned it disappears), so iterate
@@ -200,12 +199,8 @@ let run ctx g =
       let continue_ = ref true in
       while !continue_ do
         continue_ := false;
-        let allocs =
-          G.fold_instrs g
-            (fun acc id ->
-              match G.kind g id with New _ -> id :: acc | _ -> acc)
-            []
-        in
+        let allocs = G.allocations g in
+        Phase.charge ctx (List.length allocs);
         (* Read each allocation's arguments when its turn comes: replacing
            an earlier one may have rewritten them. *)
         List.iter
@@ -235,10 +230,12 @@ let affected g ~since put =
       | _ -> ())
 
 (* [run]'s sweeps over the affected allocations, in the same decreasing
-   id order; a replacement queues what it affected into the same sweep
-   when the whole-graph sweep would still reach it (a smaller id), else
-   into the next.  The unreachable-block sweep only runs when the CFG
-   changed: the clean run left no unreachable block. *)
+   id order (the allocation index's; PEA creates no allocation, so the
+   index taken at a sweep's start holds every one the sweep can reach);
+   a replacement queues what it affected into the same sweep when the
+   whole-graph sweep would still reach it (a smaller id), else into the
+   next.  The unreachable-block sweep only runs when the CFG changed:
+   the clean run left no unreachable block. *)
 let run_region ctx g (c : Ir.Analyses.clean) =
   match ctx.Phase.program with
   | None -> false
@@ -258,18 +255,19 @@ let run_region ctx g (c : Ir.Analyses.clean) =
       while !continue_ do
         continue_ := false;
         let next = Ir.Bitset.create (G.n_instrs g) in
-        for alloc = G.n_instrs g - 1 downto 0 do
-          if Ir.Bitset.mem !cur alloc then begin
-            Phase.charge ctx 1;
-            let mark = G.log_length g in
-            if try_replace program g alloc then begin
-              changed := true;
-              continue_ := true
-            end;
-            affected g ~since:mark (fun a ->
-                Ir.Bitset.add (if a < alloc then !cur else next) a)
-          end
-        done;
+        List.iter
+          (fun alloc ->
+            if Ir.Bitset.mem !cur alloc then begin
+              Phase.charge ctx 1;
+              let mark = G.log_length g in
+              if try_replace program g alloc then begin
+                changed := true;
+                continue_ := true
+              end;
+              affected g ~since:mark (fun a ->
+                  Ir.Bitset.add (if a < alloc then !cur else next) a)
+            end)
+          (G.allocations g);
         cur := next
       done;
       !changed

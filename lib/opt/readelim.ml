@@ -19,38 +19,36 @@ let class_fields ctx cls =
         (fun c -> c.Ir.Program.fields)
         (Ir.Program.find_class p cls)
 
-(** Process one block's instructions over an incoming state; applies
-    replacements.  Returns the outgoing state and whether anything
-    changed. *)
+(** Process one block's effect chain over an incoming state (no other
+    instruction reads or writes memory); applies replacements and
+    charges 1 for the block plus 1 per chain member.  Returns the
+    outgoing state and whether anything changed. *)
 let process_block ctx g bid st =
   let changed = ref false in
   let state = ref st in
-  List.iter
-    (fun id ->
-      if G.instr_exists g id then begin
-        let kind = G.kind g id in
-        let st', redundant = Memstate.transfer !state id kind in
-        (match redundant with
-        | Some v ->
-            G.replace_uses g id ~by:v;
-            G.remove_instr g id;
-            changed := true
-        | None -> ());
-        let st' =
-          match kind with
-          | New (cls, args) -> (
-              match class_fields ctx cls with
-              | Some fields -> Memstate.seed_new st' ~fields id args
-              | None -> st')
-          | _ -> st'
-        in
-        state := st'
-      end)
-    (G.block_instrs g bid);
+  Phase.charge ctx 1;
+  G.iter_effects g bid (fun id ->
+      Phase.charge ctx 1;
+      let kind = G.kind g id in
+      let st', redundant = Memstate.transfer !state id kind in
+      (match redundant with
+      | Some v ->
+          G.replace_uses g id ~by:v;
+          G.remove_instr g id;
+          changed := true
+      | None -> ());
+      let st' =
+        match kind with
+        | New (cls, args) -> (
+            match class_fields ctx cls with
+            | Some fields -> Memstate.seed_new st' ~fields id args
+            | None -> st')
+        | _ -> st'
+      in
+      state := st');
   (!state, !changed)
 
 let run ctx g =
-  Phase.charge_graph ctx g;
   let dom = Ir.Analyses.dom g in
   let changed = ref false in
   let rec visit st bid =
@@ -116,7 +114,6 @@ let run_region ctx g (c : Ir.Analyses.clean) =
           | [ p ] when b <> G.entry g -> out_state p
           | _ -> Memstate.empty
         and run_block b =
-          Phase.charge ctx (G.block_size g b);
           let st, c = process_block ctx g b (in_state b) in
           Hashtbl.replace out b st;
           if c then changed := true;

@@ -3,27 +3,29 @@
 
 module G = Ir.Graph
 
+(* Calls [f] once on every id with a [what] entry at or after [since]
+   that [live] accepts.  An empty range returns before allocating the
+   arena-sized seen set: the region forms call this after every block
+   or allocation they examine, mostly with nothing logged since. *)
+let iter_logged what ~live ~size g ~since f =
+  if since < G.log_length g then begin
+    let seen = Ir.Bitset.create size in
+    G.iter_log g ~since (fun w id ->
+        if w = what && live id && not (Ir.Bitset.mem seen id) then begin
+          Ir.Bitset.add seen id;
+          f id
+        end)
+  end
+
 (** Calls [f] once on every live instruction with an [Instr] entry at or
     after [since]: created, rewritten or moved since. *)
 let iter_instrs g ~since f =
-  let seen = Ir.Bitset.create (G.n_instrs g) in
-  G.iter_log g ~since (fun what id ->
-      if what = G.Instr && G.instr_exists g id && not (Ir.Bitset.mem seen id)
-      then begin
-        Ir.Bitset.add seen id;
-        f id
-      end)
+  iter_logged G.Instr ~live:(G.instr_exists g) ~size:(G.n_instrs g) g ~since f
 
 (** Calls [f] once on every live block with a [Cfg] entry at or after
     [since]. *)
 let iter_cfg_blocks g ~since f =
-  let seen = Ir.Bitset.create (G.n_blocks g) in
-  G.iter_log g ~since (fun what id ->
-      if what = G.Cfg && G.block_exists g id && not (Ir.Bitset.mem seen id)
-      then begin
-        Ir.Bitset.add seen id;
-        f id
-      end)
+  iter_logged G.Cfg ~live:(G.block_exists g) ~size:(G.n_blocks g) g ~since f
 
 (** Calls [f] on every live instruction that reads [v]. *)
 let iter_instr_users g v f =

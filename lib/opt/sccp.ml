@@ -10,8 +10,9 @@
 
     The analysis state is arena-shaped: the lattice is an unboxed pair of
     int arrays (tag + payload) indexed by instruction id, executable
-    edges and visited blocks are {!Ir.Bitset}s, and the worklists carry
-    plain ints — the propagation loop allocates nothing.
+    edges (one bit per predecessor slot) and visited blocks are
+    {!Ir.Bitset}s, and the worklists carry plain ints — the propagation
+    loop allocates nothing.
 
     The transformation step replaces lattice-constant instructions with
     [Const] nodes and folds decided branches; unreachable blocks are then
@@ -63,7 +64,10 @@ type state = {
   g : G.t;
   tag : Bytes.t;  (** lattice tag per instruction id *)
   pay : int array;  (** Cint payload per instruction id *)
-  edge_executable : Ir.Bitset.t;  (** pred * n_blocks + succ *)
+  edge_executable : Ir.Bitset.t;
+      (** bit [pred_slot.(s) + i]: the edge from [s]'s [i]-th
+          predecessor *)
+  pred_slot : int array;  (** first bit of each block's predecessors *)
   block_visited : Ir.Bitset.t;
   flow_worklist : stack;  (** encoded edges *)
   ssa_worklist : stack;
@@ -127,9 +131,6 @@ let set_value st v l =
     push st.ssa_worklist v
   end
 
-let edge_is_executable st p s =
-  Ir.Bitset.mem st.edge_executable ((p * st.n_blocks) + s)
-
 let eval_phi st phi =
   let bid = G.block_of st.g phi in
   match G.kind st.g phi with
@@ -137,7 +138,7 @@ let eval_phi st phi =
       let l = ref Top in
       let n = G.pred_count st.g bid in
       for i = 0 to n - 1 do
-        if edge_is_executable st (G.pred_nth st.g bid i) bid then
+        if Ir.Bitset.mem st.edge_executable (st.pred_slot.(bid) + i) then
           l := meet !l (lattice_of st inputs.(i))
       done;
       set_value st phi !l
@@ -168,12 +169,21 @@ let eval_terminator st bid =
 
 let analyze g =
   let nb = G.n_blocks g in
+  let pred_slot = Array.make (max 1 nb) 0 in
+  let n_slots =
+    G.fold_blocks g
+      (fun n b ->
+        pred_slot.(b) <- n;
+        n + G.pred_count g b)
+      0
+  in
   let st =
     {
       g;
       tag = Bytes.make (G.n_instrs g) '\000';
       pay = Array.make (G.n_instrs g) 0;
-      edge_executable = Ir.Bitset.create (nb * nb);
+      edge_executable = Ir.Bitset.create n_slots;
+      pred_slot;
       block_visited = Ir.Bitset.create nb;
       flow_worklist = stack_create nb;
       ssa_worklist = stack_create (G.n_instrs g);
@@ -202,9 +212,10 @@ let analyze g =
       continue_ := true;
       st.flow_worklist.top <- st.flow_worklist.top - 1;
       let e = st.flow_worklist.buf.(st.flow_worklist.top) in
-      let p = e / nb and s = e mod nb in
-      if not (edge_is_executable st p s) then begin
-        Ir.Bitset.add st.edge_executable e;
+      let s = e mod nb in
+      let bit = pred_slot.(s) + G.pred_index g s (e / nb) in
+      if not (Ir.Bitset.mem st.edge_executable bit) then begin
+        Ir.Bitset.add st.edge_executable bit;
         (* A newly executable edge re-evaluates the target's phis (their
            meet now includes this edge). *)
         G.iter_phis g s (fun phi -> eval_phi st phi);

@@ -230,7 +230,61 @@ let test_whole_run_charge () =
       ignore (Opt.Phase.run_pass ctx (classic name) g);
       Alcotest.(check int) (name ^ " charges the live count") live
         ctx.Opt.Phase.work)
-    [ "canon"; "sccp"; "gvn"; "condelim"; "readelim"; "pea"; "dce" ]
+    [ "canon"; "sccp"; "gvn"; "dce" ]
+
+(* Read elimination and conditional elimination walk the effect chains
+   of the blocks their dominator walk reaches: 1 per block plus 1 per
+   member.  PEA sweeps the unreachable blocks (1 per live block) and
+   then the allocation index (1 per allocation, per sweep: the sweep
+   that replaces the one allocation here, then an empty one). *)
+let test_effect_chain_charge () =
+  let src =
+    {|
+      class A { int x; }
+      int main(int n) {
+        A a = new A(n);
+        int s = 0;
+        int i = 0;
+        while (i < n) @0.9 {
+          if (a.x > i) @0.5 { a.x = a.x - 1; } else { s = s + a.x; }
+          i = i + 1;
+        }
+        if (a == null) { return 0; }
+        return s + a.x;
+      }
+    |}
+  in
+  let fresh () =
+    let prog = compile src in
+    ( Opt.Phase.create ~program:prog (),
+      Option.get (Ir.Program.find_function prog "main") )
+  in
+  let chain_walk g =
+    let n = ref 0 in
+    List.iter
+      (fun b ->
+        incr n;
+        G.iter_effects g b (fun _ -> incr n))
+      (G.rpo g);
+    !n
+  in
+  List.iter
+    (fun name ->
+      let ctx, g = fresh () in
+      let expected = chain_walk g in
+      Alcotest.(check bool) "a chain is shorter than its block" true
+        (expected < G.live_instr_count g + G.live_block_count g);
+      ignore (Opt.Phase.run_pass ctx (classic name) g);
+      Alcotest.(check int) (name ^ " charges its chain walk") expected
+        ctx.Opt.Phase.work)
+    [ "condelim"; "readelim" ];
+  let ctx, g = fresh () in
+  let expected = G.live_block_count g + List.length (G.allocations g) in
+  Alcotest.(check int) "one allocation" 1 (List.length (G.allocations g));
+  Alcotest.(check bool) "pea replaces it" true
+    (Opt.Phase.run_pass ctx (classic "pea") g);
+  Alcotest.(check int) "pea charges blocks and allocations" expected
+    ctx.Opt.Phase.work
 
 let suite =
   [
@@ -245,4 +299,5 @@ let suite =
     test "restore rewinds the log with the stamps" test_restore_rewinds_log;
     test "copy starts with an empty log" test_copy_starts_fresh;
     test "whole-graph run charges the live count" test_whole_run_charge;
+    test "whole-graph run charges effect chains" test_effect_chain_charge;
   ]

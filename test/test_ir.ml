@@ -213,6 +213,168 @@ let test_mutation_log () =
     (List.mem (G.Cfg, nb) (entries pos)
     && List.mem (G.Cfg, G.entry g) (entries pos))
 
+(* The effect chains and the allocation index against their
+   definitions: each block's body filtered to the member kinds, and the
+   live allocations by decreasing id. *)
+let chains_consistent g =
+  let chain_matches b =
+    let expected =
+      ref (List.filter (fun i -> G.effect_kind (G.kind g i)) (G.body g b))
+    in
+    (* Walked against the body, so a cyclic chain fails too. *)
+    match
+      G.iter_effects g b (fun i ->
+          match !expected with
+          | e :: rest when e = i -> expected := rest
+          | _ -> raise Exit)
+    with
+    | () -> !expected = []
+    | exception Exit -> false
+  in
+  G.fold_blocks g (fun ok b -> ok && chain_matches b) true
+  && G.allocations g
+     = G.fold_instrs g
+         (fun acc i -> match G.kind g i with New _ -> i :: acc | _ -> acc)
+         []
+
+(* A block's effect chain as a list, failing instead of running on
+   along a cyclic chain. *)
+let effects g b =
+  let acc = ref [] in
+  G.iter_effects g b (fun i ->
+      if List.length !acc >= G.block_size g b then
+        Alcotest.failf "effect chain of b%d is longer than the block" b;
+      acc := i :: !acc);
+  List.rev !acc
+
+let chain_state g =
+  (G.fold_blocks g (fun acc b -> (b, effects g b) :: acc) [], G.allocations g)
+
+let test_effect_chain () =
+  let g, phi, sum = figure1_graph () in
+  let merge = G.block_of g phi in
+  let x = 0 in
+  let check what = Alcotest.(check bool) what true (chains_consistent g) in
+  let ld = G.prepend g merge (Load (x, "f")) in
+  let st = G.append g merge (Store (x, "f", sum)) in
+  Alcotest.(check (list int)) "built in body order" [ ld; st ] (effects g merge);
+  (* [sum] sits between them: turning it into a compare links it in
+     place, turning it back unlinks it. *)
+  G.set_kind g sum (Cmp (Lt, phi, phi));
+  Alcotest.(check (list int)) "rewrite links in place" [ ld; sum; st ]
+    (effects g merge);
+  G.set_kind g sum (Binop (Add, phi, phi));
+  Alcotest.(check (list int)) "rewrite unlinks" [ ld; st ] (effects g merge);
+  (* A phi slot is never on the chain, whatever its kind. *)
+  G.set_kind g phi (Const 0);
+  G.set_kind g phi (Cmp (Eq, x, x));
+  Alcotest.(check (list int)) "phi slot stays off" [ ld; st ] (effects g merge);
+  G.detach g ld;
+  G.attach g ld merge;
+  Alcotest.(check (list int)) "attach goes last" [ st; ld ] (effects g merge);
+  let a = G.append g (G.entry g) (New ("C", [| x |])) in
+  let b = G.append g (G.entry g) (New ("C", [| x |])) in
+  Alcotest.(check (list int)) "allocations newest first" [ b; a ]
+    (G.allocations g);
+  G.set_kind g a (Const 1);
+  G.set_kind g a (New ("C", [| x |]));
+  Alcotest.(check (list int)) "a rewrite keeps id order" [ b; a ]
+    (G.allocations g);
+  check "consistent";
+  let snap = G.snapshot g and before = chain_state g in
+  G.remove_instr g b;
+  G.remove_instr g st;
+  check "consistent after removals";
+  G.restore g snap;
+  Alcotest.(check bool) "restore brings the chains back" true
+    (chain_state g = before);
+  let c = G.copy g in
+  G.remove_instr g a;
+  Alcotest.(check bool) "copy is independent" true
+    (chain_state c = before && chains_consistent c && chains_consistent g)
+
+(* Random mutation sequences keep the chains equal to their definitions
+   after every step.  No step touches the diamond's own instructions,
+   and generated ones read only its parameter and constant, so each is
+   unused and may be removed or moved freely. *)
+let prop_effect_chains seed =
+  let rs = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rs (List.length l)) in
+  let g, _, _ = figure1_graph () in
+  let x = 0 and zero = 1 in
+  let anchors = G.fold_instrs g (fun acc i -> i :: acc) [] in
+  let kind () =
+    match Random.State.int rs 11 with
+    | 0 -> Load (x, "f")
+    | 1 -> Store (x, "f", zero)
+    | 2 -> Load_global "g"
+    | 3 -> Store_global ("g", zero)
+    | 4 -> Call ("h", [| x |])
+    | 5 -> New ("C", [| zero |])
+    | 6 -> Cmp (Lt, x, zero)
+    | 7 -> Const (Random.State.int rs 9)
+    | 8 -> Binop (Add, x, zero)
+    | 9 -> Neg x
+    | _ -> Not zero
+  in
+  let movable () =
+    G.fold_instrs g
+      (fun acc i ->
+        if List.mem i anchors || G.block_of g i < 0 then acc else i :: acc)
+      []
+  in
+  let detached = ref [] in
+  let step () =
+    let blocks = G.fold_blocks g (fun acc b -> b :: acc) [] in
+    (match Random.State.int rs 9 with
+    | 0 -> ignore (G.append g (pick blocks) (kind ()))
+    | 1 -> ignore (G.prepend g (pick blocks) (kind ()))
+    | 2 | 3 -> (
+        match movable () with [] -> () | l -> G.set_kind g (pick l) (kind ()))
+    | 4 -> (
+        match movable () with
+        | [] -> ()
+        | l ->
+            let i = pick l in
+            G.detach g i;
+            detached := i :: !detached)
+    | 5 -> (
+        match !detached with
+        | [] -> ()
+        | i :: rest ->
+            detached := rest;
+            (if Random.State.bool rs then G.attach else G.attach_front)
+              g i (pick blocks))
+    | 6 -> (
+        match movable () with [] -> () | l -> G.remove_instr g (pick l))
+    | 7 ->
+        (* A block nothing reaches, swept with its members. *)
+        let b = G.add_block g in
+        for _ = 0 to Random.State.int rs 4 do
+          ignore (G.append g b (kind ()))
+        done;
+        ignore (G.remove_unreachable_blocks g)
+    | _ ->
+        let b = G.add_block g in
+        ignore (G.append g b (kind ()));
+        G.remove_block g b);
+    chains_consistent g
+  in
+  let rec steps n = n = 0 || (step () && steps (n - 1)) in
+  steps 25
+  &&
+  let snap = G.snapshot g and before = chain_state g in
+  let detached_before = !detached in
+  steps 10
+  && begin
+       G.restore g snap;
+       detached := detached_before;
+       chains_consistent g && chain_state g = before
+     end
+  &&
+  let copy = G.copy g in
+  step () && chains_consistent copy && chain_state copy = before
+
 let suite =
   [
     test "build diamond" test_build_diamond;
@@ -229,4 +391,8 @@ let suite =
     test "print/parse/print fixed point" test_print_parse_print_fixpoint;
     test "jobs byte-identical (progen)" test_jobs_byte_identical;
     test "mutation log" test_mutation_log;
+    test "effect chain and allocation index" test_effect_chain;
+    qtest ~count:300 "effect chains follow random mutations"
+      QCheck2.Gen.(int_bound 1_000_000)
+      prop_effect_chains;
   ]
