@@ -36,11 +36,6 @@ type service_opts = {
   svc_shutdown : bool;  (** ask the server to shut down *)
   queue_limit : int;  (** server admission-queue bound *)
   workers : int;  (** server compile workers and dispatchers *)
-  tenant : string option;  (** quota account presented by the client *)
-  lane : string option;  (** client priority lane (interactive/batch) *)
-  binary : bool;  (** negotiate the compact binary framing *)
-  tenant_rate : float;  (** front-door tokens per second per tenant *)
-  tenant_burst : float;  (** front-door token-bucket depth *)
 }
 
 let read_file path =
@@ -137,11 +132,8 @@ let run_serve ~sock svc =
     ~log:(fun line -> Format.eprintf "[dbdsc --serve] %s@." line)
     ~config:
       {
-        Service.Frontdoor.default_config with
-        fd_dispatchers = svc.workers;
+        Service.Frontdoor.fd_dispatchers = svc.workers;
         fd_queue_limit = svc.queue_limit;
-        fd_tenant_rate = svc.tenant_rate;
-        fd_tenant_burst = svc.tenant_burst;
       }
     ?fleet ~sock ~broker ()
 
@@ -180,8 +172,7 @@ let print_server_stats ~title ~broker ~store ~counts =
 
 let run_client ~sock ~config ~file svc =
   let c =
-    Service.Client.connect ~deadline_s:5.0 ?tenant:svc.tenant ?lane:svc.lane
-      ~binary:svc.binary ~sock ()
+    Service.Client.connect ~deadline_s:5.0 ~sock ()
   in
   Fun.protect
     ~finally:(fun () -> Service.Client.close c)
@@ -189,7 +180,7 @@ let run_client ~sock ~config ~file svc =
       compile_through ~mode:"--connect" ~config ~file svc (fun fn ir ->
           match
             Service.Client.compile_ex ?deadline_ms:svc.deadline_ms
-              ?delay_ms:svc.delay_ms ?lane:svc.lane ~config ~fn ~ir c
+              ?delay_ms:svc.delay_ms ~config ~fn ~ir c
           with
           | Ok (Service.Broker.Done { ir; _ }, _) -> ir
           | Ok (Service.Broker.Shed, Some retry_ms) ->
@@ -210,7 +201,7 @@ let run_client ~sock ~config ~file svc =
             let fld k = Service.Protocol.field_or reply k "" in
             print_server_stats ~title:"service" ~broker:(fld "broker")
               ~store:(fld "store") ~counts:(fld "counts");
-            (* The admission/lane/tenant-histogram counters. *)
+            (* The admission counters and the latency histogram. *)
             (match Service.Protocol.field reply "frontdoor" with
             | Some fd -> Format.printf "=== frontdoor ===@.%s@." fd
             | None -> ())
@@ -817,15 +808,11 @@ let serve_arg =
     & info [ "serve" ] ~docv:"SOCK"
         ~doc:
           "Run as a compilation server on Unix socket SOCK (no FILE \
-           needed).  The server is the async multi-tenant front door — a \
-           single-threaded poll-based event loop with per-tenant \
-           token-bucket quotas, interactive/batch priority lanes \
-           (weighted-deficit round-robin) and optional compact binary \
-           framing; overload is answered with a structured shed carrying \
-           a retry-after-ms hint.  Combine with $(b,--cache-dir) to \
-           persist artifacts, $(b,--service-workers) and \
-           $(b,--service-queue-limit) to size the broker and the front \
-           door.  Stops on a client's $(b,--service-shutdown).")
+           needed): a poll-based event loop in front of the broker.  \
+           Overload is answered with a structured shed carrying a \
+           retry-after-ms hint.  Combine with $(b,--cache-dir), \
+           $(b,--service-workers) and $(b,--service-queue-limit).  Stops \
+           on a client's $(b,--service-shutdown).")
 
 let connect_arg =
   Arg.(
@@ -993,56 +980,20 @@ let frontdoor_arg =
           "Accepted and ignored: the front door is the only server \
            $(b,--serve) runs.")
 
-let tenant_arg =
+let ignored_float_arg name =
   Arg.(
-    value
-    & opt (some string) None
-    & info [ "tenant" ] ~docv:"ID"
-        ~doc:
-          "With $(b,--connect): present this tenant id in the hello — \
-           the front door's quota account.")
+    value & opt float 0.0
+    & info [ name ] ~docv:"N"
+        ~doc:"Accepted and ignored: the front door has no per-client quota.")
 
-let lane_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "lane" ] ~docv:"LANE"
-        ~doc:
-          "With $(b,--connect): ride this priority lane \
-           ($(b,interactive) or $(b,batch), default batch) through a \
-           front door's admission queue.")
-
-let binary_arg =
-  Arg.(
-    value & flag
-    & info [ "binary" ]
-        ~doc:
-          "With $(b,--connect): negotiate the compact binary framing in \
-           the hello; the connection switches only when the server \
-           confirms, so against a text-only peer (the fleet \
-           coordinator) the client degrades to text and keeps working.")
-
-let tenant_rate_arg =
-  Arg.(
-    value & opt float 50.0
-    & info [ "tenant-rate" ] ~docv:"RPS"
-        ~doc:
-          "With $(b,--serve): per-tenant token refill rate (tokens per \
-           second).")
-
-let tenant_burst_arg =
-  Arg.(
-    value & opt float 100.0
-    & info [ "tenant-burst" ] ~docv:"N"
-        ~doc:
-          "With $(b,--serve): per-tenant token-bucket depth (burst \
-           allowance).")
+let tenant_rate_arg = ignored_float_arg "tenant-rate"
+let tenant_burst_arg = ignored_float_arg "tenant-burst"
 
 let service_opts_term =
   let make serve connect fleet_coord fleet_join fleet_connect node_id
       fleet_replicas fleet_beat_ms cache_dir cache_capacity canon deadline_ms
       delay_ms svc_stats svc_shutdown queue_limit workers (_frontdoor : bool)
-      tenant lane binary tenant_rate tenant_burst =
+      (_tenant_rate : float) (_tenant_burst : float) =
     {
       serve;
       connect;
@@ -1061,11 +1012,6 @@ let service_opts_term =
       svc_shutdown;
       queue_limit;
       workers;
-      tenant;
-      lane;
-      binary;
-      tenant_rate;
-      tenant_burst;
     }
   in
   Term.(
@@ -1074,7 +1020,7 @@ let service_opts_term =
     $ cache_dir_arg $ cache_capacity_arg $ canon_arg $ deadline_ms_arg
     $ service_delay_ms_arg $ service_stats_arg $ service_shutdown_arg
     $ service_queue_limit_arg $ service_workers_arg $ frontdoor_arg
-    $ tenant_arg $ lane_arg $ binary_arg $ tenant_rate_arg $ tenant_burst_arg)
+    $ tenant_rate_arg $ tenant_burst_arg)
 
 let sim_arg =
   Arg.(

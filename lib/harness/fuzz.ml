@@ -308,10 +308,10 @@ let run_service ?(graph_seeds = List.init 10 Fun.id) ?(plans_per_graph = 3)
     s_violations = List.rev !violations;
   }
 
-(* ---- frontdoor framing-decoder hardening ----------------------------- *)
+(* ---- frontdoor wire-decoder hardening -------------------------------- *)
 
 type frontdoor_result = {
-  f_decoder_cases : int;  (** byte strings fed to the pure decoders *)
+  f_decoder_cases : int;  (** byte strings fed to the pure decoder *)
   f_stream_cases : int;  (** chunked streams read by the blocking reader *)
   f_server_runs : int;  (** simulated garbage-client server runs *)
   f_rejected : int;  (** structured rejections observed end-to-end *)
@@ -324,99 +324,90 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
   in
   let rng = Random.State.make [| 0xf4d0; decoder_cases; server_seeds |] in
-  (* 1. The pure decoders on adversarial bytes: random garbage, valid
-     messages with one byte flipped, and every truncation of a valid
-     message.  Any outcome is fine — raising is the bug. *)
+  (* 1. The pure decoder on adversarial bytes: random garbage, garbage
+     behind the header prefix, valid messages with one byte flipped,
+     and every truncation of a valid message.  Any outcome is fine —
+     raising is the bug — except two: bytes that cannot begin
+     ["dbds/1 "] must be an [Err] at once, and newline-free bytes behind
+     the prefix must be an [Err] past [max_line_bytes]. *)
+  let module P = Service.Protocol in
   let random_message ?(rng = rng) () =
     let rand_string n =
       String.init (Random.State.int rng (n + 1)) (fun _ ->
           Char.chr (Random.State.int rng 256))
     in
-    let verbs =
-      [| "compile"; "reply"; "ping"; "stats"; "hello"; "lookup"; "a-verb" |]
-    in
+    let verbs = [| "compile"; "reply"; "ping"; "stats"; "lookup"; "a-verb" |] in
     {
-      Service.Protocol.verb =
-        verbs.(Random.State.int rng (Array.length verbs));
+      P.verb = verbs.(Random.State.int rng (Array.length verbs));
       fields =
         List.init (Random.State.int rng 4) (fun i ->
             (Printf.sprintf "f%d" i, rand_string 64));
     }
   in
-  let feed tag decode bytes =
-    match decode bytes with
-    | Service.Protocol.Msg _ | Service.Protocol.More
-    | Service.Protocol.Err _ ->
-        ()
-    | exception e ->
-        violate "%s decoder raised %s on %d bytes" tag (Printexc.to_string e)
-          (String.length bytes)
+  let header_prefix = "dbds/1 " in
+  let fits_prefix bytes =
+    let n = min (String.length bytes) (String.length header_prefix) in
+    String.sub bytes 0 n = String.sub header_prefix 0 n
   in
   let cases = ref 0 in
-  let feed_both bytes =
+  let feed bytes =
     incr cases;
-    feed "text" Service.Protocol.decode bytes;
-    feed "binary" Service.Protocol.decode_binary bytes
+    match P.decode bytes with
+    | P.Err _ -> ()
+    | (P.Msg _ | P.More) when not (fits_prefix bytes) ->
+        violate "decoder accepted %d bytes that cannot begin %S"
+          (String.length bytes) header_prefix
+    | P.Msg _ | P.More -> ()
+    | exception e ->
+        violate "decoder raised %s on %d bytes" (Printexc.to_string e)
+          (String.length bytes)
+  in
+  let noise n =
+    String.init (Random.State.int rng n) (fun _ ->
+        Char.chr (Random.State.int rng 256))
   in
   for _ = 1 to decoder_cases / 4 do
-    (* Pure noise, binary-magic-prefixed noise, and mutations /
-       truncations of well-formed renders in both framings. *)
-    feed_both
-      (String.init (Random.State.int rng 200) (fun _ ->
-           Char.chr (Random.State.int rng 256)));
-    feed_both
-      ("\xBF"
-      ^ String.init (Random.State.int rng 64) (fun _ ->
-            Char.chr (Random.State.int rng 256)));
+    feed (noise 200);
+    feed (header_prefix ^ noise 64);
     let m = random_message () in
-    let wire =
-      if Random.State.bool rng then Service.Protocol.render m
-      else Service.Protocol.render_binary m
-    in
+    let wire = P.render m in
     let mutated =
-      if wire = "" then wire
-      else
-        String.mapi
-          (fun i c ->
-            if i = Random.State.int rng (String.length wire) then
-              Char.chr (Random.State.int rng 256)
-            else c)
-          wire
+      String.mapi
+        (fun i c ->
+          if i = Random.State.int rng (String.length wire) then
+            Char.chr (Random.State.int rng 256)
+          else c)
+        wire
     in
-    feed_both mutated;
-    feed_both (String.sub wire 0 (Random.State.int rng (String.length wire + 1)))
+    feed mutated;
+    feed (String.sub wire 0 (Random.State.int rng (String.length wire + 1)))
   done;
-  (* The blocking reader over a chunked stream: 1-3 messages in either
-     framing — a text stream may switch mid-way with a [hello
-     framing=binary] — cut at random points into chunks that each travel
-     as one [send] over a simulated connection.  The reader must return
-     exactly the messages rendered; a truncated tail followed by a close
-     must fail as something other than a clean "eof". *)
-  let module P = Service.Protocol in
+  (* Newline-free bytes that do match the prefix stay bounded. *)
+  let long =
+    header_prefix
+    ^ String.init P.max_line_bytes (fun _ ->
+          Char.chr (32 + Random.State.int rng 95))
+  in
+  incr cases;
+  (match P.decode long with
+  | P.Err _ -> ()
+  | _ -> violate "%d newline-free bytes were not refused" (String.length long)
+  | exception e -> violate "decoder raised %s on a long line" (Printexc.to_string e));
+  (* The blocking reader over a chunked stream: 1-3 messages cut at
+     random points into chunks that each travel as one [send] over a
+     simulated connection.  The reader must return exactly the
+     messages rendered; a truncated tail followed by a close must fail
+     as something other than a clean "eof". *)
   let srng = Random.State.make [| 0x57e4; decoder_cases |] in
   let stream_cases = decoder_cases / 4 in
-  let switch = { P.verb = "hello"; fields = [ ("framing", "binary") ] } in
-  let switches m = m.P.verb = "hello" && P.field m "framing" = Some "binary" in
   for k = 1 to stream_cases do
-    let start = if Random.State.bool srng then P.Binary else P.Text in
-    (* A text stream switches at message [at], or not at all ([at = n]). *)
     let n = 1 + Random.State.int srng 3 in
-    let at = if start = P.Binary then n else Random.State.int srng (n + 1) in
-    let msgs =
-      List.init n (fun i ->
-          if i = at then switch else random_message ~rng:srng ())
-    in
+    let msgs = List.init n (fun _ -> random_message ~rng:srng ()) in
     let wire = Buffer.create 256 in
-    let framing =
-      List.fold_left
-        (fun framing m ->
-          Buffer.add_string wire (P.render_as framing m);
-          if switches m then P.Binary else framing)
-        start msgs
-    in
+    List.iter (fun m -> Buffer.add_string wire (P.render m)) msgs;
     let truncated = Random.State.bool srng in
     if truncated then begin
-      let w = P.render_as framing (random_message ~rng:srng ()) in
+      let w = P.render (random_message ~rng:srng ()) in
       Buffer.add_string wire
         (String.sub w 0 (1 + Random.State.int srng (String.length w - 1)))
     end;
@@ -442,15 +433,13 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
                 client.Service.Env.close_conn ())
           in
           let rd = P.reader () in
-          P.set_framing rd start;
           List.iter
             (fun m ->
               match P.receive rd server with
               | Ok got ->
                   if got <> m then
                     violate "stream %d: read %s, rendered %s" k got.P.verb
-                      m.P.verb;
-                  if switches got then P.set_framing rd P.Binary
+                      m.P.verb
               | Error e -> violate "stream %d: %s before the end" k e)
             msgs;
           (match (P.receive rd server, truncated) with

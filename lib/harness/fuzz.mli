@@ -48,28 +48,30 @@ val run_service :
   service_result
 
 type frontdoor_result = {
-  f_decoder_cases : int;  (** byte strings fed to the pure decoders *)
+  f_decoder_cases : int;  (** byte strings fed to the pure decoder *)
   f_stream_cases : int;  (** chunked streams read by the blocking reader *)
   f_server_runs : int;  (** simulated garbage-client server runs *)
   f_rejected : int;  (** structured rejections observed end-to-end *)
   f_violations : string list;  (** hardening breaches; [[]] = pass *)
 }
 
-(** Fuzz the frontdoor's framing decoders.  Two layers: the pure
-    incremental decoders ({!Service.Protocol.decode} /
-    [decode_binary]) on random garbage, magic-prefixed garbage, and
-    mutations/truncations of well-formed messages in both framings —
-    any structured outcome is acceptable, raising is the bug; the
-    blocking {!Service.Protocol.receive} on [decoder_cases / 4] streams
-    of 1–3 rendered messages (text, binary, or text switching to binary
-    by [hello framing=binary]) cut into random chunks over a simulated
-    connection — it must return exactly those messages, and a truncated
-    tail before the close must not read as a clean ["eof"]; then
-    [server_seeds] simulated garbage-client runs against a live
-    {!Service.Frontdoor} — junk must earn a structured rejection or a
-    clean close (never an escaping exception or a wedged event loop),
-    and a fresh well-formed connection must still be served
-    afterwards.  Everything is seeded; violations reproduce. *)
+(** Fuzz the frontdoor's wire decoder.  Two layers: the pure
+    incremental decoder ({!Service.Protocol.decode}) on random garbage,
+    garbage behind the ["dbds/1 "] header prefix, and
+    mutations/truncations of well-formed messages — any structured
+    outcome is acceptable and raising is the bug, except that bytes
+    which cannot begin ["dbds/1 "] must be an [Err] at once and a
+    newline-free line behind the prefix must be an [Err] past
+    [max_line_bytes]; the blocking {!Service.Protocol.receive} on
+    [decoder_cases / 4] streams of 1–3 rendered messages cut into
+    random chunks over a simulated connection — it must return exactly
+    those messages, and a truncated tail before the close must not
+    read as a clean ["eof"]; then [server_seeds] simulated
+    garbage-client runs against a live {!Service.Frontdoor} — junk
+    must earn a structured rejection or a clean close (never an
+    escaping exception or a wedged event loop), and a fresh
+    well-formed connection must still be served afterwards.
+    Everything is seeded; violations reproduce. *)
 val run_frontdoor :
   ?decoder_cases:int -> ?server_seeds:int -> unit -> frontdoor_result
 

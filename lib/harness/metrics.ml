@@ -85,7 +85,7 @@ type service_row = {
 }
 
 (** One offered-load point of the frontdoor overload sweep (simulated;
-    latencies are interactive-lane client-observed virtual time). *)
+    latencies are client-observed virtual time of completed requests). *)
 type frontdoor_point = {
   fd_mult : float;  (** offered load as a multiple of capacity *)
   fd_sent : int;

@@ -78,10 +78,9 @@ type service_row = {
 
 (** One offered-load point of the frontdoor overload sweep, measured
     under the deterministic simulator: open-loop arrivals at
-    [fd_mult] times the broker's service capacity, split over an
-    interactive and a batch tenant with mixed text/binary framing.
-    Latencies are client-observed virtual time on the {e interactive}
-    lane — the lane the acceptance gate holds to its p99 bound. *)
+    [fd_mult] times the broker's service capacity.  Latencies are
+    client-observed virtual time over every completed request — the
+    acceptance gate holds their p99 to its bound. *)
 type frontdoor_point = {
   fd_mult : float;  (** offered load as a multiple of capacity *)
   fd_sent : int;  (** requests fired at this point *)
@@ -89,7 +88,7 @@ type frontdoor_point = {
   fd_shed : int;  (** refused by admission control *)
   fd_failed : int;  (** anything else (transport, timeout, ...) *)
   fd_goodput_rps : float;  (** completed artifacts per virtual second *)
-  fd_p99_ms : float;  (** interactive-lane client-observed latency *)
+  fd_p99_ms : float;  (** client-observed latency of completed requests *)
   fd_retry_after_ok : bool;  (** every shed carried a retry-after hint *)
 }
 

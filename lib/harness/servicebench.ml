@@ -138,7 +138,7 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
   let sched = Simtest.Sched.create ~seed:(seed + idx) () in
   let io = Simtest.Simio.create sched in
   let env = Simtest.Simio.env io in
-  let lat_interactive = ref [] in
+  let latencies = ref [] in
   let n_done = ref 0 and n_shed = ref 0 and n_failed = ref 0 in
   let hints_ok = ref true and identical = ref true in
   let finish_t = ref 0.0 in
@@ -149,13 +149,8 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
         in
         let fd_config =
           {
-            Service.Frontdoor.default_config with
-            fd_dispatchers = workers;
+            Service.Frontdoor.fd_dispatchers = workers;
             fd_queue_limit = queue_limit;
-            (* The sweep measures lane scheduling and queue shed; the
-               per-tenant quota is neutralized (it has its own tests). *)
-            fd_tenant_rate = 1e9;
-            fd_tenant_burst = 1e9;
           }
         in
         let srv =
@@ -165,22 +160,17 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
         in
         (* Open-loop arrivals: request [j] fires at j/offered seconds
            regardless of how its predecessors fared — overload does not
-           self-throttle.  Even requests ride the interactive lane, odd
-           ones batch; framing is mixed across both. *)
+           self-throttle. *)
         let fibers =
           List.init requests (fun j ->
               env.Service.Env.spawn (Printf.sprintf "load-%d" j) (fun () ->
                   let at = float_of_int j /. offered in
                   let now = env.Service.Env.mono () in
                   if at > now then env.Service.Env.sleep (at -. now);
-                  let interactive = j mod 2 = 0 in
-                  let lane = if interactive then "interactive" else "batch" in
-                  let binary = j mod 4 = 1 || j mod 4 = 2 in
                   let fn, ir, expected = pool.(j mod npool) in
                   match
                     Service.Client.connect ~env ~deadline_s:5.0
-                      ~io_deadline_s:600. ~tenant:lane ~lane ~binary
-                      ~sock:"/fd" ()
+                      ~io_deadline_s:600. ~sock:"/fd" ()
                   with
                   | exception _ -> incr n_failed
                   | c ->
@@ -194,9 +184,7 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
                           if got <> expected then identical := false;
                           let t1 = env.Service.Env.mono () in
                           if t1 > !finish_t then finish_t := t1;
-                          if interactive then
-                            lat_interactive :=
-                              ((t1 -. t0) *. 1000.) :: !lat_interactive
+                          latencies := ((t1 -. t0) *. 1000.) :: !latencies
                       | Ok (Service.Broker.Shed, hint) ->
                           incr n_shed;
                           if hint = None then hints_ok := false
@@ -227,7 +215,7 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
       fd_shed = !n_shed;
       fd_failed = !n_failed;
       fd_goodput_rps = goodput;
-      fd_p99_ms = percentile 0.99 !lat_interactive;
+      fd_p99_ms = percentile 0.99 !latencies;
       fd_retry_after_ok = !hints_ok;
     },
     !identical,

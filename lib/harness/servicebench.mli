@@ -25,15 +25,14 @@ val measure_suite : Workloads.Suite.t -> Metrics.service_row
     capacity at [capacity_rps] ([workers]/[delay]), fronted by the
     event-loop {!Service.Frontdoor}, swept with open-loop arrivals at
     each multiple in [mults] of that capacity (default 0.5x, 1x, 2x
-    and 4x).  Requests split over an interactive and a batch tenant
-    with mixed text/binary framing; each is a {e distinct} function
-    (its own generator seed), so neither broker coalescing nor the
-    artifact store can flatter the numbers.
+    and 4x).  Each request is a {e distinct} function (its own
+    generator seed), so neither broker coalescing nor the artifact
+    store can flatter the numbers.
 
-    [queue_limit] (default 2 per lane) is deliberately tight: overload
-    is shed at admission with a retry-after hint instead of queueing
-    deep, which is what keeps the interactive p99 bounded at 2x — the
-    acceptance gate.  Virtual time makes the row deterministic for a
+    [queue_limit] (default 2) is deliberately tight: overload is shed
+    at admission with a retry-after hint instead of queueing deep,
+    which is what keeps the p99 bounded at 2x — the acceptance
+    gate.  Virtual time makes the row deterministic for a
     given [seed]; wall-clock only pays for the native compiles. *)
 val load_sweep :
   ?capacity_rps:float ->

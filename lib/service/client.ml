@@ -4,7 +4,7 @@ type t = {
   env : Env.t;
   conn : Env.conn;
   io_deadline_s : float;
-  rd : Protocol.reader;  (** its framing is negotiated by [hello] *)
+  rd : Protocol.reader;
 }
 
 exception
@@ -30,7 +30,7 @@ let roundtrip t (m : Protocol.message) =
     if t.io_deadline_s = Float.infinity then Float.infinity
     else t.env.Env.mono () +. t.io_deadline_s
   in
-  match t.conn.Env.send (Protocol.render_as (Protocol.framing t.rd) m) with
+  match t.conn.Env.send (Protocol.render m) with
   | () -> (
       match Protocol.receive ~deadline t.rd t.conn with
       | Error "eof" -> Error "transport: connection closed"
@@ -38,42 +38,18 @@ let roundtrip t (m : Protocol.message) =
   | exception Env.Net (err, _) ->
       Error ("transport: " ^ Env.net_err_to_string err)
 
-(* Introduce this connection to a frontdoor: tenant id, default lane,
-   and optionally the binary framing (switched only once the server
-   confirms it).  A text-only peer — the fleet coordinator — answers
-   [rejected]: the client degrades to anonymous text and keeps
-   working. *)
-let hello ?tenant ?lane ~binary t =
-  let opt name v = Option.to_list (Option.map (fun x -> (name, x)) v) in
-  let fields =
-    opt "tenant" tenant @ opt "lane" lane
-    @ if binary then [ ("framing", "binary") ] else []
-  in
-  match roundtrip t { Protocol.verb = "hello"; fields } with
-  | Ok m when Protocol.field m "status" = Some "ok" ->
-      if binary && Protocol.field m "framing" = Some "binary" then
-        Protocol.set_framing t.rd Protocol.Binary;
-      true
-  | Ok _ | Error _ -> false
-
 (* Full-jitter exponential backoff: the [k]-th retry sleeps a uniform
    draw from [0, min (base * 2^k) cap] — seeded through the
    environment, so a simulated run replays the same waits.  Retries
    stop once the next attempt could not start before [deadline_s] has
    elapsed. *)
 let connect ?(env = Env.real) ?(deadline_s = 0.) ?(base_backoff_s = 0.02)
-    ?(max_backoff_s = 1.0) ?(io_deadline_s = Float.infinity) ?tenant ?lane
-    ?(binary = false) ~sock () =
+    ?(max_backoff_s = 1.0) ?(io_deadline_s = Float.infinity) ~sock () =
   let start = env.Env.mono () in
   let give_up = start +. deadline_s in
   let rec attempt k =
     match env.Env.connect sock with
-    | conn ->
-        let t = { env; conn; io_deadline_s; rd = Protocol.reader () } in
-        (match (tenant, lane, binary) with
-        | None, None, false -> ()
-        | _ -> ignore (hello ?tenant ?lane ~binary t));
-        t
+    | conn -> { env; conn; io_deadline_s; rd = Protocol.reader () }
     | exception Env.Net (((Env.Not_found | Env.Refused) as last), _) ->
         let backoff =
           let cap = Float.min max_backoff_s (base_backoff_s *. (2. ** float_of_int k)) in
@@ -103,7 +79,7 @@ let ping t =
   | Ok m -> Protocol.field m "status" = Some "ok"
   | Error _ -> false
 
-let compile_msg ?deadline_ms ?delay_ms ?lane ~config ~fn ~ir () =
+let compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir () =
   let opt name v =
     Option.to_list (Option.map (fun n -> (name, string_of_int n)) v)
   in
@@ -112,7 +88,6 @@ let compile_msg ?deadline_ms ?delay_ms ?lane ~config ~fn ~ir () =
     fields =
       [ ("config", Dbds.Config.to_line config); ("fn", fn); ("ir", ir) ]
       @ opt "deadline-ms" deadline_ms @ opt "delay-ms" delay_ms
-      @ Option.to_list (Option.map (fun l -> ("lane", l)) lane)
       (* [Config.to_line] deliberately drops the fault plan (it must
          not split the artifact digest), so injection travels as its
          own test-hook header, like [delay-ms]. *)
@@ -126,9 +101,9 @@ let compile ?deadline_ms ?delay_ms ~config ~fn ~ir t =
     (roundtrip t (compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir ()))
     Protocol.outcome_of_reply
 
-let compile_ex ?deadline_ms ?delay_ms ?lane ~config ~fn ~ir t =
+let compile_ex ?deadline_ms ?delay_ms ~config ~fn ~ir t =
   Result.bind
-    (roundtrip t (compile_msg ?deadline_ms ?delay_ms ?lane ~config ~fn ~ir ()))
+    (roundtrip t (compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir ()))
     (fun reply ->
       Result.map
         (fun o -> (o, Protocol.retry_after_of_reply reply))

@@ -21,24 +21,13 @@ exception
     whole dance (default 0 — a single attempt, no waiting);
     {!Connect_failed} reports exhaustion.  [io_deadline_s] bounds each
     later request/reply round-trip (default: none).  [env] defaults to
-    {!Env.real}.
-
-    [tenant], [lane] and [binary] introduce the connection to a
-    frontdoor with a [hello] once connected: [tenant] names the quota
-    account, [lane] ("interactive"/"batch") sets the default priority
-    lane, and [binary] requests the compact framing — switched only
-    when the server confirms it, so against a text-only peer (the
-    fleet coordinator, which rejects the unknown verb) the client
-    degrades to anonymous text and keeps working. *)
+    {!Env.real}. *)
 val connect :
   ?env:Env.t ->
   ?deadline_s:float ->
   ?base_backoff_s:float ->
   ?max_backoff_s:float ->
   ?io_deadline_s:float ->
-  ?tenant:string ->
-  ?lane:string ->
-  ?binary:bool ->
   sock:string ->
   unit ->
   t
@@ -72,7 +61,6 @@ val compile :
 val compile_msg :
   ?deadline_ms:int ->
   ?delay_ms:int ->
-  ?lane:string ->
   config:Dbds.Config.t ->
   fn:string ->
   ir:string ->
@@ -80,12 +68,10 @@ val compile_msg :
   Protocol.message
 
 (** {!compile}, also surfacing the structured backoff hint a frontdoor
-    shed carries ([retry-after-ms]) and an optional per-request [lane]
-    override. *)
+    shed carries ([retry-after-ms]). *)
 val compile_ex :
   ?deadline_ms:int ->
   ?delay_ms:int ->
-  ?lane:string ->
   config:Dbds.Config.t ->
   fn:string ->
   ir:string ->

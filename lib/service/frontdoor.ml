@@ -1,4 +1,4 @@
-(** The async multi-tenant front door — see the interface. *)
+(** The compile service's event-loop front door — see the interface. *)
 
 (* ---- latency histograms ---------------------------------------------- *)
 
@@ -39,152 +39,36 @@ module Hist = struct
       go 0 0
 end
 
-(* ---- per-tenant token buckets ---------------------------------------- *)
-
-module Quota = struct
-  type t = {
-    rate : float;  (** tokens per second *)
-    burst : float;
-    mutable tokens : float;
-    mutable last : float;  (** mono time of the last refill *)
-  }
-
-  let create ~rate ~burst =
-    let burst = Float.max 1.0 burst in
-    { rate = Float.max 0.001 rate; burst; tokens = burst; last = Float.neg_infinity }
-
-  let refill t ~now =
-    if now > t.last then begin
-      t.tokens <- Float.min t.burst (t.tokens +. ((now -. t.last) *. t.rate));
-      t.last <- now
-    end
-
-  let try_take t ~now =
-    refill t ~now;
-    if t.tokens >= 1.0 then begin
-      t.tokens <- t.tokens -. 1.0;
-      true
-    end
-    else false
-
-  (* How long until one full token accrues — the structured backoff
-     hint a quota shed carries. *)
-  let retry_after_ms t =
-    max 1 (int_of_float (ceil ((1.0 -. t.tokens) /. t.rate *. 1000.0)))
-end
-
-(* ---- priority lanes with weighted-deficit dequeue -------------------- *)
-
-module Lanes = struct
-  type lane = Interactive | Batch
-
-  let lane_of_string = function "interactive" -> Interactive | _ -> Batch
-  let lane_to_string = function Interactive -> "interactive" | Batch -> "batch"
-
-  type 'a t = {
-    q_int : 'a Queue.t;
-    q_bat : 'a Queue.t;
-    w_int : float;
-    w_bat : float;
-    mutable def_int : float;
-    mutable def_bat : float;
-  }
-
-  let create ?(w_interactive = 3.0) ?(w_batch = 1.0) () =
-    {
-      q_int = Queue.create ();
-      q_bat = Queue.create ();
-      w_int = Float.max 1.0 w_interactive;
-      w_bat = Float.max 1.0 w_batch;
-      def_int = 0.0;
-      def_bat = 0.0;
-    }
-
-  let queue t = function Interactive -> t.q_int | Batch -> t.q_bat
-  let push t lane x = Queue.push x (queue t lane)
-  let length t lane = Queue.length (queue t lane)
-  let is_empty t = Queue.is_empty t.q_int && Queue.is_empty t.q_bat
-
-  (* Deficit round-robin: each round credits every backlogged lane its
-     weight and drains in priority order, so interactive wins the head
-     of every round but batch is guaranteed w_bat dequeues per round —
-     starvation-free by construction.  An idle lane's deficit resets:
-     priority cannot be hoarded while there is nothing to send. *)
-  let rec pop t =
-    if is_empty t then None
-    else if (not (Queue.is_empty t.q_int)) && t.def_int >= 1.0 then begin
-      t.def_int <- t.def_int -. 1.0;
-      Some (Queue.pop t.q_int)
-    end
-    else if (not (Queue.is_empty t.q_bat)) && t.def_bat >= 1.0 then begin
-      t.def_bat <- t.def_bat -. 1.0;
-      Some (Queue.pop t.q_bat)
-    end
-    else begin
-      if Queue.is_empty t.q_int then t.def_int <- 0.0
-      else t.def_int <- t.def_int +. t.w_int;
-      if Queue.is_empty t.q_bat then t.def_bat <- 0.0
-      else t.def_bat <- t.def_bat +. t.w_bat;
-      pop t
-    end
-end
-
 (* ---- configuration and state ----------------------------------------- *)
 
-type config = {
-  fd_dispatchers : int;
-  fd_queue_limit : int;
-  fd_tenant_rate : float;
-  fd_tenant_burst : float;
-  fd_w_interactive : float;
-  fd_w_batch : float;
-  fd_shed_retry_ms : int;
-}
+type config = { fd_dispatchers : int; fd_queue_limit : int }
 
-let default_config =
-  {
-    fd_dispatchers = 2;
-    fd_queue_limit = 64;
-    fd_tenant_rate = 50.0;
-    fd_tenant_burst = 100.0;
-    fd_w_interactive = 3.0;
-    fd_w_batch = 1.0;
-    fd_shed_retry_ms = 250;
-  }
+let default_config = { fd_dispatchers = 2; fd_queue_limit = 64 }
+
+(* The backoff hint every shed carries. *)
+let shed_retry_ms = 250
 
 type stats = {
   mutable fd_accepted : int;
   mutable fd_admitted : int;
   mutable fd_completed : int;
-  mutable fd_shed_quota : int;
-  mutable fd_shed_queue : int;
+  mutable fd_shed : int;
   mutable fd_proto_errors : int;
 }
 
-type tenant = {
-  tn_id : string;
-  tn_quota : Quota.t;
-  tn_hist : Hist.t;
-  mutable tn_admitted : int;
-  mutable tn_done : int;
-  mutable tn_shed : int;
-}
+(* One request's place in its connection's reply sequence: its rendered
+   reply once there is one. *)
+type slot = { mutable s_reply : string option }
 
-(* One request's place in its connection's reply sequence: the framing
-   the request arrived in, and its rendered reply once there is one. *)
-type slot = { s_framing : Protocol.framing; mutable s_reply : string option }
-
-(* One connection's state machine: its reader (unparsed inbound bytes
-   and current framing), pending out-bytes, and the reply sequence —
-   one slot per request whose reply has not yet moved to the out-bytes,
-   in request order.  Only the event loop touches a cstate; dispatchers
-   reference one solely as a completion address. *)
+(* One connection's state machine: its reader (unparsed inbound bytes),
+   pending out-bytes, and the reply sequence — one slot per request
+   whose reply has not yet moved to the out-bytes, in request order.
+   Only the event loop touches a cstate; dispatchers reference one
+   solely as a completion address. *)
 type cstate = {
   c_conn : Env.conn;
   c_rd : Protocol.reader;
   mutable c_out : string;
-  mutable c_tenant : tenant;
-  mutable c_lane : Lanes.lane;
   c_replies : slot Queue.t;
   mutable c_closing : bool;  (** no more input; close once drained *)
   mutable c_err : bool;  (** stream desynchronized; stop parsing *)
@@ -198,9 +82,9 @@ type job = {
   jb_slot : slot;
   jb_kind : kind;
   jb_msg : Protocol.message;
-  jb_tenant : tenant;
   jb_admit : float;  (** mono time of admission — queue wait counts *)
-  jb_deadline : float option;  (** absolute, mono *)
+  jb_deadline : (float option, string) result;
+      (** absolute, mono; [Error] names a malformed [deadline-ms] *)
 }
 
 type control = { stop : unit -> unit }
@@ -215,9 +99,9 @@ type t = {
   log : string -> unit;
   mx : Env.mutex;
   job_cond : Env.cond;
-  lanes : job Lanes.t;
+  jobs : job Queue.t;
   comps : (job * Protocol.message) Queue.t;
-  tenants : (string, tenant) Hashtbl.t;
+  hist : Hist.t;  (** admission-to-reply latency of every request *)
   stats : stats;
   mutable fleet : Fleet.node option;
   mutable conns : cstate list;
@@ -229,31 +113,13 @@ let locked fd f =
   fd.mx.Env.lock ();
   Fun.protect ~finally:(fun () -> fd.mx.Env.unlock ()) f
 
-let tenant fd id =
-  match Hashtbl.find_opt fd.tenants id with
-  | Some tn -> tn
-  | None ->
-      let tn =
-        {
-          tn_id = id;
-          tn_quota =
-            Quota.create ~rate:fd.cfg.fd_tenant_rate
-              ~burst:fd.cfg.fd_tenant_burst;
-          tn_hist = Hist.create ();
-          tn_admitted = 0;
-          tn_done = 0;
-          tn_shed = 0;
-        }
-      in
-      Hashtbl.replace fd.tenants id tn;
-      tn
-
 (* ---- replies ---------------------------------------------------------- *)
 
-let shed_reply retry_ms =
+let shed_reply =
   {
     Protocol.verb = "reply";
-    fields = [ ("status", "shed"); ("retry-after-ms", string_of_int retry_ms) ];
+    fields =
+      [ ("status", "shed"); ("retry-after-ms", string_of_int shed_retry_ms) ];
   }
 
 (* ---- connection I/O --------------------------------------------------- *)
@@ -274,7 +140,7 @@ let flush_out cs =
 
 (* The next place in [cs]'s reply sequence. *)
 let reserve cs =
-  let slot = { s_framing = Protocol.framing cs.c_rd; s_reply = None } in
+  let slot = { s_reply = None } in
   Queue.push slot cs.c_replies;
   slot
 
@@ -282,9 +148,7 @@ let reserve cs =
    head of the sequence to the out-bytes: replies leave in request
    order, however their requests were answered. *)
 let fill cs slot m =
-  slot.s_reply <-
-    Some
-      (if cs.c_dead then "" else Protocol.render_as slot.s_framing m);
+  slot.s_reply <- Some (if cs.c_dead then "" else Protocol.render m);
   let rec drain () =
     match Queue.peek_opt cs.c_replies with
     | Some { s_reply = Some r; _ } ->
@@ -326,24 +190,13 @@ let stats_reply fd =
   let fdline = Buffer.create 256 in
   locked fd (fun () ->
       Printf.bprintf fdline
-        "accepted=%d admitted=%d completed=%d shed_quota=%d shed_queue=%d \
-         proto_errors=%d queue_interactive=%d queue_batch=%d"
+        "accepted=%d admitted=%d completed=%d shed=%d proto_errors=%d \
+         queue=%d p50_ms=%g p95_ms=%g p99_ms=%g"
         fd.stats.fd_accepted fd.stats.fd_admitted fd.stats.fd_completed
-        fd.stats.fd_shed_quota fd.stats.fd_shed_queue fd.stats.fd_proto_errors
-        (Lanes.length fd.lanes Lanes.Interactive)
-        (Lanes.length fd.lanes Lanes.Batch);
-      let ids = Hashtbl.fold (fun id _ acc -> id :: acc) fd.tenants [] in
-      List.iter
-        (fun id ->
-          let tn = Hashtbl.find fd.tenants id in
-          Printf.bprintf fdline
-            "\ntenant=%s admitted=%d done=%d shed=%d p50_ms=%g p95_ms=%g \
-             p99_ms=%g"
-            tn.tn_id tn.tn_admitted tn.tn_done tn.tn_shed
-            (Hist.quantile tn.tn_hist 0.50)
-            (Hist.quantile tn.tn_hist 0.95)
-            (Hist.quantile tn.tn_hist 0.99))
-        (List.sort compare ids));
+        fd.stats.fd_shed fd.stats.fd_proto_errors (Queue.length fd.jobs)
+        (Hist.quantile fd.hist 0.50)
+        (Hist.quantile fd.hist 0.95)
+        (Hist.quantile fd.hist 0.99));
   Protocol.ok
     [
       ("broker", Format.asprintf "%a" Broker.pp_stats b);
@@ -351,22 +204,6 @@ let stats_reply fd =
       ("counts", Buffer.contents counts);
       ("frontdoor", Buffer.contents fdline);
     ]
-
-let handle_hello fd cs m =
-  let tenant_id = Protocol.field_or m "tenant" "default" in
-  cs.c_tenant <- locked fd (fun () -> tenant fd tenant_id);
-  cs.c_lane <- Lanes.lane_of_string (Protocol.field_or m "lane" "batch");
-  let binary = Protocol.field m "framing" = Some "binary" in
-  (* The confirmation travels in the framing the hello arrived in; only
-     messages after it switch. *)
-  reply cs
-    (Protocol.ok
-       [
-         ("framing", if binary then "binary" else "text");
-         ("tenant", tenant_id);
-         ("lane", Lanes.lane_to_string cs.c_lane);
-       ]);
-  if binary then Protocol.set_framing cs.c_rd Protocol.Binary
 
 let internal_error e =
   Protocol.rejected ("internal error: " ^ Printexc.to_string e)
@@ -380,45 +217,42 @@ let process fd ~memory_only j =
   let m = j.jb_msg in
   match j.jb_kind with
   | Compile -> (
-      match (Protocol.field m "fn", Protocol.field m "ir") with
-      | Some fn, Some ir ->
-          let expired =
-            match j.jb_deadline with
-            | Some d -> fd.env.Env.mono () >= d
-            | None -> false
-          in
-          if expired then Some (Protocol.reply_of_outcome Broker.Timed_out)
-          else begin
-            match Protocol.compile_config m with
-            | Error msg -> Some (Protocol.rejected msg)
-            | Ok config ->
-                (* The remaining budget, not the original: queue wait
-                   has already been charged against the deadline — all
-                   on the monotonic clock, so a wall step changes
-                   nothing. *)
-                let deadline_s =
-                  Option.map (fun d -> d -. fd.env.Env.mono ()) j.jb_deadline
-                in
-                let outcome =
-                  if memory_only then
-                    Broker.submit_in_memory ?deadline_s ~config ~fn ~ir
-                      fd.broker
-                  else
-                    Some
-                      (Broker.submit ?deadline_s
-                         ?delay_s:(Protocol.ms_field m "delay-ms")
-                         ~config ~fn ~ir fd.broker)
-                in
-                Option.map
-                  (fun outcome ->
-                    fd.log
-                      (Printf.sprintf "compile %s [%s] -> %s" fn
-                         j.jb_tenant.tn_id
-                         (Broker.outcome_label outcome));
-                    Protocol.reply_of_outcome outcome)
-                  outcome
-          end
-      | _ -> Some (Protocol.rejected "compile needs fn and ir fields"))
+      match
+        ( Protocol.field m "fn",
+          Protocol.field m "ir",
+          j.jb_deadline,
+          Protocol.ms_field m "delay-ms" )
+      with
+      | None, _, _, _ | _, None, _, _ ->
+          Some (Protocol.rejected "compile needs fn and ir fields")
+      | _, _, Error msg, _ | _, _, _, Error msg -> Some (Protocol.rejected msg)
+      | _, _, Ok (Some d), _ when fd.env.Env.mono () >= d ->
+          Some (Protocol.reply_of_outcome Broker.Timed_out)
+      | Some fn, Some ir, Ok deadline, Ok delay_s -> (
+          match Protocol.compile_config m with
+          | Error msg -> Some (Protocol.rejected msg)
+          | Ok config ->
+              (* The remaining budget, not the original: queue wait has
+                 already been charged against the deadline — all on the
+                 monotonic clock, so a wall step changes nothing. *)
+              let deadline_s =
+                Option.map (fun d -> d -. fd.env.Env.mono ()) deadline
+              in
+              let outcome =
+                if memory_only then
+                  Broker.submit_in_memory ?deadline_s ~config ~fn ~ir fd.broker
+                else
+                  Some
+                    (Broker.submit ?deadline_s ?delay_s ~config ~fn ~ir
+                       fd.broker)
+              in
+              Option.map
+                (fun outcome ->
+                  fd.log
+                    (Printf.sprintf "compile %s -> %s" fn
+                       (Broker.outcome_label outcome));
+                  Protocol.reply_of_outcome outcome)
+                outcome))
   | Lookup -> (
       match Protocol.field m "digest" with
       | None -> Some (Protocol.rejected "lookup needs a digest field")
@@ -439,77 +273,52 @@ let process fd ~memory_only j =
 let finish fd j reply =
   let lat_ms = (fd.env.Env.mono () -. j.jb_admit) *. 1000. in
   locked fd (fun () ->
-      Hist.add j.jb_tenant.tn_hist lat_ms;
-      j.jb_tenant.tn_done <- j.jb_tenant.tn_done + 1;
+      Hist.add fd.hist lat_ms;
       fd.stats.fd_completed <- fd.stats.fd_completed + 1);
   fill j.jb_cs j.jb_slot reply
 
-(* Admit a request: debit the tenant's quota, answer it here if that
-   needs no blocking, queue it for the dispatchers otherwise.
-   [debit:false] skips the tenant quota (the coordinator's [rebalance]
-   is fleet control, not tenant load); the lane bound still applies to
-   what queues. *)
-let admit ?(debit = true) fd cs kind m =
+(* Admit a request: answer it here if that needs no blocking, queue
+   it for the dispatchers otherwise, and shed it when the queue is
+   full. *)
+let admit fd cs kind m =
   let now = fd.env.Env.mono () in
-  let tn = cs.c_tenant in
   let slot = reserve cs in
-  let refusal =
-    locked fd (fun () ->
-        if fd.stopping then Some (Protocol.rejected "server is shutting down")
-        else if debit && not (Quota.try_take tn.tn_quota ~now) then begin
-          tn.tn_shed <- tn.tn_shed + 1;
-          fd.stats.fd_shed_quota <- fd.stats.fd_shed_quota + 1;
-          Some (shed_reply (Quota.retry_after_ms tn.tn_quota))
-        end
-        else None)
-  in
-  match refusal with
-  | Some r -> fill cs slot r
-  | None -> (
-      let j =
-        {
-          jb_cs = cs;
-          jb_slot = slot;
-          jb_kind = kind;
-          jb_msg = m;
-          jb_tenant = tn;
-          jb_admit = now;
-          jb_deadline =
-            Option.bind (Protocol.field m "deadline-ms") int_of_string_opt
-            |> Option.map (fun ms -> now +. (float_of_int ms /. 1000.0));
-        }
-      in
-      let count_admitted () =
-        tn.tn_admitted <- tn.tn_admitted + 1;
-        fd.stats.fd_admitted <- fd.stats.fd_admitted + 1
-      in
-      match
-        try process fd ~memory_only:true j with e -> Some (internal_error e)
-      with
-      | Some r ->
-          locked fd count_admitted;
-          finish fd j r
-      | None -> (
-          let lane =
-            match Protocol.field m "lane" with
-            | Some s -> Lanes.lane_of_string s
-            | None -> cs.c_lane
-          in
-          let queued =
-            locked fd (fun () ->
-                let full = Lanes.length fd.lanes lane >= fd.cfg.fd_queue_limit in
-                if full then begin
-                  tn.tn_shed <- tn.tn_shed + 1;
-                  fd.stats.fd_shed_queue <- fd.stats.fd_shed_queue + 1
-                end
-                else begin
-                  count_admitted ();
-                  Lanes.push fd.lanes lane j;
-                  fd.job_cond.Env.broadcast ()
-                end;
-                not full)
-          in
-          if not queued then fill cs slot (shed_reply fd.cfg.fd_shed_retry_ms)))
+  if locked fd (fun () -> fd.stopping) then
+    fill cs slot (Protocol.rejected "server is shutting down")
+  else
+    let j =
+      {
+        jb_cs = cs;
+        jb_slot = slot;
+        jb_kind = kind;
+        jb_msg = m;
+        jb_admit = now;
+        jb_deadline =
+          Result.map
+            (Option.map (fun s -> now +. s))
+            (Protocol.ms_field m "deadline-ms");
+      }
+    in
+    let count_admitted () = fd.stats.fd_admitted <- fd.stats.fd_admitted + 1 in
+    match
+      try process fd ~memory_only:true j with e -> Some (internal_error e)
+    with
+    | Some r ->
+        locked fd count_admitted;
+        finish fd j r
+    | None ->
+        let queued =
+          locked fd (fun () ->
+              let full = Queue.length fd.jobs >= fd.cfg.fd_queue_limit in
+              if full then fd.stats.fd_shed <- fd.stats.fd_shed + 1
+              else begin
+                count_admitted ();
+                Queue.push j fd.jobs;
+                fd.job_cond.Env.broadcast ()
+              end;
+              not full)
+        in
+        if not queued then fill cs slot shed_reply
 
 let initiate_stop ?(kill = false) fd =
   locked fd (fun () ->
@@ -530,7 +339,6 @@ let contained answer fd m =
 let handle_msg fd cs m =
   match m.Protocol.verb with
   | "ping" -> reply cs (Protocol.ok [])
-  | "hello" -> handle_hello fd cs m
   | "stats" -> reply cs (stats_reply fd)
   | "shutdown" ->
       fd.log "shutdown requested";
@@ -538,17 +346,17 @@ let handle_msg fd cs m =
       initiate_stop fd
   | "compile" -> admit fd cs Compile m
   | "lookup" -> admit fd cs Lookup m
-  (* Peer verbs are answered right here on the loop, without a quota
-     debit or a dispatcher slot: a dispatcher doing a federated lookup,
-     or a broker worker replicating, waits on a peer's fetch/push — if
-     those needed the peer's dispatchers too, two busy nodes could
-     deadlock each other.  Both touch only the local store. *)
+  (* Peer verbs are answered right here on the loop, without a
+     dispatcher slot: a dispatcher doing a federated lookup, or a broker
+     worker replicating, waits on a peer's fetch/push — if those needed
+     the peer's dispatchers too, two busy nodes could deadlock each
+     other.  Both touch only the local store. *)
   | "fetch" -> reply cs (contained Fleet.answer_fetch fd m)
   | "push" -> reply cs (contained Fleet.answer_push fd m)
   | "rebalance" -> (
       match fd.fleet with
       | None -> reply cs (Protocol.rejected "this node is not in a fleet")
-      | Some node -> admit ~debit:false fd cs (Rebalance node) m)
+      | Some node -> admit fd cs (Rebalance node) m)
   | verb -> reply cs (Protocol.rejected ("unknown verb: " ^ verb))
 
 let rec parse_loop fd cs =
@@ -600,7 +408,7 @@ let dispatcher fd () =
   let next () =
     fd.mx.Env.lock ();
     let rec wait () =
-      match Lanes.pop fd.lanes with
+      match Queue.take_opt fd.jobs with
       | Some j ->
           fd.mx.Env.unlock ();
           Some j
@@ -644,8 +452,6 @@ let accept_all fd =
               c_conn = conn;
               c_rd = Protocol.reader ();
               c_out = "";
-              c_tenant = locked fd (fun () -> tenant fd "default");
-              c_lane = Lanes.Batch;
               c_replies = Queue.create ();
               c_closing = false;
               c_err = false;
@@ -714,18 +520,15 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
       log;
       mx;
       job_cond = mx.Env.new_cond ();
-      lanes =
-        Lanes.create ~w_interactive:config.fd_w_interactive
-          ~w_batch:config.fd_w_batch ();
+      jobs = Queue.create ();
       comps = Queue.create ();
-      tenants = Hashtbl.create 8;
+      hist = Hist.create ();
       stats =
         {
           fd_accepted = 0;
           fd_admitted = 0;
           fd_completed = 0;
-          fd_shed_quota = 0;
-          fd_shed_queue = 0;
+          fd_shed = 0;
           fd_proto_errors = 0;
         };
       fleet = None;

@@ -22,83 +22,7 @@ let render m =
 
 let write_conn (c : Env.conn) m = c.Env.send (render m)
 
-(* ---- binary framing -------------------------------------------------- *)
-
-(* The compact frame negotiated by [hello framing=binary]:
-
-     frame = 0xBF vcode:u8 nfields:u8 field* ;
-     field = namelen:u8 name payloadlen:u32be payload ;
-
-   Verb codes below; code 0 is the extension escape — the verb string
-   travels as a leading "!verb" field, so the framing never constrains
-   the verb set. *)
-
-let binary_magic = '\xBF'
-
-let verb_codes =
-  [
-    ("compile", 1);
-    ("reply", 2);
-    ("ping", 3);
-    ("stats", 4);
-    ("shutdown", 5);
-    ("hello", 6);
-    ("lookup", 7);
-    ("fetch", 8);
-    ("push", 9);
-    ("join", 10);
-    ("beat", 11);
-    ("leave", 12);
-    ("view", 13);
-    ("rebalance", 14);
-  ]
-
-let code_of_verb v = List.assoc_opt v verb_codes
-
-let verb_of_code c =
-  List.find_map (fun (v, k) -> if k = c then Some v else None) verb_codes
-
-let render_binary m =
-  let code, fields =
-    match code_of_verb m.verb with
-    | Some c -> (c, m.fields)
-    | None -> (0, ("!verb", m.verb) :: m.fields)
-  in
-  if List.length fields > max_fields then
-    invalid_arg "Protocol.render_binary: too many fields";
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf binary_magic;
-  Buffer.add_char buf (Char.chr code);
-  Buffer.add_char buf (Char.chr (List.length fields));
-  List.iter
-    (fun (name, payload) ->
-      if String.length name > 255 then
-        invalid_arg "Protocol.render_binary: field name too long";
-      if String.length payload > max_field_bytes then
-        invalid_arg "Protocol.render_binary: field too large";
-      Buffer.add_char buf (Char.chr (String.length name));
-      Buffer.add_string buf name;
-      let l = String.length payload in
-      Buffer.add_char buf (Char.chr ((l lsr 24) land 0xff));
-      Buffer.add_char buf (Char.chr ((l lsr 16) land 0xff));
-      Buffer.add_char buf (Char.chr ((l lsr 8) land 0xff));
-      Buffer.add_char buf (Char.chr (l land 0xff));
-      Buffer.add_string buf payload)
-    fields;
-  Buffer.contents buf
-
-(* Resolve the verb of a decoded binary frame; code 0 pops "!verb". *)
-let resolve_binary_verb code fields =
-  if code = 0 then
-    match fields with
-    | ("!verb", v) :: rest when v <> "" -> Ok { verb = v; fields = rest }
-    | _ -> Error "extended frame missing verb"
-  else
-    match verb_of_code code with
-    | Some verb -> Ok { verb; fields }
-    | None -> Error (Printf.sprintf "unknown verb code %d" code)
-
-(* ---- incremental decoders -------------------------------------------- *)
+(* ---- the incremental decoder ------------------------------------------ *)
 
 type progress = Msg of message * int | More | Err of string
 
@@ -107,14 +31,20 @@ type progress = Msg of message * int | More | Err of string
    a newline-free stream. *)
 let max_line_bytes = 4096
 
-(* A field count or length: decimal digits only.  [int_of_string_opt]
-   would also take "0x10", "+3", "-0", "1_6" and "0b11".  Nine digits
-   cover every bound below without overflow. *)
+(* A field count, a field length or an integer header field: decimal
+   digits only.  [int_of_string_opt] would also take "0x10", "+3",
+   "-0", "1_6" and "0b11".  Nine digits cover every bound below without
+   overflow. *)
 let decimal s =
   let n = String.length s in
   if n > 0 && n <= 9 && String.for_all (fun c -> c >= '0' && c <= '9') s
   then Some (int_of_string s)
   else None
+
+(* Every message begins with this: once a stream's first bytes cannot,
+   it is not a dbds/1 stream, and waiting for a newline would only
+   buffer more of it. *)
+let header_prefix = magic ^ " "
 
 let decode buf =
   let len = String.length buf in
@@ -129,107 +59,56 @@ let decode buf =
     in
     find pos
   in
-  if len > 0 && buf.[0] = binary_magic then
-    (* A binary frame can sit newline-free inside the text decoder's
-       line bound forever — fail it fast; binary must be negotiated. *)
-    Err "binary frame without negotiation"
+  let rec prefix_ok i =
+    i >= min len (String.length header_prefix)
+    || (buf.[i] = header_prefix.[i] && prefix_ok (i + 1))
+  in
+  if not (prefix_ok 0) then Err "bad header: not a dbds/1 message"
   else
     match line_at 0 with
     | `More -> More
     | `Err e -> Err e
-  | `Line (header, pos) -> (
-      match String.split_on_char ' ' header with
-      | [ m; verb; n ] when m = magic -> (
-          match decimal n with
-          | Some n when n <= max_fields ->
-              let rec fields acc pos = function
-                | 0 -> Msg ({ verb; fields = List.rev acc }, pos)
-                | k -> (
-                    match line_at pos with
-                    | `More -> More
-                    | `Err e -> Err e
-                    | `Line (fheader, pos) -> (
-                        match String.split_on_char ' ' fheader with
-                        | [ name; l ] -> (
-                            match decimal l with
-                            | Some l when l <= max_field_bytes ->
-                                if pos + l + 1 > len then More
-                                else if buf.[pos + l] <> '\n' then
-                                  Err "missing payload terminator"
-                                else
-                                  fields
-                                    ((name, String.sub buf pos l) :: acc)
-                                    (pos + l + 1) (k - 1)
-                            | _ -> Err ("bad field length: " ^ fheader))
-                        | _ -> Err ("bad field header: " ^ fheader)))
-              in
-              fields [] pos n
-          | _ -> Err ("bad field count: " ^ header))
-      | _ -> Err ("bad header: " ^ header))
-
-let decode_binary buf =
-  let len = String.length buf in
-  if len = 0 then More
-  else if buf.[0] <> binary_magic then Err "bad binary magic"
-  else if len < 3 then More
-  else
-    let code = Char.code buf.[1] in
-    let nf = Char.code buf.[2] in
-    (* Reject an unknown verb code at the header — don't buffer its
-       fields first (code 0 is the extension escape, always valid). *)
-    if code <> 0 && verb_of_code code = None then
-      Err (Printf.sprintf "unknown verb code %d" code)
-    else if nf > max_fields then Err "too many fields"
-    else
-      let rec fields acc pos k =
-        if k = 0 then
-          match resolve_binary_verb code (List.rev acc) with
-          | Ok m -> Msg (m, pos)
-          | Error e -> Err e
-        else if pos >= len then More
-        else
-          let nlen = Char.code buf.[pos] in
-          if pos + 1 + nlen + 4 > len then More
-          else
-            let name = String.sub buf (pos + 1) nlen in
-            let lp = pos + 1 + nlen in
-            let plen =
-              (Char.code buf.[lp] lsl 24)
-              lor (Char.code buf.[lp + 1] lsl 16)
-              lor (Char.code buf.[lp + 2] lsl 8)
-              lor Char.code buf.[lp + 3]
-            in
-            if plen > max_field_bytes then Err "field too large"
-            else if lp + 4 + plen > len then More
-            else
-              fields
-                ((name, String.sub buf (lp + 4) plen) :: acc)
-                (lp + 4 + plen) (k - 1)
-      in
-      fields [] 3 nf
+    | `Line (header, pos) -> (
+        match String.split_on_char ' ' header with
+        | [ _; verb; n ] -> (
+            match decimal n with
+            | Some n when n <= max_fields ->
+                let rec fields acc pos = function
+                  | 0 -> Msg ({ verb; fields = List.rev acc }, pos)
+                  | k -> (
+                      match line_at pos with
+                      | `More -> More
+                      | `Err e -> Err e
+                      | `Line (fheader, pos) -> (
+                          match String.split_on_char ' ' fheader with
+                          | [ name; l ] -> (
+                              match decimal l with
+                              | Some l when l <= max_field_bytes ->
+                                  if pos + l + 1 > len then More
+                                  else if buf.[pos + l] <> '\n' then
+                                    Err "missing payload terminator"
+                                  else
+                                    fields
+                                      ((name, String.sub buf pos l) :: acc)
+                                      (pos + l + 1) (k - 1)
+                              | _ -> Err ("bad field length: " ^ fheader))
+                          | _ -> Err ("bad field header: " ^ fheader)))
+                in
+                fields [] pos n
+            | _ -> Err ("bad field count: " ^ header))
+        | _ -> Err ("bad header: " ^ header))
 
 (* ---- the per-connection reader --------------------------------------- *)
 
-type framing = Text | Binary
-
 (* [pending] is the unparsed head of the stream: bytes received but not
    yet part of a decoded message. *)
-type reader = { mutable pending : string; mutable framing : framing }
+type reader = { mutable pending : string }
 
-let reader () = { pending = ""; framing = Text }
-let framing r = r.framing
-let set_framing r f = r.framing <- f
-
-let render_as = function Text -> render | Binary -> render_binary
-
+let reader () = { pending = "" }
 let feed r s = r.pending <- (if r.pending = "" then s else r.pending ^ s)
 
 let next r =
-  let p =
-    match r.framing with
-    | Text -> decode r.pending
-    | Binary -> decode_binary r.pending
-  in
+  let p = decode r.pending in
   (match p with
   | Msg (_, used) ->
       r.pending <- String.sub r.pending used (String.length r.pending - used)
@@ -281,12 +160,19 @@ let read_conn ?deadline (c : Env.conn) =
 let field m name = List.assoc_opt name m.fields
 let field_or m name default = Option.value (field m name) ~default
 
+let int_field m name =
+  match field m name with
+  | None -> Ok None
+  | Some s -> (
+      match decimal s with
+      | Some n -> Ok (Some n)
+      | None -> Error (Printf.sprintf "malformed %s: %S" name s))
+
 let retry_after_of_reply m =
-  Option.bind (field m "retry-after-ms") int_of_string_opt
+  Result.value (int_field m "retry-after-ms") ~default:None
 
 let ms_field m name =
-  Option.bind (field m name) int_of_string_opt
-  |> Option.map (fun ms -> float_of_int ms /. 1000.)
+  Result.map (Option.map (fun ms -> float_of_int ms /. 1000.)) (int_field m name)
 
 let ok fields = { verb = "reply"; fields = ("status", "ok") :: fields }
 

@@ -1,6 +1,5 @@
 (** The wire protocol of the compilation service: a small
-    length-prefixed text protocol over a Unix-domain socket, with a
-    compact binary framing a connection may negotiate.
+    length-prefixed text protocol over a Unix-domain socket.
 
     A {e message} is a verb plus an ordered list of named fields.
     On the wire:
@@ -15,15 +14,14 @@
     v}
 
     Field payloads are length-prefixed, so IR text travels unescaped.
-    Each framing is parsed in exactly one place — {!decode} and
-    {!decode_binary}, pure and exception-free — and every connection
-    reads through a {!reader} built on them: the front door's event
-    loop, the clients, the fleet coordinator.
+    The wire is parsed in exactly one place — {!decode}, pure and
+    exception-free — and every connection reads through a {!reader}
+    built on it: the front door's event loop, the clients, the fleet
+    coordinator.
 
     Verbs (client → server): [compile] (fields [config], [fn], [ir],
-    optional [deadline-ms], [delay-ms], [lane], [inject]), [stats],
-    [ping], [shutdown], [hello] ([tenant], [lane], [framing]),
-    [lookup] ([digest]).  Fleet verbs: [fetch], [push] and
+    optional [deadline-ms], [delay-ms], [inject]), [stats], [ping],
+    [shutdown], [lookup] ([digest]).  Fleet verbs: [fetch], [push] and
     [rebalance] between nodes; [join], [beat], [leave] and [view] to
     the coordinator.
     Server → client: [reply] with a [status] field ([ok], [done],
@@ -35,94 +33,57 @@
 
 type message = { verb : string; fields : (string * string) list }
 
-(** Hard ceilings enforced by the decoders: per-field bytes and fields
+(** Hard ceilings enforced by the decoder: per-field bytes and fields
     per message.  Oversized input is a protocol error, not an
     allocation. *)
 val max_field_bytes : int
 
 val max_fields : int
 
-(** Render one message as its text wire form — what {!write_conn}
-    sends as one chunk. *)
+(** Render one message as its wire form — what {!write_conn} sends as
+    one chunk. *)
 val render : message -> string
 
-(** Send one message in the text framing: the whole message is
+(** Send one message: the whole message is
     rendered and sent as one chunk (so simulated chunk faults act on
     whole messages).  May raise {!Env.Net}. *)
 val write_conn : Env.conn -> message -> unit
-
-(** {1 Binary framing}
-
-    The compact frame negotiated per connection by
-    [hello framing=binary] (the text protocol stays the default):
-
-    {v
-    frame = 0xBF vcode:u8 nfields:u8 field* ;
-    field = namelen:u8 name payloadlen:u32be payload ;
-    v}
-
-    Verbs map to one-byte codes; code [0] is the extension escape —
-    the verb string travels as a leading ["!verb"] field, so new verbs
-    never need a framing bump. *)
-
-(** The frame magic byte, [0xBF]. *)
-val binary_magic : char
-
-val code_of_verb : string -> int option
-val verb_of_code : int -> string option
-
-(** Render one message as one binary frame (one send → one simulated
-    chunk, like {!render}'s text form). *)
-val render_binary : message -> string
 
 (** {1 Incremental decoding}
 
     Feed the unparsed head of a connection's stream, get back a
     complete message plus how many bytes it consumed, a request for
     more bytes, or a protocol error (the front door answers it and
-    closes the connection).  Pure functions — they never raise on any
+    closes the connection).  A pure function — it never raises on any
     input. *)
 
 type progress = Msg of message * int | More | Err of string
 
 (** A header/field-header line must terminate within this many bytes —
-    bounds buffer growth against newline-free garbage. *)
+    bounds buffer growth against newline-free garbage that begins like
+    a header. *)
 val max_line_bytes : int
 
-(** Incremental text-protocol decoder. *)
+(** Incremental decoder.  Bytes that cannot begin ["dbds/1 "] are an
+    [Err] as soon as they arrive, without waiting for a newline. *)
 val decode : string -> progress
-
-(** Incremental binary-frame decoder. *)
-val decode_binary : string -> progress
 
 (** {1 The per-connection reader}
 
-    A connection's unparsed bytes and its current framing.  The event
-    loop {!feed}s it whatever arrived and takes messages with {!next};
-    a blocking reader calls {!receive}, which decodes what is buffered
-    and, on [More], blocks in the conn's [recv] for more bytes.  One
-    reader per connection, one owner at a time. *)
-
-type framing = Text | Binary
+    A connection's unparsed bytes.  The event loop {!feed}s it whatever
+    arrived and takes messages with {!next}; a blocking reader calls
+    {!receive}, which decodes what is buffered and, on [More], blocks
+    in the conn's [recv] for more bytes.  One reader per connection,
+    one owner at a time. *)
 
 type reader
 
-(** A fresh reader, in the text framing. *)
 val reader : unit -> reader
-
-val framing : reader -> framing
-
-(** Switch the stream's framing from the next message on. *)
-val set_framing : reader -> framing -> unit
-
-(** {!render} or {!render_binary}. *)
-val render_as : framing -> message -> string
 
 (** Append received bytes. *)
 val feed : reader -> string -> unit
 
-(** Decode the next buffered message in the reader's framing; a [Msg]'s
-    bytes are consumed.  After [Err] the stream is desynchronized: the
+(** Decode the next buffered message; a [Msg]'s bytes are consumed.  After [Err] the stream is desynchronized: the
     reader answers the same [Err] again. *)
 val next : reader -> progress
 
@@ -134,8 +95,8 @@ val next : reader -> progress
 val receive :
   ?deadline:float -> reader -> Env.conn -> (message, string) result
 
-(** {!receive} for a caller holding only the connection: its reader
-    (text framing) is kept in a table keyed weakly by the conn. *)
+(** {!receive} for a caller holding only the connection: its reader is
+    kept in a table keyed weakly by the conn. *)
 val read_conn : ?deadline:float -> Env.conn -> (message, string) result
 
 (** First payload under [name], if present. *)
@@ -144,9 +105,11 @@ val field : message -> string -> string option
 (** {!field} with a default. *)
 val field_or : message -> string -> string -> string
 
-(** An integer millisecond field ([deadline-ms], [delay-ms]) in
-    seconds; [None] when absent or malformed. *)
-val ms_field : message -> string -> float option
+(** A millisecond header field ([deadline-ms], [delay-ms]) in seconds:
+    [Ok None] when absent, [Error] naming the field when present but
+    not decimal digits (at most nine) — the one integer-field parser,
+    which {!retry_after_of_reply} shares. *)
+val ms_field : message -> string -> (float option, string) result
 
 (** A [reply] with status [ok] and the given fields after it. *)
 val ok : (string * string) list -> message
@@ -171,7 +134,8 @@ val reply_of_outcome : Broker.outcome -> message
 val outcome_of_reply : message -> (Broker.outcome, string) result
 
 (** The structured backoff hint a shed reply carries
-    ([retry-after-ms]), when present and well-formed. *)
+    ([retry-after-ms]), when present and well-formed (decimal digits,
+    as for {!ms_field}). *)
 val retry_after_of_reply : message -> int option
 
 (** Protocol fields of a membership view ([epoch], [nodes]); used by

@@ -344,14 +344,9 @@ let run spec =
     and reconnect = function
       | [] -> ()
       | remaining -> (
-          (* Exercise the multi-tenant surface: each client is a
-             tenant, odd clients ride the batch lane, and every other
-             client negotiates the binary framing. *)
           match
             Service.Client.connect ~env ~deadline_s:10. ~io_deadline_s:120.
-              ~tenant:(Printf.sprintf "tenant-%d" i)
-              ~lane:(if i mod 2 = 0 then "interactive" else "batch")
-              ~binary:(i land 1 = 1) ~sock ()
+              ~sock ()
           with
           | conn -> serve_requests conn remaining
           | exception Service.Client.Connect_failed _ ->
@@ -464,7 +459,7 @@ let run spec =
             | exception Env.Net _ -> ()
             | conn ->
                 (try
-                   conn.Env.send "\xBFgarbage, not a negotiated frame\n";
+                   conn.Env.send "garbage, not a dbds/1 header\n";
                    match
                      Service.Protocol.receive
                        ~deadline:(env.Env.mono () +. 60.)

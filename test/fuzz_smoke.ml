@@ -57,10 +57,11 @@ end;
     Printf.eprintf "%d lab violation(s)\n" (List.length vs);
     exit 1)
 ;;
-(* Frontdoor framing hardening (satellite): adversarial bytes through
-   the pure decoders and garbage clients against a live simulated
-   frontdoor — junk earns a structured rejection or a clean close,
-   never an escaping exception or a wedged event loop. *)
+(* Frontdoor wire hardening: adversarial bytes through the pure decoder
+   (a stream that cannot begin "dbds/1 " is refused at once) and
+   garbage clients against a live simulated frontdoor — junk earns a
+   structured rejection or a clean close, never an escaping exception
+   or a wedged event loop. *)
 let f = Harness.Fuzz.run_frontdoor () in
 Printf.printf
   "fuzz frontdoor: %d decoder cases, %d stream cases, %d server runs, %d \

@@ -1,12 +1,10 @@
-(** The async multi-tenant front door: histogram bucket math, token
-    buckets with retry-after, weighted-deficit lane dequeue (preemption
-    ordering + starvation freedom), the binary framing codec, the
-    incremental decoders, and end-to-end event-loop serving under the
-    whole-system simulator — byte-identity against a direct serverless
-    compile, quota sheds with structured retry-after, queue
-    backpressure, peer verbs answered on the loop, deadline unification
-    across the lane queue on the monotonic clock (clock.jump chaos),
-    and garbage-frame hardening. *)
+(** The front door: histogram bucket math, the incremental decoder,
+    and end-to-end event-loop serving under the whole-system simulator
+    — byte-identity against a direct serverless compile, queue
+    backpressure with structured retry-after, peer verbs answered on
+    the loop, deadline unification across the admission queue on the
+    monotonic clock (clock.jump chaos), malformed numeric headers and
+    retired verbs refused, and garbage-frame hardening. *)
 
 open Helpers
 module F = Dbds.Faults
@@ -67,124 +65,10 @@ let test_hist_quantiles () =
   Alcotest.(check (float 0.)) "p99 too" 128. (FD.Hist.quantile h 0.99)
 
 (* ------------------------------------------------------------------ *)
-(* Token buckets                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_quota_exhaustion_and_refill () =
-  let q = FD.Quota.create ~rate:2.0 ~burst:3.0 in
-  Alcotest.(check bool) "burst 1" true (FD.Quota.try_take q ~now:10.0);
-  Alcotest.(check bool) "burst 2" true (FD.Quota.try_take q ~now:10.0);
-  Alcotest.(check bool) "burst 3" true (FD.Quota.try_take q ~now:10.0);
-  Alcotest.(check bool) "empty bucket sheds" false (FD.Quota.try_take q ~now:10.0);
-  let hint = FD.Quota.retry_after_ms q in
-  Alcotest.(check bool)
-    (Printf.sprintf "hint %dms covers one token at 2/s" hint)
-    true
-    (hint > 0 && hint <= 500);
-  (* 0.25s later half a token has accrued — still shed, smaller hint. *)
-  Alcotest.(check bool) "half refilled still sheds" false
-    (FD.Quota.try_take q ~now:10.25);
-  Alcotest.(check bool) "hint shrank" true (FD.Quota.retry_after_ms q <= 250);
-  (* One full second refills two tokens. *)
-  Alcotest.(check bool) "refilled" true (FD.Quota.try_take q ~now:11.25);
-  Alcotest.(check bool) "refilled twice" true (FD.Quota.try_take q ~now:11.25);
-  Alcotest.(check bool) "but not past burst accounting" false
-    (FD.Quota.try_take q ~now:11.25)
-
-(* ------------------------------------------------------------------ *)
-(* Weighted-deficit lanes                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_lanes_preemption_and_starvation_freedom () =
-  let l = FD.Lanes.create () in
-  for i = 1 to 4 do
-    FD.Lanes.push l FD.Lanes.Batch (Printf.sprintf "b%d" i)
-  done;
-  for i = 1 to 4 do
-    FD.Lanes.push l FD.Lanes.Interactive (Printf.sprintf "i%d" i)
-  done;
-  let rec drain acc =
-    match FD.Lanes.pop l with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  let order = drain [] in
-  Alcotest.(check (list string))
-    "interactive preempts, batch never starves"
-    [ "i1"; "i2"; "i3"; "b1"; "i4"; "b2"; "b3"; "b4" ]
-    order;
-  (* Sustained interactive load: batch still progresses 1-in-4. *)
-  let l = FD.Lanes.create () in
-  FD.Lanes.push l FD.Lanes.Batch "b";
-  let batch_served = ref false in
-  for i = 1 to 12 do
-    FD.Lanes.push l FD.Lanes.Interactive (Printf.sprintf "i%d" i);
-    match FD.Lanes.pop l with
-    | Some "b" -> batch_served := true
-    | Some _ -> ()
-    | None -> Alcotest.fail "pop on non-empty lanes"
-  done;
-  Alcotest.(check bool) "batch served under sustained interactive load" true
-    !batch_served;
-  (* An idle lane's deficit resets: it cannot hoard priority. *)
-  let l = FD.Lanes.create () in
-  FD.Lanes.push l FD.Lanes.Interactive "i";
-  Alcotest.(check (option string)) "pops" (Some "i") (FD.Lanes.pop l);
-  Alcotest.(check (option string)) "empty" None (FD.Lanes.pop l);
-  Alcotest.(check bool) "is_empty" true (FD.Lanes.is_empty l)
-
-(* ------------------------------------------------------------------ *)
-(* Binary framing + incremental decoders                               *)
+(* The incremental decoder                                            *)
 (* ------------------------------------------------------------------ *)
 
 let msg verb fields = { SP.verb; fields }
-
-let test_binary_roundtrip () =
-  let m =
-    msg "compile"
-      [ ("config", "dbds"); ("fn", "main"); ("ir", "line1\nline2\x00\xff") ]
-  in
-  (match SP.decode_binary (SP.render_binary m) with
-  | SP.Msg (m', used) ->
-      Alcotest.(check bool) "message survives" true (m' = m);
-      Alcotest.(check int) "consumes the frame"
-        (String.length (SP.render_binary m))
-        used
-  | _ -> Alcotest.fail "binary roundtrip failed");
-  (* An unknown verb rides the extension escape (code 0). *)
-  let w = msg "weird-verb" [ ("k", "v") ] in
-  (match SP.decode_binary (SP.render_binary w) with
-  | SP.Msg (w', _) -> Alcotest.(check bool) "extended verb survives" true (w' = w)
-  | _ -> Alcotest.fail "extended roundtrip failed");
-  Alcotest.(check (option int)) "verb code table" (Some 1)
-    (SP.code_of_verb "compile");
-  Alcotest.(check (option string)) "code back to verb" (Some "compile")
-    (SP.verb_of_code 1)
-
-let test_binary_decoder_hardening () =
-  (* Truncation at every prefix must ask for more, never raise. *)
-  let frame = SP.render_binary (msg "ping" [ ("pad", String.make 40 'x') ]) in
-  for i = 0 to String.length frame - 1 do
-    match SP.decode_binary (String.sub frame 0 i) with
-    | SP.More -> ()
-    | SP.Msg _ -> Alcotest.failf "prefix %d parsed as a whole message" i
-    | SP.Err e -> Alcotest.failf "prefix %d errored: %s" i e
-  done;
-  (* Garbage magic / verb codes are structured errors. *)
-  (match SP.decode_binary "junk" with
-  | SP.Err _ -> ()
-  | _ -> Alcotest.fail "bad magic accepted");
-  (match SP.decode_binary "\xBF\x63\x01" with
-  | SP.Err _ -> ()
-  | _ -> Alcotest.fail "unknown verb code accepted");
-  (* An oversized length prefix is refused before any allocation. *)
-  let big = "\xBF\x03\x01\x02hi\xff\xff\xff\xff" in
-  (match SP.decode_binary big with
-  | SP.Err _ -> ()
-  | _ -> Alcotest.fail "oversized field accepted");
-  (* A binary frame fed to the text decoder fails fast (it could
-     otherwise sit newline-free under the line bound forever). *)
-  match SP.decode frame with
-  | SP.Err _ -> ()
-  | _ -> Alcotest.fail "binary frame not rejected by the text decoder"
 
 let test_text_decoder_incremental () =
   let m =
@@ -228,12 +112,25 @@ let test_text_decoder_incremental () =
       "dbds/1 ping 1\nf 1_6\nabc\n";
       "dbds/1 ping 1\nf 0b11\nabc\n";
     ];
-  (* Unbounded newline-free garbage is an error, not unbounded More. *)
-  match SP.decode (String.make (SP.max_line_bytes + 1) 'a') with
+  (* A prefix of the header is More; the first byte that cannot begin
+     "dbds/1 " is an Err at once, without waiting for a newline. *)
+  List.iter
+    (fun wire ->
+      match SP.decode wire with
+      | SP.More -> ()
+      | _ -> Alcotest.failf "header prefix %S not More" wire)
+    [ ""; "d"; "dbds/"; "dbds/1"; "dbds/1 " ];
+  List.iter
+    (fun wire ->
+      match SP.decode wire with
+      | SP.Err _ -> ()
+      | _ -> Alcotest.failf "bad header prefix %S not refused" wire)
+    [ "x"; "dbds/2"; "dbds/1\n"; "\xBF\x03\x00"; "DBDS/1 ping 0\n"; " dbds/1" ];
+  (* Newline-free garbage behind the prefix is an error past the line
+     bound, not unbounded More. *)
+  match SP.decode ("dbds/1 " ^ String.make SP.max_line_bytes 'a') with
   | SP.Err _ -> ()
-  | _ -> Alcotest.fail "newline-free garbage not bounded
-
-"
+  | _ -> Alcotest.fail "newline-free garbage not bounded"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end under the simulator                                      *)
@@ -262,9 +159,8 @@ let run_sim ?(seed = 11) ?(fd_config = FD.default_config) ?(faults = []) f =
       (List.length out.Sim.hung)
       (String.concat "; " (List.map snd out.Sim.crashed))
 
-let connect ?tenant ?lane ?binary env sock =
-  SC.connect ~env ~deadline_s:2.0 ~io_deadline_s:30.0 ?tenant ?lane ?binary
-    ~sock ()
+let connect env sock =
+  SC.connect ~env ~deadline_s:2.0 ~io_deadline_s:30.0 ~sock ()
 
 (* A raw [Env.conn] to a server that may still be binding its socket
    (the {!SC.connect} retry loop, without the client on top). *)
@@ -298,41 +194,40 @@ let direct_compile ?(fn = "main") ir =
        ~inline:false ~jobs:1 program);
   SD.canonical_of_graph (Option.get (Ir.Program.find_function program fn))
 
-(* The event loop (text and binary, tenants and lanes) serves artifacts
-   byte-identical to a direct compile of the same IR, and the
-   digest-keyed [lookup] verb finds the published artifact. *)
+(* The event loop serves artifacts byte-identical to a direct compile
+   of the same IR — on a first connection and again on a second — and
+   the digest-keyed [lookup] verb finds the published artifact. *)
 let test_end_to_end_matches_direct_compile () =
   let ir = main_ir () in
-  let via_fd_text = ref "" and via_fd_bin = ref "" in
+  let first = ref "" and second = ref "" in
   let looked_up = ref None in
-  (* Frontdoor, one text + one binary client. *)
   run_sim (fun env ->
-      let c = connect ~tenant:"alice" ~lane:"interactive" env "/fd" in
-      via_fd_text := compile_ok c ~ir;
+      let c = connect env "/fd" in
+      first := compile_ok c ~ir;
       SC.close c;
-      let cb = connect ~tenant:"bob" ~binary:true env "/fd" in
-      Alcotest.(check bool) "binary ping" true (SC.ping cb);
-      via_fd_bin := compile_ok cb ~ir;
+      let c = connect env "/fd" in
+      Alcotest.(check bool) "ping" true (SC.ping c);
+      second := compile_ok c ~ir;
       let digest =
         SD.of_request (SD.request_of_text ~config ~fn:"main" ir)
       in
-      (match SC.lookup ~digest cb with
+      (match SC.lookup ~digest c with
       | Ok r -> looked_up := r
       | Error e -> Alcotest.failf "lookup: %s" e);
-      (match SC.stats cb with
+      (match SC.stats c with
       | Ok (broker_line, _, _) ->
-          Alcotest.(check bool) "broker stats over binary" true
+          Alcotest.(check bool) "broker stats" true
             (String.length broker_line > 0)
       | Error e -> Alcotest.failf "stats: %s" e);
-      SC.close cb;
+      SC.close c;
       shutdown env);
-  Alcotest.(check bool) "frontdoor produced IR" true (!via_fd_text <> "");
-  Alcotest.(check string) "binary framing returns the same bytes" !via_fd_text
-    !via_fd_bin;
+  Alcotest.(check bool) "frontdoor produced IR" true (!first <> "");
+  Alcotest.(check string) "a second connection gets the same bytes" !first
+    !second;
   Alcotest.(check string) "byte-identical to a direct compile"
-    (direct_compile ir) !via_fd_text;
+    (direct_compile ir) !first;
   Alcotest.(check (option string)) "lookup finds the published artifact"
-    (Some !via_fd_text) !looked_up
+    (Some !first) !looked_up
 
 (* A wire config the front door cannot honour exactly is rejected, not
    compiled as the mode's default pipeline. *)
@@ -344,40 +239,91 @@ let test_malformed_config_rejected () =
       SC.close c;
       shutdown env)
 
-(* Quota exhaustion: the second request inside the same bucket window
-   is shed with a positive structured retry-after hint — and the
-   shed request was never admitted (no silent loss: the reply says
-   exactly what happened). *)
-let test_quota_shed_carries_retry_after () =
+(* Numeric header fields take decimal digits only, like field counts
+   and lengths.  A compile whose [deadline-ms] or [delay-ms] is present
+   but malformed is refused with a reply naming the field — never run
+   without its deadline — and a malformed [retry-after-ms] reads as no
+   hint. *)
+let test_malformed_numeric_headers_refused () =
   let ir = main_ir () in
-  run_sim
-    ~fd_config:
-      { FD.default_config with fd_tenant_rate = 1.0; fd_tenant_burst = 1.0 }
-    (fun env ->
-      let c = connect ~tenant:"hammer" env "/fd" in
-      (match SC.compile_ex ~config ~fn:"main" ~ir c with
-      | Ok (SB.Done _, _) -> ()
-      | Ok (o, _) -> Alcotest.failf "first request: %s" (SB.outcome_label o)
-      | Error e -> Alcotest.failf "first request: %s" e);
-      (match SC.compile_ex ~config ~fn:"main" ~ir c with
-      | Ok (SB.Shed, Some retry_ms) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "retry-after %dms positive" retry_ms)
-            true (retry_ms > 0)
-      | Ok (SB.Shed, None) -> Alcotest.fail "shed without retry-after"
-      | Ok (o, _) -> Alcotest.failf "expected shed, got %s" (SB.outcome_label o)
-      | Error e -> Alcotest.failf "second request: %s" e);
+  let bad = [ "0x10"; "-5"; "+3"; "1_000"; ""; "12a"; "1234567890" ] in
+  let shed v =
+    { SP.verb = "reply"; fields = [ ("status", "shed"); ("retry-after-ms", v) ] }
+  in
+  Alcotest.(check (option int)) "a decimal hint reads" (Some 250)
+    (SP.retry_after_of_reply (shed "250"));
+  List.iter
+    (fun v ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "retry-after-ms %S is no hint" v)
+        None
+        (SP.retry_after_of_reply (shed v)))
+    bad;
+  let names_field msg field =
+    let n = String.length field in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = field || at (i + 1))
+    in
+    at 0
+  in
+  run_sim (fun env ->
+      let c = connect env "/fd" in
+      let base = SC.compile_msg ~config ~fn:"main" ~ir () in
+      let with_fields fs = { base with SP.fields = base.SP.fields @ fs } in
+      List.iter
+        (fun field ->
+          List.iter
+            (fun v ->
+              match SC.roundtrip c (with_fields [ (field, v) ]) with
+              | Ok r ->
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s %S is rejected" field v)
+                    (Some "rejected") (SP.field r "status");
+                  Alcotest.(check bool)
+                    (Printf.sprintf "the rejection names %s" field)
+                    true
+                    (names_field (SP.field_or r "message" "") field)
+              | Error e -> Alcotest.failf "%s %S: %s" field v e)
+            bad)
+        [ "deadline-ms"; "delay-ms" ];
+      (match
+         SC.roundtrip c
+           (with_fields [ ("deadline-ms", "60000"); ("delay-ms", "0") ])
+       with
+      | Ok r ->
+          Alcotest.(check (option string)) "well-formed headers compile"
+            (Some "done") (SP.field r "status")
+      | Error e -> Alcotest.failf "well-formed compile: %s" e);
       SC.close c;
       shutdown env)
 
-(* Queue backpressure: with one dispatcher busy and the lane bounded,
+(* The retired [hello] verb gets the structured rejection every unknown
+   verb gets, and the connection keeps serving. *)
+let test_hello_is_unknown_verb () =
+  run_sim (fun env ->
+      let c = connect env "/fd" in
+      (match
+         SC.roundtrip c
+           { SP.verb = "hello"; fields = [ ("tenant", "alice") ] }
+       with
+      | Ok r ->
+          Alcotest.(check (option string)) "rejected" (Some "rejected")
+            (SP.field r "status");
+          Alcotest.(check (option string)) "as an unknown verb"
+            (Some "unknown verb: hello") (SP.field r "message")
+      | Error e -> Alcotest.failf "hello: %s" e);
+      Alcotest.(check bool) "the connection still serves" true (SC.ping c);
+      SC.close c;
+      shutdown env)
+
+(* Queue backpressure: with one dispatcher busy and the queue bounded,
    a pipelined burst sheds the overflow with retry-after while every
    admitted request is still answered. *)
 let test_queue_shed_under_pipelined_burst () =
   let ir = main_ir () in
   run_sim
     ~fd_config:
-      { FD.default_config with fd_dispatchers = 1; fd_queue_limit = 2 }
+      { FD.fd_dispatchers = 1; fd_queue_limit = 2 }
     (fun env ->
       let conn = raw_connect env "/fd" in
       let m =
@@ -413,27 +359,23 @@ let test_queue_shed_under_pipelined_burst () =
       conn.Env.close_conn ();
       shutdown env)
 
-(* Peer verbs never wait behind tenant load: with the only dispatcher
-   held by a slow compile and the default tenant's quota starved,
-   [push] and [fetch] are still answered at once on the loop (queued
-   through admission they would be shed, or wait out the compile), and
+(* Peer verbs never wait behind compile load: with the only dispatcher
+   held by a slow compile and the admission queue full, [push] and
+   [fetch] are still answered at once on the loop (queued through
+   admission they would be shed, or wait out the compile), and
    [rebalance] on a node outside any fleet is rejected. *)
 let test_peer_verbs_skip_admission () =
   let ir = main_ir () in
   run_sim
-    ~fd_config:
-      {
-        FD.default_config with
-        fd_dispatchers = 1;
-        fd_tenant_rate = 0.1;
-        fd_tenant_burst = 1.0;
-      }
+    ~fd_config:{ FD.fd_dispatchers = 1; fd_queue_limit = 1 }
     (fun env ->
-      (* The slow compile takes the default tenant's only token and the
-         only dispatcher for five virtual seconds. *)
+      (* The slow compile holds the only dispatcher for five virtual
+         seconds; a cold compile of [f] behind it fills the queue. *)
       let slow = raw_connect env "/fd" in
       SP.write_conn slow
         (SC.compile_msg ~delay_ms:5000 ~config ~fn:"main" ~ir ());
+      env.Env.sleep 0.1;
+      SP.write_conn slow (SC.compile_msg ~config ~fn:"f" ~ir:(fn_ir "f") ());
       env.Env.sleep 0.1;
       let c = connect env "/fd" in
       let status m =
@@ -441,7 +383,7 @@ let test_peer_verbs_skip_admission () =
         | Ok r -> Option.value (SP.field r "status") ~default:"?"
         | Error e -> Alcotest.failf "%s: %s" m.SP.verb e
       in
-      Alcotest.(check string) "the tenant's quota is starved" "shed"
+      Alcotest.(check string) "the admission queue is full" "shed"
         (status (SC.compile_msg ~config ~fn:"main" ~ir ()));
       let t0 = env.Env.mono () in
       let digest = SD.of_request (SD.request_of_text ~config ~fn:"main" ir) in
@@ -472,17 +414,20 @@ let test_peer_verbs_skip_admission () =
              SP.verb = "rebalance";
              fields = [ ("epoch", "1"); ("nodes", "") ];
            });
-      (match SP.read_conn ~deadline:(env.Env.mono () +. 30.0) slow with
-      | Ok r ->
-          Alcotest.(check (option string)) "the slow compile completes"
-            (Some "done") (SP.field r "status")
-      | Error e -> Alcotest.failf "slow compile: %s" e);
+      List.iter
+        (fun what ->
+          match SP.read_conn ~deadline:(env.Env.mono () +. 30.0) slow with
+          | Ok r ->
+              Alcotest.(check (option string)) (what ^ " completes")
+                (Some "done") (SP.field r "status")
+          | Error e -> Alcotest.failf "%s: %s" what e)
+        [ "the slow compile"; "the queued compile" ];
       slow.Env.close_conn ();
       SC.close c;
       shutdown env)
 
 (* Deadline unification on the monotonic clock: time spent waiting in
-   the lane queue counts against --deadline-ms (the request behind a
+   the admission queue counts against --deadline-ms (the request behind a
    slow one times out)... *)
 let test_deadline_counts_queue_wait () =
   let ir = main_ir () in
@@ -517,7 +462,7 @@ let test_clock_jump_does_not_expire_deadlines () =
   run_sim
     ~faults:[ { F.seed = 0; site = F.Clock_jump; hit = 1; fn = None } ]
     (fun env ->
-      let c = connect ~tenant:"t" env "/fd" in
+      let c = connect env "/fd" in
       (* Spans the +1h wall step at virtual second 1: on a wall-clock
          deadline this would expire instantly; on mono it completes. *)
       match
@@ -591,9 +536,9 @@ let test_replies_in_request_order () =
       shutdown env)
 
 (* The counters a request moves: the broker's from the stats reply's
-   [counts] line, the front door's from its [frontdoor] line, and
-   [tenant]'s own (prefixed [tenant.]). *)
-let counters c ~tenant =
+   [counts] line, the front door's from its [frontdoor] line (prefixed
+   [fd.]). *)
+let counters c =
   match SC.roundtrip c { SP.verb = "stats"; fields = [] } with
   | Error e -> Alcotest.failf "stats: %s" e
   | Ok r ->
@@ -609,24 +554,17 @@ let counters c ~tenant =
             | None -> None)
           (String.split_on_char ' ' line)
       in
-      let fd_lines = String.split_on_char '\n' (SP.field_or r "frontdoor" "") in
-      let tenant_line =
-        List.find
-          (String.starts_with ~prefix:("tenant=" ^ tenant ^ " "))
-          fd_lines
-      in
       pairs "" (SP.field_or r "counts" "")
-      @ pairs "fd." (List.hd fd_lines)
-      @ pairs "tenant." tenant_line
+      @ pairs "fd." (SP.field_or r "frontdoor" "")
 
 let moved ~before ~after =
   List.map
     (fun k -> (k, List.assoc k after - List.assoc k before))
-    [ "requests"; "cache_hits"; "fd.admitted"; "fd.completed"; "tenant.done" ]
+    [ "requests"; "cache_hits"; "fd.admitted"; "fd.completed" ]
 
 (* A warm hit is answered on the event loop: with the only dispatcher
    held by a five-second compile it still comes back at once — and it
-   moves the broker, tenant and front-door counters exactly as a hit
+   moves the broker and front-door counters exactly as a hit
    that goes through a dispatcher does (a copy of the same text with a
    trailing newline misses the digest memo, so it is dispatched, and
    then hits the store's memo). *)
@@ -635,7 +573,7 @@ let test_warm_hit_on_loop_accounts_like_dispatch () =
   run_sim
     ~fd_config:{ FD.default_config with fd_dispatchers = 1 }
     (fun env ->
-      let c = connect ~tenant:"t" env "/fd" in
+      let c = connect env "/fd" in
       ignore (compile_ok c ~ir);
       let hit ir =
         match SC.compile ~config ~fn:"main" ~ir c with
@@ -650,18 +588,18 @@ let test_warm_hit_on_loop_accounts_like_dispatch () =
       SP.write_conn slow
         (SC.compile_msg ~delay_ms:5000 ~config ~fn:"f" ~ir:(fn_ir "f") ());
       env.Env.sleep 0.1;
-      let before = counters c ~tenant:"t" in
+      let before = counters c in
       let t0 = env.Env.mono () in
       hit ir;
       Alcotest.(check bool) "answered while the dispatcher is busy" true
         (env.Env.mono () -. t0 < 1.0);
-      let on_loop = moved ~before ~after:(counters c ~tenant:"t") in
+      let on_loop = moved ~before ~after:(counters c) in
       (match SP.read_conn ~deadline:(env.Env.mono () +. 30.0) slow with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "slow compile: %s" e);
-      let before = counters c ~tenant:"t" in
+      let before = counters c in
       hit (ir ^ "\n");
-      let dispatched = moved ~before ~after:(counters c ~tenant:"t") in
+      let dispatched = moved ~before ~after:(counters c) in
       Alcotest.(check (list (pair string int)))
         "a dispatched hit moves the same counters" dispatched on_loop;
       Alcotest.(check (list (pair string int)))
@@ -669,37 +607,6 @@ let test_warm_hit_on_loop_accounts_like_dispatch () =
         (List.map (fun (k, _) -> (k, 1)) on_loop)
         on_loop;
       slow.Env.close_conn ();
-      SC.close c;
-      shutdown env)
-
-(* The loop's answer still takes the tenant's quota: a tenant out of
-   tokens is shed on a warm hit too, and the broker never sees it. *)
-let test_warm_hit_over_quota_is_shed () =
-  let ir = main_ir () in
-  run_sim
-    ~fd_config:
-      { FD.default_config with fd_tenant_rate = 0.001; fd_tenant_burst = 3.0 }
-    (fun env ->
-      let c = connect ~tenant:"q" env "/fd" in
-      ignore (compile_ok c ~ir);
-      (* A disk hit, then a hit the store's memo answers on the loop:
-         the bucket's three tokens are gone. *)
-      for _ = 1 to 2 do
-        match SC.compile ~config ~fn:"main" ~ir c with
-        | Ok (SB.Done { from_cache = true; _ }) -> ()
-        | Ok o -> Alcotest.failf "warm request: %s" (SB.outcome_label o)
-        | Error e -> Alcotest.failf "warm request: %s" e
-      done;
-      let before = counters c ~tenant:"q" in
-      (match SC.compile_ex ~config ~fn:"main" ~ir c with
-      | Ok (SB.Shed, Some _) -> ()
-      | Ok (o, _) -> Alcotest.failf "expected shed, got %s" (SB.outcome_label o)
-      | Error e -> Alcotest.failf "fourth request: %s" e);
-      let after = counters c ~tenant:"q" in
-      let delta k = List.assoc k after - List.assoc k before in
-      Alcotest.(check int) "shed on quota" 1 (delta "fd.shed_quota");
-      Alcotest.(check int) "the broker never saw it" 0 (delta "requests");
-      Alcotest.(check int) "nothing admitted" 0 (delta "fd.admitted");
       SC.close c;
       shutdown env)
 
@@ -766,18 +673,18 @@ let test_harness_two_mode_bundle_replays () =
         "deadline-ms: none";
         "faults: none";
         "frontdoor: true";
-        "trace-hash: d8a38c96eb11a695";
+        "trace-hash: e8429d5c2784b2c2";
         "";
       ]
   in
   let r = H.run (H.parse_bundle bundle) in
-  Alcotest.(check string) "replays the recorded trace" "d8a38c96eb11a695"
+  Alcotest.(check string) "replays the recorded trace" "e8429d5c2784b2c2"
     r.H.r_trace_hash;
   Alcotest.(check (list string)) "clean" []
     (List.map (fun v -> v.H.vio_kind) r.H.r_violations)
 
-(* Chaos sweep with the frontdoor in front: tenants, lanes, mixed
-   framing, garbage + slow-loris fibers, seeded net/disk/clock faults —
+(* Chaos sweep with the frontdoor in front: garbage + slow-loris
+   fibers, seeded net/disk/clock faults —
    and still zero invariant violations, every request accounted for. *)
 let test_harness_frontdoor_chaos_sweep () =
   let results =
@@ -801,8 +708,8 @@ let test_harness_frontdoor_chaos_sweep () =
    2x of a 100 rps capacity.  Every request is accounted for, every
    shed carries a retry-after hint, served artifacts match the offline
    oracle and schedules run clean.  At 2x, admission control must keep
-   goodput within 80% of the sweep's peak and the interactive lane's
-   p99 within 3x of uncontended — shedding the surplus instead of
+   goodput within 80% of the sweep's peak and the p99 of completed
+   requests within 3x of uncontended — shedding the surplus instead of
    queueing it into latency. *)
 let test_load_sweep_reduced () =
   let row =
@@ -846,23 +753,17 @@ let test_load_sweep_reduced () =
     at2x.Harness.Metrics.fd_p99_ms
     > 3.0 *. uncontended.Harness.Metrics.fd_p99_ms
   then
-    Alcotest.failf "interactive p99 at 2x load %.1f ms > 3x uncontended %.1f ms"
+    Alcotest.failf "p99 at 2x load %.1f ms > 3x uncontended %.1f ms"
       at2x.Harness.Metrics.fd_p99_ms uncontended.Harness.Metrics.fd_p99_ms
 
 let suite =
   [
     test "hist: log2 bucket math" test_hist_buckets;
     test "hist: quantiles" test_hist_quantiles;
-    test "quota: exhaustion, hints, refill" test_quota_exhaustion_and_refill;
-    test "lanes: preemption + starvation freedom"
-      test_lanes_preemption_and_starvation_freedom;
-    test "binary framing roundtrips" test_binary_roundtrip;
-    test "binary decoder hardening" test_binary_decoder_hardening;
     test "text decoder is incremental" test_text_decoder_incremental;
     test "frontdoor matches a direct compile"
       test_end_to_end_matches_direct_compile;
     test "malformed wire config rejected" test_malformed_config_rejected;
-    test "quota shed carries retry-after" test_quota_shed_carries_retry_after;
     test "queue shed under a pipelined burst"
       test_queue_shed_under_pipelined_burst;
     test "peer verbs skip admission" test_peer_verbs_skip_admission;
@@ -883,5 +784,7 @@ let suite =
     test "replies leave in request order" test_replies_in_request_order;
     test "warm hit on the loop counts like a dispatched one"
       test_warm_hit_on_loop_accounts_like_dispatch;
-    test "warm hit over quota is shed" test_warm_hit_over_quota_is_shed;
+    test "malformed numeric headers are refused"
+      test_malformed_numeric_headers_refused;
+    test "hello is an unknown verb" test_hello_is_unknown_verb;
   ]
