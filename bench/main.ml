@@ -7,9 +7,12 @@
 
     The report is printed and written to [BENCH_results.json] in the
     invoking directory.  It holds host timings only ([cores], [unit],
-    [perf]); every deterministic number (figure tables, IR digests, the
-    lab table, sim trace hashes) is printed by [bin/experiments.exe] and
-    pinned in [test/golden/experiments.expected]. *)
+    [perf]); per figure, [dbds_over_baseline] is the ratio of the dbds
+    and baseline batch times of the same run, which holds from run to
+    run where the absolute times do not.  Every deterministic number
+    (figure tables, IR digests, the lab table, sim trace hashes) is
+    printed by [bin/experiments.exe] and pinned in
+    [test/golden/experiments.expected]. *)
 
 let fig_tags = [ "fig5"; "fig6"; "fig7"; "fig8" ]
 
@@ -63,6 +66,11 @@ let sum f cells = List.fold_left (fun acc c -> acc +. f c) 0.0 cells
 let mean f cells =
   if cells = [] then 0.0 else sum f cells /. float_of_int (List.length cells)
 
+(* The dbds batch time over the baseline's, within one run. *)
+let dbds_over_baseline rows =
+  let batch i = sum (fun c -> c.ns) (column i rows) in
+  batch 1 /. batch 0
+
 let print_suite tag (suite : Workloads.Suite.t) rows =
   Format.printf "@.=== %s: %s (min of %d compiles, jobs 1) ===@.@." tag
     suite.Workloads.Suite.suite_name runs;
@@ -81,7 +89,8 @@ let print_suite tag (suite : Workloads.Suite.t) rows =
   Format.printf "%-14s%a@." "minor w/c"
     (Format.pp_print_list ~pp_sep:(fun _ () -> ())
        (fun ppf v -> Format.fprintf ppf " %12.0f" v))
-    (List.map (mean (fun c -> c.minor_words)) columns)
+    (List.map (mean (fun c -> c.minor_words)) columns);
+  Format.printf "%-14s %12.3f@." "dbds/baseline" (dbds_over_baseline rows)
 
 let json_suite tag (suite : Workloads.Suite.t) rows =
   let config_entry i (label, _) =
@@ -113,9 +122,11 @@ let json_suite tag (suite : Workloads.Suite.t) rows =
     \      \"figure\": %S,\n\
     \      \"suite\": %S,\n\
     \      \"benchmarks\": %d,\n\
+    \      \"dbds_over_baseline\": %.3f,\n\
     \      \"configs\": [\n%s\n      ]\n\
     \    }"
     tag suite.Workloads.Suite.suite_name (List.length rows)
+    (dbds_over_baseline rows)
     (String.concat ",\n" (List.mapi config_entry configs))
 
 let () =

@@ -436,16 +436,20 @@ let run_compiler file mode passes licm print_passes dump dot
     if print_passes then begin
       (* First line: the canonical form, parseable back through
          --passes (CI round-trips `head -1` of this output).  Then the
-         contract table: what each per-function pass preserves. *)
+         contract table: what each per-function pass preserves, and
+         for a tier that optimizes after each round, its action steps. *)
       Format.printf "%s@." (Opt.Spec.to_string spec);
       List.iter
         (fun (name, preserves) ->
-          Format.printf "# %-14s preserves=%s@." name
+          Format.printf "# %-14s preserves=%s%s@." name
             (match preserves with
             | [] -> "-"
             | ks ->
                 String.concat ","
-                  (List.map Ir.Analyses.kind_to_string ks)))
+                  (List.map Ir.Analyses.kind_to_string ks))
+            (match Dbds.Driver.round_action_steps config name with
+            | [] -> ""
+            | steps -> " action-steps=" ^ String.concat "," steps))
         (Dbds.Driver.describe_spec config spec);
       raise Exit
     end;

@@ -4,8 +4,12 @@
     (Algorithm 1 of §3.1).
 
     The driver is applied per compilation unit (function graph).  After
-    each batch of duplications the classic optimization phases run — the
-    action steps whose potential the simulation tier detected.  Up to
+    each batch of duplications the round's action-step group runs
+    ({!Opt.Pipeline.action_steps}): the classic phases to a fixpoint,
+    without SCCP.  Paper §5 runs only the optimizations whose
+    applicability checks the simulation ran — canonicalize, conditional
+    elimination, GVN, read elimination and PEA, plus the CFG and dead
+    code clean-up they leave — and SCCP is not priced.  Up to
     [max_iterations] rounds are performed; a new round only starts if the
     previous round's cumulative accepted benefit clears a threshold. *)
 
@@ -91,10 +95,13 @@ let run_round config ctx stats g =
                candidate (its edge moved); rediscovered next round. *)
             incr stale)
     (Tradeoff.rank candidates);
-  (* Action steps: run the classic optimizations over the transformed
-     graph (the per-candidate opportunities all fall out of these). *)
+  (* Action steps: the optimizations the simulation priced, to a
+     fixpoint over the transformed graph (the per-candidate
+     opportunities all fall out of these).  SCCP is not in the group:
+     the simulation never prices it, and the one fold it would add
+     here, a phi over equal constants, is a canonicalize rule. *)
   if !round_benefit > 0.0 then
-    ignore (Opt.Pipeline.optimize ~licm:config.Config.licm ctx g);
+    ignore (Opt.Pipeline.action_steps ~licm:config.Config.licm ctx g);
   stats.benefit_accepted <- stats.benefit_accepted +. !round_benefit;
   (!round_benefit, !stale)
 
@@ -283,6 +290,14 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
         "inline is program-level: it may only appear at the top level of \
          the pipeline (the driver runs it before fanning functions out)"
   | _ -> Opt.Pipeline.resolve_classic name opts
+
+(** The action-step group a pass runs after each of its rounds: the
+    iterative tiers ([dbds], [dupalot]) run {!Opt.Pipeline.action_steps};
+    every other pass embeds none. *)
+let round_action_steps (config : Config.t) = function
+  | "dbds" | "dupalot" ->
+      Opt.Pipeline.action_step_names ~licm:config.Config.licm ()
+  | _ -> []
 
 (** Check a pipeline spec against the driver's registry: classic passes
     (no options), duplication tiers ([iters], [threshold]), [fix] groups

@@ -4,8 +4,9 @@
     (Algorithm 1 of §3.1).
 
     The driver is applied per compilation unit (function graph).  After
-    each batch of duplications the classic optimization phases run — the
-    action steps whose potential the simulation tier detected.  Up to
+    each batch of duplications the round's action-step group runs
+    ({!Opt.Pipeline.action_steps}): the classic phases without SCCP,
+    which the simulation does not price (paper §5).  Up to
     [max_iterations] rounds are performed; a new round only starts if the
     previous round's cumulative accepted benefit clears a threshold (or
     ranked candidates went stale mid-round). *)
@@ -69,6 +70,12 @@ val describe_spec :
   Config.t ->
   Opt.Spec.t ->
   (string * Ir.Analyses.kind list) list
+
+(** The action-step group a pass runs after each of its rounds, by
+    spec name: {!Opt.Pipeline.action_step_names} for [dbds] and
+    [dupalot], [[]] for every other pass.  Rendered by
+    [dbdsc --print-passes] on the tiers' contract rows. *)
+val round_action_steps : Config.t -> string -> string list
 
 (** Optimize one graph under the given configuration: execute the
     configured pipeline (minus program-level items) through the pass

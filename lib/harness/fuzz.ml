@@ -712,22 +712,22 @@ let compiled_text config fresh =
   in
   (fns, r.Dbds.Driver.rep_failures)
 
+let paper_corpus () =
+  List.concat_map
+    (fun (s : Workloads.Suite.t) ->
+      List.map
+        (fun (b : Workloads.Suite.benchmark) ->
+          ( s.Workloads.Suite.suite_name ^ "/" ^ b.Workloads.Suite.name,
+            fun () -> Workloads.Suite.compile b ))
+        s.Workloads.Suite.benchmarks)
+    Workloads.Registry.all
+
 let run_regions ?(progen_seeds = List.init 200 Fun.id) () =
   let violations = ref [] in
   let violate fmt =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
   in
-  let paper =
-    List.concat_map
-      (fun (s : Workloads.Suite.t) ->
-        List.map
-          (fun (b : Workloads.Suite.benchmark) ->
-            ( s.Workloads.Suite.suite_name ^ "/" ^ b.Workloads.Suite.name,
-              fun () -> Workloads.Suite.compile b ))
-          s.Workloads.Suite.benchmarks)
-      Workloads.Registry.all
-  in
-  let corpus = paper @ lab_corpus ~progen_seeds in
+  let corpus = paper_corpus () @ lab_corpus ~progen_seeds in
   let functions = ref 0 in
   (* Paranoid mode turns the memo off, so every pass runs on the whole
      graph. *)
@@ -758,3 +758,78 @@ let run_regions ?(progen_seeds = List.init 200 Fun.id) () =
     r_violations = List.rev !violations;
   }
 
+type sccp_result = {
+  sc_programs : int;
+  sc_functions : int;
+  sc_violations : string list;
+}
+
+(* The generated shapes of perfbench's [aot-generated] suite: progen
+   programs by (helpers, depth) and dispatch loops by handler count. *)
+let generated_shapes =
+  [ `Progen (1, 2); `Progen (2, 3); `Progen (3, 3); `Progen (4, 4);
+    `Progen (2, 4); `Progen (3, 2); `Dispatch 4; `Dispatch 8 ]
+
+let generated_corpus ~shape_seeds =
+  List.concat_map
+    (fun shape ->
+      List.map
+        (fun seed ->
+          match shape with
+          | `Progen (n_helpers, depth) ->
+              ( Printf.sprintf "progen-%d-%d/%d" n_helpers depth seed,
+                fun () ->
+                  Lang.Frontend.compile
+                    (Workloads.Progen.generate ~n_helpers ~depth ~seed ()) )
+          | `Dispatch handlers ->
+              ( Printf.sprintf "dispatch-%d/%d" handlers seed,
+                fun () ->
+                  Lang.Frontend.compile
+                    (Workloads.Advgen.dispatch_src ~handlers ~seed) ))
+        shape_seeds)
+    generated_shapes
+
+let run_sccp_after_dbds ?(progen_seeds = List.init 200 Fun.id)
+    ?(shape_seeds = List.init 60 Fun.id) () =
+  let violations = ref [] in
+  let violate fmt =
+    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
+  in
+  let progen =
+    List.map
+      (fun seed ->
+        ( Printf.sprintf "progen/%d" seed,
+          fun () -> Workloads.Progen.generate_program ~seed () ))
+      progen_seeds
+  in
+  let corpus =
+    paper_corpus () @ lab_corpus ~progen_seeds @ progen
+    @ generated_corpus ~shape_seeds
+  in
+  let functions = ref 0 in
+  List.iter
+    (fun (name, fresh) ->
+      match fresh () with
+      | exception e -> violate "%s: raised %s" name (Printexc.to_string e)
+      | prog -> (
+          match
+            Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
+              ~jobs:1 prog
+          with
+          | exception e -> violate "%s: raised %s" name (Printexc.to_string e)
+          | { Dbds.Driver.rep_failures = f :: _; _ } ->
+              violate "%s: contained %s at %s" name f.Dbds.Driver.fail_fn
+                f.Dbds.Driver.fail_site
+          | _ ->
+              Ir.Program.iter_functions prog (fun g ->
+                  incr functions;
+                  let ctx = Opt.Phase.create ~program:prog () in
+                  if Opt.Sccp.phase.Opt.Phase.run ctx (Ir.Graph.copy g) then
+                    violate "%s/%s: sccp fires after the dbds tier" name
+                      (Ir.Graph.name g))))
+    corpus;
+  {
+    sc_programs = List.length corpus;
+    sc_functions = !functions;
+    sc_violations = List.rev !violations;
+  }

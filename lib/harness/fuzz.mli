@@ -110,3 +110,18 @@ type region_result = {
     stats must be byte-identical. *)
 val run_regions : ?progen_seeds:int list -> unit -> region_result
 
+type sccp_result = {
+  sc_programs : int;
+  sc_functions : int;
+  sc_violations : string list;  (** [[]] = pass *)
+}
+
+(** The guard on the DBDS round's action steps, which leave SCCP out:
+    compile every paper and lab program, the progen programs of
+    [progen_seeds] (default 0–199) plain and with irreducible regions,
+    and [shape_seeds] (default 0–59) programs of each generated shape of
+    the [aot-generated] benchmark suite (six progen sizes, dispatch
+    loops of 4 and 8 handlers) under [Config.dbds]; then one SCCP run on
+    a copy of each compiled function must fire nothing. *)
+val run_sccp_after_dbds :
+  ?progen_seeds:int list -> ?shape_seeds:int list -> unit -> sccp_result

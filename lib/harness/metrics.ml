@@ -12,6 +12,7 @@ type measurement = {
   peak_cycles : float;
   code_size : int;
   compile_work : int;
+  optimizer_work : int;
   ir_digest : string;
       (** hex md5 of the optimized IR, every function printed in name
           order — the compiled output's fingerprint *)

@@ -13,6 +13,10 @@ type measurement = {
   peak_cycles : float;
   code_size : int;
   compile_work : int;
+      (** optimizer work plus the backend charge over the final IR *)
+  optimizer_work : int;
+      (** the work units the optimizer's own passes charged, without
+          the backend charge *)
   ir_digest : string;
       (** hex md5 of the optimized IR, every function printed in name
           order — the compiled output's fingerprint *)

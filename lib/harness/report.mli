@@ -25,11 +25,15 @@ val pp_suite : Format.formatter -> suite_summary -> unit
 
 (** The headline aggregate of the abstract: mean peak-performance
     increase, mean code-size increase, mean compile-time increase over
-    every benchmark of every suite, plus the best individual speedup. *)
+    every benchmark of every suite, plus the best individual speedup
+    and the optimizer's own work increase. *)
 type headline = {
   mean_peak : float;
   mean_size : float;
   mean_compile : float;
+  optimizer_work : float;
+      (** % change of the dbds configuration's summed optimizer work
+          over the baseline's, without the backend charge *)
   max_peak : float;
   max_peak_benchmark : string;
 }

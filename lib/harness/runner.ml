@@ -37,6 +37,7 @@ let measure ?(icache = Interp.Machine.default_icache) ?jobs ~config
   let prog = compile_benchmark b in
   let r = Dbds.Driver.optimize_program_report ~config ?jobs prog in
   let ctx = r.Dbds.Driver.rep_ctx in
+  let optimizer_work = ctx.Opt.Phase.work in
   Opt.Phase.charge ctx (backend_passes * program_instr_count prog);
   let totals = Dbds.Driver.total_stats r.Dbds.Driver.rep_stats in
   let ir = Buffer.create 4096 in
@@ -55,6 +56,7 @@ let measure ?(icache = Interp.Machine.default_icache) ?jobs ~config
     Metrics.peak_cycles = run_stats.Interp.Machine.cycles;
     code_size = program_code_size prog;
     compile_work = ctx.Opt.Phase.work;
+    optimizer_work;
     ir_digest = Digest.to_hex (Digest.string (Buffer.contents ir));
     duplications = totals.Dbds.Driver.duplications_performed;
     contained = ctx.Opt.Phase.contained;

@@ -58,17 +58,28 @@ let simplify ?self ~kind_of ~mk_const kind =
       | Not inner -> Alias inner
       | Cmp _ -> Unchanged (* handled by the phase: rewrite below *)
       | _ -> Unchanged)
-  | Phi inputs ->
+  | Phi inputs -> (
       (* Degenerate phis: all inputs identical, up to self-references
-         (copy propagation). *)
+         (copy propagation).  Distinct [Const n] instructions of one
+         value are copies of one constant too (Sreekala & Paleri: copy
+         propagation subsumes constant propagation), so such a phi
+         aliases the dominating entry-block constant. *)
+      let is_self x = match self with Some s -> x = s | None -> false in
       let v = ref (-1) and distinct = ref false in
       Array.iter
         (fun x ->
-          let is_self = match self with Some s -> x = s | None -> false in
-          if not is_self then
+          if not (is_self x) then
             if !v = -1 then v := x else if x <> !v then distinct := true)
         inputs;
-      if !v >= 0 && not !distinct then Alias !v else Unchanged
+      if !v < 0 then Unchanged
+      else if not !distinct then Alias !v
+      else
+        match const_of !v with
+        | Some n
+          when Array.for_all (fun x -> is_self x || const_of x = Some n) inputs
+          ->
+            Alias (mk_const n)
+        | _ -> Unchanged)
   | Cmp (op, a, b) -> (
       let null_compare x y =
         (* x compared against null when x is statically non-null *)

@@ -3,7 +3,8 @@
     {!fix_group} is the paper's duplication-disabled configuration: all
     the classic optimizations to a fixpoint, only DBDS is off.  The DBDS
     driver composes the same fixpoint group (through the same
-    {!Manager}) before and between its duplication tiers. *)
+    {!Manager}) before its duplication tiers, and {!action_steps}
+    after each round of duplications. *)
 
 (* The classic per-graph passes by spec name.  Short names are
    canonical (what default specs print); the long forms are accepted as
@@ -37,18 +38,34 @@ let resolve_classic name opts =
 let classic_names =
   [ "canon"; "simplify"; "sccp"; "gvn"; "condelim"; "readelim"; "pea"; "dce" ]
 
-(** The classic optimizations as a [fix(...)] spec item.  [licm]
-    additionally enables loop-invariant code motion (off in the
-    calibrated evaluation plan — see {!Licm}). *)
-let fix_group ?(licm = false) () =
-  let names = classic_names @ if licm then [ "licm" ] else [] in
+let group names =
   Spec.Fix
     {
       opts = [];
       body = List.map (fun name -> Spec.Pass { name; opts = [] }) names;
     }
 
+let with_licm licm names = names @ if licm then [ "licm" ] else []
+
+(** The classic optimizations as a [fix(...)] spec item.  [licm]
+    additionally enables loop-invariant code motion (off in the
+    calibrated evaluation plan — see {!Licm}). *)
+let fix_group ?(licm = false) () = group (with_licm licm classic_names)
+
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)
 let optimize ?licm ctx g =
   Manager.run resolve_classic [ fix_group ?licm () ] ctx g
+
+(** The action steps of a DBDS round, in phase order: the classic group
+    without [sccp].  Paper §5 runs after duplication the optimizations
+    whose applicability checks the simulation ran.  SCCP is not one of
+    them; the one fold it would add there, a phi over equal constants,
+    is a canonicalize rule. *)
+let action_step_names ?(licm = false) () =
+  with_licm licm (List.filter (fun name -> name <> "sccp") classic_names)
+
+(** Run the action steps to a fixpoint on one graph, through the pass
+    manager. *)
+let action_steps ?licm ctx g =
+  Manager.run resolve_classic [ group (action_step_names ?licm ()) ] ctx g

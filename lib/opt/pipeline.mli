@@ -5,7 +5,8 @@
     iterated to a fixpoint — is the paper's {e baseline} configuration:
     all the classic optimizations run, only DBDS is off.  The DBDS driver
     composes the same fixpoint group (through the same {!Manager})
-    before and between its duplication tiers. *)
+    before its duplication tiers, and runs {!action_steps} after each
+    round of duplications. *)
 
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
     [condelim], [readelim], [pea], [dce], [licm] and long-form
@@ -25,3 +26,13 @@ val fix_group : ?licm:bool -> unit -> Spec.item
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)
 val optimize : ?licm:bool -> Phase.ctx -> Ir.Graph.t -> bool
+
+(** The action steps of a DBDS round, in phase order: {!classic_names}
+    without [sccp], plus [licm] when enabled.  Paper §5 runs after
+    duplication only the optimizations whose applicability checks the
+    simulation ran, and SCCP is not among them. *)
+val action_step_names : ?licm:bool -> unit -> string list
+
+(** Run the action steps to a fixpoint on one graph, through the pass
+    manager. *)
+val action_steps : ?licm:bool -> Phase.ctx -> Ir.Graph.t -> bool

@@ -89,3 +89,16 @@ match r.Harness.Fuzz.r_violations with
     Printf.eprintf "%d region violation(s)\n" (List.length vs);
     exit 1
 
+;;
+(* The DBDS round's action steps leave SCCP out: after the dbds tier,
+   one SCCP run on a copy of each compiled function must fire nothing,
+   on every paper, lab, progen and generated-shape program. *)
+let s = Harness.Fuzz.run_sccp_after_dbds () in
+Printf.printf "fuzz sccp-after-dbds: %d programs, %d functions checked\n"
+  s.Harness.Fuzz.sc_programs s.Harness.Fuzz.sc_functions;
+match s.Harness.Fuzz.sc_violations with
+| [] -> ()
+| vs ->
+    List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
+    Printf.eprintf "%d sccp-after-dbds violation(s)\n" (List.length vs);
+    exit 1

@@ -9,6 +9,7 @@ let mk ~cycles ~size ~work =
     M.peak_cycles = cycles;
     code_size = size;
     compile_work = work;
+    optimizer_work = work;
     ir_digest = "";
     duplications = 0;
     contained = [];

@@ -108,6 +108,93 @@ let test_new_never_null () =
   Alcotest.(check int) "single block" 1 (G.live_block_count g);
   Alcotest.(check int) "result" 2 (run_int prog [])
 
+(* A phi over two [Const] instructions of one value, defined in arms
+   that do not dominate each other (the shape DBDS leaves on kiama):
+   GVN cannot merge the constants, so canonicalize must fold the phi to
+   one entry-block constant.  [arm b x] builds each arm's phi input. *)
+let const_phi_graph arm_t arm_f =
+  let b = Ir.Builder.create ~name:"const_phi" ~n_params:1 () in
+  let x = Ir.Builder.param b 0 in
+  let c = Ir.Builder.cmp b Gt x (Ir.Builder.const b 0) in
+  let bt = Ir.Builder.new_block b in
+  let bf = Ir.Builder.new_block b in
+  let merge = Ir.Builder.new_block b in
+  Ir.Builder.branch b c ~if_true:bt ~if_false:bf;
+  Ir.Builder.switch b bt;
+  let vt = arm_t b x in
+  Ir.Builder.jump b merge;
+  Ir.Builder.switch b bf;
+  let vf = arm_f b x in
+  Ir.Builder.jump b merge;
+  let phi = Ir.Builder.phi b merge [ vt; vf ] in
+  Ir.Builder.switch b merge;
+  Ir.Builder.ret b phi;
+  Ir.Builder.finish b
+
+let count_phis g =
+  G.fold_instrs g (fun n id -> match G.kind g id with Phi _ -> n + 1 | _ -> n) 0
+
+let returned g =
+  G.fold_blocks g
+    (fun acc bid -> match G.term g bid with Return (Some v) -> Some v | _ -> acc)
+    None
+  |> Option.get
+
+let test_phi_of_equal_consts () =
+  let one b _ = Ir.Builder.const b 1 in
+  let g = const_phi_graph one one in
+  Alcotest.(check bool) "fires" true (Opt.Canonicalize.run (Opt.Phase.create ()) g);
+  Ir.Verifier.verify g;
+  Alcotest.(check int) "phi gone" 0 (count_phis g);
+  let v = returned g in
+  Alcotest.(check bool) "returns const 1" true (G.kind g v = Const 1);
+  Alcotest.(check int) "from the entry block" (G.entry g) (G.block_of g v);
+  (* Negative cases: the phi stays. *)
+  List.iter
+    (fun (what, arm_t, arm_f) ->
+      let g = const_phi_graph arm_t arm_f in
+      ignore (Opt.Canonicalize.run (Opt.Phase.create ()) g);
+      Alcotest.(check int) what 1 (count_phis g))
+    [
+      ("different constants", one, (fun b _ -> Ir.Builder.const b 2));
+      ("a param input", one, (fun _ x -> x));
+    ]
+
+(* [phi(const 2, self, const 2)] on a loop header: the self input is
+   ignored, so the phi folds. *)
+let test_phi_of_equal_consts_ignores_self () =
+  let b = Ir.Builder.create ~name:"const_phi_loop" ~n_params:1 () in
+  let x = Ir.Builder.param b 0 in
+  let c = Ir.Builder.cmp b Gt x (Ir.Builder.const b 0) in
+  let bt = Ir.Builder.new_block b in
+  let bf = Ir.Builder.new_block b in
+  let header = Ir.Builder.new_block b in
+  let latch = Ir.Builder.new_block b in
+  let exit = Ir.Builder.new_block b in
+  Ir.Builder.branch b c ~if_true:bt ~if_false:bf;
+  Ir.Builder.switch b bt;
+  let k1 = Ir.Builder.const b 2 in
+  Ir.Builder.jump b header;
+  Ir.Builder.switch b latch;
+  Ir.Builder.jump b header;
+  Ir.Builder.switch b bf;
+  let k2 = Ir.Builder.const b 2 in
+  Ir.Builder.jump b header;
+  let g = Ir.Builder.graph b in
+  Alcotest.(check (list int)) "header preds" [ bt; latch; bf ] (G.preds g header);
+  let phi = Ir.Builder.phi b header [ k1; k1; k2 ] in
+  G.set_kind g phi (Phi [| k1; phi; k2 |]);
+  Ir.Builder.switch b header;
+  let again = Ir.Builder.cmp b Lt phi x in
+  Ir.Builder.branch b again ~if_true:latch ~if_false:exit;
+  Ir.Builder.switch b exit;
+  Ir.Builder.ret b phi;
+  let g = Ir.Builder.finish b in
+  ignore (Opt.Canonicalize.run (Opt.Phase.create ()) g);
+  Ir.Verifier.verify g;
+  Alcotest.(check int) "phi gone" 0 (count_phis g);
+  Alcotest.(check bool) "returns const 2" true (G.kind g (returned g) = Const 2)
+
 (* ---- simplify-cfg ---- *)
 
 let test_branch_folding_merges_blocks () =
@@ -724,4 +811,6 @@ let suite =
     test "pea: folds null compares" test_pea_folds_null_compares;
     test "pea: null compare keeps phi-only escape"
       test_pea_null_compare_keeps_phi_escape;
+    test "phi of equal constants" test_phi_of_equal_consts;
+    test "phi of equal constants ignores self" test_phi_of_equal_consts_ignores_self;
   ]

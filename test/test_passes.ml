@@ -148,6 +148,25 @@ let test_describe_spec () =
         (List.length preserves = List.length Ir.Analyses.all_kinds))
     [ "dce" ]
 
+(* The iterative tiers run the round's action-step group after each
+   round: the classic group without SCCP, which the simulation never
+   prices.  Other passes embed no group. *)
+let test_round_action_steps () =
+  let steps licm name =
+    Dbds.Driver.round_action_steps { Dbds.Config.default with licm } name
+  in
+  let without_sccp =
+    List.filter (fun n -> n <> "sccp") Opt.Pipeline.classic_names
+  in
+  Alcotest.(check (list string)) "dbds" without_sccp (steps false "dbds");
+  Alcotest.(check (list string)) "dupalot" without_sccp (steps false "dupalot");
+  Alcotest.(check (list string))
+    "licm joins the group" (without_sccp @ [ "licm" ]) (steps true "dbds");
+  List.iter
+    (fun name ->
+      Alcotest.(check (list string)) (name ^ " embeds none") [] (steps false name))
+    [ "backtracking"; "condelim_dup"; "gvn" ]
+
 (* ------------------------------------------------------------------ *)
 (* Preservation contracts (property, jobs 1 and 4 driver runs)         *)
 (* ------------------------------------------------------------------ *)
@@ -347,4 +366,5 @@ let suite =
       prop_paranoid_driver;
     test "paranoid: unreachable phi predecessors (regression)"
       test_paranoid_unreachable_pred;
+    test "round action steps omit sccp" test_round_action_steps;
   ]
