@@ -14,14 +14,6 @@ type dump = No_dump | Dump_before | Dump_after | Dump_both | Dump_canon
 type service_opts = {
   serve : string option;  (** run as a compile server on this socket *)
   connect : string option;  (** compile FILE through this server *)
-  fleet_coord : string option;  (** run a membership coordinator here *)
-  fleet_join : string option;
-      (** make [--serve] a fleet worker joined to this coordinator *)
-  fleet_connect : string option;
-      (** route FILE's compiles through this coordinator's fleet *)
-  node_id : string option;  (** ring id of a fleet worker *)
-  fleet_replicas : int;  (** successor copies pushed on publish *)
-  fleet_beat_ms : int;  (** worker heartbeat period *)
   cache_dir : string option;  (** attach an on-disk artifact store *)
   cache_capacity : int;  (** store byte budget (LRU GC) *)
   canon : bool;
@@ -111,23 +103,6 @@ let run_serve ~sock svc =
       ?delay_s:(Option.map (fun ms -> float_of_int ms /. 1000.) svc.delay_ms)
       ~store ()
   in
-  (* A worker's ring id defaults to its socket's basename — unique per
-     node as long as each worker has its own socket, which it must. *)
-  let fleet =
-    Option.map
-      (fun coord ->
-        {
-          Service.Fleet.fl_id =
-            (match svc.node_id with
-            | Some id -> id
-            | None -> Filename.basename sock);
-          fl_addr = sock;
-          fl_coord = coord;
-          fl_replicas = svc.fleet_replicas;
-          fl_beat_s = float_of_int svc.fleet_beat_ms /. 1000.;
-        })
-      svc.fleet_join
-  in
   Service.Frontdoor.serve
     ~log:(fun line -> Format.eprintf "[dbdsc --serve] %s@." line)
     ~config:
@@ -135,63 +110,49 @@ let run_serve ~sock svc =
         Service.Frontdoor.fd_dispatchers = svc.workers;
         fd_queue_limit = svc.queue_limit;
       }
-    ?fleet ~sock ~broker ()
+    ~sock ~broker ()
 
-let run_coordinator ~sock =
-  Service.Fleet.coordinator
-    ~log:(fun line -> Format.eprintf "[dbdsc --fleet] %s@." line)
-    ~sock ()
-
-(* The client modes' shared front half: with a FILE, send each
-   post-inline function through [compile] (its optimized IR, or a
-   failure) and print the results in program order; without one, there
-   must be stats or a shutdown to ask for. *)
-let compile_through ~mode ~config ~file svc compile =
-  match file with
-  | None ->
-      if not (svc.svc_stats || svc.svc_shutdown) then
-        failwith (mode ^ " needs a FILE, --service-stats or --service-shutdown")
-  | Some f ->
-      let prog = Lang.Frontend.compile (read_file f) in
-      apply_inline prog config;
-      let results =
-        List.map
-          (fun fn ->
-            let g = Option.get (Ir.Program.find_function prog fn) in
-            compile fn (Ir.Printer.graph_to_string g))
-          (Ir.Program.function_names prog)
-      in
-      List.iter (fun ir -> Format.printf "%s@." ir) results
-
-(* One server's stats block; a store-less server reports its store as
-   [none]. *)
-let print_server_stats ~title ~broker ~store ~counts =
-  Format.printf "=== %s ===@.%s@.%s@.counts: %s@." title broker
-    (if store = "none" then "store: none" else store)
-    counts
-
+(* Client mode: with a FILE, send each post-inline function through the
+   server and print its optimized IR in program order; without one,
+   there must be stats or a shutdown to ask for. *)
 let run_client ~sock ~config ~file svc =
   let c =
     Service.Client.connect ~deadline_s:5.0 ~sock ()
   in
+  let compile fn ir =
+    match
+      Service.Client.compile_ex ?deadline_ms:svc.deadline_ms
+        ?delay_ms:svc.delay_ms ~config ~fn ~ir c
+    with
+    | Ok (Service.Broker.Done { ir; _ }, _) -> ir
+    | Ok (Service.Broker.Shed, Some retry_ms) ->
+        failwith
+          (Printf.sprintf "service shed %s: retry after %d ms" fn retry_ms)
+    | Ok (o, _) ->
+        failwith
+          (Printf.sprintf "service refused %s: %s" fn
+             (Service.Broker.outcome_label o))
+    | Error msg -> failwith ("service: " ^ msg)
+  in
   Fun.protect
     ~finally:(fun () -> Service.Client.close c)
     (fun () ->
-      compile_through ~mode:"--connect" ~config ~file svc (fun fn ir ->
-          match
-            Service.Client.compile_ex ?deadline_ms:svc.deadline_ms
-              ?delay_ms:svc.delay_ms ~config ~fn ~ir c
-          with
-          | Ok (Service.Broker.Done { ir; _ }, _) -> ir
-          | Ok (Service.Broker.Shed, Some retry_ms) ->
-              failwith
-                (Printf.sprintf "service shed %s: retry after %d ms" fn
-                   retry_ms)
-          | Ok (o, _) ->
-              failwith
-                (Printf.sprintf "service refused %s: %s" fn
-                   (Service.Broker.outcome_label o))
-          | Error msg -> failwith ("service: " ^ msg));
+      (match file with
+      | None ->
+          if not (svc.svc_stats || svc.svc_shutdown) then
+            failwith
+              "--connect needs a FILE, --service-stats or --service-shutdown"
+      | Some f ->
+          let prog = Lang.Frontend.compile (read_file f) in
+          apply_inline prog config;
+          let results =
+            List.map
+              (fun fn ->
+                let g = Option.get (Ir.Program.find_function prog fn) in
+                compile fn (Ir.Printer.graph_to_string g))
+              (Ir.Program.function_names prog)
+          in
+          List.iter (fun ir -> Format.printf "%s@." ir) results);
       if svc.svc_stats then begin
         match
           Service.Client.roundtrip c
@@ -199,8 +160,12 @@ let run_client ~sock ~config ~file svc =
         with
         | Ok reply ->
             let fld k = Service.Protocol.field_or reply k "" in
-            print_server_stats ~title:"service" ~broker:(fld "broker")
-              ~store:(fld "store") ~counts:(fld "counts");
+            (* A store-less server reports its store as [none]. *)
+            let store = fld "store" in
+            Format.printf "=== service ===@.%s@.%s@.counts: %s@."
+              (fld "broker")
+              (if store = "none" then "store: none" else store)
+              (fld "counts");
             (* The admission counters and the latency histogram. *)
             (match Service.Protocol.field reply "frontdoor" with
             | Some fd -> Format.printf "=== frontdoor ===@.%s@." fd
@@ -211,72 +176,6 @@ let run_client ~sock ~config ~file svc =
         match Service.Client.shutdown_server c with
         | Ok () -> ()
         | Error msg -> failwith ("service shutdown: " ^ msg))
-
-(* Fleet client mode: route each function's compile onto the ring via
-   the coordinator's membership view, with failover along the replica
-   successors.  Stats and shutdown fan out to every node in the view
-   (the per-node counts line carries the federation counters: peer
-   hits/misses, replication, evictions). *)
-let run_fleet_client ~coord ~config ~file svc =
-  let r =
-    Service.Client.Router.create ~connect_deadline_s:5.0 ~coord ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Service.Client.Router.close_all r)
-    (fun () ->
-      compile_through ~mode:"--fleet-connect" ~config ~file svc (fun fn ir ->
-          match
-            Service.Client.Router.compile ?deadline_ms:svc.deadline_ms
-              ?delay_ms:svc.delay_ms ~config ~fn ~ir r
-          with
-          | Ok (Service.Broker.Done { ir; _ }) -> ir
-          | Ok o ->
-              failwith
-                (Printf.sprintf "fleet refused %s: %s" fn
-                   (Service.Broker.outcome_label o))
-          | Error msg -> failwith ("fleet: " ^ msg));
-      let each_node f =
-        List.iter
-          (fun (id, addr) ->
-            match Service.Client.connect ~deadline_s:5.0 ~sock:addr () with
-            | exception _ -> Format.printf "=== node %s ===@.unreachable@." id
-            | c ->
-                Fun.protect
-                  ~finally:(fun () -> Service.Client.close c)
-                  (fun () -> f id c))
-          (Service.Client.Router.view r).Service.Member.v_nodes
-      in
-      if svc.svc_stats then begin
-        let v = Service.Client.Router.view r in
-        Format.printf "=== fleet ===@.epoch %d, %d node(s)@."
-          v.Service.Member.v_epoch
-          (List.length v.Service.Member.v_nodes);
-        each_node (fun id c ->
-            match Service.Client.stats c with
-            | Ok (broker, store, counts) ->
-                print_server_stats ~title:("node " ^ id) ~broker ~store
-                  ~counts
-            | Error msg -> Format.printf "=== node %s ===@.error: %s@." id msg)
-      end;
-      if svc.svc_shutdown then begin
-        each_node (fun id c ->
-            match Service.Client.shutdown_server c with
-            | Ok () -> ()
-            | Error msg ->
-                Format.eprintf "warning: node %s shutdown: %s@." id msg);
-        match Service.Client.connect ~deadline_s:5.0 ~sock:coord () with
-        | exception _ -> failwith "fleet shutdown: coordinator unreachable"
-        | c ->
-            Fun.protect
-              ~finally:(fun () -> Service.Client.close c)
-              (fun () ->
-                match
-                  Service.Client.roundtrip c
-                    { Service.Protocol.verb = "shutdown"; fields = [] }
-                with
-                | Ok _ -> ()
-                | Error msg -> failwith ("fleet shutdown: " ^ msg))
-      end)
 
 (** Options of the deterministic whole-system simulator. *)
 type sim_opts = {
@@ -289,12 +188,6 @@ type sim_opts = {
   sim_faults : string option;  (** explicit plans, comma-separated *)
   sim_replay : string option;  (** re-run a sim bundle instead of sweeping *)
   sim_bundle_dir : string;
-  sim_nodes : int;  (** fleet size; 0 = a single server *)
-  sim_replicas : int;  (** successor copies on publish (fleet mode) *)
-  sim_node_chaos : int;  (** seed-derived node kills/partitions per run *)
-  sim_node_faults : string option;
-      (** explicit node events, comma-separated [kill:N@T] /
-          [rejoin:N@T] / [part:N@T1-T2] *)
 }
 
 exception Sim_violations
@@ -324,22 +217,6 @@ let run_sim sim =
         H.builder ~seed:sim.sim_seed ()
         |> H.with_clients sim.sim_clients
         |> H.with_chaos sim.sim_chaos
-        |> H.with_nodes sim.sim_nodes
-        |> H.with_replicas sim.sim_replicas
-        |> H.with_node_chaos sim.sim_node_chaos
-      in
-      let spec =
-        match sim.sim_node_faults with
-        | None -> spec
-        | Some s ->
-            List.fold_left
-              (fun acc part ->
-                match H.node_event_of_string part with
-                | Some ev -> H.with_node_fault ev acc
-                | None ->
-                    failwith ("--sim-node-faults: bad event " ^ part))
-              spec
-              (String.split_on_char ',' s)
       in
       let spec =
         match sim.sim_faults with
@@ -371,15 +248,10 @@ let run_sim sim =
                 let path = H.write_bundle ~dir:sim.sim_bundle_dir min_r in
                 Format.printf
                   "sim seed %d: shrunk %s to %d client(s) x %d request(s), %d \
-                   worker(s), %d fault(s)%s@."
+                   worker(s), %d fault(s)@."
                   r.H.r_spec.H.seed kind min_spec.H.clients
                   min_spec.H.requests_per_client min_spec.H.workers
-                  (List.length min_spec.H.faults)
-                  (if min_spec.H.nodes > 0 then
-                     Printf.sprintf ", %d node(s), %d node fault(s)"
-                       min_spec.H.nodes
-                       (List.length min_spec.H.node_faults)
-                   else "");
+                  (List.length min_spec.H.faults);
                 List.iter
                   (fun p ->
                     Format.printf "  fault: %s@." (Dbds.Faults.to_string p))
@@ -453,11 +325,6 @@ let run_compiler file mode passes licm print_passes dump dot
         (Dbds.Driver.describe_spec config spec);
       raise Exit
     end;
-    (match svc.fleet_coord with
-    | Some sock ->
-        run_coordinator ~sock;
-        raise Exit
-    | None -> ());
     (match svc.serve with
     | Some sock ->
         run_serve ~sock svc;
@@ -466,11 +333,6 @@ let run_compiler file mode passes licm print_passes dump dot
     (match svc.connect with
     | Some sock ->
         run_client ~sock ~config ~file svc;
-        raise Exit
-    | None -> ());
-    (match svc.fleet_connect with
-    | Some coord ->
-        run_fleet_client ~coord ~config ~file svc;
         raise Exit
     | None -> ());
     if simopts.sim || simopts.sim_replay <> None then begin
@@ -828,71 +690,6 @@ let connect_arg =
            each function, print the canonical optimized IR (the bytes \
            $(b,--dump canon) prints for a direct run).")
 
-let fleet_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fleet" ] ~docv:"SOCK"
-        ~doc:
-          "Run as the fleet membership coordinator on Unix socket SOCK (no \
-           FILE needed): track worker joins/leaves/heartbeats, stamp each \
-           view change with a new epoch, sweep silent workers as crashed, \
-           and push rebalance notices on every change.  Stops on a \
-           client's $(b,shutdown).")
-
-let fleet_join_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fleet-join" ] ~docv:"COORD"
-        ~doc:
-          "With $(b,--serve): join the fleet coordinated at COORD as a \
-           worker — heartbeat, answer the peer store-exchange verbs, and \
-           federate the local store's lookup chain through the live \
-           membership view (local disk, then the digest's ring owners, \
-           then cold compile).  See $(b,--node-id), \
-           $(b,--fleet-replicas), $(b,--fleet-beat-ms).")
-
-let fleet_connect_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fleet-connect" ] ~docv:"COORD"
-        ~doc:
-          "Compile FILE through the fleet coordinated at COORD: each \
-           function's request is hashed onto the consistent-hash ring and \
-           sent to its owner, failing over along the replica successors \
-           on node error.  With $(b,--service-stats), prints every \
-           node's broker/store statistics (including peer fetches, \
-           replication and evictions); with $(b,--service-shutdown), \
-           stops every worker and then the coordinator.")
-
-let node_id_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "node-id" ] ~docv:"ID"
-        ~doc:
-          "With $(b,--fleet-join): this worker's ring id (default: the \
-           basename of the $(b,--serve) socket).")
-
-let fleet_replicas_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "fleet-replicas" ] ~docv:"N"
-        ~doc:
-          "With $(b,--fleet-join): push each published artifact to N ring \
-           successors, so single-node loss costs no artifacts.")
-
-let fleet_beat_ms_arg =
-  Arg.(
-    value & opt int 500
-    & info [ "fleet-beat-ms" ] ~docv:"MS"
-        ~doc:
-          "With $(b,--fleet-join): heartbeat period.  The coordinator \
-           sweeps a worker as crashed after missing beats for its \
-           timeout window.")
-
 let cache_dir_arg =
   Arg.(
     value
@@ -947,9 +744,7 @@ let service_stats_arg =
         ~doc:
           "With $(b,--connect): fetch and print the server's broker and \
            store statistics (requests, compiles, coalesced, shed, hits, \
-           GC evictions, peer-fetch hits/misses, replication pushes).  \
-           With $(b,--fleet-connect): the same, for every node in the \
-           membership view.")
+           GC evictions).")
 
 let service_shutdown_arg =
   Arg.(
@@ -972,8 +767,8 @@ let service_workers_arg =
         ~doc:
           "With $(b,--serve): number of compile workers, each a domain \
            of its own, and of the front door's dispatchers, system \
-           threads of the event loop's domain that wait on the disk, \
-           peers and compiles.  A request answered from memory never \
+           threads of the event loop's domain that wait on the disk \
+           and compiles.  A request answered from memory never \
            leaves the event loop.")
 
 let frontdoor_arg =
@@ -994,19 +789,12 @@ let tenant_rate_arg = ignored_float_arg "tenant-rate"
 let tenant_burst_arg = ignored_float_arg "tenant-burst"
 
 let service_opts_term =
-  let make serve connect fleet_coord fleet_join fleet_connect node_id
-      fleet_replicas fleet_beat_ms cache_dir cache_capacity canon deadline_ms
-      delay_ms svc_stats svc_shutdown queue_limit workers (_frontdoor : bool)
+  let make serve connect cache_dir cache_capacity canon deadline_ms delay_ms
+      svc_stats svc_shutdown queue_limit workers (_frontdoor : bool)
       (_tenant_rate : float) (_tenant_burst : float) =
     {
       serve;
       connect;
-      fleet_coord;
-      fleet_join;
-      fleet_connect;
-      node_id;
-      fleet_replicas;
-      fleet_beat_ms;
       cache_dir;
       cache_capacity;
       canon;
@@ -1019,12 +807,10 @@ let service_opts_term =
     }
   in
   Term.(
-    const make $ serve_arg $ connect_arg $ fleet_arg $ fleet_join_arg
-    $ fleet_connect_arg $ node_id_arg $ fleet_replicas_arg $ fleet_beat_ms_arg
-    $ cache_dir_arg $ cache_capacity_arg $ canon_arg $ deadline_ms_arg
-    $ service_delay_ms_arg $ service_stats_arg $ service_shutdown_arg
-    $ service_queue_limit_arg $ service_workers_arg $ frontdoor_arg
-    $ tenant_rate_arg $ tenant_burst_arg)
+    const make $ serve_arg $ connect_arg $ cache_dir_arg $ cache_capacity_arg
+    $ canon_arg $ deadline_ms_arg $ service_delay_ms_arg $ service_stats_arg
+    $ service_shutdown_arg $ service_queue_limit_arg $ service_workers_arg
+    $ frontdoor_arg $ tenant_rate_arg $ tenant_burst_arg)
 
 let sim_arg =
   Arg.(
@@ -1098,50 +884,9 @@ let sim_bundle_dir_arg =
     & info [ "sim-bundle-dir" ] ~docv:"DIR"
         ~doc:"Directory for bundles written by $(b,--sim-shrink).")
 
-let sim_nodes_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "sim-nodes" ] ~docv:"K"
-        ~doc:
-          "Simulate a fleet of K worker nodes (independent simulated \
-           disks) plus a coordinator instead of a single \
-           server; clients route through the consistent-hash ring.  The \
-           invariant extends fleet-wide: byte-identical oracle IR or a \
-           clean contained failure on every node, restart scans \
-           included.  0 = single server.")
-
-let sim_replicas_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "sim-replicas" ] ~docv:"N"
-        ~doc:
-          "With $(b,--sim-nodes): artifact copies pushed to ring \
-           successors on publish.")
-
-let sim_node_chaos_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "sim-node-chaos" ] ~docv:"N"
-        ~doc:
-          "With $(b,--sim-nodes): derive N node-level fault events from \
-           the seed — kill/rejoin pairs and partition windows timed to \
-           land mid-load.")
-
-let sim_node_faults_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "sim-node-faults" ] ~docv:"EVENTS"
-        ~doc:
-          "With $(b,--sim-nodes): explicit node events, comma-separated \
-           — $(b,kill:N@T) (hard crash of node N at virtual time T, no \
-           leave, socket debris left), $(b,rejoin:N@T) (restart over \
-           the surviving disk), $(b,part:N@T1-T2) (two-way partition \
-           from T1 to T2).")
-
 let sim_opts_term =
   let make sim sim_seed sim_seeds sim_shrink sim_clients sim_chaos sim_faults
-      sim_replay sim_bundle_dir sim_nodes sim_replicas sim_node_chaos
-      sim_node_faults =
+      sim_replay sim_bundle_dir =
     {
       sim;
       sim_seed;
@@ -1152,17 +897,12 @@ let sim_opts_term =
       sim_faults;
       sim_replay;
       sim_bundle_dir;
-      sim_nodes;
-      sim_replicas;
-      sim_node_chaos;
-      sim_node_faults;
     }
   in
   Term.(
     const make $ sim_arg $ sim_seed_arg $ sim_seeds_arg $ sim_shrink_arg
     $ sim_clients_arg $ sim_chaos_arg $ sim_faults_arg
-    $ sim_replay_arg $ sim_bundle_dir_arg $ sim_nodes_arg $ sim_replicas_arg
-    $ sim_node_chaos_arg $ sim_node_faults_arg)
+    $ sim_replay_arg $ sim_bundle_dir_arg)
 
 let cmd =
   let doc = "SSA compiler with dominance-based duplication simulation" in

@@ -35,25 +35,15 @@ let pp_programs summaries =
         s.Harness.Report.rows)
     summaries
 
-(* Fixed simulator schedules: single-node seeds 1–10 with the default
-   chaos (a slice of CI's 50-seed sweep), and CI's 3-node fleet replay —
-   a planted kill and rejoin of node 1 under seed 5. *)
+(* Fixed simulator schedules: seeds 1–10 with the default chaos (a
+   slice of CI's 50-seed sweep). *)
 let pp_sim () =
   let module H = Harness.Sim in
-  let line label r =
-    Format.printf "%s: %s%s@." label (H.summary r)
-      (if H.violating r then " VIOLATING" else "")
-  in
   List.iter
     (fun (r : H.result) ->
-      line (Printf.sprintf "seed %d" r.H.r_spec.H.seed) r)
-    (H.run_seeds ~seeds:10 (H.builder ~seed:1 ()));
-  line "3 nodes, kill:1@0.3 rejoin:1@1.4, seed 5"
-    (H.run
-       (H.builder ~seed:5 ()
-       |> H.with_nodes 3
-       |> H.with_node_faults
-            [ H.Kill { node = 1; at = 0.3 }; H.Rejoin { node = 1; at = 1.4 } ]))
+      Format.printf "seed %d: %s%s@." r.H.r_spec.H.seed (H.summary r)
+        (if H.violating r then " VIOLATING" else ""))
+    (H.run_seeds ~seeds:10 (H.builder ~seed:1 ()))
 
 (* Cold compile-service replies on generated code: the generated
    benchmark suite's rotation of eight shapes (progen programs of varied

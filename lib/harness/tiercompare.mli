@@ -1,7 +1,7 @@
 (** Tier comparison over the adversarial workload lab: every
     {!Workloads.Registry.adversarial} benchmark compiled and run under
     the five tiers (off, condelim_dup, dbds, dupalot, backtracking),
-    with a cross-[jobs] determinism fingerprint.  See DESIGN.md §16. *)
+    with a cross-[jobs] determinism fingerprint.  See DESIGN.md §15. *)
 
 (** The tier labels and configurations, in report column order. *)
 val tiers : (string * Dbds.Config.t) list

@@ -104,8 +104,8 @@ let complete t job outcome =
 let armed config ~fn f = Dbds.Faults.armed config.Dbds.Config.fault_plan ~fn f
 
 (* The store half of the lookup chain, armed with the request's fault
-   plan: parsed memo → local disk → peer fetch, parse-validating on
-   first read.  [memory_only] stops after the memo. *)
+   plan: parsed memo → local disk, parse-validating on first read.
+   [memory_only] stops after the memo. *)
 let store_lookup t ~memory_only ~config ~fn ~digest =
   match t.bstore with
   | None -> None
@@ -303,7 +303,7 @@ let enqueue t job =
   end
 
 (* The one request path: digest → refusals → store memo → (coalesce or
-   register a job) → store disk and peers → queue for a compile worker.
+   register a job) → store disk → queue for a compile worker.
    Everything before the queue runs on the calling thread.
    [memory_only] is the chain's prefix up to the store memo: it answers
    only what is already in memory (the digest memo and the store's

@@ -5,7 +5,7 @@
     until an outcome is available.  A request goes down one chain:
     its digest (memoized, below) → the shutdown and deadline refusals
     → the store's parsed memo → coalesce
-    onto an in-flight job or register one → the store's disk and peers
+    onto an in-flight job or register one → the store's disk
     ({!Store.lookup}) → the worker queue.  Everything up to the queue
     runs on the calling thread, so the queue holds only cold compiles
     and a store hit never waits behind one.  {!submit_in_memory} is the
@@ -116,7 +116,7 @@ val submit :
     request's digest is in the digest memo and its artifact in the
     store's parsed memo, with exactly the accounting {!submit} would
     do; [None] — having counted nothing — when answering needs a parse,
-    the disk, a peer or a compile.  Never blocks on IO, so an event loop
+    the disk or a compile.  Never blocks on IO, so an event loop
     may call it. *)
 val submit_in_memory :
   ?deadline_s:float ->

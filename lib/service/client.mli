@@ -35,9 +35,7 @@ val connect :
 val close : t -> unit
 
 (** One request/reply exchange (bounded by the connection's
-    [io_deadline_s]).  [Error] covers transport and protocol failures;
-    the fleet layers build their verbs ([fetch], [push], [join], ...)
-    on this. *)
+    [io_deadline_s]).  [Error] covers transport and protocol failures. *)
 val roundtrip : t -> Protocol.message -> (Protocol.message, string) result
 
 (** Round-trip a [ping]; [false] on any error. *)
@@ -89,70 +87,3 @@ val stats : t -> (string * string * string, string) result
 
 (** Ask the server to shut down (it acknowledges, then stops). *)
 val shutdown_server : t -> (unit, string) result
-
-(** The fleet-aware client: hashes each request's digest onto the
-    membership view's consistent-hash ring, sends it to the owner, and
-    fails over along the ring successors (the nodes most likely to hold
-    a replica) on transport errors.  When every known node fails, the
-    view is refreshed from the coordinator and the sweep retried once —
-    so a router survives node kills and rejoins without caller-side
-    logic. *)
-module Router : sig
-  type t
-
-  (** Fetch an epoch-stamped view from a coordinator socket. *)
-  val fetch_view :
-    ?env:Env.t ->
-    ?deadline_s:float ->
-    sock:string ->
-    unit ->
-    (Member.view, string) result
-
-  (** Build a router against a coordinator (fetches the initial view,
-      waiting for a fleet that has no node yet to get its first one;
-      raises [Failure] when the coordinator is unreachable within
-      [connect_deadline_s]).  [connect_deadline_s] also bounds each
-      per-node connect during failover (default 1s); [io_deadline_s]
-      bounds each request round-trip (default: none). *)
-  val create :
-    ?env:Env.t ->
-    ?connect_deadline_s:float ->
-    ?io_deadline_s:float ->
-    coord:string ->
-    unit ->
-    t
-
-  (** Build a router from a static view (no coordinator, no
-      refreshes). *)
-  val of_view :
-    ?env:Env.t ->
-    ?connect_deadline_s:float ->
-    ?io_deadline_s:float ->
-    Member.view ->
-    t
-
-  val view : t -> Member.view
-
-  (** Adopt [view] if its epoch is newer; connections to departed
-      nodes are closed. *)
-  val update_view : t -> Member.view -> unit
-
-  (** Re-fetch the view from the coordinator (no-op without one; a dead
-      coordinator leaves the current view in place). *)
-  val refresh : t -> unit
-
-  (** Route one compile — see {!Client.compile} for the fields.
-      [Error] only when no fleet node could be reached at all. *)
-  val compile :
-    ?deadline_ms:int ->
-    ?delay_ms:int ->
-    config:Dbds.Config.t ->
-    fn:string ->
-    ir:string ->
-    t ->
-    (Broker.outcome, string) result
-
-  (** Close every cached connection (the router stays usable; the next
-      request reconnects). *)
-  val close_all : t -> unit
-end

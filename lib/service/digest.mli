@@ -42,11 +42,6 @@ type request = {
     Also used by {!Store} for artifact checksums. *)
 val fnv64 : string -> string
 
-(** The raw 64-bit FNV-1a.  Note FNV has no output avalanche: similar
-    inputs give hashes with similar high bits — callers that need
-    spatial uniformity (the {!Ring}) must finalize it themselves. *)
-val fnv64_int64 : string -> int64
-
 (** Canonical IR text of a graph: print → parse → print. *)
 val canonical_of_graph : Ir.Graph.t -> string
 

@@ -75,7 +75,7 @@ type cstate = {
   mutable c_dead : bool;
 }
 
-type kind = Compile | Lookup | Rebalance of Fleet.node
+type kind = Compile | Lookup
 
 type job = {
   jb_cs : cstate;
@@ -86,8 +86,6 @@ type job = {
   jb_deadline : (float option, string) result;
       (** absolute, mono; [Error] names a malformed [deadline-ms] *)
 }
-
-type control = { stop : unit -> unit }
 
 type t = {
   env : Env.t;
@@ -103,10 +101,8 @@ type t = {
   comps : (job * Protocol.message) Queue.t;
   hist : Hist.t;  (** admission-to-reply latency of every request *)
   stats : stats;
-  mutable fleet : Fleet.node option;
   mutable conns : cstate list;
   mutable stopping : bool;
-  mutable killed : bool;
 }
 
 let locked fd f =
@@ -180,11 +176,9 @@ let stats_reply fd =
         let ss = Store.stats s in
         Printf.bprintf counts
           " store_hits=%d store_misses=%d store_writes=%d store_evictions=%d \
-           store_corrupt=%d store_peer_hits=%d store_peer_misses=%d \
-           store_replicated=%d"
+           store_corrupt=%d"
           ss.Store.hits ss.Store.misses ss.Store.writes ss.Store.evictions
-          ss.Store.corrupt ss.Store.peer_hits ss.Store.peer_misses
-          ss.Store.replicated;
+          ss.Store.corrupt;
         Format.asprintf "%a" Store.pp_stats ss
   in
   let fdline = Buffer.create 256 in
@@ -207,6 +201,20 @@ let stats_reply fd =
 
 let internal_error e =
   Protocol.rejected ("internal error: " ^ Printexc.to_string e)
+
+let artifact_reply = function
+  | Some e ->
+      {
+        Protocol.verb = "reply";
+        fields =
+          [
+            ("status", "hit");
+            ("fn", e.Store.ar_fn);
+            ("ir", e.Store.ar_ir);
+            ("work", string_of_int e.Store.ar_work);
+          ];
+      }
+  | None -> { Protocol.verb = "reply"; fields = [ ("status", "miss") ] }
 
 (* An admitted request's reply.  [memory_only] is the event loop's
    call: it answers only what needs no blocking — a compile whose
@@ -261,11 +269,9 @@ let process fd ~memory_only j =
           | None -> Some (Protocol.rejected "this node has no artifact store")
           | Some s -> (
               match Store.lookup ~memory_only s ~digest with
-              | Some (e, _) -> Some (Fleet.artifact_reply (Some e))
+              | Some (e, _) -> Some (artifact_reply (Some e))
               | None when memory_only -> None
-              | None -> Some (Fleet.artifact_reply None))))
-  | Rebalance node ->
-      if memory_only then None else Some (Fleet.answer_rebalance node m)
+              | None -> Some (artifact_reply None))))
 
 (* Account a finished request and fill its reply slot — the one path
    for requests answered on the loop and for dispatcher completions
@@ -320,21 +326,14 @@ let admit fd cs kind m =
         in
         if not queued then fill cs slot shed_reply
 
-let initiate_stop ?(kill = false) fd =
+let initiate_stop fd =
   locked fd (fun () ->
       if not fd.stopping then begin
         fd.stopping <- true;
         fd.job_cond.Env.broadcast ()
-      end;
-      if kill then fd.killed <- true);
+      end);
   (try fd.listener.Env.close_listener () with _ -> ());
   fd.poller.Env.wake ()
-
-(* A store operation answered on the loop: whatever escapes it (a
-   simulated power cut mid-publication, say) becomes this request's
-   rejection, never an exception out of the loop. *)
-let contained answer fd m =
-  try answer (Broker.store fd.broker) m with e -> internal_error e
 
 let handle_msg fd cs m =
   match m.Protocol.verb with
@@ -346,17 +345,6 @@ let handle_msg fd cs m =
       initiate_stop fd
   | "compile" -> admit fd cs Compile m
   | "lookup" -> admit fd cs Lookup m
-  (* Peer verbs are answered right here on the loop, without a
-     dispatcher slot: a dispatcher doing a federated lookup, or a broker
-     worker replicating, waits on a peer's fetch/push — if those needed
-     the peer's dispatchers too, two busy nodes could deadlock each
-     other.  Both touch only the local store. *)
-  | "fetch" -> reply cs (contained Fleet.answer_fetch fd m)
-  | "push" -> reply cs (contained Fleet.answer_push fd m)
-  | "rebalance" -> (
-      match fd.fleet with
-      | None -> reply cs (Protocol.rejected "this node is not in a fleet")
-      | Some node -> admit fd cs (Rebalance node) m)
   | verb -> reply cs (Protocol.rejected ("unknown verb: " ^ verb))
 
 let rec parse_loop fd cs =
@@ -480,11 +468,10 @@ let rec loop fd =
     List.fold_left (fun a cs -> a + Queue.length cs.c_replies) 0 fd.conns
   in
   let out_pending = List.exists (fun cs -> cs.c_out <> "") fd.conns in
-  let stopping, killed, comps_empty =
-    locked fd (fun () -> (fd.stopping, fd.killed, Queue.is_empty fd.comps))
+  let stopping, comps_empty =
+    locked fd (fun () -> (fd.stopping, Queue.is_empty fd.comps))
   in
-  if killed || (stopping && inflight = 0 && (not out_pending) && comps_empty)
-  then ()
+  if stopping && inflight = 0 && (not out_pending) && comps_empty then ()
   else begin
     (* Readable conns and the listener wake the poll; dispatchers wake
        it through the poller.  A non-empty out-buffer (real env only —
@@ -504,7 +491,7 @@ let rec loop fd =
   end
 
 let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
-    ?fleet ?on_control ~sock ~broker () =
+    ~sock ~broker () =
   Env.claim_socket env ~owner:"Frontdoor.serve" sock;
   let listener = env.Env.listen sock in
   let poller = env.Env.poller () in
@@ -531,25 +518,11 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
           fd_shed = 0;
           fd_proto_errors = 0;
         };
-      fleet = None;
       conns = [];
       stopping = false;
-      killed = false;
     }
   in
-  (match on_control with
-  | None -> ()
-  | Some f -> f { stop = (fun () -> initiate_stop ~kill:true fd) });
   log (Printf.sprintf "frontdoor listening on %s" sock);
-  (* Join after the listener is up, so a rebalance push racing the join
-     reply finds a loop to talk to. *)
-  fd.fleet <-
-    Option.map
-      (fun fl ->
-        Fleet.start ~env ~log
-          ~stopping:(fun () -> locked fd (fun () -> fd.stopping))
-          fl (Broker.store broker))
-      fleet;
   let dispatchers =
     List.init config.fd_dispatchers (fun i ->
         env.Env.spawn
@@ -562,9 +535,6 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
   List.iter (fun (t : Env.thread) -> t.Env.join ()) dispatchers;
   List.iter mark_dead fd.conns;
   fd.poller.Env.close_poller ();
-  Option.iter
-    (fun node -> Fleet.stop node ~leave:(not (locked fd (fun () -> fd.killed))))
-    fd.fleet;
   Broker.shutdown broker;
   (try env.Env.remove sock with Sys_error _ -> ());
   log "frontdoor stopped"

@@ -1,6 +1,6 @@
 (** The compile service's accept loop: a single-threaded, poll-based,
     non-blocking event loop serving the compile protocol in front of a
-    {!Broker} — for a lone server and for every fleet worker alike.
+    {!Broker}.
 
     The front door owns every connection from one loop built on
     {!Env.poller} and the non-blocking [try_*] connection operations —
@@ -25,8 +25,8 @@
     {b The request path.}  An admitted request is answered on the loop
     when that needs no blocking: a [compile] whose result is already in
     memory ({!Broker.submit_in_memory} — the broker's request-digest
-    memo plus the store's parsed memo; never a parse, a disk read or a
-    peer fetch), a [lookup] the store's memo holds, or a request refused
+    memo plus the store's parsed memo; never a parse or a disk read), a
+    [lookup] the store's memo holds, or a request refused
     outright (a malformed [deadline-ms] or [delay-ms] among them).
     Everything else is queued to a small pool of dispatcher threads
     that call the blocking {!Broker.submit} and the store, so the loop
@@ -43,21 +43,9 @@
     a client pipelining requests on one connection reads the replies in
     the order it sent them.
 
-    Verbs: [ping], [stats], [shutdown], [compile], [lookup]
-    (digest-keyed artifact fetch through the store's federated chain),
-    the peer-exchange verbs [fetch] / [push], and the coordinator's
-    [rebalance].  Any other verb gets a structured [unknown verb]
-    rejection.
-
-    {b No cross-node dispatcher cycles.}  [fetch] (local disk only) and
-    [push] (adopted without re-replication) are answered on the loop
-    itself, with no dispatcher slot.  A dispatcher doing a federated
-    lookup, or a broker worker replicating, waits on a {e peer's}
-    fetch/push; if those needed the peer's dispatchers too, two busy
-    nodes could deadlock each other.  [rebalance] is admitted to the
-    dispatchers and keeps its synchronous [moved] reply; its outbound
-    pushes are answered on the peers' loops, so it cannot join a cycle.
-    On a node without a fleet, [rebalance] is [rejected]. *)
+    Verbs: [ping], [stats], [shutdown], [compile] and [lookup]
+    (digest-keyed artifact fetch through the store's lookup chain).
+    Any other verb gets a structured [unknown verb] rejection. *)
 
 (** Log2-bucket latency histogram: bucket 0 is [\[0, 1)] ms, bucket
     [i >= 1] is [\[2^(i-1), 2^i)] ms.  Quantiles come back as the upper
@@ -84,30 +72,17 @@ type config = {
 
 val default_config : config
 
-(** A handle to stop the loop from outside the protocol, abruptly: no
-    [leave] is sent (the node must look crashed — the coordinator's
-    sweep evicts it) and outstanding replies are never delivered (the
-    dispatchers still finish the jobs already admitted).  Built for the
-    whole-system simulator's node kills. *)
-type control = { stop : unit -> unit }
-
 (** Serve until a [shutdown] request arrives.  Claims [sock] with
     {!Env.claim_socket} (a live server there makes startup fail with
     [Invalid_argument]; stale debris is removed) and removes it on
     exit.  [env] supplies transport/thread/disk capabilities (default
     {!Env.real}); pass the broker's environment.  [log] receives one
-    line per served request (default: silent).  [fleet] makes this node
-    a fleet worker: it joins the coordinator and heartbeats, federates
-    its store through the live view, answers [rebalance], and sends a
-    best-effort [leave] on [shutdown] — never on a {!control} kill.
-    [on_control] receives the kill handle before the loop starts.
-    [Broker.shutdown] runs on exit. *)
+    line per served request (default: silent).  [Broker.shutdown] runs
+    on exit. *)
 val serve :
   ?env:Env.t ->
   ?log:(string -> unit) ->
   ?config:config ->
-  ?fleet:Fleet.worker ->
-  ?on_control:(control -> unit) ->
   sock:string ->
   broker:Broker.t ->
   unit ->

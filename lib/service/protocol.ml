@@ -254,19 +254,3 @@ let outcome_of_reply m =
     | Some "rejected" -> Ok (Broker.Rejected (msg ()))
     | Some s -> Error ("unknown status: " ^ s)
     | None -> Error "reply missing status"
-
-(* ---- membership views ----------------------------------------------- *)
-
-let view_fields (v : Member.view) =
-  [
-    ("epoch", string_of_int v.Member.v_epoch);
-    ("nodes", Member.string_of_nodes v.Member.v_nodes);
-  ]
-
-let view_of_message m =
-  match
-    ( int_of_string_opt (field_or m "epoch" ""),
-      Option.bind (field m "nodes") Member.nodes_of_string )
-  with
-  | Some epoch, Some nodes -> Some { Member.v_epoch = epoch; v_nodes = nodes }
-  | _ -> None

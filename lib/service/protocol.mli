@@ -16,20 +16,16 @@
     Field payloads are length-prefixed, so IR text travels unescaped.
     The wire is parsed in exactly one place — {!decode}, pure and
     exception-free — and every connection reads through a {!reader}
-    built on it: the front door's event loop, the clients, the fleet
-    coordinator.
+    built on it: the front door's event loop and the clients.
 
     Verbs (client → server): [compile] (fields [config], [fn], [ir],
     optional [deadline-ms], [delay-ms], [inject]), [stats], [ping],
-    [shutdown], [lookup] ([digest]).  Fleet verbs: [fetch], [push] and
-    [rebalance] between nodes; [join], [beat], [leave] and [view] to
-    the coordinator.
+    [shutdown], [lookup] ([digest]).
     Server → client: [reply] with a [status] field ([ok], [done],
     [done-cache], [failed], [timed-out], [shed], [rejected]; [hit] and
-    [miss] answer [lookup]/[fetch], [unknown] a [beat] from a node the
-    coordinator no longer lists) plus verb-specific fields ([ir],
-    [work], [message], [retry-after-ms], [broker], [store], [counts],
-    [frontdoor], [epoch], [nodes]). *)
+    [miss] answer [lookup]) plus verb-specific fields ([ir], [work],
+    [message], [retry-after-ms], [broker], [store], [counts],
+    [frontdoor]). *)
 
 type message = { verb : string; fields : (string * string) list }
 
@@ -137,11 +133,3 @@ val outcome_of_reply : message -> (Broker.outcome, string) result
     ([retry-after-ms]), when present and well-formed (decimal digits,
     as for {!ms_field}). *)
 val retry_after_of_reply : message -> int option
-
-(** Protocol fields of a membership view ([epoch], [nodes]); used by
-    the fleet verbs [join] (reply), [view] (reply) and [rebalance]
-    (request). *)
-val view_fields : Member.view -> (string * string) list
-
-(** Parse a view out of a message carrying {!view_fields}. *)
-val view_of_message : message -> Member.view option

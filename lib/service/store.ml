@@ -13,9 +13,6 @@ type stats = {
   mutable read_failures : int;
   mutable corrupt : int;
   mutable evictions : int;
-  mutable peer_hits : int;
-  mutable peer_misses : int;
-  mutable replicated : int;
 }
 
 type t = {
@@ -36,14 +33,6 @@ type t = {
      mirrors. *)
   parsed : (string, entry * Ir.Graph.t) Hashtbl.t;
   stats : stats;
-  (* Federation hooks, injected after construction (the store sits
-     below the protocol/client layer in the module graph, so the fleet
-     wires the network side in from above).  [peer_fetch] asks the
-     digest's ring owners for an artifact this disk does not hold;
-     [replicate] pushes a fresh publication to the digest's replica
-     successors and returns how many copies landed. *)
-  mutable peer_fetch : (digest:string -> entry option) option;
-  mutable replicate : (digest:string -> entry -> int) option;
 }
 
 let fresh_stats () =
@@ -55,9 +44,6 @@ let fresh_stats () =
     read_failures = 0;
     corrupt = 0;
     evictions = 0;
-    peer_hits = 0;
-    peer_misses = 0;
-    replicated = 0;
   }
 
 let magic = "dbds-artifact: v1"
@@ -171,15 +157,10 @@ let create ?(env = Env.real) ?(capacity = 8 * 1024 * 1024) ~dir () =
     lru;
     parsed = Hashtbl.create 64;
     stats = fresh_stats ();
-    peer_fetch = None;
-    replicate = None;
   }
 
 let dir t = t.dir
 let stats t = t.stats
-let set_federation t ~fetch ~replicate =
-  t.peer_fetch <- fetch;
-  t.replicate <- replicate
 let used_unlocked t = List.fold_left (fun acc (_, b) -> acc + b) 0 t.lru
 let used t = locked t (fun () -> used_unlocked t)
 
@@ -274,10 +255,8 @@ let corrupt_ir ir =
         ^ string_of_int (n + 1)
         ^ String.sub ir !k (len - !k)
 
-(* The locked half of [put]: returns the payload actually published
-   (post fault injection) so federation can replicate the bytes on
-   disk, or [None] when the publication failed or tore. *)
-let put_locked t ~digest ~fn ~ir ~work =
+let put t ~digest ~fn ~ir ~work =
+  locked t (fun () ->
       let ir =
         match F.hit F.Store_corrupt with
         | () -> ir
@@ -312,12 +291,10 @@ let put_locked t ~digest ~fn ~ir ~work =
           Hashtbl.remove t.parsed digest;
           index_touch t digest (String.length content);
           t.stats.writes <- t.stats.writes + 1;
-          gc t;
-          Some ir
+          gc t
       | exception F.Injected { site = F.Store_write; _ } ->
           cleanup_tmp ();
-          t.stats.write_failures <- t.stats.write_failures + 1;
-          None
+          t.stats.write_failures <- t.stats.write_failures + 1
       | exception F.Injected { site = F.Store_rename; _ } ->
           (* Simulate the tear: publish a truncated payload under the
              final name.  A later [get] sees the checksum mismatch,
@@ -327,29 +304,10 @@ let put_locked t ~digest ~fn ~ir ~work =
           cleanup_tmp ();
           Hashtbl.remove t.parsed digest;
           index_touch t digest (String.length torn);
-          t.stats.write_failures <- t.stats.write_failures + 1;
-          None
+          t.stats.write_failures <- t.stats.write_failures + 1
       | exception F.Injected _ | exception Sys_error _ ->
           cleanup_tmp ();
-          t.stats.write_failures <- t.stats.write_failures + 1;
-          None
-
-let put ?(replicate = true) t ~digest ~fn ~ir ~work =
-  let published = locked t (fun () -> put_locked t ~digest ~fn ~ir ~work) in
-  (* Replication happens outside the store lock: it is network IO to
-     peer stores, and the peers' replies must not serialize local
-     lookups. *)
-  match (published, t.replicate) with
-  | Some ir', Some rep when replicate ->
-      let copies =
-        try rep ~digest { ar_fn = fn; ar_ir = ir'; ar_work = work }
-        with _ -> 0
-      in
-      if copies > 0 then
-        locked t (fun () -> t.stats.replicated <- t.stats.replicated + copies)
-  | _ -> ()
-
-let digests t = locked t (fun () -> List.map fst t.lru)
+          t.stats.write_failures <- t.stats.write_failures + 1)
 
 let discard t ~digest =
   locked t (fun () ->
@@ -390,38 +348,11 @@ let from_disk t ~digest =
           discard t ~digest;
           None)
 
-(* A peer's artifact is validated before it is adopted: one that does
-   not parse is counted corrupt and never lands on this disk.  A valid
-   one is adopted (without re-replication — a fetched artifact already
-   lives with its ring owners) but not memoized: the memo mirrors only
-   what this process has read back from its own disk. *)
-let from_peer t ~digest =
-  match t.peer_fetch with
-  | None -> None
-  | Some pf -> (
-      match (try pf ~digest with _ -> None) with
-      | None ->
-          locked t (fun () -> t.stats.peer_misses <- t.stats.peer_misses + 1);
-          None
-      | Some e -> (
-          match parse_ir e with
-          | None ->
-              locked t (fun () -> t.stats.corrupt <- t.stats.corrupt + 1);
-              None
-          | Some g ->
-              locked t (fun () -> t.stats.peer_hits <- t.stats.peer_hits + 1);
-              put ~replicate:false t ~digest ~fn:e.ar_fn ~ir:e.ar_ir
-                ~work:e.ar_work;
-              Some (e, g)))
-
 let lookup ?(memory_only = false) t ~digest =
   match memo_find t ~digest with
   | Some _ as hit -> hit
   | None when memory_only -> None
-  | None -> (
-      match from_disk t ~digest with
-      | Some _ as hit -> hit
-      | None -> from_peer t ~digest)
+  | None -> from_disk t ~digest
 
 (* ---- the driver hook ------------------------------------------------ *)
 
@@ -456,6 +387,6 @@ let driver_cache ?(context = "") t =
 let pp_stats ppf s =
   Format.fprintf ppf
     "store: hits=%d misses=%d writes=%d write_failures=%d read_failures=%d \
-     corrupt=%d evictions=%d peer_hits=%d peer_misses=%d replicated=%d"
+     corrupt=%d evictions=%d"
     s.hits s.misses s.writes s.write_failures s.read_failures s.corrupt
-    s.evictions s.peer_hits s.peer_misses s.replicated
+    s.evictions

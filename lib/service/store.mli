@@ -35,9 +35,6 @@ type stats = {
   mutable read_failures : int;  (** injected / IO read failures, contained *)
   mutable corrupt : int;  (** checksum or format mismatches, evicted *)
   mutable evictions : int;  (** LRU GC victims *)
-  mutable peer_hits : int;  (** federated lookups answered by a peer *)
-  mutable peer_misses : int;  (** federated lookups no peer could answer *)
-  mutable replicated : int;  (** artifact copies pushed to successors *)
 }
 
 type t
@@ -58,55 +55,25 @@ val used : t -> int
     recency on a hit; evicts and reports a miss on corruption. *)
 val get : t -> digest:string -> entry option
 
-(** Install the federation hooks (see {!Fleet.federate}, which builds
-    them from the ring view).  [fetch] is consulted by {!lookup} after a
-    local miss; [replicate] is called after every successful
-    {!put} with the bytes actually published, returning how many peer
-    copies landed.  Pass [None] to disconnect. *)
-val set_federation :
-  t ->
-  fetch:(digest:string -> entry option) option ->
-  replicate:(digest:string -> entry -> int) option ->
-  unit
-
 (** Publish an artifact under [digest] (atomic; runs the LRU GC).
-    Failures are contained and counted, never raised.  When federation
-    is installed and [replicate] is [true] (the default), the published
-    bytes are offered to the digest's ring successors outside the store
-    lock. *)
-val put :
-  ?replicate:bool ->
-  t ->
-  digest:string ->
-  fn:string ->
-  ir:string ->
-  work:int ->
-  unit
+    Failures are contained and counted, never raised. *)
+val put : t -> digest:string -> fn:string -> ir:string -> work:int -> unit
 
-(** Digests currently indexed, most recently used first (a rebalance
-    scan's worklist). *)
-val digests : t -> string list
-
-(** The one lookup chain, shared by the broker, {!driver_cache} and the
-    VM warm-start hooks: parsed memo → local disk ({!get}, checksummed)
-    → the digest's ring-owner peers (when federation is installed).
+(** The one lookup chain, shared by the broker and {!driver_cache}:
+    parsed memo → local disk ({!get}, checksummed).
 
     - The IR is parse-validated the first time an entry comes from
-      disk or a peer.  A checksummed local artifact that does not
-      parse is evicted (counted [corrupt]); a peer's is counted
-      [corrupt] and never adopted.
+      disk.  A checksummed artifact that does not parse is evicted
+      (counted [corrupt]).
     - A verified disk read is memoized while the entry stays indexed,
       so repeat lookups skip the filesystem and the parser entirely.
       The memo is dropped whenever the entry is evicted, discarded or
       republished.
-    - A valid peer hit is adopted into the local store (without
-      re-replication) and counted under [peer_hits]; the next lookup
-      reads it back from disk.  Hook failures degrade to a miss.
-    - A miss probes the disk exactly once, then the peers; the
-      cold-compile fallback stays with the caller.
+    - A miss probes the disk exactly once; the cold-compile fallback
+      stays with the caller.
     - [memory_only] (default [false]) stops after the parsed memo: the
-      chain's in-memory prefix, which never reads disk, parses, fetches
-      or reaches a fault site — cheap enough for an event loop.
+      chain's in-memory prefix, which never reads disk, parses or
+      reaches a fault site — cheap enough for an event loop.
 
     The returned graph may be {e shared} between every caller of the
     same digest — treat it as read-only (restore/copy from it, never

@@ -1,8 +1,8 @@
 (** Whole-system simulation harness.
 
     Composes a complete compile-service topology — one front door
-    ({!Service.Frontdoor}) or a fleet of them, a broker with W worker
-    fibers and N client fibers — on top of the deterministic scheduler
+    ({!Service.Frontdoor}), a broker with W worker fibers and N client
+    fibers — on top of the deterministic scheduler
     and the simulated environment, runs a seeded schedule with chaos
     faults (message drops, reorders, duplicates, partitions, slow
     disks, torn writes, clock jumps), and checks the end-to-end
@@ -25,18 +25,6 @@ module Env = Service.Env
 
 (* ---- specs (the builder) -------------------------------------------- *)
 
-(** A node-level fault in a multi-node fleet, at a virtual time.  Node
-    indices are taken modulo the fleet size, so shrunk topologies stay
-    valid.  [Kill] is a hard crash: the server stops without a [leave],
-    its connections reset, and the socket debris stays — the
-    coordinator's sweep must detect it.  [Rejoin] restarts a killed
-    node over its surviving disk (the restart scan in miniature).
-    [Partition] cuts the node off both ways until [until_]. *)
-type node_event =
-  | Kill of { node : int; at : float }
-  | Rejoin of { node : int; at : float }
-  | Partition of { node : int; at : float; until_ : float }
-
 type spec = {
   seed : int;
   clients : int;
@@ -48,11 +36,6 @@ type spec = {
   compile_delay_s : float;  (** broker's artificial compile stretch *)
   deadline_ms : int option;  (** per-request deadline *)
   store_capacity : int;
-  nodes : int;  (** 0 = a single server; K >= 1 = a fleet of K workers
-                    plus a coordinator *)
-  replicas : int;  (** successor copies pushed on publish (fleet mode) *)
-  node_chaos : int;  (** node events derived from the seed (fleet mode) *)
-  node_faults : node_event list;  (** explicit node events, on top *)
 }
 
 let builder ?(seed = 0) () =
@@ -67,10 +50,6 @@ let builder ?(seed = 0) () =
     compile_delay_s = 0.02;
     deadline_ms = None;
     store_capacity = 256 * 1024;
-    nodes = 0;
-    replicas = 1;
-    node_chaos = 0;
-    node_faults = [];
   }
 
 let with_seed seed b = { b with seed }
@@ -86,11 +65,11 @@ let with_fault plan b = { b with faults = b.faults @ [ plan ] }
 let with_faults faults b = { b with faults = b.faults @ faults }
 let with_compile_delay compile_delay_s b = { b with compile_delay_s }
 let with_deadline_ms deadline_ms b = { b with deadline_ms }
-let with_nodes nodes b = { b with nodes = max 0 nodes }
-let with_replicas replicas b = { b with replicas = max 0 replicas }
-let with_node_chaos node_chaos b = { b with node_chaos = max 0 node_chaos }
-let with_node_fault ev b = { b with node_faults = b.node_faults @ [ ev ] }
-let with_node_faults evs b = { b with node_faults = b.node_faults @ evs }
+
+(** A no-op: the simulator runs one server.  Kept only because the
+    frozen benchmark's [exercise_unmeasured] ([perfbench/pb.ml]) still
+    calls [with_nodes 2]. *)
+let with_nodes _ b = b
 
 (* Chaos plans are a pure function of the seed: [chaos] draws over the
    environment sites, each with a small hit index.  Derivation is
@@ -104,45 +83,6 @@ let chaos_plans ~seed n =
       in
       let hit = 1 + Random.State.int rng 4 in
       { F.seed; site; hit; fn = None })
-
-(* Node chaos is a pure function of the seed, like [chaos_plans]: each
-   draw is either a kill/rejoin pair or a partition window, timed to
-   land while the client load is in flight.  Every killed node rejoins,
-   so the fleet is whole again for the final shutdown and scans. *)
-let node_chaos_events ~seed ~nodes n =
-  if nodes <= 0 then []
-  else
-    let rng = Random.State.make [| 0x5eed1; seed |] in
-    List.concat
-      (List.init n (fun _ ->
-           let node = Random.State.int rng nodes in
-           let at = 0.2 +. Random.State.float rng 1.3 in
-           let dur = 0.3 +. Random.State.float rng 0.9 in
-           if Random.State.bool rng then
-             [ Kill { node; at }; Rejoin { node; at = at +. dur } ]
-           else [ Partition { node; at; until_ = at +. dur } ]))
-
-let node_event_time = function
-  | Kill { at; _ } | Rejoin { at; _ } | Partition { at; _ } -> at
-
-let node_event_to_string = function
-  | Kill { node; at } -> Printf.sprintf "kill:%d@%.3f" node at
-  | Rejoin { node; at } -> Printf.sprintf "rejoin:%d@%.3f" node at
-  | Partition { node; at; until_ } ->
-      Printf.sprintf "part:%d@%.3f-%.3f" node at until_
-
-let node_event_of_string s =
-  try
-    Some
-      (Scanf.sscanf s "%[a-z]:%d@%f%s" (fun kind node at rest ->
-           match (kind, rest) with
-           | "kill", "" -> Kill { node; at }
-           | "rejoin", "" -> Rejoin { node; at }
-           | "part", _ ->
-               Scanf.sscanf rest "-%f" (fun until_ ->
-                   Partition { node; at; until_ })
-           | _ -> raise Exit))
-  with _ -> None
 
 (* Explicit faults split by layer: environment sites arm the simulated
    network/disk/clock; everything else (store and pipeline sites,
@@ -264,13 +204,6 @@ let oracle (rq : request) =
 let sock = "/run/dbds.sock"
 let store_dir = "/store"
 
-(* Fleet-mode topology: one coordinator plus [nodes] workers, each with
-   its own socket and its own disk subtree. *)
-let coord_sock = "/run/dbds-coord.sock"
-let node_sock k = Printf.sprintf "/run/dbds-node-%d.sock" k
-let node_dir k = Printf.sprintf "/store/node-%d" k
-let node_id k = Printf.sprintf "node-%d" k
-
 let run spec =
   let env_faults, config_plan =
     split_faults (chaos_plans ~seed:spec.seed spec.chaos @ spec.faults)
@@ -357,65 +290,18 @@ let run spec =
     reconnect requests
   in
 
-  (* The fleet-mode client: a {!Service.Client.Router} hashes each
-     request onto the membership ring and fails over along successors;
-     a total routing failure is a clean, client-visible outcome. *)
-  let client_fleet_fiber i () =
-    let requests =
-      List.init spec.requests_per_client (fun j -> (j, request_of i j))
-    in
-    let record_label (_, (rq : request)) label detail =
-      record
-        { ro_client = i; ro_fn = rq.pr_fn; ro_label = label; ro_detail = detail }
-    in
-    match
-      Service.Client.Router.create ~env ~connect_deadline_s:1.0
-        ~io_deadline_s:120. ~coord:coord_sock ()
-    with
-    | exception _ ->
-        List.iter
-          (fun item -> record_label item "unreached" "coordinator unreachable")
-          requests
-    | router ->
-        List.iter
-          (fun ((_, rq) as item) ->
-            match
-              Service.Client.Router.compile ?deadline_ms:spec.deadline_ms
-                ~config ~fn:rq.pr_fn ~ir:rq.pr_ir router
-            with
-            | Ok (Service.Broker.Done { ir; from_cache; _ }) ->
-                check_done ~client:i rq ir;
-                record_label item (if from_cache then "done-cache" else "done") ""
-            | Ok (Service.Broker.Failed msg) ->
-                if not failures_expected then
-                  violate "unexpected-failure"
-                    (Printf.sprintf "client-%d %s: %s" i rq.pr_fn msg);
-                record_label item "failed" msg
-            | Ok o -> record_label item (Service.Broker.outcome_label o) ""
-            | Error msg -> record_label item "transport" msg)
-          requests;
-        Service.Client.Router.close_all router
-  in
-
-  (* Ask the server at [target] to shut down.  Chaos may eat a shutdown
-     exchange; armed faults are one-shot, so retries get through.  With
-     [required:false] (a node that was killed and never rejoined) an
-     unreachable target is simply already down. *)
-  let shutdown_at ~required target =
+  (* Ask the server to shut down.  Chaos may eat a shutdown exchange;
+     armed faults are one-shot, so retries get through. *)
+  let shutdown () =
     let rec attempt k =
-      if k >= 20 then begin
-        if required then
-          violate "shutdown-unreachable" (target ^ ": 20 attempts failed")
-      end
+      if k >= 20 then
+        violate "shutdown-unreachable" (sock ^ ": 20 attempts failed")
       else
         match
-          Service.Client.connect ~env
-            ~deadline_s:(if required then 5. else 0.5)
-            ~io_deadline_s:30. ~sock:target ()
+          Service.Client.connect ~env ~deadline_s:5. ~io_deadline_s:30. ~sock ()
         with
         | exception Service.Client.Connect_failed _ ->
-            if required then
-              violate "shutdown-unreachable" (target ^ ": connect exhausted")
+            violate "shutdown-unreachable" (sock ^ ": connect exhausted")
         | conn -> (
             let r = Service.Client.shutdown_server conn in
             Service.Client.close conn;
@@ -432,7 +318,7 @@ let run spec =
     { Service.Frontdoor.default_config with fd_queue_limit = spec.queue_limit }
   in
 
-  let single_main () =
+  let main () =
     let store =
       Service.Store.create ~env ~capacity:spec.store_capacity ~dir:store_dir ()
     in
@@ -498,7 +384,7 @@ let run spec =
     in
     List.iter (fun (c : Env.thread) -> c.Env.join ()) clients;
     List.iter (fun (c : Env.thread) -> c.Env.join ()) protocol_chaos;
-    shutdown_at ~required:true sock;
+    shutdown ();
     server.Env.join ();
     (* Model a process restart: a fresh store over the surviving disk
        must only ever serve artifacts the oracle agrees with — torn or
@@ -518,192 +404,6 @@ let run spec =
       pool
   in
 
-  (* ---- the fleet topology: K workers + coordinator ------------------- *)
-  let fleet_main () =
-    let nodes = spec.nodes in
-    let beat_s = 0.2 in
-    (* Outbound half of a partition: the node's own env refuses
-       connects while its cut flag is up; {!Simio.isolate} covers the
-       inbound half. *)
-    let cut = Array.init nodes (fun _ -> ref false) in
-    let node_env k =
-      {
-        env with
-        Env.connect =
-          (fun addr ->
-            if !(cut.(k)) then
-              raise
-                (Env.Net (Env.Refused, "connect " ^ addr ^ " (partitioned)"))
-            else env.Env.connect addr);
-      }
-    in
-    let controls = Array.make nodes None in
-    (* A kill that lands before the restarted front door has handed
-       over its control: applied the moment the control arrives. *)
-    let kill_pending = Array.make nodes false in
-    let threads = Array.make nodes None in
-    let alive = Array.make nodes false in
-    (* (Re)start worker [k]: a fresh store over whatever survives on its
-       disk (the per-node restart discipline), a fresh broker, and a
-       front door that joins the coordinator and federates its store. *)
-    let start_node k =
-      let nenv = node_env k in
-      let store =
-        Service.Store.create ~env:nenv ~capacity:spec.store_capacity
-          ~dir:(node_dir k) ()
-      in
-      let broker =
-        Service.Broker.create ~env:nenv ~workers:spec.workers
-          ~queue_limit:spec.queue_limit ~delay_s:spec.compile_delay_s
-          ~store:(Some store) ()
-      in
-      let fleet =
-        {
-          Service.Fleet.fl_id = node_id k;
-          fl_addr = node_sock k;
-          fl_coord = coord_sock;
-          fl_replicas = spec.replicas;
-          fl_beat_s = beat_s;
-        }
-      in
-      controls.(k) <- None;
-      kill_pending.(k) <- false;
-      let on_control (c : Service.Frontdoor.control) =
-        if kill_pending.(k) then begin
-          kill_pending.(k) <- false;
-          c.Service.Frontdoor.stop ()
-        end
-        else controls.(k) <- Some c
-      in
-      threads.(k) <-
-        Some
-          (env.Env.spawn (node_id k) (fun () ->
-               Service.Frontdoor.serve ~env:nenv ~config:frontdoor_config
-                 ~fleet ~on_control ~sock:(node_sock k) ~broker ()));
-      alive.(k) <- true
-    in
-    let coordinator =
-      env.Env.spawn "coordinator" (fun () ->
-          Service.Fleet.coordinator ~env ~beat_timeout_s:(2.5 *. beat_s)
-            ~sock:coord_sock ())
-    in
-    Sched.sleep sched 0.01;
-    for k = 0 to nodes - 1 do
-      start_node k
-    done;
-    (* Wait for the view to cover the whole fleet before load starts —
-       a router built against a partial view would miss nodes for no
-       interesting reason. *)
-    let rec await_fleet attempts =
-      if attempts > 200 then
-        violate "fleet-boot" "coordinator never assembled the full fleet"
-      else
-        match
-          Service.Client.Router.fetch_view ~env ~deadline_s:1.0
-            ~sock:coord_sock ()
-        with
-        | Ok v when List.length v.Service.Member.v_nodes >= nodes -> ()
-        | _ ->
-            Sched.sleep sched 0.05;
-            await_fleet (attempts + 1)
-    in
-    await_fleet 0;
-    (* Scripted node chaos runs in one fiber, in time order, so
-       overlapping events apply deterministically. *)
-    let events =
-      List.stable_sort
-        (fun a b -> compare (node_event_time a) (node_event_time b))
-        (node_chaos_events ~seed:spec.seed ~nodes spec.node_chaos
-        @ spec.node_faults)
-    in
-    let norm node = ((node mod nodes) + nodes) mod nodes in
-    let healers = ref [] in
-    let apply_event ev =
-      let at = node_event_time ev in
-      let now = Sched.now sched in
-      if at > now then Sched.sleep sched (at -. now);
-      match ev with
-      | Kill { node; _ } ->
-          let k = norm node in
-          if alive.(k) then begin
-            alive.(k) <- false;
-            (match controls.(k) with
-            | Some c -> c.Service.Frontdoor.stop ()
-            | None -> kill_pending.(k) <- true);
-            (* Reset the node's traffic and leave its socket debris
-               behind: to everyone else this is a crash, not a leave. *)
-            Simio.sever io (node_sock k)
-          end
-      | Rejoin { node; _ } ->
-          let k = norm node in
-          if not alive.(k) then begin
-            (match threads.(k) with
-            | Some (t : Env.thread) -> t.Env.join ()
-            | None -> ());
-            start_node k
-          end
-      | Partition { node; until_; _ } ->
-          let k = norm node in
-          if alive.(k) && not !(cut.(k)) then begin
-            cut.(k) := true;
-            Simio.isolate io (node_sock k);
-            (* The heal keeps its own schedule: the timeline must not
-               sleep through the kills and rejoins due meanwhile. *)
-            healers :=
-              env.Env.spawn
-                (Printf.sprintf "heal-%d" k)
-                (fun () ->
-                  let now = Sched.now sched in
-                  if until_ > now then Sched.sleep sched (until_ -. now);
-                  cut.(k) := false;
-                  Simio.heal io (node_sock k))
-              :: !healers
-          end
-    in
-    let chaos =
-      env.Env.spawn "node-chaos" (fun () ->
-          List.iter apply_event events;
-          List.iter (fun (h : Env.thread) -> h.Env.join ()) !healers)
-    in
-    let clients =
-      List.init spec.clients (fun i ->
-          env.Env.spawn (Printf.sprintf "client-%d" i) (client_fleet_fiber i))
-    in
-    List.iter (fun (c : Env.thread) -> c.Env.join ()) clients;
-    chaos.Env.join ();
-    (* Shut every worker down, then the coordinator.  A node killed
-       without a rejoin is already gone — best-effort there. *)
-    for k = 0 to nodes - 1 do
-      shutdown_at ~required:alive.(k) (node_sock k);
-      match threads.(k) with
-      | Some (t : Env.thread) -> t.Env.join ()
-      | None -> ()
-    done;
-    shutdown_at ~required:true coord_sock;
-    coordinator.Env.join ();
-    (* Fleet-wide restart scans: every node's surviving disk must only
-       hold artifacts the oracle agrees with. *)
-    for k = 0 to nodes - 1 do
-      let fresh =
-        Service.Store.create ~env ~capacity:spec.store_capacity
-          ~dir:(node_dir k) ()
-      in
-      Array.iter
-        (fun rq ->
-          match Service.Store.get fresh ~digest:rq.pr_digest with
-          | None -> ()
-          | Some e ->
-              if e.Service.Store.ar_ir <> oracle rq then
-                violate "wrong-artifact"
-                  (Printf.sprintf
-                     "restart scan %s on %s: persisted artifact differs from \
-                      oracle"
-                     rq.pr_fn (node_id k)))
-        pool
-    done
-  in
-
-  let main = if spec.nodes <= 0 then single_main else fleet_main in
   let out = Sched.run sched main in
   if out.Sched.hung <> [] then
     violate "hang"
@@ -774,27 +474,17 @@ let shrink ?(max_runs = 200) spec =
           spec with
           chaos = 0;
           faults = chaos_plans ~seed:spec.seed spec.chaos @ spec.faults;
-          node_chaos = 0;
-          node_faults =
-            node_chaos_events ~seed:spec.seed ~nodes:spec.nodes spec.node_chaos
-            @ spec.node_faults;
         }
       in
       let drop_nth n l = List.filteri (fun i _ -> i <> n) l in
       let candidates s =
         List.init (List.length s.faults) (fun n ->
             { s with faults = drop_nth n s.faults })
-        @ List.init (List.length s.node_faults) (fun n ->
-              { s with node_faults = drop_nth n s.node_faults })
         @ (if s.clients > 1 then [ { s with clients = s.clients - 1 } ] else [])
         @ (if s.requests_per_client > 1 then
              [ { s with requests_per_client = s.requests_per_client - 1 } ]
            else [])
         @ (if s.workers > 1 then [ { s with workers = s.workers - 1 } ] else [])
-        @ (if s.nodes > 1 then [ { s with nodes = s.nodes - 1 } ] else [])
-        @ (if s.nodes > 0 && s.replicas > 0 then
-             [ { s with replicas = s.replicas - 1 } ]
-           else [])
         @
         if s.compile_delay_s > 0. then [ { s with compile_delay_s = 0. } ]
         else []
@@ -828,17 +518,6 @@ let render_bundle (r : result) =
     (match s.faults with
     | [] -> "none"
     | fs -> String.concat "," (List.map F.to_string fs));
-  (* The fleet fields appear only when set, so single-server bundles
-     stay byte-compatible with v1 readers. *)
-  if s.nodes > 0 then begin
-    line "nodes: %d" s.nodes;
-    line "replicas: %d" s.replicas;
-    line "node-chaos: %d" s.node_chaos;
-    line "node-faults: %s"
-      (match s.node_faults with
-      | [] -> "none"
-      | evs -> String.concat "," (List.map node_event_to_string evs))
-  end;
   line "trace-hash: %s" r.r_trace_hash;
   List.iter
     (fun v ->
@@ -871,38 +550,26 @@ let parse_bundle text =
     | Some n -> n
     | None -> raise (Malformed_bundle ("missing or bad field: " ^ key))
   in
-  (* Fleet fields default when absent: pre-fleet bundles parse as the
-     single-server topology.  Unknown fields are ignored — older bundles
-     carry a [frontdoor: true|false] line from when the single server
-     had two serving modes; every topology now serves through the front
-     door.  [vm-warm: false] is what every single-server bundle said
-     while the tiered VM could warm-start against the simulated store;
-     a bundle that ran that step cannot replay without it. *)
+  (* Unknown fields are ignored — older bundles carry a
+     [frontdoor: true|false] line from when the single server had two
+     serving modes; every run now serves through the front door.
+     [vm-warm: false] is what every single-server bundle said while the
+     tiered VM could warm-start against the simulated store; a bundle
+     that ran that step cannot replay without it.  Nor can one that
+     carries [nodes: N]: it ran a simulated fleet, and replaying it on
+     one server would give a different trace. *)
   (match field "vm-warm" with
   | None | Some "false" -> ()
   | Some v ->
       raise
         (Malformed_bundle
            ("vm-warm: " ^ v ^ ": the tiered-VM warm-start step is retired")));
-  let int_field_or key default =
-    match field key with
-    | None -> default
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n -> n
-        | None -> raise (Malformed_bundle ("bad field: " ^ key)))
-  in
-  let node_faults =
-    match field "node-faults" with
-    | None | Some "none" -> []
-    | Some s ->
-        List.map
-          (fun part ->
-            match node_event_of_string part with
-            | Some ev -> ev
-            | None -> raise (Malformed_bundle ("bad node fault: " ^ part)))
-          (String.split_on_char ',' s)
-  in
+  (match field "nodes" with
+  | None | Some "0" -> ()
+  | Some n ->
+      raise
+        (Malformed_bundle
+           ("nodes: " ^ n ^ ": the multi-node fleet is retired")));
   let faults =
     match field "faults" with
     | None | Some "none" -> []
@@ -928,10 +595,6 @@ let parse_bundle text =
       | None | Some "none" -> None
       | Some s -> int_of_string_opt s);
     store_capacity = (builder ()).store_capacity;
-    nodes = int_field_or "nodes" 0;
-    replicas = int_field_or "replicas" 1;
-    node_chaos = int_field_or "node-chaos" 0;
-    node_faults;
   }
 
 (** Write [r] as a replayable bundle under [dir]; returns the path.

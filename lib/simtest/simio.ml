@@ -45,8 +45,6 @@ type ep = {
   mutable rwaiter : (unit -> unit) option;
 }
 
-type conn_rec = { cr_client : ep; cr_server : ep }
-
 type t = {
   sched : Sched.t;
   net_latency : float;
@@ -59,12 +57,6 @@ type t = {
   denied : (string, unit) Hashtbl.t;
       (** socket paths whose connect answers EACCES — test hook for the
           stale-socket probe *)
-  unreachable : (string, unit) Hashtbl.t;
-      (** isolated listener addrs: connect answers ECONNREFUSED — the
-          node-partition primitive for multi-node fleets *)
-  conns : (string, conn_rec list ref) Hashtbl.t;
-      (** live connections by the listener addr they were accepted on,
-          so {!sever} / {!isolate} can reset a whole node's traffic *)
   eps : (int, ep) Hashtbl.t;
       (** conn-id → endpoint, the poller's readiness lookup *)
   lrecs : (int, listener_rec) Hashtbl.t;  (** listener-id → record *)
@@ -94,8 +86,6 @@ let create ?(net_latency = 0.001) ?(disk_latency = 0.002)
       dirs = Hashtbl.create 8;
       listeners = Hashtbl.create 4;
       denied = Hashtbl.create 4;
-      unreachable = Hashtbl.create 4;
-      conns = Hashtbl.create 4;
       eps = Hashtbl.create 16;
       lrecs = Hashtbl.create 4;
       arms = List.map (fun plan -> { plan; count = 0 }) faults;
@@ -296,22 +286,14 @@ let conn_of_ep io self peer =
         close_ep io self peer);
   }
 
-let register_conn io addr cr =
-  match Hashtbl.find_opt io.conns addr with
-  | Some cell -> cell := cr :: !cell
-  | None -> Hashtbl.replace io.conns addr (ref [ cr ])
-
 let connect io addr =
   if Hashtbl.mem io.denied addr then
     raise (Env.Net (Env.Denied, "connect " ^ addr));
-  if Hashtbl.mem io.unreachable addr then
-    raise (Env.Net (Env.Refused, "connect " ^ addr ^ " (isolated)"));
   match Hashtbl.find_opt io.listeners addr with
   | Some l when not l.lclosed ->
       io.conn_count <- io.conn_count + 1;
       let tag = Printf.sprintf "conn%d" io.conn_count in
       let cep = make_ep (tag ^ ":c->s") and sep = make_ep (tag ^ ":s->c") in
-      register_conn io addr { cr_client = cep; cr_server = sep };
       Queue.push (conn_of_ep io sep cep) l.backlog;
       (match l.lwaiter with
       | None -> ()
@@ -367,59 +349,6 @@ let listen io addr =
     end
   in
   { Env.lid; accept; try_accept; close_listener }
-
-(* ---- node-level faults ----------------------------------------------- *)
-
-(* Reset every live connection accepted on [addr] — both endpoints see
-   ECONNRESET and any blocked reader wakes.  The registry entry is
-   dropped; already-closed conns are reset harmlessly (their readers
-   are gone). *)
-let reset_conns io addr =
-  match Hashtbl.find_opt io.conns addr with
-  | None -> ()
-  | Some cell ->
-      List.iter
-        (fun cr ->
-          cr.cr_client.reset <- true;
-          cr.cr_server.reset <- true;
-          wake_reader cr.cr_client;
-          wake_reader cr.cr_server)
-        !cell;
-      Hashtbl.remove io.conns addr
-
-let close_listener_at io addr =
-  match Hashtbl.find_opt io.listeners addr with
-  | None -> ()
-  | Some l ->
-      l.lclosed <- true;
-      Hashtbl.remove io.listeners addr;
-      Hashtbl.remove io.lrecs l.l_id;
-      (match l.lwaiter with
-      | None -> ()
-      | Some wake ->
-          l.lwaiter <- None;
-          wake ())
-
-(** Hard-kill the node listening on [addr]: every live connection
-    resets and the listener closes (its accept raises [Closed]).  The
-    socket file is left behind — exactly the stale-socket debris a
-    crashed process leaves, so later connects answer [Refused] and a
-    restart exercises the claim-socket probe. *)
-let sever io addr =
-  reset_conns io addr;
-  close_listener_at io addr
-
-(** Partition the node at [addr] off the network: live connections
-    reset and new connects answer [Refused], but the listener itself
-    stays up — the process is alive, just unreachable.  Outbound
-    traffic is the harness's side of the cut (wrap the node's
-    [Env.connect]). *)
-let isolate io addr =
-  Hashtbl.replace io.unreachable addr ();
-  reset_conns io addr
-
-(** Undo {!isolate}: connects to [addr] reach the listener again. *)
-let heal io addr = Hashtbl.remove io.unreachable addr
 
 (* ---- poller ---------------------------------------------------------- *)
 

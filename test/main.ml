@@ -27,7 +27,6 @@ let () =
       ("harness", Test_harness.suite);
       ("vm", Test_vm.suite);
       ("service", Test_service.suite);
-      ("fleet", Test_fleet.suite);
       ("sim", Test_sim.suite);
       ("frontdoor", Test_frontdoor.suite);
     ]

@@ -1,10 +1,10 @@
 (** The front door: histogram bucket math, the incremental decoder,
     and end-to-end event-loop serving under the whole-system simulator
     — byte-identity against a direct serverless compile, queue
-    backpressure with structured retry-after, peer verbs answered on
-    the loop, deadline unification across the admission queue on the
-    monotonic clock (clock.jump chaos), malformed numeric headers and
-    retired verbs refused, and garbage-frame hardening. *)
+    backpressure with structured retry-after, deadline unification
+    across the admission queue on the monotonic clock (clock.jump
+    chaos), malformed numeric headers and retired verbs refused, and
+    garbage-frame hardening. *)
 
 open Helpers
 module F = Dbds.Faults
@@ -297,24 +297,48 @@ let test_malformed_numeric_headers_refused () =
       SC.close c;
       shutdown env)
 
-(* The retired [hello] verb gets the structured rejection every unknown
-   verb gets, and the connection keeps serving. *)
-let test_hello_is_unknown_verb () =
+(* Retired verbs get the structured rejection every unknown verb gets,
+   and the connection keeps serving. *)
+let check_unknown_verbs msgs =
   run_sim (fun env ->
       let c = connect env "/fd" in
-      (match
-         SC.roundtrip c
-           { SP.verb = "hello"; fields = [ ("tenant", "alice") ] }
-       with
-      | Ok r ->
-          Alcotest.(check (option string)) "rejected" (Some "rejected")
-            (SP.field r "status");
-          Alcotest.(check (option string)) "as an unknown verb"
-            (Some "unknown verb: hello") (SP.field r "message")
-      | Error e -> Alcotest.failf "hello: %s" e);
-      Alcotest.(check bool) "the connection still serves" true (SC.ping c);
+      List.iter
+        (fun (m : SP.message) ->
+          match SC.roundtrip c m with
+          | Ok r ->
+              Alcotest.(check (option string))
+                (m.SP.verb ^ " rejected") (Some "rejected")
+                (SP.field r "status");
+              Alcotest.(check (option string))
+                (m.SP.verb ^ " as an unknown verb")
+                (Some ("unknown verb: " ^ m.SP.verb))
+                (SP.field r "message");
+              Alcotest.(check bool) "the connection still serves" true
+                (SC.ping c)
+          | Error e -> Alcotest.failf "%s: %s" m.SP.verb e)
+        msgs;
       SC.close c;
       shutdown env)
+
+let test_hello_is_unknown_verb () =
+  check_unknown_verbs
+    [ { SP.verb = "hello"; fields = [ ("tenant", "alice") ] } ]
+
+(* The fleet's peer-exchange and rebalance verbs, each well-formed as
+   it once was. *)
+let test_fleet_verbs_are_unknown () =
+  let ir = main_ir () in
+  let digest = SD.of_request (SD.request_of_text ~config ~fn:"main" ir) in
+  check_unknown_verbs
+    [
+      { SP.verb = "fetch"; fields = [ ("digest", digest) ] };
+      {
+        SP.verb = "push";
+        fields =
+          [ ("digest", digest); ("fn", "main"); ("ir", ir); ("work", "7") ];
+      };
+      { SP.verb = "rebalance"; fields = [ ("epoch", "1"); ("nodes", "") ] };
+    ]
 
 (* Queue backpressure: with one dispatcher busy and the queue bounded,
    a pipelined burst sheds the overflow with retry-after while every
@@ -357,73 +381,6 @@ let test_queue_shed_under_pipelined_burst () =
              && SP.retry_after_of_reply r <> None)
            replies);
       conn.Env.close_conn ();
-      shutdown env)
-
-(* Peer verbs never wait behind compile load: with the only dispatcher
-   held by a slow compile and the admission queue full, [push] and
-   [fetch] are still answered at once on the loop (queued through
-   admission they would be shed, or wait out the compile), and
-   [rebalance] on a node outside any fleet is rejected. *)
-let test_peer_verbs_skip_admission () =
-  let ir = main_ir () in
-  run_sim
-    ~fd_config:{ FD.fd_dispatchers = 1; fd_queue_limit = 1 }
-    (fun env ->
-      (* The slow compile holds the only dispatcher for five virtual
-         seconds; a cold compile of [f] behind it fills the queue. *)
-      let slow = raw_connect env "/fd" in
-      SP.write_conn slow
-        (SC.compile_msg ~delay_ms:5000 ~config ~fn:"main" ~ir ());
-      env.Env.sleep 0.1;
-      SP.write_conn slow (SC.compile_msg ~config ~fn:"f" ~ir:(fn_ir "f") ());
-      env.Env.sleep 0.1;
-      let c = connect env "/fd" in
-      let status m =
-        match SC.roundtrip c m with
-        | Ok r -> Option.value (SP.field r "status") ~default:"?"
-        | Error e -> Alcotest.failf "%s: %s" m.SP.verb e
-      in
-      Alcotest.(check string) "the admission queue is full" "shed"
-        (status (SC.compile_msg ~config ~fn:"main" ~ir ()));
-      let t0 = env.Env.mono () in
-      let digest = SD.of_request (SD.request_of_text ~config ~fn:"main" ir) in
-      let push =
-        {
-          SP.verb = "push";
-          fields =
-            [ ("digest", digest); ("fn", "main"); ("ir", ir); ("work", "7") ];
-        }
-      in
-      Alcotest.(check string) "push answered" "ok" (status push);
-      let fetch = { SP.verb = "fetch"; fields = [ ("digest", digest) ] } in
-      (match SC.roundtrip c fetch with
-      | Ok r ->
-          Alcotest.(check (option string)) "fetch hits" (Some "hit")
-            (SP.field r "status");
-          Alcotest.(check (option string)) "fetch returns the pushed IR"
-            (Some ir) (SP.field r "ir")
-      | Error e -> Alcotest.failf "fetch: %s" e);
-      Alcotest.(check string) "fetch of an unknown digest misses" "miss"
-        (status { SP.verb = "fetch"; fields = [ ("digest", "0" ^ digest) ] });
-      Alcotest.(check bool) "answered while the compile still runs" true
-        (env.Env.mono () -. t0 < 1.0);
-      Alcotest.(check string) "rebalance outside a fleet is rejected"
-        "rejected"
-        (status
-           {
-             SP.verb = "rebalance";
-             fields = [ ("epoch", "1"); ("nodes", "") ];
-           });
-      List.iter
-        (fun what ->
-          match SP.read_conn ~deadline:(env.Env.mono () +. 30.0) slow with
-          | Ok r ->
-              Alcotest.(check (option string)) (what ^ " completes")
-                (Some "done") (SP.field r "status")
-          | Error e -> Alcotest.failf "%s: %s" what e)
-        [ "the slow compile"; "the queued compile" ];
-      slow.Env.close_conn ();
-      SC.close c;
       shutdown env)
 
 (* Deadline unification on the monotonic clock: time spent waiting in
@@ -766,7 +723,6 @@ let suite =
     test "malformed wire config rejected" test_malformed_config_rejected;
     test "queue shed under a pipelined burst"
       test_queue_shed_under_pipelined_burst;
-    test "peer verbs skip admission" test_peer_verbs_skip_admission;
     test "deadlines count lane-queue wait" test_deadline_counts_queue_wait;
     test "clock.jump cannot expire a deadline"
       test_clock_jump_does_not_expire_deadlines;
@@ -787,4 +743,5 @@ let suite =
     test "malformed numeric headers are refused"
       test_malformed_numeric_headers_refused;
     test "hello is an unknown verb" test_hello_is_unknown_verb;
+    test "retired fleet verbs are unknown" test_fleet_verbs_are_unknown;
   ]

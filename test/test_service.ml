@@ -574,21 +574,16 @@ let test_broker_renumbered_shares_artifact () =
           Alcotest.(check int) "one cache hit" 1 s.SB.cache_hits;
           Alcotest.(check int) "one publication" 1 (SS.stats st).SS.writes))
 
-(* A peer answers intact bytes whose IR does not parse.  The store must
-   count it corrupt and never adopt it; the request compiles cold and
-   publishes the real artifact. *)
-let test_broker_peer_bad_artifact () =
+(* An artifact on disk under the request's digest has an intact
+   checksum but IR that does not parse.  The store must count it
+   corrupt and never serve it; the request compiles cold and publishes
+   the real artifact over the bad one. *)
+let test_broker_disk_bad_artifact () =
   with_store (fun st ->
-      let asked = ref 0 in
-      SS.set_federation st
-        ~fetch:
-          (Some
-             (fun ~digest:_ ->
-               incr asked;
-               Some { SS.ar_fn = "main"; ar_ir = "fn broken("; ar_work = 1 }))
-        ~replicate:None;
+      let ir = ir_of_fn figure1 "main" in
+      let digest = SD.of_request (SD.request_of_text ~config ~fn:"main" ir) in
+      SS.put st ~digest ~fn:"main" ~ir:"fn broken(" ~work:1;
       with_broker st (fun b ->
-          let ir = ir_of_fn figure1 "main" in
           let compiled =
             match SB.submit ~config ~fn:"main" ~ir b with
             | SB.Done { ir; from_cache = false; _ } -> ir
@@ -596,14 +591,8 @@ let test_broker_peer_bad_artifact () =
                 Alcotest.failf "expected a cold compile, got %s"
                   (SB.outcome_label o)
           in
-          let s = SS.stats st in
-          Alcotest.(check int) "the peer was asked" 1 !asked;
-          Alcotest.(check int) "counted corrupt" 1 s.SS.corrupt;
-          Alcotest.(check int) "not a peer hit" 0 s.SS.peer_hits;
+          Alcotest.(check int) "counted corrupt" 1 (SS.stats st).SS.corrupt;
           Alcotest.(check int) "compiled cold" 1 (SB.stats b).SB.compiles;
-          let digest =
-            SD.of_request (SD.request_of_text ~config ~fn:"main" ir)
-          in
           match SS.get st ~digest with
           | Some e ->
               Alcotest.(check string) "the compiled artifact published"
@@ -810,8 +799,8 @@ let suite =
       test_broker_memo_hits_skip_disk;
     test "broker: a renumbered copy shares the artifact"
       test_broker_renumbered_shares_artifact;
-    test "broker: a peer's unparsable artifact is never served"
-      test_broker_peer_bad_artifact;
+    test "broker: an unparsable disk artifact is never served"
+      test_broker_disk_bad_artifact;
     test "protocol: message round-trip" test_protocol_roundtrip;
     test "protocol: outcome round-trip" test_protocol_outcomes;
     test "broker: a store hit skips the worker queue"

@@ -133,155 +133,69 @@ let test_deadlines_survive_clock_jump () =
   Alcotest.(check bool) "every request compiled (none timed out)" true
     (List.for_all (fun (k, _) -> k = "done" || k = "done-cache") r.H.r_counts)
 
-(* The stale-socket probe, shared by both listeners (the front door and
-   the fleet coordinator): a leftover socket file with no listener
-   behind it is reclaimed; a *live* listener's socket is not. *)
+(* The front door's stale-socket probe: a leftover socket file with no
+   listener behind it is reclaimed; a *live* listener's socket is not. *)
 let test_socket_probe () =
-  let frontdoor env sock () =
+  let serve env sock () =
     let broker = Service.Broker.create ~env ~workers:1 ~store:None () in
     try Service.Frontdoor.serve ~env ~sock ~broker ()
     with Invalid_argument _ as e ->
       Service.Broker.shutdown broker;
       raise e
   in
-  let coordinator env sock () = Service.Fleet.coordinator ~env ~sock () in
-  List.iter
-    (fun (who, serve) ->
-      let sched = Sim.create ~seed:0 () in
-      let io = Simio.create sched in
-      let env = Simio.env io in
-      let sock = "/run/x.sock" in
-      let out =
-        Sim.run sched (fun () ->
-            (* Debris from a dead server: the file exists, nobody listens. *)
-            env.Service.Env.write_file sock "";
-            let server = env.Service.Env.spawn who (serve env sock) in
-            let c =
-              Service.Client.connect ~env ~deadline_s:5. ~io_deadline_s:10.
-                ~sock ()
-            in
-            Alcotest.(check bool)
-              (who ^ ": ping through the reclaimed socket")
-              true (Service.Client.ping c);
-            (* A second listener must refuse to steal the now-live socket. *)
-            (match serve env sock () with
-            | () -> Alcotest.failf "%s: second listener stole a live socket" who
-            | exception Invalid_argument _ -> ());
-            (match Service.Client.shutdown_server c with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "%s: shutdown: %s" who e);
-            Service.Client.close c;
-            server.Service.Env.join ())
-      in
-      Alcotest.(check (list (pair string string)))
-        (who ^ ": no fiber crashed") [] out.Sim.crashed;
-      Alcotest.(check (list string)) (who ^ ": no fiber hung") [] out.Sim.hung)
-    [ ("frontdoor", frontdoor); ("coordinator", coordinator) ]
-
-(* ---- multi-node fleets ------------------------------------------------ *)
-
-let check_clean label (r : H.result) =
-  Alcotest.(check (list string))
-    label []
-    (List.map (fun v -> v.H.vio_kind ^ ": " ^ v.H.vio_detail) r.H.r_violations)
-
-let count label (r : H.result) =
-  match List.assoc_opt label r.H.r_counts with Some n -> n | None -> 0
-
-(* A worker hard-killed mid-load looks crashed (no leave): the
-   coordinator's sweep must evict it, clients must fail over along the
-   ring, and after the rejoin the fleet serves again — with zero wrong
-   artifacts anywhere.  The whole story must replay from its seed. *)
-let test_fleet_kill_and_rejoin () =
-  let spec =
-    H.builder ~seed:5 ()
-    |> H.with_chaos 0
-    |> H.with_nodes 3
-    |> H.with_node_fault (H.Kill { node = 1; at = 0.3 })
-    |> H.with_node_fault (H.Rejoin { node = 1; at = 1.4 })
+  let sched = Sim.create ~seed:0 () in
+  let io = Simio.create sched in
+  let env = Simio.env io in
+  let sock = "/run/x.sock" in
+  let out =
+    Sim.run sched (fun () ->
+        (* Debris from a dead server: the file exists, nobody listens. *)
+        env.Service.Env.write_file sock "";
+        let server = env.Service.Env.spawn "frontdoor" (serve env sock) in
+        let c =
+          Service.Client.connect ~env ~deadline_s:5. ~io_deadline_s:10. ~sock ()
+        in
+        Alcotest.(check bool)
+          "ping through the reclaimed socket" true (Service.Client.ping c);
+        (* A second listener must refuse to steal the now-live socket. *)
+        (match serve env sock () with
+        | () -> Alcotest.fail "second listener stole a live socket"
+        | exception Invalid_argument _ -> ());
+        (match Service.Client.shutdown_server c with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "shutdown: %s" e);
+        Service.Client.close c;
+        server.Service.Env.join ())
   in
-  let a = H.run spec in
-  check_clean "kill/rejoin run clean" a;
-  Alcotest.(check bool) "some requests completed" true
-    (count "done" a + count "done-cache" a > 0);
-  Alcotest.(check int) "every request accounted for"
-    (a.H.r_spec.H.clients * a.H.r_spec.H.requests_per_client)
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 a.H.r_counts);
-  let b = H.run spec in
-  Alcotest.(check string) "fleet runs replay" a.H.r_trace_hash b.H.r_trace_hash
-
-(* A partitioned node is unreachable both ways until it heals; the
-   coordinator sweeps it out, the healed node notices ("unknown" beat)
-   and rejoins.  No wrong artifacts, no hangs. *)
-let test_fleet_partition_heals () =
-  let spec =
-    H.builder ~seed:9 ()
-    |> H.with_chaos 0
-    |> H.with_nodes 3
-    |> H.with_node_fault (H.Partition { node = 2; at = 0.3; until_ = 1.1 })
-  in
-  check_clean "partition run clean" (H.run spec)
-
-(* Node chaos on top of message/disk chaos: the fleet-wide invariant —
-   byte-identical IR or a clean contained failure, on every node's
-   disk — holds across seeds. *)
-let test_fleet_chaos_sweep () =
-  let spec =
-    H.builder ~seed:300 ()
-    |> H.with_nodes 3 |> H.with_chaos 2 |> H.with_node_chaos 2
-  in
-  List.iter
-    (fun (r : H.result) ->
-      check_clean (Printf.sprintf "seed %d clean" r.H.r_spec.H.seed) r)
-    (H.run_seeds ~seeds:2 spec)
-
-(* Fleet bundles round-trip: the extended fields parse back to the same
-   spec and replay to the identical schedule; classic bundles (no fleet
-   fields) still parse. *)
-let test_fleet_bundle_roundtrip () =
-  let spec =
-    H.builder ~seed:5 ()
-    |> H.with_chaos 0
-    |> H.with_nodes 2
-    |> H.with_node_fault (H.Kill { node = 0; at = 0.4 })
-    |> H.with_node_fault (H.Rejoin { node = 0; at = 1.0 })
-  in
-  let r = H.run spec in
-  let dir = Filename.temp_dir "dbds-test-sim" ".bundles" in
-  let path = H.write_bundle ~dir r in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove path with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () ->
-      let again = H.replay path in
-      Alcotest.(check string) "fleet bundle replays the exact schedule"
-        r.H.r_trace_hash again.H.r_trace_hash)
+  Alcotest.(check (list (pair string string)))
+    "no fiber crashed" [] out.Sim.crashed;
+  Alcotest.(check (list string)) "no fiber hung" [] out.Sim.hung
 
 (* A bundle that ran the retired tiered-VM warm-start step cannot
    replay without it, so the reader refuses it and names the field;
    [vm-warm: false], which every single-server bundle used to carry,
    still parses to the same spec. *)
+(* A seed-77 single-server bundle with one extra field line. *)
+let bundle_with extra =
+  String.concat "\n"
+    [
+      "dbds-sim-bundle: v1";
+      "seed: 77";
+      "clients: 3";
+      "requests-per-client: 4";
+      "workers: 2";
+      "queue-limit: 16";
+      "chaos: 3";
+      extra;
+      "compile-delay-ms: 20";
+      "deadline-ms: none";
+      "faults: none";
+      "trace-hash: d8a38c96eb11a695";
+      "";
+    ]
+
 let test_vm_warm_bundle_refused () =
-  let bundle vm_warm =
-    String.concat "\n"
-      [
-        "dbds-sim-bundle: v1";
-        "seed: 77";
-        "clients: 3";
-        "requests-per-client: 4";
-        "workers: 2";
-        "queue-limit: 16";
-        "chaos: 3";
-        "vm-warm: " ^ vm_warm;
-        "compile-delay-ms: 20";
-        "deadline-ms: none";
-        "faults: none";
-        "trace-hash: d8a38c96eb11a695";
-        "";
-      ]
-  in
-  (match H.parse_bundle (bundle "true") with
+  (match H.parse_bundle (bundle_with "vm-warm: true") with
   | _ -> Alcotest.fail "a vm-warm: true bundle parsed"
   | exception H.Malformed_bundle msg ->
       Alcotest.(check bool)
@@ -289,7 +203,18 @@ let test_vm_warm_bundle_refused () =
         true
         (String.length msg >= 8 && String.sub msg 0 8 = "vm-warm:"));
   Alcotest.(check bool) "vm-warm: false parses to the same spec" true
-    (H.parse_bundle (bundle "false") = H.builder ~seed:77 ())
+    (H.parse_bundle (bundle_with "vm-warm: false") = H.builder ~seed:77 ())
+
+(* A bundle written by a simulated fleet run would replay silently as a
+   single server, with a different trace: the reader refuses it. *)
+let test_fleet_bundle_refused () =
+  (match H.parse_bundle (bundle_with "nodes: 3") with
+  | _ -> Alcotest.fail "a nodes: 3 bundle parsed"
+  | exception H.Malformed_bundle msg ->
+      Alcotest.(check string) "the error names the field"
+        "nodes: 3: the multi-node fleet is retired" msg);
+  Alcotest.(check bool) "nodes: 0 parses to the same spec" true
+    (H.parse_bundle (bundle_with "nodes: 0") = H.builder ~seed:77 ())
 
 let suite =
   [
@@ -303,11 +228,6 @@ let suite =
       test_deadlines_survive_clock_jump;
     test "sim: stale socket reclaimed, live socket refused"
       test_socket_probe;
-    test "sim: fleet survives a worker kill and rejoin"
-      test_fleet_kill_and_rejoin;
-    test "sim: fleet survives a partition that heals"
-      test_fleet_partition_heals;
-    test "sim: fleet chaos sweep holds the invariant" test_fleet_chaos_sweep;
-    test "sim: fleet bundles round-trip and replay" test_fleet_bundle_roundtrip;
     test "sim: a vm-warm bundle is refused" test_vm_warm_bundle_refused;
+    test "sim: a fleet bundle is refused" test_fleet_bundle_refused;
   ]
