@@ -833,3 +833,74 @@ let run_sccp_after_dbds ?(progen_seeds = List.init 200 Fun.id)
     sc_functions = !functions;
     sc_violations = List.rev !violations;
   }
+
+type quiescent_result = {
+  qu_programs : int;  (** program × config compiles *)
+  qu_functions : int;
+  qu_capped : int;
+      (** fix groups that stopped at their [rounds] cap, summed over
+          every compile *)
+  qu_violations : string list;  (** [[]] = pass *)
+}
+
+let run_quiescent ?(progen_seeds = List.init 200 Fun.id) () =
+  let violations = ref [] in
+  let violate fmt =
+    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
+  in
+  let phases =
+    List.map
+      (fun name -> Result.get_ok (Opt.Pipeline.resolve_classic name []))
+      Opt.Pipeline.classic_names
+  in
+  let corpus =
+    List.concat_map
+      (fun seed ->
+        [
+          ( Printf.sprintf "progen/%d" seed,
+            fun () -> Workloads.Progen.generate_program ~seed () );
+          ( Printf.sprintf "progen-irr/%d" seed,
+            fun () ->
+              Workloads.Progen.generate_program ~irreducible:true ~seed () );
+        ])
+      progen_seeds
+  in
+  let configs = [ ("off", Dbds.Config.off); ("dbds", Dbds.Config.dbds) ] in
+  let programs = ref 0 and functions = ref 0 and capped = ref 0 in
+  List.iter
+    (fun (name, fresh) ->
+      List.iter
+        (fun (cname, config) ->
+          incr programs;
+          let name = name ^ "@" ^ cname in
+          match fresh () with
+          | exception e -> violate "%s: raised %s" name (Printexc.to_string e)
+          | prog -> (
+              match
+                Dbds.Driver.optimize_program_report ~config ~jobs:1 prog
+              with
+              | exception e ->
+                  violate "%s: raised %s" name (Printexc.to_string e)
+              | { Dbds.Driver.rep_failures = f :: _; _ } ->
+                  violate "%s: contained %s at %s" name f.Dbds.Driver.fail_fn
+                    f.Dbds.Driver.fail_site
+              | r ->
+                  let ctx = r.Dbds.Driver.rep_ctx in
+                  capped := !capped + ctx.Opt.Phase.fix_capped;
+                  Ir.Program.iter_functions prog (fun g ->
+                      incr functions;
+                      List.iter
+                        (fun (p : Opt.Phase.t) ->
+                          let ctx = Opt.Phase.create ~program:prog () in
+                          if p.Opt.Phase.run ctx (Ir.Graph.copy g) then
+                            violate "%s/%s: %s fires on the compiled graph"
+                              name (Ir.Graph.name g) p.Opt.Phase.pass_name)
+                        phases)))
+        configs)
+    corpus;
+  {
+    qu_programs = !programs;
+    qu_functions = !functions;
+    qu_capped = !capped;
+    qu_violations = List.rev !violations;
+  }

@@ -125,3 +125,20 @@ type sccp_result = {
     a copy of each compiled function must fire nothing. *)
 val run_sccp_after_dbds :
   ?progen_seeds:int list -> ?shape_seeds:int list -> unit -> sccp_result
+
+type quiescent_result = {
+  qu_programs : int;  (** program × config compiles *)
+  qu_functions : int;
+  qu_capped : int;
+      (** fix groups that stopped at their [rounds] cap, summed over
+          every compile *)
+  qu_violations : string list;  (** [[]] = pass *)
+}
+
+(** The classic fixpoint ends quiescent: compile the progen programs of
+    [progen_seeds] (default 0–199), plain and with irreducible regions,
+    under [Config.off] and [Config.dbds]; then each classic pass, SCCP
+    included, run once over the whole of a copy of each compiled
+    function must fire nothing.  Also counts the fix groups that
+    stopped at their [rounds] cap rather than at quiescence. *)
+val run_quiescent : ?progen_seeds:int list -> unit -> quiescent_result

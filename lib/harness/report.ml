@@ -169,6 +169,8 @@ type headline = {
   optimizer_work : float;
       (** % change of the dbds configuration's summed optimizer work
           over the baseline's, without the backend charge *)
+  baseline_work : int;  (** the baseline's summed optimizer work units *)
+  dbds_work : int;  (** the dbds configuration's summed optimizer work *)
   max_peak : float;
   max_peak_benchmark : string;
 }
@@ -188,6 +190,8 @@ let headline_of summaries =
       (fun acc r -> acc + (config r).Metrics.optimizer_work)
       0 all_rows
   in
+  let baseline_work = summed_work (fun r -> r.baseline) in
+  let dbds_work = summed_work (fun r -> r.dbds) in
   {
     mean_peak = geomean_pct (List.map fst peaks);
     mean_size =
@@ -198,8 +202,10 @@ let headline_of summaries =
         (List.map (fun r -> compile_delta ~baseline:r.baseline r.dbds) all_rows);
     optimizer_work =
       pct_change
-        ~base:(float_of_int (max (summed_work (fun r -> r.baseline)) 1))
-        (float_of_int (summed_work (fun r -> r.dbds)));
+        ~base:(float_of_int (max baseline_work 1))
+        (float_of_int dbds_work);
+    baseline_work;
+    dbds_work;
     max_peak;
     max_peak_benchmark;
   }
@@ -211,6 +217,7 @@ let pp_headline ppf h =
     \  best peak performance:  %+.2f%% on %s (paper: up to ~40%%)@\n\
     \  mean code size:         %+.2f%%   (paper: +9.93%%)@\n\
     \  mean compile time:      %+.2f%%   (paper: +18.44%%)@\n\
-    \  optimizer work:         %+.2f%%   (summed, no backend charge)@\n"
+    \  optimizer work:         %+.2f%%   (baseline %d, dbds %d units; summed, \
+     no backend charge)@\n"
     h.mean_peak h.max_peak h.max_peak_benchmark h.mean_size h.mean_compile
-    h.optimizer_work
+    h.optimizer_work h.baseline_work h.dbds_work

@@ -34,6 +34,8 @@ type headline = {
   optimizer_work : float;
       (** % change of the dbds configuration's summed optimizer work
           over the baseline's, without the backend charge *)
+  baseline_work : int;  (** the baseline's summed optimizer work units *)
+  dbds_work : int;  (** the dbds configuration's summed optimizer work *)
   max_peak : float;
   max_peak_benchmark : string;
 }

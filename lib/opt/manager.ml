@@ -46,7 +46,8 @@ let validate resolve spec =
 
 (** Run [spec]'s items in order over [g]; a [fix(...)] group iterates
     its body until a full round changes nothing (or its [rounds] option,
-    default 8, is exhausted).  Returns true if any pass fired. *)
+    default 8, is exhausted, which {!Phase.ctx.fix_capped} counts).
+    Returns true if any pass fired. *)
 let rec run_item resolve ctx g = function
   | Spec.Pass { name; opts } -> Phase.run_pass ctx (get (resolve name opts)) g
   | Spec.Fix { opts; body } ->
@@ -62,6 +63,7 @@ let rec run_item resolve ctx g = function
           body;
         if !changed then any := true
       done;
+      if !changed then ctx.Phase.fix_capped <- ctx.Phase.fix_capped + 1;
       !any
 
 and run resolve spec ctx g =

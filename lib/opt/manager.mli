@@ -16,7 +16,8 @@ exception Unresolved of string
 val validate : resolver -> Spec.t -> (unit, string) result
 
 (** Run a spec's items in order over a graph; [fix(...)] groups iterate
-    their body to a fixpoint (option [rounds], default 8).  Returns true
-    if any pass fired.
+    their body to a fixpoint (option [rounds], default 8; a group that
+    stops at the cap instead is counted in {!Phase.ctx.fix_capped}).
+    Returns true if any pass fired.
     @raise Unresolved on names/options [validate] would reject. *)
 val run : resolver -> Spec.t -> Phase.ctx -> Ir.Graph.t -> bool

@@ -34,6 +34,9 @@ type ctx = {
       (** contained per-function failures, per crash site (sorted) *)
   mutable pass_stats : (string * pass_stat) list;
       (** per-pass instrumentation, sorted by pass name *)
+  mutable fix_capped : int;
+      (** [fix(...)] groups that stopped at their [rounds] cap with the
+          last round still firing, rather than at quiescence *)
   mutable memo_clean_passes : bool;
       (** run a pass only over what changed since it last ran clean (on
           by default): skip it when nothing did, run its region form
@@ -61,6 +64,7 @@ let create ?program () =
     analysis_misses = 0;
     contained = [];
     pass_stats = [];
+    fix_capped = 0;
     memo_clean_passes = true;
     check_contracts = false;
     post_phase = None;
@@ -124,6 +128,7 @@ let merge_into ~into src =
   into.work <- into.work + src.work;
   into.analysis_hits <- into.analysis_hits + src.analysis_hits;
   into.analysis_misses <- into.analysis_misses + src.analysis_misses;
+  into.fix_capped <- into.fix_capped + src.fix_capped;
   into.contained <-
     List.fold_left
       (fun acc (site, n) -> add_contained acc site n)

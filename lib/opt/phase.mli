@@ -28,6 +28,9 @@ type ctx = {
       (** contained per-function failures, per crash site (sorted) *)
   mutable pass_stats : (string * pass_stat) list;
       (** per-pass instrumentation, sorted by pass name *)
+  mutable fix_capped : int;
+      (** [fix(...)] groups that stopped at their [rounds] cap with the
+          last round still firing, rather than at quiescence *)
   mutable memo_clean_passes : bool;
       (** run a pass only over what changed since it last ran clean (on
           by default): skip it when nothing did, run its region form

@@ -3,8 +3,8 @@
     {!fix_group} is the paper's duplication-disabled configuration: all
     the classic optimizations to a fixpoint, only DBDS is off.  The DBDS
     driver composes the same fixpoint group (through the same
-    {!Manager}) before its duplication tiers, and {!action_steps}
-    after each round of duplications. *)
+    {!Manager}) before its duplication tiers, and {!action_steps}, the
+    group's inner list, after each round of duplications. *)
 
 (* The classic per-graph passes by spec name.  Short names are
    canonical (what default specs print); the long forms are accepted as
@@ -47,16 +47,6 @@ let group names =
 
 let with_licm licm names = names @ if licm then [ "licm" ] else []
 
-(** The classic optimizations as a [fix(...)] spec item.  [licm]
-    additionally enables loop-invariant code motion (off in the
-    calibrated evaluation plan — see {!Licm}). *)
-let fix_group ?(licm = false) () = group (with_licm licm classic_names)
-
-(** Run the classic optimizations to a fixpoint on one graph, through
-    the pass manager. *)
-let optimize ?licm ctx g =
-  Manager.run resolve_classic [ fix_group ?licm () ] ctx g
-
 (** The action steps of a DBDS round, in phase order: the classic group
     without [sccp].  Paper §5 runs after duplication the optimizations
     whose applicability checks the simulation ran.  SCCP is not one of
@@ -64,6 +54,31 @@ let optimize ?licm ctx g =
     is a canonicalize rule. *)
 let action_step_names ?(licm = false) () =
   with_licm licm (List.filter (fun name -> name <> "sccp") classic_names)
+
+(** The classic optimizations as a [fix(...)] spec item:
+    [fix(fix(<action steps>),sccp)].  The region passes run to
+    quiescence first; SCCP then runs once on the settled graph, and the
+    outer group repeats only if it fired.  The region passes' copy and
+    constant rules catch nearly everything SCCP would, so SCCP is left
+    only its optimistic folds through cycles and constant branches, and
+    those need one run per settled graph, not one per round.  [licm]
+    additionally enables loop-invariant code motion (off in the
+    calibrated evaluation plan — see {!Licm}). *)
+let fix_group ?licm () =
+  Spec.Fix
+    {
+      opts = [];
+      body =
+        [
+          group (action_step_names ?licm ());
+          Spec.Pass { name = "sccp"; opts = [] };
+        ];
+    }
+
+(** Run the classic optimizations to a fixpoint on one graph, through
+    the pass manager. *)
+let optimize ?licm ctx g =
+  Manager.run resolve_classic [ fix_group ?licm () ] ctx g
 
 (** Run the action steps to a fixpoint on one graph, through the pass
     manager. *)

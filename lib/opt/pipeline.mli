@@ -5,8 +5,8 @@
     iterated to a fixpoint — is the paper's {e baseline} configuration:
     all the classic optimizations run, only DBDS is off.  The DBDS driver
     composes the same fixpoint group (through the same {!Manager})
-    before its duplication tiers, and runs {!action_steps} after each
-    round of duplications. *)
+    before its duplication tiers, and runs {!action_steps}, the group's
+    inner list, after each round of duplications. *)
 
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
     [condelim], [readelim], [pea], [dce], [licm] and long-form
@@ -18,9 +18,12 @@ val resolve_classic : Manager.resolver
     phase order (excludes [licm]). *)
 val classic_names : string list
 
-(** The classic optimizations as a [fix(...)] spec item.  [licm]
-    additionally enables loop-invariant code motion (off in the
-    calibrated evaluation plan — see {!Licm}). *)
+(** The classic optimizations as a nested fixpoint,
+    [fix(fix(<action_step_names>),sccp)]: the region passes run to
+    quiescence, then SCCP runs once on the settled graph, and the outer
+    group repeats only if SCCP fired.  [licm] additionally enables
+    loop-invariant code motion (off in the calibrated evaluation plan —
+    see {!Licm}). *)
 val fix_group : ?licm:bool -> unit -> Spec.item
 
 (** Run the classic optimizations to a fixpoint on one graph, through

@@ -32,14 +32,8 @@ type progress = Msg of message * int | More | Err of string
 let max_line_bytes = 4096
 
 (* A field count, a field length or an integer header field: decimal
-   digits only.  [int_of_string_opt] would also take "0x10", "+3",
-   "-0", "1_6" and "0b11".  Nine digits cover every bound below without
-   overflow. *)
-let decimal s =
-  let n = String.length s in
-  if n > 0 && n <= 9 && String.for_all (fun c -> c >= '0' && c <= '9') s
-  then Some (int_of_string s)
-  else None
+   digits only.  Nine digits cover every bound below. *)
+let decimal = Decimal.of_string ~max_digits:9
 
 (* Every message begins with this: once a stream's first bytes cannot,
    it is not a dbds/1 stream, and waiting for a newline would only
@@ -242,7 +236,7 @@ let outcome_of_reply m =
     let msg () = field_or m "message" "" in
     match field m "status" with
     | Some "done" | Some "done-cache" -> (
-        match (field m "ir", int_of_string_opt (field_or m "work" "")) with
+        match (field m "ir", Decimal.of_string (field_or m "work" "")) with
         | Some ir, Some work ->
             Ok
               (Broker.Done

@@ -103,8 +103,10 @@ val field_or : message -> string -> string -> string
 
 (** A millisecond header field ([deadline-ms], [delay-ms]) in seconds:
     [Ok None] when absent, [Error] naming the field when present but
-    not decimal digits (at most nine) — the one integer-field parser,
-    which {!retry_after_of_reply} shares. *)
+    not decimal digits (at most nine) — the one header-field parser,
+    which {!retry_after_of_reply} shares.  A reply's [work] goes
+    through the same digits-only check ({!Decimal}), with the wider
+    bound a work count needs. *)
 val ms_field : message -> string -> (float option, string) result
 
 (** A [reply] with status [ok] and the given fields after it. *)
@@ -126,7 +128,8 @@ val compile_config : message -> (Dbds.Config.t, string) result
 (** Build a [reply] carrying a {!Broker.outcome}. *)
 val reply_of_outcome : Broker.outcome -> message
 
-(** Parse a [reply] back into a {!Broker.outcome}. *)
+(** Parse a [reply] back into a {!Broker.outcome}.  A done reply's
+    [work] must be decimal digits. *)
 val outcome_of_reply : message -> (Broker.outcome, string) result
 
 (** The structured backoff hint a shed reply carries

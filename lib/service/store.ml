@@ -68,7 +68,8 @@ let render ~digest ~fn ~ir ~work =
       ir;
     ]
 
-(* Returns [None] on any structural or checksum mismatch. *)
+(* Returns [None] on any structural or checksum mismatch, including a
+   [work] header that is not decimal digits. *)
 let parse ~digest content =
   let marker = "\n--- ir ---\n" in
   let split_header () =
@@ -127,7 +128,7 @@ let parse ~digest content =
           else
             Option.map
               (fun w -> { ar_fn = fn; ar_ir = ir; ar_work = w })
-              (int_of_string_opt work)
+              (Decimal.of_string work)
       | _ -> None)
 
 (* ---- construction --------------------------------------------------- *)

@@ -102,3 +102,20 @@ match s.Harness.Fuzz.sc_violations with
     List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
     Printf.eprintf "%d sccp-after-dbds violation(s)\n" (List.length vs);
     exit 1
+
+;;
+(* The classic fixpoint ends quiescent: after an off or dbds compile,
+   no classic pass, SCCP included, fires on a whole-graph run over a
+   copy of any progen function, plain or irreducible.  The count of
+   fix groups stopped by their rounds cap is reported, not gated. *)
+let q = Harness.Fuzz.run_quiescent () in
+Printf.printf
+  "fuzz quiescent: %d compiles, %d functions checked, %d fix groups capped\n"
+  q.Harness.Fuzz.qu_programs q.Harness.Fuzz.qu_functions
+  q.Harness.Fuzz.qu_capped;
+match q.Harness.Fuzz.qu_violations with
+| [] -> ()
+| vs ->
+    List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
+    Printf.eprintf "%d quiescence violation(s)\n" (List.length vs);
+    exit 1

@@ -70,22 +70,22 @@ let test_default_specs () =
   in
   Alcotest.(check string)
     "dbds"
-    "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3}"
+    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}"
     (printed Dbds.Config.dbds);
   Alcotest.(check string)
-    "baseline" "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce)"
+    "baseline" "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
     (printed Dbds.Config.off);
   Alcotest.(check string)
     "backtracking runs the classic group again after the tier"
-    "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),backtracking{iters=3},fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce)"
+    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),backtracking{iters=3},fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
     (printed Dbds.Config.backtracking);
   Alcotest.(check string)
     "licm joins the fixpoint group"
-    "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce,licm)"
+    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)"
     (printed { Dbds.Config.off with Dbds.Config.licm = true });
   Alcotest.(check string)
     "condelim_dup reruns the classic group after the tier"
-    "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),condelim_dup{iters=3},fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce)"
+    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),condelim_dup{iters=3},fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
     (printed Dbds.Config.condelim_dup);
   (* Every default spec validates against the driver's own registry. *)
   List.iter
@@ -347,6 +347,70 @@ let test_paranoid_unreachable_pred () =
     (fun seed -> ignore (prop_paranoid_driver seed))
     [ 716681; 716889; 717255; 717439; 717648 ]
 
+(* The classic group nests its region passes and runs SCCP once they
+   settle: on the paper programs the region passes leave SCCP nothing,
+   so the outer group stops after one SCCP run per function. *)
+let test_sccp_runs_once_settled () =
+  let runs = ref 0 and fired = ref 0 in
+  List.iter
+    (fun (s : Workloads.Suite.t) ->
+      List.iter
+        (fun b ->
+          let r =
+            Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
+              ~jobs:1 (Workloads.Suite.compile b)
+          in
+          let table = Opt.Phase.pass_table r.Dbds.Driver.rep_ctx in
+          match List.assoc_opt "sccp" table with
+          | Some st ->
+              runs := !runs + st.Opt.Phase.runs;
+              fired := !fired + st.Opt.Phase.fired
+          | None -> ())
+        s.Workloads.Suite.benchmarks)
+    Workloads.Registry.all;
+  Alcotest.(check int) "one sccp run per function" 58 !runs;
+  Alcotest.(check int) "sccp never fires" 0 !fired
+
+(* The one fold only SCCP makes: a loop-carried value that is constant
+   only optimistically ([x = x * x] from [x = 1]); no region pass's copy
+   or constant rule sees through the cycle. *)
+let test_sccp_folds_optimistic_cycle () =
+  let prog =
+    compile
+      {|
+      int main(int n) {
+        int x = 1;
+        int i = 0;
+        while (i < n) {
+          x = x * x;
+          i = i + 1;
+        }
+        return x;
+      }
+      |}
+  in
+  ignore
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.off ~jobs:1 prog);
+  let g = Option.get (Ir.Program.find_function prog "main") in
+  let returns =
+    Ir.Graph.fold_blocks g
+      (fun acc b ->
+        match Ir.Graph.term g b with
+        | Ir.Types.Return (Some v) -> Ir.Graph.kind g v :: acc
+        | _ -> acc)
+      []
+  in
+  Alcotest.(check bool) "main returns const 1" true
+    (returns <> [] && List.for_all (( = ) (Ir.Types.Const 1)) returns);
+  Alcotest.(check int) "no mul survives" 0
+    (Ir.Graph.fold_instrs g
+       (fun n id ->
+         match Ir.Graph.kind g id with
+         | Ir.Types.Binop (Ir.Types.Mul, _, _) -> n + 1
+         | _ -> n)
+       0);
+  Alcotest.(check int) "result" 1 (run_int prog [ 5 ])
+
 let seed_gen = QCheck2.Gen.int_bound 1_000_000
 
 let suite =
@@ -367,4 +431,7 @@ let suite =
     test "paranoid: unreachable phi predecessors (regression)"
       test_paranoid_unreachable_pred;
     test "round action steps omit sccp" test_round_action_steps;
+    test "sccp runs once the region group settles" test_sccp_runs_once_settled;
+    test "sccp still folds an optimistic cycle"
+      test_sccp_folds_optimistic_cycle;
   ]

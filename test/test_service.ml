@@ -204,12 +204,12 @@ let test_digest_pinned () =
         (SD.of_request (SD.request_of_graph ~config g)))
     [
       ("dacapo/avrora main", paper Workloads.Dacapo.suite "avrora" "main",
-        "a506d4988111770e");
+        "4e12aa00c2e064c2");
       ("octane/raytrace main", paper Workloads.Octane.suite "raytrace" "main",
-        "890a09fb7963ffc3");
+        "a6356015429aeed1");
       ("micro/akkaPP main", paper Workloads.Micro.suite "akkaPP" "main",
-        "5e4b3d34ebd708bd");
-      ("detached blocks", detached, "1f514d14ae3f3398");
+        "050fcdaa8a675f77");
+      ("detached blocks", detached, "c3616016a29d64d0");
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -245,6 +245,26 @@ let test_store_corruption_degrades () =
         (SS.get st ~digest:"d1" = None);
       Alcotest.(check int) "corruption counted" 1 (SS.stats st).SS.corrupt;
       Alcotest.(check bool) "corrupt file evicted" false (Sys.file_exists path))
+
+let test_store_work_digits_only () =
+  with_store (fun st ->
+      SS.put st ~digest:"d1" ~fn:"main" ~ir:(canonical_main figure1) ~work:3;
+      (* Re-sign the work header behind the store's back; the checksum
+         covers only the IR, so only the header check can refuse it. *)
+      let path = Filename.concat (SS.dir st) "d1.art" in
+      let ic = open_in_bin path in
+      let content = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let resigned =
+        String.split_on_char '\n' content
+        |> List.map (fun l -> if l = "work: 3" then "work: +3" else l)
+        |> String.concat "\n"
+      in
+      let oc = open_out_bin path in
+      output_string oc resigned;
+      close_out oc;
+      Alcotest.(check bool) "a signed work header reads as a miss" true
+        (SS.get st ~digest:"d1" = None))
 
 let test_store_lru_eviction () =
   let ir = canonical_main figure1 in
@@ -688,6 +708,23 @@ let test_protocol_outcomes () =
       SB.Rejected "parse: bad input";
     ]
 
+let test_protocol_work_digits_only () =
+  let done_reply work =
+    {
+      SP.verb = "reply";
+      fields = [ ("status", "done"); ("ir", "x"); ("work", work) ];
+    }
+  in
+  (match SP.outcome_of_reply (done_reply "16") with
+  | Ok (SB.Done { work = 16; _ }) -> ()
+  | _ -> Alcotest.fail "a digits-only work count must parse");
+  List.iter
+    (fun w ->
+      match SP.outcome_of_reply (done_reply w) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "work %S must be refused" w)
+    [ "0x10"; "+3"; "1_000"; "-0"; "" ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash-mid-publication on the simulated disk                         *)
 (* ------------------------------------------------------------------ *)
@@ -805,4 +842,8 @@ let suite =
     test "protocol: outcome round-trip" test_protocol_outcomes;
     test "broker: a store hit skips the worker queue"
       test_broker_store_hit_skips_queue;
+    test "protocol: a reply's work is digits only"
+      test_protocol_work_digits_only;
+    test "store: an artifact's work header is digits only"
+      test_store_work_digits_only;
   ]
