@@ -57,12 +57,13 @@ let () =
   Printf.printf "bench-smoke: IR byte-identical with the memo off\n";
   (* Compile-effort gate.  [pmd] inlines a recursive tree builder into
      its loop; when one PEA run replaces the whole allocation tree its
-     compile costs 12,688 work units (14,747 while read elimination,
-     conditional elimination and PEA walked whole blocks, 16,302 while
-     every classic pass ran on the whole graph), and when PEA could take
-     only one nesting level per fixpoint round it cost 44,114.  Work
-     units do not depend on the host, so the gate holds on a single-core
-     runner. *)
+     compile costs 10,415 work units (10,723 while PEA swept for
+     unreachable blocks after every CFG change, 14,747 while read
+     elimination, conditional elimination and PEA walked whole blocks,
+     16,302 while every classic pass ran on the whole graph), and when
+     PEA could take only one nesting level per fixpoint round it cost
+     44,114.  Work units do not depend on the host, so the gate holds on
+     a single-core runner. *)
   let pmd_budget = 20_000 in
   let pmd =
     List.find (fun (b : Workloads.Suite.benchmark) -> b.name = "pmd") benches
@@ -82,7 +83,9 @@ let () =
      PEA visit only each block's effect chain (its loads, stores, calls,
      allocations and compares) and PEA's allocation index.  Over the
      paper benchmarks they cost 27,130 work units while they walked
-     every instruction of every block, and 11,543 on effect chains. *)
+     every instruction of every block, 11,543 on effect chains, and
+     9,196 since PEA sweeps for unreachable blocks only when an edge
+     removal may have stranded one. *)
   let chain_budget = 12_700 in
   let chain_work =
     List.fold_left

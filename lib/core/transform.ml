@@ -13,7 +13,8 @@
       freshly placed phis ({!Ir.Ssa_repair}).
 
     If this removed [bm]'s last second predecessor, the CFG simplifier
-    will merge the now-straight-line blocks. *)
+    will merge the now-straight-line blocks.  No block becomes
+    unreachable, so the CFG needs no sweep afterwards. *)
 
 open Ir.Types
 module G = Ir.Graph
@@ -43,6 +44,11 @@ let duplicate g ~merge ~pred =
   let dom = Ir.Analyses.dom g in
   if List.exists (fun q -> Ir.Dom.dominates dom bm q) (G.preds g bm) then
     raise (Not_applicable "merge is a loop header");
+  (* With every block reachable, duplication strands none: [bp] reaches
+     [bm'], which has [bm]'s successors, and [bm] keeps a path from
+     each other predecessor, which it does not dominate.  So the
+     graph's reachability bit stays clear (see {!G.keep_reachability}). *)
+  G.keep_reachability g @@ fun () ->
   let pred_idx = G.pred_index g bm bp in
   let phis = G.phis g bm in
   let body = G.body g bm in

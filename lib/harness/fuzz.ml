@@ -542,6 +542,20 @@ type lab_result = {
   l_violations : string list;
 }
 
+let progen_program ~irreducible seed =
+  ( Printf.sprintf (if irreducible then "progen-irr/%d" else "progen/%d") seed,
+    fun () -> Workloads.Progen.generate_program ~irreducible ~seed () )
+
+(* Plain and irreducible progen programs, by seed. *)
+let progen_corpus ~progen_seeds =
+  List.concat_map
+    (fun seed ->
+      [
+        progen_program ~irreducible:false seed;
+        progen_program ~irreducible:true seed;
+      ])
+    progen_seeds
+
 (* The lab corpus: every adversarial benchmark plus a few progen
    programs with the irreducible-region flag on.  Builders return a
    fresh program per call — optimization mutates graphs in place. *)
@@ -554,12 +568,7 @@ let lab_corpus ~progen_seeds =
             fun () -> Workloads.Suite.compile b ))
         s.Workloads.Suite.benchmarks)
     Workloads.Registry.adversarial
-  @ List.map
-      (fun seed ->
-        ( Printf.sprintf "progen-irr/%d" seed,
-          fun () ->
-            Workloads.Progen.generate_program ~irreducible:true ~seed () ))
-      progen_seeds
+  @ List.map (progen_program ~irreducible:true) progen_seeds
 
 (* The tiers under fuzz: the greedy duplication tier, plus dbds as the
    control.  The legacy tiers ride through [run] above. *)
@@ -758,6 +767,55 @@ let run_regions ?(progen_seeds = List.init 200 Fun.id) () =
     r_violations = List.rev !violations;
   }
 
+type paranoid_result = {
+  pa_compiles : int;
+  pa_violations : string list;
+}
+
+(* The irreducible programs under dbds are left out: [run_regions]'
+   whole-graph compile is that same paranoid compile. *)
+let run_paranoid () =
+  let violations = ref [] in
+  let violate fmt =
+    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
+  in
+  let seeds = List.init 200 Fun.id in
+  let configs =
+    [
+      ( "dbds",
+        Dbds.Config.dbds,
+        List.map (progen_program ~irreducible:false) seeds );
+      ( "backtracking",
+        Dbds.Config.backtracking,
+        progen_corpus ~progen_seeds:(List.init 20 Fun.id) );
+      ( "condelim_dup",
+        Dbds.Config.condelim_dup,
+        progen_corpus ~progen_seeds:seeds );
+    ]
+  in
+  let compiles = ref 0 in
+  List.iter
+    (fun (cname, config, corpus) ->
+      List.iter
+        (fun (name, fresh) ->
+          incr compiles;
+          let config =
+            { config with Dbds.Config.verify_between_phases = true }
+          in
+          match
+            Dbds.Driver.optimize_program_report ~config ~jobs:1 (fresh ())
+          with
+          | { Dbds.Driver.rep_failures = []; _ } -> ()
+          | { Dbds.Driver.rep_failures = f :: _; _ } ->
+              violate "%s@%s: contained %s at %s: %s" name cname
+                f.Dbds.Driver.fail_fn f.Dbds.Driver.fail_site
+                f.Dbds.Driver.fail_exn
+          | exception e ->
+              violate "%s@%s: raised %s" name cname (Printexc.to_string e))
+        corpus)
+    configs;
+  { pa_compiles = !compiles; pa_violations = List.rev !violations }
+
 type sccp_result = {
   sc_programs : int;
   sc_functions : int;
@@ -789,21 +847,15 @@ let generated_corpus ~shape_seeds =
         shape_seeds)
     generated_shapes
 
-let run_sccp_after_dbds ?(progen_seeds = List.init 200 Fun.id)
-    ?(shape_seeds = List.init 60 Fun.id) () =
+(* Progen programs are left to [run_quiescent], which compiles them
+   under the same config and checks SCCP with every other pass. *)
+let run_sccp_after_dbds ?(shape_seeds = List.init 60 Fun.id) () =
   let violations = ref [] in
   let violate fmt =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
   in
-  let progen =
-    List.map
-      (fun seed ->
-        ( Printf.sprintf "progen/%d" seed,
-          fun () -> Workloads.Progen.generate_program ~seed () ))
-      progen_seeds
-  in
   let corpus =
-    paper_corpus () @ lab_corpus ~progen_seeds @ progen
+    paper_corpus () @ lab_corpus ~progen_seeds:[]
     @ generated_corpus ~shape_seeds
   in
   let functions = ref 0 in
@@ -853,18 +905,7 @@ let run_quiescent ?(progen_seeds = List.init 200 Fun.id) () =
       (fun name -> Result.get_ok (Opt.Pipeline.resolve_classic name []))
       Opt.Pipeline.classic_names
   in
-  let corpus =
-    List.concat_map
-      (fun seed ->
-        [
-          ( Printf.sprintf "progen/%d" seed,
-            fun () -> Workloads.Progen.generate_program ~seed () );
-          ( Printf.sprintf "progen-irr/%d" seed,
-            fun () ->
-              Workloads.Progen.generate_program ~irreducible:true ~seed () );
-        ])
-      progen_seeds
-  in
+  let corpus = progen_corpus ~progen_seeds in
   let configs = [ ("off", Dbds.Config.off); ("dbds", Dbds.Config.dbds) ] in
   let programs = ref 0 and functions = ref 0 and capped = ref 0 in
   List.iter

@@ -110,6 +110,22 @@ type region_result = {
     stats must be byte-identical. *)
 val run_regions : ?progen_seeds:int list -> unit -> region_result
 
+type paranoid_result = {
+  pa_compiles : int;  (** program × config compiles *)
+  pa_violations : string list;  (** [[]] = pass *)
+}
+
+(** Paranoid compiles of progen programs: seeds 0–199 plain and with
+    irreducible regions under [Config.condelim_dup], plain under
+    [Config.dbds] (the irreducible ones are {!run_regions}' whole-graph
+    compiles), and seeds 0–19 of both kinds under [Config.backtracking],
+    which reruns the whole optimizer per attempt with the memo off
+    (about 0.5 s a program).  The verifier runs after every pass and
+    every duplication (it checks, among the rest, that a graph whose
+    reachability bit is clear has no unreachable block), and the
+    compiles must contain nothing. *)
+val run_paranoid : unit -> paranoid_result
+
 type sccp_result = {
   sc_programs : int;
   sc_functions : int;
@@ -117,14 +133,14 @@ type sccp_result = {
 }
 
 (** The guard on the DBDS round's action steps, which leave SCCP out:
-    compile every paper and lab program, the progen programs of
-    [progen_seeds] (default 0–199) plain and with irreducible regions,
-    and [shape_seeds] (default 0–59) programs of each generated shape of
-    the [aot-generated] benchmark suite (six progen sizes, dispatch
-    loops of 4 and 8 handlers) under [Config.dbds]; then one SCCP run on
-    a copy of each compiled function must fire nothing. *)
-val run_sccp_after_dbds :
-  ?progen_seeds:int list -> ?shape_seeds:int list -> unit -> sccp_result
+    compile every paper and lab program and [shape_seeds] (default
+    0–59) programs of each generated shape of the [aot-generated]
+    benchmark suite (six progen sizes, dispatch loops of 4 and 8
+    handlers) under [Config.dbds]; then one SCCP run on a copy of each
+    compiled function must fire nothing.  The progen programs are
+    {!run_quiescent}'s: it compiles them under the same config and runs
+    SCCP among the other passes. *)
+val run_sccp_after_dbds : ?shape_seeds:int list -> unit -> sccp_result
 
 type quiescent_result = {
   qu_programs : int;  (** program × config compiles *)

@@ -33,7 +33,9 @@
       value;
     - each block's effect chain is its body filtered to {!effect_kind},
       in body order;
-    - the allocation index lists every live [New], by decreasing id. *)
+    - the allocation index lists every live [New], by decreasing id;
+    - while the reachability bit ([unswept]) is clear, every live block
+      is reachable from the entry. *)
 
 open Types
 
@@ -100,6 +102,10 @@ type t = {
   mutable generation : int;
   mutable n_live : int;
   mutable n_live_blocks : int;
+  mutable unswept : bool;
+      (** an edge removal or a new block since the last completed
+          {!remove_unreachable_blocks} may have left a block unreachable;
+          clear means every live block is reachable *)
   mutable cache : cache;
   (* -------- mutation log -------------------------------------------- *)
   mutable log : int array;
@@ -153,6 +159,7 @@ let create ?(name = "fn") ~n_params () =
     generation = 0;
     n_live = 0;
     n_live_blocks = 0;
+    unswept = false;
     cache = No_cache;
     log = Array.make 16 0;
     log_len = 0;
@@ -550,6 +557,7 @@ let add_block g =
   g.eff_tail.(id) <- -1;
   g.blk_size.(id) <- 0;
   g.n_live_blocks <- g.n_live_blocks + 1;
+  g.unswept <- true;
   if g.entry = -1 then g.entry <- id;
   touch g;
   log_cfg g id;
@@ -768,7 +776,11 @@ let set_term g bid term =
   log_lost_term_uses g old_term term;
   iter_term_inputs (fun v -> remove_use_enc g v (enc_term bid)) old_term;
   List.iter
-    (fun s -> if not (List.mem s new_succs) then remove_pred g s bid)
+    (fun s ->
+      if not (List.mem s new_succs) then begin
+        g.unswept <- true;
+        remove_pred g s bid
+      end)
     old_succs;
   g.blk_term.(bid) <- term;
   iter_term_inputs (fun v -> add_use_enc g v (enc_term bid)) term;
@@ -798,6 +810,7 @@ let transfer_term g ~src ~dst =
   | _ -> invalid_arg "Graph.transfer_term: destination has a terminator");
   log_cfg g src;
   log_cfg g dst;
+  g.unswept <- true;
   let t = g.blk_term.(src) in
   iter_term_inputs (fun v -> remove_use_enc g v (enc_term src)) t;
   g.blk_term.(src) <- Unreachable;
@@ -830,6 +843,7 @@ let redirect_edge g ~from_block ~old_target ~new_target =
         invalid_arg
           (Printf.sprintf "Graph.redirect_edge: b%d does not target b%d"
              from_block old_target));
+    g.unswept <- true;
     remove_pred g old_target from_block;
     add_pred g new_target from_block ~filler:(fun _ _ -> invalid_value)
   end
@@ -1013,12 +1027,20 @@ let reachable g =
   List.iter (fun b -> set.(b) <- true) (rpo g);
   set
 
+let may_have_unreachable g = g.unswept
+
+(* While the bit is clear every block is reachable: no walk. *)
 let remove_unreachable_blocks g =
+  g.unswept
+  &&
   let reach = reachable g in
   let dead_blocks =
     fold_blocks g (fun acc b -> if reach.(b) then acc else b :: acc) []
   in
-  if dead_blocks = [] then false
+  if dead_blocks = [] then begin
+    g.unswept <- false;
+    false
+  end
   else begin
     (* Drop all edges out of dead blocks (this also removes phi inputs
        that reachable merge blocks held for them). *)
@@ -1036,8 +1058,16 @@ let remove_unreachable_blocks g =
         List.iter (fun id -> kill_slot g id) members;
         kill_block_slot g bid)
       dead_blocks;
+    g.unswept <- false;
     true
   end
+
+(* An exception leaves the bit set: a half-done edit may strand. *)
+let keep_reachability g f =
+  let before = g.unswept in
+  let r = f () in
+  if not before then g.unswept <- false;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Copy / snapshot / restore                                           *)
@@ -1123,6 +1153,7 @@ let restore g snap =
   g.entry <- s.entry;
   g.n_live <- s.n_live;
   g.n_live_blocks <- s.n_live_blocks;
+  g.unswept <- s.unswept;
   if snap.owner == g then begin
     (* Back in the exact snapshot state: its generation and cache slot
        are valid again, which revives the analyses cached there. *)

@@ -20,7 +20,9 @@
     - each block's {e effect chain} lists exactly its body instructions
       of an {!effect_kind}, in body order;
     - the {e allocation index} lists exactly the live [New]
-      instructions, by decreasing id.
+      instructions, by decreasing id;
+    - while the {e reachability bit} is clear, every live block is
+      reachable from the entry (see {!may_have_unreachable}).
 
     All reads go through accessors; all mutation goes through this API so
     the invariants stay sound. *)
@@ -262,10 +264,30 @@ val live_block_count : t -> int
 (** Reverse postorder over reachable blocks. *)
 val rpo : t -> block_id list
 
+(** {2 Reachability}
+
+    The graph keeps one bit: a block may have become unreachable since
+    the last completed {!remove_unreachable_blocks}.  The primitives
+    that can strand a block set it: {!set_term} dropping a successor,
+    {!redirect_edge}, {!transfer_term} and {!add_block}.
+    {!snapshot}, {!restore} and {!copy} carry it.  While it is clear,
+    every live block is reachable from the entry ({!Verifier} checks
+    this). *)
+
+(** Is the bit set? *)
+val may_have_unreachable : t -> bool
+
 (** Delete every block not reachable from the entry (dropping their edges
-    into reachable blocks, with the matching phi inputs).  Returns true if
-    anything was removed. *)
+    into reachable blocks, with the matching phi inputs), and clear the
+    bit.  Returns true if anything was removed.  While the bit is clear
+    it returns false without walking the graph. *)
 val remove_unreachable_blocks : t -> bool
+
+(** [keep_reachability g f] runs [f], an edit that strands no block of a
+    graph whose blocks are all reachable (it may move edges, but every
+    block keeps a path from the entry), and leaves a clear bit clear.
+    A set bit stays set, and so does the bit after an exception. *)
+val keep_reachability : t -> (unit -> 'a) -> 'a
 
 (** {2 Copy / snapshot / restore} *)
 

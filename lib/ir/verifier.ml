@@ -213,9 +213,21 @@ let check_entry g =
   if not (Graph.block_exists g entry) then fail "entry block b%d is dead" entry;
   if Graph.phis g entry <> [] then fail "entry block has phis"
 
+(* The graph's reachability bit is clear only while every block is
+   reachable: a clear bit lets the unreachable-block sweep skip its
+   walk. *)
+let check_reachability g =
+  if not (Graph.may_have_unreachable g) then begin
+    let dom = Analyses.dom g in
+    Graph.iter_blocks g (fun bid ->
+        if not (Dom.is_reachable dom bid) then
+          fail "b%d is unreachable, but the reachability bit is clear" bid)
+  end
+
 (** Run all checks; raises {!Invalid} with a description on failure. *)
 let verify g =
   check_entry g;
+  check_reachability g;
   check_edges g;
   check_instr_placement g;
   check_effect_chains g;

@@ -1,6 +1,8 @@
 (** Structural and SSA well-formedness checks: edge/pred consistency,
     instruction placement, phi arity and fill, input liveness, use-list
-    accuracy, and the SSA dominance property.  Tests run the verifier
+    accuracy, the SSA dominance property, and that a graph whose
+    reachability bit is clear ({!Graph.may_have_unreachable}) has no
+    unreachable block.  Tests run the verifier
     after every transformation; a failure message pinpoints the broken
     invariant. *)
 

@@ -181,16 +181,23 @@ let try_replace program g alloc =
       | Some _ | None -> false)
   | _ -> false
 
+(* Earlier phases in the same round (branch folding in particular) may
+   have disconnected blocks; the field lookup walks predecessors and
+   finds no definition on a dead one, so drop them first.  The sweep
+   walks the graph only when an edge removal may have stranded a block
+   ({!G.may_have_unreachable}), and is charged only then. *)
+let sweep ctx g =
+  G.may_have_unreachable g
+  && begin
+       Phase.charge ctx (G.live_block_count g);
+       G.remove_unreachable_blocks g
+     end
+
 let run ctx g =
   match ctx.Phase.program with
   | None -> false
   | Some program ->
-      (* Earlier phases in the same round (branch folding in particular)
-         may have disconnected blocks; the field lookup walks
-         predecessors and finds no definition on a dead one, so drop
-         them first. *)
-      Phase.charge ctx (G.live_block_count g);
-      let changed = ref (G.remove_unreachable_blocks g) in
+      let changed = ref (sweep ctx g) in
       (* Scalarizing an outer object can un-escape the allocation stored
          in its fields (the store that pinned it disappears), so iterate
          until a whole sweep replaces nothing — one run digests a nested
@@ -234,21 +241,13 @@ let affected g ~since put =
    index taken at a sweep's start holds every one the sweep can reach);
    a replacement queues what it affected into the same sweep when the
    whole-graph sweep would still reach it (a smaller id), else into the
-   next.  The unreachable-block sweep only runs when the CFG changed:
-   the clean run left no unreachable block. *)
+   next.  The unreachable-block sweep is [run]'s. *)
 let run_region ctx g (c : Ir.Analyses.clean) =
   match ctx.Phase.program with
   | None -> false
   | Some program ->
       let since = c.Ir.Analyses.at in
-      let changed =
-        ref
-          (Region.cfg_changed g ~since
-          && begin
-               Phase.charge ctx (G.live_block_count g);
-               G.remove_unreachable_blocks g
-             end)
-      in
+      let changed = ref (sweep ctx g) in
       let cur = ref (Ir.Bitset.create (G.n_instrs g)) in
       affected g ~since (Ir.Bitset.add !cur);
       let continue_ = ref true in

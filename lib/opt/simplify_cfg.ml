@@ -39,8 +39,11 @@ let collapse_single_pred_phis _ctx g =
   !changed
 
 (* Merge [p -> s] when p jumps to s and s has no other predecessor:
-   move s's body into p, take over s's terminator, delete s. *)
+   move s's body into p, take over s's terminator, delete s.  A merge
+   strands nothing (s's successors are reached through p, which reached
+   s), so it keeps a clear reachability bit clear. *)
 let merge_straightline _ctx g =
+  G.keep_reachability g @@ fun () ->
   let changed = ref false in
   let progress = ref true in
   while !progress do

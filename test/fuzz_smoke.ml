@@ -92,7 +92,8 @@ match r.Harness.Fuzz.r_violations with
 ;;
 (* The DBDS round's action steps leave SCCP out: after the dbds tier,
    one SCCP run on a copy of each compiled function must fire nothing,
-   on every paper, lab, progen and generated-shape program. *)
+   on every paper, lab and generated-shape program (the progen programs
+   are the quiescence check's, below). *)
 let s = Harness.Fuzz.run_sccp_after_dbds () in
 Printf.printf "fuzz sccp-after-dbds: %d programs, %d functions checked\n"
   s.Harness.Fuzz.sc_programs s.Harness.Fuzz.sc_functions;
@@ -118,4 +119,22 @@ match q.Harness.Fuzz.qu_violations with
 | vs ->
     List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
     Printf.eprintf "%d quiescence violation(s)\n" (List.length vs);
+    exit 1
+
+;;
+(* The reachability bit is honest: paranoid compiles of progen
+   programs, plain and irreducible, under the duplicating tiers verify
+   after every pass and duplication that a clear bit leaves no block
+   unreachable, and must contain nothing.  Seeds 0-199 under dbds
+   (plain only: the region oracle above compiles the irreducible ones
+   in paranoid mode) and condelim_dup; backtracking, which reruns the
+   whole optimizer per attempt, on seeds 0-19 (0-199 would add about
+   two minutes). *)
+let p = Harness.Fuzz.run_paranoid () in
+Printf.printf "fuzz paranoid: %d compiles\n" p.Harness.Fuzz.pa_compiles;
+match p.Harness.Fuzz.pa_violations with
+| [] -> ()
+| vs ->
+    List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) vs;
+    Printf.eprintf "%d paranoid violation(s)\n" (List.length vs);
     exit 1

@@ -375,6 +375,113 @@ let prop_effect_chains seed =
   let copy = G.copy g in
   step () && chains_consistent copy && chain_state copy = before
 
+(* ------------------------------------------------------------------ *)
+(* The reachability bit                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A graph with every block reachable and the bit clear. *)
+let swept g =
+  ignore (G.remove_unreachable_blocks g);
+  Alcotest.(check bool) "clear after a sweep" false (G.may_have_unreachable g);
+  g
+
+let stranded_loop_src =
+  "int main(int x) { int s = 0; if (1 > 2) { while (s < x) { s = s + 1; } \
+   } return s + x; }"
+
+(* Folding the only edge into a loop strands the loop although its
+   header keeps a predecessor (the back edge): the bit must be set, and
+   one sweep removes the whole loop. *)
+let test_bit_stranded_loop () =
+  let prog = compile stranded_loop_src in
+  let g = swept (Option.get (Ir.Program.find_function prog "main")) in
+  let const v = match G.kind g v with Const _ -> true | _ -> false in
+  let guard =
+    List.find
+      (fun b ->
+        match G.term g b with
+        | Branch { cond; _ } -> (
+            match G.kind g cond with
+            | Cmp (Gt, a, c) -> const a && const c
+            | _ -> false)
+        | _ -> false)
+      (G.rpo g)
+  in
+  (match G.term g guard with
+  | Branch { if_false; _ } -> G.set_term g guard (Jump if_false)
+  | _ -> assert false);
+  Alcotest.(check bool) "set by the fold" true (G.may_have_unreachable g);
+  let reach = G.rpo g in
+  let stranded =
+    G.fold_blocks g (fun acc b -> if List.mem b reach then acc else b :: acc) []
+  in
+  Alcotest.(check bool)
+    "a stranded block keeps a predecessor" true
+    (List.exists (fun b -> G.pred_count g b > 0) stranded);
+  Alcotest.(check bool) "the sweep removes" true (G.remove_unreachable_blocks g);
+  Alcotest.(check bool) "the whole loop is gone" true
+    (List.for_all (fun b -> not (G.block_exists g b)) stranded);
+  Alcotest.(check int) "every block reachable" (List.length (G.rpo g))
+    (G.live_block_count g);
+  Alcotest.(check bool) "clear again" false (G.may_have_unreachable g);
+  check_verifies g;
+  Alcotest.(check int) "result" 5 (run_int prog [ 5 ])
+
+(* Edits that keep every successor strand nothing. *)
+let test_bit_kept_successors () =
+  let g, _, sum = figure1_graph () in
+  let g = swept g in
+  let merge = G.block_of g sum in
+  let c7 = G.prepend g merge (Const 7) in
+  G.patch_term g merge (Return (Some c7));
+  let entry = G.entry g in
+  (match G.term g entry with
+  | Branch br -> G.set_term g entry (Branch { br with prob = 0.25 })
+  | _ -> assert false);
+  Alcotest.(check bool) "still clear" false (G.may_have_unreachable g);
+  check_verifies g
+
+(* [restore] brings back the snapshot's bit, clear or set. *)
+let test_bit_restore () =
+  let g, _, _ = figure1_graph () in
+  let g = swept g in
+  let snap = G.snapshot g in
+  ignore (G.add_block g);
+  Alcotest.(check bool) "set by a new block" true (G.may_have_unreachable g);
+  G.restore g snap;
+  Alcotest.(check bool) "clear after restore" false (G.may_have_unreachable g);
+  ignore (G.add_block g);
+  let snap = G.snapshot g in
+  ignore (G.remove_unreachable_blocks g);
+  G.restore g snap;
+  Alcotest.(check bool) "set after restore" true (G.may_have_unreachable g);
+  Alcotest.(check bool) "the stray block is swept" true
+    (G.remove_unreachable_blocks g)
+
+(* Duplicating a merge that is no loop header strands nothing: a clear
+   bit stays clear, and a set one stays set. *)
+let test_bit_duplicate () =
+  let dup g phi =
+    let merge = G.block_of g phi in
+    let pred = List.hd (G.preds g merge) in
+    ignore (Dbds.Transform.duplicate g ~merge ~pred)
+  in
+  let g, phi, _ = figure1_graph () in
+  let g = swept g in
+  dup g phi;
+  Alcotest.(check bool) "clear after duplication" false
+    (G.may_have_unreachable g);
+  check_verifies g;
+  let g, phi, _ = figure1_graph () in
+  let g = swept g in
+  let stray = G.add_block g in
+  dup g phi;
+  Alcotest.(check bool) "set after duplication" true (G.may_have_unreachable g);
+  Alcotest.(check bool) "the stray block is swept" true
+    (G.remove_unreachable_blocks g);
+  Alcotest.(check bool) "stray gone" false (G.block_exists g stray);
+  check_verifies g
+
 let suite =
   [
     test "build diamond" test_build_diamond;
@@ -395,4 +502,10 @@ let suite =
     qtest ~count:300 "effect chains follow random mutations"
       QCheck2.Gen.(int_bound 1_000_000)
       prop_effect_chains;
+    test "reachability bit: a folded loop entry is swept"
+      test_bit_stranded_loop;
+    test "reachability bit: kept successors keep it clear"
+      test_bit_kept_successors;
+    test "reachability bit: restore brings it back" test_bit_restore;
+    test "reachability bit: duplication keeps it" test_bit_duplicate;
   ]
