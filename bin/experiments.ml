@@ -53,10 +53,7 @@ let pp_sim () =
    canonicalizes cold; the md5 covers each request's digest and the
    broker's reply. *)
 let pp_generated_service () =
-  let shapes =
-    [| `Progen (1, 2); `Progen (2, 3); `Dispatch 4; `Progen (3, 3);
-       `Progen (4, 4); `Dispatch 8; `Progen (2, 4); `Progen (3, 2) |]
-  in
+  let shapes = Array.of_list Workloads.Generated.shapes in
   let config = Dbds.Config.dbds in
   let broker = Service.Broker.create ~workers:1 ~store:None () in
   let buf = Buffer.create 65536 in
@@ -67,10 +64,7 @@ let pp_generated_service () =
       for i = 0 to programs - 1 do
         let seed = 20180224 + i in
         let src =
-          match shapes.(i mod Array.length shapes) with
-          | `Dispatch handlers -> Workloads.Advgen.dispatch_src ~handlers ~seed
-          | `Progen (n_helpers, depth) ->
-              Workloads.Progen.generate ~n_helpers ~depth ~seed ()
+          Workloads.Generated.source shapes.(i mod Array.length shapes) ~seed
         in
         let prog = Lang.Frontend.compile src in
         ignore

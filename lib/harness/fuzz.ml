@@ -1,53 +1,65 @@
-(** Resilience fuzzing: drive random {!Workloads.Progen} programs
-    through random fault plans and check the containment contract.
-
-    For every (graph seed × fault plan) pair the optimizer runs under
-    injection, and three invariants are asserted:
-
-    + {e no escape}: no exception leaves
-      {!Dbds.Driver.optimize_program_report};
-    + {e rollback fidelity}: every contained function's IR is
-      byte-identical to its pre-attempt IR (the graph the pipeline
-      started from);
-    + {e jobs determinism}: the printed program, the failure list, the
-      per-function statistics and the phase-context counters are
-      identical under every [jobs] value tried.
-
-    Any breach is reported as a human-readable violation string; an
-    empty [violations] list is the pass criterion.  Everything is
-    seeded, so a reported violation reproduces by rerunning the same
-    pair. *)
+(** Fuzzing.  Three fuzzers drive their own inputs — the containment
+    contract under fault plans, the artifact store under store faults,
+    the frontdoor's wire decoder under garbage — and one compile matrix
+    compiles a fixed corpus once per (program, config, memo-on or
+    paranoid) row and runs a list of oracles over those compiles.
+    Everything is seeded, so a reported violation reproduces by
+    rerunning the same input. *)
 
 type result = {
-  pairs_run : int;  (** (graph seed × fault plan) pairs executed *)
-  contained : int;  (** contained failures observed (at [List.hd jobs]) *)
-  by_site : (string * int) list;  (** ... broken down per crash site *)
-  violations : string list;  (** invariant breaches; [[]] = pass *)
+  name : string;
+  counts : (string * int) list;
+  violations : string list;
+  seconds : float;
 }
 
+let now = Unix.gettimeofday
+let violate vs fmt = Printf.ksprintf (fun s -> vs := s :: !vs) fmt
+
+(* Sum [more] into [counts] by label, keeping first-seen order. *)
+let add_counts counts more =
+  List.fold_left
+    (fun acc (k, n) ->
+      if List.mem_assoc k acc then
+        List.map (fun (k', m) -> (k', if k' = k then m + n else m)) acc
+      else acc @ [ (k, n) ])
+    counts more
+
+let finish name t0 counts vs =
+  { name; counts; violations = List.rev !vs; seconds = now () -. t0 }
+
+let functions prog =
+  List.filter_map
+    (Ir.Program.find_function prog)
+    (Ir.Program.function_names prog)
+
+let stats_text s = Format.asprintf "%a" Dbds.Driver.pp_stats s
+
 (* One deterministic fingerprint of a finished run: printed graphs,
-   failures, stats, counters.  Byte-equal fingerprints = identical runs. *)
-let fingerprint prog (r : Dbds.Driver.report) =
-  let buf = Buffer.create 4096 in
-  Ir.Program.iter_functions prog (fun g ->
-      Buffer.add_string buf (Ir.Printer.graph_to_string g);
-      Buffer.add_char buf '\n');
-  List.iter
-    (fun (name, s) ->
-      Buffer.add_string buf
-        (Format.asprintf "%s: %a@." name Dbds.Driver.pp_stats s))
-    r.Dbds.Driver.rep_stats;
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "failure %s at %s: %s\n" f.Dbds.Driver.fail_fn
-           f.Dbds.Driver.fail_site f.Dbds.Driver.fail_exn))
-    r.Dbds.Driver.rep_failures;
-  let ctx = r.Dbds.Driver.rep_ctx in
-  Buffer.add_string buf
-    (Printf.sprintf "work=%d contained=%d\n" ctx.Opt.Phase.work
-       (Opt.Phase.contained_total ctx));
-  Buffer.contents buf
+   stats, failures, counters.  Byte-equal fingerprints = identical runs. *)
+let fingerprint ~graphs ~stats ~failures ~work ~contained =
+  String.concat ""
+    (List.map (fun g -> Ir.Printer.graph_to_string g ^ "\n") graphs
+    @ List.map (fun (name, s) -> name ^ ": " ^ s ^ "\n") stats
+    @ failures
+    @ [ Printf.sprintf "work=%d contained=%d\n" work contained ])
+
+let report_fingerprint prog (r : Dbds.Driver.report) =
+  fingerprint ~graphs:(functions prog)
+    ~stats:
+      (List.map (fun (fn, s) -> (fn, stats_text s)) r.Dbds.Driver.rep_stats)
+    ~failures:
+      (List.map
+         (fun f ->
+           Printf.sprintf "failure %s at %s: %s\n" f.Dbds.Driver.fail_fn
+             f.Dbds.Driver.fail_site f.Dbds.Driver.fail_exn)
+         r.Dbds.Driver.rep_failures)
+    ~work:r.Dbds.Driver.rep_ctx.Opt.Phase.work
+    ~contained:(Opt.Phase.contained_total r.Dbds.Driver.rep_ctx)
+
+(* ------------------------------------------------------------------ *)
+(* Containment contract                                                *)
+(* ------------------------------------------------------------------ *)
 
 let config_for plan k =
   {
@@ -68,27 +80,34 @@ let config_for plan k =
 let run_one ~src ~config ~jobs =
   let prog = Lang.Frontend.compile src in
   match Dbds.Driver.optimize_program_report ~config ~jobs prog with
-  | r -> Ok (fingerprint prog r, prog, r)
+  | r -> Ok (report_fingerprint prog r, prog, r)
   | exception e ->
       Error
         (Printf.sprintf "escaped exception (jobs=%d): %s" jobs
            (Printexc.to_string e))
 
-(** Fuzz the containment contract over [graph_seeds] × [plans_per_graph]
-    pairs, each at every jobs value in [jobs_matrix].  Defaults: 25
-    seeds × 4 plans = 100 pairs, at [jobs:1] and [jobs:4]. *)
-let run ?(graph_seeds = List.init 25 Fun.id) ?(plans_per_graph = 4)
-    ?(jobs_matrix = [ 1; 4 ]) () =
+(** The containment contract, over 25 graph seeds × 4 fault plans, each
+    pair at [jobs:1] and [jobs:4]:
+
+    + {e no escape}: no exception leaves
+      {!Dbds.Driver.optimize_program_report};
+    + {e rollback fidelity}: every contained function's IR is
+      byte-identical to its pre-attempt IR (the graph the pipeline
+      started from);
+    + {e jobs determinism}: the printed program, the failure list, the
+      per-function statistics and the phase-context counters are
+      identical under every [jobs] value tried. *)
+let run () =
+  let t0 = now () in
   let violations = ref [] in
-  let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let pairs = ref 0 in
   let contained = ref 0 in
   let by_site = ref [] in
-  let jobs_matrix = match jobs_matrix with [] -> [ 1 ] | l -> l in
+  let jobs_matrix = [ 1; 4 ] in
   List.iter
     (fun seed ->
       let src = Workloads.Progen.generate ~seed () in
-      for k = 0 to plans_per_graph - 1 do
+      for k = 0 to 3 do
         let plan = Dbds.Faults.of_seed ((seed * 8191) + k) in
         let config = config_for plan k in
         let tag =
@@ -107,59 +126,42 @@ let run ?(graph_seeds = List.init 25 Fun.id) ?(plans_per_graph = 4)
                 match res with
                 | Ok (fp, _, _) ->
                     if fp <> fp0 then
-                      violate "%s: jobs=%d diverges from jobs=%d" tag jobs
-                        (List.hd jobs_matrix)
-                | Error msg -> violate "%s: %s" tag msg)
+                      violate violations "%s: jobs=%d diverges from jobs=%d"
+                        tag jobs (List.hd jobs_matrix)
+                | Error msg -> violate violations "%s: %s" tag msg)
               rest
-        | (_, Error msg) :: _ -> violate "%s: %s" tag msg
+        | (_, Error msg) :: _ -> violate violations "%s: %s" tag msg
         | [] -> ());
         (* Invariants 1 and 2 on the first jobs value's run. *)
         match results with
         | (_, Ok (_, prog, r)) :: _ ->
             List.iter
               (fun f ->
-                contained := !contained + 1;
+                incr contained;
                 by_site :=
-                  (let site = f.Dbds.Driver.fail_site in
-                   let n =
-                     match List.assoc_opt site !by_site with
-                     | Some n -> n
-                     | None -> 0
-                   in
-                   (site, n + 1) :: List.remove_assoc site !by_site);
+                  add_counts !by_site [ ("at " ^ f.Dbds.Driver.fail_site, 1) ];
                 match Ir.Program.find_function prog f.Dbds.Driver.fail_fn with
                 | None ->
-                    violate "%s: contained function %s vanished" tag
+                    violate violations "%s: contained function %s vanished" tag
                       f.Dbds.Driver.fail_fn
                 | Some g ->
                     if Ir.Printer.graph_to_string g <> f.Dbds.Driver.fail_pre_ir
                     then
-                      violate
+                      violate violations
                         "%s: %s not rolled back to its pre-attempt IR" tag
                         f.Dbds.Driver.fail_fn)
               r.Dbds.Driver.rep_failures
         | _ -> ()
       done)
-    graph_seeds;
-  {
-    pairs_run = !pairs;
-    contained = !contained;
-    by_site = List.sort compare !by_site;
-    violations = List.rev !violations;
-  }
+    (List.init 25 Fun.id);
+  finish "containment" t0
+    ([ ("pairs", !pairs); ("contained failures", !contained) ]
+    @ List.sort compare !by_site)
+    violations
 
 (* ------------------------------------------------------------------ *)
 (* Artifact-store property                                             *)
 (* ------------------------------------------------------------------ *)
-
-type service_result = {
-  s_pairs_run : int;  (** (graph seed × store fault plan) pairs executed *)
-  s_store_hits : int;  (** store hits observed across warm passes *)
-  s_recovered : int;
-      (** contained store degradations: torn writes, read faults and
-          corrupt entries that were evicted and recompiled *)
-  s_violations : string list;  (** property breaches; [[]] = pass *)
-}
 
 let scratch_store_dir () = Filename.temp_dir "dbds-fuzz" ".store"
 
@@ -191,9 +193,9 @@ let store_counters (st : Service.Store.stats) =
     st.Service.Store.write_failures st.Service.Store.read_failures
     st.Service.Store.corrupt
 
-(** The artifact-store property, fuzzed over random programs × random
-    {!Dbds.Faults.store_sites} plans (torn temp writes, torn
-    publications, read faults), each at every [jobs] value:
+(** The artifact-store property, fuzzed over 6 random programs × 3
+    random {!Dbds.Faults.store_sites} plans (torn temp writes, torn
+    publications, read faults), each at [jobs:1] and [jobs:4]:
 
     + {e no escape}: injected store faults never leak an exception out
       of the driver — the store degrades to misses and recompiles;
@@ -202,18 +204,15 @@ let store_counters (st : Service.Store.stats) =
       managed to publish — including torn files) produce canonical IR
       byte-identical to an uncached reference compile.  A torn
       publication must be detected by checksum, evicted and recompiled;
-    + {e jobs determinism}: outputs and store counters agree across the
-      [jobs_matrix]. *)
-let run_service ?(graph_seeds = List.init 10 Fun.id) ?(plans_per_graph = 3)
-    ?(jobs_matrix = [ 1; 4 ]) () =
+    + {e jobs determinism}: outputs and store counters agree across
+      jobs values. *)
+let run_service () =
+  let t0 = now () in
   let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
   let pairs = ref 0 in
   let store_hits = ref 0 in
   let recovered = ref 0 in
-  let jobs_matrix = match jobs_matrix with [] -> [ 1 ] | l -> l in
+  let jobs_matrix = [ 1; 4 ] in
   List.iter
     (fun seed ->
       let src = Workloads.Progen.generate ~seed () in
@@ -225,14 +224,14 @@ let run_service ?(graph_seeds = List.init 10 Fun.id) ?(plans_per_graph = 3)
         match Dbds.Driver.optimize_program_report ~config ~jobs:1 prog with
         | _ -> Some (canonical_fingerprint prog)
         | exception e ->
-            violate "service seed=%d: reference compile escaped: %s" seed
-              (Printexc.to_string e);
+            violate violations "service seed=%d: reference compile escaped: %s"
+              seed (Printexc.to_string e);
             None
       in
       match reference with
       | None -> ()
       | Some ref_fp ->
-          for k = 0 to plans_per_graph - 1 do
+          for k = 0 to 2 do
             incr pairs;
             let plan = Dbds.Faults.of_seed_store ((seed * 8191) + k) in
             let config =
@@ -272,13 +271,15 @@ let run_service ?(graph_seeds = List.init 10 Fun.id) ?(plans_per_graph = 3)
             in
             match run_leg (List.hd jobs_matrix) with
             | exception e ->
-                violate "%s: escaped exception (jobs=%d): %s" tag
+                violate violations "%s: escaped exception (jobs=%d): %s" tag
                   (List.hd jobs_matrix) (Printexc.to_string e)
             | cold0, warm0, counters0, st0 ->
                 if cold0 <> ref_fp then
-                  violate "%s: cold pass diverges from uncached reference" tag;
+                  violate violations
+                    "%s: cold pass diverges from uncached reference" tag;
                 if warm0 <> ref_fp then
-                  violate "%s: warm pass diverges from uncached reference" tag;
+                  violate violations
+                    "%s: warm pass diverges from uncached reference" tag;
                 store_hits := !store_hits + st0.Service.Store.hits;
                 recovered :=
                   !recovered + st0.Service.Store.write_failures
@@ -287,49 +288,52 @@ let run_service ?(graph_seeds = List.init 10 Fun.id) ?(plans_per_graph = 3)
                   (fun jobs ->
                     match run_leg jobs with
                     | exception e ->
-                        violate "%s: escaped exception (jobs=%d): %s" tag jobs
-                          (Printexc.to_string e)
+                        violate violations "%s: escaped exception (jobs=%d): %s"
+                          tag jobs (Printexc.to_string e)
                     | cold, warm, counters, _ ->
                         if cold <> cold0 || warm <> warm0 then
-                          violate "%s: jobs=%d outputs diverge from jobs=%d"
-                            tag jobs (List.hd jobs_matrix);
+                          violate violations
+                            "%s: jobs=%d outputs diverge from jobs=%d" tag jobs
+                            (List.hd jobs_matrix);
                         if counters <> counters0 then
-                          violate
+                          violate violations
                             "%s: jobs=%d store counters [%s] diverge from \
                              jobs=%d [%s]"
                             tag jobs counters (List.hd jobs_matrix) counters0)
                   (List.tl jobs_matrix)
           done)
-    graph_seeds;
-  {
-    s_pairs_run = !pairs;
-    s_store_hits = !store_hits;
-    s_recovered = !recovered;
-    s_violations = List.rev !violations;
-  }
+    (List.init 6 Fun.id);
+  finish "service" t0
+    [
+      ("pairs", !pairs);
+      ("store hits", !store_hits);
+      ("degraded-and-recovered", !recovered);
+    ]
+    violations
 
 (* ---- frontdoor wire-decoder hardening -------------------------------- *)
 
-type frontdoor_result = {
-  f_decoder_cases : int;  (** byte strings fed to the pure decoder *)
-  f_stream_cases : int;  (** chunked streams read by the blocking reader *)
-  f_server_runs : int;  (** simulated garbage-client server runs *)
-  f_rejected : int;  (** structured rejections observed end-to-end *)
-  f_violations : string list;  (** hardening breaches; [[]] = pass *)
-}
-
-let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
+(** Two layers.  The pure incremental decoder
+    ({!Service.Protocol.decode}) on 400 byte strings — random garbage,
+    garbage behind the ["dbds/1 "] header prefix, well-formed messages
+    with one byte flipped, truncations of well-formed messages — where
+    any structured outcome is acceptable and raising is the bug, except
+    that bytes which cannot begin ["dbds/1 "] must be an [Err] at once
+    and a newline-free line behind the prefix must be an [Err] past
+    [max_line_bytes]; and the blocking {!Service.Protocol.receive} on
+    100 streams of 1–3 rendered messages cut into random chunks over a
+    simulated connection — it must return exactly those messages, and a
+    truncated tail before the close must not read as a clean ["eof"].
+    Then 8 simulated garbage-client runs against a live
+    {!Service.Frontdoor}: junk must earn a structured rejection or a
+    clean close (never an escaping exception or a wedged event loop),
+    and a fresh well-formed connection must still be served
+    afterwards. *)
+let run_frontdoor () =
+  let t0 = now () in
+  let decoder_cases = 400 and server_seeds = 8 in
   let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
   let rng = Random.State.make [| 0xf4d0; decoder_cases; server_seeds |] in
-  (* 1. The pure decoder on adversarial bytes: random garbage, garbage
-     behind the header prefix, valid messages with one byte flipped,
-     and every truncation of a valid message.  Any outcome is fine —
-     raising is the bug — except two: bytes that cannot begin
-     ["dbds/1 "] must be an [Err] at once, and newline-free bytes behind
-     the prefix must be an [Err] past [max_line_bytes]. *)
   let module P = Service.Protocol in
   let random_message ?(rng = rng) () =
     let rand_string n =
@@ -355,12 +359,12 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
     match P.decode bytes with
     | P.Err _ -> ()
     | (P.Msg _ | P.More) when not (fits_prefix bytes) ->
-        violate "decoder accepted %d bytes that cannot begin %S"
+        violate violations "decoder accepted %d bytes that cannot begin %S"
           (String.length bytes) header_prefix
     | P.Msg _ | P.More -> ()
     | exception e ->
-        violate "decoder raised %s on %d bytes" (Printexc.to_string e)
-          (String.length bytes)
+        violate violations "decoder raised %s on %d bytes"
+          (Printexc.to_string e) (String.length bytes)
   in
   let noise n =
     String.init (Random.State.int rng n) (fun _ ->
@@ -369,17 +373,14 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
   for _ = 1 to decoder_cases / 4 do
     feed (noise 200);
     feed (header_prefix ^ noise 64);
-    let m = random_message () in
-    let wire = P.render m in
-    let mutated =
-      String.mapi
-        (fun i c ->
-          if i = Random.State.int rng (String.length wire) then
-            Char.chr (Random.State.int rng 256)
-          else c)
-        wire
-    in
-    feed mutated;
+    let wire = P.render (random_message ()) in
+    (* Exactly one byte changes: one index, and a value other than the
+       byte it replaces. *)
+    let mutated = Bytes.of_string wire in
+    let i = Random.State.int rng (String.length wire) in
+    Bytes.set mutated i
+      (Char.chr ((Char.code wire.[i] + 1 + Random.State.int rng 255) land 255));
+    feed (Bytes.to_string mutated);
     feed (String.sub wire 0 (Random.State.int rng (String.length wire + 1)))
   done;
   (* Newline-free bytes that do match the prefix stay bounded. *)
@@ -391,8 +392,12 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
   incr cases;
   (match P.decode long with
   | P.Err _ -> ()
-  | _ -> violate "%d newline-free bytes were not refused" (String.length long)
-  | exception e -> violate "decoder raised %s on a long line" (Printexc.to_string e));
+  | _ ->
+      violate violations "%d newline-free bytes were not refused"
+        (String.length long)
+  | exception e ->
+      violate violations "decoder raised %s on a long line"
+        (Printexc.to_string e));
   (* The blocking reader over a chunked stream: 1-3 messages cut at
      random points into chunks that each travel as one [send] over a
      simulated connection.  The reader must return exactly the
@@ -438,20 +443,23 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
               match P.receive rd server with
               | Ok got ->
                   if got <> m then
-                    violate "stream %d: read %s, rendered %s" k got.P.verb
-                      m.P.verb
-              | Error e -> violate "stream %d: %s before the end" k e)
+                    violate violations "stream %d: read %s, rendered %s" k
+                      got.P.verb m.P.verb
+              | Error e ->
+                  violate violations "stream %d: %s before the end" k e)
             msgs;
           (match (P.receive rd server, truncated) with
-          | Ok m, _ -> violate "stream %d: read a %s past the end" k m.P.verb
-          | Error "eof", true -> violate "stream %d: truncated tail read as eof" k
+          | Ok m, _ ->
+              violate violations "stream %d: read a %s past the end" k m.P.verb
+          | Error "eof", true ->
+              violate violations "stream %d: truncated tail read as eof" k
           | Error e, false when e <> "eof" ->
-              violate "stream %d: clean end read as %s" k e
+              violate violations "stream %d: clean end read as %s" k e
           | Error _, _ -> ());
           sender.Service.Env.join ())
     in
     if not out.Simtest.Sched.ok then
-      violate "stream %d: unclean schedule (%d hung, %d crashed)" k
+      violate violations "stream %d: unclean schedule (%d hung, %d crashed)" k
         (List.length out.Simtest.Sched.hung)
         (List.length out.Simtest.Sched.crashed)
   done;
@@ -501,447 +509,406 @@ let run_frontdoor ?(decoder_cases = 400) ?(server_seeds = 8) () =
                      (* Random bytes can parse as a harmless verb —
                         only a served artifact would be alarming. *)
                      if Service.Protocol.field r "ir" <> None then
-                       violate "seed %d: garbage earned an artifact" k
+                       violate violations
+                         "seed %d: garbage earned an artifact" k
                  | Error _ -> ()
                with Service.Env.Net _ -> ());
-              (try conn.Service.Env.close_conn () with Service.Env.Net _ -> ()));
+              (try conn.Service.Env.close_conn ()
+               with Service.Env.Net _ -> ()));
           (match
              Service.Client.connect ~env ~deadline_s:5.0 ~io_deadline_s:30.
                ~sock:"/fd" ()
            with
-          | exception _ -> violate "seed %d: server unreachable after garbage" k
+          | exception _ ->
+              violate violations "seed %d: server unreachable after garbage" k
           | c ->
               if not (Service.Client.ping c) then
-                violate "seed %d: ping failed after garbage" k;
+                violate violations "seed %d: ping failed after garbage" k;
               ignore (Service.Client.shutdown_server c);
               Service.Client.close c);
           srv.Service.Env.join ())
     in
     if not out.Simtest.Sched.ok then
-      violate "seed %d: garbage run left an unclean schedule (%d hung, %d crashed)"
-        k
+      violate violations
+        "seed %d: garbage run left an unclean schedule (%d hung, %d crashed)" k
         (List.length out.Simtest.Sched.hung)
         (List.length out.Simtest.Sched.crashed)
   done;
-  {
-    f_decoder_cases = !cases;
-    f_stream_cases = stream_cases;
-    f_server_runs = server_seeds;
-    f_rejected = !rejected;
-    f_violations = List.rev !violations;
-  }
+  finish "frontdoor" t0
+    [
+      ("decoder cases", !cases);
+      ("stream cases", stream_cases);
+      ("server runs", server_seeds);
+      ("structured rejections", !rejected);
+    ]
+    violations
 
 (* ------------------------------------------------------------------ *)
-(* Workload-lab property                                               *)
+(* The compile matrix                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type lab_result = {
-  l_pairs_run : int;
-  l_paranoid_runs : int;
-  l_regions_checked : int;
-  l_violations : string list;
+type part = Paper | Lab | Progen | Progen_irr | Generated
+
+type program = {
+  name : string;
+  part : part;
+  seed : int;
+  fresh : unit -> Ir.Program.t;
 }
 
-let progen_program ~irreducible seed =
-  ( Printf.sprintf (if irreducible then "progen-irr/%d" else "progen/%d") seed,
-    fun () -> Workloads.Progen.generate_program ~irreducible ~seed () )
-
-(* Plain and irreducible progen programs, by seed. *)
-let progen_corpus ~progen_seeds =
-  List.concat_map
-    (fun seed ->
-      [
-        progen_program ~irreducible:false seed;
-        progen_program ~irreducible:true seed;
-      ])
-    progen_seeds
-
-(* The lab corpus: every adversarial benchmark plus a few progen
-   programs with the irreducible-region flag on.  Builders return a
-   fresh program per call — optimization mutates graphs in place. *)
-let lab_corpus ~progen_seeds =
-  List.concat_map
-    (fun (s : Workloads.Suite.t) ->
-      List.map
-        (fun (b : Workloads.Suite.benchmark) ->
-          ( s.Workloads.Suite.suite_name ^ "/" ^ b.Workloads.Suite.name,
-            fun () -> Workloads.Suite.compile b ))
-        s.Workloads.Suite.benchmarks)
-    Workloads.Registry.adversarial
-  @ List.map (progen_program ~irreducible:true) progen_seeds
-
-(* The tiers under fuzz: the greedy duplication tier, plus dbds as the
-   control.  The legacy tiers ride through [run] above. *)
-let lab_tiers () =
-  List.filter
-    (fun (name, _) -> List.mem name [ "condelim_dup"; "dbds" ])
-    Tiercompare.tiers
-
-let run_lab ?(progen_seeds = [ 0; 1; 2; 3 ]) ?(plans_per_pair = 2) () =
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
+(* Builders return a fresh program per call — optimization mutates
+   graphs in place. *)
+let corpus =
+  let suites part =
+    List.concat_map (fun (s : Workloads.Suite.t) ->
+        List.map
+          (fun (b : Workloads.Suite.benchmark) ->
+            {
+              name =
+                s.Workloads.Suite.suite_name ^ "/" ^ b.Workloads.Suite.name;
+              part;
+              seed = 0;
+              fresh = (fun () -> Workloads.Suite.compile b);
+            })
+          s.Workloads.Suite.benchmarks)
   in
-  let pairs = ref 0 and paranoid = ref 0 and regions_checked = ref 0 in
-  let corpus = lab_corpus ~progen_seeds in
-  let tiers = lab_tiers () in
-  (* (1) jobs 1-vs-4 byte identity of the whole run — printed IR,
-     stats, failures, counters — with and without fault plans. *)
-  List.iter
-    (fun (name, fresh) ->
-      List.iter
-        (fun (tier, tconfig) ->
-          for k = 0 to plans_per_pair - 1 do
-            let plan =
-              if k = 0 then None
-              else Some (Dbds.Faults.of_seed ((Hashtbl.hash name * 31) + k))
-            in
-            let config =
+  let progen part ~irreducible =
+    List.init 200 (fun seed ->
+        {
+          name =
+            Printf.sprintf
+              (if irreducible then "progen-irr/%d" else "progen/%d")
+              seed;
+          part;
+          seed;
+          fresh =
+            (fun () -> Workloads.Progen.generate_program ~irreducible ~seed ());
+        })
+  in
+  let generated shape =
+    List.init 60 (fun seed ->
+        {
+          name = Printf.sprintf "%s/%d" (Workloads.Generated.name shape) seed;
+          part = Generated;
+          seed;
+          fresh =
+            (fun () ->
+              Lang.Frontend.compile (Workloads.Generated.source shape ~seed));
+        })
+  in
+  suites Paper Workloads.Registry.all
+  @ suites Lab Workloads.Registry.adversarial
+  @ progen Progen ~irreducible:false
+  @ progen Progen_irr ~irreducible:true
+  @ List.concat_map generated Workloads.Generated.shapes
+
+type row = {
+  config_name : string;
+  config : Dbds.Config.t;
+  paranoid : bool;
+  covers : program -> bool;
+}
+
+let is_progen p = p.part = Progen || p.part = Progen_irr
+
+(* The lab set: every adversarial benchmark plus two irreducible progen
+   programs. *)
+let in_lab p = p.part = Lab || (p.part = Progen_irr && p.seed < 2)
+
+(* Paranoid mode turns the memo off, so every pass runs on the whole
+   graph, and verifies the IR (the reachability bit included) after
+   every pass and duplication.  Backtracking reruns the whole optimizer
+   per attempt with the memo off (about 0.5 s a program), so it takes
+   seeds 0-19 only. *)
+let rows =
+  let row config_name config paranoid covers =
+    { config_name; config; paranoid; covers }
+  in
+  Dbds.Config.
+    [
+      row "off" off false (fun p -> p.part <> Generated);
+      row "dbds" dbds false (fun _ -> true);
+      row "dbds" dbds true (fun p -> p.part <> Generated);
+      row "condelim_dup" condelim_dup false in_lab;
+      row "condelim_dup" condelim_dup true (fun p ->
+          is_progen p || p.part = Lab);
+      row "backtracking" backtracking true (fun p ->
+          is_progen p && p.seed < 20);
+    ]
+
+let row_label r = r.config_name ^ if r.paranoid then " paranoid" else ""
+
+type compiled_fn = {
+  graph : Ir.Graph.t;
+  stats : string;
+  capped : int;  (* fix groups that stopped at their [rounds] cap *)
+}
+
+type compiled = {
+  program : program;
+  row : row;
+  prog : Ir.Program.t;
+  fns : compiled_fn list;  (* in function-name order *)
+  failures : string list;
+  work : int;
+  audited : int;
+  audit_violations : string list;
+}
+
+let at program row = program.name ^ "@" ^ row_label row
+let where c = at c.program c.row
+
+(* The driver's jobs-1 path without containment: inline, then each
+   function's pipeline on one phase context.  A memo-on compile of the
+   lab set audits every stamp that claims more than its run saw:
+   whenever a pass is stamped clean after a region run or after a run
+   that changed the graph, the same pass over the whole of a copy must
+   fire nothing.  (Auditing every memo-on compile would take about 6 s
+   more on a 2-vCPU host.) *)
+let compile row program =
+  let config =
+    if row.paranoid then
+      { row.config with Dbds.Config.verify_between_phases = true }
+    else row.config
+  in
+  let at = at program row in
+  let prog = program.fresh () in
+  let ctx = Opt.Phase.create ~program:prog () in
+  let audited = ref 0 and audit_violations = ref [] and failures = ref [] in
+  if (not row.paranoid) && in_lab program then
+    ctx.Opt.Phase.region_audit <-
+      Some
+        (fun pass run g ->
+          incr audited;
+          if run (Opt.Phase.create ~program:prog ()) (Ir.Graph.copy g) then
+            violate audit_violations
+              "%s/%s: %s stamped clean, but its whole-graph run still fires" at
+              (Ir.Graph.name g) pass);
+  (try
+     if Dbds.Driver.wants_inline (Dbds.Driver.default_spec config) then
+       ignore (Opt.Inline.inline_program ctx prog)
+   with e ->
+     violate failures "%s: inlining raised %s" at (Printexc.to_string e));
+  let fns =
+    List.filter_map
+      (fun g ->
+        let capped = ctx.Opt.Phase.fix_capped in
+        match Dbds.Driver.optimize_graph ~config ctx g with
+        | s ->
+            Some
               {
-                tconfig with
-                Dbds.Config.fault_plan = plan;
-                containment = true;
-                bundle_dir = None;
+                graph = g;
+                stats = stats_text s;
+                capped = ctx.Opt.Phase.fix_capped - capped;
               }
-            in
-            incr pairs;
-            let one jobs =
-              let prog = fresh () in
+        | exception e ->
+            violate failures "%s/%s: raised %s" at (Ir.Graph.name g)
+              (Printexc.to_string e);
+            None)
+      (functions prog)
+  in
+  {
+    program;
+    row;
+    prog;
+    fns;
+    failures = List.rev !failures;
+    work = ctx.Opt.Phase.work;
+    audited = !audited;
+    audit_violations = List.rev !audit_violations;
+  }
+
+type oracle = {
+  name : string;
+  check : compiled list -> (string * int) list * string list;
+}
+
+let sum f l = List.fold_left (fun n x -> n + f x) 0 l
+
+let clean =
+  {
+    name = "clean";
+    check =
+      (fun cs ->
+        ( [
+            ("compiles", List.length cs);
+            ("paranoid", sum (fun c -> Bool.to_int c.row.paranoid) cs);
+          ],
+          List.concat_map (fun c -> c.failures) cs ));
+  }
+
+(* Raw-id IR followed by the duplication stats. *)
+let fn_text f = Ir.Printer.graph_to_string f.graph ^ f.stats
+
+let region_equality =
+  {
+    name = "regions";
+    check =
+      (fun cs ->
+        let vs = ref [] and programs = ref 0 and functions = ref 0 in
+        List.iter
+          (fun memo ->
+            match
+              List.find_opt
+                (fun c ->
+                  c.row.paranoid && c.row.config_name = memo.row.config_name)
+                cs
+            with
+            | Some whole
+              when (not memo.row.paranoid) && memo.failures = []
+                   && whole.failures = [] ->
+                incr programs;
+                List.iter2
+                  (fun a b ->
+                    incr functions;
+                    if fn_text a <> fn_text b then
+                      violate vs
+                        "%s/%s: region runs compile differently from \
+                         whole-graph runs"
+                        (where memo) (Ir.Graph.name a.graph))
+                  memo.fns whole.fns
+            | _ -> ())
+          cs;
+        ([ ("programs", !programs); ("functions", !functions) ], List.rev !vs));
+  }
+
+let classic_phases =
+  List.map
+    (fun name -> Result.get_ok (Opt.Pipeline.resolve_classic name []))
+    Opt.Pipeline.classic_names
+
+let quiescence =
+  {
+    name = "quiescence";
+    check =
+      (fun cs ->
+        let vs = ref [] and capped = ref [] in
+        let memo = List.filter (fun c -> not c.row.paranoid) cs in
+        List.iter
+          (fun c ->
+            List.iter
+              (fun f ->
+                let fn = Ir.Graph.name f.graph in
+                if f.capped > 0 then
+                  capped :=
+                    !capped @ [ ("capped at " ^ where c ^ "/" ^ fn, f.capped) ];
+                List.iter
+                  (fun (p : Opt.Phase.t) ->
+                    let ctx = Opt.Phase.create ~program:c.prog () in
+                    if p.Opt.Phase.run ctx (Ir.Graph.copy f.graph) then
+                      violate vs "%s/%s: %s fires on the compiled graph"
+                        (where c) fn p.Opt.Phase.pass_name)
+                  classic_phases)
+              c.fns)
+          memo;
+        ( [
+            ("compiles", List.length memo);
+            ("functions", sum (fun c -> List.length c.fns) memo);
+            ("fix groups capped", sum snd !capped);
+          ]
+          @ !capped,
+          List.rev !vs ));
+  }
+
+let region_audit =
+  {
+    name = "audit";
+    check =
+      (fun cs ->
+        ( [ ("region checks", sum (fun c -> c.audited) cs) ],
+          List.concat_map (fun c -> c.audit_violations) cs ));
+  }
+
+(* Whole-run byte identity between jobs 1 and jobs 4 over the lab set,
+   under condelim_dup and dbds: without a fault plan against the matrix
+   compile, and with one. *)
+let jobs_identity =
+  {
+    name = "jobs";
+    check =
+      (fun cs ->
+        let vs = ref [] and pairs = ref 0 in
+        List.iter
+          (fun c ->
+            let run config jobs =
+              let prog = c.program.fresh () in
               match Dbds.Driver.optimize_program_report ~config ~jobs prog with
-              | r -> Ok (fingerprint prog r)
+              | r -> Ok (report_fingerprint prog r)
               | exception e -> Error (Printexc.to_string e)
             in
-            match (one 1, one 4) with
-            | Ok f1, Ok f4 ->
-                if f1 <> f4 then
-                  violate "%s tier=%s plan=%d: jobs=4 diverges from jobs=1"
-                    name tier k
-            | Error msg, _ | _, Error msg ->
-                violate "%s tier=%s plan=%d: escaped exception: %s" name tier
-                  k msg
-          done)
-        tiers)
-    corpus;
-  (* (2) preserves contracts: the paranoid driver (IR verifier plus
-     recompute-and-compare audit of every declared-preserved analysis
-     after each fired pass) must contain nothing on the clean corpus. *)
-  List.iter
-    (fun (name, fresh) ->
-      List.iter
-        (fun (tier, tconfig) ->
-          let config =
-            { tconfig with Dbds.Config.verify_between_phases = true }
-          in
-          incr paranoid;
-          let prog = fresh () in
-          match Dbds.Driver.optimize_program_report ~config ~jobs:1 prog with
-          | r -> (
-              match r.Dbds.Driver.rep_failures with
-              | [] -> ()
-              | f :: _ ->
-                  violate "%s tier=%s: paranoid run contained %s at %s: %s"
-                    name tier f.Dbds.Driver.fail_fn f.Dbds.Driver.fail_site
-                    f.Dbds.Driver.fail_exn)
-          | exception e ->
-              violate "%s tier=%s: paranoid run raised %s" name tier
-                (Printexc.to_string e))
-        tiers)
-    corpus;
-  (* (3) region completeness: optimize every function under each lab
-     tier with the memo on.  Whenever a pass P is stamped clean after a
-     region run or after a run that changed the graph, run P on a copy
-     of the graph over the whole graph: it must fire nothing.  A region
-     (or a settling claim) that misses an opportunity the whole-graph
-     run would take is one that changes the compiled IR. *)
-  List.iter
-    (fun (name, fresh) ->
-      List.iter
-        (fun (tier, config) ->
-          let prog = fresh () in
-          let ctx = Opt.Phase.create ~program:prog () in
-          let audit pass run g =
-            incr regions_checked;
-            let copy = Ir.Graph.copy g in
-            if run (Opt.Phase.create ~program:prog ()) copy then
-              violate "%s tier=%s %s: %s stamped clean, but its \
-                       whole-graph run still fires"
-                name tier (Ir.Graph.name g) pass
-          in
-          ctx.Opt.Phase.region_audit <- Some audit;
-          try
-            if Dbds.Driver.wants_inline (Dbds.Driver.default_spec config) then
-              ignore (Opt.Inline.inline_program ctx prog);
-            List.iter
-              (fun fn ->
-                match Ir.Program.find_function prog fn with
-                | Some g -> ignore (Dbds.Driver.optimize_graph ~config ctx g)
-                | None -> ())
-              (Ir.Program.function_names prog)
-          with e ->
-            violate "%s tier=%s: region check raised %s" name tier
-              (Printexc.to_string e))
-        tiers)
-    corpus;
-  {
-    l_pairs_run = !pairs;
-    l_paranoid_runs = !paranoid;
-    l_regions_checked = !regions_checked;
-    l_violations = List.rev !violations;
+            let compare plan one four =
+              incr pairs;
+              match (one, four) with
+              | Ok a, Ok b ->
+                  if a <> b then
+                    violate vs "%s plan=%d: jobs=4 diverges from jobs=1"
+                      (where c) plan
+              | Error msg, _ | _, Error msg ->
+                  violate vs "%s plan=%d: escaped exception: %s" (where c) plan
+                    msg
+            in
+            let matrix_run =
+              fingerprint ~graphs:(List.map (fun f -> f.graph) c.fns)
+                ~stats:
+                  (List.map (fun f -> (Ir.Graph.name f.graph, f.stats)) c.fns)
+                ~failures:[] ~work:c.work ~contained:0
+            in
+            compare 0 (Ok matrix_run) (run c.row.config 4);
+            let plan =
+              Dbds.Faults.of_seed ((Hashtbl.hash c.program.name * 31) + 1)
+            in
+            let config =
+              { c.row.config with Dbds.Config.fault_plan = Some plan }
+            in
+            compare 1 (run config 1) (run config 4))
+          (List.filter
+             (fun c ->
+               (not c.row.paranoid) && c.failures = [] && in_lab c.program
+               && List.mem c.row.config_name [ "dbds"; "condelim_dup" ])
+             cs);
+        ([ ("identity pairs", !pairs) ], List.rev !vs));
   }
 
-(* ------------------------------------------------------------------ *)
-(* Region-run oracle                                                   *)
-(* ------------------------------------------------------------------ *)
+let oracles =
+  [ clean; region_equality; quiescence; region_audit; jobs_identity ]
 
-type region_result = {
-  r_programs : int;
-  r_functions : int;
-  r_violations : string list;
-}
-
-(* A program's compiled functions, printed with raw ids and followed by
-   their duplication stats, and the report's contained failures. *)
-let compiled_text config fresh =
-  let prog = fresh () in
-  let r = Dbds.Driver.optimize_program_report ~config ~jobs:1 prog in
-  let fns =
-    List.map
-      (fun fn ->
-        let ir =
-          Ir.Printer.graph_to_string
-            (Option.get (Ir.Program.find_function prog fn))
-        in
-        let stats =
-          match List.assoc_opt fn r.Dbds.Driver.rep_stats with
-          | Some s -> Format.asprintf "%a" Dbds.Driver.pp_stats s
-          | None -> "-"
-        in
-        (fn, ir ^ stats))
-      (Ir.Program.function_names prog)
-  in
-  (fns, r.Dbds.Driver.rep_failures)
-
-let paper_corpus () =
-  List.concat_map
-    (fun (s : Workloads.Suite.t) ->
-      List.map
-        (fun (b : Workloads.Suite.benchmark) ->
-          ( s.Workloads.Suite.suite_name ^ "/" ^ b.Workloads.Suite.name,
-            fun () -> Workloads.Suite.compile b ))
-        s.Workloads.Suite.benchmarks)
-    Workloads.Registry.all
-
-let run_regions ?(progen_seeds = List.init 200 Fun.id) () =
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let corpus = paper_corpus () @ lab_corpus ~progen_seeds in
-  let functions = ref 0 in
-  (* Paranoid mode turns the memo off, so every pass runs on the whole
-     graph. *)
-  let whole =
-    { Dbds.Config.dbds with Dbds.Config.verify_between_phases = true }
-  in
+let run_matrix () =
+  let compile_s = ref 0. and per_row = ref [ ("compiles", 0) ] in
+  let acc = List.map (fun o -> (o, ref [], ref [], ref 0.)) oracles in
   List.iter
-    (fun (name, fresh) ->
-      match
-        (compiled_text Dbds.Config.dbds fresh, compiled_text whole fresh)
-      with
-      | (fns, []), (fns', []) ->
-          functions := !functions + List.length fns;
-          List.iter2
-            (fun (fn, a) (_, b) ->
-              if a <> b then
-                violate "%s/%s: region runs compile differently from \
-                         whole-graph runs" name fn)
-            fns fns'
-      | (_, f :: _), _ | _, (_, f :: _) ->
-          violate "%s: contained %s at %s" name f.Dbds.Driver.fail_fn
-            f.Dbds.Driver.fail_site
-      | exception e -> violate "%s: raised %s" name (Printexc.to_string e))
-    corpus;
-  {
-    r_programs = List.length corpus;
-    r_functions = !functions;
-    r_violations = List.rev !violations;
-  }
-
-type paranoid_result = {
-  pa_compiles : int;
-  pa_violations : string list;
-}
-
-(* The irreducible programs under dbds are left out: [run_regions]'
-   whole-graph compile is that same paranoid compile. *)
-let run_paranoid () =
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let seeds = List.init 200 Fun.id in
-  let configs =
-    [
-      ( "dbds",
-        Dbds.Config.dbds,
-        List.map (progen_program ~irreducible:false) seeds );
-      ( "backtracking",
-        Dbds.Config.backtracking,
-        progen_corpus ~progen_seeds:(List.init 20 Fun.id) );
-      ( "condelim_dup",
-        Dbds.Config.condelim_dup,
-        progen_corpus ~progen_seeds:seeds );
-    ]
-  in
-  let compiles = ref 0 in
-  List.iter
-    (fun (cname, config, corpus) ->
+    (fun program ->
+      let t0 = now () in
+      (* Build each program once: a copy costs about 1/30 of a build
+         and compiles to the same IR, stats and work. *)
+      let base = program.fresh () in
+      let program = { program with fresh = (fun () -> Ir.Program.copy base) } in
+      let cs =
+        List.filter_map
+          (fun row ->
+            if row.covers program then Some (compile row program) else None)
+          rows
+      in
+      compile_s := !compile_s +. (now () -. t0);
+      per_row :=
+        add_counts !per_row
+          (("compiles", List.length cs)
+          :: List.map (fun c -> (row_label c.row, 1)) cs);
       List.iter
-        (fun (name, fresh) ->
-          incr compiles;
-          let config =
-            { config with Dbds.Config.verify_between_phases = true }
-          in
-          match
-            Dbds.Driver.optimize_program_report ~config ~jobs:1 (fresh ())
-          with
-          | { Dbds.Driver.rep_failures = []; _ } -> ()
-          | { Dbds.Driver.rep_failures = f :: _; _ } ->
-              violate "%s@%s: contained %s at %s: %s" name cname
-                f.Dbds.Driver.fail_fn f.Dbds.Driver.fail_site
-                f.Dbds.Driver.fail_exn
-          | exception e ->
-              violate "%s@%s: raised %s" name cname (Printexc.to_string e))
-        corpus)
-    configs;
-  { pa_compiles = !compiles; pa_violations = List.rev !violations }
-
-type sccp_result = {
-  sc_programs : int;
-  sc_functions : int;
-  sc_violations : string list;
-}
-
-(* The generated shapes of perfbench's [aot-generated] suite: progen
-   programs by (helpers, depth) and dispatch loops by handler count. *)
-let generated_shapes =
-  [ `Progen (1, 2); `Progen (2, 3); `Progen (3, 3); `Progen (4, 4);
-    `Progen (2, 4); `Progen (3, 2); `Dispatch 4; `Dispatch 8 ]
-
-let generated_corpus ~shape_seeds =
-  List.concat_map
-    (fun shape ->
-      List.map
-        (fun seed ->
-          match shape with
-          | `Progen (n_helpers, depth) ->
-              ( Printf.sprintf "progen-%d-%d/%d" n_helpers depth seed,
-                fun () ->
-                  Lang.Frontend.compile
-                    (Workloads.Progen.generate ~n_helpers ~depth ~seed ()) )
-          | `Dispatch handlers ->
-              ( Printf.sprintf "dispatch-%d/%d" handlers seed,
-                fun () ->
-                  Lang.Frontend.compile
-                    (Workloads.Advgen.dispatch_src ~handlers ~seed) ))
-        shape_seeds)
-    generated_shapes
-
-(* Progen programs are left to [run_quiescent], which compiles them
-   under the same config and checks SCCP with every other pass. *)
-let run_sccp_after_dbds ?(shape_seeds = List.init 60 Fun.id) () =
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let corpus =
-    paper_corpus () @ lab_corpus ~progen_seeds:[]
-    @ generated_corpus ~shape_seeds
-  in
-  let functions = ref 0 in
-  List.iter
-    (fun (name, fresh) ->
-      match fresh () with
-      | exception e -> violate "%s: raised %s" name (Printexc.to_string e)
-      | prog -> (
-          match
-            Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
-              ~jobs:1 prog
-          with
-          | exception e -> violate "%s: raised %s" name (Printexc.to_string e)
-          | { Dbds.Driver.rep_failures = f :: _; _ } ->
-              violate "%s: contained %s at %s" name f.Dbds.Driver.fail_fn
-                f.Dbds.Driver.fail_site
-          | _ ->
-              Ir.Program.iter_functions prog (fun g ->
-                  incr functions;
-                  let ctx = Opt.Phase.create ~program:prog () in
-                  if Opt.Sccp.phase.Opt.Phase.run ctx (Ir.Graph.copy g) then
-                    violate "%s/%s: sccp fires after the dbds tier" name
-                      (Ir.Graph.name g))))
+        (fun ((o : oracle), counts, vs, secs) ->
+          let t0 = now () in
+          let c, v = o.check cs in
+          counts := add_counts !counts c;
+          vs := List.rev_append v !vs;
+          secs := !secs +. (now () -. t0))
+        acc)
     corpus;
-  {
-    sc_programs = List.length corpus;
-    sc_functions = !functions;
-    sc_violations = List.rev !violations;
-  }
-
-type quiescent_result = {
-  qu_programs : int;  (** program × config compiles *)
-  qu_functions : int;
-  qu_capped : int;
-      (** fix groups that stopped at their [rounds] cap, summed over
-          every compile *)
-  qu_violations : string list;  (** [[]] = pass *)
-}
-
-let run_quiescent ?(progen_seeds = List.init 200 Fun.id) () =
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let phases =
-    List.map
-      (fun name -> Result.get_ok (Opt.Pipeline.resolve_classic name []))
-      Opt.Pipeline.classic_names
-  in
-  let corpus = progen_corpus ~progen_seeds in
-  let configs = [ ("off", Dbds.Config.off); ("dbds", Dbds.Config.dbds) ] in
-  let programs = ref 0 and functions = ref 0 and capped = ref 0 in
-  List.iter
-    (fun (name, fresh) ->
-      List.iter
-        (fun (cname, config) ->
-          incr programs;
-          let name = name ^ "@" ^ cname in
-          match fresh () with
-          | exception e -> violate "%s: raised %s" name (Printexc.to_string e)
-          | prog -> (
-              match
-                Dbds.Driver.optimize_program_report ~config ~jobs:1 prog
-              with
-              | exception e ->
-                  violate "%s: raised %s" name (Printexc.to_string e)
-              | { Dbds.Driver.rep_failures = f :: _; _ } ->
-                  violate "%s: contained %s at %s" name f.Dbds.Driver.fail_fn
-                    f.Dbds.Driver.fail_site
-              | r ->
-                  let ctx = r.Dbds.Driver.rep_ctx in
-                  capped := !capped + ctx.Opt.Phase.fix_capped;
-                  Ir.Program.iter_functions prog (fun g ->
-                      incr functions;
-                      List.iter
-                        (fun (p : Opt.Phase.t) ->
-                          let ctx = Opt.Phase.create ~program:prog () in
-                          if p.Opt.Phase.run ctx (Ir.Graph.copy g) then
-                            violate "%s/%s: %s fires on the compiled graph"
-                              name (Ir.Graph.name g) p.Opt.Phase.pass_name)
-                        phases)))
-        configs)
-    corpus;
-  {
-    qu_programs = !programs;
-    qu_functions = !functions;
-    qu_capped = !capped;
-    qu_violations = List.rev !violations;
-  }
+  { name = "matrix"; counts = !per_row; violations = []; seconds = !compile_s }
+  :: List.map
+       (fun ((o : oracle), counts, vs, secs) ->
+         {
+           name = o.name;
+           counts = !counts;
+           violations = List.rev !vs;
+           seconds = !secs;
+         })
+       acc

@@ -110,6 +110,37 @@ let test_figure4_experiment () =
   Alcotest.(check bool) "saves at least the multiply" true
     (before -. after >= 1.8 -. 1e-6)
 
+(* The quiescence oracle must bite: a pipeline whose classic group
+   drops SCCP leaves SCCP work on these progen programs (all three fire
+   in [main] or a helper), while the real off pipeline leaves none. *)
+let test_quiescence_mutant () =
+  let module F = Harness.Fuzz in
+  let spec =
+    Result.get_ok
+      (Opt.Spec.of_string
+         "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce))")
+  in
+  let row config =
+    {
+      F.config_name = "off";
+      config;
+      paranoid = false;
+      covers = (fun _ -> true);
+    }
+  in
+  let violations config =
+    List.concat_map
+      (fun seed ->
+        let name = Printf.sprintf "progen/%d" seed in
+        let p = List.find (fun (p : F.program) -> p.F.name = name) F.corpus in
+        snd (F.quiescence.F.check [ F.compile (row config) p ]))
+      [ 29; 49; 55 ]
+  in
+  Alcotest.(check int) "the off pipeline ends quiescent" 0
+    (List.length (violations Dbds.Config.off));
+  Alcotest.(check bool) "dropping sccp is caught" true
+    (violations { Dbds.Config.off with Dbds.Config.passes = Some spec } <> [])
+
 let suite =
   [
     test "peak delta" test_peak_delta;
@@ -121,4 +152,5 @@ let suite =
     test "figure 4 experiment" test_figure4_experiment;
     test "raytrace shape (dupalot regression)" test_raytrace_shape;
     test "akkaPP shape (dupalot slightly ahead)" test_akkapp_shape;
+    test "fuzz: quiescence catches a group without sccp" test_quiescence_mutant;
   ]
