@@ -9,6 +9,8 @@
     - [pmd]'s compile effort exceeds its work-unit budget;
     - read elimination, conditional elimination and PEA together
       exceed their work-unit budget over the paper benchmarks;
+    - the dbds pass exceeds its work-unit budget over generated
+      programs;
     - the workload-lab gates below fail.
 
     The front door's overload gate is the "bench: reduced load sweep"
@@ -110,6 +112,38 @@ let () =
     die "readelim + condelim + pea work %d units > budget %d (a pass walks \
          whole blocks instead of their effect chains?)"
       chain_work chain_budget;
+  (* Duplication gate.  A duplication charges what it touches: its
+     copy, the successor phis it patches and its SSA repair, plus one
+     pass over the graph only when its loop-header check cannot answer
+     from the round's dominator tree.  Over seeds 0-4 of the generated
+     suite's shapes the dbds pass costs 113,682 work units; it cost
+     181,993 while every duplication was charged the whole graph. *)
+  let dup_budget = 130_000 in
+  let dup_work =
+    List.fold_left
+      (fun acc shape ->
+        List.fold_left
+          (fun acc seed ->
+            let rep =
+              Dbds.Driver.optimize_program_report ~config ~jobs:1
+                (Lang.Frontend.compile
+                   (Workloads.Generated.source shape ~seed))
+            in
+            match
+              List.assoc_opt "dbds"
+                (Opt.Phase.pass_table rep.Dbds.Driver.rep_ctx)
+            with
+            | Some st -> acc + st.Opt.Phase.pwork
+            | None -> acc)
+          acc [ 0; 1; 2; 3; 4 ])
+      0 Workloads.Generated.shapes
+  in
+  Printf.printf "bench-smoke: dbds work on generated shapes %d units (budget %d)\n"
+    dup_work dup_budget;
+  if dup_work > dup_budget then
+    die "dbds work on generated shapes %d units > budget %d (a duplication \
+         charged for the whole graph again?)"
+      dup_work dup_budget;
   (* Warm service recompiles must return byte-identical artifacts. *)
   let s = Harness.Servicebench.measure_suite (List.hd Workloads.Registry.all) in
   if not s.Harness.Metrics.sv_identical then

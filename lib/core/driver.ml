@@ -62,13 +62,25 @@ let pp_stats ppf s =
 let run_round config ctx stats g =
   let candidates = Simulation.simulate ctx config g in
   stats.candidates_found <- stats.candidates_found + List.length candidates;
+  (* Every duplication of the round answers its loop-header check from
+     the tree the simulation walked, unless an earlier one touched the
+     blocks in question.  Paranoid mode checks each such answer against
+     a fresh tree. *)
+  let cross_check =
+    if config.Config.verify_between_phases then
+      Some
+        (fun reason -> raise (Phase_invalid { phase = "dbds.duplicate"; reason }))
+    else None
+  in
+  let round = Transform.round ?cross_check g in
+  let duplicate ~merge ~pred = Transform.duplicate ~ctx ~round g ~merge ~pred in
   let budget = Tradeoff.budget_for g in
   let round_benefit = ref 0.0 in
   let stale = ref 0 in
   List.iter
     (fun c ->
       if Tradeoff.should_duplicate config budget c then
-        match Transform.duplicate g ~merge:c.Candidate.merge ~pred:c.Candidate.pred with
+        match duplicate ~merge:c.Candidate.merge ~pred:c.Candidate.pred with
         | bm' ->
             Tradeoff.commit budget c;
             stats.duplications_performed <- stats.duplications_performed + 1;
@@ -82,13 +94,12 @@ let run_round config ctx stats g =
             (try
                List.iter
                  (fun m2 ->
-                    let d = Transform.duplicate g ~merge:m2 ~pred:!pred in
+                    let d = duplicate ~merge:m2 ~pred:!pred in
                     stats.duplications_performed <-
                       stats.duplications_performed + 1;
                     pred := d)
                  c.Candidate.path
              with Transform.Not_applicable _ -> ());
-            Opt.Phase.charge ctx (G.live_instr_count g);
             paranoid_check config "dbds.duplicate" g
         | exception Transform.Not_applicable _ ->
             (* An earlier duplication in this round invalidated the
@@ -143,7 +154,7 @@ let run_backtracking config ctx stats g =
                 Opt.Phase.charge ctx (G.live_instr_count g);
                 let before = Costmodel.Estimate.weighted_cycles g in
                 let kept =
-                  match Transform.duplicate g ~merge:bm ~pred:bp with
+                  match Transform.duplicate ~ctx g ~merge:bm ~pred:bp with
                   | _ ->
                       paranoid_check config "backtracking.duplicate" g;
                       ignore
@@ -277,8 +288,8 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
       (* The analysis lives below the core library; inject the
          duplication transform (and the staleness signal) here, counting
          applications into the driver's historical stats. *)
-      let duplicate g ~merge ~pred =
-        match Transform.duplicate g ~merge ~pred with
+      let duplicate ctx g ~merge ~pred =
+        match Transform.duplicate ~ctx g ~merge ~pred with
         | bm' ->
             stats.duplications_performed <- stats.duplications_performed + 1;
             Some bm'

@@ -21,9 +21,65 @@ module G = Ir.Graph
 
 exception Not_applicable of string
 
+type round = {
+  tree : Ir.Dom.t;  (* dominance when the round started *)
+  touched : (block_id, unit) Hashtbl.t;
+      (* merges the round duplicated and blocks it created *)
+  cross_check : (string -> unit) option;
+}
+
+let round ?cross_check g =
+  { tree = Ir.Analyses.dom g; touched = Hashtbl.create 16; cross_check }
+
+let dominates_a_pred dom bm preds =
+  List.exists (fun q -> Ir.Dom.dominates dom bm q) preds
+
+(* The analysis cache's tree; a recompute costs one pass over the
+   graph. *)
+let current_dom ~charge g =
+  let misses = (Ir.Analyses.stats g).Ir.Analyses.misses in
+  let dom = Ir.Analyses.dom g in
+  if (Ir.Analyses.stats g).Ir.Analyses.misses > misses then
+    charge (G.live_instr_count g);
+  dom
+
+(* Does [bm] dominate one of its predecessors?  Within a round, the
+   round's tree answers unless the question involves a touched block.
+
+   Why that is exact: tail-duplicating a merge [m] that is not a loop
+   header into [p] maps each entry path through [p → m] one-to-one onto
+   a path through [p → m'], with the same other blocks, and leaves every
+   other path alone.  So no dominance relation between two blocks
+   outside [{m, m'}] changes, and by induction over the round's
+   duplications (each passed this check, so none duplicated a loop
+   header) none between two untouched blocks does.  The answers the
+   round's tree can get wrong all involve a touched block: a merge
+   whose dominance shrank when a copy took one of its entries, a
+   predecessor whose dominators grew when one of its own entries was
+   copied away (the other entry of an irreducible ring becomes a loop
+   header), and a new block the tree does not know. *)
+let is_loop_header ~charge ?round g bm =
+  let preds = G.preds g bm in
+  match round with
+  | Some r when not (List.exists (Hashtbl.mem r.touched) (bm :: preds)) ->
+      let answer = dominates_a_pred r.tree bm preds in
+      (match r.cross_check with
+      | Some report ->
+          if dominates_a_pred (Ir.Dom.compute g) bm preds <> answer then
+            report
+              (Printf.sprintf
+                 "the round's dominator tree says block %d is%s a loop \
+                  header; a fresh tree disagrees"
+                 bm
+                 (if answer then "" else " not"))
+      | None -> ());
+      answer
+  | _ -> dominates_a_pred (current_dom ~charge g) bm preds
+
 (** [duplicate g ~merge ~pred] performs the transformation and returns the
     id of the duplicate block. *)
-let duplicate g ~merge ~pred =
+let duplicate ?ctx ?round g ~merge ~pred =
+  let charge n = Option.iter (fun ctx -> Opt.Phase.charge ctx n) ctx in
   let bm = merge and bp = pred in
   if not (G.block_exists g bm) then Not_applicable "merge block is gone" |> raise;
   if not (G.block_exists g bp) then Not_applicable "predecessor is gone" |> raise;
@@ -41,8 +97,7 @@ let duplicate g ~merge ~pred =
      iteration under the sequential SSA repair.  The simulation tier never
      proposes loop headers; reject them here as well so the backtracking
      strategy cannot reach them either. *)
-  let dom = Ir.Analyses.dom g in
-  if List.exists (fun q -> Ir.Dom.dominates dom bm q) (G.preds g bm) then
+  if is_loop_header ~charge ?round g bm then
     raise (Not_applicable "merge is a loop header");
   (* With every block reachable, duplication strands none: [bp] reaches
      [bm'], which has [bm]'s successors, and [bm] keeps a path from
@@ -64,6 +119,14 @@ let duplicate g ~merge ~pred =
       | _ -> assert false)
     phis;
   let bm' = G.add_block g in
+  Option.iter
+    (fun r ->
+      Hashtbl.replace r.touched bm ();
+      Hashtbl.replace r.touched bm' ())
+    round;
+  (* What the copy touches: each phi resolved, each body instruction and
+     the terminator copied, each successor phi patched below. *)
+  charge (List.length phis + List.length body + 1);
   List.iter
     (fun id ->
       let kind' = map_inputs subst (G.kind g id) in
@@ -95,7 +158,8 @@ let duplicate g ~merge ~pred =
           | Phi inputs ->
               let inputs = Array.copy inputs in
               inputs.(idx_bm') <- subst inputs.(idx_bm);
-              G.set_kind g phi (Phi inputs)
+              G.set_kind g phi (Phi inputs);
+              charge 1
           | _ -> assert false)
         (G.phis g s))
     (G.succs g bm');
@@ -108,5 +172,5 @@ let duplicate g ~merge ~pred =
     List.map (fun phi -> (phi, [ (bm', Hashtbl.find mapping phi) ])) phis
     @ List.map (fun id -> (id, [ (bm', Hashtbl.find mapping id) ])) body
   in
-  ignore (Ir.Ssa_repair.repair g ~classes);
+  ignore (Ir.Ssa_repair.repair ~charge g ~classes);
   bm'

@@ -619,7 +619,10 @@ let in_lab p = p.part = Lab || (p.part = Progen_irr && p.seed < 2)
    graph, and verifies the IR (the reachability bit included) after
    every pass and duplication.  Backtracking reruns the whole optimizer
    per attempt with the memo off (about 0.5 s a program), so it takes
-   seeds 0-19 only. *)
+   seeds 0-19 only.  dbds_paths continues each accepted duplication
+   along its simulated merge chain (paper §8) within the round; its
+   paranoid row checks the round's dominator tree where duplications
+   touch each other's blocks most, around irreducible rings. *)
 let rows =
   let row config_name config paranoid covers =
     { config_name; config; paranoid; covers }
@@ -629,6 +632,7 @@ let rows =
       row "off" off false (fun p -> p.part <> Generated);
       row "dbds" dbds false (fun _ -> true);
       row "dbds" dbds true (fun p -> p.part <> Generated);
+      row "dbds_paths" dbds_paths true (fun p -> p.part = Progen_irr);
       row "condelim_dup" condelim_dup false in_lab;
       row "condelim_dup" condelim_dup true (fun p ->
           is_progen p || p.part = Lab);

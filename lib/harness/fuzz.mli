@@ -89,9 +89,10 @@ val quiescence : oracle
 (** The matrix: dbds memo-on over the whole corpus; off memo-on and
     dbds paranoid over all but the generated shapes; condelim_dup
     memo-on over the lab set (the lab programs and progen-irr 0–1) and
-    paranoid over the lab programs and progen; backtracking paranoid
-    over progen 0–19.  Each program is compiled under every row that
-    covers it, and every oracle checks that program's compiles:
+    paranoid over the lab programs and progen; dbds_paths paranoid over
+    progen-irr; backtracking paranoid over progen 0–19.  Each program
+    is compiled under every row that covers it, and every oracle checks
+    that program's compiles:
     - [clean]: no compile raises or fails verification;
     - [regions]: a memo-on compile prints the same raw-id IR and
       duplication stats as the paranoid compile of the same config;

@@ -21,16 +21,20 @@ type var_state = {
   defs : (block_id, value) Hashtbl.t;  (** reaching def at end of block *)
   live_in : (block_id, value) Hashtbl.t;  (** memoized value live into block *)
   mutable inserted : value list;  (** phis created during repair *)
+  mutable visited : int;  (** block lookups made by the two below *)
 }
 
 exception No_reaching_def of block_id
 
 let rec value_at_end g st bid =
   match Hashtbl.find_opt st.defs bid with
-  | Some v -> v
+  | Some v ->
+      st.visited <- st.visited + 1;
+      v
   | None -> value_live_into g st bid
 
 and value_live_into g st bid =
+  st.visited <- st.visited + 1;
   match Hashtbl.find_opt st.live_in bid with
   | Some v -> v
   | None -> (
@@ -88,8 +92,9 @@ let simplify_inserted_phis g inserted =
     is defined earlier.)  Uses of [original] that are no longer dominated
     by its definition are rewritten; phis are inserted at join points as
     needed.  Returns the list of inserted phis (after trivial-phi cleanup
-    some may already be deleted). *)
-let repair g ~classes =
+    some may already be deleted).  [charge] is told what the repair
+    examined: one per class, per use and per block a lookup visited. *)
+let repair ?(charge = ignore) g ~classes =
   (* Fault-injection site: SSA reconstruction runs with the graph
      already rewired, so a crash here leaves maximal damage behind. *)
   Probe.fire "ssa.repair";
@@ -101,6 +106,7 @@ let repair g ~classes =
           defs = Hashtbl.create 4;
           live_in = Hashtbl.create 8;
           inserted = [];
+          visited = 0;
         }
       in
       Hashtbl.replace st.defs (Graph.block_of g original) original;
@@ -152,6 +158,7 @@ let repair g ~classes =
               end
           | Graph.U_instr _ -> ())
         users;
+      charge (1 + List.length users + st.visited);
       all_inserted := st.inserted @ !all_inserted)
     classes;
   simplify_inserted_phis g !all_inserted;

@@ -24,6 +24,9 @@ type var_state = {
   defs : (block_id, value) Hashtbl.t;  (** reaching def at end of block *)
   live_in : (block_id, value) Hashtbl.t;  (** memoized value live into block *)
   mutable inserted : value list;  (** phis created during repair *)
+  mutable visited : int;
+      (** block lookups {!value_at_end} and {!value_live_into} made,
+          memoized ones included *)
 }
 
 (** Raised when a lookup walks off the entry without meeting a
@@ -49,5 +52,11 @@ val simplify_inserted_phis : Graph.t -> value list -> unit
     the reaching definition at the end of [block].  Uses of [original]
     that are no longer dominated by its definition are rewritten; phis are
     inserted at join points as needed.  Returns the inserted phis that
-    survive trivial-phi cleanup. *)
-val repair : Graph.t -> classes:(value * (block_id * value) list) list -> value list
+    survive trivial-phi cleanup.  [charge] (default: ignore) receives
+    what the repair examined, in work units: one per class, one per use
+    of its original and one per block a lookup visited. *)
+val repair :
+  ?charge:(int -> unit) ->
+  Graph.t ->
+  classes:(value * (block_id * value) list) list ->
+  value list

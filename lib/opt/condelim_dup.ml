@@ -20,9 +20,10 @@
     trade-off tier is exactly what {!Harness.Tiercompare} measures.
 
     The duplication transform lives in the core library (above this
-    one), so the driver injects it: [duplicate g ~merge ~pred] performs
-    one duplication and returns the duplicate's block id, or [None]
-    when the pair went stale (the core transform's [Not_applicable]). *)
+    one), so the driver injects it: [duplicate ctx g ~merge ~pred]
+    performs one duplication, charging [ctx] what it touched, and
+    returns the duplicate's block id, or [None] when the pair went
+    stale (the core transform's [Not_applicable]). *)
 
 open Ir.Types
 module G = Ir.Graph
@@ -148,11 +149,10 @@ let run ~duplicate ~iters ctx g =
         (* Earlier applications this round may have moved the edge; the
            injected transform validates and reports staleness. *)
         if G.block_exists g m && List.mem p (G.preds g m) then
-          match duplicate g ~merge:m ~pred:p with
+          match duplicate ctx g ~merge:m ~pred:p with
           | Some (_ : block_id) ->
               incr performed;
-              progress := true;
-              Phase.charge ctx (G.live_instr_count g)
+              progress := true
           | None -> ())
       candidates
   done;

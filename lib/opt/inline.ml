@@ -229,6 +229,12 @@ let inline_graph ?(limits = default_limits) ctx program g =
 (** Inline a whole program bottom-up (callees before callers, so a callee
     spliced into its caller already contains its own inlined calls). *)
 let inline_program ?limits ctx program =
+  let size () =
+    let n = ref 0 in
+    Ir.Program.iter_functions program (fun g -> n := !n + G.live_instr_count g);
+    !n
+  in
+  Phase.instrument ctx "inline" ~size @@ fun () ->
   (* Topological-ish order: repeatedly process functions; the per-site
      loop naturally copies fully-inlined callees on later passes. *)
   let names = Ir.Program.function_names program in

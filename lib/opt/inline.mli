@@ -30,5 +30,6 @@ val inline_graph :
   ?limits:limits -> Phase.ctx -> Ir.Program.t -> Ir.Graph.t -> bool
 
 (** Inline a whole program bottom-up (callees before callers, so a callee
-    spliced into its caller already contains its own inlined calls). *)
+    spliced into its caller already contains its own inlined calls).
+    One run of the [inline] row of the per-pass table. *)
 val inline_program : ?limits:limits -> Phase.ctx -> Ir.Program.t -> bool

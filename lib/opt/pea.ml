@@ -68,6 +68,7 @@ let replace_scalar g alloc cls_fields args =
             Ir.Ssa_repair.defs = Hashtbl.create 4;
             live_in = Hashtbl.create 4;
             inserted = [];
+            visited = 0;
           }
         in
         Hashtbl.replace state_of f st;

@@ -143,6 +143,22 @@ let merge_into ~into src =
       d.size_delta <- d.size_delta + s.size_delta)
     src.pass_stats
 
+(** Run [f] as one run of [name]'s row: count the run (and whether it
+    fired), the work it charged, its wall time and the change in
+    [size ()]. *)
+let instrument ctx name ~size f =
+  let stat = pass_stat ctx name in
+  let work0 = ctx.work in
+  let size0 = size () in
+  let t0 = Unix.gettimeofday () in
+  let fired = f () in
+  stat.runs <- stat.runs + 1;
+  if fired then stat.fired <- stat.fired + 1;
+  stat.pwork <- stat.pwork + (ctx.work - work0);
+  stat.time_s <- stat.time_s +. (Unix.gettimeofday () -. t0);
+  stat.size_delta <- stat.size_delta + (size () - size0);
+  fired
+
 type t = {
   pass_name : string;
   preserves : Ir.Analyses.kind list;
@@ -186,17 +202,12 @@ let () =
     verification hook.  Every pass execution in the system — fixpoint
     groups, DBDS tiers, standalone passes — goes through here. *)
 let run_pass_now ctx (p : t) ~region run g =
-  let stat = pass_stat ctx p.pass_name in
   let gen0 = Ir.Graph.generation g in
-  let work0 = ctx.work in
-  let size0 = Ir.Graph.live_instr_count g in
-  let t0 = Unix.gettimeofday () in
-  let fired = run ctx g in
-  stat.runs <- stat.runs + 1;
-  if fired then stat.fired <- stat.fired + 1;
-  stat.pwork <- stat.pwork + (ctx.work - work0);
-  stat.time_s <- stat.time_s +. (Unix.gettimeofday () -. t0);
-  stat.size_delta <- stat.size_delta + (Ir.Graph.live_instr_count g - size0);
+  let fired =
+    instrument ctx p.pass_name
+      ~size:(fun () -> Ir.Graph.live_instr_count g)
+      (fun () -> run ctx g)
+  in
   let mutated = Ir.Graph.generation g <> gen0 in
   if fired then begin
     if p.preserves <> [] then

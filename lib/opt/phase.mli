@@ -74,6 +74,14 @@ val pass_table : ctx -> (string * pass_stat) list
     name order, independent of which worker ran which function). *)
 val merge_into : into:ctx -> ctx -> unit
 
+(** [instrument ctx name ~size f] runs [f] (did it change anything?)
+    as one run of [name]'s row in the per-pass table, accumulating
+    whether it fired, the work it charged, its wall time and the change
+    in [size ()].  {!run_pass} records every pass this way; a
+    program-level step the pass manager does not drive ([inline]) calls
+    it directly. *)
+val instrument : ctx -> string -> size:(unit -> int) -> (unit -> bool) -> bool
+
 type t = {
   pass_name : string;
   preserves : Ir.Analyses.kind list;

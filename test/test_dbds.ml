@@ -377,6 +377,45 @@ let test_transform_rejects_loop_header () =
   Alcotest.(check int) "semantics preserved" (run_int prog [ 0 ])
     (run_int prog' [ 0 ])
 
+(* Regression: within one round, a duplication can make the other
+   entry of an irreducible ring a loop header.  E branches to X or P, P
+   jumps to Y, Y jumps to X, X branches to Y or out.  Neither X nor Y
+   dominates the other until Y is duplicated into P: then Y's only
+   predecessor is X, so X dominates Y, one of its own predecessors.  The
+   round's tree, taken before that duplication, still says otherwise;
+   the check must not trust it for a merge whose predecessor the round
+   touched. *)
+let test_transform_round_new_loop_header () =
+  let module B = Ir.Builder in
+  let b = B.create ~name:"main" ~n_params:1 () in
+  let e = B.entry b in
+  let x = B.new_block b and p = B.new_block b in
+  let y = B.new_block b and out = B.new_block b in
+  let zero = B.const b 0 in
+  let c = B.cmp b Lt (B.param b 0) zero in
+  B.branch b c ~if_true:x ~if_false:p;
+  B.switch b p;
+  B.jump b y;
+  B.switch b y;
+  B.jump b x;
+  B.switch b x;
+  B.branch b c ~if_true:y ~if_false:out;
+  B.switch b out;
+  B.ret b zero;
+  let g = B.finish b in
+  let round = Dbds.Transform.round g in
+  let y' = Dbds.Transform.duplicate ~round g ~merge:y ~pred:p in
+  check_verifies g;
+  Alcotest.(check (list int))
+    "X's predecessors" (List.sort compare [ e; y; y' ])
+    (List.sort compare (G.preds g x));
+  Alcotest.(check bool)
+    "X dominates Y" true
+    (Ir.Dom.dominates (Ir.Dom.compute g) x y);
+  match Dbds.Transform.duplicate ~round g ~merge:x ~pred:e with
+  | exception Dbds.Transform.Not_applicable _ -> check_verifies g
+  | _ -> Alcotest.fail "X became a loop header; its duplication must be rejected"
+
 let test_transform_three_way_merge () =
   let src =
     {|
@@ -617,6 +656,8 @@ let suite =
     test "transform: both preds" test_transform_duplicate_into_both_preds;
     test "transform: branch terminator" test_transform_merge_with_branch_terminator;
     test "transform: rejects loop header" test_transform_rejects_loop_header;
+    test "transform: a round sees a new loop header"
+      test_transform_round_new_loop_header;
     test "transform: three-way merge" test_transform_three_way_merge;
     test "tradeoff: accepts beneficial" test_tradeoff_accepts_beneficial;
     test "tradeoff: rejects high cost" test_tradeoff_rejects_high_cost;

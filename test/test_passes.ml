@@ -290,6 +290,26 @@ let test_pass_table_contents () =
             (st.Opt.Phase.fired <= st.Opt.Phase.runs))
     [ "canonicalize"; "dce"; "gvn"; "dbds" ]
 
+(* Nothing charges outside a row: under [off] no pass runs inside
+   another, so the rows, the program-level [inline] included, sum to
+   the context's work. *)
+let test_pass_table_accounts_for_work () =
+  let _src, prog = compile_seed 7 in
+  let ctx =
+    (Dbds.Driver.optimize_program_report ~config:Dbds.Config.off ~jobs:1 prog)
+      .Dbds.Driver.rep_ctx
+  in
+  let table = Opt.Phase.pass_table ctx in
+  (match List.assoc_opt "inline" table with
+  | Some (st : Opt.Phase.pass_stat) ->
+      Alcotest.(check int) "inline runs once" 1 st.Opt.Phase.runs;
+      Alcotest.(check bool) "inline charged" true (st.Opt.Phase.pwork > 0)
+  | None -> Alcotest.fail "inline missing from the table");
+  Alcotest.(check int) "rows sum to the work" ctx.Opt.Phase.work
+    (List.fold_left
+       (fun n (_, (st : Opt.Phase.pass_stat)) -> n + st.Opt.Phase.pwork)
+       0 table)
+
 (* The baseline configuration rides the same parallel + containment
    path: deterministic merged context for any [jobs]. *)
 let test_baseline_optimize_program_jobs () =
@@ -422,6 +442,7 @@ let suite =
     test "describe spec" test_describe_spec;
     test "pass table contents" test_pass_table_contents;
     test "pass table determinism (jobs 1 vs 4)" test_pass_table_determinism;
+    test "pass table accounts for all work" test_pass_table_accounts_for_work;
     test "baseline optimize_program jobs" test_baseline_optimize_program_jobs;
     test "custom pipeline behavior" test_custom_pipeline_behavior;
     qtest ~count:60 "preservation contracts hold (progen)" seed_gen
