@@ -37,16 +37,7 @@ let read_file path =
   close_in ic;
   s
 
-let mode_conv =
-  Arg.enum
-    [
-      ("baseline", Dbds.Config.Off);
-      ("off", Dbds.Config.Off);
-      ("dbds", Dbds.Config.Dbds);
-      ("dupalot", Dbds.Config.Dupalot);
-      ("backtracking", Dbds.Config.Backtracking);
-      ("condelim-dup", Dbds.Config.Condelim_dup);
-    ]
+let mode_conv = Arg.enum Dbds.Config.mode_names
 
 (* Contained failures are reported, never silent: the compilation is
    degraded (those functions kept their unoptimized IR) but complete. *)
@@ -262,7 +253,7 @@ let run_sim sim =
         (List.length violating);
       if violating <> [] then raise Sim_violations
 
-let run_compiler file mode passes licm print_passes dump dot
+let run_compiler file mode passes print_passes dump dot
     run args stats icache_off jobs inject paranoid bundle_dir no_contain
     replay_bundle profile_runs svc simopts =
   match
@@ -296,7 +287,6 @@ let run_compiler file mode passes licm print_passes dump dot
         bundle_dir;
         containment = not no_contain;
         passes;
-        licm;
       }
     in
     (* Validate the effective pipeline (user-supplied or mode-derived)
@@ -319,7 +309,7 @@ let run_compiler file mode passes licm print_passes dump dot
             | ks ->
                 String.concat ","
                   (List.map Ir.Analyses.kind_to_string ks))
-            (match Dbds.Driver.round_action_steps config name with
+            (match Dbds.Driver.round_action_steps name with
             | [] -> ""
             | steps -> " action-steps=" ^ String.concat "," steps))
         (Dbds.Driver.describe_spec config spec);
@@ -545,14 +535,6 @@ let passes_arg =
            tiers $(b,dbds)/$(b,dupalot) (options $(i,iters), \
            $(i,threshold)), $(b,backtracking) and $(b,condelim_dup) (option \
            $(i,iters)), and program-level $(b,inline) (top level only).")
-
-let licm_arg =
-  Arg.(
-    value & flag
-    & info [ "licm" ]
-        ~doc:
-          "Include loop-invariant code motion in the default pipeline's \
-           fixpoint group.")
 
 let print_passes_arg =
   Arg.(
@@ -909,7 +891,7 @@ let cmd =
   Cmd.v
     (Cmd.info "dbdsc" ~version:"1.0.0" ~doc)
     Term.(
-      const run_compiler $ file_arg $ mode_arg $ passes_arg $ licm_arg
+      const run_compiler $ file_arg $ mode_arg $ passes_arg
       $ print_passes_arg $ dump_arg $ dot_arg $ run_arg $ args_arg $ stats_arg
       $ no_icache_arg $ jobs_arg $ inject_arg $ paranoid_arg $ bundle_dir_arg
       $ no_contain_arg $ replay_arg $ profile_runs_arg $ service_opts_term

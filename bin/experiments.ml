@@ -38,7 +38,7 @@ let pp_programs summaries =
 (* Fixed simulator schedules: seeds 1–10 with the default chaos (a
    slice of CI's 50-seed sweep). *)
 let pp_sim () =
-  let module H = Harness.Sim in
+  let module H = Simtest.Harness in
   List.iter
     (fun (r : H.result) ->
       Format.printf "seed %d: %s%s@." r.H.r_spec.H.seed (H.summary r)

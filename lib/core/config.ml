@@ -22,11 +22,6 @@ type t = {
   size_budget : float;  (** IB; 1.5 = max 150% of the initial code size *)
   max_unit_size : int;  (** MS; the VM's installed-code limit *)
   max_iterations : int;  (** iterative DBDS applications; paper uses 3 *)
-  iteration_benefit_threshold : float;
-      (** run another iteration only if the previous one's cumulative
-          accepted benefit exceeds this (paper §5.2: ~20% of units
-          re-iterate) *)
-  loop_factor : float;  (** assumed loop trip count for frequencies *)
   path_duplication : bool;
       (** §8 future-work extension: let the simulation continue through a
           straight chain of merges and apply the whole path as one
@@ -45,9 +40,6 @@ type t = {
   passes : Opt.Spec.t option;
       (** explicit pipeline spec ([dbdsc --passes]); [None] = the
           mode-derived default ({!Driver.default_spec}) *)
-  licm : bool;
-      (** include loop-invariant code motion in the classic fixpoint
-          group (off in the calibrated evaluation plan — see {!Licm}) *)
 }
 
 let default =
@@ -57,8 +49,6 @@ let default =
     size_budget = 1.5;
     max_unit_size = 65_536;
     max_iterations = 3;
-    iteration_benefit_threshold = 20.0;
-    loop_factor = Ir.Frequency.default_loop_factor;
     path_duplication = false;
     max_path_length = 3;
     containment = true;
@@ -66,7 +56,6 @@ let default =
     fault_plan = None;
     bundle_dir = None;
     passes = None;
-    licm = false;
   }
 
 let dbds = default
@@ -81,20 +70,21 @@ let dbds_paths = { default with path_duplication = true }
 (** DBDS with paranoid between-phase verification enabled. *)
 let paranoid = { default with verify_between_phases = true }
 
-let mode_to_string = function
-  | Off -> "baseline"
-  | Dbds -> "dbds"
-  | Dupalot -> "dupalot"
-  | Backtracking -> "backtracking"
-  | Condelim_dup -> "condelim-dup"
+(* Every accepted spelling of a mode; the first one listed for a mode
+   is its canonical name. *)
+let mode_names =
+  [
+    ("baseline", Off);
+    ("off", Off);
+    ("dbds", Dbds);
+    ("dupalot", Dupalot);
+    ("backtracking", Backtracking);
+    ("condelim-dup", Condelim_dup);
+    ("condelim_dup", Condelim_dup);
+  ]
 
-let mode_of_string = function
-  | "baseline" | "off" -> Some Off
-  | "dbds" -> Some Dbds
-  | "dupalot" -> Some Dupalot
-  | "backtracking" -> Some Backtracking
-  | "condelim-dup" | "condelim_dup" -> Some Condelim_dup
-  | _ -> None
+let mode_to_string m = fst (List.find (fun (_, m') -> m' = m) mode_names)
+let mode_of_string s = List.assoc_opt s mode_names
 
 (* ------------------------------------------------------------------ *)
 (* Line (de)serialization                                              *)
@@ -105,11 +95,12 @@ let mode_of_string = function
    the artifact-store digest all share it.  Keys without a pipeline
    effect (containment, fault_plan, bundle_dir) are deliberately
    excluded — two configs differing only there must collide in the
-   cache.  The historical key set (the v1 bundle format) is preserved;
-   [licm] and [passes] were appended later and default when absent, so
-   old bundles still parse unless they carry a removed key
-   ([preserve_analyses]), which {!of_line} refuses like any unknown
-   key.  [keys] is the one list both directions walk, in line order. *)
+   cache.  [passes] was appended later and defaults when absent.  A key
+   a later version removed ([iteration_benefit_threshold],
+   [loop_factor], [licm], [preserve_analyses]) is refused by {!of_line}
+   like any unknown key, so an old bundle that carries one no longer
+   parses.  [keys] is the one list both directions walk, in line
+   order. *)
 
 type key = {
   name : string;
@@ -149,13 +140,6 @@ let keys =
     int_key "max_iterations"
       (fun c -> c.max_iterations)
       (fun c max_iterations -> { c with max_iterations });
-    float_key "iteration_benefit_threshold"
-      (fun c -> c.iteration_benefit_threshold)
-      (fun c iteration_benefit_threshold ->
-        { c with iteration_benefit_threshold });
-    float_key "loop_factor"
-      (fun c -> c.loop_factor)
-      (fun c loop_factor -> { c with loop_factor });
     bool_key "path_duplication"
       (fun c -> c.path_duplication)
       (fun c path_duplication -> { c with path_duplication });
@@ -165,7 +149,6 @@ let keys =
     bool_key "paranoid"
       (fun c -> c.verify_between_phases)
       (fun c verify_between_phases -> { c with verify_between_phases });
-    bool_key "licm" (fun c -> c.licm) (fun c licm -> { c with licm });
     (* The canonical spec rendering contains no spaces, so it stays one
        token of the line. *)
     {

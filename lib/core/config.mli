@@ -22,11 +22,6 @@ type t = {
   size_budget : float;  (** IB; 1.5 = max 150% of the initial code size *)
   max_unit_size : int;  (** MS; the VM's installed-code limit *)
   max_iterations : int;  (** iterative DBDS applications; paper uses 3 *)
-  iteration_benefit_threshold : float;
-      (** run another iteration only if the previous one's cumulative
-          accepted benefit exceeds this (paper §5.2: ~20% of units
-          re-iterate) *)
-  loop_factor : float;  (** assumed loop trip count for frequencies *)
   path_duplication : bool;
       (** §8 future-work extension: let the simulation continue through a
           straight chain of merges and apply the whole path as one
@@ -45,9 +40,6 @@ type t = {
   passes : Opt.Spec.t option;
       (** explicit pipeline spec ([dbdsc --passes]); [None] = the
           mode-derived default ({!Driver.default_spec}) *)
-  licm : bool;
-      (** include loop-invariant code motion in the classic fixpoint
-          group (off in the calibrated evaluation plan — see {!Licm}) *)
 }
 
 (** Mode [Dbds], BS=256, IB=1.5, MS=65536, 3 iterations, paths off,
@@ -63,7 +55,13 @@ val condelim_dup : t
 (** DBDS with the §8 path extension enabled. *)
 val dbds_paths : t
 
+(** Every accepted spelling of a mode, for the command line and the
+    wire line alike; a mode's first entry is its canonical name. *)
+val mode_names : (string * mode) list
+
+(** A mode's canonical name (its first entry in {!mode_names}). *)
 val mode_to_string : mode -> string
+
 val mode_of_string : string -> mode option
 
 (** One space-separated [key=value] line covering every knob that shapes
@@ -75,8 +73,9 @@ val to_line : t -> string
 
 (** Parse a {!to_line} rendering.  Missing keys fall back to {!default}
     (old crash bundles predate some keys); a token without [=], an
-    unknown or repeated key, or a value that does not parse — a
-    [passes=] spec included — is an [Error], never a silent default. *)
+    unknown or repeated key (a key a later version removed is unknown),
+    or a value that does not parse — a [passes=] spec included — is an
+    [Error], never a silent default. *)
 val of_line : string -> (t, string) result
 
 (** DBDS with paranoid between-phase verification enabled. *)

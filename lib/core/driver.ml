@@ -56,10 +56,16 @@ let pp_stats ppf s =
     s.candidates_found s.duplications_performed s.iterations_run
     s.benefit_accepted s.backtrack_kept s.backtrack_attempts
 
-(* One simulate → trade-off → optimize round.  Returns the cumulative
+(* Run another round only if the previous one's cumulative accepted
+   benefit exceeds this (paper §5.2: ~20% of units re-iterate).  A
+   tier's [threshold] spec option overrides it. *)
+let iteration_benefit_threshold = 20.0
+
+(* One simulate → trade-off → optimize round, accepting the candidates
+   [accept] takes against the round's budget.  Returns the cumulative
    accepted benefit and the number of accepted candidates that had gone
    stale (an earlier duplication in the round moved their edge). *)
-let run_round config ctx stats g =
+let run_round ~accept config ctx stats g =
   let candidates = Simulation.simulate ctx config g in
   stats.candidates_found <- stats.candidates_found + List.length candidates;
   (* Every duplication of the round answers its loop-header check from
@@ -79,7 +85,7 @@ let run_round config ctx stats g =
   let stale = ref 0 in
   List.iter
     (fun c ->
-      if Tradeoff.should_duplicate config budget c then
+      if accept budget c then
         match duplicate ~merge:c.Candidate.merge ~pred:c.Candidate.pred with
         | bm' ->
             Tradeoff.commit budget c;
@@ -112,18 +118,18 @@ let run_round config ctx stats g =
      the simulation never prices it, and the one fold it would add
      here, a phi over equal constants, is a canonicalize rule. *)
   if !round_benefit > 0.0 then
-    ignore (Opt.Pipeline.action_steps ~licm:config.Config.licm ctx g);
+    ignore (Opt.Pipeline.action_steps ctx g);
   stats.benefit_accepted <- stats.benefit_accepted +. !round_benefit;
   (!round_benefit, !stale)
 
 (* Algorithm 1: tentative duplication with backtracking.  For every
    (merge, predecessor) pair: copy the graph, duplicate, run the full
    optimizer, keep the result only if the static performance estimate
-   improved. *)
-let run_backtracking config ctx stats g =
+   improved.  At most [iters] sweeps over the merges. *)
+let run_backtracking ~iters config ctx stats g =
   let progress = ref true in
   let rounds = ref 0 in
-  while !progress && !rounds < config.Config.max_iterations do
+  while !progress && !rounds < iters do
     incr rounds;
     progress := false;
     let merges =
@@ -157,8 +163,7 @@ let run_backtracking config ctx stats g =
                   match Transform.duplicate ~ctx g ~merge:bm ~pred:bp with
                   | _ ->
                       paranoid_check config "backtracking.duplicate" g;
-                      ignore
-                        (Opt.Pipeline.optimize ~licm:config.Config.licm ctx g);
+                      ignore (Opt.Pipeline.optimize ctx g);
                       Costmodel.Estimate.weighted_cycles g < before
                       && Costmodel.Estimate.graph_size g
                          < config.Config.max_unit_size
@@ -188,7 +193,7 @@ let default_spec (config : Config.t) : Opt.Spec.t =
   match config.Config.passes with
   | Some spec -> spec
   | None ->
-      let fix () = Opt.Pipeline.fix_group ~licm:config.Config.licm () in
+      let fix = Opt.Pipeline.fix_group in
       let inline = Opt.Spec.Pass { name = "inline"; opts = [] } in
       let tier name =
         Opt.Spec.Pass
@@ -198,15 +203,15 @@ let default_spec (config : Config.t) : Opt.Spec.t =
           }
       in
       (match config.Config.mode with
-      | Config.Off -> [ inline; fix () ]
-      | Config.Dbds -> [ inline; fix (); tier "dbds" ]
-      | Config.Dupalot -> [ inline; fix (); tier "dupalot" ]
-      | Config.Backtracking -> [ inline; fix (); tier "backtracking"; fix () ]
+      | Config.Off -> [ inline; fix ]
+      | Config.Dbds -> [ inline; fix; tier "dbds" ]
+      | Config.Dupalot -> [ inline; fix; tier "dupalot" ]
+      | Config.Backtracking -> [ inline; fix; tier "backtracking"; fix ]
       (* The greedy tier performs no embedded action steps (unlike the
          simulation tiers, which optimize after each round), so the
          opportunities it opens need a trailing fixpoint group. *)
       | Config.Condelim_dup ->
-          [ inline; fix (); tier "condelim_dup"; fix () ])
+          [ inline; fix; tier "condelim_dup"; fix ])
 
 let is_inline_item = function
   | Opt.Spec.Pass { name = "inline"; _ } -> true
@@ -223,62 +228,45 @@ let per_function_items spec = List.filter (fun i -> not (is_inline_item i)) spec
 let resolve (config : Config.t) stats : Opt.Manager.resolver =
  fun name opts ->
   let ( let* ) = Result.bind in
-  (* The iterative simulate → trade-off → optimize loop of §5.2; with
-     the trade-off disabled ([Dupalot]) every beneficial candidate is
-     taken.  Another round only starts if this one's accepted benefit
-     cleared the threshold or ranked candidates went stale mid-round. *)
-  let iterative_tier mode =
+  (* The iterative simulate → trade-off → optimize loop of §5.2, with
+     the tier's acceptance predicate: the paper's trade-off for [dbds],
+     any beneficial candidate for [dupalot].  Another round only starts
+     if this one's accepted benefit cleared the threshold or ranked
+     candidates went stale mid-round. *)
+  let iterative_tier should_duplicate =
     let* () = Opt.Spec.check_opts ~pass:name [ "iters"; "threshold" ] opts in
     let* iters =
       Opt.Spec.int_opt opts "iters" ~default:config.Config.max_iterations
     in
     let* threshold =
-      Opt.Spec.float_opt opts "threshold"
-        ~default:config.Config.iteration_benefit_threshold
+      Opt.Spec.float_opt opts "threshold" ~default:iteration_benefit_threshold
     in
-    let config =
-      {
-        config with
-        Config.mode;
-        max_iterations = iters;
-        iteration_benefit_threshold = threshold;
-      }
-    in
+    let accept = should_duplicate config in
     Ok
       (Opt.Phase.make name (fun ctx g ->
            let dup0 = stats.duplications_performed in
            let continue_ = ref true in
            let iter = ref 0 in
-           while !continue_ && !iter < config.Config.max_iterations do
+           while !continue_ && !iter < iters do
              incr iter;
              stats.iterations_run <- stats.iterations_run + 1;
-             let benefit, stale = run_round config ctx stats g in
-             if
-               benefit <= config.Config.iteration_benefit_threshold
-               && stale = 0
-             then continue_ := false
+             let benefit, stale = run_round ~accept config ctx stats g in
+             if benefit <= threshold && stale = 0 then continue_ := false
            done;
            stats.duplications_performed > dup0))
   in
   match name with
-  | "dbds" -> iterative_tier Config.Dbds
-  | "dupalot" -> iterative_tier Config.Dupalot
+  | "dbds" -> iterative_tier Tradeoff.should_duplicate
+  | "dupalot" -> iterative_tier Tradeoff.dupalot_should_duplicate
   | "backtracking" ->
       let* () = Opt.Spec.check_opts ~pass:name [ "iters" ] opts in
       let* iters =
         Opt.Spec.int_opt opts "iters" ~default:config.Config.max_iterations
       in
-      let config =
-        {
-          config with
-          Config.mode = Config.Backtracking;
-          max_iterations = iters;
-        }
-      in
       Ok
         (Opt.Phase.make name (fun ctx g ->
              let kept0 = stats.backtrack_kept in
-             run_backtracking config ctx stats g;
+             run_backtracking ~iters config ctx stats g;
              stats.backtrack_kept > kept0))
   | "condelim_dup" ->
       let* () = Opt.Spec.check_opts ~pass:name [ "iters" ] opts in
@@ -305,9 +293,8 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
 (** The action-step group a pass runs after each of its rounds: the
     iterative tiers ([dbds], [dupalot]) run {!Opt.Pipeline.action_steps};
     every other pass embeds none. *)
-let round_action_steps (config : Config.t) = function
-  | "dbds" | "dupalot" ->
-      Opt.Pipeline.action_step_names ~licm:config.Config.licm ()
+let round_action_steps = function
+  | "dbds" | "dupalot" -> Opt.Pipeline.action_step_names
   | _ -> []
 
 (** Check a pipeline spec against the driver's registry: classic passes

@@ -75,7 +75,7 @@ val describe_spec :
     spec name: {!Opt.Pipeline.action_step_names} for [dbds] and
     [dupalot], [[]] for every other pass.  Rendered by
     [dbdsc --print-passes] on the tiers' contract rows. *)
-val round_action_steps : Config.t -> string -> string list
+val round_action_steps : string -> string list
 
 (** Optimize one graph under the given configuration: execute the
     configured pipeline (minus program-level items) through the pass

@@ -333,7 +333,7 @@ let simulate ctx (config : Config.t) g =
   Opt.Phase.charge_graph ctx g;
   let dom = Ir.Analyses.dom g in
   let loops = Ir.Analyses.loops g in
-  let freq = Ir.Analyses.frequency ~loop_factor:config.Config.loop_factor g in
+  let freq = Ir.Analyses.frequency g in
   let mk_const = Opt.Canonicalize.materialize_const g in
   let sc = scratch_create (G.n_instrs g + 64) in
   let exprs : (instr_kind, value) Hashtbl.t = Hashtbl.create 64 in

@@ -22,20 +22,15 @@ let budget_for g =
 (** The paper's [shouldDuplicate] predicate. *)
 let should_duplicate (config : Config.t) budget (c : Candidate.t) =
   let cost = float_of_int (max c.Candidate.size_delta 0) in
-  match config.Config.mode with
-  (* Condelim-dup never reaches this predicate (its tier pass does not
-     run the simulation), but a hand-written spec could combine a
-     condelim-dup mode with a simulation tier pass; duplicate nothing
-     extra there. *)
-  | Config.Off | Config.Condelim_dup -> false
-  | Config.Dupalot ->
-      c.Candidate.benefit > 0.0
-      && budget.current_size < config.Config.max_unit_size
-  | Config.Dbds | Config.Backtracking ->
-      Candidate.scaled_benefit c *. config.Config.benefit_scale > cost
-      && budget.current_size < config.Config.max_unit_size
-      && float_of_int budget.current_size +. cost
-         < float_of_int budget.initial_size *. config.Config.size_budget
+  Candidate.scaled_benefit c *. config.Config.benefit_scale > cost
+  && budget.current_size < config.Config.max_unit_size
+  && float_of_int budget.current_size +. cost
+     < float_of_int budget.initial_size *. config.Config.size_budget
+
+(** The dupalot predicate: any positive benefit, while the unit is under
+    the VM's hard limit (MS). *)
+let dupalot_should_duplicate (config : Config.t) budget (c : Candidate.t) =
+  c.Candidate.benefit > 0.0 && budget.current_size < config.Config.max_unit_size
 
 (** Record an accepted duplication against the budget. *)
 let commit budget (c : Candidate.t) =

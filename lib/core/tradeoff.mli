@@ -18,8 +18,12 @@ type budget = {
 (** Budget seeded from the graph's current cost-model size. *)
 val budget_for : Ir.Graph.t -> budget
 
-(** The paper's [shouldDuplicate] predicate. *)
+(** The paper's [shouldDuplicate] predicate (the [dbds] tier's). *)
 val should_duplicate : Config.t -> budget -> Candidate.t -> bool
+
+(** The dupalot predicate: any positive benefit, while the unit is under
+    the VM's hard limit (MS).  Ignores BS and IB. *)
+val dupalot_should_duplicate : Config.t -> budget -> Candidate.t -> bool
 
 (** Record an accepted duplication against the budget. *)
 val commit : budget -> Candidate.t -> unit

@@ -28,8 +28,8 @@ let block_cycles g bid =
 (** Frequency-weighted cycle estimate of the whole graph: the static
     performance estimator of paper §5.3 (Figure 4 computes exactly this
     quantity for a two-block example). *)
-let weighted_cycles ?loop_factor g =
-  let freq = Ir.Analyses.frequency ?loop_factor g in
+let weighted_cycles g =
+  let freq = Ir.Analyses.frequency g in
   List.fold_left
     (fun acc bid -> acc +. (block_cycles g bid *. Ir.Frequency.frequency freq bid))
     0.0 (Ir.Graph.rpo g)

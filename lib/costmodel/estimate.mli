@@ -16,4 +16,4 @@ val block_cycles : Ir.Graph.t -> Ir.Types.block_id -> float
 (** Frequency-weighted cycle estimate of the whole graph: the static
     performance estimator of paper §5.3 (Figure 4 computes exactly this
     quantity for a two-block example). *)
-val weighted_cycles : ?loop_factor:float -> Ir.Graph.t -> float
+val weighted_cycles : Ir.Graph.t -> float

@@ -22,9 +22,6 @@
     it was taken in, and a restore revives the analyses that were valid
     there.
 
-    Frequencies are additionally keyed by [loop_factor] (different
-    configurations may assume different trip counts).
-
     The entry also holds the pass manager's clean stamps
     ({!note_pass_clean}): per pass, the {!Graph.log_length} at which
     the pass was last clean, so a restore rewinds them with the log.
@@ -59,7 +56,7 @@ type entry = {
   loops_gen : int;
   loop_forest : Loops.t option;
   freq_gen : int;
-  freqs : (float * Frequency.t) list;  (** keyed by loop_factor *)
+  freq : Frequency.t option;
   clean : (string * clean) list;
       (** per pass, where it was last known clean (a whole-graph run
           would fire nothing) — the pass manager's region memo *)
@@ -76,7 +73,7 @@ let empty_entry =
     loops_gen = -1;
     loop_forest = None;
     freq_gen = -1;
-    freqs = [];
+    freq = None;
     clean = [];
     hits = 0;
     misses = 0;
@@ -120,23 +117,19 @@ let loops g =
       store g { e with loops_gen = gen; loop_forest = Some l };
       l
 
-let frequency ?(loop_factor = Frequency.default_loop_factor) g =
+let frequency g =
   let d = dom g in
   let l = loops g in
   let e = entry g in
   let gen = Graph.generation g in
-  let valid = e.freq_gen = gen in
-  match if valid then List.assoc_opt loop_factor e.freqs else None with
-  | Some f ->
+  match e.freq with
+  | Some f when e.freq_gen = gen ->
       e.hits <- e.hits + 1;
       f
-  | None ->
+  | _ ->
       miss e;
-      let f = Frequency.compute ~loop_factor d l in
-      let freqs =
-        if valid then (loop_factor, f) :: e.freqs else [ (loop_factor, f) ]
-      in
-      store g { e with freq_gen = gen; freqs };
+      let f = Frequency.compute d l in
+      store g { e with freq_gen = gen; freq = Some f };
       f
 
 (** Re-stamp the cached [kinds] of [g] to the current generation,
@@ -226,17 +219,12 @@ let check g kind =
       | Some l when e.loops_gen = gen ->
           ok (Loops.equal l (Loops.compute (Dom.compute g)))
       | _ -> Ok ())
-  | Frequency ->
-      if e.freq_gen = gen then begin
-        let d = Dom.compute g in
-        let l = Loops.compute d in
-        ok
-          (List.for_all
-             (fun (lf, f) ->
-               Frequency.equal f (Frequency.compute ~loop_factor:lf d l))
-             e.freqs)
-      end
-      else Ok ()
+  | Frequency -> (
+      match e.freq with
+      | Some f when e.freq_gen = gen ->
+          let d = Dom.compute g in
+          ok (Frequency.equal f (Frequency.compute d (Loops.compute d)))
+      | _ -> Ok ())
 
 (** Lifetime hit/miss counters of a graph's cache (0/0 before any
     lookup).  A {!Graph.restore} brings back the snapshot's entry, and

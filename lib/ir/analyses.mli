@@ -29,8 +29,9 @@ val dom : Graph.t -> Dom.t
 (** Memoized {!Loops.compute} (over the memoized dominator tree). *)
 val loops : Graph.t -> Loops.t
 
-(** Memoized {!Frequency.compute}, additionally keyed by [loop_factor]. *)
-val frequency : ?loop_factor:float -> Graph.t -> Frequency.t
+(** Memoized {!Frequency.compute} (over the memoized dominator tree and
+    loop forest). *)
+val frequency : Graph.t -> Frequency.t
 
 (** [preserve g ~since kinds] re-stamps each cached analysis in [kinds]
     that was valid at generation [since] to the graph's current

@@ -3,7 +3,7 @@
     The entry block has frequency 1.  Frequencies propagate along forward
     edges in reverse postorder, split by branch probabilities; each loop
     level multiplies its header's incoming frequency by [loop_factor]
-    (approximating an average trip count, as JIT profiles would).  DBDS
+    (10, approximating an average trip count, as JIT profiles would).  DBDS
     consumes the frequency of a block *relative to the maximum frequency
     in the compilation unit* (paper §5.3–5.4). *)
 
@@ -12,7 +12,7 @@ type t = {
   max_freq : float;
 }
 
-let default_loop_factor = 10.0
+let loop_factor = 10.0
 
 let edge_prob g p s =
   match Graph.term g p with
@@ -21,7 +21,7 @@ let edge_prob g p s =
       if if_true = s then prob else if if_false = s then 1.0 -. prob else 0.0
   | Types.Return _ | Types.Unreachable -> 0.0
 
-let compute ?(loop_factor = default_loop_factor) (dom : Dom.t) (loops : Loops.t) =
+let compute (dom : Dom.t) (loops : Loops.t) =
   let g = Dom.graph dom in
   let n = Graph.n_blocks g in
   let freq = Array.make (max 1 n) 0.0 in

@@ -2,20 +2,18 @@
 
     The entry block has frequency 1.  Frequencies propagate along forward
     edges in reverse postorder, split by branch probabilities; each loop
-    level multiplies its header's incoming frequency by [loop_factor]
+    level multiplies its header's incoming frequency by 10
     (approximating an average trip count, as JIT profiles would).  DBDS
     consumes the frequency of a block {e relative to the maximum frequency
     in the compilation unit} (paper §5.3–5.4). *)
 
 type t
 
-val default_loop_factor : float
-
 (** Probability of the [p -> s] edge being taken when control leaves
     [p]. *)
 val edge_prob : Graph.t -> Types.block_id -> Types.block_id -> float
 
-val compute : ?loop_factor:float -> Dom.t -> Loops.t -> t
+val compute : Dom.t -> Loops.t -> t
 
 (** Absolute estimated frequency (entry = 1.0). *)
 val frequency : t -> Types.block_id -> float

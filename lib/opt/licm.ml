@@ -10,9 +10,9 @@
     This phase is not part of the calibrated default pipeline
     ({!Pipeline.classic_names}): the evaluation's baseline/DBDS/dupalot
     comparison uses a fixed phase plan (as the paper's Graal configuration
-    does), and adding a phase would shift every measured ratio.  It is
-    exercised by `Pipeline.optimize ~licm:true`, its own test suite, and
-    the bench harness' ablation. *)
+    does), and adding a phase would shift every measured ratio.  It runs
+    where a pipeline spec names it ([dbdsc --passes '...,licm']) and in
+    its own test suite. *)
 
 open Ir.Types
 module G = Ir.Graph

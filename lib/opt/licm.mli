@@ -10,7 +10,7 @@
     ({!Pipeline.classic_names}): the evaluation's baseline/DBDS/dupalot
     comparison uses a fixed phase plan (as the paper's Graal configuration
     does), and adding a phase would shift every measured ratio.  Enable it
-    with [Pipeline.optimize ~licm:true]. *)
+    by naming [licm] in a pipeline spec ([dbdsc --passes '...,licm']). *)
 
 val run : Phase.ctx -> Ir.Graph.t -> bool
 val phase : Phase.t

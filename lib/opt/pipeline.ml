@@ -45,15 +45,12 @@ let group names =
       body = List.map (fun name -> Spec.Pass { name; opts = [] }) names;
     }
 
-let with_licm licm names = names @ if licm then [ "licm" ] else []
-
 (** The action steps of a DBDS round, in phase order: the classic group
     without [sccp].  Paper §5 runs after duplication the optimizations
     whose applicability checks the simulation ran.  SCCP is not one of
     them; the one fold it would add there, a phi over equal constants,
     is a canonicalize rule. *)
-let action_step_names ?(licm = false) () =
-  with_licm licm (List.filter (fun name -> name <> "sccp") classic_names)
+let action_step_names = List.filter (fun name -> name <> "sccp") classic_names
 
 (** The classic optimizations as a [fix(...)] spec item:
     [fix(fix(<action steps>),sccp)].  The region passes run to
@@ -61,26 +58,20 @@ let action_step_names ?(licm = false) () =
     outer group repeats only if it fired.  The region passes' copy and
     constant rules catch nearly everything SCCP would, so SCCP is left
     only its optimistic folds through cycles and constant branches, and
-    those need one run per settled graph, not one per round.  [licm]
-    additionally enables loop-invariant code motion (off in the
-    calibrated evaluation plan — see {!Licm}). *)
-let fix_group ?licm () =
+    those need one run per settled graph, not one per round. *)
+let fix_group =
   Spec.Fix
     {
       opts = [];
       body =
-        [
-          group (action_step_names ?licm ());
-          Spec.Pass { name = "sccp"; opts = [] };
-        ];
+        [ group action_step_names; Spec.Pass { name = "sccp"; opts = [] } ];
     }
 
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)
-let optimize ?licm ctx g =
-  Manager.run resolve_classic [ fix_group ?licm () ] ctx g
+let optimize ctx g = Manager.run resolve_classic [ fix_group ] ctx g
 
 (** Run the action steps to a fixpoint on one graph, through the pass
     manager. *)
-let action_steps ?licm ctx g =
-  Manager.run resolve_classic [ group (action_step_names ?licm ()) ] ctx g
+let action_steps ctx g =
+  Manager.run resolve_classic [ group action_step_names ] ctx g

@@ -21,21 +21,20 @@ val classic_names : string list
 (** The classic optimizations as a nested fixpoint,
     [fix(fix(<action_step_names>),sccp)]: the region passes run to
     quiescence, then SCCP runs once on the settled graph, and the outer
-    group repeats only if SCCP fired.  [licm] additionally enables
-    loop-invariant code motion (off in the calibrated evaluation plan —
-    see {!Licm}). *)
-val fix_group : ?licm:bool -> unit -> Spec.item
+    group repeats only if SCCP fired.  Loop-invariant code motion is not
+    a member (see {!Licm}); a pipeline spec that wants it names [licm]. *)
+val fix_group : Spec.item
 
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)
-val optimize : ?licm:bool -> Phase.ctx -> Ir.Graph.t -> bool
+val optimize : Phase.ctx -> Ir.Graph.t -> bool
 
 (** The action steps of a DBDS round, in phase order: {!classic_names}
-    without [sccp], plus [licm] when enabled.  Paper §5 runs after
-    duplication only the optimizations whose applicability checks the
-    simulation ran, and SCCP is not among them. *)
-val action_step_names : ?licm:bool -> unit -> string list
+    without [sccp].  Paper §5 runs after duplication only the
+    optimizations whose applicability checks the simulation ran, and
+    SCCP is not among them. *)
+val action_step_names : string list
 
 (** Run the action steps to a fixpoint on one graph, through the pass
     manager. *)
-val action_steps : ?licm:bool -> Phase.ctx -> Ir.Graph.t -> bool
+val action_steps : Phase.ctx -> Ir.Graph.t -> bool

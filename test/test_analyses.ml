@@ -56,15 +56,10 @@ let test_mutation_invalidates () =
   Alcotest.(check bool) "stable after recompute" true (d2 == Ir.Analyses.dom g);
   ignore k
 
-let test_loop_factor_keying () =
+let test_frequency_cached () =
   let g = diamond () in
-  let f10 = Ir.Analyses.frequency ~loop_factor:10.0 g in
-  let f2 = Ir.Analyses.frequency ~loop_factor:2.0 g in
-  Alcotest.(check bool) "distinct per factor" true (not (f10 == f2));
-  Alcotest.(check bool) "factor 10 cached" true
-    (f10 == Ir.Analyses.frequency ~loop_factor:10.0 g);
-  Alcotest.(check bool) "factor 2 cached" true
-    (f2 == Ir.Analyses.frequency ~loop_factor:2.0 g)
+  let f = Ir.Analyses.frequency g in
+  Alcotest.(check bool) "cached" true (f == Ir.Analyses.frequency g)
 
 let test_rollback_revives_cache () =
   let g = diamond () in
@@ -290,7 +285,7 @@ let suite =
   [
     test "physical reuse on unchanged graph" test_physical_reuse;
     test "mutation bumps generation and invalidates" test_mutation_invalidates;
-    test "frequency keyed by loop factor" test_loop_factor_keying;
+    test "frequency cached" test_frequency_cached;
     test "rollback revives checkpoint-time cache" test_rollback_revives_cache;
     test "commit keeps mutations" test_commit_keeps_mutations;
     test "simulation rounds reuse analyses" test_simulation_round_reuses;

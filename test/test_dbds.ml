@@ -519,6 +519,8 @@ let test_tradeoff_dupalot_ignores_cost () =
   let b = budget_with ~initial:100 ~current:100 in
   let c = mk_candidate ~benefit:0.001 ~probability:0.001 ~size_delta:500 () in
   Alcotest.(check bool) "dupalot accepts any benefit" true
+    (Dbds.Tradeoff.dupalot_should_duplicate Dbds.Config.dupalot b c);
+  Alcotest.(check bool) "the paper predicate does not" false
     (Dbds.Tradeoff.should_duplicate Dbds.Config.dupalot b c)
 
 let test_tradeoff_ranking () =

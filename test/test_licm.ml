@@ -168,7 +168,15 @@ let test_pipeline_with_licm_differential () =
       let prog' = Ir.Program.copy prog in
       ignore
         (Dbds.Driver.optimize_program_report
-           ~config:{ Dbds.Config.off with Dbds.Config.licm = true }
+           ~config:
+             {
+               Dbds.Config.off with
+               Dbds.Config.passes =
+                 Some
+                   (Result.get_ok
+                      (Opt.Spec.of_string
+                         "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)"));
+             }
            ~inline:false prog');
       check_program_verifies prog';
       let obs p =

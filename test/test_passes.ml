@@ -82,7 +82,14 @@ let test_default_specs () =
   Alcotest.(check string)
     "licm joins the fixpoint group"
     "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)"
-    (printed { Dbds.Config.off with Dbds.Config.licm = true });
+    (printed
+       {
+         Dbds.Config.off with
+         Dbds.Config.passes =
+           Some
+             (spec_of
+                "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)");
+       });
   Alcotest.(check string)
     "condelim_dup reruns the classic group after the tier"
     "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),condelim_dup{iters=3},fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
@@ -152,19 +159,15 @@ let test_describe_spec () =
    round: the classic group without SCCP, which the simulation never
    prices.  Other passes embed no group. *)
 let test_round_action_steps () =
-  let steps licm name =
-    Dbds.Driver.round_action_steps { Dbds.Config.default with licm } name
-  in
+  let steps = Dbds.Driver.round_action_steps in
   let without_sccp =
     List.filter (fun n -> n <> "sccp") Opt.Pipeline.classic_names
   in
-  Alcotest.(check (list string)) "dbds" without_sccp (steps false "dbds");
-  Alcotest.(check (list string)) "dupalot" without_sccp (steps false "dupalot");
-  Alcotest.(check (list string))
-    "licm joins the group" (without_sccp @ [ "licm" ]) (steps true "dbds");
+  Alcotest.(check (list string)) "dbds" without_sccp (steps "dbds");
+  Alcotest.(check (list string)) "dupalot" without_sccp (steps "dupalot");
   List.iter
     (fun name ->
-      Alcotest.(check (list string)) (name ^ " embeds none") [] (steps false name))
+      Alcotest.(check (list string)) (name ^ " embeds none") [] (steps name))
     [ "backtracking"; "condelim_dup"; "gvn" ]
 
 (* ------------------------------------------------------------------ *)

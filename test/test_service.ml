@@ -155,17 +155,15 @@ let test_digest_ignores_fault_plan () =
      keyed on it, so any change to it must be deliberate. *)
   Alcotest.(check string) "the default wire line"
     "mode=dbds benefit_scale=256 size_budget=1.5 max_unit_size=65536 \
-     max_iterations=3 iteration_benefit_threshold=20 loop_factor=10 \
-     path_duplication=false max_path_length=3 paranoid=false licm=false"
+     max_iterations=3 path_duplication=false max_path_length=3 \
+     paranoid=false"
     (Dbds.Config.to_line Dbds.Config.default);
   (* Every key the line renders parses back, [passes=] included. *)
   let custom =
     {
       armed with
       Dbds.Config.mode = Dbds.Config.Backtracking;
-      loop_factor = 7.25;
       path_duplication = true;
-      licm = true;
       passes =
         Some (Result.get_ok (Opt.Spec.of_string "fix(canon,dce),dbds{iters=2}"));
     }
@@ -178,7 +176,15 @@ let test_digest_ignores_fault_plan () =
           Alcotest.(check string) "and round-trips through the wire line"
             line (Dbds.Config.to_line c)
       | Error e -> Alcotest.failf "%s does not parse back: %s" line e)
-    [ armed; custom ]
+    [ armed; custom ];
+  (* Keys a later version removed are refused, not ignored: the
+     request would otherwise get a pipeline it did not ask for. *)
+  List.iter
+    (fun token ->
+      match Dbds.Config.of_line token with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "the removed %s is accepted" token)
+    [ "licm=false"; "loop_factor=10"; "iteration_benefit_threshold=20" ]
 
 (* The digest keys every artifact already on disk, so its values are
    pinned: a faster hash must be bit-identical, not merely stable.
@@ -204,12 +210,12 @@ let test_digest_pinned () =
         (SD.of_request (SD.request_of_graph ~config g)))
     [
       ("dacapo/avrora main", paper Workloads.Dacapo.suite "avrora" "main",
-        "4e12aa00c2e064c2");
+        "00163c6cbfc27b42");
       ("octane/raytrace main", paper Workloads.Octane.suite "raytrace" "main",
-        "a6356015429aeed1");
+        "2abbc5e6b8c6f09f");
       ("micro/akkaPP main", paper Workloads.Micro.suite "akkaPP" "main",
-        "050fcdaa8a675f77");
-      ("detached blocks", detached, "c3616016a29d64d0");
+        "1ad9730f53e7ddd5");
+      ("detached blocks", detached, "1f9e7a1816f88740");
     ]
 
 (* ------------------------------------------------------------------ *)
