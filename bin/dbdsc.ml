@@ -37,7 +37,7 @@ let read_file path =
   close_in ic;
   s
 
-let mode_conv = Arg.enum Dbds.Config.mode_names
+let mode_conv = Arg.enum Dbds.Config.named
 
 (* Contained failures are reported, never silent: the compilation is
    degraded (those functions kept their unoptimized IR) but complete. *)
@@ -67,7 +67,7 @@ let replay path =
    (and --canon direct mode) applies the program-level inline of the
    effective pipeline locally, up front. *)
 let apply_inline prog config =
-  if Dbds.Driver.wants_inline (Dbds.Driver.default_spec config) then
+  if Dbds.Driver.wants_inline config.Dbds.Config.passes then
     ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog)
 
 (* Replace every function body with its print → parse round-trip: dense
@@ -270,28 +270,26 @@ let run_compiler file mode passes print_passes dump dot
           | Ok p -> Some p
           | Error msg -> failwith msg)
     in
-    let passes =
+    let spec =
       match passes with
-      | None -> None
+      | None -> mode.Dbds.Config.passes
       | Some s -> (
           match Opt.Spec.of_string s with
-          | Ok spec -> Some spec
+          | Ok spec -> spec
           | Error msg -> failwith ("--passes: " ^ msg))
     in
     let config =
       {
-        Dbds.Config.default with
-        Dbds.Config.mode;
-        fault_plan;
+        mode with
+        Dbds.Config.fault_plan;
         verify_between_phases = paranoid;
         bundle_dir;
         containment = not no_contain;
-        passes;
+        passes = spec;
       }
     in
-    (* Validate the effective pipeline (user-supplied or mode-derived)
-       up front, so a typo in --passes is one clear error. *)
-    let spec = Dbds.Driver.default_spec config in
+    (* Validate the effective pipeline (user-supplied or the mode's) up
+       front, so a typo in --passes is one clear error. *)
     (match Dbds.Driver.validate_spec config spec with
     | Ok () -> ()
     | Error msg -> failwith ("--passes: " ^ msg));
@@ -392,7 +390,7 @@ let run_compiler file mode passes print_passes dump dot
     and per_fn = report.Dbds.Driver.rep_stats in
     print_failures report.Dbds.Driver.rep_failures;
     if dump = Dump_after || dump = Dump_both then begin
-      Format.printf "=== IR after %s ===@." (Dbds.Config.mode_to_string mode);
+      Format.printf "=== IR after %s ===@." (Opt.Spec.to_string spec);
       Ir.Program.iter_functions prog (fun g ->
           Format.printf "%s@." (Ir.Printer.graph_to_string g))
     end;
@@ -514,12 +512,13 @@ let file_arg =
 let mode_arg =
   Arg.(
     value
-    & opt mode_conv Dbds.Config.Dbds
+    & opt mode_conv Dbds.Config.dbds
     & info [ "m"; "mode"; "tier" ] ~docv:"MODE"
         ~doc:
-          "Optimization mode (tier): baseline, dbds, dupalot, backtracking \
-           or condelim-dup (greedy conditional elimination through \
-           duplication, no trade-off).")
+          "Optimization mode (tier), a named default pipeline: baseline, \
+           dbds, dupalot, backtracking or condelim-dup (greedy conditional \
+           elimination through duplication, no trade-off).  \
+           $(b,--print-passes) shows its spec.")
 
 let passes_arg =
   Arg.(
@@ -527,14 +526,16 @@ let passes_arg =
     & opt (some string) None
     & info [ "p"; "passes" ] ~docv:"SPEC"
         ~doc:
-          "Run this pipeline instead of the mode-derived default.  SPEC is \
-           a comma-separated list of pass names; $(b,fix(...)) iterates its \
+          "Run this pipeline instead of the mode's.  SPEC is a \
+           comma-separated list of pass names; $(b,fix(...)) iterates its \
            body to a fixpoint; options attach in braces, e.g. \
-           $(b,inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3}). \
+           $(b,inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}). \
            Passes: the classic names above plus $(b,licm), the duplication \
            tiers $(b,dbds)/$(b,dupalot) (options $(i,iters), \
-           $(i,threshold)), $(b,backtracking) and $(b,condelim_dup) (option \
-           $(i,iters)), and program-level $(b,inline) (top level only).")
+           $(i,threshold), and $(i,paths), the most merges one candidate \
+           may span, 1 when absent), $(b,backtracking) and \
+           $(b,condelim_dup) (option $(i,iters)), and program-level \
+           $(b,inline) (top level only).")
 
 let print_passes_arg =
   Arg.(

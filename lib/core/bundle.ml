@@ -16,14 +16,15 @@
     site: <crash site>
     exception: <Printexc.to_string>
     plan: <site:hit[:fn] | none>
-    config: mode=<m> benefit_scale=<f> ... paranoid=<bool> [passes=<spec>]
+    config: benefit_scale=<f> ... paranoid=<bool> passes=<spec>
     --- ir ---
     fn <name>(<n> params) entry=bK
     ...
     v}
 
     The [config:] line is {!Config.to_line}.  A bundle whose line carries
-    a key a later version removed ([licm], [loop_factor],
+    a key a later version removed ([mode], [max_iterations],
+    [path_duplication], [max_path_length], [licm], [loop_factor],
     [iteration_benefit_threshold]) is refused by {!Config.of_line}.
 
     Bundles written by the retired tiered VM could carry a

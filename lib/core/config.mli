@@ -1,32 +1,10 @@
 (** DBDS configuration: the trade-off constants of paper §5.4 and the
     evaluation configurations of §6.1. *)
 
-type mode =
-  | Off  (** baseline: classic optimizations only, no duplication *)
-  | Dbds  (** full simulate → trade-off → optimize pipeline *)
-  | Dupalot
-      (** simulation tier finds opportunities; every candidate with any
-          benefit is duplicated, ignoring cost (paper's dupalot) *)
-  | Backtracking
-      (** Algorithm 1: tentatively duplicate, optimize, keep on progress,
-          restore otherwise — the expensive strategy DBDS replaces *)
-  | Condelim_dup
-      (** conditional elimination through duplication (arXiv 1106.3478):
-          duplicate every (merge, predecessor) pair where the duplicate's
-          branch or a compare would fold, with no trade-off — the greedy
-          single-optimization comparator of the workload lab *)
-
 type t = {
-  mode : mode;
   benefit_scale : float;  (** BS; the paper derived 256 empirically *)
   size_budget : float;  (** IB; 1.5 = max 150% of the initial code size *)
   max_unit_size : int;  (** MS; the VM's installed-code limit *)
-  max_iterations : int;  (** iterative DBDS applications; paper uses 3 *)
-  path_duplication : bool;
-      (** §8 future-work extension: let the simulation continue through a
-          straight chain of merges and apply the whole path as one
-          candidate (up to [max_path_length] merges) *)
-  max_path_length : int;
   containment : bool;
       (** contain per-function crashes: roll the graph back, record a
           structured failure, keep optimizing the remaining functions *)
@@ -37,32 +15,43 @@ type t = {
       (** deterministic fault injection (testing); [None] in production *)
   bundle_dir : string option;
       (** write a replayable crash bundle here on every containment *)
-  passes : Opt.Spec.t option;
-      (** explicit pipeline spec ([dbdsc --passes]); [None] = the
-          mode-derived default ({!Driver.default_spec}) *)
+  passes : Opt.Spec.t;
+      (** the pipeline a compile runs ([dbdsc --passes]).  The duplication
+          tiers carry their own parameters as spec options: [iters] (the
+          §5.2 iteration count, 3 when absent) and, on [dbds] and
+          [dupalot], [paths] (the §8 extension: at most that many merges
+          per candidate, 1 when absent) *)
 }
 
-(** Mode [Dbds], BS=256, IB=1.5, MS=65536, 3 iterations, paths off,
-    mode-derived pipeline, preservation contracts honored. *)
+(** The evaluation pipelines of §6.1: inline, the classic
+    optimizations to a fixpoint ({!Opt.Pipeline.fix_group}), then
+    duplication tier [tier] with options [opts] (default [iters=3], the
+    paper's three iterations).  [backtracking] and [condelim_dup] are
+    followed by a second fixpoint group; [None] is the baseline, with
+    no tier. *)
+val pipeline : ?opts:(string * string) list -> string option -> Opt.Spec.t
+
+(** BS=256, IB=1.5, MS=65536, containment on, and the DBDS pipeline
+    [inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}]. *)
 val default : t
 
+(** The evaluation configurations of §6.1: {!default} with the pipeline
+    swapped.  [off] stops after the classic fixpoint group; [dupalot]
+    runs the dupalot tier in place of [dbds]; [backtracking] and
+    [condelim_dup] run their tier followed by a second fixpoint group. *)
 val dbds : t
+
 val off : t
 val dupalot : t
 val backtracking : t
 val condelim_dup : t
 
-(** DBDS with the §8 path extension enabled. *)
+(** DBDS with the §8 path extension: [dbds{iters=3,paths=3}]. *)
 val dbds_paths : t
 
-(** Every accepted spelling of a mode, for the command line and the
-    wire line alike; a mode's first entry is its canonical name. *)
-val mode_names : (string * mode) list
-
-(** A mode's canonical name (its first entry in {!mode_names}). *)
-val mode_to_string : mode -> string
-
-val mode_of_string : string -> mode option
+(** Every accepted [dbdsc -m] spelling, with the configuration it
+    names. *)
+val named : (string * t) list
 
 (** One space-separated [key=value] line covering every knob that shapes
     the produced IR (crash-bundle header, service protocol, and the

@@ -9,9 +9,10 @@
     without SCCP.  Paper §5 runs only the optimizations whose
     applicability checks the simulation ran — canonicalize, conditional
     elimination, GVN, read elimination and PEA, plus the CFG and dead
-    code clean-up they leave — and SCCP is not priced.  Up to
-    [max_iterations] rounds are performed; a new round only starts if the
-    previous round's cumulative accepted benefit clears a threshold. *)
+    code clean-up they leave — and SCCP is not priced.  Up to [iters]
+    rounds are performed (a tier's spec option, 3 by default); a new
+    round only starts if the previous round's cumulative accepted
+    benefit clears a threshold. *)
 
 module G = Ir.Graph
 
@@ -56,17 +57,20 @@ let pp_stats ppf s =
     s.candidates_found s.duplications_performed s.iterations_run
     s.benefit_accepted s.backtrack_kept s.backtrack_attempts
 
-(* Run another round only if the previous one's cumulative accepted
-   benefit exceeds this (paper §5.2: ~20% of units re-iterate).  A
-   tier's [threshold] spec option overrides it. *)
+(* Paper §5.2: at most three applications of a tier, and another round
+   only if the previous one's cumulative accepted benefit exceeds the
+   threshold (~20% of units re-iterate).  A tier's [iters] and
+   [threshold] spec options override them. *)
+let default_iterations = 3
 let iteration_benefit_threshold = 20.0
 
-(* One simulate → trade-off → optimize round, accepting the candidates
-   [accept] takes against the round's budget.  Returns the cumulative
-   accepted benefit and the number of accepted candidates that had gone
-   stale (an earlier duplication in the round moved their edge). *)
-let run_round ~accept config ctx stats g =
-  let candidates = Simulation.simulate ctx config g in
+(* One simulate → trade-off → optimize round over candidates of up to
+   [paths] merges, accepting those [accept] takes against the round's
+   budget.  Returns the cumulative accepted benefit and the number of
+   accepted candidates that had gone stale (an earlier duplication in
+   the round moved their edge). *)
+let run_round ~accept ~paths config ctx stats g =
+  let candidates = Simulation.simulate ~paths ctx config g in
   stats.candidates_found <- stats.candidates_found + List.length candidates;
   (* Every duplication of the round answers its loop-header check from
      the tree the simulation walked, unless an earlier one touched the
@@ -185,34 +189,9 @@ let run_backtracking ~iters config ctx stats g =
 (* The pipeline spec and its resolver                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** The pipeline actually run for a configuration: [passes] when set,
-    otherwise derived from the mode.  [inline] is a program-level item —
-    the driver runs it once before fanning functions out and strips it
-    from the per-function pipeline. *)
-let default_spec (config : Config.t) : Opt.Spec.t =
-  match config.Config.passes with
-  | Some spec -> spec
-  | None ->
-      let fix = Opt.Pipeline.fix_group in
-      let inline = Opt.Spec.Pass { name = "inline"; opts = [] } in
-      let tier name =
-        Opt.Spec.Pass
-          {
-            name;
-            opts = [ ("iters", string_of_int config.Config.max_iterations) ];
-          }
-      in
-      (match config.Config.mode with
-      | Config.Off -> [ inline; fix ]
-      | Config.Dbds -> [ inline; fix; tier "dbds" ]
-      | Config.Dupalot -> [ inline; fix; tier "dupalot" ]
-      | Config.Backtracking -> [ inline; fix; tier "backtracking"; fix ]
-      (* The greedy tier performs no embedded action steps (unlike the
-         simulation tiers, which optimize after each round), so the
-         opportunities it opens need a trailing fixpoint group. *)
-      | Config.Condelim_dup ->
-          [ inline; fix; tier "condelim_dup"; fix ])
-
+(* [inline] is a program-level item: the driver runs it once before
+   fanning functions out and strips it from the per-function
+   pipeline. *)
 let is_inline_item = function
   | Opt.Spec.Pass { name = "inline"; _ } -> true
   | _ -> false
@@ -228,18 +207,25 @@ let per_function_items spec = List.filter (fun i -> not (is_inline_item i)) spec
 let resolve (config : Config.t) stats : Opt.Manager.resolver =
  fun name opts ->
   let ( let* ) = Result.bind in
+  let iters = Opt.Spec.int_opt opts "iters" ~default:default_iterations in
   (* The iterative simulate → trade-off → optimize loop of §5.2, with
      the tier's acceptance predicate: the paper's trade-off for [dbds],
      any beneficial candidate for [dupalot].  Another round only starts
      if this one's accepted benefit cleared the threshold or ranked
-     candidates went stale mid-round. *)
+     candidates went stale mid-round.  [paths] bounds the merges a
+     candidate may span (§8; 1 is no extension). *)
   let iterative_tier should_duplicate =
-    let* () = Opt.Spec.check_opts ~pass:name [ "iters"; "threshold" ] opts in
-    let* iters =
-      Opt.Spec.int_opt opts "iters" ~default:config.Config.max_iterations
+    let* () =
+      Opt.Spec.check_opts ~pass:name [ "iters"; "threshold"; "paths" ] opts
     in
+    let* iters = iters in
     let* threshold =
       Opt.Spec.float_opt opts "threshold" ~default:iteration_benefit_threshold
+    in
+    let* paths = Opt.Spec.int_opt opts "paths" ~default:1 in
+    let* () =
+      if paths >= 1 then Ok ()
+      else Error (Printf.sprintf "pass %s: paths=%d is below 1" name paths)
     in
     let accept = should_duplicate config in
     Ok
@@ -250,7 +236,9 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
            while !continue_ && !iter < iters do
              incr iter;
              stats.iterations_run <- stats.iterations_run + 1;
-             let benefit, stale = run_round ~accept config ctx stats g in
+             let benefit, stale =
+               run_round ~accept ~paths config ctx stats g
+             in
              if benefit <= threshold && stale = 0 then continue_ := false
            done;
            stats.duplications_performed > dup0))
@@ -260,9 +248,7 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
   | "dupalot" -> iterative_tier Tradeoff.dupalot_should_duplicate
   | "backtracking" ->
       let* () = Opt.Spec.check_opts ~pass:name [ "iters" ] opts in
-      let* iters =
-        Opt.Spec.int_opt opts "iters" ~default:config.Config.max_iterations
-      in
+      let* iters = iters in
       Ok
         (Opt.Phase.make name (fun ctx g ->
              let kept0 = stats.backtrack_kept in
@@ -270,9 +256,7 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
              stats.backtrack_kept > kept0))
   | "condelim_dup" ->
       let* () = Opt.Spec.check_opts ~pass:name [ "iters" ] opts in
-      let* iters =
-        Opt.Spec.int_opt opts "iters" ~default:config.Config.max_iterations
-      in
+      let* iters = iters in
       (* The analysis lives below the core library; inject the
          duplication transform (and the staleness signal) here, counting
          applications into the driver's historical stats. *)
@@ -298,8 +282,9 @@ let round_action_steps = function
   | _ -> []
 
 (** Check a pipeline spec against the driver's registry: classic passes
-    (no options), duplication tiers ([iters], [threshold]), [fix] groups
-    ([rounds]), and program-level [inline] at the top level only. *)
+    (no options), duplication tiers ([iters], [threshold], [paths]),
+    [fix] groups ([rounds]), and program-level [inline] at the top level
+    only. *)
 let validate_spec (config : Config.t) spec =
   let bad_inline_opts =
     List.find_map
@@ -367,7 +352,7 @@ let optimize_graph ?(config = Config.default) ctx g =
   let analyses_before = Ir.Analyses.stats g in
   ignore
     (Opt.Manager.run (resolve config stats)
-       (per_function_items (default_spec config))
+       (per_function_items config.Config.passes)
        ctx g);
   (* The compiled graph need not keep its mutation history. *)
   Ir.Analyses.drop_log g;
@@ -521,7 +506,7 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
     match jobs with Some j -> max 1 j | None -> Ir.Parallel.default_jobs ()
   in
   let ctx = Opt.Phase.create ~program () in
-  let spec = default_spec config in
+  let spec = config.Config.passes in
   (* A bad --passes spec is a configuration error, not a per-function
      crash: refuse up front rather than containing it N times. *)
   (match validate_spec config spec with

@@ -6,10 +6,10 @@
     The driver is applied per compilation unit (function graph).  After
     each batch of duplications the round's action-step group runs
     ({!Opt.Pipeline.action_steps}): the classic phases without SCCP,
-    which the simulation does not price (paper §5).  Up to
-    [max_iterations] rounds are performed; a new round only starts if the
-    previous round's cumulative accepted benefit clears a threshold (or
-    ranked candidates went stale mid-round). *)
+    which the simulation does not price (paper §5).  Up to [iters]
+    rounds are performed (a tier's spec option, 3 by default); a new
+    round only starts if the previous round's cumulative accepted benefit
+    clears a threshold (or ranked candidates went stale mid-round). *)
 
 (** Paranoid mode ({!Config.t.verify_between_phases}): the IR verifier
     found a broken invariant right after the named phase ran. *)
@@ -46,20 +46,16 @@ type failure = {
 
 val pp_failure : Format.formatter -> failure -> unit
 
-(** The pipeline actually run for a configuration: {!Config.t.passes}
-    when set, otherwise derived from the mode (e.g. [Dbds] →
-    [inline,fix(canon,...,dce),dbds{iters=3}]).  [inline] is a
-    program-level item: {!optimize_program_report} runs it once before
-    fanning functions out; the per-function pipeline is the rest. *)
-val default_spec : Config.t -> Opt.Spec.t
-
-(** Does the spec run program-level [inline]? *)
+(** Does the spec run program-level [inline]?  {!optimize_program_report}
+    runs it once before fanning functions out; the per-function pipeline
+    is the rest of {!Config.t.passes}. *)
 val wants_inline : Opt.Spec.t -> bool
 
 (** Check a pipeline spec against the driver's registry: classic passes
-    (no options), duplication tiers ([dbds]/[dupalot] with [iters] and
-    [threshold], [backtracking] with [iters]), [fix] groups ([rounds]),
-    and program-level [inline] at the top level only. *)
+    (no options), duplication tiers ([dbds]/[dupalot] with [iters],
+    [threshold] and [paths] ≥ 1, [backtracking] and [condelim_dup] with
+    [iters]), [fix] groups ([rounds]), and program-level [inline] at the
+    top level only. *)
 val validate_spec : Config.t -> Opt.Spec.t -> (unit, string) result
 
 (** Contract table of a spec's per-function passes in pipeline order

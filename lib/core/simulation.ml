@@ -84,11 +84,11 @@ let size k = Costmodel.Cost.size_of_kind k
 
 (** Simulate duplicating merge [bm] into predecessor [bp] given the
     traversal context at the end of [bp].  Returns a candidate when any
-    applicability check fires with positive benefit — and, when the §8
-    path extension is enabled and [bm] jumps straight into further
-    merges, additional path candidates covering the chain. *)
-let simulate_dst ctx (config : Config.t) g ~loops ~mk_const ~freq ~sc dctx bp
-    bm =
+    applicability check fires with positive benefit — and, when [paths]
+    allows more than one merge (the §8 path extension) and [bm] jumps
+    straight into further merges, additional path candidates covering
+    the chain. *)
+let simulate_dst ctx ~paths g ~loops ~mk_const ~freq ~sc dctx bp bm =
   Opt.Phase.charge ctx (G.block_size g bm);
   sc.epoch <- sc.epoch + 1;
   let ep = sc.epoch in
@@ -297,14 +297,15 @@ let simulate_dst ctx (config : Config.t) g ~loops ~mk_const ~freq ~sc dctx bp
   let results = ref [] in
   if !benefit > 0.0 then results := [ mk_candidate [] ];
   (* §8 path extension: continue the DST through a straight chain of
-     further merges; each extension that adds benefit becomes its own
-     candidate, priced with the cumulative cost of the whole path. *)
-  if config.Config.path_duplication then begin
+     further merges, up to [paths] merges in all; each extension that
+     adds benefit becomes its own candidate, priced with the cumulative
+     cost of the whole path. *)
+  if paths > 1 then begin
     let cur = ref bm in
     let path = ref [] in
     let path_len = ref 0 in
     let continue_ = ref true in
-    while !continue_ && !path_len < config.Config.max_path_length - 1 do
+    while !continue_ && !path_len < paths - 1 do
       match G.term g !cur with
       | Jump next
         when next <> !cur
@@ -329,7 +330,7 @@ let simulate_dst ctx (config : Config.t) g ~loops ~mk_const ~freq ~sc dctx bp
 
 (** Run the simulation tier over one graph: returns all candidates with
     positive estimated benefit, one per (predecessor, merge) pair. *)
-let simulate ctx (config : Config.t) g =
+let simulate ?(paths = 1) ctx (_ : Config.t) g =
   Opt.Phase.charge_graph ctx g;
   let dom = Ir.Analyses.dom g in
   let loops = Ir.Analyses.loops g in
@@ -372,7 +373,7 @@ let simulate ctx (config : Config.t) g =
           && not (Ir.Loops.is_header loops s)
         then
           candidates :=
-            simulate_dst ctx config g ~loops ~mk_const ~freq ~sc
+            simulate_dst ctx ~paths g ~loops ~mk_const ~freq ~sc
               { env; mem = mem_out; exprs }
               bid s
             @ !candidates)

@@ -18,10 +18,13 @@
 
     Loop headers are merges too, but duplicating into a back edge is loop
     peeling rather than tail duplication, so they are skipped.  With
-    {!Config.t.path_duplication} the DST continues through straight
-    chains of merges, emitting additional path candidates (paper §8). *)
+    [paths] above 1 the DST continues through straight chains of merges,
+    emitting additional path candidates of up to [paths] merges each
+    (paper §8). *)
 
 (** Run the simulation tier over one graph: all candidates with positive
-    estimated benefit, one (or more, with paths) per (predecessor, merge)
-    pair. *)
-val simulate : Opt.Phase.ctx -> Config.t -> Ir.Graph.t -> Candidate.t list
+    estimated benefit, one (or more, with [paths] > 1) per (predecessor,
+    merge) pair.  [paths] defaults to 1, no extension.  The
+    configuration argument is not read. *)
+val simulate :
+  ?paths:int -> Opt.Phase.ctx -> Config.t -> Ir.Graph.t -> Candidate.t list

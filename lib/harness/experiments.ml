@@ -83,7 +83,15 @@ let run_iteration_ablation ?(suite = Workloads.Micro.suite) () =
   in
   List.map
     (fun iters ->
-      let config = { Dbds.Config.default with Dbds.Config.max_iterations = iters } in
+      let config =
+        {
+          Dbds.Config.dbds with
+          Dbds.Config.passes =
+            Dbds.Config.pipeline
+              ~opts:[ ("iters", string_of_int iters) ]
+              (Some "dbds");
+        }
+      in
       let ms =
         List.map (measure_config config) suite.Workloads.Suite.benchmarks
       in

@@ -61,18 +61,19 @@ let report_fingerprint prog (r : Dbds.Driver.report) =
 (* Containment contract                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Every fourth plan runs the backtracking comparator, so faults that
+   fire mid-attempt — with the attempt's own snapshot still pending —
+   must be undone by containment's snapshot too.  Returns the
+   configuration with its {!Dbds.Config.named} name, for the tag. *)
 let config_for plan k =
-  {
-    Dbds.Config.default with
-    Dbds.Config.mode =
-      (* Every fourth plan runs the backtracking comparator, so faults
-         that fire mid-attempt — with the attempt's own snapshot still
-         pending — must be undone by containment's snapshot too. *)
-      (if k mod 4 = 3 then Dbds.Config.Backtracking else Dbds.Config.Dbds);
-    fault_plan = Some plan;
-    verify_between_phases = k mod 5 = 0;
-    containment = true;
-  }
+  let name = if k mod 4 = 3 then "backtracking" else "dbds" in
+  ( name,
+    {
+      (List.assoc name Dbds.Config.named) with
+      Dbds.Config.fault_plan = Some plan;
+      verify_between_phases = k mod 5 = 0;
+      containment = true;
+    } )
 
 (* Run one (source, plan) pair at one jobs value; returns the
    fingerprint and the report, or a violation string if an exception
@@ -109,11 +110,10 @@ let run () =
       let src = Workloads.Progen.generate ~seed () in
       for k = 0 to 3 do
         let plan = Dbds.Faults.of_seed ((seed * 8191) + k) in
-        let config = config_for plan k in
+        let name, config = config_for plan k in
         let tag =
-          Printf.sprintf "seed=%d plan=%s mode=%s" seed
-            (Dbds.Faults.to_string plan)
-            (Dbds.Config.mode_to_string config.Dbds.Config.mode)
+          Printf.sprintf "seed=%d plan=%s config=%s" seed
+            (Dbds.Faults.to_string plan) name
         in
         incr pairs;
         let results =
@@ -689,7 +689,7 @@ let compile row program =
               "%s/%s: %s stamped clean, but its whole-graph run still fires" at
               (Ir.Graph.name g) pass);
   (try
-     if Dbds.Driver.wants_inline (Dbds.Driver.default_spec config) then
+     if Dbds.Driver.wants_inline config.Dbds.Config.passes then
        ignore (Opt.Inline.inline_program ctx prog)
    with e ->
      violate failures "%s: inlining raised %s" at (Printexc.to_string e));

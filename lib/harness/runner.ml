@@ -50,7 +50,7 @@ let measure ?(icache = Interp.Machine.default_icache) ?jobs ~config
         (Benchmark_failed
            ( b.Workloads.Suite.name,
              Printf.sprintf "%s under %s" (Printexc.to_string e)
-               (Dbds.Config.mode_to_string config.Dbds.Config.mode) ))
+               (Opt.Spec.to_string config.Dbds.Config.passes) ))
   in
   {
     Metrics.peak_cycles = run_stats.Interp.Machine.cycles;

@@ -10,9 +10,9 @@
     name, key, value := [A-Za-z0-9_.+-]+
     v}
 
-    e.g. [inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3}]
+    e.g. [inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}]
     — the default DBDS pipeline: inline, the classic optimizations to a
-    fixpoint, then three iterations of the duplication tiers.
+    fixpoint, then at most three rounds of the DBDS tier.
 
     This module is pure syntax: names are resolved against a registry by
     the pass manager ({!Manager}), so the grammar needs no knowledge of

@@ -8,7 +8,7 @@
     opts  := '{' [key '=' value (',' key '=' value)*] '}'
     v}
 
-    e.g. [inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3}].
+    e.g. [inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}].
 
     Pure syntax: names are resolved by the pass manager ({!Manager}).
     {!to_string} prints the canonical form; [of_string] ∘ [to_string]

@@ -6,7 +6,6 @@ type request = {
   rq_ir_hash : string;
   rq_context : string;
   rq_config : string;
-  rq_spec : string;
   rq_cost_revision : int;
 }
 
@@ -255,8 +254,6 @@ let ir_hash_int64 g =
 let ir_hash_of_graph g = Printf.sprintf "%016Lx" (ir_hash_int64 g)
 let ir_hash_of_text text = ir_hash_of_graph (Ir.Parse.parse_graph text)
 
-let resolved_spec config = Opt.Spec.to_string (Dbds.Driver.default_spec config)
-
 let context_of_program (p : Ir.Program.t) =
   let classes =
     Hashtbl.fold (fun _ c acc -> c :: acc) p.Ir.Program.classes []
@@ -279,7 +276,6 @@ let request_of_graph ?(context = "") ?fn ~config g =
     rq_ir_hash = ir_hash_of_graph g;
     rq_context = context;
     rq_config = Dbds.Config.to_line config;
-    rq_spec = resolved_spec config;
     rq_cost_revision = Costmodel.Cost.revision;
   }
 
@@ -299,6 +295,5 @@ let of_request r =
   frame "ir" r.rq_ir_hash;
   frame "context" r.rq_context;
   frame "config" r.rq_config;
-  frame "spec" r.rq_spec;
   frame "cost" (string_of_int r.rq_cost_revision);
   fnv64 (Buffer.contents buf)

@@ -1,9 +1,10 @@
 (** Content addressing for compilation requests.
 
     The DBDS pipeline is deterministic: the same function IR under the
-    same configuration, pipeline spec and cost model always produces the
-    same optimized IR.  That makes compilation results cacheable — if
-    two requests hash equal here, one artifact serves both.
+    same configuration (pipeline spec included) and cost model always
+    produces the same optimized IR.  That makes compilation results
+    cacheable — if two requests hash equal here, one artifact serves
+    both.
 
     The hash is computed over the {e canonical} form of each component,
     so semantically identical requests collide:
@@ -16,10 +17,9 @@
       reachable blocks in reverse postorder), without materializing any
       text: any renumbering of blocks or instructions washes out.
     - The configuration is {!Dbds.Config.to_line} — only knobs that
-      shape the produced IR, in a fixed key order.
-    - The pipeline spec is the {e resolved} spec
-      ({!Dbds.Driver.default_spec}, canonically rendered), so
-      [--mode dbds] and the equivalent explicit [--passes] collide.
+      shape the produced IR, in a fixed key order, the pipeline spec
+      canonically rendered among them, so [--mode dbds] and the
+      equivalent explicit [--passes] collide.
     - {!Costmodel.Cost.revision} — artifacts produced under one cost
       table are never reused under another. *)
 
@@ -34,7 +34,6 @@ type request = {
           produced with program context never collide with ones produced
           without. *)
   rq_config : string;  (** {!Dbds.Config.to_line} rendering *)
-  rq_spec : string;  (** resolved pipeline spec, canonical rendering *)
   rq_cost_revision : int;  (** {!Costmodel.Cost.revision} *)
 }
 
@@ -67,10 +66,9 @@ val ir_hash_of_text : string -> string
     a program with neither. *)
 val context_of_program : Ir.Program.t -> string
 
-(** Build the request for one function graph under a configuration (the
-    spec is resolved via {!Dbds.Driver.default_spec}).  [context]
-    defaults to [""] — a lone graph with no program facts; [fn] defaults
-    to the graph's own name. *)
+(** Build the request for one function graph under a configuration.
+    [context] defaults to [""] — a lone graph with no program facts;
+    [fn] defaults to the graph's own name. *)
 val request_of_graph :
   ?context:string -> ?fn:string -> config:Dbds.Config.t -> Ir.Graph.t -> request
 
@@ -80,6 +78,6 @@ val request_of_text :
   ?context:string -> config:Dbds.Config.t -> fn:string -> string -> request
 
 (** The content digest: hash of the framed canonical request.  Collides
-    exactly when function IR (canonically), config, resolved spec and
-    cost-model revision all agree. *)
+    exactly when function IR (canonically), config line (pipeline spec
+    included) and cost-model revision all agree. *)
 val of_request : request -> string

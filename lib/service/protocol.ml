@@ -190,7 +190,7 @@ let config_of_line line =
   | None ->
       let r =
         Result.bind (Dbds.Config.of_line line) (fun config ->
-            Dbds.Driver.validate_spec config (Dbds.Driver.default_spec config)
+            Dbds.Driver.validate_spec config config.Dbds.Config.passes
             |> Result.map (fun () -> config)
             |> Result.map_error (fun e -> "pipeline spec: " ^ e))
       in

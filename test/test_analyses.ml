@@ -136,7 +136,11 @@ let test_simulation_round_reuses () =
 let test_driver_cache_hits () =
   let prog = compile loop_src in
   let config =
-    { Dbds.Config.default with Dbds.Config.max_iterations = 4 }
+    {
+      Dbds.Config.dbds with
+      Dbds.Config.passes =
+        Dbds.Config.pipeline ~opts:[ ("iters", "4") ] (Some "dbds");
+    }
   in
   let r = Dbds.Driver.optimize_program_report ~config ~jobs:1 prog in
   let ctx = r.Dbds.Driver.rep_ctx and stats = r.Dbds.Driver.rep_stats in

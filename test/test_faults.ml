@@ -28,14 +28,14 @@ let trio =
 
 let plan ?fn site hit = { F.seed = 0; site; hit; fn }
 
-let report ?(mode = Dbds.Config.Dbds) ?fault_plan ?(containment = true)
+(* [name] is a [dbdsc -m] spelling ({!Dbds.Config.named}). *)
+let report ?(name = "dbds") ?fault_plan ?(containment = true)
     ?(paranoid = false) ?bundle_dir ?(inline = true) ?(jobs = 1) src =
   let prog = compile src in
   let config =
     {
-      Dbds.Config.default with
-      Dbds.Config.mode;
-      fault_plan;
+      (List.assoc name Dbds.Config.named) with
+      Dbds.Config.fault_plan;
       containment;
       verify_between_phases = paranoid;
       bundle_dir;
@@ -140,9 +140,8 @@ let test_every_site_fires () =
 
 let test_rollback_byte_identity () =
   List.iter
-    (fun (mode, site) ->
-      let tag = Dbds.Config.mode_to_string mode in
-      let prog, r = report figure1 ~mode ~fault_plan:(plan site 1) in
+    (fun (tag, site) ->
+      let prog, r = report figure1 ~name:tag ~fault_plan:(plan site 1) in
       match r.D.rep_failures with
       | [ f ] ->
           let g = Option.get (Ir.Program.find_function prog "main") in
@@ -157,9 +156,9 @@ let test_rollback_byte_identity () =
             s.D.duplications_performed
       | l -> Alcotest.failf "%s: expected one failure, got %d" tag (List.length l))
     [
-      (Dbds.Config.Dbds, F.Transform_apply);
-      (Dbds.Config.Dupalot, F.Ssa_repair);
-      (Dbds.Config.Backtracking, F.Transform_apply);
+      ("dbds", F.Transform_apply);
+      ("dupalot", F.Ssa_repair);
+      ("backtracking", F.Transform_apply);
     ]
 
 (* The undo is exact beyond the printed IR: a contained function is back
@@ -179,17 +178,15 @@ let test_containment_restores_cache () =
   |}
   in
   List.iter
-    (fun (mode, site) ->
-      let tag = Dbds.Config.mode_to_string mode in
+    (fun (tag, site) ->
       let prog = compile src in
       let g = Option.get (Ir.Program.find_function prog "main") in
       let dom0 = Ir.Analyses.dom g in
       let gen0 = Ir.Graph.generation g in
       let config =
         {
-          Dbds.Config.default with
-          Dbds.Config.mode;
-          fault_plan = Some (plan site 1);
+          (List.assoc tag Dbds.Config.named) with
+          Dbds.Config.fault_plan = Some (plan site 1);
         }
       in
       let r = D.optimize_program_report ~config ~inline:false ~jobs:1 prog in
@@ -200,10 +197,10 @@ let test_containment_restores_cache () =
       Alcotest.(check bool) (tag ^ ": pre-attempt dom revived") true
         (Ir.Analyses.dom g == dom0))
     [
-      (Dbds.Config.Dbds, F.Transform_apply);
-      (Dbds.Config.Dupalot, F.Transform_apply);
-      (Dbds.Config.Backtracking, F.Transform_apply);
-      (Dbds.Config.Condelim_dup, F.Ssa_repair);
+      ("dbds", F.Transform_apply);
+      ("dupalot", F.Transform_apply);
+      ("backtracking", F.Transform_apply);
+      ("condelim-dup", F.Ssa_repair);
     ]
 
 let test_contained_program_still_runs () =
@@ -280,8 +277,7 @@ let test_bundle_render_parse () =
       b_site = "transform.apply";
       b_exn = "Faults.Injected(transform.apply, hit 1)";
       b_plan = Some (plan F.Transform_apply 1);
-      b_config =
-        { Dbds.Config.default with Dbds.Config.mode = Dbds.Config.Dupalot };
+      b_config = Dbds.Config.dupalot;
       b_ir = Ir.Printer.graph_to_string g;
     }
   in
@@ -379,7 +375,7 @@ let test_paranoid_over_workloads () =
      every phase leaves valid SSA behind on every benchmark. *)
   let b = List.hd Workloads.Micro.suite.Workloads.Suite.benchmarks in
   let prog = Harness.Runner.compile_benchmark b in
-  let config = Dbds.Config.{ paranoid with mode = Dbds } in
+  let config = Dbds.Config.paranoid in
   let r = D.optimize_program_report ~config ~jobs:2 prog in
   Alcotest.(check int) "no paranoid failures" 0 (List.length r.D.rep_failures)
 

@@ -139,7 +139,7 @@ let test_quiescence_mutant () =
   Alcotest.(check int) "the off pipeline ends quiescent" 0
     (List.length (violations Dbds.Config.off));
   Alcotest.(check bool) "dropping sccp is caught" true
-    (violations { Dbds.Config.off with Dbds.Config.passes = Some spec } <> [])
+    (violations { Dbds.Config.off with Dbds.Config.passes = spec } <> [])
 
 let suite =
   [

@@ -172,10 +172,9 @@ let test_pipeline_with_licm_differential () =
              {
                Dbds.Config.off with
                Dbds.Config.passes =
-                 Some
-                   (Result.get_ok
-                      (Opt.Spec.of_string
-                         "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)"));
+                 Result.get_ok
+                   (Opt.Spec.of_string
+                      "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)");
              }
            ~inline:false prog');
       check_program_verifies prog';

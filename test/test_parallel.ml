@@ -45,7 +45,7 @@ let test_map_exception () =
    aggregate statistics and phase-context counters.  Two runs are
    considered identical iff their fingerprints are byte-identical. *)
 let optimize_fingerprint ~jobs prog =
-  let config = { Dbds.Config.default with Dbds.Config.mode = Dbds.Config.Dbds } in
+  let config = Dbds.Config.dbds in
   let r = Dbds.Driver.optimize_program_report ~config ~jobs prog in
   let ctx = r.Dbds.Driver.rep_ctx and per_fn = r.Dbds.Driver.rep_stats in
   let buf = Buffer.create 4096 in
@@ -89,9 +89,7 @@ let test_progen_determinism =
     (fun seed ->
       let fingerprint jobs =
         let prog = compile (Workloads.Progen.generate ~seed ()) in
-        let config =
-          { Dbds.Config.default with Dbds.Config.mode = Dbds.Config.Backtracking }
-        in
+        let config = Dbds.Config.backtracking in
         let per_fn =
           (Dbds.Driver.optimize_program_report ~config ~jobs prog)
             .Dbds.Driver.rep_stats

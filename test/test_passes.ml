@@ -65,9 +65,7 @@ let spec_of s =
   | Error msg -> Alcotest.failf "%S: %s" s msg
 
 let test_default_specs () =
-  let printed config =
-    Opt.Spec.to_string (Dbds.Driver.default_spec config)
-  in
+  let printed config = Opt.Spec.to_string config.Dbds.Config.passes in
   Alcotest.(check string)
     "dbds"
     "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}"
@@ -86,10 +84,13 @@ let test_default_specs () =
        {
          Dbds.Config.off with
          Dbds.Config.passes =
-           Some
-             (spec_of
-                "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)");
+           spec_of
+             "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)";
        });
+  Alcotest.(check string)
+    "the path extension is a tier option"
+    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3,paths=3}"
+    (printed Dbds.Config.dbds_paths);
   Alcotest.(check string)
     "condelim_dup reruns the classic group after the tier"
     "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),condelim_dup{iters=3},fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
@@ -97,10 +98,10 @@ let test_default_specs () =
   (* Every default spec validates against the driver's own registry. *)
   List.iter
     (fun config ->
-      match Dbds.Driver.validate_spec config (Dbds.Driver.default_spec config) with
+      match Dbds.Driver.validate_spec config config.Dbds.Config.passes with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "default spec rejected: %s" msg)
-    Dbds.Config.[ default; off; dupalot; backtracking; condelim_dup; paranoid ]
+    Dbds.Config.(dbds_paths :: paranoid :: List.map snd named)
 
 let test_validate_spec () =
   let config = Dbds.Config.default in
@@ -118,6 +119,7 @@ let test_validate_spec () =
   ok "inline,canonicalize,simplify-cfg,licm";
   ok "dupalot{iters=2,threshold=0.1},backtracking{iters=1}";
   ok "condelim_dup{iters=2}";
+  ok "dupalot{paths=3}";
   rejected "bogus";
   rejected "canon{x=1}";
   rejected "dbds{iters=nope}";
@@ -126,6 +128,8 @@ let test_validate_spec () =
   rejected "pea{max_rounds=2}";
   rejected "gvn{iters=2}";
   rejected "condelim_dup{threshold=0.5}";
+  rejected "dbds{paths=0}";
+  rejected "backtracking{paths=3}";
   rejected "fix(inline,canon)"
 
 (* [describe_spec] backs `dbdsc --print-passes`: every per-function
@@ -345,8 +349,7 @@ let test_custom_pipeline_behavior () =
   let config =
     {
       Dbds.Config.default with
-      Dbds.Config.passes =
-        Some (spec_of "fix(dce,gvn,canon,simplify),dbds{iters=1}");
+      Dbds.Config.passes = spec_of "fix(dce,gvn,canon,simplify),dbds{iters=1}";
     }
   in
   let prog' = Ir.Program.copy prog in

@@ -27,14 +27,21 @@ let nested =
   }
   |}
 
-let simulate config prog =
+(* DBDS with the tier options [opts]. *)
+let dbds_with opts =
+  {
+    Dbds.Config.dbds with
+    Dbds.Config.passes = Dbds.Config.pipeline ~opts (Some "dbds");
+  }
+
+let simulate ?paths prog =
   let g = Option.get (Ir.Program.find_function prog "main") in
   let ctx = Opt.Phase.create ~program:prog () in
-  Dbds.Simulation.simulate ctx config g
+  Dbds.Simulation.simulate ?paths ctx Dbds.Config.dbds g
 
 let test_plain_simulation_misses_chain () =
   let prog = compile nested in
-  let candidates = simulate Dbds.Config.dbds prog in
+  let candidates = simulate prog in
   Alcotest.(check bool) "no path candidates without the extension" true
     (List.for_all (fun c -> c.Dbds.Candidate.path = []) candidates);
   (* The inner-join predecessors yield no single-level benefit: their DST
@@ -45,7 +52,7 @@ let test_plain_simulation_misses_chain () =
 
 let test_path_simulation_finds_chain () =
   let prog = compile nested in
-  let candidates = simulate Dbds.Config.dbds_paths prog in
+  let candidates = simulate ~paths:3 prog in
   let path_candidates =
     List.filter (fun c -> c.Dbds.Candidate.path <> []) candidates
   in
@@ -93,7 +100,7 @@ let test_path_extension_beats_iterated_plain () =
       0
   in
   let one_shot_paths =
-    result { Dbds.Config.dbds_paths with Dbds.Config.max_iterations = 1 }
+    result (dbds_with [ ("iters", "1"); ("paths", "3") ])
   in
   let iterated_plain = result Dbds.Config.dbds in
   Alcotest.(check bool) "path extension shifts in one iteration" true
@@ -112,7 +119,7 @@ let test_path_respects_budget () =
     (Dbds.Driver.total_stats stats).Dbds.Driver.duplications_performed
 
 let test_path_length_limit () =
-  (* A chain of three nested joins; max_path_length 2 must not produce
+  (* A chain of three nested joins; dbds{paths=2} must not produce
      paths longer than one extra merge. *)
   let src =
     {|
@@ -128,8 +135,8 @@ let test_path_length_limit () =
     |}
   in
   let prog = compile src in
-  let config = { Dbds.Config.dbds_paths with Dbds.Config.max_path_length = 2 } in
-  let candidates = simulate config prog in
+  let config = dbds_with [ ("paths", "2") ] in
+  let candidates = simulate ~paths:2 prog in
   List.iter
     (fun c ->
       Alcotest.(check bool) "path length bounded" true

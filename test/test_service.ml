@@ -120,10 +120,9 @@ let test_digest_sensitivity () =
   in
   differs "config"
     (SD.request_of_graph
-       ~config:{ config with Dbds.Config.mode = Dbds.Config.Dupalot }
+       ~config:{ config with Dbds.Config.passes = Dbds.Config.dupalot.passes }
        g);
   differs "context" (SD.request_of_graph ~context:"other" ~config g);
-  differs "spec" { rq with SD.rq_spec = rq.SD.rq_spec ^ ";extra" };
   differs "cost revision"
     { rq with SD.rq_cost_revision = rq.SD.rq_cost_revision + 1 };
   differs "ir" { rq with SD.rq_ir_hash = SD.fnv64 "something else" };
@@ -154,18 +153,15 @@ let test_digest_ignores_fault_plan () =
   (* The default line is pinned: every cached digest and crash bundle is
      keyed on it, so any change to it must be deliberate. *)
   Alcotest.(check string) "the default wire line"
-    "mode=dbds benefit_scale=256 size_budget=1.5 max_unit_size=65536 \
-     max_iterations=3 path_duplication=false max_path_length=3 \
-     paranoid=false"
+    "benefit_scale=256 size_budget=1.5 max_unit_size=65536 paranoid=false \
+     passes=inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}"
     (Dbds.Config.to_line Dbds.Config.default);
   (* Every key the line renders parses back, [passes=] included. *)
   let custom =
     {
       armed with
-      Dbds.Config.mode = Dbds.Config.Backtracking;
-      path_duplication = true;
-      passes =
-        Some (Result.get_ok (Opt.Spec.of_string "fix(canon,dce),dbds{iters=2}"));
+      Dbds.Config.passes =
+        Result.get_ok (Opt.Spec.of_string "fix(canon,dce),dbds{iters=2,paths=3}");
     }
   in
   List.iter
@@ -184,7 +180,38 @@ let test_digest_ignores_fault_plan () =
       match Dbds.Config.of_line token with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "the removed %s is accepted" token)
-    [ "licm=false"; "loop_factor=10"; "iteration_benefit_threshold=20" ]
+    [
+      "licm=false";
+      "loop_factor=10";
+      "iteration_benefit_threshold=20";
+      "mode=dbds";
+      "max_iterations=3";
+      "path_duplication=false";
+      "max_path_length=3";
+    ]
+
+(* The pipeline spec is the one description of what a compile runs:
+   the named DBDS configuration, the baseline configuration given the
+   DBDS pipeline, and a round trip through the wire line are one
+   request — one line, one digest, one cache entry. *)
+let test_digest_one_pipeline_one_request () =
+  let g = main_of (compile figure1) in
+  let line c = Dbds.Config.to_line c in
+  let digest c = SD.of_request (SD.request_of_graph ~config:c g) in
+  let same_pipeline =
+    { Dbds.Config.off with Dbds.Config.passes = Dbds.Config.dbds.passes }
+  in
+  let round_tripped =
+    Result.get_ok (Dbds.Config.of_line (line Dbds.Config.dbds))
+  in
+  List.iter
+    (fun (what, c) ->
+      Alcotest.(check string) (what ^ ": one wire line") (line Dbds.Config.dbds)
+        (line c);
+      Alcotest.(check string) (what ^ ": one digest") (digest Dbds.Config.dbds)
+        (digest c))
+    [ ("off with the dbds pipeline", same_pipeline);
+      ("the wire round trip", round_tripped) ]
 
 (* The digest keys every artifact already on disk, so its values are
    pinned: a faster hash must be bit-identical, not merely stable.
@@ -210,12 +237,12 @@ let test_digest_pinned () =
         (SD.of_request (SD.request_of_graph ~config g)))
     [
       ("dacapo/avrora main", paper Workloads.Dacapo.suite "avrora" "main",
-        "00163c6cbfc27b42");
+        "b80051828844b2b6");
       ("octane/raytrace main", paper Workloads.Octane.suite "raytrace" "main",
-        "2abbc5e6b8c6f09f");
+        "66ce085e2f1beb7b");
       ("micro/akkaPP main", paper Workloads.Micro.suite "akkaPP" "main",
-        "1ad9730f53e7ddd5");
-      ("detached blocks", detached, "1f9e7a1816f88740");
+        "9f121efbc0b388f9");
+      ("detached blocks", detached, "a4a983acc63a7724");
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -817,6 +844,8 @@ let suite =
     test "digest: sensitive to every request component" test_digest_sensitivity;
     test "digest: blind to fault plans and the default line pinned"
       test_digest_ignores_fault_plan;
+    test "digest: one pipeline, one request"
+      test_digest_one_pipeline_one_request;
     test "digest: values pinned" test_digest_pinned;
     test "store: publish and read back" test_store_roundtrip;
     test "store: corruption degrades to a miss" test_store_corruption_degrades;
