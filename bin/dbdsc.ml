@@ -288,11 +288,6 @@ let run_compiler file mode passes print_passes dump dot
         passes = spec;
       }
     in
-    (* Validate the effective pipeline (user-supplied or the mode's) up
-       front, so a typo in --passes is one clear error. *)
-    (match Dbds.Driver.validate_spec config spec with
-    | Ok () -> ()
-    | Error msg -> failwith ("--passes: " ^ msg));
     if print_passes then begin
       (* First line: the canonical form, parseable back through
          --passes (CI round-trips `head -1` of this output).  Then the
@@ -520,22 +515,41 @@ let mode_arg =
            elimination through duplication, no trade-off).  \
            $(b,--print-passes) shows its spec.")
 
+(* The --passes help's pass list, generated from the spec schema. *)
+let passes_doc =
+  let bold names =
+    String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names)
+  in
+  let option (d : Opt.Spec.decl) =
+    Printf.sprintf "$(i,%s) (%s, default %s): %s" d.key (Opt.Spec.range d)
+      (Opt.Spec.string_of_value d.default)
+      d.doc
+  in
+  let group (names, decls) =
+    bold names ^ ": "
+    ^ if decls = [] then "none" else String.concat "; " (List.map option decls)
+  in
+  let alias (long, short) = Printf.sprintf "$(b,%s) for $(b,%s)" long short in
+  let groups = Opt.Spec.schema @ [ ([ "fix" ], Opt.Spec.fix_options) ] in
+  Printf.sprintf "Options by pass: %s.  Aliases: %s."
+    (String.concat ". " (List.map group groups))
+    (String.concat ", " (List.map alias Opt.Spec.aliases))
+
 let passes_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "p"; "passes" ] ~docv:"SPEC"
         ~doc:
-          "Run this pipeline instead of the mode's.  SPEC is a \
-           comma-separated list of pass names; $(b,fix(...)) iterates its \
-           body to a fixpoint; options attach in braces, e.g. \
-           $(b,inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}). \
-           Passes: the classic names above plus $(b,licm), the duplication \
-           tiers $(b,dbds)/$(b,dupalot) (options $(i,iters), \
-           $(i,threshold), and $(i,paths), the most merges one candidate \
-           may span, 1 when absent), $(b,backtracking) and \
-           $(b,condelim_dup) (option $(i,iters)), and program-level \
-           $(b,inline) (top level only).")
+          ("Run this pipeline instead of the mode's.  SPEC is a \
+            comma-separated list of pass names; $(b,fix(...)) iterates its \
+            body to a fixpoint; options attach in braces, e.g. $(b,"
+          ^ Manpage.escape
+              "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{paths=3}"
+          ^ "), and an option left out takes its default.  $(b,inline) is \
+             program-level (top level only).  An unknown pass or option, a \
+             repeated option and a value out of range are errors.  "
+          ^ passes_doc))
 
 let print_passes_arg =
   Arg.(

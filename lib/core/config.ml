@@ -16,23 +16,26 @@ type t = {
   bundle_dir : string option;
       (** write a replayable crash bundle here on every containment *)
   passes : Opt.Spec.t;
-      (** the pipeline a compile runs ([dbdsc --passes]); the tiers'
-          iteration count and path extension are its options *)
+      (** the pipeline a compile runs ([dbdsc --passes]), checked; the
+          tiers' iteration count and path extension are its options *)
 }
 
 (* The greedy [condelim_dup] tier and [backtracking] perform no
    embedded action steps (unlike the simulation tiers, which optimize
    after each round), so the opportunities they open need a trailing
    fixpoint group. *)
-let pipeline ?(opts = [ ("iters", "3") ]) tier =
+let pipeline ?(opts = []) tier =
   let fix = Opt.Pipeline.fix_group in
   let inline = Opt.Spec.Pass { name = "inline"; opts = [] } in
-  match tier with
-  | None -> [ inline; fix ]
-  | Some name ->
-      let pass = Opt.Spec.Pass { name; opts } in
-      if name = "dbds" || name = "dupalot" then [ inline; fix; pass ]
-      else [ inline; fix; pass; fix ]
+  let items =
+    match tier with
+    | None -> [ inline; fix ]
+    | Some name ->
+        let pass = Opt.Spec.Pass { name; opts } in
+        if name = "dbds" || name = "dupalot" then [ inline; fix; pass ]
+        else [ inline; fix; pass; fix ]
+  in
+  match Opt.Spec.check items with Ok spec -> spec | Error msg -> invalid_arg msg
 
 let default =
   {
@@ -56,7 +59,7 @@ let condelim_dup = { default with passes = pipeline (Some "condelim_dup") }
 let dbds_paths =
   {
     default with
-    passes = pipeline ~opts:[ ("iters", "3"); ("paths", "3") ] (Some "dbds");
+    passes = pipeline ~opts:[ ("paths", "3") ] (Some "dbds");
   }
 
 (** DBDS with paranoid between-phase verification enabled. *)
@@ -82,14 +85,16 @@ let named =
    the artifact-store digest all share it.  Keys without a pipeline
    effect (containment, fault_plan, bundle_dir) are deliberately
    excluded — two configs differing only there must collide in the
-   cache.  [passes] is the whole pipeline, tier options included, so
-   two configs that run one pipeline under the same constants render
-   one line.  A key a later version removed ([mode], [max_iterations],
-   [path_duplication], [max_path_length], [iteration_benefit_threshold],
-   [loop_factor], [licm], [preserve_analyses]) is refused by {!of_line}
-   like any unknown key, so an old bundle that carries one no longer
-   parses.  [keys] is the one list both directions walk, in line
-   order. *)
+   cache.  [passes] is the whole pipeline in its checked form, every
+   option written out, so two configs that run one pipeline under the
+   same constants render one line however the spec was spelled, and a
+   later change to a default changes the line (so the digest of every
+   artifact compiled under it).  A key a later version removed
+   ([mode], [max_iterations], [path_duplication], [max_path_length],
+   [iteration_benefit_threshold], [loop_factor], [licm],
+   [preserve_analyses]) is refused by {!of_line} like any unknown key,
+   so an old bundle that carries one no longer parses.  [keys] is the
+   one list both directions walk, in line order. *)
 
 type key = {
   name : string;
@@ -127,8 +132,9 @@ let keys =
     bool_key "paranoid"
       (fun c -> c.verify_between_phases)
       (fun c verify_between_phases -> { c with verify_between_phases });
-    (* The canonical spec rendering contains no spaces, so it stays one
-       token of the line. *)
+    (* The spec is parsed and checked ({!Opt.Spec.of_string}); its
+       rendering contains no spaces, so it stays one token of the
+       line. *)
     key "passes" Opt.Spec.to_string
       (fun v -> Result.map_error (( ^ ) ": ") (Opt.Spec.of_string v))
       (fun c -> c.passes)

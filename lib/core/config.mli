@@ -16,23 +16,25 @@ type t = {
   bundle_dir : string option;
       (** write a replayable crash bundle here on every containment *)
   passes : Opt.Spec.t;
-      (** the pipeline a compile runs ([dbdsc --passes]).  The duplication
-          tiers carry their own parameters as spec options: [iters] (the
-          §5.2 iteration count, 3 when absent) and, on [dbds] and
-          [dupalot], [paths] (the §8 extension: at most that many merges
-          per candidate, 1 when absent) *)
+      (** the pipeline a compile runs ([dbdsc --passes]), checked
+          against {!Opt.Spec.schema}.  The duplication tiers carry their
+          own parameters as spec options: [iters] (the §5.2 iteration
+          count), [threshold] and, on [dbds] and [dupalot], [paths] (the
+          §8 extension: at most that many merges per candidate) *)
 }
 
 (** The evaluation pipelines of §6.1: inline, the classic
     optimizations to a fixpoint ({!Opt.Pipeline.fix_group}), then
-    duplication tier [tier] with options [opts] (default [iters=3], the
-    paper's three iterations).  [backtracking] and [condelim_dup] are
-    followed by a second fixpoint group; [None] is the baseline, with
-    no tier. *)
+    duplication tier [tier] with options [opts] (the schema's defaults
+    for the rest).  [backtracking] and [condelim_dup] are followed by a
+    second fixpoint group; [None] is the baseline, with no tier.
+    @raise Invalid_argument when {!Opt.Spec.check} refuses [opts]. *)
 val pipeline : ?opts:(string * string) list -> string option -> Opt.Spec.t
 
 (** BS=256, IB=1.5, MS=65536, containment on, and the DBDS pipeline
-    [inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}]. *)
+    [inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds]
+    (in checked form, every [fix] carries [rounds=8] and [dbds]
+    [iters=3,paths=1,threshold=20]). *)
 val default : t
 
 (** The evaluation configurations of §6.1: {!default} with the pipeline
@@ -46,7 +48,7 @@ val dupalot : t
 val backtracking : t
 val condelim_dup : t
 
-(** DBDS with the §8 path extension: [dbds{iters=3,paths=3}]. *)
+(** DBDS with the §8 path extension: [dbds{paths=3}]. *)
 val dbds_paths : t
 
 (** Every accepted [dbdsc -m] spelling, with the configuration it
@@ -63,8 +65,9 @@ val to_line : t -> string
 (** Parse a {!to_line} rendering.  Missing keys fall back to {!default}
     (old crash bundles predate some keys); a token without [=], an
     unknown or repeated key (a key a later version removed is unknown),
-    or a value that does not parse — a [passes=] spec included — is an
-    [Error], never a silent default. *)
+    or a value that does not parse — a [passes=] spec that fails
+    {!Opt.Spec.of_string} included — is an [Error], never a silent
+    default. *)
 val of_line : string -> (t, string) result
 
 (** DBDS with paranoid between-phase verification enabled. *)

@@ -57,13 +57,6 @@ let pp_stats ppf s =
     s.candidates_found s.duplications_performed s.iterations_run
     s.benefit_accepted s.backtrack_kept s.backtrack_attempts
 
-(* Paper §5.2: at most three applications of a tier, and another round
-   only if the previous one's cumulative accepted benefit exceeds the
-   threshold (~20% of units re-iterate).  A tier's [iters] and
-   [threshold] spec options override them. *)
-let default_iterations = 3
-let iteration_benefit_threshold = 20.0
-
 (* One simulate → trade-off → optimize round over candidates of up to
    [paths] merges, accepting those [accept] takes against the round's
    budget.  Returns the cumulative accepted benefit and the number of
@@ -196,18 +189,21 @@ let is_inline_item = function
   | Opt.Spec.Pass { name = "inline"; _ } -> true
   | _ -> false
 
-let wants_inline spec = List.exists is_inline_item spec
-let per_function_items spec = List.filter (fun i -> not (is_inline_item i)) spec
+let items (spec : Opt.Spec.t) = (spec :> Opt.Spec.value Opt.Spec.item list)
+let wants_inline spec = List.exists is_inline_item (items spec)
 
-(* Resolve the duplication tiers ([dbds], [dupalot], [backtracking]) on
-   top of the classic passes.  The tier passes close over the
-   per-function [stats] record, so the manager runs them like any other
-   pass — per-pass stats, paranoid hooks and preservation handling
-   included — while the driver keeps its historical reporting. *)
+let per_function_items spec =
+  List.filter (fun i -> not (is_inline_item i)) (items spec)
+
+(* Resolve the duplication tiers ([dbds], [dupalot], [backtracking],
+   [condelim_dup]) on top of the classic passes, reading their checked
+   options.  The tier passes close over the per-function [stats]
+   record, so the manager runs them like any other pass — per-pass
+   stats, paranoid hooks and preservation handling included — while the
+   driver keeps its historical reporting. *)
 let resolve (config : Config.t) stats : Opt.Manager.resolver =
  fun name opts ->
-  let ( let* ) = Result.bind in
-  let iters = Opt.Spec.int_opt opts "iters" ~default:default_iterations in
+  let iters () = Opt.Spec.int opts "iters" in
   (* The iterative simulate → trade-off → optimize loop of §5.2, with
      the tier's acceptance predicate: the paper's trade-off for [dbds],
      any beneficial candidate for [dupalot].  Another round only starts
@@ -215,48 +211,31 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
      candidates went stale mid-round.  [paths] bounds the merges a
      candidate may span (§8; 1 is no extension). *)
   let iterative_tier should_duplicate =
-    let* () =
-      Opt.Spec.check_opts ~pass:name [ "iters"; "threshold"; "paths" ] opts
-    in
-    let* iters = iters in
-    let* threshold =
-      Opt.Spec.float_opt opts "threshold" ~default:iteration_benefit_threshold
-    in
-    let* paths = Opt.Spec.int_opt opts "paths" ~default:1 in
-    let* () =
-      if paths >= 1 then Ok ()
-      else Error (Printf.sprintf "pass %s: paths=%d is below 1" name paths)
-    in
+    let iters = iters () and threshold = Opt.Spec.float opts "threshold" in
+    let paths = Opt.Spec.int opts "paths" in
     let accept = should_duplicate config in
-    Ok
-      (Opt.Phase.make name (fun ctx g ->
-           let dup0 = stats.duplications_performed in
-           let continue_ = ref true in
-           let iter = ref 0 in
-           while !continue_ && !iter < iters do
-             incr iter;
-             stats.iterations_run <- stats.iterations_run + 1;
-             let benefit, stale =
-               run_round ~accept ~paths config ctx stats g
-             in
-             if benefit <= threshold && stale = 0 then continue_ := false
-           done;
-           stats.duplications_performed > dup0))
+    Opt.Phase.make name (fun ctx g ->
+        let dup0 = stats.duplications_performed in
+        let continue_ = ref true in
+        let iter = ref 0 in
+        while !continue_ && !iter < iters do
+          incr iter;
+          stats.iterations_run <- stats.iterations_run + 1;
+          let benefit, stale = run_round ~accept ~paths config ctx stats g in
+          if benefit <= threshold && stale = 0 then continue_ := false
+        done;
+        stats.duplications_performed > dup0)
   in
   match name with
   | "dbds" -> iterative_tier Tradeoff.should_duplicate
   | "dupalot" -> iterative_tier Tradeoff.dupalot_should_duplicate
   | "backtracking" ->
-      let* () = Opt.Spec.check_opts ~pass:name [ "iters" ] opts in
-      let* iters = iters in
-      Ok
-        (Opt.Phase.make name (fun ctx g ->
-             let kept0 = stats.backtrack_kept in
-             run_backtracking ~iters config ctx stats g;
-             stats.backtrack_kept > kept0))
+      let iters = iters () in
+      Opt.Phase.make name (fun ctx g ->
+          let kept0 = stats.backtrack_kept in
+          run_backtracking ~iters config ctx stats g;
+          stats.backtrack_kept > kept0)
   | "condelim_dup" ->
-      let* () = Opt.Spec.check_opts ~pass:name [ "iters" ] opts in
-      let* iters = iters in
       (* The analysis lives below the core library; inject the
          duplication transform (and the staleness signal) here, counting
          applications into the driver's historical stats. *)
@@ -267,11 +246,7 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
             Some bm'
         | exception Transform.Not_applicable _ -> None
       in
-      Ok (Opt.Condelim_dup.phase_with ~duplicate ~iters)
-  | "inline" ->
-      Error
-        "inline is program-level: it may only appear at the top level of \
-         the pipeline (the driver runs it before fanning functions out)"
+      Opt.Condelim_dup.phase_with ~duplicate ~iters:(iters ())
   | _ -> Opt.Pipeline.resolve_classic name opts
 
 (** The action-step group a pass runs after each of its rounds: the
@@ -280,26 +255,6 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
 let round_action_steps = function
   | "dbds" | "dupalot" -> Opt.Pipeline.action_step_names
   | _ -> []
-
-(** Check a pipeline spec against the driver's registry: classic passes
-    (no options), duplication tiers ([iters], [threshold], [paths]),
-    [fix] groups ([rounds]), and program-level [inline] at the top level
-    only. *)
-let validate_spec (config : Config.t) spec =
-  let bad_inline_opts =
-    List.find_map
-      (function
-        | Opt.Spec.Pass { name = "inline"; opts = (k, _) :: _ } ->
-            Some (Printf.sprintf "pass inline: unknown option %S" k)
-        | _ -> None)
-      spec
-  in
-  match bad_inline_opts with
-  | Some msg -> Error msg
-  | None ->
-      Opt.Manager.validate
-        (resolve config (fresh_stats ()))
-        (per_function_items spec)
 
 (** Contract table of a spec's per-function passes in pipeline order
     (fix bodies flattened, repeated passes collapsed to their first
@@ -313,16 +268,12 @@ let describe_spec (config : Config.t) spec =
     List.iter
       (function
         | Opt.Spec.Fix { body; _ } -> walk body
-        | Opt.Spec.Pass { name = "inline"; _ } -> ()
-        | Opt.Spec.Pass { name; opts } -> (
-            match resolver name opts with
-            | Error _ -> ()
-            | Ok (p : Opt.Phase.t) ->
-                if not (Hashtbl.mem seen p.Opt.Phase.pass_name) then begin
-                  Hashtbl.replace seen p.Opt.Phase.pass_name ();
-                  out :=
-                    (p.Opt.Phase.pass_name, p.Opt.Phase.preserves) :: !out
-                end))
+        | Opt.Spec.Pass { name; opts } ->
+            let p = resolver name opts in
+            if not (Hashtbl.mem seen p.Opt.Phase.pass_name) then begin
+              Hashtbl.replace seen p.Opt.Phase.pass_name ();
+              out := (p.Opt.Phase.pass_name, p.Opt.Phase.preserves) :: !out
+            end)
       items
   in
   walk (per_function_items spec);
@@ -507,11 +458,6 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
   in
   let ctx = Opt.Phase.create ~program () in
   let spec = config.Config.passes in
-  (* A bad --passes spec is a configuration error, not a per-function
-     crash: refuse up front rather than containing it N times. *)
-  (match validate_spec config spec with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("pipeline spec: " ^ msg));
   if inline && wants_inline spec then
     ignore (Opt.Inline.inline_program ctx program);
   (* Resolve the graphs up front (name order) so workers never touch the

@@ -51,13 +51,6 @@ val pp_failure : Format.formatter -> failure -> unit
     is the rest of {!Config.t.passes}. *)
 val wants_inline : Opt.Spec.t -> bool
 
-(** Check a pipeline spec against the driver's registry: classic passes
-    (no options), duplication tiers ([dbds]/[dupalot] with [iters],
-    [threshold] and [paths] ≥ 1, [backtracking] and [condelim_dup] with
-    [iters]), [fix] groups ([rounds]), and program-level [inline] at the
-    top level only. *)
-val validate_spec : Config.t -> Opt.Spec.t -> (unit, string) result
-
 (** Contract table of a spec's per-function passes in pipeline order
     (fix bodies flattened, repeats collapsed): [(pass_name,
     preserves)].  Rendered by [dbdsc --print-passes] under the canonical

@@ -778,7 +778,7 @@ let region_equality =
 
 let classic_phases =
   List.map
-    (fun name -> Result.get_ok (Opt.Pipeline.resolve_classic name []))
+    (fun name -> Opt.Pipeline.resolve_classic name [])
     Opt.Pipeline.classic_names
 
 let quiescence =

@@ -6,15 +6,12 @@
     {!Manager}) before its duplication tiers, and {!action_steps}, the
     group's inner list, after each round of duplications. *)
 
-(* The classic per-graph passes by spec name.  Short names are
-   canonical (what default specs print); the long forms are accepted as
-   aliases. *)
+(* The classic per-graph passes by spec name ({!Spec.check} has already
+   turned the long forms into these). *)
 let classic =
   [
     ("canon", Canonicalize.phase);
-    ("canonicalize", Canonicalize.phase);
     ("simplify", Simplify_cfg.phase);
-    ("simplify-cfg", Simplify_cfg.phase);
     ("sccp", Sccp.phase);
     ("gvn", Gvn.phase);
     ("condelim", Condelim.phase);
@@ -25,13 +22,10 @@ let classic =
   ]
 
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
-    [condelim], [readelim], [pea], [dce], [licm], and long-form
-    aliases).  None takes an option.  The driver's resolver layers the
-    duplication tiers on top of this one. *)
-let resolve_classic name opts =
-  match List.assoc_opt name classic with
-  | Some p -> Result.map (fun () -> p) (Spec.check_opts ~pass:name [] opts)
-  | None -> Error (Printf.sprintf "unknown pass %S" name)
+    [condelim], [readelim], [pea], [dce], [licm]).  None takes an
+    option.  The driver's resolver layers the duplication tiers on top
+    of this one. *)
+let resolve_classic name _ = List.assoc name classic
 
 (** The fixpoint-group members of the calibrated evaluation plan, in
     phase order. *)
@@ -67,11 +61,19 @@ let fix_group =
         [ group action_step_names; Spec.Pass { name = "sccp"; opts = [] } ];
     }
 
+let checked items =
+  match Spec.check items with
+  | Ok spec -> (spec :> Spec.value Spec.item list)
+  | Error msg -> invalid_arg msg
+
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)
-let optimize ctx g = Manager.run resolve_classic [ fix_group ] ctx g
+let optimize =
+  let spec = checked [ fix_group ] in
+  fun ctx g -> Manager.run resolve_classic spec ctx g
 
 (** Run the action steps to a fixpoint on one graph, through the pass
     manager. *)
-let action_steps ctx g =
-  Manager.run resolve_classic [ group action_step_names ] ctx g
+let action_steps =
+  let spec = checked [ group action_step_names ] in
+  fun ctx g -> Manager.run resolve_classic spec ctx g

@@ -9,8 +9,8 @@
     inner list, after each round of duplications. *)
 
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
-    [condelim], [readelim], [pea], [dce], [licm] and long-form
-    aliases).  None takes an option.  The driver's resolver layers the
+    [condelim], [readelim], [pea], [dce], [licm]).  None takes an
+    option.  The driver's resolver layers the
     duplication tiers on top of this one. *)
 val resolve_classic : Manager.resolver
 
@@ -23,7 +23,7 @@ val classic_names : string list
     quiescence, then SCCP runs once on the settled graph, and the outer
     group repeats only if SCCP fired.  Loop-invariant code motion is not
     a member (see {!Licm}); a pipeline spec that wants it names [licm]. *)
-val fix_group : Spec.item
+val fix_group : string Spec.item
 
 (** Run the classic optimizations to a fixpoint on one graph, through
     the pass manager. *)

@@ -173,8 +173,8 @@ let ok fields = { verb = "reply"; fields = ("status", "ok") :: fields }
 let rejected msg =
   { verb = "reply"; fields = [ ("status", "rejected"); ("message", msg) ] }
 
-(* Config lines whose parse and spec validation are remembered: both
-   are pure functions of the line, so an entry never goes stale.  A
+(* Config lines whose parse and spec check are remembered: both are
+   pure functions of the line, so an entry never goes stale.  A
    service sees a handful of distinct lines; past the limit the table
    starts over. *)
 let config_memo_limit = 64
@@ -188,12 +188,7 @@ let config_of_line line =
   with
   | Some r -> r
   | None ->
-      let r =
-        Result.bind (Dbds.Config.of_line line) (fun config ->
-            Dbds.Driver.validate_spec config config.Dbds.Config.passes
-            |> Result.map (fun () -> config)
-            |> Result.map_error (fun e -> "pipeline spec: " ^ e))
-      in
+      let r = Dbds.Config.of_line line in
       Mutex.protect config_memo_mx (fun () ->
           if Hashtbl.length config_memo >= config_memo_limit then
             Hashtbl.reset config_memo;

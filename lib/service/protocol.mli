@@ -117,12 +117,11 @@ val rejected : string -> message
 
 (** The configuration a [compile] request asks for: its [config] line
     with the fault plan of its optional [inject] field attached.
-    [Error] when the line does not parse ({!Dbds.Config.of_line}), its
-    pipeline spec fails {!Dbds.Driver.validate_spec}, or the plan does
-    not parse — the front ends answer [rejected] instead of compiling a
-    pipeline the client never asked for.  The parse and validation are
-    memoized on the exact config line; the plan is attached per
-    request. *)
+    [Error] when the line does not parse ({!Dbds.Config.of_line}, which
+    checks its pipeline spec) or the plan does not parse — the front
+    ends answer [rejected] instead of compiling a pipeline the client
+    never asked for.  The parse is memoized on the exact config line;
+    the plan is attached per request. *)
 val compile_config : message -> (Dbds.Config.t, string) result
 
 (** Build a [reply] carrying a {!Broker.outcome}. *)

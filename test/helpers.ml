@@ -35,6 +35,11 @@ let run_int_stats ?icache ?fuel prog args =
 (** Compile and run source on args. *)
 let eval ?icache ?fuel src args = run_int ?icache ?fuel (compile src) args
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test name f = Alcotest.test_case name `Quick f
 
 let qtest ?(count = 200) name gen prop =

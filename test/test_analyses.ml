@@ -154,10 +154,7 @@ let test_driver_cache_hits () =
 (* The pass manager's region memo                                      *)
 (* ------------------------------------------------------------------ *)
 
-let classic name =
-  match Opt.Pipeline.resolve_classic name [] with
-  | Ok p -> p
-  | Error msg -> Alcotest.fail msg
+let classic name = Opt.Pipeline.resolve_classic name []
 
 (* The classic group run to its fixpoint: every pass ends stamped clean
    at the final log position. *)

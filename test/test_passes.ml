@@ -17,33 +17,40 @@ let roundtrip s =
       match Opt.Spec.of_string printed with
       | Error msg -> Alcotest.failf "%S reprinted as unparseable %S: %s" s printed msg
       | Ok spec' ->
-          Alcotest.(check bool)
+          Alcotest.(check string)
             (Printf.sprintf "%S round-trips via %S" s printed)
-            true
-            (Opt.Spec.equal spec spec');
+            printed (Opt.Spec.to_string spec');
           printed)
 
 let test_spec_roundtrip () =
   let canonical =
     [
       "canon";
-      "inline,fix(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3}";
+      "inline,fix{rounds=8}(canon,simplify,sccp,gvn,condelim,readelim,pea,dce),dbds{iters=3,paths=1,threshold=20}";
       "fix{rounds=2}(canon,dce)";
-      "dbds{iters=5,threshold=0.5}";
-      "fix(canon,fix(gvn,dce))";
-      "condelim_dup";
+      "dbds{iters=5,paths=1,threshold=0.5}";
+      "fix{rounds=8}(canon,fix{rounds=8}(gvn,dce))";
       "condelim_dup{iters=3}";
-      "fix(canon,gvn,dce),condelim_dup{iters=2}";
+      "fix{rounds=8}(canon,gvn,dce),condelim_dup{iters=2}";
     ]
   in
   List.iter
     (fun s ->
       Alcotest.(check string) "canonical form is a fixed point" s (roundtrip s))
     canonical;
-  (* Whitespace and long-form names are accepted but not canonical. *)
-  Alcotest.(check string)
-    "whitespace normalizes" "fix(canon,dce),dbds"
-    (roundtrip " fix ( canon , dce ) , dbds { } ")
+  (* Whitespace, long-form names, option order and spellings of one
+     value are accepted but not canonical; defaults are written out. *)
+  List.iter
+    (fun (s, canonical) -> Alcotest.(check string) s canonical (roundtrip s))
+    [
+      ( " fix ( canon , dce ) , dbds { } ",
+        "fix{rounds=8}(canon,dce),dbds{iters=3,paths=1,threshold=20}" );
+      ("canonicalize,simplify-cfg", "canon,simplify");
+      ( "dupalot{threshold=2e1,paths=02,iters=0x3}",
+        "dupalot{iters=3,paths=2,threshold=20}" );
+      ("dbds{threshold=-0}", "dbds{iters=3,paths=1,threshold=0}");
+      ("dbds{threshold=0.1}", "dbds{iters=3,paths=1,threshold=0.1}");
+    ]
 
 let test_spec_errors () =
   let rejects s =
@@ -56,7 +63,7 @@ let test_spec_errors () =
     [ ""; "fix(canon"; "canon)"; "canon,,dce"; "fix()"; "a{x}"; "a{x=}"; "a b" ]
 
 (* ------------------------------------------------------------------ *)
-(* Driver pipeline validation                                          *)
+(* The spec check                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let spec_of s =
@@ -66,20 +73,19 @@ let spec_of s =
 
 let test_default_specs () =
   let printed config = Opt.Spec.to_string config.Dbds.Config.passes in
+  let fix = "fix{rounds=8}(fix{rounds=8}(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)" in
   Alcotest.(check string)
     "dbds"
-    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}"
+    ("inline," ^ fix ^ ",dbds{iters=3,paths=1,threshold=20}")
     (printed Dbds.Config.dbds);
-  Alcotest.(check string)
-    "baseline" "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
-    (printed Dbds.Config.off);
+  Alcotest.(check string) "baseline" ("inline," ^ fix) (printed Dbds.Config.off);
   Alcotest.(check string)
     "backtracking runs the classic group again after the tier"
-    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),backtracking{iters=3},fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
+    ("inline," ^ fix ^ ",backtracking{iters=3}," ^ fix)
     (printed Dbds.Config.backtracking);
   Alcotest.(check string)
     "licm joins the fixpoint group"
-    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)"
+    "inline,fix{rounds=8}(fix{rounds=8}(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)"
     (printed
        {
          Dbds.Config.off with
@@ -89,37 +95,35 @@ let test_default_specs () =
        });
   Alcotest.(check string)
     "the path extension is a tier option"
-    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3,paths=3}"
+    ("inline," ^ fix ^ ",dbds{iters=3,paths=3,threshold=20}")
     (printed Dbds.Config.dbds_paths);
   Alcotest.(check string)
     "condelim_dup reruns the classic group after the tier"
-    "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),condelim_dup{iters=3},fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)"
-    (printed Dbds.Config.condelim_dup);
-  (* Every default spec validates against the driver's own registry. *)
-  List.iter
-    (fun config ->
-      match Dbds.Driver.validate_spec config config.Dbds.Config.passes with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "default spec rejected: %s" msg)
-    Dbds.Config.(dbds_paths :: paranoid :: List.map snd named)
+    ("inline," ^ fix ^ ",condelim_dup{iters=3}," ^ fix)
+    (printed Dbds.Config.condelim_dup)
 
 let test_validate_spec () =
-  let config = Dbds.Config.default in
   let ok s =
-    match Dbds.Driver.validate_spec config (spec_of s) with
-    | Ok () -> ()
+    match Opt.Spec.of_string s with
+    | Ok _ -> ()
     | Error msg -> Alcotest.failf "%S rejected: %s" s msg
   in
-  let rejected s =
-    match Dbds.Driver.validate_spec config (spec_of s) with
-    | Error _ -> ()
-    | Ok () -> Alcotest.failf "%S accepted" s
+  let rejected ?(names = []) s =
+    match Opt.Spec.of_string s with
+    | Error msg ->
+        List.iter
+          (fun name ->
+            if not (contains ~sub:name msg) then
+              Alcotest.failf "%S: the refusal %S does not name %s" s msg name)
+          names
+    | Ok spec -> Alcotest.failf "%S accepted as %S" s (Opt.Spec.to_string spec)
   in
   ok "fix(dce,gvn,canon,simplify),dbds{iters=1}";
   ok "inline,canonicalize,simplify-cfg,licm";
   ok "dupalot{iters=2,threshold=0.1},backtracking{iters=1}";
   ok "condelim_dup{iters=2}";
   ok "dupalot{paths=3}";
+  ok "dbds{threshold=0}";
   rejected "bogus";
   rejected "canon{x=1}";
   rejected "dbds{iters=nope}";
@@ -130,7 +134,21 @@ let test_validate_spec () =
   rejected "condelim_dup{threshold=0.5}";
   rejected "dbds{paths=0}";
   rejected "backtracking{paths=3}";
-  rejected "fix(inline,canon)"
+  rejected "fix(inline,canon)";
+  (* Each option refusal names the pass, the key and the range. *)
+  List.iter
+    (fun (s, names) -> rejected ~names s)
+    [
+      ("inline,dbds{iters=-2}", [ "dbds"; "iters"; "an integer >= 1" ]);
+      ("dbds{threshold=-5}", [ "dbds"; "threshold"; "a finite number >= 0" ]);
+      ("dbds{threshold=nan}", [ "dbds"; "threshold"; "a finite number >= 0" ]);
+      ("fix{rounds=-1}(canon)", [ "fix"; "rounds"; "an integer >= 1" ]);
+      ("backtracking{iters=0}", [ "backtracking"; "iters"; "an integer >= 1" ]);
+      ("condelim_dup{iters=-1}", [ "condelim_dup"; "iters"; "an integer >= 1" ]);
+      ("dbds{iters=3,iters=4}", [ "dbds"; "iters"; "an integer >= 1" ]);
+      ("dbds{iters=0}", [ "dbds"; "iters"; "an integer >= 1" ]);
+      ("dbds{threshold=inf}", [ "dbds"; "threshold"; "a finite number >= 0" ]);
+    ]
 
 (* [describe_spec] backs `dbdsc --print-passes`: every per-function
    pass of the spec appears once, in order, with its declared
@@ -187,10 +205,7 @@ let compile_seed seed =
 
 let classic_passes =
   List.map
-    (fun name ->
-      match Opt.Pipeline.resolve_classic name [] with
-      | Ok p -> p
-      | Error msg -> failwith msg)
+    (fun name -> Opt.Pipeline.resolve_classic name [])
     (Opt.Pipeline.classic_names @ [ "licm" ])
 
 (* After each classic pass, every analysis it declares preserved must

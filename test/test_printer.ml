@@ -22,11 +22,6 @@ let sample () =
     }
     |}
 
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_printer_mentions_everything () =
   let prog = sample () in
   let g = Option.get (Ir.Program.find_function prog "main") in

@@ -154,9 +154,11 @@ let test_digest_ignores_fault_plan () =
      keyed on it, so any change to it must be deliberate. *)
   Alcotest.(check string) "the default wire line"
     "benefit_scale=256 size_budget=1.5 max_unit_size=65536 paranoid=false \
-     passes=inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}"
+     passes=inline,fix{rounds=8}(fix{rounds=8}(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3,paths=1,threshold=20}"
     (Dbds.Config.to_line Dbds.Config.default);
-  (* Every key the line renders parses back, [passes=] included. *)
+  (* Every key the line renders parses back, [passes=] included, and a
+     crash bundle's line in the form written before options were
+     checked still replays as today's default. *)
   let custom =
     {
       armed with
@@ -164,15 +166,22 @@ let test_digest_ignores_fault_plan () =
         Result.get_ok (Opt.Spec.of_string "fix(canon,dce),dbds{iters=2,paths=3}");
     }
   in
+  let line c = Dbds.Config.to_line c in
   List.iter
-    (fun c0 ->
-      let line = Dbds.Config.to_line c0 in
-      match Dbds.Config.of_line line with
+    (fun (given, rendered) ->
+      match Dbds.Config.of_line given with
       | Ok c ->
           Alcotest.(check string) "and round-trips through the wire line"
-            line (Dbds.Config.to_line c)
-      | Error e -> Alcotest.failf "%s does not parse back: %s" line e)
-    [ armed; custom ];
+            rendered (line c)
+      | Error e -> Alcotest.failf "%s does not parse back: %s" given e)
+    [
+      (line armed, line armed);
+      (line custom, line custom);
+      ( "benefit_scale=256 size_budget=1.5 max_unit_size=65536 \
+         paranoid=false \
+         passes=inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds{iters=3}",
+        line Dbds.Config.default );
+    ];
   (* Keys a later version removed are refused, not ignored: the
      request would otherwise get a pipeline it did not ask for. *)
   List.iter
@@ -192,26 +201,41 @@ let test_digest_ignores_fault_plan () =
 
 (* The pipeline spec is the one description of what a compile runs:
    the named DBDS configuration, the baseline configuration given the
-   DBDS pipeline, and a round trip through the wire line are one
-   request — one line, one digest, one cache entry. *)
+   DBDS pipeline, a round trip through the wire line, and every
+   spelling of the DBDS pipeline — defaults left out or written out,
+   options in any order, long pass names, another spelling of a
+   number — are one request: one line, one digest, one cache entry. *)
 let test_digest_one_pipeline_one_request () =
   let g = main_of (compile figure1) in
   let line c = Dbds.Config.to_line c in
   let digest c = SD.of_request (SD.request_of_graph ~config:c g) in
-  let same_pipeline =
-    { Dbds.Config.off with Dbds.Config.passes = Dbds.Config.dbds.passes }
+  let spelled s =
+    match Opt.Spec.of_string s with
+    | Ok passes -> (s, { Dbds.Config.dbds with Dbds.Config.passes })
+    | Error e -> Alcotest.failf "%s: %s" s e
   in
-  let round_tripped =
-    Result.get_ok (Dbds.Config.of_line (line Dbds.Config.dbds))
-  in
+  let group = "(canon,simplify,gvn,condelim,readelim,pea,dce),sccp)" in
   List.iter
     (fun (what, c) ->
       Alcotest.(check string) (what ^ ": one wire line") (line Dbds.Config.dbds)
         (line c);
       Alcotest.(check string) (what ^ ": one digest") (digest Dbds.Config.dbds)
         (digest c))
-    [ ("off with the dbds pipeline", same_pipeline);
-      ("the wire round trip", round_tripped) ]
+    ([
+       ( "off with the dbds pipeline",
+         { Dbds.Config.off with Dbds.Config.passes = Dbds.Config.dbds.passes } );
+       ( "the wire round trip",
+         Result.get_ok (Dbds.Config.of_line (line Dbds.Config.dbds)) );
+     ]
+    @ List.map spelled
+        [
+          "inline,fix(fix" ^ group ^ ",dbds{iters=3}";
+          "inline,fix(fix" ^ group ^ ",dbds";
+          "inline,fix(fix" ^ group ^ ",dbds{iters=3,paths=1,threshold=20}";
+          "inline,fix{rounds=8}(fix{rounds=8}" ^ group ^ ",dbds{iters=3}";
+          "inline,fix(fix(canonicalize,simplify-cfg,gvn,condelim,readelim,pea,dce),sccp),dbds";
+          "inline,fix(fix" ^ group ^ ",dbds{threshold=2e1}";
+        ])
 
 (* The digest keys every artifact already on disk, so its values are
    pinned: a faster hash must be bit-identical, not merely stable.
@@ -237,12 +261,12 @@ let test_digest_pinned () =
         (SD.of_request (SD.request_of_graph ~config g)))
     [
       ("dacapo/avrora main", paper Workloads.Dacapo.suite "avrora" "main",
-        "b80051828844b2b6");
+        "286bb8269f938197");
       ("octane/raytrace main", paper Workloads.Octane.suite "raytrace" "main",
-        "66ce085e2f1beb7b");
+        "85aaf9f1bac6c604");
       ("micro/akkaPP main", paper Workloads.Micro.suite "akkaPP" "main",
-        "9f121efbc0b388f9");
-      ("detached blocks", detached, "a4a983acc63a7724");
+        "31411406d32266fa");
+      ("detached blocks", detached, "a1ba713cdac58e45");
     ]
 
 (* ------------------------------------------------------------------ *)
