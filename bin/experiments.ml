@@ -25,7 +25,7 @@ let pp_programs summaries =
               Format.printf "%-8s %-14s %-7s %s %6d %12.1f %8d  %s@."
                 s.Harness.Report.figure r.Harness.Metrics.benchmark config
                 m.Harness.Metrics.ir_digest m.Harness.Metrics.code_size
-                m.Harness.Metrics.peak_cycles m.Harness.Metrics.compile_work
+                m.Harness.Metrics.peak_cycles m.Harness.Metrics.optimizer_work
                 m.Harness.Metrics.result_value)
             [
               ("off", r.Harness.Metrics.baseline);

@@ -46,6 +46,6 @@ let () =
           if label = "baseline" then baseline_cycles := m.Harness.Metrics.peak_cycles;
           Format.printf "%-10s %14.0f %12d %14d %14d   (peak %+.2f%%)@." label
             m.Harness.Metrics.peak_cycles m.Harness.Metrics.code_size
-            m.Harness.Metrics.compile_work m.Harness.Metrics.duplications
+            m.Harness.Metrics.optimizer_work m.Harness.Metrics.duplications
             ((!baseline_cycles /. m.Harness.Metrics.peak_cycles -. 1.0) *. 100.))
         configs

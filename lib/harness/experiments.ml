@@ -13,6 +13,16 @@ let run_figure suite =
 
 let run_all_figures () = List.map run_figure Workloads.Registry.all
 
+(* Every benchmark of [benchmarks] measured under [config]. *)
+let measure_all config benchmarks =
+  List.map (fun b -> Runner.measure ~config b) benchmarks
+
+(* Geomean of a metric's delta, per benchmark, against [baseline]. *)
+let geo delta baseline ms =
+  Metrics.geomean_pct (List.map2 (fun b m -> delta ~baseline:b m) baseline ms)
+
+let micro = Workloads.Micro.suite.Workloads.Suite.benchmarks
+
 (* ------------------------------------------------------------------ *)
 (* Ablation: backtracking vs simulation compile time (paper §3.1)      *)
 (* ------------------------------------------------------------------ *)
@@ -21,47 +31,49 @@ type backtracking_row = {
   bt_benchmark : string;
   dbds_work : int;
   backtracking_work : int;
-  ratio : float;
 }
 
 (** The paper reports that the graph-copying backtracking strategy
-    increased compilation time ~10x; this reproduces the comparison on a
-    sample of benchmarks (backtracking is expensive — that is the
-    point). *)
-let run_backtracking_ablation ?(benchmarks_per_suite = 2) () =
-  let sample (s : Workloads.Suite.t) =
-    List.filteri (fun i _ -> i < benchmarks_per_suite) s.Workloads.Suite.benchmarks
-  in
-  let benchmarks = List.concat_map sample Workloads.Registry.all in
-  List.map
-    (fun b ->
-      let dbds = Runner.measure ~config:Dbds.Config.dbds b in
-      let bt = Runner.measure ~config:Dbds.Config.backtracking b in
-      {
-        bt_benchmark = b.Workloads.Suite.name;
-        dbds_work = dbds.Metrics.compile_work;
-        backtracking_work = bt.Metrics.compile_work;
-        ratio =
-          float_of_int bt.Metrics.compile_work
-          /. float_of_int (max dbds.Metrics.compile_work 1);
-      })
-    benchmarks
+    increased compilation time ~10x; this reproduces the comparison on
+    every paper program, by the work each optimizer charged. *)
+let run_backtracking_ablation () =
+  List.concat_map (fun s -> s.Workloads.Suite.benchmarks) Workloads.Registry.all
+  |> List.map (fun b ->
+         let work config = (Runner.measure ~config b).Metrics.optimizer_work in
+         {
+           bt_benchmark = b.Workloads.Suite.name;
+           dbds_work = work Dbds.Config.dbds;
+           backtracking_work = work Dbds.Config.backtracking;
+         })
 
 let pp_backtracking ppf rows =
-  Fmt.pf ppf "Ablation (paper §3.1): backtracking vs DBDS compile effort@\n";
+  let ratio dbds bt = float_of_int bt /. float_of_int (max dbds 1) in
+  let pp_row name dbds bt =
+    Fmt.pf ppf "%-14s | %12d | %14d | %6.1fx@\n" name dbds bt (ratio dbds bt)
+  in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  let rule = String.make 56 '-' in
+  Fmt.pf ppf
+    "Ablation (paper §3.1): backtracking vs DBDS compile effort (optimizer \
+     work)@\n";
   Fmt.pf ppf "%-14s | %12s | %14s | %7s@\n" "benchmark" "DBDS work"
     "backtrack work" "ratio";
-  Fmt.pf ppf "%s@\n" (String.make 56 '-');
+  Fmt.pf ppf "%s@\n" rule;
   List.iter
-    (fun r ->
-      Fmt.pf ppf "%-14s | %12d | %14d | %6.1fx@\n" r.bt_benchmark r.dbds_work
-        r.backtracking_work r.ratio)
+    (fun r -> pp_row r.bt_benchmark r.dbds_work r.backtracking_work)
     rows;
+  Fmt.pf ppf "%s@\n" rule;
+  pp_row "summed"
+    (sum (fun r -> r.dbds_work))
+    (sum (fun r -> r.backtracking_work));
   let geo =
-    Metrics.geomean_pct (List.map (fun r -> (r.ratio -. 1.0) *. 100.0) rows)
+    Metrics.geomean_pct
+      (List.map
+         (fun r -> (ratio r.dbds_work r.backtracking_work -. 1.0) *. 100.0)
+         rows)
   in
-  Fmt.pf ppf "%s@\n" (String.make 56 '-');
-  Fmt.pf ppf "%-14s | %43.1fx@\n" "geomean" (1.0 +. (geo /. 100.0))
+  Fmt.pf ppf "%-14s | %43.1fx   (paper: ~10x)@\n" "geomean"
+    (1.0 +. (geo /. 100.0))
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: DBDS iteration count (paper §5.2)                         *)
@@ -74,39 +86,21 @@ type iteration_row = {
   it_size : float;
 }
 
-let run_iteration_ablation ?(suite = Workloads.Micro.suite) () =
-  let measure_config config b =
-    Runner.measure ~config b
-  in
-  let baseline =
-    List.map (measure_config Dbds.Config.off) suite.Workloads.Suite.benchmarks
-  in
+let run_iteration_ablation () =
+  let baseline = measure_all Dbds.Config.off micro in
   List.map
     (fun iters ->
-      let config =
-        {
-          Dbds.Config.dbds with
-          Dbds.Config.passes =
-            Dbds.Config.pipeline
-              ~opts:[ ("iters", string_of_int iters) ]
-              (Some "dbds");
-        }
+      let passes =
+        Dbds.Config.pipeline
+          ~opts:[ ("iters", string_of_int iters) ]
+          (Some "dbds")
       in
-      let ms =
-        List.map (measure_config config) suite.Workloads.Suite.benchmarks
-      in
-      let deltas f = List.map2 f baseline ms in
+      let ms = measure_all { Dbds.Config.dbds with Dbds.Config.passes } micro in
       {
         it_iterations = iters;
-        it_peak =
-          Metrics.geomean_pct
-            (deltas (fun b m -> Metrics.peak_delta ~baseline:b m));
-        it_compile =
-          Metrics.geomean_pct
-            (deltas (fun b m -> Metrics.compile_delta ~baseline:b m));
-        it_size =
-          Metrics.geomean_pct
-            (deltas (fun b m -> Metrics.size_delta ~baseline:b m));
+        it_peak = geo Metrics.peak_delta baseline ms;
+        it_compile = geo Metrics.compile_delta baseline ms;
+        it_size = geo Metrics.size_delta baseline ms;
       })
     [ 1; 2; 3; 4 ]
 
@@ -132,38 +126,26 @@ type budget_row = {
   bd_duplications : int;
 }
 
-let run_budget_ablation ?(suite = Workloads.Micro.suite) () =
-  let baseline =
-    List.map
-      (fun b -> Runner.measure ~config:Dbds.Config.off b)
-      suite.Workloads.Suite.benchmarks
-  in
-  let eval label config =
-    let ms =
-      List.map
-        (fun b -> Runner.measure ~config b)
-        suite.Workloads.Suite.benchmarks
-    in
-    {
-      bd_label = label;
-      bd_peak =
-        Metrics.geomean_pct
-          (List.map2 (fun b m -> Metrics.peak_delta ~baseline:b m) baseline ms);
-      bd_size =
-        Metrics.geomean_pct
-          (List.map2 (fun b m -> Metrics.size_delta ~baseline:b m) baseline ms);
-      bd_duplications =
-        List.fold_left (fun n m -> n + m.Metrics.duplications) 0 ms;
-    }
-  in
+let run_budget_ablation () =
+  let baseline = measure_all Dbds.Config.off micro in
   List.map
     (fun (label, bs, ib) ->
-      eval label
-        {
-          Dbds.Config.default with
-          Dbds.Config.benefit_scale = bs;
-          Dbds.Config.size_budget = ib;
-        })
+      let ms =
+        measure_all
+          {
+            Dbds.Config.default with
+            Dbds.Config.benefit_scale = bs;
+            Dbds.Config.size_budget = ib;
+          }
+          micro
+      in
+      {
+        bd_label = label;
+        bd_peak = geo Metrics.peak_delta baseline ms;
+        bd_size = geo Metrics.size_delta baseline ms;
+        bd_duplications =
+          List.fold_left (fun n m -> n + m.Metrics.duplications) 0 ms;
+      })
     [
       ("BS=1    IB=1.5", 1.0, 1.5);
       ("BS=16   IB=1.5", 16.0, 1.5);
@@ -205,31 +187,18 @@ type path_row = {
 let run_path_ablation () =
   List.map
     (fun (suite : Workloads.Suite.t) ->
-      let baseline =
-        List.map
-          (fun b -> Runner.measure ~config:Dbds.Config.off b)
-          suite.Workloads.Suite.benchmarks
-      in
-      let eval config =
-        List.map
-          (fun b -> Runner.measure ~config b)
-          suite.Workloads.Suite.benchmarks
-      in
-      let plain = eval Dbds.Config.dbds in
-      let paths = eval Dbds.Config.dbds_paths in
-      let geo f ms =
-        Metrics.geomean_pct (List.map2 (fun b m -> f b m) baseline ms)
-      in
+      let benchmarks = suite.Workloads.Suite.benchmarks in
+      let baseline = measure_all Dbds.Config.off benchmarks in
+      let plain = measure_all Dbds.Config.dbds benchmarks in
+      let paths = measure_all Dbds.Config.dbds_paths benchmarks in
       {
         pd_suite = suite.Workloads.Suite.suite_name;
-        pd_peak_plain = geo (fun b m -> Metrics.peak_delta ~baseline:b m) plain;
-        pd_peak_paths = geo (fun b m -> Metrics.peak_delta ~baseline:b m) paths;
-        pd_compile_plain =
-          geo (fun b m -> Metrics.compile_delta ~baseline:b m) plain;
-        pd_compile_paths =
-          geo (fun b m -> Metrics.compile_delta ~baseline:b m) paths;
-        pd_size_plain = geo (fun b m -> Metrics.size_delta ~baseline:b m) plain;
-        pd_size_paths = geo (fun b m -> Metrics.size_delta ~baseline:b m) paths;
+        pd_peak_plain = geo Metrics.peak_delta baseline plain;
+        pd_peak_paths = geo Metrics.peak_delta baseline paths;
+        pd_compile_plain = geo Metrics.compile_delta baseline plain;
+        pd_compile_paths = geo Metrics.compile_delta baseline paths;
+        pd_size_plain = geo Metrics.size_delta baseline plain;
+        pd_size_paths = geo Metrics.size_delta baseline paths;
       })
     Workloads.Registry.all
 

@@ -5,7 +5,6 @@
 
 (** {2 Figures 5–8} *)
 
-val run_figure : Workloads.Suite.t -> Report.suite_summary
 val run_all_figures : unit -> Report.suite_summary list
 
 (** {2 Ablation: backtracking vs simulation compile time (paper §3.1)} *)
@@ -14,14 +13,14 @@ type backtracking_row = {
   bt_benchmark : string;
   dbds_work : int;
   backtracking_work : int;
-  ratio : float;
 }
 
-(** Compare compile effort on a sample of [benchmarks_per_suite]
-    (default 2) benchmarks per suite. *)
-val run_backtracking_ablation :
-  ?benchmarks_per_suite:int -> unit -> backtracking_row list
+(** Compare the optimizer work of DBDS and backtracking on every paper
+    program, one row each in {!Workloads.Registry.all} order. *)
+val run_backtracking_ablation : unit -> backtracking_row list
 
+(** One row per program, then the summed work of each column and the
+    geomean of the per-program ratios beside the paper's ~10x. *)
 val pp_backtracking : Format.formatter -> backtracking_row list -> unit
 
 (** {2 Ablation: DBDS iteration count (paper §5.2)} *)
@@ -33,8 +32,8 @@ type iteration_row = {
   it_size : float;
 }
 
-val run_iteration_ablation :
-  ?suite:Workloads.Suite.t -> unit -> iteration_row list
+(** DBDS at 1–4 iterations over the micro suite. *)
+val run_iteration_ablation : unit -> iteration_row list
 
 val pp_iterations : Format.formatter -> iteration_row list -> unit
 
@@ -47,7 +46,8 @@ type budget_row = {
   bd_duplications : int;
 }
 
-val run_budget_ablation : ?suite:Workloads.Suite.t -> unit -> budget_row list
+(** Six benefit-scale / size-budget pairs over the micro suite. *)
+val run_budget_ablation : unit -> budget_row list
 val pp_budget : Format.formatter -> budget_row list -> unit
 
 (** {2 Extension: path-based duplication (paper §8 future work)} *)

@@ -4,14 +4,14 @@
     - {e peak performance}: total cost-model cycles charged by the
       interpreter (with the i-cache model active) running the benchmark's
       workload — lower is better, reported as speedup vs. baseline;
-    - {e compile time}: deterministic work units accumulated by all
-      phases (wall-clock is timed by [bench/main.exe] and perfbench);
+    - {e compile time}: the deterministic work units the optimizer's
+      passes charged (wall-clock is timed by [bench/main.exe] and
+      perfbench);
     - {e code size}: cost-model size of all optimized functions. *)
 
 type measurement = {
   peak_cycles : float;
   code_size : int;
-  compile_work : int;
   optimizer_work : int;
   ir_digest : string;
       (** hex md5 of the optimized IR, every function printed in name
@@ -50,8 +50,8 @@ let peak_delta ~baseline m =
 
 let compile_delta ~baseline m =
   pct_change
-    ~base:(float_of_int (max baseline.compile_work 1))
-    (float_of_int m.compile_work)
+    ~base:(float_of_int (max baseline.optimizer_work 1))
+    (float_of_int m.optimizer_work)
 
 let size_delta ~baseline m =
   pct_change

@@ -4,19 +4,17 @@
     - {e peak performance}: total cost-model cycles charged by the
       interpreter (with the i-cache model active) running the benchmark's
       workload — lower is better, reported as speedup vs. baseline;
-    - {e compile time}: deterministic work units accumulated by all
-      phases plus a backend charge over the final IR (wall-clock is
-      timed by [bench/main.exe] and perfbench);
+    - {e compile time}: the deterministic work units the optimizer's
+      passes charged (wall-clock is timed by [bench/main.exe] and
+      perfbench);
     - {e code size}: cost-model size of all optimized functions. *)
 
 type measurement = {
   peak_cycles : float;
   code_size : int;
-  compile_work : int;
-      (** optimizer work plus the backend charge over the final IR *)
   optimizer_work : int;
-      (** the work units the optimizer's own passes charged, without
-          the backend charge *)
+      (** the work units the optimizer's own passes charged — the one
+          compile-effort number *)
   ir_digest : string;
       (** hex md5 of the optimized IR, every function printed in name
           order — the compiled output's fingerprint *)
@@ -50,6 +48,8 @@ val pct_change : base:float -> float -> float
 (** Peak performance delta (%); positive = faster than baseline. *)
 val peak_delta : baseline:measurement -> measurement -> float
 
+(** Compile-effort delta (%) of [optimizer_work]; positive = more work
+    than baseline. *)
 val compile_delta : baseline:measurement -> measurement -> float
 val size_delta : baseline:measurement -> measurement -> float
 

@@ -16,24 +16,18 @@ type suite_summary = {
 
 val summarize : Workloads.Suite.t -> Metrics.row list -> suite_summary
 
-(** Aggregated per-pass instrumentation (DBDS configuration) plus the
-    analysis-cache hit rate, summed over the suite's rows.  Included in
-    {!pp_suite}. *)
-val pp_passes : Format.formatter -> suite_summary -> unit
-
 val pp_suite : Format.formatter -> suite_summary -> unit
 
 (** The headline aggregate of the abstract: mean peak-performance
-    increase, mean code-size increase, mean compile-time increase over
-    every benchmark of every suite, plus the best individual speedup
-    and the optimizer's own work increase. *)
+    increase, mean code-size increase and mean optimizer-work increase
+    over every benchmark of every suite, plus the best individual
+    speedup and the summed optimizer work of both configurations. *)
 type headline = {
   mean_peak : float;
   mean_size : float;
-  mean_compile : float;
-  optimizer_work : float;
-      (** % change of the dbds configuration's summed optimizer work
-          over the baseline's, without the backend charge *)
+  mean_work : float;
+      (** geomean over programs of the dbds configuration's optimizer
+          work delta *)
   baseline_work : int;  (** the baseline's summed optimizer work units *)
   dbds_work : int;  (** the dbds configuration's summed optimizer work *)
   max_peak : float;

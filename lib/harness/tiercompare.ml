@@ -27,21 +27,7 @@ let tiers : (string * Dbds.Config.t) list =
 let duplication_tiers = [ "condelim_dup"; "dbds"; "dupalot"; "backtracking" ]
 
 let measure_benchmark ?jobs ~suite (b : Workloads.Suite.benchmark) =
-  let measured =
-    List.map (fun (tier, config) -> (tier, Runner.measure ?jobs ~config b)) tiers
-  in
-  (match measured with
-  | (_, first) :: rest ->
-      List.iter
-        (fun (tier, (m : Metrics.measurement)) ->
-          if m.Metrics.result_value <> first.Metrics.result_value then
-            raise
-              (Runner.Benchmark_failed
-                 ( b.Workloads.Suite.name,
-                   Printf.sprintf "tier %s computes %s, off computes %s" tier
-                     m.Metrics.result_value first.Metrics.result_value )))
-        rest
-  | [] -> ());
+  let measured = Runner.measure_agreeing ?jobs tiers b in
   {
     Metrics.tc_suite = suite;
     tc_benchmark = b.Workloads.Suite.name;

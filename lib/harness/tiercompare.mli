@@ -9,15 +9,8 @@ val tiers : (string * Dbds.Config.t) list
 (** Labels of tiers that duplicate code. *)
 val duplication_tiers : string list
 
-(** Measure one benchmark under every tier.
+(** The full lab table, suite by suite.
     @raise Runner.Benchmark_failed when any tier's result disagrees. *)
-val measure_benchmark :
-  ?jobs:int ->
-  suite:string ->
-  Workloads.Suite.benchmark ->
-  Metrics.tier_row
-
-(** The full lab table, suite by suite. *)
 val run : ?jobs:int -> unit -> Metrics.tier_row list
 
 (** Hex digest of every lab benchmark's optimized IR under every tier —

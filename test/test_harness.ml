@@ -8,7 +8,6 @@ let mk ~cycles ~size ~work =
   {
     M.peak_cycles = cycles;
     code_size = size;
-    compile_work = work;
     optimizer_work = work;
     ir_digest = "";
     duplications = 0;
@@ -46,12 +45,12 @@ let test_runner_measures_benchmark () =
   let m = Harness.Runner.measure ~config:Dbds.Config.off b in
   Alcotest.(check bool) "cycles positive" true (m.M.peak_cycles > 0.0);
   Alcotest.(check bool) "size positive" true (m.M.code_size > 0);
-  Alcotest.(check bool) "work positive" true (m.M.compile_work > 0);
+  Alcotest.(check bool) "work positive" true (m.M.optimizer_work > 0);
   Alcotest.(check int) "baseline performs no duplication" 0 m.M.duplications
 
 let test_runner_row_invariants () =
-  (* One full row: results agree and dupalot duplicates at least as much
-     as DBDS. *)
+  (* One full row: results agree, dupalot duplicates at least as much
+     as DBDS, and the compile delta reads the optimizer's work. *)
   let b = List.hd Workloads.Dacapo.suite.Workloads.Suite.benchmarks in
   let row = Harness.Runner.run_benchmark b in
   Alcotest.(check string) "results agree" row.M.baseline.M.result_value
@@ -59,7 +58,15 @@ let test_runner_row_invariants () =
   Alcotest.(check bool) "dupalot >= dbds duplications" true
     (row.M.dupalot.M.duplications >= row.M.dbds.M.duplications);
   Alcotest.(check bool) "dupalot compile work >= dbds" true
-    (row.M.dupalot.M.compile_work >= row.M.dbds.M.compile_work)
+    (row.M.dupalot.M.optimizer_work >= row.M.dbds.M.optimizer_work);
+  let direct config =
+    let prog = Harness.Runner.compile_benchmark b in
+    let r = Dbds.Driver.optimize_program_report ~config prog in
+    float_of_int r.Dbds.Driver.rep_ctx.Opt.Phase.work
+  in
+  Alcotest.(check (float 1e-9)) "compile delta is optimizer work"
+    (M.pct_change ~base:(direct Dbds.Config.off) (direct Dbds.Config.dbds))
+    (M.compile_delta ~baseline:row.M.baseline row.M.dbds)
 
 let test_report_summarize () =
   let suite =
