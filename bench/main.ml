@@ -12,9 +12,12 @@
     counterpart of the headline's mean optimizer work).  Per figure,
     [dbds_over_baseline] is the ratio of the dbds and baseline batch
     times of the same run, which holds from run to run where the
-    absolute times do not.  Every deterministic number is printed by
-    [bin/experiments.exe] and pinned in
-    [test/golden/experiments.expected]. *)
+    absolute times do not.  [before_first_pass] times the stages from
+    source text to the first classic pass (parse+typecheck, lowering,
+    the frontend verifier, the inliner) on the paper programs and on the
+    generated set, beside the classic passes' ns per work unit.  Every
+    deterministic number is printed by [bin/experiments.exe] and pinned
+    in [test/golden/experiments.expected]. *)
 
 let fig_tags = [ "fig5"; "fig6"; "fig7"; "fig8" ]
 
@@ -137,6 +140,189 @@ let json_suite tag (suite : Workloads.Suite.t) rows =
     (dbds_over_baseline rows)
     (String.concat ",\n" (List.mapi config_entry configs))
 
+(* ------------------------------------------------------------------ *)
+(* Before the first pass                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The stages from source text to the first classic pass, timed one by
+   one over a corpus: parse+typecheck, SSA lowering, the frontend
+   verifier and the inliner.  Per stage: the corpus total of the
+   fastest of [runs] runs, and the minor words one run allocates. *)
+let stages = [ "parse+typecheck"; "lower"; "verify"; "inline" ]
+
+let classic_passes =
+  [ "canonicalize"; "simplify-cfg"; "sccp"; "gvn"; "condelim"; "readelim";
+    "pea"; "dce" ]
+
+(* The two corpora: the paper's 46 programs and the generated set, the
+   eight shapes of perfbench's aot-generated suite at seeds 0-19. *)
+let corpora () =
+  let paper =
+    List.concat_map
+      (fun (s : Workloads.Suite.t) ->
+        List.map (fun b -> b.Workloads.Suite.source) s.Workloads.Suite.benchmarks)
+      Workloads.Registry.all
+  in
+  let generated =
+    List.concat_map
+      (fun shape ->
+        List.init 20 (fun seed -> Workloads.Generated.source shape ~seed))
+      Workloads.Generated.shapes
+  in
+  [ ("paper", paper); ("generated", generated) ]
+
+type stage_cell = { sc_ns : float; sc_minor : float }
+
+type corpus_report = {
+  programs : int;
+  cells : stage_cell list;  (** in [stages] order *)
+  inline_work : int;
+  pass_rows : (string * int * float) list;
+      (** classic pass, its work units and fastest corpus ns, under dbds *)
+}
+
+(* One timed run of the four stages over every program: per stage the
+   summed ns and minor words, and the inliner's work. *)
+let time_stages sources =
+  let ns = Array.make 4 0.0 and minor = Array.make 4 0.0 and work = ref 0 in
+  let timed i f =
+    let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    let r = f () in
+    ns.(i) <- ns.(i) +. ((Unix.gettimeofday () -. t0) *. 1e9);
+    minor.(i) <- minor.(i) +. (Gc.minor_words () -. w0);
+    r
+  in
+  List.iter
+    (fun src ->
+      let ast =
+        timed 0 (fun () ->
+            let ast = Lang.Parser.parse_program src in
+            Lang.Typecheck.check_program ast;
+            ast)
+      in
+      let prog = timed 1 (fun () -> Lang.Lower.lower_program ast) in
+      timed 2 (fun () ->
+          Ir.Program.iter_functions prog (fun g ->
+              match Ir.Verifier.verify_result g with
+              | Ok () -> ()
+              | Error m -> failwith m));
+      let ctx = Opt.Phase.create ~program:prog () in
+      timed 3 (fun () -> ignore (Opt.Inline.inline_program ctx prog));
+      work := !work + ctx.Opt.Phase.work)
+    sources;
+  (ns, minor, !work)
+
+(* One dbds compile of every program: the classic passes' rows of the
+   merged per-pass table, as (work, seconds). *)
+let time_passes sources =
+  let rows = Hashtbl.create 16 in
+  List.iter
+    (fun src ->
+      let prog = Lang.Frontend.compile src in
+      let r =
+        Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds ~jobs:1
+          prog
+      in
+      List.iter
+        (fun (name, (st : Opt.Phase.pass_stat)) ->
+          let w, t =
+            Option.value ~default:(0, 0.0) (Hashtbl.find_opt rows name)
+          in
+          Hashtbl.replace rows name
+            (w + st.Opt.Phase.pwork, t +. st.Opt.Phase.time_s))
+        (Opt.Phase.pass_table r.Dbds.Driver.rep_ctx))
+    sources;
+  List.map
+    (fun name -> (name, Option.value ~default:(0, 0.0) (Hashtbl.find_opt rows name)))
+    classic_passes
+
+(* [runs] timed runs after one warm-up: per stage and per classic pass,
+   the fastest run's ns. *)
+let measure_corpus sources =
+  ignore (time_stages sources);
+  let stage_runs = List.init runs (fun _ -> time_stages sources) in
+  let pass_runs = List.init runs (fun _ -> time_passes sources) in
+  let _, minor, work = List.hd stage_runs in
+  let fastest f = List.fold_left (fun b run -> Float.min b (f run)) infinity in
+  {
+    programs = List.length sources;
+    cells =
+      List.mapi
+        (fun i _ ->
+          {
+            sc_ns = fastest (fun (ns, _, _) -> ns.(i)) stage_runs;
+            sc_minor = minor.(i);
+          })
+        stages;
+    inline_work = work;
+    pass_rows =
+      List.map
+        (fun name ->
+          let work = fst (List.assoc name (List.hd pass_runs)) in
+          let ns = fastest (fun run -> snd (List.assoc name run) *. 1e9) pass_runs in
+          (name, work, ns))
+        classic_passes;
+  }
+
+let per_work ns work = if work = 0 then 0.0 else ns /. float_of_int work
+
+let classic_median r =
+  let a =
+    Array.of_list
+      (List.filter_map
+         (fun (_, w, ns) -> if w > 0 then Some (per_work ns w) else None)
+         r.pass_rows)
+  in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n = 0 then 0.0
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let inline_ns r = (List.nth r.cells 3).sc_ns
+
+let print_corpus name r =
+  Format.printf "@.=== before the first pass: %s (%d programs, min of %d) ===@.@."
+    name r.programs runs;
+  Format.printf "%-16s %12s %14s@." "stage" "ms" "minor words";
+  List.iter2
+    (fun stage c ->
+      Format.printf "%-16s %12.3f %14.0f@." stage (c.sc_ns /. 1e6) c.sc_minor)
+    stages r.cells;
+  Format.printf "%-16s %12d units, %.0f ns/unit@." "inline work" r.inline_work
+    (per_work (inline_ns r) r.inline_work);
+  Format.printf "%-16s %12.0f ns/unit (dbds)@." "classic median"
+    (classic_median r)
+
+let json_corpus name r =
+  let stage_entry stage c =
+    Printf.sprintf
+      "        { \"stage\": %S, \"ns\": %.0f, \"minor_words\": %.0f }" stage
+      c.sc_ns c.sc_minor
+  in
+  let pass_entry (pass, w, ns) =
+    Printf.sprintf
+      "        { \"pass\": %S, \"work\": %d, \"ns\": %.0f, \"ns_per_work\": \
+       %.1f }"
+      pass w ns (per_work ns w)
+  in
+  Printf.sprintf
+    "    {\n\
+    \      \"corpus\": %S,\n\
+    \      \"programs\": %d,\n\
+    \      \"stages\": [\n%s\n      ],\n\
+    \      \"inline_work\": %d,\n\
+    \      \"inline_ns_per_work\": %.1f,\n\
+    \      \"classic_passes\": [\n%s\n      ],\n\
+    \      \"classic_median_ns_per_work\": %.1f\n\
+    \    }"
+    name r.programs
+    (String.concat ",\n" (List.map2 stage_entry stages r.cells))
+    r.inline_work
+    (per_work (inline_ns r) r.inline_work)
+    (String.concat ",\n" (List.map pass_entry r.pass_rows))
+    (classic_median r)
+
 let () =
   let suites =
     List.map2
@@ -146,13 +332,22 @@ let () =
   List.iter (fun (tag, suite, rows) -> print_suite tag suite rows) suites;
   let geomean = dbds_over_baseline_geomean suites in
   Format.printf "@.dbds/baseline, geomean over all programs: %.3f@." geomean;
+  let before =
+    List.map (fun (name, sources) -> (name, measure_corpus sources)) (corpora ())
+  in
+  List.iter (fun (name, r) -> print_corpus name r) before;
   let path = "BENCH_results.json" in
   let oc = open_out path in
   Printf.fprintf oc
     "{\n  \"cores\": %d,\n  \"unit\": \"ns_per_compile\",\n  \
-     \"dbds_over_baseline_geomean\": %.3f,\n  \"perf\": [\n%s\n  ]\n}\n"
+     \"dbds_over_baseline_geomean\": %.3f,\n  \"perf\": [\n%s\n  ],\n  \
+     \"before_first_pass\": {\n    \"runs\": %d,\n    \"corpora\": [\n%s\n    \
+     ]\n  }\n}\n"
     (Ir.Parallel.default_jobs ()) geomean
     (String.concat ",\n"
-       (List.map (fun (tag, suite, rows) -> json_suite tag suite rows) suites));
+       (List.map (fun (tag, suite, rows) -> json_suite tag suite rows) suites))
+    runs
+    (String.concat ",\n"
+       (List.map (fun (name, r) -> json_corpus name r) before));
   close_out oc;
   Format.printf "@.wrote %s@." path

@@ -52,11 +52,13 @@ let measure ?jobs ~config (b : Workloads.Suite.benchmark) =
     result_value = Interp.Machine.result_to_string result;
   }
 
-(** Measure [b] under each labelled configuration, checking that every
-    one computes the first one's result. *)
-let measure_agreeing ?jobs configs (b : Workloads.Suite.benchmark) =
+(** Measure [b] under each labelled configuration (through [measure],
+    by default {!measure}), checking that every one computes the first
+    one's result. *)
+let measure_agreeing ?jobs ?(measure = fun ~config b -> measure ?jobs ~config b)
+    configs (b : Workloads.Suite.benchmark) =
   let measured =
-    List.map (fun (label, config) -> (label, measure ?jobs ~config b)) configs
+    List.map (fun (label, config) -> (label, measure ~config b)) configs
   in
   (match measured with
   | (first_label, first) :: rest ->
@@ -75,9 +77,9 @@ let measure_agreeing ?jobs configs (b : Workloads.Suite.benchmark) =
 
 (** Measure a benchmark under the three paper configurations, checking
     that all three compute the same result. *)
-let run_benchmark (b : Workloads.Suite.benchmark) =
+let run_benchmark ?measure (b : Workloads.Suite.benchmark) =
   match
-    measure_agreeing
+    measure_agreeing ?measure
       [
         ("baseline", Dbds.Config.off);
         ("dbds", Dbds.Config.dbds);

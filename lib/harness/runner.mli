@@ -16,11 +16,14 @@ val measure :
   Workloads.Suite.benchmark ->
   Metrics.measurement
 
-(** Measure a benchmark under each labelled configuration, in order.
+(** Measure a benchmark under each labelled configuration, in order,
+    through [measure] (default: {!measure} with [jobs]).
     @raise Benchmark_failed when a configuration computes a result other
     than the first one's. *)
 val measure_agreeing :
   ?jobs:int ->
+  ?measure:
+    (config:Dbds.Config.t -> Workloads.Suite.benchmark -> Metrics.measurement) ->
   (string * Dbds.Config.t) list ->
   Workloads.Suite.benchmark ->
   (string * Metrics.measurement) list
@@ -28,6 +31,10 @@ val measure_agreeing :
 (** Measure a benchmark under the three paper configurations, checking
     that all three compute the same result.
     @raise Benchmark_failed when the configurations disagree. *)
-val run_benchmark : Workloads.Suite.benchmark -> Metrics.row
+val run_benchmark :
+  ?measure:
+    (config:Dbds.Config.t -> Workloads.Suite.benchmark -> Metrics.measurement) ->
+  Workloads.Suite.benchmark ->
+  Metrics.row
 
 val run_suite : Workloads.Suite.t -> Metrics.row list

@@ -170,9 +170,14 @@ let create ?(name = "fn") ~n_params () =
 (* Arena growth                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let grow_int_array a n fill =
+(* A plain copy loop: [Array.blit] into a major-heap array goes through
+   the write barrier element by element, which an [int array] does not
+   need. *)
+let grow_int_array (a : int array) n fill =
   let a' = Array.make n fill in
-  Array.blit a 0 a' 0 (Array.length a);
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set a' i (Array.unsafe_get a i)
+  done;
   a'
 
 let grow_instrs g =
@@ -360,6 +365,15 @@ let iter_uses_enc g v f =
     done
   end
 
+(* Exposed for tests: rewrites one chain with no consistency kept. *)
+let set_uses_unchecked g v users =
+  free_chain_cells g v;
+  List.iter
+    (fun u ->
+      let e = match u with U_instr id -> enc_instr id | U_term b -> enc_term b in
+      g.use_head.(v) <- alloc_cell g e g.use_head.(v))
+    (List.rev users)
+
 let user_is_term e = e land 1 = 1
 let user_target e = e asr 1
 
@@ -391,6 +405,20 @@ let remove_use_enc g v e =
       end
     done
   end
+
+(* [op g v e] (add or remove [e]'s cell) for every input [v] of [kind],
+   in input order.  Written out, not through [iter_inputs] with a fresh
+   closure: it runs on every new instruction and every rewrite. *)
+let each_input_use op g e = function
+  | Const _ | Null | Param _ | Load_global _ -> ()
+  | Binop (_, a, b) | Cmp (_, a, b) | Store (a, _, b) ->
+      op g a e;
+      op g b e
+  | Neg a | Not a | Load (a, _) | Store_global (_, a) -> op g a e
+  | Phi vs | New (_, vs) | Call (_, vs) ->
+      for i = 0 to Array.length vs - 1 do
+        op g vs.(i) e
+      done
 
 let iter_term_inputs f = function
   | Jump _ | Unreachable | Return None -> ()
@@ -584,7 +612,7 @@ let alloc_instr g kind =
   if is_new kind then alloc_add g id;
   touch g;
   log_instr g id;
-  iter_inputs (fun v -> add_use_enc g v (enc_instr id)) kind;
+  each_input_use add_use_enc g (enc_instr id) kind;
   id
 
 let append g bid kind =
@@ -612,9 +640,9 @@ let rewrite g id new_kind =
   touch g;
   log_instr g id;
   let old_kind = g.kinds.(id) in
-  iter_inputs (fun v -> remove_use_enc g v (enc_instr id)) old_kind;
+  each_input_use remove_use_enc g (enc_instr id) old_kind;
   g.kinds.(id) <- new_kind;
-  iter_inputs (fun v -> add_use_enc g v (enc_instr id)) new_kind;
+  each_input_use add_use_enc g (enc_instr id) new_kind;
   let bid = g.ins_block.(id) in
   if bid >= 0 && effect_kind old_kind <> effect_kind new_kind then
     if effect_kind new_kind then effect_link_in_place g bid id

@@ -126,6 +126,11 @@ val uses : t -> value -> user list
     terminator reads the value). *)
 val iter_uses_enc : t -> value -> (int -> unit) -> unit
 
+(** [set_uses_unchecked g v users] makes [users] (in order) the use list
+    of [v], keeping nothing else consistent.  Exposed for tests: it
+    builds the corrupt use lists {!Verifier} must reject. *)
+val set_uses_unchecked : t -> value -> user list -> unit
+
 val user_is_term : int -> bool
 val user_target : int -> int
 

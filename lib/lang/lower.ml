@@ -24,58 +24,106 @@ type ctx = {
       (** function-local names, interned to dense indices *)
   local_names : string array;  (** index -> name (for diagnostics) *)
   n_locals : int;
-  current_defs : (int, T.value) Hashtbl.t;
-      (** keyed [block * n_locals + local]: int keys hash cheaply and
-          need no tuple allocation per variable read/write *)
-  sealed : (T.block_id, unit) Hashtbl.t;
-  incomplete : (T.block_id, (int * T.value) list ref) Hashtbl.t;
-  resolved : (T.value, T.value) Hashtbl.t;
-      (** forwarding for removed trivial phis *)
+  (* The Braun construction's state lives in growable arrays indexed by
+     id: no [Hashtbl] and no allocation per variable read or write. *)
+  mutable def_keys : int array;
+      (** [current_defs]: an open-addressing table keyed
+          [block * n_locals + local] ([-1]: empty slot), with linear
+          probing — sized by the definitions made, not by blocks x
+          locals *)
+  mutable def_values : int array;
+  mutable def_bits : int;  (** [Array.length def_keys = 1 lsl def_bits] *)
+  mutable def_count : int;
+  mutable sealed : bool array;  (** by block *)
+  mutable incomplete : (int * T.value) list array;
+      (** by block: the operandless phis (local, phi) awaiting its seal *)
+  mutable resolved : int array;
+      (** by value: forwarding for removed trivial phis ([-1]: none) *)
   mutable cur : T.block_id;
   mutable terminated : bool;
       (** the current linear flow ended in a return; skip dead code *)
 }
 
+(* [a] grown (by doubling) to hold index [i], new slots [fill]. *)
+let ensure a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let a' = Array.make (max (i + 1) (2 * n)) fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  end
+
 let rec resolve ctx v =
-  match Hashtbl.find_opt ctx.resolved v with
-  | Some v' ->
-      let final = resolve ctx v' in
-      if final <> v' then Hashtbl.replace ctx.resolved v final;
-      final
-  | None -> v
+  if v >= Array.length ctx.resolved || ctx.resolved.(v) < 0 then v
+  else
+    let v' = ctx.resolved.(v) in
+    let final = resolve ctx v' in
+    if final <> v' then ctx.resolved.(v) <- final;
+    final
 
-let defs_key ctx block local = (block * ctx.n_locals) + local
+let forward ctx v ~to_ =
+  ctx.resolved <- ensure ctx.resolved v (-1);
+  ctx.resolved.(v) <- to_
 
-let write_var ctx block local value =
-  Hashtbl.replace ctx.current_defs (defs_key ctx block local) value
+(* Fibonacci hashing: the top [def_bits] bits of the key's product with
+   2^63 / phi. *)
+let def_slot ctx key =
+  let mask = (1 lsl ctx.def_bits) - 1 in
+  let rec probe i =
+    let k = ctx.def_keys.(i) in
+    if k = key || k < 0 then i else probe ((i + 1) land mask)
+  in
+  probe ((key * 0x4F1BBCDCBFA53E0B) lsr (63 - ctx.def_bits))
+
+let rec write_var ctx block local value =
+  let key = (block * ctx.n_locals) + local in
+  let i = def_slot ctx key in
+  if ctx.def_keys.(i) = key then ctx.def_values.(i) <- value
+  else if 2 * (ctx.def_count + 1) > Array.length ctx.def_keys then begin
+    (* Keep the load at most 1/2: rehash into twice the slots. *)
+    let keys = ctx.def_keys and values = ctx.def_values in
+    ctx.def_bits <- ctx.def_bits + 1;
+    ctx.def_keys <- Array.make (1 lsl ctx.def_bits) (-1);
+    ctx.def_values <- Array.make (1 lsl ctx.def_bits) 0;
+    Array.iteri
+      (fun j k ->
+        if k >= 0 then begin
+          let i = def_slot ctx k in
+          ctx.def_keys.(i) <- k;
+          ctx.def_values.(i) <- values.(j)
+        end)
+      keys;
+    write_var ctx block local value
+  end
+  else begin
+    ctx.def_keys.(i) <- key;
+    ctx.def_values.(i) <- value;
+    ctx.def_count <- ctx.def_count + 1
+  end
+
+let is_sealed ctx block = block < Array.length ctx.sealed && ctx.sealed.(block)
 
 let rec read_var ctx block local =
-  match Hashtbl.find_opt ctx.current_defs (defs_key ctx block local) with
-  | Some v -> resolve ctx v
-  | None -> read_var_recursive ctx block local
+  let key = (block * ctx.n_locals) + local in
+  let i = def_slot ctx key in
+  if ctx.def_keys.(i) = key then resolve ctx ctx.def_values.(i)
+  else read_var_recursive ctx block local
 
 and read_var_recursive ctx block local =
   let value =
-    if not (Hashtbl.mem ctx.sealed block) then begin
+    if not (is_sealed ctx block) then begin
       (* Incomplete CFG: create an operandless phi and complete it when
          the block is sealed. *)
       let phi = G.append ctx.g block (T.Phi [||]) in
-      let pending =
-        match Hashtbl.find_opt ctx.incomplete block with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.replace ctx.incomplete block l;
-            l
-      in
-      pending := (local, phi) :: !pending;
+      ctx.incomplete <- ensure ctx.incomplete block [];
+      ctx.incomplete.(block) <- (local, phi) :: ctx.incomplete.(block);
       phi
     end
     else
-      match G.preds ctx.g block with
-      | [] ->
-          err "variable '%s' read before assignment" ctx.local_names.(local)
-      | [ p ] -> read_var ctx p local
+      match G.pred_count ctx.g block with
+      | 0 -> err "variable '%s' read before assignment" ctx.local_names.(local)
+      | 1 -> read_var ctx (G.pred_nth ctx.g block 0) local
       | _ ->
           (* Break potential cycles with an operandless phi first. *)
           let phi = G.append ctx.g block (T.Phi [||]) in
@@ -87,53 +135,59 @@ and read_var_recursive ctx block local =
 
 and add_phi_operands ctx block local phi =
   let inputs =
-    List.map (fun p -> read_var ctx p local) (G.preds ctx.g block)
+    Array.init (G.pred_count ctx.g block) (fun i ->
+        read_var ctx (G.pred_nth ctx.g block i) local)
   in
-  G.set_kind ctx.g phi (T.Phi (Array.of_list inputs));
+  G.set_kind ctx.g phi (T.Phi inputs);
   try_remove_trivial ctx phi
 
+(* A phi is trivial when its inputs, forwarded and without the phi
+   itself, are one value. *)
 and try_remove_trivial ctx phi =
   match G.kind ctx.g phi with
   | T.Phi inputs ->
-      let distinct =
-        Array.to_list inputs
-        |> List.map (resolve ctx)
-        |> List.filter (fun v -> v <> phi)
-        |> List.sort_uniq compare
-      in
-      (match distinct with
-      | [ same ] ->
-          (* Collect phi users before rewriting; they may become trivial. *)
-          let phi_users =
-            List.filter_map
-              (function
-                | G.U_instr u when u <> phi && G.instr_exists ctx.g u -> (
-                    match G.kind ctx.g u with T.Phi _ -> Some u | _ -> None)
-                | _ -> None)
-              (G.uses ctx.g phi)
-          in
-          G.replace_uses ctx.g phi ~by:same;
-          Hashtbl.replace ctx.resolved phi same;
-          G.remove_instr ctx.g phi;
-          List.iter
-            (fun u ->
-              if G.instr_exists ctx.g u then ignore (try_remove_trivial ctx u))
-            phi_users;
-          resolve ctx same
-      | _ -> phi)
+      let same = ref (-1) and many = ref false in
+      Array.iter
+        (fun v ->
+          let v = resolve ctx v in
+          if v <> phi then
+            if !same < 0 then same := v else if v <> !same then many := true)
+        inputs;
+      if !same < 0 || !many then phi
+      else begin
+        let same = !same in
+        (* Collect phi users before rewriting; they may become trivial. *)
+        let phi_users = ref [] in
+        G.iter_uses_enc ctx.g phi (fun e ->
+            let u = G.user_target e in
+            if
+              (not (G.user_is_term e))
+              && u <> phi && G.instr_exists ctx.g u
+              && match G.kind ctx.g u with T.Phi _ -> true | _ -> false
+            then phi_users := u :: !phi_users);
+        G.replace_uses ctx.g phi ~by:same;
+        forward ctx phi ~to_:same;
+        G.remove_instr ctx.g phi;
+        List.iter
+          (fun u ->
+            if G.instr_exists ctx.g u then ignore (try_remove_trivial ctx u))
+          (List.rev !phi_users);
+        resolve ctx same
+      end
   | _ -> phi
 
 let seal_block ctx block =
-  (match Hashtbl.find_opt ctx.incomplete block with
-  | Some pending ->
-      List.iter
-        (fun (local, phi) ->
-          if G.instr_exists ctx.g phi then
-            ignore (add_phi_operands ctx block local phi))
-        !pending;
-      Hashtbl.remove ctx.incomplete block
-  | None -> ());
-  Hashtbl.replace ctx.sealed block ()
+  if block < Array.length ctx.incomplete then begin
+    let pending = ctx.incomplete.(block) in
+    ctx.incomplete.(block) <- [];
+    List.iter
+      (fun (local, phi) ->
+        if G.instr_exists ctx.g phi then
+          ignore (add_phi_operands ctx block local phi))
+      pending
+  end;
+  ctx.sealed <- ensure ctx.sealed block false;
+  ctx.sealed.(block) <- true
 
 (* ------------------------------------------------------------------ *)
 (* Expression lowering                                                 *)
@@ -372,10 +426,13 @@ let lower_function prog f =
       locals;
       local_names;
       n_locals = max 1 (Array.length local_names);
-      current_defs = Hashtbl.create 64;
-      sealed = Hashtbl.create 16;
-      incomplete = Hashtbl.create 8;
-      resolved = Hashtbl.create 16;
+      def_keys = Array.make 64 (-1);
+      def_values = Array.make 64 0;
+      def_bits = 6;
+      def_count = 0;
+      sealed = Array.make 16 false;
+      incomplete = Array.make 16 [];
+      resolved = Array.make 64 (-1);
       cur = entry;
       terminated = false;
     }

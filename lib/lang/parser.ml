@@ -1,4 +1,5 @@
-(** Recursive-descent parser.  Precedence, lowest to highest:
+(** Recursive-descent parser, with precedence climbing for the binary
+    operators.  Precedence, lowest to highest:
     [||] < [&&] < [|] < [^] < [&] < [== !=] < [< <= > >=] < [<< >>]
     < [+ -] < [* / %] < unary < postfix field access. *)
 
@@ -63,93 +64,43 @@ let parse_type st =
 
 (* ---- expressions ---- *)
 
-let rec parse_expr st = parse_or st
+(* The binary operators and their precedence, lowest first; every level
+   is left-associative. *)
+let binop_of_token = function
+  | PIPEPIPE -> Some (1, OrElse)
+  | AMPAMP -> Some (2, AndAlso)
+  | PIPE -> Some (3, BitOr)
+  | CARET -> Some (4, BitXor)
+  | AMP -> Some (5, BitAnd)
+  | EQ -> Some (6, Eq)
+  | NE -> Some (6, Ne)
+  | LT -> Some (7, Lt)
+  | LE -> Some (7, Le)
+  | GT -> Some (7, Gt)
+  | GE -> Some (7, Ge)
+  | SHL -> Some (8, Shl)
+  | SHR -> Some (8, Shr)
+  | PLUS -> Some (9, Add)
+  | MINUS -> Some (9, Sub)
+  | STAR -> Some (10, Mul)
+  | SLASH -> Some (10, Div)
+  | PERCENT -> Some (10, Rem)
+  | _ -> None
 
-and parse_or st =
-  let lhs = ref (parse_and st) in
-  while accept st PIPEPIPE do
-    lhs := EBinop (OrElse, !lhs, parse_and st)
-  done;
-  !lhs
+(* Precedence climbing: one loop over the operators at or above
+   [min_prec] instead of one function per level, with the same tree and
+   the same tokens consumed in the same order. *)
+let rec parse_expr st = parse_binary st 1
 
-and parse_and st =
-  let lhs = ref (parse_bitor st) in
-  while accept st AMPAMP do
-    lhs := EBinop (AndAlso, !lhs, parse_bitor st)
-  done;
-  !lhs
-
-and parse_bitor st =
-  let lhs = ref (parse_bitxor st) in
-  while accept st PIPE do
-    lhs := EBinop (BitOr, !lhs, parse_bitxor st)
-  done;
-  !lhs
-
-and parse_bitxor st =
-  let lhs = ref (parse_bitand st) in
-  while accept st CARET do
-    lhs := EBinop (BitXor, !lhs, parse_bitand st)
-  done;
-  !lhs
-
-and parse_bitand st =
-  let lhs = ref (parse_equality st) in
-  while accept st AMP do
-    lhs := EBinop (BitAnd, !lhs, parse_equality st)
-  done;
-  !lhs
-
-and parse_equality st =
-  let lhs = ref (parse_relational st) in
-  let continue = ref true in
-  while !continue do
-    if accept st EQ then lhs := EBinop (Eq, !lhs, parse_relational st)
-    else if accept st NE then lhs := EBinop (Ne, !lhs, parse_relational st)
-    else continue := false
-  done;
-  !lhs
-
-and parse_relational st =
-  let lhs = ref (parse_shift st) in
-  let continue = ref true in
-  while !continue do
-    if accept st LT then lhs := EBinop (Lt, !lhs, parse_shift st)
-    else if accept st LE then lhs := EBinop (Le, !lhs, parse_shift st)
-    else if accept st GT then lhs := EBinop (Gt, !lhs, parse_shift st)
-    else if accept st GE then lhs := EBinop (Ge, !lhs, parse_shift st)
-    else continue := false
-  done;
-  !lhs
-
-and parse_shift st =
-  let lhs = ref (parse_additive st) in
-  let continue = ref true in
-  while !continue do
-    if accept st SHL then lhs := EBinop (Shl, !lhs, parse_additive st)
-    else if accept st SHR then lhs := EBinop (Shr, !lhs, parse_additive st)
-    else continue := false
-  done;
-  !lhs
-
-and parse_additive st =
-  let lhs = ref (parse_multiplicative st) in
-  let continue = ref true in
-  while !continue do
-    if accept st PLUS then lhs := EBinop (Add, !lhs, parse_multiplicative st)
-    else if accept st MINUS then lhs := EBinop (Sub, !lhs, parse_multiplicative st)
-    else continue := false
-  done;
-  !lhs
-
-and parse_multiplicative st =
+and parse_binary st min_prec =
   let lhs = ref (parse_unary st) in
   let continue = ref true in
   while !continue do
-    if accept st STAR then lhs := EBinop (Mul, !lhs, parse_unary st)
-    else if accept st SLASH then lhs := EBinop (Div, !lhs, parse_unary st)
-    else if accept st PERCENT then lhs := EBinop (Rem, !lhs, parse_unary st)
-    else continue := false
+    match binop_of_token (peek st).tok with
+    | Some (prec, op) when prec >= min_prec ->
+        advance st;
+        lhs := EBinop (op, !lhs, parse_binary st (prec + 1))
+    | _ -> continue := false
   done;
   !lhs
 

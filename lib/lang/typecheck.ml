@@ -12,32 +12,36 @@ type env = {
   classes : (string, (typ * string) list) Hashtbl.t;
   globals : (string, typ) Hashtbl.t;
   funcs : (string, typ * typ list) Hashtbl.t;
-  mutable locals : (string * typ) list list;  (** scope stack *)
+  locals : (string, typ) Hashtbl.t;
+      (** every local in scope: no local shadows another, so each name
+          has at most one binding *)
+  mutable scopes : string list list;
+      (** the names each open scope declared, innermost first *)
   ret : typ;
 }
 
-let push_scope env = env.locals <- [] :: env.locals
-let pop_scope env = env.locals <- List.tl env.locals
+let push_scope env = env.scopes <- [] :: env.scopes
+
+let pop_scope env =
+  match env.scopes with
+  | names :: rest ->
+      List.iter (Hashtbl.remove env.locals) names;
+      env.scopes <- rest
+  | [] -> assert false
 
 let declare_local env name ty =
-  if List.exists (fun scope -> List.mem_assoc name scope) env.locals then
-    err "duplicate variable '%s'" name;
+  if Hashtbl.mem env.locals name then err "duplicate variable '%s'" name;
   (* Locals may not shadow globals: lowering resolves a name to a local if
      it is declared anywhere in the function. *)
   if Hashtbl.mem env.globals name then err "local '%s' shadows a global" name;
-  match env.locals with
-  | scope :: rest -> env.locals <- ((name, ty) :: scope) :: rest
+  match env.scopes with
+  | names :: rest ->
+      Hashtbl.replace env.locals name ty;
+      env.scopes <- (name :: names) :: rest
   | [] -> assert false
 
 let lookup_var env name =
-  let rec find = function
-    | [] -> None
-    | scope :: rest -> (
-        match List.assoc_opt name scope with
-        | Some ty -> Some ty
-        | None -> find rest)
-  in
-  match find env.locals with
+  match Hashtbl.find_opt env.locals name with
   | Some ty -> Some ty
   | None -> Hashtbl.find_opt env.globals name
 
@@ -228,7 +232,16 @@ let check_program (p : program) =
     p.functions;
   List.iter
     (fun f ->
-      let env = { classes; globals; funcs; locals = [ [] ]; ret = f.fn_ret } in
+      let env =
+        {
+          classes;
+          globals;
+          funcs;
+          locals = Hashtbl.create 16;
+          scopes = [ [] ];
+          ret = f.fn_ret;
+        }
+      in
       List.iter
         (fun (ty, name) ->
           if ty = TVoid then err "parameter '%s' cannot be void" name;

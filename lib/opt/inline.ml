@@ -24,7 +24,12 @@ type limits = {
 let default_limits =
   { max_callee_size = 400; max_caller_size = 4000; max_sites_per_caller = 64 }
 
-(* Splice one call site.  [callee] must be a different graph from [g]. *)
+(* Splice one call site.  [callee] must be a different graph from [g].
+
+   The copy is indexed by callee id in flat arrays: [block_map] and
+   [value_map] send a callee block / value to its copy.  The copied
+   blocks are added in one run, so their ids are contiguous from [base]
+   and [rpo.(nb - base)] is the callee block that [nb] copies. *)
 let inline_site g call_id (callee : G.t) =
   let call_block = G.block_of g call_id in
   let args =
@@ -32,138 +37,119 @@ let inline_site g call_id (callee : G.t) =
     | Call (_, args) -> args
     | _ -> invalid_arg "inline_site: not a call"
   in
+  if call_block < 0 then invalid_arg "inline_site: call not found in its block";
   (* Split the call block: everything after the call moves to [cont]. *)
-  let rec split before = function
-    | [] -> invalid_arg "inline_site: call not found in its block"
-    | id :: rest when id = call_id -> (List.rev before, rest)
-    | id :: rest -> split (id :: before) rest
-  in
-  let _before, after = split [] (G.body g call_block) in
   let cont = G.add_block g in
   (* Move the call block's terminator to [cont], keeping successor
      predecessor lists and phi inputs intact (the edge source is renamed,
      its position is unchanged). *)
   G.transfer_term g ~src:call_block ~dst:cont;
-  (* Move the instructions after the call into [cont]. *)
-  List.iter
-    (fun id ->
-      G.detach g id;
-      G.attach g id cont)
-    after;
+  (* Move the instructions after the call into [cont] (the iterator reads
+     each next link before the move). *)
+  let after = ref false in
+  G.iter_body g call_block (fun id ->
+      if !after then begin
+        G.detach g id;
+        G.attach g id cont
+      end
+      else if id = call_id then after := true);
   (* Copy the callee's reachable blocks. *)
-  let callee_rpo = G.rpo callee in
-  let block_map = Hashtbl.create 16 in
-  List.iter (fun ob -> Hashtbl.replace block_map ob (G.add_block g)) callee_rpo;
-  let new_block ob = Hashtbl.find block_map ob in
-  let value_map = Hashtbl.create 32 in
-  let returns = ref [] in
+  let rpo = Array.of_list (G.rpo callee) in
+  let base = G.n_blocks g in
+  let block_map = Array.make (max 1 (G.n_blocks callee)) (-1) in
+  Array.iter (fun ob -> block_map.(ob) <- G.add_block g) rpo;
+  let copy_of nb =
+    if nb >= base && nb < base + Array.length rpo then rpo.(nb - base)
+    else invalid_arg "inline_site: unknown predecessor copy"
+  in
+  let value_map = Array.make (max 1 (G.n_instrs callee)) invalid_value in
+  let mapped msg v =
+    let v' =
+      if v >= 0 && v < Array.length value_map then value_map.(v)
+      else invalid_value
+    in
+    if v' = invalid_value then invalid_arg msg else v'
+  in
+  let use_value v = mapped "inline_site: use before def" v in
+  let map_value v = mapped "inline_site: unmapped value" v in
   (* Copy instructions in reverse-postorder so that a non-phi use always
      sees its definition already mapped (SSA dominance guarantees defs
      come first except for phi back-edge inputs, patched afterwards). *)
   let pending_phis = ref [] in
-  List.iter
+  Array.iter
     (fun ob ->
-      let nb = new_block ob in
-      List.iter
-        (fun id ->
-          let kind = G.kind callee id in
-          match kind with
+      let nb = block_map.(ob) in
+      G.iter_block_instrs callee ob (fun id ->
+          match G.kind callee id with
           | Param i ->
-              let v =
-                if i < Array.length args then args.(i)
-                else invalid_arg "inline_site: missing argument"
-              in
-              Hashtbl.replace value_map id v
+              value_map.(id) <-
+                (if i < Array.length args then args.(i)
+                 else invalid_arg "inline_site: missing argument")
           | Phi inputs ->
               (* Create with placeholder inputs; patch after all values
                  exist and predecessor orders are final. *)
               let id' =
                 G.append g nb (Phi (Array.make (Array.length inputs) invalid_value))
               in
-              Hashtbl.replace value_map id id';
+              value_map.(id) <- id';
               pending_phis := (ob, id, id') :: !pending_phis
-          | k ->
-              let k' =
-                map_inputs
-                  (fun v ->
-                    match Hashtbl.find_opt value_map v with
-                    | Some v' -> v'
-                    | None -> invalid_arg "inline_site: use before def")
-                  k
-              in
-              let id' = G.append g nb k' in
-              Hashtbl.replace value_map id id')
-        (G.block_instrs callee ob))
-    callee_rpo;
-  let map_value v =
-    match Hashtbl.find_opt value_map v with
-    | Some v' -> v'
-    | None -> invalid_arg "inline_site: unmapped value"
-  in
+          | k -> value_map.(id) <- G.append g nb (map_inputs use_value k)))
+    rpo;
   (* Terminators: structure-preserving, with returns routed to [cont]. *)
-  List.iter
+  let returns = ref [] in
+  Array.iter
     (fun ob ->
-      let nb = new_block ob in
+      let nb = block_map.(ob) in
       match G.term callee ob with
-      | Jump t -> G.set_term g nb (Jump (new_block t))
+      | Jump t -> G.set_term g nb (Jump block_map.(t))
       | Branch { cond; if_true; if_false; prob } ->
           G.set_term g nb
             (Branch
                {
                  cond = map_value cond;
-                 if_true = new_block if_true;
-                 if_false = new_block if_false;
+                 if_true = block_map.(if_true);
+                 if_false = block_map.(if_false);
                  prob;
                })
       | Return v ->
           returns := (nb, Option.map map_value v) :: !returns;
           G.set_term g nb (Jump cont)
       | Unreachable -> G.set_term g nb Unreachable)
-    callee_rpo;
+    rpo;
   (* Patch copied phis: align inputs with the copied blocks' predecessor
      order (every predecessor of a copied non-entry block is a copied
      block). *)
   List.iter
     (fun (ob, old_phi, new_phi) ->
-      let old_preds = G.preds callee ob in
       let old_inputs =
         match G.kind callee old_phi with Phi i -> i | _ -> assert false
       in
+      let n_old = G.pred_count callee ob in
       let input_of_old_pred p =
-        let rec idx i = function
-          | [] -> invalid_arg "inline_site: phi pred mismatch"
-          | q :: rest -> if q = p then i else idx (i + 1) rest
+        let rec idx i =
+          if i = n_old then invalid_arg "inline_site: phi pred mismatch"
+          else if G.pred_nth callee ob i = p then i
+          else idx (i + 1)
         in
-        map_value old_inputs.(idx 0 old_preds)
+        map_value old_inputs.(idx 0)
       in
-      let nb = new_block ob in
+      let nb = block_map.(ob) in
       let inputs' =
-        List.map
-          (fun np ->
-            (* Find which old pred this new pred is the copy of. *)
-            let op =
-              Hashtbl.fold
-                (fun o n acc -> if n = np then Some o else acc)
-                block_map None
-            in
-            match op with
-            | Some o -> input_of_old_pred o
-            | None -> invalid_arg "inline_site: unknown predecessor copy")
-          (G.preds g nb)
+        Array.init (G.pred_count g nb) (fun i ->
+            input_of_old_pred (copy_of (G.pred_nth g nb i)))
       in
-      G.set_kind g new_phi (Phi (Array.of_list inputs')))
+      G.set_kind g new_phi (Phi inputs'))
     !pending_phis;
   (* Route the split block into the inlined entry. *)
-  G.set_term g call_block (Jump (new_block (G.entry callee)));
+  G.set_term g call_block (Jump block_map.(G.entry callee));
   (* Bind the call's result. *)
   let result =
     match !returns with
     | [] -> None
     | [ (_, v) ] -> v
-    | multiple ->
+    | by_block ->
         (* [cont]'s predecessors are exactly the returning blocks; build
            the result phi aligned with that order. *)
-        let by_block = List.map (fun (b, v) -> (b, v)) multiple in
         let inputs =
           List.map
             (fun p ->
@@ -181,50 +167,60 @@ let inline_site g call_id (callee : G.t) =
   (match result with
   | Some v -> G.replace_uses g call_id ~by:v
   | None ->
-      if G.uses g call_id <> [] then
+      if G.has_uses g call_id then
         invalid_arg "inline_site: result of void call is used");
-  G.remove_instr g call_id;
-  ()
+  G.remove_instr g call_id
 
 (* Size in instruction count (cheap; the cost-model size is for budgets
    elsewhere). *)
 let graph_instrs g = G.live_instr_count g
 
-(** Inline eligible call sites in [g] given the program. *)
+(** Inline eligible call sites in [g] given the program: the first
+    eligible call in id order, until none is left or the site cap is hit.
+
+    The search resumes after the call just spliced instead of rescanning
+    the caller.  That finds the same site: every call before it was
+    ineligible, the spliced code gets higher ids, and a call skipped for
+    [max_caller_size] stays skipped while the caller does not shrink —
+    callee sizes are fixed while [g] is inlined.  A splice that copies
+    no instruction (an empty callee, or one of parameters only) removes
+    the call and shrinks the caller, which may let an earlier site fit,
+    so the search restarts at 0 after it. *)
 let inline_graph ?(limits = default_limits) ctx program g =
-  let changed = ref false in
-  let sites_done = ref 0 in
-  let progress = ref true in
-  while !progress && !sites_done < limits.max_sites_per_caller do
-    progress := false;
-    let candidate =
-      G.fold_instrs g
-        (fun acc id ->
-          match (acc, G.kind g id) with
-          | Some _, _ -> acc
-          | None, Call (callee_name, _) -> (
-              match Ir.Program.find_function program callee_name with
-              | Some callee
-                when callee != g
-                     && callee_name <> G.name g
-                     && graph_instrs callee <= limits.max_callee_size
-                     && graph_instrs g + graph_instrs callee
-                        <= limits.max_caller_size ->
-                  Some (id, callee)
-              | _ -> None)
-          | None, _ -> None)
-        None
-    in
-    match candidate with
-    | Some (call_id, callee) ->
-        Phase.charge ctx (graph_instrs callee);
-        inline_site g call_id callee;
-        incr sites_done;
-        progress := true;
-        changed := true
-    | None -> ()
-  done;
-  !changed
+  let eligible id =
+    match G.kind g id with
+    | Call (callee_name, _) -> (
+        match Ir.Program.find_function program callee_name with
+        | Some callee
+          when callee != g
+               && callee_name <> G.name g
+               && graph_instrs callee <= limits.max_callee_size
+               && graph_instrs g + graph_instrs callee
+                  <= limits.max_caller_size ->
+            Some callee
+        | _ -> None)
+    | _ -> None
+  in
+  let rec next_site id =
+    if id >= G.n_instrs g then None
+    else if not (G.instr_exists g id) then next_site (id + 1)
+    else
+      match eligible id with
+      | Some callee -> Some (id, callee)
+      | None -> next_site (id + 1)
+  in
+  let rec splice from sites =
+    if sites >= limits.max_sites_per_caller then sites
+    else
+      match next_site from with
+      | None -> sites
+      | Some (call_id, callee) ->
+          Phase.charge ctx (graph_instrs callee);
+          let before = graph_instrs g in
+          inline_site g call_id callee;
+          splice (if graph_instrs g < before then 0 else call_id + 1) (sites + 1)
+  in
+  splice 0 0 > 0
 
 (** Inline a whole program bottom-up (callees before callers, so a callee
     spliced into its caller already contains its own inlined calls). *)
@@ -238,7 +234,8 @@ let inline_program ?limits ctx program =
   (* Topological-ish order: repeatedly process functions; the per-site
      loop naturally copies fully-inlined callees on later passes. *)
   let names = Ir.Program.function_names program in
-  (* Leaf-first: order by number of call instructions ascending. *)
+  (* Leaf-first: order by number of call instructions ascending, each
+     counted once. *)
   let call_count name =
     match Ir.Program.find_function program name with
     | None -> 0
@@ -248,7 +245,9 @@ let inline_program ?limits ctx program =
           0
   in
   let ordered =
-    List.sort (fun a b -> compare (call_count a) (call_count b)) names
+    List.map (fun name -> (call_count name, name)) names
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
   in
   let changed = ref false in
   List.iter

@@ -153,6 +153,155 @@ let test_inline_work_charged () =
   ignore (Opt.Inline.inline_program ctx prog);
   Alcotest.(check bool) "work charged" true (ctx.Opt.Phase.work > 0)
 
+let main_of prog = Option.get (Ir.Program.find_function prog "main")
+
+(* The constants of [g] with value [n], as instruction ids. *)
+let consts g n =
+  G.fold_instrs g
+    (fun acc id ->
+      match G.kind g id with Ir.Types.Const k when k = n -> id :: acc | _ -> acc)
+    []
+
+(* Sites are spliced in increasing id order: [b]'s call comes first in
+   [main], so its copy (and its marker constant) gets the lower ids. *)
+let test_sites_in_id_order () =
+  let prog =
+    compile
+      {|
+      int a(int x) { return x + 111; }
+      int b(int x) { return x + 222; }
+      int main(int n) { int u = b(n); int v = a(n); return u * v; }
+      |}
+  in
+  let prog = inline_all prog in
+  let main = main_of prog in
+  match (consts main 111, consts main 222) with
+  | [ c111 ], [ c222 ] ->
+      Alcotest.(check bool) "b's copy first" true (c222 < c111);
+      Alcotest.(check int) "result" (227 * 116) (run_int prog [ 5 ])
+  | _ -> Alcotest.fail "expected one copy of each marker"
+
+(* The reference search: rescan the caller from id 0 after every
+   splice, programs in the inliner's leaf-first order.  The resumed
+   search must splice exactly the same sites. *)
+let rescan_inline_program (limits : Opt.Inline.limits) prog =
+  let size = G.live_instr_count in
+  let inline_graph g =
+    let sites = ref 0 and progress = ref true in
+    while !progress && !sites < limits.Opt.Inline.max_sites_per_caller do
+      let site =
+        G.fold_instrs g
+          (fun acc id ->
+            match (acc, G.kind g id) with
+            | None, Ir.Types.Call (name, _) -> (
+                match Ir.Program.find_function prog name with
+                | Some callee
+                  when callee != g && name <> G.name g
+                       && size callee <= limits.Opt.Inline.max_callee_size
+                       && size g + size callee
+                          <= limits.Opt.Inline.max_caller_size ->
+                    Some (id, callee)
+                | _ -> None)
+            | _ -> acc)
+          None
+      in
+      match site with
+      | Some (id, callee) ->
+          Opt.Inline.inline_site g id callee;
+          incr sites
+      | None -> progress := false
+    done
+  in
+  Ir.Program.function_names prog
+  |> List.map (fun name ->
+         (call_count (Option.get (Ir.Program.find_function prog name)), name))
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, name) ->
+         inline_graph (Option.get (Ir.Program.find_function prog name)))
+
+let printed prog =
+  String.concat ""
+    (List.map
+       (fun name ->
+         Ir.Printer.graph_to_string
+           (Option.get (Ir.Program.find_function prog name)))
+       (Ir.Program.function_names prog))
+
+(* Both algorithms on fresh copies of [src] under [limits]. *)
+let check_same_as_rescan ?(limits = Opt.Inline.default_limits) src =
+  let resumed = compile src and rescanned = compile src in
+  ignore (Opt.Inline.inline_program ~limits (Opt.Phase.create ~program:resumed ()) resumed);
+  rescan_inline_program limits rescanned;
+  check_program_verifies resumed;
+  Alcotest.(check string) "same IR as a full rescan" (printed rescanned)
+    (printed resumed);
+  resumed
+
+let big_and_small =
+  {|
+  int big(int x) { int s = x; s = s * 3 + 1; s = s * 5 + 2; s = s * 7 + 3; return s; }
+  int small(int x) { return x + 4242; }
+  int main(int n) { int r = big(n); int t = small(n); return r + t; }
+  |}
+
+(* [big]'s call is skipped for [max_caller_size]; the later [small]
+   fits, and its splice grows [main], so [big] stays skipped. *)
+let test_capped_site_stays_skipped () =
+  let sizes = compile big_and_small in
+  let size name = G.live_instr_count (Option.get (Ir.Program.find_function sizes name)) in
+  let limits =
+    {
+      Opt.Inline.default_limits with
+      Opt.Inline.max_caller_size = size "main" + size "big" - 1;
+    }
+  in
+  let prog = check_same_as_rescan ~limits big_and_small in
+  let main = main_of prog in
+  Alcotest.(check int) "only big's call is left" 1 (call_count main);
+  Alcotest.(check int) "small was spliced" 1 (List.length (consts main 4242));
+  Alcotest.(check int) "result" (577 + 4247) (run_int prog [ 5 ])
+
+(* A call to an empty void callee: splicing it removes the call and
+   copies nothing, so [main] shrinks by one and [big], skipped by one
+   instruction before, now fits. *)
+let test_shrinking_site_rescans () =
+  let src =
+    {|
+    global int g;
+    void nop() { }
+    int big(int x) { int s = x; s = s * 3 + 1; s = s * 5 + 2; s = s * 7 + 3; return s; }
+    int main(int n) { int r = big(n); nop(); g = r; return r; }
+    |}
+  in
+  let sizes = compile src in
+  let size name = G.live_instr_count (Option.get (Ir.Program.find_function sizes name)) in
+  Alcotest.(check int) "nop is empty" 0 (size "nop");
+  let limits =
+    {
+      Opt.Inline.default_limits with
+      Opt.Inline.max_caller_size = size "main" + size "big" - 1;
+    }
+  in
+  let prog = check_same_as_rescan ~limits src in
+  Alcotest.(check int) "both calls spliced" 0 (call_count (main_of prog));
+  Alcotest.(check int) "result" 577 (run_int prog [ 5 ])
+
+(* The resumed search against the full rescan on generated programs,
+   under the default limits and under tight caller caps. *)
+let test_same_as_rescan_progen () =
+  for seed = 0 to 11 do
+    let src =
+      Workloads.Progen.generate ~n_helpers:(1 + (seed mod 4)) ~depth:(1 + (seed mod 3)) ~seed ()
+    in
+    List.iter
+      (fun cap ->
+        ignore
+          (check_same_as_rescan
+             ~limits:{ Opt.Inline.default_limits with Opt.Inline.max_caller_size = cap }
+             src))
+      [ 4000; 300; 120; 60 ]
+  done
+
 let suite =
   [
     test "simple inline" test_simple_inline;
@@ -165,4 +314,8 @@ let suite =
     test "callee with phis" test_inline_phis_in_callee;
     test "argument side effects" test_inline_argument_expressions;
     test "work charged" test_inline_work_charged;
+    test "sites in increasing id order" test_sites_in_id_order;
+    test "a capped site stays skipped" test_capped_site_stays_skipped;
+    test "a shrinking splice rescans" test_shrinking_site_rescans;
+    test "resumed search = full rescan (progen)" test_same_as_rescan_progen;
   ]

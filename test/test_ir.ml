@@ -134,6 +134,40 @@ let test_verifier_catches_use_before_def () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "verifier accepted a dominance violation"
 
+(* Corrupt use lists, each rejected with the verifier's message.  In
+   the diamond, [zero] is read by the compare and the phi, and the phi
+   by the add. *)
+let check_rejects g expected =
+  match Ir.Verifier.verify_result g with
+  | Error m -> Alcotest.(check string) "message" expected m
+  | Ok () -> Alcotest.failf "verifier accepted a corrupt use list (%s)" expected
+
+let test_verifier_stale_use () =
+  let g, phi, sum = figure1_graph () in
+  (* The add reads the phi, never [zero]. *)
+  let zero = match G.kind g phi with Phi [| _; z |] -> z | _ -> assert false in
+  G.set_uses_unchecked g zero (G.U_instr sum :: G.uses g zero);
+  check_rejects g (Printf.sprintf "use list of v%d has a stale entry" zero)
+
+let test_verifier_missing_use () =
+  let g, phi, _ = figure1_graph () in
+  G.set_uses_unchecked g phi [];
+  check_rejects g (Printf.sprintf "use list of v%d is missing an entry" phi)
+
+(* The right number of entries, at the wrong users: [twice] reads [x]
+   twice and [once] once, but the list holds [twice] once and [once]
+   twice. *)
+let test_verifier_use_multiplicity () =
+  let b = B.create ~n_params:1 () in
+  let x = B.param b 0 in
+  let twice = B.binop b Add x x in
+  let once = B.binop b Mul twice x in
+  B.ret b once;
+  let g = B.finish b in
+  check_verifies g;
+  G.set_uses_unchecked g x [ G.U_instr twice; G.U_instr once; G.U_instr once ];
+  check_rejects g (Printf.sprintf "use list of v%d has a stale entry" x)
+
 let test_rpo_order () =
   let g, _, _ = figure1_graph () in
   match G.rpo g with
@@ -493,6 +527,9 @@ let suite =
     test "copy is deep" test_copy_is_deep;
     test "verifier: bad phi arity" test_verifier_catches_bad_phi_arity;
     test "verifier: use before def" test_verifier_catches_use_before_def;
+    test "verifier: stale use entry" test_verifier_stale_use;
+    test "verifier: missing use entry" test_verifier_missing_use;
+    test "verifier: use multiplicity per user" test_verifier_use_multiplicity;
     test "rpo order" test_rpo_order;
     test "detach/attach" test_detach_attach;
     test "print/parse/print fixed point" test_print_parse_print_fixpoint;
