@@ -9,12 +9,11 @@ open Cmdliner
 
 type dump = No_dump | Dump_before | Dump_after | Dump_both | Dump_canon
 
-(** Options of the compilation service (server, client and the
-    in-process artifact cache). *)
+(** Options of the compilation service (server and client). *)
 type service_opts = {
   serve : string option;  (** run as a compile server on this socket *)
   connect : string option;  (** compile FILE through this server *)
-  cache_dir : string option;  (** attach an on-disk artifact store *)
+  cache_dir : string option;  (** the server's on-disk artifact store *)
   cache_capacity : int;  (** store byte budget (LRU GC) *)
   canon : bool;
       (** canonicalize function IR (print → parse) after inlining, before
@@ -110,10 +109,10 @@ let run_client ~sock ~config ~file svc =
   let c =
     Service.Client.connect ~deadline_s:5.0 ~sock ()
   in
-  let compile fn ir =
+  let compile ~context fn ir =
     match
       Service.Client.compile_ex ?deadline_ms:svc.deadline_ms
-        ?delay_ms:svc.delay_ms ~config ~fn ~ir c
+        ?delay_ms:svc.delay_ms ~context ~config ~fn ~ir c
     with
     | Ok (Service.Broker.Done { ir; _ }, _) -> ir
     | Ok (Service.Broker.Shed, Some retry_ms) ->
@@ -136,11 +135,12 @@ let run_client ~sock ~config ~file svc =
       | Some f ->
           let prog = Lang.Frontend.compile (read_file f) in
           apply_inline prog config;
+          let context = Service.Digest.context_of_program prog in
           let results =
             List.map
               (fun fn ->
                 let g = Option.get (Ir.Program.find_function prog fn) in
-                compile fn (Ir.Printer.graph_to_string g))
+                compile ~context fn (Ir.Printer.graph_to_string g))
               (Ir.Program.function_names prog)
           in
           List.iter (fun ir -> Format.printf "%s@." ir) results);
@@ -327,6 +327,8 @@ let run_compiler file mode passes print_passes dump dot
       | Some f -> f
       | None -> failwith "a source FILE is required (or --replay-bundle)"
     in
+    if svc.cache_dir <> None then
+      failwith "--cache-dir is a --serve option: a direct compile has no store";
     let src = read_file file in
     let prog = Lang.Frontend.compile src in
     if dump = Dump_before || dump = Dump_both then begin
@@ -338,11 +340,6 @@ let run_compiler file mode passes print_passes dump dot
     let icache =
       if icache_off then Interp.Machine.no_icache
       else Interp.Machine.default_icache
-    in
-    let store =
-      Option.map
-        (fun dir -> Service.Store.create ~capacity:svc.cache_capacity ~dir ())
-        svc.cache_dir
     in
     if profile_runs > 0 then begin
       (* One-shot profile-guided compilation: interpret the unoptimized
@@ -368,18 +365,10 @@ let run_compiler file mode passes print_passes dump dot
       apply_inline prog config;
       canonicalize_program prog
     end;
-    let cache =
-      Option.map
-        (fun s ->
-          Service.Store.driver_cache
-            ~context:(Service.Digest.context_of_program prog)
-            s)
-        store
-    in
     let report =
       Dbds.Driver.optimize_program_report ~config
         ?inline:(if svc.canon then Some false else None)
-        ?jobs ?cache prog
+        ?jobs prog
     in
     let ctx = report.Dbds.Driver.rep_ctx
     and per_fn = report.Dbds.Driver.rep_stats in
@@ -438,12 +427,7 @@ let run_compiler file mode passes print_passes dump dot
           (String.concat ", "
              (List.map
                 (fun (site, n) -> Printf.sprintf "%s x%d" site n)
-                ctx.Opt.Phase.contained));
-      match store with
-      | Some s ->
-          Format.printf "=== artifact store ===@.%a@." Service.Store.pp_stats
-            (Service.Store.stats s)
-      | None -> ()
+                ctx.Opt.Phase.contained))
     end;
     if run then begin
       let result, rstats =
@@ -693,16 +677,18 @@ let cache_dir_arg =
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Attach the on-disk artifact store at DIR: direct compilations \
-           look optimized functions up before running the pipeline and \
-           publish afterwards; $(b,--serve) shares it across clients.")
+          "With $(b,--serve): keep the artifact store on disk at DIR, so \
+           published compiles survive a restart and are shared across \
+           clients.")
 
 let cache_capacity_arg =
   Arg.(
     value
     & opt int (8 * 1024 * 1024)
     & info [ "cache-capacity" ] ~docv:"BYTES"
-        ~doc:"Artifact-store size budget; LRU entries are evicted past it.")
+        ~doc:
+          "With $(b,--serve): artifact-store size budget; LRU entries are \
+           evicted past it.")
 
 let canon_arg =
   Arg.(

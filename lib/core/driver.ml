@@ -426,20 +426,6 @@ type report = {
   rep_failures : failure list;
 }
 
-(** A pluggable compilation cache (the service's content-addressed
-    artifact store; see [Service.Store.driver_cache]).  [cache_lookup]
-    runs before a function's per-function pipeline: a [Some] replacement
-    overwrites the graph and skips the pipeline entirely; the returned
-    key is the content digest of the {e pre-optimization} request.
-    [cache_store] runs after a successful (uncontained) pipeline with
-    that same key.  Both hooks must be safe to call from worker domains
-    and must never raise — a cache is an accelerator, not a
-    dependency. *)
-type cache = {
-  cache_lookup : Config.t -> Ir.Graph.t -> Ir.Graph.t option * string;
-  cache_store : Config.t -> key:string -> Ir.Graph.t -> work:int -> unit;
-}
-
 (** Optimize a whole program: inline first (compilation units in the
     evaluation are post-inlining, as in Graal), then fan the configured
     per-function pipeline out over [jobs] domains (default: all cores;
@@ -452,7 +438,7 @@ type cache = {
     a crashing per-function pipeline is rolled back and reported in
     [rep_failures] while the remaining functions still optimize. *)
 let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
-    ?cache program =
+    program =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Ir.Parallel.default_jobs ()
   in
@@ -467,32 +453,13 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
       (fun name -> Ir.Program.find_function program name)
       (Ir.Program.function_names program)
   in
-  (* With a cache attached, consult it before a function's pipeline and
-     feed it afterwards.  A hit bypasses optimization completely — the
-     stats row is zeroed exactly like a contained function's, and the
-     artifact was produced by a deterministic pipeline on an identical
-     request, so skipping is observationally a (much faster) recompile. *)
-  let optimize_one_cached config wctx g =
-    match cache with
-    | None ->
-        let s, f = optimize_one config wctx g in
-        (Ir.Graph.name g, s, f)
-    | Some c -> (
-        match c.cache_lookup config g with
-        | Some optimized, _key ->
-            G.restore g (G.snapshot optimized);
-            (Ir.Graph.name g, fresh_stats (), None)
-        | None, key ->
-            let work_before = wctx.Opt.Phase.work in
-            let s, f = optimize_one config wctx g in
-            if f = None then
-              c.cache_store config ~key g
-                ~work:(wctx.Opt.Phase.work - work_before);
-            (Ir.Graph.name g, s, f))
+  let optimize_named wctx g =
+    let s, f = optimize_one config wctx g in
+    (Ir.Graph.name g, s, f)
   in
   let results =
     if jobs = 1 then
-      List.map (fun g -> optimize_one_cached config ctx g) functions
+      List.map (fun g -> optimize_named ctx g) functions
     else
       List.map
         (fun (name, s, f, wctx) ->
@@ -502,7 +469,7 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
            ~weight:G.live_instr_count
            (fun g ->
              let wctx = Opt.Phase.create ~program () in
-             let name, s, f = optimize_one_cached config wctx g in
+             let name, s, f = optimize_named wctx g in
              (name, s, f, wctx))
            functions)
   in

@@ -9,7 +9,12 @@
     which the simulation does not price (paper §5).  Up to [iters]
     rounds are performed (a tier's spec option, 3 by default); a new
     round only starts if the previous round's cumulative accepted benefit
-    clears a threshold (or ranked candidates went stale mid-round). *)
+    clears a threshold (or ranked candidates went stale mid-round).
+
+    The driver always compiles: it has no cache.  The compile service's
+    broker ([Service.Broker]) is the one client of the artifact store —
+    it digests a request, looks it up, and calls
+    {!optimize_program_report} only on a miss. *)
 
 (** Paranoid mode ({!Config.t.verify_between_phases}): the IR verifier
     found a broken invariant right after the named phase ran. *)
@@ -81,18 +86,6 @@ type report = {
   rep_failures : failure list;
 }
 
-(** A pluggable compilation cache (the service's content-addressed
-    artifact store).  [cache_lookup] runs before a function's
-    per-function pipeline: a [Some] replacement overwrites the graph and
-    skips the pipeline entirely; the returned key is the content digest
-    of the {e pre-optimization} request.  [cache_store] runs after a
-    successful (uncontained) pipeline with that same key.  Both hooks
-    must be domain-safe and must never raise. *)
-type cache = {
-  cache_lookup : Config.t -> Ir.Graph.t -> Ir.Graph.t option * string;
-  cache_store : Config.t -> key:string -> Ir.Graph.t -> work:int -> unit;
-}
-
 (** Optimize a whole program: inline first (compilation units in the
     evaluation are post-inlining, as in Graal; disable with
     [~inline:false]), then fan the configured per-function pipeline out
@@ -103,16 +96,11 @@ type cache = {
     a crashing per-function pipeline is rolled back to its pre-attempt
     IR and reported in [rep_failures] (with a crash bundle when
     {!Config.t.bundle_dir} is set) while the remaining functions still
-    optimize — under any [jobs] value.
-
-    [cache] attaches a compilation cache: each function is looked up
-    before its pipeline runs (a hit replaces the body and skips the
-    pipeline) and stored after an uncontained run. *)
+    optimize — under any [jobs] value. *)
 val optimize_program_report :
   ?config:Config.t ->
   ?inline:bool ->
   ?jobs:int ->
-  ?cache:cache ->
   Ir.Program.t ->
   report
 

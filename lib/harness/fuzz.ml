@@ -172,10 +172,7 @@ let remove_store_dir dir =
       (Sys.readdir dir);
     try Sys.rmdir dir with Sys_error _ -> ())
 
-(* Canonical post-optimization IR of the whole program — the store may
-   legally renumber ids (a hit replays a parsed canonical artifact), so
-   equality is asserted on the canonicalization fixpoint, not raw
-   prints. *)
+(* Canonical optimized IR of every function, in name order. *)
 let canonical_fingerprint prog =
   let buf = Buffer.create 4096 in
   Ir.Program.iter_functions prog (fun g ->
@@ -195,33 +192,50 @@ let store_counters (st : Service.Store.stats) =
 
 (** The artifact-store property, fuzzed over 6 random programs × 3
     random {!Dbds.Faults.store_sites} plans (torn temp writes, torn
-    publications, read faults), each at [jobs:1] and [jobs:4]:
+    publications, read faults).  Every post-inline function goes to an
+    in-process {!Service.Broker} with its program's context, submitted
+    from as many domains as the broker has workers (1 and 4):
 
     + {e no escape}: injected store faults never leak an exception out
-      of the driver — the store degrades to misses and recompiles;
+      of the broker — the store degrades to misses and recompiles;
     + {e answer fidelity}: both the cold pass (empty store) and the
       warm pass (recompiling against whatever the faulty cold pass
-      managed to publish — including torn files) produce canonical IR
-      byte-identical to an uncached reference compile.  A torn
-      publication must be detected by checksum, evicted and recompiled;
-    + {e jobs determinism}: outputs and store counters agree across
-      jobs values. *)
+      managed to publish — including torn files) reply with canonical
+      IR byte-identical to a direct, storeless, class-aware compile of
+      the same units.  A torn publication must be detected by
+      checksum, evicted and recompiled;
+    + {e workers determinism}: replies and store counters agree across
+      worker counts. *)
 let run_service () =
   let t0 = now () in
   let violations = ref [] in
   let pairs = ref 0 in
   let store_hits = ref 0 in
   let recovered = ref 0 in
-  let jobs_matrix = [ 1; 4 ] in
   List.iter
     (fun seed ->
-      let src = Workloads.Progen.generate ~seed () in
-      (* The uncached reference: same configuration, no store, no
-         faults (store sites never execute without a store). *)
+      (* The requests: each post-inline function as printed IR, all
+         with the program's context. *)
+      let prog = Lang.Frontend.compile (Workloads.Progen.generate ~seed ()) in
+      ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
+      let context = Service.Digest.context_of_program prog in
+      let requests =
+        List.map
+          (fun fn ->
+            (fn, Ir.Printer.graph_to_string
+                   (Option.get (Ir.Program.find_function prog fn))))
+          (Ir.Program.function_names prog)
+      in
+      (* The reference: the same units parsed as a worker parses them,
+         compiled in their own program with no store and no faults. *)
       let reference =
         let config = { Dbds.Config.dbds with Dbds.Config.containment = true } in
-        let prog = Lang.Frontend.compile src in
-        match Dbds.Driver.optimize_program_report ~config ~jobs:1 prog with
+        List.iter
+          (fun (_, ir) -> Ir.Program.add_function prog (Ir.Parse.parse_graph ir))
+          requests;
+        match
+          Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1 prog
+        with
         | _ -> Some (canonical_fingerprint prog)
         | exception e ->
             violate violations "service seed=%d: reference compile escaped: %s"
@@ -235,72 +249,63 @@ let run_service () =
             incr pairs;
             let plan = Dbds.Faults.of_seed_store ((seed * 8191) + k) in
             let config =
-              {
-                Dbds.Config.dbds with
-                Dbds.Config.fault_plan = Some plan;
-                containment = true;
-              }
+              { Dbds.Config.dbds with Dbds.Config.fault_plan = Some plan }
             in
             let tag =
               Printf.sprintf "service seed=%d plan=%s" seed
                 (Dbds.Faults.to_string plan)
             in
-            (* One leg = a fresh store, a cold pass and a warm pass at
-               one jobs value. *)
-            let run_leg jobs =
+            (* One leg = a fresh store and broker, a cold pass and a warm
+               pass at one worker count. *)
+            let run_leg workers =
               let dir = scratch_store_dir () in
               Fun.protect ~finally:(fun () -> remove_store_dir dir)
               @@ fun () ->
               let store = Service.Store.create ~dir () in
+              let broker =
+                Service.Broker.create ~workers ~store:(Some store) ()
+              in
+              Fun.protect ~finally:(fun () -> Service.Broker.shutdown broker)
+              @@ fun () ->
               let pass () =
-                let prog = Lang.Frontend.compile src in
-                let cache =
-                  Service.Store.driver_cache
-                    ~context:(Service.Digest.context_of_program prog)
-                    store
-                in
-                ignore
-                  (Dbds.Driver.optimize_program_report ~config ~jobs ~cache
-                     prog);
-                canonical_fingerprint prog
+                Ir.Parallel.map ~jobs:workers
+                  (fun (fn, ir) ->
+                    match
+                      Service.Broker.submit ~context ~config ~fn ~ir broker
+                    with
+                    | Service.Broker.Done { ir; _ } -> ir ^ "\n"
+                    | o -> Service.Broker.outcome_label o ^ "\n")
+                  requests
+                |> String.concat ""
               in
               let cold = pass () in
               let warm = pass () in
               let st = Service.Store.stats store in
               (cold, warm, store_counters st, st)
             in
-            match run_leg (List.hd jobs_matrix) with
+            match (run_leg 1, run_leg 4) with
             | exception e ->
-                violate violations "%s: escaped exception (jobs=%d): %s" tag
-                  (List.hd jobs_matrix) (Printexc.to_string e)
-            | cold0, warm0, counters0, st0 ->
-                if cold0 <> ref_fp then
+                violate violations "%s: escaped exception: %s" tag
+                  (Printexc.to_string e)
+            | (cold, warm, counters, st), (cold4, warm4, counters4, _) ->
+                if cold <> ref_fp then
                   violate violations
-                    "%s: cold pass diverges from uncached reference" tag;
-                if warm0 <> ref_fp then
+                    "%s: cold pass diverges from the direct reference" tag;
+                if warm <> ref_fp then
                   violate violations
-                    "%s: warm pass diverges from uncached reference" tag;
-                store_hits := !store_hits + st0.Service.Store.hits;
+                    "%s: warm pass diverges from the direct reference" tag;
+                if cold4 <> cold || warm4 <> warm then
+                  violate violations
+                    "%s: workers=4 replies diverge from workers=1" tag;
+                if counters4 <> counters then
+                  violate violations
+                    "%s: workers=4 store counters [%s] diverge from \
+                     workers=1 [%s]"
+                    tag counters4 counters;
+                store_hits := !store_hits + st.Service.Store.hits;
                 recovered :=
-                  !recovered + st0.Service.Store.write_failures
-                  + st0.Service.Store.read_failures + st0.Service.Store.corrupt;
-                List.iter
-                  (fun jobs ->
-                    match run_leg jobs with
-                    | exception e ->
-                        violate violations "%s: escaped exception (jobs=%d): %s"
-                          tag jobs (Printexc.to_string e)
-                    | cold, warm, counters, _ ->
-                        if cold <> cold0 || warm <> warm0 then
-                          violate violations
-                            "%s: jobs=%d outputs diverge from jobs=%d" tag jobs
-                            (List.hd jobs_matrix);
-                        if counters <> counters0 then
-                          violate violations
-                            "%s: jobs=%d store counters [%s] diverge from \
-                             jobs=%d [%s]"
-                            tag jobs counters (List.hd jobs_matrix) counters0)
-                  (List.tl jobs_matrix)
+                  !recovered + st.Service.Store.write_failures
+                  + st.Service.Store.read_failures + st.Service.Store.corrupt
           done)
     (List.init 6 Fun.id);
   finish "service" t0

@@ -22,13 +22,15 @@ val run : unit -> result
 
 (** The artifact store over 6 random programs × 3 random
     {!Dbds.Faults.store_sites} plans (torn temp writes, torn
-    publications, read faults).  Each pair runs a cold pass (empty
-    store) and a warm pass (recompile against whatever the faulty cold
-    pass published, torn files included) at [jobs:1] and [jobs:4]: no
-    exception escapes the driver; both passes produce canonical IR
-    byte-identical to an uncached reference compile (corrupt artifacts
-    are evicted and recompiled, never served); outputs and store
-    counters agree across jobs values. *)
+    publications, read faults).  Each pair sends every post-inline
+    function, with its program's context, through an in-process
+    {!Service.Broker} at 1 and 4 workers: a cold pass (empty store) and
+    a warm pass (against whatever the faulty cold pass published, torn
+    files included).  No exception escapes the broker; both passes
+    reply with canonical IR byte-identical to a direct, storeless,
+    class-aware compile (corrupt artifacts are evicted and recompiled,
+    never served); replies and store counters agree across worker
+    counts. *)
 val run_service : unit -> result
 
 (** The frontdoor's wire decoder.  400 adversarial byte strings through

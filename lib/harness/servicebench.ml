@@ -10,57 +10,42 @@ let rm_rf dir =
       (Sys.readdir dir);
     try Sys.rmdir dir with Sys_error _ -> ())
 
-(* A single-function program sharing the base program's class table and
-   globals — the unit the service compiles (program-level inlining is
-   the client's job, so it is excluded here via [~inline:false]). *)
-let lone (base : Ir.Program.t) g =
-  let functions = Hashtbl.create 1 in
-  Hashtbl.replace functions (Ir.Graph.name g) g;
-  {
-    Ir.Program.classes = base.Ir.Program.classes;
-    globals = base.Ir.Program.globals;
-    functions;
-    main = Ir.Graph.name g;
-  }
-
-(* One compile request through the store-backed driver cache; returns
-   the canonical IR of the optimized function. *)
-let compile_request ~config ~store p =
-  let cache =
-    Service.Store.driver_cache
-      ~context:(Service.Digest.context_of_program p)
-      store
-  in
-  ignore
-    (Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1 ~cache
-       p);
-  let fp = ref "" in
-  Ir.Program.iter_functions p (fun g ->
-      fp := !fp ^ Service.Digest.canonical_of_graph g);
-  !fp
-
-(* Every function of every benchmark as a fresh compile request (the
-   frontend is re-run per pass so each pass starts from pristine IR). *)
+(* Every function of every program as one compile request: its name,
+   its printed post-inline IR and its program's context. *)
 let requests_of sources =
   List.concat_map
     (fun src ->
       let prog = Lang.Frontend.compile src in
-      List.filter_map
-        (fun name -> Option.map (lone prog) (Ir.Program.find_function prog name))
+      let context = Service.Digest.context_of_program prog in
+      List.map
+        (fun name ->
+          let g = Option.get (Ir.Program.find_function prog name) in
+          (name, Ir.Printer.graph_to_string g, context))
         (Ir.Program.function_names prog))
     sources
 
 let measure_suite (suite : Workloads.Suite.t) =
-  let config = Dbds.Config.dbds in
   let dir = Filename.temp_dir "dbds-service-bench" ".store" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let store = Service.Store.create ~dir () in
-  let sources =
-    List.map
-      (fun b -> b.Workloads.Suite.source)
-      suite.Workloads.Suite.benchmarks
+  let broker = Service.Broker.create ~workers:1 ~store:(Some store) () in
+  Fun.protect ~finally:(fun () -> Service.Broker.shutdown broker) @@ fun () ->
+  let requests =
+    requests_of
+      (List.map
+         (fun b -> b.Workloads.Suite.source)
+         suite.Workloads.Suite.benchmarks)
   in
-  let run_pass () = List.map (compile_request ~config ~store) (requests_of sources) in
+  let run_pass () =
+    List.map
+      (fun (fn, ir, context) ->
+        match
+          Service.Broker.submit ~context ~config:Dbds.Config.dbds ~fn ~ir broker
+        with
+        | Service.Broker.Done { ir; _ } -> Some ir
+        | _ -> None)
+      requests
+  in
   let cold = run_pass () in
   let st = Service.Store.stats store in
   let h0 = st.Service.Store.hits and m0 = st.Service.Store.misses in
@@ -72,7 +57,7 @@ let measure_suite (suite : Workloads.Suite.t) =
     sv_warm_hit_rate =
       (if hits + misses = 0 then 0.0
        else float_of_int hits /. float_of_int (hits + misses));
-    sv_identical = List.equal String.equal cold warm;
+    sv_identical = (not (List.mem None cold)) && cold = warm;
   }
 
 (* ---- the frontdoor overload sweep ----------------------------------- *)
@@ -93,28 +78,16 @@ let sweep_pool =
        List.concat_map
          (fun src ->
            List.map
-             (fun p ->
-               let g =
-                 Option.get
-                   (Ir.Program.find_function p p.Ir.Program.main)
-               in
-               let fn = Ir.Graph.name g in
-               let ir = Ir.Printer.graph_to_string g in
+             (fun (fn, ir, _) ->
                (* The oracle mirrors the broker byte-for-byte: parse
                   the wire text (print -> parse normalizes ids), then
-                  the same lone-graph pipeline. *)
+                  the same lone-graph pipeline (the pool sends no
+                  context). *)
                let parsed = Ir.Parse.parse_graph ir in
-               let program = Ir.Program.of_graph parsed in
                ignore
                  (Dbds.Driver.optimize_program_report ~config:sweep_config
-                    ~inline:false ~jobs:1 program);
-               let expected =
-                 Service.Digest.canonical_of_graph
-                   (Option.value
-                      (Ir.Program.find_function program fn)
-                      ~default:parsed)
-               in
-               (fn, ir, expected))
+                    ~inline:false ~jobs:1 (Ir.Program.of_graph parsed));
+               (fn, ir, Service.Digest.canonical_of_graph parsed))
              (requests_of [ src ]))
          progs
      in

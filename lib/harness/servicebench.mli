@@ -1,11 +1,11 @@
 (** Compilation-service checks under the harness.
 
     [measure_suite]: every function of every benchmark of a suite
-    becomes one compile request — a single-function program sharing
-    its base program's classes and globals, optimized with
-    [~inline:false], the service's unit of work (program-level inlining
-    is the client's job).  Each request runs twice through a
-    {!Service.Store.driver_cache} rooted in a scratch directory:
+    becomes one compile request — the function's IR as the front end
+    prints it, with its program's context (class layouts and globals,
+    {!Service.Digest.context_of_program}).  Each request goes twice
+    through an in-process {!Service.Broker} whose store is rooted in a
+    scratch directory:
 
     - the {e cold} pass starts from an empty store — every request
       misses, runs the full pipeline and publishes its artifact;

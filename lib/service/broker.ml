@@ -41,9 +41,11 @@ type job = {
   jb_digest : string;
   jb_fn : string;
   jb_ir : string;  (** the submitted IR text *)
-  jb_graph : Ir.Graph.t option;
-      (** [jb_ir] parsed, handed over by the digest computation; [None]
-          when the digest came from the memo and the compile parses *)
+  jb_context : string;  (** the submitted program context *)
+  jb_program : Ir.Program.t option;
+      (** [jb_ir] parsed into a program with [jb_context]'s facts,
+          handed over by the digest computation; [None] when the digest
+          came from the memo and the compile parses *)
   jb_config : Dbds.Config.t;
   jb_delay_s : float;  (** artificial compile stretch (test hook) *)
   mutable jb_deadline : float;
@@ -66,9 +68,10 @@ type t = {
   job_done : Env.cond;  (** waiters: some job completed *)
   queue : job Queue.t;
   inflight : (string, job) Hashtbl.t;
-  digests : (string * string * string, string) Hashtbl.t;
-      (** request-digest memo: (fn, config line, IR text) -> digest *)
-  digest_order : (string * string * string) Queue.t;
+  digests : (string * string * string * string, string) Hashtbl.t;
+      (** request-digest memo: (fn, config line, context, IR text) ->
+          digest *)
+  digest_order : (string * string * string * string) Queue.t;
       (** the memo's keys, oldest first *)
   last_line : (Dbds.Config.t * string) Atomic.t;
       (** the last config the memo keyed on, and its line *)
@@ -112,7 +115,7 @@ let store_lookup t ~memory_only ~config ~fn ~digest =
   | Some s -> (
       try
         armed config ~fn (fun () ->
-            Option.map fst (Store.lookup ~memory_only s ~digest))
+            Store.lookup ~memory_only s ~digest)
       with _ -> None)
 
 let store_publish t job ~ir ~work =
@@ -124,19 +127,32 @@ let store_publish t job ~ir ~work =
             Store.put s ~digest:job.jb_digest ~fn:job.jb_fn ~ir ~work)
       with _ -> ())
 
+exception Bad_context of string
+
+(* A request's IR as a program carrying its context's class layouts
+   and globals — what partial escape analysis and read elimination
+   read.
+   @raise Bad_context on a malformed context (checked first).
+   @raise Ir.Parse.Parse_error on malformed IR. *)
+let program_of ~context ir =
+  match Digest.facts_of_context context with
+  | Error msg -> raise (Bad_context msg)
+  | Ok (classes, globals) ->
+      Ir.Program.of_graph ~classes ~globals (Ir.Parse.parse_graph ir)
+
 (* A queued job is a store miss: the submitter ran the lookup chain
    before queueing it. *)
 let compile t job =
   if job.jb_delay_s > 0. then t.env.Env.sleep job.jb_delay_s;
   let parse () =
-    match job.jb_graph with
-    | Some g -> g
-    | None -> Ir.Parse.parse_graph job.jb_ir
+    match job.jb_program with
+    | Some p -> p
+    | None -> program_of ~context:job.jb_context job.jb_ir
   in
   match parse () with
   | exception Ir.Parse.Parse_error msg -> Failed ("parse: " ^ msg)
-  | g -> (
-      let program = Ir.Program.of_graph g in
+  | exception Bad_context msg -> Failed ("context: " ^ msg)
+  | program -> (
       let config =
         { job.jb_config with Dbds.Config.containment = true; bundle_dir = None }
       in
@@ -153,9 +169,8 @@ let compile t job =
                    f.Dbds.Driver.fail_exn)
           | [] ->
               let body =
-                Option.value
-                  (Ir.Program.find_function program job.jb_fn)
-                  ~default:g
+                Option.get
+                  (Ir.Program.find_function program program.Ir.Program.main)
               in
               let ir = Digest.canonical_of_graph body in
               let work = report.Dbds.Driver.rep_ctx.Opt.Phase.work in
@@ -229,11 +244,13 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
    canonical hash.  The digest is a pure function of the key, so an
    entry can never go stale; the table only forgets (oldest first) to
    stay bounded.  The digest itself is computed outside the lock.  A
-   memo miss parses the text to hash it and returns that graph too, so
-   a cold compile never parses the same text twice; with [memory_only]
-   it returns [None] instead.
-   @raise Ir.Parse.Parse_error on malformed IR (never memoized). *)
-let digest_of t ~memory_only ~config ~fn ir =
+   memo miss parses the text to hash it and returns that program too,
+   so a cold compile never parses the same text twice; with
+   [memory_only] it returns [None] instead.  The context is hashed in
+   canonical order, so equal facts share one digest.
+   @raise Bad_context on a malformed context and
+   @raise Ir.Parse.Parse_error on malformed IR (neither memoized). *)
+let digest_of t ~memory_only ~config ~fn ~context ir =
   (* Rendering the line costs more than the rest of a warm request;
      the front door hands every request with the same line the same
      config ({!Protocol.compile_config}), so the last one is kept. *)
@@ -245,13 +262,18 @@ let digest_of t ~memory_only ~config ~fn ir =
         Atomic.set t.last_line (config, line);
         line
   in
-  let key = (fn, line, ir) in
+  let key = (fn, line, context, ir) in
   match locked t (fun () -> Hashtbl.find_opt t.digests key) with
   | Some digest -> Some (digest, None)
   | None when memory_only -> None
   | None ->
-      let g = Ir.Parse.parse_graph ir in
-      let digest = Digest.of_request (Digest.request_of_graph ~fn ~config g) in
+      let p = program_of ~context ir in
+      let digest =
+        Digest.of_request
+          (Digest.request_of_graph ~fn ~config
+             ~context:(Digest.context_of_program p)
+             (Option.get (Ir.Program.find_function p p.Ir.Program.main)))
+      in
       locked t (fun () ->
           if not (Hashtbl.mem t.digests key) then begin
             if Hashtbl.length t.digests >= digest_memo_limit then
@@ -259,7 +281,7 @@ let digest_of t ~memory_only ~config ~fn ir =
             Hashtbl.add t.digests key digest;
             Queue.push key t.digest_order
           end);
-      Some (digest, Some g)
+      Some (digest, Some p)
 
 let rec await t job =
   match job.jb_outcome with
@@ -310,7 +332,8 @@ let enqueue t job =
    parsed memo) and returns [None] — having counted nothing — where the
    full chain would go on to parse, read disk, fetch, coalesce or
    compile. *)
-let chain ~memory_only ?deadline_s ?delay_s ~config ~fn ~ir t =
+let chain ~memory_only ?deadline_s ?delay_s ?(context = "") ~config ~fn ~ir t
+    =
   let counted f =
     locked t (fun () ->
         t.bstats.requests <- t.bstats.requests + 1;
@@ -319,11 +342,13 @@ let chain ~memory_only ?deadline_s ?delay_s ~config ~fn ~ir t =
   let hit (e : Store.entry) =
     Done { ir = e.ar_ir; work = e.ar_work; from_cache = true }
   in
-  match digest_of t ~memory_only ~config ~fn ir with
+  match digest_of t ~memory_only ~config ~fn ~context ir with
   | exception Ir.Parse.Parse_error msg ->
       Some (counted (fun () -> Rejected ("parse: " ^ msg)))
+  | exception Bad_context msg ->
+      Some (counted (fun () -> Rejected ("context: " ^ msg)))
   | None -> None
-  | Some (digest, graph) -> (
+  | Some (digest, program) -> (
       let deadline =
         match deadline_s with
         | None -> infinity
@@ -359,7 +384,8 @@ let chain ~memory_only ?deadline_s ?delay_s ~config ~fn ~ir t =
                                requests that differ only in id numbering
                                still share one byte-identical result. *)
                             jb_ir = ir;
-                            jb_graph = graph;
+                            jb_context = context;
+                            jb_program = program;
                             jb_config = config;
                             jb_delay_s =
                               Option.value delay_s ~default:t.delay_s;
@@ -385,11 +411,12 @@ let chain ~memory_only ?deadline_s ?delay_s ~config ~fn ~ir t =
                       Some o
                   | None -> Some (locked t (fun () -> enqueue t job))))))
 
-let submit ?deadline_s ?delay_s ~config ~fn ~ir t =
-  Option.get (chain ~memory_only:false ?deadline_s ?delay_s ~config ~fn ~ir t)
+let submit ?deadline_s ?delay_s ?context ~config ~fn ~ir t =
+  Option.get
+    (chain ~memory_only:false ?deadline_s ?delay_s ?context ~config ~fn ~ir t)
 
-let submit_in_memory ?deadline_s ~config ~fn ~ir t =
-  chain ~memory_only:true ?deadline_s ~config ~fn ~ir t
+let submit_in_memory ?deadline_s ?context ~config ~fn ~ir t =
+  chain ~memory_only:true ?deadline_s ?context ~config ~fn ~ir t
 
 let shutdown t =
   let workers =

@@ -1,8 +1,11 @@
 (** The in-process compilation broker: compile worker domains, in-flight
-    coalescing, bounded admission and deadlines.
+    coalescing, bounded admission and deadlines.  It is the artifact
+    store's one compiling client.
 
-    Callers {!submit} one function's IR under a configuration and block
-    until an outcome is available.  A request goes down one chain:
+    Callers {!submit} one function's IR under a configuration — with
+    its program's context, the class layouts and globals
+    ({!Digest.context_of_program}) — and block until an outcome is
+    available.  A request goes down one chain:
     its digest (memoized, below) → the shutdown and deadline refusals
     → the store's parsed memo → coalesce
     onto an in-flight job or register one → the store's disk
@@ -33,14 +36,19 @@
 
     Compiles run through {!Dbds.Driver.optimize_program_report} with
     containment forced on, so a crashing pipeline costs one request
-    ([Failed]), never the broker.  With a {!Store} attached, submitters
+    ([Failed]), never the broker.  The function compiles in a program
+    rebuilt from the request's context ({!Digest.facts_of_context}), so
+    partial escape analysis and read elimination see the same class
+    layouts a direct compile of the whole program sees.  A context that
+    does not parse is [Rejected] (["context: …"]), never compiled
+    without its facts.  With a {!Store} attached, submitters
     check it ({!Store.lookup}) before queueing and workers publish
     after compiling, so outcomes survive the process.
 
     {b Request-digest memo.}  Each broker remembers the content digest
     of the last 1024 distinct requests, keyed on the exact
-    [(fn, Config.to_line config, IR text)].  A repeat request skips the
-    IR parse and the canonical hash.  The digest is a pure function of
+    [(fn, Config.to_line config, context, IR text)].  A repeat request
+    skips the IR parse and the canonical hash.  The digest is a pure function of
     that key, so an entry can never be stale; a renumbered copy of the
     same function misses the memo but still computes the same digest,
     so the memo never splits the cache.  Past 1024 entries the oldest is
@@ -50,7 +58,8 @@
     {b One parse per cold request.}  A memo miss parses the text to
     hash it and hands that graph to the job it creates; the worker
     optimizes it in place.  Only a job created by a memo hit parses the
-    text when it compiles, and only if the store misses. *)
+    text (and its context) when it compiles, and only if the store
+    misses. *)
 
 type outcome =
   | Done of { ir : string; work : int; from_cache : bool }
@@ -101,11 +110,13 @@ val stats : t -> stats
     text (any id numbering); [deadline_s] is relative seconds from now
     (default: none); [delay_s] overrides the broker's compile stretch
     for this request's job (test hook — a coalesced request inherits the
-    job's existing delay).  Safe to call from many threads and domains
-    concurrently. *)
+    job's existing delay); [context] (default [""]: no classes, no
+    globals) is hashed into the digest and rebuilt for the compile.
+    Safe to call from many threads and domains concurrently. *)
 val submit :
   ?deadline_s:float ->
   ?delay_s:float ->
+  ?context:string ->
   config:Dbds.Config.t ->
   fn:string ->
   ir:string ->
@@ -120,6 +131,7 @@ val submit :
     may call it. *)
 val submit_in_memory :
   ?deadline_s:float ->
+  ?context:string ->
   config:Dbds.Config.t ->
   fn:string ->
   ir:string ->

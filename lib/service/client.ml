@@ -79,7 +79,7 @@ let ping t =
   | Ok m -> Protocol.field m "status" = Some "ok"
   | Error _ -> false
 
-let compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir () =
+let compile_msg ?deadline_ms ?delay_ms ?(context = "") ~config ~fn ~ir () =
   let opt name v =
     Option.to_list (Option.map (fun n -> (name, string_of_int n)) v)
   in
@@ -87,6 +87,9 @@ let compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir () =
     Protocol.verb = "compile";
     fields =
       [ ("config", Dbds.Config.to_line config); ("fn", fn); ("ir", ir) ]
+      (* Omitted when empty: the context-free senders (perfbench's
+         generator, the simulator's pool) pin their request bytes. *)
+      @ (if context = "" then [] else [ ("context", context) ])
       @ opt "deadline-ms" deadline_ms @ opt "delay-ms" delay_ms
       (* [Config.to_line] deliberately drops the fault plan (it must
          not split the artifact digest), so injection travels as its
@@ -96,18 +99,17 @@ let compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir () =
         | Some p -> [ ("inject", Dbds.Faults.to_string p) ]);
   }
 
-let compile ?deadline_ms ?delay_ms ~config ~fn ~ir t =
+let compile_ex ?deadline_ms ?delay_ms ?context ~config ~fn ~ir t =
   Result.bind
-    (roundtrip t (compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir ()))
-    Protocol.outcome_of_reply
-
-let compile_ex ?deadline_ms ?delay_ms ~config ~fn ~ir t =
-  Result.bind
-    (roundtrip t (compile_msg ?deadline_ms ?delay_ms ~config ~fn ~ir ()))
+    (roundtrip t
+       (compile_msg ?deadline_ms ?delay_ms ?context ~config ~fn ~ir ()))
     (fun reply ->
       Result.map
         (fun o -> (o, Protocol.retry_after_of_reply reply))
         (Protocol.outcome_of_reply reply))
+
+let compile ?deadline_ms ?delay_ms ?context ~config ~fn ~ir t =
+  Result.map fst (compile_ex ?deadline_ms ?delay_ms ?context ~config ~fn ~ir t)
 
 let lookup ~digest t =
   Result.bind

@@ -42,12 +42,15 @@ val roundtrip : t -> Protocol.message -> (Protocol.message, string) result
 val ping : t -> bool
 
 (** Submit one function; the IR travels as printed text.  [deadline_ms]
-    and [delay_ms] map to the protocol's optional headers.  [Error]
+    and [delay_ms] map to the protocol's optional headers; [context]
+    ({!Digest.context_of_program} of the function's program, default
+    [""]) to the optional [context] field, omitted when empty.  [Error]
     covers transport/protocol failures (service-level refusals come back
     as [Ok Shed], [Ok (Rejected _)], ...). *)
 val compile :
   ?deadline_ms:int ->
   ?delay_ms:int ->
+  ?context:string ->
   config:Dbds.Config.t ->
   fn:string ->
   ir:string ->
@@ -59,6 +62,7 @@ val compile :
 val compile_msg :
   ?deadline_ms:int ->
   ?delay_ms:int ->
+  ?context:string ->
   config:Dbds.Config.t ->
   fn:string ->
   ir:string ->
@@ -70,6 +74,7 @@ val compile_msg :
 val compile_ex :
   ?deadline_ms:int ->
   ?delay_ms:int ->
+  ?context:string ->
   config:Dbds.Config.t ->
   fn:string ->
   ir:string ->

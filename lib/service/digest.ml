@@ -270,6 +270,41 @@ let context_of_program (p : Ir.Program.t) =
   in
   String.concat "\n" (classes @ globals)
 
+let facts_of_context context =
+  let names what s =
+    let l = if s = "" then [] else String.split_on_char ',' s in
+    if List.mem "" l then Error ("empty " ^ what ^ " name") else Ok l
+  in
+  let rec go classes globals = function
+    | [] -> Ok (List.rev classes, Option.value globals ~default:[])
+    | line :: rest -> (
+        let fail why = Error (Printf.sprintf "%s: %S" why line) in
+        let is_class = String.starts_with ~prefix:"class " line in
+        let is_globals = String.starts_with ~prefix:"globals:" line in
+        match String.index_opt line ':' with
+        | None when is_class -> fail "class line without ':'"
+        | None -> fail "unknown line"
+        | Some _ when not (is_class || is_globals) -> fail "unknown line"
+        | Some i -> (
+            let tail =
+              String.trim (String.sub line (i + 1) (String.length line - i - 1))
+            in
+            match names (if is_globals then "global" else "field") tail with
+            | Error e -> fail e
+            | Ok _ when is_globals && globals <> None ->
+                fail "repeated globals line"
+            | Ok gs when is_globals -> go classes (Some gs) rest
+            | Ok fields ->
+                let cls_name = String.sub line 6 (i - 6) in
+                if cls_name = "" then fail "empty class name"
+                else if
+                  List.exists (fun c -> c.Ir.Program.cls_name = cls_name) classes
+                then fail "repeated class"
+                else go ({ Ir.Program.cls_name; fields } :: classes) globals rest))
+  in
+  if context = "" then Ok ([], [])
+  else go [] None (String.split_on_char '\n' context)
+
 let request_of_graph ?(context = "") ?fn ~config g =
   {
     rq_fn = Option.value fn ~default:(Ir.Graph.name g);

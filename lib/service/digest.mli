@@ -30,8 +30,8 @@ type request = {
   rq_context : string;
       (** program context the pipeline can observe beyond the function's
           own IR — class layouts and globals ({!context_of_program}).
-          Empty for lone graphs (the service protocol), so artifacts
-          produced with program context never collide with ones produced
+          Empty for a request that names none, so artifacts produced
+          with program context never collide with ones produced
           without. *)
   rq_config : string;  (** {!Dbds.Config.to_line} rendering *)
   rq_cost_revision : int;  (** {!Costmodel.Cost.revision} *)
@@ -65,6 +65,16 @@ val ir_hash_of_text : string -> string
     scalar replacement reads it) and globals, in sorted order.  [""] for
     a program with neither. *)
 val context_of_program : Ir.Program.t -> string
+
+(** The facts a context names, [(classes, globals)] — what
+    {!Ir.Program.of_graph} takes to rebuild them, so that
+    [context_of_program] of the rebuilt program is the context in
+    canonical order.  A compile request's [context] field is outside
+    input: [Error] names the first bad line (a class line without [:],
+    a repeated class or globals line, an empty class, field or global
+    name, any other line). *)
+val facts_of_context :
+  string -> (Ir.Program.class_decl list * string list, string) result
 
 (** Build the request for one function graph under a configuration.
     [context] defaults to [""] — a lone graph with no program facts;

@@ -246,21 +246,15 @@ let process fd ~memory_only j =
               let deadline_s =
                 Option.map (fun d -> d -. fd.env.Env.mono ()) deadline
               in
-              let outcome =
-                if memory_only then
-                  Broker.submit_in_memory ?deadline_s ~config ~fn ~ir fd.broker
-                else
-                  Some
-                    (Broker.submit ?deadline_s ?delay_s ~config ~fn ~ir
-                       fd.broker)
-              in
-              Option.map
-                (fun outcome ->
-                  fd.log
-                    (Printf.sprintf "compile %s -> %s" fn
-                       (Broker.outcome_label outcome));
-                  Protocol.reply_of_outcome outcome)
-                outcome))
+              let context = Protocol.field m "context" in
+              Option.map Protocol.reply_of_outcome
+                (if memory_only then
+                   Broker.submit_in_memory ?deadline_s ?context ~config ~fn
+                     ~ir fd.broker
+                 else
+                   Some
+                     (Broker.submit ?deadline_s ?delay_s ?context ~config ~fn
+                        ~ir fd.broker))))
   | Lookup -> (
       match Protocol.field m "digest" with
       | None -> Some (Protocol.rejected "lookup needs a digest field")
@@ -269,9 +263,8 @@ let process fd ~memory_only j =
           | None -> Some (Protocol.rejected "this node has no artifact store")
           | Some s -> (
               match Store.lookup ~memory_only s ~digest with
-              | Some (e, _) -> Some (artifact_reply (Some e))
               | None when memory_only -> None
-              | None -> Some (artifact_reply None))))
+              | e -> Some (artifact_reply e))))
 
 (* Account a finished request and fill its reply slot — the one path
    for requests answered on the loop and for dispatcher completions

@@ -76,9 +76,10 @@ val default_config : config
     {!Env.claim_socket} (a live server there makes startup fail with
     [Invalid_argument]; stale debris is removed) and removes it on
     exit.  [env] supplies transport/thread/disk capabilities (default
-    {!Env.real}); pass the broker's environment.  [log] receives one
-    line per served request (default: silent).  [Broker.shutdown] runs
-    on exit. *)
+    {!Env.real}); pass the broker's environment.  [log] receives the
+    start and shutdown lines only (default: silent) — no line per
+    request: the [stats] reply counts every outcome.  [Broker.shutdown]
+    runs on exit. *)
 val serve :
   ?env:Env.t ->
   ?log:(string -> unit) ->

@@ -19,7 +19,9 @@
     built on it: the front door's event loop and the clients.
 
     Verbs (client → server): [compile] (fields [config], [fn], [ir],
-    optional [deadline-ms], [delay-ms], [inject]), [stats], [ping],
+    optional [context] — the program's class layouts and globals,
+    {!Digest.context_of_program}, omitted when empty — [deadline-ms],
+    [delay-ms], [inject]), [stats], [ping],
     [shutdown], [lookup] ([digest]).
     Server → client: [reply] with a [status] field ([ok], [done],
     [done-cache], [failed], [timed-out], [shed], [rejected]; [hit] and

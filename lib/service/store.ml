@@ -25,13 +25,12 @@ type t = {
      a file published by another process is found by [get] even before
      it enters this index. *)
   mutable lru : (string * int) list;
-  (* Parsed-artifact memo for [lookup]: digest -> verified entry and
-     its parsed graph.  Populated only after a successful disk read
-     (so every artifact is checksum-verified and parse-validated at
-     least once per process), dropped whenever the entry is evicted,
-     discarded or republished — the memo never outlives the file it
-     mirrors. *)
-  parsed : (string, entry * Ir.Graph.t) Hashtbl.t;
+  (* Verified-entry memo for [lookup]: digest -> entry.  Populated
+     only after a successful disk read (so every artifact is
+     checksum-verified and parse-validated at least once per process),
+     dropped whenever the entry is evicted, discarded or republished —
+     the memo never outlives the file it mirrors. *)
+  parsed : (string, entry) Hashtbl.t;
   stats : stats;
 }
 
@@ -328,7 +327,8 @@ let memo_find t ~digest =
           found
       | None -> None)
 
-let parse_ir e = try Some (Ir.Parse.parse_graph e.ar_ir) with _ -> None
+let parses e =
+  match Ir.Parse.parse_graph e.ar_ir with _ -> true | exception _ -> false
 
 (* A checksummed artifact whose IR fails to parse is semantic
    corruption the checksum cannot see: evicted like any other corrupt
@@ -337,53 +337,20 @@ let parse_ir e = try Some (Ir.Parse.parse_graph e.ar_ir) with _ -> None
    wins. *)
 let from_disk t ~digest =
   match get t ~digest with
+  | Some e when parses e ->
+      locked t (fun () ->
+          if List.mem_assoc digest t.lru then Hashtbl.replace t.parsed digest e);
+      Some e
+  | Some _ ->
+      discard t ~digest;
+      None
   | None -> None
-  | Some e -> (
-      match parse_ir e with
-      | Some g ->
-          locked t (fun () ->
-              if List.mem_assoc digest t.lru then
-                Hashtbl.replace t.parsed digest (e, g));
-          Some (e, g)
-      | None ->
-          discard t ~digest;
-          None)
 
 let lookup ?(memory_only = false) t ~digest =
   match memo_find t ~digest with
   | Some _ as hit -> hit
   | None when memory_only -> None
   | None -> from_disk t ~digest
-
-(* ---- the driver hook ------------------------------------------------ *)
-
-let driver_cache ?(context = "") t =
-  let find config g =
-    try
-      Dbds.Faults.armed config.Dbds.Config.fault_plan ~fn:(Ir.Graph.name g)
-        (fun () ->
-          let key =
-            Digest.of_request (Digest.request_of_graph ~context ~config g)
-          in
-          match lookup t ~digest:key with
-          | None -> (None, key)
-          | Some (_, g') ->
-              (* [g'] is the shared memoized parse; the driver only
-                 reads it (restoring copies it into the request's
-                 graph). *)
-              (Some g', key))
-    with _ -> (None, "")
-  in
-  let store config ~key g ~work =
-    if key <> "" then
-      try
-        Dbds.Faults.armed config.Dbds.Config.fault_plan ~fn:(Ir.Graph.name g)
-          (fun () ->
-            put t ~digest:key ~fn:(Ir.Graph.name g)
-              ~ir:(Digest.canonical_of_graph g) ~work)
-      with _ -> ()
-  in
-  { Dbds.Driver.cache_lookup = find; cache_store = store }
 
 let pp_stats ppf s =
   Format.fprintf ppf

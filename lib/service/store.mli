@@ -19,7 +19,12 @@
     Store operations announce the {!Dbds.Faults.store_sites} fault
     sites, so the fuzzer can tear writes and publications
     deterministically; all injected faults (and real [Sys_error]s) are
-    contained inside the store as degraded operations. *)
+    contained inside the store as degraded operations.
+
+    The store holds text, never a graph.  Its one compiling client is
+    the {!Broker}, which digests a request, runs {!lookup}, compiles on
+    a miss and {!put}s the result; the front door's [lookup] verb reads
+    entries through the same chain. *)
 
 type entry = {
   ar_fn : string;  (** function name the artifact was compiled from *)
@@ -59,34 +64,22 @@ val get : t -> digest:string -> entry option
     Failures are contained and counted, never raised. *)
 val put : t -> digest:string -> fn:string -> ir:string -> work:int -> unit
 
-(** The one lookup chain, shared by the broker and {!driver_cache}:
-    parsed memo → local disk ({!get}, checksummed).
+(** The lookup chain the broker runs: parsed memo → local disk
+    ({!get}, checksummed).
 
     - The IR is parse-validated the first time an entry comes from
       disk.  A checksummed artifact that does not parse is evicted
       (counted [corrupt]).
-    - A verified disk read is memoized while the entry stays indexed,
-      so repeat lookups skip the filesystem and the parser entirely.
-      The memo is dropped whenever the entry is evicted, discarded or
+    - A verified disk read is memoized (the entry, not a graph: every
+      reader wants the text) while the entry stays indexed, so repeat
+      lookups skip the filesystem and the parser entirely.  The memo
+      is dropped whenever the entry is evicted, discarded or
       republished.
     - A miss probes the disk exactly once; the cold-compile fallback
       stays with the caller.
     - [memory_only] (default [false]) stops after the parsed memo: the
       chain's in-memory prefix, which never reads disk, parses or
-      reaches a fault site — cheap enough for an event loop.
-
-    The returned graph may be {e shared} between every caller of the
-    same digest — treat it as read-only (restore/copy from it, never
-    mutate it). *)
-val lookup :
-  ?memory_only:bool -> t -> digest:string -> (entry * Ir.Graph.t) option
-
-(** The store as a {!Dbds.Driver.cache}: lookups digest the function's
-    canonical request under the run's configuration (with [context] as
-    the program facts — see {!Digest.context_of_program}); stores
-    publish the optimized body under the same key.  Faults are armed per
-    function from the config's plan, and every path is contained — the
-    hooks never raise. *)
-val driver_cache : ?context:string -> t -> Dbds.Driver.cache
+      reaches a fault site — cheap enough for an event loop. *)
+val lookup : ?memory_only:bool -> t -> digest:string -> entry option
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -133,7 +133,7 @@ let test_simulation_round_reuses () =
   Alcotest.(check bool) "dom+loops+freq reused" true
     (s2.Ir.Analyses.hits >= s1.Ir.Analyses.hits + 3)
 
-let test_driver_cache_hits () =
+let test_driver_analysis_hits () =
   let prog = compile loop_src in
   let config =
     {
@@ -290,7 +290,7 @@ let suite =
     test "rollback revives checkpoint-time cache" test_rollback_revives_cache;
     test "commit keeps mutations" test_commit_keeps_mutations;
     test "simulation rounds reuse analyses" test_simulation_round_reuses;
-    test "driver records cache hits" test_driver_cache_hits;
+    test "driver records cache hits" test_driver_analysis_hits;
     test "empty region: no fire, no work, same generation" test_empty_region;
     test "restore rewinds the log with the stamps" test_restore_rewinds_log;
     test "copy starts with an empty log" test_copy_starts_fresh;

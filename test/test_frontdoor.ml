@@ -297,6 +297,53 @@ let test_malformed_numeric_headers_refused () =
       SC.close c;
       shutdown env)
 
+(* A compile's [context] is outside input: one that does not parse is
+   refused with a reply naming the field, never compiled without its
+   class layouts, and the connection keeps serving. *)
+let test_malformed_context_refused () =
+  let ir = main_ir () in
+  let bad =
+    [
+      "class A x";
+      "class A: x\nclass A: y";
+      "class A: x,,y";
+      "class A: x,";
+      "class : x";
+      "globals: g\nglobals: h";
+      "globals: a,,b";
+      "klass A: x";
+      "class A: x\n";
+    ]
+  in
+  run_sim (fun env ->
+      let c = connect env "/fd" in
+      List.iter
+        (fun context ->
+          match SC.compile ~context ~config ~fn:"main" ~ir c with
+          | Ok (SB.Rejected msg) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "context %S refused by name (%S)" context msg)
+                true
+                (String.starts_with ~prefix:"context: " msg)
+          | Ok o ->
+              Alcotest.failf "context %S: %s" context (SB.outcome_label o)
+          | Error e -> Alcotest.failf "context %S: %s" context e)
+        bad;
+      (match SC.compile ~context:"class A: x\nglobals: g" ~config ~fn:"main" ~ir c with
+      | Ok (SB.Done _) -> ()
+      | Ok o -> Alcotest.failf "well-formed context: %s" (SB.outcome_label o)
+      | Error e -> Alcotest.failf "well-formed context: %s" e);
+      (match SC.stats c with
+      | Ok (broker_line, _, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "only the well-formed request compiled (%s)"
+               broker_line)
+            true
+            (contains ~sub:" compiles=1 " broker_line)
+      | Error e -> Alcotest.failf "stats: %s" e);
+      SC.close c;
+      shutdown env)
+
 (* Retired verbs get the structured rejection every unknown verb gets,
    and the connection keeps serving. *)
 let check_unknown_verbs msgs =
@@ -743,5 +790,6 @@ let suite =
     test "malformed numeric headers are refused"
       test_malformed_numeric_headers_refused;
     test "hello is an unknown verb" test_hello_is_unknown_verb;
+    test "a malformed context is refused" test_malformed_context_refused;
     test "retired fleet verbs are unknown" test_fleet_verbs_are_unknown;
   ]

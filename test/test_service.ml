@@ -1,6 +1,6 @@
 (** The compilation service: digest stability, the content-addressed
     artifact store (atomicity, checksum degradation, LRU GC, fault
-    containment, the parsed-artifact memo), the driver cache hook, VM
+    containment, the parsed-artifact memo), the request's context, VM
     warm-start hooks, broker coalescing / backpressure / deadlines and
     its warm path, and the wire protocol. *)
 
@@ -382,24 +382,23 @@ let test_store_lookup_memo () =
   let ir = canonical_main figure1 in
   with_store (fun st ->
       SS.put st ~digest:"d1" ~fn:"main" ~ir ~work:3;
-      let g1 =
+      let e1 =
         match SS.lookup st ~digest:"d1" with
-        | Some (e, g) ->
+        | Some e ->
             Alcotest.(check int) "work carried" 3 e.SS.ar_work;
-            g
+            e
         | None -> Alcotest.fail "first lookup missed"
       in
       (match SS.lookup st ~digest:"d1" with
-      | Some (_, g2) ->
-          Alcotest.(check bool) "repeat lookups share one parse" true (g1 == g2)
+      | Some e2 ->
+          Alcotest.(check bool) "repeat lookups share one entry" true (e1 == e2)
       | None -> Alcotest.fail "second lookup missed");
       (* Republishing drops the memo: the next lookup reads the new file
          back from disk. *)
       SS.put st ~digest:"d1" ~fn:"main" ~ir ~work:5;
       (match SS.lookup st ~digest:"d1" with
-      | Some (e, g3) ->
-          Alcotest.(check int) "republished entry re-read" 5 e.SS.ar_work;
-          Alcotest.(check bool) "and re-parsed" true (g3 != g1)
+      | Some e3 ->
+          Alcotest.(check int) "republished entry re-read" 5 e3.SS.ar_work
       | None -> Alcotest.fail "lookup after republish missed");
       (* Checksummed-but-unparsable IR is semantic corruption: evicted. *)
       SS.put st ~digest:"d2" ~fn:"main" ~ir:"fn broken(" ~work:1;
@@ -417,41 +416,6 @@ let test_store_lookup_memo () =
         [ "d2"; "d3"; "d4" ];
       Alcotest.(check bool) "memo does not outlive the file" true
         (SS.lookup st ~digest:"d1" = None))
-
-(* ------------------------------------------------------------------ *)
-(* Driver cache hook                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let optimize_with cache prog =
-  ignore
-    (Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1 ~cache
-       prog);
-  prog
-
-let test_driver_cache_warm_identical () =
-  with_store (fun st ->
-      let fingerprint prog =
-        let acc = ref [] in
-        Ir.Program.iter_functions prog (fun g ->
-            acc := (Ir.Graph.name g, SD.canonical_of_graph g) :: !acc);
-        List.sort compare !acc
-      in
-      let context = SD.context_of_program (compile trio) in
-      let cache = SS.driver_cache ~context st in
-      let cold = fingerprint (optimize_with cache (compile trio)) in
-      let s = SS.stats st in
-      Alcotest.(check bool) "cold run publishes" true (s.SS.writes > 0);
-      let hits_before = s.SS.hits in
-      let warm = fingerprint (optimize_with cache (compile trio)) in
-      Alcotest.(check bool) "warm run hits" true (s.SS.hits > hits_before);
-      Alcotest.(check bool) "warm output byte-identical to cold" true
-        (cold = warm);
-      (* The same functions, uncached, agree too. *)
-      let direct = fingerprint (optimize_with (SS.driver_cache st) (compile trio)) in
-      List.iter2
-        (fun (n, a) (_, b) ->
-          Alcotest.(check string) (n ^ ": cached = direct") b a)
-        warm direct)
 
 (* ------------------------------------------------------------------ *)
 (* Broker                                                              *)
@@ -860,6 +824,89 @@ let test_store_sim_slow_io () =
       Alcotest.(check bool) "published regardless" true
         (SS.get st ~digest <> None))
 
+(* ------------------------------------------------------------------ *)
+(* The request's context                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The paper's Listings 3-4 (examples/escape_analysis.ml): the
+   allocations go only with class [A]'s layout in view. *)
+let escape =
+  {|
+  class A { int x; }
+  int foo(A a) {
+    A p;
+    if (a == null) { p = new A(0); } else { p = a; }
+    return p.x;
+  }
+  int main(int k) {
+    if (k > 0) { return foo(new A(k)); }
+    return foo(null);
+  }
+|}
+
+(* A program's post-inline units as a client sends them — [(fn, IR
+   text)] — with the program's context, and each unit's canonical IR
+   under a direct class-aware compile of the same text. *)
+let units_and_direct src =
+  let prog = compile src in
+  ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
+  let classes = Hashtbl.fold (fun _ c acc -> c :: acc) prog.Ir.Program.classes [] in
+  let direct ir =
+    let g = Ir.Parse.parse_graph ir in
+    ignore
+      (Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
+         ~inline:false ~jobs:1
+         (Ir.Program.of_graph ~classes ~globals:prog.Ir.Program.globals g));
+    SD.canonical_of_graph g
+  in
+  ( SD.context_of_program prog,
+    List.map
+      (fun fn ->
+        let ir =
+          Ir.Printer.graph_to_string
+            (Option.get (Ir.Program.find_function prog fn))
+        in
+        (fn, ir, direct ir))
+      (Ir.Program.function_names prog) )
+
+(* Given the context, the broker replies with exactly the direct
+   class-aware compile, cold and then warm from the store; without it,
+   the escape program keeps the allocations that need class [A]. *)
+let test_broker_context_is_direct () =
+  with_store (fun st ->
+      with_broker st (fun b ->
+          let serve ?context fn ir =
+            match SB.submit ?context ~config:Dbds.Config.dbds ~fn ~ir b with
+            | SB.Done { ir; from_cache; _ } -> (ir, from_cache)
+            | o -> Alcotest.failf "%s: %s" fn (SB.outcome_label o)
+          in
+          List.iter
+            (fun src ->
+              let context, units = units_and_direct src in
+              Alcotest.(check bool) "the program has classes" true
+                (String.starts_with ~prefix:"class " context);
+              List.iter
+                (fun (fn, ir, direct) ->
+                  let cold, hit = serve ~context fn ir in
+                  Alcotest.(check string) (fn ^ ": served = direct") direct cold;
+                  Alcotest.(check bool) (fn ^ ": cold compiles") false hit;
+                  let warm, hit = serve ~context fn ir in
+                  Alcotest.(check string) (fn ^ ": warm = cold") cold warm;
+                  Alcotest.(check bool) (fn ^ ": warm is a store hit") true hit)
+                units)
+            (escape
+            :: List.map (fun seed -> Workloads.Progen.generate ~seed ()) [ 0; 1; 2 ]);
+          let _, units = units_and_direct escape in
+          List.iter
+            (fun (fn, ir, direct) ->
+              Alcotest.(check bool) (fn ^ ": no allocation left") false
+                (contains ~sub:"new A" direct);
+              let lone, _ = serve fn ir in
+              if fn = "foo" then
+                Alcotest.(check bool) "foo: without the context, one stays" true
+                  (contains ~sub:"new A" lone))
+            units))
+
 let suite =
   [
     test "digest: hash survives print/parse round-trip" test_digest_roundtrip;
@@ -882,7 +929,8 @@ let suite =
       test_store_sim_torn_write_contained;
     test "store: sim-disk slow IO delays, nothing else"
       test_store_sim_slow_io;
-    test "driver cache: warm run byte-identical" test_driver_cache_warm_identical;
+    test "broker: context replies equal direct"
+      test_broker_context_is_direct;
     test "broker: identical requests coalesce" test_broker_coalescing;
     test "broker: full queue sheds" test_broker_backpressure;
     test "broker: expired deadline" test_broker_deadline;
