@@ -15,7 +15,11 @@
     absolute times do not.  [before_first_pass] times the stages from
     source text to the first classic pass (parse+typecheck, lowering,
     the frontend verifier, the inliner) on the paper programs and on the
-    generated set, beside the classic passes' ns per work unit.  Every
+    generated set, beside the classic passes' ns per work unit.
+    [service_cold_path] times the server's cold path stage by stage
+    ({!Cold}: decode, parse, hash, compile, canonical reply IR, store
+    put, render) over the functions of perfbench-shaped cold requests,
+    in ns and minor words per function.  Every
     deterministic number is printed by [bin/experiments.exe] and pinned
     in [test/golden/experiments.expected]. *)
 
@@ -323,6 +327,53 @@ let json_corpus name r =
     (String.concat ",\n" (List.map pass_entry r.pass_rows))
     (classic_median r)
 
+(* ------------------------------------------------------------------ *)
+(* The service's cold path                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Programs of perfbench's cold request stream the block covers. *)
+let cold_programs = 60
+
+(* Per stage of [Cold.stages]: the fastest of [runs] runs (after one
+   warm-up) in ns per function, and the minor words per function. *)
+let measure_cold_path fns =
+  ignore (Cold.run_once fns);
+  let all = List.init runs (fun _ -> Cold.run_once fns) in
+  let n = float_of_int (Array.length fns) in
+  List.mapi
+    (fun i stage ->
+      let ns = List.fold_left (fun b (ns, _) -> Float.min b ns.(i)) infinity all in
+      (stage, ns /. n, (snd (List.hd all)).(i) /. n))
+    Cold.stages
+
+let print_cold_path fns rows =
+  Format.printf
+    "@.=== service cold path: %d functions of %d generated requests (min of %d) ===@.@."
+    (Array.length fns) cold_programs runs;
+  Format.printf "%-12s %12s %14s@." "stage" "us/fn" "minor words/fn";
+  List.iter
+    (fun (stage, ns, words) ->
+      Format.printf "%-12s %12.1f %14.0f@." stage (ns /. 1e3) words)
+    rows
+
+let json_cold_path fns rows =
+  Printf.sprintf
+    "{\n\
+    \    \"programs\": %d,\n\
+    \    \"functions\": %d,\n\
+    \    \"runs\": %d,\n\
+    \    \"stages\": [\n%s\n    ]\n\
+    \  }"
+    cold_programs (Array.length fns) runs
+    (String.concat ",\n"
+       (List.map
+          (fun (stage, ns, words) ->
+            Printf.sprintf
+              "      { \"stage\": %S, \"ns_per_fn\": %.0f, \
+               \"minor_words_per_fn\": %.0f }"
+              stage ns words)
+          rows))
+
 let () =
   let suites =
     List.map2
@@ -336,18 +387,22 @@ let () =
     List.map (fun (name, sources) -> (name, measure_corpus sources)) (corpora ())
   in
   List.iter (fun (name, r) -> print_corpus name r) before;
+  let cold_fns = Cold.functions ~programs:cold_programs in
+  let cold = measure_cold_path cold_fns in
+  print_cold_path cold_fns cold;
   let path = "BENCH_results.json" in
   let oc = open_out path in
   Printf.fprintf oc
     "{\n  \"cores\": %d,\n  \"unit\": \"ns_per_compile\",\n  \
      \"dbds_over_baseline_geomean\": %.3f,\n  \"perf\": [\n%s\n  ],\n  \
      \"before_first_pass\": {\n    \"runs\": %d,\n    \"corpora\": [\n%s\n    \
-     ]\n  }\n}\n"
+     ]\n  },\n  \"service_cold_path\": %s\n}\n"
     (Ir.Parallel.default_jobs ()) geomean
     (String.concat ",\n"
        (List.map (fun (tag, suite, rows) -> json_suite tag suite rows) suites))
     runs
     (String.concat ",\n"
-       (List.map (fun (name, r) -> json_corpus name r) before));
+       (List.map (fun (name, r) -> json_corpus name r) before))
+    (json_cold_path cold_fns cold);
   close_out oc;
   Format.printf "@.wrote %s@." path

@@ -11,6 +11,8 @@
       exceed their work-unit budget over the paper benchmarks;
     - the dbds pass exceeds its work-unit budget over generated
       programs;
+    - the service's cold path allocates more than its budget re-reading
+      and re-writing IR text (parse, hash, canonical reply IR);
     - the workload-lab gates below fail.
 
     The front door's overload gate is the "bench: reduced load sweep"
@@ -144,6 +146,24 @@ let () =
     die "dbds work on generated shapes %d units > budget %d (a duplication \
          charged for the whole graph again?)"
       dup_work dup_budget;
+  (* Cold-path text gate.  A cold request's server parses its IR, hashes
+     it and writes the compiled body's canonical text.  Over the
+     functions of perfbench's first 60 cold requests those three stages
+     allocate 20,555 minor words a function; they allocated 94,648
+     while the parser built lists and hash tables, the hash numbered
+     ids in hash tables, and the canonical text was a print, a parse
+     and a second print.  Allocation does not depend on the host, so
+     the gate holds on any runner. *)
+  let cold_budget = 26_000.0 in
+  let cold_words = Cold.text_words_per_fn (Cold.functions ~programs:60) in
+  Printf.printf
+    "bench-smoke: cold-path parse + hash + canonical %.0f minor words per \
+     function (budget %.0f)\n"
+    cold_words cold_budget;
+  if cold_words > cold_budget then
+    die "cold-path parse + hash + canonical allocate %.0f minor words per \
+         function > budget %.0f (a text stage builds lists or tables again?)"
+      cold_words cold_budget;
   (* Warm service recompiles must return byte-identical artifacts. *)
   let s = Harness.Servicebench.measure_suite (List.hd Workloads.Registry.all) in
   if not s.Harness.Metrics.sv_identical then

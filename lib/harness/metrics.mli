@@ -76,6 +76,7 @@ type tier_row = {
     warm-service gate). *)
 type service_row = {
   sv_suite : string;
+  sv_requests : int;  (** compile requests per pass *)
   sv_warm_hit_rate : float;  (** store hit rate during the warm pass *)
   sv_identical : bool;  (** warm canonical IR byte-identical to cold *)
 }

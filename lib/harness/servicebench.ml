@@ -11,31 +11,36 @@ let rm_rf dir =
     try Sys.rmdir dir with Sys_error _ -> ())
 
 (* Every function of every program as one compile request: its name,
-   its printed post-inline IR and its program's context. *)
-let requests_of sources =
+   its printed post-inline IR and its program's context.  The program
+   is inlined first, as [dbdsc --connect] does: the service compiles
+   post-inlining units. *)
+let requests_of programs =
   List.concat_map
-    (fun src ->
-      let prog = Lang.Frontend.compile src in
+    (fun prog ->
+      ignore
+        (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
       let context = Service.Digest.context_of_program prog in
       List.map
         (fun name ->
           let g = Option.get (Ir.Program.find_function prog name) in
           (name, Ir.Printer.graph_to_string g, context))
         (Ir.Program.function_names prog))
-    sources
+    programs
 
 let measure_suite (suite : Workloads.Suite.t) =
+  (* Through [Suite.compile]: a direct-IR benchmark has no source. *)
+  let requests =
+    requests_of (List.map Workloads.Suite.compile suite.Workloads.Suite.benchmarks)
+  in
+  if requests = [] then
+    invalid_arg
+      (Printf.sprintf "Servicebench.measure_suite: suite %s yields no request"
+         suite.Workloads.Suite.suite_name);
   let dir = Filename.temp_dir "dbds-service-bench" ".store" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let store = Service.Store.create ~dir () in
   let broker = Service.Broker.create ~workers:1 ~store:(Some store) () in
   Fun.protect ~finally:(fun () -> Service.Broker.shutdown broker) @@ fun () ->
-  let requests =
-    requests_of
-      (List.map
-         (fun b -> b.Workloads.Suite.source)
-         suite.Workloads.Suite.benchmarks)
-  in
   let run_pass () =
     List.map
       (fun (fn, ir, context) ->
@@ -54,6 +59,7 @@ let measure_suite (suite : Workloads.Suite.t) =
   and misses = st.Service.Store.misses - m0 in
   {
     Metrics.sv_suite = suite.Workloads.Suite.suite_name;
+    sv_requests = List.length requests;
     sv_warm_hit_rate =
       (if hits + misses = 0 then 0.0
        else float_of_int hits /. float_of_int (hits + misses));
@@ -88,7 +94,7 @@ let sweep_pool =
                  (Dbds.Driver.optimize_program_report ~config:sweep_config
                     ~inline:false ~jobs:1 (Ir.Program.of_graph parsed));
                (fn, ir, Service.Digest.canonical_of_graph parsed))
-             (requests_of [ src ]))
+             (requests_of [ Lang.Frontend.compile src ]))
          progs
      in
      Array.of_list reqs)

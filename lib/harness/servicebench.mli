@@ -1,9 +1,11 @@
 (** Compilation-service checks under the harness.
 
     [measure_suite]: every function of every benchmark of a suite
-    becomes one compile request — the function's IR as the front end
-    prints it, with its program's context (class layouts and globals,
-    {!Service.Digest.context_of_program}).  Each request goes twice
+    becomes one compile request — the function's IR after inlining, as
+    [dbdsc --connect] sends it, with its program's context (class
+    layouts and globals, {!Service.Digest.context_of_program}).
+    Benchmarks are built by {!Workloads.Suite.compile}, so a suite
+    authored as IR sends its functions too.  Each request goes twice
     through an in-process {!Service.Broker} whose store is rooted in a
     scratch directory:
 
@@ -17,7 +19,9 @@
     answer-changer.  Service timing is perfbench's
     [service_cpu_ms_per_req]. *)
 
-(** Check one suite; the scratch store directory is removed on exit. *)
+(** Check one suite; the scratch store directory is removed on exit.
+    @raise Invalid_argument when the suite yields no request: a check
+    over nothing passes on nothing. *)
 val measure_suite : Workloads.Suite.t -> Metrics.service_row
 
 (** The frontdoor overload sweep, under the deterministic simulator:

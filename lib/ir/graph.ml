@@ -127,33 +127,43 @@ let n_blocks g = g.n_blocks
 let cache g = g.cache
 let set_cache g c = g.cache <- c
 
-let create ?(name = "fn") ~n_params () =
+(* The arena size that holds [n] slots: what doubling from [start]
+   reaches. *)
+let rec arena n start = if start >= n then start else arena n (2 * start)
+
+(* Arenas start at 16 instruction and 8 block slots and double when
+   full.  A builder that knows how many it will add gets the size that
+   doubling reaches for them: it never regrows, and whatever is added
+   after it finds the headroom it would have found one append at a
+   time. *)
+let create ?(name = "fn") ?(instrs = 0) ?(blocks = 0) ~n_params () =
+  let ni = arena instrs 16 and nb = arena blocks 8 in
   {
     name;
     n_params;
-    kinds = Array.make 16 Null;
-    ins_block = Array.make 16 dead;
-    seq_prev = Array.make 16 (-1);
-    seq_next = Array.make 16 (-1);
-    eff_prev = Array.make 16 off_chain;
-    eff_next = Array.make 16 (-1);
+    kinds = Array.make ni Null;
+    ins_block = Array.make ni dead;
+    seq_prev = Array.make ni (-1);
+    seq_next = Array.make ni (-1);
+    eff_prev = Array.make ni off_chain;
+    eff_next = Array.make ni (-1);
     allocs = [];
-    use_head = Array.make 16 (-1);
+    use_head = Array.make ni (-1);
     n_instrs = 0;
-    cell_user = Array.make 32 0;
-    cell_next = Array.make 32 (-1);
+    cell_user = Array.make (2 * ni) 0;
+    cell_next = Array.make (2 * ni) (-1);
     n_cells = 0;
     free_cell = -1;
-    blk_live = Array.make 8 false;
-    blk_term = Array.make 8 Unreachable;
-    blk_preds = Array.make 8 no_preds;
-    phi_head = Array.make 8 (-1);
-    phi_tail = Array.make 8 (-1);
-    body_head = Array.make 8 (-1);
-    body_tail = Array.make 8 (-1);
-    eff_head = Array.make 8 (-1);
-    eff_tail = Array.make 8 (-1);
-    blk_size = Array.make 8 0;
+    blk_live = Array.make nb false;
+    blk_term = Array.make nb Unreachable;
+    blk_preds = Array.make nb no_preds;
+    phi_head = Array.make nb (-1);
+    phi_tail = Array.make nb (-1);
+    body_head = Array.make nb (-1);
+    body_tail = Array.make nb (-1);
+    eff_head = Array.make nb (-1);
+    eff_tail = Array.make nb (-1);
+    blk_size = Array.make nb 0;
     n_blocks = 0;
     entry = -1;
     generation = 0;
@@ -596,7 +606,11 @@ let set_entry g bid =
   touch g;
   log_cfg g bid
 
-(* Allocate the instruction without attaching it to a block. *)
+(* Allocate the instruction without attaching it to a block.  Its use
+   chain is not reset: a slot is fresh (arenas are filled with -1 and
+   slots are never reused), so a use recorded on the id before it was
+   allocated — a terminator or a loop phi reading a value defined
+   further down, as the parser builds them — is kept. *)
 let alloc_instr g kind =
   grow_instrs g;
   let id = g.n_instrs in
@@ -607,7 +621,6 @@ let alloc_instr g kind =
   g.seq_next.(id) <- -1;
   g.eff_prev.(id) <- off_chain;
   g.eff_next.(id) <- -1;
-  g.use_head.(id) <- -1;
   g.n_live <- g.n_live + 1;
   if is_new kind then alloc_add g id;
   touch g;

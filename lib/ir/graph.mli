@@ -101,7 +101,12 @@ val cache : t -> cache
 
 val set_cache : t -> cache -> unit
 
-val create : ?name:string -> n_params:int -> unit -> t
+(** A graph with no blocks.  Its arenas double when full; [instrs] and
+    [blocks] are how many instructions and blocks the caller will add,
+    if it knows: the arenas then start at the size that doubling would
+    reach for them, so adding them never regrows. *)
+val create :
+  ?name:string -> ?instrs:int -> ?blocks:int -> n_params:int -> unit -> t
 
 (** {2 Arena access} *)
 

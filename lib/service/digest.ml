@@ -26,7 +26,7 @@ let fnv_state () =
   state_set st 0 fnv_offset;
   st
 
-let fnv_char st c =
+let[@inline] fnv_char st c =
   state_set st 0
     (Int64.mul
        (Int64.logxor (state_get st 0) (Int64.of_int (Char.code c)))
@@ -44,11 +44,8 @@ let fnv64_int64 s =
 
 let fnv64 s = Printf.sprintf "%016Lx" (fnv64_int64 s)
 
-let canonical_of_graph g =
-  Ir.Printer.graph_to_string (Ir.Parse.parse_graph (Ir.Printer.graph_to_string g))
-
-let canonical_of_text text =
-  Ir.Printer.graph_to_string (Ir.Parse.parse_graph text)
+let canonical_of_graph = Ir.Printer.canonical_to_string
+let canonical_of_text text = canonical_of_graph (Ir.Parse.parse_graph text)
 
 (* Streaming canonical IR hash: one graph traversal feeding FNV-1a
    directly, no strings built.  The token stream renumbers blocks by
@@ -58,198 +55,225 @@ let canonical_of_text text =
    renumbering and under the round-trip itself, at a fraction of the
    cost (the digest is the hot path of every cache lookup).  Branch
    probabilities are fed at the printer's %.2f precision so a printed
-   artifact round-trips to the same hash. *)
+   artifact round-trips to the same hash.
+
+   The numberings are int arrays indexed by id ([-1]: not numbered
+   yet), and every feeder is a top-level function over the hasher:
+   no table and no closure per hash. *)
+type hasher = {
+  st : Bytes.t;
+  block_no : int array;  (** canonical block number, or -1 *)
+  value_no : int array;  (** canonical value number, or -1 *)
+  mutable next_value : int;
+}
+
+let[@inline] feed_char h c = fnv_char h.st c
+let feed h s = fnv_string h.st s
+
+(* The decimal digits [string_of_int] would print, without the string;
+   digits are peeled off the non-positive value so [min_int] needs no
+   special case. *)
+let rec feed_digits h n =
+  if n <= -10 then feed_digits h (n / 10);
+  feed_char h (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let feed_int h n =
+  if n < 0 then (
+    feed_char h '-';
+    feed_digits h n)
+  else feed_digits h (-n)
+
+let dense_block h bid =
+  if bid >= 0 && bid < Array.length h.block_no then h.block_no.(bid) else -1
+
+let feed_block h bid =
+  feed_char h 'b';
+  feed_int h (dense_block h bid)
+
+let value_number h v =
+  if v < 0 || v >= Array.length h.value_no then
+    invalid_arg (Printf.sprintf "Digest.ir_hash_of_graph: operand v%d outside the graph" v);
+  let n = h.value_no.(v) in
+  if n >= 0 then n
+  else begin
+    let n = h.next_value in
+    h.next_value <- n + 1;
+    h.value_no.(v) <- n;
+    n
+  end
+
+let feed_value h v =
+  feed_char h 'v';
+  if v = Ir.Types.invalid_value then feed_char h '?' else feed_int h (value_number h v)
+
+let feed_values h vs =
+  for i = 0 to Array.length vs - 1 do
+    feed_value h vs.(i);
+    feed_char h ','
+  done
+
+let feed_operands h a b =
+  feed_char h ' ';
+  feed_value h a;
+  feed_char h ',';
+  feed_value h b
+
+let feed_kind h = function
+  | Ir.Types.Const n ->
+      feed h "const ";
+      feed_int h n
+  | Ir.Types.Null -> feed h "null"
+  | Ir.Types.Param i ->
+      feed h "param ";
+      feed_int h i
+  | Ir.Types.Binop (op, a, b) ->
+      feed h (Ir.Types.binop_to_string op);
+      feed_operands h a b
+  | Ir.Types.Cmp (op, a, b) ->
+      feed h "cmp.";
+      feed h (Ir.Types.cmpop_to_string op);
+      feed_operands h a b
+  | Ir.Types.Neg a ->
+      feed h "neg ";
+      feed_value h a
+  | Ir.Types.Not a ->
+      feed h "not ";
+      feed_value h a
+  | Ir.Types.Phi inputs ->
+      (* Only a malformed phi (arity ≠ predecessor count, which the
+         verifier rejects) reaches here; well-formed ones are
+         canonicalized against predecessor order in [hash_block]. *)
+      feed h "phi ";
+      feed_values h inputs
+  | Ir.Types.New (cls, args) ->
+      feed h "new ";
+      feed h cls;
+      feed_char h '(';
+      feed_values h args;
+      feed_char h ')'
+  | Ir.Types.Load (o, f) ->
+      feed h "load ";
+      feed_value h o;
+      feed_char h '.';
+      feed h f
+  | Ir.Types.Store (o, f, v) ->
+      feed h "store ";
+      feed_value h o;
+      feed_char h '.';
+      feed h f;
+      feed h "<-";
+      feed_value h v
+  | Ir.Types.Load_global gl ->
+      feed h "gload ";
+      feed h gl
+  | Ir.Types.Store_global (gl, v) ->
+      feed h "gstore ";
+      feed h gl;
+      feed h "<-";
+      feed_value h v
+  | Ir.Types.Call (fn, args) ->
+      feed h "call ";
+      feed h fn;
+      feed_char h '(';
+      feed_values h args;
+      feed_char h ')'
+
+let feed_term h = function
+  | Ir.Types.Jump b ->
+      feed h "jump ";
+      feed_block h b
+  | Ir.Types.Branch { cond; if_true; if_false; prob } ->
+      feed h "branch ";
+      feed_value h cond;
+      feed_char h '?';
+      feed_block h if_true;
+      feed_char h ':';
+      feed_block h if_false;
+      feed_char h '@';
+      feed h (Ir.Printer.prob_to_string prob)
+  | Ir.Types.Return None -> feed h "return"
+  | Ir.Types.Return (Some v) ->
+      feed h "return ";
+      feed_value h v
+  | Ir.Types.Unreachable -> feed h "unreachable"
+
+(* Phi inputs align with the block's predecessor list, and predecessor
+   order is a representation detail the parser is free to rebuild
+   differently — hash the inputs as (predecessor, value) pairs sorted by
+   canonical predecessor id instead.  Already-ascending predecessors
+   need no sort; otherwise [Array.sort] permutes positions, making the
+   comparisons (and so the order of ties) of a sort of the pairs. *)
+let feed_phi h g bid inputs =
+  let n = Array.length inputs in
+  let key = Array.init n (fun i -> dense_block h (Ir.Graph.pred_nth g bid i)) in
+  let order = Array.init n Fun.id in
+  let ascending = ref true in
+  for i = 1 to n - 1 do
+    if key.(i - 1) >= key.(i) then ascending := false
+  done;
+  if not !ascending then
+    Array.sort (fun i j -> compare (key.(i) : int) key.(j)) order;
+  feed h "phi ";
+  for i = 0 to n - 1 do
+    let j = order.(i) in
+    feed_char h 'b';
+    feed_int h key.(j);
+    feed_char h ':';
+    feed_value h inputs.(j);
+    feed_char h ','
+  done;
+  feed_char h ';'
+
+let hash_block h g bid =
+  feed_block h bid;
+  feed_char h ':';
+  let n_preds = Ir.Graph.pred_count g bid in
+  Ir.Graph.iter_block_instrs g bid (fun id ->
+      feed_value h id;
+      feed_char h '=';
+      match Ir.Graph.kind g id with
+      | Ir.Types.Phi inputs when n_preds = Array.length inputs ->
+          feed_phi h g bid inputs
+      | kind ->
+          feed_kind h kind;
+          feed_char h ';');
+  feed_term h (Ir.Graph.term g bid);
+  feed_char h '\n'
+
 let ir_hash_int64 g =
-  let st = fnv_state () in
-  let feed_char c = fnv_char st c in
-  let feed s = fnv_string st s in
-  (* The decimal digits [string_of_int] would print, without the
-     string; digits are peeled off the non-positive value so [min_int]
-     needs no special case. *)
-  let feed_int n =
-    let rec digits n =
-      if n <= -10 then digits (n / 10);
-      feed_char (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-    in
-    if n < 0 then (
-      feed_char '-';
-      digits n)
-    else digits (-n)
+  let h =
+    {
+      st = fnv_state ();
+      block_no = Array.make (Ir.Graph.n_blocks g) (-1);
+      value_no = Array.make (Ir.Graph.n_instrs g) (-1);
+      next_value = 0;
+    }
   in
-  let blocks = Hashtbl.create 32 in
-  let values = Hashtbl.create 64 in
-  let next_value = ref 0 in
-  let feed_block bid =
-    feed_char 'b';
-    feed_int (try Hashtbl.find blocks bid with Not_found -> -1)
-  in
-  let feed_value v =
-    feed_char 'v';
-    if v = Ir.Types.invalid_value then feed_char '?'
-    else
-      feed_int
-        (match Hashtbl.find_opt values v with
-        | Some n -> n
-        | None ->
-            let n = !next_value in
-            incr next_value;
-            Hashtbl.add values v n;
-            n)
-  in
-  let feed_values vs =
-    Array.iter
-      (fun v ->
-        feed_value v;
-        feed_char ',')
-      vs
-  in
-  let feed_kind = function
-    | Ir.Types.Const n ->
-        feed "const ";
-        feed_int n
-    | Ir.Types.Null -> feed "null"
-    | Ir.Types.Param i ->
-        feed "param ";
-        feed_int i
-    | Ir.Types.Binop (op, a, b) ->
-        feed (Ir.Types.binop_to_string op);
-        feed_char ' ';
-        feed_value a;
-        feed_char ',';
-        feed_value b
-    | Ir.Types.Cmp (op, a, b) ->
-        feed "cmp.";
-        feed (Ir.Types.cmpop_to_string op);
-        feed_char ' ';
-        feed_value a;
-        feed_char ',';
-        feed_value b
-    | Ir.Types.Neg a ->
-        feed "neg ";
-        feed_value a
-    | Ir.Types.Not a ->
-        feed "not ";
-        feed_value a
-    | Ir.Types.Phi inputs ->
-        (* Only a malformed phi (arity ≠ predecessor count, which the
-           verifier rejects) reaches here; well-formed ones are
-           canonicalized against predecessor order in [hash_block]. *)
-        feed "phi ";
-        feed_values inputs
-    | Ir.Types.New (cls, args) ->
-        feed "new ";
-        feed cls;
-        feed_char '(';
-        feed_values args;
-        feed_char ')'
-    | Ir.Types.Load (o, f) ->
-        feed "load ";
-        feed_value o;
-        feed_char '.';
-        feed f
-    | Ir.Types.Store (o, f, v) ->
-        feed "store ";
-        feed_value o;
-        feed_char '.';
-        feed f;
-        feed "<-";
-        feed_value v
-    | Ir.Types.Load_global gl ->
-        feed "gload ";
-        feed gl
-    | Ir.Types.Store_global (gl, v) ->
-        feed "gstore ";
-        feed gl;
-        feed "<-";
-        feed_value v
-    | Ir.Types.Call (fn, args) ->
-        feed "call ";
-        feed fn;
-        feed_char '(';
-        feed_values args;
-        feed_char ')'
-  in
-  let feed_term = function
-    | Ir.Types.Jump b ->
-        feed "jump ";
-        feed_block b
-    | Ir.Types.Branch { cond; if_true; if_false; prob } ->
-        feed "branch ";
-        feed_value cond;
-        feed_char '?';
-        feed_block if_true;
-        feed_char ':';
-        feed_block if_false;
-        feed_char '@';
-        feed (Printf.sprintf "%.2f" prob)
-    | Ir.Types.Return None -> feed "return"
-    | Ir.Types.Return (Some v) ->
-        feed "return ";
-        feed_value v
-    | Ir.Types.Unreachable -> feed "unreachable"
-  in
-  let dense_block bid = try Hashtbl.find blocks bid with Not_found -> -1 in
-  let hash_block bid =
-    feed_block bid;
-    feed_char ':';
-    let n_preds = Ir.Graph.pred_count g bid in
-    Ir.Graph.iter_block_instrs g bid (fun id ->
-        feed_value id;
-        feed_char '=';
-        match Ir.Graph.kind g id with
-        | Ir.Types.Phi inputs when n_preds = Array.length inputs ->
-            (* Phi inputs align with the block's predecessor list, and
-               predecessor order is a representation detail the parser
-               is free to rebuild differently — hash the inputs as
-               (predecessor, value) pairs sorted by canonical
-               predecessor id instead. *)
-            let pairs =
-              Array.mapi
-                (fun i v -> (dense_block (Ir.Graph.pred_nth g bid i), v))
-                inputs
-            in
-            Array.sort (fun (p, _) (q, _) -> compare (p : int) q) pairs;
-            feed "phi ";
-            Array.iter
-              (fun (p, v) ->
-                feed_char 'b';
-                feed_int p;
-                feed_char ':';
-                feed_value v;
-                feed_char ',')
-              pairs;
-            feed_char ';'
-        | kind ->
-            feed_kind kind;
-            feed_char ';');
-    feed_term (Ir.Graph.term g bid);
-    feed_char '\n'
-  in
-  feed "fn ";
-  feed (Ir.Graph.name g);
-  feed_char '(';
-  feed_int (Ir.Graph.n_params g);
-  feed ") entry=";
+  feed h "fn ";
+  feed h (Ir.Graph.name g);
+  feed_char h '(';
+  feed_int h (Ir.Graph.n_params g);
+  feed h ") entry=";
   (* Dense block numbering: reachable blocks by RPO position, detached
      ones appended in iteration order — mirroring the printer. *)
-  let rpo = Ir.Graph.rpo g in
-  List.iteri (fun i bid -> Hashtbl.replace blocks bid i) rpo;
-  let n_reachable = List.length rpo in
+  let rpo = Array.of_list (Ir.Graph.rpo g) in
+  Array.iteri (fun i bid -> h.block_no.(bid) <- i) rpo;
+  let n_reachable = Array.length rpo in
   let next_block = ref n_reachable in
   Ir.Graph.iter_blocks g (fun bid ->
-      if not (Hashtbl.mem blocks bid) then begin
-        Hashtbl.replace blocks bid !next_block;
+      if h.block_no.(bid) < 0 then begin
+        h.block_no.(bid) <- !next_block;
         incr next_block
       end);
-  feed_block (Ir.Graph.entry g);
-  feed_char '\n';
-  List.iter hash_block rpo;
+  feed_block h (Ir.Graph.entry g);
+  feed_char h '\n';
+  Array.iter (hash_block h g) rpo;
   Ir.Graph.iter_blocks g (fun bid ->
-      if dense_block bid >= n_reachable then begin
-        feed ";unreachable\n";
-        hash_block bid
+      if h.block_no.(bid) >= n_reachable then begin
+        feed h ";unreachable\n";
+        hash_block h g bid
       end);
-  state_get st 0
+  state_get h.st 0
 
 let ir_hash_of_graph g = Printf.sprintf "%016Lx" (ir_hash_int64 g)
 let ir_hash_of_text text = ir_hash_of_graph (Ir.Parse.parse_graph text)

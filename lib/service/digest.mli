@@ -41,10 +41,12 @@ type request = {
     Also used by {!Store} for artifact checksums. *)
 val fnv64 : string -> string
 
-(** Canonical IR text of a graph: print → parse → print. *)
+(** Canonical IR text of a graph: what print → parse → print gives,
+    written in one pass ({!Ir.Printer.canonical_to_string}).
+    @raise Invalid_argument on a graph the parser would reject. *)
 val canonical_of_graph : Ir.Graph.t -> string
 
-(** Canonical IR text of printed IR (parse → print).
+(** Canonical IR text of printed IR: parse, then {!canonical_of_graph}.
     @raise Ir.Parse.Parse_error on malformed input. *)
 val canonical_of_text : string -> string
 

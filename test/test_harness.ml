@@ -148,6 +148,22 @@ let test_quiescence_mutant () =
   Alcotest.(check bool) "dropping sccp is caught" true
     (violations { Dbds.Config.off with Dbds.Config.passes = spec } <> [])
 
+(* A suite authored as IR has no source text: its requests come from
+   [Suite.compile], so its service row checks its functions instead of
+   nothing. *)
+let test_service_direct_ir_suite () =
+  let suite = Option.get (Workloads.Registry.find_suite "adv-irreducible") in
+  let row = Harness.Servicebench.measure_suite suite in
+  Alcotest.(check bool) "requests sent" true (row.M.sv_requests > 0);
+  Alcotest.(check (float 1e-9)) "every warm request hits" 1.0 row.M.sv_warm_hit_rate;
+  Alcotest.(check bool) "warm replies identical" true row.M.sv_identical
+
+let test_service_empty_suite () =
+  let empty = { Workloads.Suite.suite_name = "empty"; figure = ""; benchmarks = [] } in
+  match Harness.Servicebench.measure_suite empty with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a suite with no request passed"
+
 let suite =
   [
     test "peak delta" test_peak_delta;
@@ -160,4 +176,6 @@ let suite =
     test "raytrace shape (dupalot regression)" test_raytrace_shape;
     test "akkaPP shape (dupalot slightly ahead)" test_akkapp_shape;
     test "fuzz: quiescence catches a group without sccp" test_quiescence_mutant;
+    test "service: a direct-IR suite sends its functions" test_service_direct_ir_suite;
+    test "service: a suite with no request is an error" test_service_empty_suite;
   ]

@@ -138,11 +138,91 @@ let test_roundtrip_after_duplication () =
       Alcotest.(check int) "instr count"
         (G.live_instr_count g) (G.live_instr_count g'))
 
+(* The parser's errors, message for message: which one a text raises
+   is part of the format (tests and the service report it).  Binary
+   operands are checked right to left, and all terminators before any
+   instruction. *)
+let test_parse_error_messages () =
+  let expect_message text msg =
+    match Ir.Parse.parse_graph text with
+    | exception Ir.Parse.Parse_error m -> Alcotest.(check string) text msg m
+    | _ -> Alcotest.failf "expected %S for %S" msg text
+  in
+  let fn = "fn f(1 params) entry=b0\n" in
+  expect_message (fn ^ "b0:\n  v0 = const 1\n  v0 = const 2\n  return v7")
+    "duplicate value v0";
+  expect_message (fn ^ "b0:\n  v0 = const 1\n  return v7")
+    "reference to undefined value v7";
+  expect_message (fn ^ "b0:\n  v0 = add v8, v9\n  return v0")
+    "reference to undefined value v9";
+  expect_message (fn ^ "b0:\n  v0 = add v1, v9\n  return v8")
+    "reference to undefined value v8";
+  expect_message (fn ^ "b0:\n  jump b4\nb0:\n  return") "duplicate block b0";
+  expect_message "fn f(0 params) entry=b3\nb0:\n  return"
+    "reference to undefined block b3";
+  expect_message (fn ^ "b0:\n  v1 = const 1\n  jump b5\nb1:\n  v1 = const 2\n  return")
+    "duplicate value v1";
+  let diamond preds =
+    fn ^ "b0:\n  v0 = param 0\n  branch v0 ? b1 : b2\nb1:  ; preds: b0\n  jump b3\n\
+          b2:  ; preds: b0\n  jump b3\nb3:  ; preds: " ^ preds
+    ^ "\n  v1 = phi [v0, v0]\n  return v1"
+  in
+  expect_message (diamond "b1, b2, b0") "phi arity mismatch in b3";
+  expect_message (diamond "b1, b0") "predecessor mismatch in b3";
+  expect_message (diamond "b1, b9") "reference to undefined block b9"
+
+(* A value's terminator reads are its oldest uses, then its instruction
+   reads in text order, newest first: the order the passes see. *)
+let test_parse_use_order () =
+  let g =
+    Ir.Parse.parse_graph
+      "fn f(1 params) entry=b0\nb0:\n  v0 = param 0\n  v1 = add v0, v0\n\
+       \  branch v0 ? b1 : b2\nb1:  ; preds: b0\n  return v1\n\
+       b2:  ; preds: b0\n  v2 = neg v0\n  return v0"
+  in
+  Alcotest.(check (list string)) "uses of v0"
+    [ "i2"; "i1"; "i1"; "t2"; "t0" ]
+    (List.map
+       (function G.U_instr i -> Printf.sprintf "i%d" i | G.U_term b -> Printf.sprintf "t%d" b)
+       (G.uses g 0))
+
+(* A sparse or huge textual id maps through a table: parsing it costs
+   what a dense one does, not an array as long as the id. *)
+let test_parse_sparse_ids () =
+  let bytes f =
+    let a0 = Gc.allocated_bytes () in
+    let g = f () in
+    (g, Gc.allocated_bytes () -. a0)
+  in
+  let g, huge =
+    bytes (fun () ->
+        Ir.Parse.parse_graph
+          "fn f(0 params) entry=b999999999\nb999999999:\n  v999999999999 = const 1\n\
+          \  return v999999999999")
+  in
+  Alcotest.(check int) "one instruction" 1 (G.live_instr_count g);
+  Alcotest.(check bool) "under 64 KiB" true (huge < 65536.);
+  let sparse =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "fn f(0 params) entry=b7000000\nb7000000:\n";
+    for i = 1 to 200 do
+      Printf.bprintf b "  v%d = const %d\n" (i * 1_000_003) i
+    done;
+    Buffer.add_string b "  return v200000600\n";
+    Buffer.contents b
+  in
+  let g, cost = bytes (fun () -> Ir.Parse.parse_graph sparse) in
+  Alcotest.(check int) "200 instructions" 200 (G.live_instr_count g);
+  Alcotest.(check bool) "under 1 MiB" true (cost < 1048576.)
+
 let suite =
   [
     test "hand-written fixture" test_parse_fixture;
     test "all instruction kinds" test_parse_all_kinds;
     test "parse errors" test_parse_errors;
+    test "parse error messages" test_parse_error_messages;
+    test "use order" test_parse_use_order;
+    test "sparse and huge ids stay cheap" test_parse_sparse_ids;
     test "roundtrip random programs" test_roundtrip_random_programs;
     test "roundtrip after duplication" test_roundtrip_after_duplication;
   ]

@@ -270,6 +270,142 @@ let test_digest_pinned () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Canonical reply IR                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The round trip the canonical writer replaces: its oracle. *)
+let round_trip g =
+  Ir.Printer.graph_to_string (Ir.Parse.parse_graph (Ir.Printer.graph_to_string g))
+
+let check_canonical ?(hash = true) what g =
+  let canonical = SD.canonical_of_graph g in
+  Alcotest.(check string) what (round_trip g) canonical;
+  if hash then
+    Alcotest.(check string) (what ^ ": hash of the canonical text")
+      (SD.ir_hash_of_graph g) (SD.ir_hash_of_text canonical)
+
+(* Every function of the paper programs, the generated shapes at seeds
+   0-19 and progen 0-199 plain and irreducible, as the front end builds
+   it and after a dbds compile. *)
+let test_canonical_corpora () =
+  let paper =
+    List.concat_map
+      (fun (s : Workloads.Suite.t) ->
+        List.map
+          (fun b () -> Workloads.Suite.compile b)
+          s.Workloads.Suite.benchmarks)
+      Workloads.Registry.all
+  in
+  let generated =
+    List.concat_map
+      (fun shape ->
+        List.init 20 (fun seed () ->
+            compile (Workloads.Generated.source shape ~seed)))
+      Workloads.Generated.shapes
+  in
+  let progen irreducible =
+    List.init 200 (fun seed () ->
+        Workloads.Progen.generate_program ~irreducible ~seed ())
+  in
+  List.iter
+    (fun (corpus, programs) ->
+      List.iteri
+        (fun i build ->
+          let prog = build () in
+          let check stage =
+            Ir.Program.iter_functions prog (fun g ->
+                check_canonical
+                  (Printf.sprintf "%s/%d %s %s" corpus i (Ir.Graph.name g) stage)
+                  g)
+          in
+          check "before";
+          ignore
+            (Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
+               ~jobs:1 prog);
+          check "after dbds")
+        programs)
+    [
+      ("paper", paper);
+      ("generated", generated);
+      ("progen", progen false);
+      ("progen-irr", progen true);
+    ]
+
+(* Graphs the corpora rarely or never hold. *)
+let test_canonical_hand_built () =
+  let module G = Ir.Graph in
+  let open Ir.Types in
+  (* Blocks no path reaches, one of them holding a phi. *)
+  let unreachable =
+    let g = G.copy (main_of (compile figure1)) in
+    let b1 = G.add_block g in
+    let b2 = G.add_block g in
+    let c = G.append g b1 (Const (-42)) in
+    G.set_term g b1 (Return (Some c));
+    G.set_term g b2 (Jump b1);
+    let b3 = G.add_block g in
+    G.set_term g b3 (Jump b1);
+    ignore (G.append g b1 (Phi [| c; c |]));
+    g
+  in
+  check_canonical "unreachable blocks" unreachable;
+  (* A branch whose arms were both redirected to one block: the merge
+     lists the branch twice, and the parser reads a jump. *)
+  let both_arms =
+    let g = G.create ~name:"arms" ~n_params:1 () in
+    let b0 = G.add_block g and b1 = G.add_block g and b2 = G.add_block g in
+    let x = G.append g b0 (Param 0) in
+    let one = G.append g b0 (Const 1) in
+    G.set_term g b0 (Branch { cond = x; if_true = b1; if_false = b2; prob = 0.3 });
+    let two = G.append g b1 (Const 2) in
+    G.set_term g b1 (Jump b2);
+    let phi = G.append g b2 (Phi [| one; two |]) in
+    G.set_term g b2 (Return (Some phi));
+    G.redirect_edge g ~from_block:b0 ~old_target:b1 ~new_target:b2;
+    G.set_kind g phi (Phi [| one; two; x |]);
+    g
+  in
+  Alcotest.(check (list int)) "the merge lists the branch twice" [ 0; 1; 0 ]
+    (G.preds both_arms 2);
+  (* The round trip rewrites this graph (a jump for the branch, one
+     input for the predecessor listed twice), which the hash of the
+     graph as it is does not: compare the text only. *)
+  check_canonical ~hash:false "both arms to one block" both_arms;
+  (* Predecessors out of print order, as a duplication leaves them: the
+     phi's inputs follow the parser's order. *)
+  let reordered =
+    let g = G.create ~name:"reordered" ~n_params:1 () in
+    let b0 = G.add_block g and b1 = G.add_block g and b2 = G.add_block g in
+    let b3 = G.add_block g in
+    let x = G.append g b0 (Param 0) in
+    G.set_term g b0 (Branch { cond = x; if_true = b1; if_false = b2; prob = 0.125 });
+    let one = G.append g b1 (Const 1) in
+    let two = G.append g b2 (Const 2) in
+    G.set_term g b2 (Jump b3);
+    G.set_term g b1 (Jump b3);
+    let phi = G.append g b3 (Phi [| two; one |]) in
+    G.set_term g b3 (Return (Some phi));
+    g
+  in
+  Alcotest.(check (list int)) "predecessors out of print order" [ 2; 1 ]
+    (G.preds reordered 3);
+  check_canonical "reordered predecessors" reordered;
+  Alcotest.(check bool) "inputs permuted" true
+    (contains ~sub:"preds: b1, b2\n  v3 = phi [v1, v2]"
+       (SD.canonical_of_graph reordered));
+  (* One block, no predecessors. *)
+  let single =
+    let g = G.create ~name:"single" ~n_params:0 () in
+    let b0 = G.add_block g in
+    G.set_term g b0 (Return (Some (G.append g b0 (Const 7))));
+    g
+  in
+  check_canonical "single block" single;
+  Alcotest.(check string) "single block text"
+    "fn single(0 params) entry=b0\nb0:\n  v0 = const 7\n  return v0\n"
+    (SD.canonical_of_graph single)
+
+(* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -918,6 +1054,9 @@ let suite =
     test "digest: one pipeline, one request"
       test_digest_one_pipeline_one_request;
     test "digest: values pinned" test_digest_pinned;
+    test "canonical: equals print/parse/print on four corpora"
+      test_canonical_corpora;
+    test "canonical: hand-built graphs" test_canonical_hand_built;
     test "store: publish and read back" test_store_roundtrip;
     test "store: corruption degrades to a miss" test_store_corruption_degrades;
     test "store: LRU eviction bounds the budget" test_store_lru_eviction;
