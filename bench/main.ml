@@ -15,7 +15,8 @@
     absolute times do not.  [before_first_pass] times the stages from
     source text to the first classic pass (parse+typecheck, lowering,
     the frontend verifier, the inliner) on the paper programs and on the
-    generated set, beside the classic passes' ns per work unit.
+    generated set, beside the classic passes' ns per work unit and
+    [simulate], the simulation tier's calls over every dbds round.
     [service_cold_path] times the server's cold path stage by stage
     ({!Cold}: decode, parse, hash, compile, canonical reply IR, store
     put, render) over the functions of perfbench-shaped cold requests,
@@ -183,6 +184,9 @@ type corpus_report = {
   inline_work : int;
   pass_rows : (string * int * float) list;
       (** classic pass, its work units and fastest corpus ns, under dbds *)
+  simulate : stage_cell;  (** [Simulation.simulate], every dbds round *)
+  rounds : int;
+  candidates : int;
 }
 
 (* One timed run of the four stages over every program: per stage the
@@ -217,9 +221,10 @@ let time_stages sources =
   (ns, minor, !work)
 
 (* One dbds compile of every program: the classic passes' rows of the
-   merged per-pass table, as (work, seconds). *)
+   merged per-pass table, as (work, seconds), and the candidates the
+   simulation found. *)
 let time_passes sources =
-  let rows = Hashtbl.create 16 in
+  let rows = Hashtbl.create 16 and candidates = ref 0 in
   List.iter
     (fun src ->
       let prog = Lang.Frontend.compile src in
@@ -227,6 +232,10 @@ let time_passes sources =
         Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds ~jobs:1
           prog
       in
+      candidates :=
+        !candidates
+        + (Dbds.Driver.total_stats r.Dbds.Driver.rep_stats)
+            .Dbds.Driver.candidates_found;
       List.iter
         (fun (name, (st : Opt.Phase.pass_stat)) ->
           let w, t =
@@ -236,9 +245,56 @@ let time_passes sources =
             (w + st.Opt.Phase.pwork, t +. st.Opt.Phase.time_s))
         (Opt.Phase.pass_table r.Dbds.Driver.rep_ctx))
     sources;
-  List.map
-    (fun name -> (name, Option.value ~default:(0, 0.0) (Hashtbl.find_opt rows name)))
-    classic_passes
+  ( List.map
+      (fun name ->
+        (name, Option.value ~default:(0, 0.0) (Hashtbl.find_opt rows name)))
+      classic_passes,
+    !candidates )
+
+(* Every round of a dbds compile of every program, made as the driver's
+   [run_round] makes it (dbds's defaults: 3 rounds, threshold 20, no
+   path extension), with [Simulation.simulate] timed: its summed ns and
+   minor words, the rounds and the candidates found. *)
+let time_simulate sources =
+  let ns = ref 0.0 and minor = ref 0.0 and rounds = ref 0 in
+  let candidates = ref 0 in
+  let config = Dbds.Config.dbds in
+  List.iter
+    (fun src ->
+      let prog = Lang.Frontend.compile src in
+      let ctx = Opt.Phase.create ~program:prog () in
+      ignore (Opt.Inline.inline_program ctx prog);
+      Ir.Program.iter_functions prog (fun g ->
+          ignore (Dbds.Driver.optimize_graph ~config:Dbds.Config.off ctx g);
+          let continue_ = ref true and iter = ref 0 in
+          while !continue_ && !iter < 3 do
+            incr iter;
+            incr rounds;
+            let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+            let cands = Dbds.Simulation.simulate ctx config g in
+            ns := !ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
+            minor := !minor +. (Gc.minor_words () -. w0);
+            candidates := !candidates + List.length cands;
+            let round = Dbds.Transform.round g in
+            let budget = Dbds.Tradeoff.budget_for g in
+            let benefit = ref 0.0 and stale = ref 0 in
+            List.iter
+              (fun (c : Dbds.Candidate.t) ->
+                if Dbds.Tradeoff.should_duplicate config budget c then
+                  match
+                    Dbds.Transform.duplicate ~ctx ~round g ~merge:c.merge
+                      ~pred:c.pred
+                  with
+                  | _ ->
+                      Dbds.Tradeoff.commit budget c;
+                      benefit := !benefit +. Dbds.Candidate.scaled_benefit c
+                  | exception Dbds.Transform.Not_applicable _ -> incr stale)
+              (Dbds.Tradeoff.rank cands);
+            if !benefit > 0.0 then ignore (Opt.Pipeline.action_steps ctx g);
+            if !benefit <= 20.0 && !stale = 0 then continue_ := false
+          done))
+    sources;
+  ({ sc_ns = !ns; sc_minor = !minor }, !rounds, !candidates)
 
 (* [runs] timed runs after one warm-up: per stage and per classic pass,
    the fastest run's ns. *)
@@ -246,8 +302,13 @@ let measure_corpus sources =
   ignore (time_stages sources);
   let stage_runs = List.init runs (fun _ -> time_stages sources) in
   let pass_runs = List.init runs (fun _ -> time_passes sources) in
+  let sim_runs = List.init runs (fun _ -> time_simulate sources) in
   let _, minor, work = List.hd stage_runs in
   let fastest f = List.fold_left (fun b run -> Float.min b (f run)) infinity in
+  let sim, rounds, candidates = List.hd sim_runs in
+  if candidates <> snd (List.hd pass_runs) then
+    failwith "bench: the simulate replay found other candidates than the \
+              driver";
   {
     programs = List.length sources;
     cells =
@@ -262,10 +323,16 @@ let measure_corpus sources =
     pass_rows =
       List.map
         (fun name ->
-          let work = fst (List.assoc name (List.hd pass_runs)) in
-          let ns = fastest (fun run -> snd (List.assoc name run) *. 1e9) pass_runs in
+          let work = fst (List.assoc name (fst (List.hd pass_runs))) in
+          let ns =
+            fastest (fun (run, _) -> snd (List.assoc name run) *. 1e9) pass_runs
+          in
           (name, work, ns))
         classic_passes;
+    simulate =
+      { sim with sc_ns = fastest (fun (c, _, _) -> c.sc_ns) sim_runs };
+    rounds;
+    candidates;
   }
 
 let per_work ns work = if work = 0 then 0.0 else ns /. float_of_int work
@@ -296,7 +363,14 @@ let print_corpus name r =
   Format.printf "%-16s %12d units, %.0f ns/unit@." "inline work" r.inline_work
     (per_work (inline_ns r) r.inline_work);
   Format.printf "%-16s %12.0f ns/unit (dbds)@." "classic median"
-    (classic_median r)
+    (classic_median r);
+  List.iter
+    (fun (pass, _, ns) ->
+      if pass = "gvn" then
+        Format.printf "%-16s %12.3f ms (dbds)@." pass (ns /. 1e6))
+    r.pass_rows;
+  Format.printf "%-16s %12.3f %14.0f  (%d rounds, %d candidates)@." "simulate"
+    (r.simulate.sc_ns /. 1e6) r.simulate.sc_minor r.rounds r.candidates
 
 let json_corpus name r =
   let stage_entry stage c =
@@ -318,14 +392,17 @@ let json_corpus name r =
     \      \"inline_work\": %d,\n\
     \      \"inline_ns_per_work\": %.1f,\n\
     \      \"classic_passes\": [\n%s\n      ],\n\
-    \      \"classic_median_ns_per_work\": %.1f\n\
+    \      \"classic_median_ns_per_work\": %.1f,\n\
+    \      \"simulate\": { \"ns\": %.0f, \"minor_words\": %.0f, \"rounds\": \
+     %d, \"candidates\": %d }\n\
     \    }"
     name r.programs
     (String.concat ",\n" (List.map2 stage_entry stages r.cells))
     r.inline_work
     (per_work (inline_ns r) r.inline_work)
     (String.concat ",\n" (List.map pass_entry r.pass_rows))
-    (classic_median r)
+    (classic_median r) r.simulate.sc_ns r.simulate.sc_minor r.rounds
+    r.candidates
 
 (* ------------------------------------------------------------------ *)
 (* The service's cold path                                             *)

@@ -4,7 +4,8 @@
     context: condition facts from dominating branches (shared with
     {!Opt.Condelim}), memory-availability state (shared with
     {!Opt.Readelim} via {!Opt.Memstate}), and available pure expressions
-    (value numbering).  Whenever the current block [bp] has a CFG
+    (value numbering, in {!Opt.Valtab}: the one scoped table that
+    {!Opt.Gvn} walks with too).  Whenever the current block [bp] has a CFG
     successor [bm] that is a merge, the traversal pauses and runs a
     {e duplication simulation traversal} (DST): [bm]'s instructions are
     processed as if appended to [bp], with a {e synonym map} binding each
@@ -26,13 +27,15 @@ module G = Ir.Graph
 type dst_context = {
   env : Opt.Condelim.env;
   mem : Opt.Memstate.t;
-  exprs : (instr_kind, value) Hashtbl.t;
+  exprs : Opt.Valtab.t;
 }
 
-(* Per-simulation scratch for the DST synonym and overlay maps:
-   epoch-stamped flat arrays indexed by value id, reused across every
-   DST of one traversal.  Bumping [epoch] empties all maps at once, so
-   the simulation inner loop neither allocates nor clears. *)
+(* The simulation's scratch: the DST synonym and overlay maps as
+   epoch-stamped flat arrays indexed by value id, and the walk's value
+   table.  Bumping [epoch] empties all maps at once, so the simulation
+   inner loop neither allocates nor clears.  One scratch per domain
+   serves every simulation on it: [epoch] only grows, so a stamp an
+   earlier graph left never matches. *)
 type scratch = {
   mutable syn_epoch : int array;
   mutable syn_val : int array;  (** synonym binding when epoch matches *)
@@ -40,11 +43,13 @@ type scratch = {
   mutable ovl_kind : instr_kind array;  (** overlay when epoch matches *)
   mutable pea_epoch : int array;  (** counted-allocation flags *)
   mutable epoch : int;
+  exprs : Opt.Valtab.t;
 }
 
-let scratch_create n =
-  let n = max 16 n in
+let scratch_create () =
+  let n = 16 in
   {
+    exprs = Opt.Valtab.create ();
     syn_epoch = Array.make n 0;
     syn_val = Array.make n 0;
     ovl_epoch = Array.make n 0;
@@ -71,6 +76,8 @@ let scratch_ensure sc v =
     sc.ovl_kind <- grow sc.ovl_kind (Const 0);
     sc.pea_epoch <- grow sc.pea_epoch 0
   end
+
+let scratch = Domain.DLS.new_key scratch_create
 
 let class_fields ctx cls =
   match ctx.Opt.Phase.program with
@@ -203,59 +210,55 @@ let simulate_dst ctx ~paths g ~loops ~mk_const ~freq ~sc dctx bp bm =
               set_ovl id (Const (if t then 1 else 0))
           | None ->
               (* Value numbering against dominating expressions. *)
-              let gvn_hit =
-                if Opt.Gvn.is_candidate resolved then
-                  Hashtbl.find_opt dctx.exprs (Opt.Gvn.key_of_kind resolved)
-                else None
-              in
-              (match gvn_hit with
-              | Some earlier ->
-                  fire Candidate.Value_numbering ~saved_cycles:(cycles orig)
-                    ~saved_size:(size orig);
-                  set_syn id earlier
-              | None -> (
-                  (* Read elimination over the threaded memory state. *)
-                  match resolved with
-                  | Load (base, _field) ->
-                      let st, redundant =
-                        Opt.Memstate.transfer !mem id resolved
-                      in
-                      (* An access through a phi-escaping allocation is a
-                         scalar-replacement opportunity whether or not the
-                         read is also directly redundant. *)
-                      ignore (check_pea base);
-                      (match redundant with
-                      | Some v ->
-                          fire Candidate.Read_elimination
-                            ~saved_cycles:(cycles orig) ~saved_size:(size orig);
-                          set_syn id v
-                      | None -> ());
-                      mem := st
-                  | Load_global _ ->
-                      let st, redundant =
-                        Opt.Memstate.transfer !mem id resolved
-                      in
-                      (match redundant with
-                      | Some v ->
-                          fire Candidate.Read_elimination
-                            ~saved_cycles:(cycles orig) ~saved_size:(size orig);
-                          set_syn id v
-                      | None -> ());
-                      mem := st
-                  | Store (base, _, _) ->
-                      ignore (check_pea base);
-                      let st, _ = Opt.Memstate.transfer !mem id resolved in
-                      mem := st
-                  | New (cls, args) ->
-                      let st, _ = Opt.Memstate.transfer !mem id resolved in
-                      mem :=
-                        (match class_fields ctx cls with
-                        | Some fields ->
-                            Opt.Memstate.seed_new st ~fields id args
-                        | None -> st)
-                  | k ->
-                      let st, _ = Opt.Memstate.transfer !mem id k in
-                      mem := st))))
+              let earlier = Opt.Valtab.find dctx.exprs resolved in
+              if earlier >= 0 then begin
+                fire Candidate.Value_numbering ~saved_cycles:(cycles orig)
+                  ~saved_size:(size orig);
+                set_syn id earlier
+              end
+              else (
+                (* Read elimination over the threaded memory state. *)
+                match resolved with
+                | Load (base, _field) ->
+                    let st, redundant =
+                      Opt.Memstate.transfer !mem id resolved
+                    in
+                    (* An access through a phi-escaping allocation is a
+                       scalar-replacement opportunity whether or not the
+                       read is also directly redundant. *)
+                    ignore (check_pea base);
+                    (match redundant with
+                    | Some v ->
+                        fire Candidate.Read_elimination
+                          ~saved_cycles:(cycles orig) ~saved_size:(size orig);
+                        set_syn id v
+                    | None -> ());
+                    mem := st
+                | Load_global _ ->
+                    let st, redundant =
+                      Opt.Memstate.transfer !mem id resolved
+                    in
+                    (match redundant with
+                    | Some v ->
+                        fire Candidate.Read_elimination
+                          ~saved_cycles:(cycles orig) ~saved_size:(size orig);
+                        set_syn id v
+                    | None -> ());
+                    mem := st
+                | Store (base, _, _) ->
+                    ignore (check_pea base);
+                    let st, _ = Opt.Memstate.transfer !mem id resolved in
+                    mem := st
+                | New (cls, args) ->
+                    let st, _ = Opt.Memstate.transfer !mem id resolved in
+                    mem :=
+                      (match class_fields ctx cls with
+                      | Some fields ->
+                          Opt.Memstate.seed_new st ~fields id args
+                      | None -> st)
+                | k ->
+                    let st, _ = Opt.Memstate.transfer !mem id k in
+                    mem := st)))
   in
   (* The duplicated terminator: count its size; a branch whose condition
      resolves to a constant or is implied folds into a jump and unlocks
@@ -336,24 +339,21 @@ let simulate ?(paths = 1) ctx (_ : Config.t) g =
   let loops = Ir.Analyses.loops g in
   let freq = Ir.Analyses.frequency g in
   let mk_const = Opt.Canonicalize.materialize_const g in
-  let sc = scratch_create (G.n_instrs g + 64) in
-  let exprs : (instr_kind, value) Hashtbl.t = Hashtbl.create 64 in
+  let sc = Domain.DLS.get scratch in
+  scratch_ensure sc (G.n_instrs g + 63);
+  (* Empty after every walk, unless a fault escaped one. *)
+  let exprs = sc.exprs in
+  Opt.Valtab.pop_to exprs 0;
   let candidates = ref [] in
   let kind_of v = G.kind g v in
   let rec visit env mem bid =
     (* Process this block's instructions into the traversal context. *)
-    let added = ref [] in
+    let scope = Opt.Valtab.mark exprs in
     let mem_out =
       let st = ref mem in
       G.iter_block_instrs g bid (fun id ->
           let kind = G.kind g id in
-          if Opt.Gvn.is_candidate kind then begin
-            let key = Opt.Gvn.key_of_kind kind in
-            if not (Hashtbl.mem exprs key) then begin
-              Hashtbl.add exprs key id;
-              added := key :: !added
-            end
-          end;
+          ignore (Opt.Valtab.find_or_add exprs kind id);
           let st', _ = Opt.Memstate.transfer !st id kind in
           st :=
             (match kind with
@@ -398,7 +398,7 @@ let simulate ?(paths = 1) ctx (_ : Config.t) g =
         in
         visit child_env child_mem child)
       (Ir.Dom.children dom bid);
-    List.iter (Hashtbl.remove exprs) !added
+    Opt.Valtab.pop_to exprs scope
   in
   visit Opt.Condelim.empty_env Opt.Memstate.empty (G.entry g);
   List.rev !candidates

@@ -4,7 +4,8 @@
     context: condition facts from dominating branches (shared with
     {!Opt.Condelim}), memory-availability state (shared with
     {!Opt.Readelim} via {!Opt.Memstate}), and available pure expressions
-    (value numbering).  Whenever the current block [bp] has a CFG
+    (value numbering, in {!Opt.Valtab}: the one scoped table that
+    {!Opt.Gvn} walks with too).  Whenever the current block [bp] has a CFG
     successor [bm] that is a merge, the traversal pauses and runs a
     {e duplication simulation traversal} (DST): [bm]'s instructions are
     processed as if appended to [bp], with a {e synonym map} binding each

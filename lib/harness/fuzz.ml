@@ -878,8 +878,71 @@ let jobs_identity =
         ([ ("identity pairs", !pairs) ], List.rev !vs));
   }
 
+(* A kind with its operands swapped (the comparison kept): the same key
+   for a commutative operator or an equality test, another one for the
+   rest. *)
+let mirror = function
+  | Ir.Types.Binop (op, a, b) -> Ir.Types.Binop (op, b, a)
+  | Ir.Types.Cmp (op, a, b) -> Ir.Types.Cmp (op, b, a)
+  | k -> k
+
+let valtab =
+  {
+    name = "valtab";
+    check =
+      (fun cs ->
+        let vs = ref [] and lookups = ref 0 and hits = ref 0 in
+        List.iter
+          (fun c ->
+            List.iter
+              (fun f ->
+                let g = f.graph in
+                let dom = Ir.Dom.compute g in
+                let t = Opt.Valtab.create () and h = Hashtbl.create 64 in
+                let wrong = ref 0 in
+                let expect id ours theirs =
+                  incr lookups;
+                  if ours >= 0 then incr hits;
+                  if ours <> theirs then begin
+                    if !wrong = 0 then
+                      violate vs
+                        "%s/%s: v%d: Valtab answers %d, key_of_kind %d"
+                        (where c) (Ir.Graph.name g) id ours theirs;
+                    incr wrong
+                  end
+                in
+                let theirs kind =
+                  if Opt.Gvn.is_candidate kind then
+                    Option.value ~default:(-1)
+                      (Hashtbl.find_opt h (Opt.Gvn.key_of_kind kind))
+                  else -1
+                in
+                let rec visit bid =
+                  let scope = Opt.Valtab.mark t and added = ref [] in
+                  Ir.Graph.iter_block_instrs g bid (fun id ->
+                      let kind = Ir.Graph.kind g id in
+                      let found = theirs kind in
+                      if found < 0 && Opt.Gvn.is_candidate kind then begin
+                        let key = Opt.Gvn.key_of_kind kind in
+                        Hashtbl.add h key id;
+                        added := key :: !added
+                      end;
+                      expect id (Opt.Valtab.find_or_add t kind id) found;
+                      expect id
+                        (Opt.Valtab.find t (mirror kind))
+                        (theirs (mirror kind)));
+                  List.iter visit (Ir.Dom.children dom bid);
+                  Opt.Valtab.pop_to t scope;
+                  List.iter (Hashtbl.remove h) !added
+                in
+                visit (Ir.Graph.entry g))
+              c.fns)
+          cs;
+        ([ ("lookups", !lookups); ("hits", !hits) ], List.rev !vs));
+  }
+
 let oracles =
-  [ clean; region_equality; quiescence; region_audit; jobs_identity ]
+  [ clean; region_equality; quiescence; region_audit; jobs_identity; valtab ]
 
 let run_matrix () =
   let compile_s = ref 0. and per_row = ref [ ("compiles", 0) ] in

@@ -104,7 +104,12 @@ val quiescence : oracle
       pass over the whole of a copy fires nothing;
     - [jobs]: over the lab set under condelim_dup and dbds, a jobs-4
       run is byte-identical to the matrix compile, and with a fault
-      plan jobs 1 and jobs 4 agree.
+      plan jobs 1 and jobs 4 agree;
+    - [valtab]: every compiled function's dominator walk, run with
+      {!Opt.Valtab} and with a [Hashtbl] keyed by
+      {!Opt.Gvn.key_of_kind} as its scoped table, gets the same hit or
+      miss from both on every lookup: each instruction's own kind,
+      added on a miss, and the kind with its operands swapped.
     Returns a ["matrix"] result (compiles per row, compile time)
     followed by one result per oracle. *)
 val run_matrix : unit -> result list

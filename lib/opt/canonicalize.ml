@@ -224,21 +224,6 @@ let visit ~mk_const g id =
   apply_action g id (simplify ~self:id ~kind_of ~mk_const (Ir.Graph.kind g id))
   || not_of_cmp g id
 
-let run ctx g =
-  Phase.charge_graph ctx g;
-  let mk_const = materialize_const g in
-  let changed = ref false in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    Ir.Graph.iter_instrs g (fun id ->
-        if Ir.Graph.instr_exists g id && visit ~mk_const g id then begin
-          progress := true;
-          changed := true
-        end)
-  done;
-  !changed
-
 (* An instruction's verdict depends on its own kind and its operands'
    kinds, so the instructions whose verdict can have changed are the
    ones the log names and their users: [put] each. *)
@@ -247,43 +232,56 @@ let affected g ~since put =
       put id;
       Region.iter_instr_users g id put)
 
-(* The sweeps of [run], over the affected instructions only.  A sweep
-   visits ids in increasing order below the arena size it started at;
-   an action at [id] queues what it affected into the same sweep when
-   the whole-graph sweep would still reach it (a larger id below the
+(* Sweeps until one fires nothing, the first over the ids in [cur].  A
+   sweep visits ids in increasing order below the arena size it started
+   at; an action at [id] queues what it affected into the same sweep
+   when a whole-graph sweep would still reach it (a larger id below the
    bound), else into the next sweep.  Everything else would visit
-   unchanged and fire nothing, so the actions and their order are the
-   whole-graph run's. *)
+   unchanged and fire nothing, so the actions and their order are those
+   of whole-graph sweeps.  [charge] charges a unit per visit. *)
+let sweeps ctx g ~charge cur =
+  let mk_const = materialize_const g in
+  let cur = ref cur and changed = ref false and progress = ref true in
+  while !progress do
+    progress := false;
+    let limit = Ir.Graph.n_instrs g in
+    let next = Ir.Bitset.create limit in
+    for id = 0 to limit - 1 do
+      if Ir.Bitset.mem !cur id && Ir.Graph.instr_exists g id then begin
+        if charge then Phase.charge ctx 1;
+        let mark = Ir.Graph.log_length g in
+        if visit ~mk_const g id then begin
+          progress := true;
+          changed := true;
+          affected g ~since:mark (fun x ->
+              Ir.Bitset.add (if x > id && x < limit then !cur else next) x)
+        end
+      end
+    done;
+    cur := next
+  done;
+  !changed
+
+(* One whole-graph sweep, charged as a pass over the graph, then the
+   sweeps over what it affected, which the log names. *)
+let run ctx g =
+  Phase.charge_graph ctx g;
+  Ir.Graph.start_log g;
+  let n = Ir.Graph.n_instrs g in
+  let all = Ir.Bitset.create n in
+  for id = 0 to n - 1 do
+    Ir.Bitset.add all id
+  done;
+  sweeps ctx g ~charge:false all
+
+(* The sweeps over the instructions affected since the stamp, a unit
+   each. *)
 let run_region ctx g (c : Ir.Analyses.clean) =
-  let cur = ref (Ir.Bitset.create (Ir.Graph.n_instrs g)) and any = ref false in
+  let cur = Ir.Bitset.create (Ir.Graph.n_instrs g) and any = ref false in
   affected g ~since:c.Ir.Analyses.at (fun id ->
       any := true;
-      Ir.Bitset.add !cur id);
-  !any
-  && begin
-       let mk_const = materialize_const g in
-       let changed = ref false in
-       let progress = ref true in
-       while !progress do
-         progress := false;
-         let limit = Ir.Graph.n_instrs g in
-         let next = Ir.Bitset.create limit in
-         for id = 0 to limit - 1 do
-           if Ir.Bitset.mem !cur id && Ir.Graph.instr_exists g id then begin
-             Phase.charge ctx 1;
-             let mark = Ir.Graph.log_length g in
-             if visit ~mk_const g id then begin
-               progress := true;
-               changed := true;
-               affected g ~since:mark (fun x ->
-                   Ir.Bitset.add (if x > id && x < limit then !cur else next) x)
-             end
-           end
-         done;
-         cur := next
-       done;
-       !changed
-     end
+      Ir.Bitset.add cur id);
+  !any && sweeps ctx g ~charge:true cur
 
 (* Pure instruction rewrites: constant folding, strength reduction and
    const hoisting never touch terminators or edges, so all CFG analyses

@@ -2,12 +2,19 @@
     (kind, operands) key already has a definition in a dominating block is
     replaced by that definition.  Keys use canonicalized operand order for
     commutative operators (the canonicalizer normalizes constants to the
-    right; GVN additionally sorts operands of commutative kinds). *)
+    right; GVN additionally sorts operands of commutative kinds).
+
+    The scoped table is {!Valtab}, the one value table of the compiler:
+    the DBDS simulation's dominator walk and its DSTs use it too, so a
+    DST finds exactly the redundancies this pass would remove. *)
 
 open Ir.Types
 module G = Ir.Graph
 
-(* A hashable key for a pure instruction. *)
+(* The key of a pure instruction, as a kind: two candidates are
+   equivalent iff their keys are equal.  {!Valtab} stores the same key
+   as three ints; this is its definition, which the tests check it
+   against. *)
 let key_of_kind kind =
   match kind with
   | Binop (((Add | Mul | And | Or | Xor) as op), a, b) ->
@@ -24,34 +31,33 @@ let is_candidate = function
   | Call _ ->
       false
 
+(* One table per domain serves every walk on it, grown once. *)
+let tables = Domain.DLS.new_key Valtab.create
+
 (* The dominator walk with its scoped table.  [enter bid] says whether
    to process [bid] and its subtree; [replaced] runs after each
    replacement. *)
 let walk g dom ~enter ~replaced =
-  let table : (instr_kind, value) Hashtbl.t = Hashtbl.create 64 in
+  let table = Domain.DLS.get tables in
+  (* Empty after every walk, unless an exception escaped one. *)
+  Valtab.pop_to table 0;
   let changed = ref false in
   let rec visit inherited bid =
     match enter ~inherited bid with
     | None -> ()
     | Some inherited ->
-        let added = ref [] in
+        let scope = Valtab.mark table in
         G.iter_block_instrs g bid (fun id ->
-            let kind = G.kind g id in
-            if is_candidate kind then begin
-              let key = key_of_kind kind in
-              match Hashtbl.find_opt table key with
-              | Some earlier ->
-                  let mark = G.log_length g in
-                  G.replace_uses g id ~by:earlier;
-                  G.remove_instr g id;
-                  changed := true;
-                  replaced mark
-              | None ->
-                  Hashtbl.add table key id;
-                  added := key :: !added
+            let earlier = Valtab.find_or_add table (G.kind g id) id in
+            if earlier >= 0 then begin
+              let mark = G.log_length g in
+              G.replace_uses g id ~by:earlier;
+              G.remove_instr g id;
+              changed := true;
+              replaced mark
             end);
         List.iter (visit inherited) (Ir.Dom.children dom bid);
-        List.iter (Hashtbl.remove table) !added
+        Valtab.pop_to table scope
   in
   visit false (G.entry g);
   !changed
@@ -61,13 +67,6 @@ let run ctx g =
   walk g (Ir.Analyses.dom g)
     ~enter:(fun ~inherited:_ _ -> Some true)
     ~replaced:(fun _ -> ())
-
-(* The operand every instruction with [kind]'s key reads, if the key
-   has one. *)
-let key_operand kind =
-  match key_of_kind kind with
-  | Binop (_, a, _) | Cmp (_, a, _) | Neg a | Not a -> Some a
-  | _ -> None
 
 (* An instruction can only be replaced where it has a new key or place,
    where an equal instruction got a new key or place above it, or where
@@ -93,13 +92,13 @@ let run_region ctx g (c : Ir.Analyses.clean) =
           if is_candidate kind then begin
             let b = G.block_of g x in
             Region.mark_block m b;
-            match key_operand kind with
-            | Some a ->
-                let key = key_of_kind kind in
-                Region.iter_instr_users g a (fun y ->
-                    if y <> x && key_of_kind (G.kind g y) = key then
-                      Region.mark_block m (G.block_of g y))
-            | None -> Region.mark_subtree m b
+            let a = Valtab.key_operand kind in
+            if a < 0 then Region.mark_subtree m b
+            else
+              let same = Valtab.same_key kind in
+              Region.iter_instr_users g a (fun y ->
+                  if y <> x && same (G.kind g y) then
+                    Region.mark_block m (G.block_of g y))
           end
         in
         Region.iter_instrs g ~since logged;

@@ -6,7 +6,9 @@
 
 open Ir.Types
 
-(** Canonical hash key of a pure instruction. *)
+(** The key of a pure instruction: two candidates are equivalent iff
+    their keys are equal.  The definition that {!Valtab}'s three-int key
+    is tested against; the passes themselves key through {!Valtab}. *)
 val key_of_kind : instr_kind -> instr_kind
 
 (** Is this kind subject to value numbering?  (Pure and position

@@ -10,6 +10,7 @@ let () =
       ("interp", Test_interp.suite);
       ("profile", Test_profile.suite);
       ("opt", Test_opt.suite);
+      ("valtab", Test_valtab.suite);
       ("memstate", Test_memstate.suite);
       ("inline", Test_inline.suite);
       ("sccp", Test_sccp.suite);

@@ -327,8 +327,21 @@ let test_bundle_profile_section_refused () =
   Alcotest.(check string) "the same bundle without it parses" "main"
     (Dbds.Bundle.parse text).Dbds.Bundle.b_fn
 
-let test_bundle_write_and_replay () =
+(* A fresh bundle directory for [f], removed with the bundles in it
+   when [f] returns or raises. *)
+let with_bundle_dir f =
   let dir = Filename.temp_dir "dbds-bundles" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name ->
+          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]);
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+let test_bundle_write_and_replay () =
+  with_bundle_dir @@ fun dir ->
   let _, r =
     report figure1 ~fault_plan:(plan F.Transform_apply 1) ~bundle_dir:dir
   in
@@ -348,7 +361,7 @@ let test_bundle_write_and_replay () =
 
 let test_bundle_replay_clean_without_plan () =
   (* Strip the fault plan: the same IR must now optimize cleanly. *)
-  let dir = Filename.temp_dir "dbds-bundles" "" in
+  with_bundle_dir @@ fun dir ->
   let _, r =
     report figure1 ~fault_plan:(plan F.Sim_opportunity 1) ~bundle_dir:dir
   in
