@@ -156,8 +156,9 @@ let json_suite tag (suite : Workloads.Suite.t) rows =
 let stages = [ "parse+typecheck"; "lower"; "verify"; "inline" ]
 
 let classic_passes =
-  [ "canonicalize"; "simplify-cfg"; "sccp"; "gvn"; "condelim"; "readelim";
-    "pea"; "dce" ]
+  List.map
+    (fun n -> (Opt.Pipeline.resolve_classic n []).Opt.Phase.pass_name)
+    Opt.Pipeline.classic_names
 
 (* The two corpora: the paper's 46 programs and the generated set, the
    eight shapes of perfbench's aot-generated suite at seeds 0-19. *)

@@ -14,10 +14,10 @@
 open Ir.Types
 
 (** Revision of the cost tables below.  Optimization decisions (the
-    trade-off tier, LICM profitability, the backend size estimate) all
-    read these constants, so cached compilation artifacts are only
-    reusable across processes agreeing on them: the service digest folds
-    this number in, and any edit to the tables must bump it. *)
+    simulation's benefits and the trade-off tier's size estimates) read
+    these constants, so cached compilation artifacts are only reusable
+    across processes agreeing on them: the service digest folds this
+    number in, and any edit to the tables must bump it. *)
 let revision = 1
 
 type estimate = { cycles : float; size : int }

@@ -141,20 +141,6 @@ let simplify ?self ~kind_of ~mk_const kind =
             | Add | Mul | Shl | Shr -> Unchanged
           else Unchanged)
 
-(** Estimated cycle cost of an action's result, given the original kind —
-    used by the simulation tier to compute cycles saved. *)
-let action_cycles original = function
-  | Fold _ | Fold_null -> Costmodel.Cost.cycles_of_kind (Const 0)
-  | Alias _ -> 0.0
-  | Rewrite k -> Costmodel.Cost.cycles_of_kind k
-  | Unchanged -> Costmodel.Cost.cycles_of_kind original
-
-let action_size original = function
-  | Fold _ | Fold_null -> Costmodel.Cost.size_of_kind (Const 0)
-  | Alias _ -> 0
-  | Rewrite k -> Costmodel.Cost.size_of_kind k
-  | Unchanged -> Costmodel.Cost.size_of_kind original
-
 (* ------------------------------------------------------------------ *)
 (* The phase                                                           *)
 (* ------------------------------------------------------------------ *)

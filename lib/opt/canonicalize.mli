@@ -43,12 +43,6 @@ val simplify :
   instr_kind ->
   action
 
-(** Estimated cycle cost of an action's result, given the original
-    kind — used by the simulation tier to compute cycles saved. *)
-val action_cycles : instr_kind -> action -> float
-
-val action_size : instr_kind -> action -> int
-
 (** A hash-consing constant materializer for one graph: reused constants
     are hoisted to the head of the entry block so they dominate every use
     site. *)

@@ -18,19 +18,16 @@ let classic =
     ("readelim", Readelim.phase);
     ("pea", Pea.phase);
     ("dce", Dce.phase);
-    ("licm", Licm.phase);
   ]
 
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
-    [condelim], [readelim], [pea], [dce], [licm]).  None takes an
-    option.  The driver's resolver layers the duplication tiers on top
-    of this one. *)
+    [condelim], [readelim], [pea], [dce]).  None takes an option.  The
+    driver's resolver layers the duplication tiers on top of this one. *)
 let resolve_classic name _ = List.assoc name classic
 
 (** The fixpoint-group members of the calibrated evaluation plan, in
     phase order. *)
-let classic_names =
-  [ "canon"; "simplify"; "sccp"; "gvn"; "condelim"; "readelim"; "pea"; "dce" ]
+let classic_names = List.map fst classic
 
 let group names =
   Spec.Fix

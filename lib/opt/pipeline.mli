@@ -9,20 +9,18 @@
     inner list, after each round of duplications. *)
 
 (** Resolve the classic pass names ([canon], [simplify], [sccp], [gvn],
-    [condelim], [readelim], [pea], [dce], [licm]).  None takes an
-    option.  The driver's resolver layers the
-    duplication tiers on top of this one. *)
+    [condelim], [readelim], [pea], [dce]).  None takes an option.  The
+    driver's resolver layers the duplication tiers on top of this one. *)
 val resolve_classic : Manager.resolver
 
 (** The fixpoint-group members of the calibrated evaluation plan, in
-    phase order (excludes [licm]). *)
+    phase order. *)
 val classic_names : string list
 
 (** The classic optimizations as a nested fixpoint,
     [fix(fix(<action_step_names>),sccp)]: the region passes run to
     quiescence, then SCCP runs once on the settled graph, and the outer
-    group repeats only if SCCP fired.  Loop-invariant code motion is not
-    a member (see {!Licm}); a pipeline spec that wants it names [licm]. *)
+    group repeats only if SCCP fired. *)
 val fix_group : string Spec.item
 
 (** Run the classic optimizations to a fixpoint on one graph, through

@@ -30,12 +30,6 @@ let meet a b =
   | Cnull, Cnull -> Cnull
   | _ -> Bottom
 
-let equal_lattice a b =
-  match (a, b) with
-  | Top, Top | Cnull, Cnull | Bottom, Bottom -> true
-  | Cint m, Cint n -> m = n
-  | _ -> false
-
 (* Unboxed lattice encoding: a tag byte plus an int payload (valid only
    for [t_cint]).  Storing ints instead of boxed constructors keeps the
    propagation loop free of write barriers and allocation. *)

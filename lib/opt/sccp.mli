@@ -11,7 +11,6 @@
 type lattice = Top | Cint of int | Cnull | Bottom
 
 val meet : lattice -> lattice -> lattice
-val equal_lattice : lattice -> lattice -> bool
 
 val run : Phase.ctx -> Ir.Graph.t -> bool
 val phase : Phase.t

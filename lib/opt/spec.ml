@@ -28,7 +28,7 @@ let iters = decl "iters" (Int 1) (Int 3) "the most rounds the tier runs (§5.2)"
 let schema =
   [
     ( [ "canon"; "simplify"; "sccp"; "gvn"; "condelim"; "readelim"; "pea";
-        "dce"; "licm"; "inline" ],
+        "dce"; "inline" ],
       [] );
     ( [ "dbds"; "dupalot" ],
       [

@@ -45,7 +45,6 @@ let fnv64_int64 s =
 let fnv64 s = Printf.sprintf "%016Lx" (fnv64_int64 s)
 
 let canonical_of_graph = Ir.Printer.canonical_to_string
-let canonical_of_text text = canonical_of_graph (Ir.Parse.parse_graph text)
 
 (* Streaming canonical IR hash: one graph traversal feeding FNV-1a
    directly, no strings built.  The token stream renumbers blocks by

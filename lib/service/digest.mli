@@ -46,10 +46,6 @@ val fnv64 : string -> string
     @raise Invalid_argument on a graph the parser would reject. *)
 val canonical_of_graph : Ir.Graph.t -> string
 
-(** Canonical IR text of printed IR: parse, then {!canonical_of_graph}.
-    @raise Ir.Parse.Parse_error on malformed input. *)
-val canonical_of_text : string -> string
-
 (** Canonical IR hash of a graph: a single traversal feeding FNV-1a —
     equal for any two graphs that differ only by block/value id
     numbering (blocks keyed by reverse-postorder position, values by

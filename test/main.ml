@@ -14,7 +14,6 @@ let () =
       ("memstate", Test_memstate.suite);
       ("inline", Test_inline.suite);
       ("sccp", Test_sccp.suite);
-      ("licm", Test_licm.suite);
       ("costmodel", Test_costmodel.suite);
       ("dbds", Test_dbds.suite);
       ("analyses", Test_analyses.suite);

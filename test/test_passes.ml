@@ -84,14 +84,12 @@ let test_default_specs () =
     ("inline," ^ fix ^ ",backtracking{iters=3}," ^ fix)
     (printed Dbds.Config.backtracking);
   Alcotest.(check string)
-    "licm joins the fixpoint group"
-    "inline,fix{rounds=8}(fix{rounds=8}(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)"
+    "a custom fixpoint group keeps its members in their order"
+    "inline,fix{rounds=8}(fix{rounds=8}(dce,gvn,canon),sccp)"
     (printed
        {
          Dbds.Config.off with
-         Dbds.Config.passes =
-           spec_of
-             "inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce,licm),sccp)";
+         Dbds.Config.passes = spec_of "inline,fix(fix(dce,gvn,canon),sccp)";
        });
   Alcotest.(check string)
     "the path extension is a tier option"
@@ -119,12 +117,13 @@ let test_validate_spec () =
     | Ok spec -> Alcotest.failf "%S accepted as %S" s (Opt.Spec.to_string spec)
   in
   ok "fix(dce,gvn,canon,simplify),dbds{iters=1}";
-  ok "inline,canonicalize,simplify-cfg,licm";
+  ok "inline,canonicalize,simplify-cfg";
   ok "dupalot{iters=2,threshold=0.1},backtracking{iters=1}";
   ok "condelim_dup{iters=2}";
   ok "dupalot{paths=3}";
   ok "dbds{threshold=0}";
   rejected "bogus";
+  rejected ~names:[ "licm" ] "inline,licm";
   rejected "canon{x=1}";
   rejected "dbds{iters=nope}";
   rejected "dbds{depth=3}";
@@ -206,7 +205,7 @@ let compile_seed seed =
 let classic_passes =
   List.map
     (fun name -> Opt.Pipeline.resolve_classic name [])
-    (Opt.Pipeline.classic_names @ [ "licm" ])
+    Opt.Pipeline.classic_names
 
 (* After each classic pass, every analysis it declares preserved must
    equal a fresh recompute — on every function of a random program, with

@@ -197,6 +197,21 @@ let test_digest_ignores_fault_plan () =
       "max_iterations=3";
       "path_duplication=false";
       "max_path_length=3";
+    ];
+  (* So is a retired pass: a bundle or a compile request that names it
+     is refused, not replayed without it. *)
+  let retired = "passes=inline,fix(canon,licm),dbds" in
+  List.iter
+    (fun (what, parsed) ->
+      match parsed with
+      | Error e when contains ~sub:"unknown pass \"licm\"" e -> ()
+      | Error e -> Alcotest.failf "%s: the refusal %S does not name licm" what e
+      | Ok _ -> Alcotest.failf "%s: a pipeline naming licm is accepted" what)
+    [
+      ("Config.of_line", Dbds.Config.of_line retired);
+      ( "a compile request",
+        SP.compile_config
+          { SP.verb = "compile"; fields = [ ("config", retired) ] } );
     ]
 
 (* The pipeline spec is the one description of what a compile runs:
