@@ -16,7 +16,8 @@
     source text to the first classic pass (parse+typecheck, lowering,
     the frontend verifier, the inliner) on the paper programs and on the
     generated set, beside the classic passes' ns per work unit and
-    [simulate], the simulation tier's calls over every dbds round.
+    [simulate], the [dbds.simulate] row over every dbds round.  Every
+    row comes from the per-pass table a compile records.
     [service_cold_path] times the server's cold path stage by stage
     ({!Cold}: decode, parse, hash, compile, canonical reply IR, store
     put, render) over the functions of perfbench-shaped cold requests,
@@ -149,10 +150,11 @@ let json_suite tag (suite : Workloads.Suite.t) rows =
 (* Before the first pass                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The stages from source text to the first classic pass, timed one by
-   one over a corpus: parse+typecheck, SSA lowering, the frontend
-   verifier and the inliner.  Per stage: the corpus total of the
-   fastest of [runs] runs, and the minor words one run allocates. *)
+(* The stages from source text to the first classic pass over a corpus:
+   parse+typecheck, SSA lowering, the frontend verifier and the inliner.
+   Per stage: the corpus total of the fastest of [runs] runs, and the
+   minor words one run allocates.  The inliner's stage is its [inline]
+   row of the per-pass table. *)
 let stages = [ "parse+typecheck"; "lower"; "verify"; "inline" ]
 
 let classic_passes =
@@ -185,15 +187,15 @@ type corpus_report = {
   inline_work : int;
   pass_rows : (string * int * float) list;
       (** classic pass, its work units and fastest corpus ns, under dbds *)
-  simulate : stage_cell;  (** [Simulation.simulate], every dbds round *)
+  simulate : stage_cell;  (** the [dbds.simulate] row, every dbds round *)
   rounds : int;
   candidates : int;
 }
 
-(* One timed run of the four stages over every program: per stage the
-   summed ns and minor words, and the inliner's work. *)
+(* One timed run of the frontend's three stages over every program: per
+   stage the summed ns and minor words. *)
 let time_stages sources =
-  let ns = Array.make 4 0.0 and minor = Array.make 4 0.0 and work = ref 0 in
+  let ns = Array.make 3 0.0 and minor = Array.make 3 0.0 in
   let timed i f =
     let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
     let r = f () in
@@ -214,18 +216,21 @@ let time_stages sources =
           Ir.Program.iter_functions prog (fun g ->
               match Ir.Verifier.verify_result g with
               | Ok () -> ()
-              | Error m -> failwith m));
-      let ctx = Opt.Phase.create ~program:prog () in
-      timed 3 (fun () -> ignore (Opt.Inline.inline_program ctx prog));
-      work := !work + ctx.Opt.Phase.work)
+              | Error m -> failwith m)))
     sources;
-  (ns, minor, !work)
+  (ns, minor)
 
-(* One dbds compile of every program: the classic passes' rows of the
-   merged per-pass table, as (work, seconds), and the candidates the
-   simulation found. *)
+(* A row of the per-pass table summed over a corpus. *)
+type row = { runs : int; work : int; ns : float; minor : float }
+
+let no_row = { runs = 0; work = 0; ns = 0.0; minor = 0.0 }
+let find_row rows name =
+  Option.value ~default:no_row (Hashtbl.find_opt rows name)
+
+(* One dbds compile of every program: the merged per-pass table's rows,
+   and the candidates the simulation found. *)
 let time_passes sources =
-  let rows = Hashtbl.create 16 and candidates = ref 0 in
+  let rows = Hashtbl.create 32 and candidates = ref 0 in
   List.iter
     (fun src ->
       let prog = Lang.Frontend.compile src in
@@ -239,101 +244,54 @@ let time_passes sources =
             .Dbds.Driver.candidates_found;
       List.iter
         (fun (name, (st : Opt.Phase.pass_stat)) ->
-          let w, t =
-            Option.value ~default:(0, 0.0) (Hashtbl.find_opt rows name)
-          in
+          let r = find_row rows name in
           Hashtbl.replace rows name
-            (w + st.Opt.Phase.pwork, t +. st.Opt.Phase.time_s))
+            {
+              runs = r.runs + st.Opt.Phase.runs;
+              work = r.work + st.Opt.Phase.pwork;
+              ns = r.ns +. (st.Opt.Phase.time_s *. 1e9);
+              minor = r.minor +. float_of_int st.Opt.Phase.minor_words;
+            })
         (Opt.Phase.pass_table r.Dbds.Driver.rep_ctx))
     sources;
-  ( List.map
-      (fun name ->
-        (name, Option.value ~default:(0, 0.0) (Hashtbl.find_opt rows name)))
-      classic_passes,
-    !candidates )
+  (rows, !candidates)
 
-(* Every round of a dbds compile of every program, made as the driver's
-   [run_round] makes it (dbds's defaults: 3 rounds, threshold 20, no
-   path extension), with [Simulation.simulate] timed: its summed ns and
-   minor words, the rounds and the candidates found. *)
-let time_simulate sources =
-  let ns = ref 0.0 and minor = ref 0.0 and rounds = ref 0 in
-  let candidates = ref 0 in
-  let config = Dbds.Config.dbds in
-  List.iter
-    (fun src ->
-      let prog = Lang.Frontend.compile src in
-      let ctx = Opt.Phase.create ~program:prog () in
-      ignore (Opt.Inline.inline_program ctx prog);
-      Ir.Program.iter_functions prog (fun g ->
-          ignore (Dbds.Driver.optimize_graph ~config:Dbds.Config.off ctx g);
-          let continue_ = ref true and iter = ref 0 in
-          while !continue_ && !iter < 3 do
-            incr iter;
-            incr rounds;
-            let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
-            let cands = Dbds.Simulation.simulate ctx config g in
-            ns := !ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
-            minor := !minor +. (Gc.minor_words () -. w0);
-            candidates := !candidates + List.length cands;
-            let round = Dbds.Transform.round g in
-            let budget = Dbds.Tradeoff.budget_for g in
-            let benefit = ref 0.0 and stale = ref 0 in
-            List.iter
-              (fun (c : Dbds.Candidate.t) ->
-                if Dbds.Tradeoff.should_duplicate config budget c then
-                  match
-                    Dbds.Transform.duplicate ~ctx ~round g ~merge:c.merge
-                      ~pred:c.pred
-                  with
-                  | _ ->
-                      Dbds.Tradeoff.commit budget c;
-                      benefit := !benefit +. Dbds.Candidate.scaled_benefit c
-                  | exception Dbds.Transform.Not_applicable _ -> incr stale)
-              (Dbds.Tradeoff.rank cands);
-            if !benefit > 0.0 then ignore (Opt.Pipeline.action_steps ctx g);
-            if !benefit <= 20.0 && !stale = 0 then continue_ := false
-          done))
-    sources;
-  ({ sc_ns = !ns; sc_minor = !minor }, !rounds, !candidates)
-
-(* [runs] timed runs after one warm-up: per stage and per classic pass,
-   the fastest run's ns. *)
+(* [runs] timed runs after one warm-up: per stage and per row, the
+   fastest run's ns and the fewest minor words. *)
 let measure_corpus sources =
   ignore (time_stages sources);
   let stage_runs = List.init runs (fun _ -> time_stages sources) in
   let pass_runs = List.init runs (fun _ -> time_passes sources) in
-  let sim_runs = List.init runs (fun _ -> time_simulate sources) in
-  let _, minor, work = List.hd stage_runs in
-  let fastest f = List.fold_left (fun b run -> Float.min b (f run)) infinity in
-  let sim, rounds, candidates = List.hd sim_runs in
-  if candidates <> snd (List.hd pass_runs) then
-    failwith "bench: the simulate replay found other candidates than the \
-              driver";
+  let least f = List.fold_left (fun b run -> Float.min b (f run)) infinity in
+  let row name =
+    let of_run (rows, _) = find_row rows name in
+    {
+      (of_run (List.hd pass_runs)) with
+      ns = least (fun run -> (of_run run).ns) pass_runs;
+      minor = least (fun run -> (of_run run).minor) pass_runs;
+    }
+  in
+  let cell r = { sc_ns = r.ns; sc_minor = r.minor } in
+  let inline = row "inline" and simulate = row "dbds.simulate" in
   {
     programs = List.length sources;
     cells =
-      List.mapi
-        (fun i _ ->
+      List.init 3 (fun i ->
           {
-            sc_ns = fastest (fun (ns, _, _) -> ns.(i)) stage_runs;
-            sc_minor = minor.(i);
+            sc_ns = least (fun (ns, _) -> ns.(i)) stage_runs;
+            sc_minor = least (fun (_, minor) -> minor.(i)) stage_runs;
           })
-        stages;
-    inline_work = work;
+      @ [ cell inline ];
+    inline_work = inline.work;
     pass_rows =
       List.map
         (fun name ->
-          let work = fst (List.assoc name (fst (List.hd pass_runs))) in
-          let ns =
-            fastest (fun (run, _) -> snd (List.assoc name run) *. 1e9) pass_runs
-          in
-          (name, work, ns))
+          let r = row name in
+          (name, r.work, r.ns))
         classic_passes;
-    simulate =
-      { sim with sc_ns = fastest (fun (c, _, _) -> c.sc_ns) sim_runs };
-    rounds;
-    candidates;
+    simulate = cell simulate;
+    rounds = simulate.runs;
+    candidates = snd (List.hd pass_runs);
   }
 
 let per_work ns work = if work = 0 then 0.0 else ns /. float_of_int work

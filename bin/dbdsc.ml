@@ -95,11 +95,6 @@ let run_serve ~sock svc =
   in
   Service.Frontdoor.serve
     ~log:(fun line -> Format.eprintf "[dbdsc --serve] %s@." line)
-    ~config:
-      {
-        Service.Frontdoor.fd_dispatchers = svc.workers;
-        fd_queue_limit = svc.queue_limit;
-      }
     ~sock ~broker ()
 
 (* Client mode: with a FILE, send each post-inline function through the

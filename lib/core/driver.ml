@@ -59,11 +59,28 @@ let pp_stats ppf s =
 
 (* One simulate → trade-off → optimize round over candidates of up to
    [paths] merges, accepting those [accept] takes against the round's
-   budget.  Returns the cumulative accepted benefit and the number of
-   accepted candidates that had gone stale (an earlier duplication in
-   the round moved their edge). *)
-let run_round ~accept ~paths config ctx stats g =
-  let candidates = Simulation.simulate ~paths ctx config g in
+   budget.  Each tier runs as a row of the per-pass table named after
+   the pass ([tier]): [<tier>.simulate], [<tier>.tradeoff] (budget and
+   ranking) and [<tier>.duplicate] (one run per accepted candidate,
+   fired when it was duplicated, §8 path steps included); the action
+   steps keep their classic rows.  Returns the cumulative accepted
+   benefit and the number of accepted candidates that had gone stale
+   (an earlier duplication in the round moved their edge). *)
+let run_round ~tier ~accept ~paths config ctx stats g =
+  let row layer =
+    let name = tier ^ "." ^ layer in
+    fun ~fired f ->
+      Opt.Phase.instrument ctx name
+        ~size:(fun () -> G.live_instr_count g)
+        ~fired f
+  in
+  let simulate_row = row "simulate" and tradeoff_row = row "tradeoff" in
+  let duplicate_row = row "duplicate" in
+  let never _ = false in
+  let candidates =
+    simulate_row ~fired:never (fun () ->
+        Simulation.simulate ~paths ctx config g)
+  in
   stats.candidates_found <- stats.candidates_found + List.length candidates;
   (* Every duplication of the round answers its loop-header check from
      the tree the simulation walked, unless an earlier one touched the
@@ -77,38 +94,51 @@ let run_round ~accept ~paths config ctx stats g =
   in
   let round = Transform.round ?cross_check g in
   let duplicate ~merge ~pred = Transform.duplicate ~ctx ~round g ~merge ~pred in
-  let budget = Tradeoff.budget_for g in
+  let budget, ranked =
+    tradeoff_row ~fired:never (fun () ->
+        (Tradeoff.budget_for g, Tradeoff.rank candidates))
+  in
   let round_benefit = ref 0.0 in
   let stale = ref 0 in
   List.iter
     (fun c ->
       if accept budget c then
-        match duplicate ~merge:c.Candidate.merge ~pred:c.Candidate.pred with
-        | bm' ->
-            Tradeoff.commit budget c;
-            stats.duplications_performed <- stats.duplications_performed + 1;
-            round_benefit := !round_benefit +. Candidate.scaled_benefit c;
-            (* §8 path extension: continue the duplication along the
-               simulated merge chain — each previous duplicate becomes
-               the predecessor of the next merge.  A step that went stale
-               just truncates the path (each step is independently
-               sound). *)
-            let pred = ref bm' in
-            (try
-               List.iter
-                 (fun m2 ->
-                    let d = duplicate ~merge:m2 ~pred:!pred in
-                    stats.duplications_performed <-
-                      stats.duplications_performed + 1;
-                    pred := d)
-                 c.Candidate.path
-             with Transform.Not_applicable _ -> ());
-            paranoid_check config "dbds.duplicate" g
-        | exception Transform.Not_applicable _ ->
-            (* An earlier duplication in this round invalidated the
-               candidate (its edge moved); rediscovered next round. *)
-            incr stale)
-    (Tradeoff.rank candidates);
+        let duplicated =
+          duplicate_row ~fired:Fun.id (fun () ->
+              match
+                duplicate ~merge:c.Candidate.merge ~pred:c.Candidate.pred
+              with
+              | bm' ->
+                  stats.duplications_performed <-
+                    stats.duplications_performed + 1;
+                  (* §8 path extension: continue the duplication along
+                     the simulated merge chain — each previous duplicate
+                     becomes the predecessor of the next merge.  A step
+                     that went stale just truncates the path (each step
+                     is independently sound). *)
+                  let pred = ref bm' in
+                  (try
+                     List.iter
+                       (fun m2 ->
+                         let d = duplicate ~merge:m2 ~pred:!pred in
+                         stats.duplications_performed <-
+                           stats.duplications_performed + 1;
+                         pred := d)
+                       c.Candidate.path
+                   with Transform.Not_applicable _ -> ());
+                  true
+              | exception Transform.Not_applicable _ -> false)
+        in
+        if duplicated then begin
+          Tradeoff.commit budget c;
+          round_benefit := !round_benefit +. Candidate.scaled_benefit c;
+          paranoid_check config "dbds.duplicate" g
+        end
+        else
+          (* An earlier duplication in this round invalidated the
+             candidate (its edge moved); rediscovered next round. *)
+          incr stale)
+    ranked;
   (* Action steps: the optimizations the simulation priced, to a
      fixpoint over the transformed graph (the per-candidate
      opportunities all fall out of these).  SCCP is not in the group:
@@ -221,7 +251,9 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
         while !continue_ && !iter < iters do
           incr iter;
           stats.iterations_run <- stats.iterations_run + 1;
-          let benefit, stale = run_round ~accept ~paths config ctx stats g in
+          let benefit, stale =
+            run_round ~tier:name ~accept ~paths config ctx stats g
+          in
           if benefit <= threshold && stale = 0 then continue_ := false
         done;
         stats.duplications_performed > dup0)

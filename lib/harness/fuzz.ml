@@ -436,7 +436,8 @@ let run_frontdoor () =
       Simtest.Sched.run sched (fun () ->
           let l = env.Service.Env.listen "/s" in
           let client = env.Service.Env.connect "/s" in
-          let server = l.Service.Env.accept () in
+          (* [connect] has queued the connection already. *)
+          let server = Option.get (l.Service.Env.try_accept ()) in
           let sender =
             env.Service.Env.spawn "sender" (fun () ->
                 List.iter client.Service.Env.send chunks;

@@ -124,18 +124,12 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
   let out =
     Simtest.Sched.run sched (fun () ->
         let broker =
-          Service.Broker.create ~env ~workers ~delay_s ~store:None ()
-        in
-        let fd_config =
-          {
-            Service.Frontdoor.fd_dispatchers = workers;
-            fd_queue_limit = queue_limit;
-          }
+          Service.Broker.create ~env ~workers ~queue_limit ~delay_s
+            ~store:None ()
         in
         let srv =
           env.Service.Env.spawn "frontdoor" (fun () ->
-              Service.Frontdoor.serve ~env ~config:fd_config ~sock:"/fd"
-                ~broker ())
+              Service.Frontdoor.serve ~env ~sock:"/fd" ~broker ())
         in
         (* Open-loop arrivals: request [j] fires at j/offered seconds
            regardless of how its predecessors fared — overload does not

@@ -230,7 +230,7 @@ let inline_program ?limits ctx program =
     Ir.Program.iter_functions program (fun g -> n := !n + G.live_instr_count g);
     !n
   in
-  Phase.instrument ctx "inline" ~size @@ fun () ->
+  Phase.instrument ctx "inline" ~size ~fired:Fun.id @@ fun () ->
   (* Topological-ish order: repeatedly process functions; the per-site
      loop naturally copies fully-inlined callees on later passes. *)
   let names = Ir.Program.function_names program in

@@ -10,18 +10,26 @@
 
 (** Per-pass instrumentation, accumulated by {!run_pass} and merged
     deterministically across parallel workers.  All fields except
-    [time_s] are deterministic for any [jobs] value. *)
+    [time_s] and [minor_words] are deterministic for any [jobs] value. *)
 type pass_stat = {
   mutable runs : int;  (** invocations *)
   mutable fired : int;  (** invocations that changed the graph *)
   mutable pwork : int;  (** work units charged while the pass ran *)
   mutable time_s : float;  (** wall-clock seconds inside the pass *)
+  mutable minor_words : int;  (** words allocated on the minor heap *)
   mutable size_delta : int;
       (** summed live-instruction delta (negative = the pass shrank IR) *)
 }
 
 let fresh_pass_stat () =
-  { runs = 0; fired = 0; pwork = 0; time_s = 0.0; size_delta = 0 }
+  {
+    runs = 0;
+    fired = 0;
+    pwork = 0;
+    time_s = 0.0;
+    minor_words = 0;
+    size_delta = 0;
+  }
 
 type ctx = {
   program : Ir.Program.t option;
@@ -100,23 +108,21 @@ let contained_total ctx =
   List.fold_left (fun acc (_, n) -> acc + n) 0 ctx.contained
 
 (* The sorted-assoc discipline again, for pass stats: the slot for a
-   pass name, inserted in name order on first use. *)
+   pass name, inserted in name order on first use.  Finding a slot
+   allocates nothing. *)
 let pass_stat ctx name =
-  let rec go = function
+  let rec find = function
+    | (n, s) :: _ when String.equal n name -> s
+    | _ :: rest -> find rest
     | [] ->
         let s = fresh_pass_stat () in
-        ([ (name, s) ], s)
-    | ((n, s) :: _) as l when n = name -> (l, s)
-    | (n, s) :: rest when n < name ->
-        let rest', found = go rest in
-        ((n, s) :: rest', found)
-    | rest ->
-        let s = fresh_pass_stat () in
-        ((name, s) :: rest, s)
+        ctx.pass_stats <-
+          List.merge
+            (fun (a, _) (b, _) -> String.compare a b)
+            [ (name, s) ] ctx.pass_stats;
+        s
   in
-  let stats', s = go ctx.pass_stats in
-  ctx.pass_stats <- stats';
-  s
+  find ctx.pass_stats
 
 (** The per-pass instrumentation table, sorted by pass name. *)
 let pass_table ctx = ctx.pass_stats
@@ -140,24 +146,29 @@ let merge_into ~into src =
       d.fired <- d.fired + s.fired;
       d.pwork <- d.pwork + s.pwork;
       d.time_s <- d.time_s +. s.time_s;
+      d.minor_words <- d.minor_words + s.minor_words;
       d.size_delta <- d.size_delta + s.size_delta)
     src.pass_stats
 
-(** Run [f] as one run of [name]'s row: count the run (and whether it
-    fired), the work it charged, its wall time and the change in
-    [size ()]. *)
-let instrument ctx name ~size f =
+(** Run [f] as one run of [name]'s row: count the run (and whether its
+    result [fired]), the work it charged, its wall time, the words it
+    allocated and the change in [size ()]. *)
+let instrument ctx name ~size ~fired f =
   let stat = pass_stat ctx name in
   let work0 = ctx.work in
   let size0 = size () in
+  let words0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let fired = f () in
+  let r = f () in
+  let t1 = Unix.gettimeofday () in
+  stat.minor_words <-
+    stat.minor_words + int_of_float (Gc.minor_words () -. words0);
   stat.runs <- stat.runs + 1;
-  if fired then stat.fired <- stat.fired + 1;
+  if fired r then stat.fired <- stat.fired + 1;
   stat.pwork <- stat.pwork + (ctx.work - work0);
-  stat.time_s <- stat.time_s +. (Unix.gettimeofday () -. t0);
+  stat.time_s <- stat.time_s +. (t1 -. t0);
   stat.size_delta <- stat.size_delta + (size () - size0);
-  fired
+  r
 
 type t = {
   pass_name : string;
@@ -206,6 +217,7 @@ let run_pass_now ctx (p : t) ~region run g =
   let fired =
     instrument ctx p.pass_name
       ~size:(fun () -> Ir.Graph.live_instr_count g)
+      ~fired:Fun.id
       (fun () -> run ctx g)
   in
   let mutated = Ir.Graph.generation g <> gen0 in

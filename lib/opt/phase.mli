@@ -7,12 +7,15 @@
 
 (** Per-pass instrumentation, accumulated by {!run_pass} and merged
     deterministically across parallel workers.  All fields except
-    [time_s] are deterministic for any [jobs] value. *)
+    [time_s] and [minor_words] are deterministic for any [jobs] value:
+    allocation depends on [jobs] through per-domain scratch. *)
 type pass_stat = {
   mutable runs : int;  (** invocations *)
   mutable fired : int;  (** invocations that changed the graph *)
   mutable pwork : int;  (** work units charged while the pass ran *)
   mutable time_s : float;  (** wall-clock seconds inside the pass *)
+  mutable minor_words : int;
+      (** words allocated on the minor heap inside the pass *)
   mutable size_delta : int;
       (** summed live-instruction delta (negative = the pass shrank IR) *)
 }
@@ -74,13 +77,22 @@ val pass_table : ctx -> (string * pass_stat) list
     name order, independent of which worker ran which function). *)
 val merge_into : into:ctx -> ctx -> unit
 
-(** [instrument ctx name ~size f] runs [f] (did it change anything?)
-    as one run of [name]'s row in the per-pass table, accumulating
-    whether it fired, the work it charged, its wall time and the change
-    in [size ()].  {!run_pass} records every pass this way; a
-    program-level step the pass manager does not drive ([inline]) calls
-    it directly. *)
-val instrument : ctx -> string -> size:(unit -> int) -> (unit -> bool) -> bool
+(** [instrument ctx name ~size ~fired f] runs [f] as one run of
+    [name]'s row in the per-pass table and returns its result,
+    accumulating whether [fired] holds of that result, the work [f]
+    charged, its wall time, the minor-heap words it allocated and the
+    change in [size ()].  {!run_pass} records every pass this way; a
+    step the pass manager does not drive calls it directly: the
+    program-level [inline], and the DBDS round's three tiers
+    ([<tier>.simulate], [<tier>.tradeoff], [<tier>.duplicate]), whose
+    rows nest inside the tier's own, inclusive row. *)
+val instrument :
+  ctx ->
+  string ->
+  size:(unit -> int) ->
+  fired:('a -> bool) ->
+  (unit -> 'a) ->
+  'a
 
 type t = {
   pass_name : string;

@@ -62,6 +62,7 @@ type t = {
   env : Env.t;
   bstore : Store.t option;
   delay_s : float;
+  worker_count : int;
   queue_limit : int;
   mutex : Env.mutex;
   work_ready : Env.cond;  (** workers: the queue may be non-empty *)
@@ -82,6 +83,8 @@ type t = {
 
 let store t = t.bstore
 let stats t = t.bstats
+let workers t = t.worker_count
+let queue_limit t = t.queue_limit
 
 let locked t f =
   t.mutex.Env.lock ();
@@ -215,6 +218,7 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
       env;
       bstore = store;
       delay_s;
+      worker_count = max 1 workers;
       queue_limit = max 1 queue_limit;
       mutex;
       work_ready = mutex.Env.new_cond ();
@@ -232,7 +236,7 @@ let create ?(env = Env.real) ?(workers = 2) ?(queue_limit = 64) ?(delay_s = 0.)
     }
   in
   t.workers <-
-    List.init (max 1 workers) (fun i ->
+    List.init t.worker_count (fun i ->
         env.Env.spawn_compute (Printf.sprintf "broker-worker-%d" i) (fun () ->
             worker t));
   t

@@ -106,6 +106,12 @@ val create :
 val store : t -> Store.t option
 val stats : t -> stats
 
+(** The compile workers it started (at least 1). *)
+val workers : t -> int
+
+(** Its admission queue's bound (at least 1). *)
+val queue_limit : t -> int
+
 (** Submit one function and block for its outcome.  [ir] is printed IR
     text (any id numbering); [deadline_s] is relative seconds from now
     (default: none); [delay_s] overrides the broker's compile stretch

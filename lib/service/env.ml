@@ -43,7 +43,6 @@ type conn = {
 
 type listener = {
   lid : int;
-  accept : unit -> conn;
   try_accept : unit -> conn option;
   close_listener : unit -> unit;
 }
@@ -251,7 +250,9 @@ let real_listen sock =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       (try
          Unix.bind fd (Unix.ADDR_UNIX sock);
-         Unix.listen fd 64
+         Unix.listen fd 64;
+         (* Only [try_accept] reads it: non-blocking for good. *)
+         Unix.set_nonblock fd
        with e ->
          close_quiet fd;
          raise e);
@@ -261,34 +262,19 @@ let real_listen sock =
   in
   let closed = ref false in
   let lid = fresh_id () in
-  let rec accept () =
+  let try_accept () =
     if !closed then raise (Net (Closed, "accept on closed listener"));
     match Unix.accept fd with
-    | cfd, _ -> real_conn cfd
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-        accept ()
+    | cfd, _ -> Some (real_conn cfd)
+    | exception
+        Unix.Unix_error
+          ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
+            _,
+            _ ) ->
+        None
     | exception Unix.Unix_error (e, _, _) ->
         if !closed then raise (Net (Closed, "accept on closed listener"))
         else raise (Net (net_of_unix e, "accept"))
-  in
-  let try_accept () =
-    if !closed then raise (Net (Closed, "accept on closed listener"));
-    Unix.set_nonblock fd;
-    Fun.protect
-      ~finally:(fun () ->
-        try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        match Unix.accept fd with
-        | cfd, _ -> Some (real_conn cfd)
-        | exception
-            Unix.Unix_error
-              ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
-                _,
-                _ ) ->
-            None
-        | exception Unix.Unix_error (e, _, _) ->
-            if !closed then raise (Net (Closed, "accept on closed listener"))
-            else raise (Net (net_of_unix e, "accept")))
   in
   let close_listener () =
     if not !closed then begin
@@ -298,7 +284,7 @@ let real_listen sock =
     end
   in
   register_fd lid fd;
-  { lid; accept; try_accept; close_listener }
+  { lid; try_accept; close_listener }
 
 (* Readiness via [select] over the registered descriptors, plus a
    self-pipe so a dispatcher thread can interrupt a sleeping loop. *)

@@ -56,9 +56,6 @@ type conn = {
 
 type listener = {
   lid : int;
-  accept : unit -> conn;
-      (** Blocks for the next connection; raises [Net (Closed, _)] once
-          the listener is closed. *)
   try_accept : unit -> conn option;
       (** The pending connection if one is queued, [None] otherwise —
           never blocks.  Raises [Net (Closed, _)] once closed. *)

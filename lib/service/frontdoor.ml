@@ -39,11 +39,7 @@ module Hist = struct
       go 0 0
 end
 
-(* ---- configuration and state ----------------------------------------- *)
-
-type config = { fd_dispatchers : int; fd_queue_limit : int }
-
-let default_config = { fd_dispatchers = 2; fd_queue_limit = 64 }
+(* ---- state ------------------------------------------------------------ *)
 
 (* The backoff hint every shed carries. *)
 let shed_retry_ms = 250
@@ -90,7 +86,6 @@ type job = {
 type t = {
   env : Env.t;
   broker : Broker.t;
-  cfg : config;
   sock : string;
   listener : Env.listener;
   poller : Env.poller;
@@ -308,7 +303,7 @@ let admit fd cs kind m =
     | None ->
         let queued =
           locked fd (fun () ->
-              let full = Queue.length fd.jobs >= fd.cfg.fd_queue_limit in
+              let full = Queue.length fd.jobs >= Broker.queue_limit fd.broker in
               if full then fd.stats.fd_shed <- fd.stats.fd_shed + 1
               else begin
                 count_admitted ();
@@ -483,8 +478,7 @@ let rec loop fd =
     loop fd
   end
 
-let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
-    ~sock ~broker () =
+let serve ?(env = Env.real) ?(log = fun _ -> ()) ~sock ~broker () =
   Env.claim_socket env ~owner:"Frontdoor.serve" sock;
   let listener = env.Env.listen sock in
   let poller = env.Env.poller () in
@@ -493,7 +487,6 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
     {
       env;
       broker;
-      cfg = config;
       sock;
       listener;
       poller;
@@ -517,7 +510,7 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ?(config = default_config)
   in
   log (Printf.sprintf "frontdoor listening on %s" sock);
   let dispatchers =
-    List.init config.fd_dispatchers (fun i ->
+    List.init (Broker.workers broker) (fun i ->
         env.Env.spawn
           (Printf.sprintf "frontdoor-dispatch-%d" i)
           (dispatcher fd))

@@ -13,8 +13,9 @@
       [rejected] protocol-error reply and a drained close, never an
       exception out of the loop.
     - {e admission}: one path for every connection.  What the loop
-      cannot answer goes to one bounded FIFO ([fd_queue_limit]) that
-      feeds the dispatchers; a full queue answers a structured [shed]
+      cannot answer goes to one bounded FIFO, as long as the broker's
+      admission queue ({!Broker.queue_limit}), that feeds the
+      dispatchers; a full queue answers a structured [shed]
       reply carrying a constant [retry-after-ms] hint instead of a
       dropped connection.
     - {e observability}: one server-wide log2-bucket latency histogram
@@ -28,8 +29,8 @@
     memo plus the store's parsed memo; never a parse or a disk read), a
     [lookup] the store's memo holds, or a request refused
     outright (a malformed [deadline-ms] or [delay-ms] among them).
-    Everything else is queued to a small pool of dispatcher threads
-    that call the blocking {!Broker.submit} and the store, so the loop
+    Everything else is queued to the dispatchers, one thread per broker
+    worker ({!Broker.workers}), that call the blocking {!Broker.submit} and the store, so the loop
     itself never blocks on IO or a compile.  Both paths do the same
     broker and front-door accounting.  The dispatchers are system
     threads of the loop's domain ({!Env.t.spawn}); only the broker's
@@ -61,17 +62,6 @@ module Hist : sig
   val quantile : t -> float -> float
 end
 
-type config = {
-  fd_dispatchers : int;
-      (** threads that wait on the broker for what the loop cannot
-          answer (default 2) *)
-  fd_queue_limit : int;
-      (** bound of the dispatchers' FIFO; a request beyond it is shed
-          (default 64) *)
-}
-
-val default_config : config
-
 (** Serve until a [shutdown] request arrives.  Claims [sock] with
     {!Env.claim_socket} (a live server there makes startup fail with
     [Invalid_argument]; stale debris is removed) and removes it on
@@ -83,7 +73,6 @@ val default_config : config
 val serve :
   ?env:Env.t ->
   ?log:(string -> unit) ->
-  ?config:config ->
   sock:string ->
   broker:Broker.t ->
   unit ->

@@ -314,10 +314,6 @@ let run spec =
     attempt 0
   in
 
-  let frontdoor_config =
-    { Service.Frontdoor.default_config with fd_queue_limit = spec.queue_limit }
-  in
-
   let main () =
     let store =
       Service.Store.create ~env ~capacity:spec.store_capacity ~dir:store_dir ()
@@ -329,8 +325,7 @@ let run spec =
     in
     let server =
       env.Env.spawn "server" (fun () ->
-          Service.Frontdoor.serve ~env ~config:frontdoor_config ~sock ~broker
-            ())
+          Service.Frontdoor.serve ~env ~sock ~broker ())
     in
     Sched.sleep sched 0.01;
     (* Protocol-chaos fibers against the front door: a garbage client

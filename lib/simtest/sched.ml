@@ -1,10 +1,10 @@
 (** The deterministic single-threaded discrete-event scheduler.
 
-    Every logical thread of the simulated system — server accept loop,
-    broker workers, clients, the harness controller — is a {e fiber}: a
-    cooperative task implemented with OCaml effects.  A fiber runs
-    uninterrupted until it suspends (sleep, lock, receive, accept);
-    suspension captures its one-shot continuation and parks it until
+    Every logical thread of the simulated system — the front door's
+    event loop, broker workers, clients, the harness controller — is a
+    {e fiber}: a cooperative task implemented with OCaml effects.  A
+    fiber runs uninterrupted until it suspends (sleep, lock, receive,
+    poll); suspension captures its one-shot continuation and parks it until
     some event resumes it.  All progress flows through one event heap
     keyed by [(virtual-time, sequence)], so a run is a pure function of
     the seed and the program — replaying a seed replays the exact

@@ -322,14 +322,6 @@ let listen io addr =
   in
   Hashtbl.replace io.listeners addr l;
   Hashtbl.replace io.lrecs lid l;
-  let rec accept () =
-    if l.lclosed then raise (Env.Net (Env.Closed, "accept " ^ addr));
-    match Queue.pop l.backlog with
-    | conn -> conn
-    | exception Queue.Empty ->
-        Sched.suspend io.sched (fun resume -> l.lwaiter <- Some resume);
-        accept ()
-  in
   let try_accept () =
     if l.lclosed then raise (Env.Net (Env.Closed, "accept " ^ addr));
     match Queue.pop l.backlog with
@@ -348,7 +340,7 @@ let listen io addr =
           wake ())
     end
   in
-  { Env.lid; accept; try_accept; close_listener }
+  { Env.lid; try_accept; close_listener }
 
 (* ---- poller ---------------------------------------------------------- *)
 

@@ -139,17 +139,19 @@ let test_text_decoder_incremental () =
 (* Run [f env] as the client fiber of a simulated frontdoor (and
    optionally assert on the schedule outcome).  [f] must end by
    shutting the server down. *)
-let run_sim ?(seed = 11) ?(fd_config = FD.default_config) ?(faults = []) f =
+let run_sim ?(seed = 11) ?(workers = 2) ?queue_limit ?(faults = []) f =
   let sched = Sim.create ~seed () in
   let io = Simio.create ~faults sched in
   let env = Simio.env io in
   let out =
     Sim.run sched (fun () ->
         let store = SS.create ~env ~dir:"/store" () in
-        let broker = SB.create ~env ~workers:2 ~store:(Some store) () in
+        let broker =
+          SB.create ~env ~workers ?queue_limit ~store:(Some store) ()
+        in
         let srv =
           env.Env.spawn "frontdoor" (fun () ->
-              FD.serve ~env ~config:fd_config ~sock:"/fd" ~broker ())
+              FD.serve ~env ~sock:"/fd" ~broker ())
         in
         f env;
         srv.Env.join ())
@@ -392,9 +394,7 @@ let test_fleet_verbs_are_unknown () =
    admitted request is still answered. *)
 let test_queue_shed_under_pipelined_burst () =
   let ir = main_ir () in
-  run_sim
-    ~fd_config:
-      { FD.fd_dispatchers = 1; fd_queue_limit = 2 }
+  run_sim ~workers:1 ~queue_limit:2
     (fun env ->
       let conn = raw_connect env "/fd" in
       let m =
@@ -435,8 +435,7 @@ let test_queue_shed_under_pipelined_burst () =
    slow one times out)... *)
 let test_deadline_counts_queue_wait () =
   let ir = main_ir () in
-  run_sim
-    ~fd_config:{ FD.default_config with fd_dispatchers = 1 }
+  run_sim ~workers:1
     (fun env ->
       let conn = raw_connect env "/fd" in
       let slow = SC.compile_msg ~delay_ms:3000 ~config ~fn:"main" ~ir () in
@@ -574,8 +573,7 @@ let moved ~before ~after =
    then hits the store's memo). *)
 let test_warm_hit_on_loop_accounts_like_dispatch () =
   let ir = main_ir () in
-  run_sim
-    ~fd_config:{ FD.default_config with fd_dispatchers = 1 }
+  run_sim ~workers:1
     (fun env ->
       let c = connect env "/fd" in
       ignore (compile_ok c ~ir);

@@ -267,7 +267,8 @@ let prop_paranoid_driver seed =
 (* Per-pass instrumentation                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The deterministic columns (everything except wall time). *)
+(* The deterministic columns: everything except wall time and minor
+   words, which per-domain scratch makes depend on [jobs]. *)
 let table_key ctx =
   List.map
     (fun (name, (st : Opt.Phase.pass_stat)) ->
@@ -330,6 +331,73 @@ let test_pass_table_accounts_for_work () =
     (List.fold_left
        (fun n (_, (st : Opt.Phase.pass_stat)) -> n + st.Opt.Phase.pwork)
        0 table)
+
+(* Every paper program compiled under [config], with its report. *)
+let paper_reports config =
+  List.concat_map
+    (fun (s : Workloads.Suite.t) ->
+      List.map
+        (fun (b : Workloads.Suite.benchmark) ->
+          ( b.Workloads.Suite.name,
+            Dbds.Driver.optimize_program_report ~config ~jobs:1
+              (Workloads.Suite.compile b) ))
+        s.Workloads.Suite.benchmarks)
+    Workloads.Registry.all
+
+let row table name =
+  match List.assoc_opt name table with
+  | Some (st : Opt.Phase.pass_stat) -> st
+  | None -> Alcotest.failf "%s missing from the table" name
+
+(* The DBDS round's tier rows nest inside the tier's own row and hold
+   everything it charges outside the action steps' classic rows: every
+   row but the tier's sums to the context's work. *)
+let test_tier_rows_account_for_work () =
+  List.iter
+    (fun (label, config, tier) ->
+      List.iter
+        (fun (name, r) ->
+          let ctx = r.Dbds.Driver.rep_ctx in
+          let table = Opt.Phase.pass_table ctx in
+          ignore (row table (tier ^ ".simulate"));
+          Alcotest.(check int)
+            (Printf.sprintf "%s under %s: leaf rows sum to the work" name label)
+            ctx.Opt.Phase.work
+            (List.fold_left
+               (fun n (pass, (st : Opt.Phase.pass_stat)) ->
+                 if pass = tier then n else n + st.Opt.Phase.pwork)
+               0 table))
+        (paper_reports config))
+    [
+      ("dbds", Dbds.Config.dbds, "dbds");
+      ("dupalot", Dbds.Config.dupalot, "dupalot");
+      ("dbds_paths", Dbds.Config.dbds_paths, "dbds");
+    ]
+
+(* One [dbds.simulate] run per round, and one fired [dbds.duplicate] run
+   per duplication (dbds runs no §8 path steps). *)
+let test_tier_rows_count_rounds () =
+  let rounds = ref 0 and dups = ref 0 and sim_runs = ref 0 in
+  let fired = ref 0 and tradeoff_runs = ref 0 in
+  List.iter
+    (fun (_, r) ->
+      List.iter
+        (fun (_, (s : Dbds.Driver.stats)) ->
+          rounds := !rounds + s.Dbds.Driver.iterations_run;
+          dups := !dups + s.Dbds.Driver.duplications_performed)
+        r.Dbds.Driver.rep_stats;
+      let table = Opt.Phase.pass_table r.Dbds.Driver.rep_ctx in
+      let st name = row table name in
+      sim_runs := !sim_runs + (st "dbds.simulate").Opt.Phase.runs;
+      tradeoff_runs := !tradeoff_runs + (st "dbds.tradeoff").Opt.Phase.runs;
+      match List.assoc_opt "dbds.duplicate" table with
+      | Some d -> fired := !fired + d.Opt.Phase.fired
+      | None -> ())
+    (paper_reports Dbds.Config.dbds);
+  Alcotest.(check bool) "duplications happened" true (!dups > 0);
+  Alcotest.(check int) "simulate runs = rounds" !rounds !sim_runs;
+  Alcotest.(check int) "tradeoff runs = rounds" !rounds !tradeoff_runs;
+  Alcotest.(check int) "duplicate fired = duplications" !dups !fired
 
 (* The baseline configuration rides the same parallel + containment
    path: deterministic merged context for any [jobs]. *)
@@ -463,6 +531,8 @@ let suite =
     test "pass table contents" test_pass_table_contents;
     test "pass table determinism (jobs 1 vs 4)" test_pass_table_determinism;
     test "pass table accounts for all work" test_pass_table_accounts_for_work;
+    test "tier rows account for the work" test_tier_rows_account_for_work;
+    test "tier rows count rounds and duplications" test_tier_rows_count_rounds;
     test "baseline optimize_program jobs" test_baseline_optimize_program_jobs;
     test "custom pipeline behavior" test_custom_pipeline_behavior;
     qtest ~count:60 "preservation contracts hold (progen)" seed_gen
