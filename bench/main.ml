@@ -15,9 +15,12 @@
     absolute times do not.  [before_first_pass] times the stages from
     source text to the first classic pass (parse+typecheck, lowering,
     the frontend verifier, the inliner) on the paper programs and on the
-    generated set, beside the classic passes' ns per work unit and
-    [simulate], the [dbds.simulate] row over every dbds round.  Every
-    row comes from the per-pass table a compile records.
+    generated set, beside [rows]: every row of the per-pass table of
+    the corpus's dbds compiles (the classic passes, [inline], the
+    inclusive [dbds] row and its tiers [dbds.simulate],
+    [dbds.tradeoff] and [dbds.duplicate]), each with its runs, work
+    units, ns, ns per unit and minor words.  [simulate] repeats the
+    [dbds.simulate] row with the rounds and candidates.
     [service_cold_path] times the server's cold path stage by stage
     ({!Cold}: decode, parse, hash, compile, canonical reply IR, store
     put, render) over the functions of perfbench-shaped cold requests,
@@ -181,12 +184,15 @@ let corpora () =
 
 type stage_cell = { sc_ns : float; sc_minor : float }
 
+(* A row of the per-pass table summed over a corpus. *)
+type row = { runs : int; work : int; ns : float; minor : float }
+
 type corpus_report = {
   programs : int;
   cells : stage_cell list;  (** in [stages] order *)
   inline_work : int;
-  pass_rows : (string * int * float) list;
-      (** classic pass, its work units and fastest corpus ns, under dbds *)
+  rows : (string * row) list;
+      (** every row of the per-pass table, in table order, under dbds *)
   simulate : stage_cell;  (** the [dbds.simulate] row, every dbds round *)
   rounds : int;
   candidates : int;
@@ -220,17 +226,15 @@ let time_stages sources =
     sources;
   (ns, minor)
 
-(* A row of the per-pass table summed over a corpus. *)
-type row = { runs : int; work : int; ns : float; minor : float }
-
 let no_row = { runs = 0; work = 0; ns = 0.0; minor = 0.0 }
 let find_row rows name =
   Option.value ~default:no_row (Hashtbl.find_opt rows name)
 
 (* One dbds compile of every program: the merged per-pass table's rows,
-   and the candidates the simulation found. *)
+   their names in table order, and the candidates the simulation
+   found. *)
 let time_passes sources =
-  let rows = Hashtbl.create 32 and candidates = ref 0 in
+  let rows = Hashtbl.create 32 and names = ref [] and candidates = ref 0 in
   List.iter
     (fun src ->
       let prog = Lang.Frontend.compile src in
@@ -244,6 +248,7 @@ let time_passes sources =
             .Dbds.Driver.candidates_found;
       List.iter
         (fun (name, (st : Opt.Phase.pass_stat)) ->
+          if not (Hashtbl.mem rows name) then names := name :: !names;
           let r = find_row rows name in
           Hashtbl.replace rows name
             {
@@ -254,7 +259,7 @@ let time_passes sources =
             })
         (Opt.Phase.pass_table r.Dbds.Driver.rep_ctx))
     sources;
-  (rows, !candidates)
+  (rows, List.rev !names, !candidates)
 
 (* [runs] timed runs after one warm-up: per stage and per row, the
    fastest run's ns and the fewest minor words. *)
@@ -264,7 +269,7 @@ let measure_corpus sources =
   let pass_runs = List.init runs (fun _ -> time_passes sources) in
   let least f = List.fold_left (fun b run -> Float.min b (f run)) infinity in
   let row name =
-    let of_run (rows, _) = find_row rows name in
+    let of_run (rows, _, _) = find_row rows name in
     {
       (of_run (List.hd pass_runs)) with
       ns = least (fun run -> (of_run run).ns) pass_runs;
@@ -273,6 +278,7 @@ let measure_corpus sources =
   in
   let cell r = { sc_ns = r.ns; sc_minor = r.minor } in
   let inline = row "inline" and simulate = row "dbds.simulate" in
+  let _, names, candidates = List.hd pass_runs in
   {
     programs = List.length sources;
     cells =
@@ -283,15 +289,10 @@ let measure_corpus sources =
           })
       @ [ cell inline ];
     inline_work = inline.work;
-    pass_rows =
-      List.map
-        (fun name ->
-          let r = row name in
-          (name, r.work, r.ns))
-        classic_passes;
+    rows = List.map (fun name -> (name, row name)) names;
     simulate = cell simulate;
     rounds = simulate.runs;
-    candidates = snd (List.hd pass_runs);
+    candidates;
   }
 
 let per_work ns work = if work = 0 then 0.0 else ns /. float_of_int work
@@ -300,8 +301,11 @@ let classic_median r =
   let a =
     Array.of_list
       (List.filter_map
-         (fun (_, w, ns) -> if w > 0 then Some (per_work ns w) else None)
-         r.pass_rows)
+         (fun (name, row) ->
+           if List.mem name classic_passes && row.work > 0 then
+             Some (per_work row.ns row.work)
+           else None)
+         r.rows)
   in
   Array.sort compare a;
   let n = Array.length a in
@@ -323,13 +327,15 @@ let print_corpus name r =
     (per_work (inline_ns r) r.inline_work);
   Format.printf "%-16s %12.0f ns/unit (dbds)@." "classic median"
     (classic_median r);
-  List.iter
-    (fun (pass, _, ns) ->
-      if pass = "gvn" then
-        Format.printf "%-16s %12.3f ms (dbds)@." pass (ns /. 1e6))
-    r.pass_rows;
   Format.printf "%-16s %12.3f %14.0f  (%d rounds, %d candidates)@." "simulate"
-    (r.simulate.sc_ns /. 1e6) r.simulate.sc_minor r.rounds r.candidates
+    (r.simulate.sc_ns /. 1e6) r.simulate.sc_minor r.rounds r.candidates;
+  Format.printf "@.%-16s %8s %10s %12s %14s  (dbds)@." "row" "runs" "units" "ms"
+    "minor words";
+  List.iter
+    (fun (name, row) ->
+      Format.printf "%-16s %8d %10d %12.3f %14.0f@." name row.runs row.work
+        (row.ns /. 1e6) row.minor)
+    r.rows
 
 let json_corpus name r =
   let stage_entry stage c =
@@ -337,11 +343,11 @@ let json_corpus name r =
       "        { \"stage\": %S, \"ns\": %.0f, \"minor_words\": %.0f }" stage
       c.sc_ns c.sc_minor
   in
-  let pass_entry (pass, w, ns) =
+  let row_entry (name, row) =
     Printf.sprintf
-      "        { \"pass\": %S, \"work\": %d, \"ns\": %.0f, \"ns_per_work\": \
-       %.1f }"
-      pass w ns (per_work ns w)
+      "        { \"row\": %S, \"runs\": %d, \"work\": %d, \"ns\": %.0f, \
+       \"ns_per_work\": %.1f, \"minor_words\": %.0f }"
+      name row.runs row.work row.ns (per_work row.ns row.work) row.minor
   in
   Printf.sprintf
     "    {\n\
@@ -350,7 +356,7 @@ let json_corpus name r =
     \      \"stages\": [\n%s\n      ],\n\
     \      \"inline_work\": %d,\n\
     \      \"inline_ns_per_work\": %.1f,\n\
-    \      \"classic_passes\": [\n%s\n      ],\n\
+    \      \"rows\": [\n%s\n      ],\n\
     \      \"classic_median_ns_per_work\": %.1f,\n\
     \      \"simulate\": { \"ns\": %.0f, \"minor_words\": %.0f, \"rounds\": \
      %d, \"candidates\": %d }\n\
@@ -359,7 +365,7 @@ let json_corpus name r =
     (String.concat ",\n" (List.map2 stage_entry stages r.cells))
     r.inline_work
     (per_work (inline_ns r) r.inline_work)
-    (String.concat ",\n" (List.map pass_entry r.pass_rows))
+    (String.concat ",\n" (List.map row_entry r.rows))
     (classic_median r) r.simulate.sc_ns r.simulate.sc_minor r.rounds
     r.candidates
 

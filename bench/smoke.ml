@@ -11,6 +11,8 @@
       exceed their work-unit budget over the paper benchmarks;
     - the dbds pass exceeds its work-unit budget over generated
       programs;
+    - simplify-cfg, gvn and the trade-off together exceed their
+      allocation budget over the same programs;
     - the service's cold path allocates more than its budget re-reading
       and re-writing IR text (parse, hash, canonical reply IR);
     - the workload-lab gates below fail.
@@ -121,24 +123,37 @@ let () =
      suite's shapes the dbds pass costs 113,682 work units; it cost
      181,993 while every duplication was charged the whole graph. *)
   let dup_budget = 130_000 in
-  let dup_work =
+  (* Allocation gate, over the same compiles.  The rows of simplify-cfg,
+     gvn and the trade-off allocate per block or instruction they
+     visit: simplify-cfg and the trade-off read blocks through
+     counters and iterators, and the region forms dedup the mutation
+     log through a per-domain stamp set.  Over seeds 0-4 of the
+     generated shapes the three rows allocate 2,730,892 minor words;
+     they allocated 3,723,133 while simplify-cfg built predecessor and
+     phi lists, the trade-off built every block's instruction list and
+     every log read allocated a seen set the size of the arena.  At
+     jobs 1 allocation does not depend on the host. *)
+  let words_budget = 3_200_000 in
+  let words_rows = [ "simplify-cfg"; "gvn"; "dbds.tradeoff" ] in
+  let dup_work, words =
     List.fold_left
       (fun acc shape ->
         List.fold_left
-          (fun acc seed ->
+          (fun (work, words) seed ->
             let rep =
               Dbds.Driver.optimize_program_report ~config ~jobs:1
                 (Lang.Frontend.compile
                    (Workloads.Generated.source shape ~seed))
             in
-            match
-              List.assoc_opt "dbds"
-                (Opt.Phase.pass_table rep.Dbds.Driver.rep_ctx)
-            with
-            | Some st -> acc + st.Opt.Phase.pwork
-            | None -> acc)
+            List.fold_left
+              (fun (work, words) (name, (st : Opt.Phase.pass_stat)) ->
+                ( (if name = "dbds" then work + st.pwork else work),
+                  if List.mem name words_rows then words + st.minor_words
+                  else words ))
+              (work, words)
+              (Opt.Phase.pass_table rep.Dbds.Driver.rep_ctx))
           acc [ 0; 1; 2; 3; 4 ])
-      0 Workloads.Generated.shapes
+      (0, 0) Workloads.Generated.shapes
   in
   Printf.printf "bench-smoke: dbds work on generated shapes %d units (budget %d)\n"
     dup_work dup_budget;
@@ -146,6 +161,14 @@ let () =
     die "dbds work on generated shapes %d units > budget %d (a duplication \
          charged for the whole graph again?)"
       dup_work dup_budget;
+  Printf.printf
+    "bench-smoke: simplify-cfg + gvn + dbds.tradeoff on generated shapes %d \
+     minor words (budget %d)\n"
+    words words_budget;
+  if words > words_budget then
+    die "simplify-cfg + gvn + dbds.tradeoff allocate %d minor words > budget \
+         %d (a CFG walk builds lists or an arena-sized set again?)"
+      words words_budget;
   (* Cold-path text gate.  A cold request's server parses its IR, hashes
      it and writes the compiled body's canonical text.  Over the
      functions of perfbench's first 60 cold requests those three stages

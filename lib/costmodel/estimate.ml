@@ -4,13 +4,10 @@
     by the backtracking comparator to detect progress). *)
 
 let block_size g bid =
-  let instrs =
-    List.fold_left
-      (fun acc id -> acc + Cost.size_of_kind (Ir.Graph.kind g id))
-      0
-      (Ir.Graph.block_instrs g bid)
-  in
-  instrs + (Cost.of_term (Ir.Graph.term g bid)).Cost.size
+  let size = ref (Cost.of_term (Ir.Graph.term g bid)).Cost.size in
+  Ir.Graph.iter_block_instrs g bid (fun id ->
+      size := !size + Cost.size_of_kind (Ir.Graph.kind g id));
+  !size
 
 (** Static code size of the whole graph, in abstract bytes. *)
 let graph_size g =

@@ -54,7 +54,7 @@ type entry = {
   dom_gen : int;  (** generation {!dom_tree} is valid for; -1 = none *)
   dom_tree : Dom.t option;
   loops_gen : int;
-  loop_forest : Loops.t option;
+  loop_headers : Loops.t option;
   freq_gen : int;
   freq : Frequency.t option;
   clean : (string * clean) list;
@@ -71,7 +71,7 @@ let empty_entry =
     dom_gen = -1;
     dom_tree = None;
     loops_gen = -1;
-    loop_forest = None;
+    loop_headers = None;
     freq_gen = -1;
     freq = None;
     clean = [];
@@ -107,14 +107,14 @@ let loops g =
   let d = dom g in
   let e = entry g in
   let gen = Graph.generation g in
-  match e.loop_forest with
+  match e.loop_headers with
   | Some l when e.loops_gen = gen ->
       e.hits <- e.hits + 1;
       l
   | _ ->
       miss e;
       let l = Loops.compute d in
-      store g { e with loops_gen = gen; loop_forest = Some l };
+      store g { e with loops_gen = gen; loop_headers = Some l };
       l
 
 let frequency g =
@@ -215,7 +215,7 @@ let check g kind =
       | Some d when e.dom_gen = gen -> ok (Dom.equal d (Dom.compute g))
       | _ -> Ok ())
   | Loops -> (
-      match e.loop_forest with
+      match e.loop_headers with
       | Some l when e.loops_gen = gen ->
           ok (Loops.equal l (Loops.compute (Dom.compute g)))
       | _ -> Ok ())

@@ -1,15 +1,17 @@
 (** Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm,
-    plus dominance queries, tree children, depths and dominance frontiers
-    (the latter feed SSA repair after duplication). *)
+    plus O(1) dominance queries (preorder intervals of the tree), tree
+    children and dominance frontiers (the latter feed SSA repair after
+    duplication). *)
 
 type t = {
   graph : Graph.t;
   idom : int array;  (** immediate dominator per block; entry maps to itself;
                          -1 for unreachable blocks *)
-  rpo_index : int array;  (** position in reverse postorder; -1 unreachable *)
   order : Types.block_id list;  (** reverse postorder *)
   children : Types.block_id list array;  (** dominator-tree children *)
-  depth : int array;  (** dominator-tree depth, entry = 0 *)
+  enter : int array;
+      (** preorder number on entering the block's subtree; -1 unreachable *)
+  leave : int array;  (** preorder number after leaving its subtree *)
 }
 
 let graph t = t.graph
@@ -18,8 +20,9 @@ let order t = t.order
 let compute (g : Graph.t) =
   let n = Graph.n_blocks g in
   let order = Graph.rpo g in
+  let rpo = Array.of_list order in
   let rpo_index = Array.make (max 1 n) (-1) in
-  List.iteri (fun i b -> rpo_index.(b) <- i) order;
+  Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
   let idom = Array.make (max 1 n) (-1) in
   let entry = Graph.entry g in
   idom.(entry) <- entry;
@@ -38,52 +41,55 @@ let compute (g : Graph.t) =
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun b ->
-        if b <> entry then begin
-          (* Only processed (hence reachable) predecessors take part:
-             idom.(p) >= 0 subsumes the old reachability filter since
-             idoms are only ever assigned along the reverse postorder. *)
-          let new_idom = ref (-1) in
-          Graph.iter_preds g b (fun p ->
-              if idom.(p) >= 0 then
-                new_idom := (if !new_idom < 0 then p else intersect !new_idom p));
-          if !new_idom >= 0 && idom.(b) <> !new_idom then begin
-            idom.(b) <- !new_idom;
-            changed := true
-          end
-        end)
-      order
+    for i = 1 to Array.length rpo - 1 do
+      let b = rpo.(i) in
+      (* Only processed (hence reachable) predecessors take part:
+         idom.(p) >= 0 subsumes a reachability filter since idoms are
+         only ever assigned along the reverse postorder. *)
+      let new_idom = ref (-1) in
+      for k = 0 to Graph.pred_count g b - 1 do
+        let p = Graph.pred_nth g b k in
+        if idom.(p) >= 0 then
+          new_idom := if !new_idom < 0 then p else intersect !new_idom p
+      done;
+      if !new_idom >= 0 && idom.(b) <> !new_idom then begin
+        idom.(b) <- !new_idom;
+        changed := true
+      end
+    done
   done;
   let children = Array.make (max 1 n) [] in
-  let depth = Array.make (max 1 n) 0 in
   (* Children in reverse postorder: iterate the order backwards so the
      consed lists come out forwards. *)
-  List.iter
-    (fun b ->
-      if b <> entry && idom.(b) >= 0 then
-        children.(idom.(b)) <- b :: children.(idom.(b)))
-    (List.rev order);
-  List.iter
-    (fun b -> if b <> entry && idom.(b) >= 0 then depth.(b) <- depth.(idom.(b)) + 1)
-    order;
-  { graph = g; idom; rpo_index; order; children; depth }
+  for i = Array.length rpo - 1 downto 1 do
+    let b = rpo.(i) in
+    children.(idom.(b)) <- b :: children.(idom.(b))
+  done;
+  (* Preorder numbers: [a] dominates [b] when [b]'s interval nests in
+     [a]'s. *)
+  let enter = Array.make (max 1 n) (-1) and leave = Array.make (max 1 n) (-1) in
+  let clock = ref 0 in
+  let rec number b =
+    enter.(b) <- !clock;
+    incr clock;
+    List.iter number children.(b);
+    leave.(b) <- !clock
+  in
+  if Array.length rpo > 0 then number entry;
+  { graph = g; idom; order; children; enter; leave }
 
 let idom t b = if b = Graph.entry t.graph then None else Some t.idom.(b)
 let children t b = t.children.(b)
-let depth t b = t.depth.(b)
-let is_reachable t b = b < Array.length t.rpo_index && t.rpo_index.(b) >= 0
 
-(** [dominates t a b]: does [a] dominate [b] (reflexively)? *)
+let is_reachable t b =
+  b >= 0 && b < Array.length t.enter && t.enter.(b) >= 0
+
+(** [dominates t a b]: does [a] dominate [b] (reflexively)?  Two
+    comparisons of preorder numbers. *)
 let dominates t a b =
-  if not (is_reachable t a && is_reachable t b) then false
-  else begin
-    let b = ref b in
-    while t.depth.(!b) > t.depth.(a) do
-      b := t.idom.(!b)
-    done;
-    !b = a
-  end
+  is_reachable t a && is_reachable t b
+  && t.enter.(a) <= t.enter.(b)
+  && t.leave.(b) <= t.leave.(a)
 
 let strictly_dominates t a b = a <> b && dominates t a b
 
@@ -156,7 +162,7 @@ let iterated_frontier t ~frontiers:df blocks =
 
 (** Structural equality of two dominator trees over the same graph: the
     same reverse postorder and the same immediate dominator for every
-    reachable block.  Children, depths and frontiers are all derived
+    reachable block.  Children, intervals and frontiers are all derived
     from the idoms, so comparing idoms suffices — this is the
     preservation-contract check of {!Analyses}. *)
 let equal a b =

@@ -1,5 +1,5 @@
 (** Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm,
-    plus dominance queries, tree children, depths and dominance frontiers
+    plus O(1) dominance queries, tree children and dominance frontiers
     (the latter feed SSA construction and repair). *)
 
 type t
@@ -18,12 +18,11 @@ val idom : t -> Types.block_id -> Types.block_id option
 (** Dominator-tree children, in reverse postorder. *)
 val children : t -> Types.block_id -> Types.block_id list
 
-(** Dominator-tree depth; entry = 0. *)
-val depth : t -> Types.block_id -> int
-
 val is_reachable : t -> Types.block_id -> bool
 
-(** [dominates t a b]: does [a] dominate [b] (reflexively)? *)
+(** [dominates t a b]: does [a] dominate [b] (reflexively)?  O(1):
+    [compute] numbers the tree in preorder, so [a] dominates [b] when
+    [b]'s interval nests in [a]'s.  False when either is unreachable. *)
 val dominates : t -> Types.block_id -> Types.block_id -> bool
 
 val strictly_dominates : t -> Types.block_id -> Types.block_id -> bool

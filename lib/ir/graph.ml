@@ -741,6 +741,10 @@ let iter_effects g bid f =
     i := next
   done
 
+let has_phis g bid =
+  check_block g bid;
+  g.phi_head.(bid) >= 0
+
 let phis g bid =
   let acc = ref [] in
   iter_phis g bid (fun id -> acc := id :: !acc);

@@ -232,6 +232,9 @@ val iter_phis : t -> block_id -> (instr_id -> unit) -> unit
 val iter_body : t -> block_id -> (instr_id -> unit) -> unit
 val iter_block_instrs : t -> block_id -> (instr_id -> unit) -> unit
 
+(** Does the block have a phi?  O(1). *)
+val has_phis : t -> block_id -> bool
+
 (** {2 Effect chains}
 
     A block's effect chain is the subsequence of its body that read

@@ -1,82 +1,30 @@
-(** Natural-loop detection.  A back edge is an edge [t -> h] where [h]
-    dominates [t]; the loop body is found by walking predecessors backwards
-    from the tail.  Per-block loop nesting depth feeds the block-frequency
-    estimator. *)
+(** Loop headers.  A back edge is an edge [t -> h] where [h] dominates
+    [t]; its target is a natural-loop header.  The block-frequency
+    estimator scales a header's incoming frequency, and the simulation
+    stops its paths at headers: both only ask whether a block is one. *)
 
-type loop = {
-  header : Types.block_id;
-  body : Types.block_id list;  (** includes the header *)
-  back_edges : (Types.block_id * Types.block_id) list;
-}
+type t = { header : bool array }
 
-type t = {
-  loops : loop list;
-  loop_depth : int array;  (** nesting depth per block; 0 = not in a loop *)
-  loop_header : bool array;
-}
-
-let loops t = t.loops
-let depth t b = if b < Array.length t.loop_depth then t.loop_depth.(b) else 0
-let is_header t b = b < Array.length t.loop_header && t.loop_header.(b)
+let is_header t b = b < Array.length t.header && t.header.(b)
 
 let compute (dom : Dom.t) =
   let g = Dom.graph dom in
-  let n = Graph.n_blocks g in
-  let back_edges = ref [] in
+  let header = Array.make (max 1 (Graph.n_blocks g)) false in
+  let back b s = if Dom.dominates dom s b then header.(s) <- true in
   List.iter
     (fun b ->
-      List.iter
-        (fun s -> if Dom.dominates dom s b then back_edges := (b, s) :: !back_edges)
-        (Graph.succs g b))
+      match Graph.term g b with
+      | Types.Jump s -> back b s
+      | Types.Branch { if_true; if_false; _ } ->
+          back b if_true;
+          back b if_false
+      | Types.Return _ | Types.Unreachable -> ())
     (Dom.order dom);
-  (* Group back edges by header. *)
-  let by_header = Hashtbl.create 8 in
-  List.iter
-    (fun (tail, header) ->
-      let cur = try Hashtbl.find by_header header with Not_found -> [] in
-      Hashtbl.replace by_header header ((tail, header) :: cur))
-    !back_edges;
-  let loop_depth = Array.make (max 1 n) 0 in
-  let loop_header = Array.make (max 1 n) false in
-  let loops =
-    Hashtbl.fold
-      (fun header edges acc ->
-        loop_header.(header) <- true;
-        let in_body = Hashtbl.create 8 in
-        Hashtbl.add in_body header ();
-        let worklist = Queue.create () in
-        List.iter
-          (fun (tail, _) ->
-            if not (Hashtbl.mem in_body tail) then begin
-              Hashtbl.add in_body tail ();
-              Queue.add tail worklist
-            end)
-          edges;
-        while not (Queue.is_empty worklist) do
-          let b = Queue.pop worklist in
-          Graph.iter_preds g b (fun p ->
-              if Dom.is_reachable dom p && not (Hashtbl.mem in_body p) then begin
-                Hashtbl.add in_body p ();
-                Queue.add p worklist
-              end)
-        done;
-        let body = Hashtbl.fold (fun b () acc -> b :: acc) in_body [] in
-        List.iter (fun b -> loop_depth.(b) <- loop_depth.(b) + 1) body;
-        { header; body; back_edges = edges } :: acc)
-      by_header []
-  in
-  { loops; loop_depth; loop_header }
+  { header }
 
-(* Loop bodies are collected from a hashtable, so their order is
-   arbitrary; normalize before comparing. *)
-let normalize t =
-  List.sort compare
-    (List.map
-       (fun l ->
-         (l.header, List.sort compare l.body, List.sort compare l.back_edges))
-       t.loops)
-
-(** Structural equality of two loop forests over the same graph (loop
-    sets compared order-insensitively; depths are derived from the
-    bodies). *)
-let equal a b = normalize a = normalize b
+(** Equality of two header sets over the same graph (arrays sized for
+    different arena marks agree on the blocks one of them lacks). *)
+let equal a b =
+  let n = max (Array.length a.header) (Array.length b.header) in
+  let rec go i = i >= n || (is_header a i = is_header b i && go (i + 1)) in
+  go 0

@@ -1,24 +1,13 @@
-(** Natural-loop detection.  A back edge is an edge [t -> h] where [h]
-    dominates [t]; the loop body is found by walking predecessors backwards
-    from the tail.  Per-block loop nesting depth feeds the block-frequency
-    estimator. *)
-
-type loop = {
-  header : Types.block_id;
-  body : Types.block_id list;  (** includes the header *)
-  back_edges : (Types.block_id * Types.block_id) list;
-}
+(** Loop headers.  A back edge is an edge [t -> h] where [h] dominates
+    [t]; its target is a natural-loop header.  The block-frequency
+    estimator multiplies a header's incoming frequency by its loop
+    factor, and the simulation stops its paths at headers; neither
+    needs loop bodies or nesting depths, so none are built. *)
 
 type t
-
-val loops : t -> loop list
-
-(** Nesting depth; 0 = not in a loop. *)
-val depth : t -> Types.block_id -> int
 
 val is_header : t -> Types.block_id -> bool
 val compute : Dom.t -> t
 
-(** Structural equality of two loop forests over the same graph (loop
-    sets compared order-insensitively). *)
+(** Equality of two header sets over the same graph. *)
 val equal : t -> t -> bool

@@ -175,23 +175,8 @@ let check_input_validity g =
    (i.e. its def dominates that predecessor). *)
 let check_dominance g =
   let dom = Analyses.dom g in
-  (* Dominator-tree intervals: [a] dominates [b] when [b]'s interval
-     nests in [a]'s, an O(1) query where {!Dom.dominates} walks up [b]'s
-     idom chain. *)
-  let nb = max 1 (Graph.n_blocks g) in
-  let enter = Array.make nb (-1) and leave = Array.make nb (-1) in
-  let clock = ref 0 in
-  let tick stamps b =
-    stamps.(b) <- !clock;
-    incr clock
-  in
-  Dom.walk dom ~enter:(tick enter) ~exit:(tick leave);
-  let dominates a b =
-    a >= 0 && a < nb && enter.(a) >= 0 && enter.(b) >= 0
-    && enter.(a) <= enter.(b)
-    && leave.(b) <= leave.(a)
-  in
-  let strictly_dominates a b = a <> b && dominates a b in
+  let dominates a b = Dom.dominates dom a b in
+  let strictly_dominates a b = Dom.strictly_dominates dom a b in
   (* Same-block ordering positions from one counter across all blocks:
      a position from before the current block's first is stale (the
      instruction was numbered in another block), so nothing is reset. *)

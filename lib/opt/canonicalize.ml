@@ -145,19 +145,20 @@ let simplify ?self ~kind_of ~mk_const kind =
 (* The phase                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Find or create a [Const n] usable anywhere: reused entry-block
-    constants (the lowest id per value) are hoisted to the head of the
-    entry block so they dominate every use site (including earlier
-    instructions of the entry block). *)
-let materialize_const g =
+(* The entry block's constants, the lowest id per value, less those
+   [skip] names. *)
+let entry_consts ?(skip = fun _ -> false) g =
   let cache = Hashtbl.create 8 in
   Ir.Graph.iter_block_instrs g (Ir.Graph.entry g) (fun id ->
       match Ir.Graph.kind g id with
-      | Const n -> (
+      | Const n when not (skip id) -> (
           match Hashtbl.find_opt cache n with
           | Some v when v < id -> ()
           | _ -> Hashtbl.replace cache n id)
       | _ -> ());
+  cache
+
+let const_maker g cache =
   let hoisted = Hashtbl.create 8 in
   fun n ->
     match Hashtbl.find_opt cache n with
@@ -173,6 +174,35 @@ let materialize_const g =
         Hashtbl.add cache n v;
         Hashtbl.add hoisted v ();
         v
+
+(** Find or create a [Const n] usable anywhere: reused entry-block
+    constants (the lowest id per value) are hoisted to the head of the
+    entry block so they dominate every use site (including earlier
+    instructions of the entry block). *)
+let materialize_const g = const_maker g (entry_consts g)
+
+(* [materialize_const g] as called now, but reading the entry block on
+   its first call: most sweeps never make a constant.  A sweep never
+   rewrites, moves or deletes a constant, so the entry block's
+   constants then are those of now plus the ones its actions folded
+   since, which the log names (sweeps run with the log on). *)
+let materialize_const_on_use g =
+  let since = Ir.Graph.log_length g in
+  let made = ref None in
+  fun n ->
+    match !made with
+    | Some mk -> mk n
+    | None ->
+        let folded = Hashtbl.create 8 in
+        Ir.Graph.iter_log g ~since (fun what id ->
+            if
+              what = Ir.Graph.Instr
+              && Ir.Graph.instr_exists g id
+              && Ir.Graph.block_of g id = Ir.Graph.entry g
+            then Hashtbl.replace folded id ());
+        let mk = const_maker g (entry_consts ~skip:(Hashtbl.mem folded) g) in
+        made := Some mk;
+        mk n
 
 (** Rewrite [Not (Cmp op a b)] into the negated comparison. *)
 let not_of_cmp g id =
@@ -218,33 +248,110 @@ let affected g ~since put =
       put id;
       Region.iter_instr_users g id put)
 
-(* Sweeps until one fires nothing, the first over the ids in [cur].  A
-   sweep visits ids in increasing order below the arena size it started
-   at; an action at [id] queues what it affected into the same sweep
-   when a whole-graph sweep would still reach it (a larger id below the
+(* A min-heap of ids. *)
+type heap = { mutable ids : int array; mutable size : int }
+
+let heap () = { ids = Array.make 16 0; size = 0 }
+
+let grow h =
+  if h.size = Array.length h.ids then begin
+    let ids = Array.make (2 * h.size) 0 in
+    Array.blit h.ids 0 ids 0 h.size;
+    h.ids <- ids
+  end
+
+let heap_push h x =
+  grow h;
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  while !i > 0 && h.ids.((!i - 1) / 2) > x do
+    h.ids.(!i) <- h.ids.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.ids.(!i) <- x
+
+let heap_pop h =
+  let top = h.ids.(0) in
+  h.size <- h.size - 1;
+  let x = h.ids.(h.size) and i = ref 0 and go = ref true in
+  while !go do
+    let c = (2 * !i) + 1 in
+    let c = if c + 1 < h.size && h.ids.(c + 1) < h.ids.(c) then c + 1 else c in
+    if c < h.size && h.ids.(c) < x then begin
+      h.ids.(!i) <- h.ids.(c);
+      i := c
+    end
+    else go := false
+  done;
+  if h.size > 0 then h.ids.(!i) <- x;
+  top
+
+(* Per domain: the ids queued into the running sweep, and into the
+   next one. *)
+type queued = { mutable now : Ir.Stampset.t; mutable next : Ir.Stampset.t }
+
+let queued =
+  Domain.DLS.new_key (fun () ->
+      { now = Ir.Stampset.create (); next = Ir.Stampset.create () })
+
+(* Queue [id] into [set] (and so on [heap]) unless it is. *)
+let queue set heap id =
+  if not (Ir.Stampset.mem set id) then begin
+    Ir.Stampset.add set id;
+    heap_push heap id
+  end
+
+(* Sweeps until one fires nothing, the first over every id ([first] =
+   [None]) or over the ids [first] queues.  A sweep visits its queued
+   ids in increasing order below the arena size it started at; an
+   action at [id] queues what it affected into the same sweep when a
+   whole-graph sweep would still reach it (a larger id below the
    bound), else into the next sweep.  Everything else would visit
    unchanged and fire nothing, so the actions and their order are those
-   of whole-graph sweeps.  [charge] charges a unit per visit. *)
-let sweeps ctx g ~charge cur =
-  let mk_const = materialize_const g in
-  let cur = ref cur and changed = ref false and progress = ref true in
+   of whole-graph sweeps, and a sweep costs what it visits.  [charge]
+   charges a unit per visit. *)
+let sweeps ctx g ~charge first =
+  let mk_const = materialize_const_on_use g in
+  let q = Domain.DLS.get queued in
+  (* The ids queued into the running sweep and into the next one,
+     min-heaps. *)
+  let cur = ref (heap ()) and next = ref (heap ()) in
+  Ir.Stampset.clear q.now;
+  Option.iter (fun seed -> seed (queue q.now !cur)) first;
+  let whole = ref (first = None) in
+  let changed = ref false and progress = ref true in
   while !progress do
     progress := false;
-    let limit = Ir.Graph.n_instrs g in
-    let next = Ir.Bitset.create limit in
-    for id = 0 to limit - 1 do
-      if Ir.Bitset.mem !cur id && Ir.Graph.instr_exists g id then begin
+    let limit = Ir.Graph.n_instrs g and pending = !cur and now = q.now in
+    Ir.Stampset.clear q.next;
+    let below = ref 0 in
+    while if !whole then !below < limit else pending.size > 0 do
+      let id =
+        if !whole then begin
+          incr below;
+          !below - 1
+        end
+        else heap_pop pending
+      in
+      if Ir.Graph.instr_exists g id then begin
         if charge then Phase.charge ctx 1;
         let mark = Ir.Graph.log_length g in
         if visit ~mk_const g id then begin
           progress := true;
           changed := true;
           affected g ~since:mark (fun x ->
-              Ir.Bitset.add (if x > id && x < limit then !cur else next) x)
+              if x > id && x < limit then begin
+                if not !whole then queue now pending x
+              end
+              else queue q.next !next x)
         end
       end
     done;
-    cur := next
+    whole := false;
+    cur := !next;
+    next := pending;
+    q.now <- q.next;
+    q.next <- now
   done;
   !changed
 
@@ -253,21 +360,12 @@ let sweeps ctx g ~charge cur =
 let run ctx g =
   Phase.charge_graph ctx g;
   Ir.Graph.start_log g;
-  let n = Ir.Graph.n_instrs g in
-  let all = Ir.Bitset.create n in
-  for id = 0 to n - 1 do
-    Ir.Bitset.add all id
-  done;
-  sweeps ctx g ~charge:false all
+  sweeps ctx g ~charge:false None
 
 (* The sweeps over the instructions affected since the stamp, a unit
    each. *)
 let run_region ctx g (c : Ir.Analyses.clean) =
-  let cur = Ir.Bitset.create (Ir.Graph.n_instrs g) and any = ref false in
-  affected g ~since:c.Ir.Analyses.at (fun id ->
-      any := true;
-      Ir.Bitset.add cur id);
-  !any && sweeps ctx g ~charge:true cur
+  sweeps ctx g ~charge:true (Some (affected g ~since:c.Ir.Analyses.at))
 
 (* Pure instruction rewrites: constant folding, strength reduction and
    const hoisting never touch terminators or edges, so all CFG analyses

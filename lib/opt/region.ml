@@ -3,29 +3,51 @@
 
 module G = Ir.Graph
 
+(* The seen sets of [iter_logged], one per nesting level on a domain: a
+   call made from [f] works at the next level, so it never empties its
+   caller's set. *)
+type seen = { mutable sets : Ir.Stampset.t array; mutable depth : int }
+
+let seen = Domain.DLS.new_key (fun () -> { sets = [||]; depth = 0 })
+
 (* Calls [f] once on every id with a [what] entry at or after [since]
-   that [live] accepts.  An empty range returns before allocating the
-   arena-sized seen set: the region forms call this after every block
-   or allocation they examine, mostly with nothing logged since. *)
-let iter_logged what ~live ~size g ~since f =
+   that [live] accepts, in the order of its first entry.  The region
+   forms call this after every block or allocation they examine, mostly
+   with nothing logged since, so it costs what the log holds, not what
+   the arena does. *)
+let iter_logged what ~live g ~since f =
   if since < G.log_length g then begin
-    let seen = Ir.Bitset.create size in
-    G.iter_log g ~since (fun w id ->
-        if w = what && live id && not (Ir.Bitset.mem seen id) then begin
-          Ir.Bitset.add seen id;
-          f id
-        end)
+    let st = Domain.DLS.get seen in
+    let d = st.depth in
+    if d = Array.length st.sets then
+      st.sets <-
+        Array.init (max 1 (2 * d)) (fun i ->
+            if i < d then st.sets.(i) else Ir.Stampset.create ());
+    let set = st.sets.(d) in
+    Ir.Stampset.clear set;
+    st.depth <- d + 1;
+    match
+      G.iter_log g ~since (fun w id ->
+          if w = what && live id && not (Ir.Stampset.mem set id) then begin
+            Ir.Stampset.add set id;
+            f id
+          end)
+    with
+    | () -> st.depth <- d
+    | exception e ->
+        st.depth <- d;
+        raise e
   end
 
 (** Calls [f] once on every live instruction with an [Instr] entry at or
     after [since]: created, rewritten or moved since. *)
 let iter_instrs g ~since f =
-  iter_logged G.Instr ~live:(G.instr_exists g) ~size:(G.n_instrs g) g ~since f
+  iter_logged G.Instr ~live:(G.instr_exists g) g ~since f
 
 (** Calls [f] once on every live block with a [Cfg] entry at or after
     [since]. *)
 let iter_cfg_blocks g ~since f =
-  iter_logged G.Cfg ~live:(G.block_exists g) ~size:(G.n_blocks g) g ~since f
+  iter_logged G.Cfg ~live:(G.block_exists g) g ~since f
 
 (** Calls [f] on every live instruction that reads [v]. *)
 let iter_instr_users g v f =

@@ -52,9 +52,12 @@ let merge_straightline _ctx g =
         if G.block_exists g p then
           match G.term g p with
           | Jump s
-            when s <> G.entry g && G.preds g s = [ p ] && s <> p ->
+            when s <> G.entry g
+                 && G.pred_count g s = 1
+                 && G.pred_nth g s 0 = p
+                 && s <> p ->
               (* Single-pred phis must be collapsed first. *)
-              if G.phis g s = [] then begin
+              if not (G.has_phis g s) then begin
                 let body = G.body g s in
                 List.iter (fun id -> G.detach g id) body;
                 let sterm = G.term g s in

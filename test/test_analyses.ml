@@ -282,6 +282,105 @@ let test_effect_chain_charge () =
   Alcotest.(check int) "pea charges blocks and allocations" expected
     ctx.Opt.Phase.work
 
+(* ------------------------------------------------------------------ *)
+(* Reading the log: each live id once, in first-logged order          *)
+(* ------------------------------------------------------------------ *)
+
+let logged iter g ~since =
+  let acc = ref [] in
+  iter g ~since (fun id -> acc := id :: !acc);
+  List.rev !acc
+
+(* Instructions [a < b] and blocks [p < q], each logged twice after
+   [since] in the order b, a and q, p, beside a logged instruction and
+   a logged block that are deleted by the end. *)
+let logged_twice () =
+  let g = diamond () in
+  let e = G.entry g in
+  let a = G.append g e (Const 7) in
+  let b = G.append g e (Const 8) in
+  let dead = G.append g e (Const 9) in
+  let p = G.add_block g and q = G.add_block g and gone = G.add_block g in
+  G.start_log g;
+  let since = G.log_length g in
+  G.set_kind g b (Const 10);
+  G.set_term g q (Return (Some b));
+  G.set_kind g dead (Const 11);
+  G.set_term g gone (Return (Some a));
+  G.set_kind g a (Const 12);
+  G.set_term g p (Return (Some a));
+  G.set_kind g b (Const 13);
+  G.set_term g q (Return None);
+  G.remove_instr g dead;
+  G.remove_block g gone;
+  (g, since, [ b; a ], [ q; p ])
+
+let test_region_log_once () =
+  let g, since, instrs, blocks = logged_twice () in
+  Alcotest.(check (list int)) "instructions" instrs
+    (logged Opt.Region.iter_instrs g ~since);
+  Alcotest.(check (list int)) "blocks" blocks
+    (logged Opt.Region.iter_cfg_blocks g ~since);
+  Alcotest.(check (list int)) "nothing after the end" []
+    (logged Opt.Region.iter_instrs g ~since:(G.log_length g))
+
+(* A call from inside another's callback sees the whole log, and the
+   outer call still yields each id once, also when a call raised. *)
+let test_region_log_nested () =
+  let g, since, instrs, blocks = logged_twice () in
+  let nested () =
+    let inner_instrs = ref [] and inner_blocks = ref [] in
+    let outer =
+      logged
+        (fun g ~since f ->
+          Opt.Region.iter_instrs g ~since (fun id ->
+              if !inner_instrs = [] then begin
+                inner_instrs := logged Opt.Region.iter_instrs g ~since;
+                inner_blocks := logged Opt.Region.iter_cfg_blocks g ~since;
+                (* A nested call that raises leaves the outer one whole. *)
+                match Opt.Region.iter_instrs g ~since (fun _ -> raise Exit) with
+                | () -> Alcotest.fail "the callback did not raise"
+                | exception Exit -> ()
+              end;
+              f id))
+        g ~since
+    in
+    Alcotest.(check (list int)) "outer" instrs outer;
+    Alcotest.(check (list int)) "inner instructions" instrs !inner_instrs;
+    Alcotest.(check (list int)) "inner blocks" blocks !inner_blocks
+  in
+  nested ();
+  (match Opt.Region.iter_cfg_blocks g ~since (fun _ -> raise Exit) with
+  | () -> Alcotest.fail "the callback did not raise"
+  | exception Exit -> ());
+  nested ()
+
+(* Reading a few entries of a 10,000-instruction graph's log allocates
+   a few words, not a seen set the size of the arena. *)
+let test_region_log_allocation () =
+  let g = G.create ~n_params:0 () in
+  let e = G.add_block g in
+  G.set_entry g e;
+  let last = ref 0 in
+  for i = 1 to 10_000 do
+    last := G.append g e (Const i)
+  done;
+  G.set_term g e (Return (Some !last));
+  G.start_log g;
+  let since = G.log_length g in
+  for id = !last - 4 to !last do
+    G.set_kind g id (Const (-id))
+  done;
+  let seen = ref 0 in
+  let count _ = incr seen in
+  Opt.Region.iter_instrs g ~since count;
+  let w0 = Gc.minor_words () in
+  Opt.Region.iter_instrs g ~since count;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "each logged id once per call" 10 !seen;
+  if words > 64.0 then
+    Alcotest.failf "iter_instrs allocated %.0f minor words (bound 64)" words
+
 let suite =
   [
     test "physical reuse on unchanged graph" test_physical_reuse;
@@ -296,4 +395,7 @@ let suite =
     test "copy starts with an empty log" test_copy_starts_fresh;
     test "whole-graph run charges the live count" test_whole_run_charge;
     test "whole-graph run charges effect chains" test_effect_chain_charge;
+    test "region: each logged id once, first-logged order" test_region_log_once;
+    test "region: nested and raising log reads" test_region_log_nested;
+    test "region: a log read allocates no seen set" test_region_log_allocation;
   ]

@@ -100,18 +100,16 @@ let test_iterated_frontier () =
   Alcotest.(check bool) "header in IDF (iterated)" true (List.mem header idf);
   ignore g
 
-let test_loops () =
-  let g, header, body, _, _, latch, exit_b = loop_diamond () in
-  let dom = Ir.Dom.compute g in
-  let loops = Ir.Loops.compute dom in
-  Alcotest.(check int) "one loop" 1 (List.length (Ir.Loops.loops loops));
-  Alcotest.(check bool) "header detected" true (Ir.Loops.is_header loops header);
-  Alcotest.(check int) "body depth 1" 1 (Ir.Loops.depth loops body);
-  Alcotest.(check int) "latch depth 1" 1 (Ir.Loops.depth loops latch);
-  Alcotest.(check int) "exit depth 0" 0 (Ir.Loops.depth loops exit_b);
-  ignore g
+(* The natural-loop headers of [g], in reverse postorder. *)
+let headers g =
+  let loops = Ir.Loops.compute (Ir.Dom.compute g) in
+  List.filter (Ir.Loops.is_header loops) (G.rpo g)
 
-let test_nested_loop_depth () =
+let test_loops () =
+  let g, header, _, _, _, _, _ = loop_diamond () in
+  Alcotest.(check (list int)) "one header" [ header ] (headers g)
+
+let test_nested_loop_headers () =
   let prog =
     compile
       {|
@@ -131,13 +129,11 @@ let test_nested_loop_depth () =
     |}
   in
   let g = Option.get (Ir.Program.find_function prog "main") in
-  let dom = Ir.Dom.compute g in
-  let loops = Ir.Loops.compute dom in
-  Alcotest.(check int) "two loops" 2 (List.length (Ir.Loops.loops loops));
-  let max_depth =
-    List.fold_left (fun acc b -> max acc (Ir.Loops.depth loops b)) 0 (G.rpo g)
-  in
-  Alcotest.(check int) "max nesting 2" 2 max_depth
+  match headers g with
+  | [ outer; inner ] ->
+      Alcotest.(check bool) "outer dominates inner" true
+        (Ir.Dom.strictly_dominates (Ir.Dom.compute g) outer inner)
+  | hs -> Alcotest.failf "%d loop headers, not two" (List.length hs)
 
 let test_frequency_loop_scaling () =
   let g, header, _, _, _, _, exit_b = loop_diamond () in
@@ -176,15 +172,63 @@ let test_frequency_branch_split () =
   Alcotest.(check (float 1e-9)) "false branch 0.1" 0.1
     (Ir.Frequency.frequency freq bf)
 
+(* Does [a] dominate [b]?  Climbs [b]'s immediate-dominator chain. *)
+let dominates_by_climb dom a b =
+  let rec climb x =
+    x = a || match Ir.Dom.idom dom x with Some p -> climb p | None -> false
+  in
+  Ir.Dom.is_reachable dom a && Ir.Dom.is_reachable dom b && climb b
+
+let check_dominates_by_climb name g =
+  let dom = Ir.Dom.compute g in
+  let n = G.n_blocks g in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if Ir.Dom.dominates dom a b <> dominates_by_climb dom a b then
+        Alcotest.failf "%s/%s: dominates b%d b%d is %b" name (G.name g) a b
+          (Ir.Dom.dominates dom a b)
+    done
+  done
+
+(* [Dom.dominates] agrees with the idom chains on every block pair, on
+   progen programs plain and irreducible and on the generated shapes,
+   as compiled and after a dbds compile has duplicated into them. *)
+let test_dominates_matches_climb () =
+  let programs =
+    List.concat_map
+      (fun irreducible ->
+        List.init 8 (fun seed ->
+            ( Printf.sprintf "progen%s/%d"
+                (if irreducible then "-irr" else "")
+                seed,
+              fun () -> Workloads.Progen.generate_program ~irreducible ~seed () )))
+      [ false; true ]
+    @ List.map
+        (fun shape ->
+          ( Workloads.Generated.name shape,
+            fun () -> compile (Workloads.Generated.source shape ~seed:0) ))
+        Workloads.Generated.shapes
+  in
+  List.iter
+    (fun (name, make) ->
+      let prog = make () in
+      Ir.Program.iter_functions prog (check_dominates_by_climb name);
+      ignore
+        (Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds ~jobs:1
+           prog);
+      Ir.Program.iter_functions prog (check_dominates_by_climb (name ^ "@dbds")))
+    programs
+
 let suite =
   [
     test "idom chain" test_idom_chain;
     test "dominates" test_dominates;
+    test "dominates agrees with the idom chains" test_dominates_matches_climb;
     test "dom-tree children partition" test_children_partition;
     test "dominance frontiers" test_frontiers;
     test "iterated frontier" test_iterated_frontier;
     test "loop detection" test_loops;
-    test "nested loop depth" test_nested_loop_depth;
+    test "nested loop headers" test_nested_loop_headers;
     test "frequency: loop scaling" test_frequency_loop_scaling;
     test "frequency: branch split" test_frequency_branch_split;
   ]

@@ -516,9 +516,28 @@ let test_bit_duplicate () =
   Alcotest.(check bool) "stray gone" false (G.block_exists g stray);
   check_verifies g
 
+(* A stamp set empties by taking a new stamp, also across the clear of
+   its slots every 255th time, and grows on [add]. *)
+let test_stampset () =
+  let set = Ir.Stampset.create () in
+  Ir.Stampset.clear set;
+  Ir.Stampset.add set 3;
+  Ir.Stampset.add set 100;
+  Alcotest.(check (list bool)) "members" [ true; true; false; false ]
+    (List.map (Ir.Stampset.mem set) [ 3; 100; 2; 1_000 ]);
+  for round = 1 to 600 do
+    Ir.Stampset.clear set;
+    if Ir.Stampset.mem set 3 || Ir.Stampset.mem set 100 then
+      Alcotest.failf "round %d: an id survived emptying" round;
+    Ir.Stampset.add set (round mod 3);
+    if not (Ir.Stampset.mem set (round mod 3)) then
+      Alcotest.failf "round %d: an added id is missing" round
+  done
+
 let suite =
   [
     test "build diamond" test_build_diamond;
+    test "stamp sets empty by stamp" test_stampset;
     test "use lists" test_use_lists;
     test "replace uses" test_replace_uses;
     test "set_kind updates uses" test_set_kind_updates_uses;
