@@ -19,7 +19,8 @@
     the corpus's dbds compiles (the classic passes, [inline], the
     inclusive [dbds] row and its tiers [dbds.simulate],
     [dbds.tradeoff] and [dbds.duplicate]), each with its runs, work
-    units, ns, ns per unit and minor words.  [simulate] repeats the
+    units, ns, [idle_ns] (the ns of runs that fired nothing), ns per
+    unit and minor words.  [simulate] repeats the
     [dbds.simulate] row with the rounds and candidates.
     [service_cold_path] times the server's cold path stage by stage
     ({!Cold}: decode, parse, hash, compile, canonical reply IR, store
@@ -184,8 +185,9 @@ let corpora () =
 
 type stage_cell = { sc_ns : float; sc_minor : float }
 
-(* A row of the per-pass table summed over a corpus. *)
-type row = { runs : int; work : int; ns : float; minor : float }
+(* A row of the per-pass table summed over a corpus; [idle] is the part
+   of [ns] spent in runs that fired nothing. *)
+type row = { runs : int; work : int; ns : float; idle : float; minor : float }
 
 type corpus_report = {
   programs : int;
@@ -226,7 +228,7 @@ let time_stages sources =
     sources;
   (ns, minor)
 
-let no_row = { runs = 0; work = 0; ns = 0.0; minor = 0.0 }
+let no_row = { runs = 0; work = 0; ns = 0.0; idle = 0.0; minor = 0.0 }
 let find_row rows name =
   Option.value ~default:no_row (Hashtbl.find_opt rows name)
 
@@ -255,6 +257,7 @@ let time_passes sources =
               runs = r.runs + st.Opt.Phase.runs;
               work = r.work + st.Opt.Phase.pwork;
               ns = r.ns +. (st.Opt.Phase.time_s *. 1e9);
+              idle = r.idle +. (st.Opt.Phase.idle_s *. 1e9);
               minor = r.minor +. float_of_int st.Opt.Phase.minor_words;
             })
         (Opt.Phase.pass_table r.Dbds.Driver.rep_ctx))
@@ -273,6 +276,7 @@ let measure_corpus sources =
     {
       (of_run (List.hd pass_runs)) with
       ns = least (fun run -> (of_run run).ns) pass_runs;
+      idle = least (fun run -> (of_run run).idle) pass_runs;
       minor = least (fun run -> (of_run run).minor) pass_runs;
     }
   in
@@ -329,12 +333,12 @@ let print_corpus name r =
     (classic_median r);
   Format.printf "%-16s %12.3f %14.0f  (%d rounds, %d candidates)@." "simulate"
     (r.simulate.sc_ns /. 1e6) r.simulate.sc_minor r.rounds r.candidates;
-  Format.printf "@.%-16s %8s %10s %12s %14s  (dbds)@." "row" "runs" "units" "ms"
-    "minor words";
+  Format.printf "@.%-16s %8s %10s %12s %10s %14s  (dbds)@." "row" "runs" "units"
+    "ms" "idle ms" "minor words";
   List.iter
     (fun (name, row) ->
-      Format.printf "%-16s %8d %10d %12.3f %14.0f@." name row.runs row.work
-        (row.ns /. 1e6) row.minor)
+      Format.printf "%-16s %8d %10d %12.3f %10.3f %14.0f@." name row.runs
+        row.work (row.ns /. 1e6) (row.idle /. 1e6) row.minor)
     r.rows
 
 let json_corpus name r =
@@ -346,8 +350,9 @@ let json_corpus name r =
   let row_entry (name, row) =
     Printf.sprintf
       "        { \"row\": %S, \"runs\": %d, \"work\": %d, \"ns\": %.0f, \
-       \"ns_per_work\": %.1f, \"minor_words\": %.0f }"
-      name row.runs row.work row.ns (per_work row.ns row.work) row.minor
+       \"idle_ns\": %.0f, \"ns_per_work\": %.1f, \"minor_words\": %.0f }"
+      name row.runs row.work row.ns row.idle (per_work row.ns row.work)
+      row.minor
   in
   Printf.sprintf
     "    {\n\

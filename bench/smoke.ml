@@ -12,7 +12,8 @@
     - the dbds pass exceeds its work-unit budget over generated
       programs;
     - simplify-cfg, gvn and the trade-off together exceed their
-      allocation budget over the same programs;
+      allocation budget over the same programs, or conditional and read
+      elimination theirs;
     - the service's cold path allocates more than its budget re-reading
       and re-writing IR text (parse, hash, canonical reply IR);
     - the workload-lab gates below fail.
@@ -128,32 +129,47 @@ let () =
      visit: simplify-cfg and the trade-off read blocks through
      counters and iterators, and the region forms dedup the mutation
      log through a per-domain stamp set.  Over seeds 0-4 of the
-     generated shapes the three rows allocate 2,730,892 minor words;
+     generated shapes the three rows allocate 2,711,915 minor words;
      they allocated 3,723,133 while simplify-cfg built predecessor and
      phi lists, the trade-off built every block's instruction list and
      every log read allocated a seen set the size of the arena.  At
      jobs 1 allocation does not depend on the host. *)
   let words_budget = 3_200_000 in
   let words_rows = [ "simplify-cfg"; "gvn"; "dbds.tradeoff" ] in
-  let dup_work, words =
+  (* Allocation gate on the dominator walks, over the same compiles.
+     Most runs of conditional and read elimination fire nothing, and
+     such a run costs its set-up and its log reads: the log is read in
+     one loop, with no closure call or list per entry, and a block's
+     single predecessor is read without building its predecessor list.
+     Over seeds 0-4 of the generated shapes the two rows allocate
+     1,780,144 minor words; they allocated 2,122,259 while every log
+     entry went through two closures and every single-predecessor test
+     built a list. *)
+  let walk_budget = 1_950_000 in
+  let walk_rows = [ "condelim"; "readelim" ] in
+  let dup_work, words, walk_words =
     List.fold_left
       (fun acc shape ->
         List.fold_left
-          (fun (work, words) seed ->
+          (fun (work, words, walk_words) seed ->
             let rep =
               Dbds.Driver.optimize_program_report ~config ~jobs:1
                 (Lang.Frontend.compile
                    (Workloads.Generated.source shape ~seed))
             in
             List.fold_left
-              (fun (work, words) (name, (st : Opt.Phase.pass_stat)) ->
+              (fun (work, words, walk_words)
+                   (name, (st : Opt.Phase.pass_stat)) ->
+                let count rows n =
+                  if List.mem name rows then n + st.minor_words else n
+                in
                 ( (if name = "dbds" then work + st.pwork else work),
-                  if List.mem name words_rows then words + st.minor_words
-                  else words ))
-              (work, words)
+                  count words_rows words,
+                  count walk_rows walk_words ))
+              (work, words, walk_words)
               (Opt.Phase.pass_table rep.Dbds.Driver.rep_ctx))
           acc [ 0; 1; 2; 3; 4 ])
-      (0, 0) Workloads.Generated.shapes
+      (0, 0, 0) Workloads.Generated.shapes
   in
   Printf.printf "bench-smoke: dbds work on generated shapes %d units (budget %d)\n"
     dup_work dup_budget;
@@ -169,6 +185,14 @@ let () =
     die "simplify-cfg + gvn + dbds.tradeoff allocate %d minor words > budget \
          %d (a CFG walk builds lists or an arena-sized set again?)"
       words words_budget;
+  Printf.printf
+    "bench-smoke: condelim + readelim on generated shapes %d minor words \
+     (budget %d)\n"
+    walk_words walk_budget;
+  if walk_words > walk_budget then
+    die "condelim + readelim allocate %d minor words > budget %d (a log \
+         read or a predecessor test allocates per entry again?)"
+      walk_words walk_budget;
   (* Cold-path text gate.  A cold request's server parses its IR, hashes
      it and writes the compiled body's canonical text.  Over the
      functions of perfbench's first 60 cold requests those three stages

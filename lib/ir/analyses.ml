@@ -157,12 +157,22 @@ let preserve g ~since kinds =
     if e' != e then store g e'
   end
 
+(* [List.assoc_opt] and [List.remove_assoc] on pass names, without
+   their polymorphic compare: [clean_stamp] runs on every pass run. *)
+let rec find_clean pass = function
+  | (p, c) :: _ when String.equal p pass -> Some c
+  | _ :: rest -> find_clean pass rest
+  | [] -> None
+
+let rec remove_clean pass = function
+  | (p, _) :: rest when String.equal p pass -> rest
+  | b :: rest -> b :: remove_clean pass rest
+  | [] -> []
+
 (** Where [pass] last ran clean on this graph state's history (see
     {!note_pass_clean}), if it did. *)
 let clean_stamp g pass =
-  match Graph.cache g with
-  | Cache e -> List.assoc_opt pass e.clean
-  | _ -> None
+  match Graph.cache g with Cache e -> find_clean pass e.clean | _ -> None
 
 (** Record that [pass] is clean on [g] as it is now (a whole-graph run
     would fire nothing): stamp the current log position and the
@@ -176,8 +186,7 @@ let note_pass_clean g pass =
     if e.dom_gen = Graph.generation g then e.dom_tree else None
   in
   let stamp = { at = Graph.log_length g; dom } in
-  store g
-    { e with clean = (pass, stamp) :: List.remove_assoc pass e.clean }
+  store g { e with clean = (pass, stamp) :: remove_clean pass e.clean }
 
 (** Drop [g]'s mutation log once no region needs it: a pass stamped at
     the current position stays clean at the fresh log's position 0, and

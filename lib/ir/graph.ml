@@ -291,14 +291,57 @@ let iter_log g ~since f =
     f (logged_of e) (e asr 2)
   done
 
-let exists_log g ~since p =
-  let rec go i =
-    i < g.log_len
-    &&
+let tag_of = function
+  | Instr -> tag_instr
+  | Lost_use -> tag_lost_use
+  | Cfg -> tag_cfg
+  | Effect_removed -> tag_effect_removed
+
+(* The log readers below are plain loops over the packed entries: no
+   closure call, no [logged] decoded, per entry they pass over.  Each
+   re-reads [g.log] per entry, as [iter_log] does, and reads up to the
+   length at its start. *)
+
+let iter_log_ids g what ~since seen f =
+  let tag = tag_of what and stop = g.log_len in
+  let on_blocks = tag = tag_cfg || tag = tag_effect_removed in
+  for i = max 0 since to stop - 1 do
     let e = g.log.(i) in
-    p (logged_of e) (e asr 2) || go (i + 1)
-  in
-  go (max 0 since)
+    if e land 3 = tag then begin
+      let id = e asr 2 in
+      let live =
+        if on_blocks then id < g.n_blocks && g.blk_live.(id)
+        else id < g.n_instrs && g.ins_block.(id) <> dead
+      in
+      if live && not (Stampset.mem seen id) then begin
+        Stampset.add seen id;
+        f id
+      end
+    end
+  done
+
+let logged_since g what ~since =
+  let tag = tag_of what and stop = g.log_len in
+  let i = ref (max 0 since) in
+  while !i < stop && g.log.(!i) land 3 <> tag do
+    incr i
+  done;
+  !i < stop
+
+let changed_beyond_deletions g ~effects ~since =
+  let stop = g.log_len in
+  let i = ref (max 0 since) and found = ref false in
+  while (not !found) && !i < stop do
+    let e = g.log.(!i) in
+    let tag = e land 3 in
+    (found :=
+       if tag = tag_instr then
+         let id = e asr 2 in
+         id < g.n_instrs && g.ins_block.(id) <> dead
+       else tag = tag_cfg || (effects && tag = tag_effect_removed));
+    incr i
+  done;
+  !found
 
 (* Use-cell alloc/free: unlike instruction and block slots, freed cells
    are reused (cell indices are never observable). *)
@@ -683,6 +726,11 @@ let succs g bid = succs_of_term (term g bid)
 let preds g bid =
   check_block g bid;
   Array.to_list g.blk_preds.(bid)
+
+let sole_pred g bid =
+  check_block g bid;
+  let ps = g.blk_preds.(bid) in
+  if Array.length ps = 1 then Array.unsafe_get ps 0 else -1
 
 let pred_count g bid =
   check_block g bid;

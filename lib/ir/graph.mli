@@ -86,9 +86,24 @@ val reset_log : t -> unit
     may name dead instructions or blocks. *)
 val iter_log : t -> since:int -> (logged -> int -> unit) -> unit
 
-(** [exists_log g ~since p]: does [p] hold for an entry at or after
-    [since]?  Stops at the first that does. *)
-val exists_log : t -> since:int -> (logged -> int -> bool) -> bool
+(** [iter_log_ids g what ~since seen f] calls [f] on every id with a
+    [what] entry at positions [since .. log_length g - 1] that names a
+    live instruction ([Instr], [Lost_use]) or a live block ([Cfg],
+    [Effect_removed]) and is not in [seen], adding it to [seen] first:
+    once per id, in the order of its first accepted entry.  Liveness
+    and [seen] are read at each entry, so [f] may delete, create or
+    mark ids; entries [f] appends are not visited.  One loop over the
+    packed entries: [iter_log] filtered by a closure, without one. *)
+val iter_log_ids :
+  t -> logged -> since:int -> Stampset.t -> (int -> unit) -> unit
+
+(** Is there a [what] entry at or after [since]? *)
+val logged_since : t -> logged -> since:int -> bool
+
+(** Is there an entry at or after [since] other than a deletion of an
+    instruction nothing read: an [Instr] entry on a live instruction,
+    a [Cfg] entry, or with [effects] an [Effect_removed] entry? *)
+val changed_beyond_deletions : t -> effects:bool -> since:int -> bool
 
 (** Arena high-water marks: every live instruction (block) id is
     [< n_instrs] ([< n_blocks]).  Sized for flat side-tables. *)
@@ -159,6 +174,11 @@ val set_kind : t -> instr_id -> instr_kind -> unit
 
 val succs : t -> block_id -> block_id list
 val preds : t -> block_id -> block_id list
+
+(** The block's only predecessor, or -1 when it has none or several:
+    [sole_pred g b = p] for [p >= 0] exactly when [preds g b = [ p ]]. *)
+val sole_pred : t -> block_id -> block_id
+
 val pred_count : t -> block_id -> int
 val pred_nth : t -> block_id -> int -> block_id
 val iter_preds : t -> block_id -> (block_id -> unit) -> unit

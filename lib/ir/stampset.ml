@@ -3,11 +3,12 @@
     stamp.  Emptying takes the next stamp instead of clearing the slots;
     only every 255th emptying clears them.  A set that is emptied and
     refilled many times over a large arena, with a few ids each time,
-    costs what it holds, not what the arena does. *)
+    costs what it holds, not what the arena does.  Stamps run from 1 to
+    255: a slot of 0 (fresh, or cleared) holds no id. *)
 
 type t = { mutable slots : Bytes.t; mutable stamp : int }
 
-let create () = { slots = Bytes.empty; stamp = 0 }
+let create () = { slots = Bytes.empty; stamp = 1 }
 
 let grow t n =
   if n > Bytes.length t.slots then begin

@@ -48,6 +48,13 @@ val simplify :
     site. *)
 val materialize_const : Ir.Graph.t -> int -> value
 
+(** [materialize_const g] as called now, but reading the entry block on
+    its first call: a caller that may make no constant builds nothing.
+    Sound when, until that call, the caller only changes the kinds of
+    instructions that are not constants, with the log on
+    ({!Ir.Graph.start_log}). *)
+val materialize_const_on_use : Ir.Graph.t -> int -> value
+
 (** The phase entry point. *)
 val run : Phase.ctx -> Ir.Graph.t -> bool
 

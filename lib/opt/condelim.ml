@@ -157,9 +157,9 @@ let env_for_child g env bid child =
   let kind_of v = G.kind g v in
   match G.term g bid with
   | Branch { cond; if_true; if_false; _ } ->
-      if child = if_true && G.preds g if_true = [ bid ] then
+      if child = if_true && G.sole_pred g if_true = bid then
         assume ~kind_of env cond true
-      else if child = if_false && G.preds g if_false = [ bid ] then
+      else if child = if_false && G.sole_pred g if_false = bid then
         assume ~kind_of env cond false
       else env
   | Jump _ | Return _ | Unreachable -> env
@@ -217,9 +217,8 @@ let run_region ctx g (c : Ir.Analyses.clean) =
           mark_block b;
           match G.term g b with
           | Branch { if_true; if_false; _ } ->
-              List.iter
-                (fun s -> if G.preds g s = [ b ] then mark_subtree s)
-                [ if_true; if_false ]
+              if G.sole_pred g if_true = b then mark_subtree if_true;
+              if G.sole_pred g if_false = b then mark_subtree if_false
           | Jump _ | Return _ | Unreachable -> ()
         in
         (* [v] changed kind.  Only compares fold and only compares

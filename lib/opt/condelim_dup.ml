@@ -39,9 +39,9 @@ let envs_of g dom =
     let env_for_child child =
       match G.term g bid with
       | Branch { cond; if_true; if_false; _ } ->
-          if child = if_true && G.preds g if_true = [ bid ] then
+          if child = if_true && G.sole_pred g if_true = bid then
             Condelim.assume ~kind_of env cond true
-          else if child = if_false && G.preds g if_false = [ bid ] then
+          else if child = if_false && G.sole_pred g if_false = bid then
             Condelim.assume ~kind_of env cond false
           else env
       | Jump _ | Return _ | Unreachable -> env

@@ -9,7 +9,17 @@ open Ir.Types
 module Key = struct
   type t = F of value * string | G of string
 
-  let compare = compare
+  (* The order of polymorphic [compare] (every [F] before every [G]),
+     without its generic call: read elimination and the simulation's
+     read check look keys up per memory access. *)
+  let compare a b =
+    match (a, b) with
+    | F (v, f), F (w, h) ->
+        let c = Int.compare v w in
+        if c <> 0 then c else String.compare f h
+    | G f, G h -> String.compare f h
+    | F _, G _ -> -1
+    | G _, F _ -> 1
 end
 
 module KMap = Map.Make (Key)

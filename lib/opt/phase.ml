@@ -16,6 +16,8 @@ type pass_stat = {
   mutable fired : int;  (** invocations that changed the graph *)
   mutable pwork : int;  (** work units charged while the pass ran *)
   mutable time_s : float;  (** wall-clock seconds inside the pass *)
+  mutable idle_s : float;
+      (** the part of [time_s] inside runs that fired nothing *)
   mutable minor_words : int;  (** words allocated on the minor heap *)
   mutable size_delta : int;
       (** summed live-instruction delta (negative = the pass shrank IR) *)
@@ -27,6 +29,7 @@ let fresh_pass_stat () =
     fired = 0;
     pwork = 0;
     time_s = 0.0;
+    idle_s = 0.0;
     minor_words = 0;
     size_delta = 0;
   }
@@ -146,13 +149,15 @@ let merge_into ~into src =
       d.fired <- d.fired + s.fired;
       d.pwork <- d.pwork + s.pwork;
       d.time_s <- d.time_s +. s.time_s;
+      d.idle_s <- d.idle_s +. s.idle_s;
       d.minor_words <- d.minor_words + s.minor_words;
       d.size_delta <- d.size_delta + s.size_delta)
     src.pass_stats
 
 (** Run [f] as one run of [name]'s row: count the run (and whether its
-    result [fired]), the work it charged, its wall time, the words it
-    allocated and the change in [size ()]. *)
+    result [fired]), the work it charged, its wall time (and, when it
+    fired nothing, its idle time), the words it allocated and the
+    change in [size ()]. *)
 let instrument ctx name ~size ~fired f =
   let stat = pass_stat ctx name in
   let work0 = ctx.work in
@@ -164,7 +169,8 @@ let instrument ctx name ~size ~fired f =
   stat.minor_words <-
     stat.minor_words + int_of_float (Gc.minor_words () -. words0);
   stat.runs <- stat.runs + 1;
-  if fired r then stat.fired <- stat.fired + 1;
+  if fired r then stat.fired <- stat.fired + 1
+  else stat.idle_s <- stat.idle_s +. (t1 -. t0);
   stat.pwork <- stat.pwork + (ctx.work - work0);
   stat.time_s <- stat.time_s +. (t1 -. t0);
   stat.size_delta <- stat.size_delta + (size () - size0);

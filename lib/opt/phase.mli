@@ -14,6 +14,9 @@ type pass_stat = {
   mutable fired : int;  (** invocations that changed the graph *)
   mutable pwork : int;  (** work units charged while the pass ran *)
   mutable time_s : float;  (** wall-clock seconds inside the pass *)
+  mutable idle_s : float;
+      (** the part of [time_s] inside runs that fired nothing: a pass
+          proving it has no work *)
   mutable minor_words : int;
       (** words allocated on the minor heap inside the pass *)
   mutable size_delta : int;
@@ -80,8 +83,9 @@ val merge_into : into:ctx -> ctx -> unit
 (** [instrument ctx name ~size ~fired f] runs [f] as one run of
     [name]'s row in the per-pass table and returns its result,
     accumulating whether [fired] holds of that result, the work [f]
-    charged, its wall time, the minor-heap words it allocated and the
-    change in [size ()].  {!run_pass} records every pass this way; a
+    charged, its wall time (also as idle time when [fired] does not
+    hold), the minor-heap words it allocated and the change in
+    [size ()].  {!run_pass} records every pass this way; a
     step the pass manager does not drive calls it directly: the
     program-level [inline], and the DBDS round's three tiers
     ([<tier>.simulate], [<tier>.tradeoff], [<tier>.duplicate]), whose

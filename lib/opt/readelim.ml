@@ -57,7 +57,7 @@ let run ctx g =
     List.iter
       (fun child ->
         let st_in =
-          if G.preds g child = [ bid ] then st_out else Memstate.empty
+          if G.sole_pred g child = bid then st_out else Memstate.empty
         in
         visit st_in child)
       (Ir.Dom.children dom bid)
@@ -110,9 +110,8 @@ let run_region ctx g (c : Ir.Analyses.clean) =
           | Some st -> st
           | None -> run_block b
         and in_state b =
-          match G.preds g b with
-          | [ p ] when b <> G.entry g -> out_state p
-          | _ -> Memstate.empty
+          let p = G.sole_pred g b in
+          if p >= 0 && b <> G.entry g then out_state p else Memstate.empty
         and run_block b =
           let st, c = process_block ctx g b (in_state b) in
           Hashtbl.replace out b st;
@@ -126,7 +125,7 @@ let run_region ctx g (c : Ir.Analyses.clean) =
               ignore (run_block b);
               List.iter
                 (fun child ->
-                  if G.preds g child = [ b ] then mark ~after:i child)
+                  if G.sole_pred g child = b then mark ~after:i child)
                 (Ir.Dom.children dom b);
               mark_log ~after:i mark0
             end)

@@ -10,12 +10,12 @@ type seen = { mutable sets : Ir.Stampset.t array; mutable depth : int }
 
 let seen = Domain.DLS.new_key (fun () -> { sets = [||]; depth = 0 })
 
-(* Calls [f] once on every id with a [what] entry at or after [since]
-   that [live] accepts, in the order of its first entry.  The region
-   forms call this after every block or allocation they examine, mostly
-   with nothing logged since, so it costs what the log holds, not what
-   the arena does. *)
-let iter_logged what ~live g ~since f =
+(* Calls [f] once on every live id with a [what] entry at or after
+   [since], in the order of its first entry.  The region forms call
+   this after every block or allocation they examine, mostly with
+   nothing logged since, so it costs what the log holds, not what the
+   arena does. *)
+let iter_logged what g ~since f =
   if since < G.log_length g then begin
     let st = Domain.DLS.get seen in
     let d = st.depth in
@@ -26,13 +26,7 @@ let iter_logged what ~live g ~since f =
     let set = st.sets.(d) in
     Ir.Stampset.clear set;
     st.depth <- d + 1;
-    match
-      G.iter_log g ~since (fun w id ->
-          if w = what && live id && not (Ir.Stampset.mem set id) then begin
-            Ir.Stampset.add set id;
-            f id
-          end)
-    with
+    match G.iter_log_ids g what ~since set f with
     | () -> st.depth <- d
     | exception e ->
         st.depth <- d;
@@ -41,13 +35,11 @@ let iter_logged what ~live g ~since f =
 
 (** Calls [f] once on every live instruction with an [Instr] entry at or
     after [since]: created, rewritten or moved since. *)
-let iter_instrs g ~since f =
-  iter_logged G.Instr ~live:(G.instr_exists g) g ~since f
+let iter_instrs g ~since f = iter_logged G.Instr g ~since f
 
 (** Calls [f] once on every live block with a [Cfg] entry at or after
     [since]. *)
-let iter_cfg_blocks g ~since f =
-  iter_logged G.Cfg ~live:(G.block_exists g) g ~since f
+let iter_cfg_blocks g ~since f = iter_logged G.Cfg g ~since f
 
 (** Calls [f] on every live instruction that reads [v]. *)
 let iter_instr_users g v f =
@@ -60,15 +52,10 @@ let iter_instr_users g v f =
     opportunities lie in those sees none.  [effects] counts a deleted
     side effect as a change (for a pass that reads memory order). *)
 let beyond_deletions ?(effects = false) g ~since =
-  G.exists_log g ~since (fun what id ->
-      match what with
-      | G.Instr -> G.instr_exists g id
-      | G.Cfg -> true
-      | G.Effect_removed -> effects
-      | G.Lost_use -> false)
+  G.changed_beyond_deletions g ~effects ~since
 
 (** Did the log record a CFG change at or after [since]? *)
-let cfg_changed g ~since = G.exists_log g ~since (fun what _ -> what = G.Cfg)
+let cfg_changed g ~since = G.logged_since g G.Cfg ~since
 
 (** Calls [f] on the blocks that may have gained dominators since the
     stamp's tree [old]: reachable under [dom] but not under [old], or

@@ -242,7 +242,10 @@ let run ctx g =
   let st = analyze g in
   let n_analyzed = Bytes.length st.tag in
   let changed = ref false in
-  let mk_const = Canonicalize.materialize_const g in
+  (* Most runs fold nothing: read the entry block's constants on the
+     first constant made, over the log (which must be on for it). *)
+  G.start_log g;
+  let mk_const = Canonicalize.materialize_const_on_use g in
   (* Replace lattice constants.  A phi cannot simply change kind (it
      lives in the block's phi list); its uses are redirected to a
      materialized constant instead and DCE collects it. *)

@@ -381,6 +381,196 @@ let test_region_log_allocation () =
   if words > 64.0 then
     Alcotest.failf "iter_instrs allocated %.0f minor words (bound 64)" words
 
+(* ------------------------------------------------------------------ *)
+(* The log loops against a reference built on [iter_log]              *)
+(* ------------------------------------------------------------------ *)
+
+let tags = [ G.Instr; G.Lost_use; G.Cfg; G.Effect_removed ]
+
+let live_for g what id =
+  match what with
+  | G.Instr | G.Lost_use -> G.instr_exists g id
+  | G.Cfg | G.Effect_removed -> G.block_exists g id
+
+(* [G.iter_log_ids] as a filter over [G.iter_log], with a table for the
+   seen set. *)
+let ref_iter_ids g what ~since f =
+  let seen = Hashtbl.create 16 in
+  G.iter_log g ~since (fun w id ->
+      if w = what && live_for g what id && not (Hashtbl.mem seen id) then begin
+        Hashtbl.replace seen id ();
+        f id
+      end)
+
+let ref_exists g ~since p =
+  let found = ref false in
+  G.iter_log g ~since (fun w id -> if p w id then found := true);
+  !found
+
+let ref_beyond_deletions g ~effects ~since =
+  ref_exists g ~since (fun w id ->
+      match w with
+      | G.Instr -> G.instr_exists g id
+      | G.Cfg -> true
+      | G.Effect_removed -> effects
+      | G.Lost_use -> false)
+
+let ref_sole_pred g b = match G.preds g b with [ p ] -> p | _ -> -1
+
+(* Random mutations of a compiled function: instructions created,
+   rewritten, moved and deleted, uses redirected, blocks created,
+   wired and deleted.  Phis are left alone. *)
+let mutate rs g =
+  let pick l = List.nth l (Random.State.int rs (List.length l)) in
+  let instrs () =
+    G.fold_instrs g
+      (fun acc i ->
+        match G.kind g i with
+        | Phi _ -> acc
+        | _ -> if G.block_of g i >= 0 then i :: acc else acc)
+      []
+  in
+  let blocks () = G.fold_blocks g (fun acc b -> b :: acc) [] in
+  let kind operands =
+    let x = pick operands and y = pick operands in
+    match Random.State.int rs 7 with
+    | 0 -> Const (Random.State.int rs 5)
+    | 1 -> Binop (Add, x, y)
+    | 2 -> Cmp (Lt, x, y)
+    | 3 -> Load_global "g"
+    | 4 -> Store_global ("g", x)
+    | 5 -> Neg x
+    | _ -> Call ("h", [| x |])
+  in
+  match instrs () with
+  | [] -> ()
+  | live -> (
+      match Random.State.int rs 8 with
+      | 0 -> ignore (G.append g (pick (blocks ())) (kind live))
+      | 1 | 2 ->
+          let i = pick live in
+          let operands = List.filter (fun v -> v <> i) live in
+          if operands <> [] then G.set_kind g i (kind operands)
+      | 3 -> (
+          match List.filter (fun i -> not (G.has_uses g i)) live with
+          | [] -> ()
+          | unused -> G.remove_instr g (pick unused))
+      | 4 ->
+          let i = pick live in
+          G.detach g i;
+          G.attach g i (pick (blocks ()))
+      | 5 ->
+          let v = pick live and by = pick live in
+          if v <> by then G.replace_uses g v ~by
+      | 6 ->
+          (* A block nothing reaches, wired into the graph and swept. *)
+          let b = G.add_block g in
+          ignore (G.append g b (kind live));
+          G.set_term g b (Jump (pick (blocks ())));
+          ignore (G.remove_unreachable_blocks g)
+      | _ ->
+          let b = G.add_block g in
+          G.remove_block g b)
+
+(* One scan of [iter] from [since] whose callback may mutate the graph
+   (entries it appends are not scanned), snapshot and restore it, or
+   read the log again from inside: the trace of what it saw. *)
+let active_scan iter g ~since ~seed =
+  let rs = Random.State.make [| seed |] in
+  let trace = Buffer.create 256 in
+  let add fmt = Printf.bprintf trace fmt in
+  iter g ~since (fun id ->
+      add "%d;" id;
+      match Random.State.int rs 6 with
+      | 0 -> mutate rs g
+      | 1 ->
+          let s = G.snapshot g in
+          mutate rs g;
+          G.restore g s
+      | 2 ->
+          add "[";
+          iter g ~since (fun id -> add "%d," id);
+          add "]"
+      | _ -> ());
+  add " len=%d %s" (G.log_length g) (Ir.Printer.graph_to_string g);
+  Buffer.contents trace
+
+let prop_log_loops seed =
+  let rs = Random.State.make [| seed |] in
+  let prog =
+    Lang.Frontend.compile
+      (Workloads.Progen.generate ~n_helpers:1 ~depth:2 ~seed ())
+  in
+  let g = Option.get (Ir.Program.find_function prog "main") in
+  G.start_log g;
+  for _ = 1 to Random.State.int rs 30 do
+    mutate rs g
+  done;
+  (* Undone mutations: the log rewinds to the snapshot's length. *)
+  let s = G.snapshot g in
+  for _ = 1 to Random.State.int rs 10 do
+    mutate rs g
+  done;
+  if Random.State.bool rs then G.restore g s;
+  if Random.State.int rs 4 = 0 then G.reset_log g;
+  for _ = 1 to Random.State.int rs 30 do
+    mutate rs g
+  done;
+  let fail fmt = QCheck2.Test.fail_reportf ("seed %d: " ^^ fmt) seed in
+  let ids iter what ~since =
+    let acc = ref [] in
+    iter what ~since (fun id -> acc := id :: !acc);
+    List.rev !acc
+  in
+  let len = G.log_length g in
+  for since = 0 to len do
+    List.iter
+      (fun what ->
+        (* A fresh set: never emptied before. *)
+        let fresh what ~since = G.iter_log_ids g what ~since (Ir.Stampset.create ()) in
+        if ids fresh what ~since <> ids (ref_iter_ids g) what ~since then
+          fail "iter_log_ids from %d differs" since;
+        if
+          G.logged_since g what ~since
+          <> ref_exists g ~since (fun w _ -> w = what)
+        then fail "logged_since from %d differs" since)
+      tags;
+    List.iter
+      (fun effects ->
+        if
+          G.changed_beyond_deletions g ~effects ~since
+          <> ref_beyond_deletions g ~effects ~since
+        then fail "changed_beyond_deletions from %d differs" since)
+      [ false; true ]
+  done;
+  G.iter_blocks g (fun b ->
+      if G.sole_pred g b <> ref_sole_pred g b then
+        fail "sole_pred of b%d differs" b);
+  let since = Random.State.int rs (len + 1) in
+  let region = function
+    | G.Instr -> Opt.Region.iter_instrs
+    | _ -> Opt.Region.iter_cfg_blocks
+  in
+  List.iter
+    (fun what ->
+      (* Each scan from the same state: a snapshot restores once. *)
+      let from_here scan =
+        let s = G.snapshot g in
+        let trace = active_scan scan g ~since ~seed in
+        G.restore g s;
+        trace
+      in
+      let expected =
+        from_here (fun g ~since f -> ref_iter_ids g what ~since f)
+      in
+      let got = from_here (region what) in
+      if got <> expected then
+        fail "active %s scan from %d: %s@.expected %s"
+          (if what = G.Instr then "instruction" else "block")
+          since got expected)
+    [ G.Instr; G.Cfg ];
+  true
+
 let suite =
   [
     test "physical reuse on unchanged graph" test_physical_reuse;
@@ -398,4 +588,7 @@ let suite =
     test "region: each logged id once, first-logged order" test_region_log_once;
     test "region: nested and raising log reads" test_region_log_nested;
     test "region: a log read allocates no seen set" test_region_log_allocation;
+    qtest ~count:100 "region: log loops match iter_log over random mutations"
+      QCheck2.Gen.(int_bound 1_000_000)
+      prop_log_loops;
   ]

@@ -519,6 +519,11 @@ let test_bit_duplicate () =
 (* A stamp set empties by taking a new stamp, also across the clear of
    its slots every 255th time, and grows on [add]. *)
 let test_stampset () =
+  (* A fresh set is empty before its first emptying. *)
+  let fresh = Ir.Stampset.create () in
+  Ir.Stampset.add fresh 5;
+  Alcotest.(check (list bool)) "fresh members" [ true; false; false ]
+    (List.map (Ir.Stampset.mem fresh) [ 5; 3; 0 ]);
   let set = Ir.Stampset.create () in
   Ir.Stampset.clear set;
   Ir.Stampset.add set 3;
