@@ -6,8 +6,10 @@
     compiles.
 
     The report is printed and written to [BENCH_results.json] in the
-    invoking directory.  It holds host timings only: [cores], [unit],
-    [perf] and [dbds_over_baseline_geomean], the geomean over the 46
+    invoking directory.  It holds host timings only: [cores], [profile]
+    (the dune profile the bench was built under: [release] by default,
+    [dev] for the opaque build), [unit], [perf] and
+    [dbds_over_baseline_geomean], the geomean over the 46
     programs of each one's dbds/baseline time (the wall-clock
     counterpart of the headline's mean optimizer work).  Per figure,
     [dbds_over_baseline] is the ratio of the dbds and baseline batch
@@ -440,11 +442,12 @@ let () =
   let path = "BENCH_results.json" in
   let oc = open_out path in
   Printf.fprintf oc
-    "{\n  \"cores\": %d,\n  \"unit\": \"ns_per_compile\",\n  \
+    "{\n  \"cores\": %d,\n  \"profile\": %S,\n  \
+     \"unit\": \"ns_per_compile\",\n  \
      \"dbds_over_baseline_geomean\": %.3f,\n  \"perf\": [\n%s\n  ],\n  \
      \"before_first_pass\": {\n    \"runs\": %d,\n    \"corpora\": [\n%s\n    \
      ]\n  },\n  \"service_cold_path\": %s\n}\n"
-    (Ir.Parallel.default_jobs ()) geomean
+    (Ir.Parallel.default_jobs ()) Build_profile.name geomean
     (String.concat ",\n"
        (List.map (fun (tag, suite, rows) -> json_suite tag suite rows) suites))
     runs

@@ -9,9 +9,13 @@ let block_size g bid =
       size := !size + Cost.size_of_kind (Ir.Graph.kind g id));
   !size
 
-(** Static code size of the whole graph, in abstract bytes. *)
+(** Static code size of the whole graph, in abstract bytes.  While the
+    reachability bit is clear every live block is reachable, so the sum
+    runs over the live blocks without building the reverse postorder. *)
 let graph_size g =
-  List.fold_left (fun acc bid -> acc + block_size g bid) 0 (Ir.Graph.rpo g)
+  let add acc bid = acc + block_size g bid in
+  if Ir.Graph.may_have_unreachable g then List.fold_left add 0 (Ir.Graph.rpo g)
+  else Ir.Graph.fold_blocks g add 0
 
 let block_cycles g bid =
   let instrs =

@@ -47,17 +47,6 @@ let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
 let copy t = { bits = Bytes.copy t.bits }
 
-(* Popcount per byte, precomputed. *)
-let popcount_byte =
-  Array.init 256 (fun b ->
-      let rec go n b = if b = 0 then n else go (n + (b land 1)) (b lsr 1) in
-      go 0 b)
-
-let cardinal t =
-  let n = ref 0 in
-  Bytes.iter (fun c -> n := !n + popcount_byte.(Char.code c)) t.bits;
-  !n
-
 (** Iterate set members in increasing order. *)
 let iter t f =
   for byte = 0 to Bytes.length t.bits - 1 do

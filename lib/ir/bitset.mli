@@ -14,7 +14,6 @@ val remove : t -> int -> unit
 val set : t -> int -> bool -> unit
 val clear : t -> unit
 val copy : t -> t
-val cardinal : t -> int
 
 (** Iterate members in increasing order. *)
 val iter : t -> (int -> unit) -> unit

@@ -28,8 +28,6 @@ let param b i = add b (Param i)
 let binop b op x y = add b (Binop (op, x, y))
 let cmp b op x y = add b (Cmp (op, x, y))
 let neg b x = add b (Neg x)
-let not_ b x = add b (Not x)
-let new_ b cls args = add b (New (cls, Array.of_list args))
 let load b o f = add b (Load (o, f))
 let store b o f v = add b (Store (o, f, v))
 let gload b gl = add b (Load_global gl)
@@ -52,7 +50,6 @@ let branch ?(prob = 0.5) b cond ~if_true ~if_false =
   Graph.set_term b.graph b.cur (Branch { cond; if_true; if_false; prob })
 
 let ret b v = Graph.set_term b.graph b.cur (Return (Some v))
-let ret_void b = Graph.set_term b.graph b.cur (Return None)
 
 (** Finish: verify and return the graph. *)
 let finish b =

@@ -31,8 +31,6 @@ val param : t -> int -> instr_id
 val binop : t -> binop -> value -> value -> instr_id
 val cmp : t -> cmpop -> value -> value -> instr_id
 val neg : t -> value -> instr_id
-val not_ : t -> value -> instr_id
-val new_ : t -> string -> value list -> instr_id
 val load : t -> value -> string -> instr_id
 val store : t -> value -> string -> value -> instr_id
 val gload : t -> string -> instr_id
@@ -47,7 +45,6 @@ val phi : t -> block_id -> value list -> instr_id
 val jump : t -> block_id -> unit
 val branch : ?prob:float -> t -> value -> if_true:block_id -> if_false:block_id -> unit
 val ret : t -> value -> unit
-val ret_void : t -> unit
 
 (** Verify and return the graph.
     @raise Verifier.Invalid when the construction is ill-formed. *)

@@ -1,7 +1,7 @@
 (** Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm,
-    plus O(1) dominance queries (preorder intervals of the tree), tree
-    children and dominance frontiers (the latter feed SSA repair after
-    duplication). *)
+    plus O(1) dominance queries (preorder intervals of the tree) and tree
+    children.  SSA repair after duplication places its phis on demand
+    ({!Ssa_repair}), not through dominance frontiers. *)
 
 type t = {
   graph : Graph.t;
@@ -110,61 +110,11 @@ let preorder t =
   walk t ~enter:(fun b -> acc := b :: !acc) ~exit:(fun _ -> ());
   List.rev !acc
 
-(** Dominance frontiers (Cooper–Harvey–Kennedy's simple algorithm).
-    Membership dedup uses a stamp array keyed on the join block — each
-    join is processed exactly once, so a matching stamp means "already in
-    this runner's frontier" without the old O(|df|) list scan. *)
-let frontiers t =
-  let g = t.graph in
-  let n = max 1 (Graph.n_blocks g) in
-  let df = Array.make n [] in
-  let stamp = Array.make n (-1) in
-  List.iter
-    (fun b ->
-      let live_preds = ref 0 in
-      Graph.iter_preds g b (fun p ->
-          if is_reachable t p then incr live_preds);
-      if !live_preds >= 2 then
-        Graph.iter_preds g b (fun p ->
-            if is_reachable t p then begin
-              let runner = ref p in
-              while !runner <> t.idom.(b) do
-                if stamp.(!runner) <> b then begin
-                  stamp.(!runner) <- b;
-                  df.(!runner) <- b :: df.(!runner)
-                end;
-                runner := t.idom.(!runner)
-              done
-            end))
-    t.order;
-  df
-
-(** Iterated dominance frontier of a set of blocks — the phi-placement set
-    for SSA construction/repair. *)
-let iterated_frontier t ~frontiers:df blocks =
-  let in_result = Hashtbl.create 16 in
-  let worklist = Queue.create () in
-  List.iter (fun b -> Queue.add b worklist) blocks;
-  let result = ref [] in
-  while not (Queue.is_empty worklist) do
-    let b = Queue.pop worklist in
-    if is_reachable t b then
-      List.iter
-        (fun d ->
-          if not (Hashtbl.mem in_result d) then begin
-            Hashtbl.add in_result d ();
-            result := d :: !result;
-            Queue.add d worklist
-          end)
-        df.(b)
-  done;
-  !result
-
 (** Structural equality of two dominator trees over the same graph: the
     same reverse postorder and the same immediate dominator for every
-    reachable block.  Children, intervals and frontiers are all derived
-    from the idoms, so comparing idoms suffices — this is the
-    preservation-contract check of {!Analyses}. *)
+    reachable block.  Children and intervals are derived from the idoms,
+    so comparing idoms suffices — this is the preservation-contract
+    check of {!Analyses}. *)
 let equal a b =
   a.order = b.order
   && List.for_all (fun blk -> a.idom.(blk) = b.idom.(blk)) a.order

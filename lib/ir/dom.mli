@@ -1,6 +1,7 @@
 (** Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm,
-    plus O(1) dominance queries, tree children and dominance frontiers
-    (the latter feed SSA construction and repair). *)
+    plus O(1) dominance queries and tree children.  SSA repair after
+    duplication places its phis on demand ({!Ssa_repair}), not through
+    dominance frontiers. *)
 
 type t
 
@@ -36,18 +37,7 @@ val walk :
 (** Blocks in dominator-tree preorder. *)
 val preorder : t -> Types.block_id list
 
-(** Dominance frontiers, indexed by block id. *)
-val frontiers : t -> Types.block_id list array
-
 (** Structural equality of two dominator trees over the same graph: same
     reverse postorder, same immediate dominator per reachable block (the
     preservation-contract check of {!Analyses}). *)
 val equal : t -> t -> bool
-
-(** Iterated dominance frontier of a set of blocks — the phi-placement set
-    for SSA construction/repair. *)
-val iterated_frontier :
-  t ->
-  frontiers:Types.block_id list array ->
-  Types.block_id list ->
-  Types.block_id list

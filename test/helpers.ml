@@ -16,6 +16,32 @@ let compile src =
   | prog -> prog
   | exception Lang.Frontend.Error msg -> Alcotest.failf "frontend: %s" msg
 
+(** A [main] whose loop sits behind the constant guard [1 > 2]. *)
+let stranded_loop_src =
+  "int main(int x) { int s = 0; if (1 > 2) { while (s < x) { s = s + 1; } \
+   } return s + x; }"
+
+(** Fold [stranded_loop_src]'s constant guard in [g] (its [main]) to the
+    false edge: the loop behind it is stranded, although its header
+    keeps a predecessor (the back edge). *)
+let fold_constant_guard g =
+  let module G = Ir.Graph in
+  let const v = match G.kind g v with Ir.Types.Const _ -> true | _ -> false in
+  let guard =
+    List.find
+      (fun b ->
+        match G.term g b with
+        | Ir.Types.Branch { cond; _ } -> (
+            match G.kind g cond with
+            | Ir.Types.Cmp (Gt, a, c) -> const a && const c
+            | _ -> false)
+        | _ -> false)
+      (G.rpo g)
+  in
+  match G.term g guard with
+  | Ir.Types.Branch { if_false; _ } -> G.set_term g guard (Jump if_false)
+  | _ -> assert false
+
 (** Run a program's main on integer args, expecting an integer result. *)
 let run_int ?icache ?fuel prog args =
   match Interp.Machine.run ?icache ?fuel prog ~args:(Array.of_list args) with

@@ -39,6 +39,34 @@ let test_graph_size_accumulates () =
   in
   Alcotest.(check int) "sum of parts" expected (Costmodel.Estimate.graph_size g)
 
+(* The size counts reachable blocks only.  With the reachability bit
+   clear it sums the live blocks; with it set, the reverse postorder.
+   Either way it is the reverse-postorder sum. *)
+let test_graph_size_reachable_only () =
+  let module G = Ir.Graph in
+  let prog = compile stranded_loop_src in
+  let g = Option.get (Ir.Program.find_function prog "main") in
+  let rpo_sum () =
+    List.fold_left
+      (fun acc b -> acc + Costmodel.Estimate.block_size g b)
+      0 (G.rpo g)
+  in
+  let check label bit =
+    Alcotest.(check bool) (label ^ ": bit") bit (G.may_have_unreachable g);
+    Alcotest.(check int) label (rpo_sum ()) (Costmodel.Estimate.graph_size g)
+  in
+  ignore (G.remove_unreachable_blocks g);
+  check "swept" false;
+  fold_constant_guard g;
+  check "stranded" true;
+  let live_sum =
+    G.fold_blocks g (fun acc b -> acc + Costmodel.Estimate.block_size g b) 0
+  in
+  Alcotest.(check bool) "the stranded loop is not counted" true
+    (Costmodel.Estimate.graph_size g < live_sum);
+  ignore (G.remove_unreachable_blocks g);
+  check "swept again" false
+
 (* Figure 4: two predecessors (90% / 10%) merging into a block with a
    multiply by phi; on the hot predecessor the operand is the constant 3,
    so after duplication the multiply folds there and the weighted
@@ -99,6 +127,7 @@ let suite =
     test "published data points" test_published_data_points;
     test "phi is free" test_phi_is_free;
     test "graph size accumulates" test_graph_size_accumulates;
+    test "graph size counts reachable blocks only" test_graph_size_reachable_only;
     test "figure 4: weighted estimate drops by 1.8" test_figure4_weighted_estimate_drops;
     test "weighted cycles scale with loops" test_weighted_cycles_scales_with_loops;
   ]

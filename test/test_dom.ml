@@ -1,4 +1,4 @@
-(** Tests for dominators, dominance frontiers, loops and frequencies. *)
+(** Tests for dominators, loops and frequencies. *)
 
 open Ir.Types
 module G = Ir.Graph
@@ -81,24 +81,6 @@ let test_children_partition () =
           1
           (Option.value ~default:0 (Hashtbl.find_opt count b)))
     (G.rpo g)
-
-let test_frontiers () =
-  let g, header, body, bt, bf, latch, _ = loop_diamond () in
-  let dom = Ir.Dom.compute g in
-  let df = Ir.Dom.frontiers dom in
-  Alcotest.(check bool) "latch in DF(bt)" true (List.mem latch df.(bt));
-  Alcotest.(check bool) "latch in DF(bf)" true (List.mem latch df.(bf));
-  Alcotest.(check bool) "header in DF(latch)" true (List.mem header df.(latch));
-  Alcotest.(check bool) "header in DF(body)" true (List.mem header df.(body))
-
-let test_iterated_frontier () =
-  let g, header, _, bt, bf, latch, _ = loop_diamond () in
-  let dom = Ir.Dom.compute g in
-  let df = Ir.Dom.frontiers dom in
-  let idf = Ir.Dom.iterated_frontier dom ~frontiers:df [ bt; bf ] in
-  Alcotest.(check bool) "latch in IDF" true (List.mem latch idf);
-  Alcotest.(check bool) "header in IDF (iterated)" true (List.mem header idf);
-  ignore g
 
 (* The natural-loop headers of [g], in reverse postorder. *)
 let headers g =
@@ -225,8 +207,6 @@ let suite =
     test "dominates" test_dominates;
     test "dominates agrees with the idom chains" test_dominates_matches_climb;
     test "dom-tree children partition" test_children_partition;
-    test "dominance frontiers" test_frontiers;
-    test "iterated frontier" test_iterated_frontier;
     test "loop detection" test_loops;
     test "nested loop headers" test_nested_loop_headers;
     test "frequency: loop scaling" test_frequency_loop_scaling;

@@ -419,31 +419,13 @@ let swept g =
   Alcotest.(check bool) "clear after a sweep" false (G.may_have_unreachable g);
   g
 
-let stranded_loop_src =
-  "int main(int x) { int s = 0; if (1 > 2) { while (s < x) { s = s + 1; } \
-   } return s + x; }"
-
 (* Folding the only edge into a loop strands the loop although its
    header keeps a predecessor (the back edge): the bit must be set, and
    one sweep removes the whole loop. *)
 let test_bit_stranded_loop () =
   let prog = compile stranded_loop_src in
   let g = swept (Option.get (Ir.Program.find_function prog "main")) in
-  let const v = match G.kind g v with Const _ -> true | _ -> false in
-  let guard =
-    List.find
-      (fun b ->
-        match G.term g b with
-        | Branch { cond; _ } -> (
-            match G.kind g cond with
-            | Cmp (Gt, a, c) -> const a && const c
-            | _ -> false)
-        | _ -> false)
-      (G.rpo g)
-  in
-  (match G.term g guard with
-  | Branch { if_false; _ } -> G.set_term g guard (Jump if_false)
-  | _ -> assert false);
+  fold_constant_guard g;
   Alcotest.(check bool) "set by the fold" true (G.may_have_unreachable g);
   let reach = G.rpo g in
   let stranded =
