@@ -6,7 +6,6 @@
 
 open Ir.Types
 module B = Ir.Builder
-module G = Ir.Graph
 
 let () =
   (* int foo(int x) { int phi; if (x > 0) phi = x; else phi = 0;

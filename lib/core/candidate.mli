@@ -11,8 +11,6 @@ type opportunity =
   | Conditional_elimination
   | Escape_analysis
 
-val opportunity_to_string : opportunity -> string
-
 (** Number of distinct opportunity kinds. *)
 val n_opportunities : int
 

@@ -11,8 +11,9 @@
     elimination, GVN, read elimination and PEA, plus the CFG and dead
     code clean-up they leave — and SCCP is not priced.  Up to [iters]
     rounds are performed (a tier's spec option, 3 by default); a new
-    round only starts if the previous round's cumulative accepted
-    benefit clears a threshold. *)
+    round only starts if the previous round's accepted benefit exceeds
+    the tier's [threshold] or a candidate it accepted went stale before
+    its duplication. *)
 
 module G = Ir.Graph
 

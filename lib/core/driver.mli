@@ -8,8 +8,9 @@
     ({!Opt.Pipeline.action_steps}): the classic phases without SCCP,
     which the simulation does not price (paper §5).  Up to [iters]
     rounds are performed (a tier's spec option, 3 by default); a new
-    round only starts if the previous round's cumulative accepted benefit
-    clears a threshold (or ranked candidates went stale mid-round).
+    round only starts if the previous round's accepted benefit exceeds
+    the tier's [threshold] or a candidate it accepted went stale before
+    its duplication.
 
     The driver always compiles: it has no cache.  The compile service's
     broker ([Service.Broker]) is the one client of the artifact store —

@@ -42,9 +42,7 @@ val store_sites : site list
     clock) — the pool its chaos plans draw from. *)
 val sim_sites : site list
 
-val all_sites : site list
 val site_to_string : site -> string
-val site_of_string : string -> site option
 
 type plan = {
   seed : int;  (** provenance: the fuzz seed this plan was derived from *)

@@ -15,7 +15,6 @@ val revision : int
 
 type estimate = { cycles : float; size : int }
 
-val of_kind : Ir.Types.instr_kind -> estimate
 val of_term : Ir.Types.terminator -> estimate
 val cycles_of_kind : Ir.Types.instr_kind -> float
 val size_of_kind : Ir.Types.instr_kind -> int

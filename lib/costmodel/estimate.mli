@@ -10,9 +10,6 @@ val block_size : Ir.Graph.t -> Ir.Types.block_id -> int
     blocks only). *)
 val graph_size : Ir.Graph.t -> int
 
-(** Cost-model cycles of one block. *)
-val block_cycles : Ir.Graph.t -> Ir.Types.block_id -> float
-
 (** Frequency-weighted cycle estimate of the whole graph: the static
     performance estimator of paper §5.3 (Figure 4 computes exactly this
     quantity for a two-block example). *)

@@ -106,9 +106,6 @@ type frontdoor_row = {
   fd_clean : bool;
 }
 
-let frontdoor_point_at r mult =
-  List.find_opt (fun p -> p.fd_mult = mult) r.fd_points
-
 (** Geometric mean of percentage deltas: geomean of the ratios (1 + d/100)
     minus one, as the paper's tables report. *)
 let geomean_pct deltas =

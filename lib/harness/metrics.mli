@@ -104,9 +104,6 @@ type frontdoor_row = {
   fd_clean : bool;  (** every point's simulated schedule ran clean *)
 }
 
-(** The point swept at [mult] times capacity, if any. *)
-val frontdoor_point_at : frontdoor_row -> float -> frontdoor_point option
-
 (** Geometric mean of percentage deltas: geomean of the ratios
     (1 + d/100) minus one, as the paper's tables report. *)
 val geomean_pct : float list -> float

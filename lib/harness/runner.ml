@@ -90,6 +90,3 @@ let run_benchmark ?measure (b : Workloads.Suite.benchmark) =
   | [ (_, baseline); (_, dbds); (_, dupalot) ] ->
       { Metrics.benchmark = b.Workloads.Suite.name; baseline; dbds; dupalot }
   | _ -> assert false
-
-let run_suite (s : Workloads.Suite.t) =
-  List.map run_benchmark s.Workloads.Suite.benchmarks

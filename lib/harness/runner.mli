@@ -2,8 +2,6 @@
 
 exception Benchmark_failed of string * string
 
-val compile_benchmark : Workloads.Suite.benchmark -> Ir.Program.t
-
 (** Compile under [config], then execute the workload on the cost
     interpreter.  Fresh frontend output per call so configurations never
     share IR.  [jobs] fans the optimizer out over that many domains
@@ -36,5 +34,3 @@ val run_benchmark :
     (config:Dbds.Config.t -> Workloads.Suite.benchmark -> Metrics.measurement) ->
   Workloads.Suite.benchmark ->
   Metrics.row
-
-val run_suite : Workloads.Suite.t -> Metrics.row list

@@ -82,5 +82,4 @@ val profile_guided :
   args:int array ->
   Profile.t * (value option * stats * (string * value) list)
 
-val value_to_string : value -> string
 val result_to_string : value option -> string

@@ -45,8 +45,6 @@ let set t i b = if b then add t i else remove t i
 
 let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
-let copy t = { bits = Bytes.copy t.bits }
-
 (** Iterate set members in increasing order. *)
 let iter t f =
   for byte = 0 to Bytes.length t.bits - 1 do

@@ -13,7 +13,6 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val set : t -> int -> bool -> unit
 val clear : t -> unit
-val copy : t -> t
 
 (** Iterate members in increasing order. *)
 val iter : t -> (int -> unit) -> unit

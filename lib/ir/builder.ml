@@ -27,10 +27,8 @@ let null b = add b Null
 let param b i = add b (Param i)
 let binop b op x y = add b (Binop (op, x, y))
 let cmp b op x y = add b (Cmp (op, x, y))
-let neg b x = add b (Neg x)
 let load b o f = add b (Load (o, f))
 let store b o f v = add b (Store (o, f, v))
-let gload b gl = add b (Load_global gl)
 let gstore b gl v = add b (Store_global (gl, v))
 let call b fn args = add b (Call (fn, Array.of_list args))
 

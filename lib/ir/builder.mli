@@ -30,10 +30,8 @@ val null : t -> instr_id
 val param : t -> int -> instr_id
 val binop : t -> binop -> value -> value -> instr_id
 val cmp : t -> cmpop -> value -> value -> instr_id
-val neg : t -> value -> instr_id
 val load : t -> value -> string -> instr_id
 val store : t -> value -> string -> value -> instr_id
-val gload : t -> string -> instr_id
 val gstore : t -> string -> value -> instr_id
 val call : t -> string -> value list -> instr_id
 

@@ -3,7 +3,6 @@
     probabilities.  Inspect with
     [dbdsc file.mj --dot out && dot -Tsvg out.main.dot]. *)
 
-val pp : Format.formatter -> Graph.t -> unit
 val to_string : Graph.t -> string
 
 (** Write one function's graph to a .dot file. *)

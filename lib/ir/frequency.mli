@@ -9,10 +9,6 @@
 
 type t
 
-(** Probability of the [p -> s] edge being taken when control leaves
-    [p]. *)
-val edge_prob : Graph.t -> Types.block_id -> Types.block_id -> float
-
 val compute : Dom.t -> Loops.t -> t
 
 (** Absolute estimated frequency (entry = 1.0). *)

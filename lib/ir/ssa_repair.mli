@@ -33,10 +33,6 @@ type var_state = {
     definition (a caller bug: every path to a use must pass a def). *)
 exception No_reaching_def of block_id
 
-(** Value of the variable at the end of a block (its own def, or the
-    value live into it). *)
-val value_at_end : Graph.t -> var_state -> block_id -> value
-
 (** Value of the variable on entry to a block; inserts phis at joins on
     demand (memoized, loop-safe). *)
 val value_live_into : Graph.t -> var_state -> block_id -> value

@@ -144,16 +144,7 @@ let negate_cmp = function
   | Gt -> Le
   | Ge -> Lt
 
-(** Inputs read by an instruction, in order. *)
-let inputs_of_kind = function
-  | Const _ | Null | Param _ | Load_global _ -> []
-  | Binop (_, a, b) | Cmp (_, a, b) -> [ a; b ]
-  | Neg a | Not a | Load (a, _) | Store_global (_, a) -> [ a ]
-  | Store (a, _, b) -> [ a; b ]
-  | Phi vs | New (_, vs) | Call (_, vs) -> Array.to_list vs
-
-(** Apply [f] to every input of a kind, in order, without building a
-    list — the hot-path counterpart of {!inputs_of_kind}. *)
+(** Apply [f] to every input of a kind, in order. *)
 let iter_inputs f = function
   | Const _ | Null | Param _ | Load_global _ -> ()
   | Binop (_, a, b) | Cmp (_, a, b) | Store (a, _, b) ->

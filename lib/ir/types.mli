@@ -82,11 +82,7 @@ val swap_cmp : cmpop -> cmpop
 (** Negated comparison: [cmp a b = 1 - negate_cmp cmp a b]. *)
 val negate_cmp : cmpop -> cmpop
 
-(** Inputs read by an instruction, in order. *)
-val inputs_of_kind : instr_kind -> value list
-
-(** Apply a function to every input of a kind, in order, without building
-    a list — the hot-path counterpart of {!inputs_of_kind}. *)
+(** Apply a function to every input of a kind, in order. *)
 val iter_inputs : (value -> unit) -> instr_kind -> unit
 
 (** Rewrite every input of a kind through the function. *)

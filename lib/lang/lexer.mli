@@ -51,7 +51,6 @@ type located = { tok : token; line : int; col : int }
 
 exception Lex_error of string * int * int
 
-val keyword_of_string : string -> token option
 val token_to_string : token -> string
 
 (** Tokenize a whole source string (ending with [EOF]).  ["// ..."] and

@@ -11,9 +11,6 @@
 
 exception Lower_error of string
 
-(** Lower one (type-checked) function. *)
-val lower_function : Ast.program -> Ast.func -> Ir.Graph.t
-
 (** Lower a type-checked program to an IR program.  The entry function is
     ["main"] when present, otherwise the first function. *)
 val lower_program : Ast.program -> Ir.Program.t

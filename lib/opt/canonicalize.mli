@@ -25,9 +25,6 @@ type action =
           values (fresh constants are materialized via [mk_const]) *)
   | Unchanged
 
-val is_power_of_two : int -> bool
-val log2 : int -> int
-
 (** Does this kind statically produce a non-null reference? *)
 val never_null : instr_kind -> bool
 

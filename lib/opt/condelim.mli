@@ -16,8 +16,6 @@ open Ir.Types
 
 type range = { lo : int; hi : int }
 
-val full_range : range
-
 (** Immutable fact environment (persistent maps: pushing facts for a
     dominator subtree is just a rebinding). *)
 type env

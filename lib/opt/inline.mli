@@ -25,10 +25,6 @@ val default_limits : limits
     Exposed for tests; most callers want {!inline_program}. *)
 val inline_site : Ir.Graph.t -> Ir.Types.instr_id -> Ir.Graph.t -> unit
 
-(** Inline eligible call sites in one graph. *)
-val inline_graph :
-  ?limits:limits -> Phase.ctx -> Ir.Program.t -> Ir.Graph.t -> bool
-
 (** Inline a whole program bottom-up (callees before callers, so a callee
     spliced into its caller already contains its own inlined calls).
     One run of the [inline] row of the per-pass table. *)

@@ -17,19 +17,8 @@ val empty : t
 (** Value known to be in [base.field], if any. *)
 val load : t -> value -> string -> value option
 
-val load_global : t -> string -> value option
-
 (** Record a field write (killing same-field entries of other bases). *)
 val store : t -> value -> string -> value -> t
-
-(** A load does not kill anything; it records availability. *)
-val record_load : t -> value -> string -> value -> t
-
-val store_global : t -> string -> value -> t
-val record_global_load : t -> string -> value -> t
-
-(** Calls may read and write arbitrary memory. *)
-val kill_all : t -> t
 
 (** Record the effect of one instruction, returning the new state and
     (for a load whose location is available) the value making it

@@ -8,15 +8,5 @@
     reads therefore survive this phase — duplication promotes them to
     fully redundant, which is exactly the paper's Listing 5/6 scenario. *)
 
-(** Process one block's instructions over an incoming memory state,
-    applying replacements; returns the outgoing state and whether
-    anything changed.  (Exposed for tests.) *)
-val process_block :
-  Phase.ctx ->
-  Ir.Graph.t ->
-  Ir.Types.block_id ->
-  Memstate.t ->
-  Memstate.t * bool
-
 val run : Phase.ctx -> Ir.Graph.t -> bool
 val phase : Phase.t

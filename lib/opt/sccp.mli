@@ -8,9 +8,5 @@
     threaded through cycles and through branches whose direction is
     itself determined by constants. *)
 
-type lattice = Top | Cint of int | Cnull | Bottom
-
-val meet : lattice -> lattice -> lattice
-
 val run : Phase.ctx -> Ir.Graph.t -> bool
 val phase : Phase.t

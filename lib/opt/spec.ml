@@ -21,8 +21,9 @@ let decl key min default doc = { key; min; default; doc }
 
 (* Paper §5.2: at most three applications of a tier, and another round
    only if the last one's accepted benefit exceeds 20 (~20% of units
-   re-iterate).  Each option list is in key order, the order a checked
-   spec prints. *)
+   re-iterate).  The driver also starts one when an accepted candidate
+   went stale before its duplication.  Each option list is in key
+   order, the order a checked spec prints. *)
 let iters = decl "iters" (Int 1) (Int 3) "the most rounds the tier runs (§5.2)"
 
 let schema =
@@ -36,7 +37,8 @@ let schema =
         decl "paths" (Int 1) (Int 1)
           "the most merges one candidate may span (§8; 1 is none)";
         decl "threshold" (Float 0.) (Float 20.)
-          "another round starts only if this one's benefit exceeds it";
+          "another round starts only if this one's benefit exceeds it or \
+           a candidate it accepted went stale";
       ] );
     ([ "backtracking"; "condelim_dup" ], [ iters ]);
   ]

@@ -275,7 +275,6 @@ let ir_hash_int64 g =
   state_get h.st 0
 
 let ir_hash_of_graph g = Printf.sprintf "%016Lx" (ir_hash_int64 g)
-let ir_hash_of_text text = ir_hash_of_graph (Ir.Parse.parse_graph text)
 
 let context_of_program (p : Ir.Program.t) =
   let classes =

@@ -54,10 +54,6 @@ val canonical_of_graph : Ir.Graph.t -> string
     cache-lookup hot path: no IR text is materialized. *)
 val ir_hash_of_graph : Ir.Graph.t -> string
 
-(** As {!ir_hash_of_graph}, from printed IR.
-    @raise Ir.Parse.Parse_error on malformed input. *)
-val ir_hash_of_text : string -> string
-
 (** Canonical rendering of the program facts a per-function pipeline can
     observe beyond its own graph: class layouts (field order matters —
     scalar replacement reads it) and globals, in sorted order.  [""] for

@@ -86,7 +86,6 @@ type job = {
 type t = {
   env : Env.t;
   broker : Broker.t;
-  sock : string;
   listener : Env.listener;
   poller : Env.poller;
   log : string -> unit;
@@ -487,7 +486,6 @@ let serve ?(env = Env.real) ?(log = fun _ -> ()) ~sock ~broker () =
     {
       env;
       broker;
-      sock;
       listener;
       poller;
       log;

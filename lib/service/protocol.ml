@@ -3,6 +3,9 @@
 type message = { verb : string; fields : (string * string) list }
 
 let magic = "dbds/1"
+
+(* The decoder's ceilings on field bytes and fields per message:
+   oversized input is a protocol error, not an allocation. *)
 let max_field_bytes = 16 * 1024 * 1024
 let max_fields = 32
 
@@ -19,8 +22,6 @@ let render m =
       Buffer.add_char buf '\n')
     m.fields;
   Buffer.contents buf
-
-let write_conn (c : Env.conn) m = c.Env.send (render m)
 
 (* ---- the incremental decoder ------------------------------------------ *)
 
@@ -126,30 +127,6 @@ let receive ?(deadline = Float.infinity) r (c : Env.conn) =
             Error ("transport: " ^ Env.net_err_to_string err))
   in
   go ()
-
-(* The readers of the conns read through [read_conn], keyed weakly by
-   the conn: an entry goes once its conn is collected. *)
-module Conn_readers = Ephemeron.K1.Make (struct
-  type t = Env.conn
-
-  let equal = ( == )
-  let hash (c : Env.conn) = Hashtbl.hash c.Env.id
-end)
-
-let conn_readers = Conn_readers.create 8
-let conn_readers_mx = Mutex.create ()
-
-let read_conn ?deadline (c : Env.conn) =
-  let r =
-    Mutex.protect conn_readers_mx (fun () ->
-        match Conn_readers.find_opt conn_readers c with
-        | Some r -> r
-        | None ->
-            let r = reader () in
-            Conn_readers.replace conn_readers c r;
-            r)
-  in
-  receive ?deadline r c
 
 let field m name = List.assoc_opt name m.fields
 let field_or m name default = Option.value (field m name) ~default

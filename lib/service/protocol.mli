@@ -31,21 +31,9 @@
 
 type message = { verb : string; fields : (string * string) list }
 
-(** Hard ceilings enforced by the decoder: per-field bytes and fields
-    per message.  Oversized input is a protocol error, not an
-    allocation. *)
-val max_field_bytes : int
-
-val max_fields : int
-
-(** Render one message as its wire form — what {!write_conn} sends as
-    one chunk. *)
+(** Render one message as its wire form.  A sender sends it as one
+    chunk, so simulated chunk faults act on whole messages. *)
 val render : message -> string
-
-(** Send one message: the whole message is
-    rendered and sent as one chunk (so simulated chunk faults act on
-    whole messages).  May raise {!Env.Net}. *)
-val write_conn : Env.conn -> message -> unit
 
 (** {1 Incremental decoding}
 
@@ -92,10 +80,6 @@ val next : reader -> progress
     (["truncated message"]), ["timeout"], or ["transport: ..."]. *)
 val receive :
   ?deadline:float -> reader -> Env.conn -> (message, string) result
-
-(** {!receive} for a caller holding only the connection: its reader is
-    kept in a table keyed weakly by the conn. *)
-val read_conn : ?deadline:float -> Env.conn -> (message, string) result
 
 (** First payload under [name], if present. *)
 val field : message -> string -> string option

@@ -14,12 +14,8 @@ val irr_ring_text : nodes:int -> seed:int -> string
     dispatch interpreter loop. *)
 val dispatch_src : handlers:int -> seed:int -> string
 
-val irreducible : Suite.t
-val dispatch : Suite.t
-val diamonds : Suite.t
-val abnormal : Suite.t
-
-(** The four suites above, in that order. *)
+(** The four lab suites, in this order: irreducible rings, dispatch
+    loops, diamond ladders, abnormal exits. *)
 val suites : Suite.t list
 
 (** Fresh programs for every adversarial benchmark ([suite/benchmark]

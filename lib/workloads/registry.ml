@@ -6,9 +6,3 @@ let all : Suite.t list =
 (** The workload-lab suites (not part of [all]: the paper-figure
     harnesses iterate [all], the lab has its own tier harness). *)
 let adversarial : Suite.t list = Advgen.suites
-
-let find_suite name =
-  List.find_opt (fun s -> s.Suite.suite_name = name) (all @ adversarial)
-
-let total_benchmarks () =
-  List.fold_left (fun n s -> n + List.length s.Suite.benchmarks) 0 all

@@ -6,8 +6,3 @@ val all : Suite.t list
 (** The four workload-lab suites ({!Advgen}); kept out of [all] so the
     paper-figure harnesses and their digests are untouched. *)
 val adversarial : Suite.t list
-
-(** Searches [all] and [adversarial]. *)
-val find_suite : string -> Suite.t option
-
-val total_benchmarks : unit -> int

@@ -1,0 +1,4 @@
+val used : int
+val unused : int
+val tested : int
+val substitute : int

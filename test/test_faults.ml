@@ -387,7 +387,7 @@ let test_paranoid_over_workloads () =
   (* Paranoid verification must stay silent over the whole registry —
      every phase leaves valid SSA behind on every benchmark. *)
   let b = List.hd Workloads.Micro.suite.Workloads.Suite.benchmarks in
-  let prog = Harness.Runner.compile_benchmark b in
+  let prog = Workloads.Suite.compile b in
   let config = Dbds.Config.paranoid in
   let r = D.optimize_program_report ~config ~jobs:2 prog in
   Alcotest.(check int) "no paranoid failures" 0 (List.length r.D.rep_failures)

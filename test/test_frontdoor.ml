@@ -173,6 +173,9 @@ let rec raw_connect ?(tries = 200) env sock =
       env.Env.sleep 0.01;
       raw_connect ~tries:(tries - 1) env sock
 
+(* Send one message on a raw conn as one chunk, as {!SC} does. *)
+let send (conn : Env.conn) m = conn.Env.send (SP.render m)
+
 let shutdown env =
   let c = connect env "/fd" in
   (match SC.shutdown_server c with
@@ -396,19 +399,19 @@ let test_queue_shed_under_pipelined_burst () =
   let ir = main_ir () in
   run_sim ~workers:1 ~queue_limit:2
     (fun env ->
-      let conn = raw_connect env "/fd" in
+      let conn = raw_connect env "/fd" and rd = SP.reader () in
       let m =
         SC.compile_msg ~delay_ms:200 ~config ~fn:"main" ~ir ()
       in
       (* Three requests land before the dispatcher can drain: the
          first two are admitted (slots: dispatcher + queue), the
          overflow is shed immediately. *)
-      SP.write_conn conn m;
-      SP.write_conn conn m;
-      SP.write_conn conn m;
+      send conn m;
+      send conn m;
+      send conn m;
       let deadline = env.Env.mono () +. 30.0 in
       let read () =
-        match SP.read_conn ~deadline conn with
+        match SP.receive ~deadline rd conn with
         | Ok r -> r
         | Error e -> Alcotest.failf "reply: %s" e
       in
@@ -437,16 +440,16 @@ let test_deadline_counts_queue_wait () =
   let ir = main_ir () in
   run_sim ~workers:1
     (fun env ->
-      let conn = raw_connect env "/fd" in
+      let conn = raw_connect env "/fd" and rd = SP.reader () in
       let slow = SC.compile_msg ~delay_ms:3000 ~config ~fn:"main" ~ir () in
       let hurried =
         SC.compile_msg ~deadline_ms:1000 ~config ~fn:"main" ~ir ()
       in
-      SP.write_conn conn slow;
-      SP.write_conn conn hurried;
+      send conn slow;
+      send conn hurried;
       let deadline = env.Env.mono () +. 30.0 in
       let read () =
-        match SP.read_conn ~deadline conn with
+        match SP.receive ~deadline rd conn with
         | Ok r -> Option.value (SP.field r "status") ~default:"?"
         | Error e -> Alcotest.failf "reply: %s" e
       in
@@ -483,10 +486,10 @@ let test_clock_jump_does_not_expire_deadlines () =
 let test_garbage_gets_structured_error () =
   run_sim (fun env ->
       (* Text garbage. *)
-      let conn = raw_connect env "/fd" in
+      let conn = raw_connect env "/fd" and rd = SP.reader () in
       conn.Env.send "total garbage\n";
       let deadline = env.Env.mono () +. 10.0 in
-      (match SP.read_conn ~deadline conn with
+      (match SP.receive ~deadline rd conn with
       | Ok r ->
           Alcotest.(check (option string)) "structured rejection"
             (Some "rejected") (SP.field r "status");
@@ -497,7 +500,7 @@ let test_garbage_gets_structured_error () =
             | None -> false)
       | Error e -> Alcotest.failf "garbage reply: %s" e);
       (* The server hangs up after answering. *)
-      (match SP.read_conn ~deadline conn with
+      (match SP.receive ~deadline rd conn with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "connection survived a desynchronized stream");
       conn.Env.close_conn ();
@@ -519,13 +522,13 @@ let test_garbage_gets_structured_error () =
 let test_replies_in_request_order () =
   let main = main_ir () and f = fn_ir "f" in
   run_sim (fun env ->
-      let conn = raw_connect env "/fd" in
-      SP.write_conn conn
+      let conn = raw_connect env "/fd" and rd = SP.reader () in
+      send conn
         (SC.compile_msg ~delay_ms:300 ~config ~fn:"main" ~ir:main ());
-      SP.write_conn conn (SC.compile_msg ~config ~fn:"f" ~ir:f ());
+      send conn (SC.compile_msg ~config ~fn:"f" ~ir:f ());
       let deadline = env.Env.mono () +. 30.0 in
       let read () =
-        match SP.read_conn ~deadline conn with
+        match SP.receive ~deadline rd conn with
         | Ok r -> SP.field r "ir"
         | Error e -> Alcotest.failf "reply: %s" e
       in
@@ -586,8 +589,8 @@ let test_warm_hit_on_loop_accounts_like_dispatch () =
       (* The first hit reads the artifact back from disk; from then on
          the store's memo holds it. *)
       hit ir;
-      let slow = raw_connect env "/fd" in
-      SP.write_conn slow
+      let slow = raw_connect env "/fd" and slow_rd = SP.reader () in
+      send slow
         (SC.compile_msg ~delay_ms:5000 ~config ~fn:"f" ~ir:(fn_ir "f") ());
       env.Env.sleep 0.1;
       let before = counters c in
@@ -596,7 +599,7 @@ let test_warm_hit_on_loop_accounts_like_dispatch () =
       Alcotest.(check bool) "answered while the dispatcher is busy" true
         (env.Env.mono () -. t0 < 1.0);
       let on_loop = moved ~before ~after:(counters c) in
-      (match SP.read_conn ~deadline:(env.Env.mono () +. 30.0) slow with
+      (match SP.receive ~deadline:(env.Env.mono () +. 30.0) slow_rd slow with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "slow compile: %s" e);
       let before = counters c in
@@ -627,7 +630,7 @@ let test_abandoned_request_real_env () =
       Sys.rmdir dir)
     (fun () ->
       let conn = raw_connect Env.real sock in
-      SP.write_conn conn
+      send conn
         (SC.compile_msg ~delay_ms:300 ~config ~fn:"main" ~ir:(main_ir ()) ());
       conn.Env.close_conn ();
       (* Past the compile's delay: the reply has met the closed socket. *)
@@ -735,7 +738,9 @@ let test_load_sweep_reduced () =
         p.Harness.Metrics.fd_retry_after_ok)
     row.Harness.Metrics.fd_points;
   let point m =
-    match Harness.Metrics.frontdoor_point_at row m with
+    match
+      List.find_opt (fun p -> p.Harness.Metrics.fd_mult = m) row.Harness.Metrics.fd_points
+    with
     | Some p -> p
     | None -> Alcotest.failf "the sweep lost its %.1fx point" m
   in

@@ -60,7 +60,7 @@ let test_runner_row_invariants () =
   Alcotest.(check bool) "dupalot compile work >= dbds" true
     (row.M.dupalot.M.optimizer_work >= row.M.dbds.M.optimizer_work);
   let direct config =
-    let prog = Harness.Runner.compile_benchmark b in
+    let prog = Workloads.Suite.compile b in
     let r = Dbds.Driver.optimize_program_report ~config prog in
     float_of_int r.Dbds.Driver.rep_ctx.Opt.Phase.work
   in
@@ -76,7 +76,7 @@ let test_report_summarize () =
       benchmarks = [ List.hd Workloads.Micro.suite.Workloads.Suite.benchmarks ];
     }
   in
-  let rows = Harness.Runner.run_suite suite in
+  let rows = List.map Harness.Runner.run_benchmark suite.Workloads.Suite.benchmarks in
   let summary = Harness.Report.summarize suite rows in
   Alcotest.(check int) "one row" 1 (List.length summary.Harness.Report.rows);
   (* Rendering must not raise. *)
@@ -152,7 +152,11 @@ let test_quiescence_mutant () =
    [Suite.compile], so its service row checks its functions instead of
    nothing. *)
 let test_service_direct_ir_suite () =
-  let suite = Option.get (Workloads.Registry.find_suite "adv-irreducible") in
+  let suite =
+    List.find
+      (fun s -> s.Workloads.Suite.suite_name = "adv-irreducible")
+      Workloads.Registry.adversarial
+  in
   let row = Harness.Servicebench.measure_suite suite in
   Alcotest.(check bool) "requests sent" true (row.M.sv_requests > 0);
   Alcotest.(check (float 1e-9)) "every warm request hits" 1.0 row.M.sv_warm_hit_rate;

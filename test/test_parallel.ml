@@ -72,8 +72,8 @@ let test_registry_determinism () =
     (fun suite ->
       List.iter
         (fun (b : Workloads.Suite.benchmark) ->
-          let seq = optimize_fingerprint ~jobs:1 (Harness.Runner.compile_benchmark b) in
-          let par = optimize_fingerprint ~jobs:4 (Harness.Runner.compile_benchmark b) in
+          let seq = optimize_fingerprint ~jobs:1 (Workloads.Suite.compile b) in
+          let par = optimize_fingerprint ~jobs:4 (Workloads.Suite.compile b) in
           Alcotest.(check string)
             (Printf.sprintf "%s/%s jobs:1 = jobs:4" suite.Workloads.Suite.suite_name
                b.Workloads.Suite.name)

@@ -164,7 +164,7 @@ let test_path_property_preservation () =
         Interp.Machine.result_to_string r
         ^ String.concat ";"
             (List.map
-               (fun (n, v) -> n ^ "=" ^ Interp.Machine.value_to_string v)
+               (fun (n, v) -> n ^ "=" ^ Interp.Machine.result_to_string (Some v))
                gs)
     | exception Interp.Machine.Runtime_error m -> "fault " ^ m
   in

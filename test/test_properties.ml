@@ -21,7 +21,7 @@ let observe prog args =
         (String.concat ";"
            (List.map
               (fun (name, v) ->
-                name ^ "=" ^ Interp.Machine.value_to_string v)
+                name ^ "=" ^ Interp.Machine.result_to_string (Some v))
               globals))
   | exception Interp.Machine.Runtime_error m -> "fault: " ^ m
   | exception Interp.Machine.Out_of_fuel -> "fuel"

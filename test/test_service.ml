@@ -11,6 +11,8 @@ module SS = Service.Store
 module SB = Service.Broker
 module SP = Service.Protocol
 
+let ir_hash_of_text text = SD.ir_hash_of_graph (Ir.Parse.parse_graph text)
+
 let figure1 =
   {|
   int main(int x) {
@@ -63,7 +65,7 @@ let test_digest_roundtrip () =
       let prog = compile src in
       Ir.Program.iter_functions prog (fun g ->
           let direct = SD.ir_hash_of_graph g in
-          let through_text = SD.ir_hash_of_text (Ir.Printer.graph_to_string g) in
+          let through_text = ir_hash_of_text (Ir.Printer.graph_to_string g) in
           Alcotest.(check string)
             (Ir.Graph.name g ^ ": hash survives print/parse")
             direct through_text))
@@ -107,8 +109,8 @@ let test_digest_renumbering_invariant () =
   let renumbered = renumber text in
   Alcotest.(check bool) "renumbering changed the text" true (text <> renumbered);
   Alcotest.(check string) "hash invariant under id renumbering"
-    (SD.ir_hash_of_text text)
-    (SD.ir_hash_of_text renumbered)
+    (ir_hash_of_text text)
+    (ir_hash_of_text renumbered)
 
 let test_digest_sensitivity () =
   let g = main_of (compile figure1) in
@@ -297,7 +299,7 @@ let check_canonical ?(hash = true) what g =
   Alcotest.(check string) what (round_trip g) canonical;
   if hash then
     Alcotest.(check string) (what ^ ": hash of the canonical text")
-      (SD.ir_hash_of_graph g) (SD.ir_hash_of_text canonical)
+      (SD.ir_hash_of_graph g) (ir_hash_of_text canonical)
 
 (* Every function of the paper programs, the generated shapes at seeds
    0-19 and progen 0-199 plain and irreducible, as the front end builds
