@@ -38,11 +38,7 @@ let functions ~programs =
   List.concat_map
     (fun i ->
       let prog = Lang.Frontend.compile (source (first_program + i)) in
-      ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
-      List.map
-        (fun name ->
-          (name, Ir.Printer.graph_to_string (Option.get (Ir.Program.find_function prog name))))
-        (Ir.Program.function_names prog))
+      snd (Service.Client.units prog))
     (List.init programs Fun.id)
   |> Array.of_list
 

@@ -142,7 +142,7 @@ let () =
      one loop, with no closure call or list per entry, and a block's
      single predecessor is read without building its predecessor list.
      Over seeds 0-4 of the generated shapes the two rows allocate
-     1,780,144 minor words; they allocated 2,122,259 while every log
+     1,740,064 minor words; they allocated 2,122,259 while every log
      entry went through two closures and every single-predecessor test
      built a list. *)
   let walk_budget = 1_950_000 in

@@ -15,10 +15,6 @@ type service_opts = {
   connect : string option;  (** compile FILE through this server *)
   cache_dir : string option;  (** the server's on-disk artifact store *)
   cache_capacity : int;  (** store byte budget (LRU GC) *)
-  canon : bool;
-      (** canonicalize function IR (print → parse) after inlining, before
-          the per-function pipeline — the form the service compiles, so
-          direct and service outputs are byte-comparable *)
   deadline_ms : int option;  (** per-request deadline (client mode) *)
   delay_ms : int option;
       (** artificial compile latency (test hook: client header / server
@@ -63,24 +59,12 @@ let replay path =
   | `Clean -> Format.printf "did not reproduce: the function now optimizes cleanly@."
 
 (* The service compiles post-inlining compilation units, so client mode
-   (and --canon direct mode) applies the program-level inline of the
+   (and --dump canon direct mode) applies the program-level inline of the
    effective pipeline locally, up front. *)
-let apply_inline prog config =
-  if Dbds.Driver.wants_inline config.Dbds.Config.passes then
-    ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog)
-
-(* Replace every function body with its print → parse round-trip: dense
-   ids in appearance order — exactly the form a service worker parses
-   off the wire, so tie-breaks downstream see identical inputs. *)
-let canonicalize_program prog =
-  List.iter
-    (fun fn ->
-      match Ir.Program.find_function prog fn with
-      | Some g ->
-          Ir.Program.add_function prog
-            (Ir.Parse.parse_graph (Ir.Printer.graph_to_string g))
-      | None -> ())
-    (Ir.Program.function_names prog)
+let units_of config prog =
+  Service.Client.units
+    ~inline:(Dbds.Driver.wants_inline config.Dbds.Config.passes)
+    prog
 
 let run_serve ~sock svc =
   let store =
@@ -128,15 +112,11 @@ let run_client ~sock ~config ~file svc =
             failwith
               "--connect needs a FILE, --service-stats or --service-shutdown"
       | Some f ->
-          let prog = Lang.Frontend.compile (read_file f) in
-          apply_inline prog config;
-          let context = Service.Digest.context_of_program prog in
+          let context, units =
+            units_of config (Lang.Frontend.compile (read_file f))
+          in
           let results =
-            List.map
-              (fun fn ->
-                let g = Option.get (Ir.Program.find_function prog fn) in
-                compile ~context fn (Ir.Printer.graph_to_string g))
-              (Ir.Program.function_names prog)
+            List.map (fun (fn, ir) -> compile ~context fn ir) units
           in
           List.iter (fun ir -> Format.printf "%s@." ir) results);
       if svc.svc_stats then begin
@@ -353,16 +333,18 @@ let run_compiler file mode passes print_passes dump dot
          applied@."
         profile_runs branches samples
     end;
-    if svc.canon then begin
+    if dump = Dump_canon then
       (* Put each compilation unit in exactly the form a service worker
          would parse off the wire, so direct and service outputs are
-         byte-comparable: inline first, then canonicalize ids. *)
-      apply_inline prog config;
-      canonicalize_program prog
-    end;
+         byte-comparable: inline first, then replace every function
+         with its print → parse round-trip (dense ids in appearance
+         order, so tie-breaks downstream see identical inputs). *)
+      List.iter
+        (fun (_, ir) -> Ir.Program.add_function prog (Ir.Parse.parse_graph ir))
+        (snd (units_of config prog));
     let report =
       Dbds.Driver.optimize_program_report ~config
-        ?inline:(if svc.canon then Some false else None)
+        ?inline:(if dump = Dump_canon then Some false else None)
         ?jobs prog
     in
     let ctx = report.Dbds.Driver.rep_ctx
@@ -555,7 +537,9 @@ let dump_arg =
         ~doc:
           "Dump IR: none, before, after, both, or canon (canonical \
            optimized IR only — the bytes $(b,--connect) prints, for \
-           byte-for-byte comparison).")
+           byte-for-byte comparison: every function is inlined and \
+           round-tripped through print → parse first, the exact form a \
+           service worker compiles).")
 
 let dot_arg =
   Arg.(
@@ -685,16 +669,6 @@ let cache_capacity_arg =
           "With $(b,--serve): artifact-store size budget; LRU entries are \
            evicted past it.")
 
-let canon_arg =
-  Arg.(
-    value & flag
-    & info [ "canon" ]
-        ~doc:
-          "Canonicalize every function (print → parse round-trip, after \
-           inlining) before the per-function pipeline — the exact form a \
-           service worker compiles, making direct output byte-comparable \
-           with $(b,--connect).")
-
 let deadline_ms_arg =
   Arg.(
     value
@@ -767,7 +741,7 @@ let tenant_rate_arg = ignored_float_arg "tenant-rate"
 let tenant_burst_arg = ignored_float_arg "tenant-burst"
 
 let service_opts_term =
-  let make serve connect cache_dir cache_capacity canon deadline_ms delay_ms
+  let make serve connect cache_dir cache_capacity deadline_ms delay_ms
       svc_stats svc_shutdown queue_limit workers (_frontdoor : bool)
       (_tenant_rate : float) (_tenant_burst : float) =
     {
@@ -775,7 +749,6 @@ let service_opts_term =
       connect;
       cache_dir;
       cache_capacity;
-      canon;
       deadline_ms;
       delay_ms;
       svc_stats;
@@ -786,7 +759,7 @@ let service_opts_term =
   in
   Term.(
     const make $ serve_arg $ connect_arg $ cache_dir_arg $ cache_capacity_arg
-    $ canon_arg $ deadline_ms_arg $ service_delay_ms_arg $ service_stats_arg
+    $ deadline_ms_arg $ service_delay_ms_arg $ service_stats_arg
     $ service_shutdown_arg $ service_queue_limit_arg $ service_workers_arg
     $ frontdoor_arg $ tenant_rate_arg $ tenant_burst_arg)
 

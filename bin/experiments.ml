@@ -66,15 +66,11 @@ let pp_generated_service () =
         let src =
           Workloads.Generated.source shapes.(i mod Array.length shapes) ~seed
         in
-        let prog = Lang.Frontend.compile src in
-        ignore
-          (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
+        (* Context-free requests: the md5 pins replies compiled without
+           the program's class layouts and globals. *)
+        let _, units = Service.Client.units (Lang.Frontend.compile src) in
         List.iter
-          (fun fn ->
-            let ir =
-              Ir.Printer.graph_to_string
-                (Option.get (Ir.Program.find_function prog fn))
-            in
+          (fun (fn, ir) ->
             let digest =
               Service.Digest.of_request
                 (Service.Digest.request_of_text ~config ~fn ir)
@@ -88,7 +84,7 @@ let pp_generated_service () =
             in
             incr fns;
             Printf.bprintf buf "%s %s\n%s\n" fn digest reply)
-          (Ir.Program.function_names prog)
+          units
       done);
   Format.printf
     "generated service replies: %d programs, %d functions, %d done, md5 %s@."

@@ -6,7 +6,7 @@
     benefit/cost trade-off, this tier asks one narrow question per
     (merge, predecessor) pair: {e if the merge were duplicated into
     this predecessor, would conditional elimination fire?}  The check
-    reuses {!Condelim}'s implication engine with two refinements that
+    reuses {!Opt.Condelim}'s implication engine with two refinements that
     plain conditional elimination cannot apply at a merge:
 
     - the merge's phis are resolved to their input along the candidate
@@ -17,40 +17,21 @@
 
     Every pair that passes is duplicated, unconditionally — no benefit
     scaling, no size budget.  The cost of that greed relative to the
-    trade-off tier is exactly what {!Harness.Tiercompare} measures.
-
-    The duplication transform lives in the core library (above this
-    one), so the driver injects it: [duplicate ctx g ~merge ~pred]
-    performs one duplication, charging [ctx] what it touched, and
-    returns the duplicate's block id, or [None] when the pair went
-    stale (the core transform's [Not_applicable]). *)
+    trade-off tier is exactly what {!Harness.Tiercompare} measures. *)
 
 open Ir.Types
 module G = Ir.Graph
 
-(* Fact environments per block: a read-only replay of {!Condelim.run}'s
-   dominator walk (facts flow from a branch only into children whose
-   sole predecessor is the branching block). *)
+(* Every block's facts, handed down the dominator tree as
+   {!Opt.Condelim}'s own walk hands them; a block the walk never
+   reaches has none. *)
 let envs_of g dom =
-  let envs = Hashtbl.create 32 in
-  let kind_of v = G.kind g v in
+  let envs = Array.make (G.n_blocks g) Opt.Condelim.empty_env in
   let rec visit env bid =
-    Hashtbl.replace envs bid env;
-    let env_for_child child =
-      match G.term g bid with
-      | Branch { cond; if_true; if_false; _ } ->
-          if child = if_true && G.sole_pred g if_true = bid then
-            Condelim.assume ~kind_of env cond true
-          else if child = if_false && G.sole_pred g if_false = bid then
-            Condelim.assume ~kind_of env cond false
-          else env
-      | Jump _ | Return _ | Unreachable -> env
-    in
-    List.iter
-      (fun child -> visit (env_for_child child) child)
-      (Ir.Dom.children dom bid)
+    envs.(bid) <- env;
+    Opt.Condelim.iter_children g dom env bid visit
   in
-  visit Condelim.empty_env (G.entry g);
+  visit Opt.Condelim.empty_env (G.entry g);
   envs
 
 (* Would duplicating [m] into its predecessor [p] let conditional
@@ -62,22 +43,9 @@ let decides g envs m p =
   occurrences = 1
   &&
   let pi = G.pred_index g m p in
-  let env0 =
-    Option.value ~default:Condelim.empty_env (Hashtbl.find_opt envs p)
-  in
   (* The duplicate has [p] as its sole predecessor, so [p]'s branch
      fact toward [m] holds inside it. *)
-  let env =
-    let kind_of v = G.kind g v in
-    match G.term g p with
-    | Branch { cond; if_true; if_false; _ }
-      when if_true = m && if_false <> m ->
-        Condelim.assume ~kind_of env0 cond true
-    | Branch { cond; if_true; if_false; _ }
-      when if_false = m && if_true <> m ->
-        Condelim.assume ~kind_of env0 cond false
-    | _ -> env0
-  in
+  let env = Opt.Condelim.edge_env g envs.(p) p m in
   let resolve v =
     match G.kind g v with
     | Phi inputs when G.block_of g v = m -> inputs.(pi)
@@ -93,7 +61,7 @@ let decides g envs m p =
            is const-const without resolving would already have folded in
            the preceding classic fixpoint. *)
         ra <> a || rb <> b
-    | _ -> Condelim.implied ~kind_of env id (Cmp (op, ra, rb)) <> None
+    | _ -> Opt.Condelim.implied ~kind_of env id (Cmp (op, ra, rb)) <> None
   in
   let term_decided =
     match G.term g m with
@@ -116,16 +84,15 @@ let decides g envs m p =
          | _ -> false)
        (G.body g m)
 
-let run ~duplicate ~iters ctx g =
-  Phase.charge_graph ctx g;
+let run ~iters ctx g =
+  Opt.Phase.charge_graph ctx g;
   let performed = ref 0 in
   let progress = ref true in
   let rounds = ref 0 in
   while !progress && !rounds < iters do
     incr rounds;
     progress := false;
-    let dom = Ir.Analyses.dom g in
-    let envs = envs_of g dom in
+    let envs = envs_of g (Ir.Analyses.dom g) in
     (* Candidates from a snapshot of this round's CFG, in deterministic
        (RPO, predecessor-order) order. *)
     let candidates =
@@ -146,19 +113,13 @@ let run ~duplicate ~iters ctx g =
     in
     List.iter
       (fun (m, p) ->
-        (* Earlier applications this round may have moved the edge; the
-           injected transform validates and reports staleness. *)
+        (* Earlier applications this round may have moved the edge. *)
         if G.block_exists g m && List.mem p (G.preds g m) then
-          match duplicate ctx g ~merge:m ~pred:p with
-          | Some (_ : block_id) ->
+          match Transform.duplicate ~ctx g ~merge:m ~pred:p with
+          | (_ : block_id) ->
               incr performed;
               progress := true
-          | None -> ())
+          | exception Transform.Not_applicable _ -> ())
       candidates
   done;
-  !performed > 0
-
-(** The tier as a contract-checked phase.  Duplication rewrites the
-    CFG, so nothing is preserved. *)
-let phase_with ~duplicate ~iters =
-  Phase.make "condelim_dup" (run ~duplicate ~iters)
+  !performed

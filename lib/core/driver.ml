@@ -269,17 +269,11 @@ let resolve (config : Config.t) stats : Opt.Manager.resolver =
           run_backtracking ~iters config ctx stats g;
           stats.backtrack_kept > kept0)
   | "condelim_dup" ->
-      (* The analysis lives below the core library; inject the
-         duplication transform (and the staleness signal) here, counting
-         applications into the driver's historical stats. *)
-      let duplicate ctx g ~merge ~pred =
-        match Transform.duplicate ~ctx g ~merge ~pred with
-        | bm' ->
-            stats.duplications_performed <- stats.duplications_performed + 1;
-            Some bm'
-        | exception Transform.Not_applicable _ -> None
-      in
-      Opt.Condelim_dup.phase_with ~duplicate ~iters:(iters ())
+      let iters = iters () in
+      Opt.Phase.make name (fun ctx g ->
+          let n = Condelim_dup.run ~iters ctx g in
+          stats.duplications_performed <- stats.duplications_performed + n;
+          n > 0)
   | _ -> Opt.Pipeline.resolve_classic name opts
 
 (** The action-step group a pass runs after each of its rounds: the

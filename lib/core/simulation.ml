@@ -1,11 +1,11 @@
 (** The DBDS simulation tier (paper §4.1).
 
     A depth-first traversal of the dominator tree carries three kinds of
-    context: condition facts from dominating branches (shared with
-    {!Opt.Condelim}), memory-availability state (shared with
-    {!Opt.Readelim} via {!Opt.Memstate}), and available pure expressions
-    (value numbering, in {!Opt.Valtab}: the one scoped table that
-    {!Opt.Gvn} walks with too).  Whenever the current block [bp] has a CFG
+    context: condition facts from dominating branches (handed down by
+    {!Opt.Condelim}'s own rule), memory-availability state (stepped and
+    handed down by {!Opt.Readelim}'s own rules), and available pure
+    expressions (value numbering, in {!Opt.Valtab}: the one scoped table
+    that {!Opt.Gvn} walks with too).  Whenever the current block [bp] has a CFG
     successor [bm] that is a merge, the traversal pauses and runs a
     {e duplication simulation traversal} (DST): [bm]'s instructions are
     processed as if appended to [bp], with a {e synonym map} binding each
@@ -79,12 +79,6 @@ let scratch_ensure sc v =
 
 let scratch = Domain.DLS.new_key scratch_create
 
-let class_fields ctx cls =
-  match ctx.Opt.Phase.program with
-  | None -> None
-  | Some p ->
-      Option.map (fun c -> c.Ir.Program.fields) (Ir.Program.find_class p cls)
-
 (* The cost of an instruction kind. *)
 let cycles k = Costmodel.Cost.cycles_of_kind k
 let size k = Costmodel.Cost.size_of_kind k
@@ -154,16 +148,14 @@ let simulate_dst ctx ~paths g ~loops ~mk_const ~freq ~sc dctx bp bm =
     let base = resolve base in
     match G.kind g base with
     | New (_, _)
-      when Opt.Pea.escape_state g base = Opt.Pea.Through_phi_only ->
-        if sc.pea_epoch.(base) <> ep then begin
-          sc.pea_epoch.(base) <- ep;
-          (* Scalar replacement would remove the allocation itself. *)
-          fire Candidate.Escape_analysis
-            ~saved_cycles:(cycles (G.kind g base))
-            ~saved_size:0
-        end;
-        true
-    | _ -> false
+      when sc.pea_epoch.(base) <> ep
+           && Opt.Pea.escape_state g base = Opt.Pea.Through_phi_only ->
+        sc.pea_epoch.(base) <- ep;
+        (* Scalar replacement would remove the allocation itself. *)
+        fire Candidate.Escape_analysis
+          ~saved_cycles:(cycles (G.kind g base))
+          ~saved_size:0
+    | _ -> ()
   in
   let process_body block_id =
    G.iter_body g block_id
@@ -216,49 +208,23 @@ let simulate_dst ctx ~paths g ~loops ~mk_const ~freq ~sc dctx bp bm =
                   ~saved_size:(size orig);
                 set_syn id earlier
               end
-              else (
-                (* Read elimination over the threaded memory state. *)
-                match resolved with
-                | Load (base, _field) ->
-                    let st, redundant =
-                      Opt.Memstate.transfer !mem id resolved
-                    in
-                    (* An access through a phi-escaping allocation is a
-                       scalar-replacement opportunity whether or not the
-                       read is also directly redundant. *)
-                    ignore (check_pea base);
-                    (match redundant with
-                    | Some v ->
-                        fire Candidate.Read_elimination
-                          ~saved_cycles:(cycles orig) ~saved_size:(size orig);
-                        set_syn id v
-                    | None -> ());
-                    mem := st
-                | Load_global _ ->
-                    let st, redundant =
-                      Opt.Memstate.transfer !mem id resolved
-                    in
-                    (match redundant with
-                    | Some v ->
-                        fire Candidate.Read_elimination
-                          ~saved_cycles:(cycles orig) ~saved_size:(size orig);
-                        set_syn id v
-                    | None -> ());
-                    mem := st
-                | Store (base, _, _) ->
-                    ignore (check_pea base);
-                    let st, _ = Opt.Memstate.transfer !mem id resolved in
-                    mem := st
-                | New (cls, args) ->
-                    let st, _ = Opt.Memstate.transfer !mem id resolved in
-                    mem :=
-                      (match class_fields ctx cls with
-                      | Some fields ->
-                          Opt.Memstate.seed_new st ~fields id args
-                      | None -> st)
-                | k ->
-                    let st, _ = Opt.Memstate.transfer !mem id k in
-                    mem := st)))
+              else begin
+                (* Read elimination over the threaded memory state.  An
+                   access through a phi-escaping allocation is a
+                   scalar-replacement opportunity whether or not the
+                   read is also directly redundant. *)
+                let st, redundant = Opt.Readelim.step ctx !mem id resolved in
+                mem := st;
+                (match resolved with
+                | Load (base, _) | Store (base, _, _) -> check_pea base
+                | _ -> ());
+                match redundant with
+                | Some v ->
+                    fire Candidate.Read_elimination
+                      ~saved_cycles:(cycles orig) ~saved_size:(size orig);
+                    set_syn id v
+                | None -> ()
+              end))
   in
   (* The duplicated terminator: count its size; a branch whose condition
      resolves to a constant or is implied folds into a jump and unlocks
@@ -345,25 +311,17 @@ let simulate ?(paths = 1) ctx (_ : Config.t) g =
   let exprs = sc.exprs in
   Opt.Valtab.pop_to exprs 0;
   let candidates = ref [] in
-  let kind_of v = G.kind g v in
   let rec visit env mem bid =
-    (* Process this block's instructions into the traversal context. *)
+    (* Process this block's instructions into the traversal context:
+       every instruction into the value table, the effect chain through
+       read elimination's memory step. *)
     let scope = Opt.Valtab.mark exprs in
-    let mem_out =
-      let st = ref mem in
-      G.iter_block_instrs g bid (fun id ->
-          let kind = G.kind g id in
-          ignore (Opt.Valtab.find_or_add exprs kind id);
-          let st', _ = Opt.Memstate.transfer !st id kind in
-          st :=
-            (match kind with
-            | New (cls, args) -> (
-                match class_fields ctx cls with
-                | Some fields -> Opt.Memstate.seed_new st' ~fields id args
-                | None -> st')
-            | _ -> st'));
-      !st
-    in
+    G.iter_block_instrs g bid (fun id ->
+        ignore (Opt.Valtab.find_or_add exprs (G.kind g id) id));
+    let st = ref mem in
+    G.iter_effects g bid (fun id ->
+        st := fst (Opt.Readelim.step ctx !st id (G.kind g id)));
+    let mem_out = !st in
     (* Pause at predecessor→merge pairs and run DSTs. *)
     List.iter
       (fun s ->
@@ -378,26 +336,10 @@ let simulate ?(paths = 1) ctx (_ : Config.t) g =
               bid s
             @ !candidates)
       (G.succs g bid);
-    (* Descend the dominator tree with gated facts/state. *)
-    List.iter
-      (fun child ->
-        let child_env =
-          match G.term g bid with
-          | Branch { cond; if_true; if_false; _ } ->
-              if child = if_true && G.pred_count g if_true = 1 then
-                Opt.Condelim.assume ~kind_of env cond true
-              else if child = if_false && G.pred_count g if_false = 1 then
-                Opt.Condelim.assume ~kind_of env cond false
-              else env
-          | Jump _ | Return _ | Unreachable -> env
-        in
-        let child_mem =
-          if G.pred_count g child = 1 && G.pred_nth g child 0 = bid then
-            mem_out
-          else Opt.Memstate.empty
-        in
-        visit child_env child_mem child)
-      (Ir.Dom.children dom bid);
+    (* Descend the dominator tree with the facts and state the passes'
+       own walks hand each child. *)
+    Opt.Condelim.iter_children g dom env bid (fun env child ->
+        visit env (Opt.Readelim.state_for_child g mem_out bid child) child);
     Opt.Valtab.pop_to exprs scope
   in
   visit Opt.Condelim.empty_env Opt.Memstate.empty (G.entry g);

@@ -217,15 +217,7 @@ let run_service () =
       (* The requests: each post-inline function as printed IR, all
          with the program's context. *)
       let prog = Lang.Frontend.compile (Workloads.Progen.generate ~seed ()) in
-      ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
-      let context = Service.Digest.context_of_program prog in
-      let requests =
-        List.map
-          (fun fn ->
-            (fn, Ir.Printer.graph_to_string
-                   (Option.get (Ir.Program.find_function prog fn))))
-          (Ir.Program.function_names prog)
-      in
+      let context, requests = Service.Client.units prog in
       (* The reference: the same units parsed as a worker parses them,
          compiled in their own program with no store and no faults. *)
       let reference =
@@ -484,18 +476,8 @@ let run_frontdoor () =
         (fun _ -> Char.chr (Random.State.int rng 256))
       ^ if k mod 2 = 0 then "\n" else ""
     in
-    let sched = Simtest.Sched.create ~seed:(77000 + k) () in
-    let io = Simtest.Simio.create sched in
-    let env = Simtest.Simio.env io in
     let out =
-      Simtest.Sched.run sched (fun () ->
-          let broker =
-            Service.Broker.create ~env ~workers:1 ~store:None ()
-          in
-          let srv =
-            env.Service.Env.spawn "frontdoor" (fun () ->
-                Service.Frontdoor.serve ~env ~sock:"/fd" ~broker ())
-          in
+      Simtest.Harness.serve_frontdoor ~workers:1 ~seed:(77000 + k) (fun env ->
           env.Service.Env.sleep 0.01;
           (match env.Service.Env.connect "/fd" with
           | exception Service.Env.Net _ -> ()
@@ -531,8 +513,7 @@ let run_frontdoor () =
               if not (Service.Client.ping c) then
                 violate violations "seed %d: ping failed after garbage" k;
               ignore (Service.Client.shutdown_server c);
-              Service.Client.close c);
-          srv.Service.Env.join ())
+              Service.Client.close c))
     in
     if not out.Simtest.Sched.ok then
       violate violations

@@ -17,14 +17,8 @@ let rm_rf dir =
 let requests_of programs =
   List.concat_map
     (fun prog ->
-      ignore
-        (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
-      let context = Service.Digest.context_of_program prog in
-      List.map
-        (fun name ->
-          let g = Option.get (Ir.Program.find_function prog name) in
-          (name, Ir.Printer.graph_to_string g, context))
-        (Ir.Program.function_names prog))
+      let context, units = Service.Client.units prog in
+      List.map (fun (fn, ir) -> (fn, ir, context)) units)
     programs
 
 let measure_suite (suite : Workloads.Suite.t) =
@@ -114,23 +108,13 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
   let offered = mult *. capacity_rps in
   let pool = Lazy.force sweep_pool in
   let npool = Array.length pool in
-  let sched = Simtest.Sched.create ~seed:(seed + idx) () in
-  let io = Simtest.Simio.create sched in
-  let env = Simtest.Simio.env io in
   let latencies = ref [] in
   let n_done = ref 0 and n_shed = ref 0 and n_failed = ref 0 in
   let hints_ok = ref true and identical = ref true in
   let finish_t = ref 0.0 in
   let out =
-    Simtest.Sched.run sched (fun () ->
-        let broker =
-          Service.Broker.create ~env ~workers ~queue_limit ~delay_s
-            ~store:None ()
-        in
-        let srv =
-          env.Service.Env.spawn "frontdoor" (fun () ->
-              Service.Frontdoor.serve ~env ~sock:"/fd" ~broker ())
-        in
+    Simtest.Harness.serve_frontdoor ~workers ~queue_limit ~delay_s
+      ~seed:(seed + idx) (fun env ->
         (* Open-loop arrivals: request [j] fires at j/offered seconds
            regardless of how its predecessors fared — overload does not
            self-throttle. *)
@@ -175,8 +159,7 @@ let load_point ~capacity_rps ~workers ~delay_s ~queue_limit ~requests ~seed
         | c ->
             ignore (Service.Client.shutdown_server c);
             Service.Client.close c
-        | exception _ -> ());
-        srv.Service.Env.join ())
+        | exception _ -> ()))
   in
   let goodput =
     if !finish_t > 0.0 then float_of_int !n_done /. !finish_t else 0.0

@@ -12,7 +12,6 @@ let create ?(name = "fn") ~n_params () =
   { graph; cur = entry }
 
 let graph b = b.graph
-let current b = b.cur
 let entry b = Graph.entry b.graph
 
 (** Create a fresh (empty, unconnected) block. *)
@@ -23,14 +22,10 @@ let switch b bid = b.cur <- bid
 
 let add b kind = Graph.append b.graph b.cur kind
 let const b n = add b (Const n)
-let null b = add b Null
 let param b i = add b (Param i)
 let binop b op x y = add b (Binop (op, x, y))
 let cmp b op x y = add b (Cmp (op, x, y))
-let load b o f = add b (Load (o, f))
-let store b o f v = add b (Store (o, f, v))
 let gstore b gl v = add b (Store_global (gl, v))
-let call b fn args = add b (Call (fn, Array.of_list args))
 
 (** Add a phi to a block.  The block must already have all its
     predecessors; inputs align with the predecessor order. *)

@@ -11,9 +11,6 @@ val create : ?name:string -> n_params:int -> unit -> t
 
 val graph : t -> Graph.t
 
-(** Current insertion block. *)
-val current : t -> block_id
-
 val entry : t -> block_id
 
 (** Create a fresh (empty, unconnected) block. *)
@@ -22,18 +19,11 @@ val new_block : t -> block_id
 (** Move the insertion point. *)
 val switch : t -> block_id -> unit
 
-(** Append an arbitrary instruction at the insertion point. *)
-val add : t -> instr_kind -> instr_id
-
 val const : t -> int -> instr_id
-val null : t -> instr_id
 val param : t -> int -> instr_id
 val binop : t -> binop -> value -> value -> instr_id
 val cmp : t -> cmpop -> value -> value -> instr_id
-val load : t -> value -> string -> instr_id
-val store : t -> value -> string -> value -> instr_id
 val gstore : t -> string -> value -> instr_id
-val call : t -> string -> value list -> instr_id
 
 (** Add a phi to a block.  The block must already have all its
     predecessors; inputs align with the predecessor order.

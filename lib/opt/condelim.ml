@@ -152,17 +152,31 @@ let fold_block ctx g env bid =
   | Jump _ | Return _ | Unreachable -> ());
   !changed
 
-(* The facts [bid]'s branch hands to [child]. *)
-let env_for_child g env bid child =
+(* The facts that hold on the edge [bid] -> [succ]: [bid]'s branch
+   condition, when exactly one of its arms is [succ]. *)
+let edge_env g env bid succ =
   let kind_of v = G.kind g v in
   match G.term g bid with
-  | Branch { cond; if_true; if_false; _ } ->
-      if child = if_true && G.sole_pred g if_true = bid then
-        assume ~kind_of env cond true
-      else if child = if_false && G.sole_pred g if_false = bid then
-        assume ~kind_of env cond false
+  | Branch { cond; if_true; if_false; _ } when if_true <> if_false ->
+      if succ = if_true then assume ~kind_of env cond true
+      else if succ = if_false then assume ~kind_of env cond false
       else env
-  | Jump _ | Return _ | Unreachable -> env
+  | Branch _ | Jump _ | Return _ | Unreachable -> env
+
+(* The facts [bid]'s branch hands to its dominator child [child]: the
+   edge's, when that edge is the only way into [child]. *)
+let env_for_child g env bid child =
+  if G.sole_pred g child = bid then edge_env g env bid child else env
+
+(* A loop rather than [List.iter]: no closure per visited block. *)
+let rec iter_env_children g env bid f = function
+  | [] -> ()
+  | child :: rest ->
+      f (env_for_child g env bid child) child;
+      iter_env_children g env bid f rest
+
+let iter_children g dom env bid f =
+  iter_env_children g env bid f (Ir.Dom.children dom bid)
 
 (* The whole-graph walk over the dominator tree, with the facts carried
    exactly as it computes them.  [enter ~inherited bid fold] decides
@@ -179,9 +193,7 @@ let walk ctx g dom ~enter =
     with
     | None -> ()
     | Some inherited ->
-        List.iter
-          (fun child -> visit (env_for_child g env bid child) inherited child)
-          (Ir.Dom.children dom bid)
+        iter_children g dom env bid (fun env child -> visit env inherited child)
   in
   visit empty_env false (G.entry g);
   !changed

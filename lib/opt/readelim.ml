@@ -11,13 +11,23 @@
 open Ir.Types
 module G = Ir.Graph
 
-let class_fields ctx cls =
-  match ctx.Phase.program with
-  | None -> None
-  | Some p ->
-      Option.map
-        (fun c -> c.Ir.Program.fields)
-        (Ir.Program.find_class p cls)
+(* One instruction's memory step, shared with the DBDS simulation:
+   {!Memstate.transfer}, except that a new allocation's fields are
+   seeded with its arguments when the program's class layout is known
+   ([transfer] leaves the state as it is).  Charges nothing. *)
+let step ctx st id kind =
+  match (kind, ctx.Phase.program) with
+  | New (cls, args), Some p -> (
+      match Ir.Program.find_class p cls with
+      | Some c ->
+          (Memstate.seed_new st ~fields:c.Ir.Program.fields id args, None)
+      | None -> (st, None))
+  | _ -> Memstate.transfer st id kind
+
+(* State flows from [bid] only into a child whose sole predecessor is
+   [bid]: through a merge, one side's state would be unsound. *)
+let state_for_child g st bid child =
+  if G.sole_pred g child = bid then st else Memstate.empty
 
 (** Process one block's effect chain over an incoming state (no other
     instruction reads or writes memory); applies replacements and
@@ -29,22 +39,13 @@ let process_block ctx g bid st =
   Phase.charge ctx 1;
   G.iter_effects g bid (fun id ->
       Phase.charge ctx 1;
-      let kind = G.kind g id in
-      let st', redundant = Memstate.transfer !state id kind in
+      let st', redundant = step ctx !state id (G.kind g id) in
       (match redundant with
       | Some v ->
           G.replace_uses g id ~by:v;
           G.remove_instr g id;
           changed := true
       | None -> ());
-      let st' =
-        match kind with
-        | New (cls, args) -> (
-            match class_fields ctx cls with
-            | Some fields -> Memstate.seed_new st' ~fields id args
-            | None -> st')
-        | _ -> st'
-      in
       state := st');
   (!state, !changed)
 
@@ -55,11 +56,7 @@ let run ctx g =
     let st_out, c = process_block ctx g bid st in
     if c then changed := true;
     List.iter
-      (fun child ->
-        let st_in =
-          if G.sole_pred g child = bid then st_out else Memstate.empty
-        in
-        visit st_in child)
+      (fun child -> visit (state_for_child g st_out bid child) child)
       (Ir.Dom.children dom bid)
   in
   visit Memstate.empty (G.entry g);

@@ -142,3 +142,13 @@ let shutdown_server t =
       match Protocol.field m "status" with
       | Some "ok" -> Ok ()
       | _ -> Error "shutdown refused")
+
+let units ?(inline = true) prog =
+  if inline then
+    ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
+  ( Digest.context_of_program prog,
+    List.map
+      (fun fn ->
+        let g = Option.get (Ir.Program.find_function prog fn) in
+        (fn, Ir.Printer.graph_to_string g))
+      (Ir.Program.function_names prog) )

@@ -92,3 +92,11 @@ val stats : t -> (string * string * string, string) result
 
 (** Ask the server to shut down (it acknowledges, then stops). *)
 val shutdown_server : t -> (unit, string) result
+
+(** [units prog]: the compilation units a client sends for [prog].
+    Inlines [prog] in place first, unless [inline] is [false] (the
+    service compiles post-inline units), then returns its context
+    ({!Digest.context_of_program}) and every function as [(fn, printed
+    IR)] in {!Ir.Program.function_names} order.  A stream that sends no
+    context ignores the first component. *)
+val units : ?inline:bool -> Ir.Program.t -> string * (string * string) list

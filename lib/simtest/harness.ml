@@ -602,3 +602,30 @@ let write_bundle ~dir r =
 let replay path =
   let text = In_channel.with_open_bin path In_channel.input_all in
   run (parse_bundle text)
+
+(* ---- a hand-driven front door --------------------------------------- *)
+
+(** [serve_frontdoor ~seed client]: a scheduler seeded [seed], a
+    simulated env with [faults], a broker (over a store at [/store] when
+    [store], none otherwise) and the {!Service.Frontdoor.serve} fiber on
+    [/fd]; then [client env] runs and the server fiber is joined, so
+    [client] must end by shutting the server down.  Returns the
+    schedule's outcome.  {!run} builds its own topology. *)
+let serve_frontdoor ?faults ?(store = false) ?workers ?queue_limit ?delay_s
+    ~seed client =
+  let sched = Sched.create ~seed () in
+  let env = Simio.env (Simio.create ?faults sched) in
+  Sched.run sched (fun () ->
+      let store =
+        if store then Some (Service.Store.create ~env ~dir:"/store" ())
+        else None
+      in
+      let broker =
+        Service.Broker.create ~env ?workers ?queue_limit ?delay_s ~store ()
+      in
+      let srv =
+        env.Env.spawn "frontdoor" (fun () ->
+            Service.Frontdoor.serve ~env ~sock:"/fd" ~broker ())
+      in
+      client env;
+      srv.Env.join ())

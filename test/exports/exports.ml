@@ -1,9 +1,10 @@
-(* The dead-export gate.  Every [val] of an interface under ROOT/lib
-   must be named, as a whole word, by a .ml or .mli outside its own
-   module under lib, bin, bench, perfbench, test or examples.  A value
-   named only under test/ must be on ALLOWLIST, one "Module.value
-   reason" a line.  A word scan can only over-count uses, so it never
-   fails a live value.
+(* The dead-export gate.  Every [val v] of an interface [m.mli] under
+   ROOT/lib must be used by a .ml or .mli outside its own module under
+   lib, bin, bench, perfbench, test or examples: a file that names both
+   [v] and [M] as whole words.  A qualified name ([M.v]), an [open M]
+   and an alias ([module X = M]) all name [M].  A value used only under
+   test/ must be on ALLOWLIST, one "Module.value reason" a line.  A word
+   scan can only over-count uses, so it never fails a live value.
 
    Usage: exports.exe ROOT ALLOWLIST.  Prints each offender and exits 1
    if there is one. *)
@@ -74,13 +75,15 @@ let () =
   let checked = Hashtbl.create 64 in
   let check mli v =
     let stem = Filename.remove_extension mli in
-    let key = String.capitalize_ascii (Filename.basename stem) ^ "." ^ v in
+    let m = String.capitalize_ascii (Filename.basename stem) in
+    let key = m ^ "." ^ v in
     let listed = List.mem key allowed in
     Hashtbl.replace checked key ();
     let users =
       List.filter
         (fun (_, f, w) ->
-          Filename.remove_extension f <> stem && Hashtbl.mem w v)
+          Filename.remove_extension f <> stem && Hashtbl.mem w v
+          && Hashtbl.mem w m)
         files
     in
     if users = [] then fail "%s: %s is referenced by no other file\n" mli key

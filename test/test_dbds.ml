@@ -187,6 +187,39 @@ let test_listing5_simulation_finds_readelim () =
   Alcotest.(check bool) "read-elimination candidate on the hot pred" true
     (List.exists (fun c -> c.Dbds.Candidate.probability > 0.5) re)
 
+(* The walk seeds a new allocation's fields from its class layout: the
+   merge's load reads what the constructor stored, whichever arm leads
+   to it.  Raw IR: no pass has forwarded the load yet. *)
+let test_simulation_seeds_allocations () =
+  let prog =
+    compile
+      {|
+  class A { int x; }
+  int main(int k) {
+    A a = new A(k); int s;
+    if (k > 0) { s = 1; } else { s = 2; }
+    return a.x + s;
+  }
+  |}
+  in
+  let g = Option.get (Ir.Program.find_function prog "main") in
+  let merges = List.filter (fun b -> G.pred_count g b >= 2) (G.rpo g) in
+  Alcotest.(check int) "one merge" 1 (List.length merges);
+  let merge = List.hd merges in
+  let re =
+    List.filter (has_opp Dbds.Candidate.Read_elimination) (simulate prog "main")
+  in
+  List.iter
+    (fun pred ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a read-elimination candidate from b%d" pred)
+        true
+        (List.exists
+           (fun c ->
+             c.Dbds.Candidate.merge = merge && c.Dbds.Candidate.pred = pred)
+           re))
+    (G.preds g merge)
+
 let test_listing5_dbds_end_to_end () =
   let src = listing5 in
   let prog = compile src in
@@ -651,6 +684,8 @@ let suite =
     test "listing5: simulation finds readelim"
       test_listing5_simulation_finds_readelim;
     test "listing5: dbds end-to-end" test_listing5_dbds_end_to_end;
+    test "simulation seeds a new allocation's fields"
+      test_simulation_seeds_allocations;
     test "transform: duplicates and verifies"
       test_transform_duplicates_and_verifies;
     test "transform: semantics per pred"

@@ -139,22 +139,10 @@ let test_text_decoder_incremental () =
 (* Run [f env] as the client fiber of a simulated frontdoor (and
    optionally assert on the schedule outcome).  [f] must end by
    shutting the server down. *)
-let run_sim ?(seed = 11) ?(workers = 2) ?queue_limit ?(faults = []) f =
-  let sched = Sim.create ~seed () in
-  let io = Simio.create ~faults sched in
-  let env = Simio.env io in
+let run_sim ?(seed = 11) ?(workers = 2) ?queue_limit ?faults f =
   let out =
-    Sim.run sched (fun () ->
-        let store = SS.create ~env ~dir:"/store" () in
-        let broker =
-          SB.create ~env ~workers ?queue_limit ~store:(Some store) ()
-        in
-        let srv =
-          env.Env.spawn "frontdoor" (fun () ->
-              FD.serve ~env ~sock:"/fd" ~broker ())
-        in
-        f env;
-        srv.Env.join ())
+    Simtest.Harness.serve_frontdoor ?faults ~store:true ~workers ?queue_limit
+      ~seed f
   in
   if not out.Sim.ok then
     Alcotest.failf "simulated schedule not clean: %d hung, crashes: %s"

@@ -1002,7 +1002,7 @@ let escape =
    under a direct class-aware compile of the same text. *)
 let units_and_direct src =
   let prog = compile src in
-  ignore (Opt.Inline.inline_program (Opt.Phase.create ~program:prog ()) prog);
+  let context, units = Service.Client.units prog in
   let classes = Hashtbl.fold (fun _ c acc -> c :: acc) prog.Ir.Program.classes [] in
   let direct ir =
     let g = Ir.Parse.parse_graph ir in
@@ -1012,15 +1012,7 @@ let units_and_direct src =
          (Ir.Program.of_graph ~classes ~globals:prog.Ir.Program.globals g));
     SD.canonical_of_graph g
   in
-  ( SD.context_of_program prog,
-    List.map
-      (fun fn ->
-        let ir =
-          Ir.Printer.graph_to_string
-            (Option.get (Ir.Program.find_function prog fn))
-        in
-        (fn, ir, direct ir))
-      (Ir.Program.function_names prog) )
+  (context, List.map (fun (fn, ir) -> (fn, ir, direct ir)) units)
 
 (* Given the context, the broker replies with exactly the direct
    class-aware compile, cold and then warm from the store; without it,
