@@ -4,10 +4,10 @@
     write the canonical reply IR, publish it to the artifact store and
     render the reply.
 
-    perfbench's generator is not a library, so its mixer and shape
-    rotation are restated here: [functions] yields the post-inline
-    functions its cold requests carry, printed as its client prints
-    them. *)
+    perfbench's generator is not a library, so its mixer is restated
+    here; its shape rotation is {!Workloads.Generated.shapes}.
+    [functions] yields the post-inline functions its cold requests
+    carry, printed as its client prints them. *)
 
 let config = Dbds.Config.dbds
 
@@ -17,16 +17,12 @@ let mix a b =
   z := (!z lxor (!z lsr 27)) * 0x14D049BB133111EB;
   (!z lxor (!z lsr 31)) land 0x3FFFFFFF
 
-let shapes =
-  [| `Progen (1, 2); `Progen (2, 3); `Dispatch 4; `Progen (3, 3); `Progen (4, 4);
-     `Dispatch 8; `Progen (2, 4); `Progen (3, 2) |]
+let shapes = Array.of_list Workloads.Generated.shapes
 
 let source i =
-  let r = mix 20180224 (i + 1) in
-  match shapes.(i mod Array.length shapes) with
-  | `Dispatch handlers -> Workloads.Advgen.dispatch_src ~handlers ~seed:r
-  | `Progen (n_helpers, depth) ->
-      Workloads.Progen.generate ~n_helpers ~depth ~seed:r ()
+  Workloads.Generated.source
+    shapes.(i mod Array.length shapes)
+    ~seed:(mix 20180224 (i + 1))
 
 (* The cold requests' programs start at index 1,000,000 of the
    generated suite. *)

@@ -30,26 +30,28 @@ let () =
       Workloads.Registry.all
   in
   let config = Dbds.Config.dbds in
-  let compile_one ?(config = config) (b : Workloads.Suite.benchmark) ~jobs =
-    let prog = Workloads.Suite.compile b in
-    ignore (Dbds.Driver.optimize_program_report ~config ~jobs prog);
-    prog
-  in
   Printf.printf "bench-smoke: %d benchmarks across %d suites\n"
     (List.length benches)
     (List.length Workloads.Registry.all);
-  (* Byte-identity of compiled IR across jobs. *)
-  let print_at ?config jobs =
+  (* Byte-identity of compiled IR across jobs.  [compile_at] returns the
+     printed IR with each benchmark's report; the work gates below read
+     the jobs-1 reports. *)
+  let compile_at ?(config = config) jobs =
     let buf = Buffer.create 4096 in
-    List.iter
-      (fun b ->
-        let prog = compile_one ?config b ~jobs in
-        Ir.Program.iter_functions prog (fun g ->
-            Buffer.add_string buf (Ir.Printer.graph_to_string g)))
-      benches;
-    Buffer.contents buf
+    let reports =
+      List.map
+        (fun (b : Workloads.Suite.benchmark) ->
+          let prog = Workloads.Suite.compile b in
+          let rep = Dbds.Driver.optimize_program_report ~config ~jobs prog in
+          Ir.Program.iter_functions prog (fun g ->
+              Buffer.add_string buf (Ir.Printer.graph_to_string g));
+          (b.name, rep))
+        benches
+    in
+    (Buffer.contents buf, reports)
   in
-  let p1 = print_at 1 in
+  let print_at ?config jobs = fst (compile_at ?config jobs) in
+  let p1, reports1 = compile_at 1 in
   if not (String.equal p1 (print_at 2)) then
     die "compiled IR differs between jobs=1 and jobs=2";
   if not (String.equal p1 (print_at 4)) then
@@ -72,13 +74,8 @@ let () =
      44,114.  Work units do not depend on the host, so the gate holds on
      a single-core runner. *)
   let pmd_budget = 20_000 in
-  let pmd =
-    List.find (fun (b : Workloads.Suite.benchmark) -> b.name = "pmd") benches
-  in
   let pmd_work =
-    (Dbds.Driver.optimize_program_report ~config ~jobs:1
-       (Workloads.Suite.compile pmd))
-      .Dbds.Driver.rep_ctx.Opt.Phase.work
+    (List.assoc "pmd" reports1).Dbds.Driver.rep_ctx.Opt.Phase.work
   in
   Printf.printf "bench-smoke: pmd compile work %d units (budget %d)\n"
     pmd_work pmd_budget;
@@ -96,11 +93,7 @@ let () =
   let chain_budget = 12_700 in
   let chain_work =
     List.fold_left
-      (fun acc b ->
-        let rep =
-          Dbds.Driver.optimize_program_report ~config ~jobs:1
-            (Workloads.Suite.compile b)
-        in
+      (fun acc (_, rep) ->
         List.fold_left
           (fun acc (name, (st : Opt.Phase.pass_stat)) ->
             if List.mem name [ "readelim"; "condelim"; "pea" ] then
@@ -108,7 +101,7 @@ let () =
             else acc)
           acc
           (Opt.Phase.pass_table rep.Dbds.Driver.rep_ctx))
-      0 benches
+      0 reports1
   in
   Printf.printf
     "bench-smoke: readelim + condelim + pea work %d units (budget %d)\n"

@@ -229,8 +229,8 @@ let run_sim sim =
       if violating <> [] then raise Sim_violations
 
 let run_compiler file mode passes print_passes dump dot
-    run args stats icache_off jobs inject paranoid bundle_dir no_contain
-    replay_bundle profile_runs svc simopts =
+    run args stats icache_off jobs inject paranoid bundle_dir replay_bundle
+    profile_runs svc simopts =
   match
     (match replay_bundle with
     | Some path ->
@@ -258,8 +258,6 @@ let run_compiler file mode passes print_passes dump dot
         mode with
         Dbds.Config.fault_plan;
         verify_between_phases = paranoid;
-        bundle_dir;
-        containment = not no_contain;
         passes = spec;
       }
     in
@@ -343,7 +341,7 @@ let run_compiler file mode passes print_passes dump dot
         (fun (_, ir) -> Ir.Program.add_function prog (Ir.Parse.parse_graph ir))
         (snd (units_of config prog));
     let report =
-      Dbds.Driver.optimize_program_report ~config
+      Dbds.Driver.optimize_program_report ~config ?bundle_dir
         ?inline:(if dump = Dump_canon then Some false else None)
         ?jobs prog
     in
@@ -600,14 +598,6 @@ let bundle_dir_arg =
           "Write a replayable crash bundle (pre-attempt IR + config + fault \
            plan) to DIR for every contained failure.")
 
-let no_contain_arg =
-  Arg.(
-    value & flag
-    & info [ "no-contain" ]
-        ~doc:
-          "Disable crash containment: let optimizer exceptions escape \
-           instead of rolling the function back.")
-
 let replay_arg =
   Arg.(
     value
@@ -863,7 +853,7 @@ let cmd =
       const run_compiler $ file_arg $ mode_arg $ passes_arg
       $ print_passes_arg $ dump_arg $ dot_arg $ run_arg $ args_arg $ stats_arg
       $ no_icache_arg $ jobs_arg $ inject_arg $ paranoid_arg $ bundle_dir_arg
-      $ no_contain_arg $ replay_arg $ profile_runs_arg $ service_opts_term
+      $ replay_arg $ profile_runs_arg $ service_opts_term
       $ sim_opts_term)
 
 let () =

@@ -5,16 +5,12 @@ type t = {
   benefit_scale : float;  (** BS; the paper derived 256 empirically *)
   size_budget : float;  (** IB; 1.5 = max 150% of the initial code size *)
   max_unit_size : int;  (** MS; the VM's installed-code limit *)
-  containment : bool;
-      (** contain per-function crashes: roll the graph back, record a
-          structured failure, keep optimizing the remaining functions *)
   verify_between_phases : bool;
-      (** paranoid mode: run the IR verifier after every phase /
-          duplication and treat violations as contained crashes *)
+      (** paranoid mode: the compile runs {!Opt.Phase.check} after
+          every fired pass and every duplication, and a violation is a
+          contained crash *)
   fault_plan : Faults.plan option;
       (** deterministic fault injection (testing); [None] in production *)
-  bundle_dir : string option;
-      (** write a replayable crash bundle here on every containment *)
   passes : Opt.Spec.t;
       (** the pipeline a compile runs ([dbdsc --passes]), checked; the
           tiers' iteration count and path extension are its options *)
@@ -42,10 +38,8 @@ let default =
     benefit_scale = 256.0;
     size_budget = 1.5;
     max_unit_size = 65_536;
-    containment = true;
     verify_between_phases = false;
     fault_plan = None;
-    bundle_dir = None;
     passes = pipeline (Some "dbds");
   }
 
@@ -82,14 +76,14 @@ let named =
 
 (* One space-separated key=value line covering every knob that shapes
    the produced IR: the crash-bundle header, the service protocol and
-   the artifact-store digest all share it.  Keys without a pipeline
-   effect (containment, fault_plan, bundle_dir) are deliberately
-   excluded — two configs differing only there must collide in the
-   cache.  [passes] is the whole pipeline in its checked form, every
-   option written out, so two configs that run one pipeline under the
-   same constants render one line however the spec was spelled, and a
-   later change to a default changes the line (so the digest of every
-   artifact compiled under it).  A key a later version removed
+   the artifact-store digest all share it.  The fault plan has no
+   pipeline effect and is deliberately excluded — two configs differing
+   only there must collide in the cache.  [passes] is the whole
+   pipeline in its checked form, every option written out, so two
+   configs that run one pipeline under the same constants render one
+   line however the spec was spelled, and a later change to a default
+   changes the line (so the digest of every artifact compiled under
+   it).  A key a later version removed
    ([mode], [max_iterations], [path_duplication], [max_path_length],
    [iteration_benefit_threshold], [loop_factor], [licm],
    [preserve_analyses]) is refused by {!of_line} like any unknown key,

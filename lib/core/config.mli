@@ -1,20 +1,20 @@
-(** DBDS configuration: the trade-off constants of paper §5.4 and the
-    evaluation configurations of §6.1. *)
+(** DBDS configuration: what shapes a compile — the trade-off
+    constants of paper §5.4, the pipeline, paranoid mode and a fault
+    plan — and the evaluation configurations of §6.1.  Crash
+    containment and crash bundles are not configuration:
+    {!Driver.optimize_program_report} always contains and takes the
+    bundle directory as an argument. *)
 
 type t = {
   benefit_scale : float;  (** BS; the paper derived 256 empirically *)
   size_budget : float;  (** IB; 1.5 = max 150% of the initial code size *)
   max_unit_size : int;  (** MS; the VM's installed-code limit *)
-  containment : bool;
-      (** contain per-function crashes: roll the graph back, record a
-          structured failure, keep optimizing the remaining functions *)
   verify_between_phases : bool;
-      (** paranoid mode: run the IR verifier after every phase /
-          duplication and treat violations as contained crashes *)
+      (** paranoid mode: the compile runs {!Opt.Phase.check} after
+          every fired pass and every duplication, and a violation is a
+          contained crash *)
   fault_plan : Faults.plan option;
       (** deterministic fault injection (testing); [None] in production *)
-  bundle_dir : string option;
-      (** write a replayable crash bundle here on every containment *)
   passes : Opt.Spec.t;
       (** the pipeline a compile runs ([dbdsc --passes]), checked
           against {!Opt.Spec.schema}.  The duplication tiers carry their
@@ -31,7 +31,8 @@ type t = {
     @raise Invalid_argument when {!Opt.Spec.check} refuses [opts]. *)
 val pipeline : ?opts:(string * string) list -> string option -> Opt.Spec.t
 
-(** BS=256, IB=1.5, MS=65536, containment on, and the DBDS pipeline
+(** BS=256, IB=1.5, MS=65536, paranoid mode off, no fault plan, and
+    the DBDS pipeline
     [inline,fix(fix(canon,simplify,gvn,condelim,readelim,pea,dce),sccp),dbds]
     (in checked form, every [fix] carries [rounds=8] and [dbds]
     [iters=3,paths=1,threshold=20]). *)
@@ -57,9 +58,9 @@ val named : (string * t) list
 
 (** One space-separated [key=value] line covering every knob that shapes
     the produced IR (crash-bundle header, service protocol, and the
-    artifact-store digest all share it).  Knobs without a pipeline
-    effect — containment, fault plan, bundle dir — are excluded so that
-    configs differing only there collide in the compilation cache. *)
+    artifact-store digest all share it).  The fault plan has no
+    pipeline effect and is excluded, so that configs differing only
+    there collide in the compilation cache. *)
 val to_line : t -> string
 
 (** Parse a {!to_line} rendering.  Missing keys fall back to {!default}

@@ -17,22 +17,6 @@
 
 module G = Ir.Graph
 
-(** Paranoid mode ({!Config.t.verify_between_phases}): the IR verifier
-    found a broken invariant right after the named phase ran. *)
-exception Phase_invalid of { phase : string; reason : string }
-
-let () =
-  Printexc.register_printer (function
-    | Phase_invalid { phase; reason } ->
-        Some (Printf.sprintf "Driver.Phase_invalid(after %s: %s)" phase reason)
-    | _ -> None)
-
-let paranoid_check (config : Config.t) phase g =
-  if config.Config.verify_between_phases then
-    match Ir.Verifier.verify_result g with
-    | Ok () -> ()
-    | Error reason -> raise (Phase_invalid { phase; reason })
-
 type stats = {
   mutable candidates_found : int;
   mutable duplications_performed : int;
@@ -85,15 +69,8 @@ let run_round ~tier ~accept ~paths config ctx stats g =
   stats.candidates_found <- stats.candidates_found + List.length candidates;
   (* Every duplication of the round answers its loop-header check from
      the tree the simulation walked, unless an earlier one touched the
-     blocks in question.  Paranoid mode checks each such answer against
-     a fresh tree. *)
-  let cross_check =
-    if config.Config.verify_between_phases then
-      Some
-        (fun reason -> raise (Phase_invalid { phase = "dbds.duplicate"; reason }))
-    else None
-  in
-  let round = Transform.round ?cross_check g in
+     blocks in question. *)
+  let round = Transform.round g in
   let duplicate ~merge ~pred = Transform.duplicate ~ctx ~round g ~merge ~pred in
   let budget, ranked =
     tradeoff_row ~fired:never (fun () ->
@@ -133,7 +110,7 @@ let run_round ~tier ~accept ~paths config ctx stats g =
         if duplicated then begin
           Tradeoff.commit budget c;
           round_benefit := !round_benefit +. Candidate.scaled_benefit c;
-          paranoid_check config "dbds.duplicate" g
+          Opt.Phase.check ctx "dbds.duplicate" g
         end
         else
           (* An earlier duplication in this round invalidated the
@@ -190,7 +167,7 @@ let run_backtracking ~iters config ctx stats g =
                 let kept =
                   match Transform.duplicate ~ctx g ~merge:bm ~pred:bp with
                   | _ ->
-                      paranoid_check config "backtracking.duplicate" g;
+                      Opt.Phase.check ctx "backtracking.duplicate" g;
                       ignore (Opt.Pipeline.optimize ctx g);
                       Costmodel.Estimate.weighted_cycles g < before
                       && Costmodel.Estimate.graph_size g
@@ -230,8 +207,8 @@ let per_function_items spec =
    [condelim_dup]) on top of the classic passes, reading their checked
    options.  The tier passes close over the per-function [stats]
    record, so the manager runs them like any other pass — per-pass
-   stats, paranoid hooks and preservation handling included — while the
-   driver keeps its historical reporting. *)
+   stats, the paranoid check and preservation handling included — while
+   the driver keeps its historical reporting. *)
 let resolve (config : Config.t) stats : Opt.Manager.resolver =
  fun name opts ->
   let iters () = Opt.Spec.int opts "iters" in
@@ -310,18 +287,7 @@ let describe_spec (config : Config.t) spec =
     configured pipeline (minus program-level items) through the pass
     manager.  Returns statistics about the duplication work performed. *)
 let optimize_graph ?(config = Config.default) ctx g =
-  if config.Config.verify_between_phases then begin
-    if ctx.Opt.Phase.post_phase = None then
-      ctx.Opt.Phase.post_phase <-
-        Some
-          (fun phase g ->
-            match Ir.Verifier.verify_result g with
-            | Ok () -> ()
-            | Error reason -> raise (Phase_invalid { phase; reason }));
-    (* Paranoid mode also audits preservation contracts: recompute each
-       declared-preserved analysis and compare against the kept cache. *)
-    ctx.Opt.Phase.check_contracts <- true
-  end;
+  if config.Config.verify_between_phases then ctx.Opt.Phase.paranoid <- true;
   (* Diagnostic runs want every pass to really execute: fault-injection
      hit counts and paranoid verification both observe pass bodies. *)
   if config.Config.fault_plan <> None || config.Config.verify_between_phases
@@ -370,7 +336,7 @@ let fatal = function Out_of_memory | Stack_overflow -> true | _ -> false
 
 let site_of_exn = function
   | Faults.Injected { site; _ } -> Faults.site_to_string site
-  | Phase_invalid { phase; _ } -> "verify." ^ phase
+  | Opt.Phase.Phase_invalid { phase; _ } -> "verify." ^ phase
   | Opt.Phase.Contract_violated { pass; _ } -> "preserve." ^ pass
   | Ir.Verifier.Invalid _ -> "verify"
   | _ -> "exception"
@@ -380,69 +346,62 @@ let site_of_exn = function
    return a structured failure instead of propagating.  The restore
    also brings back the pre-attempt generation and analysis cache, in
    every mode. *)
-let optimize_one (config : Config.t) ctx g =
+let optimize_one ?bundle_dir (config : Config.t) ctx g =
   let fn = Ir.Graph.name g in
-  let attempt () =
+  (* In diagnostic runs (injection / bundles / paranoia) capture the
+     pre-attempt IR up front, so rollback fidelity is checkable against
+     an independent copy; otherwise print it only after a rollback,
+     costing nothing on the fault-free fast path. *)
+  let diagnostics =
+    config.Config.fault_plan <> None
+    || bundle_dir <> None
+    || config.Config.verify_between_phases
+  in
+  let pre_ir =
+    if diagnostics then Some (Ir.Printer.graph_to_string g) else None
+  in
+  let snap = G.snapshot g in
+  let work_before = ctx.Opt.Phase.work in
+  match
     Faults.armed config.Config.fault_plan ~fn (fun () ->
         Faults.hit Faults.Parallel_worker;
         optimize_graph ~config ctx g)
-  in
-  if not config.Config.containment then (attempt (), None)
-  else begin
-    (* In diagnostic runs (injection / bundles / paranoia) capture the
-       pre-attempt IR up front, so rollback fidelity is checkable
-       against an independent copy; otherwise print it only after a
-       rollback, costing nothing on the fault-free fast path. *)
-    let diagnostics =
-      config.Config.fault_plan <> None
-      || config.Config.bundle_dir <> None
-      || config.Config.verify_between_phases
-    in
-    let pre_ir =
-      if diagnostics then Some (Ir.Printer.graph_to_string g) else None
-    in
-    let snap = G.snapshot g in
-    let work_before = ctx.Opt.Phase.work in
-    match attempt () with
-    | s -> (s, None)
-    | exception e when not (fatal e) ->
-        let bt = Printexc.get_raw_backtrace () in
-        G.restore g snap;
-        let pre_ir =
-          match pre_ir with
-          | Some s -> s
-          | None -> Ir.Printer.graph_to_string g
-        in
-        let site = site_of_exn e in
-        let rendered = Printexc.to_string e in
-        let bundle =
-          match config.Config.bundle_dir with
-          | Some dir ->
-              Some
-                (Bundle.write ~dir
-                   {
-                     Bundle.b_fn = fn;
-                     b_site = site;
-                     b_exn = rendered;
-                     b_plan = config.Config.fault_plan;
-                     b_config = config;
-                     b_ir = pre_ir;
-                   })
-          | None -> None
-        in
-        Opt.Phase.note_contained ctx ~site;
-        ( fresh_stats (),
-          Some
-            {
-              fail_fn = fn;
-              fail_site = site;
-              fail_exn = rendered;
-              fail_backtrace = Printexc.raw_backtrace_to_string bt;
-              fail_work = ctx.Opt.Phase.work - work_before;
-              fail_pre_ir = pre_ir;
-              fail_bundle = bundle;
-            } )
-  end
+  with
+  | s -> (s, None)
+  | exception e when not (fatal e) ->
+      let bt = Printexc.get_raw_backtrace () in
+      G.restore g snap;
+      let pre_ir =
+        match pre_ir with Some s -> s | None -> Ir.Printer.graph_to_string g
+      in
+      let site = site_of_exn e in
+      let rendered = Printexc.to_string e in
+      let bundle =
+        Option.map
+          (fun dir ->
+            Bundle.write ~dir
+              {
+                Bundle.b_fn = fn;
+                b_site = site;
+                b_exn = rendered;
+                b_plan = config.Config.fault_plan;
+                b_config = config;
+                b_ir = pre_ir;
+              })
+          bundle_dir
+      in
+      Opt.Phase.note_contained ctx ~site;
+      ( fresh_stats (),
+        Some
+          {
+            fail_fn = fn;
+            fail_site = site;
+            fail_exn = rendered;
+            fail_backtrace = Printexc.raw_backtrace_to_string bt;
+            fail_work = ctx.Opt.Phase.work - work_before;
+            fail_pre_ir = pre_ir;
+            fail_bundle = bundle;
+          } )
 
 (** The full result of a program run: phase context, per-function
     statistics (zeroed for contained functions) and contained
@@ -461,11 +420,12 @@ type report = {
     deterministically (in function-name order), so output graphs and
     aggregate statistics are identical for any [jobs].
 
-    Under {!Config.t.containment} (the default) no exception escapes:
-    a crashing per-function pipeline is rolled back and reported in
-    [rep_failures] while the remaining functions still optimize. *)
-let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
-    program =
+    No exception escapes: a crashing per-function pipeline is rolled
+    back and reported in [rep_failures] (with a crash bundle written to
+    [bundle_dir], when given) while the remaining functions still
+    optimize. *)
+let optimize_program_report ?(config = Config.default) ?bundle_dir
+    ?(inline = true) ?jobs program =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Ir.Parallel.default_jobs ()
   in
@@ -481,7 +441,7 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
       (Ir.Program.function_names program)
   in
   let optimize_named wctx g =
-    let s, f = optimize_one config wctx g in
+    let s, f = optimize_one ?bundle_dir config wctx g in
     (Ir.Graph.name g, s, f)
   in
   let results =
@@ -517,14 +477,7 @@ let optimize_program_report ?(config = Config.default) ?(inline = true) ?jobs
 let replay_bundle (b : Bundle.t) =
   let g = Ir.Parse.parse_graph b.Bundle.b_ir in
   let program = Ir.Program.of_graph g in
-  let config =
-    {
-      b.Bundle.b_config with
-      Config.containment = true;
-      fault_plan = b.Bundle.b_plan;
-      bundle_dir = None;
-    }
-  in
+  let config = { b.Bundle.b_config with Config.fault_plan = b.Bundle.b_plan } in
   (* The bundle holds post-inlining IR: do not inline again. *)
   let r = optimize_program_report ~config ~inline:false program in
   match r.rep_failures with f :: _ -> `Reproduced f | [] -> `Clean

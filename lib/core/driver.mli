@@ -17,10 +17,6 @@
     it digests a request, looks it up, and calls
     {!optimize_program_report} only on a miss. *)
 
-(** Paranoid mode ({!Config.t.verify_between_phases}): the IR verifier
-    found a broken invariant right after the named phase ran. *)
-exception Phase_invalid of { phase : string; reason : string }
-
 type stats = {
   mutable candidates_found : int;
   mutable duplications_performed : int;
@@ -39,8 +35,9 @@ val pp_stats : Format.formatter -> stats -> unit
 type failure = {
   fail_fn : string;  (** function whose pipeline crashed *)
   fail_site : string;
-      (** crash site: a {!Faults.site} name, ["verify.<phase>"] for a
-          paranoid violation, or ["exception"] for anything else *)
+      (** crash site: a {!Faults.site} name, ["verify.<phase>"] or
+          ["preserve.<pass>"] for a paranoid violation
+          ({!Opt.Phase.check}), or ["exception"] for anything else *)
   fail_exn : string;  (** rendered exception *)
   fail_backtrace : string;
   fail_work : int;  (** work units charged during the failed attempt *)
@@ -74,7 +71,12 @@ val round_action_steps : string -> string list
 
 (** Optimize one graph under the given configuration: execute the
     configured pipeline (minus program-level items) through the pass
-    manager. *)
+    manager.  This is the uncontained entry (the fuzz matrix, the
+    examples and perfbench's layer timings use it): an exception (an
+    injected fault armed by the caller, a paranoid violation) escapes
+    with the graph half-changed.
+    A paranoid configuration sets [ctx.paranoid]; paranoid mode and a
+    fault plan both turn [ctx.memo_clean_passes] off. *)
 val optimize_graph :
   ?config:Config.t -> Opt.Phase.ctx -> Ir.Graph.t -> stats
 
@@ -93,13 +95,13 @@ type report = {
     over [jobs] domains (default: all cores; [~jobs:1] is sequential).
     Output graphs and aggregate statistics are identical for any [jobs].
 
-    Under {!Config.t.containment} (the default) no exception escapes:
-    a crashing per-function pipeline is rolled back to its pre-attempt
-    IR and reported in [rep_failures] (with a crash bundle when
-    {!Config.t.bundle_dir} is set) while the remaining functions still
-    optimize — under any [jobs] value. *)
+    No exception escapes: a crashing per-function pipeline is rolled
+    back to its pre-attempt IR and reported in [rep_failures] (with a
+    crash bundle written to [bundle_dir], when given) while the
+    remaining functions still optimize — under any [jobs] value. *)
 val optimize_program_report :
   ?config:Config.t ->
+  ?bundle_dir:string ->
   ?inline:bool ->
   ?jobs:int ->
   Ir.Program.t ->
@@ -107,7 +109,7 @@ val optimize_program_report :
 
 (** Re-execute a crash bundle: parse its pre-attempt IR, rebuild the
     recorded configuration (fault plan included) and rerun the
-    per-function pipeline under containment. *)
+    per-function pipeline under containment, writing no bundle. *)
 val replay_bundle : Bundle.t -> [ `Reproduced of failure | `Clean ]
 
 (** Aggregate statistics over a program run. *)

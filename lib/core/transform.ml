@@ -25,11 +25,9 @@ type round = {
   tree : Ir.Dom.t;  (* dominance when the round started *)
   touched : (block_id, unit) Hashtbl.t;
       (* merges the round duplicated and blocks it created *)
-  cross_check : (string -> unit) option;
 }
 
-let round ?cross_check g =
-  { tree = Ir.Analyses.dom g; touched = Hashtbl.create 16; cross_check }
+let round g = { tree = Ir.Analyses.dom g; touched = Hashtbl.create 16 }
 
 let dominates_a_pred dom bm preds =
   List.exists (fun q -> Ir.Dom.dominates dom bm q) preds
@@ -57,22 +55,27 @@ let current_dom ~charge g =
    whose dominance shrank when a copy took one of its entries, a
    predecessor whose dominators grew when one of its own entries was
    copied away (the other entry of an irreducible ring becomes a loop
-   header), and a new block the tree does not know. *)
-let is_loop_header ~charge ?round g bm =
+   header), and a new block the tree does not know.  Paranoid mode
+   checks every answer from the round's tree against a fresh, uncached
+   and uncharged one. *)
+let is_loop_header ~charge ~paranoid ?round g bm =
   let preds = G.preds g bm in
   match round with
   | Some r when not (List.exists (Hashtbl.mem r.touched) (bm :: preds)) ->
       let answer = dominates_a_pred r.tree bm preds in
-      (match r.cross_check with
-      | Some report ->
-          if dominates_a_pred (Ir.Dom.compute g) bm preds <> answer then
-            report
-              (Printf.sprintf
-                 "the round's dominator tree says block %d is%s a loop \
-                  header; a fresh tree disagrees"
-                 bm
-                 (if answer then "" else " not"))
-      | None -> ());
+      if paranoid && dominates_a_pred (Ir.Dom.compute g) bm preds <> answer
+      then
+        raise
+          (Opt.Phase.Phase_invalid
+             {
+               phase = "dbds.duplicate";
+               reason =
+                 Printf.sprintf
+                   "the round's dominator tree says block %d is%s a loop \
+                    header; a fresh tree disagrees"
+                   bm
+                   (if answer then "" else " not");
+             });
       answer
   | _ -> dominates_a_pred (current_dom ~charge g) bm preds
 
@@ -97,7 +100,10 @@ let duplicate ?ctx ?round g ~merge ~pred =
      iteration under the sequential SSA repair.  The simulation tier never
      proposes loop headers; reject them here as well so the backtracking
      strategy cannot reach them either. *)
-  if is_loop_header ~charge ?round g bm then
+  let paranoid =
+    match ctx with Some ctx -> ctx.Opt.Phase.paranoid | None -> false
+  in
+  if is_loop_header ~charge ~paranoid ?round g bm then
     raise (Not_applicable "merge is a loop header");
   (* With every block reachable, duplication strands none: [bp] reaches
      [bm'], which has [bm]'s successors, and [bm] keeps a path from

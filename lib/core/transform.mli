@@ -27,11 +27,8 @@ exception Not_applicable of string
 type round
 
 (** [round g] starts a round at [g]'s current dominator tree (the
-    analysis cache's: right after the simulation, the tree it walked).
-    [cross_check] (paranoid mode) makes every answer from the round's
-    tree recompute a fresh, uncached and uncharged tree too, and calls
-    [cross_check] with a description when the two disagree. *)
-val round : ?cross_check:(string -> unit) -> Ir.Graph.t -> round
+    analysis cache's: right after the simulation, the tree it walked). *)
+val round : Ir.Graph.t -> round
 
 (** Perform the transformation; returns the duplicate block's id.
     [round] answers the loop-header check and records what this
@@ -39,7 +36,10 @@ val round : ?cross_check:(string -> unit) -> Ir.Graph.t -> round
     one unit per copied phi, body instruction and terminator, per
     patched successor phi, and per SSA-repair class, use examined and
     block visited; plus one pass over the graph when the check had to
-    recompute the dominator tree.
+    recompute the dominator tree.  Under a paranoid [ctx] every answer
+    from [round]'s tree is checked against a fresh, uncached and
+    uncharged tree; a disagreement raises {!Opt.Phase.Phase_invalid}
+    at ["dbds.duplicate"].
     @raise Not_applicable when the edge is gone, the merge degenerated,
     or the merge is a loop header. *)
 val duplicate :

@@ -72,7 +72,6 @@ let config_for plan k =
       (List.assoc name Dbds.Config.named) with
       Dbds.Config.fault_plan = Some plan;
       verify_between_phases = k mod 5 = 0;
-      containment = true;
     } )
 
 (* Run one (source, plan) pair at one jobs value; returns the
@@ -221,12 +220,12 @@ let run_service () =
       (* The reference: the same units parsed as a worker parses them,
          compiled in their own program with no store and no faults. *)
       let reference =
-        let config = { Dbds.Config.dbds with Dbds.Config.containment = true } in
         List.iter
           (fun (_, ir) -> Ir.Program.add_function prog (Ir.Parse.parse_graph ir))
           requests;
         match
-          Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1 prog
+          Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
+            ~inline:false ~jobs:1 prog
         with
         | _ -> Some (canonical_fingerprint prog)
         | exception e ->

@@ -66,7 +66,7 @@ let measure_suite (suite : Workloads.Suite.t) =
    from the sim harness's pool) so neither broker coalescing nor the
    artifact store can flatter the measured capacity — plus the offline
    oracle each served artifact must match byte-for-byte. *)
-let sweep_config = { Dbds.Config.dbds with bundle_dir = None }
+let sweep_config = Dbds.Config.dbds
 
 let sweep_pool =
   lazy
@@ -79,15 +79,8 @@ let sweep_pool =
          (fun src ->
            List.map
              (fun (fn, ir, _) ->
-               (* The oracle mirrors the broker byte-for-byte: parse
-                  the wire text (print -> parse normalizes ids), then
-                  the same lone-graph pipeline (the pool sends no
-                  context). *)
-               let parsed = Ir.Parse.parse_graph ir in
-               ignore
-                 (Dbds.Driver.optimize_program_report ~config:sweep_config
-                    ~inline:false ~jobs:1 (Ir.Program.of_graph parsed));
-               (fn, ir, Service.Digest.canonical_of_graph parsed))
+               (* The pool sends no context. *)
+               (fn, ir, Simtest.Harness.reference ~config:sweep_config ~fn ir))
              (requests_of [ Lang.Frontend.compile src ]))
          progs
      in

@@ -1,7 +1,7 @@
 (** The pass manager: executes the items of a checked pipeline {!Spec}
     over one graph, resolving pass names through a caller-supplied
     registry.  Every pass execution goes through {!Phase.run_pass}, so
-    per-pass stats, preservation contracts and paranoid hooks are
+    per-pass stats, preservation contracts and the paranoid check are
     attached once, uniformly. *)
 
 (** Maps a checked pass name and its options to a pass.  Total on the

@@ -54,12 +54,9 @@ type ctx = {
           otherwise; the driver turns it off in diagnostic runs (fault
           injection / paranoia) where every pass must run on the whole
           graph *)
-  mutable check_contracts : bool;
-      (** paranoid: recompute-and-compare every preserved analysis after
-          each fired pass, raising {!Contract_violated} on a lie *)
-  mutable post_phase : (string -> Ir.Graph.t -> unit) option;
-      (** paranoid hook: called after every pass that changed the
-          graph; may raise to abort (and contain) the pipeline *)
+  mutable paranoid : bool;
+      (** paranoid mode: {!check} after every fired pass and every
+          duplication *)
   mutable region_audit :
     (string -> (ctx -> Ir.Graph.t -> bool) -> Ir.Graph.t -> unit) option;
       (** lint hook: called whenever a pass is stamped clean after a
@@ -77,8 +74,7 @@ let create ?program () =
     pass_stats = [];
     fix_capped = 0;
     memo_clean_passes = true;
-    check_contracts = false;
-    post_phase = None;
+    paranoid = false;
     region_audit = None;
   }
 
@@ -197,27 +193,58 @@ type t = {
 let make ?(preserves = []) ?region ?(settles = false) pass_name run =
   { pass_name; preserves; region; settles; run }
 
+(** Paranoid mode: the IR verifier found a broken invariant right after
+    the named phase ran. *)
+exception Phase_invalid of { phase : string; reason : string }
+
 (** A pass lied about its preservation contract: after [pass] ran, the
     cached [analysis] it declared preserved differs from a fresh
-    recompute.  Raised only under {!ctx.check_contracts} (paranoid
-    mode); contained and attributed to the guilty pass by the driver. *)
+    recompute.  Raised only by {!check} (paranoid mode); contained and
+    attributed to the guilty pass by the driver. *)
 exception
   Contract_violated of { pass : string; analysis : string; reason : string }
 
 let () =
   Printexc.register_printer (function
+    | Phase_invalid { phase; reason } ->
+        Some
+          (Printf.sprintf "Opt.Phase.Phase_invalid(after %s: %s)" phase
+             reason)
     | Contract_violated { pass; analysis; reason } ->
         Some
           (Printf.sprintf "Opt.Phase.Contract_violated(%s claims %s: %s)" pass
              analysis reason)
     | _ -> None)
 
+(** Paranoid mode's one check, a no-op unless [ctx.paranoid]: every
+    analysis in [preserves] (a fired pass's contract) must equal a fresh
+    recompute, then the IR verifier must accept the graph. *)
+let check ctx ?(preserves = []) phase g =
+  if ctx.paranoid then begin
+    List.iter
+      (fun k ->
+        match Ir.Analyses.check g k with
+        | Ok () -> ()
+        | Error reason ->
+            raise
+              (Contract_violated
+                 {
+                   pass = phase;
+                   analysis = Ir.Analyses.kind_to_string k;
+                   reason;
+                 }))
+      preserves;
+    match Ir.Verifier.verify_result g with
+    | Ok () -> ()
+    | Error reason -> raise (Phase_invalid { phase; reason })
+  end
+
 (** Run one pass with the manager's uniform instrumentation: per-pass
     stats (runs / fired / work / wall time / IR size delta), application
-    of the preservation contract to the analysis cache, the paranoid
-    recompute-and-compare contract check, and the post-phase
-    verification hook.  Every pass execution in the system — fixpoint
-    groups, DBDS tiers, standalone passes — goes through here. *)
+    of the preservation contract to the analysis cache, and the paranoid
+    {!check} after a run that fired.  Every pass execution in the
+    system — fixpoint groups, DBDS tiers, standalone passes — goes
+    through here. *)
 let run_pass_now ctx (p : t) ~region run g =
   let gen0 = Ir.Graph.generation g in
   let fired =
@@ -230,21 +257,7 @@ let run_pass_now ctx (p : t) ~region run g =
   if fired then begin
     if p.preserves <> [] then
       Ir.Analyses.preserve g ~since:gen0 p.preserves;
-    if ctx.check_contracts then
-      List.iter
-        (fun k ->
-          match Ir.Analyses.check g k with
-          | Ok () -> ()
-          | Error reason ->
-              raise
-                (Contract_violated
-                   {
-                     pass = p.pass_name;
-                     analysis = Ir.Analyses.kind_to_string k;
-                     reason;
-                   }))
-        p.preserves;
-    match ctx.post_phase with Some hook -> hook p.pass_name g | None -> ()
+    check ctx ~preserves:p.preserves p.pass_name g
   end;
   (* A pass that ran clean on this exact state will run clean again
      until something mutates the graph, and then can only find work

@@ -42,12 +42,9 @@ type ctx = {
           by default): skip it when nothing did, run its region form
           otherwise; turned off for diagnostic runs (fault injection /
           paranoia) where every pass must run on the whole graph *)
-  mutable check_contracts : bool;
-      (** paranoid: recompute-and-compare every preserved analysis after
-          each fired pass, raising {!Contract_violated} on a lie *)
-  mutable post_phase : (string -> Ir.Graph.t -> unit) option;
-      (** paranoid hook: called after every pass that changed the
-          graph; may raise to abort (and contain) the pipeline *)
+  mutable paranoid : bool;
+      (** paranoid mode: {!check} runs after every pass that fired and
+          after every duplication *)
   mutable region_audit :
     (string -> (ctx -> Ir.Graph.t -> bool) -> Ir.Graph.t -> unit) option;
       (** lint hook: called whenever a pass is stamped clean after a
@@ -128,16 +125,30 @@ val make :
   (ctx -> Ir.Graph.t -> bool) ->
   t
 
+(** Paranoid mode: the IR verifier found a broken invariant right after
+    the named phase ran.  Contained at site ["verify.<phase>"]. *)
+exception Phase_invalid of { phase : string; reason : string }
+
 (** A pass lied about its preservation contract: after [pass] ran, the
     cached [analysis] it declared preserved differs from a fresh
-    recompute.  Raised only under {!ctx.check_contracts} (paranoid
-    mode); contained and attributed to the guilty pass by the driver. *)
+    recompute.  Raised only by {!check}; contained at site
+    ["preserve.<pass>"]. *)
 exception
   Contract_violated of { pass : string; analysis : string; reason : string }
 
+(** [check ctx ?preserves phase g] is paranoid mode's one check, a no-op
+    unless [ctx.paranoid].  Each analysis in [preserves] (the contract
+    of a pass that fired) must equal a fresh recompute, else
+    {!Contract_violated} naming [phase]; then the IR verifier must
+    accept [g], else {!Phase_invalid} naming [phase].  {!run_pass}
+    calls it after every run that fired; the DBDS driver after every
+    duplication. *)
+val check :
+  ctx -> ?preserves:Ir.Analyses.kind list -> string -> Ir.Graph.t -> unit
+
 (** Run one pass with the manager's uniform instrumentation: per-pass
     stats, application of the preservation contract to the analysis
-    cache, the paranoid contract check, and the post-phase hook.  Every
+    cache, and {!check} after a run that fired.  Every
     pass execution in the system goes through here.  With
     [memo_clean_passes], a pass with a clean stamp runs on the region
     logged since: skipped (charging nothing, counting no run) when the

@@ -156,12 +156,9 @@ let compile t job =
   | exception Ir.Parse.Parse_error msg -> Failed ("parse: " ^ msg)
   | exception Bad_context msg -> Failed ("context: " ^ msg)
   | program -> (
-      let config =
-        { job.jb_config with Dbds.Config.containment = true; bundle_dir = None }
-      in
       match
-        Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1
-          program
+        Dbds.Driver.optimize_program_report ~config:job.jb_config ~inline:false
+          ~jobs:1 program
       with
       | exception exn -> Failed (Printexc.to_string exn)
       | report -> (

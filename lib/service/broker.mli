@@ -34,8 +34,8 @@
       still served the result; expiry is only acted on at admission and
       dequeue.
 
-    Compiles run through {!Dbds.Driver.optimize_program_report} with
-    containment forced on, so a crashing pipeline costs one request
+    Compiles run through {!Dbds.Driver.optimize_program_report}, which
+    contains every crash, so a crashing pipeline costs one request
     ([Failed]), never the broker.  The function compiles in a program
     rebuilt from the request's context ({!Digest.facts_of_context}), so
     partial escape analysis and read elimination see the same class

@@ -129,10 +129,31 @@ let summary r =
 
 type request = { pr_fn : string; pr_ir : string; pr_digest : string }
 
+(* The serverless reference for one compile request: the lone-graph
+   pipeline the broker runs, without the broker.  The request's IR is
+   parsed as a worker parses it, compiled in a program carrying its
+   context's class layouts and globals (none without a context), with
+   no inlining, on one domain, and [fn]'s canonical text is the
+   answer.  The broker's replies are checked against it, so it must
+   not call the broker.
+   @raise Failure on a malformed context. *)
+let reference ?(context = "") ~config ~fn ir =
+  let classes, globals =
+    match Service.Digest.facts_of_context context with
+    | Ok facts -> facts
+    | Error msg -> failwith ("reference: context: " ^ msg)
+  in
+  let g = Ir.Parse.parse_graph ir in
+  let program = Ir.Program.of_graph ~classes ~globals g in
+  ignore
+    (Dbds.Driver.optimize_program_report ~config ~inline:false ~jobs:1 program);
+  Service.Digest.canonical_of_graph
+    (Option.value (Ir.Program.find_function program fn) ~default:g)
+
 (* The pool uses fixed generator seeds (not the run seed), so the
    offline oracle below is computed once per process and shared across
    a whole seed sweep. *)
-let pool_config = { Dbds.Config.dbds with containment = true; bundle_dir = None }
+let pool_config = Dbds.Config.dbds
 
 let pool =
   lazy
@@ -178,24 +199,16 @@ let pool =
        fns
      |> Array.of_list)
 
-(* What the broker must answer: the same lone-graph pipeline it runs,
-   executed offline against the pristine request.  Keyed by content
-   digest, so a sweep pays each compile once. *)
+(* What the broker must answer: the {!reference} of the pristine
+   request.  Keyed by content digest, so a sweep pays each compile
+   once. *)
 let oracle_cache : (string, string) Hashtbl.t = Hashtbl.create 64
 
 let oracle (rq : request) =
   match Hashtbl.find_opt oracle_cache rq.pr_digest with
   | Some expected -> expected
   | None ->
-      let g = Ir.Parse.parse_graph rq.pr_ir in
-      let program = Ir.Program.of_graph g in
-      ignore
-        (Dbds.Driver.optimize_program_report ~config:pool_config ~inline:false
-           ~jobs:1 program);
-      let body =
-        Option.value (Ir.Program.find_function program rq.pr_fn) ~default:g
-      in
-      let expected = Service.Digest.canonical_of_graph body in
+      let expected = reference ~config:pool_config ~fn:rq.pr_fn rq.pr_ir in
       Hashtbl.replace oracle_cache rq.pr_digest expected;
       expected
 

@@ -29,19 +29,17 @@ let trio =
 let plan ?fn site hit = { F.seed = 0; site; hit; fn }
 
 (* [name] is a [dbdsc -m] spelling ({!Dbds.Config.named}). *)
-let report ?(name = "dbds") ?fault_plan ?(containment = true)
-    ?(paranoid = false) ?bundle_dir ?(inline = true) ?(jobs = 1) src =
+let report ?(name = "dbds") ?fault_plan ?(paranoid = false) ?bundle_dir
+    ?(inline = true) ?(jobs = 1) src =
   let prog = compile src in
   let config =
     {
       (List.assoc name Dbds.Config.named) with
       Dbds.Config.fault_plan;
-      containment;
       verify_between_phases = paranoid;
-      bundle_dir;
     }
   in
-  (prog, D.optimize_program_report ~config ~inline ~jobs prog)
+  (prog, D.optimize_program_report ~config ?bundle_dir ~inline ~jobs prog)
 
 let print_program prog =
   let buf = Buffer.create 1024 in
@@ -208,16 +206,17 @@ let test_contained_program_still_runs () =
   Alcotest.(check int) "one contained failure" 1 (List.length r.D.rep_failures);
   Alcotest.(check int) "main still computes" 7 (run_int prog [ 5 ])
 
+(* [optimize_graph] is the uncontained entry: a fault armed around it
+   escapes to the caller. *)
 let test_containment_off_escapes () =
   let prog = compile figure1 in
-  let config =
-    {
-      Dbds.Config.default with
-      Dbds.Config.fault_plan = Some (plan F.Transform_apply 1);
-      containment = false;
-    }
-  in
-  match D.optimize_program_report ~config ~jobs:1 prog with
+  let g = Option.get (Ir.Program.find_function prog "main") in
+  let fault_plan = Some (plan F.Transform_apply 1) in
+  let config = { Dbds.Config.default with Dbds.Config.fault_plan } in
+  let ctx = Opt.Phase.create ~program:prog () in
+  match
+    F.armed fault_plan ~fn:"main" (fun () -> D.optimize_graph ~config ctx g)
+  with
   | _ -> Alcotest.fail "expected the injected fault to escape"
   | exception F.Injected { site = F.Transform_apply; hit = 1 } -> ()
 

@@ -179,13 +179,7 @@ let compile_ok c ~ir =
 
 (* The serverless reference: the lone-graph pipeline the broker runs,
    executed directly on the request IR. *)
-let direct_compile ?(fn = "main") ir =
-  let program = Ir.Program.of_graph (Ir.Parse.parse_graph ir) in
-  ignore
-    (Dbds.Driver.optimize_program_report
-       ~config:{ config with Dbds.Config.containment = true }
-       ~inline:false ~jobs:1 program);
-  SD.canonical_of_graph (Option.get (Ir.Program.find_function program fn))
+let direct_compile ?(fn = "main") ir = Simtest.Harness.reference ~config ~fn ir
 
 (* The event loop serves artifacts byte-identical to a direct compile
    of the same IR — on a first connection and again on a second — and

@@ -213,7 +213,7 @@ let classic_passes =
 let prop_preservation seed =
   let _src, prog = compile_seed seed in
   let ctx = Opt.Phase.create ~program:prog () in
-  ctx.Opt.Phase.check_contracts <- true;
+  ctx.Opt.Phase.paranoid <- true;
   List.iter
     (fun name ->
       match Ir.Program.find_function prog name with
@@ -262,6 +262,58 @@ let prop_paranoid_driver seed =
             jobs f.Dbds.Driver.fail_fn f.Dbds.Driver.fail_site)
     [ 1; 4 ];
   true
+
+(* Paranoid mode is one check in the pass manager: run a planted pass
+   through [Opt.Manager.run] on a paranoid context, after [dce], and
+   return what escapes.  [break-uses] empties a used value's use list,
+   leaving a graph the verifier refuses; [lie-dom] claims to preserve
+   the dominator tree while it folds a branch to a jump. *)
+let run_planted name =
+  let prog = compile stranded_loop_src in
+  let g = Option.get (Ir.Program.find_function prog "main") in
+  let resolve pass opts =
+    match pass with
+    | "break-uses" ->
+        Opt.Phase.make pass (fun _ g ->
+            let v =
+              Ir.Graph.fold_instrs g
+                (fun acc i ->
+                  if acc = None && Ir.Graph.has_uses g i then Some i else acc)
+                None
+            in
+            Ir.Graph.set_uses_unchecked g (Option.get v) [];
+            true)
+    | "lie-dom" ->
+        Opt.Phase.make ~preserves:[ Ir.Analyses.Dom ] pass (fun _ g ->
+            ignore (Ir.Analyses.dom g);
+            fold_constant_guard g;
+            true)
+    | _ -> Opt.Pipeline.resolve_classic pass opts
+  in
+  let ctx = Opt.Phase.create ~program:prog () in
+  ctx.Opt.Phase.paranoid <- true;
+  match
+    Opt.Manager.run resolve
+      [
+        Opt.Spec.Pass { name = "dce"; opts = [] };
+        Opt.Spec.Pass { name; opts = [] };
+      ]
+      ctx g
+  with
+  | _ -> Alcotest.failf "%s: nothing escaped the paranoid check" name
+  | exception e -> e
+
+let test_paranoid_check_names_the_pass () =
+  (match run_planted "break-uses" with
+  | Opt.Phase.Phase_invalid { phase; _ } ->
+      Alcotest.(check string) "the verify exception names the pass"
+        "break-uses" phase
+  | e -> Alcotest.failf "break-uses raised %s" (Printexc.to_string e));
+  match run_planted "lie-dom" with
+  | Opt.Phase.Contract_violated { pass; analysis; _ } ->
+      Alcotest.(check (pair string string)) "the audit names pass and analysis"
+        ("lie-dom", "dom") (pass, analysis)
+  | e -> Alcotest.failf "lie-dom raised %s" (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Per-pass instrumentation                                            *)
@@ -541,6 +593,8 @@ let suite =
       prop_paranoid_driver;
     test "paranoid: unreachable phi predecessors (regression)"
       test_paranoid_unreachable_pred;
+    test "paranoid: the check names the pass"
+      test_paranoid_check_names_the_pass;
     test "round action steps omit sccp" test_round_action_steps;
     test "sccp runs once the region group settles" test_sccp_runs_once_settled;
     test "sccp still folds an optimistic cycle"

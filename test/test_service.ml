@@ -133,11 +133,11 @@ let test_digest_sensitivity () =
   Alcotest.(check bool) "different bodies hash differently" true
     (SD.ir_hash_of_graph g <> SD.ir_hash_of_graph other)
 
-(* Keys without a pipeline effect must not shape the digest: a request
-   carrying an [inject] fault plan (the protocol re-attaches it outside
-   the config line) and one without must collide in the cache — the
-   fault plan changes what the worker *does*, never what a correct
-   artifact *is*.  Guards [Config.to_line]'s exclusion list. *)
+(* A key without a pipeline effect must not shape the digest: a
+   request carrying an [inject] fault plan (the protocol re-attaches it
+   outside the config line) and one without must collide in the cache —
+   the fault plan changes what the worker *does*, never what a correct
+   artifact *is*.  Guards [Config.to_line]'s exclusion of it. *)
 let test_digest_ignores_fault_plan () =
   let g = main_of (compile figure1) in
   let base = SD.of_request (SD.request_of_graph ~config g) in
@@ -145,11 +145,9 @@ let test_digest_ignores_fault_plan () =
     {
       config with
       Dbds.Config.fault_plan = Some (plan ~fn:"main" F.Store_corrupt 1);
-      bundle_dir = Some "/tmp/bundles";
-      containment = false;
     }
   in
-  Alcotest.(check string) "fault plan, bundle dir, containment: same digest"
+  Alcotest.(check string) "fault plan: same digest"
     base
     (SD.of_request (SD.request_of_graph ~config:armed g));
   (* The default line is pinned: every cached digest and crash bundle is
@@ -1001,18 +999,11 @@ let escape =
    text)] — with the program's context, and each unit's canonical IR
    under a direct class-aware compile of the same text. *)
 let units_and_direct src =
-  let prog = compile src in
-  let context, units = Service.Client.units prog in
-  let classes = Hashtbl.fold (fun _ c acc -> c :: acc) prog.Ir.Program.classes [] in
-  let direct ir =
-    let g = Ir.Parse.parse_graph ir in
-    ignore
-      (Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
-         ~inline:false ~jobs:1
-         (Ir.Program.of_graph ~classes ~globals:prog.Ir.Program.globals g));
-    SD.canonical_of_graph g
+  let context, units = Service.Client.units (compile src) in
+  let direct fn ir =
+    Simtest.Harness.reference ~context ~config:Dbds.Config.dbds ~fn ir
   in
-  (context, List.map (fun (fn, ir) -> (fn, ir, direct ir)) units)
+  (context, List.map (fun (fn, ir) -> (fn, ir, direct fn ir)) units)
 
 (* Given the context, the broker replies with exactly the direct
    class-aware compile, cold and then warm from the store; without it,
