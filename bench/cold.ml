@@ -72,12 +72,7 @@ let run_once fns =
   in
   let irs = timed 4 graphs Service.Digest.canonical_of_graph in
   let replies = Array.mapi (fun i ir -> (i, ir, works.(i))) irs in
-  let dir = Filename.temp_dir "dbds-cold-path" ".store" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
+  Harness.Fuzz.with_scratch_dir "dbds-cold-path" (fun dir ->
       let store = Service.Store.create ~capacity:(1 lsl 30) ~dir () in
       ignore
         (timed 5 replies (fun (i, ir, work) ->

@@ -5,7 +5,9 @@
     - the compiled IR of every paper benchmark stops being
       byte-identical across jobs values, or between region runs and
       whole-graph runs of the classic passes;
-    - warm service recompiles stop being byte-identical to cold ones;
+    - warm service recompiles ({!Harness.Fuzz.cold_warm} over every
+      function of the first suite) stop being byte-identical to cold
+      ones;
     - [pmd]'s compile effort exceeds its work-unit budget;
     - read elimination, conditional elimination and PEA together
       exceed their work-unit budget over the paper benchmarks;
@@ -204,12 +206,31 @@ let () =
     die "cold-path parse + hash + canonical allocate %.0f minor words per \
          function > budget %.0f (a text stage builds lists or tables again?)"
       cold_words cold_budget;
-  (* Warm service recompiles must return byte-identical artifacts. *)
-  let s = Harness.Servicebench.measure_suite (List.hd Workloads.Registry.all) in
-  if not s.Harness.Metrics.sv_identical then
+  (* Warm service recompiles must return byte-identical artifacts: every
+     function of the first suite, inlined and with its program's
+     context as [dbdsc --connect] sends it, through a broker's cold and
+     warm pass. *)
+  let requests =
+    List.concat_map
+      (fun b ->
+        let context, units =
+          Service.Client.units (Workloads.Suite.compile b)
+        in
+        List.map (fun (fn, ir) -> (fn, ir, context)) units)
+      (List.hd Workloads.Registry.all).Workloads.Suite.benchmarks
+  in
+  let leg = Harness.Fuzz.cold_warm ~config ~workers:1 requests in
+  let ir_of = function Service.Broker.Done { ir; _ } -> Some ir | _ -> None in
+  let cold = List.map ir_of leg.Harness.Fuzz.cold in
+  if List.mem None cold || List.map ir_of leg.Harness.Fuzz.warm <> cold then
     die "warm service recompile is not byte-identical to the cold compile";
+  let hits =
+    List.filter
+      (function Service.Broker.Done { from_cache; _ } -> from_cache | _ -> false)
+      leg.Harness.Fuzz.warm
+  in
   Printf.printf "bench-smoke: service warm pass identical (hit rate %.2f)\n"
-    s.Harness.Metrics.sv_warm_hit_rate;
+    (float_of_int (List.length hits) /. float_of_int (List.length requests));
   (* Workload-lab gates.  (a) The adversarial suites run under every
      tier with agreeing results (Tiercompare raises otherwise) and the
      giant-switch suite shows a positive duplication win — at least one

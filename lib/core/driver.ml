@@ -70,7 +70,8 @@ let run_round ~tier ~accept ~paths config ctx stats g =
   (* Every duplication of the round answers its loop-header check from
      the tree the simulation walked, unless an earlier one touched the
      blocks in question. *)
-  let round = Transform.round g in
+  let phase = tier ^ ".duplicate" in
+  let round = Transform.round ~phase g in
   let duplicate ~merge ~pred = Transform.duplicate ~ctx ~round g ~merge ~pred in
   let budget, ranked =
     tradeoff_row ~fired:never (fun () ->
@@ -110,7 +111,7 @@ let run_round ~tier ~accept ~paths config ctx stats g =
         if duplicated then begin
           Tradeoff.commit budget c;
           round_benefit := !round_benefit +. Candidate.scaled_benefit c;
-          Opt.Phase.check ctx "dbds.duplicate" g
+          Opt.Phase.check ctx phase g
         end
         else
           (* An earlier duplication in this round invalidated the

@@ -22,12 +22,14 @@ module G = Ir.Graph
 exception Not_applicable of string
 
 type round = {
+  phase : string;  (* the round's duplication row, for paranoid mode *)
   tree : Ir.Dom.t;  (* dominance when the round started *)
   touched : (block_id, unit) Hashtbl.t;
       (* merges the round duplicated and blocks it created *)
 }
 
-let round g = { tree = Ir.Analyses.dom g; touched = Hashtbl.create 16 }
+let round ~phase g =
+  { phase; tree = Ir.Analyses.dom g; touched = Hashtbl.create 16 }
 
 let dominates_a_pred dom bm preds =
   List.exists (fun q -> Ir.Dom.dominates dom bm q) preds
@@ -68,7 +70,7 @@ let is_loop_header ~charge ~paranoid ?round g bm =
         raise
           (Opt.Phase.Phase_invalid
              {
-               phase = "dbds.duplicate";
+               phase = r.phase;
                reason =
                  Printf.sprintf
                    "the round's dominator tree says block %d is%s a loop \

@@ -26,9 +26,11 @@ exception Not_applicable of string
     one of its predecessors is touched; then it takes a fresh tree. *)
 type round
 
-(** [round g] starts a round at [g]'s current dominator tree (the
-    analysis cache's: right after the simulation, the tree it walked). *)
-val round : Ir.Graph.t -> round
+(** [round ~phase g] starts a round at [g]'s current dominator tree
+    (the analysis cache's: right after the simulation, the tree it
+    walked).  [phase] names the round's duplication row
+    (["<tier>.duplicate"]) for paranoid mode. *)
+val round : phase:string -> Ir.Graph.t -> round
 
 (** Perform the transformation; returns the duplicate block's id.
     [round] answers the loop-header check and records what this
@@ -39,7 +41,7 @@ val round : Ir.Graph.t -> round
     recompute the dominator tree.  Under a paranoid [ctx] every answer
     from [round]'s tree is checked against a fresh, uncached and
     uncharged tree; a disagreement raises {!Opt.Phase.Phase_invalid}
-    at ["dbds.duplicate"].
+    at [round]'s phase.
     @raise Not_applicable when the edge is gone, the merge degenerated,
     or the merge is a loop header. *)
 val duplicate :

@@ -97,7 +97,7 @@ let run_one ~src ~config ~jobs =
     + {e jobs determinism}: the printed program, the failure list, the
       per-function statistics and the phase-context counters are
       identical under every [jobs] value tried. *)
-let run () =
+let run_containment () =
   let t0 = now () in
   let violations = ref [] in
   let pairs = ref 0 in
@@ -162,14 +162,47 @@ let run () =
 (* Artifact-store property                                             *)
 (* ------------------------------------------------------------------ *)
 
-let scratch_store_dir () = Filename.temp_dir "dbds-fuzz" ".store"
+let with_scratch_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name ->
+          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]);
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f dir)
 
-let remove_store_dir dir =
-  if Sys.file_exists dir then (
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ())
+type cold_warm = {
+  cold : Service.Broker.outcome list;
+  warm : Service.Broker.outcome list;
+  store : Service.Store.stats;
+}
+
+let cold_warm ~config ~workers requests =
+  if requests = [] then invalid_arg "Fuzz.cold_warm: no request";
+  with_scratch_dir "dbds-cold-warm" @@ fun dir ->
+  let store = Service.Store.create ~dir () in
+  let broker = Service.Broker.create ~workers ~store:(Some store) () in
+  Fun.protect ~finally:(fun () -> Service.Broker.shutdown broker) @@ fun () ->
+  let pass () =
+    Ir.Parallel.map ~jobs:workers
+      (fun (fn, ir, context) ->
+        Service.Broker.submit ~context ~config ~fn ~ir broker)
+      requests
+  in
+  let cold = pass () in
+  let warm = pass () in
+  { cold; warm; store = Service.Store.stats store }
+
+(* One line per reply: its IR, or its outcome's label. *)
+let replies outcomes =
+  String.concat ""
+    (List.map
+       (function
+         | Service.Broker.Done { ir; _ } -> ir ^ "\n"
+         | o -> Service.Broker.outcome_label o ^ "\n")
+       outcomes)
 
 (* Canonical optimized IR of every function, in name order. *)
 let canonical_fingerprint prog =
@@ -216,13 +249,14 @@ let run_service () =
       (* The requests: each post-inline function as printed IR, all
          with the program's context. *)
       let prog = Lang.Frontend.compile (Workloads.Progen.generate ~seed ()) in
-      let context, requests = Service.Client.units prog in
+      let context, units = Service.Client.units prog in
+      let requests = List.map (fun (fn, ir) -> (fn, ir, context)) units in
       (* The reference: the same units parsed as a worker parses them,
          compiled in their own program with no store and no faults. *)
       let reference =
         List.iter
           (fun (_, ir) -> Ir.Program.add_function prog (Ir.Parse.parse_graph ir))
-          requests;
+          units;
         match
           Dbds.Driver.optimize_program_report ~config:Dbds.Config.dbds
             ~inline:false ~jobs:1 prog
@@ -246,53 +280,30 @@ let run_service () =
               Printf.sprintf "service seed=%d plan=%s" seed
                 (Dbds.Faults.to_string plan)
             in
-            (* One leg = a fresh store and broker, a cold pass and a warm
-               pass at one worker count. *)
-            let run_leg workers =
-              let dir = scratch_store_dir () in
-              Fun.protect ~finally:(fun () -> remove_store_dir dir)
-              @@ fun () ->
-              let store = Service.Store.create ~dir () in
-              let broker =
-                Service.Broker.create ~workers ~store:(Some store) ()
-              in
-              Fun.protect ~finally:(fun () -> Service.Broker.shutdown broker)
-              @@ fun () ->
-              let pass () =
-                Ir.Parallel.map ~jobs:workers
-                  (fun (fn, ir) ->
-                    match
-                      Service.Broker.submit ~context ~config ~fn ~ir broker
-                    with
-                    | Service.Broker.Done { ir; _ } -> ir ^ "\n"
-                    | o -> Service.Broker.outcome_label o ^ "\n")
-                  requests
-                |> String.concat ""
-              in
-              let cold = pass () in
-              let warm = pass () in
-              let st = Service.Store.stats store in
-              (cold, warm, store_counters st, st)
-            in
-            match (run_leg 1, run_leg 4) with
+            let leg workers = cold_warm ~config ~workers requests in
+            match (leg 1, leg 4) with
             | exception e ->
                 violate violations "%s: escaped exception: %s" tag
                   (Printexc.to_string e)
-            | (cold, warm, counters, st), (cold4, warm4, counters4, _) ->
+            | leg1, leg4 ->
+                let cold = replies leg1.cold and warm = replies leg1.warm in
                 if cold <> ref_fp then
                   violate violations
                     "%s: cold pass diverges from the direct reference" tag;
                 if warm <> ref_fp then
                   violate violations
                     "%s: warm pass diverges from the direct reference" tag;
-                if cold4 <> cold || warm4 <> warm then
+                if replies leg4.cold <> cold || replies leg4.warm <> warm then
                   violate violations
                     "%s: workers=4 replies diverge from workers=1" tag;
+                let counters = store_counters leg1.store
+                and counters4 = store_counters leg4.store in
                 if counters4 <> counters then
                   violate violations
                     "%s: workers=4 store counters [%s] diverge from \
                      workers=1 [%s]"
                     tag counters4 counters;
+                let st = leg1.store in
                 store_hits := !store_hits + st.Service.Store.hits;
                 recovered :=
                   !recovered + st.Service.Store.write_failures
@@ -655,7 +666,7 @@ let where c = at c.program c.row
    that changed the graph, the same pass over the whole of a copy must
    fire nothing.  (Auditing every memo-on compile would take about 6 s
    more on a 2-vCPU host.) *)
-let compile row program =
+let compile_row row program =
   let config =
     if row.paranoid then
       { row.config with Dbds.Config.verify_between_phases = true }
@@ -938,7 +949,7 @@ let run_matrix () =
       let cs =
         List.filter_map
           (fun row ->
-            if row.covers program then Some (compile row program) else None)
+            if row.covers program then Some (compile_row row program) else None)
           rows
       in
       compile_s := !compile_s +. (now () -. t0);

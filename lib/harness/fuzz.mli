@@ -18,19 +18,46 @@ type result = {
     fault plans, each pair at [jobs:1] and [jobs:4]: no exception
     escapes the driver, contained functions roll back to byte-identical
     pre-attempt IR, and the runs are identical across jobs values. *)
-val run : unit -> result
+val run_containment : unit -> result
+
+(** [with_scratch_dir prefix f] runs [f] on a fresh temporary
+    directory named after [prefix] and removes it, with the files in
+    it, when [f] returns or raises (best effort: a leftover temporary
+    directory is harmless). *)
+val with_scratch_dir : string -> (string -> 'a) -> 'a
+
+(** One broker's two passes over a request list, in request order. *)
+type cold_warm = {
+  cold : Service.Broker.outcome list;  (** against an empty store *)
+  warm : Service.Broker.outcome list;  (** against what the cold pass published *)
+  store : Service.Store.stats;  (** the store's counters after both passes *)
+}
+
+(** [cold_warm ~config ~workers requests] sends every [(fn, ir,
+    context)] request through an in-process {!Service.Broker} with
+    [workers] workers, submitted from as many domains, whose store is a
+    scratch directory removed on exit: once against the empty store,
+    then again against what that pass published.  A store that is a
+    pure accelerator answers the warm pass from the store with the cold
+    pass's IR.
+    @raise Invalid_argument on an empty request list: a check over
+    nothing passes on nothing. *)
+val cold_warm :
+  config:Dbds.Config.t ->
+  workers:int ->
+  (string * string * string) list ->
+  cold_warm
 
 (** The artifact store over 6 random programs × 3 random
     {!Dbds.Faults.store_sites} plans (torn temp writes, torn
     publications, read faults).  Each pair sends every post-inline
-    function, with its program's context, through an in-process
-    {!Service.Broker} at 1 and 4 workers: a cold pass (empty store) and
-    a warm pass (against whatever the faulty cold pass published, torn
-    files included).  No exception escapes the broker; both passes
-    reply with canonical IR byte-identical to a direct, storeless,
-    class-aware compile (corrupt artifacts are evicted and recompiled,
-    never served); replies and store counters agree across worker
-    counts. *)
+    function, with its program's context, through {!cold_warm} at 1
+    and 4 workers: a cold pass (empty store) and a warm pass (against
+    whatever the faulty cold pass published, torn files included).  No
+    exception escapes the broker; both passes reply with canonical IR
+    byte-identical to a direct, storeless, class-aware compile (corrupt
+    artifacts are evicted and recompiled, never served); replies and
+    store counters agree across worker counts. *)
 val run_service : unit -> result
 
 (** The frontdoor's wire decoder.  400 adversarial byte strings through
@@ -74,7 +101,7 @@ type row = {
 (** One program compiled under one row, at jobs 1. *)
 type compiled
 
-val compile : row -> program -> compiled
+val compile_row : row -> program -> compiled
 
 (** [check] gets one program's compiles and returns counts (the first
     is the number of items checked) and violations. *)

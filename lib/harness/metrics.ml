@@ -74,38 +74,6 @@ type tier_row = {
   tc_cells : tier_cell list;
 }
 
-(** One suite's compilation-service check: every function compiled
-    against a cold (empty) artifact store, then again against the warm
-    (populated) one — the warm pass's store hit rate and whether its
-    canonical IR is byte-identical to the cold pass's (bench-smoke's
-    warm-service gate). *)
-type service_row = {
-  sv_suite : string;
-  sv_requests : int;  (** compile requests per pass *)
-  sv_warm_hit_rate : float;  (** store hit rate during the warm pass *)
-  sv_identical : bool;  (** warm canonical IR byte-identical to cold *)
-}
-
-(** One offered-load point of the frontdoor overload sweep (simulated;
-    latencies are client-observed virtual time of completed requests). *)
-type frontdoor_point = {
-  fd_mult : float;  (** offered load as a multiple of capacity *)
-  fd_sent : int;
-  fd_done : int;
-  fd_shed : int;
-  fd_failed : int;
-  fd_goodput_rps : float;
-  fd_p99_ms : float;
-  fd_retry_after_ok : bool;
-}
-
-(** The frontdoor load-sweep row. *)
-type frontdoor_row = {
-  fd_points : frontdoor_point list;
-  fd_identical : bool;
-  fd_clean : bool;
-}
-
 (** Geometric mean of percentage deltas: geomean of the ratios (1 + d/100)
     minus one, as the paper's tables report. *)
 let geomean_pct deltas =

@@ -69,41 +69,6 @@ type tier_row = {
   tc_cells : tier_cell list;
 }
 
-(** One suite's compilation-service check: every function compiled
-    against a cold (empty) artifact store, then again against the warm
-    (populated) one — the warm pass's store hit rate and whether its
-    canonical IR is byte-identical to the cold pass's (bench-smoke's
-    warm-service gate). *)
-type service_row = {
-  sv_suite : string;
-  sv_requests : int;  (** compile requests per pass *)
-  sv_warm_hit_rate : float;  (** store hit rate during the warm pass *)
-  sv_identical : bool;  (** warm canonical IR byte-identical to cold *)
-}
-
-(** One offered-load point of the frontdoor overload sweep, measured
-    under the deterministic simulator: open-loop arrivals at
-    [fd_mult] times the broker's service capacity.  Latencies are
-    client-observed virtual time over every completed request — the
-    acceptance gate holds their p99 to its bound. *)
-type frontdoor_point = {
-  fd_mult : float;  (** offered load as a multiple of capacity *)
-  fd_sent : int;  (** requests fired at this point *)
-  fd_done : int;  (** answered with an artifact *)
-  fd_shed : int;  (** refused by admission control *)
-  fd_failed : int;  (** anything else (transport, timeout, ...) *)
-  fd_goodput_rps : float;  (** completed artifacts per virtual second *)
-  fd_p99_ms : float;  (** client-observed latency of completed requests *)
-  fd_retry_after_ok : bool;  (** every shed carried a retry-after hint *)
-}
-
-(** The frontdoor load-sweep row. *)
-type frontdoor_row = {
-  fd_points : frontdoor_point list;  (** ascending by [fd_mult] *)
-  fd_identical : bool;  (** every served IR matched the offline oracle *)
-  fd_clean : bool;  (** every point's simulated schedule ran clean *)
-}
-
 (** Geometric mean of percentage deltas: geomean of the ratios
     (1 + d/100) minus one, as the paper's tables report. *)
 val geomean_pct : float list -> float

@@ -111,18 +111,6 @@ let compile_ex ?deadline_ms ?delay_ms ?context ~config ~fn ~ir t =
 let compile ?deadline_ms ?delay_ms ?context ~config ~fn ~ir t =
   Result.map fst (compile_ex ?deadline_ms ?delay_ms ?context ~config ~fn ~ir t)
 
-let lookup ~digest t =
-  Result.bind
-    (roundtrip t { Protocol.verb = "lookup"; fields = [ ("digest", digest) ] })
-    (fun m ->
-      match Protocol.field m "status" with
-      | Some "hit" -> (
-          match Protocol.field m "ir" with
-          | Some ir -> Ok (Some ir)
-          | None -> Error "malformed hit reply")
-      | Some "miss" -> Ok None
-      | _ -> Error ("lookup refused: " ^ Protocol.field_or m "message" ""))
-
 let stats t =
   Result.bind
     (roundtrip t { Protocol.verb = "stats"; fields = [] })

@@ -81,10 +81,6 @@ val compile_ex :
   t ->
   (Broker.outcome * int option, string) result
 
-(** Digest-keyed artifact fetch through the frontdoor's [lookup] verb:
-    [Ok (Some ir)] on a hit, [Ok None] on a miss. *)
-val lookup : digest:string -> t -> (string option, string) result
-
 (** Fetch the server's stats: [(broker_line, store_line, counts_line)] —
     the counts line is space-separated [key=value] pairs (broker, then
     store counters) — see {!Frontdoor}. *)

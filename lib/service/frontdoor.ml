@@ -71,12 +71,9 @@ type cstate = {
   mutable c_dead : bool;
 }
 
-type kind = Compile | Lookup
-
 type job = {
   jb_cs : cstate;
   jb_slot : slot;
-  jb_kind : kind;
   jb_msg : Protocol.message;
   jb_admit : float;  (** mono time of admission — queue wait counts *)
   jb_deadline : (float option, string) result;
@@ -196,69 +193,43 @@ let stats_reply fd =
 let internal_error e =
   Protocol.rejected ("internal error: " ^ Printexc.to_string e)
 
-let artifact_reply = function
-  | Some e ->
-      {
-        Protocol.verb = "reply";
-        fields =
-          [
-            ("status", "hit");
-            ("fn", e.Store.ar_fn);
-            ("ir", e.Store.ar_ir);
-            ("work", string_of_int e.Store.ar_work);
-          ];
-      }
-  | None -> { Protocol.verb = "reply"; fields = [ ("status", "miss") ] }
-
 (* An admitted request's reply.  [memory_only] is the event loop's
    call: it answers only what needs no blocking — a compile whose
-   result is already in memory ({!Broker.submit_in_memory}), a lookup
-   the store's memo holds, a request refused outright — and returns
-   [None] for everything a dispatcher must wait on. *)
+   result is already in memory ({!Broker.submit_in_memory}), a request
+   refused outright — and returns [None] for everything a dispatcher
+   must wait on. *)
 let process fd ~memory_only j =
   let m = j.jb_msg in
-  match j.jb_kind with
-  | Compile -> (
-      match
-        ( Protocol.field m "fn",
-          Protocol.field m "ir",
-          j.jb_deadline,
-          Protocol.ms_field m "delay-ms" )
-      with
-      | None, _, _, _ | _, None, _, _ ->
-          Some (Protocol.rejected "compile needs fn and ir fields")
-      | _, _, Error msg, _ | _, _, _, Error msg -> Some (Protocol.rejected msg)
-      | _, _, Ok (Some d), _ when fd.env.Env.mono () >= d ->
-          Some (Protocol.reply_of_outcome Broker.Timed_out)
-      | Some fn, Some ir, Ok deadline, Ok delay_s -> (
-          match Protocol.compile_config m with
-          | Error msg -> Some (Protocol.rejected msg)
-          | Ok config ->
-              (* The remaining budget, not the original: queue wait has
-                 already been charged against the deadline — all on the
-                 monotonic clock, so a wall step changes nothing. *)
-              let deadline_s =
-                Option.map (fun d -> d -. fd.env.Env.mono ()) deadline
-              in
-              let context = Protocol.field m "context" in
-              Option.map Protocol.reply_of_outcome
-                (if memory_only then
-                   Broker.submit_in_memory ?deadline_s ?context ~config ~fn
-                     ~ir fd.broker
-                 else
-                   Some
-                     (Broker.submit ?deadline_s ?delay_s ?context ~config ~fn
-                        ~ir fd.broker))))
-  | Lookup -> (
-      match Protocol.field m "digest" with
-      | None -> Some (Protocol.rejected "lookup needs a digest field")
-      | Some digest -> (
-          match Broker.store fd.broker with
-          | None -> Some (Protocol.rejected "this node has no artifact store")
-          | Some s -> (
-              match Store.lookup ~memory_only s ~digest with
-              | None when memory_only -> None
-              | e -> Some (artifact_reply e))))
+  match
+    ( Protocol.field m "fn",
+      Protocol.field m "ir",
+      j.jb_deadline,
+      Protocol.ms_field m "delay-ms" )
+  with
+  | None, _, _, _ | _, None, _, _ ->
+      Some (Protocol.rejected "compile needs fn and ir fields")
+  | _, _, Error msg, _ | _, _, _, Error msg -> Some (Protocol.rejected msg)
+  | _, _, Ok (Some d), _ when fd.env.Env.mono () >= d ->
+      Some (Protocol.reply_of_outcome Broker.Timed_out)
+  | Some fn, Some ir, Ok deadline, Ok delay_s -> (
+      match Protocol.compile_config m with
+      | Error msg -> Some (Protocol.rejected msg)
+      | Ok config ->
+          (* The remaining budget, not the original: queue wait has
+             already been charged against the deadline — all on the
+             monotonic clock, so a wall step changes nothing. *)
+          let deadline_s =
+            Option.map (fun d -> d -. fd.env.Env.mono ()) deadline
+          in
+          let context = Protocol.field m "context" in
+          Option.map Protocol.reply_of_outcome
+            (if memory_only then
+               Broker.submit_in_memory ?deadline_s ?context ~config ~fn ~ir
+                 fd.broker
+             else
+               Some
+                 (Broker.submit ?deadline_s ?delay_s ?context ~config ~fn ~ir
+                    fd.broker)))
 
 (* Account a finished request and fill its reply slot — the one path
    for requests answered on the loop and for dispatcher completions
@@ -273,7 +244,7 @@ let finish fd j reply =
 (* Admit a request: answer it here if that needs no blocking, queue
    it for the dispatchers otherwise, and shed it when the queue is
    full. *)
-let admit fd cs kind m =
+let admit fd cs m =
   let now = fd.env.Env.mono () in
   let slot = reserve cs in
   if locked fd (fun () -> fd.stopping) then
@@ -283,7 +254,6 @@ let admit fd cs kind m =
       {
         jb_cs = cs;
         jb_slot = slot;
-        jb_kind = kind;
         jb_msg = m;
         jb_admit = now;
         jb_deadline =
@@ -330,8 +300,7 @@ let handle_msg fd cs m =
       fd.log "shutdown requested";
       reply cs (Protocol.ok []);
       initiate_stop fd
-  | "compile" -> admit fd cs Compile m
-  | "lookup" -> admit fd cs Lookup m
+  | "compile" -> admit fd cs m
   | verb -> reply cs (Protocol.rejected ("unknown verb: " ^ verb))
 
 let rec parse_loop fd cs =

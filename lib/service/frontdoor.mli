@@ -26,9 +26,8 @@
     {b The request path.}  An admitted request is answered on the loop
     when that needs no blocking: a [compile] whose result is already in
     memory ({!Broker.submit_in_memory} — the broker's request-digest
-    memo plus the store's parsed memo; never a parse or a disk read), a
-    [lookup] the store's memo holds, or a request refused
-    outright (a malformed [deadline-ms] or [delay-ms] among them).
+    memo plus the store's parsed memo; never a parse or a disk read) or
+    a request refused outright (a malformed [deadline-ms] or [delay-ms] among them).
     Everything else is queued to the dispatchers, one thread per broker
     worker ({!Broker.workers}), that call the blocking {!Broker.submit} and the store, so the loop
     itself never blocks on IO or a compile.  Both paths do the same
@@ -44,9 +43,7 @@
     a client pipelining requests on one connection reads the replies in
     the order it sent them.
 
-    Verbs: [ping], [stats], [shutdown], [compile] and [lookup]
-    (digest-keyed artifact fetch through the store's lookup chain).
-    Any other verb gets a structured [unknown verb] rejection. *)
+    Verbs: [ping], [stats], [shutdown] and [compile].  Any other verb gets a structured [unknown verb] rejection. *)
 
 (** Log2-bucket latency histogram: bucket 0 is [\[0, 1)] ms, bucket
     [i >= 1] is [\[2^(i-1), 2^i)] ms.  Quantiles come back as the upper

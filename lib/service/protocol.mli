@@ -21,13 +21,11 @@
     Verbs (client → server): [compile] (fields [config], [fn], [ir],
     optional [context] — the program's class layouts and globals,
     {!Digest.context_of_program}, omitted when empty — [deadline-ms],
-    [delay-ms], [inject]), [stats], [ping],
-    [shutdown], [lookup] ([digest]).
+    [delay-ms], [inject]), [stats], [ping], [shutdown].
     Server → client: [reply] with a [status] field ([ok], [done],
-    [done-cache], [failed], [timed-out], [shed], [rejected]; [hit] and
-    [miss] answer [lookup]) plus verb-specific fields ([ir], [work],
-    [message], [retry-after-ms], [broker], [store], [counts],
-    [frontdoor]). *)
+    [done-cache], [failed], [timed-out], [shed], [rejected]) plus
+    verb-specific fields ([ir], [work], [message], [retry-after-ms],
+    [broker], [store], [counts], [frontdoor]). *)
 
 type message = { verb : string; fields : (string * string) list }
 

@@ -23,8 +23,7 @@
 
     The store holds text, never a graph.  Its one compiling client is
     the {!Broker}, which digests a request, runs {!lookup}, compiles on
-    a miss and {!put}s the result; the front door's [lookup] verb reads
-    entries through the same chain. *)
+    a miss and {!put}s the result. *)
 
 type entry = {
   ar_fn : string;  (** function name the artifact was compiled from *)

@@ -1,24 +1,6 @@
-(** Whole-system simulation harness.
-
-    Composes a complete compile-service topology — one front door
-    ({!Service.Frontdoor}), a broker with W worker fibers and N client
-    fibers — on top of the deterministic scheduler
-    and the simulated environment, runs a seeded schedule with chaos
-    faults (message drops, reorders, duplicates, partitions, slow
-    disks, torn writes, clock jumps), and checks the end-to-end
-    invariant:
-
-    {e every request either receives the byte-identical optimized IR
-    the offline oracle computes, or a clean, contained, client-visible
-    failure (shed / timeout / transport error / corrupt-evict-miss) —
-    never a hang, never a wrong artifact.}
-
-    A violating seed can be {!shrink}-reduced to a minimal topology and
-    fault plan, and any result can be written as a replayable
-    {!write_bundle} (same grammar family as crash bundles).
-
-    The builder is TestBuilder-shaped: start from {!builder}, chain
-    [with_*] functions, finish with {!run} / {!run_seeds}. *)
+(** Whole-system simulation harness: a seeded compile-service topology
+    under chaos, its end-to-end invariant, shrinking and replayable
+    bundles — see the interface. *)
 
 module F = Dbds.Faults
 module Env = Service.Env
@@ -58,17 +40,10 @@ let with_clients clients b = { b with clients = max 1 clients }
 let with_requests requests_per_client b =
   { b with requests_per_client = max 1 requests_per_client }
 
-let with_workers workers b = { b with workers = max 1 workers }
-let with_queue_limit queue_limit b = { b with queue_limit = max 1 queue_limit }
 let with_chaos chaos b = { b with chaos = max 0 chaos }
 let with_fault plan b = { b with faults = b.faults @ [ plan ] }
-let with_faults faults b = { b with faults = b.faults @ faults }
-let with_compile_delay compile_delay_s b = { b with compile_delay_s }
 let with_deadline_ms deadline_ms b = { b with deadline_ms }
 
-(** A no-op: the simulator runs one server.  Kept only because the
-    frozen benchmark's [exercise_unmeasured] ([perfbench/pb.ml]) still
-    calls [with_nodes 2]. *)
 let with_nodes _ b = b
 
 (* Chaos plans are a pure function of the seed: [chaos] draws over the
@@ -454,12 +429,15 @@ let run_seeds ?(progress = fun _ _ -> ()) ~seeds spec =
 
 (* ---- shrinking ------------------------------------------------------ *)
 
+let max_shrink_runs = 200
+
 (* Greedy minimization: materialize the derived chaos into the explicit
    fault list, then repeatedly try removing one fault or shrinking one
    topology dimension, keeping any candidate that still violates with
    the same kind.  Each accepted step restarts the scan; the loop is a
-   fixpoint bounded by the spec's finite size. *)
-let shrink ?(max_runs = 200) spec =
+   fixpoint bounded by the spec's finite size and by
+   [max_shrink_runs]. *)
+let shrink spec =
   let target =
     let r = run spec in
     match r.r_violations with
@@ -472,7 +450,7 @@ let shrink ?(max_runs = 200) spec =
       let runs = ref 0 in
       let still_violates candidate =
         incr runs;
-        !runs <= max_runs
+        !runs <= max_shrink_runs
         && List.exists
              (fun v -> v.vio_kind = kind)
              (run candidate).r_violations
@@ -499,7 +477,7 @@ let shrink ?(max_runs = 200) spec =
       in
       let rec fix s =
         match List.find_opt still_violates (candidates s) with
-        | Some smaller when !runs <= max_runs -> fix smaller
+        | Some smaller when !runs <= max_shrink_runs -> fix smaller
         | _ -> s
       in
       Some (fix materialized, kind)
@@ -605,25 +583,16 @@ let parse_bundle text =
     store_capacity = (builder ()).store_capacity;
   }
 
-(** Write [r] as a replayable bundle under [dir]; returns the path.
-    Atomic, via the crash-bundle discipline. *)
 let write_bundle ~dir r =
   let name = Printf.sprintf "dbds-sim-%d.bundle" r.r_spec.seed in
   Dbds.Bundle.write_text ~dir ~name (render_bundle r)
 
-(** Parse a bundle file back into its spec and re-run it. *)
 let replay path =
   let text = In_channel.with_open_bin path In_channel.input_all in
   run (parse_bundle text)
 
 (* ---- a hand-driven front door --------------------------------------- *)
 
-(** [serve_frontdoor ~seed client]: a scheduler seeded [seed], a
-    simulated env with [faults], a broker (over a store at [/store] when
-    [store], none otherwise) and the {!Service.Frontdoor.serve} fiber on
-    [/fd]; then [client env] runs and the server fiber is joined, so
-    [client] must end by shutting the server down.  Returns the
-    schedule's outcome.  {!run} builds its own topology. *)
 let serve_frontdoor ?faults ?(store = false) ?workers ?queue_limit ?delay_s
     ~seed client =
   let sched = Sched.create ~seed () in

@@ -1,19 +1,5 @@
-(** The deterministic single-threaded discrete-event scheduler.
-
-    Every logical thread of the simulated system — the front door's
-    event loop, broker workers, clients, the harness controller — is a
-    {e fiber}: a cooperative task implemented with OCaml effects.  A
-    fiber runs uninterrupted until it suspends (sleep, lock, receive,
-    poll); suspension captures its one-shot continuation and parks it until
-    some event resumes it.  All progress flows through one event heap
-    keyed by [(virtual-time, sequence)], so a run is a pure function of
-    the seed and the program — replaying a seed replays the exact
-    schedule, byte for byte.
-
-    The scheduler also owns the run's verdict on {e liveness}: when the
-    heap drains while fibers are still suspended, nothing can ever wake
-    them — that is a hang, reported with the stuck fibers' names.  An
-    event-count ceiling catches livelock the same way. *)
+(** The deterministic discrete-event scheduler: fibers on OCaml effects
+    and one event heap — see the interface. *)
 
 open Effect
 open Effect.Deep
@@ -27,7 +13,6 @@ type _ Effect.t +=
             a timeout). *)
 
 type fiber = {
-  fid : int;
   fname : string;
   mutable finished : bool;
   mutable fault : Dbds.Faults.armed_state option;
@@ -104,13 +89,10 @@ type t = {
   mutable seq : int;
   heap : Heap.t;
   mutable current : fiber option;
-  mutable next_fid : int;
   mutable fibers : fiber list;  (** every fiber ever spawned *)
   mutable crashes : (string * string) list;  (** fiber, uncaught exn *)
   rand : Random.State.t;
   mutable events_run : int;
-  event_limit : int;
-  horizon : float;  (** virtual-time ceiling — livelock guard *)
   mutable trace : int64;  (** FNV-1a 64 over the executed schedule *)
 }
 
@@ -124,19 +106,21 @@ type outcome = {
   limit_hit : string option;  (** "events" / "horizon" when a guard tripped *)
 }
 
-let create ?(event_limit = 1_000_000) ?(horizon = 3600.) ~seed () =
+(* The livelock guards: an event-count ceiling and a virtual-time
+   ceiling, seconds. *)
+let event_limit = 1_000_000
+let horizon = 3600.
+
+let create ~seed () =
   {
     vnow = 0.;
     seq = 0;
     heap = Heap.create ();
     current = None;
-    next_fid = 0;
     fibers = [];
     crashes = [];
     rand = Random.State.make [| 0x51b1e57; seed |];
     events_run = 0;
-    event_limit;
-    horizon;
     trace = 0xcbf29ce484222325L;
   }
 
@@ -206,14 +190,12 @@ let exec t fiber thunk =
 let spawn t name thunk =
   let fiber =
     {
-      fid = t.next_fid;
       fname = name;
       finished = false;
       fault = None;
       joiners = Queue.create ();
     }
   in
-  t.next_fid <- t.next_fid + 1;
   t.fibers <- fiber :: t.fibers;
   schedule ~desc:("spawn:" ^ name) t (fun () ->
       let prev = t.current in
@@ -279,8 +261,8 @@ let run t main =
   ignore (spawn t "main" main);
   let limit_hit = ref None in
   let rec drain () =
-    if t.events_run >= t.event_limit then limit_hit := Some "events"
-    else if t.vnow > t.horizon then limit_hit := Some "horizon"
+    if t.events_run >= event_limit then limit_hit := Some "events"
+    else if t.vnow > horizon then limit_hit := Some "horizon"
     else
       match Heap.pop t.heap with
       | None -> ()

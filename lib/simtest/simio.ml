@@ -1,25 +1,9 @@
-(** The simulated environment: an {!Service.Env.t} backed by the
-    deterministic scheduler — virtual clocks, an in-memory network with
-    per-link latency plus seeded drop/reorder/duplicate/partition
-    faults, and an in-memory disk with slow IO, torn writes, and
-    crash-mid-rename.
-
-    Environment faults reuse the service's {!Dbds.Faults.plan} grammar:
-    each plan arms one {!Dbds.Faults.sim_sites} site with a hit count,
-    and the optional [fn] component matches as a substring of the
-    operation's tag (a link name like ["conn3:client-2->server"] or a
-    file path), so [net.drop:2:client-2] drops the second chunk that
-    client ever sends.  Fault decisions are pure counter arithmetic —
-    no randomness beyond the seeded scheduler — so a seed plus a plan
-    list replays exactly. *)
+(** The simulated environment: network, disk and clocks on the
+    scheduler, with seeded faults — see the interface. *)
 
 module F = Dbds.Faults
 module Env = Service.Env
 
-(** A hard simulated crash (process death mid-operation).  Deliberately
-    {e not} a [Sys_error]: the store's containment must not see it, so
-    it propagates like a power cut and leaves whatever state was on the
-    simulated disk at that instant. *)
 exception Crashed of string
 
 let () =
@@ -47,16 +31,10 @@ type ep = {
 
 type t = {
   sched : Sched.t;
-  net_latency : float;
-  disk_latency : float;
-  wall_base : float;
   mutable wall_offset : float;  (** NTP steps land here; mono ignores it *)
   files : (string, string) Hashtbl.t;
   dirs : (string, unit) Hashtbl.t;
   listeners : (string, listener_rec) Hashtbl.t;
-  denied : (string, unit) Hashtbl.t;
-      (** socket paths whose connect answers EACCES — test hook for the
-          stale-socket probe *)
   eps : (int, ep) Hashtbl.t;
       (** conn-id → endpoint, the poller's readiness lookup *)
   lrecs : (int, listener_rec) Hashtbl.t;  (** listener-id → record *)
@@ -66,26 +44,25 @@ type t = {
 }
 
 and listener_rec = {
-  laddr : string;
-  l_id : int;
   backlog : Env.conn Queue.t;
   mutable lwaiter : (unit -> unit) option;
   mutable lclosed : bool;
 }
 
-let create ?(net_latency = 0.001) ?(disk_latency = 0.002)
-    ?(wall_base = 1.7e9) ?(faults = []) sched =
+(* Per-chunk link latency and per-operation disk latency, seconds,
+   and the wall clock at virtual time 0. *)
+let net_latency = 0.001
+let disk_latency = 0.002
+let wall_base = 1.7e9
+
+let create ?(faults = []) sched =
   let io =
     {
       sched;
-      net_latency;
-      disk_latency;
-      wall_base;
       wall_offset = 0.;
       files = Hashtbl.create 64;
       dirs = Hashtbl.create 8;
       listeners = Hashtbl.create 4;
-      denied = Hashtbl.create 4;
       eps = Hashtbl.create 16;
       lrecs = Hashtbl.create 4;
       arms = List.map (fun plan -> { plan; count = 0 }) faults;
@@ -103,8 +80,6 @@ let create ?(net_latency = 0.001) ?(disk_latency = 0.002)
           (fun () -> io.wall_offset <- io.wall_offset +. 3600.))
     faults;
   io
-
-let deny io addr = Hashtbl.replace io.denied addr ()
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -163,7 +138,7 @@ let send io self peer chunk =
   if fires io F.Net_partition ~tag then
     io.partition_until <- Float.max io.partition_until (now +. 1.0);
   let base =
-    Float.max (now +. io.net_latency)
+    Float.max (now +. net_latency)
       (Float.max peer.floor io.partition_until)
   in
   if fires io F.Net_drop ~tag then begin
@@ -189,7 +164,7 @@ let send io self peer chunk =
        a clean, detectable failure at a *different* point than drop
        (after delivery rather than instead of it). *)
     let tdel =
-      if fires io F.Net_reorder ~tag then base +. (3. *. io.net_latency)
+      if fires io F.Net_reorder ~tag then base +. (3. *. net_latency)
       else base
     in
     peer.floor <- tdel;
@@ -197,7 +172,7 @@ let send io self peer chunk =
       (fun () -> deliver io peer chunk);
     if fires io F.Net_dup ~tag then
       Sched.schedule
-        ~delay:(tdel -. now +. io.net_latency)
+        ~delay:(tdel -. now +. net_latency)
         ~desc:("dup:" ^ tag) io.sched
         (fun () ->
           self.reset <- true;
@@ -245,7 +220,7 @@ let recv io ep deadline n =
 let close_ep io self peer =
   if not self.closed then begin
     self.closed <- true;
-    Sched.schedule ~delay:io.net_latency ~desc:("close:" ^ self.edge) io.sched
+    Sched.schedule ~delay:net_latency ~desc:("close:" ^ self.edge) io.sched
       (fun () ->
         peer.peer_closed <- true;
         wake_reader peer)
@@ -287,8 +262,6 @@ let conn_of_ep io self peer =
   }
 
 let connect io addr =
-  if Hashtbl.mem io.denied addr then
-    raise (Env.Net (Env.Denied, "connect " ^ addr));
   match Hashtbl.find_opt io.listeners addr with
   | Some l when not l.lclosed ->
       io.conn_count <- io.conn_count + 1;
@@ -313,8 +286,6 @@ let listen io addr =
   let lid = Env.fresh_id () in
   let l =
     {
-      laddr = addr;
-      l_id = lid;
       backlog = Queue.create ();
       lwaiter = None;
       lclosed = false;
@@ -418,7 +389,7 @@ let sim_poller io =
 (* ---- disk ----------------------------------------------------------- *)
 
 let disk_op io site ~path =
-  Sched.sleep io.sched io.disk_latency;
+  Sched.sleep io.sched disk_latency;
   if fires io F.Disk_slow ~tag:path then Sched.sleep io.sched 2.0;
   ignore site
 
@@ -473,7 +444,7 @@ let env io =
   in
   {
     Env.now =
-      (fun () -> io.wall_base +. Sched.now io.sched +. io.wall_offset);
+      (fun () -> wall_base +. Sched.now io.sched +. io.wall_offset);
     mono = (fun () -> Sched.now io.sched);
     sleep = (fun d -> Sched.sleep io.sched d);
     rand_int = (fun bound -> Sched.rand_int io.sched bound);

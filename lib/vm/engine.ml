@@ -1,11 +1,5 @@
-(** What is left of the tiered VM: one profile → compile → run entry.
-
-    The first {!run_full} interprets the tier-0 program with a branch
-    profile attached, then compiles a copy under {!Dbds.Config.dbds}
-    with the recorded probabilities ({!Interp.Machine.profile_guided},
-    the step [dbdsc --profile-runs] takes).  Every later {!run_full}
-    interprets the compiled copy.  Heap and globals are fresh on every
-    run. *)
+(** The tiered VM's one profile → compile → run entry — see the
+    interface. *)
 
 type t = {
   tier0 : Ir.Program.t;  (** never mutated *)
@@ -15,8 +9,6 @@ type t = {
 
 let create tier0 = { tier0; compiled = None; failures = [] }
 
-(** One program execution: the result, the run's interpreter statistics
-    and the final globals, sorted by name. *)
 let run_full t ~args =
   match t.compiled with
   | Some program -> Interp.Machine.run_full program ~args
@@ -31,5 +23,4 @@ let run_full t ~args =
       t.compiled <- Some program;
       run
 
-(** The compile failures the driver contained, in its order. *)
 let finish t = t.failures

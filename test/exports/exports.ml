@@ -1,10 +1,12 @@
-(* The dead-export gate.  Every [val v] of an interface [m.mli] under
-   ROOT/lib must be used by a .ml or .mli outside its own module under
-   lib, bin, bench, perfbench, test or examples: a file that names both
-   [v] and [M] as whole words.  A qualified name ([M.v]), an [open M]
-   and an alias ([module X = M]) all name [M].  A value used only under
-   test/ must be on ALLOWLIST, one "Module.value reason" a line.  A word
-   scan can only over-count uses, so it never fails a live value.
+(* The dead-export gate.  Every module [m.ml] under ROOT/lib must have
+   an interface [m.mli], so that no module escapes the gate.  Every
+   [val v] of such an interface must be used by a .ml or .mli outside
+   its own module under lib, bin, bench, perfbench, test or examples: a
+   file that names both [v] and [M] as whole words.  A qualified name
+   ([M.v]), an [open M] and an alias ([module X = M]) all name [M].  A
+   value used only under test/ must be on ALLOWLIST, one
+   "Module.value reason" a line.  A word scan can only over-count uses,
+   so it never fails a live value.
 
    Usage: exports.exe ROOT ALLOWLIST.  Prints each offender and exits 1
    if there is one. *)
@@ -100,7 +102,12 @@ let () =
   List.iter
     (fun (r, f, _) ->
       if r = "lib" && Filename.check_suffix f ".mli" then
-        List.iter (check f) (vals (read f)))
+        List.iter (check f) (vals (read f))
+      else if r = "lib" && not (Sys.file_exists (f ^ "i")) then
+        fail "%s: %s has no interface: add %si\n" f
+          (String.capitalize_ascii
+             (Filename.basename (Filename.remove_extension f)))
+          (Filename.basename f))
     files;
   List.iter
     (fun key ->

@@ -24,6 +24,6 @@ let report (r : Harness.Fuzz.result) =
 let () =
   List.iter
     (fun f -> report (f ()))
-    Harness.Fuzz.[ run; run_service; run_frontdoor ];
+    Harness.Fuzz.[ run_containment; run_service; run_frontdoor ];
   List.iter report (Harness.Fuzz.run_matrix ());
   if !failed then exit 1

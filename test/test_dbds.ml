@@ -418,7 +418,7 @@ let test_transform_rejects_loop_header () =
    round's tree, taken before that duplication, still says otherwise;
    the check must not trust it for a merge whose predecessor the round
    touched. *)
-let test_transform_round_new_loop_header () =
+let irreducible_ring () =
   let module B = Ir.Builder in
   let b = B.create ~name:"main" ~n_params:1 () in
   let e = B.entry b in
@@ -435,8 +435,11 @@ let test_transform_round_new_loop_header () =
   B.branch b c ~if_true:y ~if_false:out;
   B.switch b out;
   B.ret b zero;
-  let g = B.finish b in
-  let round = Dbds.Transform.round g in
+  (B.finish b, e, x, p, y)
+
+let test_transform_round_new_loop_header () =
+  let g, e, x, p, y = irreducible_ring () in
+  let round = Dbds.Transform.round ~phase:"dbds.duplicate" g in
   let y' = Dbds.Transform.duplicate ~round g ~merge:y ~pred:p in
   check_verifies g;
   Alcotest.(check (list int))
@@ -448,6 +451,22 @@ let test_transform_round_new_loop_header () =
   match Dbds.Transform.duplicate ~round g ~merge:x ~pred:e with
   | exception Dbds.Transform.Not_applicable _ -> check_verifies g
   | _ -> Alcotest.fail "X became a loop header; its duplication must be rejected"
+
+(* Paranoid mode checks each answer of the round's tree against a fresh
+   one and names the round's phase.  Duplicating Y into P without the
+   round leaves an edit the round did not record: X is now a loop
+   header, which the round's tree does not know. *)
+let test_transform_round_names_its_phase () =
+  let g, e, x, p, y = irreducible_ring () in
+  let round = Dbds.Transform.round ~phase:"dupalot.duplicate" g in
+  ignore (Dbds.Transform.duplicate g ~merge:y ~pred:p);
+  let ctx = Opt.Phase.create () in
+  ctx.Opt.Phase.paranoid <- true;
+  match Dbds.Transform.duplicate ~ctx ~round g ~merge:x ~pred:e with
+  | exception Opt.Phase.Phase_invalid { phase; _ } ->
+      Alcotest.(check string) "the round's phase" "dupalot.duplicate" phase
+  | exception Dbds.Transform.Not_applicable _ | _ ->
+      Alcotest.fail "the round's stale answer went unchecked"
 
 let test_transform_three_way_merge () =
   let src =
@@ -695,6 +714,8 @@ let suite =
     test "transform: rejects loop header" test_transform_rejects_loop_header;
     test "transform: a round sees a new loop header"
       test_transform_round_new_loop_header;
+    test "transform: a paranoid round names its phase"
+      test_transform_round_names_its_phase;
     test "transform: three-way merge" test_transform_three_way_merge;
     test "tradeoff: accepts beneficial" test_tradeoff_accepts_beneficial;
     test "tradeoff: rejects high cost" test_tradeoff_rejects_high_cost;

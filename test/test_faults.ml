@@ -328,16 +328,7 @@ let test_bundle_profile_section_refused () =
 
 (* A fresh bundle directory for [f], removed with the bundles in it
    when [f] returns or raises. *)
-let with_bundle_dir f =
-  let dir = Filename.temp_dir "dbds-bundles" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun name ->
-          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () -> f dir)
+let with_bundle_dir f = Harness.Fuzz.with_scratch_dir "dbds-bundles" f
 
 let test_bundle_write_and_replay () =
   with_bundle_dir @@ fun dir ->

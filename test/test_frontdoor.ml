@@ -182,12 +182,10 @@ let compile_ok c ~ir =
 let direct_compile ?(fn = "main") ir = Simtest.Harness.reference ~config ~fn ir
 
 (* The event loop serves artifacts byte-identical to a direct compile
-   of the same IR — on a first connection and again on a second — and
-   the digest-keyed [lookup] verb finds the published artifact. *)
+   of the same IR, on a first connection and again on a second. *)
 let test_end_to_end_matches_direct_compile () =
   let ir = main_ir () in
   let first = ref "" and second = ref "" in
-  let looked_up = ref None in
   run_sim (fun env ->
       let c = connect env "/fd" in
       first := compile_ok c ~ir;
@@ -195,12 +193,6 @@ let test_end_to_end_matches_direct_compile () =
       let c = connect env "/fd" in
       Alcotest.(check bool) "ping" true (SC.ping c);
       second := compile_ok c ~ir;
-      let digest =
-        SD.of_request (SD.request_of_text ~config ~fn:"main" ir)
-      in
-      (match SC.lookup ~digest c with
-      | Ok r -> looked_up := r
-      | Error e -> Alcotest.failf "lookup: %s" e);
       (match SC.stats c with
       | Ok (broker_line, _, _) ->
           Alcotest.(check bool) "broker stats" true
@@ -212,9 +204,7 @@ let test_end_to_end_matches_direct_compile () =
   Alcotest.(check string) "a second connection gets the same bytes" !first
     !second;
   Alcotest.(check string) "byte-identical to a direct compile"
-    (direct_compile ir) !first;
-  Alcotest.(check (option string)) "lookup finds the published artifact"
-    (Some !first) !looked_up
+    (direct_compile ir) !first
 
 (* A wire config the front door cannot honour exactly is rejected, not
    compiled as the mode's default pipeline. *)
@@ -358,8 +348,8 @@ let test_hello_is_unknown_verb () =
   check_unknown_verbs
     [ { SP.verb = "hello"; fields = [ ("tenant", "alice") ] } ]
 
-(* The fleet's peer-exchange and rebalance verbs, each well-formed as
-   it once was. *)
+(* The fleet's peer-exchange and rebalance verbs and the digest-keyed
+   [lookup], each well-formed as it once was. *)
 let test_fleet_verbs_are_unknown () =
   let ir = main_ir () in
   let digest = SD.of_request (SD.request_of_text ~config ~fn:"main" ir) in
@@ -372,6 +362,7 @@ let test_fleet_verbs_are_unknown () =
           [ ("digest", digest); ("fn", "main"); ("ir", ir); ("work", "7") ];
       };
       { SP.verb = "rebalance"; fields = [ ("epoch", "1"); ("nodes", "") ] };
+      { SP.verb = "lookup"; fields = [ ("digest", digest) ] };
     ]
 
 (* Queue backpressure: with one dispatcher busy and the queue bounded,
@@ -690,60 +681,132 @@ let test_harness_frontdoor_chaos_sweep () =
         = r.H.r_spec.H.clients * r.H.r_spec.H.requests_per_client))
     results
 
+(* ---- the overload sweep ------------------------------------------- *)
+
+(* Distinct single-function requests (their own generator seeds, away
+   from the sim harness's pool) so neither broker coalescing nor the
+   artifact store can flatter the measured capacity, each with the
+   offline oracle its served artifact must match byte for byte.  The
+   pool sends no context. *)
+let sweep_pool =
+  lazy
+    (List.init 16 (fun p ->
+         Workloads.Progen.generate ~n_helpers:3 ~seed:(3000 + p) ())
+    |> List.concat_map (fun src ->
+           List.map
+             (fun (fn, ir) -> (fn, ir, direct_compile ~fn ir))
+             (snd (SC.units (Lang.Frontend.compile src))))
+    |> Array.of_list)
+
+(* Exact client-observed percentile of [samples]. *)
+let percentile q samples =
+  match List.sort compare samples with
+  | [] -> 0.0
+  | l ->
+      let arr = Array.of_list l in
+      let n = Array.length arr in
+      arr.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
+
+type load_point = {
+  n_done : int;  (** answered with an artifact *)
+  goodput_rps : float;  (** completed artifacts per virtual second *)
+  p99_ms : float;  (** client-observed latency of completed requests *)
+}
+
+(* One offered load of the sweep: a broker whose compile stretch fixes
+   its capacity at 100 rps (2 workers, 20 ms each) behind the front
+   door, queue limit 2, and 32 open-loop arrivals at [mult] times that
+   capacity, scheduler seed [9000 + idx].  Checks what holds at every
+   load: each request is accounted for, each shed carries a retry-after
+   hint, each served artifact matches its oracle and the schedule runs
+   clean. *)
+let load_point idx mult =
+  let capacity_rps = 100. and workers = 2 and requests = 32 in
+  let offered = mult *. capacity_rps in
+  let pool = Lazy.force sweep_pool in
+  let latencies = ref [] in
+  let n_done = ref 0 and n_shed = ref 0 and n_failed = ref 0 in
+  let hints_ok = ref true and identical = ref true in
+  let finish_t = ref 0.0 in
+  let out =
+    Simtest.Harness.serve_frontdoor ~workers ~queue_limit:2
+      ~delay_s:(float_of_int workers /. capacity_rps) ~seed:(9000 + idx)
+      (fun env ->
+        (* Open-loop arrivals: request [j] fires at j/offered seconds
+           regardless of how its predecessors fared, so overload does
+           not self-throttle. *)
+        let fibers =
+          List.init requests (fun j ->
+              env.Env.spawn (Printf.sprintf "load-%d" j) (fun () ->
+                  let at = float_of_int j /. offered in
+                  let now = env.Env.mono () in
+                  if at > now then env.Env.sleep (at -. now);
+                  let fn, ir, expected = pool.(j mod Array.length pool) in
+                  match
+                    SC.connect ~env ~deadline_s:5.0 ~io_deadline_s:600.
+                      ~sock:"/fd" ()
+                  with
+                  | exception _ -> incr n_failed
+                  | c ->
+                      let t0 = env.Env.mono () in
+                      (match SC.compile_ex ~config ~fn ~ir c with
+                      | Ok (SB.Done { ir = got; _ }, _) ->
+                          incr n_done;
+                          if got <> expected then identical := false;
+                          let t1 = env.Env.mono () in
+                          if t1 > !finish_t then finish_t := t1;
+                          latencies := ((t1 -. t0) *. 1000.) :: !latencies
+                      | Ok (SB.Shed, hint) ->
+                          incr n_shed;
+                          if hint = None then hints_ok := false
+                      | Ok _ | Error _ -> incr n_failed);
+                      SC.close c))
+        in
+        List.iter (fun (t : Env.thread) -> t.Env.join ()) fibers;
+        match
+          SC.connect ~env ~deadline_s:5.0 ~io_deadline_s:60. ~sock:"/fd" ()
+        with
+        | c ->
+            ignore (SC.shutdown_server c);
+            SC.close c
+        | exception _ -> ())
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%.1fx: every request accounted for" mult)
+    requests
+    (!n_done + !n_shed + !n_failed);
+  Alcotest.(check bool) "sheds hinted" true !hints_ok;
+  Alcotest.(check bool) "artifacts identical" true !identical;
+  Alcotest.(check bool) "schedules clean" true out.Sim.ok;
+  {
+    n_done = !n_done;
+    goodput_rps =
+      (if !finish_t > 0.0 then float_of_int !n_done /. !finish_t else 0.0);
+    p99_ms = percentile 0.99 !latencies;
+  }
+
 (* The front door's overload gate, in the simulator's virtual time (so
    deterministic and host-independent): open-loop load at 0.5x, 1x and
-   2x of a 100 rps capacity.  Every request is accounted for, every
-   shed carries a retry-after hint, served artifacts match the offline
-   oracle and schedules run clean.  At 2x, admission control must keep
+   2x of a 100 rps capacity.  At 2x, admission control must keep
    goodput within 80% of the sweep's peak and the p99 of completed
-   requests within 3x of uncontended — shedding the surplus instead of
+   requests within 3x of uncontended, shedding the surplus instead of
    queueing it into latency. *)
 let test_load_sweep_reduced () =
-  let row =
-    Harness.Servicebench.load_sweep ~capacity_rps:100. ~requests:32
-      ~mults:[ 0.5; 1.0; 2.0 ] ()
-  in
-  Alcotest.(check int) "three points" 3
-    (List.length row.Harness.Metrics.fd_points);
-  Alcotest.(check bool) "schedules clean" true row.Harness.Metrics.fd_clean;
-  Alcotest.(check bool) "artifacts identical" true
-    row.Harness.Metrics.fd_identical;
-  List.iter
-    (fun (p : Harness.Metrics.frontdoor_point) ->
-      Alcotest.(check int)
-        (Printf.sprintf "%.1fx: every request accounted for"
-           p.Harness.Metrics.fd_mult)
-        p.Harness.Metrics.fd_sent
-        (p.Harness.Metrics.fd_done + p.Harness.Metrics.fd_shed
-       + p.Harness.Metrics.fd_failed);
-      Alcotest.(check bool) "sheds hinted" true
-        p.Harness.Metrics.fd_retry_after_ok)
-    row.Harness.Metrics.fd_points;
-  let point m =
-    match
-      List.find_opt (fun p -> p.Harness.Metrics.fd_mult = m) row.Harness.Metrics.fd_points
-    with
-    | Some p -> p
-    | None -> Alcotest.failf "the sweep lost its %.1fx point" m
-  in
-  let uncontended = point 0.5 and at2x = point 2.0 in
+  let uncontended = load_point 0 0.5 in
+  let at1x = load_point 1 1.0 in
+  let at2x = load_point 2 2.0 in
   let peak =
     List.fold_left
-      (fun acc (p : Harness.Metrics.frontdoor_point) ->
-        Float.max acc p.Harness.Metrics.fd_goodput_rps)
-      0.0 row.Harness.Metrics.fd_points
+      (fun acc p -> Float.max acc p.goodput_rps)
+      0.0 [ uncontended; at1x; at2x ]
   in
-  Alcotest.(check bool) "overload still completes work" true
-    (at2x.Harness.Metrics.fd_done > 0);
-  if at2x.Harness.Metrics.fd_goodput_rps < 0.8 *. peak then
+  Alcotest.(check bool) "overload still completes work" true (at2x.n_done > 0);
+  if at2x.goodput_rps < 0.8 *. peak then
     Alcotest.failf "goodput at 2x load %.1f rps < 80%% of peak %.1f"
-      at2x.Harness.Metrics.fd_goodput_rps peak;
-  if
-    at2x.Harness.Metrics.fd_p99_ms
-    > 3.0 *. uncontended.Harness.Metrics.fd_p99_ms
-  then
+      at2x.goodput_rps peak;
+  if at2x.p99_ms > 3.0 *. uncontended.p99_ms then
     Alcotest.failf "p99 at 2x load %.1f ms > 3x uncontended %.1f ms"
-      at2x.Harness.Metrics.fd_p99_ms uncontended.Harness.Metrics.fd_p99_ms
+      at2x.p99_ms uncontended.p99_ms
 
 let suite =
   [

@@ -3,6 +3,7 @@
 
 open Helpers
 module M = Harness.Metrics
+module F = Harness.Fuzz
 
 let mk ~cycles ~size ~work =
   {
@@ -121,7 +122,6 @@ let test_figure4_experiment () =
    drops SCCP leaves SCCP work on these progen programs (all three fire
    in [main] or a helper), while the real off pipeline leaves none. *)
 let test_quiescence_mutant () =
-  let module F = Harness.Fuzz in
   let spec =
     Result.get_ok
       (Opt.Spec.of_string
@@ -140,7 +140,7 @@ let test_quiescence_mutant () =
       (fun seed ->
         let name = Printf.sprintf "progen/%d" seed in
         let p = List.find (fun (p : F.program) -> p.F.name = name) F.corpus in
-        snd (F.quiescence.F.check [ F.compile (row config) p ]))
+        snd (F.quiescence.F.check [ F.compile_row (row config) p ]))
       [ 29; 49; 55 ]
   in
   Alcotest.(check int) "the off pipeline ends quiescent" 0
@@ -148,23 +148,38 @@ let test_quiescence_mutant () =
   Alcotest.(check bool) "dropping sccp is caught" true
     (violations { Dbds.Config.off with Dbds.Config.passes = spec } <> [])
 
-(* A suite authored as IR has no source text: its requests come from
-   [Suite.compile], so its service row checks its functions instead of
-   nothing. *)
+(* Every function of a suite as one compile request, inlined and with
+   its program's context.  Through [Suite.compile]: a suite authored as
+   IR has no source text, so its requests check its functions instead
+   of nothing. *)
+let requests_of (suite : Workloads.Suite.t) =
+  List.concat_map
+    (fun b ->
+      let context, units = Service.Client.units (Workloads.Suite.compile b) in
+      List.map (fun (fn, ir) -> (fn, ir, context)) units)
+    suite.Workloads.Suite.benchmarks
+
 let test_service_direct_ir_suite () =
   let suite =
     List.find
       (fun s -> s.Workloads.Suite.suite_name = "adv-irreducible")
       Workloads.Registry.adversarial
   in
-  let row = Harness.Servicebench.measure_suite suite in
-  Alcotest.(check bool) "requests sent" true (row.M.sv_requests > 0);
-  Alcotest.(check (float 1e-9)) "every warm request hits" 1.0 row.M.sv_warm_hit_rate;
-  Alcotest.(check bool) "warm replies identical" true row.M.sv_identical
+  let requests = requests_of suite in
+  Alcotest.(check bool) "requests sent" true (requests <> []);
+  let leg = F.cold_warm ~config:Dbds.Config.dbds ~workers:1 requests in
+  let ir_of = function Service.Broker.Done { ir; _ } -> Some ir | _ -> None in
+  Alcotest.(check bool) "every warm request hits" true
+    (List.for_all
+       (function Service.Broker.Done { from_cache; _ } -> from_cache | _ -> false)
+       leg.F.warm);
+  Alcotest.(check bool) "warm replies identical" true
+    ((not (List.mem None (List.map ir_of leg.F.cold)))
+    && List.map ir_of leg.F.warm = List.map ir_of leg.F.cold)
 
 let test_service_empty_suite () =
   let empty = { Workloads.Suite.suite_name = "empty"; figure = ""; benchmarks = [] } in
-  match Harness.Servicebench.measure_suite empty with
+  match F.cold_warm ~config:Dbds.Config.dbds ~workers:1 (requests_of empty) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a suite with no request passed"
 

@@ -34,17 +34,7 @@ let config = Dbds.Config.default
 
 (* A scratch store directory, removed when [f] finishes. *)
 let with_store ?capacity f =
-  let dir = Filename.temp_dir "dbds-test-service" ".store" in
-  let rm_rf () =
-    (match Sys.readdir dir with
-    | names ->
-        Array.iter
-          (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-          names
-    | exception Sys_error _ -> ());
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  in
-  Fun.protect ~finally:rm_rf (fun () ->
+  Harness.Fuzz.with_scratch_dir "dbds-test-service" (fun dir ->
       f (SS.create ?capacity ~dir ()))
 
 let plan ?fn site hit = { F.seed = 0; site; hit; fn }
